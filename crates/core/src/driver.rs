@@ -1,25 +1,29 @@
 //! The shared ||Lloyd's iteration driver.
 //!
 //! All three knor engines — knori (in-memory), knors (semi-external-memory)
-//! and knord (distributed) — run the *same* iteration protocol; only the
-//! row-access path differs (NUMA arenas, the SAFS row-cache stack, or a
+//! and knord (distributed) — run the *same* iteration protocol; only where a
+//! row's bytes live differs (NUMA arenas, the SAFS row-cache stack, or a
 //! per-rank slice of the matrix). clusterNOR's observation is that the
-//! protocol itself is the reusable asset, so it lives here once and each
-//! engine plugs in a [`LloydBackend`]:
+//! protocol itself is the reusable asset, so it lives here once. An engine
+//! hands [`run_mm`] two small objects: a [`DataPlane`] (row access plus the
+//! coordinator hooks that belong to it) and a [`Reducer`] (identity unless
+//! the run spans ranks):
 //!
 //! ```text
-//! pre_iteration (coordinator)
-//!   A ─ compute super-phase (backend) ─ B ─ parallel merge ─ C ─
-//!       [reduce (backend: knord's allreduce window)]
-//!       coordinator window: finalize means, drift, MTI update,
-//!       convergence, stats, end_iteration (backend), queue refill ─ A
+//! pre_iteration (plane, coordinator)
+//!   A ─ compute super-phase (plane) ─ B ─ parallel merge ─ C ─
+//!       [reduce (reducer: knord's allreduce window)]
+//!       coordinator window: finalize means, drift, bound-state update,
+//!       convergence, stats, end_iteration (plane), queue refill ─ A
 //! ```
 //!
-//! * **compute** — each worker drains the task queue and fills its private
-//!   [`LocalAccum`]; the backend decides how a row's bytes are obtained.
-//!   The helpers [`filter_row`], [`process_row_mti`], [`filter_row_yy`],
-//!   [`process_row_yy`] and [`process_row_full`] implement the per-row
-//!   pruning/full-scan state machine so backends share that logic too.
+//! * **compute** — each worker runs the one worker loop,
+//!   [`crate::plane::drain`], over the plane's row source and fills its
+//!   private [`LocalAccum`]. What varies per iteration is a policy of three
+//!   parts, chosen once per call: the row source (direct or staged), the
+//!   pre-fetch filter and the commit (see the table in `crate::plane`).
+//!   Pruning is a [`RowFilter`]; its three implementors at the bottom of
+//!   this module are the whole per-row state machine.
 //! * **merge** — the `k·d` accumulator dimensions are sliced across
 //!   workers; each worker sums one slice across all `T` accumulators.
 //! * **reduce** — a hook between the local merge and the centroid update.
@@ -31,29 +35,36 @@
 //!   distance matrix, records statistics, decides convergence and refills
 //!   the queue.
 //!
-//! Under MTI the accumulators hold *deltas* against persistent global sums
-//! (maintained by the driver), so a Clause-1 skip touches no row data.
+//! Under pruning the accumulators hold *deltas* against persistent global
+//! sums (maintained by the driver), so a Clause-1 skip touches no row data.
+//!
+//! **Failure.** A row source can fail (a SEM device read). The failing
+//! worker stops draining but still walks barriers B and C; its report
+//! carries [`WorkerReport::failed`], which rides the reduce like every other
+//! scalar, so the coordinator — every rank's coordinator, under knord —
+//! stops the run at the same iteration and [`run_mm`] returns the error.
 
+use std::io;
+use std::ops::Range;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Barrier;
+use std::sync::{Barrier, Mutex, PoisonError};
 
 use knor_matrix::shared::SharedRows;
 use knor_numa::{AccessTally, NodeId, Placement};
 use knor_sched::TaskQueue;
 
-use crate::algo::{LloydAlgo, MmAlgorithm, UpdateCtx};
+use crate::algo::{MmAlgorithm, UpdateCtx};
 use crate::centroids::{finalize_means, Centroids, LocalAccum};
 use crate::distance::{dist, nearest, MIRROR_MAX_K};
-use crate::kernel::{
-    assign_rows, centroid_sqnorms, sqnorm, KernelKind, KernelScratch, ResolvedKernel, ResolvedKind,
-};
+use crate::kernel::{centroid_sqnorms, sqnorm, KernelKind, ResolvedKernel};
+use crate::plane::{DataPlane, DrainScratch};
 use crate::pruning::{mti_assign, MtiIterState, PruneCounters, Pruning, YinyangState};
 use crate::replica::{NodeReplicas, OpLog, ReplicaState};
 use crate::stats::IterStats;
 use crate::sync::ExclusiveCell;
 use crate::trace::{Phase, PhaseBreakdown, TraceHandle, WorkerTracer};
 
-/// Backend-independent parameters of a driver run.
+/// Engine-independent parameters of a driver run.
 #[derive(Debug, Clone)]
 pub struct DriverConfig {
     /// Number of clusters.
@@ -92,8 +103,7 @@ pub struct DriverConfig {
 }
 
 impl DriverConfig {
-    /// The kernel this configuration resolves to (backends use this to size
-    /// their per-worker [`KernelScratch`]).
+    /// The kernel this configuration resolves to.
     pub fn resolve_kernel(&self) -> ResolvedKernel {
         self.resolve_kernel_with(self.pruning.enabled())
     }
@@ -119,10 +129,13 @@ pub struct WorkerReport {
     pub reassigned: u64,
     /// Rows whose data was actually touched.
     pub rows_accessed: u64,
-    /// Exact access tally, when the backend tracks them (knori cost model).
+    /// Exact access tally, when the plane tracks them (knori cost model).
     pub tally: Option<AccessTally>,
-    /// Backend-defined auxiliary counter (knors: row-cache hits).
+    /// Plane-defined auxiliary counter (knors: row-cache hits).
     pub aux: u64,
+    /// Workers whose row source failed this iteration. Summed across
+    /// workers (and, by the reducer, across ranks); non-zero stops the run.
+    pub failed: u64,
 }
 
 impl WorkerReport {
@@ -133,33 +146,20 @@ impl WorkerReport {
         self.reassigned += o.reassigned;
         self.rows_accessed += o.rows_accessed;
         self.aux += o.aux;
+        self.failed += o.failed;
     }
 }
 
-/// Read-only view of the iteration state handed to [`LloydBackend::compute`].
+/// Read-only view of the iteration state handed to [`DataPlane::compute`].
 pub struct IterView<'a> {
     /// Current iteration, 0-based.
     pub iter: usize,
-    /// Whether any pruning scheme is active (`scheme.enabled()`, cached
-    /// because it gates the hot per-row dispatch).
-    pub pruning: bool,
-    /// The active pruning scheme.
-    pub scheme: Pruning,
     /// Current centroids (`C^t`).
     pub cents: &'a Centroids,
-    /// MTI drift/threshold state for this iteration (zero-sized unless the
-    /// scheme is [`Pruning::Mti`]).
-    pub mti: &'a MtiIterState,
-    /// Yinyang grouping/drift state (zero-sized unless the scheme is
-    /// [`Pruning::Yinyang`]).
-    pub yy: &'a YinyangState,
-    /// Per-row assignments (disjoint task ownership).
-    pub assign: &'a SharedRows<u32>,
-    /// Per-row upper bounds (MTI and Yinyang).
-    pub upper: &'a SharedRows<f64>,
-    /// Per-row × per-group Yinyang lower bounds (`n·t`, row-major; empty
-    /// unless the scheme is [`Pruning::Yinyang`]).
-    pub lower: &'a SharedRows<f64>,
+    /// The run's pruning filter with this iteration's drift state.
+    pub filter: Filter<'a>,
+    /// Per-row assignments and bounds (disjoint task ownership).
+    pub rows: &'a RowBounds,
     /// The iteration's task queue.
     pub queue: &'a TaskQueue,
     /// The resolved assignment kernel for this run.
@@ -171,13 +171,11 @@ pub struct IterView<'a> {
     pub algo: &'a dyn MmAlgorithm,
     /// Global row id of local row 0 (see [`DriverConfig::row_offset`]).
     pub row_offset: usize,
-    /// Cached `algo.is_lloyd()` — true routes the legacy bitwise paths.
-    pub is_lloyd: bool,
     /// Cached `algo.subsamples()` — false skips the per-row scope call.
     pub scoped: bool,
     /// This worker's span recorder for the iteration, when tracing is on.
-    /// Backends with staged I/O (knors) record their fetch/hit/miss/
-    /// scatter intervals through it; measurement-only by construction.
+    /// Staged row sources (knors) record their fetch/hit/miss/scatter
+    /// intervals through it; measurement-only by construction.
     pub tracer: Option<WorkerTracer<'a>>,
 }
 
@@ -190,7 +188,7 @@ impl IterView<'_> {
     }
 }
 
-/// What a [`LloydBackend::reduce`] implementation reports about the global
+/// What a [`Reducer::reduce`] implementation reports about the global
 /// reduction it performed (all zeros for single-machine engines).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ReduceReport {
@@ -202,27 +200,16 @@ pub struct ReduceReport {
     pub modeled_comm_ns: f64,
 }
 
-/// The per-engine plug-in: how rows are fetched and what happens at the
-/// engine-specific protocol points.
-pub trait LloydBackend: Sync {
-    /// Called once per worker thread before the first iteration
-    /// (knori binds the thread to its NUMA node here).
-    fn worker_start(&self, _w: usize) {}
-
-    /// Coordinator-only hook before barrier A of each iteration
-    /// (knors decides row-cache refreshes here).
-    fn pre_iteration(&self, _iter: usize) {}
-
-    /// The compute super-phase for worker `w`: drain `view.queue`, fetch
-    /// row data however this engine does, and update `accum` plus the
-    /// shared per-row state via the driver's row helpers.
-    fn compute(&self, w: usize, view: &IterView<'_>, accum: &mut LocalAccum) -> WorkerReport;
-
-    /// Coordinator hook between the local merge and the centroid update.
+/// The cross-process half of an engine: what happens to the merged state
+/// between barrier C and the centroid update. Both hooks run on the
+/// coordinator inside its exclusive window; the defaults keep everything
+/// local, which is the whole reducer of a single-machine engine
+/// ([`NoReduce`]).
+pub trait Reducer: Sync {
     /// knord allreduces `sums`, `counts`, the per-cluster contribution
-    /// `weights` and the scalar totals in `totals` across ranks here; the
-    /// defaults leave everything local. (`weights` carry data only for
-    /// weighted algorithms — they are zeros on the Lloyd fast path.)
+    /// `weights` and the scalar totals in `totals` across ranks here.
+    /// (`weights` carry data only for weighted algorithms — they are zeros
+    /// on the Lloyd fast path.)
     fn reduce(
         &self,
         _iter: usize,
@@ -234,21 +221,21 @@ pub trait LloydBackend: Sync {
         ReduceReport::default()
     }
 
-    /// Coordinator hook after the drift pass of a Yinyang iteration:
-    /// globalize the per-group drift maxima. Every rank computes identical
-    /// values from the identically-reduced centroids, so knord's
-    /// max-allreduce here is bitwise a no-op — it exists to keep ranks
-    /// lockstep-verified and to account the O(t) wire extension. Returns
-    /// the wire bytes this process sent (0 for single-machine engines).
+    /// After the drift pass of a Yinyang iteration: globalize the per-group
+    /// drift maxima. Every rank computes identical values from the
+    /// identically-reduced centroids, so knord's max-allreduce here is
+    /// bitwise a no-op — it exists to keep ranks lockstep-verified and to
+    /// account the O(t) wire extension. Returns the wire bytes this process
+    /// sent (0 for single-machine engines).
     fn sync_group_drift(&self, _iter: usize, _group_drift: &mut [f64]) -> u64 {
         0
     }
-
-    /// Coordinator hook after the iteration's statistics are final
-    /// (knors records its I/O statistics here). `aux_total` is the sum of
-    /// the workers' backend-defined [`WorkerReport::aux`] counters.
-    fn end_iteration(&self, _iter: usize, _stats: &IterStats, _aux_total: u64) {}
 }
+
+/// The identity [`Reducer`] of the single-machine engines.
+pub struct NoReduce;
+
+impl Reducer for NoReduce {}
 
 /// A `Send + Sync` raw pointer to a shared `f64` buffer, used for the
 /// barrier-ordered, row-disjoint parallel ccdist writes (the same manual
@@ -275,39 +262,28 @@ pub struct DriverOutcome {
     pub phases: Option<PhaseBreakdown>,
 }
 
-/// Run the full ||Lloyd's protocol: spawn `cfg.nthreads` workers, iterate
-/// until convergence or the cap, and return the outcome. Equivalent to
-/// [`run_mm`] with the canonical Lloyd algorithm.
+/// Run the shared map/merge/reduce/update protocol for an arbitrary
+/// [`MmAlgorithm`] over `plane`'s rows: spawn `cfg.nthreads` workers,
+/// iterate until the algorithm declares convergence or the cap, and return
+/// the outcome — or the first error a row source reported (see the module
+/// docs; a run stopped by a peer rank's failure reports
+/// [`io::ErrorKind::Other`]).
 ///
 /// `queue` must be empty; the driver fills it from `placement` each
-/// iteration. `init` supplies the starting centroids.
-pub fn run_lloyd<B: LloydBackend>(
-    cfg: &DriverConfig,
-    init: Centroids,
-    placement: &Placement,
-    queue: &TaskQueue,
-    backend: &B,
-) -> DriverOutcome {
-    run_mm(cfg, init, placement, queue, backend, &LloydAlgo)
-}
-
-/// Run the shared map/merge/reduce/update protocol for an arbitrary
-/// [`MmAlgorithm`]: spawn `cfg.nthreads` workers, iterate until the
-/// algorithm declares convergence or the cap, and return the outcome.
-///
-/// For the canonical Lloyd instance every code path, accumulation order
-/// and comparison is the pre-trait one — the output is bitwise identical
-/// to the historical `run_lloyd`. Non-Lloyd algorithms run the generic
-/// map/update path with pruning forced off (MTI's clauses are only sound
-/// for exact-Euclidean hard-assignment mean updates).
-pub fn run_mm<B: LloydBackend>(
+/// iteration. `init` supplies the starting centroids. For the canonical
+/// Lloyd instance every accumulation order and comparison is the historical
+/// `run_lloyd` one. Non-Lloyd algorithms run the generic map/update path
+/// with pruning forced off (MTI's clauses are only sound for
+/// exact-Euclidean hard-assignment mean updates).
+pub fn run_mm<P: DataPlane + ?Sized, R: Reducer>(
     cfg: &DriverConfig,
     mut init: Centroids,
     placement: &Placement,
     queue: &TaskQueue,
-    backend: &B,
+    plane: &P,
+    reducer: &R,
     algo: &dyn MmAlgorithm,
-) -> DriverOutcome {
+) -> io::Result<DriverOutcome> {
     let (k, d, n, nthreads) = (cfg.k, cfg.d, cfg.n, cfg.nthreads);
     assert_eq!(init.k(), k, "init centroid count mismatch");
     assert_eq!(init.d, d, "init dimensionality mismatch");
@@ -357,13 +333,7 @@ pub fn run_mm<B: LloydBackend>(
     // state is created between the capture and the workers' writes), and
     // barriers D/E order the disjoint row writes against all readers.
     let cc_base = ExclusiveCell::new(RawSlicePtr(std::ptr::null_mut()));
-    let assign: SharedRows<u32> = SharedRows::new(n, u32::MAX);
-    let upper: SharedRows<f64> = SharedRows::new(n, f64::INFINITY);
-    // Yinyang per-row group lower bounds (`n·t`, row-major). Allocated
-    // zeroed so pages stay lazy; iteration 0 writes every slot from the
-    // row's owning worker, first-touching the bound pages on that worker's
-    // NUMA node — the same persistent-bound discipline as `upper`.
-    let lower: SharedRows<f64> = SharedRows::new(if yinyang { n * ngroups } else { 0 }, 0.0);
+    let rows = RowBounds::new(n, ngroups);
     let merged_sums: SharedRows<f64> = SharedRows::new(k * d, 0.0);
     let merged_counts = ExclusiveCell::new(vec![0i64; k]);
     let merged_weights = ExclusiveCell::new(vec![0.0f64; k]);
@@ -378,6 +348,10 @@ pub fn run_mm<B: LloydBackend>(
         (0..nthreads).map(|_| ExclusiveCell::new(WorkerReport::default())).collect();
     let stop = AtomicBool::new(false);
     let converged = AtomicBool::new(false);
+    // A row source's failure: the first error any worker met, and whether
+    // the (globally reduced) failure count stopped the run.
+    let failure: Mutex<Option<io::Error>> = Mutex::new(None);
+    let failed = AtomicBool::new(false);
     let barrier = Barrier::new(nthreads);
     let dim_slices = knor_matrix::partition_rows(k * d, nthreads);
     // Per-node read replicas of the iteration state (see `crate::replica`):
@@ -400,445 +374,430 @@ pub fn run_mm<B: LloydBackend>(
 
     let mut iter_stats: Vec<IterStats> = Vec::new();
     let mut reduce_reports: Vec<ReduceReport> = Vec::new();
-    std::thread::scope(|s| {
-        let mut handles = Vec::with_capacity(nthreads);
-        for w in 0..nthreads {
-            let centroids = &centroids;
-            let next_cents = &next_cents;
-            let mti = &mti;
-            let yy_cell = &yy_cell;
-            let assign = &assign;
-            let upper = &upper;
-            let lower = &lower;
-            let merged_sums = &merged_sums;
-            let merged_counts = &merged_counts;
-            let merged_weights = &merged_weights;
-            let persistent = &persistent;
-            let accums = &accums;
-            let reports = &reports;
-            let stop = &stop;
-            let converged = &converged;
-            let barrier = &barrier;
-            let backend = &backend;
-            let cnorms_cell = &cnorms_cell;
-            let sums_staging = &sums_staging;
-            let cc_base = &cc_base;
-            let replicas = &replicas;
-            let oplog = &oplog;
-            let tgroup = &tgroup;
-            let dim_slice = dim_slices[w].clone();
-            handles.push(s.spawn(move || {
-                backend.worker_start(w);
-                let my_node = placement.node_of_thread(w).0;
-                let is_writer = replicas.is_some()
-                    && placement.threads_on_node(NodeId(my_node)).next() == Some(w);
-                if let Some(reps) = replicas.as_ref() {
-                    if is_writer {
-                        // Clone the canonical state into this node's slot
-                        // *after* `worker_start` bound the thread, so
-                        // first-touch places the replica's pages on this
-                        // node. Safety: pre-loop install; every reader is on
-                        // the far side of the first barrier A.
-                        let seed = ReplicaState::from_canonical(
-                            unsafe { centroids.get() },
-                            unsafe { cnorms_cell.get() },
-                            unsafe { mti.get() },
-                            unsafe { yy_cell.get() },
-                        );
-                        unsafe { *reps.slot_mut(my_node) = Some(seed) };
-                    }
-                }
-                let pruning = cfg_pruning;
-                // Only the coordinator records; reserving the cap up front
-                // keeps the iteration loop allocation-free. The reserve is
-                // clamped so an effectively-unbounded cap (run-until-
-                // convergence callers) neither overflows nor pre-allocates
-                // gigabytes; runs longer than the clamp merely fall back to
-                // amortized growth.
-                let reserve = cfg.max_iters.min(1024);
-                let (mut stats, mut reduces) = if w == 0 {
-                    (Vec::with_capacity(reserve), Vec::with_capacity(reserve))
-                } else {
-                    (Vec::new(), Vec::new())
-                };
-                let mut iter = 0usize;
-
-                loop {
-                    // Safety: each worker claims only its own slot, and all
-                    // trace reads happen after the scope joins.
-                    let tr = tgroup
-                        .as_deref()
-                        .map(|g| unsafe { g.tracer(w, my_node as u32, iter as u32) });
-                    if w == 0 {
-                        backend.pre_iteration(iter);
-                    }
-                    let ta = tr.as_ref().map(|t| t.now());
-                    barrier.wait(); // A — state published by coordinator
-                    if let (Some(t), Some(ta)) = (tr.as_ref(), ta) {
-                        t.record(Phase::BarrierA, ta, 0);
-                    }
-                    if stop.load(Ordering::Acquire) {
-                        break;
-                    }
-                    let t0 = std::time::Instant::now();
-                    let tc = tr.as_ref().map(|t| t.now());
-
-                    // ---- compute super-phase (backend-specific) ----------
-                    // Safety: barrier A separates us from the coordinator's
-                    // writes (and the node writers' replica publishes);
-                    // nobody writes these cells during compute. With
-                    // replication on, all read-shared state comes from this
-                    // worker's node-local replica — bitwise equal to the
-                    // canonical copy (see `crate::replica`), so the
-                    // trajectory is unchanged while the reads stay on-node.
-                    let replica = replicas.as_ref().map(|reps| unsafe { reps.get(my_node) });
-                    let view = IterView {
-                        iter,
-                        pruning,
-                        scheme,
-                        cents: replica.map_or_else(|| unsafe { centroids.get() }, |r| &r.cents),
-                        mti: replica.map_or_else(|| unsafe { mti.get() }, |r| &r.mti),
-                        yy: replica.map_or_else(|| unsafe { yy_cell.get() }, |r| &r.yy),
-                        assign,
-                        upper,
-                        lower,
-                        queue,
-                        kernel: rk,
-                        cnorms: replica.map_or_else(
-                            || unsafe { cnorms_cell.get() }.as_slice(),
-                            |r| r.cnorms.as_slice(),
-                        ),
-                        algo,
-                        row_offset: cfg.row_offset,
-                        is_lloyd,
-                        scoped,
-                        tracer: tr,
-                    };
-                    let accum = unsafe { accums[w].get_mut() };
-                    let report = backend.compute(w, &view, accum);
-                    if let (Some(t), Some(tc)) = (tr.as_ref(), tc) {
-                        // Compute covers the whole drain; staged-I/O spans
-                        // recorded by the backend nest inside it.
-                        t.record(Phase::Compute, tc, report.rows_accessed * (d as u64) * 8);
-                    }
-                    // Safety: own slot; read by worker 0 only after B.
-                    unsafe { *reports[w].get_mut() = report };
-
-                    let tb = tr.as_ref().map(|t| t.now());
-                    barrier.wait(); // B — all accumulators and reports final
-                    if let (Some(t), Some(tb)) = (tr.as_ref(), tb) {
-                        t.record(Phase::BarrierB, tb, 0);
-                    }
-
-                    // ---- parallel merge (dimension-sliced) ---------------
-                    let tm = tr.as_ref().map(|t| t.now());
-                    for j in dim_slice.clone() {
-                        let mut sum = 0.0;
-                        for a in accums.iter() {
-                            // Safety: accumulators are read-only between B and C.
-                            sum += unsafe { a.get() }.sums[j];
-                        }
-                        // Safety: dim slices are disjoint across workers.
-                        unsafe { *merged_sums.get_mut(j) = sum };
-                    }
-                    if w == 0 {
-                        // Safety: coordinator-only write between B and C.
-                        let mc = unsafe { merged_counts.get_mut() };
-                        for (c, m) in mc.iter_mut().enumerate() {
-                            *m = accums.iter().map(|a| unsafe { a.get() }.counts[c]).sum();
-                        }
-                        if uses_weights {
-                            // Only weighted updates read the lane; for
-                            // everyone else (Lloyd included) the merged
-                            // weights stay zero and cost nothing here.
-                            let mw = unsafe { merged_weights.get_mut() };
-                            for (c, m) in mw.iter_mut().enumerate() {
-                                *m = accums.iter().map(|a| unsafe { a.get() }.weights[c]).sum();
-                            }
-                        }
-                    }
-
-                    if let (Some(t), Some(tm)) = (tr.as_ref(), tm) {
-                        t.record(Phase::Merge, tm, dim_slice.len() as u64 * 8);
-                    }
-
-                    let tcw = tr.as_ref().map(|t| t.now());
-                    barrier.wait(); // C — merged sums/counts complete
-                    if let (Some(t), Some(tcw)) = (tr.as_ref(), tcw) {
-                        t.record(Phase::BarrierC, tcw, 0);
-                    }
-
-                    let tu = tr.as_ref().map(|t| t.now());
-                    if w == 0 {
-                        // ---- coordinator window --------------------------
-                        // Safety: exclusive window between C and next A.
-                        let cents = unsafe { centroids.get_mut() };
-                        let next = unsafe { next_cents.get_mut() };
-                        let mc = unsafe { merged_counts.get_mut() };
-                        let (psums, pcounts) = unsafe { persistent.get_mut() };
-
-                        // Aggregate worker reports before the reduce so the
-                        // backend can globalize the convergence scalars.
-                        let mut totals = WorkerReport::default();
-                        let mut tallies: Option<Vec<AccessTally>> = None;
-                        for rep in reports.iter() {
-                            // Safety: workers finished their reports before B.
-                            let rep = unsafe { rep.get() };
-                            totals.absorb(rep);
-                            if let Some(t) = rep.tally.as_ref() {
-                                tallies.get_or_insert_with(Vec::new).push(t.clone());
-                            }
-                        }
-
-                        // Engine-specific global reduction (knord's
-                        // allreduce); identity for single-machine engines.
-                        let sums_view = unsafe { sums_staging.get_mut() };
-                        for (j, s) in sums_view.iter_mut().enumerate() {
-                            *s = unsafe { *merged_sums.get(j) };
-                        }
-                        let mw = unsafe { merged_weights.get_mut() };
-                        let mut reduce_report =
-                            backend.reduce(iter, sums_view, mc, mw, &mut totals);
-
-                        if pruning {
-                            // Bound-pruned delta path (MTI and Yinyang) —
-                            // Lloyd only (the eligibility hook guarantees
-                            // it), so the update is the mean over the
-                            // persistent global sums.
-                            for (p, s) in psums.iter_mut().zip(sums_view.iter()) {
-                                *p += s;
-                            }
-                            for (p, c) in pcounts.iter_mut().zip(mc.iter()) {
-                                *p += c;
-                            }
-                            finalize_means(psums, pcounts, cents, next);
-                        } else if is_lloyd {
-                            // Canonical instance: the historical call,
-                            // bitwise identical to the pre-trait engine.
-                            finalize_means(sums_view, mc, cents, next);
-                        } else {
-                            // Generic update phase (spherical renormalize,
-                            // fuzzy weighted mean, mini-batch learning
-                            // rate, ...), on globally-reduced state.
-                            algo.update(&mut UpdateCtx {
-                                iter,
-                                sums: sums_view,
-                                counts: mc,
-                                weights: mw,
-                                prev: cents,
-                                next,
-                            });
-                        }
-
-                        // One drift pass feeds convergence, the MTI state
-                        // and the norm-trick cache (a zero-drift centroid
-                        // did not move, so its cached norm stays valid).
-                        let mut max_drift = 0.0f64;
-                        {
-                            // Safety: coordinator window.
-                            let mut mti_mut =
-                                (scheme == Pruning::Mti).then(|| unsafe { mti.get_mut() });
-                            let mut yy_mut = yinyang.then(|| unsafe { yy_cell.get_mut() });
-                            let mut cn =
-                                rk.kind.needs_cnorms().then(|| unsafe { cnorms_cell.get_mut() });
-                            // The drift pass doubles as the op-log recorder:
-                            // exactly the centroids whose state the canonical
-                            // copy refreshes are the ones the node writers
-                            // copy (iteration 0 publishes in full to root the
-                            // replicas' bitwise induction — their ccdist was
-                            // installed zeroed while the canonical rebuild
-                            // fills every pair).
-                            let mut log = replicas.is_some().then(|| unsafe { oplog.get_mut() });
-                            if let Some(l) = log.as_mut() {
-                                l.begin(iter == 0);
-                            }
-                            for c in 0..k {
-                                let dr = dist(cents.mean(c), next.mean(c));
-                                max_drift = max_drift.max(dr);
-                                if let Some(m) = mti_mut.as_mut() {
-                                    m.drift[c] = dr;
-                                }
-                                if let Some(y) = yy_mut.as_mut() {
-                                    y.drift[c] = dr;
-                                }
-                                if dr != 0.0 {
-                                    if let Some(l) = log.as_mut() {
-                                        l.record(c);
-                                    }
-                                    if let Some(cn) = cn.as_mut() {
-                                        cn[c] = sqnorm(next.mean(c));
-                                    }
-                                }
-                            }
-                            if parallel_cc {
-                                if let Some(m) = mti_mut.as_mut() {
-                                    // Publish the buffer base from the
-                                    // still-live exclusive borrow; the MTI
-                                    // state is not touched again (by
-                                    // reference) until finalize after E.
-                                    // Safety: coordinator window.
-                                    unsafe { cc_base.get_mut() }.0 = m.ccdist.as_mut_ptr();
-                                }
-                            }
-                        }
-                        if scheme == Pruning::Mti && !parallel_cc {
-                            // Safety: coordinator window.
-                            unsafe { mti.get_mut() }.rebuild(next);
-                        }
-                        if yinyang {
-                            // Fold per-centroid drifts into per-group maxima
-                            // and let the backend globalize them (knord's
-                            // O(t) allreduce extension; identity elsewhere).
-                            // Runs before barrier P so replicas copy the
-                            // synced values.
-                            // Safety: coordinator window.
-                            let y = unsafe { yy_cell.get_mut() };
-                            y.update_group_drift();
-                            let gd_bytes = backend.sync_group_drift(iter, &mut y.group_drift);
-                            reduce_report.comm_bytes += gd_bytes;
-                            reduce_report.max_rank_comm_bytes += gd_bytes;
-                        }
-                        std::mem::swap(cents, next);
-
-                        stats.push(IterStats {
-                            iter,
-                            reassigned: totals.reassigned,
-                            rows_accessed: totals.rows_accessed,
-                            prune: totals.counters,
-                            wall_ns: t0.elapsed().as_nanos() as u64,
-                            queue: queue.stats(),
-                            tallies,
-                            max_drift,
-                            publish_bytes: 0,
-                        });
-                        reduces.push(reduce_report);
-                        backend.end_iteration(iter, stats.last().expect("just pushed"), totals.aux);
-                        queue.reset_stats();
-
-                        let done_iters = iter + 1;
-                        let is_converged = algo.converged(totals.reassigned, max_drift, cfg.tol);
-                        if is_converged {
-                            converged.store(true, Ordering::Release);
-                        }
-                        if is_converged || done_iters >= cfg.max_iters {
-                            stop.store(true, Ordering::Release);
-                        } else {
-                            queue.refill(placement, cfg.task_size);
-                            if replicas.is_some() {
-                                // Record what the publish phase below will
-                                // copy (one delta per populated node); the
-                                // final iteration publishes nothing.
-                                // Safety: coordinator window; read-only.
-                                let log = unsafe { oplog.get() };
-                                let s = stats.last_mut().expect("just pushed");
-                                s.publish_bytes = log.bytes_per_node(
-                                    k,
-                                    d,
-                                    scheme,
-                                    ngroups,
-                                    rk.kind.needs_cnorms(),
-                                ) * populated_nodes;
-                            }
-                        }
-                        if let (Some(t), Some(tu)) = (tr.as_ref(), tu) {
-                            t.record(Phase::Update, tu, 0);
-                        }
-                    }
-
-                    if parallel_cc {
-                        let td = tr.as_ref().map(|t| t.now());
-                        barrier.wait(); // D — updated centroids published
-                        if let (Some(t), Some(td)) = (tr.as_ref(), td) {
-                            t.record(Phase::BarrierD, td, 0);
-                        }
-                        if !stop.load(Ordering::Acquire) {
-                            let tcc = tr.as_ref().map(|t| t.now());
-                            // Each worker owns rows i ≡ w (mod T) of the
-                            // distance matrix; interleaving balances the
-                            // shrinking triangle rows. Only the upper
-                            // triangle is written (k > MIRROR_MAX_K, so
-                            // lookups are ordered) — row-disjoint writes
-                            // through the captured base pointer.
-                            let cents_now = unsafe { centroids.get() };
-                            // Safety: published by the coordinator before D.
-                            let cc = unsafe { cc_base.get() }.0;
-                            let mut i = w;
-                            while i < k {
-                                let ci = cents_now.mean(i);
-                                for j in (i + 1)..k {
-                                    let dij = dist(ci, cents_now.mean(j));
-                                    // Safety: (i, j) pairs are disjoint
-                                    // across workers; D/E barriers order
-                                    // these writes against all readers.
-                                    unsafe { *cc.add(i * k + j) = dij };
-                                }
-                                i += nthreads;
-                            }
-                            if let (Some(t), Some(tcc)) = (tr.as_ref(), tcc) {
-                                t.record(Phase::CcDist, tcc, 0);
-                            }
-                        }
-                        let te = tr.as_ref().map(|t| t.now());
-                        barrier.wait(); // E — distance matrix complete
-                        if let (Some(t), Some(te)) = (tr.as_ref(), te) {
-                            t.record(Phase::BarrierE, te, 0);
-                        }
-                        if w == 0 && !stop.load(Ordering::Acquire) {
-                            // Safety: coordinator-exclusive until the next
-                            // barrier A.
-                            unsafe { mti.get_mut() }.finalize_half_min();
-                        }
-                    }
-
-                    if let Some(reps) = replicas.as_ref() {
-                        // P — the canonical state (swapped centroids, norm
-                        // cache, serially-rebuilt or parallel-filled MTI
-                        // tables) is final for this iteration; order the
-                        // node writers' reads after all of those writes.
-                        //
-                        // On `parallel_cc` runs worker 0 finalizes half_min
-                        // between E and P with no barrier of its own — P is
-                        // what publishes that write too.
-                        let tp = tr.as_ref().map(|t| t.now());
-                        barrier.wait();
-                        if let (Some(t), Some(tp)) = (tr.as_ref(), tp) {
-                            t.record(Phase::BarrierP, tp, 0);
-                        }
-                        if is_writer && !stop.load(Ordering::Acquire) {
-                            let tpub = tr.as_ref().map(|t| t.now());
-                            // Safety: designated writer between P and the
-                            // next A; the canonical cells are read-only in
-                            // this phase and the slot is writer-exclusive.
-                            let log = unsafe { oplog.get() };
-                            let slot = unsafe { reps.slot_mut(my_node) };
-                            slot.as_mut().expect("writer installed its replica").apply(
-                                log,
-                                unsafe { centroids.get() },
-                                unsafe { cnorms_cell.get() },
-                                (scheme == Pruning::Mti).then(|| unsafe { mti.get() }),
-                                yinyang.then(|| unsafe { yy_cell.get() }),
-                            );
-                            if let (Some(t), Some(tpub)) = (tr.as_ref(), tpub) {
-                                let bytes = log.bytes_per_node(
-                                    k,
-                                    d,
-                                    scheme,
-                                    ngroups,
-                                    rk.kind.needs_cnorms(),
-                                );
-                                t.record(Phase::Publish, tpub, bytes);
-                            }
-                        }
-                    }
-
-                    // Reset own accumulator for the next iteration.
-                    accum.reset();
-                    iter += 1;
-                }
-
-                (stats, reduces)
-            }));
+    // One worker's whole run. Everything it shares is borrowed; the barrier
+    // protocol in the module docs orders every access.
+    let worker = |w: usize| {
+        let dim_slice = dim_slices[w].clone();
+        // Thread-private drain buffers, reused across iterations so the hot
+        // path never reallocates.
+        let mut scratch = DrainScratch::default();
+        plane.worker_start(w);
+        let my_node = placement.node_of_thread(w).0;
+        let is_writer =
+            replicas.is_some() && placement.threads_on_node(NodeId(my_node)).next() == Some(w);
+        if let Some(reps) = replicas.as_ref() {
+            if is_writer {
+                // Clone the canonical state into this node's slot
+                // *after* `worker_start` bound the thread, so
+                // first-touch places the replica's pages on this
+                // node. Safety: pre-loop install; every reader is on
+                // the far side of the first barrier A.
+                let seed = ReplicaState::from_canonical(
+                    unsafe { centroids.get() },
+                    unsafe { cnorms_cell.get() },
+                    unsafe { mti.get() },
+                    unsafe { yy_cell.get() },
+                );
+                unsafe { *reps.slot_mut(my_node) = Some(seed) };
+            }
         }
+        // Only the coordinator records; reserving the cap up front
+        // keeps the iteration loop allocation-free. The reserve is
+        // clamped so an effectively-unbounded cap (run-until-
+        // convergence callers) neither overflows nor pre-allocates
+        // gigabytes; runs longer than the clamp merely fall back to
+        // amortized growth.
+        let reserve = cfg.max_iters.min(1024);
+        let (mut stats, mut reduces) = if w == 0 {
+            (Vec::with_capacity(reserve), Vec::with_capacity(reserve))
+        } else {
+            (Vec::new(), Vec::new())
+        };
+        let mut iter = 0usize;
+
+        loop {
+            // Safety: each worker claims only its own slot, and all
+            // trace reads happen after the scope joins.
+            let tr = tgroup.as_deref().map(|g| unsafe { g.tracer(w, my_node as u32, iter as u32) });
+            if w == 0 {
+                plane.pre_iteration(iter);
+            }
+            let ta = tr.as_ref().map(|t| t.now());
+            barrier.wait(); // A — state published by coordinator
+            if let (Some(t), Some(ta)) = (tr.as_ref(), ta) {
+                t.record(Phase::BarrierA, ta, 0);
+            }
+            if stop.load(Ordering::Acquire) {
+                break;
+            }
+            let t0 = std::time::Instant::now();
+            let tc = tr.as_ref().map(|t| t.now());
+
+            // ---- compute super-phase (the plane's worker loop) ---
+            // Safety: barrier A separates us from the coordinator's
+            // writes (and the node writers' replica publishes);
+            // nobody writes these cells during compute. With
+            // replication on, all read-shared state comes from this
+            // worker's node-local replica — bitwise equal to the
+            // canonical copy (see `crate::replica`), so the
+            // trajectory is unchanged while the reads stay on-node.
+            let replica = replicas.as_ref().map(|reps| unsafe { reps.get(my_node) });
+            let cents = replica.map_or_else(|| unsafe { centroids.get() }, |r| &r.cents);
+            let view = IterView {
+                iter,
+                cents,
+                filter: match scheme {
+                    Pruning::None => Filter::None(NoFilter::new(cents)),
+                    Pruning::Mti => Filter::Mti(MtiFilter::new(
+                        cents,
+                        replica.map_or_else(|| unsafe { mti.get() }, |r| &r.mti),
+                    )),
+                    Pruning::Yinyang => Filter::Yinyang(YinyangFilter::new(
+                        cents,
+                        replica.map_or_else(|| unsafe { yy_cell.get() }, |r| &r.yy),
+                    )),
+                },
+                rows: &rows,
+                queue,
+                kernel: rk,
+                cnorms: replica.map_or_else(
+                    || unsafe { cnorms_cell.get() }.as_slice(),
+                    |r| r.cnorms.as_slice(),
+                ),
+                algo,
+                row_offset: cfg.row_offset,
+                scoped,
+                tracer: tr,
+            };
+            let accum = unsafe { accums[w].get_mut() };
+            let report = plane.compute(w, &view, accum, &mut scratch).unwrap_or_else(|e| {
+                // Keep the first error; this worker still walks the
+                // barriers so nobody waits on it forever.
+                let mut slot = failure.lock().unwrap_or_else(PoisonError::into_inner);
+                slot.get_or_insert(e);
+                WorkerReport { failed: 1, ..WorkerReport::default() }
+            });
+            if let (Some(t), Some(tc)) = (tr.as_ref(), tc) {
+                // Compute covers the whole drain; staged-I/O spans
+                // recorded by the row source nest inside it.
+                t.record(Phase::Compute, tc, report.rows_accessed * (d as u64) * 8);
+            }
+            // Safety: own slot; read by worker 0 only after B.
+            unsafe { *reports[w].get_mut() = report };
+
+            let tb = tr.as_ref().map(|t| t.now());
+            barrier.wait(); // B — all accumulators and reports final
+            if let (Some(t), Some(tb)) = (tr.as_ref(), tb) {
+                t.record(Phase::BarrierB, tb, 0);
+            }
+
+            // ---- parallel merge (dimension-sliced) ---------------
+            let tm = tr.as_ref().map(|t| t.now());
+            for j in dim_slice.clone() {
+                let mut sum = 0.0;
+                for a in accums.iter() {
+                    // Safety: accumulators are read-only between B and C.
+                    sum += unsafe { a.get() }.sums[j];
+                }
+                // Safety: dim slices are disjoint across workers.
+                unsafe { *merged_sums.get_mut(j) = sum };
+            }
+            if w == 0 {
+                // Safety: coordinator-only write between B and C.
+                let mc = unsafe { merged_counts.get_mut() };
+                for (c, m) in mc.iter_mut().enumerate() {
+                    *m = accums.iter().map(|a| unsafe { a.get() }.counts[c]).sum();
+                }
+                if uses_weights {
+                    // Only weighted updates read the lane; for
+                    // everyone else (Lloyd included) the merged
+                    // weights stay zero and cost nothing here.
+                    let mw = unsafe { merged_weights.get_mut() };
+                    for (c, m) in mw.iter_mut().enumerate() {
+                        *m = accums.iter().map(|a| unsafe { a.get() }.weights[c]).sum();
+                    }
+                }
+            }
+
+            if let (Some(t), Some(tm)) = (tr.as_ref(), tm) {
+                t.record(Phase::Merge, tm, dim_slice.len() as u64 * 8);
+            }
+
+            let tcw = tr.as_ref().map(|t| t.now());
+            barrier.wait(); // C — merged sums/counts complete
+            if let (Some(t), Some(tcw)) = (tr.as_ref(), tcw) {
+                t.record(Phase::BarrierC, tcw, 0);
+            }
+
+            let tu = tr.as_ref().map(|t| t.now());
+            if w == 0 {
+                // ---- coordinator window --------------------------
+                // Safety: exclusive window between C and next A.
+                let cents = unsafe { centroids.get_mut() };
+                let next = unsafe { next_cents.get_mut() };
+                let mc = unsafe { merged_counts.get_mut() };
+                let (psums, pcounts) = unsafe { persistent.get_mut() };
+
+                // Aggregate worker reports before the reduce so the
+                // reducer can globalize the convergence scalars.
+                let mut totals = WorkerReport::default();
+                let mut tallies: Option<Vec<AccessTally>> = None;
+                for rep in reports.iter() {
+                    // Safety: workers finished their reports before B.
+                    let rep = unsafe { rep.get() };
+                    totals.absorb(rep);
+                    if let Some(t) = rep.tally.as_ref() {
+                        tallies.get_or_insert_with(Vec::new).push(t.clone());
+                    }
+                }
+
+                // Engine-specific global reduction (knord's
+                // allreduce); identity for single-machine engines.
+                let sums_view = unsafe { sums_staging.get_mut() };
+                for (j, s) in sums_view.iter_mut().enumerate() {
+                    *s = unsafe { *merged_sums.get(j) };
+                }
+                let mw = unsafe { merged_weights.get_mut() };
+                let mut reduce_report = reducer.reduce(iter, sums_view, mc, mw, &mut totals);
+
+                if cfg_pruning {
+                    // Bound-pruned delta path (MTI and Yinyang) —
+                    // Lloyd only (the eligibility hook guarantees
+                    // it), so the update is the mean over the
+                    // persistent global sums.
+                    for (p, s) in psums.iter_mut().zip(sums_view.iter()) {
+                        *p += s;
+                    }
+                    for (p, c) in pcounts.iter_mut().zip(mc.iter()) {
+                        *p += c;
+                    }
+                    finalize_means(psums, pcounts, cents, next);
+                } else if is_lloyd {
+                    // Canonical instance: the historical call,
+                    // bitwise identical to the pre-trait engine.
+                    finalize_means(sums_view, mc, cents, next);
+                } else {
+                    // Generic update phase (spherical renormalize,
+                    // fuzzy weighted mean, mini-batch learning
+                    // rate, ...), on globally-reduced state.
+                    algo.update(&mut UpdateCtx {
+                        iter,
+                        sums: sums_view,
+                        counts: mc,
+                        weights: mw,
+                        prev: cents,
+                        next,
+                    });
+                }
+
+                // One drift pass feeds convergence, the MTI state
+                // and the norm-trick cache (a zero-drift centroid
+                // did not move, so its cached norm stays valid).
+                let mut max_drift = 0.0f64;
+                {
+                    // Safety: coordinator window.
+                    let mut mti_mut = (scheme == Pruning::Mti).then(|| unsafe { mti.get_mut() });
+                    let mut yy_mut = yinyang.then(|| unsafe { yy_cell.get_mut() });
+                    let mut cn = rk.kind.needs_cnorms().then(|| unsafe { cnorms_cell.get_mut() });
+                    // The drift pass doubles as the op-log recorder:
+                    // exactly the centroids whose state the canonical
+                    // copy refreshes are the ones the node writers
+                    // copy (iteration 0 publishes in full to root the
+                    // replicas' bitwise induction — their ccdist was
+                    // installed zeroed while the canonical rebuild
+                    // fills every pair).
+                    let mut log = replicas.is_some().then(|| unsafe { oplog.get_mut() });
+                    if let Some(l) = log.as_mut() {
+                        l.begin(iter == 0);
+                    }
+                    for c in 0..k {
+                        let dr = dist(cents.mean(c), next.mean(c));
+                        max_drift = max_drift.max(dr);
+                        if let Some(m) = mti_mut.as_mut() {
+                            m.drift[c] = dr;
+                        }
+                        if let Some(y) = yy_mut.as_mut() {
+                            y.drift[c] = dr;
+                        }
+                        if dr != 0.0 {
+                            if let Some(l) = log.as_mut() {
+                                l.record(c);
+                            }
+                            if let Some(cn) = cn.as_mut() {
+                                cn[c] = sqnorm(next.mean(c));
+                            }
+                        }
+                    }
+                    if parallel_cc {
+                        if let Some(m) = mti_mut.as_mut() {
+                            // Publish the buffer base from the
+                            // still-live exclusive borrow; the MTI
+                            // state is not touched again (by
+                            // reference) until finalize after E.
+                            // Safety: coordinator window.
+                            unsafe { cc_base.get_mut() }.0 = m.ccdist.as_mut_ptr();
+                        }
+                    }
+                }
+                if scheme == Pruning::Mti && !parallel_cc {
+                    // Safety: coordinator window.
+                    unsafe { mti.get_mut() }.rebuild(next);
+                }
+                if yinyang {
+                    // Fold per-centroid drifts into per-group maxima
+                    // and let the reducer globalize them (knord's
+                    // O(t) allreduce extension; identity elsewhere).
+                    // Runs before barrier P so replicas copy the
+                    // synced values.
+                    // Safety: coordinator window.
+                    let y = unsafe { yy_cell.get_mut() };
+                    y.update_group_drift();
+                    let gd_bytes = reducer.sync_group_drift(iter, &mut y.group_drift);
+                    reduce_report.comm_bytes += gd_bytes;
+                    reduce_report.max_rank_comm_bytes += gd_bytes;
+                }
+                std::mem::swap(cents, next);
+
+                stats.push(IterStats {
+                    iter,
+                    reassigned: totals.reassigned,
+                    rows_accessed: totals.rows_accessed,
+                    prune: totals.counters,
+                    wall_ns: t0.elapsed().as_nanos() as u64,
+                    queue: queue.stats(),
+                    tallies,
+                    max_drift,
+                    publish_bytes: 0,
+                });
+                reduces.push(reduce_report);
+                plane.end_iteration(iter, stats.last().expect("just pushed"), totals.aux);
+                queue.reset_stats();
+
+                // A failed row source (here or, after the reduce, on
+                // any rank) left this iteration's state partial: it
+                // decides nothing except that the run is over.
+                let run_failed = totals.failed > 0;
+                let done_iters = iter + 1;
+                let is_converged =
+                    !run_failed && algo.converged(totals.reassigned, max_drift, cfg.tol);
+                if is_converged {
+                    converged.store(true, Ordering::Release);
+                }
+                if run_failed {
+                    failed.store(true, Ordering::Release);
+                }
+                if is_converged || run_failed || done_iters >= cfg.max_iters {
+                    stop.store(true, Ordering::Release);
+                } else {
+                    queue.refill(placement, cfg.task_size);
+                    if replicas.is_some() {
+                        // Record what the publish phase below will
+                        // copy (one delta per populated node); the
+                        // final iteration publishes nothing.
+                        // Safety: coordinator window; read-only.
+                        let log = unsafe { oplog.get() };
+                        let s = stats.last_mut().expect("just pushed");
+                        s.publish_bytes =
+                            log.bytes_per_node(k, d, scheme, ngroups, rk.kind.needs_cnorms())
+                                * populated_nodes;
+                    }
+                }
+                if let (Some(t), Some(tu)) = (tr.as_ref(), tu) {
+                    t.record(Phase::Update, tu, 0);
+                }
+            }
+
+            if parallel_cc {
+                let td = tr.as_ref().map(|t| t.now());
+                barrier.wait(); // D — updated centroids published
+                if let (Some(t), Some(td)) = (tr.as_ref(), td) {
+                    t.record(Phase::BarrierD, td, 0);
+                }
+                if !stop.load(Ordering::Acquire) {
+                    let tcc = tr.as_ref().map(|t| t.now());
+                    // Each worker owns rows i ≡ w (mod T) of the
+                    // distance matrix; interleaving balances the
+                    // shrinking triangle rows. Only the upper
+                    // triangle is written (k > MIRROR_MAX_K, so
+                    // lookups are ordered) — row-disjoint writes
+                    // through the captured base pointer.
+                    let cents_now = unsafe { centroids.get() };
+                    // Safety: published by the coordinator before D.
+                    let cc = unsafe { cc_base.get() }.0;
+                    let mut i = w;
+                    while i < k {
+                        let ci = cents_now.mean(i);
+                        for j in (i + 1)..k {
+                            let dij = dist(ci, cents_now.mean(j));
+                            // Safety: (i, j) pairs are disjoint
+                            // across workers; D/E barriers order
+                            // these writes against all readers.
+                            unsafe { *cc.add(i * k + j) = dij };
+                        }
+                        i += nthreads;
+                    }
+                    if let (Some(t), Some(tcc)) = (tr.as_ref(), tcc) {
+                        t.record(Phase::CcDist, tcc, 0);
+                    }
+                }
+                let te = tr.as_ref().map(|t| t.now());
+                barrier.wait(); // E — distance matrix complete
+                if let (Some(t), Some(te)) = (tr.as_ref(), te) {
+                    t.record(Phase::BarrierE, te, 0);
+                }
+                if w == 0 && !stop.load(Ordering::Acquire) {
+                    // Safety: coordinator-exclusive until the next
+                    // barrier A.
+                    unsafe { mti.get_mut() }.finalize_half_min();
+                }
+            }
+
+            if let Some(reps) = replicas.as_ref() {
+                // P — the canonical state (swapped centroids, norm
+                // cache, serially-rebuilt or parallel-filled MTI
+                // tables) is final for this iteration; order the
+                // node writers' reads after all of those writes.
+                //
+                // On `parallel_cc` runs worker 0 finalizes half_min
+                // between E and P with no barrier of its own — P is
+                // what publishes that write too.
+                let tp = tr.as_ref().map(|t| t.now());
+                barrier.wait();
+                if let (Some(t), Some(tp)) = (tr.as_ref(), tp) {
+                    t.record(Phase::BarrierP, tp, 0);
+                }
+                if is_writer && !stop.load(Ordering::Acquire) {
+                    let tpub = tr.as_ref().map(|t| t.now());
+                    // Safety: designated writer between P and the
+                    // next A; the canonical cells are read-only in
+                    // this phase and the slot is writer-exclusive.
+                    let log = unsafe { oplog.get() };
+                    let slot = unsafe { reps.slot_mut(my_node) };
+                    slot.as_mut().expect("writer installed its replica").apply(
+                        log,
+                        unsafe { centroids.get() },
+                        unsafe { cnorms_cell.get() },
+                        (scheme == Pruning::Mti).then(|| unsafe { mti.get() }),
+                        yinyang.then(|| unsafe { yy_cell.get() }),
+                    );
+                    if let (Some(t), Some(tpub)) = (tr.as_ref(), tpub) {
+                        let bytes =
+                            log.bytes_per_node(k, d, scheme, ngroups, rk.kind.needs_cnorms());
+                        t.record(Phase::Publish, tpub, bytes);
+                    }
+                }
+            }
+
+            // Reset own accumulator for the next iteration.
+            accum.reset();
+            iter += 1;
+        }
+
+        (stats, reduces)
+    };
+    std::thread::scope(|s| {
+        let worker = &worker;
+        let handles: Vec<_> = (0..nthreads).map(|w| s.spawn(move || worker(w))).collect();
         for (w, h) in handles.into_iter().enumerate() {
             let (stats, reduces) = h.join().expect("engine worker panicked");
             if w == 0 {
@@ -848,9 +807,15 @@ pub fn run_mm<B: LloydBackend>(
         }
     });
 
-    DriverOutcome {
+    if failed.load(Ordering::Acquire) {
+        let local = failure.into_inner().unwrap_or_else(PoisonError::into_inner);
+        return Err(
+            local.unwrap_or_else(|| io::Error::other("stopped: a peer rank's row source failed"))
+        );
+    }
+    Ok(DriverOutcome {
         centroids: centroids.into_inner(),
-        assignments: assign.snapshot(),
+        assignments: rows.into_assignments(),
         iters: iter_stats,
         reduces: reduce_reports,
         converged: converged.load(Ordering::Acquire),
@@ -858,670 +823,495 @@ pub fn run_mm<B: LloydBackend>(
         // The fold covers only this run's group; engines that share one
         // buffer across ranks (knord) fold the buffer instead.
         phases: tgroup.as_deref().map(|g| g.breakdown()),
-    }
+    })
 }
 
 // ---------------------------------------------------------------------------
-// Shared per-row state machine
+// Per-row state and the pruning filters
 // ---------------------------------------------------------------------------
 
-/// Drain worker `w`'s share of the task queue through the blocked
-/// assignment kernel where the iteration allows it, falling back to the
-/// per-row state machine everywhere else.
-///
-/// Full-scan iterations (iteration 0, or pruning disabled) batch each
-/// task's rows into `row_tile`-sized blocks: rows are staged contiguously
-/// into `scratch.data` via `fetch`, assigned by the selected kernel, and
-/// post-processed in row order — so counters, accumulation order and (on
-/// the tiled path) every bit of the result match [`drain_queue`] exactly.
-/// MTI iterations (`iter > 0`, pruning on) are inherently per-row (each row
-/// carries its own bound state) and take the same path as [`drain_queue`].
-pub fn drain_queue_kernel<'data, F>(
-    w: usize,
-    view: &IterView<'_>,
-    accum: &mut LocalAccum,
-    rep: &mut WorkerReport,
-    scratch: &mut KernelScratch,
-    mut fetch: F,
-) where
-    F: FnMut(usize) -> &'data [f64],
-{
-    if !view.is_lloyd {
-        // Non-Lloyd algorithms take the generic map/update path (pruning
-        // is always off for them, so every iteration is a full pass over
-        // the in-scope rows).
-        drain_queue_algo(w, view, accum, rep, scratch, fetch);
-        return;
-    }
-    let full_scan = view.iter == 0 || !view.pruning;
-    if !full_scan || view.kernel.kind == ResolvedKind::Scalar {
-        drain_queue(w, view, accum, rep, fetch);
-        return;
-    }
-    let d = view.cents.d;
-    while let Some(task) = view.queue.next(w) {
-        let mut start = task.rows.start;
-        while start < task.rows.end {
-            let end = (start + view.kernel.row_tile).min(task.rows.end);
-            let m = end - start;
-            for (i, r) in (start..end).enumerate() {
-                scratch.data[i * d..(i + 1) * d].copy_from_slice(fetch(r));
-            }
-            process_block_kernel(
-                start..end,
-                &scratch.data[..m * d],
-                view,
-                accum,
-                rep,
-                &mut scratch.best,
-                &mut scratch.best_dist,
-            );
-            start = end;
+/// The driver-owned per-row state of a run: every row's assignment, its
+/// upper bound (MTI and Yinyang) and its `t` Yinyang group lower bounds.
+/// Workers reach it only through the [`RowState`] of a task they own.
+pub struct RowBounds {
+    assign: SharedRows<u32>,
+    upper: SharedRows<f64>,
+    /// `n·t`, row-major; empty unless the scheme is Yinyang.
+    lower: SharedRows<f64>,
+    t: usize,
+}
+
+impl RowBounds {
+    /// State for `n` unassigned rows with `t` group lower bounds each
+    /// (`t = 0` for every scheme but Yinyang).
+    pub fn new(n: usize, t: usize) -> Self {
+        Self {
+            assign: SharedRows::new(n, u32::MAX),
+            upper: SharedRows::new(n, f64::INFINITY),
+            // Allocated zeroed so pages stay lazy; iteration 0 writes every
+            // slot from the row's owning worker, first-touching the bound
+            // pages on that worker's NUMA node — the same persistent-bound
+            // discipline as `upper`.
+            lower: SharedRows::new(n * t, 0.0),
+            t,
         }
     }
-}
 
-/// Run the blocked assignment kernel over one staged contiguous block and
-/// commit its decisions in staging order: kernel dispatch, counter
-/// accounting, then [`apply_full_assign`] per row. Shared by the
-/// knori/knord drain path above and the SEM hit/miss block path so the
-/// counter semantics and commit protocol can never diverge between
-/// engines. Distances are only materialized when pruning needs the upper
-/// bounds.
-pub fn process_block_kernel<I>(
-    rows: I,
-    block: &[f64],
-    view: &IterView<'_>,
-    accum: &mut LocalAccum,
-    rep: &mut WorkerReport,
-    best: &mut Vec<u32>,
-    best_dist: &mut Vec<f64>,
-) where
-    I: ExactSizeIterator<Item = usize>,
-{
-    let m = rows.len();
-    if m == 0 {
-        return;
+    /// The handle through which the owner of a task reads and writes the
+    /// state of that task's rows — the one place the engines' row-ownership
+    /// contract is asserted.
+    ///
+    /// # Safety
+    /// Until the next barrier, no other thread may touch the state of any
+    /// row in `rows`. The scheduler guarantees exactly that to the worker
+    /// that took a task covering `rows` from the iteration's queue: every
+    /// row belongs to one task, every task is handed out once, and barriers
+    /// A and B separate the compute super-phase from every other access.
+    pub unsafe fn claim(&self, rows: Range<usize>) -> RowState<'_> {
+        RowState { all: self, rows }
     }
-    let d = view.cents.d;
-    debug_assert_eq!(block.len(), m * d);
-    assign_rows(
-        block,
-        d,
-        view.cents,
-        &view.kernel,
-        view.cnorms,
-        best,
-        best_dist,
-        view.pruning, // only the bound-establishing pass consumes distances
-    );
-    rep.rows_accessed += m as u64;
-    rep.counters.dist_computations += (m * view.cents.k()) as u64;
-    let yy_init = view.scheme == Pruning::Yinyang && view.iter == 0;
-    for (i, r) in rows.enumerate() {
-        let v = &block[i * d..(i + 1) * d];
-        rep.reassigned += u64::from(apply_full_assign(
-            r,
-            v,
-            best[i] as usize,
-            best_dist[i],
-            view.pruning,
-            view.assign,
-            view.upper,
-            accum,
-        ));
-        if yy_init {
-            // Establish the row's group lower bounds right after the
-            // kernel's bound-establishing pass (second scalar pass, as the
-            // Yinyang paper's initial iteration does).
-            yy_init_bounds(
-                r,
-                v,
-                best[i] as usize,
-                view.cents,
-                view.yy,
-                view.lower,
-                &mut rep.counters,
-            );
-        }
+
+    /// Final assignments. All workers have joined, so nothing is claimed.
+    fn into_assignments(self) -> Vec<u32> {
+        self.assign.snapshot()
     }
 }
 
-/// Drain worker `w`'s share of the task queue through the generic
-/// algorithm path: in-scope rows are staged contiguously in
-/// `row_tile`-sized blocks, mapped by [`MmAlgorithm::map_block`] (which
-/// may batch through the kernel layer), and committed in staging order.
-/// Subsampled-out rows are skipped *before* `fetch` — the same no-touch
-/// discipline as a Clause-1 skip.
-pub fn drain_queue_algo<'data, F>(
-    w: usize,
-    view: &IterView<'_>,
-    accum: &mut LocalAccum,
-    rep: &mut WorkerReport,
-    scratch: &mut KernelScratch,
-    mut fetch: F,
-) where
-    F: FnMut(usize) -> &'data [f64],
-{
-    let d = view.cents.d;
-    let tile = view.kernel.row_tile.max(1);
-    debug_assert!(scratch.data.len() >= tile * d);
-    while let Some(task) = view.queue.next(w) {
-        scratch.row_ids.clear();
-        for r in task.rows {
-            if !view.in_scope(r) {
-                continue;
-            }
-            let m = scratch.row_ids.len();
-            scratch.data[m * d..(m + 1) * d].copy_from_slice(fetch(r));
-            scratch.row_ids.push(r);
-            if scratch.row_ids.len() == tile {
-                process_block_algo(
-                    scratch.row_ids.iter().copied(),
-                    &scratch.data[..tile * d],
-                    view,
-                    accum,
-                    rep,
-                    &mut scratch.best,
-                    &mut scratch.weights,
-                    &mut scratch.best_dist,
-                );
-                scratch.row_ids.clear();
-            }
-        }
-        let m = scratch.row_ids.len();
-        if m > 0 {
-            process_block_algo(
-                scratch.row_ids.iter().copied(),
-                &scratch.data[..m * d],
-                view,
-                accum,
-                rep,
-                &mut scratch.best,
-                &mut scratch.weights,
-                &mut scratch.best_dist,
-            );
-            scratch.row_ids.clear();
-        }
+/// The per-row state of the rows one task owns (see [`RowBounds::claim`]).
+/// Every accessor relies on that constructor's contract and checks, in
+/// debug builds, that the row is one of the task's.
+pub struct RowState<'a> {
+    all: &'a RowBounds,
+    rows: Range<usize>,
+}
+
+impl RowState<'_> {
+    /// Row `r`'s assignment (`u32::MAX` before its first scan).
+    #[inline]
+    pub fn assign(&self, r: usize) -> u32 {
+        debug_assert!(self.rows.contains(&r));
+        // SAFETY: `claim`'s contract — this task owns row `r`.
+        unsafe { *self.all.assign.get(r) }
+    }
+
+    /// Store row `r`'s assignment; true when it changed.
+    #[inline]
+    pub fn set_assign(&self, r: usize, a: u32) -> bool {
+        debug_assert!(self.rows.contains(&r));
+        // SAFETY: as `assign`.
+        let slot = unsafe { self.all.assign.get_mut(r) };
+        std::mem::replace(slot, a) != a
+    }
+
+    /// Row `r`'s upper bound on the distance to its assigned centroid.
+    #[inline]
+    pub fn upper(&self, r: usize) -> f64 {
+        debug_assert!(self.rows.contains(&r));
+        // SAFETY: as `assign`.
+        unsafe { *self.all.upper.get(r) }
+    }
+
+    /// Store row `r`'s upper bound.
+    #[inline]
+    pub fn set_upper(&self, r: usize, u: f64) {
+        debug_assert!(self.rows.contains(&r));
+        // SAFETY: as `assign`.
+        unsafe { *self.all.upper.get_mut(r) = u };
+    }
+
+    /// Row `r`'s lower bound on the distance to group `g`'s non-assigned
+    /// members.
+    #[inline]
+    pub fn lower(&self, r: usize, g: usize) -> f64 {
+        debug_assert!(self.rows.contains(&r) && g < self.all.t);
+        // SAFETY: as `assign`; row `r` owns slots `r·t .. (r+1)·t`.
+        unsafe { *self.all.lower.get(r * self.all.t + g) }
+    }
+
+    /// Store row `r`'s lower bound for group `g`.
+    #[inline]
+    pub fn set_lower(&self, r: usize, g: usize, lb: f64) {
+        debug_assert!(self.rows.contains(&r) && g < self.all.t);
+        // SAFETY: as `lower`.
+        unsafe { *self.all.lower.get_mut(r * self.all.t + g) = lb };
     }
 }
 
-/// Run the algorithm's map phase over one staged contiguous block and
-/// commit its decisions in staging order: [`MmAlgorithm::map_block`]
-/// dispatch, counter accounting, then per row the weighted accumulation
-/// and the assignment store. Shared by the knori/knord generic drain above
-/// and the SEM hit/miss block path, so the commit protocol can never
-/// diverge between engines. `score` is reusable kernel scratch.
-#[allow(clippy::too_many_arguments)]
-pub fn process_block_algo<I>(
-    rows: I,
-    block: &[f64],
-    view: &IterView<'_>,
-    accum: &mut LocalAccum,
-    rep: &mut WorkerReport,
-    best: &mut Vec<u32>,
-    weights: &mut Vec<f64>,
-    score: &mut Vec<f64>,
-) where
-    I: ExactSizeIterator<Item = usize>,
-{
-    let m = rows.len();
-    if m == 0 {
-        return;
-    }
-    let d = view.cents.d;
-    debug_assert_eq!(block.len(), m * d);
-    view.algo.map_block(block, d, view.cents, best, weights, score);
-    debug_assert_eq!(best.len(), m);
-    debug_assert_eq!(weights.len(), m);
-    rep.rows_accessed += m as u64;
-    // One full candidate scan per row, whatever its metric.
-    rep.counters.dist_computations += (m * view.cents.k()) as u64;
-    for (i, r) in rows.enumerate() {
-        let v = &block[i * d..(i + 1) * d];
-        accum.add_weighted(best[i] as usize, v, weights[i]);
-        // Safety: task-exclusive row ownership (see [`filter_row`]).
-        let cur = unsafe { *view.assign.get(r) };
-        rep.reassigned += u64::from(cur != best[i]);
-        unsafe { *view.assign.get_mut(r) = best[i] };
-    }
-}
-
-/// Drain worker `w`'s share of the task queue, dispatching every row
-/// through the shared MTI/full-scan state machine. `fetch` supplies a
-/// row's data (and may record backend bookkeeping like access tallies);
-/// it is only called for rows that survive the Clause-1 filter.
-///
-/// Backends with per-row data access (knori, knord) build their whole
-/// compute super-phase from this (through [`drain_queue_kernel`]); knors
-/// cannot, because it filters whole tasks ahead of batched I/O, but it
-/// shares the per-row helpers below.
-pub fn drain_queue<'data, F>(
-    w: usize,
-    view: &IterView<'_>,
-    accum: &mut LocalAccum,
-    rep: &mut WorkerReport,
-    mut fetch: F,
-) where
-    F: FnMut(usize) -> &'data [f64],
-{
-    let yy_on = view.scheme == Pruning::Yinyang;
-    while let Some(task) = view.queue.next(w) {
-        for r in task.rows {
-            if view.iter > 0 && view.pruning {
-                if yy_on {
-                    // Global filter: decided before touching row data.
-                    if !filter_row_yy(
-                        r,
-                        view.assign,
-                        view.upper,
-                        view.lower,
-                        view.yy,
-                        &mut rep.counters,
-                    ) {
-                        continue;
-                    }
-                    let v = fetch(r);
-                    rep.rows_accessed += 1;
-                    rep.reassigned += u64::from(process_row_yy(
-                        r,
-                        v,
-                        view.cents,
-                        view.yy,
-                        view.assign,
-                        view.upper,
-                        view.lower,
-                        accum,
-                        &mut rep.counters,
-                    ));
-                    continue;
-                }
-                // Clause 1: decided before touching row data.
-                if !filter_row(r, view.assign, view.upper, view.mti, &mut rep.counters) {
-                    continue;
-                }
-                let v = fetch(r);
-                rep.rows_accessed += 1;
-                rep.reassigned += u64::from(process_row_mti(
-                    r,
-                    v,
-                    view.cents,
-                    view.mti,
-                    view.assign,
-                    view.upper,
-                    accum,
-                    &mut rep.counters,
-                ));
-            } else {
-                // Full scan: first iteration, or pruning disabled.
-                let v = fetch(r);
-                rep.rows_accessed += 1;
-                rep.reassigned += u64::from(process_row_full(
-                    r,
-                    v,
-                    view.cents,
-                    view.pruning,
-                    view.assign,
-                    view.upper,
-                    accum,
-                    &mut rep.counters,
-                ));
-                if yy_on && view.iter == 0 {
-                    // Safety: task-exclusive row ownership; the full pass
-                    // above just stored this row's assignment.
-                    let a = unsafe { *view.assign.get(r) } as usize;
-                    yy_init_bounds(r, v, a, view.cents, view.yy, view.lower, &mut rep.counters);
-                }
-            }
-        }
-    }
-}
-
-/// Clause-1 filter for one row of a task (`iter > 0`, pruning on).
-///
-/// Loosens the row's upper bound by its centroid's drift and writes it
-/// back. Returns `true` when the row's data must be fetched (Clause 1 did
-/// not fire).
-///
-/// # Safety contract
-/// The caller's task must own row `r` for this iteration (the scheduler
-/// hands each row to exactly one task).
-#[inline]
-pub fn filter_row(
-    r: usize,
-    assign: &SharedRows<u32>,
-    upper: &SharedRows<f64>,
-    mti: &MtiIterState,
-    counters: &mut PruneCounters,
-) -> bool {
-    // Safety: task-exclusive row ownership (see doc).
-    let a = unsafe { *assign.get(r) } as usize;
-    let ub = unsafe { *upper.get(r) } + mti.drift[a];
-    unsafe { *upper.get_mut(r) = ub };
-    if ub <= mti.half_min[a] {
-        counters.clause1_rows += 1;
-        false
-    } else {
-        true
-    }
-}
-
-/// Process a fetched row under MTI (`iter > 0`): the row's upper bound has
-/// already been drift-loosened by [`filter_row`]. Returns `true` when the
-/// assignment changed. Accumulates *deltas* into `accum`.
-///
-/// # Safety contract
-/// As [`filter_row`]: the caller's task owns row `r`.
-#[inline]
-#[allow(clippy::too_many_arguments)]
-pub fn process_row_mti(
-    r: usize,
-    v: &[f64],
-    cents: &Centroids,
-    mti: &MtiIterState,
-    assign: &SharedRows<u32>,
-    upper: &SharedRows<f64>,
-    accum: &mut LocalAccum,
-    counters: &mut PruneCounters,
-) -> bool {
-    // Safety: task-exclusive row ownership (see doc).
-    let a = unsafe { *assign.get(r) } as usize;
-    let ub = unsafe { *upper.get(r) };
-    let (new_a, new_ub) = mti_assign(v, cents, mti, a, ub, counters);
-    let reassigned = new_a != a;
-    if reassigned {
-        accum.sub(a, v);
-        accum.add(new_a, v);
-        unsafe { *assign.get_mut(r) = new_a as u32 };
-    }
-    unsafe { *upper.get_mut(r) = new_ub };
-    reassigned
-}
-
-/// Establish row `r`'s Yinyang group lower bounds after its iteration-0
-/// full scan assigned it to `a`: `lower[g] = min d(v, c)` over the
-/// non-assigned members `c` of group `g` (`+∞` for groups with no such
-/// member). Costs `k − 1` scalar distances, exactly the Yinyang paper's
-/// second initial pass.
-///
-/// # Safety contract
-/// As [`filter_row`]: the caller's task owns row `r`.
-#[inline]
-pub fn yy_init_bounds(
-    r: usize,
-    v: &[f64],
-    a: usize,
-    cents: &Centroids,
-    yy: &YinyangState,
-    lower: &SharedRows<f64>,
-    counters: &mut PruneCounters,
-) {
-    let t = yy.t();
-    for g in 0..t {
-        // Safety: task-exclusive row ownership (see doc).
-        unsafe { *lower.get_mut(r * t + g) = f64::INFINITY };
-    }
-    for (c, &g) in yy.group_of.iter().enumerate() {
-        if c == a {
-            continue;
-        }
-        let dc = dist(v, cents.mean(c));
-        counters.dist_computations += 1;
-        let slot = unsafe { lower.get_mut(r * t + g as usize) };
-        if dc < *slot {
-            *slot = dc;
-        }
-    }
-}
-
-/// Yinyang global filter for one row of a task (`iter > 0`).
-///
-/// Loosens the row's upper bound by its centroid's drift and every group
-/// lower bound by that group's maximum drift, writing all of them back.
-/// Returns `true` when the row's data must be fetched (the global filter
-/// did not fire). On a skip the row costs neither data access nor I/O —
-/// the same Clause-1 discipline as MTI, but against the min of the group
-/// bounds instead of the `½·min` centroid-separation threshold.
-///
-/// # Safety contract
-/// As [`filter_row`]: the caller's task owns row `r`.
-#[inline]
-pub fn filter_row_yy(
-    r: usize,
-    assign: &SharedRows<u32>,
-    upper: &SharedRows<f64>,
-    lower: &SharedRows<f64>,
-    yy: &YinyangState,
-    counters: &mut PruneCounters,
-) -> bool {
-    let t = yy.t();
-    // Safety: task-exclusive row ownership (see doc).
-    let a = unsafe { *assign.get(r) } as usize;
-    let u = unsafe { *upper.get(r) } + yy.drift[a];
-    unsafe { *upper.get_mut(r) = u };
-    let mut global_lower = f64::INFINITY;
-    for g in 0..t {
-        let slot = unsafe { lower.get_mut(r * t + g) };
-        let lb = (*slot - yy.group_drift[g]).max(0.0);
-        *slot = lb;
-        if lb < global_lower {
-            global_lower = lb;
-        }
-    }
-    if u <= global_lower {
-        counters.clause1_rows += 1;
-        false
-    } else {
-        true
-    }
-}
-
-/// Process a fetched row under Yinyang (`iter > 0`): bounds were already
-/// drift-loosened by [`filter_row_yy`]. Tightens the upper bound with one
-/// exact distance, re-tests the global filter (Clause 3), then scans only
-/// the groups whose lower bound is violated (Clause 2), maintaining the
-/// group bounds from the scanned distances. Returns `true` when the
-/// assignment changed. Accumulates *deltas* into `accum`.
+/// A pruning scheme as the worker loop sees it: three per-row steps over
+/// the [`RowState`] of the task that owns the row.
 ///
 /// Counter ledger (steady state): every row satisfies
 /// `clause2 + clause3 + dists = k` — with the Clause-1 rows contributing
 /// `k` each — so `clause1·k + clause2 + clause3 + dists = n·k` exactly.
-///
-/// # Safety contract
-/// As [`filter_row`]: the caller's task owns row `r`.
+pub trait RowFilter {
+    /// Whether [`Self::establish`] consumes the kernel's distances (false
+    /// lets the kernel skip its distance finalization pass).
+    const BOUNDED: bool;
+
+    /// Pre-fetch filter (`iter > 0`): loosen row `r`'s bounds by this
+    /// iteration's drift, write them back, and say whether the row's data
+    /// must be fetched. A `false` costs neither data access nor I/O.
+    fn keep(&self, rows: &RowState<'_>, r: usize, counters: &mut PruneCounters) -> bool;
+
+    /// Commit a full scan's decision `best = (a, d(v, a))` for row `r`:
+    /// accumulate, store the assignment and establish the scheme's bounds.
+    /// Returns true on reassignment.
+    fn establish(
+        &self,
+        rows: &RowState<'_>,
+        r: usize,
+        v: &[f64],
+        best: (usize, f64),
+        accum: &mut LocalAccum,
+        counters: &mut PruneCounters,
+    ) -> bool;
+
+    /// Commit a fetched row whose bounds [`Self::keep`] already loosened
+    /// (`iter > 0`): scan what the bounds cannot rule out, refresh them and
+    /// accumulate the *delta* of a reassignment. Returns true on one.
+    fn commit(
+        &self,
+        rows: &RowState<'_>,
+        r: usize,
+        v: &[f64],
+        accum: &mut LocalAccum,
+        counters: &mut PruneCounters,
+    ) -> bool;
+}
+
+/// No pruning: every row is kept and scanned in full, and the accumulator
+/// collects plain sums that are rebuilt every iteration.
+pub struct NoFilter<'a> {
+    cents: &'a Centroids,
+}
+
+impl<'a> NoFilter<'a> {
+    /// The (empty) filter over `cents`.
+    pub fn new(cents: &'a Centroids) -> Self {
+        Self { cents }
+    }
+}
+
+impl RowFilter for NoFilter<'_> {
+    const BOUNDED: bool = false;
+
+    #[inline]
+    fn keep(&self, _rows: &RowState<'_>, _r: usize, _counters: &mut PruneCounters) -> bool {
+        true
+    }
+
+    #[inline]
+    fn establish(
+        &self,
+        rows: &RowState<'_>,
+        r: usize,
+        v: &[f64],
+        (a, _): (usize, f64),
+        accum: &mut LocalAccum,
+        _counters: &mut PruneCounters,
+    ) -> bool {
+        accum.add(a, v);
+        rows.set_assign(r, a as u32)
+    }
+
+    /// With no bounds to consult, committing a row is a full scan. (The
+    /// worker loop never asks: unpruned iterations commit whole blocks
+    /// through the assignment kernel.)
+    fn commit(
+        &self,
+        rows: &RowState<'_>,
+        r: usize,
+        v: &[f64],
+        accum: &mut LocalAccum,
+        counters: &mut PruneCounters,
+    ) -> bool {
+        let k = self.cents.k();
+        counters.dist_computations += k as u64;
+        let best = nearest(v, &self.cents.means, k);
+        self.establish(rows, r, v, best, accum, counters)
+    }
+}
+
+/// The bound-establishing half shared by MTI and Yinyang: delta
+/// accumulation against the persistent sums, the assignment, and the exact
+/// upper bound `da`.
 #[inline]
-#[allow(clippy::too_many_arguments)]
-pub fn process_row_yy(
+fn establish_upper(
+    rows: &RowState<'_>,
     r: usize,
     v: &[f64],
-    cents: &Centroids,
-    yy: &YinyangState,
-    assign: &SharedRows<u32>,
-    upper: &SharedRows<f64>,
-    lower: &SharedRows<f64>,
+    (a, da): (usize, f64),
     accum: &mut LocalAccum,
-    counters: &mut PruneCounters,
 ) -> bool {
-    let t = yy.t();
-    let k = cents.k();
-    // Safety: task-exclusive row ownership (see doc).
-    let a0 = unsafe { *assign.get(r) } as usize;
-    // Tighten with one exact distance and re-test the global filter.
-    let mut u = dist(v, cents.mean(a0));
-    counters.dist_computations += 1;
-    let mut global_lower = f64::INFINITY;
-    for g in 0..t {
-        let lb = unsafe { *lower.get(r * t + g) };
-        if lb < global_lower {
-            global_lower = lb;
+    let cur_a = rows.assign(r);
+    if cur_a == u32::MAX {
+        accum.add(a, v);
+    } else if cur_a as usize != a {
+        accum.sub(cur_a as usize, v);
+        accum.add(a, v);
+    }
+    rows.set_upper(r, da);
+    rows.set_assign(r, a as u32)
+}
+
+/// MTI (the paper's scheme): one upper bound per row against the
+/// `½·min` centroid-separation thresholds.
+pub struct MtiFilter<'a> {
+    cents: &'a Centroids,
+    mti: &'a MtiIterState,
+}
+
+impl<'a> MtiFilter<'a> {
+    /// The filter over `cents` with this iteration's drift/threshold state.
+    pub fn new(cents: &'a Centroids, mti: &'a MtiIterState) -> Self {
+        Self { cents, mti }
+    }
+}
+
+impl RowFilter for MtiFilter<'_> {
+    const BOUNDED: bool = true;
+
+    /// Clause 1: the drift-loosened upper bound against `½·min d(a, ·)`.
+    #[inline]
+    fn keep(&self, rows: &RowState<'_>, r: usize, counters: &mut PruneCounters) -> bool {
+        let a = rows.assign(r) as usize;
+        let ub = rows.upper(r) + self.mti.drift[a];
+        rows.set_upper(r, ub);
+        if ub <= self.mti.half_min[a] {
+            counters.clause1_rows += 1;
+            false
+        } else {
+            true
         }
     }
-    if u <= global_lower {
-        counters.clause3_prunes += (k - 1) as u64;
-        unsafe { *upper.get_mut(r) = u };
-        return false;
+
+    #[inline]
+    fn establish(
+        &self,
+        rows: &RowState<'_>,
+        r: usize,
+        v: &[f64],
+        best: (usize, f64),
+        accum: &mut LocalAccum,
+        _counters: &mut PruneCounters,
+    ) -> bool {
+        establish_upper(rows, r, v, best, accum)
     }
-    let g0 = yy.group_of[a0] as usize;
-    let u0 = u;
-    let mut a = a0;
-    for g in 0..t {
-        let lb = unsafe { *lower.get(r * t + g) };
-        let members = yy.members(g);
-        if u <= lb {
-            // Group filter: every non-assigned member pruned at once. (At
-            // this point `a` is either `a0` or a member of an *earlier*
-            // group, so the candidate count is exact.)
-            counters.clause2_prunes += (members.len() - usize::from(g == g0)) as u64;
-            continue;
+
+    #[inline]
+    fn commit(
+        &self,
+        rows: &RowState<'_>,
+        r: usize,
+        v: &[f64],
+        accum: &mut LocalAccum,
+        counters: &mut PruneCounters,
+    ) -> bool {
+        let a = rows.assign(r) as usize;
+        let (new_a, new_ub) = mti_assign(v, self.cents, self.mti, a, rows.upper(r), counters);
+        let reassigned = new_a != a;
+        if reassigned {
+            accum.sub(a, v);
+            accum.add(new_a, v);
+            rows.set_assign(r, new_a as u32);
         }
-        let mut new_group_lower = f64::INFINITY;
-        for &c in members {
-            let c = c as usize;
-            // `c == a` can only be the original assignment here (a
-            // reassignment target is never revisited), whose distance `u`
-            // is already exact — skipping it is a pure work elimination.
-            if c == a0 || c == a {
+        rows.set_upper(r, new_ub);
+        reassigned
+    }
+}
+
+/// Yinyang group bounds: the global upper bound plus one lower bound per
+/// centroid group.
+pub struct YinyangFilter<'a> {
+    cents: &'a Centroids,
+    yy: &'a YinyangState,
+}
+
+impl<'a> YinyangFilter<'a> {
+    /// The filter over `cents` with this iteration's grouping/drift state.
+    pub fn new(cents: &'a Centroids, yy: &'a YinyangState) -> Self {
+        Self { cents, yy }
+    }
+}
+
+impl RowFilter for YinyangFilter<'_> {
+    const BOUNDED: bool = true;
+
+    /// The global filter: loosens the upper bound by its centroid's drift
+    /// and every group lower bound by that group's maximum drift — the same
+    /// Clause-1 discipline as MTI, but against the min of the group bounds
+    /// instead of the `½·min` centroid-separation threshold.
+    #[inline]
+    fn keep(&self, rows: &RowState<'_>, r: usize, counters: &mut PruneCounters) -> bool {
+        let yy = self.yy;
+        let a = rows.assign(r) as usize;
+        let u = rows.upper(r) + yy.drift[a];
+        rows.set_upper(r, u);
+        let mut global_lower = f64::INFINITY;
+        for g in 0..yy.t() {
+            let lb = (rows.lower(r, g) - yy.group_drift[g]).max(0.0);
+            rows.set_lower(r, g, lb);
+            if lb < global_lower {
+                global_lower = lb;
+            }
+        }
+        if u <= global_lower {
+            counters.clause1_rows += 1;
+            false
+        } else {
+            true
+        }
+    }
+
+    /// After the shared establish, seed the group lower bounds:
+    /// `lower[g] = min d(v, c)` over the non-assigned members `c` of group
+    /// `g` (`+∞` for groups with no such member). Costs `k − 1` scalar
+    /// distances, exactly the Yinyang paper's second initial pass.
+    #[inline]
+    fn establish(
+        &self,
+        rows: &RowState<'_>,
+        r: usize,
+        v: &[f64],
+        best: (usize, f64),
+        accum: &mut LocalAccum,
+        counters: &mut PruneCounters,
+    ) -> bool {
+        let reassigned = establish_upper(rows, r, v, best, accum);
+        for g in 0..self.yy.t() {
+            rows.set_lower(r, g, f64::INFINITY);
+        }
+        for (c, &g) in self.yy.group_of.iter().enumerate() {
+            if c == best.0 {
                 continue;
             }
-            let dc = dist(v, cents.mean(c));
+            let dc = dist(v, self.cents.mean(c));
             counters.dist_computations += 1;
-            if dc < u {
-                // The dethroned centroid's exact distance becomes a lower
-                // bound for its group: folded into this scan's minimum if
-                // it lives here, min-written into its own group's slot
-                // otherwise (an earlier group's exact refresh stays exact;
-                // a later group re-scans or folds `u0` below).
-                let old_g = yy.group_of[a] as usize;
-                if old_g == g {
-                    if u < new_group_lower {
-                        new_group_lower = u;
-                    }
-                } else {
-                    let old_slot = unsafe { lower.get_mut(r * t + old_g) };
-                    if u < *old_slot {
-                        *old_slot = u;
-                    }
-                }
-                a = c;
-                u = dc;
-            } else if dc < new_group_lower {
-                new_group_lower = dc;
+            if dc < rows.lower(r, g as usize) {
+                rows.set_lower(r, g as usize, dc);
             }
         }
-        // A scanned group's bound is *exact* afterwards, so overwrite the
-        // slot rather than min-ing into it — a stale loosened bound must
-        // not pin the group below its true distance forever (that would
-        // make every later iteration re-scan it). The exceptions are
-        // exact distances the scan skipped: `a0`'s (if it lives here and
-        // was dethroned — its distance is the pre-scan `u0`).
-        let mut exact = new_group_lower;
-        if g == g0 && a != a0 && u0 < exact {
-            exact = u0;
+        reassigned
+    }
+
+    /// Tightens the upper bound with one exact distance, re-tests the
+    /// global filter (Clause 3), then scans only the groups whose lower
+    /// bound is violated (Clause 2), maintaining the group bounds from the
+    /// scanned distances.
+    #[inline]
+    fn commit(
+        &self,
+        rows: &RowState<'_>,
+        r: usize,
+        v: &[f64],
+        accum: &mut LocalAccum,
+        counters: &mut PruneCounters,
+    ) -> bool {
+        let (cents, yy) = (self.cents, self.yy);
+        let t = yy.t();
+        let k = cents.k();
+        let a0 = rows.assign(r) as usize;
+        // Tighten with one exact distance and re-test the global filter.
+        let mut u = dist(v, cents.mean(a0));
+        counters.dist_computations += 1;
+        let mut global_lower = f64::INFINITY;
+        for g in 0..t {
+            let lb = rows.lower(r, g);
+            if lb < global_lower {
+                global_lower = lb;
+            }
         }
-        unsafe { *lower.get_mut(r * t + g) = exact };
+        if u <= global_lower {
+            counters.clause3_prunes += (k - 1) as u64;
+            rows.set_upper(r, u);
+            return false;
+        }
+        let g0 = yy.group_of[a0] as usize;
+        let u0 = u;
+        let mut a = a0;
+        for g in 0..t {
+            let lb = rows.lower(r, g);
+            let members = yy.members(g);
+            if u <= lb {
+                // Group filter: every non-assigned member pruned at once. (At
+                // this point `a` is either `a0` or a member of an *earlier*
+                // group, so the candidate count is exact.)
+                counters.clause2_prunes += (members.len() - usize::from(g == g0)) as u64;
+                continue;
+            }
+            let mut new_group_lower = f64::INFINITY;
+            for &c in members {
+                let c = c as usize;
+                // `c == a` can only be the original assignment here (a
+                // reassignment target is never revisited), whose distance `u`
+                // is already exact — skipping it is a pure work elimination.
+                if c == a0 || c == a {
+                    continue;
+                }
+                let dc = dist(v, cents.mean(c));
+                counters.dist_computations += 1;
+                if dc < u {
+                    // The dethroned centroid's exact distance becomes a lower
+                    // bound for its group: folded into this scan's minimum if
+                    // it lives here, min-written into its own group's slot
+                    // otherwise (an earlier group's exact refresh stays exact;
+                    // a later group re-scans or folds `u0` below).
+                    let old_g = yy.group_of[a] as usize;
+                    if old_g == g {
+                        if u < new_group_lower {
+                            new_group_lower = u;
+                        }
+                    } else if u < rows.lower(r, old_g) {
+                        rows.set_lower(r, old_g, u);
+                    }
+                    a = c;
+                    u = dc;
+                } else if dc < new_group_lower {
+                    new_group_lower = dc;
+                }
+            }
+            // A scanned group's bound is *exact* afterwards, so overwrite the
+            // slot rather than min-ing into it — a stale loosened bound must
+            // not pin the group below its true distance forever (that would
+            // make every later iteration re-scan it). The exceptions are
+            // exact distances the scan skipped: `a0`'s (if it lives here and
+            // was dethroned — its distance is the pre-scan `u0`).
+            let mut exact = new_group_lower;
+            if g == g0 && a != a0 && u0 < exact {
+                exact = u0;
+            }
+            rows.set_lower(r, g, exact);
+        }
+        let reassigned = a != a0;
+        if reassigned {
+            accum.sub(a0, v);
+            accum.add(a, v);
+            rows.set_assign(r, a as u32);
+        }
+        rows.set_upper(r, u);
+        reassigned
     }
-    let reassigned = a != a0;
-    if reassigned {
-        accum.sub(a0, v);
-        accum.add(a, v);
-        unsafe { *assign.get_mut(r) = a as u32 };
-    }
-    unsafe { *upper.get_mut(r) = u };
-    reassigned
 }
 
-/// Process a row with a full `k`-way scan (iteration 0, or pruning off).
-/// With pruning on this is the delta-establishing first pass; without, the
-/// accumulator collects plain full sums. Returns `true` on reassignment.
-///
-/// # Safety contract
-/// As [`filter_row`]: the caller's task owns row `r`.
-#[inline]
-#[allow(clippy::too_many_arguments)]
-pub fn process_row_full(
-    r: usize,
-    v: &[f64],
-    cents: &Centroids,
-    pruning: bool,
-    assign: &SharedRows<u32>,
-    upper: &SharedRows<f64>,
-    accum: &mut LocalAccum,
-    counters: &mut PruneCounters,
-) -> bool {
-    let k = cents.k();
-    let (a, da) = nearest(v, &cents.means, k);
-    counters.dist_computations += k as u64;
-    apply_full_assign(r, v, a, da, pruning, assign, upper, accum)
-}
-
-/// Commit one full-scan assignment decision `(a, da)` for row `r`:
-/// accumulate (deltas under pruning, plain sums otherwise), store the
-/// assignment and — under pruning — the exact upper bound. This is the
-/// post-kernel half of [`process_row_full`], shared with the blocked paths.
-///
-/// # Safety contract
-/// As [`filter_row`]: the caller's task owns row `r`.
-#[inline]
-#[allow(clippy::too_many_arguments)]
-pub fn apply_full_assign(
-    r: usize,
-    v: &[f64],
-    a: usize,
-    da: f64,
-    pruning: bool,
-    assign: &SharedRows<u32>,
-    upper: &SharedRows<f64>,
-    accum: &mut LocalAccum,
-) -> bool {
-    // Safety: task-exclusive row ownership (see doc).
-    let cur_a = unsafe { *assign.get(r) };
-    let reassigned;
-    if pruning {
-        // Delta accumulation against the persistent sums.
-        if cur_a == u32::MAX {
-            accum.add(a, v);
-            reassigned = true;
-        } else if cur_a as usize != a {
-            accum.sub(cur_a as usize, v);
-            accum.add(a, v);
-            reassigned = true;
-        } else {
-            reassigned = false;
-        }
-        unsafe { *upper.get_mut(r) = da };
-    } else {
-        // Full re-accumulation every iteration.
-        accum.add(a, v);
-        reassigned = cur_a != a as u32;
-    }
-    unsafe { *assign.get_mut(r) = a as u32 };
-    reassigned
+/// The run's filter as [`IterView`] carries it. The worker loop matches on
+/// it once per compute call and runs monomorphized over the implementor.
+pub enum Filter<'a> {
+    /// Pruning off (and every non-Lloyd algorithm).
+    None(NoFilter<'a>),
+    /// [`Pruning::Mti`].
+    Mti(MtiFilter<'a>),
+    /// [`Pruning::Yinyang`].
+    Yinyang(YinyangFilter<'a>),
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::algo::LloydAlgo;
+    use crate::plane::SlicePlane;
+    use knor_matrix::RowView;
     use knor_numa::Topology;
     use knor_sched::SchedulerKind;
-
-    /// A trivial in-memory backend over a plain slice, exercising the
-    /// driver protocol without any engine machinery.
-    struct SliceBackend<'a> {
-        data: &'a [f64],
-        d: usize,
-    }
-
-    impl LloydBackend for SliceBackend<'_> {
-        fn compute(&self, w: usize, view: &IterView<'_>, accum: &mut LocalAccum) -> WorkerReport {
-            let mut rep = WorkerReport::default();
-            // Per-call scratch is fine at test scale.
-            let mut scratch = KernelScratch::new(&view.kernel, self.d);
-            drain_queue_kernel(w, view, accum, &mut rep, &mut scratch, |r| {
-                &self.data[r * self.d..(r + 1) * self.d]
-            });
-            rep
-        }
-    }
 
     fn run(
         data: &[f64],
@@ -1534,7 +1324,6 @@ mod tests {
         run_kernel(data, n, d, k, pruning, threads, KernelKind::Auto)
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn run_kernel(
         data: &[f64],
         n: usize,
@@ -1578,8 +1367,11 @@ mod tests {
         };
         let init =
             Centroids::from_matrix(&knor_matrix::DMatrix::from_vec(data[..k * d].to_vec(), k, d));
-        let backend = SliceBackend { data, d };
-        run_lloyd(&cfg, init, &placement, &queue, &backend)
+        // A plain slice exercises the driver protocol without any engine
+        // machinery.
+        let plane = SlicePlane(RowView::new(data, d));
+        run_mm(&cfg, init, &placement, &queue, &plane, &NoReduce, &LloydAlgo)
+            .expect("in-memory rows cannot fail")
     }
 
     #[test]
@@ -1852,19 +1644,10 @@ mod tests {
     fn reduce_hook_sees_every_iteration() {
         use std::sync::atomic::AtomicUsize;
 
-        struct Counting<'a> {
-            inner: SliceBackend<'a>,
+        struct Counting {
             calls: AtomicUsize,
         }
-        impl LloydBackend for Counting<'_> {
-            fn compute(
-                &self,
-                w: usize,
-                view: &IterView<'_>,
-                accum: &mut LocalAccum,
-            ) -> WorkerReport {
-                self.inner.compute(w, view, accum)
-            }
+        impl Reducer for Counting {
             fn reduce(
                 &self,
                 _iter: usize,
@@ -1899,10 +1682,10 @@ mod tests {
         };
         let init =
             Centroids::from_matrix(&knor_matrix::DMatrix::from_vec(vec![0.0, 5.0, 10.0], 3, 1));
-        let backend =
-            Counting { inner: SliceBackend { data: &data, d: 1 }, calls: AtomicUsize::new(0) };
-        let out = run_lloyd(&cfg, init, &placement, &queue, &backend);
-        assert_eq!(backend.calls.load(Ordering::Relaxed), out.iters.len());
+        let reducer = Counting { calls: AtomicUsize::new(0) };
+        let plane = SlicePlane(RowView::new(&data, 1));
+        let out = run_mm(&cfg, init, &placement, &queue, &plane, &reducer, &LloydAlgo).unwrap();
+        assert_eq!(reducer.calls.load(Ordering::Relaxed), out.iters.len());
         assert_eq!(out.reduces.len(), out.iters.len());
         assert!(out.reduces.iter().all(|r| r.comm_bytes == 7));
     }

@@ -3,7 +3,7 @@
 //! The iteration protocol itself — worker lifecycle, the A/B/C barrier
 //! super-phases, the dimension-sliced merge and the coordinator window —
 //! lives in [`crate::driver`] and is shared with knors and knord. This
-//! module supplies the in-memory backend: NUMA-aware row access over
+//! module supplies the in-memory data plane: NUMA-aware row access over
 //! per-node arenas plus exact access tallies for the cost model.
 //!
 //! # NUMA modes
@@ -22,17 +22,17 @@ use knor_sched::{SchedulerKind, TaskQueue, DEFAULT_TASK_SIZE};
 
 use crate::algo::Algorithm;
 use crate::centroids::LocalAccum;
-use crate::driver::{drain_queue_kernel, run_mm, DriverConfig, IterView, WorkerReport};
+use crate::driver::{run_mm, DriverConfig, IterView, NoReduce, WorkerReport};
 use crate::init::InitMethod;
-use crate::kernel::{KernelKind, KernelScratch};
-use crate::plane::{DataPlane, PlaneBackend};
+use crate::kernel::KernelKind;
+use crate::plane::{drain, DataPlane, Direct, DrainScratch};
 use crate::pruning::{yinyang_groups, Pruning};
 use crate::replica::Replication;
 use crate::stats::{KmeansResult, MemoryFootprint, NumaReport};
-use crate::sync::ExclusiveCell;
 use crate::trace::{TraceBuf, TraceHandle};
 use crate::tune::Tuning;
 
+use std::io;
 use std::sync::Arc;
 
 /// Configuration for a [`Kmeans`] run.
@@ -315,20 +315,17 @@ impl Kmeans {
         // path the run will take (the override cannot change the kind).
         let probe_kind = driver_cfg.resolve_kernel().kind;
         driver_cfg.tiles = cfg.tuning.tiles_for(probe_kind, n, k, d);
-        let rk = driver_cfg.resolve_kernel();
-        let backend = ImBackend {
+        let plane = ImPlane {
             cfg,
             topo: &topo,
             layout: &layout,
             thread_node: &thread_node,
             nnodes,
             row_bytes,
-            scratch: (0..nthreads)
-                .map(|_| ExclusiveCell::new(KernelScratch::new(&rk, d)))
-                .collect(),
         };
         let outcome =
-            run_mm(&driver_cfg, init_cents, &placement, &queue, &PlaneBackend(&backend), &*algo);
+            run_mm(&driver_cfg, init_cents, &placement, &queue, &plane, &NoReduce, &*algo)
+                .expect("in-memory rows cannot fail");
 
         let mut assignments = outcome.assignments;
         if algo.subsamples() {
@@ -388,49 +385,48 @@ impl Kmeans {
 }
 
 /// The in-memory NUMA data plane: NUMA-aware (or oblivious) row access
-/// with exact access tallies, run through the shared [`crate::driver`]
-/// protocol via [`PlaneBackend`].
-struct ImBackend<'a, 'data> {
+/// with exact access tallies — a direct row source for the shared worker
+/// loop.
+struct ImPlane<'a, 'data> {
     cfg: &'a KmeansConfig,
     topo: &'a Topology,
     layout: &'a Layout<'data>,
     thread_node: &'a [NodeId],
     nnodes: usize,
     row_bytes: u64,
-    /// Per-worker kernel scratch, reused across iterations so the hot path
-    /// never reallocates.
-    scratch: Vec<ExclusiveCell<KernelScratch>>,
 }
 
-impl DataPlane for ImBackend<'_, '_> {
+impl DataPlane for ImPlane<'_, '_> {
     fn worker_start(&self, w: usize) {
         if self.cfg.numa_aware {
             let _ = bind_current_thread(self.topo, self.thread_node[w]);
         }
     }
 
-    fn compute(&self, w: usize, view: &IterView<'_>, accum: &mut LocalAccum) -> WorkerReport {
+    fn compute(
+        &self,
+        w: usize,
+        view: &IterView<'_>,
+        accum: &mut LocalAccum,
+        scratch: &mut DrainScratch,
+    ) -> io::Result<WorkerReport> {
         let d = view.cents.d;
-        let mut rep = WorkerReport::default();
         let mut tally =
             self.cfg.track_tallies.then(|| AccessTally::new(self.thread_node[w], self.nnodes));
-
-        // Safety: own-worker slot, touched only inside this worker's
-        // compute super-phase.
-        let scratch = unsafe { self.scratch[w].get_mut() };
-        drain_queue_kernel(w, view, accum, &mut rep, scratch, |r| {
+        let mut rows = Direct::new(d, |r| {
             let (v, home) = self.layout.row(r);
             if let Some(t) = tally.as_mut() {
                 t.record_access(home, self.row_bytes);
             }
             v
         });
+        let mut rep = drain(&mut rows, w, view, accum, scratch)?;
         if let Some(t) = tally.as_mut() {
             // Distance kernels + accumulator adds, d fused ops each.
             t.record_flops((rep.counters.dist_computations + rep.rows_accessed) * d as u64);
         }
         rep.tally = tally;
-        rep
+        Ok(rep)
     }
 }
 

@@ -195,37 +195,6 @@ impl KernelKind {
     }
 }
 
-/// Per-worker reusable kernel scratch. Allocated once per worker before the
-/// first iteration; every buffer is grow-only, so steady-state iterations
-/// never touch the heap.
-#[derive(Debug)]
-pub struct KernelScratch {
-    /// Row staging area (`row_tile × d`, contiguous).
-    pub data: Vec<f64>,
-    /// Per-row best centroid index for the current block.
-    pub best: Vec<u32>,
-    /// Per-row best *distance* (already square-rooted) for the block.
-    pub best_dist: Vec<f64>,
-    /// Per-row contribution weight for the block (generic algorithm path).
-    pub weights: Vec<f64>,
-    /// Row ids staged in `data`, in staging order (generic algorithm path,
-    /// where subsampling can make a staged block non-contiguous in row id).
-    pub row_ids: Vec<usize>,
-}
-
-impl KernelScratch {
-    /// Scratch sized for `rk`'s row tile at dimensionality `d`.
-    pub fn new(rk: &ResolvedKernel, d: usize) -> Self {
-        Self {
-            data: vec![0.0; rk.row_tile * d],
-            best: Vec::with_capacity(rk.row_tile),
-            best_dist: Vec::with_capacity(rk.row_tile),
-            weights: Vec::with_capacity(rk.row_tile),
-            row_ids: Vec::with_capacity(rk.row_tile),
-        }
-    }
-}
-
 /// `‖c‖²` for every centroid, into `out` (the norm-trick cache).
 pub fn centroid_sqnorms(cents: &Centroids, out: &mut [f64]) {
     debug_assert_eq!(out.len(), cents.k());

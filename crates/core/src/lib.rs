@@ -64,11 +64,11 @@ pub mod tune;
 
 pub use algo::{Algorithm, MapOut, MmAlgorithm, Normalization, UpdateCtx};
 pub use centroids::{Centroids, LocalAccum};
-pub use driver::{DriverConfig, DriverOutcome, IterView, LloydBackend, ReduceReport, WorkerReport};
+pub use driver::{DriverConfig, DriverOutcome, IterView, ReduceReport, Reducer, WorkerReport};
 pub use engine::{Kmeans, KmeansConfig};
 pub use init::InitMethod;
-pub use kernel::{fma_usable, KernelKind, KernelScratch, ResolvedKernel, ResolvedKind};
-pub use plane::{DataPlane, PlaneBackend, SlicePlane, StagedScratch, StagedSource};
+pub use kernel::{fma_usable, KernelKind, ResolvedKernel, ResolvedKind};
+pub use plane::{DataPlane, DrainScratch, RowSource, SlicePlane};
 pub use pruning::Pruning;
 pub use replica::{NodeReplicas, OpLog, ReplicaState, Replication};
 pub use stats::{IterStats, KmeansResult, MemoryFootprint, NumaReport};

@@ -1,50 +1,46 @@
-//! The data-plane abstraction: how a worker turns a scheduler [`Task`]
-//! into row data.
+//! The data plane and the one worker loop.
 //!
 //! All three knor engines run the *same* iteration protocol
-//! ([`crate::driver`]) and the *same* per-row/blocked commit arithmetic;
-//! what actually differs between knori and knors is only where a row's
-//! bytes live and how they reach the worker:
+//! ([`crate::driver`]); what differs between knori, knors and knord is only
+//! where a row's bytes live and how they reach the worker. A [`DataPlane`]
+//! is that difference as the driver sees it: the compute super-phase plus
+//! the coordinator hooks that belong to row access (row-cache refresh
+//! decisions, per-iteration I/O accounting). Every plane's `compute` is the
+//! same function, [`drain`], over the plane's [`RowSource`]; one call of it
+//! is one cell of this table, chosen once, before the first task:
 //!
-//! * **direct planes** — rows are addressable memory (NUMA arenas, a
-//!   rank's matrix slice). The worker loop is [`driver::drain_queue_kernel`]
-//!   over a borrow-per-row fetch.
-//! * **staged planes** — rows live behind an I/O stack (the SAFS-lite
-//!   row-cache/page-cache/device pipeline). The worker loop is
-//!   [`drain_queue_staged`] below: the depth-2 filter/prefetch pipeline
-//!   with whole-task staging that used to be inlined in `knor_sem`'s
-//!   engine, now shared so any engine can mount a SEM plane (knord mounts
-//!   one per rank).
+//! | part            | choices                                               | chosen from                         |
+//! |-----------------|-------------------------------------------------------|-------------------------------------|
+//! | row source      | *direct* ([`Direct`]: NUMA arenas, a rank's slice) or *staged* (the SEM row-cache / page-cache / device stack) | the plane |
+//! | pre-fetch filter| `in_scope` · MTI clause 1 · Yinyang global filter      | algorithm, scheme, `iter > 0`       |
+//! | commit          | block via `algo.map_block` · block via `assign_rows` + [`RowFilter::establish`] · per-row [`RowFilter::commit`] | algorithm, scheme, `iter > 0` |
 //!
-//! Both loops stage and commit rows in **task row order** with the shared
-//! [`driver`] helpers, so for a deterministic task→worker mapping the
-//! iteration trajectory is bitwise independent of which plane the rows
-//! came through — the property knord's `RankPlane` knob relies on.
+//! A direct source borrows rows in place and gathers a contiguous block
+//! only when a block commit asks for one; a staged source fetches a whole
+//! filtered task into the worker's scratch, declares that fetching costs
+//! I/O ([`RowSource::STAGED`]) and thereby gets the depth-2 pipeline: the
+//! filter for the *next* task runs, and its prefetch is submitted, before
+//! the *current* task commits.
 //!
-//! A [`DataPlane`] is the engine-facing object: the compute super-phase
-//! plus the coordinator hooks that belong to row access (row-cache
-//! refresh decisions, per-iteration I/O accounting). [`PlaneBackend`]
-//! adapts any plane to the driver's [`LloydBackend`] for engines with no
-//! engine-specific reduce step; knord implements [`LloydBackend`] itself,
-//! delegating everything but `reduce` to its per-rank plane.
+//! Whatever the cell, rows are staged and committed in **task row order**,
+//! so for a deterministic task→worker mapping the iteration trajectory is
+//! bitwise independent of which plane the rows came through — the property
+//! knord's `RankPlane` knob relies on.
+
+use std::io;
+use std::marker::PhantomData;
 
 use knor_matrix::RowView;
-use knor_sched::Task;
 
 use crate::centroids::LocalAccum;
-use crate::driver::{
-    self, filter_row, filter_row_yy, process_block_algo, process_block_kernel, process_row_full,
-    process_row_mti, process_row_yy, yy_init_bounds, IterView, LloydBackend, WorkerReport,
-};
-use crate::kernel::{KernelScratch, ResolvedKernel, ResolvedKind};
-use crate::pruning::Pruning;
+use crate::driver::{Filter, IterView, RowFilter, WorkerReport};
+use crate::kernel::assign_rows;
 use crate::stats::IterStats;
-use crate::sync::ExclusiveCell;
 use crate::trace::{Phase, WorkerTracer};
 
 /// How an engine's workers obtain row data. One instance is shared by all
-/// workers of one driver run; per-worker mutable state lives inside the
-/// plane behind the same barrier discipline the driver itself uses.
+/// workers of one driver run; per-worker mutable state lives in the
+/// driver-owned [`DrainScratch`].
 pub trait DataPlane: Sync {
     /// Called once per worker thread before the first iteration
     /// (the in-memory plane binds the thread to its NUMA node here).
@@ -54,10 +50,15 @@ pub trait DataPlane: Sync {
     /// (the SEM plane decides row-cache refreshes here).
     fn pre_iteration(&self, _iter: usize) {}
 
-    /// The compute super-phase for worker `w`: drain `view.queue`, obtain
-    /// row data however this plane does, and commit through the shared
-    /// driver helpers.
-    fn compute(&self, w: usize, view: &IterView<'_>, accum: &mut LocalAccum) -> WorkerReport;
+    /// The compute super-phase for worker `w`: [`drain`] over this plane's
+    /// row source. An `Err` is a failed fetch; the driver stops the run.
+    fn compute(
+        &self,
+        w: usize,
+        view: &IterView<'_>,
+        accum: &mut LocalAccum,
+        scratch: &mut DrainScratch,
+    ) -> io::Result<WorkerReport>;
 
     /// Coordinator-only hook after the iteration's statistics are final
     /// (the SEM plane records its per-iteration I/O here). `aux_total` is
@@ -65,392 +66,365 @@ pub trait DataPlane: Sync {
     fn end_iteration(&self, _iter: usize, _stats: &IterStats, _aux_total: u64) {}
 }
 
-/// Adapter running the driver protocol directly over a plane — the whole
-/// backend for engines whose `reduce` step is the identity (knori, knors).
-/// knord supplies its own [`LloydBackend`] wrapping a plane plus the
-/// allreduce window.
-pub struct PlaneBackend<'a, P: DataPlane + ?Sized>(pub &'a P);
+/// How the rows of one filtered task become readable. One value serves one
+/// worker for one compute super-phase. Local row ids are the driver's; the
+/// source owns any translation to global/on-disk ids.
+pub trait RowSource {
+    /// Fetching a row costs I/O. The worker loop then filters and
+    /// prefetches one task ahead of the one it commits (overlapping I/O
+    /// with computation as FlashGraph does), and counts each row the filter
+    /// drops as an avoided fetch (`io_skip_rows`). Direct sources keep
+    /// take-one-task scheduling and report no skips.
+    const STAGED: bool = false;
 
-impl<P: DataPlane + ?Sized> LloydBackend for PlaneBackend<'_, P> {
-    fn worker_start(&self, w: usize) {
-        self.0.worker_start(w);
+    /// Dimensionality of a row.
+    fn d(&self) -> usize;
+
+    /// Hint that `rows` will be staged soon — the pipeline's prefetch
+    /// hand-off. Best-effort; may do nothing.
+    fn prefetch(&mut self, _rows: &[usize]) {}
+
+    /// Make every row of `rows` (a filtered task, ascending) readable
+    /// through [`Self::row`] / [`Self::block`] until the next call. Returns
+    /// the fast-tier hits (→ [`WorkerReport::aux`]). When `tracer` is
+    /// present a staged source records its hit/miss/scatter intervals
+    /// through it (measurement-only — see [`crate::trace`]).
+    fn stage(
+        &mut self,
+        _rows: &[usize],
+        _scratch: &mut DrainScratch,
+        _tracer: Option<&WorkerTracer<'_>>,
+    ) -> io::Result<u64> {
+        Ok(0)
     }
 
-    fn pre_iteration(&self, iter: usize) {
-        self.0.pre_iteration(iter);
+    /// Row `r`, the `i`-th of the staged task; `staged` is the scratch's
+    /// staging area. The default serves a staged source, whose `stage` left
+    /// the task there in row order; [`Direct`] borrows the row in place.
+    fn row<'a>(&'a mut self, staged: &'a [f64], i: usize, _r: usize) -> &'a [f64] {
+        &staged[i * self.d()..(i + 1) * self.d()]
     }
 
-    fn compute(&self, w: usize, view: &IterView<'_>, accum: &mut LocalAccum) -> WorkerReport {
-        self.0.compute(w, view, accum)
+    /// Rows `ids` — the staged task's `at`-th onwards — as one contiguous
+    /// block. The default serves a staged source, which already holds them
+    /// contiguously in `data`; [`Direct`] gathers them there.
+    fn block<'a>(&mut self, data: &'a mut Vec<f64>, at: usize, ids: &[usize]) -> &'a [f64] {
+        &data[at * self.d()..(at + ids.len()) * self.d()]
+    }
+}
+
+/// The direct row source: rows are addressable memory and `fetch(r)`
+/// borrows row `r` (recording whatever the plane wants to know about the
+/// access — knori's cost-model tallies).
+pub struct Direct<'data, F> {
+    fetch: F,
+    d: usize,
+    rows: PhantomData<&'data [f64]>,
+}
+
+impl<'data, F: FnMut(usize) -> &'data [f64]> Direct<'data, F> {
+    /// A direct source of `d`-dimensional rows.
+    pub fn new(d: usize, fetch: F) -> Self {
+        Self { fetch, d, rows: PhantomData }
+    }
+}
+
+impl<'data, F: FnMut(usize) -> &'data [f64]> RowSource for Direct<'data, F> {
+    fn d(&self) -> usize {
+        self.d
     }
 
-    fn end_iteration(&self, iter: usize, stats: &IterStats, aux_total: u64) {
-        self.0.end_iteration(iter, stats, aux_total);
+    #[inline]
+    fn row<'a>(&'a mut self, _staged: &'a [f64], _i: usize, r: usize) -> &'a [f64] {
+        (self.fetch)(r)
+    }
+
+    fn block<'a>(&mut self, data: &'a mut Vec<f64>, _at: usize, ids: &[usize]) -> &'a [f64] {
+        let d = self.d;
+        if data.len() < ids.len() * d {
+            data.resize(ids.len() * d, 0.0);
+        }
+        for (i, &r) in ids.iter().enumerate() {
+            data[i * d..(i + 1) * d].copy_from_slice((self.fetch)(r));
+        }
+        &data[..ids.len() * d]
     }
 }
 
 /// The direct in-memory plane over a contiguous row slice — knord's
 /// per-rank view of the matrix (knori's NUMA-arena plane lives in
 /// [`crate::engine`], where the arenas and access tallies are).
-pub struct SlicePlane<'a> {
-    rows: RowView<'a>,
-    /// Per-worker kernel scratch, reused across iterations so the hot
-    /// path never reallocates.
-    scratch: Vec<ExclusiveCell<KernelScratch>>,
-}
-
-impl<'a> SlicePlane<'a> {
-    /// Build a plane over `rows` for `nthreads` workers running the
-    /// resolved kernel `rk`.
-    pub fn new(rows: RowView<'a>, rk: &ResolvedKernel, nthreads: usize) -> Self {
-        let d = rows.ncol();
-        Self {
-            rows,
-            scratch: (0..nthreads).map(|_| ExclusiveCell::new(KernelScratch::new(rk, d))).collect(),
-        }
-    }
-}
+pub struct SlicePlane<'a>(pub RowView<'a>);
 
 impl DataPlane for SlicePlane<'_> {
-    fn compute(&self, w: usize, view: &IterView<'_>, accum: &mut LocalAccum) -> WorkerReport {
-        let mut rep = WorkerReport::default();
-        // Safety: own-worker slot, touched only inside this worker's
-        // compute super-phase.
-        let scratch = unsafe { self.scratch[w].get_mut() };
-        driver::drain_queue_kernel(w, view, accum, &mut rep, scratch, |r| self.rows.row(r));
-        rep
+    fn compute(
+        &self,
+        w: usize,
+        view: &IterView<'_>,
+        accum: &mut LocalAccum,
+        scratch: &mut DrainScratch,
+    ) -> io::Result<WorkerReport> {
+        drain(&mut Direct::new(self.0.ncol(), |r| self.0.row(r)), w, view, accum, scratch)
     }
 }
 
-/// One worker's reusable buffers for the staged drain. All grow-only —
-/// steady-state iterations never allocate here.
+/// One worker's reusable buffers for [`drain`]. All start empty and are
+/// grow-only — steady-state iterations never allocate here.
 #[derive(Debug, Default)]
-pub struct StagedScratch {
-    /// Every needed row of the current task, staged contiguously in task
-    /// row order (fast-tier hits copied in place, backing-tier rows
-    /// scattered into their slots after the merged fetch).
+pub struct DrainScratch {
+    /// Row staging: a direct source's gathered block (`row_tile × d`), or
+    /// every needed row of a staged source's current task in task row
+    /// order (fast-tier hits copied in place, backing-tier rows scattered
+    /// into their slots after the merged fetch).
     pub data: Vec<f64>,
-    /// Indices into the task's `needed` list whose rows missed the fast
-    /// tier (the rows eligible for retention on a refresh iteration).
-    pub miss_idx: Vec<usize>,
-    /// Backing-tier fetch staging (miss rows, in fetch order).
-    pub fetch: Vec<f64>,
-    /// Row ids handed to the backing tier, in fetch order.
-    pub miss_rows: Vec<usize>,
-    /// Blocked-commit best-index scratch.
+    /// Block-commit best-index scratch.
     pub best: Vec<u32>,
-    /// Blocked-commit best-distance scratch.
+    /// Block-commit best-distance / kernel score scratch.
     pub best_dist: Vec<f64>,
     /// Per-row contribution weights (generic algorithm path).
     pub weights: Vec<f64>,
-    /// Recycled Clause-1 `needed` buffers (two alive at pipeline depth 2).
+    /// Staged sources: indices into the task's needed rows that missed the
+    /// fast tier (the rows eligible for retention on a refresh iteration).
+    pub miss_idx: Vec<usize>,
+    /// Staged sources: row ids handed to the backing tier, in fetch order.
+    pub miss_rows: Vec<usize>,
+    /// Staged sources: backing-tier fetch staging (miss rows, fetch order).
+    pub fetch: Vec<f64>,
+    /// Recycled needed-row buffers (two alive at pipeline depth 2).
     free_needed: Vec<Vec<usize>>,
 }
 
-impl StagedScratch {
-    /// Empty scratch; every buffer grows on first use and is then reused.
-    pub fn new() -> Self {
-        Self::default()
-    }
+/// How [`drain`] commits the rows a task's filter kept.
+#[derive(Clone, Copy, PartialEq)]
+enum Commit {
+    /// Non-Lloyd algorithms: blocks through [`MmAlgorithm::map_block`]
+    /// (pruning is always off for them, so every iteration is a full pass
+    /// over the in-scope rows).
+    ///
+    /// [`MmAlgorithm::map_block`]: crate::algo::MmAlgorithm::map_block
+    Map,
+    /// Lloyd full scan (iteration 0, or pruning off): blocks through the
+    /// assignment kernel, then [`RowFilter::establish`] per row.
+    Kernel,
+    /// Lloyd under bounds (`iter > 0`): [`RowFilter::commit`] per row.
+    Bounds,
 }
 
-/// The staged row source a [`drain_queue_staged`] worker loop pulls from:
-/// a fast tier (the SEM row cache) over a backing tier (the SAFS page
-/// cache + device). Local row ids are the driver's; the source owns any
-/// translation to global/on-disk ids.
-pub trait StagedSource: Sync {
-    /// Dimensionality of a row.
-    fn d(&self) -> usize;
-
-    /// Hint that `needed` will be staged soon — the depth-2 pipeline's
-    /// prefetch hand-off, issued for the *next* task before the current
-    /// one computes. Best-effort; may do nothing.
-    fn prefetch(&self, _needed: &[usize]) {}
-
-    /// Stage every `needed` row contiguously into `scratch.data` in task
-    /// row order: fast-tier hits copy straight into their slot; misses are
-    /// recorded in `scratch.miss_idx`/`miss_rows`, fetched from the
-    /// backing tier in one merged request, and scattered into place.
-    /// Returns the number of fast-tier hits. When `tracer` is present the
-    /// source records its hit/miss/scatter intervals through it
-    /// (measurement-only — see [`crate::trace`]).
-    fn stage(
-        &self,
-        w: usize,
-        needed: &[usize],
-        scratch: &mut StagedScratch,
-        tracer: Option<&WorkerTracer<'_>>,
-    ) -> u64;
-
-    /// Whether staged backing-tier rows should be retained in the fast
-    /// tier this iteration (the row-cache refresh decision, made by the
-    /// coordinator in `pre_iteration`).
-    fn refreshing(&self) -> bool;
-
-    /// Retain one staged row in the fast tier (refresh iterations only).
-    fn retain(&self, _r: usize, _v: &[f64]) {}
-}
-
-/// Row-level filter for a whole task: collects the rows that must be
-/// fetched into `needed` (cleared first) and drift-updates the bounds of
-/// the skipped ones. Subsampling algorithms drop out-of-scope rows here —
-/// before any byte is requested, so a skipped row costs no I/O, exactly
-/// like a Clause-1 skip. Under Yinyang the group filter plays the same
-/// role: a row whose loosened upper bound clears every group lower bound
-/// needs no centroid scan, so the staged plane never fetches it. Skips
-/// are tallied in `io_skip_rows` (a subset of `clause1_rows`) so the
-/// fetch-avoidance is visible separately from distance pruning.
-pub fn filter_task_into(
-    task: &Task,
-    view: &IterView<'_>,
-    counters: &mut crate::pruning::PruneCounters,
-    needed: &mut Vec<usize>,
-) {
-    needed.clear();
-    if view.iter == 0 || !view.pruning {
-        if view.scoped {
-            needed.extend(task.rows.clone().filter(|&r| view.in_scope(r)));
-        } else {
-            needed.extend(task.rows.clone());
-        }
-        return;
-    }
-    let yy = view.scheme == Pruning::Yinyang;
-    for r in task.rows.clone() {
-        let keep = if yy {
-            filter_row_yy(r, view.assign, view.upper, view.lower, view.yy, counters)
-        } else {
-            filter_row(r, view.assign, view.upper, view.mti, counters)
-        };
-        if keep {
-            needed.push(r);
-        } else {
-            counters.io_skip_rows += 1;
-        }
-    }
-}
-
-/// Drain worker `w`'s share of the task queue through a staged source at
-/// pipeline depth 2: the Clause-1 filter for the *next* task runs (and its
-/// prefetch is submitted) before the *current* task computes, overlapping
-/// I/O with computation as FlashGraph does.
-///
-/// Rows are staged and committed in task row order through the same
-/// [`driver`] commit helpers as the direct drain, so a staged plane walks
-/// the same trajectory as a direct plane over the same rows.
-pub fn drain_queue_staged<S: StagedSource + ?Sized>(
-    src: &S,
+/// The worker loop: drain worker `w`'s share of the iteration's task queue
+/// through `src`, filtering, fetching and committing each task under the
+/// policy the module docs tabulate.
+pub fn drain<S: RowSource>(
+    src: &mut S,
     w: usize,
     view: &IterView<'_>,
     accum: &mut LocalAccum,
-    rep: &mut WorkerReport,
-    scratch: &mut StagedScratch,
-) {
-    let d = src.d();
-    let refreshing = src.refreshing();
-    let mut pending: Option<Vec<usize>> = None;
+    scratch: &mut DrainScratch,
+) -> io::Result<WorkerReport> {
+    match &view.filter {
+        Filter::None(f) => drain_with(src, f, w, view, accum, scratch),
+        Filter::Mti(f) => drain_with(src, f, w, view, accum, scratch),
+        Filter::Yinyang(f) => drain_with(src, f, w, view, accum, scratch),
+    }
+}
+
+/// [`drain`], monomorphized over the filter.
+fn drain_with<S: RowSource, F: RowFilter>(
+    src: &mut S,
+    filter: &F,
+    w: usize,
+    view: &IterView<'_>,
+    accum: &mut LocalAccum,
+    scratch: &mut DrainScratch,
+) -> io::Result<WorkerReport> {
+    let commit = if !view.algo.is_lloyd() {
+        Commit::Map
+    } else if view.iter == 0 || !F::BOUNDED {
+        Commit::Kernel
+    } else {
+        Commit::Bounds
+    };
+    let (d, k) = (view.cents.d, view.cents.k());
+    let tracer = view.tracer.as_ref();
+    let mut rep = WorkerReport::default();
+    // The task filtered (and prefetched) ahead of the one being committed.
+    let mut ahead = None;
     loop {
         let next = view.queue.next(w).map(|task| {
+            // SAFETY: this worker just took `task` from the iteration's
+            // queue, which hands every row to exactly one task once.
+            let rows = unsafe { view.rows.claim(task.rows.clone()) };
             let mut needed = scratch.free_needed.pop().unwrap_or_default();
-            filter_task_into(&task, view, &mut rep.counters, &mut needed);
-            if !needed.is_empty() {
-                let t0 = view.tracer.as_ref().map(|t| t.now());
+            needed.clear();
+            // Rows dropped here are never requested from the source: a
+            // bound-pruned or out-of-scope row costs no data access, and
+            // on a staged source no I/O.
+            match commit {
+                Commit::Bounds => {
+                    for r in task.rows {
+                        if filter.keep(&rows, r, &mut rep.counters) {
+                            needed.push(r);
+                        } else if S::STAGED {
+                            rep.counters.io_skip_rows += 1;
+                        }
+                    }
+                }
+                _ if view.scoped => needed.extend(task.rows.filter(|&r| view.in_scope(r))),
+                _ => needed.extend(task.rows),
+            }
+            if S::STAGED && !needed.is_empty() {
+                let t0 = tracer.map(|t| t.now());
                 src.prefetch(&needed);
-                if let (Some(t), Some(t0)) = (view.tracer.as_ref(), t0) {
+                if let (Some(t), Some(t0)) = (tracer, t0) {
                     t.record(Phase::IoFetch, t0, (needed.len() * d * 8) as u64);
                 }
             }
-            needed
+            (rows, needed)
         });
-        let current = pending.take();
-        pending = next;
-        let Some(needed) = current else {
-            if pending.is_none() {
+        let current = if S::STAGED { std::mem::replace(&mut ahead, next) } else { next };
+        let Some((rows, needed)) = current else {
+            if ahead.is_none() {
                 break;
             }
-            continue;
+            continue; // pipeline fill: the first task has nothing before it
         };
         if !needed.is_empty() {
-            rep.aux += src.stage(w, &needed, scratch, view.tracer.as_ref());
-            commit_staged(&needed, view, accum, rep, scratch);
-            if refreshing {
-                for &i in &scratch.miss_idx {
-                    src.retain(needed[i], &scratch.data[i * d..(i + 1) * d]);
+            rep.aux += src.stage(&needed, scratch, tracer)?;
+            rep.rows_accessed += needed.len() as u64;
+        }
+        if commit == Commit::Bounds {
+            for (i, &r) in needed.iter().enumerate() {
+                let v = src.row(&scratch.data, i, r);
+                rep.reassigned += u64::from(filter.commit(&rows, r, v, accum, &mut rep.counters));
+            }
+        } else {
+            // One full candidate scan per row, whatever its metric.
+            rep.counters.dist_computations += (needed.len() * k) as u64;
+            // A staged task is contiguous already; a direct source gathers
+            // one kernel row tile at a time.
+            let step = if S::STAGED { needed.len() } else { view.kernel.row_tile }.max(1);
+            for (c, ids) in needed.chunks(step).enumerate() {
+                let block = src.block(&mut scratch.data, c * step, ids);
+                let best = &mut scratch.best;
+                if commit == Commit::Map {
+                    let weights = &mut scratch.weights;
+                    view.algo.map_block(
+                        block,
+                        d,
+                        view.cents,
+                        best,
+                        weights,
+                        &mut scratch.best_dist,
+                    );
+                    for (i, &r) in ids.iter().enumerate() {
+                        accum.add_weighted(
+                            best[i] as usize,
+                            &block[i * d..(i + 1) * d],
+                            weights[i],
+                        );
+                        rep.reassigned += u64::from(rows.set_assign(r, best[i]));
+                    }
+                } else {
+                    let dists = &mut scratch.best_dist;
+                    // Distances are only materialized when the filter's
+                    // bounds consume them.
+                    assign_rows(
+                        block,
+                        d,
+                        view.cents,
+                        &view.kernel,
+                        view.cnorms,
+                        best,
+                        dists,
+                        F::BOUNDED,
+                    );
+                    for (i, &r) in ids.iter().enumerate() {
+                        let (v, scan) = (&block[i * d..(i + 1) * d], (best[i] as usize, dists[i]));
+                        let moved = filter.establish(&rows, r, v, scan, accum, &mut rep.counters);
+                        rep.reassigned += u64::from(moved);
+                    }
                 }
             }
         }
         scratch.free_needed.push(needed);
     }
-}
-
-/// Commit one staged task (rows contiguous in `scratch.data`, task row
-/// order) through the shared driver paths: the generic algorithm block
-/// path, the blocked assignment kernel, or the per-row MTI/full-scan state
-/// machine — the same dispatch [`driver::drain_queue_kernel`] makes for
-/// direct planes.
-fn commit_staged(
-    rows: &[usize],
-    view: &IterView<'_>,
-    accum: &mut LocalAccum,
-    rep: &mut WorkerReport,
-    scratch: &mut StagedScratch,
-) {
-    let d = view.cents.d;
-    let block = &scratch.data[..rows.len() * d];
-    if !view.is_lloyd {
-        // Generic algorithm path: one contiguous block through the shared
-        // map_block commit protocol (spherical batches through the dot
-        // micro-kernel).
-        process_block_algo(
-            rows.iter().copied(),
-            block,
-            view,
-            accum,
-            rep,
-            &mut scratch.best,
-            &mut scratch.weights,
-            &mut scratch.best_dist,
-        );
-        return;
-    }
-    let full_scan = view.iter == 0 || !view.pruning;
-    if full_scan && view.kernel.kind != ResolvedKind::Scalar {
-        process_block_kernel(
-            rows.iter().copied(),
-            block,
-            view,
-            accum,
-            rep,
-            &mut scratch.best,
-            &mut scratch.best_dist,
-        );
-        return;
-    }
-    let yy = view.scheme == Pruning::Yinyang;
-    for (i, &r) in rows.iter().enumerate() {
-        let v = &block[i * d..(i + 1) * d];
-        rep.rows_accessed += 1;
-        let reassigned = if view.iter > 0 && view.pruning {
-            // Bounds were already drift-loosened in the filter.
-            if yy {
-                process_row_yy(
-                    r,
-                    v,
-                    view.cents,
-                    view.yy,
-                    view.assign,
-                    view.upper,
-                    view.lower,
-                    accum,
-                    &mut rep.counters,
-                )
-            } else {
-                process_row_mti(
-                    r,
-                    v,
-                    view.cents,
-                    view.mti,
-                    view.assign,
-                    view.upper,
-                    accum,
-                    &mut rep.counters,
-                )
-            }
-        } else {
-            let re = process_row_full(
-                r,
-                v,
-                view.cents,
-                view.pruning,
-                view.assign,
-                view.upper,
-                accum,
-                &mut rep.counters,
-            );
-            if yy && view.iter == 0 {
-                let a = unsafe { *view.assign.get(r) } as usize;
-                yy_init_bounds(r, v, a, view.cents, view.yy, view.lower, &mut rep.counters);
-            }
-            re
-        };
-        rep.reassigned += u64::from(reassigned);
-    }
+    Ok(rep)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::algo::Algorithm;
     use crate::centroids::Centroids;
-    use crate::driver::{run_lloyd, DriverConfig, DriverOutcome};
+    use crate::driver::{run_mm, DriverConfig, DriverOutcome, NoReduce};
     use crate::kernel::KernelKind;
+    use crate::pruning::Pruning;
     use knor_numa::{Placement, Topology};
     use knor_sched::{SchedulerKind, TaskQueue};
 
-    /// A staged source over an in-memory matrix with an always-miss fast
-    /// tier: every row goes through the merged-fetch + scatter path.
-    struct MemSource {
-        data: Vec<f64>,
+    /// A staged source over an in-memory matrix: every task is copied into
+    /// the staging area in row order, as a fast tier that never hits would.
+    struct MemSource<'a> {
+        data: &'a [f64],
         d: usize,
     }
 
-    impl StagedSource for MemSource {
+    impl RowSource for MemSource<'_> {
+        const STAGED: bool = true;
+
         fn d(&self) -> usize {
             self.d
         }
 
         fn stage(
-            &self,
-            _w: usize,
+            &mut self,
             needed: &[usize],
-            scratch: &mut StagedScratch,
+            scratch: &mut DrainScratch,
             _tracer: Option<&WorkerTracer<'_>>,
-        ) -> u64 {
+        ) -> io::Result<u64> {
             let d = self.d;
-            scratch.miss_idx.clear();
-            scratch.miss_rows.clear();
             if scratch.data.len() < needed.len() * d {
                 scratch.data.resize(needed.len() * d, 0.0);
             }
             for (i, &r) in needed.iter().enumerate() {
-                scratch.miss_idx.push(i);
-                scratch.miss_rows.push(r);
                 scratch.data[i * d..(i + 1) * d].copy_from_slice(&self.data[r * d..(r + 1) * d]);
             }
-            0
-        }
-
-        fn refreshing(&self) -> bool {
-            false
+            Ok(0)
         }
     }
 
     struct StagedTestPlane {
-        src: MemSource,
-        scratch: Vec<ExclusiveCell<StagedScratch>>,
+        data: Vec<f64>,
+        d: usize,
     }
 
     impl DataPlane for StagedTestPlane {
-        fn compute(&self, w: usize, view: &IterView<'_>, accum: &mut LocalAccum) -> WorkerReport {
-            let mut rep = WorkerReport::default();
-            // Safety: own-worker slot, compute super-phase only.
-            let scratch = unsafe { self.scratch[w].get_mut() };
-            drain_queue_staged(&self.src, w, view, accum, &mut rep, scratch);
-            rep
+        fn compute(
+            &self,
+            w: usize,
+            view: &IterView<'_>,
+            accum: &mut LocalAccum,
+            scratch: &mut DrainScratch,
+        ) -> io::Result<WorkerReport> {
+            drain(&mut MemSource { data: &self.data, d: self.d }, w, view, accum, scratch)
         }
     }
 
-    fn run_planes(
-        data: &[f64],
-        n: usize,
-        d: usize,
-        k: usize,
-        pruning: Pruning,
-        kernel: KernelKind,
-        threads: usize,
-    ) -> (DriverOutcome, DriverOutcome) {
-        let cfg = DriverConfig {
-            k,
-            d,
+    /// The rows every plane test clusters: five separated groups in 3-D.
+    fn five_groups() -> Vec<f64> {
+        let mut data = Vec::new();
+        for i in 0..300 {
+            let c = (i % 5) as f64 * 6.0;
+            data.push(c + (i as f64 * 0.13).sin());
+            data.push(-c + (i as f64 * 0.29).cos());
+            data.push((i as f64 * 0.07).sin() * 2.0);
+        }
+        data
+    }
+
+    fn config(n: usize, pruning: Pruning, kernel: KernelKind, threads: usize) -> DriverConfig {
+        DriverConfig {
+            k: 12,
+            d: 3,
             n,
             nthreads: threads,
             max_iters: 40,
@@ -462,113 +436,95 @@ mod tests {
             row_offset: 0,
             replication: false,
             trace: None,
-        };
-        let init =
-            Centroids::from_matrix(&knor_matrix::DMatrix::from_vec(data[..k * d].to_vec(), k, d));
-        let rk = cfg.resolve_kernel();
-        let run = |plane: &dyn DataPlane| {
-            let topo = Topology::flat(threads);
-            let placement = Placement::new(&topo, n, threads);
-            let queue = TaskQueue::new(SchedulerKind::Static, &placement);
-            run_lloyd(&cfg, init.clone(), &placement, &queue, &PlaneBackend(plane))
-        };
-        let direct = SlicePlane::new(RowView::new(data, d), &rk, threads);
-        let staged = StagedTestPlane {
-            src: MemSource { data: data.to_vec(), d },
-            scratch: (0..threads).map(|_| ExclusiveCell::new(StagedScratch::new())).collect(),
-        };
-        (run(&direct), run(&staged))
+        }
+    }
+
+    fn run_plane<P: DataPlane>(
+        cfg: &DriverConfig,
+        data: &[f64],
+        algo: &Algorithm,
+        topo: &Topology,
+        plane: &P,
+    ) -> DriverOutcome {
+        let init = Centroids::from_matrix(&knor_matrix::DMatrix::from_vec(
+            data[..cfg.k * cfg.d].to_vec(),
+            cfg.k,
+            cfg.d,
+        ));
+        let placement = Placement::new(topo, cfg.n, cfg.nthreads);
+        let queue = TaskQueue::new(SchedulerKind::Static, &placement);
+        let algo = algo.resolve(cfg.k, cfg.n, 7);
+        run_mm(cfg, init, &placement, &queue, plane, &NoReduce, &*algo)
+            .expect("in-memory sources cannot fail")
+    }
+
+    fn run_planes(
+        cfg: &DriverConfig,
+        data: &[f64],
+        algo: &Algorithm,
+    ) -> (DriverOutcome, DriverOutcome) {
+        let topo = Topology::flat(cfg.nthreads);
+        let direct = SlicePlane(RowView::new(data, cfg.d));
+        let staged = StagedTestPlane { data: data.to_vec(), d: cfg.d };
+        (run_plane(cfg, data, algo, &topo, &direct), run_plane(cfg, data, algo, &topo, &staged))
     }
 
     /// The module's core promise: a staged plane and a direct plane over
     /// the same rows walk bitwise-identical trajectories under a
-    /// deterministic scheduler — for full scans and for MTI.
+    /// deterministic scheduler — for every filter × commit the one worker
+    /// loop carries: full scans through each kernel family, MTI, Yinyang,
+    /// and the generic map path (batched spherical, subsampled mini-batch).
     #[test]
     fn staged_and_direct_planes_are_bitwise_identical() {
-        let mut data = Vec::new();
-        for i in 0..300 {
-            let c = (i % 5) as f64 * 6.0;
-            data.push(c + (i as f64 * 0.13).sin());
-            data.push(-c + (i as f64 * 0.29).cos());
-            data.push((i as f64 * 0.07).sin() * 2.0);
-        }
+        let data = five_groups();
+        let mut cases = Vec::new();
         for pruning in [Pruning::None, Pruning::Mti, Pruning::Yinyang] {
-            for kernel in [KernelKind::Scalar, KernelKind::Tiled] {
-                for threads in [1usize, 2] {
-                    let (direct, staged) = run_planes(&data, 300, 3, 12, pruning, kernel, threads);
+            for kernel in [KernelKind::Scalar, KernelKind::Tiled, KernelKind::Gemm] {
+                cases.push((Algorithm::Lloyd, pruning, kernel));
+            }
+        }
+        for algo in [Algorithm::Spherical, Algorithm::MiniBatch { batch: 60 }] {
+            cases.push((algo, Pruning::None, KernelKind::Auto));
+        }
+        for (algo, pruning, kernel) in cases {
+            for threads in [1usize, 2] {
+                let what = format!("{algo:?} pruning={pruning:?} kernel={kernel:?} T={threads}");
+                let (direct, staged) =
+                    run_planes(&config(300, pruning, kernel, threads), &data, &algo);
+                assert_eq!(direct.assignments, staged.assignments, "{what}");
+                assert_eq!(direct.centroids, staged.centroids, "{what}");
+                assert_eq!(direct.iters.len(), staged.iters.len(), "{what}");
+                for (a, b) in direct.iters.iter().zip(&staged.iters) {
+                    assert_eq!(a.reassigned, b.reassigned, "{what} iter {}", a.iter);
+                    assert_eq!(a.rows_accessed, b.rows_accessed, "{what} iter {}", a.iter);
+                    // Only the staged plane skips fetches; every skip is a
+                    // bound-pruned row, so under a filter the two tallies
+                    // coincide. Everything else matches field for field.
+                    assert_eq!(a.prune.io_skip_rows, 0, "{what} iter {}", a.iter);
                     assert_eq!(
-                        direct.assignments, staged.assignments,
-                        "pruning={pruning:?} kernel={kernel:?} threads={threads}"
+                        b.prune.io_skip_rows, b.prune.clause1_rows,
+                        "{what} iter {}",
+                        a.iter
                     );
-                    assert_eq!(
-                        direct.centroids, staged.centroids,
-                        "pruning={pruning:?} kernel={kernel:?} threads={threads}"
-                    );
-                    assert_eq!(direct.iters.len(), staged.iters.len());
-                    for (a, b) in direct.iters.iter().zip(&staged.iters) {
-                        assert_eq!(a.reassigned, b.reassigned, "iter {}", a.iter);
-                        assert_eq!(a.rows_accessed, b.rows_accessed, "iter {}", a.iter);
-                        assert_eq!(a.prune.clause1_rows, b.prune.clause1_rows, "iter {}", a.iter);
-                        assert_eq!(
-                            a.prune.dist_computations, b.prune.dist_computations,
-                            "iter {}",
-                            a.iter
-                        );
-                        // Only the staged plane skips fetches; its skip
-                        // tally can never exceed the shared clause-1 rows.
-                        assert_eq!(a.prune.io_skip_rows, 0, "iter {}", a.iter);
-                        assert!(b.prune.io_skip_rows <= b.prune.clause1_rows, "iter {}", a.iter);
-                    }
+                    let staged_prune = crate::pruning::PruneCounters { io_skip_rows: 0, ..b.prune };
+                    assert_eq!(a.prune, staged_prune, "{what} iter {}", a.iter);
                 }
             }
         }
     }
 
     /// NUMA replication composes with the staged plane (knors's access
-    /// shape): node-local reads through `drain_queue_staged` must not move
+    /// shape): node-local reads through the staged pipeline must not move
     /// the trajectory by a bit.
     #[test]
     fn staged_plane_replication_is_bitwise_identical() {
-        let mut data = Vec::new();
-        for i in 0..300 {
-            let c = (i % 5) as f64 * 6.0;
-            data.push(c + (i as f64 * 0.13).sin());
-            data.push(-c + (i as f64 * 0.29).cos());
-            data.push((i as f64 * 0.07).sin() * 2.0);
-        }
-        let (n, d, k, threads) = (300usize, 3usize, 12usize, 2usize);
+        let data = five_groups();
         for pruning in [Pruning::None, Pruning::Mti, Pruning::Yinyang] {
             let run = |replication: bool| {
-                let cfg = DriverConfig {
-                    k,
-                    d,
-                    n,
-                    nthreads: threads,
-                    max_iters: 40,
-                    tol: 0.0,
-                    pruning,
-                    task_size: 16,
-                    kernel: KernelKind::Tiled,
-                    tiles: None,
-                    row_offset: 0,
-                    replication,
-                    trace: None,
-                };
-                let init = Centroids::from_matrix(&knor_matrix::DMatrix::from_vec(
-                    data[..k * d].to_vec(),
-                    k,
-                    d,
-                ));
-                let topo = Topology::synthetic(2, 1);
-                let placement = Placement::new(&topo, n, threads);
-                let queue = TaskQueue::new(SchedulerKind::Static, &placement);
-                let staged = StagedTestPlane {
-                    src: MemSource { data: data.to_vec(), d },
-                    scratch: (0..threads)
-                        .map(|_| ExclusiveCell::new(StagedScratch::new()))
-                        .collect(),
-                };
-                run_lloyd(&cfg, init, &placement, &queue, &PlaneBackend(&staged))
+                let cfg =
+                    DriverConfig { replication, ..config(300, pruning, KernelKind::Tiled, 2) };
+                let staged = StagedTestPlane { data: data.clone(), d: cfg.d };
+                run_plane(&cfg, &data, &Algorithm::Lloyd, &Topology::synthetic(2, 1), &staged)
             };
             let off = run(false);
             let on = run(true);

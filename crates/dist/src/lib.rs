@@ -9,8 +9,8 @@
 //! knord outscales master-centric frameworks (Figs. 11–12).
 //!
 //! The iteration protocol is the shared [`knor_core::driver`]; this crate
-//! plugs in a backend whose [`LloydBackend::reduce`] hook performs the
-//! global reduction over [`knor_mpi::LocalCluster`]'s in-process ranks.
+//! plugs in a [`Reducer`] whose `reduce` hook performs the global
+//! reduction over [`knor_mpi::LocalCluster`]'s in-process ranks.
 //! Both all-reduce algorithms ([`ReduceAlgo::Ring`] and
 //! [`ReduceAlgo::Star`]) accumulate in canonical rank order, so the two
 //! produce bitwise-identical centroids — the run's trajectory depends only
@@ -48,14 +48,13 @@ use std::path::Path;
 use std::sync::{Arc, Mutex};
 
 use knor_core::algo::Algorithm;
-use knor_core::centroids::{Centroids, LocalAccum};
-use knor_core::driver::{run_mm, DriverConfig, IterView, LloydBackend, ReduceReport, WorkerReport};
+use knor_core::centroids::Centroids;
+use knor_core::driver::{run_mm, DriverConfig, ReduceReport, Reducer, WorkerReport};
 use knor_core::init::InitMethod;
 use knor_core::kernel::KernelKind;
 use knor_core::plane::{DataPlane, SlicePlane};
 use knor_core::pruning::{PruneCounters, Pruning};
 use knor_core::replica::Replication;
-use knor_core::stats::IterStats;
 use knor_core::sync::ExclusiveCell;
 use knor_core::trace::{Phase, PhaseBreakdown, TraceBuf, TraceGroup, TraceHandle};
 use knor_core::tune::Tuning;
@@ -423,29 +422,9 @@ impl DistKmeans {
         // machine's generator identically.
         let init = cfg.init.initialize_parallel(data, k, cfg.seed, cfg.threads_per_rank);
         let ranges = knor_matrix::partition_rows(n, cfg.ranks);
-        let algo_cfg = &cfg.algo;
-        let scheme = if algo_cfg.prune_eligible() { cfg.pruning } else { Pruning::None };
-
-        let tiles = tuned_tiles(cfg, n, k, d, scheme.enabled());
-        let ranges_ref = &ranges;
-        let init_ref = &init;
-        let results = LocalCluster::run(cfg.ranks, |comm| {
-            let rows: Range<usize> = ranges_ref[comm.rank()].clone();
-            let local = data.view(rows.start, rows.end);
-            // Each rank resolves its own algorithm instance from identical
-            // inputs; any per-run state (mini-batch cumulative counts)
-            // advances identically because its inputs are allreduced.
-            let mm = algo_cfg.resolve(k, n, cfg.seed);
-            let (driver_cfg, placement, queue) =
-                rank_driver_setup(cfg, comm.rank(), &rows, k, d, scheme, tiles);
-            let rk = driver_cfg.resolve_kernel();
-            let plane = SlicePlane::new(local, &rk, cfg.threads_per_rank);
-            let backend = RankBackend::new(cfg, &plane, &comm, mm.uses_weights(), k, d);
-            let outcome = run_mm(&driver_cfg, init_ref.clone(), &placement, &queue, &backend, &*mm);
-            (outcome, comm.stats().snapshot(), RankIo::default())
-        });
-
-        let mut out = assemble(results, &ranges, n);
+        let slices = ranges.iter().map(|r| RankData::Mem(data.view(r.start, r.end))).collect();
+        let mut out =
+            self.run_ranks(d, &init, &ranges, slices).expect("in-memory rows cannot fail");
         // Subsampled algorithms (mini-batch) leave rows assigned as of
         // their last sampled batch; refresh against the final model so
         // assignments and SSE are consistent with it. (The per-rank
@@ -462,8 +441,6 @@ impl DistKmeans {
             .compute_sse
             .then(|| knor_core::quality::sse(data, &out.centroids, &out.assignments));
         out.rank_io = Vec::new(); // in-memory entry point: no I/O record
-                                  // All rank threads have joined: folding the shared buffer is safe.
-        out.phases = cfg.trace.as_ref().map(|b| b.breakdown());
         out
     }
 
@@ -502,70 +479,8 @@ impl DistKmeans {
         };
 
         let ranges = knor_matrix::partition_rows(n, cfg.ranks);
-        let algo_cfg = &cfg.algo;
-        let scheme = if algo_cfg.prune_eligible() { cfg.pruning } else { Pruning::None };
-
-        // Pre-open every rank's data before any rank enters a collective,
-        // so an open/read failure is a clean error instead of a cluster
-        // deadlock.
-        enum RankData {
-            Mem(DMatrix),
-            Sem(Box<SemPlane>),
-        }
-        let mut pre: Vec<Mutex<Option<RankData>>> = Vec::with_capacity(cfg.ranks);
-        for (rank, range) in ranges.iter().enumerate() {
-            let data = match &cfg.plane {
-                RankPlane::InMemory => {
-                    RankData::Mem(knor_matrix::io::read_rows(path, range.start, range.end)?)
-                }
-                RankPlane::Sem(pcfg) => {
-                    let plane =
-                        SemPlane::open_range(path, pcfg, range.clone(), cfg.threads_per_rank)?;
-                    if cfg.inject_prefetch_panic_rank == Some(rank) {
-                        plane.inject_prefetch_panic_for_test();
-                    }
-                    RankData::Sem(Box::new(plane))
-                }
-            };
-            pre.push(Mutex::new(Some(data)));
-        }
-
-        let tiles = tuned_tiles(cfg, n, k, d, scheme.enabled());
-        let ranges_ref = &ranges;
-        let init_ref = &init;
-        let pre_ref = &pre;
-        let results = LocalCluster::run(cfg.ranks, |comm| {
-            let rank = comm.rank();
-            let rows: Range<usize> = ranges_ref[rank].clone();
-            let mut data =
-                pre_ref[rank].lock().expect("rank data lock").take().expect("rank data taken once");
-            let mm = algo_cfg.resolve(k, n, cfg.seed);
-            let (driver_cfg, placement, queue) =
-                rank_driver_setup(cfg, rank, &rows, k, d, scheme, tiles);
-            let rk = driver_cfg.resolve_kernel();
-            let outcome = {
-                let mem_plane;
-                let plane: &dyn DataPlane = match &data {
-                    RankData::Mem(m) => {
-                        mem_plane = SlicePlane::new(m.as_view(), &rk, cfg.threads_per_rank);
-                        &mem_plane
-                    }
-                    RankData::Sem(p) => p.as_ref(),
-                };
-                let backend = RankBackend::new(cfg, plane, &comm, mm.uses_weights(), k, d);
-                run_mm(&driver_cfg, init_ref.clone(), &placement, &queue, &backend, &*mm)
-            };
-            let io = match &mut data {
-                RankData::Sem(p) => {
-                    let report = p.finish();
-                    RankIo { rank, io: report.io, panicked_io_threads: report.panicked_io_threads }
-                }
-                RankData::Mem(_) => RankIo { rank, ..RankIo::default() },
-            };
-            (outcome, comm.stats().snapshot(), io)
-        });
-
-        let mut out = assemble(results, &ranges, n);
+        let data = self.open_ranks(path, &ranges)?;
+        let mut out = self.run_ranks(d, &init, &ranges, data)?;
         let mm = cfg.algo.resolve(k, n, cfg.seed);
         if mm.subsamples() || cfg.compute_sse {
             // Final streamed pass(es) over the file: the subsampling
@@ -579,58 +494,146 @@ impl DistKmeans {
                 out.sse = Some(streamed_sse(&reader, &out.centroids, &out.assignments)?);
             }
         }
+        Ok(out)
+    }
+
+    /// Open every rank's data before any rank enters a collective, so an
+    /// open/read failure is a clean error instead of a cluster deadlock.
+    fn open_ranks(
+        &self,
+        path: &Path,
+        ranges: &[Range<usize>],
+    ) -> std::io::Result<Vec<RankData<'static>>> {
+        let cfg = &self.config;
+        let mut data = Vec::with_capacity(ranges.len());
+        for (rank, range) in ranges.iter().enumerate() {
+            data.push(match &cfg.plane {
+                RankPlane::InMemory => {
+                    RankData::Read(knor_matrix::io::read_rows(path, range.start, range.end)?)
+                }
+                RankPlane::Sem(pcfg) => {
+                    let plane =
+                        SemPlane::open_range(path, pcfg, range.clone(), cfg.threads_per_rank)?;
+                    if cfg.inject_prefetch_panic_rank == Some(rank) {
+                        plane.inject_prefetch_panic_for_test();
+                    }
+                    RankData::Sem(Box::new(plane))
+                }
+            });
+        }
+        Ok(data)
+    }
+
+    /// Run one engine per rank over its `data` and assemble the result
+    /// (SSE and the subsampling refresh are the entry points'). A failed
+    /// read after the open (the file shrank, the device erred) stops every
+    /// rank at the same iteration and comes back as the error.
+    fn run_ranks(
+        &self,
+        d: usize,
+        init: &Centroids,
+        ranges: &[Range<usize>],
+        data: Vec<RankData<'_>>,
+    ) -> std::io::Result<DistResult> {
+        let cfg = &self.config;
+        let (k, n) = (cfg.k, ranges.last().map_or(0, |r| r.end));
+        let algo_cfg = &cfg.algo;
+        let scheme = if algo_cfg.prune_eligible() { cfg.pruning } else { Pruning::None };
+        // Tune once from the *global* shape, before any rank launches: rank
+        // row slices land in different `n` buckets, so per-rank probing
+        // could hand different ranks different tiles. One shared pre-probe
+        // keeps every rank's scan shape identical (and the trajectory
+        // reproducible across rank counts).
+        let kind = cfg.kernel.resolve(k, d, scheme.enabled()).kind;
+        let tiles = cfg.tuning.tiles_for(kind, n, k, d);
+        let pre: Vec<Mutex<Option<RankData<'_>>>> =
+            data.into_iter().map(|d| Mutex::new(Some(d))).collect();
+        let pre_ref = &pre;
+        let results = LocalCluster::run(cfg.ranks, |comm| {
+            let rank = comm.rank();
+            let rows: Range<usize> = ranges[rank].clone();
+            let mut data =
+                pre_ref[rank].lock().expect("rank data lock").take().expect("rank data taken once");
+            // Each rank resolves its own algorithm instance from identical
+            // inputs; any per-run state (mini-batch cumulative counts)
+            // advances identically because its inputs are allreduced.
+            let mm = algo_cfg.resolve(k, n, cfg.seed);
+            let topo = Topology::for_local_workers(cfg.threads_per_rank);
+            let placement = Placement::new(&topo, rows.len(), cfg.threads_per_rank);
+            let queue = TaskQueue::new(cfg.scheduler, &placement);
+            let driver_cfg = DriverConfig {
+                k,
+                d,
+                n: rows.len(),
+                nthreads: cfg.threads_per_rank,
+                max_iters: cfg.max_iters,
+                tol: cfg.tol,
+                pruning: scheme,
+                task_size: cfg.task_size,
+                kernel: cfg.kernel,
+                row_offset: rows.start,
+                tiles,
+                replication: cfg.replication.resolve(topo.nodes()),
+                trace: cfg.trace.clone().map(|b| TraceHandle::with_pid(b, rank as u32)),
+            };
+            let reducer = RankReducer::new(cfg, &comm, mm.uses_weights(), k, d);
+            let outcome = {
+                let slice;
+                let plane: &dyn DataPlane = match &data {
+                    RankData::Mem(v) => {
+                        slice = SlicePlane(*v);
+                        &slice
+                    }
+                    RankData::Read(m) => {
+                        slice = SlicePlane(m.as_view());
+                        &slice
+                    }
+                    RankData::Sem(p) => p.as_ref(),
+                };
+                run_mm(&driver_cfg, init.clone(), &placement, &queue, plane, &reducer, &*mm)
+            };
+            let io = match &mut data {
+                RankData::Sem(p) => {
+                    let report = p.finish();
+                    RankIo { rank, io: report.io, panicked_io_threads: report.panicked_io_threads }
+                }
+                _ => RankIo { rank, ..RankIo::default() },
+            };
+            (outcome, comm.stats().snapshot(), io)
+        });
+
+        // A failed read stopped every rank at the same iteration (the failure
+        // count rides the allreduce). Report the error of a rank that met
+        // it over a peer's `Other`-kind "stopped" notice.
+        let mut outcomes = Vec::with_capacity(results.len());
+        let mut failure: Option<std::io::Error> = None;
+        for (outcome, comm, io) in results {
+            match outcome {
+                Ok(o) => outcomes.push((o, comm, io)),
+                Err(e) => {
+                    if failure.as_ref().is_none_or(|f| f.kind() == std::io::ErrorKind::Other) {
+                        failure = Some(e);
+                    }
+                }
+            }
+        }
+        if let Some(e) = failure {
+            return Err(e);
+        }
+
+        let mut out = assemble(outcomes, ranges, n);
         // All rank threads have joined: folding the shared buffer is safe.
         out.phases = cfg.trace.as_ref().map(|b| b.breakdown());
         Ok(out)
     }
 }
 
-/// Per-rank driver setup shared by both entry points: the rank's driver
-/// config, thread placement and task queue over its local row range.
-fn rank_driver_setup(
-    cfg: &DistConfig,
-    rank: usize,
-    rows: &Range<usize>,
-    k: usize,
-    d: usize,
-    pruning: Pruning,
-    tiles: Option<(usize, usize)>,
-) -> (DriverConfig, Placement, TaskQueue) {
-    let topo = Topology::for_local_workers(cfg.threads_per_rank);
-    let placement = Placement::new(&topo, rows.len(), cfg.threads_per_rank);
-    let queue = TaskQueue::new(cfg.scheduler, &placement);
-    let driver_cfg = DriverConfig {
-        k,
-        d,
-        n: rows.len(),
-        nthreads: cfg.threads_per_rank,
-        max_iters: cfg.max_iters,
-        tol: cfg.tol,
-        pruning,
-        task_size: cfg.task_size,
-        kernel: cfg.kernel,
-        row_offset: rows.start,
-        tiles,
-        replication: cfg.replication.resolve(topo.nodes()),
-        trace: cfg.trace.clone().map(|b| TraceHandle::with_pid(b, rank as u32)),
-    };
-    (driver_cfg, placement, queue)
-}
-
-/// Tune once from the *global* shape, before any rank launches: rank row
-/// slices land in different `n` buckets, so per-rank probing could hand
-/// different ranks different tiles. One shared pre-probe keeps every
-/// rank's scan shape identical (and the trajectory reproducible across
-/// rank counts).
-fn tuned_tiles(
-    cfg: &DistConfig,
-    n: usize,
-    k: usize,
-    d: usize,
-    pruning: bool,
-) -> Option<(usize, usize)> {
-    let kind = cfg.kernel.resolve(k, d, pruning).kind;
-    cfg.tuning.tiles_for(kind, n, k, d)
+/// One rank's rows: a slice of the caller's matrix ([`DistKmeans::fit`]),
+/// or what [`DistKmeans::fit_file`] opened for it.
+enum RankData<'a> {
+    Mem(knor_matrix::RowView<'a>),
+    Read(DMatrix),
+    Sem(Box<SemPlane>),
 }
 
 /// Assemble rank outcomes into a [`DistResult`] (assignments concatenate
@@ -691,10 +694,9 @@ fn assemble(
     }
 }
 
-/// One rank's backend: its data plane (in-memory slice or private SEM
-/// stack) plus the all-reduce window.
-struct RankBackend<'a> {
-    plane: &'a dyn DataPlane,
+/// One rank's all-reduce window (its data plane — in-memory slice or
+/// private SEM stack — goes to the driver directly).
+struct RankReducer<'a> {
     comm: &'a Comm,
     algo: ReduceAlgo,
     net: NetModel,
@@ -717,22 +719,14 @@ struct RankBackend<'a> {
     comm_track: Option<Arc<TraceGroup>>,
 }
 
-impl<'a> RankBackend<'a> {
-    fn new(
-        cfg: &DistConfig,
-        plane: &'a dyn DataPlane,
-        comm: &'a Comm,
-        carry_weights: bool,
-        k: usize,
-        d: usize,
-    ) -> Self {
+impl<'a> RankReducer<'a> {
+    fn new(cfg: &DistConfig, comm: &'a Comm, carry_weights: bool, k: usize, d: usize) -> Self {
         let lanes = k * d + k + if carry_weights { k } else { 0 } + SCALARS;
         let comm_track = cfg
             .trace
             .as_ref()
             .map(|b| b.register(comm.rank() as u32, 1, cfg.threads_per_rank as u32));
         Self {
-            plane,
             comm,
             algo: cfg.reduce,
             net: cfg.net,
@@ -748,9 +742,9 @@ impl<'a> RankBackend<'a> {
 /// Scalar totals folded into the all-reduce payload so every rank shares
 /// the convergence decision and the global counters. All are integer-valued
 /// and well under 2^53, so the f64 transport is exact.
-const SCALARS: usize = 7;
+const SCALARS: usize = 8;
 
-impl RankBackend<'_> {
+impl RankReducer<'_> {
     fn pack_scalars(totals: &WorkerReport) -> [f64; SCALARS] {
         [
             totals.reassigned as f64,
@@ -760,6 +754,9 @@ impl RankBackend<'_> {
             totals.counters.clause3_prunes as f64,
             totals.counters.dist_computations as f64,
             totals.counters.io_skip_rows as f64,
+            // A failed row source on any rank stops every rank at this
+            // iteration, so no collective is left half-entered.
+            totals.failed as f64,
         ]
     }
 
@@ -771,26 +768,11 @@ impl RankBackend<'_> {
         totals.counters.clause3_prunes = s[4] as u64;
         totals.counters.dist_computations = s[5] as u64;
         totals.counters.io_skip_rows = s[6] as u64;
+        totals.failed = s[7] as u64;
     }
 }
 
-impl LloydBackend for RankBackend<'_> {
-    fn worker_start(&self, w: usize) {
-        self.plane.worker_start(w);
-    }
-
-    fn pre_iteration(&self, iter: usize) {
-        self.plane.pre_iteration(iter);
-    }
-
-    fn compute(&self, w: usize, view: &IterView<'_>, accum: &mut LocalAccum) -> WorkerReport {
-        self.plane.compute(w, view, accum)
-    }
-
-    fn end_iteration(&self, iter: usize, stats: &IterStats, aux_total: u64) {
-        self.plane.end_iteration(iter, stats, aux_total);
-    }
-
+impl Reducer for RankReducer<'_> {
     fn reduce(
         &self,
         iter: usize,
@@ -1040,6 +1022,39 @@ mod tests {
             // Every rank touched exactly its slice on the first pass.
             assert_eq!(io.io[0].active_rows as usize, r.rank_comm[rank].rows, "rank {rank}");
         }
+    }
+
+    #[test]
+    fn sem_read_failure_stops_every_rank_with_the_error() {
+        // The file shrinks after both ranks opened their planes: rank 1's
+        // whole slice is gone, rank 0's is intact. Rank 1's first fetch
+        // fails, the failure count rides the allreduce, both ranks leave at
+        // iteration 0 and `fit_file`'s run half reports rank 1's error. A
+        // watchdog turns the hang this used to be into a test failure.
+        let data = mixture(1200, 8, 33);
+        let k = 6;
+        let init = InitMethod::Forgy.initialize(&data, k, 2);
+        let path =
+            std::env::temp_dir().join(format!("knor-dist-shrink-{}.knor", std::process::id()));
+        knor_matrix::io::write_matrix(&path, &data).unwrap();
+        let solver = DistKmeans::new(DistConfig::new(k, 2, 2).with_plane(RankPlane::Sem(
+            SemPlaneConfig::default().with_page_size(256).with_row_cache_bytes(1 << 20),
+        )));
+        let ranges = knor_matrix::partition_rows(1200, 2);
+        let opened = solver.open_ranks(&path, &ranges).unwrap();
+        let full = std::fs::metadata(&path).unwrap().len();
+        std::fs::OpenOptions::new().write(true).open(&path).unwrap().set_len(full / 2).unwrap();
+
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let _ = tx.send(solver.run_ranks(8, &init, &ranges, opened));
+        });
+        let result = rx
+            .recv_timeout(std::time::Duration::from_secs(60))
+            .expect("a failed SEM read must end the run, not hang it");
+        std::fs::remove_file(&path).unwrap();
+        let err = result.expect_err("half the file is gone");
+        assert_eq!(err.kind(), std::io::ErrorKind::UnexpectedEof, "{err}");
     }
 
     #[test]

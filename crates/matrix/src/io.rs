@@ -103,6 +103,24 @@ pub fn parse_header(hdr: &[u8]) -> io::Result<Header> {
     Ok(Header { nrow, ncol })
 }
 
+/// Reject a file shorter than its header declares, before anything is
+/// allocated for (or clustered from) the declared shape. Saturating
+/// arithmetic keeps a hostile header from overflowing the comparison.
+pub fn check_len(path: &Path, h: &Header) -> io::Result<()> {
+    let have = std::fs::metadata(path)?.len();
+    let declared = u128::from(h.nrow)
+        .saturating_mul(u128::from(h.ncol))
+        .saturating_mul(8)
+        .saturating_add(u128::from(HEADER_LEN));
+    if u128::from(have) < declared {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            format!("{}: {have} bytes, header declares {declared}", path.display()),
+        ));
+    }
+    Ok(())
+}
+
 /// Read a whole matrix into memory.
 pub fn read_matrix(path: &Path) -> io::Result<DMatrix> {
     let file = File::open(path)?;
@@ -110,6 +128,7 @@ pub fn read_matrix(path: &Path) -> io::Result<DMatrix> {
     let mut hdr = [0u8; HEADER_LEN as usize];
     r.read_exact(&mut hdr)?;
     let h = parse_header(&hdr)?;
+    check_len(path, &h)?;
     let n = (h.nrow * h.ncol) as usize;
     let mut data = vec![0.0f64; n];
     let mut buf = [0u8; 8];
@@ -129,6 +148,7 @@ pub fn read_rows(path: &Path, start: usize, end: usize) -> io::Result<DMatrix> {
     let mut hdr = [0u8; HEADER_LEN as usize];
     r.read_exact(&mut hdr)?;
     let h = parse_header(&hdr)?;
+    check_len(path, &h)?;
     if start > end || end > h.nrow as usize {
         return Err(io::Error::new(
             io::ErrorKind::InvalidInput,
@@ -187,6 +207,26 @@ mod tests {
         let p = tmp("bad.knor");
         std::fs::write(&p, vec![0u8; 64]).unwrap();
         assert!(read_header(&p).is_err());
+        std::fs::remove_file(&p).unwrap();
+    }
+
+    #[test]
+    fn short_file_is_rejected_before_the_payload_is_read() {
+        let m = DMatrix::from_vec((0..30).map(|x| x as f64).collect(), 10, 3);
+        let p = tmp("short.knor");
+        write_matrix(&p, &m).unwrap();
+        let full = std::fs::read(&p).unwrap();
+        std::fs::write(&p, &full[..full.len() - 8]).unwrap();
+        for err in [read_matrix(&p).unwrap_err(), read_rows(&p, 0, 2).unwrap_err()] {
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+            let msg = err.to_string();
+            assert!(msg.ends_with(": 256 bytes, header declares 264"), "{msg}");
+        }
+        // A header whose shape overflows u64 is just another short file.
+        let mut huge = full[..HEADER_LEN as usize].to_vec();
+        huge[8..24].fill(0xff);
+        std::fs::write(&p, &huge).unwrap();
+        assert_eq!(read_matrix(&p).unwrap_err().kind(), io::ErrorKind::InvalidData);
         std::fs::remove_file(&p).unwrap();
     }
 

@@ -13,7 +13,7 @@
 //!
 //! Since PR 5 the whole row-access stack lives in [`crate::plane`]
 //! ([`SemPlane`], mounted through `knor_core`'s `DataPlane` layer): the
-//! depth-2 filter/prefetch pipeline and the staged commit are the shared
+//! depth-2 filter/prefetch pipeline and the commit are the shared
 //! `knor_core::plane` worker loop, and this module only resolves the
 //! configuration, runs the driver, and assembles the result — which is
 //! also what lets knord mount one [`SemPlane`] per rank.
@@ -23,9 +23,8 @@ use std::sync::Arc;
 
 use knor_core::algo::Algorithm;
 use knor_core::centroids::Centroids;
-use knor_core::driver::{run_mm, DriverConfig};
+use knor_core::driver::{run_mm, DriverConfig, NoReduce};
 use knor_core::kernel::KernelKind;
-use knor_core::plane::PlaneBackend;
 use knor_core::pruning::{yinyang_groups, Pruning};
 use knor_core::replica::Replication;
 use knor_core::stats::{KmeansResult, MemoryFootprint, NumaReport};
@@ -344,7 +343,7 @@ impl SemKmeans {
         let probe_kind = driver_cfg.resolve_kernel().kind;
         driver_cfg.tiles = cfg.tuning.tiles_for(probe_kind, n, k, d);
         let outcome =
-            run_mm(&driver_cfg, init_cents, &placement, &queue, &PlaneBackend(&plane), &*algo);
+            run_mm(&driver_cfg, init_cents, &placement, &queue, &plane, &NoReduce, &*algo)?;
 
         let mut assignments = outcome.assignments;
         if algo.subsamples() {

@@ -4,10 +4,10 @@
 //! [`SafsReader`] (page cache + merged device reads) over one byte range
 //! of an on-disk matrix, the lazily-refreshed [`RowCache`], an optional
 //! background [`Prefetcher`], and per-iteration [`IoIterStats`]
-//! accounting — behind `knor_core`'s [`DataPlane`]/[`StagedSource`]
-//! abstraction. The worker-loop orchestration (depth-2 filter/prefetch
-//! pipeline, in-order hit/miss staging, shared commit) lives in
-//! `knor_core::plane`; this module only supplies the tiers.
+//! accounting — as a `knor_core` [`DataPlane`] whose staged [`RowSource`]
+//! is the plane itself. The worker loop (depth-2 filter/prefetch pipeline,
+//! task-row-order commit) is `knor_core::plane::drain`; this module only
+//! supplies the tiers.
 //!
 //! Two engines mount it:
 //!
@@ -26,7 +26,7 @@ use std::sync::Arc;
 use knor_core::algo::MmAlgorithm;
 use knor_core::centroids::{Centroids, LocalAccum};
 use knor_core::driver::{IterView, WorkerReport};
-use knor_core::plane::{drain_queue_staged, DataPlane, StagedScratch, StagedSource};
+use knor_core::plane::{drain, DataPlane, DrainScratch, RowSource};
 use knor_core::stats::IterStats;
 use knor_core::sync::ExclusiveCell;
 use knor_core::trace::{Phase, WorkerTracer};
@@ -130,9 +130,6 @@ pub struct SemPlane {
     prev_io: ExclusiveCell<IoSnapshot>,
     /// Per-iteration I/O statistics, filled in `end_iteration`.
     ios: ExclusiveCell<Vec<IoIterStats>>,
-    /// Per-worker staging scratch, reused across iterations so the hot
-    /// path never reallocates.
-    scratch: Vec<ExclusiveCell<StagedScratch>>,
 }
 
 impl SemPlane {
@@ -159,7 +156,7 @@ impl SemPlane {
         nthreads: usize,
     ) -> io::Result<Self> {
         let nthreads = nthreads.max(1);
-        let store = RowStore::open(path, cfg.page_size)?;
+        let store = open_store(path, cfg.page_size)?;
         let rows = rows.unwrap_or(0..store.nrow());
         assert!(
             rows.start <= rows.end && rows.end <= store.nrow(),
@@ -190,7 +187,6 @@ impl SemPlane {
             schedule: ExclusiveCell::new(schedule),
             prev_io: ExclusiveCell::new(prev),
             ios: ExclusiveCell::new(Vec::new()),
-            scratch: (0..nthreads).map(|_| ExclusiveCell::new(StagedScratch::new())).collect(),
         })
     }
 
@@ -249,23 +245,30 @@ impl SemPlane {
     }
 }
 
-impl StagedSource for SemPlane {
+/// The staged row source: a fast tier (the row cache) over a backing tier
+/// (the SAFS page cache + device). Every worker drains through its own
+/// `&SemPlane`; the tiers synchronize internally.
+impl RowSource for &SemPlane {
+    const STAGED: bool = true;
+
     fn d(&self) -> usize {
         self.d
     }
 
-    fn prefetch(&self, needed: &[usize]) {
+    fn prefetch(&mut self, needed: &[usize]) {
         let Some(pf) = &self.prefetcher else { return };
         pf.request(self.reader.pages_for_rows_offset(needed, self.base));
     }
 
+    /// Fast-tier hits copy straight into their task-row-order slot; misses
+    /// are fetched from the backing tier in one merged request, scattered
+    /// into place and — on a refresh iteration — retained in the fast tier.
     fn stage(
-        &self,
-        _w: usize,
+        &mut self,
         needed: &[usize],
-        scratch: &mut StagedScratch,
+        scratch: &mut DrainScratch,
         tracer: Option<&WorkerTracer<'_>>,
-    ) -> u64 {
+    ) -> io::Result<u64> {
         let d = self.d;
         scratch.miss_idx.clear();
         scratch.miss_rows.clear();
@@ -292,9 +295,7 @@ impl StagedSource for SemPlane {
             // One merged fetch for the misses, scattered into their
             // task-row-order slots.
             let t_miss = tracer.map(|t| t.now());
-            self.reader
-                .fetch_rows(&scratch.miss_rows, &mut scratch.fetch)
-                .expect("SEM device read failed");
+            self.reader.fetch_rows(&scratch.miss_rows, &mut scratch.fetch)?;
             if let (Some(t), Some(t0)) = (tracer, t_miss) {
                 t.record(Phase::IoMiss, t0, (scratch.miss_rows.len() * d * 8) as u64);
             }
@@ -306,16 +307,15 @@ impl StagedSource for SemPlane {
             if let (Some(t), Some(t0)) = (tracer, t_scatter) {
                 t.record(Phase::IoScatter, t0, (scratch.miss_rows.len() * d * 8) as u64);
             }
+            // The coordinator decided in `pre_iteration` whether this
+            // iteration refreshes the row cache.
+            if self.refresh_now.load(Ordering::Acquire) {
+                for &i in &scratch.miss_idx {
+                    self.row_cache.insert(needed[i] as u32, &scratch.data[i * d..(i + 1) * d]);
+                }
+            }
         }
-        hits
-    }
-
-    fn refreshing(&self) -> bool {
-        self.refresh_now.load(Ordering::Acquire)
-    }
-
-    fn retain(&self, r: usize, v: &[f64]) {
-        self.row_cache.insert(r as u32, v);
+        Ok(hits)
     }
 }
 
@@ -330,13 +330,14 @@ impl DataPlane for SemPlane {
         self.refresh_now.store(refresh, Ordering::Release);
     }
 
-    fn compute(&self, w: usize, view: &IterView<'_>, accum: &mut LocalAccum) -> WorkerReport {
-        let mut rep = WorkerReport::default();
-        // Safety: own-worker slot, touched only inside this worker's
-        // compute super-phase.
-        let scratch = unsafe { self.scratch[w].get_mut() };
-        drain_queue_staged(self, w, view, accum, &mut rep, scratch);
-        rep
+    fn compute(
+        &self,
+        w: usize,
+        view: &IterView<'_>,
+        accum: &mut LocalAccum,
+        scratch: &mut DrainScratch,
+    ) -> io::Result<WorkerReport> {
+        drain(&mut &*self, w, view, accum, scratch)
     }
 
     fn end_iteration(&self, iter: usize, _stats: &IterStats, _aux_total: u64) {
@@ -380,10 +381,18 @@ fn forgy_sample<R: Rng>(rng: &mut R, n: usize, k: usize) -> Vec<usize> {
     rows
 }
 
+/// Open the row store of an on-disk matrix an engine is about to cluster,
+/// rejecting a file shorter than its header declares. (`RowStore::open`
+/// itself stays a page-level open that reports the missing tail per read.)
+fn open_store(path: &Path, page_size: usize) -> io::Result<RowStore> {
+    knor_matrix::io::check_len(path, &knor_matrix::io::read_header(path)?)?;
+    RowStore::open(path, page_size)
+}
+
 /// Open a throwaway full-file reader for one-shot streaming passes
 /// (knord's post-run refresh/SSE over the whole matrix).
 pub fn open_reader(path: &Path) -> io::Result<SafsReader> {
-    Ok(SafsReader::new(RowStore::open(path, DEFAULT_PAGE_SIZE)?, 32 << 20, 4))
+    Ok(SafsReader::new(open_store(path, DEFAULT_PAGE_SIZE)?, 32 << 20, 4))
 }
 
 /// Forgy initialization straight from an on-disk matrix: `k` distinct
@@ -391,7 +400,7 @@ pub fn open_reader(path: &Path) -> io::Result<SafsReader> {
 /// knors `SemInit::Forgy` run with the same seed — knord's file-based
 /// entry point uses this so every plane starts from the same centroids.
 pub fn forgy_from_file(path: &Path, k: usize, seed: u64) -> io::Result<DMatrix> {
-    let store = RowStore::open(path, DEFAULT_PAGE_SIZE)?;
+    let store = open_store(path, DEFAULT_PAGE_SIZE)?;
     let (n, d) = (store.nrow(), store.ncol());
     let reader = SafsReader::new(store, 32 << 20, 4);
     let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
@@ -472,9 +481,9 @@ mod tests {
         let cfg = SemPlaneConfig { page_size: 256, ..Default::default() };
         let plane = SemPlane::open_range(&p, &cfg, 200..400, 2).unwrap();
         assert_eq!(plane.nrow(), 200);
-        let mut scratch = StagedScratch::new();
+        let mut scratch = DrainScratch::default();
         let needed: Vec<usize> = (0..50).collect(); // local ids
-        let hits = plane.stage(0, &needed, &mut scratch, None);
+        let hits = (&plane).stage(&needed, &mut scratch, None).unwrap();
         assert_eq!(hits, 0, "cold cache");
         for (i, &r) in needed.iter().enumerate() {
             assert_eq!(&scratch.data[i * 4..(i + 1) * 4], data.row(200 + r), "local row {r}");

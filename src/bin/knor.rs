@@ -122,6 +122,19 @@ fn die(msg: &str) -> ! {
     exit(2)
 }
 
+/// One-line input failure with exit 1: a missing or truncated file is the
+/// user's to fix, not a panic to backtrace.
+fn io_die(path: &std::path::Path, e: std::io::Error) -> ! {
+    let (path, msg) = (path.display().to_string(), e.to_string());
+    // The length check already names the file.
+    if msg.starts_with(&path) {
+        eprintln!("knor: {msg}");
+    } else {
+        eprintln!("knor: {path}: {msg}");
+    }
+    exit(1)
+}
+
 /// Parse a numeric flag value or reject it with a clear one-liner.
 fn num<T: std::str::FromStr>(flag: &str, s: &str) -> T {
     s.parse().unwrap_or_else(|_| die(&format!("invalid value '{s}' for {flag}: not a number")))
@@ -429,7 +442,7 @@ fn main() {
             );
         }
         "im" => {
-            let data = matrix_io::read_matrix(&o.file).expect("read failed");
+            let data = matrix_io::read_matrix(&o.file).unwrap_or_else(|e| io_die(&o.file, e));
             let algo = algorithm(&o, data.nrow());
             let tune = tuning(&o);
             let mut cfg = KmeansConfig::new(o.k)
@@ -461,7 +474,7 @@ fn main() {
         "sem" => {
             // The header carries n, so the mini-batch default (`n/10`)
             // matches the other modes without a data pass.
-            let h = matrix_io::read_header(&o.file).expect("read header");
+            let h = matrix_io::read_header(&o.file).unwrap_or_else(|e| io_die(&o.file, e));
             let (n, d) = (h.nrow as usize, h.ncol as usize);
             let algo = algorithm(&o, n);
             let tune = tuning(&o);
@@ -484,7 +497,7 @@ fn main() {
                 cfg = cfg.with_trace(b.clone());
             }
             let t0 = std::time::Instant::now();
-            let r = SemKmeans::new(cfg).fit(&o.file).expect("SEM run failed");
+            let r = SemKmeans::new(cfg).fit(&o.file).unwrap_or_else(|e| io_die(&o.file, e));
             report("knors", r.kmeans.niters, r.kmeans.converged, r.kmeans.sse, t0.elapsed());
             let read: u64 = r.io.iter().map(|i| i.bytes_read).sum();
             println!("device bytes read: {:.1} MB", read as f64 / 1e6);
@@ -504,7 +517,7 @@ fn main() {
             if !matches!(o.plane.as_str(), "im" | "sem") {
                 die(&format!("invalid value '{}' for --plane: expected im or sem", o.plane));
             }
-            let hdr = matrix_io::read_header(&o.file).expect("read header");
+            let hdr = matrix_io::read_header(&o.file).unwrap_or_else(|e| io_die(&o.file, e));
             let (file_n, file_d) = (hdr.nrow as usize, hdr.ncol as usize);
             let algo = algorithm(&o, file_n);
             let tune = tuning(&o);
@@ -524,7 +537,8 @@ fn main() {
             let t0 = std::time::Instant::now();
             let r = match o.plane.as_str() {
                 "im" => {
-                    let data = matrix_io::read_matrix(&o.file).expect("read failed");
+                    let data =
+                        matrix_io::read_matrix(&o.file).unwrap_or_else(|e| io_die(&o.file, e));
                     cfg = cfg.with_init(init_method(&o)).with_algo(algorithm(&o, data.nrow()));
                     DistKmeans::new(cfg).fit(&data)
                 }
@@ -532,7 +546,6 @@ fn main() {
                     // SEM ranks stream their byte ranges from the file;
                     // nothing is ever fully resident, so init must too
                     // avoid a full pass (forgy reads k rows from disk).
-                    let n = matrix_io::read_header(&o.file).expect("read header").nrow as usize;
                     match o.init.as_str() {
                         "forgy" => {}
                         "pp" if !o.init_set => {} // silent default swap below
@@ -541,14 +554,15 @@ fn main() {
                              matrix (use --init forgy or --plane im)"
                         )),
                     }
-                    cfg = cfg.with_init(InitMethod::Forgy).with_algo(algorithm(&o, n)).with_plane(
-                        RankPlane::Sem(
+                    cfg = cfg
+                        .with_init(InitMethod::Forgy)
+                        .with_algo(algorithm(&o, file_n))
+                        .with_plane(RankPlane::Sem(
                             SemPlaneConfig::default()
                                 .with_row_cache_bytes(o.row_cache_mb << 20)
                                 .with_page_cache_bytes(o.page_cache_mb << 20),
-                        ),
-                    );
-                    DistKmeans::new(cfg).fit_file(&o.file).expect("dist+sem run failed")
+                        ));
+                    DistKmeans::new(cfg).fit_file(&o.file).unwrap_or_else(|e| io_die(&o.file, e))
                 }
                 other => die(&format!("invalid value '{other}' for --plane: expected im or sem")),
             };

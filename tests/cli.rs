@@ -253,3 +253,37 @@ fn kernel_and_tune_flags_report_what_actually_ran() {
     std::fs::remove_file(&file).unwrap();
     std::fs::remove_file(&cache).unwrap();
 }
+
+/// A missing or truncated input is the user's to fix: one `knor: <path>: …`
+/// line and exit 1 from every engine — never a panic (exit 101), and never
+/// the hang a failed SEM read at `-t 2` used to be.
+#[test]
+fn missing_and_truncated_inputs_are_one_line_errors() {
+    let missing = tmp("missing.knor");
+    let short = tmp("short.knor");
+    let gen = knor()
+        .args(["gen", short.to_str().unwrap(), "--dataset", "friendster8", "--scale", "0.0002"])
+        .output()
+        .expect("spawn gen");
+    assert!(gen.status.success(), "{}", String::from_utf8_lossy(&gen.stderr));
+    let full = std::fs::metadata(&short).unwrap().len();
+    std::fs::OpenOptions::new().write(true).open(&short).unwrap().set_len(full * 97 / 100).unwrap();
+
+    for (file, what) in [(&missing, "No such file"), (&short, "header declares")] {
+        let path = file.to_str().unwrap();
+        for engine in [
+            vec!["im", path, "-k", "4"],
+            vec!["sem", path, "-k", "4", "-t", "1"],
+            vec!["sem", path, "-k", "4", "-t", "2"],
+            vec!["dist", path, "-k", "4", "--ranks", "2", "--plane", "sem"],
+        ] {
+            let out = knor().args(&engine).output().expect("spawn knor");
+            assert_eq!(out.status.code(), Some(1), "{engine:?} must exit 1");
+            let err = String::from_utf8_lossy(&out.stderr);
+            assert!(err.starts_with(&format!("knor: {path}: ")), "{engine:?} → {err:?}");
+            assert!(err.contains(what), "{engine:?} → {err:?}");
+            assert_eq!(err.trim_end().lines().count(), 1, "{engine:?}: one line, got {err:?}");
+        }
+    }
+    std::fs::remove_file(&short).unwrap();
+}

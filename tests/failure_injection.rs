@@ -125,3 +125,57 @@ fn sem_rank_prefetcher_death_completes_and_is_surfaced() {
     );
     assert_eq!(wounded.rank_io[0].panicked_io_threads, 0, "healthy rank stays clean");
 }
+
+#[test]
+fn sem_read_failure_mid_run_is_an_error_not_a_hang() {
+    // The file shrinks *after* the plane opened it, so the length check at
+    // open cannot help: the first fetches past the new end fail inside the
+    // worker loop. With two workers the failing one used to die at an
+    // `expect` and leave its peer at barrier B forever; now it walks the
+    // barriers, the coordinator stops the run and the error comes back. A
+    // watchdog turns a regression into a failure rather than a hung suite.
+    use knor::core::algo::LloydAlgo;
+    use knor::core::driver::{run_mm, DriverConfig, NoReduce};
+    use knor::numa::{Placement, Topology};
+    use knor::sched::TaskQueue;
+    use knor::sem::SemPlane;
+
+    let (n, d, k, threads) = (2000usize, 4usize, 3usize, 2usize);
+    let data = MixtureSpec::friendster_like(n, d, 5).generate().data;
+    let p = tmp("shrink.knor");
+    matrix_io::write_matrix(&p, &data).unwrap();
+    let plane_cfg = SemPlaneConfig::default().with_page_size(256).with_row_cache_bytes(0);
+    let plane = SemPlane::open_all(&p, &plane_cfg, threads).unwrap();
+    let full = std::fs::metadata(&p).unwrap().len();
+    std::fs::OpenOptions::new().write(true).open(&p).unwrap().set_len(full / 2).unwrap();
+
+    let init = InitMethod::Forgy.initialize(&data, k, 1);
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let cfg = DriverConfig {
+            k,
+            d,
+            n,
+            nthreads: threads,
+            max_iters: 20,
+            tol: 0.0,
+            pruning: Pruning::Mti,
+            task_size: 64,
+            kernel: KernelKind::Auto,
+            tiles: None,
+            row_offset: 0,
+            replication: false,
+            trace: None,
+        };
+        let placement = Placement::new(&Topology::flat(threads), n, threads);
+        let queue = TaskQueue::new(SchedulerKind::Static, &placement);
+        let out = run_mm(&cfg, init, &placement, &queue, &plane, &NoReduce, &LloydAlgo);
+        let _ = tx.send(out.map(|o| o.iters.len()));
+    });
+    let result = rx
+        .recv_timeout(std::time::Duration::from_secs(60))
+        .expect("a failed SEM read must end the run, not hang it");
+    std::fs::remove_file(&p).unwrap();
+    let err = result.expect_err("half the file is gone");
+    assert_eq!(err.kind(), std::io::ErrorKind::UnexpectedEof, "{err}");
+}

@@ -303,32 +303,26 @@ proptest! {
         k in 2usize..24,
         seed in 0u64..50,
     ) {
-        use knor::core::centroids::Centroids;
+        use knor::core::centroids::{Centroids, LocalAccum};
         use knor::core::distance::{dist, nearest};
-        use knor::core::driver::{filter_row_yy, yy_init_bounds};
+        use knor::core::driver::{RowBounds, RowFilter, YinyangFilter};
         use knor::core::pruning::{PruneCounters, YinyangState};
-        use knor::matrix::shared::SharedRows;
 
         prop_assume!(k <= data.nrow());
         let (n, d) = (data.nrow(), data.ncol());
         let init = InitMethod::Forgy.initialize(&data, k, seed).to_matrix();
         let cents = Centroids::from_matrix(&init);
         let mut yy = YinyangState::group(&cents);
-        let t = yy.t();
-        let assign: SharedRows<u32> = SharedRows::new(n, 0);
-        let upper: SharedRows<f64> = SharedRows::new(n, 0.0);
-        let lower: SharedRows<f64> = SharedRows::new(n * t, 0.0);
+        let bounds = RowBounds::new(n, yy.t());
+        // Safety: single-threaded test — this "task" owns every row.
+        let rows = unsafe { bounds.claim(0..n) };
         let mut counters = PruneCounters::default();
+        let mut accum = LocalAccum::new(k, d);
         // Exact init pass: nearest assignment + per-group bounds.
         for r in 0..n {
             let v = data.row(r);
-            let (a, du) = nearest(v, &cents.means, k);
-            // Safety: single-threaded test, no concurrent rows.
-            unsafe {
-                *assign.get_mut(r) = a as u32;
-                *upper.get_mut(r) = du;
-            }
-            yy_init_bounds(r, v, a, &cents, &yy, &lower, &mut counters);
+            let best = nearest(v, &cents.means, k);
+            YinyangFilter::new(&cents, &yy).establish(&rows, r, v, best, &mut accum, &mut counters);
         }
         // Move every centroid by a deterministic perturbation and record
         // the true drifts, exactly as the coordinator window does.
@@ -342,23 +336,21 @@ proptest! {
         }
         yy.update_group_drift();
         for r in 0..n {
-            let keep = filter_row_yy(r, &assign, &upper, &lower, &yy, &mut counters);
+            let keep = YinyangFilter::new(&cents, &yy).keep(&rows, r, &mut counters);
             let v = data.row(r);
-            // Safety: single-threaded test.
-            let a = unsafe { *assign.get(r) } as usize;
+            let a = rows.assign(r) as usize;
             for c in 0..k {
                 if c == a {
                     continue;
                 }
-                let g = yy.group_of[c] as usize;
-                let lb = unsafe { *lower.get(r * t + g) };
+                let lb = rows.lower(r, yy.group_of[c] as usize);
                 let true_d = dist(v, moved.mean(c));
                 prop_assert!(
                     lb <= true_d + 1e-9,
                     "row {}: loosened bound {} overshot d(v, c{}) = {}", r, lb, c, true_d
                 );
             }
-            let u = unsafe { *upper.get(r) };
+            let u = rows.upper(r);
             let ua = dist(v, moved.mean(a));
             prop_assert!(u + 1e-9 >= ua, "row {}: upper {} lost its assignment at {}", r, u, ua);
             if !keep {
