@@ -6,18 +6,19 @@
 //! c4.8xlarge instances on a 10-Gigabit interconnect within one placement
 //! group. Standard alpha-beta (latency + bandwidth) cost formulation.
 //!
-//! [`LineConn`] is the concrete counterpart: a buffered, newline-delimited
-//! framing over a `TcpStream` with exact byte accounting on both
-//! directions, so anything built on it (the `knor-serve` TCP front end, its
-//! CLI clients) can report real wire bytes — and, via [`NetModel`], a
-//! modeled wire time for the paper's interconnect.
+//! [`LineConn`] is the concrete counterpart: a newline-delimited framing
+//! over a `TcpStream` (buffered reads, one write per message, Nagle off)
+//! with exact byte accounting on both directions, so anything built on it
+//! (the `knor-serve` TCP front end, its CLI clients) can report real wire
+//! bytes — and, via [`NetModel`], a modeled wire time for the paper's
+//! interconnect.
 //!
 //! For the multiplexed (non-blocking) front end, [`FrameBuf`] provides the
 //! incremental half of the same framing — bytes arrive in arbitrary chunks
 //! from a readiness loop, complete lines come out — and [`poll_fds`] wraps
 //! `poll(2)` from the `libc` shim into a safe readiness wait.
 
-use std::io::{self, BufRead, BufReader, BufWriter, Write};
+use std::io::{self, BufRead, BufReader, IoSlice, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::os::fd::RawFd;
 
@@ -72,21 +73,44 @@ impl NetModel {
 /// A newline-delimited message connection over TCP.
 ///
 /// One request line, one response line: the framing the serving protocol
-/// speaks. Reads and writes are buffered; [`LineConn::send_line`] flushes,
-/// so a round trip is exactly one write burst and one read. Byte counters
-/// track the real wire traffic (including the terminating `\n`).
+/// speaks. Reads are buffered; [`LineConn::send_line`] hands the line and
+/// its terminator to the socket in one `writev`, and the socket has
+/// `TCP_NODELAY` set, so a round trip is exactly one write burst and one
+/// read. (Written as `line`, then `"\n"`, with Nagle on, the 1-byte tail
+/// of any line larger than the write buffer waits for the peer's delayed
+/// ACK — a 40 ms kernel timer — while the peer waits for that byte to
+/// finish the line: the write-write-read stall, DESIGN.md §9.) Byte
+/// counters track the real wire traffic (including the terminating `\n`).
 pub struct LineConn {
     r: BufReader<TcpStream>,
-    w: BufWriter<TcpStream>,
+    w: TcpStream,
     bytes_in: u64,
     bytes_out: u64,
 }
 
+/// Write `line` and its `\n` terminator as one vectored write; a short
+/// write resumes where the socket stopped, so the message is still a single
+/// burst with no separately flushed tail.
+fn write_frame<W: Write>(w: &mut W, line: &[u8]) -> io::Result<()> {
+    let mut bufs = [IoSlice::new(line), IoSlice::new(b"\n")];
+    let mut bufs = &mut bufs[..];
+    while !bufs.is_empty() {
+        match w.write_vectored(bufs) {
+            Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
+            Ok(n) => IoSlice::advance_slices(&mut bufs, n),
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(())
+}
+
 impl LineConn {
-    /// Wrap an accepted (or connected) stream.
+    /// Wrap an accepted (or connected) stream; turns Nagle off on it.
     pub fn new(stream: TcpStream) -> io::Result<Self> {
+        stream.set_nodelay(true)?;
         let r = BufReader::new(stream.try_clone()?);
-        Ok(Self { r, w: BufWriter::new(stream), bytes_in: 0, bytes_out: 0 })
+        Ok(Self { r, w: stream, bytes_in: 0, bytes_out: 0 })
     }
 
     /// Connect to `addr` and wrap the stream.
@@ -95,12 +119,10 @@ impl LineConn {
     }
 
     /// Send one message line (a `\n` is appended; `line` must not contain
-    /// one) and flush.
+    /// one) as a single write.
     pub fn send_line(&mut self, line: &str) -> io::Result<()> {
         debug_assert!(!line.contains('\n'), "embedded newline breaks framing");
-        self.w.write_all(line.as_bytes())?;
-        self.w.write_all(b"\n")?;
-        self.w.flush()?;
+        write_frame(&mut self.w, line.as_bytes())?;
         self.bytes_out += line.len() as u64 + 1;
         Ok(())
     }
@@ -298,6 +320,109 @@ mod tests {
         let (sin, sout) = server.join().unwrap();
         assert_eq!(sin, 6 + format!("{x:?}").len() as u64 + 1);
         assert!(sout > sin, "echo adds a prefix");
+    }
+
+    /// Accepts at most `per_call` bytes per write and records each call.
+    struct RecordingWriter {
+        per_call: usize,
+        calls: Vec<usize>,
+        bytes: Vec<u8>,
+    }
+
+    impl RecordingWriter {
+        fn new(per_call: usize) -> Self {
+            Self { per_call, calls: Vec::new(), bytes: Vec::new() }
+        }
+    }
+
+    impl Write for RecordingWriter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.write_vectored(&[IoSlice::new(buf)])
+        }
+
+        fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> io::Result<usize> {
+            let before = self.bytes.len();
+            for buf in bufs {
+                let room = self.per_call - (self.bytes.len() - before);
+                self.bytes.extend_from_slice(&buf[..buf.len().min(room)]);
+            }
+            self.calls.push(self.bytes.len() - before);
+            Ok(self.bytes.len() - before)
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_frame_is_one_write_ending_in_the_newline() {
+        // Both sides of the old 8 KiB `BufWriter` boundary, and a bulk query.
+        for len in [0, 1, 8191, 8192, 8193, 1 << 20] {
+            let line = vec![b'x'; len];
+            let mut w = RecordingWriter::new(usize::MAX);
+            write_frame(&mut w, &line).unwrap();
+            assert_eq!(w.calls, [len + 1], "len {len}: line and terminator in one write");
+            assert_eq!(w.bytes.last(), Some(&b'\n'));
+            assert_eq!(&w.bytes[..len], &line[..]);
+        }
+    }
+
+    #[test]
+    fn short_writes_resume_where_the_writer_stopped() {
+        for len in [0, 1, 2, 8193] {
+            let line: Vec<u8> = (0..len).map(|i| b'a' + (i % 26) as u8).collect();
+            let mut w = RecordingWriter::new(1);
+            write_frame(&mut w, &line).unwrap();
+            assert_eq!(w.calls.len(), len + 1, "one byte per call");
+            assert_eq!(&w.bytes[..len], &line[..]);
+            assert_eq!(w.bytes[len], b'\n');
+        }
+        // A writer that accepts nothing is an error, not a spin.
+        let err = write_frame(&mut RecordingWriter::new(0), b"x").unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::WriteZero);
+    }
+
+    #[test]
+    fn both_ends_of_a_line_conn_have_nagle_off() {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let client = LineConn::connect(listener.local_addr().unwrap()).unwrap();
+        let server = LineConn::new(listener.accept().unwrap().0).unwrap();
+        assert!(client.w.nodelay().unwrap());
+        assert!(server.w.nodelay().unwrap());
+    }
+
+    #[test]
+    fn large_lines_round_trip_without_the_delayed_ack_stall() {
+        // The shape of a bulk QUERY: a 512 KiB request answered by a 24 KiB
+        // reply. Written as line-then-terminator with Nagle on, nine of ten
+        // such round trips wait out the peer's delayed-ACK timer (>= 40 ms)
+        // for their last byte; stall-free one takes ~1 ms, debug build
+        // included. (An echo of the 512 KiB line stalls only now and then.)
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let reply = "0:0.123456789 ".repeat(24 * 1024 / 14);
+        let server = std::thread::spawn(move || {
+            let mut conn = LineConn::new(listener.accept().unwrap().0).unwrap();
+            while let Some(line) = conn.recv_line().unwrap() {
+                assert_eq!(line.len(), 512 * 1024 / 12 * 12);
+                conn.send_line(&reply).unwrap();
+            }
+        });
+        let mut c = LineConn::connect(addr).unwrap();
+        let line = "0.123456789 ".repeat(512 * 1024 / 12);
+        let mut ms: Vec<f64> = (0..10)
+            .map(|_| {
+                let t0 = std::time::Instant::now();
+                c.send_line(&line).unwrap();
+                assert!(c.recv_line().unwrap().is_some_and(|r| r.len() > 24_000));
+                t0.elapsed().as_secs_f64() * 1e3
+            })
+            .collect();
+        ms.sort_by(f64::total_cmp);
+        assert!(ms[5] < 20.0, "median round trip {:.1} ms, all: {ms:?}", ms[5]);
+        drop(c);
+        server.join().unwrap();
     }
 
     #[test]

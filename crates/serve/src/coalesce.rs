@@ -36,7 +36,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
 use crate::registry::ModelEntry;
-use crate::tcp::{format_predict_reply, parse_query_values};
+use crate::tcp::{parse_query_values, write_predict_reply};
 use crate::ServeHandle;
 
 /// Coalescer knobs (a subset of [`crate::mux::MuxConfig`]).
@@ -278,10 +278,12 @@ fn drain_queue(q: &mut Queue, target_rows: usize) -> (Arc<ModelEntry>, Vec<Reque
 /// Parse, batch, predict once, scatter replies.
 fn execute_batch(shared: &Shared, entry: &Arc<ModelEntry>, reqs: Vec<Request>) {
     let d = entry.model.d().max(1);
+    let clock = shared.handle.clock();
     let mut flat: Vec<f64> = Vec::new();
     // (request, row offset) for requests whose payload parsed clean.
     let mut valid: Vec<(Request, usize)> = Vec::new();
     let mut out: Vec<Completion> = Vec::new();
+    let parse_start = clock.now_ns();
     for req in reqs {
         match parse_query_values(&mut req.payload.split_ascii_whitespace(), req.m * d) {
             Ok(vals) => {
@@ -295,25 +297,26 @@ fn execute_batch(shared: &Shared, entry: &Arc<ModelEntry>, reqs: Vec<Request>) {
             }
         }
     }
+    let parse_ns = clock.now_ns().saturating_sub(parse_start);
+    let mut format_ns = 0;
     if !flat.is_empty() {
         let total_rows = (flat.len() / d) as u64;
         let result = shared.handle.predict_entry(entry, &flat, d);
-        let end_ns = shared.handle.clock().now_ns();
+        let end_ns = clock.now_ns();
         match result {
             Ok(pred) => {
                 entry.stats.record_coalesced(total_rows);
                 for (req, start) in &valid {
-                    let line = format_predict_reply(
+                    let mut line = String::from("OK ");
+                    write_predict_reply(
+                        &mut line,
                         &pred.assignments[*start..*start + req.m],
                         &pred.distances[*start..*start + req.m],
                     );
                     entry.stats.record_request(end_ns.saturating_sub(req.enq_ns));
-                    out.push(Completion {
-                        conn: req.conn,
-                        seq: req.seq,
-                        line: format!("OK {line}"),
-                    });
+                    out.push(Completion { conn: req.conn, seq: req.seq, line });
                 }
+                format_ns = clock.now_ns().saturating_sub(end_ns);
             }
             Err(e) => {
                 for (req, _) in &valid {
@@ -323,6 +326,7 @@ fn execute_batch(shared: &Shared, entry: &Arc<ModelEntry>, reqs: Vec<Request>) {
         }
         entry.stats.sub_pending(total_rows);
     }
+    entry.stats.record_text_phases(parse_ns, format_ns);
     if !out.is_empty() {
         shared.completions.lock().expect("completions poisoned").extend(out);
         (shared.waker)();
@@ -386,13 +390,8 @@ mod tests {
         let flat: Vec<f64> = rows.iter().flatten().copied().collect();
         let reference = predict_serial(&entry.model, &flat, 2);
         for c in completions.lock().unwrap().iter() {
-            let expect = format!(
-                "OK {}",
-                format_predict_reply(
-                    &reference.assignments[c.seq as usize..c.seq as usize + 1],
-                    &reference.distances[c.seq as usize..c.seq as usize + 1],
-                )
-            );
+            let i = c.seq as usize;
+            let expect = format!("OK 1 {}:{:?}", reference.assignments[i], reference.distances[i]);
             assert_eq!(c.line, expect, "seq {}", c.seq);
         }
         let s = entry.stats.snapshot();

@@ -346,6 +346,8 @@ impl ServeHandle {
             timing.dispatch_ns,
             timing.kernel_ns,
             timing.reply_ns,
+            0,
+            0,
         ]);
         Ok(Prediction { assignments, distances })
     }
@@ -386,9 +388,15 @@ impl ServeHandle {
         Ok(self.inner.registry.load(meta)?)
     }
 
-    /// Worker panics caught by the predict pool (diagnostics).
+    /// Scan panics caught by the predict pool (diagnostics).
     pub fn caught_panics(&self) -> u64 {
         self.inner.pool.caught_panics()
+    }
+
+    /// Predict calls answered on the calling thread, without a pool
+    /// hand-off (diagnostics; see [`pool`]).
+    pub fn inline_calls(&self) -> u64 {
+        self.inner.pool.inline_calls()
     }
 }
 

@@ -50,7 +50,8 @@ pub fn render_prometheus(handle: &ServeHandle) -> String {
     counter(
         &mut out,
         "knor_serve_request_phase_ns_total",
-        "Cumulative request time per handling phase (enqueue/dispatch/kernel/reply).",
+        "Cumulative request time per handling phase \
+         (enqueue/dispatch/kernel/reply; parse/format on the text protocol).",
     );
     for e in &entries {
         for (phase, ns) in REQUEST_PHASES.iter().zip(e.stats.phase_ns()) {
@@ -75,6 +76,13 @@ pub fn render_prometheus(handle: &ServeHandle) -> String {
             e.stats.busy_rejections()
         );
     }
+
+    counter(
+        &mut out,
+        "knor_serve_inline_calls_total",
+        "Predict calls of one chunk, answered on the calling thread without a pool hand-off.",
+    );
+    let _ = writeln!(out, "knor_serve_inline_calls_total {}", handle.inline_calls());
 
     let _ = writeln!(out, "# HELP knor_serve_batch_latency_ns Batch latency histogram.");
     let _ = writeln!(out, "# TYPE knor_serve_batch_latency_ns histogram");
@@ -268,6 +276,9 @@ mod tests {
         assert!(text.contains("_bucket{model=\"demo\",le=\"+Inf\"} 1"));
         assert!(text.contains("knor_serve_batch_latency_ns_count{model=\"demo\"} 1"));
         assert!(text.contains("phase=\"kernel\""));
+        assert!(text.contains("phase=\"parse\"") && text.contains("phase=\"format\""));
+        // 64 rows are one chunk: answered inline.
+        assert!(text.contains("knor_serve_inline_calls_total 1\n"), "{text}");
         assert!(text.contains("knor_serve_train_panicked_io_threads{model=\"demo\"} 0"));
         assert!(text.contains("knor_serve_train_publish_bytes{model=\"demo\"} 0"));
         assert!(text.contains("knor_serve_train_io_skip_rows{model=\"demo\"} 0"));

@@ -198,6 +198,8 @@ fn wake_pair() -> io::Result<(TcpStream, TcpStream)> {
     let (rx, _) = l.accept()?;
     rx.set_nonblocking(true)?;
     tx.set_nonblocking(true)?;
+    // A wake byte must never wait behind the previous one's ACK.
+    tx.set_nodelay(true)?;
     Ok((rx, tx))
 }
 
@@ -345,7 +347,9 @@ impl EventLoop {
         loop {
             match self.listener.accept() {
                 Ok((stream, _)) => {
-                    if stream.set_nonblocking(true).is_err() {
+                    // Same socket options as the blocking front end's
+                    // `LineConn`: replies leave as they are written.
+                    if stream.set_nonblocking(true).is_err() || stream.set_nodelay(true).is_err() {
                         continue;
                     }
                     let id = self.next_conn;

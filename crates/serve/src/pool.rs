@@ -17,6 +17,16 @@
 //! deadlocking, and the worker keeps serving later calls — mirroring the
 //! prefetch pool's no-silent-loss contract.
 //!
+//! **One-chunk calls run on the calling thread.** A call the chunk rule
+//! would not split (`m` ≤ 64 rows at the default cap) has no parallelism to
+//! gain from the pool, and the hand-off — an `Arc`'d call context, a channel
+//! send, two cross-thread wake-ups and a condvar latch, 4–47 µs measured —
+//! costs more than the scan itself (64 rows × k = 64 × d = 32 ≈ 15 µs; one
+//! row ≈ 0.25 µs). Such a call scans on the caller's thread with a
+//! thread-local [`Scratch`], through the same [`scan_chunk`] and under the
+//! same `catch_unwind` + panic counter as a pool chunk, so answers are
+//! bitwise identical. (DESIGN.md §9.)
+//!
 //! **Node-local model replicas.** With replication resolved on
 //! ([`knor_core::replica::Replication`], `Auto` = multi-node topology),
 //! each worker keeps a small MRU cache of *cloned* models: the clone is
@@ -29,6 +39,7 @@
 //! cache holds the source `Arc` alongside each clone, so a cache hit can
 //! never alias a dropped-and-reallocated registry entry.
 
+use std::cell::RefCell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -47,7 +58,9 @@ use crate::stats::Clock;
 /// Wall-time decomposition of one predict call on the injected clock
 /// (all zero when no clock was passed): chunk fan-out onto the task
 /// channel, worker scan time including queue wait, and output
-/// collection. The request's `enqueue` phase (lookup + kernel
+/// collection. A one-chunk call, which runs on the calling thread, has no
+/// fan-out: `dispatch_ns` ≈ 0, `kernel_ns` is the scan, `reply_ns` the
+/// copy out of the scratch. The request's `enqueue` phase (lookup + kernel
 /// resolution) happens before the pool and is timed by the caller.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PredictTiming {
@@ -59,11 +72,36 @@ pub struct PredictTiming {
     pub reply_ns: u64,
 }
 
-/// Grow-only per-worker buffers (staged/normalized rows + kernel outputs).
+/// Grow-only per-thread buffers (staged/normalized rows + kernel outputs).
+#[derive(Default)]
 struct Scratch {
     data: Vec<f64>,
     best: Vec<u32>,
     dist: Vec<f64>,
+}
+
+thread_local! {
+    /// The calling thread's scratch for one-chunk calls.
+    static INLINE_SCRATCH: RefCell<Scratch> = RefCell::default();
+}
+
+/// Assign the rows of one chunk (`rows.len() / d` of them) to their nearest
+/// centroid of `model`, into `scratch.best` / `scratch.dist` — the one scan
+/// both the pool workers and the inline path run.
+fn scan_chunk(rows: &[f64], d: usize, rk: &ResolvedKernel, model: &Model, scratch: &mut Scratch) {
+    let block: &[f64] = match model.normalization {
+        Normalization::None => rows,
+        norm => {
+            // Stage the normalized rows; same arithmetic as training.
+            scratch.data.clear();
+            scratch.data.resize(rows.len(), 0.0);
+            for (src, dst) in rows.chunks_exact(d).zip(scratch.data.chunks_exact_mut(d)) {
+                norm.apply(src, dst);
+            }
+            &scratch.data
+        }
+    };
+    assign_rows(block, d, &model.centroids, rk, &[], &mut scratch.best, &mut scratch.dist, true);
 }
 
 enum Task {
@@ -133,28 +171,7 @@ impl CallCtx {
         let m = hi - lo;
         // Safety (RawRows): the caller's block outlives the latch.
         let rows = unsafe { std::slice::from_raw_parts(self.queries.ptr.add(lo * d), m * d) };
-        let block: &[f64] = match model.normalization {
-            Normalization::None => rows,
-            norm => {
-                // Stage the normalized rows; same arithmetic as training.
-                scratch.data.clear();
-                scratch.data.resize(m * d, 0.0);
-                for (src, dst) in rows.chunks_exact(d).zip(scratch.data.chunks_exact_mut(d)) {
-                    norm.apply(src, dst);
-                }
-                &scratch.data
-            }
-        };
-        assign_rows(
-            block,
-            d,
-            &model.centroids,
-            &self.rk,
-            &[],
-            &mut scratch.best,
-            &mut scratch.dist,
-            true,
-        );
+        scan_chunk(rows, d, &self.rk, model, scratch);
         for i in 0..m {
             // Safety (SharedRows): chunk ranges are disjoint, and the
             // caller reads only after the latch (lock + condvar) closes.
@@ -210,6 +227,7 @@ pub struct WorkerPool {
     threads: usize,
     chunk_cap: usize,
     panics: Arc<AtomicU64>,
+    inline_calls: AtomicU64,
     replicated: bool,
     replica_clones: Arc<AtomicU64>,
 }
@@ -247,8 +265,7 @@ impl WorkerPool {
                 let clones = Arc::clone(&replica_clones);
                 std::thread::spawn(move || {
                     let _ = bind_current_thread(&topo, NodeId(w % nnodes));
-                    let mut scratch =
-                        Scratch { data: Vec::new(), best: Vec::new(), dist: Vec::new() };
+                    let mut scratch = Scratch::default();
                     let mut cache: Vec<(Arc<ModelEntry>, Model)> = Vec::new();
                     while let Ok(task) = rx.recv() {
                         match task {
@@ -279,6 +296,7 @@ impl WorkerPool {
             threads,
             chunk_cap: chunk_cap.max(1),
             panics,
+            inline_calls: AtomicU64::new(0),
             replicated,
             replica_clones,
         }
@@ -313,14 +331,22 @@ impl WorkerPool {
         m.div_ceil(self.threads).clamp(min_rows, self.chunk_cap)
     }
 
-    /// Worker panics caught so far (diagnostics).
+    /// Scan panics caught so far, on pool workers and on calling threads
+    /// (diagnostics).
     pub fn caught_panics(&self) -> u64 {
         self.panics.load(Ordering::Relaxed)
     }
 
+    /// One-chunk calls answered on the calling thread, without a pool
+    /// hand-off (diagnostics).
+    pub fn inline_calls(&self) -> u64 {
+        self.inline_calls.load(Ordering::Relaxed)
+    }
+
     /// Assign every row of the `m × d` query block to its nearest centroid
     /// of `entry`'s model under resolved kernel `rk`. Blocks until every
-    /// chunk completes; bitwise identical to the serial per-row scan. The
+    /// chunk completes (a one-chunk call scans on the calling thread
+    /// instead); bitwise identical to the serial per-row scan. The
     /// pool serves only exact kernels: an approximate-band resolved `rk`
     /// (`NormTrick`/`Gemm`, whose scans would need centroid norms the pool
     /// does not carry, and `Fma`, whose fused rounding differs) is
@@ -363,6 +389,27 @@ impl WorkerPool {
         let t0 = now();
         let chunk = self.chunk_rows(m);
         let nchunks = m.div_ceil(chunk);
+        if nchunks == 1 {
+            // Nothing to fan out: scan here (see the module docs).
+            self.inline_calls.fetch_add(1, Ordering::Relaxed);
+            let scanned = catch_unwind(AssertUnwindSafe(|| {
+                INLINE_SCRATCH.with_borrow_mut(|scratch| {
+                    scan_chunk(queries, d, &rk, &entry.model, scratch);
+                    let t1 = now();
+                    (scratch.best.clone(), scratch.dist.clone(), t1)
+                })
+            }));
+            let Ok((assign, dist, t1)) = scanned else {
+                self.panics.fetch_add(1, Ordering::Relaxed);
+                return Err(PredictError::WorkerPanic);
+            };
+            let timing = PredictTiming {
+                dispatch_ns: 0,
+                kernel_ns: t1.saturating_sub(t0),
+                reply_ns: now().saturating_sub(t1),
+            };
+            return Ok((assign, dist, timing));
+        }
         let ctx = Arc::new(CallCtx {
             entry: Arc::clone(entry),
             rk,
@@ -534,42 +581,123 @@ mod tests {
     }
 
     #[test]
+    fn inline_pool_and_serial_agree_bitwise_around_the_one_chunk_boundary() {
+        use crate::predict_serial;
+        let topo = Topology::synthetic(2, 2);
+        let mut rng = ChaCha8Rng::seed_from_u64(31);
+        let q: Vec<f64> = (0..129 * 6).map(|_| rng.gen_range(-5.0..5.0)).collect();
+        for algo in [Algorithm::Lloyd, Algorithm::Spherical] {
+            let reg = ModelRegistry::new();
+            let cents: Vec<f64> = (0..11 * 6).map(|_| rng.gen_range(-3.0..3.0)).collect();
+            reg.register("m", algo.clone(), DMatrix::from_vec(cents, 11, 6));
+            let entry = reg.get("m").unwrap();
+            let rk = KernelKind::Auto.resolve(11, 6, false);
+            for replication in [Replication::Off, Replication::On] {
+                // `split` cuts every batch into 1-row chunks, so the same
+                // rows also go through the pool; `whole` keeps m <= 64 inline.
+                let whole = WorkerPool::spawn_replicated(4, &topo, 128, replication);
+                let split = WorkerPool::spawn_replicated(4, &topo, 1, replication);
+                for m in [1usize, 63, 64, 65, 129] {
+                    let rows = &q[..m * 6];
+                    let serial = predict_serial(&entry.model, rows, 6);
+                    let inline_before = (whole.inline_calls(), split.inline_calls());
+                    for pool in [&whole, &split] {
+                        let (a, dist) = pool.predict(&entry, rk, rows, 6).unwrap();
+                        assert_eq!(a, serial.assignments, "{algo:?} {replication:?} m={m}");
+                        assert_eq!(
+                            dist.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
+                            serial.distances.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
+                            "{algo:?} {replication:?} m={m}"
+                        );
+                    }
+                    assert_eq!(whole.chunks_for(m) == 1, m <= 64);
+                    assert_eq!(whole.inline_calls() - inline_before.0, u64::from(m <= 64));
+                    assert_eq!(split.inline_calls() - inline_before.1, u64::from(m == 1));
+                }
+            }
+        }
+    }
+
+    /// A model whose centroid table is shorter than `k × d`: a tiled scan
+    /// against it slices out of bounds and panics.
+    fn corrupt_entry(good: &ModelEntry) -> Arc<ModelEntry> {
+        let mut model = good.model.clone();
+        model.centroids.means.truncate(model.d());
+        Arc::new(ModelEntry {
+            model,
+            stats: crate::stats::ServeStats::new(),
+            train: crate::registry::TrainDiag::default(),
+        })
+    }
+
+    #[test]
     fn worker_panic_fails_the_call_not_the_pool() {
         let (_reg, entry) = setup(2, 3, 6);
+        let bad = corrupt_entry(&entry);
         let pool = WorkerPool::spawn(2, &Topology::synthetic(1, 2), 64);
-        let rk = KernelKind::Auto.resolve(2, 3, false);
-        // Inject a chunk that panics inside `run_chunk`: d = 0 makes the
-        // kernel see zero rows, so the output copy indexes empty scratch.
-        // (The zero-length RawRows view is never dereferenced.)
-        pool.tx
-            .send(Task::Chunk {
-                ctx: Arc::new(CallCtx {
-                    entry: Arc::clone(&entry),
-                    rk,
-                    queries: RawRows { ptr: [0.0f64; 3].as_ptr(), len: 3 },
-                    d: 0, // division by zero shape → panic inside the chunk
-                    out_assign: SharedRows::new(1, 0),
-                    out_dist: SharedRows::new(1, 0.0),
-                    remaining: Mutex::new(1),
-                    done: Condvar::new(),
-                    panicked: AtomicBool::new(false),
-                }),
-                lo: 0,
-                hi: 1,
-            })
-            .unwrap();
-        // The pool must still answer real calls afterwards.
-        let q = [0.5, 0.5, 0.5];
-        let (a, _) = pool.predict(&entry, rk, &q, 3).unwrap();
+        let rk = KernelKind::Tiled.resolve(2, 3, false);
+        let q = [0.5; 200 * 3];
+        // Several chunks: the panics happen on pool workers.
+        assert_eq!(pool.predict(&bad, rk, &q, 3), Err(PredictError::WorkerPanic));
+        let on_workers = pool.caught_panics();
+        assert!(on_workers >= 1, "worker panic was not caught");
+        // One row: the panic happens on this thread, and is caught and
+        // counted the same way.
+        assert_eq!(pool.predict(&bad, rk, &q[..3], 3), Err(PredictError::WorkerPanic));
+        assert_eq!(pool.caught_panics(), on_workers + 1);
+        // This thread and the pool both still answer real calls.
+        let (a, _) = pool.predict(&entry, rk, &q[..3], 3).unwrap();
         assert_eq!(a.len(), 1);
-        // The predict above may have run on the other worker while the
-        // injected chunk was still unwinding: wait for the counter rather
-        // than racing it.
-        let t0 = std::time::Instant::now();
-        while pool.caught_panics() == 0 && t0.elapsed().as_secs() < 10 {
-            std::thread::yield_now();
+        let (a, _) = pool.predict(&entry, rk, &q, 3).unwrap();
+        assert_eq!(a.len(), 200);
+        assert_eq!(pool.caught_panics(), on_workers + 1);
+        pool.shutdown();
+    }
+
+    #[test]
+    fn one_row_call_returns_while_every_worker_is_parked() {
+        let (_reg, entry) = setup(4, 3, 8);
+        let threads = 2;
+        let pool = WorkerPool::spawn(threads, &Topology::synthetic(1, 2), 64);
+        let rk = KernelKind::Auto.resolve(4, 3, false);
+        let q = [0.25; 200 * 3];
+        // Park the workers: one chunk each of a call whose latch this test
+        // holds, so every worker blocks in `complete_chunk`. The channel is
+        // FIFO and a worker that takes one of these never comes back for
+        // more, so nothing sent after them can be served until the latch
+        // is released.
+        let parked = Arc::new(CallCtx {
+            entry: Arc::clone(&entry),
+            rk,
+            queries: RawRows { ptr: q.as_ptr(), len: 3 },
+            d: 3,
+            out_assign: SharedRows::new(1, 0),
+            out_dist: SharedRows::new(1, 0.0),
+            remaining: Mutex::new(threads),
+            done: Condvar::new(),
+            panicked: AtomicBool::new(false),
+        });
+        let latch = parked.remaining.lock().unwrap();
+        for _ in 0..threads {
+            pool.tx.send(Task::Chunk { ctx: Arc::clone(&parked), lo: 0, hi: 1 }).unwrap();
         }
-        assert!(pool.caught_panics() >= 1, "injected panic was not caught");
+        let bulk_done = AtomicBool::new(false);
+        std::thread::scope(|s| {
+            // A long batch from another thread queues behind the parked chunks.
+            let bulk = s.spawn(|| {
+                let out = pool.predict(&entry, rk, &q, 3);
+                bulk_done.store(true, Ordering::SeqCst);
+                out
+            });
+            let before = pool.inline_calls();
+            let (a, dist) = pool.predict(&entry, rk, &q[..3], 3).unwrap();
+            assert_eq!(pool.inline_calls(), before + 1, "answered without a task");
+            assert!(!bulk_done.load(Ordering::SeqCst), "the pool cannot have served anything yet");
+            let (ra, rd) = nearest(&q[..3], &entry.model.centroids.means, 4);
+            assert_eq!((a[0], dist[0].to_bits()), (ra as u32, rd.to_bits()));
+            drop(latch);
+            assert_eq!(bulk.join().unwrap().unwrap().0.len(), 200);
+        });
         pool.shutdown();
     }
 }

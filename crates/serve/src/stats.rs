@@ -144,11 +144,14 @@ impl Default for LatencyHistogram {
     }
 }
 
-/// Names of the four request-handling phases tracked per model, in
+/// Names of the request-handling phases tracked per model, in
 /// [`ServeStats::phase_ns`] order: model lookup + kernel resolution
 /// (`enqueue`), chunk fan-out to the pool (`dispatch`), worker scan time
-/// including queue wait (`kernel`), and output collection (`reply`).
-pub const REQUEST_PHASES: [&str; 4] = ["enqueue", "dispatch", "kernel", "reply"];
+/// including queue wait (`kernel`), output collection (`reply`), and — on
+/// the text protocol only, recorded by both front ends — turning the
+/// request line's float tokens into rows (`parse`) and the answers into the
+/// reply line (`format`).
+pub const REQUEST_PHASES: [&str; 6] = ["enqueue", "dispatch", "kernel", "reply", "parse", "format"];
 
 /// Thread-safe serving statistics for one model (all mutation under one
 /// short-lived lock; queries also mirrored in an atomic for lock-free
@@ -156,7 +159,7 @@ pub const REQUEST_PHASES: [&str; 4] = ["enqueue", "dispatch", "kernel", "reply"]
 pub struct ServeStats {
     queries_atomic: AtomicU64,
     /// Cumulative ns per request phase, [`REQUEST_PHASES`] order.
-    phase_ns: [AtomicU64; 4],
+    phase_ns: [AtomicU64; REQUEST_PHASES.len()],
     /// Rows admitted by the mux front end but not yet answered (the
     /// backpressure gauge the admission check reads).
     pending_rows: AtomicU64,
@@ -218,16 +221,25 @@ impl ServeStats {
         self.queries_atomic.load(Ordering::Relaxed)
     }
 
-    /// Add one request's per-phase ns ([`REQUEST_PHASES`] order).
-    pub fn record_phases(&self, ns: [u64; 4]) {
+    /// Add one request's per-phase ns ([`REQUEST_PHASES`] order). A layer
+    /// passes 0 for the phases it does not time.
+    pub fn record_phases(&self, ns: [u64; REQUEST_PHASES.len()]) {
         for (slot, v) in self.phase_ns.iter().zip(ns) {
-            slot.fetch_add(v, Ordering::Relaxed);
+            if v != 0 {
+                slot.fetch_add(v, Ordering::Relaxed);
+            }
         }
     }
 
+    /// Add text-protocol time: `parse_ns` spent parsing request floats,
+    /// `format_ns` spent formatting replies.
+    pub fn record_text_phases(&self, parse_ns: u64, format_ns: u64) {
+        self.record_phases([0, 0, 0, 0, parse_ns, format_ns]);
+    }
+
     /// Cumulative per-phase ns ([`REQUEST_PHASES`] order).
-    pub fn phase_ns(&self) -> [u64; 4] {
-        [0, 1, 2, 3].map(|i| self.phase_ns[i].load(Ordering::Relaxed))
+    pub fn phase_ns(&self) -> [u64; REQUEST_PHASES.len()] {
+        std::array::from_fn(|i| self.phase_ns[i].load(Ordering::Relaxed))
     }
 
     /// A point-in-time copy of the latency histogram (the Prometheus
@@ -463,11 +475,14 @@ mod tests {
     #[test]
     fn phase_counters_accumulate() {
         let stats = ServeStats::new();
-        assert_eq!(stats.phase_ns(), [0; 4]);
-        stats.record_phases([1, 10, 100, 1000]);
-        stats.record_phases([2, 20, 200, 2000]);
-        assert_eq!(stats.phase_ns(), [3, 30, 300, 3000]);
-        assert_eq!(REQUEST_PHASES.len(), 4);
+        assert_eq!(stats.phase_ns(), [0; 6]);
+        stats.record_phases([1, 10, 100, 1000, 0, 0]);
+        stats.record_phases([2, 20, 200, 2000, 0, 0]);
+        stats.record_text_phases(5, 7);
+        assert_eq!(stats.phase_ns(), [3, 30, 300, 3000, 5, 7]);
+        // The first four keep their names and order: dashboards and the
+        // benchmark look them up by label.
+        assert_eq!(REQUEST_PHASES[..4], ["enqueue", "dispatch", "kernel", "reply"]);
     }
 
     #[test]

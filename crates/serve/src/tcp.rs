@@ -30,6 +30,7 @@
 //! front ends speak this protocol through the same [`dispatch`], so
 //! replies are byte-identical.
 
+use std::fmt::Write as _;
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::path::{Path, PathBuf};
@@ -40,7 +41,7 @@ use knor_core::{Algorithm, Pruning};
 use knor_mpi::LineConn;
 
 use crate::jobs::{EngineKind, JobId, TrainSource, TrainSpec};
-use crate::{ServeHandle, StatsSnapshot};
+use crate::{ServeError, ServeHandle, StatsSnapshot};
 
 /// A running TCP server.
 pub struct TcpServer {
@@ -132,13 +133,20 @@ pub fn parse_engine_token(tok: &str) -> Option<(EngineKind, knor_dist::RankPlane
 
 /// Execute one request line, producing one response line.
 pub fn dispatch(handle: &ServeHandle, line: &str) -> String {
-    match try_dispatch(handle, line) {
-        Ok(resp) => format!("OK {resp}"),
-        Err(msg) => format!("ERR {msg}"),
+    // The payload is written straight into the reply behind its `OK `
+    // prefix: one buffer per reply, however many rows it carries.
+    let mut reply = String::from("OK ");
+    if let Err(msg) = try_dispatch(handle, line, &mut reply) {
+        reply.clear();
+        reply.push_str("ERR ");
+        reply.push_str(&msg);
     }
+    reply
 }
 
-fn try_dispatch(handle: &ServeHandle, line: &str) -> Result<String, String> {
+/// Execute `line`, appending the success payload to `out`. (Writing to a
+/// `String` cannot fail, hence the ignored `write!` results.)
+fn try_dispatch(handle: &ServeHandle, line: &str, out: &mut String) -> Result<(), String> {
     let mut tokens = line.split_ascii_whitespace();
     let verb = tokens.next().ok_or("empty request")?;
     match verb {
@@ -177,45 +185,57 @@ fn try_dispatch(handle: &ServeHandle, line: &str) -> Result<String, String> {
                 plane,
                 ..TrainSpec::new(&model, k, TrainSource::File(PathBuf::from(path)))
             });
-            Ok(format!("job {}", id.0))
+            let _ = write!(out, "job {}", id.0);
         }
         "STATUS" => {
             let id: u64 = parse_tok(&mut tokens, "STATUS: job id")?;
             let status = handle.job_status(JobId(id)).ok_or("unknown job")?;
-            Ok(status.render())
+            out.push_str(&status.render());
         }
         "QUERY" => {
-            let model = tokens.next().ok_or("QUERY: missing model")?.to_string();
+            let model = tokens.next().ok_or("QUERY: missing model")?;
             let m: usize = parse_tok(&mut tokens, "QUERY: m")?;
             let d: usize = parse_tok(&mut tokens, "QUERY: d")?;
             let total = m.checked_mul(d).ok_or("QUERY: m*d overflows")?;
+            let clock = handle.clock();
+            let t0 = clock.now_ns();
             let q = parse_query_values(&mut tokens, total)?;
-            let out = handle.predict_rows(&model, &q, d).map_err(|e| e.to_string())?;
-            Ok(format_predict_reply(&out.assignments, &out.distances))
+            let t1 = clock.now_ns();
+            let entry = handle
+                .registry()
+                .get(model)
+                .ok_or_else(|| ServeError::UnknownModel(model.to_string()).to_string())?;
+            let pred = handle.predict_entry(&entry, &q, d).map_err(|e| e.to_string())?;
+            let t2 = clock.now_ns();
+            write_predict_reply(out, &pred.assignments, &pred.distances);
+            entry
+                .stats
+                .record_text_phases(t1.saturating_sub(t0), clock.now_ns().saturating_sub(t2));
         }
         "STATS" => {
             let model = tokens.next().ok_or("STATS: missing model")?;
             let entry = handle.registry().get(model).ok_or("unknown model")?;
             let s: StatsSnapshot = entry.stats.snapshot();
-            Ok(format!(
+            let _ = write!(
+                out,
                 "{} panicked_io_threads={} publish_bytes={} io_skip_rows={}",
                 s.render(),
                 entry.train.panicked_io_threads,
                 entry.train.publish_bytes,
                 entry.train.io_skip_rows,
-            ))
+            );
         }
-        "METRICS" => Ok(crate::metrics::escape_line(&crate::metrics::render_prometheus(handle))),
+        "METRICS" => {
+            out.push_str(&crate::metrics::escape_line(&crate::metrics::render_prometheus(handle)))
+        }
         "LIST" => {
             let list = handle.list();
             if list.is_empty() {
-                return Ok("empty".into());
+                out.push_str("empty");
             }
-            Ok(list
-                .iter()
-                .map(|(name, v, q)| format!("{name}:v{v}:{q}"))
-                .collect::<Vec<_>>()
-                .join(" "))
+            let models: Vec<String> =
+                list.iter().map(|(name, v, q)| format!("{name}:v{v}:{q}")).collect();
+            out.push_str(&models.join(" "));
         }
         "SAVE" => {
             let model = tokens.next().ok_or("SAVE: missing model")?.to_string();
@@ -225,7 +245,7 @@ fn try_dispatch(handle: &ServeHandle, line: &str) -> Result<String, String> {
                 return Err("SAVE: missing dir".into());
             }
             let meta = handle.save_model(&model, Path::new(&dir)).map_err(|e| e.to_string())?;
-            Ok(format!("saved {}", meta.display()))
+            let _ = write!(out, "saved {}", meta.display());
         }
         "SWAP" => {
             let model = tokens.next().ok_or("SWAP: missing model")?;
@@ -235,16 +255,17 @@ fn try_dispatch(handle: &ServeHandle, line: &str) -> Result<String, String> {
                 v => Some(v.parse::<u32>().map_err(|e| format!("SWAP: version: {e}"))?),
             };
             let v = handle.registry().serve_pin(model, pin)?;
-            Ok(format!("serving {model} v{v}"))
+            let _ = write!(out, "serving {model} v{v}");
         }
         "ROLLBACK" => {
             let model = tokens.next().ok_or("ROLLBACK: missing model")?;
             let v = handle.registry().rollback(model)?;
-            Ok(format!("serving {model} v{v}"))
+            let _ = write!(out, "serving {model} v{v}");
         }
-        "SHUTDOWN" => Ok("bye".into()),
-        other => Err(format!("unknown verb {other:?}")),
+        "SHUTDOWN" => out.push_str("bye"),
+        other => return Err(format!("unknown verb {other:?}")),
     }
+    Ok(())
 }
 
 fn parse_tok<'a, T: std::str::FromStr>(
@@ -278,18 +299,17 @@ pub(crate) fn parse_query_values<'a>(
     Ok(q)
 }
 
-/// Format a QUERY success payload: `<m> <c>:<dist> …` with `{:?}` floats
-/// (exact `f64` round trip). One definition, used by both front ends, is
-/// what makes mux replies bitwise identical to the blocking path.
-pub(crate) fn format_predict_reply(assignments: &[u32], distances: &[f64]) -> String {
+/// Append a QUERY success payload to `out`: `<m> <c>:<dist> …` with `{:?}`
+/// floats (exact `f64` round trip), written in place — no per-row string.
+/// One definition, used by both front ends, is what makes mux replies
+/// bitwise identical to the blocking path.
+pub(crate) fn write_predict_reply(out: &mut String, assignments: &[u32], distances: &[f64]) {
     let m = assignments.len();
-    let mut resp = String::with_capacity(m * 16 + 8);
-    resp.push_str(&m.to_string());
+    out.reserve(m * 24 + 8);
+    let _ = write!(out, "{m}");
     for (a, dist) in assignments.iter().zip(distances) {
-        resp.push(' ');
-        resp.push_str(&format!("{a}:{dist:?}"));
+        let _ = write!(out, " {a}:{dist:?}");
     }
-    resp
 }
 
 /// A CLI-side client for the protocol above.
@@ -363,13 +383,18 @@ impl Client {
     }
 
     /// Block (poll) until the job terminates; returns the final status.
+    /// The pause between polls doubles from 1 ms up to `poll`, so a short
+    /// job is seen a millisecond or two after it finishes and a long one
+    /// still costs one request per `poll`.
     pub fn wait(&mut self, job: u64, poll: std::time::Duration) -> io::Result<String> {
+        let mut pause = poll.min(std::time::Duration::from_millis(1));
         loop {
             let s = self.status(job)?;
             if s.starts_with("done") || s.starts_with("failed") {
                 return Ok(s);
             }
-            std::thread::sleep(poll);
+            std::thread::sleep(pause);
+            pause = (pause * 2).min(poll);
         }
     }
 
@@ -393,10 +418,9 @@ impl Client {
         }
         let m = queries.len() / d.max(1);
         let mut line = String::with_capacity(queries.len() * 12 + 32);
-        line.push_str(&format!("QUERY {model} {m} {d}"));
+        let _ = write!(line, "QUERY {model} {m} {d}");
         for x in queries {
-            line.push(' ');
-            line.push_str(&format!("{x:?}"));
+            let _ = write!(line, " {x:?}");
         }
         let resp = self.round_trip(&line)?;
         let mut toks = resp.split_ascii_whitespace();
@@ -577,6 +601,37 @@ mod tests {
         assert!(c.query_block("", &[0.0], 1).is_err());
         assert!(c.query_block("m", &[0.0; 10], 4).is_err(), "ragged block must be rejected");
         assert!(c.query_block("m", &[0.0; 4], 0).is_err());
+    }
+
+    #[test]
+    fn reply_formatter_matches_the_per_row_format_it_replaced() {
+        // The reply used to be built from one `format!("{a}:{dist:?}")` per
+        // row; the in-place writer must produce the same bytes, including
+        // for the distances `{:?}` spells specially.
+        let distances = [
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            -0.0,
+            0.0,
+            5e-324, // smallest subnormal
+            f64::MIN_POSITIVE / 2.0,
+            f64::MAX,
+            1e21,
+            0.1 + 0.2,
+            2.0,
+        ];
+        let assignments: Vec<u32> = (0..distances.len() as u32).map(|i| i * 1_000_003).collect();
+        for m in [0, 1, distances.len()] {
+            let mut old = m.to_string();
+            for (a, dist) in assignments[..m].iter().zip(&distances[..m]) {
+                old.push(' ');
+                old.push_str(&format!("{a}:{dist:?}"));
+            }
+            let mut new = String::from("OK ");
+            write_predict_reply(&mut new, &assignments[..m], &distances[..m]);
+            assert_eq!(new, format!("OK {old}"), "m = {m}");
+        }
     }
 
     #[test]

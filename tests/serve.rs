@@ -89,7 +89,11 @@ fn eight_threads_hammering_one_model_agree_with_serial() {
 
     let clients = 8;
     let rounds = 20;
-    let batch = 250; // 4000 rows / 16 distinct offsets
+    let stride = 250; // 4000 rows / 16 distinct offsets
+
+    // Batches on both sides of the one-chunk rule: 250 rows fan out to the
+    // pool, 50 rows are scanned on the client's own thread.
+    let batch_of = |round: usize| if round.is_multiple_of(2) { stride } else { 50 };
     std::thread::scope(|s| {
         for t in 0..clients {
             let h = h.clone();
@@ -98,7 +102,7 @@ fn eight_threads_hammering_one_model_agree_with_serial() {
             s.spawn(move || {
                 for r in 0..rounds {
                     // Each client walks the data at its own offset.
-                    let lo = ((t * 7 + r * 3) % 16) * batch;
+                    let (lo, batch) = (((t * 7 + r * 3) % 16) * stride, batch_of(r));
                     let q = &data.as_slice()[lo * 6..(lo + batch) * 6];
                     let out = h.predict_rows("shared", q, 6).expect("predict failed");
                     assert_eq!(
@@ -121,7 +125,8 @@ fn eight_threads_hammering_one_model_agree_with_serial() {
     // Every batch must be accounted for exactly once.
     let s = h.stats("shared").unwrap();
     assert_eq!(s.batches, (clients * rounds) as u64);
-    assert_eq!(s.queries, (clients * rounds * batch) as u64);
+    assert_eq!(s.queries, (clients * (0..rounds).map(batch_of).sum::<usize>()) as u64);
+    assert_eq!(h.inline_calls(), (clients * rounds / 2) as u64);
     assert_eq!(h.caught_panics(), 0);
 }
 
