@@ -333,7 +333,7 @@ pub fn run_mm<P: DataPlane + ?Sized, R: Reducer>(
     // state is created between the capture and the workers' writes), and
     // barriers D/E order the disjoint row writes against all readers.
     let cc_base = ExclusiveCell::new(RawSlicePtr(std::ptr::null_mut()));
-    let rows = RowBounds::new(n, ngroups);
+    let rows = if cfg_pruning { RowBounds::new(n, ngroups) } else { RowBounds::unbounded(n) };
     let merged_sums: SharedRows<f64> = SharedRows::new(k * d, 0.0);
     let merged_counts = ExclusiveCell::new(vec![0i64; k]);
     let merged_weights = ExclusiveCell::new(vec![0.0f64; k]);
@@ -831,7 +831,8 @@ pub fn run_mm<P: DataPlane + ?Sized, R: Reducer>(
 // ---------------------------------------------------------------------------
 
 /// The driver-owned per-row state of a run: every row's assignment, its
-/// upper bound (MTI and Yinyang) and its `t` Yinyang group lower bounds.
+/// upper bound (MTI and Yinyang; empty when nothing prunes) and its `t`
+/// Yinyang group lower bounds.
 /// Workers reach it only through the [`RowState`] of a task they own.
 pub struct RowBounds {
     assign: SharedRows<u32>,
@@ -846,7 +847,6 @@ impl RowBounds {
     /// (`t = 0` for every scheme but Yinyang).
     pub fn new(n: usize, t: usize) -> Self {
         Self {
-            assign: SharedRows::new(n, u32::MAX),
             upper: SharedRows::new(n, f64::INFINITY),
             // Allocated zeroed so pages stay lazy; iteration 0 writes every
             // slot from the row's owning worker, first-touching the bound
@@ -854,6 +854,18 @@ impl RowBounds {
             // discipline as `upper`.
             lower: SharedRows::new(n * t, 0.0),
             t,
+            ..Self::unbounded(n)
+        }
+    }
+
+    /// State for `n` unassigned rows of an unpruned run: assignments only,
+    /// 4 bytes a row. [`NoFilter`] never reads a bound.
+    pub fn unbounded(n: usize) -> Self {
+        Self {
+            assign: SharedRows::new(n, u32::MAX),
+            upper: SharedRows::new(0, 0.0),
+            lower: SharedRows::new(0, 0.0),
+            t: 0,
         }
     }
 

@@ -11,11 +11,13 @@
 //! `numa_aware = true` (default) distributes the matrix into per-node
 //! arenas (Fig. 1), binds workers to nodes, and uses the configured task
 //! queue. `numa_aware = false` reproduces the paper's *NUMA-oblivious*
-//! baseline: one contiguous allocation homed on node 0, threads spread
-//! round-robin by the "OS", FIFO scheduling. Exact access tallies are kept
-//! either way so the cost model can compare the two (Fig. 4).
+//! baseline: the same placed layout with one block, so one contiguous
+//! allocation homed on node 0, threads spread round-robin by the "OS",
+//! FIFO scheduling. Exact access tallies are kept either way so the cost
+//! model can compare the two (Fig. 4).
 
-use knor_matrix::DMatrix;
+use knor_matrix::io::MatrixFile;
+use knor_matrix::{DMatrix, Rows};
 use knor_numa::bind::bind_current_thread;
 use knor_numa::{AccessTally, NodeId, NumaMatrix, Placement, Topology};
 use knor_sched::{SchedulerKind, TaskQueue, DEFAULT_TASK_SIZE};
@@ -28,12 +30,14 @@ use crate::kernel::KernelKind;
 use crate::plane::{drain, DataPlane, Direct, DrainScratch};
 use crate::pruning::{yinyang_groups, Pruning};
 use crate::replica::Replication;
-use crate::stats::{KmeansResult, MemoryFootprint, NumaReport};
+use crate::stats::{KmeansResult, LoadStats, MemoryFootprint, NumaReport};
 use crate::trace::{TraceBuf, TraceHandle};
 use crate::tune::Tuning;
 
 use std::io;
+use std::path::Path;
 use std::sync::Arc;
+use std::time::Instant;
 
 /// Configuration for a [`Kmeans`] run.
 #[derive(Debug, Clone)]
@@ -210,30 +214,19 @@ impl KmeansConfig {
     }
 }
 
-/// How the dataset is laid out in memory for a run.
-enum Layout<'a> {
-    /// Fig. 1 per-node arenas.
-    Aware(NumaMatrix),
-    /// One contiguous allocation, logically homed on node 0 (what `malloc`
-    /// first-touch gives a single-threaded loader).
-    Oblivious(&'a DMatrix),
-}
-
-impl Layout<'_> {
-    #[inline]
-    fn row(&self, r: usize) -> (&[f64], NodeId) {
-        match self {
-            Layout::Aware(m) => m.row(r),
-            Layout::Oblivious(m) => (m.row(r), NodeId(0)),
-        }
-    }
-
-    fn data_bytes(&self) -> u64 {
-        match self {
-            Layout::Aware(m) => m.heap_bytes(),
-            Layout::Oblivious(m) => (m.len() * 8) as u64,
-        }
-    }
+/// What a run fixes from its configuration and the row count alone,
+/// before it touches the data: who works where, and where the rows live.
+struct Plan {
+    topo: Topology,
+    /// The workers' Fig. 1 plan (row blocks, node groups, task queue).
+    placement: Placement,
+    /// Node each worker runs on: its Fig. 1 group when aware, a round-robin
+    /// spread (what an oblivious OS scheduler converges to) otherwise.
+    thread_node: Vec<NodeId>,
+    /// The data's plan: the workers' own when aware — each block loaded by
+    /// and next to the worker that scans it — and otherwise one block on
+    /// node 0, what `malloc` first-touch gives a single-threaded loader.
+    home: Placement,
 }
 
 /// The knori solver.
@@ -254,31 +247,64 @@ impl Kmeans {
         &self.config
     }
 
-    /// Cluster `data`, consuming one full engine run.
-    pub fn fit(&self, data: &DMatrix) -> KmeansResult {
+    fn plan(&self, n: usize) -> Plan {
         let cfg = &self.config;
-        let n = data.nrow();
-        let d = data.ncol();
-        let k = cfg.k;
-        assert!(k <= n, "k = {k} exceeds n = {n}");
-
+        assert!(cfg.k <= n, "k = {} exceeds n = {n}", cfg.k);
         let topo = cfg.topology.clone().unwrap_or_else(Topology::detect);
         let hw = std::thread::available_parallelism().map(|p| p.get()).unwrap_or(1);
         let nthreads = cfg.threads.unwrap_or(hw).max(1);
         let placement = Placement::new(&topo, n, nthreads);
         let nnodes = topo.nodes();
-
-        // Thread-to-node assignment: Fig. 1 groups when aware, round-robin
-        // spread (what an oblivious OS scheduler converges to) otherwise.
-        let thread_node: Vec<NodeId> = (0..nthreads)
+        let thread_node = (0..nthreads)
             .map(|t| if cfg.numa_aware { placement.node_of_thread(t) } else { NodeId(t % nnodes) })
             .collect();
+        let home = if cfg.numa_aware { placement.clone() } else { Placement::new(&topo, n, 1) };
+        Plan { topo, placement, thread_node, home }
+    }
 
-        let layout = if cfg.numa_aware {
-            Layout::Aware(NumaMatrix::from_dmatrix(&topo, &placement, data))
-        } else {
-            Layout::Oblivious(data)
+    /// Cluster `data`, consuming one full engine run. The run works on its
+    /// own placed copy of `data`; [`Kmeans::fit_file`] holds the data once.
+    pub fn fit(&self, data: &DMatrix) -> KmeansResult {
+        let plan = self.plan(data.nrow());
+        let placed = NumaMatrix::from_dmatrix(&plan.topo, &plan.home, data);
+        self.run(&plan, &placed)
+    }
+
+    /// Cluster the matrix stored at `path`: [`Kmeans::fit_open`] on the
+    /// opened file.
+    pub fn fit_file(&self, path: &Path) -> io::Result<KmeansResult> {
+        self.fit_open(&MatrixFile::open(path)?)
+    }
+
+    /// Cluster the matrix in `file`, loaded straight into the placed
+    /// layout — every worker's block read by a thread on the worker's
+    /// node — so the process holds the data once. The result is bit for
+    /// bit that of [`Kmeans::fit`] on the same bytes, plus
+    /// [`KmeansResult::load`].
+    pub fn fit_open(&self, file: &MatrixFile) -> io::Result<KmeansResult> {
+        let plan = self.plan(file.header().nrow as usize);
+        let t0 = Instant::now();
+        let placed = NumaMatrix::load(&plan.topo, &plan.home, file)?;
+        let load = LoadStats {
+            bytes: placed.heap_bytes(),
+            secs: t0.elapsed().as_secs_f64(),
+            threads: plan.home.nthreads(),
         };
+        Ok(KmeansResult { load: Some(load), ..self.run(&plan, &placed) })
+    }
+
+    /// One engine run over placed data. Everything outside the driver that
+    /// walks rows (init, the mini-batch refresh, the SSE pass) goes through
+    /// [`knor_matrix::Rows`] in global row order, so the result does not
+    /// depend on how `data` got placed.
+    fn run(&self, plan: &Plan, data: &NumaMatrix) -> KmeansResult {
+        let cfg = &self.config;
+        let Plan { topo, placement, thread_node, .. } = plan;
+        let n = data.nrow();
+        let d = data.ncol();
+        let k = cfg.k;
+        let nthreads = placement.nthreads();
+        let nnodes = topo.nodes();
         let row_bytes = (d * 8) as u64;
 
         let init_cents = cfg.init.initialize_parallel(data, k, cfg.seed, nthreads);
@@ -295,7 +321,7 @@ impl Kmeans {
             r => r.resolve(nnodes),
         };
 
-        let queue = TaskQueue::new(cfg.scheduler, &placement);
+        let queue = TaskQueue::new(cfg.scheduler, placement);
         let mut driver_cfg = DriverConfig {
             k,
             d,
@@ -315,17 +341,9 @@ impl Kmeans {
         // path the run will take (the override cannot change the kind).
         let probe_kind = driver_cfg.resolve_kernel().kind;
         driver_cfg.tiles = cfg.tuning.tiles_for(probe_kind, n, k, d);
-        let plane = ImPlane {
-            cfg,
-            topo: &topo,
-            layout: &layout,
-            thread_node: &thread_node,
-            nnodes,
-            row_bytes,
-        };
-        let outcome =
-            run_mm(&driver_cfg, init_cents, &placement, &queue, &plane, &NoReduce, &*algo)
-                .expect("in-memory rows cannot fail");
+        let plane = ImPlane { cfg, topo, data, thread_node, nnodes, row_bytes };
+        let outcome = run_mm(&driver_cfg, init_cents, placement, &queue, &plane, &NoReduce, &*algo)
+            .expect("in-memory rows cannot fail");
 
         let mut assignments = outcome.assignments;
         if algo.subsamples() {
@@ -333,8 +351,8 @@ impl Kmeans {
             // as of its last sampled batch; one final map pass makes the
             // assignments (and the SSE below) consistent with the
             // returned model.
-            for (i, row) in data.rows().enumerate() {
-                assignments[i] = algo.map(row, &outcome.centroids).cluster;
+            for (row, a) in data.rows_in(0..n).zip(assignments.iter_mut()) {
+                *a = algo.map(row, &outcome.centroids).cluster;
             }
         }
         let centroids_m = outcome.centroids.to_matrix();
@@ -342,7 +360,7 @@ impl Kmeans {
 
         let ngroups = yinyang_groups(k);
         let memory = MemoryFootprint {
-            data_bytes: layout.data_bytes(),
+            data_bytes: data.heap_bytes(),
             centroid_bytes: (2 * k * d * 8) as u64
                 + if pruning_on { (k * d * 8 + k * 8) as u64 } else { 0 },
             accum_bytes: (nthreads * (k * d * 8 + k * 8)) as u64,
@@ -359,7 +377,7 @@ impl Kmeans {
         };
 
         let mut workers_per_node = vec![0usize; nnodes];
-        for t in &thread_node {
+        for t in thread_node {
             workers_per_node[t.0] += 1;
         }
         let numa = NumaReport {
@@ -379,6 +397,7 @@ impl Kmeans {
             memory,
             sse,
             numa,
+            load: None,
             phases: outcome.phases,
         }
     }
@@ -387,16 +406,16 @@ impl Kmeans {
 /// The in-memory NUMA data plane: NUMA-aware (or oblivious) row access
 /// with exact access tallies — a direct row source for the shared worker
 /// loop.
-struct ImPlane<'a, 'data> {
+struct ImPlane<'a> {
     cfg: &'a KmeansConfig,
     topo: &'a Topology,
-    layout: &'a Layout<'data>,
+    data: &'a NumaMatrix,
     thread_node: &'a [NodeId],
     nnodes: usize,
     row_bytes: u64,
 }
 
-impl DataPlane for ImPlane<'_, '_> {
+impl DataPlane for ImPlane<'_> {
     fn worker_start(&self, w: usize) {
         if self.cfg.numa_aware {
             let _ = bind_current_thread(self.topo, self.thread_node[w]);
@@ -414,7 +433,7 @@ impl DataPlane for ImPlane<'_, '_> {
         let mut tally =
             self.cfg.track_tallies.then(|| AccessTally::new(self.thread_node[w], self.nnodes));
         let mut rows = Direct::new(d, |r| {
-            let (v, home) = self.layout.row(r);
+            let (v, home) = self.data.row(r);
             if let Some(t) = tally.as_mut() {
                 t.record_access(home, self.row_bytes);
             }

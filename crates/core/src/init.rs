@@ -3,7 +3,7 @@
 
 use crate::centroids::Centroids;
 use crate::distance::sqdist;
-use knor_matrix::DMatrix;
+use knor_matrix::{DMatrix, Rows};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
@@ -29,7 +29,7 @@ impl InitMethod {
     /// # Panics
     /// Panics if `k` is zero, `k > n`, or (for [`InitMethod::Given`]) the
     /// supplied matrix shape is not `k x d`.
-    pub fn initialize(&self, data: &DMatrix, k: usize, seed: u64) -> Centroids {
+    pub fn initialize<R: Rows>(&self, data: &R, k: usize, seed: u64) -> Centroids {
         self.initialize_parallel(data, k, seed, 1)
     }
 
@@ -47,9 +47,13 @@ impl InitMethod {
     /// parallelization; for larger `n` a seeded pick may differ from what
     /// pre-chunking versions produced (FP addition is non-associative),
     /// while remaining deterministic per seed forever after.
-    pub fn initialize_parallel(
+    ///
+    /// `data` is any [`Rows`]: everything here walks it in global row
+    /// order, so a placed layout yields the centroids its source matrix
+    /// would.
+    pub fn initialize_parallel<R: Rows>(
         &self,
-        data: &DMatrix,
+        data: &R,
         k: usize,
         seed: u64,
         threads: usize,
@@ -75,7 +79,7 @@ impl InitMethod {
                 let mut rng = ChaCha8Rng::seed_from_u64(seed);
                 let mut sums = vec![0.0f64; k * d];
                 let mut counts = vec![0u64; k];
-                for row in data.rows() {
+                for row in data.rows_in(0..data.nrow()) {
                     let c = rng.gen_range(0..k);
                     for (s, x) in sums[c * d..(c + 1) * d].iter_mut().zip(row) {
                         *s += x;
@@ -125,16 +129,16 @@ const PP_CHUNK: usize = 4096;
 /// Update `dist2` for one chunk against a freshly chosen center (or fill
 /// it, on the first pass) and return the chunk's weight sum, accumulated
 /// in index order.
-fn pp_scan_chunk(
-    data: &DMatrix,
+fn pp_scan_chunk<R: Rows>(
+    data: &R,
     center: &[f64],
     base: usize,
     dpart: &mut [f64],
     fill: bool,
 ) -> f64 {
     let mut sum = 0.0;
-    for (j, dv) in dpart.iter_mut().enumerate() {
-        let s = sqdist(data.row(base + j), center);
+    for (row, dv) in data.rows_in(base..base + dpart.len()).zip(dpart.iter_mut()) {
+        let s = sqdist(row, center);
         if fill || s < *dv {
             *dv = s;
         }
@@ -177,7 +181,7 @@ fn pp_pick(
     pick
 }
 
-fn plus_plus(data: &DMatrix, k: usize, seed: u64, threads: usize) -> Centroids {
+fn plus_plus<R: Rows>(data: &R, k: usize, seed: u64, threads: usize) -> Centroids {
     let n = data.nrow();
     let nchunks = n.div_ceil(PP_CHUNK);
     let nthreads = threads.min(nchunks).max(1);
@@ -189,7 +193,7 @@ fn plus_plus(data: &DMatrix, k: usize, seed: u64, threads: usize) -> Centroids {
 }
 
 /// The serial D² scan over the canonical chunk grid.
-fn plus_plus_serial(data: &DMatrix, k: usize, seed: u64) -> Centroids {
+fn plus_plus_serial<R: Rows>(data: &R, k: usize, seed: u64) -> Centroids {
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
     let n = data.nrow();
     let d = data.ncol();
@@ -229,7 +233,7 @@ fn plus_plus_serial(data: &DMatrix, k: usize, seed: u64) -> Centroids {
 /// round-robined by index onto workers; writes go to disjoint,
 /// barrier-ordered slots of shared buffers, so the arithmetic — and every
 /// pick — is identical to the serial path.
-fn plus_plus_pooled(data: &DMatrix, k: usize, seed: u64, nthreads: usize) -> Centroids {
+fn plus_plus_pooled<R: Rows>(data: &R, k: usize, seed: u64, nthreads: usize) -> Centroids {
     use knor_matrix::shared::SharedRows;
     use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
     use std::sync::Barrier;
@@ -266,8 +270,8 @@ fn plus_plus_pooled(data: &DMatrix, k: usize, seed: u64, nthreads: usize) -> Cen
                     let base = ci * PP_CHUNK;
                     let end = (base + PP_CHUNK).min(n);
                     let mut sum = 0.0;
-                    for i in base..end {
-                        let sq = sqdist(data.row(i), cv);
+                    for (i, row) in (base..end).zip(data.rows_in(base..end)) {
+                        let sq = sqdist(row, cv);
                         // Safety: chunk `ci` is owned by worker `ci %
                         // nthreads` for this round; barriers A/B order the
                         // writes against the coordinator's reads.

@@ -1,14 +1,20 @@
 //! Clustering quality metrics used by tests, examples and the harness.
 
 use crate::distance::{nearest, sqdist};
-use knor_matrix::DMatrix;
+use knor_matrix::{DMatrix, Rows};
 
 /// Within-cluster sum of squared Euclidean distances under the given
 /// assignment.
-pub fn sse(data: &DMatrix, centroids: &DMatrix, assignments: &[u32]) -> f64 {
+///
+/// Summed in global row order whatever the storage of `data`, so a placed
+/// layout yields its source matrix's SSE bit for bit.
+pub fn sse<R: Rows>(data: &R, centroids: &DMatrix, assignments: &[u32]) -> f64 {
     assert_eq!(data.nrow(), assignments.len());
     assert_eq!(data.ncol(), centroids.ncol());
-    data.rows().zip(assignments).map(|(row, &a)| sqdist(row, centroids.row(a as usize))).sum()
+    data.rows_in(0..data.nrow())
+        .zip(assignments)
+        .map(|(row, &a)| sqdist(row, centroids.row(a as usize)))
+        .sum()
 }
 
 /// SSE under the *optimal* assignment to the given centroids (recomputes

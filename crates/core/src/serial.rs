@@ -89,6 +89,7 @@ pub fn lloyd_serial(
         },
         sse,
         numa: crate::stats::NumaReport::default(),
+        load: None,
         phases: None,
     }
 }

@@ -81,6 +81,18 @@ impl MemoryFootprint {
     }
 }
 
+/// What reading the input into place cost a file-sourced run (the
+/// `--stats` `load:` line).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct LoadStats {
+    /// Payload bytes read — and held: the placed layout is the only copy.
+    pub bytes: u64,
+    /// Wall seconds from the arenas' allocation to the last block filled.
+    pub secs: f64,
+    /// Loader threads, one per block of the data's placement.
+    pub threads: usize,
+}
+
 /// The outcome of a k-means run.
 #[derive(Debug, Clone)]
 pub struct KmeansResult {
@@ -101,6 +113,9 @@ pub struct KmeansResult {
     pub sse: Option<f64>,
     /// NUMA topology and replication report.
     pub numa: NumaReport,
+    /// The load of a run that read its own input ([`crate::Kmeans::fit_file`]);
+    /// `None` when the caller handed the data over.
+    pub load: Option<LoadStats>,
     /// Per-phase trace fold for the run (`Some` iff a recorder was
     /// attached — see [`crate::trace`]).
     pub phases: Option<PhaseBreakdown>,
@@ -200,6 +215,7 @@ mod tests {
             memory: MemoryFootprint::default(),
             sse: None,
             numa: NumaReport::default(),
+            load: None,
             phases: None,
         };
         // Iteration 0 (the initial assignment pass) is excluded from the
@@ -233,6 +249,7 @@ mod tests {
             memory: MemoryFootprint::default(),
             sse: None,
             numa: NumaReport::default(),
+            load: None,
             phases: None,
         };
         // No iterations at all.

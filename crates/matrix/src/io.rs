@@ -17,7 +17,9 @@
 //! use plus header-only probing for out-of-core use.
 
 use std::fs::File;
-use std::io::{self, BufReader, BufWriter, Read, Seek, SeekFrom, Write};
+use std::io::{self, BufWriter, Read, Write};
+use std::ops::Range;
+use std::os::unix::fs::FileExt;
 use std::path::Path;
 
 use crate::DMatrix;
@@ -107,7 +109,10 @@ pub fn parse_header(hdr: &[u8]) -> io::Result<Header> {
 /// allocated for (or clustered from) the declared shape. Saturating
 /// arithmetic keeps a hostile header from overflowing the comparison.
 pub fn check_len(path: &Path, h: &Header) -> io::Result<()> {
-    let have = std::fs::metadata(path)?.len();
+    check_len_is(path, std::fs::metadata(path)?.len(), h)
+}
+
+fn check_len_is(path: &Path, have: u64, h: &Header) -> io::Result<()> {
     let declared = u128::from(h.nrow)
         .saturating_mul(u128::from(h.ncol))
         .saturating_mul(8)
@@ -121,49 +126,94 @@ pub fn check_len(path: &Path, h: &Header) -> io::Result<()> {
     Ok(())
 }
 
+/// Bytes per positional read of [`MatrixFile::read_rows_into`], and the
+/// size of its bounce buffer: large enough that the system call is noise,
+/// small enough that the decode reads it back from cache and that a
+/// loader thread's buffer does not show in the process's peak RSS.
+const READ_CHUNK: usize = 1 << 18;
+
+/// An open knor file whose header has been parsed and whose length has
+/// been checked against it: the one reader under [`read_matrix`],
+/// [`read_rows`] and the NUMA loader. Reads are positional (`pread`), so
+/// any number of threads share one descriptor.
+#[derive(Debug)]
+pub struct MatrixFile {
+    file: File,
+    header: Header,
+}
+
+impl MatrixFile {
+    /// Open `path`, parse its header and reject a file shorter than the
+    /// header declares.
+    pub fn open(path: &Path) -> io::Result<Self> {
+        let file = File::open(path)?;
+        let mut hdr = [0u8; HEADER_LEN as usize];
+        file.read_exact_at(&mut hdr, 0)?;
+        let header = parse_header(&hdr)?;
+        check_len_is(path, file.metadata()?.len(), &header)?;
+        Ok(Self { file, header })
+    }
+
+    /// Shape of the stored matrix.
+    pub fn header(&self) -> Header {
+        self.header
+    }
+
+    fn check_rows(&self, rows: &Range<usize>) -> io::Result<()> {
+        if rows.start > rows.end || rows.end as u64 > self.header.nrow {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                format!(
+                    "row range {}..{} exceeds file rows {}",
+                    rows.start, rows.end, self.header.nrow
+                ),
+            ));
+        }
+        Ok(())
+    }
+
+    /// Read the rows `rows` into `dst` (`rows.len() * ncol` values). A
+    /// range outside the file is `InvalidInput`; a file that shrank since
+    /// [`MatrixFile::open`] is `UnexpectedEof`.
+    pub fn read_rows_into(&self, rows: Range<usize>, dst: &mut [f64]) -> io::Result<()> {
+        self.check_rows(&rows)?;
+        let h = &self.header;
+        assert_eq!(dst.len(), rows.len() * h.ncol as usize, "destination is not rows x ncol");
+        let mut offset = h.row_offset(rows.start as u64);
+        let mut bounce = vec![0u8; READ_CHUNK.min(dst.len() * 8)];
+        for part in dst.chunks_mut(READ_CHUNK / 8) {
+            let bytes = &mut bounce[..part.len() * 8];
+            self.file.read_exact_at(bytes, offset)?;
+            for (x, b) in part.iter_mut().zip(bytes.chunks_exact(8)) {
+                *x = f64::from_le_bytes(b.try_into().expect("chunks_exact(8)"));
+            }
+            offset += bytes.len() as u64;
+        }
+        Ok(())
+    }
+}
+
 /// Read a whole matrix into memory.
 pub fn read_matrix(path: &Path) -> io::Result<DMatrix> {
-    let file = File::open(path)?;
-    let mut r = BufReader::new(file);
-    let mut hdr = [0u8; HEADER_LEN as usize];
-    r.read_exact(&mut hdr)?;
-    let h = parse_header(&hdr)?;
-    check_len(path, &h)?;
-    let n = (h.nrow * h.ncol) as usize;
-    let mut data = vec![0.0f64; n];
-    let mut buf = [0u8; 8];
-    for x in data.iter_mut() {
-        r.read_exact(&mut buf)?;
-        *x = f64::from_le_bytes(buf);
-    }
-    Ok(DMatrix::from_vec(data, h.nrow as usize, h.ncol as usize))
+    let file = MatrixFile::open(path)?;
+    let nrow = file.header.nrow as usize;
+    read_range(&file, 0..nrow)
 }
 
 /// Read the contiguous row range `[start, end)` into memory — a rank's
 /// slice of a large on-disk matrix, so no process ever has to hold more
 /// than its own `O(n/R · d)` share.
 pub fn read_rows(path: &Path, start: usize, end: usize) -> io::Result<DMatrix> {
-    let file = File::open(path)?;
-    let mut r = BufReader::new(file);
-    let mut hdr = [0u8; HEADER_LEN as usize];
-    r.read_exact(&mut hdr)?;
-    let h = parse_header(&hdr)?;
-    check_len(path, &h)?;
-    if start > end || end > h.nrow as usize {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidInput,
-            format!("row range {start}..{end} exceeds file rows {}", h.nrow),
-        ));
-    }
-    r.seek(SeekFrom::Start(h.row_offset(start as u64)))?;
-    let n = (end - start) * h.ncol as usize;
-    let mut data = vec![0.0f64; n];
-    let mut buf = [0u8; 8];
-    for x in data.iter_mut() {
-        r.read_exact(&mut buf)?;
-        *x = f64::from_le_bytes(buf);
-    }
-    Ok(DMatrix::from_vec(data, end - start, h.ncol as usize))
+    read_range(&MatrixFile::open(path)?, start..end)
+}
+
+fn read_range(file: &MatrixFile, rows: Range<usize>) -> io::Result<DMatrix> {
+    // Before the allocation: the range is the caller's, not the file's.
+    file.check_rows(&rows)?;
+    let ncol = file.header.ncol as usize;
+    let mut data = vec![0.0f64; rows.len() * ncol];
+    file.read_rows_into(rows.clone(), &mut data)?;
+    Ok(DMatrix::from_vec(data, rows.len(), ncol))
 }
 
 /// Decode a contiguous byte region of payload into `f64`s.
@@ -250,6 +300,42 @@ mod tests {
         assert_eq!(read_rows(&p, 0, 20).unwrap(), m);
         assert_eq!(read_rows(&p, 8, 8).unwrap().nrow(), 0);
         assert!(read_rows(&p, 10, 30).is_err(), "out-of-range must error");
+        std::fs::remove_file(&p).unwrap();
+    }
+
+    #[test]
+    fn read_rows_into_is_exact_at_chunk_boundaries() {
+        // One column, so a row is one value and a range's byte length is
+        // eight times its row count.
+        let chunk = READ_CHUNK / 8;
+        let n = 2 * chunk + 3;
+        let m = DMatrix::from_vec((0..n).map(|x| x as f64 - 0.5).collect(), n, 1);
+        let p = tmp("chunks.knor");
+        write_matrix(&p, &m).unwrap();
+        let file = MatrixFile::open(&p).unwrap();
+        assert_eq!(file.header(), Header { nrow: n as u64, ncol: 1 });
+        for start in [0, 1, chunk - 1, chunk + 2] {
+            for len in [0, 1, chunk - 1, chunk, chunk + 1] {
+                let mut got = vec![f64::NAN; len];
+                file.read_rows_into(start..start + len, &mut got).unwrap();
+                assert_eq!(got, &m.as_slice()[start..start + len], "rows {start}+{len}");
+            }
+        }
+        let mut one = [0.0];
+        for rows in [n..n + 1, n + 5..n + 6] {
+            let err = file.read_rows_into(rows, &mut one).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+        }
+        assert_eq!(read_rows(&p, 3, n + 1).unwrap_err().kind(), io::ErrorKind::InvalidInput);
+
+        // The file shrinks under an open reader: the rows still there read
+        // back, the first missing byte is an error, not zeros.
+        std::fs::OpenOptions::new().write(true).open(&p).unwrap().set_len(24 + 8 * 10).unwrap();
+        let mut got = vec![0.0; 10];
+        file.read_rows_into(0..10, &mut got).unwrap();
+        assert_eq!(got, &m.as_slice()[..10]);
+        let err = file.read_rows_into(5..11, &mut got[..6]).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
         std::fs::remove_file(&p).unwrap();
     }
 

@@ -6,6 +6,7 @@
 //!
 //! * [`DMatrix`] — an owned, contiguous row-major matrix.
 //! * [`RowView`] — a borrowed view over any `&[f64]` with row structure.
+//! * [`Rows`] — row access in global order over either, or over a placed layout.
 //! * [`io`] — the flat binary format used by the semi-external-memory module
 //!   (`knors`) and by the example/bench dataset writers.
 //! * [`shared`] — a low-level shared-slice primitive used by the parallel
@@ -13,6 +14,8 @@
 
 pub mod io;
 pub mod shared;
+
+use std::ops::Range;
 
 /// An owned, dense, row-major `n x d` matrix of `f64`.
 ///
@@ -122,13 +125,13 @@ impl DMatrix {
     /// This is the Fig. 1 partitioning: range `i` is the block handed to
     /// thread `i` (`alpha = n/T` rows per thread, with the remainder spread
     /// over the first `n % parts` ranges).
-    pub fn partition_rows(nrow: usize, parts: usize) -> Vec<std::ops::Range<usize>> {
+    pub fn partition_rows(nrow: usize, parts: usize) -> Vec<Range<usize>> {
         partition_rows(nrow, parts)
     }
 }
 
 /// Split `nrow` rows into `parts` near-equal contiguous ranges.
-pub fn partition_rows(nrow: usize, parts: usize) -> Vec<std::ops::Range<usize>> {
+pub fn partition_rows(nrow: usize, parts: usize) -> Vec<Range<usize>> {
     assert!(parts > 0, "cannot partition into zero parts");
     let base = nrow / parts;
     let extra = nrow % parts;
@@ -141,6 +144,72 @@ pub fn partition_rows(nrow: usize, parts: usize) -> Vec<std::ops::Range<usize>> 
     }
     debug_assert_eq!(start, nrow);
     out
+}
+
+/// Row access in global row order, whatever the storage: what the code
+/// that walks a dataset outside the engines' worker loop (initialization,
+/// the SSE pass) is written against, so it computes the same thing bit
+/// for bit over a contiguous [`DMatrix`] and over a NUMA-placed layout.
+/// Rows have at least one column.
+pub trait Rows: Sync {
+    /// Number of rows, `n`.
+    fn nrow(&self) -> usize;
+    /// Columns per row, `d`.
+    fn ncol(&self) -> usize;
+    /// Borrow row `i`.
+    fn row(&self, i: usize) -> &[f64];
+    /// The rows from `rows.start` on that sit in one slice of the storage,
+    /// as far as `rows.end`: at least one row of a non-empty range.
+    fn run(&self, rows: Range<usize>) -> &[f64];
+
+    /// The rows `rows`, in order. A scan resolves the storage once per
+    /// [`Rows::run`] instead of once per [`Rows::row`].
+    fn rows_in(&self, rows: Range<usize>) -> impl Iterator<Item = &[f64]> {
+        let d = self.ncol();
+        let mut next = rows.start;
+        std::iter::from_fn(move || {
+            (next < rows.end).then(|| {
+                let run = self.run(next..rows.end);
+                next += run.len() / d;
+                run.chunks_exact(d)
+            })
+        })
+        .flatten()
+    }
+}
+
+impl Rows for DMatrix {
+    fn nrow(&self) -> usize {
+        self.nrow
+    }
+    fn ncol(&self) -> usize {
+        self.ncol
+    }
+    #[inline]
+    fn row(&self, i: usize) -> &[f64] {
+        DMatrix::row(self, i)
+    }
+    #[inline]
+    fn run(&self, rows: Range<usize>) -> &[f64] {
+        &self.data[rows.start * self.ncol..rows.end * self.ncol]
+    }
+}
+
+impl Rows for RowView<'_> {
+    fn nrow(&self) -> usize {
+        RowView::nrow(self)
+    }
+    fn ncol(&self) -> usize {
+        self.ncol
+    }
+    #[inline]
+    fn row(&self, i: usize) -> &[f64] {
+        RowView::row(self, i)
+    }
+    #[inline]
+    fn run(&self, rows: Range<usize>) -> &[f64] {
+        &self.data[rows.start * self.ncol..rows.end * self.ncol]
+    }
 }
 
 /// A borrowed row-structured view over a flat `f64` slice.

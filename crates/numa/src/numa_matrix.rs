@@ -2,17 +2,26 @@
 //!
 //! [`NumaMatrix`] holds the dataset as one arena per NUMA node, with each
 //! thread's Fig. 1 row block stored contiguously inside its node's arena.
-//! On hosts that really have multiple nodes the arenas are first-touched by
+//! On hosts that really have multiple nodes each block is first-touched by
 //! a thread bound to the owning node, which — under Linux's default
 //! first-touch page placement policy — physically places the pages on that
 //! node's bank without needing `mbind`. On synthetic topologies the arenas
 //! are plain allocations and placement is purely logical (it still drives
 //! access classification for the cost model).
+//!
+//! There is one builder with two fills: [`NumaMatrix::load`] reads a file
+//! into place (one copy of the data, read in parallel, read = first
+//! touch) and [`NumaMatrix::from_dmatrix`] copies a matrix the caller
+//! already holds.
+
+use std::io;
+use std::ops::Range;
 
 use crate::bind::bind_current_thread;
 use crate::placement::Placement;
 use crate::topology::{NodeId, Topology};
-use knor_matrix::DMatrix;
+use knor_matrix::io::MatrixFile;
+use knor_matrix::{DMatrix, Rows};
 
 /// A matrix partitioned across NUMA-node arenas (Fig. 1 layout).
 #[derive(Debug)]
@@ -27,55 +36,84 @@ pub struct NumaMatrix {
 }
 
 impl NumaMatrix {
-    /// Distribute `m` across nodes according to `placement`.
-    ///
-    /// When `topo` is detected and has more than one node, arena pages are
-    /// first-touched from a thread bound to the owning node.
+    /// Distribute a copy of `m` across nodes according to `placement`.
     pub fn from_dmatrix(topo: &Topology, placement: &Placement, m: &DMatrix) -> Self {
         assert_eq!(m.nrow(), placement.nrow());
         let ncol = m.ncol();
-        let nnodes = placement.nnodes();
+        Self::build(topo, placement, ncol, |rows, block| {
+            block.copy_from_slice(&m.as_slice()[rows.start * ncol..rows.end * ncol]);
+            Ok(())
+        })
+        .expect("a copy cannot fail")
+    }
 
+    /// Read `file` straight into the placed layout: every placement thread
+    /// `pread`s its own Fig. 1 row block into its slice of its node's
+    /// arena, so the data is held once and the read is the first touch. A
+    /// failed read in any thread is returned after all of them have
+    /// stopped (the first, in thread order).
+    pub fn load(topo: &Topology, placement: &Placement, file: &MatrixFile) -> io::Result<Self> {
+        let h = file.header();
+        assert_eq!(h.nrow as usize, placement.nrow());
+        Self::build(topo, placement, h.ncol as usize, |rows, block| {
+            file.read_rows_into(rows, block)
+        })
+    }
+
+    /// The one builder: untouched arenas, split into the threads' blocks,
+    /// each block written by `fill(rows, block)` on a thread of its own.
+    ///
+    /// When `topo` is detected and has more than one node that thread is
+    /// bound to the block's node first, so the fill's writes — the first
+    /// touch of those pages — place them on that node's bank.
+    fn build(
+        topo: &Topology,
+        placement: &Placement,
+        ncol: usize,
+        fill: impl Fn(Range<usize>, &mut [f64]) -> io::Result<()> + Sync,
+    ) -> io::Result<Self> {
         // Arena size per node and per-thread base offsets within its arena.
-        let mut arena_rows = vec![0usize; nnodes];
+        let mut arena_rows = vec![0usize; placement.nnodes()];
         let mut thread_arena_base = vec![0usize; placement.nthreads()];
         for (t, base) in thread_arena_base.iter_mut().enumerate() {
             let node = placement.node_of_thread(t).0;
             *base = arena_rows[node];
             arena_rows[node] += placement.range_of_thread(t).len();
         }
+        // Allocated zeroed, which leaves large arenas' pages untouched.
+        let mut arenas: Vec<Vec<f64>> =
+            arena_rows.iter().map(|&rows| vec![0.0f64; rows * ncol]).collect();
 
         let do_bind = topo.is_detected() && topo.nodes() > 1;
-        let mut arenas: Vec<Vec<f64>> = Vec::with_capacity(nnodes);
+        let mut unsplit: Vec<&mut [f64]> = arenas.iter_mut().map(Vec::as_mut_slice).collect();
         std::thread::scope(|s| {
-            let mut handles = Vec::with_capacity(nnodes);
-            for (node, &rows) in arena_rows.iter().enumerate().take(nnodes) {
-                let placement = &placement;
-                let thread_arena_base = &thread_arena_base;
-                handles.push(s.spawn(move || {
-                    if do_bind {
-                        let _ = bind_current_thread(topo, NodeId(node));
-                    }
-                    // First touch happens here, on the (possibly bound) thread.
-                    let mut arena = vec![0.0f64; rows * ncol];
-                    for (t, &arena_base) in thread_arena_base.iter().enumerate() {
-                        if placement.node_of_thread(t).0 != node {
-                            continue;
+            let fills: Vec<_> = (0..placement.nthreads())
+                .map(|t| {
+                    let node = placement.node_of_thread(t);
+                    let rows = placement.range_of_thread(t);
+                    // Blocks sit in an arena in thread order, as
+                    // `thread_arena_base` says.
+                    let (block, rest) =
+                        std::mem::take(&mut unsplit[node.0]).split_at_mut(rows.len() * ncol);
+                    unsplit[node.0] = rest;
+                    let fill = &fill;
+                    s.spawn(move || {
+                        if do_bind {
+                            let _ = bind_current_thread(topo, node);
                         }
-                        let range = placement.range_of_thread(t);
-                        let base = arena_base * ncol;
-                        let src = &m.as_slice()[range.start * ncol..range.end * ncol];
-                        arena[base..base + src.len()].copy_from_slice(src);
-                    }
-                    arena
-                }));
-            }
-            for h in handles {
-                arenas.push(h.join().expect("arena population thread panicked"));
-            }
-        });
+                        fill(rows, block)
+                    })
+                })
+                .collect();
+            // Every thread is joined before the first error is reported.
+            let filled: Vec<io::Result<()>> = fills
+                .into_iter()
+                .map(|h| h.join().expect("arena population thread panicked"))
+                .collect();
+            filled.into_iter().collect::<io::Result<()>>()
+        })?;
 
-        Self { arenas, ncol, placement: placement.clone(), thread_arena_base }
+        Ok(Self { arenas, ncol, placement: placement.clone(), thread_arena_base })
     }
 
     /// Number of rows.
@@ -111,10 +149,16 @@ impl NumaMatrix {
     #[inline]
     pub fn row(&self, row: usize) -> (&[f64], NodeId) {
         let t = self.placement.thread_of_row(row);
-        let node = self.placement.node_of_thread(t);
-        let local = self.thread_arena_base[t] + (row - self.placement.range_of_thread(t).start);
-        let a = &self.arenas[node.0];
-        (&a[local * self.ncol..(local + 1) * self.ncol], node)
+        (self.in_block(t, row..row + 1), self.placement.node_of_thread(t))
+    }
+
+    /// `rows`, all of them in thread `t`'s block.
+    #[inline]
+    fn in_block(&self, t: usize, rows: Range<usize>) -> &[f64] {
+        let local =
+            self.thread_arena_base[t] + (rows.start - self.placement.thread_ranges()[t].start);
+        let a = &self.arenas[self.placement.node_of_thread(t).0];
+        &a[local * self.ncol..(local + rows.len()) * self.ncol]
     }
 
     /// Copy back into a contiguous [`DMatrix`] (tests / export).
@@ -130,6 +174,25 @@ impl NumaMatrix {
     /// Total heap bytes held by the arenas.
     pub fn heap_bytes(&self) -> u64 {
         self.arenas.iter().map(|a| (a.len() * 8) as u64).sum()
+    }
+}
+
+impl Rows for NumaMatrix {
+    fn nrow(&self) -> usize {
+        NumaMatrix::nrow(self)
+    }
+    fn ncol(&self) -> usize {
+        self.ncol
+    }
+    #[inline]
+    fn row(&self, i: usize) -> &[f64] {
+        NumaMatrix::row(self, i).0
+    }
+    /// As far as the end of the block `rows.start` is in.
+    fn run(&self, rows: Range<usize>) -> &[f64] {
+        let t = self.placement.thread_of_row(rows.start);
+        let block_end = self.placement.thread_ranges()[t].end;
+        self.in_block(t, rows.start..rows.end.min(block_end))
     }
 }
 

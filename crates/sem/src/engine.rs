@@ -400,6 +400,7 @@ impl SemKmeans {
                 memory,
                 sse,
                 numa,
+                load: None,
                 phases: outcome.phases,
             },
             io: report.io,

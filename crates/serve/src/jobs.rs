@@ -258,13 +258,9 @@ fn run_job(registry: &ModelRegistry, spec: &TrainSpec) -> Result<u32, String> {
 /// Run the configured engine; returns the trained centroid matrix plus
 /// the run's health diagnostics (surfaced by the `STATS` reply).
 fn train(spec: &TrainSpec) -> Result<(DMatrix, TrainDiag), String> {
-    let load = |p: &PathBuf| matrix_io::read_matrix(p).map_err(|e| format!("read {p:?}: {e}"));
+    let read_err = |p: &PathBuf, e: std::io::Error| format!("read {p:?}: {e}");
     match spec.engine {
         EngineKind::Im => {
-            let data = match &spec.source {
-                TrainSource::File(p) => load(p)?,
-                TrainSource::Matrix(m) => m.clone(),
-            };
             let mut cfg = KmeansConfig::new(spec.k)
                 .with_seed(spec.seed)
                 .with_pruning(spec.pruning)
@@ -274,7 +270,12 @@ fn train(spec: &TrainSpec) -> Result<(DMatrix, TrainDiag), String> {
             if let Some(t) = spec.threads {
                 cfg = cfg.with_threads(t);
             }
-            let r = Kmeans::new(cfg).fit(&data);
+            let km = Kmeans::new(cfg);
+            let r = match &spec.source {
+                // Loaded straight into the placed layout: held once.
+                TrainSource::File(p) => km.fit_file(p).map_err(|e| read_err(p, e))?,
+                TrainSource::Matrix(m) => km.fit(m),
+            };
             let diag = TrainDiag {
                 panicked_io_threads: 0,
                 publish_bytes: r.total_publish_bytes(),
@@ -332,11 +333,15 @@ fn train(spec: &TrainSpec) -> Result<(DMatrix, TrainDiag), String> {
                 let diag = dist_diag(&r);
                 return Ok((r.centroids, diag));
             }
+            let loaded;
             let data = match &spec.source {
-                TrainSource::File(p) => load(p)?,
-                TrainSource::Matrix(m) => m.clone(),
+                TrainSource::File(p) => {
+                    loaded = matrix_io::read_matrix(p).map_err(|e| read_err(p, e))?;
+                    &loaded
+                }
+                TrainSource::Matrix(m) => m,
             };
-            let r = DistKmeans::new(cfg).fit(&data);
+            let r = DistKmeans::new(cfg).fit(data);
             let diag = dist_diag(&r);
             Ok((r.centroids, diag))
         }

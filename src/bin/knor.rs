@@ -26,6 +26,8 @@
 //! `docs/PROTOCOL.md`.
 
 use knor::core::pruning::{yinyang_groups, PruneCounters};
+use knor::core::{LoadStats, MemoryFootprint};
+use knor::matrix::io::MatrixFile;
 use knor::prelude::*;
 use knor::serve::tcp::{Client, TcpServer};
 use knor::serve::{MuxConfig, MuxServer};
@@ -442,8 +444,12 @@ fn main() {
             );
         }
         "im" => {
-            let data = matrix_io::read_matrix(&o.file).unwrap_or_else(|e| io_die(&o.file, e));
-            let algo = algorithm(&o, data.nrow());
+            // Opened once: the header gives n and d here, the engine loads
+            // the payload straight into its placed layout.
+            let file = MatrixFile::open(&o.file).unwrap_or_else(|e| io_die(&o.file, e));
+            let h = file.header();
+            let (n, d) = (h.nrow as usize, h.ncol as usize);
+            let algo = algorithm(&o, n);
             let tune = tuning(&o);
             let mut cfg = KmeansConfig::new(o.k)
                 .with_init(init_method(&o))
@@ -462,12 +468,16 @@ fn main() {
                 cfg = cfg.with_trace(b.clone());
             }
             let t0 = std::time::Instant::now();
-            let r = Kmeans::new(cfg).fit(&data);
+            let r = Kmeans::new(cfg).fit_open(&file).unwrap_or_else(|e| io_die(&o.file, e));
             report("knori", r.niters, r.converged, r.sse, t0.elapsed());
             if o.stats {
-                println!("{}", kernel_note(&o, &tune, data.nrow(), o.k, data.ncol(), &algo));
-                print_prune(&o, &algo, data.nrow(), &r.total_prune());
+                println!("{}", kernel_note(&o, &tune, n, o.k, d, &algo));
+                print_prune(&o, &algo, n, &r.total_prune());
                 print_numa(&r.numa, r.total_publish_bytes(), r.niters);
+                if let Some(l) = &r.load {
+                    print_load(l);
+                }
+                print_memory(&r.memory);
             }
             finish_trace(&o, trace.as_ref(), r.phases.as_ref());
         }
@@ -505,6 +515,7 @@ fn main() {
                 println!("{}", kernel_note(&o, &tune, n, o.k, d, &algo));
                 print_prune(&o, &algo, n, &r.kmeans.total_prune());
                 print_numa(&r.kmeans.numa, r.kmeans.total_publish_bytes(), r.kmeans.niters);
+                print_memory(&r.kmeans.memory);
                 print_io_table(&r.io);
                 if r.panicked_io_threads > 0 {
                     println!("WARNING: {} prefetch thread(s) died mid-run", r.panicked_io_threads);
@@ -628,7 +639,7 @@ fn main() {
                 eprintln!("query needs --model and --file");
                 usage()
             }
-            let data = matrix_io::read_matrix(&o.file).expect("read failed");
+            let data = matrix_io::read_matrix(&o.file).unwrap_or_else(|e| io_die(&o.file, e));
             let n = if o.limit > 0 { o.limit.min(data.nrow()) } else { data.nrow() };
             let d = data.ncol();
             let batch = if o.batch > 0 { o.batch } else { 64 };
@@ -746,6 +757,36 @@ fn print_numa(numa: &NumaReport, publish_total: u64, niters: usize) {
         numa.requested.name(),
         if numa.replicated { "on" } else { "off" },
     );
+}
+
+/// The `--stats` load line: what reading the input into place cost. The
+/// "N iterations in X" line above includes it.
+fn print_load(l: &LoadStats) {
+    println!(
+        "load: bytes={} secs={:.3} MB/s={:.0} threads={}",
+        l.bytes,
+        l.secs,
+        l.bytes as f64 / 1e6 / l.secs.max(1e-9),
+        l.threads,
+    );
+}
+
+/// The `--stats` memory line: what the run accounts for (Table 1's terms)
+/// next to what the process peaked at. `VmHWM` also covers the binary,
+/// the allocator's slack and init's transient buffers.
+fn print_memory(m: &MemoryFootprint) {
+    let hwm = match vm_hwm_bytes() {
+        Some(b) => format!("{:.1}", b as f64 / 1e6),
+        None => "n/a".into(),
+    };
+    println!("memory: accounted_MB={:.1} VmHWM_MB={hwm}", m.total() as f64 / 1e6);
+}
+
+/// The process's peak resident set, where `/proc` reports one (Linux).
+fn vm_hwm_bytes() -> Option<u64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let kb = status.lines().find_map(|l| l.strip_prefix("VmHWM:"))?.trim().strip_suffix("kB")?;
+    Some(kb.trim().parse::<u64>().ok()? * 1024)
 }
 
 /// The one `--stats` table renderer: right-aligned columns sized to the

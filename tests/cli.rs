@@ -276,6 +276,8 @@ fn missing_and_truncated_inputs_are_one_line_errors() {
             vec!["sem", path, "-k", "4", "-t", "1"],
             vec!["sem", path, "-k", "4", "-t", "2"],
             vec!["dist", path, "-k", "4", "--ranks", "2", "--plane", "sem"],
+            // Reads its queries before it dials: nobody listens on port 1.
+            vec!["query", "--addr", "127.0.0.1:1", "--model", "m", "--file", path],
         ] {
             let out = knor().args(&engine).output().expect("spawn knor");
             assert_eq!(out.status.code(), Some(1), "{engine:?} must exit 1");
@@ -286,4 +288,47 @@ fn missing_and_truncated_inputs_are_one_line_errors() {
         }
     }
     std::fs::remove_file(&short).unwrap();
+}
+
+/// `knor im` holds its input once: the file is read straight into the
+/// placed layout, so the process peaks well under twice the file (it was
+/// 2.09x when a `DMatrix` was read first and copied), and `--stats` says
+/// what the load cost and what the run holds.
+#[test]
+fn im_stats_report_the_load_and_a_peak_under_one_and_a_half_inputs() {
+    let file = tmp("hwm.knor");
+    let gen = knor()
+        .args(["gen", file.to_str().unwrap(), "--dataset", "friendster32", "--scale", "0.0015"])
+        .output()
+        .expect("spawn gen");
+    assert!(gen.status.success(), "{}", String::from_utf8_lossy(&gen.stderr));
+    let file_bytes = std::fs::metadata(&file).unwrap().len();
+    assert!(file_bytes >= 16 << 20, "the input must dwarf the process's fixed costs");
+
+    let run = knor()
+        .args(["im", file.to_str().unwrap(), "-k", "8", "-i", "3", "-t", "4", "--stats"])
+        .output()
+        .expect("spawn im");
+    std::fs::remove_file(&file).unwrap();
+    assert!(run.status.success(), "{}", String::from_utf8_lossy(&run.stderr));
+    let stdout = String::from_utf8_lossy(&run.stdout);
+    let field = |line: &str, key: &str| -> String {
+        let l = stdout
+            .lines()
+            .find(|l| l.starts_with(line))
+            .unwrap_or_else(|| panic!("--stats must print a `{line}` line: {stdout}"));
+        let v = l.split_whitespace().find_map(|w| w.strip_prefix(key));
+        v.unwrap_or_else(|| panic!("no {key} in {l:?}")).to_string()
+    };
+    assert_eq!(field("load: ", "bytes="), (file_bytes - 24).to_string());
+    assert_eq!(field("load: ", "threads="), "4");
+    let accounted: f64 = field("memory: ", "accounted_MB=").parse().unwrap();
+    assert!(accounted * 1e6 >= (file_bytes - 24) as f64, "the data is accounted: {accounted}");
+    if cfg!(target_os = "linux") {
+        let hwm: f64 = field("memory: ", "VmHWM_MB=").parse().unwrap();
+        assert!(hwm >= accounted, "the peak covers what is accounted: {hwm} < {accounted}");
+        assert!(hwm * 1e6 <= 1.5 * file_bytes as f64, "peak {hwm} MB for a {file_bytes} B file");
+    } else {
+        assert_eq!(field("memory: ", "VmHWM_MB="), "n/a");
+    }
 }

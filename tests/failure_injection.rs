@@ -179,3 +179,44 @@ fn sem_read_failure_mid_run_is_an_error_not_a_hang() {
     let err = result.expect_err("half the file is gone");
     assert_eq!(err.kind(), std::io::ErrorKind::UnexpectedEof, "{err}");
 }
+
+#[test]
+fn file_that_shrinks_under_the_loader_is_an_error_and_the_server_keeps_serving() {
+    // As above, for the in-memory loader: the length check passed at open,
+    // then the file lost its second half. Every loader thread is joined
+    // and the first failed read comes back — never zeros clustered as data.
+    use knor::matrix::io::MatrixFile;
+    use knor::serve::JobStatus;
+
+    let data = MixtureSpec::friendster_like(2000, 4, 6).generate().data;
+    let p = tmp("load-shrink.knor");
+    matrix_io::write_matrix(&p, &data).unwrap();
+    let file = MatrixFile::open(&p).unwrap();
+    let full = std::fs::metadata(&p).unwrap().len();
+    std::fs::OpenOptions::new().write(true).open(&p).unwrap().set_len(full / 2).unwrap();
+    for threads in [1, 2, 5] {
+        let km = Kmeans::new(KmeansConfig::new(3).with_threads(threads).with_max_iters(5));
+        let err = km.fit_open(&file).expect_err("half the file is gone");
+        assert_eq!(err.kind(), std::io::ErrorKind::UnexpectedEof, "T={threads}: {err}");
+    }
+
+    // A TRAIN job on the short file fails with the read error, and the
+    // server goes on to train from a good source and answer queries.
+    let h = ServeHandle::start(ServeConfig::default().with_threads(2));
+    let bad = h.submit_train(TrainSpec::new("short", 3, TrainSource::File(p.clone())));
+    match h.wait_job(bad).unwrap() {
+        JobStatus::Failed { message } => {
+            assert!(
+                message.starts_with("read ") && message.contains("header declares"),
+                "{message}"
+            )
+        }
+        other => panic!("{other:?}"),
+    }
+    matrix_io::write_matrix(&p, &data).unwrap();
+    let good = h.submit_train(TrainSpec::new("whole", 3, TrainSource::File(p.clone())));
+    assert_eq!(h.wait_job(good).unwrap(), JobStatus::Done { version: 1 });
+    assert_eq!(h.predict("whole", &data).unwrap().assignments.len(), 2000);
+    assert!(h.registry().get("short").is_none());
+    std::fs::remove_file(&p).unwrap();
+}
