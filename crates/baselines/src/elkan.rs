@@ -8,7 +8,7 @@
 //! Section "Minimal Triangle Inequality Pruning").
 
 use knor_core::centroids::{finalize_means, Centroids, LocalAccum};
-use knor_core::distance::{centroid_distances, dist};
+use knor_core::distance::{dist, half_centroid_distances};
 use knor_core::pruning::PruneCounters;
 use knor_matrix::DMatrix;
 
@@ -39,7 +39,7 @@ pub fn elkan_full_ti(data: &DMatrix, init: &DMatrix, max_iters: usize) -> ElkanR
     let mut assignments = vec![0u32; n];
     let mut upper = vec![0.0f64; n];
     let mut lower = vec![0.0f64; n * k]; // the O(nk) matrix MTI drops
-    let mut ccdist = vec![0.0f64; k * k];
+    let mut half_cc = vec![0.0f64; k * k];
     let mut half_min = vec![0.0f64; k];
     let mut drift = vec![0.0f64; k];
     let mut accum = LocalAccum::new(k, d);
@@ -85,7 +85,7 @@ pub fn elkan_full_ti(data: &DMatrix, init: &DMatrix, max_iters: usize) -> ElkanR
                 lower[i * k + c] = (lower[i * k + c] - drift[c]).max(0.0);
             }
         }
-        centroid_distances(&cents.means, k, d, &mut ccdist, &mut half_min);
+        half_centroid_distances(&cents.means, k, d, &mut half_cc, &mut half_min);
 
         accum.reset();
         let mut changed = 0u64;
@@ -105,7 +105,7 @@ pub fn elkan_full_ti(data: &DMatrix, init: &DMatrix, max_iters: usize) -> ElkanR
                 }
                 // Elkan condition: candidate viable only if u > l(x,c) and
                 // u > ½ d(a,c).
-                if u <= lower[i * k + c] || u <= 0.5 * ccdist[a.min(c) * k + a.max(c)] {
+                if u <= lower[i * k + c] || u <= half_cc[a * k + c] {
                     counters.clause2_prunes += 1;
                     continue;
                 }
@@ -115,7 +115,7 @@ pub fn elkan_full_ti(data: &DMatrix, init: &DMatrix, max_iters: usize) -> ElkanR
                     upper[i] = u;
                     lower[i * k + a] = u;
                     tight = true;
-                    if u <= lower[i * k + c] || u <= 0.5 * ccdist[a.min(c) * k + a.max(c)] {
+                    if u <= lower[i * k + c] || u <= half_cc[a * k + c] {
                         counters.clause3_prunes += 1;
                         continue;
                     }

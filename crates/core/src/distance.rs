@@ -53,54 +53,40 @@ pub fn nearest(v: &[f64], centroids: &[f64], k: usize) -> (usize, f64) {
     (best, best_sq.sqrt())
 }
 
-/// Above this `k`, [`centroid_distances`] stops mirroring the lower
-/// triangle: readers use `out[min(i,j)*k + max(i,j)]` instead, halving the
-/// `O(k²)` store traffic the recompute pays every iteration.
-pub const MIRROR_MAX_K: usize = 64;
-
-/// Fill `out[i*k + j]` (`j > i`) with `d(centroid_i, centroid_j)` and
+/// Fill the `k x k` table `half[i*k + j] = ½·d(centroid_i, centroid_j)`
+/// (symmetric, `+∞` on the diagonal) and its row minima
 /// `half_min[i] = ½·min_{j≠i} d(c_i, c_j)` — the `O(k²)` structure MTI
-/// maintains each iteration. `out` is a full `k x k` buffer; the strict
-/// upper triangle is always computed, and for `k <= `[`MIRROR_MAX_K`] it is
-/// also mirrored into the lower triangle for O(1) unordered lookup. Larger
-/// `k` must look up `out[min(i,j)*k + max(i,j)]` (as
-/// [`crate::pruning::MtiIterState::half_cc`] does), saving half the stores.
-pub fn centroid_distances(
+/// maintains each iteration, stored as the values its clauses compare a
+/// bound against: row `i` holds, contiguously, every candidate's threshold
+/// for a point assigned to `i`, and a centroid is never its own candidate.
+pub fn half_centroid_distances(
     centroids: &[f64],
     k: usize,
     d: usize,
-    out: &mut [f64],
+    half: &mut [f64],
     half_min: &mut [f64],
 ) {
     debug_assert_eq!(centroids.len(), k * d);
-    debug_assert_eq!(out.len(), k * k);
-    debug_assert_eq!(half_min.len(), k);
-    let mirror = k <= MIRROR_MAX_K;
-    for x in half_min.iter_mut() {
-        *x = f64::INFINITY;
-    }
+    debug_assert_eq!(half.len(), k * k);
     for i in 0..k {
-        out[i * k + i] = 0.0;
+        half[i * k + i] = f64::INFINITY;
         for j in (i + 1)..k {
-            let dij = dist(&centroids[i * d..(i + 1) * d], &centroids[j * d..(j + 1) * d]);
-            out[i * k + j] = dij;
-            if mirror {
-                out[j * k + i] = dij;
-            }
-            if dij < half_min[i] {
-                half_min[i] = dij;
-            }
-            if dij < half_min[j] {
-                half_min[j] = dij;
-            }
+            let h = 0.5 * dist(&centroids[i * d..(i + 1) * d], &centroids[j * d..(j + 1) * d]);
+            half[i * k + j] = h;
+            half[j * k + i] = h;
         }
     }
-    for x in half_min.iter_mut() {
-        *x *= 0.5;
-        if !x.is_finite() {
-            // k == 1: no other centroid, Clause 1 can never fire.
-            *x = 0.0;
-        }
+    half_row_minima(half, k, half_min);
+}
+
+/// `half_min[i] = min_j half[i*k + j]` over a filled table (the `+∞`
+/// diagonal excludes `j = i`), `0` when there is no other centroid.
+pub fn half_row_minima(half: &[f64], k: usize, half_min: &mut [f64]) {
+    debug_assert_eq!(half_min.len(), k);
+    for (row, m) in half.chunks_exact(k.max(1)).zip(half_min.iter_mut()) {
+        let min = row.iter().copied().fold(f64::INFINITY, f64::min);
+        // k == 1: no other centroid, Clause 1 can never fire.
+        *m = if min.is_finite() { min } else { 0.0 };
     }
 }
 
@@ -131,50 +117,45 @@ mod tests {
     }
 
     #[test]
-    fn centroid_distance_matrix_symmetric_and_halved() {
+    fn half_distance_table_is_symmetric_with_an_infinite_diagonal() {
         let cents = [0.0, 0.0, 3.0, 4.0, 0.0, 8.0]; // pairwise: 5, 8, 5
-        let mut out = vec![0.0; 9];
-        let mut half = vec![0.0; 3];
-        centroid_distances(&cents, 3, 2, &mut out, &mut half);
-        assert!((out[1] - 5.0).abs() < 1e-12);
-        assert!((out[3] - 5.0).abs() < 1e-12);
-        assert!((out[2] - 8.0).abs() < 1e-12);
-        assert!((out[5] - 5.0).abs() < 1e-12);
-        assert_eq!(half, vec![2.5, 2.5, 2.5]);
+        let mut half = vec![0.0; 9];
+        let mut half_min = vec![0.0; 3];
+        half_centroid_distances(&cents, 3, 2, &mut half, &mut half_min);
+        let inf = f64::INFINITY;
+        assert_eq!(half, vec![inf, 2.5, 4.0, 2.5, inf, 2.5, 4.0, 2.5, inf]);
+        assert_eq!(half_min, vec![2.5, 2.5, 2.5]);
     }
 
     #[test]
-    fn large_k_skips_mirror_but_triangle_is_complete() {
-        let k = MIRROR_MAX_K + 6;
+    fn half_table_entries_are_half_the_exact_distance_at_any_k() {
+        let k = 70;
         let d = 3;
         let cents: Vec<f64> = (0..k * d).map(|x| ((x * 37) % 101) as f64 * 0.13).collect();
-        let mut out = vec![f64::NAN; k * k];
-        let mut half = vec![0.0; k];
-        centroid_distances(&cents, k, d, &mut out, &mut half);
+        let mut half = vec![f64::NAN; k * k];
+        let mut half_min = vec![0.0; k];
+        half_centroid_distances(&cents, k, d, &mut half, &mut half_min);
         for i in 0..k {
-            assert_eq!(out[i * k + i], 0.0);
-            for j in (i + 1)..k {
-                let want = dist(&cents[i * d..(i + 1) * d], &cents[j * d..(j + 1) * d]);
-                assert_eq!(out[i * k + j], want, "upper triangle ({i},{j})");
-                assert!(out[j * k + i].is_nan(), "lower triangle ({j},{i}) must be untouched");
+            assert_eq!(half[i * k + i], f64::INFINITY);
+            for j in 0..k {
+                if j != i {
+                    let want = 0.5 * dist(&cents[i * d..(i + 1) * d], &cents[j * d..(j + 1) * d]);
+                    assert_eq!(half[i * k + j].to_bits(), want.to_bits(), "({i},{j})");
+                }
             }
-        }
-        // half_min still sees every pair despite the skipped mirror.
-        for i in 0..k {
-            let min: f64 = (0..k)
-                .filter(|&j| j != i)
-                .map(|j| out[i.min(j) * k + i.max(j)])
-                .fold(f64::INFINITY, f64::min);
-            assert_eq!(half[i], 0.5 * min, "half_min[{i}]");
+            let min =
+                (0..k).filter(|&j| j != i).map(|j| half[i * k + j]).fold(f64::INFINITY, f64::min);
+            assert_eq!(half_min[i], min, "half_min[{i}]");
         }
     }
 
     #[test]
     fn single_centroid_half_min_is_zero() {
-        let mut out = vec![0.0; 1];
-        let mut half = vec![9.9; 1];
-        centroid_distances(&[1.0, 2.0], 1, 2, &mut out, &mut half);
-        assert_eq!(half[0], 0.0);
+        let mut half = vec![0.0; 1];
+        let mut half_min = vec![9.9; 1];
+        half_centroid_distances(&[1.0, 2.0], 1, 2, &mut half, &mut half_min);
+        assert_eq!(half, vec![f64::INFINITY]);
+        assert_eq!(half_min[0], 0.0);
     }
 
     #[test]

@@ -55,12 +55,12 @@ use knor_sched::TaskQueue;
 
 use crate::algo::{MmAlgorithm, UpdateCtx};
 use crate::centroids::{finalize_means, Centroids, LocalAccum};
-use crate::distance::{dist, nearest, MIRROR_MAX_K};
+use crate::distance::{dist, nearest};
 use crate::kernel::{centroid_sqnorms, sqnorm, KernelKind, ResolvedKernel};
 use crate::plane::{DataPlane, DrainScratch};
 use crate::pruning::{mti_assign, MtiIterState, PruneCounters, Pruning, YinyangState};
 use crate::replica::{NodeReplicas, OpLog, ReplicaState};
-use crate::stats::IterStats;
+use crate::stats::{CommitCounters, IterStats};
 use crate::sync::ExclusiveCell;
 use crate::trace::{Phase, PhaseBreakdown, TraceHandle, WorkerTracer};
 
@@ -125,6 +125,8 @@ impl DriverConfig {
 pub struct WorkerReport {
     /// Pruning outcome counters.
     pub counters: PruneCounters,
+    /// How the rows were reached and how often the panel was packed.
+    pub commit: CommitCounters,
     /// Assignments changed by this worker.
     pub reassigned: u64,
     /// Rows whose data was actually touched.
@@ -143,6 +145,7 @@ impl WorkerReport {
     /// into a vector at the call site, not here).
     fn absorb(&mut self, o: &WorkerReport) {
         self.counters.merge(&o.counters);
+        self.commit.merge(&o.commit);
         self.reassigned += o.reassigned;
         self.rows_accessed += o.rows_accessed;
         self.aux += o.aux;
@@ -237,9 +240,16 @@ pub struct NoReduce;
 
 impl Reducer for NoReduce {}
 
+/// Above this `k` (and with more than one worker) the `O(k²·d)` rebuild of
+/// MTI's half-distance table is spread over the workers, between two extra
+/// barriers; at or below it the coordinator's serial rebuild is cheaper
+/// than those barriers.
+const PARALLEL_CC_ABOVE_K: usize = 64;
+
 /// A `Send + Sync` raw pointer to a shared `f64` buffer, used for the
-/// barrier-ordered, row-disjoint parallel ccdist writes (the same manual
-/// discipline as [`ExclusiveCell`], expressed at element granularity).
+/// barrier-ordered, pair-disjoint parallel half-distance writes (the same
+/// manual discipline as [`ExclusiveCell`], expressed at element
+/// granularity).
 struct RawSlicePtr(*mut f64);
 // Safety: all access is disjoint-by-construction and barrier-ordered.
 unsafe impl Send for RawSlicePtr {}
@@ -310,11 +320,11 @@ pub fn run_mm<P: DataPlane + ?Sized, R: Reducer>(
     } else {
         Vec::new()
     });
-    // For large k the O(k²·d) distance-matrix recompute dominates the
+    // For large k the O(k²·d) half-distance recompute dominates the
     // coordinator window; the workers are idling at the next barrier, so
-    // they fill disjoint row slices of the (unmirrored) triangle instead.
-    // Yinyang has no distance matrix — its per-iteration state is O(k+t).
-    let parallel_cc = scheme == Pruning::Mti && nthreads > 1 && k > MIRROR_MAX_K;
+    // they fill disjoint pairs of the table instead. Yinyang has no
+    // distance table — its per-iteration state is O(k+t).
+    let parallel_cc = scheme == Pruning::Mti && nthreads > 1 && k > PARALLEL_CC_ABOVE_K;
 
     // One-time Yinyang centroid grouping, before any worker spawns. It is
     // deterministic in `init`, so every knord rank derives the identical
@@ -327,7 +337,7 @@ pub fn run_mm<P: DataPlane + ?Sized, R: Reducer>(
     let next_cents = ExclusiveCell::new(Centroids::zeros(k, d));
     let mti = ExclusiveCell::new(MtiIterState::new(if scheme == Pruning::Mti { k } else { 0 }));
     let yy_cell = ExclusiveCell::new(yy_init);
-    // Base of the ccdist buffer for the parallel recompute phase. The
+    // Base of the half-distance table for the parallel recompute phase. The
     // coordinator re-derives this every iteration from its live exclusive
     // borrow (keeping the pointer's provenance valid — no `&mut` to the MTI
     // state is created between the capture and the workers' writes), and
@@ -603,8 +613,8 @@ pub fn run_mm<P: DataPlane + ?Sized, R: Reducer>(
                     // exactly the centroids whose state the canonical
                     // copy refreshes are the ones the node writers
                     // copy (iteration 0 publishes in full to root the
-                    // replicas' bitwise induction — their ccdist was
-                    // installed zeroed while the canonical rebuild
+                    // replicas' bitwise induction — their table was
+                    // installed unfilled while the canonical rebuild
                     // fills every pair).
                     let mut log = replicas.is_some().then(|| unsafe { oplog.get_mut() });
                     if let Some(l) = log.as_mut() {
@@ -635,7 +645,7 @@ pub fn run_mm<P: DataPlane + ?Sized, R: Reducer>(
                             // state is not touched again (by
                             // reference) until finalize after E.
                             // Safety: coordinator window.
-                            unsafe { cc_base.get_mut() }.0 = m.ccdist.as_mut_ptr();
+                            unsafe { cc_base.get_mut() }.0 = m.half_cc.as_mut_ptr();
                         }
                     }
                 }
@@ -663,6 +673,7 @@ pub fn run_mm<P: DataPlane + ?Sized, R: Reducer>(
                     reassigned: totals.reassigned,
                     rows_accessed: totals.rows_accessed,
                     prune: totals.counters,
+                    commit: totals.commit,
                     wall_ns: t0.elapsed().as_nanos() as u64,
                     queue: queue.stats(),
                     tallies,
@@ -715,12 +726,12 @@ pub fn run_mm<P: DataPlane + ?Sized, R: Reducer>(
                 }
                 if !stop.load(Ordering::Acquire) {
                     let tcc = tr.as_ref().map(|t| t.now());
-                    // Each worker owns rows i ≡ w (mod T) of the
-                    // distance matrix; interleaving balances the
-                    // shrinking triangle rows. Only the upper
-                    // triangle is written (k > MIRROR_MAX_K, so
-                    // lookups are ordered) — row-disjoint writes
-                    // through the captured base pointer.
+                    // Each worker owns the pairs (i, j > i) with
+                    // i ≡ w (mod T); interleaving balances the
+                    // shrinking triangle rows. It writes both
+                    // mirror entries of a pair (the diagonal keeps
+                    // the +∞ it was built with) — pair-disjoint
+                    // writes through the captured base pointer.
                     let cents_now = unsafe { centroids.get() };
                     // Safety: published by the coordinator before D.
                     let cc = unsafe { cc_base.get() }.0;
@@ -728,11 +739,16 @@ pub fn run_mm<P: DataPlane + ?Sized, R: Reducer>(
                     while i < k {
                         let ci = cents_now.mean(i);
                         for j in (i + 1)..k {
-                            let dij = dist(ci, cents_now.mean(j));
-                            // Safety: (i, j) pairs are disjoint
-                            // across workers; D/E barriers order
-                            // these writes against all readers.
-                            unsafe { *cc.add(i * k + j) = dij };
+                            let half = 0.5 * dist(ci, cents_now.mean(j));
+                            // Safety: a pair belongs to the owner of
+                            // its lower index, so (i, j) and (j, i)
+                            // are written by this worker alone; D/E
+                            // barriers order these writes against
+                            // all readers.
+                            unsafe {
+                                *cc.add(i * k + j) = half;
+                                *cc.add(j * k + i) = half;
+                            }
                         }
                         i += nthreads;
                     }
@@ -1539,13 +1555,13 @@ mod tests {
 
     #[test]
     fn parallel_ccdist_recompute_matches_serial_path() {
-        // k > MIRROR_MAX_K with several threads exercises the barrier D/E
+        // k > PARALLEL_CC_ABOVE_K with several threads exercises the barrier D/E
         // parallel distance-matrix phase; one thread takes the serial path.
         // 72 tight, well-separated blobs in round-robin row order: rows
         // 0..k seed one centroid per blob, so every engine roots instantly
         // and every clause decision has a huge margin — the trajectories
         // are identical across thread counts.
-        let k = MIRROR_MAX_K + 8;
+        let k = PARALLEL_CC_ABOVE_K + 8;
         let per_blob = 10;
         let n = k * per_blob;
         let d = 2;
@@ -1619,9 +1635,9 @@ mod tests {
     #[test]
     fn replicated_parallel_ccdist_matches() {
         // Replication composed with the barrier D/E parallel distance-matrix
-        // phase (k > MIRROR_MAX_K): barrier P must also cover the
+        // phase (k > PARALLEL_CC_ABOVE_K): barrier P must also cover the
         // finalize_half_min write.
-        let k = MIRROR_MAX_K + 8;
+        let k = PARALLEL_CC_ABOVE_K + 8;
         let per_blob = 10;
         let n = k * per_blob;
         let d = 2;

@@ -404,8 +404,8 @@ impl Kmeans {
 }
 
 /// The in-memory NUMA data plane: NUMA-aware (or oblivious) row access
-/// with exact access tallies — a direct row source for the shared worker
-/// loop.
+/// with exact access tallies — a direct row source over the arenas, which
+/// the shared worker loop reads in place, one block of a task at a time.
 struct ImPlane<'a> {
     cfg: &'a KmeansConfig,
     topo: &'a Topology,
@@ -432,12 +432,11 @@ impl DataPlane for ImPlane<'_> {
         let d = view.cents.d;
         let mut tally =
             self.cfg.track_tallies.then(|| AccessTally::new(self.thread_node[w], self.nnodes));
-        let mut rows = Direct::new(d, |r| {
-            let (v, home) = self.data.row(r);
+        let mut rows = Direct::new(self.data, |first, rows| {
             if let Some(t) = tally.as_mut() {
-                t.record_access(home, self.row_bytes);
+                let rows = rows as u64;
+                t.record_block(self.data.node_of_row(first), rows, rows * self.row_bytes);
             }
-            v
         });
         let mut rep = drain(&mut rows, w, view, accum, scratch)?;
         if let Some(t) = tally.as_mut() {

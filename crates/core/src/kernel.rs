@@ -25,9 +25,17 @@
 //! (≤ 1e-9 relative on distances, see DESIGN.md §7) and is never used where
 //! MTI bound invariants require exact upper bounds.
 //!
-//! MTI iterations (`iter > 0` with pruning on) keep the per-row clause
-//! machine — each row carries its own bound state, so there is no shared
-//! centroid tile to batch against.
+//! The GEMM path's cache-resident operand is not a row tile but the
+//! centroid matrix itself, transposed and padded ([`CentroidPanel`]). The
+//! caller packs it — [`crate::plane::drain`] once per worker per compute
+//! super-phase, [`assign_rows`] once per call — and every block of that
+//! phase streams past the same panel through [`assign_rows_packed`].
+//!
+//! MTI iterations (`iter > 0` with pruning on) do not come through here:
+//! each row carries its own bound, the bound leaves three of `k`
+//! candidates open on average, and a full scan of the surviving rows costs
+//! more than the clause machine does (measured, DESIGN.md §7). Their
+//! candidate scan is the bitmask walk in [`crate::pruning::mti_assign`].
 
 use crate::centroids::Centroids;
 use crate::distance::{nearest, sqdist};
@@ -149,6 +157,16 @@ impl ResolvedKernel {
         self.cent_tile = cent_tile.clamp(1, k.max(1));
         self
     }
+
+    /// Rows a direct row source hands the kernel per call: as many whole
+    /// row tiles as fit [`L2_BLOCK_BYTES`], so the pass over the block
+    /// that follows the kernel call (accumulate, store the assignment)
+    /// finds its rows still in cache. A row's result does not depend on
+    /// the blocking.
+    pub fn block_rows(&self, d: usize) -> usize {
+        let tiles = L2_BLOCK_BYTES / (d.max(1) * 8) / self.row_tile.max(1);
+        tiles.max(1) * self.row_tile.max(1)
+    }
 }
 
 /// Below this many multiply-adds per row (`k·d`), staging a tile costs more
@@ -163,6 +181,11 @@ pub const GEMM_CUTOFF: usize = 2048;
 /// L1 budget (bytes) each of the centroid tile and the row tile should fit
 /// in — half a typical 32 KB L1d apiece.
 const TILE_BYTES: usize = 16 * 1024;
+
+/// L2 budget (bytes) for one block of rows: the share the GEMM d-block
+/// already counts on staying L2-resident (a 64-centroid × [`GEMM_DBLOCK`]
+/// panel slice), a quarter of the smallest L2 the engines meet.
+const L2_BLOCK_BYTES: usize = GEMM_DBLOCK * 64 * 8;
 
 impl KernelKind {
     /// Resolve the requested kernel for a `(k, d)` problem. `pruning`
@@ -220,6 +243,87 @@ pub fn sqnorm(v: &[f64]) -> f64 {
     sum
 }
 
+/// The GEMM path's packed operand: the centroid matrix transposed to
+/// `d × kp` (`k` rounded up to the micro-kernel's lane count, pad columns
+/// zero) so that for a fixed dimension the values of consecutive centroids
+/// sit in contiguous vector lanes, plus the `‖c‖²` vector padded with `+∞`
+/// (a pad column can never win a strict-`<` race).
+///
+/// A panel is a function of the centroids alone, so one [`Self::pack`]
+/// serves every row block scanned against those centroids
+/// ([`assign_rows_packed`]). Grow-only: re-packing for the same shape never
+/// allocates.
+#[derive(Debug, Clone, Default)]
+pub struct CentroidPanel {
+    packed: Vec<f64>,
+    cnorms: Vec<f64>,
+    k: usize,
+    d: usize,
+    kp: usize,
+    /// [`Self::stamp_of`] the operands of the last pack.
+    stamp: u64,
+}
+
+impl CentroidPanel {
+    /// Pack `cents` and their squared norms `cnorms` (`len k`), replacing
+    /// whatever the panel held.
+    pub fn pack(&mut self, cents: &Centroids, cnorms: &[f64]) {
+        let (k, d) = (cents.k(), cents.d);
+        debug_assert_eq!(cnorms.len(), k);
+        let lanes = panel_lanes();
+        let kp = k.div_ceil(lanes) * lanes;
+        // Every slot in use is overwritten below — real columns by the
+        // transpose, pad columns explicitly — so a larger panel left by an
+        // earlier shape needs no clear.
+        if self.packed.len() < kp * d {
+            self.packed.resize(kp * d, 0.0);
+        }
+        if self.cnorms.len() < kp {
+            self.cnorms.resize(kp, f64::INFINITY);
+        }
+        self.cnorms[..k].copy_from_slice(cnorms);
+        self.cnorms[k..kp].fill(f64::INFINITY);
+        let packed = &mut self.packed;
+        for (c, mean) in cents.means.chunks_exact(d.max(1)).enumerate() {
+            for (j, &v) in mean.iter().enumerate() {
+                packed[j * kp + c] = v;
+            }
+        }
+        for j in 0..d {
+            packed[j * kp + k..(j + 1) * kp].fill(0.0);
+        }
+        (self.k, self.d, self.kp) = (k, d, kp);
+        // Only debug builds read it.
+        self.stamp = if cfg!(debug_assertions) { Self::stamp_of(cents, cnorms) } else { 0 };
+    }
+
+    /// A fingerprint of the operands a panel was packed from: what lets a
+    /// debug build catch a panel used after its centroids moved.
+    fn stamp_of(cents: &Centroids, cnorms: &[f64]) -> u64 {
+        let mut h = (cents.k() as u64) << 32 | cents.d as u64;
+        for x in cents.means.iter().chain(cnorms) {
+            h = (h.rotate_left(5) ^ x.to_bits()).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        }
+        h
+    }
+
+    /// Whether the panel holds exactly `cents`/`cnorms`.
+    fn is_packed_from(&self, cents: &Centroids, cnorms: &[f64]) -> bool {
+        (self.k, self.d) == (cents.k(), cents.d) && self.stamp == Self::stamp_of(cents, cnorms)
+    }
+}
+
+/// Centroid columns per micro-kernel pass, which the panel pads `k` to:
+/// sixteen for the AVX-512 kernel, eight for the AVX2 one (and for the
+/// portable path, which reads the row-major centroids instead).
+fn panel_lanes() -> usize {
+    #[cfg(target_arch = "x86_64")]
+    if avx512_usable() {
+        return 16;
+    }
+    8
+}
+
 /// Assign every row of a contiguous `m × d` block to its nearest centroid,
 /// resizing `best`/`best_dist` to `m` (grow-only). Dispatches on `rk.kind`;
 /// `cnorms` is only read on the norm-trick path and may be empty otherwise.
@@ -230,6 +334,9 @@ pub fn sqnorm(v: &[f64]) -> f64 {
 /// finalization pass (square roots, and the norm-trick's per-row
 /// `O(d)` norm reconstruction) is skipped and `best_dist` holds kernel-
 /// internal scores with unspecified meaning.
+///
+/// This is [`CentroidPanel::pack`] + [`assign_rows_packed`]: a caller with
+/// more than one block per set of centroids packs once itself.
 #[allow(clippy::too_many_arguments)]
 pub fn assign_rows(
     block: &[f64],
@@ -241,70 +348,68 @@ pub fn assign_rows(
     best_dist: &mut Vec<f64>,
     need_dist: bool,
 ) {
+    let mut panel = CentroidPanel::default();
+    if rk.kind == ResolvedKind::Gemm {
+        panel.pack(cents, cnorms);
+    }
+    assign_rows_packed(block, d, cents, rk, cnorms, &panel, best, best_dist, need_dist);
+}
+
+/// [`assign_rows`] against an already packed `panel`, which must have been
+/// packed from `cents`/`cnorms` when `rk.kind` is [`ResolvedKind::Gemm`]
+/// (checked in debug builds) and is not read otherwise. A row's result
+/// does not depend on which other rows share its block, so any blocking of
+/// the same rows gives the same `best`/`best_dist`, bit for bit.
+#[allow(clippy::too_many_arguments)]
+pub fn assign_rows_packed(
+    block: &[f64],
+    d: usize,
+    cents: &Centroids,
+    rk: &ResolvedKernel,
+    cnorms: &[f64],
+    panel: &CentroidPanel,
+    best: &mut Vec<u32>,
+    best_dist: &mut Vec<f64>,
+    need_dist: bool,
+) {
     debug_assert_eq!(block.len() % d.max(1), 0);
     let m = block.len().checked_div(d).unwrap_or(0);
     best.clear();
     best.resize(m, 0);
     best_dist.clear();
     best_dist.resize(m, 0.0);
-    if rk.kind == ResolvedKind::Gemm {
-        // One call for the whole block: the GEMM path's cache-resident
-        // object is the packed centroid panel, not a row tile, and rows
-        // stream through it exactly once — re-blocking would only repeat
-        // the pack per `row_tile` rows. Per-row results are independent,
-        // so this is numerically identical to the blocked dispatch below.
-        gemm_tile_scored(block, d, cents, cnorms, rk.cent_tile, best, best_dist);
-        if need_dist {
-            normtrick_finalize(block, d, best_dist);
-        }
-        return;
-    }
+    // The GEMM path takes the whole block in one pass: its cache-resident
+    // operand is the packed panel, which rows stream past exactly once,
+    // so nothing there is sized by `row_tile`.
+    let tile = if rk.kind == ResolvedKind::Gemm {
+        debug_assert!(panel.is_packed_from(cents, cnorms), "stale or unpacked centroid panel");
+        m.max(1)
+    } else {
+        rk.row_tile
+    };
     let mut start = 0usize;
     while start < m {
-        let end = (start + rk.row_tile).min(m);
+        let end = (start + tile).min(m);
         let sub = &block[start * d..end * d];
+        let (tile_best, tile_dist) = (&mut best[start..end], &mut best_dist[start..end]);
         match rk.kind {
             ResolvedKind::Scalar => {
                 for (i, row) in sub.chunks_exact(d).enumerate() {
                     let (a, da) = nearest(row, &cents.means, cents.k());
-                    best[start + i] = a as u32;
-                    best_dist[start + i] = da;
+                    tile_best[i] = a as u32;
+                    tile_dist[i] = da;
                 }
             }
-            ResolvedKind::Tiled => assign_tile_scored(
-                sub,
-                d,
-                cents,
-                rk.cent_tile,
-                &mut best[start..end],
-                &mut best_dist[start..end],
-            ),
-            ResolvedKind::Fma => fma_tile_scored(
-                sub,
-                d,
-                cents,
-                rk.cent_tile,
-                &mut best[start..end],
-                &mut best_dist[start..end],
-            ),
-            ResolvedKind::NormTrick => normtrick_tile_scored(
-                sub,
-                d,
-                cents,
-                cnorms,
-                rk.cent_tile,
-                &mut best[start..end],
-                &mut best_dist[start..end],
-            ),
-            ResolvedKind::Gemm => gemm_tile_scored(
-                sub,
-                d,
-                cents,
-                cnorms,
-                rk.cent_tile,
-                &mut best[start..end],
-                &mut best_dist[start..end],
-            ),
+            ResolvedKind::Tiled => {
+                assign_tile_scored(sub, d, cents, rk.cent_tile, tile_best, tile_dist)
+            }
+            ResolvedKind::Fma => fma_tile_scored(sub, d, cents, rk.cent_tile, tile_best, tile_dist),
+            ResolvedKind::NormTrick => {
+                normtrick_tile_scored(sub, d, cents, cnorms, rk.cent_tile, tile_best, tile_dist)
+            }
+            ResolvedKind::Gemm => {
+                gemm_tile_scored(sub, d, cents, cnorms, panel, rk.cent_tile, tile_best, tile_dist)
+            }
         }
         start = end;
     }
@@ -537,7 +642,7 @@ fn fma_tile_scored(
 /// inline into a caller without the feature).
 #[cfg(target_arch = "x86_64")]
 mod x86 {
-    use super::{dot, sqdist, tile_scan, Centroids};
+    use super::{dot, sqdist, tile_scan, CentroidPanel, Centroids};
 
     /// [`super::assign_tile`]'s scan, AVX-enabled.
     ///
@@ -626,22 +731,13 @@ mod x86 {
         );
     }
 
-    std::thread_local! {
-        /// Grow-only pack scratch for the fused GEMM path: the centroid
-        /// panel transposed to `d × k_padded` plus the padded norm vector.
-        /// Thread-local so steady-state iterations never allocate.
-        static GEMM_PACK: std::cell::RefCell<(Vec<f64>, Vec<f64>)> =
-            const { std::cell::RefCell::new((Vec::new(), Vec::new())) };
-    }
-
     /// [`super::gemm_tile_scored`]'s fused path: a register-blocked GEMM.
     ///
-    /// The row-major centroid matrix is repacked **transposed** (`d ×
-    /// k_padded`, `k` rounded up to 8 with `+∞`-normed padding that can
-    /// never win a strict-`<` race), so that for a fixed dimension `j` the
-    /// values of eight consecutive centroids sit in two contiguous vector
-    /// lanes. The micro-kernel then evaluates **four rows × eight
-    /// centroids** per pass: one broadcast per row element, two packed
+    /// In the packed panel ([`CentroidPanel`]: `d × k_padded`, `k` rounded
+    /// up to 8 with `+∞`-normed padding that can never win a strict-`<`
+    /// race) the values of eight consecutive centroids sit, for a fixed
+    /// dimension `j`, in two contiguous vector lanes. The micro-kernel
+    /// evaluates **four rows × eight centroids** per pass: one broadcast per row element, two packed
     /// loads per dimension, eight independent FMA accumulators — ~16
     /// double FLOPs per cycle on AVX2 ports, with every accumulator
     /// staying in a register across the whole `d` loop (no score-panel
@@ -650,121 +746,93 @@ mod x86 {
     /// every other path; sequential-over-`j` accumulation re-orders the
     /// sum vs the 4-lane reference dot, which the ≤ 1e-9 band absorbs.
     ///
-    /// The pack costs `k·d` scalar writes per row block — under 1% of the
-    /// `m·k·d` multiply-adds it unlocks for any block ≥ the row tile.
-    ///
     /// # Safety
     /// Caller must have verified AVX2 + FMA support at runtime.
     #[target_feature(enable = "avx2,fma")]
     pub unsafe fn gemm_tile_fma(
         block: &[f64],
-        d: usize,
-        cents: &Centroids,
-        cnorms: &[f64],
-        _cent_tile: usize,
+        panel: &CentroidPanel,
         best: &mut [u32],
         best_dist: &mut [f64],
     ) {
         use std::arch::x86_64::*;
+        let (d, kp) = (panel.d, panel.kp);
         let m = block.len() / d.max(1);
-        let k = cents.k();
-        let kp = (k + 7) & !7;
+        assert!(kp % 8 == 0 && panel.packed.len() >= kp * d && panel.cnorms.len() >= kp);
         debug_assert!(best.len() == m && best_dist.len() == m);
-        GEMM_PACK.with(|cell| {
-            let mut scratch = cell.borrow_mut();
-            let (packed, cn) = &mut *scratch;
-            // Grow-only scratch: every slot below is overwritten — real
-            // columns by the transpose, pad columns explicitly — so no
-            // full clear is needed between calls (or shapes).
-            if packed.len() < kp * d {
-                packed.resize(kp * d, 0.0);
-            }
-            if cn.len() < kp {
-                cn.resize(kp, f64::INFINITY);
-            }
-            cn[..k].copy_from_slice(cnorms);
-            cn[k..kp].iter_mut().for_each(|x| *x = f64::INFINITY);
-            for (c, mean) in cents.means.chunks_exact(d.max(1)).enumerate() {
-                for (j, &v) in mean.iter().enumerate() {
-                    packed[j * kp + c] = v;
-                }
-            }
-            for j in 0..d {
-                packed[j * kp + k..j * kp + kp].iter_mut().for_each(|x| *x = 0.0);
-            }
-            let pk = packed.as_ptr();
-            let mut r = 0usize;
-            while r + 4 <= m {
-                let rows = [
-                    block.as_ptr().add(r * d),
-                    block.as_ptr().add((r + 1) * d),
-                    block.as_ptr().add((r + 2) * d),
-                    block.as_ptr().add((r + 3) * d),
-                ];
-                let mut bd = [f64::INFINITY; 4];
-                let mut bi = [0u32; 4];
-                let mut c8 = 0usize;
-                while c8 < kp {
-                    let pb = pk.add(c8);
-                    let mut acc = [_mm256_setzero_pd(); 8];
-                    for j in 0..d {
-                        let b0 = _mm256_loadu_pd(pb.add(j * kp));
-                        let b1 = _mm256_loadu_pd(pb.add(j * kp + 4));
-                        for (rr, row) in rows.iter().enumerate() {
-                            let a = _mm256_set1_pd(*row.add(j));
-                            acc[2 * rr] = _mm256_fmadd_pd(a, b0, acc[2 * rr]);
-                            acc[2 * rr + 1] = _mm256_fmadd_pd(a, b1, acc[2 * rr + 1]);
-                        }
-                    }
-                    for rr in 0..4 {
-                        let mut dp = [0.0f64; 8];
-                        _mm256_storeu_pd(dp.as_mut_ptr(), acc[2 * rr]);
-                        _mm256_storeu_pd(dp.as_mut_ptr().add(4), acc[2 * rr + 1]);
-                        for (ci, &dpv) in dp.iter().enumerate() {
-                            let sc = cn[c8 + ci] - 2.0 * dpv;
-                            if sc < bd[rr] {
-                                bd[rr] = sc;
-                                bi[rr] = (c8 + ci) as u32;
-                            }
-                        }
-                    }
-                    c8 += 8;
-                }
-                best_dist[r..r + 4].copy_from_slice(&bd);
-                best[r..r + 4].copy_from_slice(&bi);
-                r += 4;
-            }
-            // Remainder rows: the same packed panel, one row at a time.
-            for i in r..m {
-                let row = block.as_ptr().add(i * d);
-                let mut bd = f64::INFINITY;
-                let mut bi = 0u32;
-                let mut c8 = 0usize;
-                while c8 < kp {
-                    let pb = pk.add(c8);
-                    let mut a0 = _mm256_setzero_pd();
-                    let mut a1 = _mm256_setzero_pd();
-                    for j in 0..d {
+        let cn = &panel.cnorms;
+        let pk = panel.packed.as_ptr();
+        let mut r = 0usize;
+        while r + 4 <= m {
+            let rows = [
+                block.as_ptr().add(r * d),
+                block.as_ptr().add((r + 1) * d),
+                block.as_ptr().add((r + 2) * d),
+                block.as_ptr().add((r + 3) * d),
+            ];
+            let mut bd = [f64::INFINITY; 4];
+            let mut bi = [0u32; 4];
+            let mut c8 = 0usize;
+            while c8 < kp {
+                let pb = pk.add(c8);
+                let mut acc = [_mm256_setzero_pd(); 8];
+                for j in 0..d {
+                    let b0 = _mm256_loadu_pd(pb.add(j * kp));
+                    let b1 = _mm256_loadu_pd(pb.add(j * kp + 4));
+                    for (rr, row) in rows.iter().enumerate() {
                         let a = _mm256_set1_pd(*row.add(j));
-                        a0 = _mm256_fmadd_pd(a, _mm256_loadu_pd(pb.add(j * kp)), a0);
-                        a1 = _mm256_fmadd_pd(a, _mm256_loadu_pd(pb.add(j * kp + 4)), a1);
+                        acc[2 * rr] = _mm256_fmadd_pd(a, b0, acc[2 * rr]);
+                        acc[2 * rr + 1] = _mm256_fmadd_pd(a, b1, acc[2 * rr + 1]);
                     }
+                }
+                for rr in 0..4 {
                     let mut dp = [0.0f64; 8];
-                    _mm256_storeu_pd(dp.as_mut_ptr(), a0);
-                    _mm256_storeu_pd(dp.as_mut_ptr().add(4), a1);
+                    _mm256_storeu_pd(dp.as_mut_ptr(), acc[2 * rr]);
+                    _mm256_storeu_pd(dp.as_mut_ptr().add(4), acc[2 * rr + 1]);
                     for (ci, &dpv) in dp.iter().enumerate() {
                         let sc = cn[c8 + ci] - 2.0 * dpv;
-                        if sc < bd {
-                            bd = sc;
-                            bi = (c8 + ci) as u32;
+                        if sc < bd[rr] {
+                            bd[rr] = sc;
+                            bi[rr] = (c8 + ci) as u32;
                         }
                     }
-                    c8 += 8;
                 }
-                best_dist[i] = bd;
-                best[i] = bi;
+                c8 += 8;
             }
-        });
+            best_dist[r..r + 4].copy_from_slice(&bd);
+            best[r..r + 4].copy_from_slice(&bi);
+            r += 4;
+        }
+        // Remainder rows: the same packed panel, one row at a time.
+        for i in r..m {
+            let row = block.as_ptr().add(i * d);
+            let mut bd = f64::INFINITY;
+            let mut bi = 0u32;
+            let mut c8 = 0usize;
+            while c8 < kp {
+                let pb = pk.add(c8);
+                let mut a0 = _mm256_setzero_pd();
+                let mut a1 = _mm256_setzero_pd();
+                for j in 0..d {
+                    let a = _mm256_set1_pd(*row.add(j));
+                    a0 = _mm256_fmadd_pd(a, _mm256_loadu_pd(pb.add(j * kp)), a0);
+                    a1 = _mm256_fmadd_pd(a, _mm256_loadu_pd(pb.add(j * kp + 4)), a1);
+                }
+                let mut dp = [0.0f64; 8];
+                _mm256_storeu_pd(dp.as_mut_ptr(), a0);
+                _mm256_storeu_pd(dp.as_mut_ptr().add(4), a1);
+                for (ci, &dpv) in dp.iter().enumerate() {
+                    let sc = cn[c8 + ci] - 2.0 * dpv;
+                    if sc < bd {
+                        bd = sc;
+                        bi = (c8 + ci) as u32;
+                    }
+                }
+                c8 += 8;
+            }
+            best_dist[i] = bd;
+            best[i] = bi;
+        }
     }
 
     /// The AVX-512 variant of [`gemm_tile_fma`]: the same packed-transpose
@@ -788,17 +856,14 @@ mod x86 {
     #[target_feature(enable = "avx512f")]
     pub unsafe fn gemm_tile_avx512(
         block: &[f64],
-        d: usize,
-        cents: &Centroids,
-        cnorms: &[f64],
-        _cent_tile: usize,
+        panel: &CentroidPanel,
         best: &mut [u32],
         best_dist: &mut [f64],
     ) {
         use std::arch::x86_64::*;
+        let (d, kp) = (panel.d, panel.kp);
         let m = block.len() / d.max(1);
-        let k = cents.k();
-        let kp = (k + 15) & !15;
+        assert!(kp % 16 == 0 && panel.packed.len() >= kp * d && panel.cnorms.len() >= kp);
         debug_assert!(best.len() == m && best_dist.len() == m);
         // Reduce one row's 8-lane champions (scores + indices) to the
         // scalar first-minimum: strictly smaller score wins, an exactly
@@ -820,111 +885,88 @@ mod x86 {
             }
             (bd, bi)
         };
-        GEMM_PACK.with(|cell| {
-            let mut scratch = cell.borrow_mut();
-            let (packed, cn) = &mut *scratch;
-            // Grow-only scratch: every slot below is overwritten — real
-            // columns by the transpose, pad columns explicitly — so no
-            // full clear is needed between calls (or shapes).
-            if packed.len() < kp * d {
-                packed.resize(kp * d, 0.0);
-            }
-            if cn.len() < kp {
-                cn.resize(kp, f64::INFINITY);
-            }
-            cn[..k].copy_from_slice(cnorms);
-            cn[k..kp].iter_mut().for_each(|x| *x = f64::INFINITY);
-            for (c, mean) in cents.means.chunks_exact(d.max(1)).enumerate() {
-                for (j, &v) in mean.iter().enumerate() {
-                    packed[j * kp + c] = v;
-                }
-            }
-            for j in 0..d {
-                packed[j * kp + k..j * kp + kp].iter_mut().for_each(|x| *x = 0.0);
-            }
-            let pk = packed.as_ptr();
-            let pcn = cn.as_ptr();
-            let iota = _mm512_set_epi64(7, 6, 5, 4, 3, 2, 1, 0);
-            let two = _mm512_set1_pd(2.0);
-            let inf = _mm512_set1_pd(f64::INFINITY);
-            let mut r = 0usize;
-            while r + 4 <= m {
-                let rows = [
-                    block.as_ptr().add(r * d),
-                    block.as_ptr().add((r + 1) * d),
-                    block.as_ptr().add((r + 2) * d),
-                    block.as_ptr().add((r + 3) * d),
-                ];
-                let mut vs = [inf; 4];
-                let mut vi = [_mm512_setzero_si512(); 4];
-                let mut c16 = 0usize;
-                while c16 < kp {
-                    let pb = pk.add(c16);
-                    let mut acc = [_mm512_setzero_pd(); 8];
-                    for j in 0..d {
-                        let b0 = _mm512_loadu_pd(pb.add(j * kp));
-                        let b1 = _mm512_loadu_pd(pb.add(j * kp + 8));
-                        for (rr, row) in rows.iter().enumerate() {
-                            let a = _mm512_set1_pd(*row.add(j));
-                            acc[2 * rr] = _mm512_fmadd_pd(a, b0, acc[2 * rr]);
-                            acc[2 * rr + 1] = _mm512_fmadd_pd(a, b1, acc[2 * rr + 1]);
-                        }
-                    }
-                    let cn0 = _mm512_loadu_pd(pcn.add(c16));
-                    let cn1 = _mm512_loadu_pd(pcn.add(c16 + 8));
-                    let idx0 = _mm512_add_epi64(iota, _mm512_set1_epi64(c16 as i64));
-                    let idx1 = _mm512_add_epi64(iota, _mm512_set1_epi64((c16 + 8) as i64));
-                    for rr in 0..4 {
-                        let s0 = _mm512_fnmadd_pd(two, acc[2 * rr], cn0);
-                        let m0 = _mm512_cmp_pd_mask::<_CMP_LT_OQ>(s0, vs[rr]);
-                        vs[rr] = _mm512_mask_blend_pd(m0, vs[rr], s0);
-                        vi[rr] = _mm512_mask_blend_epi64(m0, vi[rr], idx0);
-                        let s1 = _mm512_fnmadd_pd(two, acc[2 * rr + 1], cn1);
-                        let m1 = _mm512_cmp_pd_mask::<_CMP_LT_OQ>(s1, vs[rr]);
-                        vs[rr] = _mm512_mask_blend_pd(m1, vs[rr], s1);
-                        vi[rr] = _mm512_mask_blend_epi64(m1, vi[rr], idx1);
-                    }
-                    c16 += 16;
-                }
-                for rr in 0..4 {
-                    let (bd, bi) = reduce(vs[rr], vi[rr]);
-                    best_dist[r + rr] = bd;
-                    best[r + rr] = bi;
-                }
-                r += 4;
-            }
-            // Remainder rows: the same packed panel, one row at a time.
-            for i in r..m {
-                let row = block.as_ptr().add(i * d);
-                let mut vs = inf;
-                let mut vi = _mm512_setzero_si512();
-                let mut c16 = 0usize;
-                while c16 < kp {
-                    let pb = pk.add(c16);
-                    let mut a0 = _mm512_setzero_pd();
-                    let mut a1 = _mm512_setzero_pd();
-                    for j in 0..d {
+        let pk = panel.packed.as_ptr();
+        let pcn = panel.cnorms.as_ptr();
+        let iota = _mm512_set_epi64(7, 6, 5, 4, 3, 2, 1, 0);
+        let two = _mm512_set1_pd(2.0);
+        let inf = _mm512_set1_pd(f64::INFINITY);
+        let mut r = 0usize;
+        while r + 4 <= m {
+            let rows = [
+                block.as_ptr().add(r * d),
+                block.as_ptr().add((r + 1) * d),
+                block.as_ptr().add((r + 2) * d),
+                block.as_ptr().add((r + 3) * d),
+            ];
+            let mut vs = [inf; 4];
+            let mut vi = [_mm512_setzero_si512(); 4];
+            let mut c16 = 0usize;
+            while c16 < kp {
+                let pb = pk.add(c16);
+                let mut acc = [_mm512_setzero_pd(); 8];
+                for j in 0..d {
+                    let b0 = _mm512_loadu_pd(pb.add(j * kp));
+                    let b1 = _mm512_loadu_pd(pb.add(j * kp + 8));
+                    for (rr, row) in rows.iter().enumerate() {
                         let a = _mm512_set1_pd(*row.add(j));
-                        a0 = _mm512_fmadd_pd(a, _mm512_loadu_pd(pb.add(j * kp)), a0);
-                        a1 = _mm512_fmadd_pd(a, _mm512_loadu_pd(pb.add(j * kp + 8)), a1);
+                        acc[2 * rr] = _mm512_fmadd_pd(a, b0, acc[2 * rr]);
+                        acc[2 * rr + 1] = _mm512_fmadd_pd(a, b1, acc[2 * rr + 1]);
                     }
-                    let s0 = _mm512_fnmadd_pd(two, a0, _mm512_loadu_pd(pcn.add(c16)));
-                    let idx0 = _mm512_add_epi64(iota, _mm512_set1_epi64(c16 as i64));
-                    let m0 = _mm512_cmp_pd_mask::<_CMP_LT_OQ>(s0, vs);
-                    vs = _mm512_mask_blend_pd(m0, vs, s0);
-                    vi = _mm512_mask_blend_epi64(m0, vi, idx0);
-                    let s1 = _mm512_fnmadd_pd(two, a1, _mm512_loadu_pd(pcn.add(c16 + 8)));
-                    let idx1 = _mm512_add_epi64(iota, _mm512_set1_epi64((c16 + 8) as i64));
-                    let m1 = _mm512_cmp_pd_mask::<_CMP_LT_OQ>(s1, vs);
-                    vs = _mm512_mask_blend_pd(m1, vs, s1);
-                    vi = _mm512_mask_blend_epi64(m1, vi, idx1);
-                    c16 += 16;
                 }
-                let (bd, bi) = reduce(vs, vi);
-                best_dist[i] = bd;
-                best[i] = bi;
+                let cn0 = _mm512_loadu_pd(pcn.add(c16));
+                let cn1 = _mm512_loadu_pd(pcn.add(c16 + 8));
+                let idx0 = _mm512_add_epi64(iota, _mm512_set1_epi64(c16 as i64));
+                let idx1 = _mm512_add_epi64(iota, _mm512_set1_epi64((c16 + 8) as i64));
+                for rr in 0..4 {
+                    let s0 = _mm512_fnmadd_pd(two, acc[2 * rr], cn0);
+                    let m0 = _mm512_cmp_pd_mask::<_CMP_LT_OQ>(s0, vs[rr]);
+                    vs[rr] = _mm512_mask_blend_pd(m0, vs[rr], s0);
+                    vi[rr] = _mm512_mask_blend_epi64(m0, vi[rr], idx0);
+                    let s1 = _mm512_fnmadd_pd(two, acc[2 * rr + 1], cn1);
+                    let m1 = _mm512_cmp_pd_mask::<_CMP_LT_OQ>(s1, vs[rr]);
+                    vs[rr] = _mm512_mask_blend_pd(m1, vs[rr], s1);
+                    vi[rr] = _mm512_mask_blend_epi64(m1, vi[rr], idx1);
+                }
+                c16 += 16;
             }
-        });
+            for rr in 0..4 {
+                let (bd, bi) = reduce(vs[rr], vi[rr]);
+                best_dist[r + rr] = bd;
+                best[r + rr] = bi;
+            }
+            r += 4;
+        }
+        // Remainder rows: the same packed panel, one row at a time.
+        for i in r..m {
+            let row = block.as_ptr().add(i * d);
+            let mut vs = inf;
+            let mut vi = _mm512_setzero_si512();
+            let mut c16 = 0usize;
+            while c16 < kp {
+                let pb = pk.add(c16);
+                let mut a0 = _mm512_setzero_pd();
+                let mut a1 = _mm512_setzero_pd();
+                for j in 0..d {
+                    let a = _mm512_set1_pd(*row.add(j));
+                    a0 = _mm512_fmadd_pd(a, _mm512_loadu_pd(pb.add(j * kp)), a0);
+                    a1 = _mm512_fmadd_pd(a, _mm512_loadu_pd(pb.add(j * kp + 8)), a1);
+                }
+                let s0 = _mm512_fnmadd_pd(two, a0, _mm512_loadu_pd(pcn.add(c16)));
+                let idx0 = _mm512_add_epi64(iota, _mm512_set1_epi64(c16 as i64));
+                let m0 = _mm512_cmp_pd_mask::<_CMP_LT_OQ>(s0, vs);
+                vs = _mm512_mask_blend_pd(m0, vs, s0);
+                vi = _mm512_mask_blend_epi64(m0, vi, idx0);
+                let s1 = _mm512_fnmadd_pd(two, a1, _mm512_loadu_pd(pcn.add(c16 + 8)));
+                let idx1 = _mm512_add_epi64(iota, _mm512_set1_epi64((c16 + 8) as i64));
+                let m1 = _mm512_cmp_pd_mask::<_CMP_LT_OQ>(s1, vs);
+                vs = _mm512_mask_blend_pd(m1, vs, s1);
+                vi = _mm512_mask_blend_epi64(m1, vi, idx1);
+                c16 += 16;
+            }
+            let (bd, bi) = reduce(vs, vi);
+            best_dist[i] = bd;
+            best[i] = bi;
+        }
     }
 
     /// Squared distances of four rows to two centroids with fused
@@ -1279,11 +1321,13 @@ std::thread_local! {
 /// `‖c‖² − 2·dot` in ascending candidate order with a strict `<` —
 /// the same tie discipline as every other path. `best_dist` is left
 /// holding the winning scores (the caller finalizes like the norm trick).
+#[allow(clippy::too_many_arguments)]
 fn gemm_tile_scored(
     block: &[f64],
     d: usize,
     cents: &Centroids,
     cnorms: &[f64],
+    panel: &CentroidPanel,
     cent_tile: usize,
     best: &mut [u32],
     best_dist: &mut [f64],
@@ -1293,15 +1337,17 @@ fn gemm_tile_scored(
     {
         if avx512_usable() {
             // Safety: AVX-512F support verified at runtime.
-            unsafe { x86::gemm_tile_avx512(block, d, cents, cnorms, cent_tile, best, best_dist) };
+            unsafe { x86::gemm_tile_avx512(block, panel, best, best_dist) };
             return;
         }
         if fma_usable() {
             // Safety: FMA + AVX2 support verified at runtime.
-            unsafe { x86::gemm_tile_fma(block, d, cents, cnorms, cent_tile, best, best_dist) };
+            unsafe { x86::gemm_tile_fma(block, panel, best, best_dist) };
             return;
         }
     }
+    // No fused micro-kernel on this machine: the portable scans read the
+    // row-major centroids and leave the panel alone.
     if d <= GEMM_DBLOCK {
         // Single d-block: skip the panel round-trip and score inline (see
         // the fused variant for the argument; bitwise equal to the panel
@@ -1684,6 +1730,111 @@ mod tests {
         let (mut best, mut dist) = (Vec::new(), Vec::new());
         assign_rows(&block, 4, &cents, &rk, &cnorms, &mut best, &mut dist, true);
         assert_eq!(best, vec![0, 0]);
+    }
+
+    /// Every kernel the run can resolve to, as the driver would resolve it.
+    fn every_kind(k: usize, d: usize) -> Vec<ResolvedKernel> {
+        [
+            KernelKind::Scalar,
+            KernelKind::Tiled,
+            KernelKind::Fma,
+            KernelKind::NormTrick,
+            KernelKind::Gemm,
+        ]
+        .iter()
+        .map(|kind| kind.resolve(k, d, false))
+        .collect()
+    }
+
+    /// `rows` through [`assign_rows_packed`] in blocks of `step` rows.
+    #[allow(clippy::too_many_arguments)]
+    fn blocked(
+        rows: &[f64],
+        d: usize,
+        cents: &Centroids,
+        rk: &ResolvedKernel,
+        cnorms: &[f64],
+        panel: &CentroidPanel,
+        step: usize,
+    ) -> (Vec<u32>, Vec<u64>) {
+        let (mut best, mut bits) = (Vec::new(), Vec::new());
+        let (mut b, mut bd) = (Vec::new(), Vec::new());
+        for block in rows.chunks(step * d) {
+            assign_rows_packed(block, d, cents, rk, cnorms, panel, &mut b, &mut bd, true);
+            best.extend_from_slice(&b);
+            bits.extend(bd.iter().map(|x| x.to_bits()));
+        }
+        (best, bits)
+    }
+
+    /// What lets the worker loop choose its block size freely, and pack
+    /// once for all of an iteration's blocks: a row's winner and distance
+    /// do not depend on the rows it shares a call with, nor on how many
+    /// calls the panel has already served. `k` straddles the panel's pad
+    /// columns (8 and 16 lanes), `d % 4 != 0` the lane remainders, and the
+    /// steps the 4-row micro-kernel, the row tile and the ragged tail.
+    #[test]
+    fn packed_assignment_is_independent_of_the_blocking() {
+        let (m, d) = (1003, 7);
+        for k in [1usize, 15, 16, 17, 64] {
+            let (rows, mut cents) = random_case(m, k, d, 40 + k as u64);
+            let mut cnorms = vec![0.0; k];
+            let mut panel = CentroidPanel::default();
+            // Two sets of centroids through one panel: packed, reused by
+            // every call below, re-packed after the centroids move.
+            for round in 0..2 {
+                centroid_sqnorms(&cents, &mut cnorms);
+                panel.pack(&cents, &cnorms);
+                for rk in every_kind(k, d) {
+                    let whole = blocked(&rows, d, &cents, &rk, &cnorms, &panel, m);
+                    for step in [1usize, 3, 63, 64, 65, 1000] {
+                        let got = blocked(&rows, d, &cents, &rk, &cnorms, &panel, step);
+                        assert_eq!(got, whole, "{:?} k={k} step={step} round={round}", rk.kind);
+                    }
+                    // And `assign_rows` is exactly pack + packed.
+                    let (mut b, mut bd) = (Vec::new(), Vec::new());
+                    assign_rows(&rows, d, &cents, &rk, &cnorms, &mut b, &mut bd, true);
+                    let bits: Vec<u64> = bd.iter().map(|x| x.to_bits()).collect();
+                    assert_eq!((b, bits), whole, "{:?} k={k} round={round}", rk.kind);
+                }
+                for x in cents.means.iter_mut() {
+                    *x = 0.5 * *x + 0.25;
+                }
+            }
+        }
+    }
+
+    /// A panel that outlived its centroids is a bug in the caller; debug
+    /// builds catch it at the call.
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "stale or unpacked centroid panel")]
+    fn stale_panel_is_caught_in_debug_builds() {
+        let (rows, mut cents) = random_case(8, 5, 6, 3);
+        let mut cnorms = vec![0.0; 5];
+        centroid_sqnorms(&cents, &mut cnorms);
+        let mut panel = CentroidPanel::default();
+        panel.pack(&cents, &cnorms);
+        cents.means[7] += 1.0;
+        centroid_sqnorms(&cents, &mut cnorms);
+        let rk = KernelKind::Gemm.resolve(5, 6, false);
+        let (mut b, mut bd) = (Vec::new(), Vec::new());
+        assign_rows_packed(&rows, 6, &cents, &rk, &cnorms, &panel, &mut b, &mut bd, false);
+    }
+
+    #[test]
+    fn block_rows_are_whole_row_tiles_within_the_l2_budget() {
+        for d in [1usize, 3, 32, 100, 5000, 40_000] {
+            let rk = KernelKind::Gemm.resolve(64, d, false);
+            let rows = rk.block_rows(d);
+            assert!(rows >= rk.row_tile && rows.is_multiple_of(rk.row_tile), "d={d}: {rows}");
+            assert!(
+                rows == rk.row_tile || rows * d * 8 <= L2_BLOCK_BYTES,
+                "d={d}: {rows} rows overflow the budget"
+            );
+        }
+        // The benchmark's dense shape: 512 rows of 256 B.
+        assert_eq!(KernelKind::Gemm.resolve(64, 32, false).block_rows(32), 512);
     }
 
     #[test]

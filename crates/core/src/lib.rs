@@ -71,6 +71,6 @@ pub use kernel::{fma_usable, KernelKind, ResolvedKernel, ResolvedKind};
 pub use plane::{DataPlane, DrainScratch, RowSource, SlicePlane};
 pub use pruning::Pruning;
 pub use replica::{NodeReplicas, OpLog, ReplicaState, Replication};
-pub use stats::{IterStats, KmeansResult, LoadStats, MemoryFootprint, NumaReport};
+pub use stats::{CommitCounters, IterStats, KmeansResult, LoadStats, MemoryFootprint, NumaReport};
 pub use trace::{Phase, PhaseBreakdown, PhaseGroup, Span, TraceBuf, TraceHandle, WorkerTracer};
 pub use tune::{TileChoice, TuneKey, TunePolicy, TuneTable, Tuning};

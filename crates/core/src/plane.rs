@@ -15,12 +15,20 @@
 //! | pre-fetch filter| `in_scope` · MTI clause 1 · Yinyang global filter      | algorithm, scheme, `iter > 0`       |
 //! | commit          | block via `algo.map_block` · block via `assign_rows` + [`RowFilter::establish`] · per-row [`RowFilter::commit`] | algorithm, scheme, `iter > 0` |
 //!
-//! A direct source borrows rows in place and gathers a contiguous block
-//! only when a block commit asks for one; a staged source fetches a whole
-//! filtered task into the worker's scratch, declares that fetching costs
-//! I/O ([`RowSource::STAGED`]) and thereby gets the depth-2 pipeline: the
-//! filter for the *next* task runs, and its prefetch is submitted, before
-//! the *current* task commits.
+//! A direct source resolves a task's storage once ([`Rows::run`]) and
+//! borrows from that run: single rows by offset, and a block as a
+//! sub-slice whenever its row ids are consecutive — every block of an
+//! unscoped run. Only a scoped algorithm's id lists (mini-batch) have
+//! holes, and only those are gathered into scratch. A staged source
+//! fetches a whole filtered task into the worker's scratch, declares that
+//! fetching costs I/O ([`RowSource::STAGED`]) and thereby gets the depth-2
+//! pipeline: the filter for the *next* task runs, and its prefetch is
+//! submitted, before the *current* task commits.
+//!
+//! What is a function of the iteration alone is prepared once per call,
+//! before the first task: the GEMM kernel's [`CentroidPanel`] is packed
+//! into the worker's scratch and every block of the super-phase scans
+//! against that one panel.
 //!
 //! Whatever the cell, rows are staged and committed in **task row order**,
 //! so for a deterministic task→worker mapping the iteration trajectory is
@@ -28,13 +36,12 @@
 //! knord's `RankPlane` knob relies on.
 
 use std::io;
-use std::marker::PhantomData;
 
-use knor_matrix::RowView;
+use knor_matrix::{RowView, Rows};
 
 use crate::centroids::LocalAccum;
 use crate::driver::{Filter, IterView, RowFilter, WorkerReport};
-use crate::kernel::assign_rows;
+use crate::kernel::{assign_rows_packed, CentroidPanel, ResolvedKind};
 use crate::stats::IterStats;
 use crate::trace::{Phase, WorkerTracer};
 
@@ -107,47 +114,121 @@ pub trait RowSource {
 
     /// Rows `ids` — the staged task's `at`-th onwards — as one contiguous
     /// block. The default serves a staged source, which already holds them
-    /// contiguously in `data`; [`Direct`] gathers them there.
-    fn block<'a>(&mut self, data: &'a mut Vec<f64>, at: usize, ids: &[usize]) -> &'a [f64] {
+    /// contiguously in `data`; [`Direct`] borrows them in place when they
+    /// are consecutive and gathers them into `data` otherwise.
+    fn block<'a>(&'a mut self, data: &'a mut Vec<f64>, at: usize, ids: &[usize]) -> &'a [f64] {
         &data[at * self.d()..(at + ids.len()) * self.d()]
     }
-}
 
-/// The direct row source: rows are addressable memory and `fetch(r)`
-/// borrows row `r` (recording whatever the plane wants to know about the
-/// access — knori's cost-model tallies).
-pub struct Direct<'data, F> {
-    fetch: F,
-    d: usize,
-    rows: PhantomData<&'data [f64]>,
-}
-
-impl<'data, F: FnMut(usize) -> &'data [f64]> Direct<'data, F> {
-    /// A direct source of `d`-dimensional rows.
-    pub fn new(d: usize, fetch: F) -> Self {
-        Self { fetch, d, rows: PhantomData }
+    /// Rows [`Self::block`] had to copy since this source was made.
+    fn gathered_rows(&self) -> u64 {
+        0
     }
 }
 
-impl<'data, F: FnMut(usize) -> &'data [f64]> RowSource for Direct<'data, F> {
+/// The direct row source: rows are addressable memory, read where they
+/// lie. A task is a row range inside one block of the storage
+/// ([`knor_sched::TaskQueue::refill`] never lets one span two), so
+/// [`RowSource::stage`] resolves it with one [`Rows::run`] and everything
+/// after that is offset arithmetic; a task that did span blocks would
+/// re-resolve at each boundary and gather the blocks that straddle one.
+/// The current run stays valid from task to task — it is re-resolved only
+/// when a row outside it is asked for.
+///
+/// `on_borrow(first, rows)` hears of every run a task borrows from — its
+/// first needed row and how many needed rows lie in it (knori's
+/// cost-model tallies).
+pub struct Direct<'data, R: ?Sized, F> {
+    rows: &'data R,
+    on_borrow: F,
+    d: usize,
+    /// The run being read: rows `start..end` of the storage.
+    run: &'data [f64],
+    start: usize,
+    end: usize,
+    /// One past the last needed row of the staged task.
+    task_end: usize,
+    gathered: u64,
+}
+
+impl<'data, R: Rows + ?Sized, F: FnMut(usize, usize)> Direct<'data, R, F> {
+    /// A direct source over `rows`.
+    pub fn new(rows: &'data R, on_borrow: F) -> Self {
+        let d = rows.ncol();
+        Self { rows, on_borrow, d, run: &[], start: 0, end: 0, task_end: 0, gathered: 0 }
+    }
+
+    /// Make the run that holds row `r` the current one.
+    #[inline]
+    fn seek(&mut self, r: usize) {
+        if r < self.start || r >= self.end {
+            self.run = self.rows.run(r..self.task_end);
+            self.start = r;
+            self.end = r + self.run.len() / self.d;
+        }
+    }
+
+    /// Row `r` (`'data`, not the borrow of `self`: gathers copy from it
+    /// while writing into scratch).
+    #[inline]
+    fn fetch(&mut self, r: usize) -> &'data [f64] {
+        self.seek(r);
+        let at = (r - self.start) * self.d;
+        &self.run[at..at + self.d]
+    }
+}
+
+impl<R: Rows + ?Sized, F: FnMut(usize, usize)> RowSource for Direct<'_, R, F> {
     fn d(&self) -> usize {
         self.d
     }
 
-    #[inline]
-    fn row<'a>(&'a mut self, _staged: &'a [f64], _i: usize, r: usize) -> &'a [f64] {
-        (self.fetch)(r)
+    /// Resolve the task's storage and report what is borrowed from it.
+    fn stage(
+        &mut self,
+        needed: &[usize],
+        _scratch: &mut DrainScratch,
+        _tracer: Option<&WorkerTracer<'_>>,
+    ) -> io::Result<u64> {
+        self.task_end = needed.last().map_or(0, |&r| r + 1);
+        let mut at = 0;
+        while at < needed.len() {
+            let first = needed[at];
+            self.seek(first);
+            let end = self.end;
+            let inside = needed[at..].partition_point(|&r| r < end);
+            (self.on_borrow)(first, inside);
+            at += inside;
+        }
+        Ok(0)
     }
 
-    fn block<'a>(&mut self, data: &'a mut Vec<f64>, _at: usize, ids: &[usize]) -> &'a [f64] {
+    #[inline]
+    fn row<'a>(&'a mut self, _staged: &'a [f64], _i: usize, r: usize) -> &'a [f64] {
+        self.fetch(r)
+    }
+
+    fn block<'a>(&'a mut self, data: &'a mut Vec<f64>, _at: usize, ids: &[usize]) -> &'a [f64] {
+        let (Some(&first), Some(&last)) = (ids.first(), ids.last()) else { return &[] };
         let d = self.d;
+        self.seek(first);
+        // Ids ascend, so they are consecutive exactly when they span their
+        // own count.
+        if last - first + 1 == ids.len() && last < self.end {
+            return &self.run[(first - self.start) * d..(last + 1 - self.start) * d];
+        }
         if data.len() < ids.len() * d {
             data.resize(ids.len() * d, 0.0);
         }
         for (i, &r) in ids.iter().enumerate() {
-            data[i * d..(i + 1) * d].copy_from_slice((self.fetch)(r));
+            data[i * d..(i + 1) * d].copy_from_slice(self.fetch(r));
         }
+        self.gathered += ids.len() as u64;
         &data[..ids.len() * d]
+    }
+
+    fn gathered_rows(&self) -> u64 {
+        self.gathered
     }
 }
 
@@ -164,7 +245,7 @@ impl DataPlane for SlicePlane<'_> {
         accum: &mut LocalAccum,
         scratch: &mut DrainScratch,
     ) -> io::Result<WorkerReport> {
-        drain(&mut Direct::new(self.0.ncol(), |r| self.0.row(r)), w, view, accum, scratch)
+        drain(&mut Direct::new(&self.0, |_, _| {}), w, view, accum, scratch)
     }
 }
 
@@ -172,11 +253,13 @@ impl DataPlane for SlicePlane<'_> {
 /// grow-only — steady-state iterations never allocate here.
 #[derive(Debug, Default)]
 pub struct DrainScratch {
-    /// Row staging: a direct source's gathered block (`row_tile × d`), or
-    /// every needed row of a staged source's current task in task row
-    /// order (fast-tier hits copied in place, backing-tier rows scattered
-    /// into their slots after the merged fetch).
+    /// Row staging: a direct source's gathered block (scoped algorithms
+    /// only), or every needed row of a staged source's current task in
+    /// task row order (fast-tier hits copied in place, backing-tier rows
+    /// scattered into their slots after the merged fetch).
     pub data: Vec<f64>,
+    /// The GEMM kernel's packed centroids, packed once per [`drain`] call.
+    pub panel: CentroidPanel,
     /// Block-commit best-index scratch.
     pub best: Vec<u32>,
     /// Block-commit best-distance / kernel score scratch.
@@ -246,6 +329,13 @@ fn drain_with<S: RowSource, F: RowFilter>(
     let (d, k) = (view.cents.d, view.cents.k());
     let tracer = view.tracer.as_ref();
     let mut rep = WorkerReport::default();
+    if commit == Commit::Kernel && view.kernel.kind == ResolvedKind::Gemm {
+        scratch.panel.pack(view.cents, view.cnorms);
+        rep.commit.panel_packs += 1;
+    }
+    // A staged task is contiguous already and goes to the kernel whole; a
+    // direct source hands over cache-sized blocks of the task's run.
+    let step = if S::STAGED { usize::MAX } else { view.kernel.block_rows(d) };
     // The task filtered (and prefetched) ahead of the one being committed.
     let mut ahead = None;
     loop {
@@ -299,9 +389,6 @@ fn drain_with<S: RowSource, F: RowFilter>(
         } else {
             // One full candidate scan per row, whatever its metric.
             rep.counters.dist_computations += (needed.len() * k) as u64;
-            // A staged task is contiguous already; a direct source gathers
-            // one kernel row tile at a time.
-            let step = if S::STAGED { needed.len() } else { view.kernel.row_tile }.max(1);
             for (c, ids) in needed.chunks(step).enumerate() {
                 let block = src.block(&mut scratch.data, c * step, ids);
                 let best = &mut scratch.best;
@@ -327,12 +414,13 @@ fn drain_with<S: RowSource, F: RowFilter>(
                     let dists = &mut scratch.best_dist;
                     // Distances are only materialized when the filter's
                     // bounds consume them.
-                    assign_rows(
+                    assign_rows_packed(
                         block,
                         d,
                         view.cents,
                         &view.kernel,
                         view.cnorms,
+                        &scratch.panel,
                         best,
                         dists,
                         F::BOUNDED,
@@ -347,6 +435,8 @@ fn drain_with<S: RowSource, F: RowFilter>(
         }
         scratch.free_needed.push(needed);
     }
+    rep.commit.gathered_rows = src.gathered_rows();
+    rep.commit.borrowed_rows = rep.rows_accessed - rep.commit.gathered_rows;
     Ok(rep)
 }
 
@@ -411,8 +501,12 @@ mod tests {
 
     /// The rows every plane test clusters: five separated groups in 3-D.
     fn five_groups() -> Vec<f64> {
+        five_groups_of(300)
+    }
+
+    fn five_groups_of(n: usize) -> Vec<f64> {
         let mut data = Vec::new();
-        for i in 0..300 {
+        for i in 0..n {
             let c = (i % 5) as f64 * 6.0;
             data.push(c + (i as f64 * 0.13).sin());
             data.push(-c + (i as f64 * 0.29).cos());
@@ -473,10 +567,21 @@ mod tests {
     /// the same rows walk bitwise-identical trajectories under a
     /// deterministic scheduler — for every filter × commit the one worker
     /// loop carries: full scans through each kernel family, MTI, Yinyang,
-    /// and the generic map path (batched spherical, subsampled mini-batch).
+    /// and the generic map path (batched spherical, subsampled mini-batch)
+    /// — whether the whole matrix is less than one direct block or a task
+    /// is one block and a ragged second. The direct plane gets there
+    /// without copying a row, except the subsample's.
     #[test]
     fn staged_and_direct_planes_are_bitwise_identical() {
-        let data = five_groups();
+        let step = KernelKind::Tiled.resolve(12, 3, false).block_rows(3);
+        assert!(300 < step);
+        planes_agree(300, 16, 40);
+        let ragged = step + step / 3;
+        planes_agree(2 * ragged + 100, ragged, 10);
+    }
+
+    fn planes_agree(n: usize, task_size: usize, max_iters: usize) {
+        let data = five_groups_of(n);
         let mut cases = Vec::new();
         for pruning in [Pruning::None, Pruning::Mti, Pruning::Yinyang] {
             for kernel in [KernelKind::Scalar, KernelKind::Tiled, KernelKind::Gemm] {
@@ -488,15 +593,26 @@ mod tests {
         }
         for (algo, pruning, kernel) in cases {
             for threads in [1usize, 2] {
-                let what = format!("{algo:?} pruning={pruning:?} kernel={kernel:?} T={threads}");
-                let (direct, staged) =
-                    run_planes(&config(300, pruning, kernel, threads), &data, &algo);
+                let what =
+                    format!("{algo:?} pruning={pruning:?} kernel={kernel:?} T={threads} n={n}");
+                let cfg =
+                    DriverConfig { task_size, max_iters, ..config(n, pruning, kernel, threads) };
+                let (direct, staged) = run_planes(&cfg, &data, &algo);
+                let gathered: u64 = direct.iters.iter().map(|i| i.commit.gathered_rows).sum();
+                if matches!(algo, Algorithm::MiniBatch { .. }) {
+                    assert!(gathered > 0, "{what}: a subsample has holes");
+                } else {
+                    assert_eq!(gathered, 0, "{what}");
+                }
+                assert!(staged.iters.iter().all(|i| i.commit.gathered_rows == 0), "{what}");
                 assert_eq!(direct.assignments, staged.assignments, "{what}");
                 assert_eq!(direct.centroids, staged.centroids, "{what}");
                 assert_eq!(direct.iters.len(), staged.iters.len(), "{what}");
                 for (a, b) in direct.iters.iter().zip(&staged.iters) {
                     assert_eq!(a.reassigned, b.reassigned, "{what} iter {}", a.iter);
                     assert_eq!(a.rows_accessed, b.rows_accessed, "{what} iter {}", a.iter);
+                    let c = &a.commit;
+                    assert_eq!(c.borrowed_rows + c.gathered_rows, a.rows_accessed, "{what}");
                     // Only the staged plane skips fetches; every skip is a
                     // bound-pruned row, so under a filter the two tallies
                     // coincide. Everything else matches field for field.
@@ -511,6 +627,40 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The scheduler never hands out a task that spans two storage blocks,
+    /// but `Direct` does not lean on that for correctness: it re-resolves
+    /// at each block boundary, reports each block's share of the task, and
+    /// gathers only the kernel block that straddles a boundary.
+    #[test]
+    fn direct_source_reads_a_task_across_storage_blocks() {
+        let (n, d) = (103, 3);
+        let m = knor_matrix::DMatrix::from_vec((0..n * d).map(|x| x as f64).collect(), n, d);
+        let topo = Topology::synthetic(2, 2);
+        let placement = Placement::new(&topo, n, 4); // blocks end at 26, 52, 78, 103
+        let placed = knor_numa::NumaMatrix::from_dmatrix(&topo, &placement, &m);
+        let mut borrowed = Vec::new();
+        let mut src = Direct::new(&placed, |first, rows| borrowed.push((first, rows)));
+        let mut scratch = DrainScratch::default();
+        let task: Vec<usize> = (20..80).filter(|r| r % 10 != 5).collect();
+        src.stage(&task, &mut scratch, None).unwrap();
+        for (i, &r) in task.iter().enumerate() {
+            assert_eq!(src.row(&[], i, r), m.row(r), "row {r}");
+        }
+        let inside: Vec<usize> = (30..50).collect();
+        assert_eq!(src.block(&mut scratch.data, 0, &inside), &m.as_slice()[30 * d..50 * d]);
+        assert_eq!(src.gathered_rows(), 0, "consecutive rows of one block are borrowed");
+        let straddling: Vec<usize> = (48..56).collect();
+        assert_eq!(src.block(&mut scratch.data, 0, &straddling), &m.as_slice()[48 * d..56 * d]);
+        assert_eq!(src.gathered_rows(), 8);
+        let holes = [31usize, 33, 34];
+        let got = src.block(&mut scratch.data, 0, &holes).to_vec();
+        assert_eq!(got, [m.row(31), m.row(33), m.row(34)].concat());
+        assert_eq!(src.gathered_rows(), 11);
+        // Each block's share of the task: 20..26, 26..52, 52..78 and
+        // 78..80, less the rows ending in 5.
+        assert_eq!(borrowed, vec![(20, 5), (26, 24), (52, 23), (78, 2)]);
     }
 
     /// NUMA replication composes with the staged plane (knors's access

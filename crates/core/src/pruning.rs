@@ -2,12 +2,15 @@
 //! bounds.
 //!
 //! MTI keeps per point only an upper bound `u(x) >= d(x, assigned(x))`
-//! (`O(n)` memory) and per iteration an `O(k²)` centroid–centroid distance
-//! matrix with per-centroid `s(c) = ½·min_{c'≠c} d(c, c')`. After each
-//! centroid update the bounds are *loosened* by the assigned centroid's
-//! drift `f(c) = d(c^t, c^{t-1})` — the triangle inequality guarantees the
-//! loosened bound still dominates the true distance. The three clauses are
-//! applied by the engines (in-memory and SEM) through [`MtiIterState`].
+//! (`O(n)` memory) and per iteration an `O(k²)` table of centroid–centroid
+//! *half* distances `½·d(c, c')` — the thresholds its clauses compare a
+//! bound against — with per-centroid `s(c) = ½·min_{c'≠c} d(c, c')`. After
+//! each centroid update the bounds are *loosened* by the assigned
+//! centroid's drift `f(c) = d(c^t, c^{t-1})` — the triangle inequality
+//! guarantees the loosened bound still dominates the true distance. The
+//! three clauses are applied by the engines (in-memory and SEM) through
+//! [`MtiIterState`]; [`mti_assign`] walks a row's candidates 64 at a time
+//! as a bitmask over the assigned centroid's table row.
 //!
 //! Yinyang (Ding et al., ICML'15) trades `O(n·t)` memory for stronger
 //! bounds: centroids are clustered once into `t = max(1, k/10)` groups
@@ -19,7 +22,7 @@
 //! the unpruned path bit for bit.
 
 use crate::centroids::Centroids;
-use crate::distance::{centroid_distances, dist};
+use crate::distance::{dist, half_centroid_distances, half_row_minima};
 
 /// Which pruning scheme an engine applies.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -176,8 +179,10 @@ impl YinyangState {
 /// centroid update and read-only during the compute super-phase.
 #[derive(Debug, Clone)]
 pub struct MtiIterState {
-    /// Full `k x k` centroid–centroid distances (symmetric).
-    pub ccdist: Vec<f64>,
+    /// `k x k`, `half_cc[a*k + c] = ½·d(a, c)`: symmetric, `+∞` on the
+    /// diagonal. Row `a` is the Clause 2/3 threshold of every candidate
+    /// for a point assigned to `a`.
+    pub half_cc: Vec<f64>,
     /// `s(c) = ½·min_{c'≠c} d(c, c')` per centroid (Clause 1 threshold).
     pub half_min: Vec<f64>,
     /// Drift `f(c) = d(c^t, c^{t-1})` per centroid.
@@ -186,9 +191,14 @@ pub struct MtiIterState {
 }
 
 impl MtiIterState {
-    /// Zeroed state for `k` centroids.
+    /// State for `k` centroids: zero drift and thresholds, the table's
+    /// diagonal already `+∞` (no rebuild writes it again).
     pub fn new(k: usize) -> Self {
-        Self { ccdist: vec![0.0; k * k], half_min: vec![0.0; k], drift: vec![0.0; k], k }
+        let mut half_cc = vec![0.0; k * k];
+        for c in 0..k {
+            half_cc[c * k + c] = f64::INFINITY;
+        }
+        Self { half_cc, half_min: vec![0.0; k], drift: vec![0.0; k], k }
     }
 
     /// Number of centroids.
@@ -196,11 +206,12 @@ impl MtiIterState {
         self.k
     }
 
-    /// Recompute the distance matrix and thresholds for `next`, and the
-    /// drifts from `prev` to `next`. (The driver writes drifts inline from
-    /// its fused drift/convergence loop and calls [`Self::rebuild`] — or
-    /// fills the triangle in parallel and calls [`Self::finalize_half_min`]
-    /// — instead; this convenience wrapper serves tests and baselines.)
+    /// Recompute the half-distance table and thresholds for `next`, and
+    /// the drifts from `prev` to `next`. (The driver writes drifts inline
+    /// from its fused drift/convergence loop and calls [`Self::rebuild`] —
+    /// or fills the table in parallel and calls
+    /// [`Self::finalize_half_min`] — instead; this convenience wrapper
+    /// serves tests and baselines.)
     pub fn update(&mut self, prev: &Centroids, next: &Centroids) {
         debug_assert_eq!(prev.k(), self.k);
         for c in 0..self.k {
@@ -209,52 +220,35 @@ impl MtiIterState {
         self.rebuild(next);
     }
 
-    /// Recompute the centroid–centroid distance matrix and thresholds for
-    /// `cents`, serially.
+    /// Recompute the half-distance table and thresholds for `cents`,
+    /// serially.
     pub fn rebuild(&mut self, cents: &Centroids) {
-        centroid_distances(&cents.means, self.k, cents.d, &mut self.ccdist, &mut self.half_min);
+        half_centroid_distances(
+            &cents.means,
+            self.k,
+            cents.d,
+            &mut self.half_cc,
+            &mut self.half_min,
+        );
     }
 
-    /// Derive `half_min` from an already-filled `ccdist` upper triangle.
-    /// The driver calls this after its workers filled disjoint row slices
-    /// of the triangle in parallel (large-`k` runs).
+    /// Derive `half_min` from an already-filled table. The driver calls
+    /// this after its workers filled disjoint pairs of it in parallel
+    /// (large-`k` runs).
     pub fn finalize_half_min(&mut self) {
-        let k = self.k;
-        for x in self.half_min.iter_mut() {
-            *x = f64::INFINITY;
-        }
-        for i in 0..k {
-            for j in (i + 1)..k {
-                let dij = self.ccdist[i * k + j];
-                if dij < self.half_min[i] {
-                    self.half_min[i] = dij;
-                }
-                if dij < self.half_min[j] {
-                    self.half_min[j] = dij;
-                }
-            }
-        }
-        for x in self.half_min.iter_mut() {
-            *x *= 0.5;
-            if !x.is_finite() {
-                *x = 0.0;
-            }
-        }
+        half_row_minima(&self.half_cc, self.k, &mut self.half_min);
     }
 
-    /// `½·d(a, c)` — the Clause 2/3 threshold for candidate `c` against
-    /// current assignment `a`. Looks up `ccdist[min*k + max]` so it works
-    /// whether or not the matrix was mirrored (it is not for
-    /// `k > `[`crate::distance::MIRROR_MAX_K`]).
+    /// Row `a` of the table: `½·d(a, c)` for every candidate `c`, `+∞` at
+    /// `c = a`.
     #[inline]
-    pub fn half_cc(&self, a: usize, c: usize) -> f64 {
-        let (lo, hi) = if a < c { (a, c) } else { (c, a) };
-        0.5 * self.ccdist[lo * self.k + hi]
+    pub fn half_row(&self, a: usize) -> &[f64] {
+        &self.half_cc[a * self.k..(a + 1) * self.k]
     }
 
     /// Heap bytes held (`O(k²)` of Table 1's knori/knord rows).
     pub fn heap_bytes(&self) -> u64 {
-        ((self.ccdist.len() + self.half_min.len() + self.drift.len()) * 8) as u64
+        ((self.half_cc.len() + self.half_min.len() + self.drift.len()) * 8) as u64
     }
 }
 
@@ -292,6 +286,19 @@ impl PruneCounters {
     }
 }
 
+/// Bit `i` set iff `thresholds[i]` prunes a candidate under `bound` — the
+/// clauses' `bound <= threshold`, which a NaN bound never satisfies. At
+/// most 64 thresholds; the bits above them are clear.
+#[inline]
+fn pruned_mask(thresholds: &[f64], bound: f64) -> u64 {
+    debug_assert!(thresholds.len() <= 64);
+    let mut mask = 0u64;
+    for (i, &t) in thresholds.iter().enumerate() {
+        mask |= u64::from(bound <= t) << i;
+    }
+    mask
+}
+
 /// Evaluate one point under MTI against the current centroids.
 ///
 /// `a` is the current assignment, `ub` the (already drift-loosened) upper
@@ -299,6 +306,17 @@ impl PruneCounters {
 /// pruning outcomes. The caller has already decided Clause 1 did not fire
 /// (Clause 1 is checked *before* the row data is fetched — that is where
 /// knors saves its I/O).
+///
+/// The candidates are visited in ascending order, each against the
+/// threshold `½·d(cur, c)` of the *current* assignment and bound: pruned by
+/// Clause 2, or — once, at the first that is not — the bound is tightened
+/// to the exact distance and re-tested (Clause 3), or its distance is
+/// computed and it may become the assignment. Between two events that
+/// change `cur` or `bound` that is one comparison per candidate against
+/// one contiguous table row, so it is done 64 candidates at a time:
+/// [`pruned_mask`] over the row, the first clear bit is the next candidate
+/// to act on, and the set bits skipped are Clause-2 prunes. Same decisions, same
+/// counters, same bits as the one-candidate-at-a-time walk.
 #[inline]
 pub fn mti_assign(
     v: &[f64],
@@ -308,34 +326,118 @@ pub fn mti_assign(
     ub: f64,
     counters: &mut PruneCounters,
 ) -> (usize, f64) {
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("avx2") {
+        // Safety: AVX2 support verified at runtime.
+        return unsafe { x86::mti_assign_avx2(v, cents, state, a, ub, counters) };
+    }
+    mti_scan(v, cents, state, a, ub, counters, pruned_mask)
+}
+
+/// AVX2 build of the scan: the mask is four comparisons per instruction,
+/// and the distances inline as 4-wide lanes that map one-to-one onto
+/// [`dist`]'s four accumulators — un-fused, so every bit matches the
+/// portable build (the argument of `crate::kernel`'s AVX tile scans).
+#[cfg(target_arch = "x86_64")]
+mod x86 {
+    use super::{mti_scan, Centroids, MtiIterState, PruneCounters};
+
+    /// # Safety
+    /// Caller must have verified AVX2 support at runtime.
+    #[target_feature(enable = "avx2")]
+    pub unsafe fn mti_assign_avx2(
+        v: &[f64],
+        cents: &Centroids,
+        state: &MtiIterState,
+        a: usize,
+        ub: f64,
+        counters: &mut PruneCounters,
+    ) -> (usize, f64) {
+        // Safety: closures inherit the enclosing function's target features.
+        mti_scan(v, cents, state, a, ub, counters, |t, b| unsafe { pruned_mask_avx2(t, b) })
+    }
+
+    /// [`super::pruned_mask`], four thresholds per comparison.
+    ///
+    /// # Safety
+    /// Must only execute under AVX2 — guaranteed by being called only from
+    /// the feature-gated scan above.
+    #[inline(always)]
+    unsafe fn pruned_mask_avx2(thresholds: &[f64], bound: f64) -> u64 {
+        use std::arch::x86_64::*;
+        debug_assert!(thresholds.len() <= 64);
+        let b = _mm256_set1_pd(bound);
+        let mut mask = 0u64;
+        let mut chunks = thresholds.chunks_exact(4);
+        let mut at = 0;
+        for ch in chunks.by_ref() {
+            // Less-or-equal, false on NaN: `bound <= t` per lane.
+            let pruned = _mm256_cmp_pd::<_CMP_LE_OQ>(b, _mm256_loadu_pd(ch.as_ptr()));
+            mask |= (_mm256_movemask_pd(pruned) as u64) << at;
+            at += 4;
+        }
+        for (i, &t) in chunks.remainder().iter().enumerate() {
+            mask |= u64::from(bound <= t) << (at + i);
+        }
+        mask
+    }
+}
+
+/// [`mti_assign`]'s walk, monomorphized over the mask builder.
+#[inline(always)]
+fn mti_scan(
+    v: &[f64],
+    cents: &Centroids,
+    state: &MtiIterState,
+    a: usize,
+    ub: f64,
+    counters: &mut PruneCounters,
+    pruned_mask: impl Fn(&[f64], f64) -> u64,
+) -> (usize, f64) {
     let k = cents.k();
     let mut cur = a;
     let mut bound = ub;
     let mut tight = false;
-    for c in 0..k {
-        if c == cur {
-            continue;
-        }
-        let threshold = state.half_cc(cur, c);
-        if bound <= threshold {
-            counters.clause2_prunes += 1;
-            continue;
-        }
-        if !tight {
-            // U(u_t): fully tighten the upper bound with one exact distance.
-            bound = dist(v, cents.mean(cur));
-            counters.dist_computations += 1;
-            tight = true;
-            if bound <= threshold {
-                counters.clause3_prunes += 1;
-                continue;
+    for base in (0..k).step_by(64) {
+        let len = (k - base).min(64);
+        // Candidates of this word not yet passed; `cur` is never one.
+        let mut ahead = u64::MAX >> (64 - len);
+        let mut pruned = pruned_mask(&state.half_row(cur)[base..base + len], bound);
+        loop {
+            let own = if (base..base + len).contains(&cur) { 1u64 << (cur - base) } else { 0 };
+            let candidates = ahead & !own;
+            let next = !pruned & candidates;
+            if next == 0 {
+                counters.clause2_prunes += u64::from(candidates.count_ones());
+                break;
             }
-        }
-        let dc = dist(v, cents.mean(c));
-        counters.dist_computations += 1;
-        if dc < bound {
-            cur = c;
-            bound = dc; // exact: reassignment keeps the bound tight
+            let bit = next.trailing_zeros();
+            let below = (1u64 << bit) - 1;
+            counters.clause2_prunes += u64::from((candidates & below).count_ones());
+            ahead &= !(below | 1 << bit);
+            let c = base + bit as usize;
+            // Whether `cur` or `bound` changes here, which stales `pruned`.
+            let mut moved = !tight;
+            if !tight {
+                // U(u_t): fully tighten the upper bound with one exact distance.
+                bound = dist(v, cents.mean(cur));
+                counters.dist_computations += 1;
+                tight = true;
+            }
+            if moved && bound <= state.half_row(cur)[c] {
+                counters.clause3_prunes += 1;
+            } else {
+                let dc = dist(v, cents.mean(c));
+                counters.dist_computations += 1;
+                if dc < bound {
+                    cur = c;
+                    bound = dc; // exact: reassignment keeps the bound tight
+                    moved = true;
+                }
+            }
+            if moved {
+                pruned = pruned_mask(&state.half_row(cur)[base..base + len], bound);
+            }
         }
     }
     (cur, bound)
@@ -347,6 +449,121 @@ mod tests {
     use crate::distance::nearest;
     use rand::{Rng, SeedableRng};
     use rand_chacha::ChaCha8Rng;
+
+    /// The clause machine one candidate at a time — what [`mti_assign`]
+    /// must reproduce decision for decision.
+    fn mti_assign_scalar(
+        v: &[f64],
+        cents: &Centroids,
+        state: &MtiIterState,
+        a: usize,
+        ub: f64,
+        counters: &mut PruneCounters,
+    ) -> (usize, f64) {
+        let mut cur = a;
+        let mut bound = ub;
+        let mut tight = false;
+        for c in 0..cents.k() {
+            if c == cur {
+                continue;
+            }
+            let threshold = state.half_row(cur)[c];
+            if bound <= threshold {
+                counters.clause2_prunes += 1;
+                continue;
+            }
+            if !tight {
+                bound = dist(v, cents.mean(cur));
+                counters.dist_computations += 1;
+                tight = true;
+                if bound <= threshold {
+                    counters.clause3_prunes += 1;
+                    continue;
+                }
+            }
+            let dc = dist(v, cents.mean(c));
+            counters.dist_computations += 1;
+            if dc < bound {
+                cur = c;
+                bound = dc;
+            }
+        }
+        (cur, bound)
+    }
+
+    #[test]
+    fn bitmask_scan_reproduces_the_sequential_clause_machine() {
+        let mut rng = ChaCha8Rng::seed_from_u64(2024);
+        let mut clause3 = 0;
+        for k in [1usize, 2, 7, 32, 63, 64, 65, 130] {
+            for d in [1usize, 5] {
+                for (duplicates, drifting) in [(false, true), (true, true), (false, false)] {
+                    let mut prev = random_centroids(k, d, &mut rng);
+                    if duplicates {
+                        // Ties: every odd centroid repeats its left neighbour.
+                        for c in (1..k).step_by(2) {
+                            let (left, right) = prev.means.split_at_mut(c * d);
+                            right[..d].copy_from_slice(&left[(c - 1) * d..]);
+                        }
+                    }
+                    let mut cents = prev.clone();
+                    if drifting {
+                        for x in cents.means.iter_mut() {
+                            *x += rng.gen_range(-0.3..0.3);
+                        }
+                    }
+                    let mut state = MtiIterState::new(k);
+                    state.update(&prev, &cents);
+                    for i in 0..300 {
+                        let v: Vec<f64> = (0..d).map(|_| rng.gen_range(-6.0..6.0)).collect();
+                        let (a, da) = nearest(&v, &prev.means, k);
+                        // A valid loosened bound, now and then padded so the
+                        // tighten pass is what prunes (Clause 3), or left
+                        // infinite as before a row's first scan.
+                        let ub = match i % 7 {
+                            0 => da + state.drift[a] + rng.gen_range(0.0..4.0),
+                            1 => f64::INFINITY,
+                            _ => da + state.drift[a],
+                        };
+                        let what = format!("k={k} d={d} dup={duplicates} drift={drifting} i={i}");
+                        let (mut fast, mut slow) =
+                            (PruneCounters::default(), PruneCounters::default());
+                        let got = mti_assign(&v, &cents, &state, a, ub, &mut fast);
+                        let want = mti_assign_scalar(&v, &cents, &state, a, ub, &mut slow);
+                        assert_eq!(got.0, want.0, "{what}");
+                        assert_eq!(got.1.to_bits(), want.1.to_bits(), "{what}");
+                        assert_eq!(fast, slow, "{what}");
+                        clause3 += fast.clause3_prunes;
+                        // The portable mask too, where the dispatch above
+                        // took the AVX2 one.
+                        let mut portable = PruneCounters::default();
+                        let got = mti_scan(&v, &cents, &state, a, ub, &mut portable, pruned_mask);
+                        assert_eq!((got.0, got.1.to_bits()), (want.0, want.1.to_bits()), "{what}");
+                        assert_eq!(portable, slow, "{what}");
+                    }
+                }
+            }
+        }
+        assert!(clause3 > 0, "no case exercised the tighten-then-prune path");
+    }
+
+    #[test]
+    fn nan_rows_walk_the_same_path_as_the_sequential_machine() {
+        // A NaN bound fails every `bound <= threshold`, so nothing prunes
+        // and every candidate is evaluated — in both walks.
+        let mut rng = ChaCha8Rng::seed_from_u64(5);
+        let cents = random_centroids(70, 3, &mut rng);
+        let mut state = MtiIterState::new(70);
+        state.update(&cents.clone(), &cents);
+        let v = [f64::NAN, 0.5, 1.0];
+        let (mut fast, mut slow) = (PruneCounters::default(), PruneCounters::default());
+        let got = mti_assign(&v, &cents, &state, 3, f64::NAN, &mut fast);
+        let want = mti_assign_scalar(&v, &cents, &state, 3, f64::NAN, &mut slow);
+        assert_eq!(got.0, want.0);
+        assert_eq!(got.1.to_bits(), want.1.to_bits());
+        assert_eq!(fast, slow);
+        assert_eq!(fast.dist_computations, 70);
+    }
 
     fn random_centroids(k: usize, d: usize, rng: &mut impl Rng) -> Centroids {
         let mut c = Centroids::zeros(k, d);
@@ -436,11 +653,10 @@ mod tests {
     }
 
     #[test]
-    fn mti_exact_beyond_mirror_cutoff() {
-        // k > MIRROR_MAX_K stores only the upper triangle; the ordered
-        // half_cc lookup must keep every clause exact.
+    fn mti_exact_across_several_mask_words() {
+        // k > 64 spreads a row's candidates over more than one mask word.
         let mut rng = ChaCha8Rng::seed_from_u64(77);
-        let k = crate::distance::MIRROR_MAX_K + 8;
+        let k = 72;
         let d = 4;
         let prev = random_centroids(k, d, &mut rng);
         let mut cents = prev.clone();
@@ -463,19 +679,22 @@ mod tests {
     #[test]
     fn finalize_half_min_matches_serial_rebuild() {
         let mut rng = ChaCha8Rng::seed_from_u64(13);
-        for k in [1usize, 2, 9, crate::distance::MIRROR_MAX_K + 3] {
+        for k in [1usize, 2, 9, 67] {
             let cents = random_centroids(k, 5, &mut rng);
             let mut serial = MtiIterState::new(k);
             serial.rebuild(&cents);
-            // Simulate the parallel path: fill only the upper triangle,
-            // then finalize.
+            // Simulate the parallel path: fill every pair, both ways, then
+            // finalize.
             let mut par = MtiIterState::new(k);
             for i in 0..k {
                 for j in (i + 1)..k {
-                    par.ccdist[i * k + j] = dist(cents.mean(i), cents.mean(j));
+                    let h = 0.5 * dist(cents.mean(i), cents.mean(j));
+                    par.half_cc[i * k + j] = h;
+                    par.half_cc[j * k + i] = h;
                 }
             }
             par.finalize_half_min();
+            assert_eq!(par.half_cc, serial.half_cc, "k = {k}");
             assert_eq!(par.half_min, serial.half_min, "k = {k}");
         }
     }
@@ -538,8 +757,8 @@ mod tests {
         s.update(&prev, &next);
         assert!((s.drift[0] - 4.0).abs() < 1e-12);
         assert_eq!(s.drift[1], 0.0);
-        // ccdist between (0,4) and (3,0) is 5.
-        assert!((s.half_cc(0, 1) - 2.5).abs() < 1e-12);
+        // (0,4) and (3,0) are 5 apart.
+        assert!((s.half_row(0)[1] - 2.5).abs() < 1e-12);
         assert_eq!(s.half_min, vec![2.5, 2.5]);
     }
 }

@@ -1,16 +1,16 @@
 //! Per-NUMA-node read replicas of the iteration state.
 //!
 //! Every assignment-phase read — centroid means, the norm-trick
-//! `‖c‖²` cache, and the MTI ccdist/half-min/drift tables — goes through
-//! [`crate::driver::IterView`]. With one shared copy, all workers on all
+//! `‖c‖²` cache, and the MTI half-distance (ccdist), half-min and drift
+//! tables — goes through [`crate::driver::IterView`]. With one shared copy, all workers on all
 //! nodes pull those cache lines across the interconnect each iteration;
 //! at the headline shape this is the hottest remaining remote-read path.
 //! This module gives the driver one replica of that state per NUMA node,
 //! allocated and first-touched by a worker *pinned to that node*, so
 //! assignment-phase reads are node-local by construction. (The packed
-//! GEMM panel needs no replica of its own: kernels pack it into
-//! thread-local scratch from whatever centroids the view hands them, so
-//! it inherits node locality from the replicated means.)
+//! GEMM panel needs no replica of its own: every worker packs it into its
+//! own drain scratch, once per iteration, from whatever centroids the view
+//! hands it, so it inherits node locality from the replicated means.)
 //!
 //! The per-iteration merge stays canonical — the coordinator finalizes
 //! one authoritative copy exactly as before — and replication becomes an
@@ -167,14 +167,14 @@ impl ReplicaState {
             self.mti.half_min.copy_from_slice(&m.half_min);
             bytes += (2 * k * 8) as u64;
             if log.copies_full_ccdist(k) {
-                self.mti.ccdist.copy_from_slice(&m.ccdist);
+                self.mti.half_cc.copy_from_slice(&m.half_cc);
                 bytes += (k * k * 8) as u64;
             } else {
                 for &c in &log.drifted {
-                    self.mti.ccdist[c * k..(c + 1) * k]
-                        .copy_from_slice(&m.ccdist[c * k..(c + 1) * k]);
+                    self.mti.half_cc[c * k..(c + 1) * k]
+                        .copy_from_slice(&m.half_cc[c * k..(c + 1) * k]);
                     for i in 0..k {
-                        self.mti.ccdist[i * k + c] = m.ccdist[i * k + c];
+                        self.mti.half_cc[i * k + c] = m.half_cc[i * k + c];
                     }
                 }
                 bytes += (2 * log.drifted.len() * k * 8) as u64;
@@ -352,7 +352,7 @@ mod tests {
         assert_eq!(bytes, log.bytes_per_node(k, d, Pruning::Mti, 0, true));
         assert_eq!(rep.cents, c0);
         assert_eq!(rep.cnorms, cn0);
-        assert_eq!(rep.mti.ccdist, mti0.ccdist);
+        assert_eq!(rep.mti.half_cc, mti0.half_cc);
 
         // Iteration 1: two centroids drift; delta apply must land the
         // replica bitwise on the canonical state.
@@ -382,7 +382,7 @@ mod tests {
         // The canonical rebuild recomputed every pair, but entries between
         // two non-drifted centroids are bitwise-stable — so touching only
         // the drifted rows/columns reproduces the whole matrix.
-        assert_eq!(rep.mti.ccdist, mti1.ccdist);
+        assert_eq!(rep.mti.half_cc, mti1.half_cc);
         assert_eq!(rep.mti.half_min, mti1.half_min);
         assert_eq!(rep.mti.drift, mti1.drift);
     }

@@ -11,7 +11,7 @@ use crate::centroids::{finalize_means, Centroids, LocalAccum};
 use crate::distance::nearest;
 use crate::init::InitMethod;
 use crate::pruning::PruneCounters;
-use crate::stats::{IterStats, KmeansResult, MemoryFootprint};
+use crate::stats::{CommitCounters, IterStats, KmeansResult, MemoryFootprint};
 use knor_matrix::DMatrix;
 use knor_sched::QueueStats;
 
@@ -59,6 +59,7 @@ pub fn lloyd_serial(
             reassigned,
             rows_accessed: n as u64,
             prune: counters,
+            commit: CommitCounters { borrowed_rows: n as u64, ..Default::default() },
             wall_ns: t0.elapsed().as_nanos() as u64,
             queue: QueueStats::default(),
             tallies: None,

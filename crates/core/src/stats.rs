@@ -7,6 +7,31 @@ use knor_matrix::DMatrix;
 use knor_numa::AccessTally;
 use knor_sched::QueueStats;
 
+/// How the worker loop reached the rows it committed and how often it
+/// prepared the kernel's shared operand — the `--stats` `commit:` line.
+/// Rank-local under knord (these do not ride the allreduce).
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+pub struct CommitCounters {
+    /// Rows committed from where the row source holds them: a direct
+    /// source's arena or slice, a staged source's staging area.
+    pub borrowed_rows: u64,
+    /// Rows a direct source copied into scratch first, because the block's
+    /// row ids were not consecutive (scoped algorithms).
+    pub gathered_rows: u64,
+    /// [`crate::kernel::CentroidPanel`] packs: one per worker per
+    /// full-scan super-phase on the GEMM kernel, none otherwise.
+    pub panel_packs: u64,
+}
+
+impl CommitCounters {
+    /// Fold another worker's (or iteration's) counters into these.
+    pub fn merge(&mut self, o: &CommitCounters) {
+        self.borrowed_rows += o.borrowed_rows;
+        self.gathered_rows += o.gathered_rows;
+        self.panel_packs += o.panel_packs;
+    }
+}
+
 /// Statistics for one ||Lloyd's iteration.
 #[derive(Debug, Clone)]
 pub struct IterStats {
@@ -18,6 +43,8 @@ pub struct IterStats {
     pub rows_accessed: u64,
     /// Pruning outcome counters.
     pub prune: PruneCounters,
+    /// Borrowed/gathered rows and panel packs, summed over the workers.
+    pub commit: CommitCounters,
     /// Measured wall time of the iteration on the host.
     pub wall_ns: u64,
     /// Task-queue dispatch statistics for the iteration.
@@ -148,6 +175,15 @@ impl KmeansResult {
         total
     }
 
+    /// Sum of the worker loop's commit counters across iterations.
+    pub fn total_commit(&self) -> CommitCounters {
+        let mut total = CommitCounters::default();
+        for it in &self.iters {
+            total.merge(&it.commit);
+        }
+        total
+    }
+
     /// Fraction of candidate distance computations avoided across the
     /// *prunable* iterations, relative to the unpruned `n·k` per
     /// iteration.
@@ -200,6 +236,7 @@ mod tests {
             reassigned: 0,
             rows_accessed: 0,
             prune: PruneCounters { dist_computations: comps, ..Default::default() },
+            commit: CommitCounters::default(),
             wall_ns: wall,
             queue: QueueStats::default(),
             tallies: None,
@@ -234,6 +271,7 @@ mod tests {
             reassigned: 0,
             rows_accessed: 0,
             prune: PruneCounters { dist_computations: comps, ..Default::default() },
+            commit: CommitCounters::default(),
             wall_ns: wall,
             queue: QueueStats::default(),
             tallies: None,

@@ -47,14 +47,15 @@ impl AccessTally {
         }
     }
 
-    /// Record one row access of `bytes` served by `home` node.
+    /// Record `rows` row accesses, `bytes` in all, served by `home` node —
+    /// what a worker borrows from one block of the placed matrix.
     #[inline]
-    pub fn record_access(&mut self, home: NodeId, bytes: u64) {
+    pub fn record_block(&mut self, home: NodeId, rows: u64, bytes: u64) {
         self.bytes_from_node[home.0] += bytes;
         if home == self.thread_node {
-            self.local_accesses += 1;
+            self.local_accesses += rows;
         } else {
-            self.remote_accesses += 1;
+            self.remote_accesses += rows;
         }
     }
 
@@ -209,12 +210,8 @@ mod tests {
         row: u64,
     ) -> AccessTally {
         let mut t = AccessTally::new(NodeId(node), nnodes);
-        for _ in 0..local {
-            t.record_access(NodeId(node), row);
-        }
-        for _ in 0..remote {
-            t.record_access(NodeId(remote_node), row);
-        }
+        t.record_block(NodeId(node), local, local * row);
+        t.record_block(NodeId(remote_node), remote, remote * row);
         t
     }
 

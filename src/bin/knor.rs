@@ -26,7 +26,7 @@
 //! `docs/PROTOCOL.md`.
 
 use knor::core::pruning::{yinyang_groups, PruneCounters};
-use knor::core::{LoadStats, MemoryFootprint};
+use knor::core::{CommitCounters, LoadStats, MemoryFootprint};
 use knor::matrix::io::MatrixFile;
 use knor::prelude::*;
 use knor::serve::tcp::{Client, TcpServer};
@@ -473,6 +473,7 @@ fn main() {
             if o.stats {
                 println!("{}", kernel_note(&o, &tune, n, o.k, d, &algo));
                 print_prune(&o, &algo, n, &r.total_prune());
+                print_commit(&r.total_commit());
                 print_numa(&r.numa, r.total_publish_bytes(), r.niters);
                 if let Some(l) = &r.load {
                     print_load(l);
@@ -738,6 +739,19 @@ fn print_prune(o: &Opts, algo: &Algorithm, n: usize, total: &PruneCounters) {
         total.clause3_prunes,
         total.dist_computations,
         total.io_skip_rows,
+    );
+}
+
+/// The `--stats` commit line: how the worker loop reached the rows it
+/// committed, summed over the run. An unscoped run gathers nothing (every
+/// block is read where it lies; only mini-batch's sampled rows are copied
+/// together first), and the GEMM kernel's centroid panel is packed once
+/// per worker per full-scan iteration — `iterations × threads` on an
+/// unpruned run, 0 on every other kernel.
+fn print_commit(c: &CommitCounters) {
+    println!(
+        "commit: borrowed_rows={} gathered_rows={} panel_packs={}",
+        c.borrowed_rows, c.gathered_rows, c.panel_packs
     );
 }
 

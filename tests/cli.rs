@@ -199,6 +199,8 @@ fn kernel_and_tune_flags_report_what_actually_ran() {
         .unwrap_or_else(|| panic!("--stats must print the kernel note: {stdout}"));
     assert!(note.contains("requested=gemm"), "{note}");
     assert!(note.contains("resolved=tiled"), "{note}");
+    // Nothing packs a centroid panel for the tiled kernel.
+    assert!(stdout.contains(" gathered_rows=0 panel_packs=0\n"), "{stdout}");
 
     // Without pruning the request sticks, and --tune on reports tuned
     // tiles in the same note.
@@ -216,6 +218,8 @@ fn kernel_and_tune_flags_report_what_actually_ran() {
             "gemm",
             "--tune",
             "on",
+            "-t",
+            "3",
             "--stats",
         ])
         .output()
@@ -225,6 +229,17 @@ fn kernel_and_tune_flags_report_what_actually_ran() {
     let note = stdout.lines().find(|l| l.starts_with("kernel: ")).expect("kernel note");
     assert!(note.contains("requested=gemm") && note.contains("resolved=gemm"), "{note}");
     assert!(note.contains("tuned=yes"), "{note}");
+    // The commit line shows the mechanism: an unscoped run reads every row
+    // where it lies, and each of the 3 workers packs the GEMM panel once
+    // per iteration.
+    let iters: u64 = stdout
+        .strip_prefix("knori: ")
+        .and_then(|l| l.split_whitespace().next())
+        .and_then(|n| n.parse().ok())
+        .unwrap_or_else(|| panic!("no iteration count in {stdout}"));
+    let commit = stdout.lines().find(|l| l.starts_with("commit: ")).expect("commit line");
+    assert!(commit.contains(" gathered_rows=0 "), "{commit}");
+    assert!(commit.ends_with(&format!(" panel_packs={}", iters * 3)), "{commit}");
 
     // --tune cache writes the decision file next to the data and reuses
     // it (k=16 over 8 dims resolves Tiled, which takes tiles; a scalar
