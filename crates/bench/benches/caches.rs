@@ -36,30 +36,30 @@ fn bench_row_cache(c: &mut Criterion) {
     let mut g = c.benchmark_group("row_cache");
     let d = 32usize;
     let cache = RowCache::new(64 << 20, 100_000, d, 4);
-    let row = vec![1.5f64; d];
-    for r in 0..10_000u32 {
-        cache.insert(r, &row);
+    // The cache is driven a task at a time, as the SEM plane drives it.
+    let task = 256usize;
+    let data = vec![1.5f64; task * d];
+    let idx: Vec<usize> = (0..task).collect();
+    let rows_from = |first: usize| -> Vec<usize> { (first..first + task).collect() };
+    for first in (0..10_000).step_by(task) {
+        cache.insert_batch(&rows_from(first), &idx, &data);
     }
-    let mut out = vec![0.0f64; d];
-    g.bench_function("hit", |b| {
-        let mut i = 0u32;
+    let (mut out, mut misses) = (vec![0.0f64; task * d], Vec::with_capacity(task));
+    for (name, base) in [("hit_256", 0usize), ("miss_256", 50_000)] {
+        g.bench_function(name, |b| {
+            let mut i = 0;
+            b.iter(|| {
+                i = (i + task) % 9_000;
+                misses.clear();
+                black_box(cache.get_batch(&rows_from(base + i), &mut out, &mut misses))
+            })
+        });
+    }
+    g.bench_function("insert_256", |b| {
+        let mut i = 0;
         b.iter(|| {
-            i = (i + 1) % 10_000;
-            black_box(cache.get(i, &mut out))
-        })
-    });
-    g.bench_function("miss", |b| {
-        let mut i = 0u32;
-        b.iter(|| {
-            i = (i + 1) % 10_000;
-            black_box(cache.get(50_000 + i, &mut out))
-        })
-    });
-    g.bench_function("insert", |b| {
-        let mut i = 0u32;
-        b.iter(|| {
-            i = (i + 1) % 90_000;
-            cache.insert(i, black_box(&row))
+            i = (i + task) % 90_000;
+            cache.insert_batch(&rows_from(i), &idx, black_box(&data))
         })
     });
     g.finish();

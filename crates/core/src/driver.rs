@@ -177,7 +177,7 @@ pub struct IterView<'a> {
     /// Cached `algo.subsamples()` — false skips the per-row scope call.
     pub scoped: bool,
     /// This worker's span recorder for the iteration, when tracing is on.
-    /// Staged row sources (knors) record their fetch/hit/miss/scatter
+    /// Staged row sources (knors) record their fetch/hit/miss
     /// intervals through it; measurement-only by construction.
     pub tracer: Option<WorkerTracer<'a>>,
 }

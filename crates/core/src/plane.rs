@@ -94,7 +94,7 @@ pub trait RowSource {
     /// Make every row of `rows` (a filtered task, ascending) readable
     /// through [`Self::row`] / [`Self::block`] until the next call. Returns
     /// the fast-tier hits (→ [`WorkerReport::aux`]). When `tracer` is
-    /// present a staged source records its hit/miss/scatter intervals
+    /// present a staged source records its hit/miss intervals
     /// through it (measurement-only — see [`crate::trace`]).
     fn stage(
         &mut self,
@@ -256,7 +256,7 @@ pub struct DrainScratch {
     /// Row staging: a direct source's gathered block (scoped algorithms
     /// only), or every needed row of a staged source's current task in
     /// task row order (fast-tier hits copied in place, backing-tier rows
-    /// scattered into their slots after the merged fetch).
+    /// decoded into their slots by the merged fetch).
     pub data: Vec<f64>,
     /// The GEMM kernel's packed centroids, packed once per [`drain`] call.
     pub panel: CentroidPanel,
@@ -271,8 +271,6 @@ pub struct DrainScratch {
     pub miss_idx: Vec<usize>,
     /// Staged sources: row ids handed to the backing tier, in fetch order.
     pub miss_rows: Vec<usize>,
-    /// Staged sources: backing-tier fetch staging (miss rows, fetch order).
-    pub fetch: Vec<f64>,
     /// Recycled needed-row buffers (two alive at pipeline depth 2).
     free_needed: Vec<Vec<usize>>,
 }

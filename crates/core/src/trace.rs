@@ -101,15 +101,13 @@ pub enum Phase {
     IoHit,
     /// Staged-plane merged backing-tier (device) fetch of the misses.
     IoMiss,
-    /// Staged-plane scatter of fetched rows into task-order slots.
-    IoScatter,
     /// knord's allreduce window (bytes = wire bytes this rank sent).
     Allreduce,
 }
 
 impl Phase {
     /// Every phase, for exhaustive folds and name lookups.
-    pub const ALL: [Phase; 16] = [
+    pub const ALL: [Phase; 15] = [
         Phase::Compute,
         Phase::BarrierA,
         Phase::BarrierB,
@@ -124,7 +122,6 @@ impl Phase {
         Phase::IoFetch,
         Phase::IoHit,
         Phase::IoMiss,
-        Phase::IoScatter,
         Phase::Allreduce,
     ];
 
@@ -145,7 +142,6 @@ impl Phase {
             Phase::IoFetch => "io_fetch",
             Phase::IoHit => "io_hit",
             Phase::IoMiss => "io_miss",
-            Phase::IoScatter => "io_scatter",
             Phase::Allreduce => "allreduce",
         }
     }
@@ -162,7 +158,7 @@ impl Phase {
             | Phase::BarrierP => PhaseGroup::BarrierWait,
             Phase::IoFetch | Phase::IoMiss | Phase::Allreduce => PhaseGroup::IoWait,
             Phase::Merge | Phase::Update | Phase::CcDist => PhaseGroup::Merge,
-            Phase::Publish | Phase::IoScatter => PhaseGroup::Publish,
+            Phase::Publish => PhaseGroup::Publish,
         }
     }
 }
@@ -178,7 +174,7 @@ pub enum PhaseGroup {
     IoWait,
     /// Accumulator merge, coordinator update window, ccdist fill.
     Merge,
-    /// Replica publishes and staging scatters.
+    /// Replica publishes.
     Publish,
 }
 

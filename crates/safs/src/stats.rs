@@ -23,6 +23,11 @@ pub struct IoStats {
     /// non-zero value means some background fetches were silently lost and
     /// the run fell back to synchronous reads.
     pub panicked_io_threads: AtomicU64,
+    /// Row requests served (`fetch_rows` / `fetch_rows_into` calls).
+    pub fetch_calls: AtomicU64,
+    /// Nanoseconds callers spent inside those requests, summed over
+    /// threads — with `bytes_read_device`, the per-thread bandwidth.
+    pub fetch_ns: AtomicU64,
 }
 
 impl IoStats {
@@ -42,6 +47,8 @@ impl IoStats {
             prefetched_pages: self.prefetched_pages.load(Ordering::Relaxed),
             merged_runs: self.merged_runs.load(Ordering::Relaxed),
             panicked_io_threads: self.panicked_io_threads.load(Ordering::Relaxed),
+            fetch_calls: self.fetch_calls.load(Ordering::Relaxed),
+            fetch_ns: self.fetch_ns.load(Ordering::Relaxed),
         }
     }
 
@@ -55,6 +62,8 @@ impl IoStats {
         self.prefetched_pages.store(0, Ordering::Relaxed);
         self.merged_runs.store(0, Ordering::Relaxed);
         self.panicked_io_threads.store(0, Ordering::Relaxed);
+        self.fetch_calls.store(0, Ordering::Relaxed);
+        self.fetch_ns.store(0, Ordering::Relaxed);
     }
 }
 
@@ -77,6 +86,10 @@ pub struct IoSnapshot {
     pub merged_runs: u64,
     /// Prefetch-pool threads that had panicked by shutdown.
     pub panicked_io_threads: u64,
+    /// Row requests served.
+    pub fetch_calls: u64,
+    /// Thread-nanoseconds spent inside row requests.
+    pub fetch_ns: u64,
 }
 
 impl IoSnapshot {
@@ -99,6 +112,8 @@ impl IoSnapshot {
             prefetched_pages: self.prefetched_pages - earlier.prefetched_pages,
             merged_runs: self.merged_runs - earlier.merged_runs,
             panicked_io_threads: self.panicked_io_threads - earlier.panicked_io_threads,
+            fetch_calls: self.fetch_calls - earlier.fetch_calls,
+            fetch_ns: self.fetch_ns - earlier.fetch_ns,
         }
     }
 }

@@ -83,11 +83,12 @@ impl RowStore {
         Ok(())
     }
 
-    /// Read a contiguous run of pages `[first, first+count)` in one `pread`
-    /// (the merged-request fast path). Returns the raw bytes
-    /// (`count * page_size`, zero-filled past EOF).
-    pub fn read_page_run(&self, first: u64, count: usize) -> io::Result<Vec<u8>> {
-        let mut buf = vec![0u8; count * self.page_size];
+    /// Read the contiguous run of pages starting at `first` into `buf`
+    /// (`buf.len()` = pages × `page_size`) in one `pread` — the
+    /// merged-request fast path. The part of the last page past EOF is
+    /// zero-filled; on error `buf` holds nothing a caller may use.
+    pub fn read_page_run_into(&self, first: u64, buf: &mut [u8]) -> io::Result<()> {
+        debug_assert_eq!(buf.len() % self.page_size, 0);
         let offset = first * self.page_size as u64;
         let file_len = self.header.file_len();
         if offset >= file_len {
@@ -95,30 +96,42 @@ impl RowStore {
         }
         let want = ((file_len - offset) as usize).min(buf.len());
         self.file.read_exact_at(&mut buf[..want], offset)?;
+        buf[want..].fill(0);
+        Ok(())
+    }
+
+    /// [`RowStore::read_page_run_into`] a fresh buffer of `count` pages.
+    pub fn read_page_run(&self, first: u64, count: usize) -> io::Result<Vec<u8>> {
+        let mut buf = vec![0u8; count * self.page_size];
+        self.read_page_run_into(first, &mut buf)?;
         Ok(buf)
     }
 
-    /// Copy `row`'s payload bytes out of page buffers.
+    /// Decode `row` out of page buffers straight into `out` (`ncol`
+    /// values).
     ///
-    /// `get_page(p)` must return the page-size buffer for page `p`; the row
-    /// may straddle two pages (or more for very wide rows).
-    pub fn assemble_row<'a, F>(&self, row: usize, mut get_page: F, out: &mut [u8])
+    /// `bytes_from(p)` returns page `p`'s bytes followed by however many
+    /// of the pages after it the caller holds contiguously — at least the
+    /// one page; a merged run hands back its whole tail, so a row inside a
+    /// run decodes in one pass however many pages it spans. Page sizes and
+    /// row offsets are multiples of 8, so no value straddles a page.
+    pub fn decode_row<'a, F>(&self, row: usize, mut bytes_from: F, out: &mut [f64])
     where
         F: FnMut(u64) -> &'a [u8],
     {
         let rb = self.row_bytes() as usize;
-        debug_assert_eq!(out.len(), rb);
+        debug_assert_eq!(out.len() * 8, rb);
         let start = self.row_offset(row);
         let ps = self.page_size as u64;
-        let mut copied = 0usize;
-        while copied < rb {
-            let pos = start + copied as u64;
-            let page = pos / ps;
-            let in_page = (pos % ps) as usize;
-            let take = (self.page_size - in_page).min(rb - copied);
-            let src = get_page(page);
-            out[copied..copied + take].copy_from_slice(&src[in_page..in_page + take]);
-            copied += take;
+        let mut done = 0usize;
+        while done < rb {
+            let pos = start + done as u64;
+            let src = &bytes_from(pos / ps)[(pos % ps) as usize..];
+            let take = src.len().min(rb - done);
+            for (x, b) in out[done / 8..(done + take) / 8].iter_mut().zip(src.chunks_exact(8)) {
+                *x = f64::from_le_bytes(b.try_into().expect("chunks_exact(8)"));
+            }
+            done += take;
         }
     }
 }
@@ -128,6 +141,33 @@ mod tests {
     use super::*;
     use knor_matrix::io::write_matrix;
     use knor_matrix::DMatrix;
+
+    impl RowStore {
+        /// Copy `row`'s payload bytes out of page buffers — the byte-level
+        /// walk [`RowStore::decode_row`] replaced, kept as the tests' oracle.
+        ///
+        /// `get_page(p)` must return the page-size buffer for page `p`; the row
+        /// may straddle two pages (or more for very wide rows).
+        pub(crate) fn assemble_row<'a, F>(&self, row: usize, mut get_page: F, out: &mut [u8])
+        where
+            F: FnMut(u64) -> &'a [u8],
+        {
+            let rb = self.row_bytes() as usize;
+            debug_assert_eq!(out.len(), rb);
+            let start = self.row_offset(row);
+            let ps = self.page_size as u64;
+            let mut copied = 0usize;
+            while copied < rb {
+                let pos = start + copied as u64;
+                let page = pos / ps;
+                let in_page = (pos % ps) as usize;
+                let take = (self.page_size - in_page).min(rb - copied);
+                let src = get_page(page);
+                out[copied..copied + take].copy_from_slice(&src[in_page..in_page + take]);
+                copied += take;
+            }
+        }
+    }
 
     fn store_with(
         nrow: usize,

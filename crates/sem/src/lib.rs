@@ -49,6 +49,15 @@ pub struct IoIterStats {
     pub page_hits: u64,
     /// Page-cache misses this iteration.
     pub page_misses: u64,
+    /// Row requests the workers made of SAFS this iteration.
+    pub fetch_calls: u64,
+    /// `pread`s issued this iteration, after request merging.
+    pub device_reads: u64,
+    /// Thread-nanoseconds spent inside those requests — with `bytes_read`,
+    /// the bandwidth one thread drew from the device.
+    pub fetch_ns: u64,
+    /// Bytes the reader's reusable request buffers hold at iteration end.
+    pub arena_bytes: u64,
     /// Rows resident in the row cache at iteration end.
     pub rc_resident_rows: u64,
     /// Whether the row cache refreshed this iteration.

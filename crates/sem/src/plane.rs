@@ -261,8 +261,9 @@ impl RowSource for &SemPlane {
     }
 
     /// Fast-tier hits copy straight into their task-row-order slot; misses
-    /// are fetched from the backing tier in one merged request, scattered
-    /// into place and — on a refresh iteration — retained in the fast tier.
+    /// are fetched from the backing tier in one merged request that decodes
+    /// each into its slot, and — on a refresh iteration — retained in the
+    /// fast tier.
     fn stage(
         &mut self,
         needed: &[usize],
@@ -276,43 +277,27 @@ impl RowSource for &SemPlane {
             scratch.data.resize(needed.len() * d, 0.0);
         }
         let t_hit = tracer.map(|t| t.now());
-        let mut hits = 0u64;
-        for (i, &r) in needed.iter().enumerate() {
-            let dst = &mut scratch.data[i * d..(i + 1) * d];
-            if self.row_cache.get(r as u32, dst) {
-                hits += 1;
-            } else {
-                scratch.miss_idx.push(i);
-                scratch.miss_rows.push(self.base + r);
-            }
-        }
+        let hits = self.row_cache.get_batch(needed, &mut scratch.data, &mut scratch.miss_idx);
         if let (Some(t), Some(t0)) = (tracer, t_hit) {
             if hits > 0 {
                 t.record(Phase::IoHit, t0, hits * (d as u64) * 8);
             }
         }
-        if !scratch.miss_rows.is_empty() {
-            // One merged fetch for the misses, scattered into their
-            // task-row-order slots.
+        if !scratch.miss_idx.is_empty() {
+            scratch.miss_rows.extend(scratch.miss_idx.iter().map(|&i| self.base + needed[i]));
             let t_miss = tracer.map(|t| t.now());
-            self.reader.fetch_rows(&scratch.miss_rows, &mut scratch.fetch)?;
+            self.reader.fetch_rows_into(
+                &scratch.miss_rows,
+                &scratch.miss_idx,
+                &mut scratch.data,
+            )?;
             if let (Some(t), Some(t0)) = (tracer, t_miss) {
                 t.record(Phase::IoMiss, t0, (scratch.miss_rows.len() * d * 8) as u64);
-            }
-            let t_scatter = tracer.map(|t| t.now());
-            for (j, &i) in scratch.miss_idx.iter().enumerate() {
-                scratch.data[i * d..(i + 1) * d]
-                    .copy_from_slice(&scratch.fetch[j * d..(j + 1) * d]);
-            }
-            if let (Some(t), Some(t0)) = (tracer, t_scatter) {
-                t.record(Phase::IoScatter, t0, (scratch.miss_rows.len() * d * 8) as u64);
             }
             // The coordinator decided in `pre_iteration` whether this
             // iteration refreshes the row cache.
             if self.refresh_now.load(Ordering::Acquire) {
-                for &i in &scratch.miss_idx {
-                    self.row_cache.insert(needed[i] as u32, &scratch.data[i * d..(i + 1) * d]);
-                }
+                self.row_cache.insert_batch(needed, &scratch.miss_idx, &scratch.data);
             }
         }
         Ok(hits)
@@ -360,6 +345,10 @@ impl DataPlane for SemPlane {
             bytes_read: delta.bytes_read_device,
             page_hits: delta.page_hits,
             page_misses: delta.page_misses,
+            fetch_calls: delta.fetch_calls,
+            device_reads: delta.device_reads,
+            fetch_ns: delta.fetch_ns,
+            arena_bytes: self.reader.arena_bytes(),
             rc_resident_rows: self.row_cache.resident_rows(),
             rc_refreshed: refreshing,
         });
@@ -410,6 +399,20 @@ pub fn forgy_from_file(path: &Path, k: usize, seed: u64) -> io::Result<DMatrix> 
     Ok(DMatrix::from_vec(buf, k, d))
 }
 
+/// Stream the reader's file once, in row order: `visit(first, values)`
+/// sees each chunk's first row id and its rows' values.
+fn stream_rows(reader: &SafsReader, mut visit: impl FnMut(usize, &[f64])) -> io::Result<()> {
+    let (n, chunk) = (reader.store().nrow(), 8192usize);
+    let (mut buf, mut rows) = (Vec::new(), Vec::with_capacity(chunk));
+    for start in (0..n).step_by(chunk) {
+        rows.clear();
+        rows.extend(start..(start + chunk).min(n));
+        reader.fetch_rows(&rows, &mut buf)?;
+        visit(start, &buf);
+    }
+    Ok(())
+}
+
 /// Stream the reader's file once, re-running the algorithm's map phase on
 /// every row against the final centroids (the post-run refresh pass for
 /// subsampling algorithms).
@@ -419,23 +422,12 @@ pub fn streamed_refresh(
     algo: &dyn MmAlgorithm,
     assignments: &mut [u32],
 ) -> io::Result<()> {
-    let n = reader.store().nrow();
     let d = reader.store().ncol();
-    let chunk = 8192usize;
-    let mut buf = Vec::new();
-    let mut rows: Vec<usize> = Vec::with_capacity(chunk);
-    let mut start = 0;
-    while start < n {
-        let end = (start + chunk).min(n);
-        rows.clear();
-        rows.extend(start..end);
-        reader.fetch_rows(&rows, &mut buf)?;
-        for (i, r) in (start..end).enumerate() {
-            assignments[r] = algo.map(&buf[i * d..(i + 1) * d], cents).cluster;
+    stream_rows(reader, |start, buf| {
+        for (a, v) in assignments[start..].iter_mut().zip(buf.chunks_exact(d)) {
+            *a = algo.map(v, cents).cluster;
         }
-        start = end;
-    }
-    Ok(())
+    })
 }
 
 /// Stream the reader's file once to compute the final SSE.
@@ -444,24 +436,13 @@ pub fn streamed_sse(
     centroids: &DMatrix,
     assignments: &[u32],
 ) -> io::Result<f64> {
-    let n = reader.store().nrow();
     let d = reader.store().ncol();
-    let chunk = 8192usize;
     let mut total = 0.0;
-    let mut buf = Vec::new();
-    let mut rows: Vec<usize> = Vec::with_capacity(chunk);
-    let mut start = 0;
-    while start < n {
-        let end = (start + chunk).min(n);
-        rows.clear();
-        rows.extend(start..end);
-        reader.fetch_rows(&rows, &mut buf)?;
-        for (i, r) in (start..end).enumerate() {
-            let v = &buf[i * d..(i + 1) * d];
-            total += knor_core::distance::sqdist(v, centroids.row(assignments[r] as usize));
+    stream_rows(reader, |start, buf| {
+        for (&a, v) in assignments[start..].iter().zip(buf.chunks_exact(d)) {
+            total += knor_core::distance::sqdist(v, centroids.row(a as usize));
         }
-        start = end;
-    }
+    })?;
     Ok(total)
 }
 

@@ -12,6 +12,7 @@
 
 use parking_lot::RwLock;
 use std::collections::HashMap;
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// The exponential refresh schedule: refresh at `base`, then after
@@ -56,10 +57,42 @@ impl RefreshSchedule {
     }
 }
 
+/// One partition: a slab of row values and the index into it. Both start
+/// empty and keep their capacity across flushes, so a cache that never
+/// fills costs nothing and a refresh frees and allocates nothing per row.
+#[derive(Debug, Default)]
+struct Part {
+    /// Row id → slot; slot `s` holds its `d` values at `slab[s * d..]`.
+    slots: HashMap<u32, u32>,
+    slab: Vec<f64>,
+}
+
+impl Part {
+    fn get(&self, row: u32, out: &mut [f64]) -> bool {
+        let Some(&s) = self.slots.get(&row) else { return false };
+        out.copy_from_slice(&self.slab[s as usize * out.len()..][..out.len()]);
+        true
+    }
+
+    /// Store `row` if it is resident already or fewer than `cap` rows are.
+    fn insert(&mut self, row: u32, data: &[f64], cap: usize) -> bool {
+        if let Some(&s) = self.slots.get(&row) {
+            self.slab[s as usize * data.len()..][..data.len()].copy_from_slice(data);
+        } else if self.slots.len() < cap {
+            self.slots.insert(row, self.slots.len() as u32);
+            self.slab.extend_from_slice(data);
+        } else {
+            return false;
+        }
+        true
+    }
+}
+
 /// A partitioned, budgeted cache of row data.
 #[derive(Debug)]
 pub struct RowCache {
-    parts: Vec<RwLock<HashMap<u32, Box<[f64]>>>>,
+    parts: Vec<RwLock<Part>>,
+    d: usize,
     /// Maximum rows held per partition (budget / row bytes / partitions).
     rows_per_part: usize,
     /// Maps a global row to its partition.
@@ -79,7 +112,8 @@ impl RowCache {
         let total_rows = budget_bytes.checked_div(row_bytes).unwrap_or(0) as usize;
         let rows_per_part = total_rows / nparts;
         Self {
-            parts: (0..nparts).map(|_| RwLock::new(HashMap::new())).collect(),
+            parts: (0..nparts).map(|_| RwLock::new(Part::default())).collect(),
+            d,
             rows_per_part,
             rows_per_partition_range: nrow.div_ceil(nparts).max(1),
             hits: AtomicU64::new(0),
@@ -88,64 +122,97 @@ impl RowCache {
         }
     }
 
-    /// Number of partitions.
-    pub fn nparts(&self) -> usize {
-        self.parts.len()
-    }
-
     /// Row capacity per partition.
     pub fn rows_per_part(&self) -> usize {
         self.rows_per_part
     }
 
-    #[inline]
-    fn part_of(&self, row: u32) -> usize {
-        (row as usize / self.rows_per_partition_range).min(self.parts.len() - 1)
+    /// The partition holding `row`, and the row ids it covers.
+    fn part_span(&self, row: usize) -> (usize, Range<usize>) {
+        let (last, range) = (self.parts.len() - 1, self.rows_per_partition_range);
+        let p = (row / range).min(last);
+        (p, p * range..if p == last { usize::MAX } else { (p + 1) * range })
     }
 
-    /// Look up a row; copies into `out` on hit.
+    /// Look up a row; copies into `out` on hit. The per-row call
+    /// [`RowCache::get_batch`] replaced, kept as its oracle.
+    #[cfg(test)]
     pub fn get(&self, row: u32, out: &mut [f64]) -> bool {
-        if self.rows_per_part == 0 {
-            self.misses.fetch_add(1, Ordering::Relaxed);
-            return false;
-        }
-        let part = self.parts[self.part_of(row)].read();
-        match part.get(&row) {
-            Some(data) => {
-                out.copy_from_slice(data);
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                true
+        let hit = self.rows_per_part > 0
+            && self.parts[self.part_span(row as usize).0].read().get(row, out);
+        let counter = if hit { &self.hits } else { &self.misses };
+        counter.fetch_add(1, Ordering::Relaxed);
+        hit
+    }
+
+    /// Look up a task's rows: a resident `rows[i]` is copied into row slot
+    /// `i` of `dst`, any other `i` is pushed on `misses`. Returns the hits.
+    /// One lock per run of rows that share a partition, one counter update
+    /// per call; an empty partition answers without hashing.
+    pub fn get_batch(&self, rows: &[usize], dst: &mut [f64], misses: &mut Vec<usize>) -> u64 {
+        let (d, before) = (self.d, misses.len());
+        // Under no budget every row misses and no partition is asked.
+        let mut at = if self.rows_per_part == 0 { rows.len() } else { 0 };
+        misses.extend(0..at);
+        while at < rows.len() {
+            let (p, span) = self.part_span(rows[at]);
+            let end = at + rows[at..].iter().take_while(|r| span.contains(r)).count();
+            let part = self.parts[p].read();
+            if part.slots.is_empty() {
+                misses.extend(at..end);
+            } else {
+                let miss = |i: &usize| !part.get(rows[*i] as u32, &mut dst[i * d..(i + 1) * d]);
+                misses.extend((at..end).filter(miss));
             }
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                false
-            }
+            at = end;
         }
+        let missed = (misses.len() - before) as u64;
+        self.misses.fetch_add(missed, Ordering::Relaxed);
+        self.hits.fetch_add(rows.len() as u64 - missed, Ordering::Relaxed);
+        rows.len() as u64 - missed
     }
 
     /// Insert a row during a refresh iteration; ignored once the owning
-    /// partition is at budget.
+    /// partition is at budget. [`RowCache::insert_batch`]'s oracle.
+    #[cfg(test)]
     pub fn insert(&self, row: u32, data: &[f64]) {
-        if self.rows_per_part == 0 {
-            return;
-        }
-        let mut part = self.parts[self.part_of(row)].write();
-        if part.len() < self.rows_per_part || part.contains_key(&row) {
-            part.insert(row, data.to_vec().into_boxed_slice());
+        let mut part = self.parts[self.part_span(row as usize).0].write();
+        if part.insert(row, data, self.rows_per_part) {
             self.inserts.fetch_add(1, Ordering::Relaxed);
         }
+    }
+
+    /// Retain `rows[i]`, whose values are row slot `i` of `data`, for every
+    /// `i` of `idx` (a refresh iteration's misses); a row is ignored once
+    /// its partition is at budget. One lock per run of rows that share a
+    /// partition, one counter update per call.
+    pub fn insert_batch(&self, rows: &[usize], idx: &[usize], data: &[f64]) {
+        let (d, mut at, mut inserted) = (self.d, 0, 0);
+        while self.rows_per_part > 0 && at < idx.len() {
+            let (p, span) = self.part_span(rows[idx[at]]);
+            let end = at + idx[at..].iter().take_while(|&&i| span.contains(&rows[i])).count();
+            let mut part = self.parts[p].write();
+            for &i in &idx[at..end] {
+                let row = &data[i * d..(i + 1) * d];
+                inserted += u64::from(part.insert(rows[i] as u32, row, self.rows_per_part));
+            }
+            at = end;
+        }
+        self.inserts.fetch_add(inserted, Ordering::Relaxed);
     }
 
     /// Flush all partitions (start of a refresh iteration).
     pub fn flush(&self) {
         for p in &self.parts {
-            p.write().clear();
+            let mut part = p.write();
+            part.slots.clear();
+            part.slab.clear();
         }
     }
 
     /// Rows currently resident.
     pub fn resident_rows(&self) -> u64 {
-        self.parts.iter().map(|p| p.read().len() as u64).sum()
+        self.parts.iter().map(|p| p.read().slots.len() as u64).sum()
     }
 
     /// (hits, misses, inserts) counters since construction.
@@ -194,6 +261,66 @@ mod tests {
         assert_eq!(out, vec![1.0, 2.0, 3.0, 4.0]);
         let (h, m, i) = c.counters();
         assert_eq!((h, m, i), (1, 1, 1));
+    }
+
+    /// `get_batch`/`insert_batch` against the per-row calls on a twin
+    /// cache: the same hits and misses, the same values copied, the same
+    /// rows retained under each partition's budget, the same counters —
+    /// for tasks inside one partition, straddling two, and under no budget.
+    #[test]
+    fn batch_calls_are_the_per_row_calls() {
+        let (n, d) = (100usize, 3usize);
+        let values = |r: usize| [r as f64, -(r as f64), 0.5];
+        let tasks: [Vec<usize>; 5] = [
+            (40..60).collect(), // straddles 50 (two partitions) and 33, 66 (three)
+            (0..n).step_by(7).collect(),
+            vec![99],
+            (45..55).collect(),
+            (0..n).collect(),
+        ];
+        for (budget_rows, nparts) in [(0usize, 2usize), (6, 2), (7, 3), (1000, 4), (5, 1)] {
+            let open = || RowCache::new((budget_rows * d * 8) as u64, n, d, nparts);
+            let (batch, single) = (open(), open());
+            // Two passes: the second finds what the first retained.
+            for task in tasks.iter().chain(&tasks) {
+                let tag = format!("budget={budget_rows} parts={nparts} task={:?}..", task.first());
+                // A staging area longer than the task, as a grow-only one is.
+                let mut dst = vec![f64::NAN; (task.len() + 2) * d];
+                let mut misses = Vec::new();
+                let hits = batch.get_batch(task, &mut dst, &mut misses);
+                let mut want_misses = Vec::new();
+                let mut out = [0.0; 3];
+                for (i, &r) in task.iter().enumerate() {
+                    if single.get(r as u32, &mut out) {
+                        assert_eq!(dst[i * d..(i + 1) * d], out, "{tag}: row {r}");
+                        assert_eq!(out, values(r), "{tag}: row {r}");
+                    } else {
+                        want_misses.push(i);
+                    }
+                }
+                assert_eq!(misses, want_misses, "{tag}");
+                assert_eq!(hits as usize, task.len() - misses.len(), "{tag}");
+                assert_eq!(batch.counters(), single.counters(), "{tag}");
+
+                for &i in &misses {
+                    dst[i * d..(i + 1) * d].copy_from_slice(&values(task[i]));
+                    single.insert(task[i] as u32, &values(task[i]));
+                }
+                batch.insert_batch(task, &misses, &dst);
+                assert_eq!(batch.counters(), single.counters(), "{tag}");
+                let held = |c: &RowCache| -> Vec<u64> {
+                    c.parts.iter().map(|p| p.read().slots.len() as u64).collect()
+                };
+                assert_eq!(held(&batch), held(&single), "{tag}");
+                assert!(held(&batch).iter().all(|&rows| rows <= (budget_rows / nparts) as u64));
+            }
+            let resident = |c: &RowCache| -> Vec<bool> {
+                (0..n as u32).map(|r| c.get(r, &mut [0.0; 3])).collect()
+            };
+            assert_eq!(resident(&batch), resident(&single));
+            batch.flush();
+            assert_eq!(batch.get_batch(&tasks[4], &mut vec![0.0; n * d], &mut Vec::new()), 0);
+        }
     }
 
     #[test]

@@ -416,7 +416,24 @@ fn algorithm(o: &Opts, n: usize) -> Algorithm {
     }
 }
 
+/// A reader that went away (`knor sem … | head -1`) is not a crash. Every
+/// `println!` panics on the `EPIPE`; this hook turns exactly that panic
+/// into a quiet exit, in one place rather than a checked write per print.
+fn exit_quietly_when_stdout_closes() {
+    let default = std::panic::take_hook();
+    std::panic::set_hook(Box::new(move |info| {
+        let msg = info.payload().downcast_ref::<String>();
+        if msg.is_some_and(|m| {
+            m.starts_with("failed printing to stdout") && m.ends_with("(os error 32)")
+        }) {
+            exit(0)
+        }
+        default(info)
+    }));
+}
+
 fn main() {
+    exit_quietly_when_stdout_closes();
     let args: Vec<String> = std::env::args().skip(1).collect();
     let (mode, o) = parse(&args);
     match mode.as_str() {
@@ -518,6 +535,7 @@ fn main() {
                 print_numa(&r.kmeans.numa, r.kmeans.total_publish_bytes(), r.kmeans.niters);
                 print_memory(&r.kmeans.memory);
                 print_io_table(&r.io);
+                print_io_summary(&[&r.io]);
                 if r.panicked_io_threads > 0 {
                     println!("WARNING: {} prefetch thread(s) died mid-run", r.panicked_io_threads);
                 }
@@ -853,8 +871,30 @@ fn print_io_table(io: &[knor::sem::IoIterStats]) {
     );
 }
 
+/// The `--stats` request-path line of a SEM run, summed over iterations and
+/// threads (`planes`: knors' one, or every knord rank's): how many row
+/// requests became how many `pread`s of how many pages, the thread-seconds
+/// they took and so the MB/s one thread drew from the device, and what the
+/// reusable request buffers hold at the end. (Pages are the default size:
+/// no flag of this binary sets another.)
+fn print_io_summary(planes: &[&[knor::sem::IoIterStats]]) {
+    let sum = |f: fn(&knor::sem::IoIterStats) -> u64| -> u64 {
+        planes.iter().flat_map(|io| io.iter()).map(f).sum()
+    };
+    let (reads, read_b, secs) =
+        (sum(|i| i.device_reads), sum(|i| i.bytes_read), sum(|i| i.fetch_ns) as f64 / 1e9);
+    let arena: u64 = planes.iter().filter_map(|io| io.last()).map(|i| i.arena_bytes).sum();
+    println!(
+        "io: fetch_calls={} device_reads={reads} pages/read={:.1} fetch_s={secs:.3} MB/s/thread={:.0} arena_KB={}",
+        sum(|i| i.fetch_calls),
+        (read_b / knor::safs::DEFAULT_PAGE_SIZE as u64) as f64 / reads.max(1) as f64,
+        read_b as f64 / 1e6 / secs.max(1e-9),
+        arena / 1024,
+    );
+}
+
 /// `--stats` for dist: per-iteration wire traffic, per-rank totals, and —
-/// for SEM-plane runs — each rank's private I/O record.
+/// for SEM-plane runs — each rank's private I/O record and their sum.
 fn print_dist_stats(r: &DistResult) {
     let iter_rows: Vec<Vec<String>> = r
         .iters
@@ -904,5 +944,9 @@ fn print_dist_stats(r: &DistResult) {
                 String::new()
             }
         );
+    }
+    let planes: Vec<&[_]> = r.rank_io.iter().map(|rio| &rio.io[..]).collect();
+    if planes.iter().any(|io| !io.is_empty()) {
+        print_io_summary(&planes);
     }
 }

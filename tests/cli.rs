@@ -347,3 +347,91 @@ fn im_stats_report_the_load_and_a_peak_under_one_and_a_half_inputs() {
         assert_eq!(field("memory: ", "VmHWM_MB="), "n/a");
     }
 }
+
+/// A small clustered input for the SEM tests below.
+fn gen_small(name: &str) -> std::path::PathBuf {
+    let file = tmp(name);
+    let gen = knor()
+        .args(["gen", file.to_str().unwrap(), "--dataset", "friendster8", "--scale", "0.0003"])
+        .output()
+        .expect("spawn gen");
+    assert!(gen.status.success(), "{}", String::from_utf8_lossy(&gen.stderr));
+    file
+}
+
+/// `--stats` on a SEM run prints one `io:` line — requests, reads, pages
+/// per read, the thread-seconds they took and the bandwidth that is — so
+/// bytes × bandwidth can be checked without `--trace`.
+#[test]
+fn sem_stats_print_one_request_path_line_that_parses() {
+    let file = gen_small("io-line.knor");
+    let path = file.to_str().unwrap();
+    let caches = ["--row-cache", "1", "--page-cache", "1", "--stats"];
+    for engine in [
+        vec!["sem", path, "-k", "6", "-i", "6", "-t", "2"],
+        vec!["dist", path, "-k", "6", "-i", "6", "--ranks", "2", "--plane", "sem"],
+    ] {
+        let run = knor().args(&engine).args(caches).output().expect("spawn knor");
+        assert!(run.status.success(), "{engine:?}: {}", String::from_utf8_lossy(&run.stderr));
+        let stdout = String::from_utf8_lossy(&run.stdout);
+        let lines: Vec<&str> = stdout.lines().filter(|l| l.starts_with("io: ")).collect();
+        assert_eq!(lines.len(), 1, "{engine:?}: one `io:` line in {stdout}");
+        let fields: Vec<(&str, f64)> = lines[0]["io: ".len()..]
+            .split_whitespace()
+            .map(|w| {
+                let (key, v) = w.split_once('=').unwrap_or_else(|| panic!("{w:?} in {lines:?}"));
+                (key, v.parse().unwrap_or_else(|_| panic!("{w:?} in {lines:?}")))
+            })
+            .collect();
+        let keys: Vec<&str> = fields.iter().map(|f| f.0).collect();
+        assert_eq!(
+            keys,
+            ["fetch_calls", "device_reads", "pages/read", "fetch_s", "MB/s/thread", "arena_KB"]
+        );
+        let get = |key: &str| fields.iter().find(|f| f.0 == key).unwrap().1;
+        assert!(get("device_reads") > 0.0 && get("fetch_calls") > 0.0, "{lines:?}");
+        assert!(get("pages/read") >= 1.0 && get("MB/s/thread") > 0.0, "{lines:?}");
+        assert!(get("arena_KB") > 0.0, "{lines:?}");
+    }
+    std::fs::remove_file(&file).unwrap();
+}
+
+/// `knor … | head -1`: a reader that closes stdout — before anything is
+/// printed, or after the first line — ends the process quietly, exit 0 and
+/// nothing about a panic on stderr.
+#[test]
+fn a_closed_stdout_ends_the_run_quietly() {
+    use std::io::{BufRead, BufReader, Read};
+    use std::process::Stdio;
+
+    let file = gen_small("epipe.knor");
+    let path = file.to_str().unwrap();
+    for engine in [
+        vec!["sem", path, "-k", "6", "-i", "8", "-t", "2", "--stats"],
+        vec!["im", path, "-k", "6", "-i", "8", "-t", "2", "--stats"],
+    ] {
+        for read_first_line in [false, true] {
+            let mut child = knor()
+                .args(&engine)
+                .stdout(Stdio::piped())
+                .stderr(Stdio::piped())
+                .spawn()
+                .expect("spawn knor");
+            let mut stdout = BufReader::new(child.stdout.take().unwrap());
+            if read_first_line {
+                let mut line = String::new();
+                stdout.read_line(&mut line).unwrap();
+                assert!(line.starts_with("knor"), "{engine:?}: {line:?}");
+            }
+            drop(stdout);
+            let mut stderr = String::new();
+            child.stderr.take().unwrap().read_to_string(&mut stderr).unwrap();
+            let status = child.wait().unwrap();
+            let what = format!("{engine:?} first line read: {read_first_line}");
+            assert!(!stderr.contains("panicked"), "{what}: {stderr}");
+            assert_eq!(stderr, "", "{what}");
+            assert_eq!(status.code(), Some(0), "{what}");
+        }
+    }
+    std::fs::remove_file(&file).unwrap();
+}

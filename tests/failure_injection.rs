@@ -181,6 +181,80 @@ fn sem_read_failure_mid_run_is_an_error_not_a_hang() {
 }
 
 #[test]
+fn sem_file_that_shrinks_between_two_tasks_fails_every_later_fit_through_the_same_plane() {
+    // One task is staged from the whole file; then the file loses its
+    // second half; the next task, past the cut, fails. The plane must come
+    // out of that usable: an earlier task still stages bit for bit (the
+    // reader's request scratch went back to its pool, nothing of the failed
+    // read entered the page cache), and each of two fits through the very
+    // same plane ends with the read error — at one worker and at two, under
+    // a watchdog, never a hang or a panic.
+    use knor::core::algo::LloydAlgo;
+    use knor::core::driver::{run_mm, DriverConfig, NoReduce};
+    use knor::core::plane::{DrainScratch, RowSource};
+    use knor::numa::{Placement, Topology};
+    use knor::sched::TaskQueue;
+    use knor::sem::SemPlane;
+    use std::sync::Arc;
+
+    let (n, d, k) = (2000usize, 4usize, 3usize);
+    let data = MixtureSpec::friendster_like(n, d, 5).generate().data;
+    for threads in [1usize, 2] {
+        let p = tmp(&format!("shrink-between-tasks-{threads}.knor"));
+        matrix_io::write_matrix(&p, &data).unwrap();
+        let plane_cfg = SemPlaneConfig::default().with_page_size(256).with_row_cache_bytes(0);
+        let plane = Arc::new(SemPlane::open_all(&p, &plane_cfg, threads).unwrap());
+
+        let mut scratch = DrainScratch::default();
+        let (early, late): (Vec<usize>, Vec<usize>) = ((0..64).collect(), (1500..1564).collect());
+        let stage = |rows: &[usize], scratch: &mut DrainScratch| {
+            let staged = (&*plane).stage(rows, scratch, None);
+            staged.map(|_| scratch.data[..rows.len() * d].to_vec())
+        };
+        let whole = stage(&early, &mut scratch).unwrap();
+        assert_eq!(whole, data.as_slice()[..64 * d]);
+        let full = std::fs::metadata(&p).unwrap().len();
+        std::fs::OpenOptions::new().write(true).open(&p).unwrap().set_len(full / 2).unwrap();
+        let err = stage(&late, &mut scratch).expect_err("the task lies past the cut");
+        assert_eq!(err.kind(), std::io::ErrorKind::UnexpectedEof, "T={threads}: {err}");
+        assert_eq!(stage(&early, &mut scratch).unwrap(), whole, "T={threads}");
+
+        for fit in 0..2 {
+            let (plane, init) = (Arc::clone(&plane), InitMethod::Forgy.initialize(&data, k, 1));
+            let (tx, rx) = std::sync::mpsc::channel();
+            std::thread::spawn(move || {
+                let cfg = DriverConfig {
+                    k,
+                    d,
+                    n,
+                    nthreads: threads,
+                    max_iters: 20,
+                    tol: 0.0,
+                    pruning: Pruning::Mti,
+                    task_size: 64,
+                    kernel: KernelKind::Auto,
+                    tiles: None,
+                    row_offset: 0,
+                    replication: false,
+                    trace: None,
+                };
+                let placement = Placement::new(&Topology::flat(threads), n, threads);
+                let queue = TaskQueue::new(SchedulerKind::Static, &placement);
+                let out = run_mm(&cfg, init, &placement, &queue, &*plane, &NoReduce, &LloydAlgo);
+                let _ = tx.send(out.map(|o| o.iters.len()));
+            });
+            let err = rx
+                .recv_timeout(std::time::Duration::from_secs(60))
+                .expect("a failed SEM read must end the run, not hang it")
+                .expect_err("half the file is gone");
+            assert_eq!(err.kind(), std::io::ErrorKind::UnexpectedEof, "T={threads} fit {fit}");
+            assert!(!err.to_string().contains('\n'), "one line: {err}");
+        }
+        std::fs::remove_file(&p).unwrap();
+    }
+}
+
+#[test]
 fn file_that_shrinks_under_the_loader_is_an_error_and_the_server_keeps_serving() {
     // As above, for the in-memory loader: the length check passed at open,
     // then the file lost its second half. Every loader thread is joined
