@@ -17,217 +17,23 @@
 //! model can compare the two (Fig. 4).
 
 use knor_matrix::io::MatrixFile;
-use knor_matrix::{DMatrix, Rows};
+use knor_matrix::DMatrix;
 use knor_numa::bind::bind_current_thread;
 use knor_numa::{AccessTally, NodeId, NumaMatrix, Placement, Topology};
-use knor_sched::{SchedulerKind, TaskQueue, DEFAULT_TASK_SIZE};
 
-use crate::algo::Algorithm;
 use crate::centroids::LocalAccum;
-use crate::driver::{run_mm, DriverConfig, IterView, NoReduce, WorkerReport};
-use crate::init::InitMethod;
-use crate::kernel::KernelKind;
+use crate::driver::{run_mm, IterView, NoReduce, WorkerReport};
 use crate::plane::{drain, DataPlane, Direct, DrainScratch};
-use crate::pruning::{yinyang_groups, Pruning};
-use crate::replica::Replication;
-use crate::stats::{KmeansResult, LoadStats, MemoryFootprint, NumaReport};
-use crate::trace::{TraceBuf, TraceHandle};
-use crate::tune::Tuning;
+use crate::spec::{settle, Resolved, RunSpec};
+use crate::stats::{KmeansResult, LoadStats};
 
 use std::io;
 use std::path::Path;
-use std::sync::Arc;
 use std::time::Instant;
 
-/// Configuration for a [`Kmeans`] run.
-#[derive(Debug, Clone)]
-pub struct KmeansConfig {
-    /// Number of clusters.
-    pub k: usize,
-    /// Iteration cap (counting the initial assignment pass).
-    pub max_iters: usize,
-    /// Stop when the maximum centroid drift falls to or below this value
-    /// (0.0 = stop only on zero reassignments).
-    pub tol: f64,
-    /// Centroid initialization.
-    pub init: InitMethod,
-    /// Seed for initialization randomness.
-    pub seed: u64,
-    /// Pruning scheme: MTI (knori), Yinyang group bounds, or none (knori-).
-    pub pruning: Pruning,
-    /// Task queue policy (Fig. 5).
-    pub scheduler: SchedulerKind,
-    /// Worker threads; `None` = all available CPUs.
-    pub threads: Option<usize>,
-    /// Machine topology; `None` = detect the host.
-    pub topology: Option<Topology>,
-    /// Rows per scheduler task.
-    pub task_size: usize,
-    /// NUMA-aware placement/binding (true) or the oblivious baseline.
-    pub numa_aware: bool,
-    /// Record per-iteration [`AccessTally`]s for the cost model.
-    pub track_tallies: bool,
-    /// Compute the final SSE (one extra serial pass).
-    pub compute_sse: bool,
-    /// Assignment kernel for full scans (see [`crate::kernel`]).
-    pub kernel: KernelKind,
-    /// Clustering algorithm to run on the driver (see [`crate::algo`]).
-    /// Non-Lloyd algorithms force MTI pruning off.
-    pub algo: Algorithm,
-    /// Kernel autotuning policy (see [`crate::tune`]).
-    pub tuning: Tuning,
-    /// Per-NUMA-node read replicas of the iteration state (see
-    /// [`crate::replica`]); `Auto` replicates when the run is NUMA-aware
-    /// on a multi-node topology.
-    pub replication: Replication,
-    /// Span recorder to attach to the run (see [`crate::trace`]); `None`
-    /// (the default) records nothing and costs nothing.
-    pub trace: Option<Arc<TraceBuf>>,
-}
-
-impl KmeansConfig {
-    /// Defaults matching the paper's knori: MTI on, NUMA-aware scheduler,
-    /// all CPUs, task size 8192.
-    pub fn new(k: usize) -> Self {
-        Self {
-            k,
-            max_iters: 100,
-            tol: 0.0,
-            init: InitMethod::Forgy,
-            seed: 0,
-            pruning: Pruning::Mti,
-            scheduler: SchedulerKind::NumaAware,
-            threads: None,
-            topology: None,
-            task_size: DEFAULT_TASK_SIZE,
-            numa_aware: true,
-            track_tallies: false,
-            compute_sse: true,
-            kernel: KernelKind::Auto,
-            algo: Algorithm::Lloyd,
-            tuning: Tuning::off(),
-            replication: Replication::Auto,
-            trace: None,
-        }
-    }
-
-    /// Set the iteration cap.
-    pub fn with_max_iters(mut self, v: usize) -> Self {
-        self.max_iters = v;
-        self
-    }
-
-    /// Set the drift tolerance.
-    pub fn with_tol(mut self, v: f64) -> Self {
-        self.tol = v;
-        self
-    }
-
-    /// Set the initialization method.
-    pub fn with_init(mut self, v: InitMethod) -> Self {
-        self.init = v;
-        self
-    }
-
-    /// Set the RNG seed.
-    pub fn with_seed(mut self, v: u64) -> Self {
-        self.seed = v;
-        self
-    }
-
-    /// Choose the pruning scheme.
-    pub fn with_pruning(mut self, v: Pruning) -> Self {
-        self.pruning = v;
-        self
-    }
-
-    /// Choose the scheduler policy.
-    pub fn with_scheduler(mut self, v: SchedulerKind) -> Self {
-        self.scheduler = v;
-        self
-    }
-
-    /// Set the worker thread count.
-    pub fn with_threads(mut self, v: usize) -> Self {
-        self.threads = Some(v.max(1));
-        self
-    }
-
-    /// Supply a topology (synthetic topologies enable modeled scaling runs).
-    pub fn with_topology(mut self, v: Topology) -> Self {
-        self.topology = Some(v);
-        self
-    }
-
-    /// Set rows per task.
-    pub fn with_task_size(mut self, v: usize) -> Self {
-        self.task_size = v.max(1);
-        self
-    }
-
-    /// Toggle NUMA-aware placement (false = oblivious baseline).
-    pub fn with_numa_aware(mut self, v: bool) -> Self {
-        self.numa_aware = v;
-        self
-    }
-
-    /// Toggle access-tally tracking.
-    pub fn with_tallies(mut self, v: bool) -> Self {
-        self.track_tallies = v;
-        self
-    }
-
-    /// Toggle the final SSE pass.
-    pub fn with_sse(mut self, v: bool) -> Self {
-        self.compute_sse = v;
-        self
-    }
-
-    /// Choose the full-scan assignment kernel.
-    pub fn with_kernel(mut self, v: KernelKind) -> Self {
-        self.kernel = v;
-        self
-    }
-
-    /// Choose the clustering algorithm.
-    pub fn with_algo(mut self, v: Algorithm) -> Self {
-        self.algo = v;
-        self
-    }
-
-    /// Set the kernel autotuning policy.
-    pub fn with_tuning(mut self, v: Tuning) -> Self {
-        self.tuning = v;
-        self
-    }
-
-    /// Set the NUMA replication knob.
-    pub fn with_replication(mut self, v: Replication) -> Self {
-        self.replication = v;
-        self
-    }
-
-    /// Attach a span recorder to the run.
-    pub fn with_trace(mut self, v: Arc<TraceBuf>) -> Self {
-        self.trace = Some(v);
-        self
-    }
-}
-
-/// What a run fixes from its configuration and the row count alone,
-/// before it touches the data: who works where, and where the rows live.
-struct Plan {
-    topo: Topology,
-    /// The workers' Fig. 1 plan (row blocks, node groups, task queue).
-    placement: Placement,
-    /// Node each worker runs on: its Fig. 1 group when aware, a round-robin
-    /// spread (what an oblivious OS scheduler converges to) otherwise.
-    thread_node: Vec<NodeId>,
-    /// The data's plan: the workers' own when aware — each block loaded by
-    /// and next to the worker that scans it — and otherwise one block on
-    /// node 0, what `malloc` first-touch gives a single-threaded loader.
-    home: Placement,
-}
+/// Configuration for a [`Kmeans`] run: the run's description and nothing
+/// more (see [`crate::spec`]).
+pub type KmeansConfig = RunSpec;
 
 /// The knori solver.
 pub struct Kmeans {
@@ -242,32 +48,26 @@ impl Kmeans {
         Self { config }
     }
 
-    /// Borrow the configuration.
-    pub fn config(&self) -> &KmeansConfig {
-        &self.config
-    }
-
-    fn plan(&self, n: usize) -> Plan {
-        let cfg = &self.config;
-        assert!(cfg.k <= n, "k = {} exceeds n = {n}", cfg.k);
-        let topo = cfg.topology.clone().unwrap_or_else(Topology::detect);
-        let hw = std::thread::available_parallelism().map(|p| p.get()).unwrap_or(1);
-        let nthreads = cfg.threads.unwrap_or(hw).max(1);
-        let placement = Placement::new(&topo, n, nthreads);
-        let nnodes = topo.nodes();
-        let thread_node = (0..nthreads)
-            .map(|t| if cfg.numa_aware { placement.node_of_thread(t) } else { NodeId(t % nnodes) })
-            .collect();
-        let home = if cfg.numa_aware { placement.clone() } else { Placement::new(&topo, n, 1) };
-        Plan { topo, placement, thread_node, home }
+    /// What a run fixes from its configuration and the data's shape alone,
+    /// before it touches the data: the resolved run, and the data's plan —
+    /// the workers' own when aware, each block loaded by and next to the
+    /// worker that scans it, and otherwise one block on node 0, what
+    /// `malloc` first-touch gives a single-threaded loader.
+    fn plan(&self, n: usize, d: usize) -> (Resolved, Placement) {
+        let run = self.config.resolve(0..n, n, d, None, 0);
+        let home = if self.config.numa_aware {
+            run.placement.clone()
+        } else {
+            Placement::new(&run.topo, n, 1)
+        };
+        (run, home)
     }
 
     /// Cluster `data`, consuming one full engine run. The run works on its
     /// own placed copy of `data`; [`Kmeans::fit_file`] holds the data once.
     pub fn fit(&self, data: &DMatrix) -> KmeansResult {
-        let plan = self.plan(data.nrow());
-        let placed = NumaMatrix::from_dmatrix(&plan.topo, &plan.home, data);
-        self.run(&plan, &placed)
+        let (run, home) = self.plan(data.nrow(), data.ncol());
+        self.run(&run, &NumaMatrix::from_dmatrix(&run.topo, &home, data))
     }
 
     /// Cluster the matrix stored at `path`: [`Kmeans::fit_open`] on the
@@ -282,124 +82,39 @@ impl Kmeans {
     /// bit that of [`Kmeans::fit`] on the same bytes, plus
     /// [`KmeansResult::load`].
     pub fn fit_open(&self, file: &MatrixFile) -> io::Result<KmeansResult> {
-        let plan = self.plan(file.header().nrow as usize);
+        let h = file.header();
+        let (run, home) = self.plan(h.nrow as usize, h.ncol as usize);
         let t0 = Instant::now();
-        let placed = NumaMatrix::load(&plan.topo, &plan.home, file)?;
+        let placed = NumaMatrix::load(&run.topo, &home, file)?;
         let load = LoadStats {
             bytes: placed.heap_bytes(),
             secs: t0.elapsed().as_secs_f64(),
-            threads: plan.home.nthreads(),
+            threads: home.nthreads(),
         };
-        Ok(KmeansResult { load: Some(load), ..self.run(&plan, &placed) })
+        Ok(KmeansResult { load: Some(load), ..self.run(&run, &placed) })
     }
 
     /// One engine run over placed data. Everything outside the driver that
     /// walks rows (init, the mini-batch refresh, the SSE pass) goes through
     /// [`knor_matrix::Rows`] in global row order, so the result does not
     /// depend on how `data` got placed.
-    fn run(&self, plan: &Plan, data: &NumaMatrix) -> KmeansResult {
+    fn run(&self, run: &Resolved, data: &NumaMatrix) -> KmeansResult {
         let cfg = &self.config;
-        let Plan { topo, placement, thread_node, .. } = plan;
-        let n = data.nrow();
-        let d = data.ncol();
-        let k = cfg.k;
-        let nthreads = placement.nthreads();
-        let nnodes = topo.nodes();
-        let row_bytes = (d * 8) as u64;
-
-        let init_cents = cfg.init.initialize_parallel(data, k, cfg.seed, nthreads);
-        let algo = cfg.algo.resolve(k, n, cfg.seed);
-        let scheme = if algo.prune_eligible() { cfg.pruning } else { Pruning::None };
-        let pruning_on = scheme.enabled();
-
-        // `Auto` replicates only NUMA-aware multi-node runs: the replica
-        // node grouping follows the driver's placement, which is also how
-        // aware runs bind threads. (Forcing `On` works in oblivious mode
-        // too — still bitwise exact — but node-locality is then nominal.)
-        let replicate = match cfg.replication {
-            Replication::Auto => cfg.numa_aware && Replication::Auto.resolve(nnodes),
-            r => r.resolve(nnodes),
+        let init = cfg.init.initialize_parallel(data, cfg.k, cfg.seed, run.driver.nthreads);
+        let plane = ImPlane {
+            cfg,
+            topo: &run.topo,
+            data,
+            thread_node: &run.thread_node,
+            nnodes: run.topo.nodes(),
+            row_bytes: (data.ncol() * 8) as u64,
         };
-
-        let queue = TaskQueue::new(cfg.scheduler, placement);
-        let mut driver_cfg = DriverConfig {
-            k,
-            d,
-            n,
-            nthreads,
-            max_iters: cfg.max_iters,
-            tol: cfg.tol,
-            pruning: scheme,
-            task_size: cfg.task_size,
-            kernel: cfg.kernel,
-            row_offset: 0,
-            tiles: None,
-            replication: replicate,
-            trace: cfg.trace.clone().map(TraceHandle::new),
-        };
-        // Tune on the resolved kind so the probe exercises the same code
-        // path the run will take (the override cannot change the kind).
-        let probe_kind = driver_cfg.resolve_kernel().kind;
-        driver_cfg.tiles = cfg.tuning.tiles_for(probe_kind, n, k, d);
-        let plane = ImPlane { cfg, topo, data, thread_node, nnodes, row_bytes };
-        let outcome = run_mm(&driver_cfg, init_cents, placement, &queue, &plane, &NoReduce, &*algo)
-            .expect("in-memory rows cannot fail");
-
-        let mut assignments = outcome.assignments;
-        if algo.subsamples() {
-            // Subsampled algorithms (mini-batch) leave each row assigned
-            // as of its last sampled batch; one final map pass makes the
-            // assignments (and the SSE below) consistent with the
-            // returned model.
-            for (row, a) in data.rows_in(0..n).zip(assignments.iter_mut()) {
-                *a = algo.map(row, &outcome.centroids).cluster;
-            }
-        }
-        let centroids_m = outcome.centroids.to_matrix();
-        let sse = cfg.compute_sse.then(|| crate::quality::sse(data, &centroids_m, &assignments));
-
-        let ngroups = yinyang_groups(k);
-        let memory = MemoryFootprint {
-            data_bytes: data.heap_bytes(),
-            centroid_bytes: (2 * k * d * 8) as u64
-                + if pruning_on { (k * d * 8 + k * 8) as u64 } else { 0 },
-            accum_bytes: (nthreads * (k * d * 8 + k * 8)) as u64,
-            per_row_bytes: (n * 4) as u64
-                + if pruning_on { (n * 8) as u64 } else { 0 }
-                + if scheme == Pruning::Yinyang { (n * ngroups * 8) as u64 } else { 0 },
-            pruning_bytes: match scheme {
-                Pruning::None => 0,
-                Pruning::Mti => ((k * k + 2 * k) * 8) as u64,
-                // Grouping tables (u32) plus drift and group-drift vectors.
-                Pruning::Yinyang => ((2 * k + ngroups + 1) * 4 + (k + ngroups) * 8) as u64,
-            },
-            cache_bytes: 0,
-        };
-
-        let mut workers_per_node = vec![0usize; nnodes];
-        for t in thread_node {
-            workers_per_node[t.0] += 1;
-        }
-        let numa = NumaReport {
-            nodes: nnodes,
-            workers_per_node,
-            requested: cfg.replication,
-            replicated: replicate,
-        };
-
-        let niters = outcome.iters.len();
-        KmeansResult {
-            centroids: centroids_m,
-            assignments,
-            niters,
-            converged: outcome.converged,
-            iters: outcome.iters,
-            memory,
-            sse,
-            numa,
-            load: None,
-            phases: outcome.phases,
-        }
+        let mut outcome =
+            run_mm(&run.driver, init, &run.placement, &run.queue, &plane, &NoReduce, &*run.algo)
+                .expect("in-memory rows cannot fail");
+        let centroids = outcome.centroids.to_matrix();
+        let sse = settle(&*run.algo, data, &centroids, &mut outcome.assignments, cfg.compute_sse);
+        run.finish(outcome, centroids, data.heap_bytes(), 0, sse)
     }
 }
 
@@ -451,8 +166,13 @@ impl DataPlane for ImPlane<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::init::InitMethod;
+    use crate::kernel::KernelKind;
+    use crate::pruning::Pruning;
     use crate::quality::{agreement, sse};
+    use crate::replica::Replication;
     use crate::serial::lloyd_serial;
+    use knor_sched::SchedulerKind;
     use knor_workloads::MixtureSpec;
 
     fn mixture(n: usize, d: usize, seed: u64) -> DMatrix {

@@ -24,6 +24,27 @@ pub enum InitMethod {
 }
 
 impl InitMethod {
+    /// Parse a CLI spelling (`pp | forgy | random`; `kmeanspp` = `pp`).
+    pub fn parse(s: &str) -> Option<Self> {
+        Some(match s {
+            "pp" | "kmeanspp" => InitMethod::PlusPlus,
+            "forgy" => InitMethod::Forgy,
+            "random" => InitMethod::RandomPartition,
+            _ => return None,
+        })
+    }
+
+    /// The CLI spelling; `None` for [`InitMethod::Given`], which no token
+    /// can carry.
+    pub fn name(&self) -> Option<&'static str> {
+        match self {
+            InitMethod::PlusPlus => Some("pp"),
+            InitMethod::Forgy => Some("forgy"),
+            InitMethod::RandomPartition => Some("random"),
+            InitMethod::Given(_) => None,
+        }
+    }
+
     /// Compute initial centroids for `data` with `k` clusters.
     ///
     /// # Panics
@@ -67,10 +88,8 @@ impl InitMethod {
                 Centroids::from_matrix(m)
             }
             InitMethod::Forgy => {
-                let mut rng = ChaCha8Rng::seed_from_u64(seed);
-                let rows = sample_distinct(&mut rng, data.nrow(), k);
                 let mut c = Centroids::zeros(k, d);
-                for (i, &r) in rows.iter().enumerate() {
+                for (i, &r) in forgy_rows(data.nrow(), k, seed).iter().enumerate() {
                     c.means[i * d..(i + 1) * d].copy_from_slice(data.row(r));
                 }
                 c
@@ -106,18 +125,21 @@ impl InitMethod {
     }
 }
 
-fn sample_distinct<R: Rng>(rng: &mut R, n: usize, k: usize) -> Vec<usize> {
-    // Floyd's algorithm: k distinct samples in O(k) expected time.
-    let mut chosen = Vec::with_capacity(k);
-    for j in (n - k)..n {
-        let t = rng.gen_range(0..=j);
-        if chosen.contains(&t) {
-            chosen.push(j);
-        } else {
-            chosen.push(t);
+/// The rows Forgy seeds from: `k` distinct uniform ids in `0..n`, drawn by
+/// rejection. Every engine's Forgy — in memory or read from the device —
+/// picks through here, so one seed names one set of rows everywhere. The
+/// rejection loop is knors' original; seeded picks must never change.
+pub fn forgy_rows(n: usize, k: usize, seed: u64) -> Vec<usize> {
+    assert!(k <= n, "k = {k} exceeds n = {n}");
+    let mut rng = ChaCha8Rng::seed_from_u64(seed);
+    let mut rows: Vec<usize> = Vec::with_capacity(k);
+    while rows.len() < k {
+        let r = rng.gen_range(0..n);
+        if !rows.contains(&r) {
+            rows.push(r);
         }
     }
-    chosen
+    rows
 }
 
 /// Rows per k-means++ scan chunk. The chunk grid is fixed — never derived
@@ -455,10 +477,9 @@ mod tests {
     }
 
     #[test]
-    fn sample_distinct_is_distinct() {
-        let mut rng = ChaCha8Rng::seed_from_u64(1);
-        for _ in 0..50 {
-            let s = sample_distinct(&mut rng, 20, 10);
+    fn forgy_rows_are_distinct_and_in_range() {
+        for seed in 0..50 {
+            let s = forgy_rows(20, 10, seed);
             let mut t = s.clone();
             t.sort_unstable();
             t.dedup();

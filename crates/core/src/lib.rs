@@ -57,6 +57,7 @@ pub mod pruning;
 pub mod quality;
 pub mod replica;
 pub mod serial;
+pub mod spec;
 pub mod stats;
 pub mod sync;
 pub mod trace;
@@ -71,6 +72,7 @@ pub use kernel::{fma_usable, KernelKind, ResolvedKernel, ResolvedKind};
 pub use plane::{DataPlane, DrainScratch, RowSource, SlicePlane};
 pub use pruning::Pruning;
 pub use replica::{NodeReplicas, OpLog, ReplicaState, Replication};
+pub use spec::RunSpec;
 pub use stats::{CommitCounters, IterStats, KmeansResult, LoadStats, MemoryFootprint, NumaReport};
 pub use trace::{Phase, PhaseBreakdown, PhaseGroup, Span, TraceBuf, TraceHandle, WorkerTracer};
 pub use tune::{TileChoice, TuneKey, TunePolicy, TuneTable, Tuning};

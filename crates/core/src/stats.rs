@@ -1,6 +1,6 @@
 //! Per-iteration statistics, memory accounting and the result type.
 
-use crate::pruning::PruneCounters;
+use crate::pruning::{yinyang_groups, PruneCounters, Pruning};
 use crate::replica::Replication;
 use crate::trace::PhaseBreakdown;
 use knor_matrix::DMatrix;
@@ -97,6 +97,42 @@ pub struct MemoryFootprint {
 }
 
 impl MemoryFootprint {
+    /// Table 1's terms for a run of `nthreads` workers over `n` rows under
+    /// the resolved pruning `scheme` — the one place the formulas live.
+    /// `data_bytes` is what the engine holds of the dataset (0 for SEM: the
+    /// `O(nd)` stays on the device) and `cache_bytes` its cache budgets.
+    pub fn account(
+        scheme: Pruning,
+        (n, k, d): (usize, usize, usize),
+        nthreads: usize,
+        data_bytes: u64,
+        cache_bytes: u64,
+    ) -> Self {
+        let (pruning, ngroups) = (scheme.enabled(), yinyang_groups(k));
+        Self {
+            data_bytes,
+            centroid_bytes: (2 * k * d * 8) as u64
+                + if pruning { (k * d * 8 + k * 8) as u64 } else { 0 },
+            accum_bytes: (nthreads * (k * d * 8 + k * 8)) as u64,
+            per_row_bytes: (n * 4) as u64
+                + if pruning { (n * 8) as u64 } else { 0 }
+                + if scheme == Pruning::Yinyang { (n * ngroups * 8) as u64 } else { 0 },
+            pruning_bytes: match scheme {
+                Pruning::None => 0,
+                Pruning::Mti => ((k * k + 2 * k) * 8) as u64,
+                // Grouping tables (u32) plus drift and group-drift vectors.
+                Pruning::Yinyang => ((2 * k + ngroups + 1) * 4 + (k + ngroups) * 8) as u64,
+            },
+            cache_bytes,
+        }
+    }
+
+    /// Bytes the pruning bounds occupy: the per-row bounds (everything
+    /// per-row but the 4-byte assignments) plus the scheme's tables.
+    pub fn bound_bytes(&self, n: usize) -> u64 {
+        self.per_row_bytes - (n * 4) as u64 + self.pruning_bytes
+    }
+
     /// Total accounted bytes.
     pub fn total(&self) -> u64 {
         self.data_bytes

@@ -50,6 +50,15 @@ impl TunePolicy {
             _ => return None,
         })
     }
+
+    /// The CLI spelling.
+    pub fn name(&self) -> &'static str {
+        match self {
+            TunePolicy::Off => "off",
+            TunePolicy::On => "on",
+            TunePolicy::Cache => "cache",
+        }
+    }
 }
 
 /// The shape a tuning decision is keyed by: the resolved kernel path,

@@ -47,242 +47,30 @@ use std::ops::Range;
 use std::path::Path;
 use std::sync::{Arc, Mutex};
 
-use knor_core::algo::Algorithm;
 use knor_core::centroids::Centroids;
-use knor_core::driver::{run_mm, DriverConfig, ReduceReport, Reducer, WorkerReport};
-use knor_core::init::InitMethod;
-use knor_core::kernel::KernelKind;
+use knor_core::driver::{run_mm, ReduceReport, Reducer, WorkerReport};
 use knor_core::plane::{DataPlane, SlicePlane};
-use knor_core::pruning::{PruneCounters, Pruning};
-use knor_core::replica::Replication;
+use knor_core::pruning::PruneCounters;
+pub use knor_core::spec::RankPlane;
+use knor_core::spec::{settle, DistExt, RunSpec};
 use knor_core::sync::ExclusiveCell;
-use knor_core::trace::{Phase, PhaseBreakdown, TraceBuf, TraceGroup, TraceHandle};
-use knor_core::tune::Tuning;
+use knor_core::trace::{Phase, PhaseBreakdown, TraceGroup};
 use knor_matrix::DMatrix;
 use knor_mpi::collectives::{allreduce_f64, allreduce_max_u64};
 use knor_mpi::{Comm, LocalCluster, NetModel, ReduceAlgo};
-use knor_numa::{Placement, Topology};
-use knor_sched::{SchedulerKind, TaskQueue, DEFAULT_TASK_SIZE};
-use knor_sem::plane::{forgy_from_file, open_reader, streamed_refresh, streamed_sse};
-use knor_sem::{IoIterStats, SemPlane, SemPlaneConfig};
+use knor_numa::Topology;
+use knor_sem::plane::{forgy_from_file, open_reader, streamed_init, streamed_settle};
+use knor_sem::{IoIterStats, SemPlane};
 
-/// Which data plane every knord rank mounts (paper §3.3: each node runs
-/// either knori or knors over its slice of the rows).
-#[derive(Debug, Clone, Default)]
-pub enum RankPlane {
-    /// Each rank holds its row slice in memory (knori per node).
-    #[default]
-    InMemory,
-    /// Each rank streams its own byte range of the shared on-disk matrix
-    /// through a private SEM stack — per-rank row cache, page cache,
-    /// prefetch pool and I/O counters (knors per node). Requires the
-    /// file-based entry point [`DistKmeans::fit_file`].
-    Sem(SemPlaneConfig),
-}
+pub mod launch;
+pub use launch::{launch, Fitted};
 
-impl RankPlane {
-    /// A SEM plane with the paper-default budgets.
-    pub fn sem_default() -> Self {
-        RankPlane::Sem(SemPlaneConfig::default())
-    }
-}
-
-/// Configuration for a [`DistKmeans`] run.
-#[derive(Debug, Clone)]
-pub struct DistConfig {
-    /// Number of clusters.
-    pub k: usize,
-    /// Ranks (simulated machines).
-    pub ranks: usize,
-    /// Worker threads inside each rank's engine.
-    pub threads_per_rank: usize,
-    /// Iteration cap (counting the initial assignment pass).
-    pub max_iters: usize,
-    /// Drift tolerance (0.0 = reassignment-only convergence).
-    pub tol: f64,
-    /// Centroid initialization (computed once over the full data, then
-    /// shared by all ranks — knor seeds every machine identically).
-    pub init: InitMethod,
-    /// Seed for initialization randomness.
-    pub seed: u64,
-    /// MTI pruning on (knord) or off (knord-).
-    pub pruning: Pruning,
-    /// All-reduce algorithm for the per-iteration centroid+count state.
-    pub reduce: ReduceAlgo,
-    /// Task queue policy inside each rank.
-    pub scheduler: SchedulerKind,
-    /// Rows per scheduler task.
-    pub task_size: usize,
-    /// Network model used to price each iteration's reduction (Figs. 11–13).
-    pub net: NetModel,
-    /// Compute the final SSE (one extra serial pass over the full data).
-    pub compute_sse: bool,
-    /// Assignment kernel for full scans inside each rank's engine.
-    pub kernel: KernelKind,
-    /// Clustering algorithm to run on the driver (see `knor_core::algo`).
-    /// Non-Lloyd algorithms force MTI pruning off.
-    pub algo: Algorithm,
-    /// Kernel autotuning policy (see `knor_core::tune`). knord tunes once
-    /// from the global shape and shares the tiles across ranks.
-    pub tuning: Tuning,
-    /// Per-rank data plane (see [`RankPlane`]). `Sem` requires
-    /// [`DistKmeans::fit_file`].
-    pub plane: RankPlane,
-    /// Per-node centroid replication inside each rank's engine (see
-    /// [`knor_core::replica`]). `Auto` resolves against the rank-local
-    /// worker topology: a single flat node unless `KNOR_SYNTH_NODES`
-    /// splits the rank's workers, so it stays off by default.
-    pub replication: Replication,
-    /// Test hook: make one prefetch-pool thread of this rank's SEM plane
-    /// panic right after spawn (exercises `panicked_io_threads`
-    /// surfacing; ignored for in-memory ranks or when prefetch is off).
-    #[doc(hidden)]
-    pub inject_prefetch_panic_rank: Option<usize>,
-    /// Optional span recorder (see [`knor_core::trace`]). Every rank's
-    /// engine registers its workers under `pid = rank`, and each rank's
-    /// allreduce window records onto a dedicated comm track. Measurement
-    /// only: attaching a buffer never moves the trajectory.
-    pub trace: Option<Arc<TraceBuf>>,
-}
-
-impl DistConfig {
-    /// knord defaults: MTI on, ring all-reduce, `ranks` engines of
-    /// `threads_per_rank` workers each.
-    pub fn new(k: usize, ranks: usize, threads_per_rank: usize) -> Self {
-        Self {
-            k,
-            ranks: ranks.max(1),
-            threads_per_rank: threads_per_rank.max(1),
-            max_iters: 100,
-            tol: 0.0,
-            init: InitMethod::Forgy,
-            seed: 0,
-            pruning: Pruning::Mti,
-            reduce: ReduceAlgo::Ring,
-            scheduler: SchedulerKind::NumaAware,
-            task_size: DEFAULT_TASK_SIZE,
-            net: NetModel::ec2_10gbe(),
-            compute_sse: false,
-            kernel: KernelKind::Auto,
-            algo: Algorithm::Lloyd,
-            tuning: Tuning::off(),
-            plane: RankPlane::InMemory,
-            replication: Replication::Auto,
-            inject_prefetch_panic_rank: None,
-            trace: None,
-        }
-    }
-
-    /// The paper's pure-MPI baseline shape: one single-threaded rank per
-    /// "core" (each rank owns one contiguous block, so there is nothing to
-    /// place NUMA-wise inside it).
-    pub fn pure_mpi(k: usize, ranks: usize) -> Self {
-        Self::new(k, ranks, 1)
-    }
-
-    /// Set the iteration cap.
-    pub fn with_max_iters(mut self, v: usize) -> Self {
-        self.max_iters = v;
-        self
-    }
-
-    /// Set the drift tolerance.
-    pub fn with_tol(mut self, v: f64) -> Self {
-        self.tol = v;
-        self
-    }
-
-    /// Set the initialization method.
-    pub fn with_init(mut self, v: InitMethod) -> Self {
-        self.init = v;
-        self
-    }
-
-    /// Set the RNG seed.
-    pub fn with_seed(mut self, v: u64) -> Self {
-        self.seed = v;
-        self
-    }
-
-    /// Enable/disable MTI pruning.
-    pub fn with_pruning(mut self, v: Pruning) -> Self {
-        self.pruning = v;
-        self
-    }
-
-    /// Choose the all-reduce algorithm.
-    pub fn with_reduce(mut self, v: ReduceAlgo) -> Self {
-        self.reduce = v;
-        self
-    }
-
-    /// Choose the per-rank scheduler policy.
-    pub fn with_scheduler(mut self, v: SchedulerKind) -> Self {
-        self.scheduler = v;
-        self
-    }
-
-    /// Set rows per task.
-    pub fn with_task_size(mut self, v: usize) -> Self {
-        self.task_size = v.max(1);
-        self
-    }
-
-    /// Supply a network model for the modeled wire times.
-    pub fn with_net(mut self, v: NetModel) -> Self {
-        self.net = v;
-        self
-    }
-
-    /// Toggle the final SSE pass.
-    pub fn with_sse(mut self, v: bool) -> Self {
-        self.compute_sse = v;
-        self
-    }
-
-    /// Choose the full-scan assignment kernel.
-    pub fn with_kernel(mut self, v: KernelKind) -> Self {
-        self.kernel = v;
-        self
-    }
-
-    /// Set the kernel autotuning policy.
-    pub fn with_tuning(mut self, v: Tuning) -> Self {
-        self.tuning = v;
-        self
-    }
-
-    /// Choose the clustering algorithm.
-    pub fn with_algo(mut self, v: Algorithm) -> Self {
-        self.algo = v;
-        self
-    }
-
-    /// Choose the per-rank data plane.
-    pub fn with_plane(mut self, v: RankPlane) -> Self {
-        self.plane = v;
-        self
-    }
-
-    /// Set the per-node replication knob for each rank's engine.
-    pub fn with_replication(mut self, v: Replication) -> Self {
-        self.replication = v;
-        self
-    }
-
-    /// Test hook: inject a prefetch-pool panic into one SEM rank.
-    #[doc(hidden)]
-    pub fn with_inject_prefetch_panic_rank(mut self, v: usize) -> Self {
-        self.inject_prefetch_panic_rank = Some(v);
-        self
-    }
-
-    /// Attach a span recorder shared by every rank.
-    pub fn with_trace(mut self, v: Arc<TraceBuf>) -> Self {
-        self.trace = Some(v);
-        self
-    }
-}
+/// Configuration for a [`DistKmeans`] run: the run's description plus
+/// knord's ranks, all-reduce, network model and per-rank plane (see
+/// `knor_core::spec`). `threads` counts the workers inside each rank's
+/// engine; initialization is computed once over the full data, then shared
+/// by all ranks — knor seeds every machine identically.
+pub type DistConfig = RunSpec<DistExt<ReduceAlgo, NetModel>>;
 
 /// Statistics for one knord iteration: the engine counters (globalized
 /// across ranks by the all-reduce) plus the reduction's wire accounting.
@@ -307,7 +95,7 @@ pub struct DistIterStats {
     /// Modeled wire time of the reduction on the configured network.
     pub modeled_comm_ns: f64,
     /// Intra-rank replica publish bytes at rank 0 (0 when replication is
-    /// off — see [`DistConfig::replication`]).
+    /// off — see `DistConfig`'s `replication`).
     pub publish_bytes: u64,
 }
 
@@ -361,7 +149,7 @@ pub struct DistResult {
     /// Final within-cluster sum of squared distances, when requested.
     pub sse: Option<f64>,
     /// Per-phase trace fold over every rank's tracks, including each
-    /// rank's allreduce comm track (`Some` iff [`DistConfig::trace`] was
+    /// rank's allreduce comm track (`Some` iff `DistConfig`'s `trace` was
     /// attached).
     pub phases: Option<PhaseBreakdown>,
 }
@@ -398,9 +186,9 @@ impl DistKmeans {
         Self { config }
     }
 
-    /// Borrow the configuration.
-    pub fn config(&self) -> &DistConfig {
-        &self.config
+    /// Worker threads inside each rank's engine.
+    fn threads_per_rank(&self) -> usize {
+        self.config.threads.unwrap_or(1)
     }
 
     /// Cluster `data` across `ranks` in-process ranks, every rank holding
@@ -409,37 +197,23 @@ impl DistKmeans {
     pub fn fit(&self, data: &DMatrix) -> DistResult {
         let cfg = &self.config;
         assert!(
-            matches!(cfg.plane, RankPlane::InMemory),
+            matches!(cfg.ext.plane, RankPlane::InMemory),
             "RankPlane::Sem streams from a file; use DistKmeans::fit_file"
         );
         let n = data.nrow();
-        let d = data.ncol();
-        let k = cfg.k;
-        assert!(k <= n, "k = {k} exceeds n = {n}");
+        assert!(cfg.k <= n, "k = {} exceeds n = {n}", cfg.k);
 
         // Initialization happens once over the full matrix; every rank
         // starts from identical centroids, as knor does by seeding each
         // machine's generator identically.
-        let init = cfg.init.initialize_parallel(data, k, cfg.seed, cfg.threads_per_rank);
-        let ranges = knor_matrix::partition_rows(n, cfg.ranks);
+        let init = cfg.init.initialize_parallel(data, cfg.k, cfg.seed, self.threads_per_rank());
+        let ranges = knor_matrix::partition_rows(n, cfg.ext.ranks);
         let slices = ranges.iter().map(|r| RankData::Mem(data.view(r.start, r.end))).collect();
-        let mut out =
-            self.run_ranks(d, &init, &ranges, slices).expect("in-memory rows cannot fail");
-        // Subsampled algorithms (mini-batch) leave rows assigned as of
-        // their last sampled batch; refresh against the final model so
-        // assignments and SSE are consistent with it. (The per-rank
-        // instances were identical, so resolving a fresh one for the
-        // stateless map is too.)
-        let mm = cfg.algo.resolve(k, n, cfg.seed);
-        if mm.subsamples() {
-            let cents = Centroids::from_matrix(&out.centroids);
-            for (i, row) in data.rows().enumerate() {
-                out.assignments[i] = mm.map(row, &cents).cluster;
-            }
-        }
-        out.sse = cfg
-            .compute_sse
-            .then(|| knor_core::quality::sse(data, &out.centroids, &out.assignments));
+        let mut out = self
+            .run_ranks(data.ncol(), &init, &ranges, slices)
+            .expect("in-memory rows cannot fail");
+        let algo = cfg.algo.resolve(cfg.k, n, cfg.seed);
+        out.sse = settle(&*algo, data, &out.centroids, &mut out.assignments, cfg.compute_sse);
         out.rank_io = Vec::new(); // in-memory entry point: no I/O record
         out
     }
@@ -452,47 +226,26 @@ impl DistKmeans {
     /// (the paper's memory-constrained-cluster deployment, Fig. 13).
     ///
     /// Initialization must avoid a full in-memory pass, so only
-    /// [`InitMethod::Forgy`] (device reads, identical picks to a knors
-    /// run with the same seed) and [`InitMethod::Given`] are accepted.
+    /// [`knor_core::InitMethod::Forgy`] (device reads, identical picks to a knors
+    /// run with the same seed) and [`knor_core::InitMethod::Given`] are accepted.
     pub fn fit_file(&self, path: &Path) -> std::io::Result<DistResult> {
         let cfg = &self.config;
         let h = knor_matrix::io::read_header(path)?;
         let (n, d) = (h.nrow as usize, h.ncol as usize);
-        let k = cfg.k;
-        assert!(k <= n, "k = {k} exceeds n = {n}");
+        assert!(cfg.k <= n, "k = {} exceeds n = {n}", cfg.k);
 
-        let init = match &cfg.init {
-            InitMethod::Given(m) => {
-                assert_eq!((m.nrow(), m.ncol()), (k, d), "Given init has wrong shape");
-                Centroids::from_matrix(m)
-            }
-            InitMethod::Forgy => Centroids::from_matrix(&forgy_from_file(path, k, cfg.seed)?),
-            other => {
-                return Err(std::io::Error::new(
-                    std::io::ErrorKind::InvalidInput,
-                    format!(
-                        "{other:?} initialization needs the full matrix in memory; \
-                         use Forgy or Given with fit_file (or load the data and call fit)"
-                    ),
-                ))
-            }
-        };
-
-        let ranges = knor_matrix::partition_rows(n, cfg.ranks);
+        let init = streamed_init(&cfg.init, (cfg.k, d), || {
+            Ok(Centroids::from_matrix(&forgy_from_file(path, cfg.k, cfg.seed)?))
+        })?;
+        let ranges = knor_matrix::partition_rows(n, cfg.ext.ranks);
         let data = self.open_ranks(path, &ranges)?;
         let mut out = self.run_ranks(d, &init, &ranges, data)?;
-        let mm = cfg.algo.resolve(k, n, cfg.seed);
-        if mm.subsamples() || cfg.compute_sse {
-            // Final streamed pass(es) over the file: the subsampling
-            // refresh and/or the SSE — never the whole matrix in memory.
-            let reader = open_reader(path)?;
-            if mm.subsamples() {
-                let cents = Centroids::from_matrix(&out.centroids);
-                streamed_refresh(&reader, &cents, &*mm, &mut out.assignments)?;
-            }
-            if cfg.compute_sse {
-                out.sse = Some(streamed_sse(&reader, &out.centroids, &out.assignments)?);
-            }
+        // The final streamed pass over the file (the subsampling refresh
+        // and/or the SSE) — never the whole matrix in memory.
+        let algo = cfg.algo.resolve(cfg.k, n, cfg.seed);
+        if algo.subsamples() || cfg.compute_sse {
+            let (reader, sse) = (open_reader(path)?, cfg.compute_sse);
+            out.sse = streamed_settle(&reader, &*algo, &out.centroids, &mut out.assignments, sse)?;
         }
         Ok(out)
     }
@@ -507,14 +260,14 @@ impl DistKmeans {
         let cfg = &self.config;
         let mut data = Vec::with_capacity(ranges.len());
         for (rank, range) in ranges.iter().enumerate() {
-            data.push(match &cfg.plane {
+            data.push(match &cfg.ext.plane {
                 RankPlane::InMemory => {
                     RankData::Read(knor_matrix::io::read_rows(path, range.start, range.end)?)
                 }
                 RankPlane::Sem(pcfg) => {
                     let plane =
-                        SemPlane::open_range(path, pcfg, range.clone(), cfg.threads_per_rank)?;
-                    if cfg.inject_prefetch_panic_rank == Some(rank) {
+                        SemPlane::open_range(path, pcfg, range.clone(), self.threads_per_rank())?;
+                    if cfg.ext.inject_prefetch_panic_rank == Some(rank) {
                         plane.inject_prefetch_panic_for_test();
                     }
                     RankData::Sem(Box::new(plane))
@@ -536,47 +289,26 @@ impl DistKmeans {
         data: Vec<RankData<'_>>,
     ) -> std::io::Result<DistResult> {
         let cfg = &self.config;
-        let (k, n) = (cfg.k, ranges.last().map_or(0, |r| r.end));
-        let algo_cfg = &cfg.algo;
-        let scheme = if algo_cfg.prune_eligible() { cfg.pruning } else { Pruning::None };
-        // Tune once from the *global* shape, before any rank launches: rank
-        // row slices land in different `n` buckets, so per-rank probing
-        // could hand different ranks different tiles. One shared pre-probe
-        // keeps every rank's scan shape identical (and the trajectory
-        // reproducible across rank counts).
-        let kind = cfg.kernel.resolve(k, d, scheme.enabled()).kind;
-        let tiles = cfg.tuning.tiles_for(kind, n, k, d);
+        let n = ranges.last().map_or(0, |r| r.end);
+        let threads = self.threads_per_rank();
+        // Tune once from the *global* shape, before any rank launches: the
+        // decision is remembered in the shared table, so every rank's
+        // `resolve` reads the same tiles (and the trajectory is
+        // reproducible across rank counts) instead of probing on its own.
+        let _ = cfg.tiles(n, d);
         let pre: Vec<Mutex<Option<RankData<'_>>>> =
             data.into_iter().map(|d| Mutex::new(Some(d))).collect();
         let pre_ref = &pre;
-        let results = LocalCluster::run(cfg.ranks, |comm| {
+        let results = LocalCluster::run(cfg.ext.ranks, |comm| {
             let rank = comm.rank();
-            let rows: Range<usize> = ranges[rank].clone();
             let mut data =
                 pre_ref[rank].lock().expect("rank data lock").take().expect("rank data taken once");
             // Each rank resolves its own algorithm instance from identical
             // inputs; any per-run state (mini-batch cumulative counts)
             // advances identically because its inputs are allreduced.
-            let mm = algo_cfg.resolve(k, n, cfg.seed);
-            let topo = Topology::for_local_workers(cfg.threads_per_rank);
-            let placement = Placement::new(&topo, rows.len(), cfg.threads_per_rank);
-            let queue = TaskQueue::new(cfg.scheduler, &placement);
-            let driver_cfg = DriverConfig {
-                k,
-                d,
-                n: rows.len(),
-                nthreads: cfg.threads_per_rank,
-                max_iters: cfg.max_iters,
-                tol: cfg.tol,
-                pruning: scheme,
-                task_size: cfg.task_size,
-                kernel: cfg.kernel,
-                row_offset: rows.start,
-                tiles,
-                replication: cfg.replication.resolve(topo.nodes()),
-                trace: cfg.trace.clone().map(|b| TraceHandle::with_pid(b, rank as u32)),
-            };
-            let reducer = RankReducer::new(cfg, &comm, mm.uses_weights(), k, d);
+            let topo = Topology::for_local_workers(threads);
+            let run = cfg.resolve(ranges[rank].clone(), n, d, Some(topo), rank as u32);
+            let reducer = RankReducer::new(cfg, &comm, run.algo.uses_weights(), threads, d);
             let outcome = {
                 let slice;
                 let plane: &dyn DataPlane = match &data {
@@ -590,7 +322,8 @@ impl DistKmeans {
                     }
                     RankData::Sem(p) => p.as_ref(),
                 };
-                run_mm(&driver_cfg, init.clone(), &placement, &queue, plane, &reducer, &*mm)
+                let (place, queue) = (&run.placement, &run.queue);
+                run_mm(&run.driver, init.clone(), place, queue, plane, &reducer, &*run.algo)
             };
             let io = match &mut data {
                 RankData::Sem(p) => {
@@ -720,16 +453,21 @@ struct RankReducer<'a> {
 }
 
 impl<'a> RankReducer<'a> {
-    fn new(cfg: &DistConfig, comm: &'a Comm, carry_weights: bool, k: usize, d: usize) -> Self {
+    fn new(
+        cfg: &DistConfig,
+        comm: &'a Comm,
+        carry_weights: bool,
+        threads: usize,
+        d: usize,
+    ) -> Self {
+        let k = cfg.k;
         let lanes = k * d + k + if carry_weights { k } else { 0 } + SCALARS;
-        let comm_track = cfg
-            .trace
-            .as_ref()
-            .map(|b| b.register(comm.rank() as u32, 1, cfg.threads_per_rank as u32));
+        let comm_track =
+            cfg.trace.as_ref().map(|b| b.register(comm.rank() as u32, 1, threads as u32));
         Self {
             comm,
-            algo: cfg.reduce,
-            net: cfg.net,
+            algo: cfg.ext.reduce,
+            net: cfg.ext.net,
             reduce_payload: (lanes * 8) as u64,
             carry_weights,
             prev_sent: ExclusiveCell::new(0),
@@ -873,6 +611,9 @@ mod tests {
     use super::*;
     use knor_core::quality::agreement;
     use knor_core::serial::lloyd_serial;
+    use knor_core::{InitMethod, KernelKind, Pruning, Replication};
+    use knor_sched::SchedulerKind;
+    use knor_sem::SemPlaneConfig;
     use knor_workloads::MixtureSpec;
 
     fn mixture(n: usize, d: usize, seed: u64) -> DMatrix {

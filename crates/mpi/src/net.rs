@@ -31,6 +31,13 @@ pub struct NetModel {
     pub bandwidth_gbps: f64,
 }
 
+impl Default for NetModel {
+    /// The paper's cluster: [`NetModel::ec2_10gbe`].
+    fn default() -> Self {
+        Self::ec2_10gbe()
+    }
+}
+
 impl NetModel {
     /// EC2 placement-group defaults: ~50us latency, 10 GbE (1.25 GB/s).
     pub fn ec2_10gbe() -> Self {

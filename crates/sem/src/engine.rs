@@ -19,255 +19,23 @@
 //! also what lets knord mount one [`SemPlane`] per rank.
 
 use std::path::Path;
-use std::sync::Arc;
 
-use knor_core::algo::Algorithm;
-use knor_core::centroids::Centroids;
-use knor_core::driver::{run_mm, DriverConfig, NoReduce};
-use knor_core::kernel::KernelKind;
-use knor_core::pruning::{yinyang_groups, Pruning};
-use knor_core::replica::Replication;
-use knor_core::stats::{KmeansResult, MemoryFootprint, NumaReport};
-use knor_core::trace::{TraceBuf, TraceHandle};
-use knor_core::tune::Tuning;
-use knor_matrix::DMatrix;
-use knor_numa::{Placement, Topology};
-use knor_safs::DEFAULT_PAGE_SIZE;
-use knor_sched::{SchedulerKind, TaskQueue, DEFAULT_TASK_SIZE};
+use knor_core::driver::{run_mm, NoReduce};
+use knor_core::spec::RunSpec;
+use knor_core::stats::KmeansResult;
+use knor_core::InitMethod;
 
-use crate::plane::{streamed_refresh, streamed_sse, SemPlane, SemPlaneConfig};
+use crate::plane::{streamed_init, streamed_settle, SemPlane, SemPlaneConfig};
 use crate::IoIterStats;
 
-/// Initialization for SEM runs (only methods that avoid full-data passes).
-#[derive(Debug, Clone)]
-pub enum SemInit {
-    /// `k` distinct random rows read from the device.
-    Forgy,
-    /// Explicit `k x d` means.
-    Given(DMatrix),
-}
+/// Initialization for SEM runs: [`InitMethod`], of which only the methods
+/// that avoid a full-data pass (`Forgy`, read from the device, and `Given`)
+/// are accepted.
+pub type SemInit = InitMethod;
 
-/// Configuration for a [`SemKmeans`] run.
-#[derive(Debug, Clone)]
-pub struct SemConfig {
-    /// Number of clusters.
-    pub k: usize,
-    /// Iteration cap.
-    pub max_iters: usize,
-    /// Drift tolerance (0.0 = reassignment-only convergence).
-    pub tol: f64,
-    /// Initialization.
-    pub init: SemInit,
-    /// RNG seed.
-    pub seed: u64,
-    /// Pruning scheme: MTI (knors), Yinyang group bounds, or none (knors-).
-    pub pruning: Pruning,
-    /// Worker threads.
-    pub threads: Option<usize>,
-    /// Rows per scheduler task.
-    pub task_size: usize,
-    /// Task queue policy.
-    pub scheduler: SchedulerKind,
-    /// SAFS page size (paper: 4KB).
-    pub page_size: usize,
-    /// Page cache budget in bytes.
-    pub page_cache_bytes: u64,
-    /// Row cache budget in bytes (0 = knors--).
-    pub row_cache_bytes: u64,
-    /// Row-cache update interval `I_cache` (paper: 5).
-    pub cache_interval: usize,
-    /// Lazy exponential refresh (paper) vs fixed-period (ablation).
-    pub lazy_refresh: bool,
-    /// Overlap I/O with compute via the prefetch pool. Off by default so
-    /// per-iteration I/O accounting is exactly attributable (Fig. 6);
-    /// enable for throughput runs.
-    pub prefetch: bool,
-    /// Prefetch pool threads (when `prefetch`).
-    pub prefetch_threads: usize,
-    /// Stream the file once at the end to compute SSE.
-    pub compute_sse: bool,
-    /// Assignment kernel for full scans (see `knor_core::kernel`).
-    pub kernel: KernelKind,
-    /// Clustering algorithm to run on the driver (see `knor_core::algo`).
-    /// Non-Lloyd algorithms force MTI pruning off.
-    pub algo: Algorithm,
-    /// Kernel autotuning policy (see `knor_core::tune`).
-    pub tuning: Tuning,
-    /// Machine topology; `None` = detect the host (which honors the
-    /// `KNOR_SYNTH_NODES` override).
-    pub topology: Option<Topology>,
-    /// Per-NUMA-node read replicas of the iteration state (see
-    /// `knor_core::replica`); `Auto` replicates on multi-node topologies.
-    pub replication: Replication,
-    /// Span recorder to attach to the run (see `knor_core::trace`);
-    /// `None` (the default) records nothing and costs nothing.
-    pub trace: Option<Arc<TraceBuf>>,
-}
-
-impl SemConfig {
-    /// Paper-default knors configuration.
-    pub fn new(k: usize) -> Self {
-        Self {
-            k,
-            max_iters: 100,
-            tol: 0.0,
-            init: SemInit::Forgy,
-            seed: 0,
-            pruning: Pruning::Mti,
-            threads: None,
-            task_size: DEFAULT_TASK_SIZE,
-            scheduler: SchedulerKind::NumaAware,
-            page_size: DEFAULT_PAGE_SIZE,
-            page_cache_bytes: 1 << 30,
-            row_cache_bytes: 512 << 20,
-            cache_interval: 5,
-            lazy_refresh: true,
-            prefetch: false,
-            prefetch_threads: 2,
-            compute_sse: false,
-            kernel: KernelKind::Auto,
-            algo: Algorithm::Lloyd,
-            tuning: Tuning::off(),
-            topology: None,
-            replication: Replication::Auto,
-            trace: None,
-        }
-    }
-
-    /// Set the iteration cap.
-    pub fn with_max_iters(mut self, v: usize) -> Self {
-        self.max_iters = v;
-        self
-    }
-
-    /// Set the initialization.
-    pub fn with_init(mut self, v: SemInit) -> Self {
-        self.init = v;
-        self
-    }
-
-    /// Set the seed.
-    pub fn with_seed(mut self, v: u64) -> Self {
-        self.seed = v;
-        self
-    }
-
-    /// Choose the pruning scheme (off = knors-).
-    pub fn with_pruning(mut self, v: Pruning) -> Self {
-        self.pruning = v;
-        self
-    }
-
-    /// Set worker threads.
-    pub fn with_threads(mut self, v: usize) -> Self {
-        self.threads = Some(v.max(1));
-        self
-    }
-
-    /// Set rows per task.
-    pub fn with_task_size(mut self, v: usize) -> Self {
-        self.task_size = v.max(1);
-        self
-    }
-
-    /// Choose the task queue policy.
-    pub fn with_scheduler(mut self, v: SchedulerKind) -> Self {
-        self.scheduler = v;
-        self
-    }
-
-    /// Set the page size.
-    pub fn with_page_size(mut self, v: usize) -> Self {
-        self.page_size = v;
-        self
-    }
-
-    /// Set the page-cache budget.
-    pub fn with_page_cache_bytes(mut self, v: u64) -> Self {
-        self.page_cache_bytes = v;
-        self
-    }
-
-    /// Set the row-cache budget (0 = knors--).
-    pub fn with_row_cache_bytes(mut self, v: u64) -> Self {
-        self.row_cache_bytes = v;
-        self
-    }
-
-    /// Set `I_cache`.
-    pub fn with_cache_interval(mut self, v: usize) -> Self {
-        self.cache_interval = v.max(1);
-        self
-    }
-
-    /// Lazy (true) vs fixed-period (false) refresh.
-    pub fn with_lazy_refresh(mut self, v: bool) -> Self {
-        self.lazy_refresh = v;
-        self
-    }
-
-    /// Enable the prefetch pipeline.
-    pub fn with_prefetch(mut self, v: bool) -> Self {
-        self.prefetch = v;
-        self
-    }
-
-    /// Compute SSE at the end.
-    pub fn with_sse(mut self, v: bool) -> Self {
-        self.compute_sse = v;
-        self
-    }
-
-    /// Set the kernel autotuning policy.
-    pub fn with_tuning(mut self, v: Tuning) -> Self {
-        self.tuning = v;
-        self
-    }
-
-    /// Choose the full-scan assignment kernel.
-    pub fn with_kernel(mut self, v: KernelKind) -> Self {
-        self.kernel = v;
-        self
-    }
-
-    /// Choose the clustering algorithm.
-    pub fn with_algo(mut self, v: Algorithm) -> Self {
-        self.algo = v;
-        self
-    }
-
-    /// Supply a topology (tests and modeled runs; default detects the host).
-    pub fn with_topology(mut self, v: Topology) -> Self {
-        self.topology = Some(v);
-        self
-    }
-
-    /// Set the NUMA replication knob.
-    pub fn with_replication(mut self, v: Replication) -> Self {
-        self.replication = v;
-        self
-    }
-
-    /// Attach a span recorder to the run.
-    pub fn with_trace(mut self, v: Arc<TraceBuf>) -> Self {
-        self.trace = Some(v);
-        self
-    }
-
-    /// The I/O-side subset of this configuration — what a [`SemPlane`]
-    /// needs (knord builds one of these per SEM rank).
-    pub fn plane_config(&self) -> SemPlaneConfig {
-        SemPlaneConfig {
-            page_size: self.page_size,
-            page_cache_bytes: self.page_cache_bytes,
-            row_cache_bytes: self.row_cache_bytes,
-            cache_interval: self.cache_interval,
-            lazy_refresh: self.lazy_refresh,
-            prefetch: self.prefetch,
-            prefetch_threads: self.prefetch_threads,
-        }
-    }
-}
+/// Configuration for a [`SemKmeans`] run: the run's description plus the
+/// SEM plane's I/O knobs (see `knor_core::spec`).
+pub type SemConfig = RunSpec<SemPlaneConfig>;
 
 /// Result of a knors run: the clustering plus per-iteration I/O stats.
 #[derive(Debug, Clone)]
@@ -296,125 +64,44 @@ impl SemKmeans {
     /// Cluster the on-disk matrix at `path`.
     pub fn fit(&self, path: &Path) -> std::io::Result<SemResult> {
         let cfg = &self.config;
-        let hw = std::thread::available_parallelism().map(|p| p.get()).unwrap_or(1);
-        let nthreads = cfg.threads.unwrap_or(hw).max(1);
-        let mut plane = SemPlane::open_all(path, &cfg.plane_config(), nthreads)?;
-        let n = plane.nrow();
-        let d = plane.ncol();
-        let k = cfg.k;
-        assert!(k <= n, "k = {k} exceeds n = {n}");
+        let mut plane = SemPlane::open_all(path, &cfg.ext, cfg.nthreads())?;
+        let (n, d) = (plane.nrow(), plane.ncol());
+        let run = cfg.resolve(0..n, n, d, None, 0);
 
-        // Initial centroids.
-        let init_cents = match &cfg.init {
-            SemInit::Given(m) => {
-                assert_eq!((m.nrow(), m.ncol()), (k, d), "Given init has wrong shape");
-                Centroids::from_matrix(m)
-            }
-            SemInit::Forgy => {
-                let c = plane.forgy_init(k, cfg.seed)?;
-                plane.reset_io(); // init I/O is not iteration accounting
-                c
-            }
-        };
+        let init = streamed_init(&cfg.init, (cfg.k, d), || plane.forgy_init(cfg.k, cfg.seed))?;
+        plane.reset_io(); // init I/O is not iteration accounting
+        let mut outcome =
+            run_mm(&run.driver, init, &run.placement, &run.queue, &plane, &NoReduce, &*run.algo)?;
 
-        let topo = cfg.topology.clone().unwrap_or_else(Topology::detect);
-        let placement = Placement::new(&topo, n, nthreads);
-        let queue = TaskQueue::new(cfg.scheduler, &placement);
-        let algo = cfg.algo.resolve(k, n, cfg.seed);
-        let scheme = if algo.prune_eligible() { cfg.pruning } else { Pruning::None };
-        let pruning = scheme.enabled();
-        let replicate = cfg.replication.resolve(topo.nodes());
-
-        let mut driver_cfg = DriverConfig {
-            k,
-            d,
-            n,
-            nthreads,
-            max_iters: cfg.max_iters,
-            tol: cfg.tol,
-            pruning: scheme,
-            task_size: cfg.task_size,
-            kernel: cfg.kernel,
-            row_offset: 0,
-            tiles: None,
-            replication: replicate,
-            trace: cfg.trace.clone().map(TraceHandle::new),
-        };
-        let probe_kind = driver_cfg.resolve_kernel().kind;
-        driver_cfg.tiles = cfg.tuning.tiles_for(probe_kind, n, k, d);
-        let outcome =
-            run_mm(&driver_cfg, init_cents, &placement, &queue, &plane, &NoReduce, &*algo)?;
-
-        let mut assignments = outcome.assignments;
-        if algo.subsamples() {
-            // Subsampled algorithms (mini-batch) leave rows assigned as of
-            // their last sampled batch; one streamed map pass aligns the
-            // assignments (and SSE) with the final model.
-            streamed_refresh(plane.reader(), &outcome.centroids, &*algo, &mut assignments)?;
-        }
-        let final_cents = outcome.centroids.to_matrix();
-        let sse = if cfg.compute_sse {
-            Some(streamed_sse(plane.reader(), &final_cents, &assignments)?)
-        } else {
-            None
-        };
+        let centroids = outcome.centroids.to_matrix();
+        let sse = streamed_settle(
+            plane.reader(),
+            &*run.algo,
+            &centroids,
+            &mut outcome.assignments,
+            cfg.compute_sse,
+        )?;
         let report = plane.finish();
-
-        let ngroups = yinyang_groups(k);
-        let memory = MemoryFootprint {
-            data_bytes: 0, // O(nd) stays on the device — the point of SEM
-            centroid_bytes: (2 * k * d * 8) as u64
-                + if pruning { (k * d * 8 + k * 8) as u64 } else { 0 },
-            accum_bytes: (nthreads * (k * d * 8 + k * 8)) as u64,
-            per_row_bytes: (n * 4) as u64
-                + if pruning { (n * 8) as u64 } else { 0 }
-                + if scheme == Pruning::Yinyang { (n * ngroups * 8) as u64 } else { 0 },
-            pruning_bytes: match scheme {
-                Pruning::None => 0,
-                Pruning::Mti => ((k * k + 2 * k) * 8) as u64,
-                // Grouping tables (u32) plus drift and group-drift vectors.
-                Pruning::Yinyang => ((2 * k + ngroups + 1) * 4 + (k + ngroups) * 8) as u64,
-            },
-            cache_bytes: cfg.row_cache_bytes + cfg.page_cache_bytes,
-        };
-
-        let mut workers_per_node = vec![0usize; topo.nodes()];
-        for t in 0..nthreads {
-            workers_per_node[placement.node_of_thread(t).0] += 1;
-        }
-        let numa = NumaReport {
-            nodes: topo.nodes(),
-            workers_per_node,
-            requested: cfg.replication,
-            replicated: replicate,
-        };
-
-        let niters = outcome.iters.len();
+        // O(nd) stays on the device — the point of SEM.
+        let caches = cfg.ext.row_cache_bytes + cfg.ext.page_cache_bytes;
         Ok(SemResult {
-            kmeans: KmeansResult {
-                centroids: final_cents,
-                assignments,
-                niters,
-                converged: outcome.converged,
-                iters: outcome.iters,
-                memory,
-                sse,
-                numa,
-                load: None,
-                phases: outcome.phases,
-            },
+            kmeans: run.finish(outcome, centroids, 0, caches, sse),
             io: report.io,
             panicked_io_threads: report.panicked_io_threads,
         })
     }
 }
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use knor_core::quality::agreement;
     use knor_core::serial::lloyd_serial;
-    use knor_core::InitMethod;
+    use knor_core::{Pruning, Replication};
     use knor_matrix::io::write_matrix;
+    use knor_matrix::DMatrix;
+    use knor_numa::Topology;
+    use knor_sched::SchedulerKind;
     use knor_workloads::MixtureSpec;
     use std::path::PathBuf;
 

@@ -26,78 +26,18 @@ use std::sync::Arc;
 use knor_core::algo::MmAlgorithm;
 use knor_core::centroids::{Centroids, LocalAccum};
 use knor_core::driver::{IterView, WorkerReport};
+use knor_core::init::{forgy_rows, InitMethod};
 use knor_core::plane::{drain, DataPlane, DrainScratch, RowSource};
+pub use knor_core::spec::SemPlaneConfig;
 use knor_core::stats::IterStats;
 use knor_core::sync::ExclusiveCell;
 use knor_core::trace::{Phase, WorkerTracer};
 use knor_matrix::DMatrix;
 use knor_safs::stats::{IoSnapshot, IoStats};
 use knor_safs::{Prefetcher, RowStore, SafsReader, DEFAULT_PAGE_SIZE};
-use rand::{Rng, SeedableRng};
 
 use crate::row_cache::{RefreshSchedule, RowCache};
 use crate::IoIterStats;
-
-/// The SEM plane's knobs — the I/O-side subset of `SemConfig`, reusable
-/// by any engine that mounts a SEM plane (knord carries one inside its
-/// `RankPlane::Sem`).
-#[derive(Debug, Clone)]
-pub struct SemPlaneConfig {
-    /// SAFS page size (paper: 4KB).
-    pub page_size: usize,
-    /// Page cache budget in bytes (per plane — per rank under knord).
-    pub page_cache_bytes: u64,
-    /// Row cache budget in bytes (0 = knors--; per plane).
-    pub row_cache_bytes: u64,
-    /// Row-cache update interval `I_cache` (paper: 5).
-    pub cache_interval: usize,
-    /// Lazy exponential refresh (paper) vs fixed-period (ablation).
-    pub lazy_refresh: bool,
-    /// Overlap I/O with compute via the prefetch pool.
-    pub prefetch: bool,
-    /// Prefetch pool threads (when `prefetch`).
-    pub prefetch_threads: usize,
-}
-
-impl Default for SemPlaneConfig {
-    fn default() -> Self {
-        Self {
-            page_size: DEFAULT_PAGE_SIZE,
-            page_cache_bytes: 1 << 30,
-            row_cache_bytes: 512 << 20,
-            cache_interval: 5,
-            lazy_refresh: true,
-            prefetch: false,
-            prefetch_threads: 2,
-        }
-    }
-}
-
-impl SemPlaneConfig {
-    /// Set the row-cache budget (0 = knors--).
-    pub fn with_row_cache_bytes(mut self, v: u64) -> Self {
-        self.row_cache_bytes = v;
-        self
-    }
-
-    /// Set the page-cache budget.
-    pub fn with_page_cache_bytes(mut self, v: u64) -> Self {
-        self.page_cache_bytes = v;
-        self
-    }
-
-    /// Set the page size.
-    pub fn with_page_size(mut self, v: usize) -> Self {
-        self.page_size = v;
-        self
-    }
-
-    /// Enable the prefetch pipeline.
-    pub fn with_prefetch(mut self, v: bool) -> Self {
-        self.prefetch = v;
-        self
-    }
-}
 
 /// What a finished plane hands back: the per-iteration I/O record plus
 /// the count of prefetch-pool threads found dead at shutdown.
@@ -208,14 +148,8 @@ impl SemPlane {
     /// Forgy initialization from the device: `k` distinct random rows of
     /// this plane's range, read through the reader.
     pub fn forgy_init(&self, k: usize, seed: u64) -> io::Result<Centroids> {
-        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
-        let mut rows = forgy_sample(&mut rng, self.n_local, k);
-        for r in &mut rows {
-            *r += self.base;
-        }
-        let mut buf = Vec::new();
-        self.reader.fetch_rows(&rows, &mut buf)?;
-        Ok(Centroids::from_matrix(&DMatrix::from_vec(buf, k, self.d)))
+        forgy_read(&self.reader, self.base..self.base + self.n_local, k, seed)
+            .map(|m| Centroids::from_matrix(&m))
     }
 
     /// Zero the I/O counters and re-baseline the per-iteration deltas
@@ -356,18 +290,38 @@ impl DataPlane for SemPlane {
     }
 }
 
-/// `k` distinct uniform samples from `0..n` via rejection — kept exactly
-/// as the original knors Forgy loop so seeded picks never change.
-fn forgy_sample<R: Rng>(rng: &mut R, n: usize, k: usize) -> Vec<usize> {
-    assert!(k <= n, "k = {k} exceeds n = {n}");
-    let mut rows: Vec<usize> = Vec::with_capacity(k);
-    while rows.len() < k {
-        let r = rng.gen_range(0..n);
-        if !rows.contains(&r) {
-            rows.push(r);
+/// Forgy from the device: the `k` rows [`forgy_rows`] picks among `rows`
+/// (the picks every engine makes for this seed), read through `reader`.
+fn forgy_read(reader: &SafsReader, rows: Range<usize>, k: usize, seed: u64) -> io::Result<DMatrix> {
+    let picks: Vec<usize> =
+        forgy_rows(rows.len(), k, seed).iter().map(|r| rows.start + r).collect();
+    let mut buf = Vec::new();
+    reader.fetch_rows(&picks, &mut buf)?;
+    Ok(DMatrix::from_vec(buf, k, reader.store().ncol()))
+}
+
+/// The initial centroids of a run that streams its `k x d` problem from a
+/// file: `Given` means, or what `forgy` reads from the device. The other
+/// methods need a pass over the data, which is what such a run avoids.
+pub fn streamed_init(
+    init: &InitMethod,
+    (k, d): (usize, usize),
+    forgy: impl FnOnce() -> io::Result<Centroids>,
+) -> io::Result<Centroids> {
+    match init {
+        InitMethod::Given(m) => {
+            assert_eq!((m.nrow(), m.ncol()), (k, d), "Given init has wrong shape");
+            Ok(Centroids::from_matrix(m))
         }
+        InitMethod::Forgy => forgy(),
+        other => Err(io::Error::new(
+            io::ErrorKind::InvalidInput,
+            format!(
+                "{other:?} initialization needs the full matrix in memory; \
+                 use Forgy or Given with a file-streaming run (or load the data)"
+            ),
+        )),
     }
-    rows
 }
 
 /// Open the row store of an on-disk matrix an engine is about to cluster,
@@ -385,18 +339,12 @@ pub fn open_reader(path: &Path) -> io::Result<SafsReader> {
 }
 
 /// Forgy initialization straight from an on-disk matrix: `k` distinct
-/// random rows read through a throwaway reader. Identical picks to a
-/// knors `SemInit::Forgy` run with the same seed — knord's file-based
-/// entry point uses this so every plane starts from the same centroids.
+/// random rows read through a throwaway reader. Identical picks to every
+/// engine's Forgy with the same seed — knord's file-based entry point uses
+/// this so every plane starts from the same centroids.
 pub fn forgy_from_file(path: &Path, k: usize, seed: u64) -> io::Result<DMatrix> {
-    let store = open_store(path, DEFAULT_PAGE_SIZE)?;
-    let (n, d) = (store.nrow(), store.ncol());
-    let reader = SafsReader::new(store, 32 << 20, 4);
-    let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
-    let rows = forgy_sample(&mut rng, n, k);
-    let mut buf = Vec::new();
-    reader.fetch_rows(&rows, &mut buf)?;
-    Ok(DMatrix::from_vec(buf, k, d))
+    let reader = open_reader(path)?;
+    forgy_read(&reader, 0..reader.store().nrow(), k, seed)
 }
 
 /// Stream the reader's file once, in row order: `visit(first, values)`
@@ -413,37 +361,34 @@ fn stream_rows(reader: &SafsReader, mut visit: impl FnMut(usize, &[f64])) -> io:
     Ok(())
 }
 
-/// Stream the reader's file once, re-running the algorithm's map phase on
-/// every row against the final centroids (the post-run refresh pass for
-/// subsampling algorithms).
-pub fn streamed_refresh(
+/// What follows the last iteration of a run whose rows are on the device
+/// (`knor_core::spec::settle`, streamed): one pass over the reader's file
+/// that re-maps every row under a subsampling algorithm and sums the SSE
+/// when `want_sse` — or no pass at all when neither is wanted.
+pub fn streamed_settle(
     reader: &SafsReader,
-    cents: &Centroids,
     algo: &dyn MmAlgorithm,
-    assignments: &mut [u32],
-) -> io::Result<()> {
-    let d = reader.store().ncol();
-    stream_rows(reader, |start, buf| {
-        for (a, v) in assignments[start..].iter_mut().zip(buf.chunks_exact(d)) {
-            *a = algo.map(v, cents).cluster;
-        }
-    })
-}
-
-/// Stream the reader's file once to compute the final SSE.
-pub fn streamed_sse(
-    reader: &SafsReader,
     centroids: &DMatrix,
-    assignments: &[u32],
-) -> io::Result<f64> {
-    let d = reader.store().ncol();
+    assignments: &mut [u32],
+    want_sse: bool,
+) -> io::Result<Option<f64>> {
+    let refresh = algo.subsamples();
+    if !(refresh || want_sse) {
+        return Ok(None);
+    }
+    let (d, cents) = (reader.store().ncol(), Centroids::from_matrix(centroids));
     let mut total = 0.0;
     stream_rows(reader, |start, buf| {
-        for (&a, v) in assignments[start..].iter().zip(buf.chunks_exact(d)) {
-            total += knor_core::distance::sqdist(v, centroids.row(a as usize));
+        for (a, v) in assignments[start..].iter_mut().zip(buf.chunks_exact(d)) {
+            if refresh {
+                *a = algo.map(v, &cents).cluster;
+            }
+            if want_sse {
+                total += knor_core::distance::sqdist(v, centroids.row(*a as usize));
+            }
         }
     })?;
-    Ok(total)
+    Ok(want_sse.then_some(total))
 }
 
 #[cfg(test)]
@@ -459,7 +404,7 @@ mod tests {
         p.push(format!("knor-sem-plane-range-{}.knor", std::process::id()));
         write_matrix(&p, &data).unwrap();
 
-        let cfg = SemPlaneConfig { page_size: 256, ..Default::default() };
+        let cfg = SemPlaneConfig::default().with_page_size(256);
         let plane = SemPlane::open_range(&p, &cfg, 200..400, 2).unwrap();
         assert_eq!(plane.nrow(), 200);
         let mut scratch = DrainScratch::default();

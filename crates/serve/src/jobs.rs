@@ -10,104 +10,22 @@
 
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::path::PathBuf;
 use std::sync::{Arc, Condvar, Mutex};
 
 use crossbeam_channel::{unbounded, Receiver, Sender};
-use knor_core::{Algorithm, Centroids, Kmeans, KmeansConfig, Pruning};
-use knor_dist::{DistConfig, DistKmeans, RankPlane};
-use knor_matrix::{io as matrix_io, DMatrix};
-use knor_sem::{SemConfig, SemKmeans};
+use knor_core::spec::{Job, RunSpec, Source};
+use knor_core::Centroids;
+use knor_dist::launch;
+use knor_matrix::DMatrix;
 
 use crate::registry::{ModelRegistry, TrainDiag};
 
-/// Which engine a training job runs on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EngineKind {
-    /// In-memory (knori).
-    Im,
-    /// Semi-external-memory (knors) — requires a file source.
-    Sem,
-    /// Simulated-distributed (knord).
-    Dist,
-}
-
-impl EngineKind {
-    /// Stable name (CLI, wire protocol).
-    pub fn name(&self) -> &'static str {
-        match self {
-            EngineKind::Im => "im",
-            EngineKind::Sem => "sem",
-            EngineKind::Dist => "dist",
-        }
-    }
-
-    /// Inverse of [`EngineKind::name`].
-    pub fn parse(s: &str) -> Option<Self> {
-        match s {
-            "im" => Some(EngineKind::Im),
-            "sem" => Some(EngineKind::Sem),
-            "dist" => Some(EngineKind::Dist),
-            _ => None,
-        }
-    }
-}
-
 /// Where a job's training data comes from.
-#[derive(Debug, Clone)]
-pub enum TrainSource {
-    /// A knor binary matrix on disk (the only source knors accepts).
-    File(PathBuf),
-    /// An in-memory matrix (in-process API).
-    Matrix(DMatrix),
-}
+pub type TrainSource = Source;
 
-/// A training job specification.
-#[derive(Debug, Clone)]
-pub struct TrainSpec {
-    /// Registry name the trained model is published under.
-    pub model: String,
-    /// Engine to train on.
-    pub engine: EngineKind,
-    /// Clustering algorithm.
-    pub algo: Algorithm,
-    /// Number of clusters.
-    pub k: usize,
-    /// Iteration cap.
-    pub max_iters: usize,
-    /// Seed for initialization.
-    pub seed: u64,
-    /// Pruning scheme the engines run under (`none|mti|yinyang`).
-    pub pruning: Pruning,
-    /// Worker threads (None = engine default).
-    pub threads: Option<usize>,
-    /// Simulated ranks for the dist engine.
-    pub ranks: usize,
-    /// Per-rank data plane for the dist engine (`Sem` streams each rank's
-    /// byte range from the file — requires a [`TrainSource::File`]).
-    pub plane: RankPlane,
-    /// Training data.
-    pub source: TrainSource,
-}
-
-impl TrainSpec {
-    /// A spec with the common defaults (im engine, Lloyd, 30 iterations).
-    pub fn new(model: &str, k: usize, source: TrainSource) -> Self {
-        Self {
-            model: model.to_string(),
-            engine: EngineKind::Im,
-            algo: Algorithm::Lloyd,
-            k,
-            max_iters: 30,
-            seed: 1,
-            pruning: Pruning::default(),
-            threads: None,
-            ranks: 2,
-            plane: RankPlane::InMemory,
-            source,
-        }
-    }
-}
+/// A training job specification: the run's description plus the [`Job`]
+/// around it — model name, engine, source (see `knor_core::spec`).
+pub type TrainSpec = RunSpec<Job>;
 
 /// Handle to a submitted job.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -247,7 +165,7 @@ fn run_job(registry: &ModelRegistry, spec: &TrainSpec) -> Result<u32, String> {
         }
     })??;
     Ok(registry.register_model_trained(
-        &spec.model,
+        &spec.ext.model,
         spec.algo.clone(),
         Centroids::from_matrix(&centroids),
         None,
@@ -255,103 +173,29 @@ fn run_job(registry: &ModelRegistry, spec: &TrainSpec) -> Result<u32, String> {
     ))
 }
 
-/// Run the configured engine; returns the trained centroid matrix plus
-/// the run's health diagnostics (surfaced by the `STATS` reply).
+/// Run the job's engine; returns the trained centroid matrix plus the
+/// run's health diagnostics (surfaced by the `STATS` reply).
 fn train(spec: &TrainSpec) -> Result<(DMatrix, TrainDiag), String> {
-    let read_err = |p: &PathBuf, e: std::io::Error| format!("read {p:?}: {e}");
-    match spec.engine {
-        EngineKind::Im => {
-            let mut cfg = KmeansConfig::new(spec.k)
-                .with_seed(spec.seed)
-                .with_pruning(spec.pruning)
-                .with_algo(spec.algo.clone())
-                .with_max_iters(spec.max_iters)
-                .with_sse(false);
-            if let Some(t) = spec.threads {
-                cfg = cfg.with_threads(t);
-            }
-            let km = Kmeans::new(cfg);
-            let r = match &spec.source {
-                // Loaded straight into the placed layout: held once.
-                TrainSource::File(p) => km.fit_file(p).map_err(|e| read_err(p, e))?,
-                TrainSource::Matrix(m) => km.fit(m),
-            };
-            let diag = TrainDiag {
-                panicked_io_threads: 0,
-                publish_bytes: r.total_publish_bytes(),
-                io_skip_rows: r.total_prune().io_skip_rows,
-            };
-            Ok((r.centroids, diag))
-        }
-        EngineKind::Sem => {
-            let path = match &spec.source {
-                TrainSource::File(p) => p.clone(),
-                TrainSource::Matrix(_) => return Err("sem engine trains from a file source".into()),
-            };
-            let mut cfg = SemConfig::new(spec.k)
-                .with_seed(spec.seed)
-                .with_pruning(spec.pruning)
-                .with_algo(spec.algo.clone())
-                .with_max_iters(spec.max_iters);
-            if let Some(t) = spec.threads {
-                cfg = cfg.with_threads(t);
-            }
-            let r = SemKmeans::new(cfg).fit(&path).map_err(|e| format!("sem run: {e}"))?;
-            let diag = TrainDiag {
-                panicked_io_threads: r.panicked_io_threads,
-                publish_bytes: r.kmeans.total_publish_bytes(),
-                io_skip_rows: r.kmeans.total_prune().io_skip_rows,
-            };
-            Ok((r.kmeans.centroids, diag))
-        }
-        EngineKind::Dist => {
-            let cfg = DistConfig::new(spec.k, spec.ranks.max(1), spec.threads.unwrap_or(2))
-                .with_seed(spec.seed)
-                .with_pruning(spec.pruning)
-                .with_algo(spec.algo.clone())
-                .with_plane(spec.plane.clone())
-                .with_max_iters(spec.max_iters);
-            let dist_diag = |r: &knor_dist::DistResult| TrainDiag {
-                panicked_io_threads: r.rank_io.iter().map(|io| io.panicked_io_threads).sum(),
-                publish_bytes: r.iters.iter().map(|i| i.publish_bytes).sum(),
-                io_skip_rows: r.total_prune().io_skip_rows,
-            };
-            if matches!(spec.plane, RankPlane::Sem(_)) {
-                // SEM ranks stream their byte ranges, so the job needs a
-                // file and never materializes the matrix in this process.
-                let path = match &spec.source {
-                    TrainSource::File(p) => p.clone(),
-                    TrainSource::Matrix(_) => {
-                        return Err("dist engine with a sem plane trains from a file source".into())
-                    }
-                };
-                // File-based init cannot run a full D² pass.
-                let cfg = cfg.with_init(knor_core::InitMethod::Forgy);
-                let r = DistKmeans::new(cfg)
-                    .fit_file(&path)
-                    .map_err(|e| format!("dist+sem run: {e}"))?;
-                let diag = dist_diag(&r);
-                return Ok((r.centroids, diag));
-            }
-            let loaded;
-            let data = match &spec.source {
-                TrainSource::File(p) => {
-                    loaded = matrix_io::read_matrix(p).map_err(|e| read_err(p, e))?;
-                    &loaded
-                }
-                TrainSource::Matrix(m) => m,
-            };
-            let r = DistKmeans::new(cfg).fit(data);
-            let diag = dist_diag(&r);
-            Ok((r.centroids, diag))
-        }
-    }
+    let Job { engine, source, .. } = &spec.ext;
+    let fitted = launch(engine, spec, source).map_err(|e| match source {
+        Source::File(p) => format!("read {p:?}: {e}"),
+        Source::Matrix(_) => e.to_string(),
+    })?;
+    let diag = TrainDiag {
+        panicked_io_threads: fitted.panicked_io_threads(),
+        publish_bytes: fitted.publish_bytes(),
+        io_skip_rows: fitted.total_prune().io_skip_rows,
+    };
+    Ok((fitted.into_centroids(), diag))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use knor_core::spec::{Engine, Entry};
+    use knor_matrix::io as matrix_io;
     use knor_workloads::MixtureSpec;
+    use std::path::PathBuf;
 
     fn tiny_data(n: usize, d: usize) -> DMatrix {
         MixtureSpec::friendster_like(n, d, 11).generate().data
@@ -381,40 +225,29 @@ mod tests {
         matrix_io::write_matrix(&path, &tiny_data(400, 3)).unwrap();
         let registry = Arc::new(ModelRegistry::new());
         let runner = JobRunner::start(Arc::clone(&registry));
-        for engine in [EngineKind::Im, EngineKind::Sem, EngineKind::Dist] {
-            let id = runner.submit(TrainSpec {
-                engine,
-                threads: Some(2),
-                ..TrainSpec::new(engine.name(), 4, TrainSource::File(path.clone()))
-            });
-            match runner.wait(id).unwrap() {
+        let on = |token: &str, source: TrainSource| {
+            let mut spec = TrainSpec { threads: Some(2), ..TrainSpec::new(token, 4, source) };
+            spec.ext.engine = Engine::parse(token, Entry::Train).unwrap();
+            runner.wait(runner.submit(spec)).unwrap()
+        };
+        // dist-sem: knord with SEM ranks trains straight off the file,
+        // never loading the full matrix into this process.
+        for token in Engine::TOKENS {
+            match on(token, TrainSource::File(path.clone())) {
                 JobStatus::Done { version: 1 } => {}
-                other => panic!("{}: {other:?}", engine.name()),
+                other => panic!("{token}: {other:?}"),
             }
-            assert_eq!(registry.get(engine.name()).unwrap().model.k(), 4);
+            assert_eq!(registry.get(token).unwrap().model.k(), 4);
         }
-        // dist with SEM ranks: trains straight off the file, never
-        // loading the full matrix into this process.
-        let id = runner.submit(TrainSpec {
-            engine: EngineKind::Dist,
-            plane: RankPlane::sem_default(),
-            threads: Some(2),
-            ..TrainSpec::new("dist-sem", 4, TrainSource::File(path.clone()))
-        });
-        match runner.wait(id).unwrap() {
-            JobStatus::Done { version: 1 } => {}
-            other => panic!("dist-sem: {other:?}"),
-        }
-        assert_eq!(registry.get("dist-sem").unwrap().model.k(), 4);
-        // ...and refuses an in-memory source with a clear message.
-        let id = runner.submit(TrainSpec {
-            engine: EngineKind::Dist,
-            plane: RankPlane::sem_default(),
-            ..TrainSpec::new("dist-sem-mem", 4, TrainSource::Matrix(tiny_data(100, 3)))
-        });
-        match runner.wait(id).unwrap() {
-            JobStatus::Failed { message } => assert!(message.contains("file source"), "{message}"),
-            other => panic!("{other:?}"),
+        // ...and the streaming engines refuse an in-memory source with a
+        // clear message.
+        for token in ["sem", "dist-sem"] {
+            match on(token, TrainSource::Matrix(tiny_data(100, 3))) {
+                JobStatus::Failed { message } => {
+                    assert!(message.contains("file source"), "{message}")
+                }
+                other => panic!("{other:?}"),
+            }
         }
         std::fs::remove_file(&path).unwrap();
     }
@@ -445,13 +278,5 @@ mod tests {
         let ok = runner.submit(TrainSpec::new("fine", 3, TrainSource::Matrix(tiny_data(100, 2))));
         assert_eq!(runner.wait(ok).unwrap(), JobStatus::Done { version: 1 });
         assert!(registry.get("nope").is_none());
-    }
-
-    #[test]
-    fn engine_kind_round_trip() {
-        for e in [EngineKind::Im, EngineKind::Sem, EngineKind::Dist] {
-            assert_eq!(EngineKind::parse(e.name()), Some(e));
-        }
-        assert_eq!(EngineKind::parse("gpu"), None);
     }
 }

@@ -67,7 +67,7 @@ use knor_core::{Algorithm, KernelKind, ResolvedKernel, Tuning};
 use knor_matrix::DMatrix;
 use knor_numa::Topology;
 
-pub use jobs::{EngineKind, JobId, JobStatus, TrainSource, TrainSpec};
+pub use jobs::{JobId, JobStatus, TrainSource, TrainSpec};
 pub use metrics::render_prometheus;
 pub use mux::{MuxConfig, MuxServer};
 pub use pool::{PredictError, PredictTiming};

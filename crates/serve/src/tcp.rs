@@ -33,14 +33,14 @@
 use std::fmt::Write as _;
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-use knor_core::{Algorithm, Pruning};
+use knor_core::spec::{parse_train, Engine, RunSpec};
 use knor_mpi::LineConn;
 
-use crate::jobs::{EngineKind, JobId, TrainSource, TrainSpec};
+use crate::jobs::JobId;
 use crate::{ServeError, ServeHandle, StatsSnapshot};
 
 /// A running TCP server.
@@ -119,18 +119,6 @@ fn serve_conn(
     Ok(())
 }
 
-/// Parse a TRAIN engine token — the one place the token set is defined,
-/// shared by the server dispatch and CLI-side validation. `dist-sem`
-/// selects the dist engine with SEM-plane ranks (each rank streams its
-/// own byte range of the training file); everything else maps through
-/// [`EngineKind::parse`] with in-memory ranks.
-pub fn parse_engine_token(tok: &str) -> Option<(EngineKind, knor_dist::RankPlane)> {
-    match tok {
-        "dist-sem" => Some((EngineKind::Dist, knor_dist::RankPlane::sem_default())),
-        tok => EngineKind::parse(tok).map(|e| (e, knor_dist::RankPlane::InMemory)),
-    }
-}
-
 /// Execute one request line, producing one response line.
 pub fn dispatch(handle: &ServeHandle, line: &str) -> String {
     // The payload is written straight into the reply behind its `OK `
@@ -151,40 +139,7 @@ fn try_dispatch(handle: &ServeHandle, line: &str, out: &mut String) -> Result<()
     let verb = tokens.next().ok_or("empty request")?;
     match verb {
         "TRAIN" => {
-            let model = tokens.next().ok_or("TRAIN: missing model")?.to_string();
-            let (engine, plane) = parse_engine_token(tokens.next().ok_or("TRAIN: missing engine")?)
-                .ok_or("TRAIN: bad engine (im|sem|dist|dist-sem)")?;
-            let algo = Algorithm::parse_spec(tokens.next().ok_or("TRAIN: missing algo")?)
-                .ok_or("TRAIN: bad algo spec")?;
-            let k: usize = parse_tok(&mut tokens, "TRAIN: k")?;
-            let max_iters: usize = parse_tok(&mut tokens, "TRAIN: iters")?;
-            let seed: u64 = parse_tok(&mut tokens, "TRAIN: seed")?;
-            // Optional `pruning=<spec>` rides between the fixed fields and
-            // the path, so lines from older clients stay valid.
-            let mut tokens = tokens.peekable();
-            let pruning = match tokens.peek().and_then(|t| t.strip_prefix("pruning=")) {
-                Some(spec) => {
-                    let p = Pruning::parse(spec).ok_or("TRAIN: bad pruning (none|mti|yinyang)")?;
-                    tokens.next();
-                    p
-                }
-                None => Pruning::default(),
-            };
-            // The path is the final field: take the rest of the line so
-            // paths containing spaces survive the tokenizer.
-            let path = tokens.collect::<Vec<_>>().join(" ");
-            if path.is_empty() {
-                return Err("TRAIN: missing path".into());
-            }
-            let id = handle.submit_train(TrainSpec {
-                engine,
-                algo,
-                max_iters,
-                seed,
-                pruning,
-                plane,
-                ..TrainSpec::new(&model, k, TrainSource::File(PathBuf::from(path)))
-            });
+            let id = handle.submit_train(parse_train(tokens)?);
             let _ = write!(out, "job {}", id.0);
         }
         "STATUS" => {
@@ -349,28 +304,18 @@ impl Client {
         }
     }
 
-    /// Submit a training job; returns the job id. `engine` is the wire
-    /// token (`im`, `sem`, `dist`, or `dist-sem` for SEM-plane ranks);
-    /// `pruning` is sent as the optional `pruning=<spec>` token.
-    #[allow(clippy::too_many_arguments)]
+    /// Submit `run` as a training job on `engine` over the server-local
+    /// file `path`; returns the job id. The line carries the algorithm,
+    /// `k`, the iteration cap, the seed and the pruning scheme.
     pub fn train(
         &mut self,
         model: &str,
-        engine: &str,
-        algo: &Algorithm,
-        k: usize,
-        iters: usize,
-        seed: u64,
-        pruning: Pruning,
+        engine: &Engine,
+        run: &RunSpec,
         path: &Path,
     ) -> io::Result<u64> {
         Self::check_name(model)?;
-        let resp = self.round_trip(&format!(
-            "TRAIN {model} {engine} {} {k} {iters} {seed} pruning={} {}",
-            algo.spec_string(),
-            pruning.name(),
-            path.display()
-        ))?;
+        let resp = self.round_trip(&run.render_train(model, engine, path))?;
         resp.strip_prefix("job ")
             .and_then(|s| s.parse().ok())
             .ok_or_else(|| io::Error::other(format!("bad TRAIN response {resp:?}")))
@@ -503,6 +448,7 @@ impl Client {
 mod tests {
     use super::*;
     use crate::{predict_serial, ServeConfig};
+    use knor_core::spec::Entry;
     use knor_matrix::io as matrix_io;
     use knor_numa::Topology;
     use knor_workloads::MixtureSpec;
@@ -524,7 +470,8 @@ mod tests {
         matrix_io::write_matrix(&path, &data).unwrap();
 
         let mut c = Client::connect(addr).unwrap();
-        let job = c.train("gmm", "im", &Algorithm::Lloyd, 5, 20, 1, Pruning::Mti, &path).unwrap();
+        let run = RunSpec::defaults(Entry::Train, 5).with_max_iters(20);
+        let job = c.train("gmm", &Engine::Im, &run, &path).unwrap();
         let status = c.wait(job, std::time::Duration::from_millis(5)).unwrap();
         assert!(status.starts_with("done 1"), "{status}");
 

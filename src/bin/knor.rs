@@ -25,9 +25,10 @@
 //! The full line protocol behind serve/train/query/ctl is documented in
 //! `docs/PROTOCOL.md`.
 
-use knor::core::pruning::{yinyang_groups, PruneCounters};
-use knor::core::{CommitCounters, LoadStats, MemoryFootprint};
-use knor::matrix::io::MatrixFile;
+use knor::core::pruning::PruneCounters;
+use knor::core::spec::{choose, count_for, number_for, Engine, Entry, Knob, Refusal, Source};
+use knor::core::{CommitCounters, LoadStats, MemoryFootprint, RunSpec};
+use knor::dist::{launch, Fitted};
 use knor::prelude::*;
 use knor::serve::tcp::{Client, TcpServer};
 use knor::serve::{MuxConfig, MuxServer};
@@ -37,40 +38,22 @@ use std::sync::Arc;
 
 struct Opts {
     file: PathBuf,
-    k: usize,
-    iters: usize,
-    threads: Option<usize>,
-    /// Pruning scheme (`none|mti|yinyang`).
-    pruning: String,
-    init: String,
-    /// Whether `--init` was passed explicitly (dist+sem defaults to forgy
-    /// only when the user expressed no preference).
-    init_set: bool,
-    seed: u64,
-    row_cache_mb: u64,
-    page_cache_mb: u64,
-    ranks: usize,
-    star: bool,
-    /// Per-rank data plane for `dist` (`im` or `sem`).
-    plane: String,
+    /// The run the knob flags describe (`-k`, `-i`, `--pruning`, … — the
+    /// rows of `knor::core::spec::KNOBS`), over the CLI's defaults.
+    run: RunSpec,
+    /// The engine the mode (or `train --engine`) names, with `--ranks`,
+    /// `--star`, `--plane`, `--row-cache` and `--page-cache` applied.
+    engine: Engine,
+    /// `--batch`, which `query` reads as rows per request.
+    batch: usize,
     /// Print the per-iteration I/O / wire summary after the run.
     stats: bool,
     /// Write a chrome-trace JSON timeline of the run here (`--trace`).
     trace: Option<PathBuf>,
-    /// Assignment kernel knob (`auto|scalar|tiled|fma|norm|gemm`).
-    kernel: String,
-    /// Autotuning policy (`off|on|cache`).
-    tune: String,
-    /// Per-node centroid replication knob (`off|auto|on`).
-    replication: String,
-    dataset: String,
+    dataset: PaperDataset,
     scale: f64,
-    algo: String,
-    fuzz: f64,
-    batch: usize,
     addr: String,
     model: String,
-    engine: String,
     wait: bool,
     limit: usize,
     /// Serve with the readiness-driven multiplexed front end (`--mux`).
@@ -124,42 +107,37 @@ fn die(msg: &str) -> ! {
     exit(2)
 }
 
-/// One-line input failure with exit 1: a missing or truncated file is the
-/// user's to fix, not a panic to backtrace.
-fn io_die(path: &std::path::Path, e: std::io::Error) -> ! {
-    let (path, msg) = (path.display().to_string(), e.to_string());
+/// One-line failure with exit 1: a missing or truncated file, an address
+/// nobody listens on or one that is taken is the user's to fix, not a
+/// panic to backtrace. `what` names the file or the address.
+fn io_die(what: impl std::fmt::Display, e: std::io::Error) -> ! {
+    let (what, msg) = (what.to_string(), e.to_string());
     // The length check already names the file.
-    if msg.starts_with(&path) {
+    if msg.starts_with(&what) {
         eprintln!("knor: {msg}");
     } else {
-        eprintln!("knor: {path}: {msg}");
+        eprintln!("knor: {what}: {msg}");
     }
     exit(1)
 }
 
-/// Parse a numeric flag value or reject it with a clear one-liner.
-fn num<T: std::str::FromStr>(flag: &str, s: &str) -> T {
-    s.parse().unwrap_or_else(|_| die(&format!("invalid value '{s}' for {flag}: not a number")))
+/// A flag value or the one-line refusal all of them share.
+fn ok<T>(parsed: Result<T, Refusal>) -> T {
+    parsed.unwrap_or_else(|refusal| die(&refusal.cli()))
 }
 
-/// Parse a numeric flag value that must be at least 1.
-fn pos(flag: &str, s: &str) -> usize {
-    let v: usize = num(flag, s);
-    if v == 0 {
-        die(&format!("invalid value '0' for {flag}: must be at least 1"));
-    }
-    v
-}
-
-/// Parse a megabyte flag value, rejecting amounts whose byte conversion
-/// (`<< 20`) would overflow instead of silently wrapping.
-fn mb(flag: &str, s: &str) -> u64 {
-    let v: u64 = num(flag, s);
+/// Parse a megabyte flag value into bytes, rejecting amounts whose byte
+/// conversion (`<< 20`) would overflow instead of silently wrapping.
+fn mb(flag: &'static str, s: &str) -> u64 {
+    let v: u64 = ok(number_for(flag, s));
     if v > (u64::MAX >> 20) {
         die(&format!("invalid value '{s}' for {flag}: exceeds the addressable byte range"));
     }
-    v
+    v << 20
 }
+
+const PLANES: &[&str] = &["im", "sem"];
+const DATASETS: &[&str] = &["friendster8", "friendster32", "rm856m", "rm1b", "ru2b"];
 
 fn parse(args: &[String]) -> (String, Opts) {
     if args.is_empty() {
@@ -178,31 +156,15 @@ fn parse(args: &[String]) -> (String, Opts) {
     }
     let mut o = Opts {
         file: if positional_file { PathBuf::from(&args[1]) } else { PathBuf::new() },
-        k: 10,
-        iters: 100,
-        threads: None,
-        pruning: "mti".into(),
-        init: "pp".into(),
-        init_set: false,
-        seed: 1,
-        row_cache_mb: 512,
-        page_cache_mb: 1024,
-        ranks: 4,
-        star: false,
-        plane: "im".into(),
+        run: RunSpec::defaults(Entry::Cli, 10),
+        engine: Engine::Im,
+        batch: 0,
         stats: false,
         trace: None,
-        kernel: "auto".into(),
-        tune: "off".into(),
-        replication: "auto".into(),
-        dataset: "friendster8".into(),
+        dataset: PaperDataset::Friendster8,
         scale: 0.001,
-        algo: "lloyd".into(),
-        fuzz: 2.0,
-        batch: 0,
         addr: "127.0.0.1:7979".into(),
         model: String::new(),
-        engine: "im".into(),
         wait: false,
         limit: 0,
         mux: false,
@@ -211,75 +173,49 @@ fn parse(args: &[String]) -> (String, Opts) {
         pending_budget: 64 * 1024,
         rest: Vec::new(),
     };
+    // The knob flags, gathered for the one parser; the engine's flags.
+    let mut knobs: Vec<(&str, &str)> = Vec::new();
+    let (mut engine, mut plane, mut ranks, mut star) = ("im", "im", None, false);
+    let (mut row_cache, mut page_cache) = (None, None);
     let mut i = if positional_file { 2 } else { 1 };
     while i < args.len() {
         let flag = args[i].as_str();
-        let val = |i: &mut usize| -> String {
+        let val = |i: &mut usize| -> &str {
             *i += 1;
-            args.get(*i).cloned().unwrap_or_else(|| usage())
+            args.get(*i).unwrap_or_else(|| usage())
         };
         match flag {
-            "-k" => o.k = pos("-k", &val(&mut i)),
-            "-i" | "--iters" => o.iters = pos("-i", &val(&mut i)),
-            "-t" | "--threads" => o.threads = Some(pos("-t", &val(&mut i))),
-            // Validated right here so a bad value dies before any file I/O.
-            "--pruning" => {
-                o.pruning = val(&mut i);
-                let _ = pruning(&o);
-            }
-            "--init" => {
-                o.init = val(&mut i);
-                o.init_set = true;
-            }
-            "--seed" => o.seed = num("--seed", &val(&mut i)),
-            "--row-cache" => o.row_cache_mb = mb("--row-cache", &val(&mut i)),
-            "--page-cache" => o.page_cache_mb = mb("--page-cache", &val(&mut i)),
-            "--ranks" => o.ranks = pos("--ranks", &val(&mut i)),
-            "--star" => o.star = true,
-            "--plane" => o.plane = val(&mut i),
+            "--row-cache" => row_cache = Some(mb("--row-cache", val(&mut i))),
+            "--page-cache" => page_cache = Some(mb("--page-cache", val(&mut i))),
+            "--ranks" => ranks = Some(ok(count_for("--ranks", val(&mut i)))),
+            "--star" => star = true,
+            "--plane" => plane = PLANES[ok(choose("--plane", PLANES, val(&mut i)))],
+            "--engine" => engine = val(&mut i),
             "--stats" => o.stats = true,
             "--trace" => o.trace = Some(PathBuf::from(val(&mut i))),
-            // Validated right here so a bad value dies before any file I/O.
-            "--kernel" => {
-                o.kernel = val(&mut i);
-                let _ = kernel_kind(&o);
+            "--dataset" => {
+                let name = val(&mut i).to_lowercase();
+                o.dataset = PaperDataset::all()[ok(choose("--dataset", DATASETS, &name))];
             }
-            "--tune" => {
-                o.tune = val(&mut i);
-                if TunePolicy::parse(&o.tune).is_none() {
-                    die(&format!(
-                        "invalid value '{}' for --tune: expected on, off or cache",
-                        o.tune
-                    ));
-                }
-            }
-            "--replication" => {
-                o.replication = val(&mut i);
-                let _ = replication(&o);
-            }
-            "--dataset" => o.dataset = val(&mut i),
             "--scale" => {
                 let s = val(&mut i);
-                o.scale = num("--scale", &s);
+                o.scale = ok(number_for("--scale", s));
                 if !(o.scale > 0.0 && o.scale.is_finite()) {
                     die(&format!("invalid value '{s}' for --scale: must be a positive number"));
                 }
             }
-            "--algo" => o.algo = val(&mut i),
-            "--fuzz" => o.fuzz = num("--fuzz", &val(&mut i)),
-            "--batch" => o.batch = pos("--batch", &val(&mut i)),
-            "--addr" => o.addr = val(&mut i),
-            "--model" => o.model = val(&mut i),
-            "--engine" => o.engine = val(&mut i),
+            "--addr" => o.addr = val(&mut i).to_string(),
+            "--model" => o.model = val(&mut i).to_string(),
             "--file" => o.file = PathBuf::from(val(&mut i)),
             "--wait" => o.wait = true,
-            "--limit" => o.limit = num("--limit", &val(&mut i)),
+            "--limit" => o.limit = ok(number_for("--limit", val(&mut i))),
             "--mux" => o.mux = true,
-            "--coalesce-rows" => o.coalesce_rows = pos("--coalesce-rows", &val(&mut i)),
+            "--coalesce-rows" => o.coalesce_rows = ok(count_for("--coalesce-rows", val(&mut i))),
             "--coalesce-deadline-us" => {
-                o.coalesce_deadline_us = num("--coalesce-deadline-us", &val(&mut i))
+                o.coalesce_deadline_us = ok(number_for("--coalesce-deadline-us", val(&mut i)))
             }
-            "--pending-budget" => o.pending_budget = pos("--pending-budget", &val(&mut i)),
+            "--pending-budget" => o.pending_budget = ok(count_for("--pending-budget", val(&mut i))),
+            knob if Knob::find(knob).is_some() => knobs.push((knob, val(&mut i))),
             // Only `ctl` takes trailing positional words (its subcommand);
             // anywhere else a stray word is a mistake, not ignorable.
             word if !word.starts_with('-') && mode == "ctl" => o.rest.push(word.to_string()),
@@ -287,96 +223,61 @@ fn parse(args: &[String]) -> (String, Opts) {
         }
         i += 1;
     }
+    // Every value is checked here, before any file or socket is touched.
+    o.run = ok(o.run.parse(&knobs));
+    let given = |flag: &str| knobs.iter().find(|(f, _)| *f == flag).map(|(_, v)| *v);
+    o.batch = given("--batch").map_or(0, |v| v.parse().expect("parsed above"));
+    o.engine = ok(Engine::parse(
+        match mode.as_str() {
+            "train" => engine,
+            "dist" if plane == "sem" => "dist-sem",
+            "sem" | "dist" => &mode,
+            _ => "im",
+        },
+        Entry::Cli,
+    ));
+    if let Engine::Dist { ranks: r, star: s, .. } = &mut o.engine {
+        (*r, *s) = (ranks.unwrap_or(*r), star);
+    }
+    if let Some(io) = o.engine.sem_io() {
+        io.row_cache_bytes = row_cache.unwrap_or(io.row_cache_bytes);
+        io.page_cache_bytes = page_cache.unwrap_or(io.page_cache_bytes);
+        // A streaming engine never holds the matrix, so its init must
+        // avoid a full pass too: forgy reads k rows from disk, and is the
+        // default when the user expressed no preference.
+        let (what, other) =
+            if mode == "sem" { ("knor sem", "knor im") } else { ("--plane sem", "--plane im") };
+        match given("--init") {
+            Some(init) if o.run.init != InitMethod::Forgy && mode != "train" => die(&format!(
+                "{what} streams from disk; --init {init} needs the full matrix \
+                 (use --init forgy or {other})"
+            )),
+            _ => o.run.init = InitMethod::Forgy,
+        }
+    }
     (mode, o)
-}
-
-fn init_method(o: &Opts) -> InitMethod {
-    match o.init.as_str() {
-        "pp" | "kmeanspp" => InitMethod::PlusPlus,
-        "forgy" => InitMethod::Forgy,
-        "random" => InitMethod::RandomPartition,
-        other => {
-            eprintln!("unknown init '{other}'");
-            usage()
-        }
-    }
-}
-
-fn pruning(o: &Opts) -> Pruning {
-    Pruning::parse(&o.pruning).unwrap_or_else(|| {
-        die(&format!("invalid value '{}' for --pruning: expected none, mti or yinyang", o.pruning))
-    })
-}
-
-fn replication(o: &Opts) -> Replication {
-    Replication::parse(&o.replication).unwrap_or_else(|| {
-        die(&format!(
-            "invalid value '{}' for --replication: expected off, auto or on",
-            o.replication
-        ))
-    })
-}
-
-fn kernel_kind(o: &Opts) -> KernelKind {
-    KernelKind::parse(&o.kernel).unwrap_or_else(|| {
-        die(&format!(
-            "invalid value '{}' for --kernel: expected auto, scalar, tiled, fma, norm or gemm",
-            o.kernel
-        ))
-    })
-}
-
-/// Resolve `--tune`. `cache` persists decisions next to the data file
-/// (`<file>.tune`), so repeat runs on the same data skip the probe.
-fn tuning(o: &Opts) -> Tuning {
-    match TunePolicy::parse(&o.tune) {
-        Some(TunePolicy::Off) => Tuning::off(),
-        Some(TunePolicy::On) => Tuning::on().with_seed(o.seed),
-        Some(TunePolicy::Cache) => {
-            let mut p = o.file.clone().into_os_string();
-            p.push(".tune");
-            Tuning::cached(PathBuf::from(p)).with_seed(o.seed)
-        }
-        None => die(&format!("invalid value '{}' for --tune: expected on, off or cache", o.tune)),
-    }
 }
 
 /// The one-line `--stats` kernel note: which kernel/tiles actually ran.
 /// This is where a `--kernel gemm` (or fma/norm) request under MTI shows
 /// its downgrade to the exact tiled path, mirroring the engines' resolve.
-/// Reuses the run's `Tuning` (shared table), so no extra probe happens.
-fn kernel_note(
-    o: &Opts,
-    tuning: &Tuning,
-    n: usize,
-    k: usize,
-    d: usize,
-    algo: &Algorithm,
-) -> String {
-    let requested = kernel_kind(o);
-    let pruning_on = pruning(o).enabled() && algo.prune_eligible();
-    let rk0 = requested.resolve(k, d, pruning_on);
-    let tuned = tuning.tiles_for(rk0.kind, n, k, d);
+/// Reads the run's own tune table, so no extra probe happens.
+fn kernel_note(run: &RunSpec, n: usize, d: usize) -> String {
+    let rk0 = run.kernel.resolve(run.k, d, run.scheme().enabled());
+    let tuned = run.tiles(n, d);
     let rk = match tuned {
-        Some((rt, ct)) => rk0.with_tiles(rt, ct, k),
+        Some((rt, ct)) => rk0.with_tiles(rt, ct, run.k),
         None => rk0,
     };
     format!(
         "kernel: requested={} resolved={} tiles={}x{} fma={} tuned={}",
-        requested.name(),
+        run.kernel.name(),
         rk.kind.name(),
         rk.row_tile,
         rk.cent_tile,
         if fma_usable() { "yes" } else { "no" },
         if tuned.is_some() { "yes" } else { "no" },
     )
-}
-
-/// The shared span recorder, allocated only when some sink will read it
-/// (`--stats` prints the phase table, `--trace` writes the timeline);
-/// otherwise the engines keep their zero-overhead `None` path.
-fn trace_buf(o: &Opts) -> Option<Arc<TraceBuf>> {
-    (o.stats || o.trace.is_some()).then(|| Arc::new(TraceBuf::new()))
 }
 
 /// Post-run trace sinks: chrome-trace JSON to the `--trace` file and the
@@ -390,28 +291,6 @@ fn finish_trace(o: &Opts, buf: Option<&Arc<TraceBuf>>, phases: Option<&PhaseBrea
     if o.stats {
         if let Some(p) = phases.filter(|p| !p.is_empty()) {
             print!("{}", p.render());
-        }
-    }
-}
-
-/// Resolve `--algo` (the mini-batch default batch is `n/10`, at least 1).
-fn algorithm(o: &Opts, n: usize) -> Algorithm {
-    match o.algo.as_str() {
-        "lloyd" => Algorithm::Lloyd,
-        "spherical" => Algorithm::Spherical,
-        "fuzzy" => {
-            // NaN or <= 1.0 both fail the domain check.
-            if o.fuzz.partial_cmp(&1.0) != Some(std::cmp::Ordering::Greater) {
-                die(&format!("invalid value '{}' for --fuzz: must exceed 1.0", o.fuzz));
-            }
-            Algorithm::Fuzzy { m: o.fuzz }
-        }
-        "minibatch" | "mini-batch" => {
-            Algorithm::MiniBatch { batch: if o.batch > 0 { o.batch } else { (n / 10).max(1) } }
-        }
-        other => {
-            eprintln!("unknown algorithm '{other}'");
-            usage()
         }
     }
 }
@@ -435,178 +314,84 @@ fn exit_quietly_when_stdout_closes() {
 fn main() {
     exit_quietly_when_stdout_closes();
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let (mode, o) = parse(&args);
+    let (mode, mut o) = parse(&args);
+    let connect = || Client::connect(&*o.addr).unwrap_or_else(|e| io_die(&o.addr, e));
     match mode.as_str() {
         "gen" => {
-            let ds = match o.dataset.to_lowercase().as_str() {
-                "friendster8" => PaperDataset::Friendster8,
-                "friendster32" => PaperDataset::Friendster32,
-                "rm856m" => PaperDataset::RM856M,
-                "rm1b" => PaperDataset::RM1B,
-                "ru2b" => PaperDataset::RU2B,
-                other => {
-                    eprintln!("unknown dataset '{other}'");
-                    usage()
-                }
-            };
-            let g = ds.generate(o.scale, o.seed);
-            matrix_io::write_matrix(&o.file, &g.data).expect("write failed");
+            let g = o.dataset.generate(o.scale, o.run.seed);
+            matrix_io::write_matrix(&o.file, &g.data)
+                .unwrap_or_else(|e| io_die(o.file.display(), e));
             println!(
                 "wrote {} ({} x {}, {:.1} MB) to {}",
-                ds.name(),
+                o.dataset.name(),
                 g.data.nrow(),
                 g.data.ncol(),
                 g.bytes() as f64 / 1e6,
                 o.file.display()
             );
         }
-        "im" => {
-            // Opened once: the header gives n and d here, the engine loads
-            // the payload straight into its placed layout.
-            let file = MatrixFile::open(&o.file).unwrap_or_else(|e| io_die(&o.file, e));
-            let h = file.header();
+        "im" | "sem" | "dist" => {
+            // The header carries n and d: what `-k` is checked against,
+            // what mini-batch's default batch and the kernel note need.
+            let h = matrix_io::read_header(&o.file).unwrap_or_else(|e| io_die(o.file.display(), e));
             let (n, d) = (h.nrow as usize, h.ncol as usize);
-            let algo = algorithm(&o, n);
-            let tune = tuning(&o);
-            let mut cfg = KmeansConfig::new(o.k)
-                .with_init(init_method(&o))
-                .with_seed(o.seed)
-                .with_pruning(pruning(&o))
-                .with_algo(algo.clone())
-                .with_kernel(kernel_kind(&o))
-                .with_tuning(tune.clone())
-                .with_replication(replication(&o))
-                .with_max_iters(o.iters);
-            if let Some(t) = o.threads {
-                cfg = cfg.with_threads(t);
+            if o.run.k > n {
+                die(&format!("-k {} exceeds the {n} rows of {}", o.run.k, o.file.display()));
             }
-            let trace = trace_buf(&o);
-            if let Some(b) = &trace {
-                cfg = cfg.with_trace(b.clone());
+            o.run.default_batch(n);
+            if o.run.tuning.policy == TunePolicy::Cache {
+                // Decisions persist next to the data file (`<file>.tune`),
+                // so repeat runs on the same data skip the probe.
+                let mut p = o.file.clone().into_os_string();
+                p.push(".tune");
+                o.run.tuning = Tuning::cached(PathBuf::from(p)).with_seed(o.run.seed);
             }
+            // The span recorder is allocated only when some sink will read
+            // it (`--stats` prints the phase table, `--trace` writes the
+            // timeline); otherwise the engines keep their `None` path.
+            o.run.trace = (o.stats || o.trace.is_some()).then(|| Arc::new(TraceBuf::new()));
             let t0 = std::time::Instant::now();
-            let r = Kmeans::new(cfg).fit_open(&file).unwrap_or_else(|e| io_die(&o.file, e));
-            report("knori", r.niters, r.converged, r.sse, t0.elapsed());
+            let fitted = launch(&o.engine, &o.run, &Source::File(o.file.clone()))
+                .unwrap_or_else(|e| io_die(o.file.display(), e));
+            let name = format!("knor{}", &mode[..1]);
+            report(&name, fitted.summary(), t0.elapsed());
+            if let Fitted::Sem(r) = &fitted {
+                let read: u64 = r.io.iter().map(|i| i.bytes_read).sum();
+                println!("device bytes read: {:.1} MB", read as f64 / 1e6);
+            }
             if o.stats {
-                println!("{}", kernel_note(&o, &tune, n, o.k, d, &algo));
-                print_prune(&o, &algo, n, &r.total_prune());
-                print_commit(&r.total_commit());
-                print_numa(&r.numa, r.total_publish_bytes(), r.niters);
-                if let Some(l) = &r.load {
-                    print_load(l);
-                }
-                print_memory(&r.memory);
-            }
-            finish_trace(&o, trace.as_ref(), r.phases.as_ref());
-        }
-        "sem" => {
-            // The header carries n, so the mini-batch default (`n/10`)
-            // matches the other modes without a data pass.
-            let h = matrix_io::read_header(&o.file).unwrap_or_else(|e| io_die(&o.file, e));
-            let (n, d) = (h.nrow as usize, h.ncol as usize);
-            let algo = algorithm(&o, n);
-            let tune = tuning(&o);
-            let mut cfg = SemConfig::new(o.k)
-                .with_seed(o.seed)
-                .with_pruning(pruning(&o))
-                .with_algo(algo.clone())
-                .with_kernel(kernel_kind(&o))
-                .with_tuning(tune.clone())
-                .with_replication(replication(&o))
-                .with_row_cache_bytes(o.row_cache_mb << 20)
-                .with_page_cache_bytes(o.page_cache_mb << 20)
-                .with_max_iters(o.iters)
-                .with_sse(true);
-            if let Some(t) = o.threads {
-                cfg = cfg.with_threads(t);
-            }
-            let trace = trace_buf(&o);
-            if let Some(b) = &trace {
-                cfg = cfg.with_trace(b.clone());
-            }
-            let t0 = std::time::Instant::now();
-            let r = SemKmeans::new(cfg).fit(&o.file).unwrap_or_else(|e| io_die(&o.file, e));
-            report("knors", r.kmeans.niters, r.kmeans.converged, r.kmeans.sse, t0.elapsed());
-            let read: u64 = r.io.iter().map(|i| i.bytes_read).sum();
-            println!("device bytes read: {:.1} MB", read as f64 / 1e6);
-            if o.stats {
-                println!("{}", kernel_note(&o, &tune, n, o.k, d, &algo));
-                print_prune(&o, &algo, n, &r.kmeans.total_prune());
-                print_numa(&r.kmeans.numa, r.kmeans.total_publish_bytes(), r.kmeans.niters);
-                print_memory(&r.kmeans.memory);
-                print_io_table(&r.io);
-                print_io_summary(&[&r.io]);
-                if r.panicked_io_threads > 0 {
-                    println!("WARNING: {} prefetch thread(s) died mid-run", r.panicked_io_threads);
-                }
-            }
-            finish_trace(&o, trace.as_ref(), r.kmeans.phases.as_ref());
-        }
-        "dist" => {
-            let threads = o.threads.unwrap_or(2);
-            if !matches!(o.plane.as_str(), "im" | "sem") {
-                die(&format!("invalid value '{}' for --plane: expected im or sem", o.plane));
-            }
-            let hdr = matrix_io::read_header(&o.file).unwrap_or_else(|e| io_die(&o.file, e));
-            let (file_n, file_d) = (hdr.nrow as usize, hdr.ncol as usize);
-            let algo = algorithm(&o, file_n);
-            let tune = tuning(&o);
-            let mut cfg = DistConfig::new(o.k, o.ranks, threads)
-                .with_seed(o.seed)
-                .with_pruning(pruning(&o))
-                .with_kernel(kernel_kind(&o))
-                .with_tuning(tune.clone())
-                .with_replication(replication(&o))
-                .with_reduce(if o.star { ReduceAlgo::Star } else { ReduceAlgo::Ring })
-                .with_max_iters(o.iters)
-                .with_sse(true);
-            let trace = trace_buf(&o);
-            if let Some(b) = &trace {
-                cfg = cfg.with_trace(b.clone());
-            }
-            let t0 = std::time::Instant::now();
-            let r = match o.plane.as_str() {
-                "im" => {
-                    let data =
-                        matrix_io::read_matrix(&o.file).unwrap_or_else(|e| io_die(&o.file, e));
-                    cfg = cfg.with_init(init_method(&o)).with_algo(algorithm(&o, data.nrow()));
-                    DistKmeans::new(cfg).fit(&data)
-                }
-                "sem" => {
-                    // SEM ranks stream their byte ranges from the file;
-                    // nothing is ever fully resident, so init must too
-                    // avoid a full pass (forgy reads k rows from disk).
-                    match o.init.as_str() {
-                        "forgy" => {}
-                        "pp" if !o.init_set => {} // silent default swap below
-                        other => die(&format!(
-                            "--plane sem streams from disk; --init {other} needs the full \
-                             matrix (use --init forgy or --plane im)"
-                        )),
+                println!("{}", kernel_note(&o.run, n, d));
+                print_prune(&o.run, n, &fitted.total_prune());
+                match &fitted {
+                    Fitted::Im(r) => {
+                        print_commit(&r.total_commit());
+                        print_numa(&r.numa, r.total_publish_bytes(), r.niters);
+                        if let Some(l) = &r.load {
+                            print_load(l);
+                        }
+                        print_memory(&r.memory);
                     }
-                    cfg = cfg
-                        .with_init(InitMethod::Forgy)
-                        .with_algo(algorithm(&o, file_n))
-                        .with_plane(RankPlane::Sem(
-                            SemPlaneConfig::default()
-                                .with_row_cache_bytes(o.row_cache_mb << 20)
-                                .with_page_cache_bytes(o.page_cache_mb << 20),
-                        ));
-                    DistKmeans::new(cfg).fit_file(&o.file).unwrap_or_else(|e| io_die(&o.file, e))
+                    Fitted::Sem(r) => {
+                        let km = &r.kmeans;
+                        print_numa(&km.numa, km.total_publish_bytes(), km.niters);
+                        print_memory(&km.memory);
+                        print_io_table(&r.io);
+                        print_io_summary(&[&r.io]);
+                        if r.panicked_io_threads > 0 {
+                            println!(
+                                "WARNING: {} prefetch thread(s) died mid-run",
+                                r.panicked_io_threads
+                            );
+                        }
+                    }
+                    Fitted::Dist(r) => print_dist_stats(r),
                 }
-                other => die(&format!("invalid value '{other}' for --plane: expected im or sem")),
-            };
-            report("knord", r.niters, r.converged, r.sse, t0.elapsed());
-            if o.stats {
-                println!("{}", kernel_note(&o, &tune, file_n, o.k, file_d, &algo));
-                print_prune(&o, &algo, file_n, &r.total_prune());
-                print_dist_stats(&r);
             }
-            finish_trace(&o, trace.as_ref(), r.phases.as_ref());
+            finish_trace(&o, o.run.trace.as_ref(), fitted.phases());
         }
         "serve" => {
-            let mut cfg = ServeConfig::default().with_replication(replication(&o));
-            if let Some(t) = o.threads {
+            let mut cfg = ServeConfig::default().with_replication(o.run.replication);
+            if let Some(t) = o.run.threads {
                 cfg = cfg.with_threads(t);
             }
             let handle = ServeHandle::start(cfg);
@@ -615,11 +400,13 @@ fn main() {
                     .with_batch_rows(o.coalesce_rows)
                     .with_max_delay_us(o.coalesce_deadline_us)
                     .with_pending_budget(o.pending_budget);
-                let server = MuxServer::bind(handle, &*o.addr, mcfg).expect("bind failed");
+                let server =
+                    MuxServer::bind(handle, &*o.addr, mcfg).unwrap_or_else(|e| io_die(&o.addr, e));
                 println!("knor-serve (mux) listening on {}", server.addr());
                 server.join();
             } else {
-                let server = TcpServer::bind(handle, &*o.addr).expect("bind failed");
+                let server =
+                    TcpServer::bind(handle, &*o.addr).unwrap_or_else(|e| io_die(&o.addr, e));
                 println!("knor-serve listening on {}", server.addr());
                 server.join();
             }
@@ -630,23 +417,18 @@ fn main() {
                 eprintln!("train needs --model and --file");
                 usage()
             }
-            if knor::serve::tcp::parse_engine_token(&o.engine).is_none() {
-                die(&format!(
-                    "invalid value '{}' for --engine: expected im, sem, dist or dist-sem",
-                    o.engine
-                ));
-            }
             // The mini-batch default batch (`n/10`) needs n: one header read.
             let n = matrix_io::read_header(&o.file).map(|h| h.nrow as usize).unwrap_or(0);
-            let algo = algorithm(&o, n.max(1));
-            let mut c = Client::connect(&*o.addr).expect("connect failed");
+            o.run.default_batch(n);
+            let mut c = connect();
             let job = c
-                .train(&o.model, &o.engine, &algo, o.k, o.iters, o.seed, pruning(&o), &o.file)
-                .expect("train submit failed");
-            println!("submitted job {job} (model {}, engine {})", o.model, o.engine);
+                .train(&o.model, &o.engine, &o.run, &o.file)
+                .unwrap_or_else(|e| io_die(&o.addr, e));
+            println!("submitted job {job} (model {}, engine {})", o.model, o.engine.token());
             if o.wait {
-                let status =
-                    c.wait(job, std::time::Duration::from_millis(50)).expect("poll failed");
+                let status = c
+                    .wait(job, std::time::Duration::from_millis(50))
+                    .unwrap_or_else(|e| io_die(&o.addr, e));
                 println!("job {job}: {status}");
                 if status.starts_with("failed") {
                     exit(1);
@@ -658,18 +440,19 @@ fn main() {
                 eprintln!("query needs --model and --file");
                 usage()
             }
-            let data = matrix_io::read_matrix(&o.file).unwrap_or_else(|e| io_die(&o.file, e));
+            let data =
+                matrix_io::read_matrix(&o.file).unwrap_or_else(|e| io_die(o.file.display(), e));
             let n = if o.limit > 0 { o.limit.min(data.nrow()) } else { data.nrow() };
             let d = data.ncol();
             let batch = if o.batch > 0 { o.batch } else { 64 };
-            let mut c = Client::connect(&*o.addr).expect("connect failed");
+            let mut c = connect();
             let t0 = std::time::Instant::now();
-            let mut hist = vec![0u64; o.k.max(1)];
+            let mut hist = vec![0u64; o.run.k];
             let mut sent = 0usize;
             while sent < n {
                 let hi = (sent + batch).min(n);
                 let block = &data.as_slice()[sent * d..hi * d];
-                let out = c.query_block(&o.model, block, d).expect("query failed");
+                let out = c.query_block(&o.model, block, d).unwrap_or_else(|e| io_die(&o.addr, e));
                 for (cluster, _) in out {
                     if (cluster as usize) < hist.len() {
                         hist[cluster as usize] += 1;
@@ -688,11 +471,11 @@ fn main() {
             );
             let nonzero = hist.iter().filter(|&&c| c > 0).count();
             println!("assignments hit {nonzero} clusters");
-            let stats = c.stats(&o.model).expect("stats failed");
+            let stats = c.stats(&o.model).unwrap_or_else(|e| io_die(&o.addr, e));
             println!("stats: {stats}");
         }
         "ctl" => {
-            let mut c = Client::connect(&*o.addr).expect("connect failed");
+            let mut c = connect();
             let cmd = o.rest.first().map(String::as_str).unwrap_or("");
             let out = match (cmd, o.rest.get(1), o.rest.get(2)) {
                 ("list", None, None) => c.list(),
@@ -700,8 +483,7 @@ fn main() {
                 ("metrics", None, None) => c.metrics(),
                 ("save", Some(model), Some(dir)) => c.save(model, std::path::Path::new(dir)),
                 ("swap", Some(model), Some(ver)) => {
-                    let pin =
-                        if ver == "latest" { None } else { Some(num::<u32>("swap VERSION", ver)) };
+                    let pin = (ver != "latest").then(|| ok(number_for::<u32>("swap VERSION", ver)));
                     c.swap(model, pin)
                 }
                 ("rollback", Some(model), None) => c.rollback(model),
@@ -727,7 +509,11 @@ fn main() {
     }
 }
 
-fn report(name: &str, niters: usize, converged: bool, sse: Option<f64>, t: std::time::Duration) {
+fn report(
+    name: &str,
+    (niters, converged, sse): (usize, bool, Option<f64>),
+    t: std::time::Duration,
+) {
     println!("{name}: {niters} iterations in {t:.2?} (converged = {converged})");
     if let Some(s) = sse {
         println!("SSE = {s:.4}");
@@ -740,14 +526,10 @@ fn report(name: &str, niters: usize, converged: bool, sse: Option<f64>, t: std::
 /// Yinyang's grouping/drift tables), and the per-clause outcome totals.
 /// `io_skip_rows` is the staged-plane fetch-avoidance subset of clause 1
 /// (always 0 on direct planes).
-fn print_prune(o: &Opts, algo: &Algorithm, n: usize, total: &PruneCounters) {
-    let scheme = if algo.prune_eligible() { pruning(o) } else { Pruning::None };
-    let (k, t) = (o.k, yinyang_groups(o.k));
-    let bound_bytes = match scheme {
-        Pruning::None => 0,
-        Pruning::Mti => (n * 8 + (k * k + 2 * k) * 8) as u64,
-        Pruning::Yinyang => (n * 8 + n * t * 8) as u64 + ((2 * k + t + 1) * 4 + (k + t) * 8) as u64,
-    };
+fn print_prune(run: &RunSpec, n: usize, total: &PruneCounters) {
+    let (scheme, t) = (run.scheme(), knor::core::pruning::yinyang_groups(run.k));
+    // The bounds do not depend on `d`, the thread count or the data held.
+    let bound_bytes = MemoryFootprint::account(scheme, (n, run.k, 0), 0, 0, 0).bound_bytes(n);
     println!(
         "prune: scheme={} groups={} bound_B={bound_bytes} c1_rows={} c2={} c3={} dists={} io_skip_rows={}",
         scheme.name(),

@@ -62,7 +62,7 @@ pub mod prelude {
     pub use knor_sched::SchedulerKind;
     pub use knor_sem::{SemConfig, SemInit, SemKmeans, SemPlaneConfig, SemResult};
     pub use knor_serve::{
-        EngineKind, Prediction, ServeConfig, ServeHandle, StatsSnapshot, TrainSource, TrainSpec,
+        Prediction, ServeConfig, ServeHandle, StatsSnapshot, TrainSource, TrainSpec,
     };
     pub use knor_workloads::{MixtureSpec, PaperDataset};
 }

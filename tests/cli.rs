@@ -88,6 +88,21 @@ fn degenerate_numeric_flags_are_rejected_before_any_io() {
         vec!["im", "/nonexistent/x.knor", "--pruning", "banana"],
         vec!["sem", "/nonexistent/x.knor", "--kernel", "avx512"],
         vec!["dist", "/nonexistent/x.knor", "--pruning", "elkan"],
+        // Every enum-valued flag is checked by the one parser, early.
+        vec!["im", "/nonexistent/x.knor", "--init", "banana"],
+        vec!["dist", "/nonexistent/x.knor", "--init", "kmeans||"],
+        vec!["im", "/nonexistent/x.knor", "--algo", "kmedoids"],
+        vec!["sem", "/nonexistent/x.knor", "--algo", "fuzzy:0.5"],
+        vec!["gen", "/nonexistent/x.knor", "--dataset", "mnist"],
+        vec!["im", "/nonexistent/x.knor", "--replication", "maybe"],
+        vec!["im", "/nonexistent/x.knor", "--fuzz", "1.0"],
+        vec!["im", "/nonexistent/x.knor", "--algo", "fuzzy", "--fuzz", "NaN"],
+        vec!["im", "/nonexistent/x.knor", "-k", "3", "-k", "4"],
+        // A streaming engine cannot run an init that needs the matrix.
+        vec!["sem", "/nonexistent/x.knor", "--init", "pp"],
+        vec!["sem", "/nonexistent/x.knor", "--init", "random"],
+        vec!["dist", "/nonexistent/x.knor", "--plane", "sem", "--init", "pp"],
+        vec!["train", "--addr", "127.0.0.1:1", "--model", "m", "--file", "f", "--algo", "x"],
     ] {
         let out = knor().args(&args).output().expect("spawn knor");
         assert_eq!(out.status.code(), Some(2), "{args:?} must exit 2");
@@ -95,6 +110,49 @@ fn degenerate_numeric_flags_are_rejected_before_any_io() {
         assert!(err.starts_with("knor: "), "{args:?} → {err:?}");
         assert_eq!(err.trim_end().lines().count(), 1, "{args:?}: one-line error, got {err:?}");
     }
+
+    // `-k` is checked against the header's row count — the first thing
+    // read, the last thing that can be checked without the data — in the
+    // same voice, by every engine.
+    let file = gen_small("k-rows.knor");
+    let path = file.to_str().unwrap();
+    for engine in [vec!["im"], vec!["sem"], vec!["dist"], vec!["dist", "--plane", "sem"]] {
+        let out = knor().arg(engine[0]).arg(path).args(&engine[1..]).args(["-k", "99999"]).output();
+        let out = out.expect("spawn knor");
+        assert_eq!(out.status.code(), Some(2), "{engine:?} -k 99999 must exit 2");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(err, format!("knor: -k 99999 exceeds the 19800 rows of {path}\n"), "{engine:?}");
+    }
+    std::fs::remove_file(&file).unwrap();
+}
+
+/// A server that is not there is the user's to fix: `train`, `query` and
+/// `ctl` against a dead address print one line and exit 1 — no backtrace.
+#[test]
+fn a_dead_address_is_a_one_line_error() {
+    let file = gen_small("dead-addr.knor");
+    let path = file.to_str().unwrap();
+    // Nobody listens on port 1.
+    for args in [
+        vec!["train", "--addr", "127.0.0.1:1", "--model", "m", "--file", path, "--wait"],
+        vec!["query", "--addr", "127.0.0.1:1", "--model", "m", "--file", path],
+        vec!["ctl", "--addr", "127.0.0.1:1", "list"],
+        vec!["ctl", "--addr", "127.0.0.1:1", "shutdown"],
+    ] {
+        let out = knor().args(&args).output().expect("spawn knor");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?} → {err:?}");
+        assert!(err.starts_with("knor: 127.0.0.1:1: "), "{args:?} → {err:?}");
+        assert!(!err.contains("panicked"), "{args:?} → {err:?}");
+        assert_eq!(err.trim_end().lines().count(), 1, "{args:?}: one line, got {err:?}");
+    }
+    // Neither can a file be written into a directory that is not there.
+    let out =
+        knor().args(["gen", "/nonexistent/dir/x.knor", "--scale", "0.0001"]).output().unwrap();
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{err:?}");
+    assert!(err.starts_with("knor: /nonexistent/dir/x.knor: ") && !err.contains("panicked"));
+    std::fs::remove_file(&file).unwrap();
 }
 
 #[test]
@@ -432,6 +490,88 @@ fn a_closed_stdout_ends_the_run_quietly() {
             assert_eq!(stderr, "", "{what}");
             assert_eq!(status.code(), Some(0), "{what}");
         }
+    }
+    std::fs::remove_file(&file).unwrap();
+}
+
+/// The iteration and `SSE =` lines of a run, with the wall time masked.
+fn iterations_and_sse(stdout: &str) -> String {
+    let lines = stdout.lines().filter(|l| l.contains(" iterations in ") || l.starts_with("SSE = "));
+    lines
+        .map(|l| mask(l.split_once(": ").map_or(l, |(_, rest)| rest)))
+        .collect::<Vec<_>>()
+        .join(" / ")
+}
+
+/// One description, one run: the same `-k`, `--seed` and `--init forgy`
+/// name the same rows on every engine, so all four print the same
+/// iteration count and SSE. (knori's Forgy used to be a different draw.)
+#[test]
+fn one_spec_prints_the_same_run_on_every_engine() {
+    let file = gen_small("one-spec.knor");
+    let path = file.to_str().unwrap();
+    let run = |engine: &[&str]| {
+        let args = ["-k", "10", "--init", "forgy", "--seed", "5"];
+        let out = knor().arg(engine[0]).arg(path).args(&engine[1..]).args(args).output().unwrap();
+        assert!(out.status.success(), "{engine:?}: {}", String::from_utf8_lossy(&out.stderr));
+        iterations_and_sse(&String::from_utf8_lossy(&out.stdout))
+    };
+    let im = run(&["im"]);
+    assert!(im.contains(" iterations in T (converged = ") && im.contains(" / SSE = "), "{im}");
+    for engine in [&["sem"][..], &["dist"], &["dist", "--plane", "sem"], &["dist", "--star"]] {
+        assert_eq!(run(engine), im, "{engine:?}");
+    }
+    std::fs::remove_file(&file).unwrap();
+}
+
+/// `line` with its timings — and what depends on the host's CPU — masked.
+fn mask(line: &str) -> String {
+    let mut out = line.to_string();
+    for key in
+        [" iterations in ", "secs=", "MB/s=", "VmHWM_MB=", "fetch_s=", "MB/s/thread=", "fma="]
+    {
+        if let Some(at) = out.find(key).map(|at| at + key.len()) {
+            let end = out[at..].find(' ').map_or(out.len(), |e| at + e);
+            out.replace_range(at..end, "T");
+        }
+    }
+    out
+}
+
+/// `--stats` is a record people diff. With timings masked, what each
+/// engine prints at `-t 1` is the text captured from the binary of the
+/// commit before `RunSpec` (PR 19) on the same generated file: the kernel
+/// note, the prune, commit, numa and memory lines, the I/O and wire tables.
+#[test]
+fn stats_output_is_the_text_the_per_engine_arms_printed() {
+    let file = gen_small("golden.knor");
+    let path = file.to_str().unwrap();
+    let golden = |name: &str| {
+        let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden");
+        std::fs::read_to_string(format!("{dir}/stats_{name}.txt")).expect("read golden")
+    };
+    let caches = ["--row-cache", "1", "--page-cache", "1"];
+    for (name, engine) in [
+        ("im", vec!["im"]),
+        ("sem", [&["sem"][..], &caches].concat()),
+        ("dist", vec!["dist", "--ranks", "2"]),
+        ("dist_sem", [&["dist", "--ranks", "2", "--plane", "sem"][..], &caches].concat()),
+    ] {
+        let out = knor()
+            .arg(engine[0])
+            .arg(path)
+            .args(&engine[1..])
+            .args(["-k", "16", "-i", "12", "-t", "1", "--stats"])
+            // One node whatever the host: the `numa:` line is the run's.
+            .env("KNOR_SYNTH_NODES", "1")
+            .output()
+            .expect("spawn knor");
+        assert!(out.status.success(), "{name}: {}", String::from_utf8_lossy(&out.stderr));
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        // The phase table under the record is all timings.
+        let record: Vec<String> =
+            stdout.lines().take_while(|l| !l.starts_with("phase breakdown")).map(mask).collect();
+        assert_eq!(record.join("\n") + "\n", golden(name), "{name}");
     }
     std::fs::remove_file(&file).unwrap();
 }

@@ -777,3 +777,66 @@ fn uniform_worst_case_converges_everywhere() {
     assert!(agreement(&knori.assignments, &serial.assignments, k) > 0.995);
     assert!(agreement(&dist.assignments, &serial.assignments, k) > 0.995);
 }
+
+/// One description, one run: with nothing but `k`, a seed and Forgy given,
+/// every engine picks the same rows (`knor_core::init::forgy_rows`) — from
+/// memory or from the device — and so walks the same trajectory. Before the
+/// samplers were unified knori's Forgy and knors' were two different draws.
+#[test]
+fn same_spec_same_run_on_every_engine() {
+    let (data, _) = workload(2400, 6, 77);
+    let path = std::env::temp_dir().join(format!("knor-cross-spec-{}.knor", std::process::id()));
+    matrix_io::write_matrix(&path, &data).unwrap();
+    let k = 9;
+    for seed in [0u64, 1, 5] {
+        let im = Kmeans::new(
+            KmeansConfig::new(k)
+                .with_seed(seed)
+                .with_threads(2)
+                .with_scheduler(SchedulerKind::Static)
+                .with_max_iters(60),
+        )
+        .fit(&data);
+        let picked = InitMethod::Forgy.initialize(&data, k, seed).to_matrix();
+        assert_eq!(knor::sem::plane::forgy_from_file(&path, k, seed).unwrap(), picked);
+
+        let sem = SemKmeans::new(
+            SemConfig::new(k)
+                .with_seed(seed)
+                .with_threads(2)
+                .with_scheduler(SchedulerKind::Static)
+                .with_row_cache_bytes(1 << 16)
+                .with_max_iters(60)
+                .with_sse(true),
+        )
+        .fit(&path)
+        .unwrap()
+        .kmeans;
+        let dist = |plane: RankPlane| {
+            DistConfig::new(k, 2, 1)
+                .with_seed(seed)
+                .with_scheduler(SchedulerKind::Static)
+                .with_plane(plane)
+                .with_max_iters(60)
+                .with_sse(true)
+        };
+        let knord = DistKmeans::new(dist(RankPlane::InMemory)).fit(&data);
+        let knord_sem = DistKmeans::new(dist(RankPlane::Sem(
+            SemPlaneConfig::default().with_row_cache_bytes(1 << 16),
+        )))
+        .fit_file(&path)
+        .unwrap();
+
+        let text = |sse: Option<f64>| format!("{:.4}", sse.expect("SSE was asked for"));
+        for (who, niters, assignments, sse) in [
+            ("knors", sem.niters, &sem.assignments, text(sem.sse)),
+            ("knord", knord.niters, &knord.assignments, text(knord.sse)),
+            ("knord over SEM ranks", knord_sem.niters, &knord_sem.assignments, text(knord_sem.sse)),
+        ] {
+            assert_eq!(niters, im.niters, "seed {seed}: {who} iterations");
+            assert_eq!(assignments, &im.assignments, "seed {seed}: {who} assignments");
+            assert_eq!(sse, text(im.sse), "seed {seed}: {who} SSE");
+        }
+    }
+    std::fs::remove_file(&path).unwrap();
+}
