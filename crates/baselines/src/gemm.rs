@@ -2,11 +2,10 @@
 //!
 //! `d(x, c)^2 = |x|^2 + |c|^2 - 2 x·c`, so the distance matrix is one
 //! `n x d` by `d x k` matrix product plus rank-1 corrections. The
-//! assignment pass reuses the shared norm-trick kernel from
-//! `knor_core::kernel` (the engines' fast path *is* the GEMM formulation,
-//! evaluated block-wise without materializing the `n x k` product);
-//! [`matmul_nt`] remains as the standalone register-blocked multiply the
-//! Table 3 comparison references.
+//! assignment pass is the engines' own blocked-GEMM kernel from
+//! `knor_core::kernel` (packed centroid panel, FMA micro-kernel, evaluated
+//! without materializing the `n x k` product); [`matmul_nt`] remains as the
+//! standalone register-blocked multiply the Table 3 comparison references.
 
 use knor_core::centroids::{finalize_means, Centroids, LocalAccum};
 use knor_core::kernel::{assign_rows, centroid_sqnorms, KernelKind};
@@ -41,7 +40,8 @@ pub fn matmul_nt(a: &[f64], n: usize, d: usize, b: &[f64], k: usize, out: &mut [
     }
 }
 
-/// Lloyd's via the GEMM formulation (the shared norm-trick kernel).
+/// Lloyd's via the GEMM formulation: each iteration is one pass of the
+/// engines' GEMM kernel over every row.
 pub fn gemm_lloyd(data: &DMatrix, init: &DMatrix, max_iters: usize) -> SerialRun {
     let n = data.nrow();
     let d = data.ncol();
@@ -51,7 +51,7 @@ pub fn gemm_lloyd(data: &DMatrix, init: &DMatrix, max_iters: usize) -> SerialRun
     let mut assignments = vec![u32::MAX; n];
     let mut accum = LocalAccum::new(k, d);
     let mut c_norms = vec![0.0f64; k];
-    let rk = KernelKind::NormTrick.resolve(k, d, false);
+    let rk = KernelKind::Gemm.resolve(k, d, false);
     let (mut best, mut best_dist) = (Vec::new(), Vec::new());
     let mut iters = 0usize;
     let mut total_ns = 0u64;
@@ -60,21 +60,14 @@ pub fn gemm_lloyd(data: &DMatrix, init: &DMatrix, max_iters: usize) -> SerialRun
         let t0 = std::time::Instant::now();
         accum.reset();
         centroid_sqnorms(&cents, &mut c_norms);
+        assign_rows(data.as_slice(), d, &cents, &rk, &c_norms, &mut best, &mut best_dist, false);
         let mut changed = 0u64;
-        let mut start = 0usize;
-        while start < n {
-            let end = (start + rk.row_tile).min(n);
-            let block = &data.as_slice()[start * d..end * d];
-            assign_rows(block, d, &cents, &rk, &c_norms, &mut best, &mut best_dist, false);
-            for (i, r) in (start..end).enumerate() {
-                let a = best[i];
-                if assignments[r] != a {
-                    assignments[r] = a;
-                    changed += 1;
-                }
-                accum.add(a as usize, data.row(r));
+        for (r, (&a, slot)) in best.iter().zip(assignments.iter_mut()).enumerate() {
+            if *slot != a {
+                *slot = a;
+                changed += 1;
             }
-            start = end;
+            accum.add(a as usize, data.row(r));
         }
         finalize_means(&accum.sums, &accum.counts, &cents, &mut next);
         std::mem::swap(&mut cents, &mut next);

@@ -68,7 +68,7 @@ fn bench_blocked_assign(c: &mut Criterion) {
         let mut cnorms = vec![0.0; k];
         centroid_sqnorms(&cents, &mut cnorms);
         let (mut best, mut dist) = (Vec::new(), Vec::new());
-        for kind in [KernelKind::Scalar, KernelKind::Tiled, KernelKind::NormTrick] {
+        for kind in [KernelKind::Scalar, KernelKind::Tiled, KernelKind::Gemm] {
             let rk = kind.resolve(k, d, false);
             g.bench_with_input(
                 BenchmarkId::new(format!("{kind:?}").to_lowercase(), k),

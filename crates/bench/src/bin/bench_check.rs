@@ -59,12 +59,8 @@ fn kernel_metrics(out: &mut Vec<Metric>) {
     let mut cnorms = vec![0.0; k];
     centroid_sqnorms(&cents, &mut cnorms);
     let (mut best, mut dist) = (Vec::new(), Vec::new());
-    for (name, kind) in [
-        ("kernel.scalar", KernelKind::Scalar),
-        ("kernel.tiled", KernelKind::Tiled),
-        ("kernel.fma", KernelKind::Fma),
-        ("kernel.norm", KernelKind::NormTrick),
-    ] {
+    for (name, kind) in [("kernel.scalar", KernelKind::Scalar), ("kernel.tiled", KernelKind::Tiled)]
+    {
         let rk = kind.resolve(k, d, false);
         let secs = best_secs(3, || {
             assign_rows(data.as_slice(), d, &cents, &rk, &cnorms, &mut best, &mut dist, true);

@@ -1,30 +1,24 @@
-//! Kernel benchmark: scalar vs tiled vs FMA vs norm-trick vs blocked-GEMM
-//! assignment across an (n, k, d) grid. PR 2 seeded the trajectory in
-//! `results/BENCH_PR2.json`; PR 6 adds the FMA micro-kernel, the GEMM
-//! path and the autotuner, recording per-kernel ns, the autotuned tile
-//! choice and FMA availability in `results/BENCH_PR6.json`.
+//! Kernel benchmark: scalar vs tiled vs blocked-GEMM assignment across an
+//! (n, k, d) grid. `results/BENCH_PR2.json` holds the first trajectory;
+//! `results/BENCH_PR6.json` the one with the GEMM path, recording
+//! per-kernel ns and FMA availability.
 //!
 //! Each configuration times complete assignment passes (every row against
 //! every centroid — the non-pruned compute super-phase) and cross-checks
 //! the kernels against each other: tiled must match the scalar scan
-//! bitwise; fma, norm-trick and gemm within 1e-9 relative on distances.
+//! bitwise; gemm within 1e-9 relative on distances.
 //!
 //! ```text
-//! bench_kernel                  full grid, writes results/BENCH_PR6.json
-//! bench_kernel --smoke          tiny shapes for CI; asserts gemm beats
-//!                               scalar on the scaled headline shape and
-//!                               does not touch results/
-//! bench_kernel --tune-cache P   read/write autotuner decisions at P
-//!                               (CI caches this to exercise the
-//!                               cache-read path)
+//! bench_kernel           full grid, writes results/BENCH_PR6.json
+//! bench_kernel --smoke   tiny shapes for CI; asserts gemm beats scalar on
+//!                        the scaled headline shape and does not touch
+//!                        results/
 //! ```
 
 use knor_bench::save_results;
 use knor_core::centroids::Centroids;
 use knor_core::distance::nearest;
 use knor_core::kernel::{assign_rows, centroid_sqnorms, fma_usable, KernelKind, ResolvedKernel};
-use knor_core::tune::TuneTable;
-use knor_core::ResolvedKind;
 use knor_workloads::uniform_matrix;
 
 struct Shape {
@@ -49,10 +43,6 @@ fn time_passes<F: FnMut()>(reps: usize, mut f: F) -> f64 {
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let smoke = args.iter().any(|a| a == "--smoke");
-    let tune_cache = args
-        .iter()
-        .position(|a| a == "--tune-cache")
-        .map(|i| std::path::PathBuf::from(args.get(i + 1).expect("--tune-cache needs a path")));
 
     let sh = |n, k, d, headline| Shape { n, k, d, headline };
     let shapes: Vec<Shape> = if smoke {
@@ -74,25 +64,13 @@ fn main() {
     };
     let reps = if smoke { 3 } else { 9 };
 
-    // One shared tuner table for the whole sweep. With --tune-cache, prior
-    // decisions are read back (the CI cache-read path) and fresh ones
-    // persisted for the next run.
-    let table = TuneTable::new();
-    let cached_entries = match &tune_cache {
-        Some(p) => table.load_into(p).expect("read tune cache"),
-        None => 0,
-    };
-    if tune_cache.is_some() {
-        println!("tune cache: {cached_entries} cached decision(s) loaded");
-    }
-
     println!(
         "fma: {}",
         if fma_usable() { "available" } else { "not available (portable fallback)" }
     );
     println!(
-        "{:>8} {:>5} {:>4} {:>11} {:>11} {:>11} {:>11} {:>11} {:>7} {:>7} {:>9}",
-        "n", "k", "d", "scalar", "tiled", "fma", "norm", "gemm", "fmaX", "gemmX", "tuned"
+        "{:>8} {:>5} {:>4} {:>11} {:>11} {:>11} {:>7}",
+        "n", "k", "d", "scalar", "tiled", "gemm", "gemmX"
     );
     let mut rows = Vec::new();
     for s in &shapes {
@@ -102,16 +80,9 @@ fn main() {
         let mut cnorms = vec![0.0; s.k];
         centroid_sqnorms(&cents, &mut cnorms);
 
-        let (choice, fresh) = table.choose(ResolvedKind::Gemm, s.n, s.k, s.d, 42);
         let scalar_rk = KernelKind::Scalar.resolve(s.k, s.d, false);
         let tiled_rk = KernelKind::Tiled.resolve(s.k, s.d, false);
-        let fma_rk = KernelKind::Fma.resolve(s.k, s.d, false);
-        let norm_rk = KernelKind::NormTrick.resolve(s.k, s.d, false);
-        let gemm_rk = KernelKind::Gemm.resolve(s.k, s.d, false).with_tiles(
-            choice.row_tile,
-            choice.cent_tile,
-            s.k,
-        );
+        let gemm_rk = KernelKind::Gemm.resolve(s.k, s.d, false);
         let run = |rk: &ResolvedKernel, best: &mut Vec<u32>, dist: &mut Vec<f64>| {
             assign_rows(data.as_slice(), s.d, &cents, rk, &cnorms, best, dist, true);
         };
@@ -127,46 +98,31 @@ fn main() {
             "tiled distances not bitwise"
         );
         // 1e-9 relative band plus an absolute floor for rows sitting on a
-        // centroid: the norm-trick/gemm cancellation leaves an O(ulp·‖x‖²)
-        // residual in the squared distance, which sqrt amplifies to ~1e-7
-        // when the true distance is 0 (far below any real inter-centroid
-        // scale).
-        let approx = |name: &str, rk: &ResolvedKernel| -> (Vec<u32>, Vec<f64>) {
-            let (mut b, mut dd) = (Vec::new(), Vec::new());
-            run(rk, &mut b, &mut dd);
-            for (i, (a, x)) in sd.iter().zip(&dd).enumerate() {
-                assert!((a - x).abs() <= 1e-9 * a.abs() + 1e-6, "{name} row {i}: {a} vs {x}");
-            }
-            (b, dd)
-        };
-        let (mut fb, mut fd) = approx("fma", &fma_rk);
-        let (mut nb, mut nd) = approx("norm-trick", &norm_rk);
-        let (mut gb, mut gd) = approx("gemm", &gemm_rk);
+        // centroid: the gemm cancellation leaves an O(ulp·‖x‖²) residual in
+        // the squared distance, which sqrt amplifies to ~1e-7 when the true
+        // distance is 0 (far below any real inter-centroid scale).
+        let (mut gb, mut gd) = (Vec::new(), Vec::new());
+        run(&gemm_rk, &mut gb, &mut gd);
+        for (i, (a, x)) in sd.iter().zip(&gd).enumerate() {
+            assert!((a - x).abs() <= 1e-9 * a.abs() + 1e-6, "gemm row {i}: {a} vs {x}");
+        }
         // Spot-check the scalar reference itself.
         let (a0, d0) = nearest(data.row(0), &cents.means, s.k);
         assert_eq!((sb[0], sd[0]), (a0 as u32, d0));
 
         let scalar_ns = time_passes(reps, || run(&scalar_rk, &mut sb, &mut sd));
         let tiled_ns = time_passes(reps, || run(&tiled_rk, &mut tb, &mut td));
-        let fma_ns = time_passes(reps, || run(&fma_rk, &mut fb, &mut fd));
-        let norm_ns = time_passes(reps, || run(&norm_rk, &mut nb, &mut nd));
         let gemm_ns = time_passes(reps, || run(&gemm_rk, &mut gb, &mut gd));
-        let fma_x = scalar_ns / fma_ns;
         let gemm_x = scalar_ns / gemm_ns;
         println!(
-            "{:>8} {:>5} {:>4} {:>9.2}ms {:>9.2}ms {:>9.2}ms {:>9.2}ms {:>9.2}ms {:>6.2}x {:>6.2}x {:>4}x{:<4}",
+            "{:>8} {:>5} {:>4} {:>9.2}ms {:>9.2}ms {:>9.2}ms {:>6.2}x",
             s.n,
             s.k,
             s.d,
             scalar_ns / 1e6,
             tiled_ns / 1e6,
-            fma_ns / 1e6,
-            norm_ns / 1e6,
             gemm_ns / 1e6,
-            fma_x,
-            gemm_x,
-            choice.row_tile,
-            choice.cent_tile
+            gemm_x
         );
         if smoke && s.headline {
             assert!(
@@ -177,30 +133,11 @@ fn main() {
         rows.push(format!(
             concat!(
                 "    {{\"n\": {}, \"k\": {}, \"d\": {}, ",
-                "\"scalar_ns\": {:.0}, \"tiled_ns\": {:.0}, \"fma_ns\": {:.0}, ",
-                "\"norm_ns\": {:.0}, \"gemm_ns\": {:.0}, ",
-                "\"fma_speedup\": {:.3}, \"gemm_speedup\": {:.3}, ",
-                "\"tuned_row_tile\": {}, \"tuned_cent_tile\": {}, \"tuned_fresh\": {}}}"
+                "\"scalar_ns\": {:.0}, \"tiled_ns\": {:.0}, \"gemm_ns\": {:.0}, ",
+                "\"gemm_speedup\": {:.3}}}"
             ),
-            s.n,
-            s.k,
-            s.d,
-            scalar_ns,
-            tiled_ns,
-            fma_ns,
-            norm_ns,
-            gemm_ns,
-            fma_x,
-            gemm_x,
-            choice.row_tile,
-            choice.cent_tile,
-            fresh
+            s.n, s.k, s.d, scalar_ns, tiled_ns, gemm_ns, gemm_x
         ));
-    }
-
-    if let Some(p) = &tune_cache {
-        table.save(p).expect("write tune cache");
-        println!("tune cache: {} decision(s) saved to {}", table.len(), p.display());
     }
 
     let json = format!(

@@ -376,13 +376,13 @@ impl MmAlgorithm for LloydAlgo {
 /// Spherical k-means: maximize cosine similarity. With unit-norm centroids
 /// (maintained by `prepare_init` + `update`), `argmax_c cos(x, c) =
 /// argmax_c x·c`, so the map phase is a pure dot-product scan — the blocked
-/// path reuses the kernel layer's dot micro-kernel by running the
-/// norm-trick tile scan with zeroed centroid norms (score `0 − 2·x·c`,
-/// whose argmin is exactly the dot argmax, ties and all). Rows contribute
-/// their unit direction: weight `= 1/‖x‖` (0 for zero rows).
+/// path reuses the kernel layer's dot micro-kernel by running the GEMM
+/// scan with zeroed centroid norms (score `0 − 2·x·c`, whose argmin is
+/// exactly the dot argmax, ties and all). Rows contribute their unit
+/// direction: weight `= 1/‖x‖` (0 for zero rows).
 struct SphericalAlgo {
-    /// `k` zeros standing in for `‖c‖²` in the norm-trick scan, which turns
-    /// its score into a pure (scaled, negated) dot product.
+    /// `k` zeros standing in for `‖c‖²` in the GEMM scan, which turns its
+    /// score into a pure (scaled, negated) dot product.
     zero_norms: Vec<f64>,
 }
 
@@ -417,9 +417,9 @@ impl MmAlgorithm for SphericalAlgo {
     }
 
     fn map(&self, v: &[f64], cents: &Centroids) -> MapOut {
-        // Scored exactly like the blocked path: minimize `−2·x·c` with a
-        // strict `<` in ascending index order (ties break low, like every
-        // other knor scan).
+        // Scored like the blocked path: minimize `−2·x·c` with a strict `<`
+        // in ascending index order (ties break low, like every other knor
+        // scan).
         let mut best = 0u32;
         let mut best_score = f64::INFINITY;
         for c in 0..cents.k() {
@@ -441,11 +441,11 @@ impl MmAlgorithm for SphericalAlgo {
         weights: &mut Vec<f64>,
         score: &mut Vec<f64>,
     ) {
-        // The norm-trick resolved kernel with `‖c‖² = 0` scores candidates
-        // by `−2·x·c`: the dot-product micro-kernel (AVX where available)
-        // does all the work, `need_dist = false` skips the distance
+        // The GEMM kernel with `‖c‖² = 0` scores candidates by `−2·x·c`:
+        // the packed dot-product micro-kernel (FMA where available) does
+        // all the work, `need_dist = false` skips the distance
         // reconstruction it would otherwise perform.
-        let rk = KernelKind::NormTrick.resolve(cents.k(), d, false);
+        let rk = KernelKind::Gemm.resolve(cents.k(), d, false);
         assign_rows(block, d, cents, &rk, &self.zero_norms, best, score, false);
         weights.clear();
         for row in block.chunks_exact(d.max(1)) {

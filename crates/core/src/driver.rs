@@ -85,9 +85,6 @@ pub struct DriverConfig {
     pub task_size: usize,
     /// Assignment kernel for full scans (see [`crate::kernel`]).
     pub kernel: KernelKind,
-    /// Autotuned `(row_tile, cent_tile)` override (see [`crate::tune`]);
-    /// `None` keeps the resolve-time heuristic tiles.
-    pub tiles: Option<(usize, usize)>,
     /// Global row id of local row 0 (knord passes its rank's slice start;
     /// single-machine engines pass 0). Algorithms that key on global row
     /// identity — mini-batch subsampling — see `row_offset + r`.
@@ -100,24 +97,6 @@ pub struct DriverConfig {
     /// Span recorder for this run (see [`crate::trace`]); `None` keeps
     /// the hot path to a single branch and zero recording cost.
     pub trace: Option<TraceHandle>,
-}
-
-impl DriverConfig {
-    /// The kernel this configuration resolves to.
-    pub fn resolve_kernel(&self) -> ResolvedKernel {
-        self.resolve_kernel_with(self.pruning.enabled())
-    }
-
-    /// [`DriverConfig::resolve_kernel`] with an explicit pruning flag (the
-    /// driver re-gates pruning on the algorithm's eligibility). Tuned
-    /// tiles, when present, replace the heuristic tile shape.
-    pub fn resolve_kernel_with(&self, pruning: bool) -> ResolvedKernel {
-        let rk = self.kernel.resolve(self.k, self.d, pruning);
-        match self.tiles {
-            Some((rt, ct)) => rk.with_tiles(rt, ct, self.k),
-            None => rk,
-        }
-    }
 }
 
 /// What one worker reports after its compute super-phase.
@@ -310,8 +289,8 @@ pub fn run_mm<P: DataPlane + ?Sized, R: Reducer>(
     let uses_weights = algo.uses_weights();
     algo.prepare_init(&mut init);
 
-    let rk = cfg.resolve_kernel_with(cfg_pruning);
-    // Norm-trick/GEMM centroid-norm cache, seeded from the initial
+    let rk = cfg.kernel.resolve(k, d, cfg_pruning);
+    // GEMM centroid-norm cache, seeded from the initial
     // centroids and thereafter refreshed only for drifted centroids.
     let cnorms_cell = ExclusiveCell::new(if rk.kind.needs_cnorms() {
         let mut v = vec![0.0f64; k];
@@ -1388,7 +1367,6 @@ mod tests {
             pruning,
             task_size: 16,
             kernel,
-            tiles: None,
             row_offset: 0,
             replication,
             trace: None,
@@ -1536,7 +1514,7 @@ mod tests {
     }
 
     #[test]
-    fn normtrick_kernel_matches_clustering() {
+    fn gemm_kernel_matches_clustering() {
         let mut data = Vec::new();
         for i in 0..400 {
             let c = (i % 4) as f64 * 9.0;
@@ -1545,10 +1523,10 @@ mod tests {
         }
         let n = 400;
         let exact = run_kernel(&data, n, 2, 16, Pruning::None, 2, KernelKind::Tiled);
-        let norm = run_kernel(&data, n, 2, 16, Pruning::None, 2, KernelKind::NormTrick);
-        assert_eq!(exact.assignments, norm.assignments);
-        assert_eq!(exact.iters.len(), norm.iters.len());
-        for (a, b) in exact.centroids.means.iter().zip(&norm.centroids.means) {
+        let gemm = run_kernel(&data, n, 2, 16, Pruning::None, 2, KernelKind::Gemm);
+        assert_eq!(exact.assignments, gemm.assignments);
+        assert_eq!(exact.iters.len(), gemm.iters.len());
+        for (a, b) in exact.centroids.means.iter().zip(&gemm.centroids.means) {
             assert!((a - b).abs() <= 1e-9_f64.max(b.abs() * 1e-9));
         }
     }
@@ -1601,7 +1579,7 @@ mod tests {
         }
         let n = 360;
         let (d, k) = (3, 12);
-        for kernel in [KernelKind::Scalar, KernelKind::Tiled, KernelKind::NormTrick] {
+        for kernel in [KernelKind::Scalar, KernelKind::Tiled, KernelKind::Gemm] {
             for pruning in [Pruning::None, Pruning::Mti, Pruning::Yinyang] {
                 let base = run_kernel(&data, n, d, k, pruning, 4, kernel);
                 for topo in [
@@ -1703,7 +1681,6 @@ mod tests {
             pruning: Pruning::Mti,
             task_size: 8,
             kernel: KernelKind::Auto,
-            tiles: None,
             row_offset: 0,
             replication: false,
             trace: None,

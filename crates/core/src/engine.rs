@@ -207,7 +207,7 @@ mod tests {
     #[test]
     fn every_kernel_single_thread_vs_serial() {
         // Tiled (and Auto, which resolves to it here) must be bitwise equal
-        // to the serial reference; norm-trick must agree on the clustering.
+        // to the serial reference; gemm must agree on the clustering.
         let data = mixture(700, 7, 21); // d % 4 != 0 exercises remainders
         let k = 9;
         let init = forgy_centroids(&data, k, 13);
@@ -230,11 +230,11 @@ mod tests {
             assert_eq!(r.centroids, serial.centroids, "{kernel:?} centroids must be bitwise");
             assert_eq!(r.niters, serial.niters, "{kernel:?}");
         }
-        let norm = run(KernelKind::NormTrick);
-        assert_eq!(norm.assignments, serial.assignments);
-        assert_eq!(norm.niters, serial.niters);
-        for (a, b) in norm.centroids.as_slice().iter().zip(serial.centroids.as_slice()) {
-            assert!((a - b).abs() <= 1e-9_f64.max(b.abs() * 1e-9), "norm-trick drifted");
+        let gemm = run(KernelKind::Gemm);
+        assert_eq!(gemm.assignments, serial.assignments);
+        assert_eq!(gemm.niters, serial.niters);
+        for (a, b) in gemm.centroids.as_slice().iter().zip(serial.centroids.as_slice()) {
+            assert!((a - b).abs() <= 1e-9_f64.max(b.abs() * 1e-9), "gemm drifted");
         }
     }
 
@@ -365,7 +365,7 @@ mod tests {
         let data = mixture(900, 6, 17);
         let k = 7;
         let init = forgy_centroids(&data, k, 23);
-        for kernel in [KernelKind::Scalar, KernelKind::Tiled, KernelKind::NormTrick] {
+        for kernel in [KernelKind::Scalar, KernelKind::Tiled, KernelKind::Gemm] {
             for pruning in [Pruning::None, Pruning::Mti, Pruning::Yinyang] {
                 let base = KmeansConfig::new(k)
                     .with_init(InitMethod::Given(init.clone()))

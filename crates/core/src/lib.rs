@@ -61,7 +61,6 @@ pub mod spec;
 pub mod stats;
 pub mod sync;
 pub mod trace;
-pub mod tune;
 
 pub use algo::{Algorithm, MapOut, MmAlgorithm, Normalization, UpdateCtx};
 pub use centroids::{Centroids, LocalAccum};
@@ -75,4 +74,3 @@ pub use replica::{NodeReplicas, OpLog, ReplicaState, Replication};
 pub use spec::RunSpec;
 pub use stats::{CommitCounters, IterStats, KmeansResult, LoadStats, MemoryFootprint, NumaReport};
 pub use trace::{Phase, PhaseBreakdown, PhaseGroup, Span, TraceBuf, TraceHandle, WorkerTracer};
-pub use tune::{TileChoice, TuneKey, TunePolicy, TuneTable, Tuning};

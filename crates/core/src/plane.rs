@@ -524,7 +524,6 @@ mod tests {
             pruning,
             task_size: 16,
             kernel,
-            tiles: None,
             row_offset: 0,
             replication: false,
             trace: None,

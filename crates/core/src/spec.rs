@@ -38,7 +38,6 @@ use crate::pruning::Pruning;
 use crate::replica::Replication;
 use crate::stats::{KmeansResult, MemoryFootprint, NumaReport};
 use crate::trace::{TraceBuf, TraceHandle};
-use crate::tune::{TunePolicy, Tuning};
 
 /// Everything about a run that does not depend on where its rows live,
 /// plus `ext`, what the entry point adds.
@@ -80,9 +79,6 @@ pub struct RunSpec<X = ()> {
     pub kernel: KernelKind,
     /// Clustering algorithm to run on the driver (see [`crate::algo`]).
     pub algo: Algorithm,
-    /// Kernel autotuning policy (see [`crate::tune`]); knord tunes once
-    /// from the global shape and shares the tiles across ranks.
-    pub tuning: Tuning,
     /// Per-NUMA-node read replicas of the iteration state (see
     /// [`crate::replica`]); `Auto` replicates NUMA-aware runs on a
     /// multi-node topology.
@@ -148,7 +144,6 @@ impl RunSpec {
             compute_sse,
             kernel: KernelKind::Auto,
             algo: Algorithm::Lloyd,
-            tuning: Tuning::off(),
             replication: Replication::Auto,
             trace: None,
             ext: (),
@@ -197,8 +192,6 @@ impl<X> RunSpec<X> {
         with_kernel(v: KernelKind) => kernel = v;
         /// Choose the clustering algorithm.
         with_algo(v: Algorithm) => algo = v;
-        /// Set the kernel autotuning policy.
-        with_tuning(v: Tuning) => tuning = v;
         /// Set the NUMA replication knob.
         with_replication(v: Replication) => replication = v;
         /// Attach a span recorder to the run.
@@ -223,7 +216,6 @@ impl<X> RunSpec<X> {
             compute_sse: self.compute_sse,
             kernel: self.kernel,
             algo: self.algo.clone(),
-            tuning: self.tuning.clone(),
             replication: self.replication,
             trace: self.trace.clone(),
             ext,
@@ -583,16 +575,9 @@ pub const KNOBS: &[Knob] = &[
     Knob {
         key: "kernel",
         flags: &["--kernel"],
-        expected: &["auto", "scalar", "tiled", "fma", "norm", "gemm"],
+        expected: &["auto", "scalar", "tiled", "gemm"],
         set: |s, v| put(&mut s.kernel, KernelKind::parse(v).ok_or(Why::Expected)),
         get: |s| Some(s.kernel.name().into()),
-    },
-    Knob {
-        key: "tune",
-        flags: &["--tune"],
-        expected: &["on", "off", "cache"],
-        set: |s, v| put(&mut s.tuning.policy, TunePolicy::parse(v).ok_or(Why::Expected)),
-        get: |s| Some(s.tuning.policy.name().into()),
     },
     Knob {
         key: "replication",
@@ -714,7 +699,7 @@ impl RunSpec {
     /// This description with `pairs` of `(key or flag, value)` applied: the
     /// one parser behind `knor`'s flags and `TRAIN`'s tokens. A knob may be
     /// given once; `fuzz` and `batch` reach the algorithm wherever they
-    /// stand; a tuned run probes under the run's seed.
+    /// stand.
     pub fn parse(mut self, pairs: &[(&str, &str)]) -> Result<Self, Refusal> {
         let (mut seen, mut params) = (Vec::new(), Vec::new());
         for &(name, value) in pairs {
@@ -730,9 +715,6 @@ impl RunSpec {
         }
         for (name, value) in params {
             self.set(name, value)?;
-        }
-        if self.tuning.policy != TunePolicy::Off {
-            self.tuning.seed = self.seed;
         }
         Ok(self)
     }
@@ -839,20 +821,12 @@ impl<X> RunSpec<X> {
         self.threads.unwrap_or(hw).max(1)
     }
 
-    /// Autotuned `(row_tile, cent_tile)` for `n` rows of `d` columns, probed
-    /// on the kernel kind the run resolves to (tiles cannot change the
-    /// kind); `None` when tuning is off or the kernel takes no tiles.
-    pub fn tiles(&self, n: usize, d: usize) -> Option<(usize, usize)> {
-        let kind = self.kernel.resolve(self.k, d, self.scheme().enabled()).kind;
-        self.tuning.tiles_for(kind, n, self.k, d)
-    }
-
     /// Resolve the description for an engine instance that owns `rows` of
     /// a matrix of `n_total` rows by `d` columns (knord: one rank's slice;
     /// otherwise all of it) and traces as process `pid`. `topo` overrides
     /// the description's topology (knord ranks model their own workers).
-    /// The algorithm instance and the tiles come from the global shape, so
-    /// every rank resolves the same ones. The only place a
+    /// The algorithm instance comes from the global shape, so every rank
+    /// resolves the same one. The only place a
     /// [`DriverConfig`] is built.
     ///
     /// # Panics
@@ -883,7 +857,6 @@ impl<X> RunSpec<X> {
             pruning: self.scheme(),
             task_size: self.task_size,
             kernel: self.kernel,
-            tiles: self.tiles(n_total, d),
             row_offset: rows.start,
             // `Auto` replicates only NUMA-aware multi-node runs: the replica
             // node grouping follows the placement, which is also how aware
@@ -983,7 +956,7 @@ mod tests {
     type Tokens = (
         (usize, usize, u64, Option<usize>),
         (Pruning, InitMethod, Algorithm),
-        (KernelKind, TunePolicy, u64, Replication),
+        (KernelKind, Replication),
     );
 
     /// Everything a token can carry, for comparing descriptions.
@@ -991,20 +964,13 @@ mod tests {
         (
             (s.k, s.max_iters, s.seed, s.threads),
             (s.pruning, s.init.clone(), s.algo.clone()),
-            (s.kernel, s.tuning.policy, s.tuning.seed, s.replication),
+            (s.kernel, s.replication),
         )
     }
 
     const PRUNINGS: [Pruning; 3] = [Pruning::None, Pruning::Mti, Pruning::Yinyang];
-    const KERNELS: [KernelKind; 6] = [
-        KernelKind::Auto,
-        KernelKind::Scalar,
-        KernelKind::Tiled,
-        KernelKind::Fma,
-        KernelKind::NormTrick,
-        KernelKind::Gemm,
-    ];
-    const TUNES: [TunePolicy; 3] = [TunePolicy::Off, TunePolicy::On, TunePolicy::Cache];
+    const KERNELS: [KernelKind; 4] =
+        [KernelKind::Auto, KernelKind::Scalar, KernelKind::Tiled, KernelKind::Gemm];
     const REPLICATIONS: [Replication; 3] = [Replication::Off, Replication::Auto, Replication::On];
 
     /// A description with every token-carrying knob drawn from `rng`.
@@ -1026,11 +992,7 @@ mod tests {
             2 => Algorithm::Fuzzy { m: 1.0 + rng.gen_range(f64::EPSILON..9.0) },
             _ => Algorithm::MiniBatch { batch: rng.gen_range(1..100_000) },
         };
-        s.kernel = KERNELS[rng.gen_range(0..6usize)];
-        s.tuning.policy = TUNES[rng.gen_range(0..3usize)];
-        if s.tuning.policy != TunePolicy::Off {
-            s.tuning.seed = s.seed; // what `parse` gives a tuned run
-        }
+        s.kernel = KERNELS[rng.gen_range(0..4usize)];
         s.replication = REPLICATIONS[rng.gen_range(0..3usize)];
         s
     }
@@ -1066,12 +1028,14 @@ mod tests {
             assert_eq!(choose("--engine", Engine::TOKENS, token), Ok(i));
         }
         // The aliases parse but are never rendered or listed.
-        let alias = RunSpec::<()>::new(3)
-            .parse(&[("init", "kmeanspp"), ("kernel", "normtrick"), ("algo", "mini-batch")])
-            .unwrap();
+        let alias =
+            RunSpec::<()>::new(3).parse(&[("init", "kmeanspp"), ("algo", "mini-batch")]).unwrap();
         let spelled: Vec<String> = alias.render().into_iter().map(|t| t.1).collect();
-        assert!(spelled.contains(&"pp".to_string()) && spelled.contains(&"norm".to_string()));
+        assert!(spelled.contains(&"pp".to_string()));
         assert_eq!(alias.algo, Algorithm::MiniBatch { batch: 0 });
+        // The library's `NormTrick`/`Fma` are `Gemm`, and are spelled so.
+        let gemm = RunSpec::<()>::new(3).with_kernel(KernelKind::NormTrick).render();
+        assert!(gemm.contains(&("kernel", "gemm".to_string())), "{gemm:?}");
     }
 
     #[test]
@@ -1085,8 +1049,14 @@ mod tests {
             ),
             (
                 &[("--kernel", "warp")],
-                "invalid value 'warp' for --kernel: expected auto, scalar, tiled, fma, norm or gemm",
-                "TRAIN: bad kernel (auto|scalar|tiled|fma|norm|gemm)",
+                "invalid value 'warp' for --kernel: expected auto, scalar, tiled or gemm",
+                "TRAIN: bad kernel (auto|scalar|tiled|gemm)",
+            ),
+            // The deleted kernels' spellings are refused like any other.
+            (
+                &[("--kernel", "fma")],
+                "invalid value 'fma' for --kernel: expected auto, scalar, tiled or gemm",
+                "TRAIN: bad kernel (auto|scalar|tiled|gemm)",
             ),
             (
                 &[("--init", "banana")],
@@ -1097,11 +1067,6 @@ mod tests {
                 &[("algo", "fuzzy:0.5")],
                 "invalid value 'fuzzy:0.5' for --algo: expected lloyd, spherical, fuzzy or minibatch",
                 "TRAIN: bad algo spec",
-            ),
-            (
-                &[("--tune", "maybe")],
-                "invalid value 'maybe' for --tune: expected on, off or cache",
-                "TRAIN: bad tune (on|off|cache)",
             ),
             (
                 &[("--replication", "maybe")],
@@ -1145,6 +1110,7 @@ mod tests {
                 "TRAIN: batch: must be at least 1",
             ),
             (&[("frobnicate", "1")], "unknown knob 'frobnicate'", "TRAIN: unknown knob 'frobnicate'"),
+            (&[("--tune", "on")], "unknown knob '--tune'", "TRAIN: unknown knob '--tune'"),
             // A key, its flag and its long form are one knob.
             (&[("k", "3"), ("-k", "4")], "-k given more than once", "TRAIN: -k given more than once"),
             (
@@ -1276,7 +1242,7 @@ mod tests {
                 (s.scheduler, s.numa_aware, s.track_tallies),
                 (SchedulerKind::NumaAware, true, false)
             );
-            assert_eq!((s.algo.clone(), s.tuning.policy), (Algorithm::Lloyd, TunePolicy::Off));
+            assert_eq!(s.algo, Algorithm::Lloyd);
             assert!(s.topology.is_none() && s.trace.is_none());
         }
         let io = SemPlaneConfig::default();

@@ -291,11 +291,6 @@ impl DistKmeans {
         let cfg = &self.config;
         let n = ranges.last().map_or(0, |r| r.end);
         let threads = self.threads_per_rank();
-        // Tune once from the *global* shape, before any rank launches: the
-        // decision is remembered in the shared table, so every rank's
-        // `resolve` reads the same tiles (and the trajectory is
-        // reproducible across rank counts) instead of probing on its own.
-        let _ = cfg.tiles(n, d);
         let pre: Vec<Mutex<Option<RankData<'_>>>> =
             data.into_iter().map(|d| Mutex::new(Some(d))).collect();
         let pre_ref = &pre;

@@ -168,7 +168,6 @@ fn run_job(registry: &ModelRegistry, spec: &TrainSpec) -> Result<u32, String> {
         &spec.ext.model,
         spec.algo.clone(),
         Centroids::from_matrix(&centroids),
-        None,
         diag,
     ))
 }

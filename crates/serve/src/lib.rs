@@ -25,14 +25,14 @@
 //! serving throughput inherits every training-kernel optimization and
 //! every answer is **bitwise identical** to the serial per-row
 //! [`knor_core::distance::nearest`] scan. Kernels are resolved in *exact*
-//! mode ([`resolve_predict_kernel`]): the norm-trick path, whose
-//! re-associated arithmetic can drift a bit below the true distance, is
-//! downgraded to the tiled kernel — the same downgrade MTI pruning
-//! imposes during training, and for the same reason (served distances are
-//! a contract). Spherical models still exercise the dot-product
-//! micro-kernel at *training* time; at serving time their queries are
-//! renormalized exactly like training rows were
-//! ([`knor_core::Normalization`]) and scanned with the exact kernel.
+//! mode ([`resolve_predict_kernel`]): the GEMM path, whose re-associated
+//! arithmetic can drift a bit below the true distance, is downgraded to
+//! the tiled kernel — the same downgrade MTI pruning imposes during
+//! training, and for the same reason (served distances are a contract).
+//! Spherical models still exercise the dot-product micro-kernel at
+//! *training* time; at serving time their queries are renormalized
+//! exactly like training rows were ([`knor_core::Normalization`]) and
+//! scanned with the exact kernel.
 //!
 //! # Quick start
 //!
@@ -63,7 +63,7 @@ use std::sync::Arc;
 
 use knor_core::distance::nearest;
 use knor_core::replica::Replication;
-use knor_core::{Algorithm, KernelKind, ResolvedKernel, Tuning};
+use knor_core::{Algorithm, KernelKind, ResolvedKernel};
 use knor_matrix::DMatrix;
 use knor_numa::Topology;
 
@@ -81,8 +81,8 @@ use pool::WorkerPool;
 
 /// Resolve the kernel a predict scan uses. Serving promises exact,
 /// reproducible distances, so this reuses the legality downgrade MTI
-/// imposes on training scans: `NormTrick` becomes `Tiled` (bitwise equal
-/// to the scalar reference), everything else resolves as usual.
+/// imposes on training scans: `Gemm` becomes `Tiled` (bitwise equal to
+/// the scalar reference), everything else resolves as usual.
 pub fn resolve_predict_kernel(kernel: KernelKind, k: usize, d: usize) -> ResolvedKernel {
     kernel.resolve(k, d, /* exactness required, as under pruning */ true)
 }
@@ -134,9 +134,6 @@ pub struct ServeConfig {
     pub chunk_cap: usize,
     /// Time source for serving stats (inject [`ManualClock`] in tests).
     pub clock: Arc<dyn Clock>,
-    /// Kernel autotuning policy for predict scans (see `knor_core::tune`).
-    /// Models that carry their own trained tiles win over this.
-    pub tuning: Tuning,
     /// Node-local model replicas in the worker pool
     /// (see [`knor_core::replica::Replication`]; `Auto` replicates on
     /// multi-node topologies). Bitwise identical either way.
@@ -151,7 +148,6 @@ impl Default for ServeConfig {
             kernel: KernelKind::Auto,
             chunk_cap: 8192,
             clock: Arc::new(MonotonicClock::new()),
-            tuning: Tuning::off(),
             replication: Replication::Auto,
         }
     }
@@ -182,12 +178,6 @@ impl ServeConfig {
         self
     }
 
-    /// Set the kernel autotuning policy.
-    pub fn with_tuning(mut self, v: Tuning) -> Self {
-        self.tuning = v;
-        self
-    }
-
     /// Set the pool's model-replication knob.
     pub fn with_replication(mut self, v: Replication) -> Self {
         self.replication = v;
@@ -201,7 +191,6 @@ struct ServeInner {
     jobs: JobRunner,
     clock: Arc<dyn Clock>,
     kernel: KernelKind,
-    tuning: Tuning,
 }
 
 /// A handle to a running serving instance. Cheaply cloneable; the
@@ -239,7 +228,6 @@ impl ServeHandle {
                 jobs,
                 clock: cfg.clock,
                 kernel: cfg.kernel,
-                tuning: cfg.tuning,
             }),
         }
     }
@@ -322,20 +310,7 @@ impl ServeHandle {
         kernel: KernelKind,
     ) -> Result<Prediction, ServeError> {
         let t_req = self.inner.clock.now_ns();
-        let (k, model_d) = (entry.model.k(), entry.model.d());
-        let mut rk = resolve_predict_kernel(kernel, k, model_d);
-        // Tile override: a model trained with autotuned tiles carries
-        // them; otherwise the serve-side tuner may probe for this batch
-        // shape. Tiles change only the scan order, never the arithmetic,
-        // so the bitwise predict contract is unaffected.
-        let m = queries.len().checked_div(d).unwrap_or(0);
-        let tiles = entry
-            .model
-            .tiles
-            .or_else(|| self.inner.tuning.tiles_for(rk.kind, m.max(1), k, model_d));
-        if let Some((rt, ct)) = tiles {
-            rk = rk.with_tiles(rt, ct, k);
-        }
+        let rk = resolve_predict_kernel(kernel, entry.model.k(), entry.model.d());
         let t0 = self.inner.clock.now_ns();
         let (assignments, distances, timing) =
             self.inner.pool.predict_timed(entry, rk, queries, d, Some(&*self.inner.clock))?;
@@ -464,45 +439,14 @@ mod tests {
         let mut rng = ChaCha8Rng::seed_from_u64(6);
         let q: Vec<f64> = (0..333 * 9).map(|_| rng.gen_range(-5.0..5.0)).collect();
         let reference = predict_serial(&h.registry().get("m").unwrap().model, &q, 9);
-        for kernel in [
-            KernelKind::Auto,
-            KernelKind::Scalar,
-            KernelKind::Tiled,
-            KernelKind::NormTrick,
-            KernelKind::Fma,
-            KernelKind::Gemm,
-        ] {
-            // Fma and Gemm resolve to Tiled in exact predict mode, so the
-            // bitwise contract holds for every knob value.
+        for kernel in [KernelKind::Auto, KernelKind::Scalar, KernelKind::Tiled, KernelKind::Gemm] {
+            // Gemm resolves to Tiled in exact predict mode, so the bitwise
+            // contract holds for every knob value.
             let out = h.predict_rows_with("m", &q, 9, kernel).unwrap();
             assert_eq!(out.assignments, reference.assignments, "{kernel:?}");
             let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
             assert_eq!(bits(&out.distances), bits(&reference.distances), "{kernel:?}");
         }
-    }
-
-    #[test]
-    fn model_tiles_and_serve_tuning_stay_bitwise() {
-        // A model carrying trained tiles, served by an instance with the
-        // tuner on: both override paths engage and must not perturb a bit.
-        let tuning = Tuning::on();
-        let h =
-            ServeHandle::start(ServeConfig::default().with_threads(2).with_tuning(tuning.clone()));
-        h.registry().register_model_tuned(
-            "t",
-            Algorithm::Lloyd,
-            knor_core::Centroids::from_matrix(&random_cents(17, 9, 5)),
-            Some((32, 8)),
-        );
-        h.register_model("untiled", Algorithm::Lloyd, random_cents(17, 9, 5));
-        let mut rng = ChaCha8Rng::seed_from_u64(11);
-        let q: Vec<f64> = (0..257 * 9).map(|_| rng.gen_range(-5.0..5.0)).collect();
-        for name in ["t", "untiled"] {
-            let reference = predict_serial(&h.registry().get(name).unwrap().model, &q, 9);
-            let out = h.predict_rows(name, &q, 9).unwrap();
-            assert_eq!(out, reference, "{name}");
-        }
-        assert!(!tuning.table.is_empty(), "the untiled model must have probed");
     }
 
     #[test]

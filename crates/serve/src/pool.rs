@@ -347,10 +347,10 @@ impl WorkerPool {
     /// of `entry`'s model under resolved kernel `rk`. Blocks until every
     /// chunk completes (a one-chunk call scans on the calling thread
     /// instead); bitwise identical to the serial per-row scan. The
-    /// pool serves only exact kernels: an approximate-band resolved `rk`
-    /// (`NormTrick`/`Gemm`, whose scans would need centroid norms the pool
-    /// does not carry, and `Fma`, whose fused rounding differs) is
-    /// downgraded to `Tiled` here, same tiles, exact arithmetic.
+    /// pool serves only exact kernels: a `Gemm`-resolved `rk` (whose scan
+    /// would need centroid norms the pool does not carry, and whose
+    /// re-associated arithmetic differs) is downgraded to `Tiled` here,
+    /// same tiles, exact arithmetic.
     pub fn predict(
         &self,
         entry: &Arc<ModelEntry>,
@@ -374,7 +374,7 @@ impl WorkerPool {
         clock: Option<&dyn Clock>,
     ) -> Result<(Vec<u32>, Vec<f64>, PredictTiming), PredictError> {
         use knor_core::ResolvedKind;
-        if matches!(rk.kind, ResolvedKind::NormTrick | ResolvedKind::Fma | ResolvedKind::Gemm) {
+        if rk.kind == ResolvedKind::Gemm {
             rk.kind = ResolvedKind::Tiled;
         }
         let model_d = entry.model.d();
@@ -511,13 +511,13 @@ mod tests {
     }
 
     #[test]
-    fn normtrick_resolved_kernel_is_served_exactly() {
-        // The pool carries no centroid norms; a NormTrick-resolved kernel
-        // must downgrade to the exact tiled scan, not panic per chunk.
+    fn gemm_resolved_kernel_is_served_exactly() {
+        // The pool carries no centroid norms; a Gemm-resolved kernel must
+        // downgrade to the exact tiled scan, not panic per chunk.
         let (_reg, entry) = setup(9, 8, 12);
         let pool = WorkerPool::spawn(2, &Topology::synthetic(1, 2), 128);
-        let rk = KernelKind::NormTrick.resolve(9, 8, false);
-        assert_eq!(rk.kind, knor_core::ResolvedKind::NormTrick);
+        let rk = KernelKind::Gemm.resolve(9, 8, false);
+        assert_eq!(rk.kind, knor_core::ResolvedKind::Gemm);
         let mut rng = ChaCha8Rng::seed_from_u64(13);
         let q: Vec<f64> = (0..200 * 8).map(|_| rng.gen_range(-5.0..5.0)).collect();
         let (a, dist) = pool.predict(&entry, rk, &q, 8).unwrap();

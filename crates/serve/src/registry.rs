@@ -37,10 +37,6 @@ pub struct Model {
     pub normalization: Normalization,
     /// The trained `k × d` centroid set.
     pub centroids: Centroids,
-    /// Autotuned `(row_tile, cent_tile)` recorded at training time, if
-    /// any; predict scans prefer these over the heuristic. Persisted in
-    /// the `.meta` sidecar as optional `row_tile`/`cent_tile` keys.
-    pub tiles: Option<(usize, usize)>,
 }
 
 impl Model {
@@ -122,29 +118,16 @@ impl ModelRegistry {
 
     /// [`ModelRegistry::register`] for an already-built [`Centroids`].
     pub fn register_model(&self, name: &str, algo: Algorithm, centroids: Centroids) -> u32 {
-        self.register_model_tuned(name, algo, centroids, None)
+        self.register_model_trained(name, algo, centroids, TrainDiag::default())
     }
 
-    /// [`ModelRegistry::register_model`] with autotuned predict tiles
-    /// recorded on the model (persisted on save, honored by predict).
-    pub fn register_model_tuned(
-        &self,
-        name: &str,
-        algo: Algorithm,
-        centroids: Centroids,
-        tiles: Option<(usize, usize)>,
-    ) -> u32 {
-        self.register_model_trained(name, algo, centroids, tiles, TrainDiag::default())
-    }
-
-    /// [`ModelRegistry::register_model_tuned`] with the training run's
+    /// [`ModelRegistry::register_model`] with the training run's
     /// diagnostics attached (the job runner's registration path).
     pub fn register_model_trained(
         &self,
         name: &str,
         algo: Algorithm,
         centroids: Centroids,
-        tiles: Option<(usize, usize)>,
         train: TrainDiag,
     ) -> u32 {
         let mut map = self.inner.write().expect("registry poisoned");
@@ -152,7 +135,7 @@ impl ModelRegistry {
         let version = versions.entries.last().map(|e| e.model.version).unwrap_or(0) + 1;
         let normalization = algo.normalization();
         versions.entries.push(Arc::new(ModelEntry {
-            model: Model { name: name.to_string(), version, algo, normalization, centroids, tiles },
+            model: Model { name: name.to_string(), version, algo, normalization, centroids },
             stats: ServeStats::new(),
             train,
         }));
@@ -244,7 +227,7 @@ impl ModelRegistry {
         let m = &entry.model;
         let stem = format!("{}-v{}", m.name, m.version);
         matrix_io::write_matrix(&dir.join(format!("{stem}.knor")), &m.centroids.to_matrix())?;
-        let mut meta = format!(
+        let meta = format!(
             "knor-serve-model v1\nname={}\nversion={}\nalgo={}\nnormalization={}\nk={}\nd={}\n",
             m.name,
             m.version,
@@ -253,9 +236,6 @@ impl ModelRegistry {
             m.k(),
             m.d(),
         );
-        if let Some((rt, ct)) = m.tiles {
-            meta.push_str(&format!("row_tile={rt}\ncent_tile={ct}\n"));
-        }
         let meta_path = dir.join(format!("{stem}.meta"));
         std::fs::write(&meta_path, meta)?;
         Ok(meta_path)
@@ -264,7 +244,8 @@ impl ModelRegistry {
     /// Load a model from its `.meta` path (the `.knor` must sit next to
     /// it) and register it. The stored name/version are kept when the name
     /// is free; a name collision appends as the next version instead of
-    /// clobbering.
+    /// clobbering. Keys it does not read are ignored: older sidecars carry
+    /// autotuned `row_tile`/`cent_tile` keys, which no scan reads any more.
     pub fn load(&self, meta_path: &Path) -> io::Result<(String, u32)> {
         let bad = |msg: String| io::Error::new(io::ErrorKind::InvalidData, msg);
         let text = std::fs::read_to_string(meta_path)?;
@@ -296,29 +277,12 @@ impl ModelRegistry {
         if cents.k() != k || cents.d != d {
             return Err(bad(format!("meta says {k}x{d} but matrix is {}x{}", cents.k(), cents.d)));
         }
-        // Optional autotuned tile keys (absent in pre-tuner metas; both or
-        // neither must be present).
-        let tiles = match (fields.get("row_tile"), fields.get("cent_tile")) {
-            (Some(rt), Some(ct)) => Some((
-                rt.parse().map_err(|e| bad(format!("row_tile: {e}")))?,
-                ct.parse().map_err(|e| bad(format!("cent_tile: {e}")))?,
-            )),
-            (None, None) => None,
-            _ => return Err(bad("row_tile/cent_tile must appear together".into())),
-        };
         let mut map = self.inner.write().expect("registry poisoned");
         let versions = map.entry(name.clone()).or_default();
         let version =
             versions.entries.last().map(|e| e.model.version + 1).unwrap_or(version).max(1);
         versions.entries.push(Arc::new(ModelEntry {
-            model: Model {
-                name: name.clone(),
-                version,
-                algo,
-                normalization,
-                centroids: cents,
-                tiles,
-            },
+            model: Model { name: name.clone(), version, algo, normalization, centroids: cents },
             stats: ServeStats::new(),
             train: TrainDiag::default(),
         }));
@@ -437,29 +401,34 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
+    /// A v1 sidecar written while the tile autotuner existed carries
+    /// `row_tile`/`cent_tile`. It loads — with both keys or only one — and
+    /// answers bit for bit what the same centroids answer without them;
+    /// `save` writes neither.
     #[test]
-    fn tuned_tiles_persist_through_save_load() {
-        let dir = std::env::temp_dir().join(format!("knor-serve-tiles-{}", std::process::id()));
-        let r = ModelRegistry::new();
-        r.register_model_tuned(
-            "tuned",
-            Algorithm::Lloyd,
-            Centroids::from_matrix(&cents(4, 3, 1.0)),
-            Some((64, 16)),
-        );
-        let meta = r.save("tuned", &dir).unwrap();
-        let text = std::fs::read_to_string(&meta).unwrap();
-        assert!(text.contains("row_tile=64\ncent_tile=16\n"));
-
-        let fresh = ModelRegistry::new();
-        fresh.load(&meta).unwrap();
-        assert_eq!(fresh.get("tuned").unwrap().model.tiles, Some((64, 16)));
-
-        // A meta with only one of the two keys is corrupt.
-        let lone = dir.join("lone.meta");
-        std::fs::write(&lone, text.replace("cent_tile=16\n", "")).unwrap();
-        std::fs::copy(meta.with_extension("knor"), lone.with_extension("knor")).unwrap();
-        assert!(fresh.load(&lone).is_err());
+    fn legacy_tile_keys_load_and_change_nothing() {
+        use crate::{ServeConfig, ServeHandle};
+        let dir = std::env::temp_dir().join(format!("knor-serve-legacy-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let m = cents(6, 3, 0.37);
+        let head = "knor-serve-model v1\nname=old\nversion=1\nalgo=lloyd\nnormalization=none\n";
+        let h = ServeHandle::start(ServeConfig::default().with_threads(2));
+        h.register_model("plain", Algorithm::Lloyd, m.clone());
+        let q: Vec<f64> = (0..200 * 3).map(|x| (x as f64 * 0.61).sin() * 9.0).collect();
+        let want = h.predict_rows("plain", &q, 3).unwrap();
+        for (i, keys) in ["row_tile=64\ncent_tile=16\n", "cent_tile=16\n"].iter().enumerate() {
+            let meta = dir.join(format!("old{i}.meta"));
+            std::fs::write(&meta, format!("{head}k=6\nd=3\n{keys}")).unwrap();
+            matrix_io::write_matrix(&meta.with_extension("knor"), &m).unwrap();
+            let (name, version) = h.load_model(&meta).unwrap();
+            let got = h.registry().get_version(&name, version).unwrap();
+            let legacy = h.predict_entry(&got, &q, 3).unwrap();
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(legacy.assignments, want.assignments, "{keys:?}");
+            assert_eq!(bits(&legacy.distances), bits(&want.distances), "{keys:?}");
+        }
+        let saved = std::fs::read_to_string(h.save_model("plain", &dir).unwrap()).unwrap();
+        assert!(!saved.contains("row_tile") && !saved.contains("cent_tile"), "{saved}");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

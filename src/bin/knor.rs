@@ -6,8 +6,7 @@
 //! ```text
 //! knor im   <file.knor> -k 10 [-i 100] [-t N] [--pruning none|mti|yinyang] [--init pp|forgy|random]
 //!           [--algo lloyd|spherical|fuzzy|minibatch] [--fuzz M] [--batch B]
-//!           [--kernel auto|scalar|tiled|fma|norm|gemm] [--tune on|off|cache]
-//!           [--replication off|auto|on]
+//!           [--kernel auto|scalar|tiled|gemm] [--replication off|auto|on]
 //!           [--stats] [--trace out.json]
 //! knor sem  <file.knor> -k 10 [--row-cache MB] [--page-cache MB] [--stats] [--trace out.json]
 //! knor dist <file.knor> -k 10 [--ranks R] [--star] [--plane im|sem] [--stats] [--trace out.json]
@@ -68,17 +67,17 @@ struct Opts {
     rest: Vec<String>,
 }
 
-/// The one usage text. `--help` prints it to stdout (exit 0); a flag
-/// mistake prints it to stderr (exit 2). Every flag the parser accepts
-/// must appear here — `scripts/check_doc_drift.sh` and the CLI tests
-/// diff this text against the README flag table.
+/// The one usage text. `--help` prints it to stdout (exit 0); a bare
+/// `knor`, an unknown mode or a mode missing its file prints it to stderr
+/// (exit 2), while a flag mistake is a one-line `knor: …` (exit 2). Every
+/// flag the parser accepts must appear here — `scripts/check_doc_drift.sh`
+/// and the CLI tests diff this text against the README flag table.
 const HELP: &str =
     "usage: knor <im|sem|dist|gen> <file.knor> [-k K] [-i|--iters ITERS] [-t|--threads THREADS]
            [--pruning none|mti|yinyang] [--init pp|forgy|random] [--seed S]
            [--algo lloyd|spherical|fuzzy|minibatch]
            [--fuzz M] [--batch B]
-           [--kernel auto|scalar|tiled|fma|norm|gemm] [--tune on|off|cache]
-           [--replication off|auto|on]
+           [--kernel auto|scalar|tiled|gemm] [--replication off|auto|on]
            [--stats] [--trace out.json]
            [--row-cache MB] [--page-cache MB]              (sem)
            [--ranks R] [--star] [--plane im|sem]           (dist)
@@ -182,7 +181,7 @@ fn parse(args: &[String]) -> (String, Opts) {
         let flag = args[i].as_str();
         let val = |i: &mut usize| -> &str {
             *i += 1;
-            args.get(*i).unwrap_or_else(|| usage())
+            args.get(*i).unwrap_or_else(|| die(&format!("{flag} needs a value")))
         };
         match flag {
             "--row-cache" => row_cache = Some(mb("--row-cache", val(&mut i))),
@@ -219,7 +218,7 @@ fn parse(args: &[String]) -> (String, Opts) {
             // Only `ctl` takes trailing positional words (its subcommand);
             // anywhere else a stray word is a mistake, not ignorable.
             word if !word.starts_with('-') && mode == "ctl" => o.rest.push(word.to_string()),
-            _ => usage(),
+            other => die(&format!("unknown flag '{other}'")),
         }
         i += 1;
     }
@@ -259,24 +258,17 @@ fn parse(args: &[String]) -> (String, Opts) {
 }
 
 /// The one-line `--stats` kernel note: which kernel/tiles actually ran.
-/// This is where a `--kernel gemm` (or fma/norm) request under MTI shows
-/// its downgrade to the exact tiled path, mirroring the engines' resolve.
-/// Reads the run's own tune table, so no extra probe happens.
-fn kernel_note(run: &RunSpec, n: usize, d: usize) -> String {
-    let rk0 = run.kernel.resolve(run.k, d, run.scheme().enabled());
-    let tuned = run.tiles(n, d);
-    let rk = match tuned {
-        Some((rt, ct)) => rk0.with_tiles(rt, ct, run.k),
-        None => rk0,
-    };
+/// This is where a `--kernel gemm` request under MTI shows its downgrade
+/// to the exact tiled path, mirroring the engines' resolve.
+fn kernel_note(run: &RunSpec, d: usize) -> String {
+    let rk = run.kernel.resolve(run.k, d, run.scheme().enabled());
     format!(
-        "kernel: requested={} resolved={} tiles={}x{} fma={} tuned={}",
+        "kernel: requested={} resolved={} tiles={}x{} fma={}",
         run.kernel.name(),
         rk.kind.name(),
         rk.row_tile,
         rk.cent_tile,
         if fma_usable() { "yes" } else { "no" },
-        if tuned.is_some() { "yes" } else { "no" },
     )
 }
 
@@ -339,13 +331,6 @@ fn main() {
                 die(&format!("-k {} exceeds the {n} rows of {}", o.run.k, o.file.display()));
             }
             o.run.default_batch(n);
-            if o.run.tuning.policy == TunePolicy::Cache {
-                // Decisions persist next to the data file (`<file>.tune`),
-                // so repeat runs on the same data skip the probe.
-                let mut p = o.file.clone().into_os_string();
-                p.push(".tune");
-                o.run.tuning = Tuning::cached(PathBuf::from(p)).with_seed(o.run.seed);
-            }
             // The span recorder is allocated only when some sink will read
             // it (`--stats` prints the phase table, `--trace` writes the
             // timeline); otherwise the engines keep their `None` path.
@@ -360,7 +345,7 @@ fn main() {
                 println!("device bytes read: {:.1} MB", read as f64 / 1e6);
             }
             if o.stats {
-                println!("{}", kernel_note(&o.run, n, d));
+                println!("{}", kernel_note(&o.run, d));
                 print_prune(&o.run, n, &fitted.total_prune());
                 match &fitted {
                     Fitted::Im(r) => {

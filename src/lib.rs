@@ -54,7 +54,7 @@ pub use knor_serve::{ServeConfig, ServeHandle};
 pub mod prelude {
     pub use knor_core::{
         fma_usable, Algorithm, InitMethod, KernelKind, Kmeans, KmeansConfig, KmeansResult,
-        NumaReport, PhaseBreakdown, Pruning, Replication, TraceBuf, TunePolicy, Tuning,
+        NumaReport, PhaseBreakdown, Pruning, Replication, TraceBuf,
     };
     pub use knor_dist::{DistConfig, DistKmeans, DistResult, RankIo, RankPlane};
     pub use knor_matrix::{io as matrix_io, DMatrix};

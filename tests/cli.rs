@@ -22,12 +22,16 @@ fn help_exits_zero_and_bad_flags_exit_two() {
         let text = String::from_utf8_lossy(&out.stdout);
         assert!(text.starts_with("usage: knor"), "{args:?} → {text:?}");
     }
-    // No arguments, or an unknown flag, is still a usage error on stderr.
-    for args in [vec![], vec!["im", "x.knor", "--no-such-flag"]] {
+    // No arguments, or a mode without its file, is still a usage error on
+    // stderr; an unknown flag is one line naming it.
+    for args in [vec![], vec!["im"]] {
         let out = knor().args(&args).output().expect("spawn knor");
         assert_eq!(out.status.code(), Some(2), "{args:?} must exit 2");
         assert!(String::from_utf8_lossy(&out.stderr).starts_with("usage: knor"));
     }
+    let out = knor().args(["im", "x.knor", "--no-such-flag"]).output().expect("spawn knor");
+    assert_eq!(out.status.code(), Some(2));
+    assert_eq!(String::from_utf8_lossy(&out.stderr), "knor: unknown flag '--no-such-flag'\n");
 }
 
 /// Extract every flag token (`--long` or single-letter `-x`) from a usage
@@ -84,7 +88,13 @@ fn degenerate_numeric_flags_are_rejected_before_any_io() {
         vec!["gen", "/nonexistent/x.knor", "--scale", "NaN"],
         vec!["train", "--model", "m", "--file", "f", "--engine", "gpu"],
         vec!["im", "/nonexistent/x.knor", "--kernel", "warp"],
-        vec!["im", "/nonexistent/x.knor", "--tune", "maybe"],
+        // The deleted kernels and the deleted tuner are refused like typos.
+        vec!["im", "/nonexistent/x.knor", "--kernel", "fma"],
+        vec!["im", "/nonexistent/x.knor", "--kernel", "norm"],
+        vec!["im", "/nonexistent/x.knor", "--tune", "on"],
+        // Unknown flags and missing values are one line, not the usage.
+        vec!["im", "/nonexistent/x.knor", "--bogus", "1"],
+        vec!["im", "/nonexistent/x.knor", "-k"],
         vec!["im", "/nonexistent/x.knor", "--pruning", "banana"],
         vec!["sem", "/nonexistent/x.knor", "--kernel", "avx512"],
         vec!["dist", "/nonexistent/x.knor", "--pruning", "elkan"],
@@ -235,7 +245,7 @@ fn valid_flags_still_run_end_to_end() {
 }
 
 #[test]
-fn kernel_and_tune_flags_report_what_actually_ran() {
+fn kernel_flag_reports_what_actually_ran() {
     let file = tmp("kern.knor");
     let gen = knor()
         .args(["gen", file.to_str().unwrap(), "--dataset", "friendster8", "--scale", "0.0002"])
@@ -260,9 +270,8 @@ fn kernel_and_tune_flags_report_what_actually_ran() {
     // Nothing packs a centroid panel for the tiled kernel.
     assert!(stdout.contains(" gathered_rows=0 panel_packs=0\n"), "{stdout}");
 
-    // Without pruning the request sticks, and --tune on reports tuned
-    // tiles in the same note.
-    let gemm_tuned = knor()
+    // Without pruning the request sticks.
+    let gemm = knor()
         .args([
             "im",
             file.to_str().unwrap(),
@@ -274,19 +283,16 @@ fn kernel_and_tune_flags_report_what_actually_ran() {
             "none",
             "--kernel",
             "gemm",
-            "--tune",
-            "on",
             "-t",
             "3",
             "--stats",
         ])
         .output()
-        .expect("spawn im gemm tuned");
-    assert!(gemm_tuned.status.success(), "{}", String::from_utf8_lossy(&gemm_tuned.stderr));
-    let stdout = String::from_utf8_lossy(&gemm_tuned.stdout);
+        .expect("spawn im gemm");
+    assert!(gemm.status.success(), "{}", String::from_utf8_lossy(&gemm.stderr));
+    let stdout = String::from_utf8_lossy(&gemm.stdout);
     let note = stdout.lines().find(|l| l.starts_with("kernel: ")).expect("kernel note");
     assert!(note.contains("requested=gemm") && note.contains("resolved=gemm"), "{note}");
-    assert!(note.contains("tuned=yes"), "{note}");
     // The commit line shows the mechanism: an unscoped run reads every row
     // where it lies, and each of the 3 workers packs the GEMM panel once
     // per iteration.
@@ -299,32 +305,7 @@ fn kernel_and_tune_flags_report_what_actually_ran() {
     assert!(commit.contains(" gathered_rows=0 "), "{commit}");
     assert!(commit.ends_with(&format!(" panel_packs={}", iters * 3)), "{commit}");
 
-    // --tune cache writes the decision file next to the data and reuses
-    // it (k=16 over 8 dims resolves Tiled, which takes tiles; a scalar
-    // resolve would have nothing to tune).
-    let cache = std::path::PathBuf::from(format!("{}.tune", file.display()));
-    for _ in 0..2 {
-        let run = knor()
-            .args([
-                "sem",
-                file.to_str().unwrap(),
-                "-k",
-                "16",
-                "-i",
-                "3",
-                "--tune",
-                "cache",
-                "--stats",
-            ])
-            .output()
-            .expect("spawn sem tuned");
-        assert!(run.status.success(), "{}", String::from_utf8_lossy(&run.stderr));
-        let text = std::fs::read_to_string(&cache).expect("tune cache written");
-        assert!(text.starts_with("knor-tune v1"), "{text}");
-    }
-
     std::fs::remove_file(&file).unwrap();
-    std::fs::remove_file(&cache).unwrap();
 }
 
 /// A missing or truncated input is the user's to fix: one `knor: <path>: …`

@@ -162,7 +162,6 @@ fn sem_read_failure_mid_run_is_an_error_not_a_hang() {
             pruning: Pruning::Mti,
             task_size: 64,
             kernel: KernelKind::Auto,
-            tiles: None,
             row_offset: 0,
             replication: false,
             trace: None,
@@ -233,7 +232,6 @@ fn sem_file_that_shrinks_between_two_tasks_fails_every_later_fit_through_the_sam
                     pruning: Pruning::Mti,
                     task_size: 64,
                     kernel: KernelKind::Auto,
-                    tiles: None,
                     row_offset: 0,
                     replication: false,
                     trace: None,
