@@ -1,8 +1,8 @@
 //! The CI bench-regression gate (`bench_check`).
 //!
 //! Measures a fixed set of smoke-mode throughputs — the assignment
-//! kernels, Lloyd's on all three engines, the replicated-centroid NUMA
-//! path (PR 7), and serve predict at batch 1 and 1024 — and compares
+//! kernels, Lloyd's on all three engines, and serve predict at batch 1
+//! and 1024 — and compares
 //! them against the committed
 //! `results/BENCH_BASELINE.json` with a generous tolerance (default
 //! 2.5×; see `knor_bench::regression`). Exit code 1 on any violation, so
@@ -31,10 +31,9 @@ use knor_bench::regression::{compare, parse_metrics, render_metrics, Metric, DEF
 use knor_core::centroids::Centroids;
 use knor_core::kernel::{assign_rows, centroid_sqnorms, KernelKind};
 use knor_core::trace::TraceBuf;
-use knor_core::{Algorithm, InitMethod, Kmeans, KmeansConfig, Pruning, Replication};
+use knor_core::{Algorithm, InitMethod, Kmeans, KmeansConfig, Pruning};
 use knor_dist::{DistConfig, DistKmeans, RankPlane};
 use knor_matrix::{io as matrix_io, DMatrix};
-use knor_numa::Topology;
 use knor_sem::{SemConfig, SemKmeans, SemPlaneConfig};
 use knor_serve::{ServeConfig, ServeHandle};
 use knor_workloads::{uniform_matrix, MixtureSpec};
@@ -279,31 +278,6 @@ fn plane_metrics(out: &mut Vec<Metric>) {
     let _ = std::fs::remove_file(&path);
 }
 
-/// NUMA metrics: assignment throughput (rows/s through steady Lloyd
-/// iterations) with node-replicated centroids on a synthetic 2-node split
-/// — gated so the replica publish path (barrier P + op-log apply) cannot
-/// silently regress the iteration loop it exists to speed up.
-fn numa_metrics(out: &mut Vec<Metric>) {
-    let (n, k, d, iters) = (20_000, 16, 8, 6);
-    let data = MixtureSpec::friendster_like(n, d, 7).generate().data;
-    let r = Kmeans::new(
-        KmeansConfig::new(k)
-            .with_init(InitMethod::Forgy)
-            .with_seed(3)
-            .with_topology(Topology::synthetic(2, 2))
-            .with_replication(Replication::On)
-            .with_sse(false)
-            .with_max_iters(iters),
-    )
-    .fit(&data);
-    assert!(r.numa.replicated, "replication knob did not resolve on");
-    assert!(r.total_publish_bytes() > 0, "replicas never published");
-    out.push(Metric {
-        name: "numa.replicated.assign".into(),
-        per_sec: n as f64 * 1e9 / knor_bench::steady_iter_ns(&r),
-    });
-}
-
 /// Serve metrics: predict queries/s at batch 1 and 1024.
 fn serve_metrics(out: &mut Vec<Metric>) {
     let (k, d) = (16, 16);
@@ -404,7 +378,6 @@ fn main() {
     trace_overhead_gate(&mut fresh);
     engine_metrics(&mut fresh);
     plane_metrics(&mut fresh);
-    numa_metrics(&mut fresh);
     serve_metrics(&mut fresh);
     serve_mux_metrics(&mut fresh);
     for m in &fresh {

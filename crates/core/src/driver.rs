@@ -50,7 +50,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Barrier, Mutex, PoisonError};
 
 use knor_matrix::shared::SharedRows;
-use knor_numa::{AccessTally, NodeId, Placement};
+use knor_numa::{AccessTally, Placement};
 use knor_sched::TaskQueue;
 
 use crate::algo::{MmAlgorithm, UpdateCtx};
@@ -59,7 +59,6 @@ use crate::distance::{dist, nearest};
 use crate::kernel::{centroid_sqnorms, sqnorm, KernelKind, ResolvedKernel};
 use crate::plane::{DataPlane, DrainScratch};
 use crate::pruning::{mti_assign, MtiIterState, PruneCounters, Pruning, YinyangState};
-use crate::replica::{NodeReplicas, OpLog, ReplicaState};
 use crate::stats::{CommitCounters, IterStats};
 use crate::sync::ExclusiveCell;
 use crate::trace::{Phase, PhaseBreakdown, TraceHandle, WorkerTracer};
@@ -89,11 +88,6 @@ pub struct DriverConfig {
     /// single-machine engines pass 0). Algorithms that key on global row
     /// identity — mini-batch subsampling — see `row_offset + r`.
     pub row_offset: usize,
-    /// Maintain per-NUMA-node read replicas of the iteration state (see
-    /// [`crate::replica`]). Engines resolve their
-    /// [`Replication`](crate::replica::Replication) knob against the
-    /// topology and hand the driver the decided flag.
-    pub replication: bool,
     /// Span recorder for this run (see [`crate::trace`]); `None` keeps
     /// the hot path to a single branch and zero recording cost.
     pub trace: Option<TraceHandle>,
@@ -343,17 +337,6 @@ pub fn run_mm<P: DataPlane + ?Sized, R: Reducer>(
     let failed = AtomicBool::new(false);
     let barrier = Barrier::new(nthreads);
     let dim_slices = knor_matrix::partition_rows(k * d, nthreads);
-    // Per-node read replicas of the iteration state (see `crate::replica`):
-    // each populated node's slot is installed before the first iteration and
-    // op-log-updated after every centroid update by that node's designated
-    // writer (its lowest-id worker), always between barriers P and A.
-    let replicas = cfg.replication.then(|| NodeReplicas::new(placement.nnodes()));
-    let oplog = ExclusiveCell::new(OpLog::default());
-    // Nodes that host at least one worker — only their slots get a replica,
-    // and the `--stats` publish accounting counts exactly those copies.
-    let populated_nodes = (0..placement.nnodes())
-        .filter(|&nd| placement.threads_on_node(NodeId(nd)).next().is_some())
-        .count() as u64;
 
     queue.refill(placement, cfg.task_size);
 
@@ -372,24 +355,6 @@ pub fn run_mm<P: DataPlane + ?Sized, R: Reducer>(
         let mut scratch = DrainScratch::default();
         plane.worker_start(w);
         let my_node = placement.node_of_thread(w).0;
-        let is_writer =
-            replicas.is_some() && placement.threads_on_node(NodeId(my_node)).next() == Some(w);
-        if let Some(reps) = replicas.as_ref() {
-            if is_writer {
-                // Clone the canonical state into this node's slot
-                // *after* `worker_start` bound the thread, so
-                // first-touch places the replica's pages on this
-                // node. Safety: pre-loop install; every reader is on
-                // the far side of the first barrier A.
-                let seed = ReplicaState::from_canonical(
-                    unsafe { centroids.get() },
-                    unsafe { cnorms_cell.get() },
-                    unsafe { mti.get() },
-                    unsafe { yy_cell.get() },
-                );
-                unsafe { *reps.slot_mut(my_node) = Some(seed) };
-            }
-        }
         // Only the coordinator records; reserving the cap up front
         // keeps the iteration loop allocation-free. The reserve is
         // clamped so an effectively-unbounded cap (run-until-
@@ -424,35 +389,22 @@ pub fn run_mm<P: DataPlane + ?Sized, R: Reducer>(
 
             // ---- compute super-phase (the plane's worker loop) ---
             // Safety: barrier A separates us from the coordinator's
-            // writes (and the node writers' replica publishes);
-            // nobody writes these cells during compute. With
-            // replication on, all read-shared state comes from this
-            // worker's node-local replica — bitwise equal to the
-            // canonical copy (see `crate::replica`), so the
-            // trajectory is unchanged while the reads stay on-node.
-            let replica = replicas.as_ref().map(|reps| unsafe { reps.get(my_node) });
-            let cents = replica.map_or_else(|| unsafe { centroids.get() }, |r| &r.cents);
+            // writes; nobody writes these cells during compute.
+            let cents = unsafe { centroids.get() };
             let view = IterView {
                 iter,
                 cents,
                 filter: match scheme {
                     Pruning::None => Filter::None(NoFilter::new(cents)),
-                    Pruning::Mti => Filter::Mti(MtiFilter::new(
-                        cents,
-                        replica.map_or_else(|| unsafe { mti.get() }, |r| &r.mti),
-                    )),
-                    Pruning::Yinyang => Filter::Yinyang(YinyangFilter::new(
-                        cents,
-                        replica.map_or_else(|| unsafe { yy_cell.get() }, |r| &r.yy),
-                    )),
+                    Pruning::Mti => Filter::Mti(MtiFilter::new(cents, unsafe { mti.get() })),
+                    Pruning::Yinyang => {
+                        Filter::Yinyang(YinyangFilter::new(cents, unsafe { yy_cell.get() }))
+                    }
                 },
                 rows: &rows,
                 queue,
                 kernel: rk,
-                cnorms: replica.map_or_else(
-                    || unsafe { cnorms_cell.get() }.as_slice(),
-                    |r| r.cnorms.as_slice(),
-                ),
+                cnorms: unsafe { cnorms_cell.get() },
                 algo,
                 row_offset: cfg.row_offset,
                 scoped,
@@ -588,17 +540,6 @@ pub fn run_mm<P: DataPlane + ?Sized, R: Reducer>(
                     let mut mti_mut = (scheme == Pruning::Mti).then(|| unsafe { mti.get_mut() });
                     let mut yy_mut = yinyang.then(|| unsafe { yy_cell.get_mut() });
                     let mut cn = rk.kind.needs_cnorms().then(|| unsafe { cnorms_cell.get_mut() });
-                    // The drift pass doubles as the op-log recorder:
-                    // exactly the centroids whose state the canonical
-                    // copy refreshes are the ones the node writers
-                    // copy (iteration 0 publishes in full to root the
-                    // replicas' bitwise induction — their table was
-                    // installed unfilled while the canonical rebuild
-                    // fills every pair).
-                    let mut log = replicas.is_some().then(|| unsafe { oplog.get_mut() });
-                    if let Some(l) = log.as_mut() {
-                        l.begin(iter == 0);
-                    }
                     for c in 0..k {
                         let dr = dist(cents.mean(c), next.mean(c));
                         max_drift = max_drift.max(dr);
@@ -609,9 +550,6 @@ pub fn run_mm<P: DataPlane + ?Sized, R: Reducer>(
                             y.drift[c] = dr;
                         }
                         if dr != 0.0 {
-                            if let Some(l) = log.as_mut() {
-                                l.record(c);
-                            }
                             if let Some(cn) = cn.as_mut() {
                                 cn[c] = sqnorm(next.mean(c));
                             }
@@ -636,8 +574,6 @@ pub fn run_mm<P: DataPlane + ?Sized, R: Reducer>(
                     // Fold per-centroid drifts into per-group maxima
                     // and let the reducer globalize them (knord's
                     // O(t) allreduce extension; identity elsewhere).
-                    // Runs before barrier P so replicas copy the
-                    // synced values.
                     // Safety: coordinator window.
                     let y = unsafe { yy_cell.get_mut() };
                     y.update_group_drift();
@@ -657,7 +593,6 @@ pub fn run_mm<P: DataPlane + ?Sized, R: Reducer>(
                     queue: queue.stats(),
                     tallies,
                     max_drift,
-                    publish_bytes: 0,
                 });
                 reduces.push(reduce_report);
                 plane.end_iteration(iter, stats.last().expect("just pushed"), totals.aux);
@@ -680,17 +615,6 @@ pub fn run_mm<P: DataPlane + ?Sized, R: Reducer>(
                     stop.store(true, Ordering::Release);
                 } else {
                     queue.refill(placement, cfg.task_size);
-                    if replicas.is_some() {
-                        // Record what the publish phase below will
-                        // copy (one delta per populated node); the
-                        // final iteration publishes nothing.
-                        // Safety: coordinator window; read-only.
-                        let log = unsafe { oplog.get() };
-                        let s = stats.last_mut().expect("just pushed");
-                        s.publish_bytes =
-                            log.bytes_per_node(k, d, scheme, ngroups, rk.kind.needs_cnorms())
-                                * populated_nodes;
-                    }
                 }
                 if let (Some(t), Some(tu)) = (tr.as_ref(), tu) {
                     t.record(Phase::Update, tu, 0);
@@ -744,42 +668,6 @@ pub fn run_mm<P: DataPlane + ?Sized, R: Reducer>(
                     // Safety: coordinator-exclusive until the next
                     // barrier A.
                     unsafe { mti.get_mut() }.finalize_half_min();
-                }
-            }
-
-            if let Some(reps) = replicas.as_ref() {
-                // P — the canonical state (swapped centroids, norm
-                // cache, serially-rebuilt or parallel-filled MTI
-                // tables) is final for this iteration; order the
-                // node writers' reads after all of those writes.
-                //
-                // On `parallel_cc` runs worker 0 finalizes half_min
-                // between E and P with no barrier of its own — P is
-                // what publishes that write too.
-                let tp = tr.as_ref().map(|t| t.now());
-                barrier.wait();
-                if let (Some(t), Some(tp)) = (tr.as_ref(), tp) {
-                    t.record(Phase::BarrierP, tp, 0);
-                }
-                if is_writer && !stop.load(Ordering::Acquire) {
-                    let tpub = tr.as_ref().map(|t| t.now());
-                    // Safety: designated writer between P and the
-                    // next A; the canonical cells are read-only in
-                    // this phase and the slot is writer-exclusive.
-                    let log = unsafe { oplog.get() };
-                    let slot = unsafe { reps.slot_mut(my_node) };
-                    slot.as_mut().expect("writer installed its replica").apply(
-                        log,
-                        unsafe { centroids.get() },
-                        unsafe { cnorms_cell.get() },
-                        (scheme == Pruning::Mti).then(|| unsafe { mti.get() }),
-                        yinyang.then(|| unsafe { yy_cell.get() }),
-                    );
-                    if let (Some(t), Some(tpub)) = (tr.as_ref(), tpub) {
-                        let bytes =
-                            log.bytes_per_node(k, d, scheme, ngroups, rk.kind.needs_cnorms());
-                        t.record(Phase::Publish, tpub, bytes);
-                    }
                 }
             }
 
@@ -1340,22 +1228,7 @@ mod tests {
         threads: usize,
         kernel: KernelKind,
     ) -> DriverOutcome {
-        run_replicated(data, n, d, k, pruning, threads, kernel, false, Topology::flat(threads))
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn run_replicated(
-        data: &[f64],
-        n: usize,
-        d: usize,
-        k: usize,
-        pruning: Pruning,
-        threads: usize,
-        kernel: KernelKind,
-        replication: bool,
-        topo: Topology,
-    ) -> DriverOutcome {
-        let placement = Placement::new(&topo, n, threads);
+        let placement = Placement::new(&Topology::flat(threads), n, threads);
         let queue = TaskQueue::new(SchedulerKind::Static, &placement);
         let cfg = DriverConfig {
             k,
@@ -1368,7 +1241,6 @@ mod tests {
             task_size: 16,
             kernel,
             row_offset: 0,
-            replication,
             trace: None,
         };
         let init =
@@ -1566,87 +1438,6 @@ mod tests {
     }
 
     #[test]
-    fn replicated_runs_bitwise_match_shared_copy() {
-        // Replication must not perturb the trajectory by a single bit, for
-        // every kernel family, pruning on/off, and one or several synthetic
-        // nodes (including nodes > threads, which leaves slots empty).
-        let mut data = Vec::new();
-        for i in 0..360 {
-            let c = (i % 6) as f64 * 5.0;
-            data.push(c + (i as f64 * 0.23).sin() * 0.8);
-            data.push(-c + (i as f64 * 0.19).cos() * 0.8);
-            data.push((i as f64 * 0.31).sin() * 1.5);
-        }
-        let n = 360;
-        let (d, k) = (3, 12);
-        for kernel in [KernelKind::Scalar, KernelKind::Tiled, KernelKind::Gemm] {
-            for pruning in [Pruning::None, Pruning::Mti, Pruning::Yinyang] {
-                let base = run_kernel(&data, n, d, k, pruning, 4, kernel);
-                for topo in [
-                    Topology::flat(4),
-                    Topology::synthetic(2, 2),
-                    Topology::synthetic(4, 1),
-                    Topology::synthetic(6, 1), // more nodes than threads
-                ] {
-                    let nodes = topo.nodes();
-                    let rep = run_replicated(&data, n, d, k, pruning, 4, kernel, true, topo);
-                    assert_eq!(
-                        base.assignments, rep.assignments,
-                        "kernel={kernel:?} pruning={pruning:?} nodes={nodes}"
-                    );
-                    assert_eq!(base.centroids, rep.centroids);
-                    assert_eq!(base.iters.len(), rep.iters.len());
-                    for (a, b) in base.iters.iter().zip(&rep.iters) {
-                        assert_eq!(a.reassigned, b.reassigned);
-                        assert_eq!(a.prune, b.prune);
-                    }
-                    // Every non-final iteration published one delta per
-                    // populated node.
-                    let pubs = rep.iters.iter().filter(|i| i.publish_bytes > 0).count();
-                    assert_eq!(pubs, rep.iters.len() - 1, "nodes={nodes}");
-                    assert!(base.iters.iter().all(|i| i.publish_bytes == 0));
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn replicated_parallel_ccdist_matches() {
-        // Replication composed with the barrier D/E parallel distance-matrix
-        // phase (k > PARALLEL_CC_ABOVE_K): barrier P must also cover the
-        // finalize_half_min write.
-        let k = PARALLEL_CC_ABOVE_K + 8;
-        let per_blob = 10;
-        let n = k * per_blob;
-        let d = 2;
-        let mut data = Vec::with_capacity(n * d);
-        for i in 0..n {
-            let blob = i % k;
-            let jitter = (i / k) as f64 * 0.004;
-            data.push((blob % 9) as f64 * 50.0 + jitter);
-            data.push((blob / 9) as f64 * 50.0 - jitter);
-        }
-        let base = run_kernel(&data, n, d, k, Pruning::Mti, 3, KernelKind::Auto);
-        let rep = run_replicated(
-            &data,
-            n,
-            d,
-            k,
-            Pruning::Mti,
-            3,
-            KernelKind::Auto,
-            true,
-            Topology::synthetic(3, 1),
-        );
-        assert_eq!(base.assignments, rep.assignments);
-        assert_eq!(base.centroids, rep.centroids);
-        assert_eq!(base.iters.len(), rep.iters.len());
-        for (a, b) in base.iters.iter().zip(&rep.iters) {
-            assert_eq!(a.prune.clause1_rows, b.prune.clause1_rows, "iter {}", a.iter);
-        }
-    }
-
-    #[test]
     fn reduce_hook_sees_every_iteration() {
         use std::sync::atomic::AtomicUsize;
 
@@ -1682,7 +1473,6 @@ mod tests {
             task_size: 8,
             kernel: KernelKind::Auto,
             row_offset: 0,
-            replication: false,
             trace: None,
         };
         let init =

@@ -170,7 +170,6 @@ mod tests {
     use crate::kernel::KernelKind;
     use crate::pruning::Pruning;
     use crate::quality::{agreement, sse};
-    use crate::replica::Replication;
     use crate::serial::lloyd_serial;
     use knor_sched::SchedulerKind;
     use knor_workloads::MixtureSpec;
@@ -358,55 +357,6 @@ mod tests {
     }
 
     #[test]
-    fn replication_bitwise_identical_and_reported() {
-        // Same seed/init, replication forced on vs off, across kernels and
-        // pruning: trajectories must match bit-for-bit on a multi-node
-        // synthetic topology, and the NUMA report must reflect resolution.
-        let data = mixture(900, 6, 17);
-        let k = 7;
-        let init = forgy_centroids(&data, k, 23);
-        for kernel in [KernelKind::Scalar, KernelKind::Tiled, KernelKind::Gemm] {
-            for pruning in [Pruning::None, Pruning::Mti, Pruning::Yinyang] {
-                let base = KmeansConfig::new(k)
-                    .with_init(InitMethod::Given(init.clone()))
-                    .with_threads(4)
-                    .with_topology(Topology::synthetic(4, 1))
-                    .with_scheduler(SchedulerKind::Static)
-                    .with_kernel(kernel)
-                    .with_pruning(pruning)
-                    .with_max_iters(40);
-                let off = Kmeans::new(base.clone().with_replication(Replication::Off)).fit(&data);
-                let on = Kmeans::new(base.clone().with_replication(Replication::On)).fit(&data);
-                let auto = Kmeans::new(base.with_replication(Replication::Auto)).fit(&data);
-                assert_eq!(off.assignments, on.assignments, "{kernel:?} {pruning:?}");
-                assert_eq!(off.centroids, on.centroids, "{kernel:?} {pruning:?}");
-                assert_eq!(off.niters, on.niters);
-                assert_eq!(off.assignments, auto.assignments);
-                assert_eq!(off.centroids, auto.centroids);
-                assert!(!off.numa.replicated);
-                assert!(on.numa.replicated);
-                assert!(auto.numa.replicated, "Auto must resolve on at 4 nodes");
-                assert_eq!(on.numa.nodes, 4);
-                assert_eq!(on.numa.workers_per_node, vec![1, 1, 1, 1]);
-                assert_eq!(on.numa.requested, Replication::On);
-                assert!(on.total_publish_bytes() > 0);
-                assert_eq!(off.total_publish_bytes(), 0);
-            }
-        }
-        // Auto on a single node resolves off.
-        let single = Kmeans::new(
-            KmeansConfig::new(k)
-                .with_init(InitMethod::Given(init))
-                .with_threads(2)
-                .with_topology(Topology::flat(2))
-                .with_max_iters(10),
-        )
-        .fit(&data);
-        assert!(!single.numa.replicated);
-        assert_eq!(single.numa.requested, Replication::Auto);
-    }
-
-    #[test]
     fn tallies_track_every_access() {
         let topo = Topology::synthetic(4, 2);
         let data = mixture(800, 8, 5);
@@ -420,6 +370,7 @@ mod tests {
                 .with_max_iters(30),
         )
         .fit(&data);
+        assert_eq!((r.numa.nodes, r.numa.workers_per_node.as_slice()), (4, &[2, 2, 2, 2][..]));
         for it in &r.iters {
             let tallies = it.tallies.as_ref().expect("tallies requested");
             assert_eq!(tallies.len(), 8);

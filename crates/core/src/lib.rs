@@ -55,7 +55,6 @@ pub mod kernel;
 pub mod plane;
 pub mod pruning;
 pub mod quality;
-pub mod replica;
 pub mod serial;
 pub mod spec;
 pub mod stats;
@@ -70,7 +69,6 @@ pub use init::InitMethod;
 pub use kernel::{fma_usable, KernelKind, ResolvedKernel, ResolvedKind};
 pub use plane::{DataPlane, DrainScratch, RowSource, SlicePlane};
 pub use pruning::Pruning;
-pub use replica::{NodeReplicas, OpLog, ReplicaState, Replication};
-pub use spec::RunSpec;
+pub use spec::{Replication, RunSpec};
 pub use stats::{CommitCounters, IterStats, KmeansResult, LoadStats, MemoryFootprint, NumaReport};
 pub use trace::{Phase, PhaseBreakdown, PhaseGroup, Span, TraceBuf, TraceHandle, WorkerTracer};

@@ -498,10 +498,6 @@ mod tests {
     }
 
     /// The rows every plane test clusters: five separated groups in 3-D.
-    fn five_groups() -> Vec<f64> {
-        five_groups_of(300)
-    }
-
     fn five_groups_of(n: usize) -> Vec<f64> {
         let mut data = Vec::new();
         for i in 0..n {
@@ -525,7 +521,6 @@ mod tests {
             task_size: 16,
             kernel,
             row_offset: 0,
-            replication: false,
             trace: None,
         }
     }
@@ -658,26 +653,5 @@ mod tests {
         // Each block's share of the task: 20..26, 26..52, 52..78 and
         // 78..80, less the rows ending in 5.
         assert_eq!(borrowed, vec![(20, 5), (26, 24), (52, 23), (78, 2)]);
-    }
-
-    /// NUMA replication composes with the staged plane (knors's access
-    /// shape): node-local reads through the staged pipeline must not move
-    /// the trajectory by a bit.
-    #[test]
-    fn staged_plane_replication_is_bitwise_identical() {
-        let data = five_groups();
-        for pruning in [Pruning::None, Pruning::Mti, Pruning::Yinyang] {
-            let run = |replication: bool| {
-                let cfg =
-                    DriverConfig { replication, ..config(300, pruning, KernelKind::Tiled, 2) };
-                let staged = StagedTestPlane { data: data.clone(), d: cfg.d };
-                run_plane(&cfg, &data, &Algorithm::Lloyd, &Topology::synthetic(2, 1), &staged)
-            };
-            let off = run(false);
-            let on = run(true);
-            assert_eq!(off.assignments, on.assignments, "pruning={pruning:?}");
-            assert_eq!(off.centroids, on.centroids, "pruning={pruning:?}");
-            assert_eq!(off.iters.len(), on.iters.len());
-        }
     }
 }

@@ -64,7 +64,6 @@ pub fn lloyd_serial(
             queue: QueueStats::default(),
             tallies: None,
             max_drift,
-            publish_bytes: 0,
         });
         if reassigned == 0 || max_drift <= tol {
             converged = true;

@@ -35,7 +35,6 @@ use crate::driver::{DriverConfig, DriverOutcome};
 use crate::init::InitMethod;
 use crate::kernel::KernelKind;
 use crate::pruning::Pruning;
-use crate::replica::Replication;
 use crate::stats::{KmeansResult, MemoryFootprint, NumaReport};
 use crate::trace::{TraceBuf, TraceHandle};
 
@@ -79,10 +78,6 @@ pub struct RunSpec<X = ()> {
     pub kernel: KernelKind,
     /// Clustering algorithm to run on the driver (see [`crate::algo`]).
     pub algo: Algorithm,
-    /// Per-NUMA-node read replicas of the iteration state (see
-    /// [`crate::replica`]); `Auto` replicates NUMA-aware runs on a
-    /// multi-node topology.
-    pub replication: Replication,
     /// Span recorder to attach to the run (see [`crate::trace`]); `None`
     /// records nothing and costs nothing. knord registers every rank's
     /// workers under `pid = rank`.
@@ -144,11 +139,22 @@ impl RunSpec {
             compute_sse,
             kernel: KernelKind::Auto,
             algo: Algorithm::Lloyd,
-            replication: Replication::Auto,
             trace: None,
             ext: (),
         }
     }
+}
+
+/// The spelling `knor_bench` times centroid replication with. Every run
+/// reads one shared copy of the centroids, so both variants are that copy
+/// ([`RunSpec::with_replication`] ignores them; DESIGN.md §12).
+#[doc(hidden)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Replication {
+    /// The shared copy.
+    Off,
+    /// The shared copy.
+    On,
 }
 
 /// Builders: `$name(v)` stores `$value`, an expression over `v`, in `$field`.
@@ -192,10 +198,15 @@ impl<X> RunSpec<X> {
         with_kernel(v: KernelKind) => kernel = v;
         /// Choose the clustering algorithm.
         with_algo(v: Algorithm) => algo = v;
-        /// Set the NUMA replication knob.
-        with_replication(v: Replication) => replication = v;
         /// Attach a span recorder to the run.
         with_trace(v: Arc<TraceBuf>) => trace = Some(v);
+    }
+
+    /// Accepted and ignored: every worker reads the one shared copy of the
+    /// centroids (DESIGN.md §12).
+    #[doc(hidden)]
+    pub fn with_replication(self, _: Replication) -> Self {
+        self
     }
 
     /// The same run described for another entry point.
@@ -216,7 +227,6 @@ impl<X> RunSpec<X> {
             compute_sse: self.compute_sse,
             kernel: self.kernel,
             algo: self.algo.clone(),
-            replication: self.replication,
             trace: self.trace.clone(),
             ext,
         }
@@ -579,13 +589,6 @@ pub const KNOBS: &[Knob] = &[
         set: |s, v| put(&mut s.kernel, KernelKind::parse(v).ok_or(Why::Expected)),
         get: |s| Some(s.kernel.name().into()),
     },
-    Knob {
-        key: "replication",
-        flags: &["--replication"],
-        expected: &["off", "auto", "on"],
-        set: |s, v| put(&mut s.replication, Replication::parse(v).ok_or(Why::Expected)),
-        get: |s| Some(s.replication.name().into()),
-    },
 ];
 
 fn put<T>(slot: &mut T, v: Result<T, Why>) -> Result<(), Why> {
@@ -801,7 +804,6 @@ pub struct Resolved {
     /// round-robin spread (what an oblivious OS scheduler converges to)
     /// otherwise.
     pub thread_node: Vec<NodeId>,
-    requested: Replication,
 }
 
 impl<X> RunSpec<X> {
@@ -858,14 +860,6 @@ impl<X> RunSpec<X> {
             task_size: self.task_size,
             kernel: self.kernel,
             row_offset: rows.start,
-            // `Auto` replicates only NUMA-aware multi-node runs: the replica
-            // node grouping follows the placement, which is also how aware
-            // runs bind threads. (Forcing `On` works in oblivious mode too
-            // — still bitwise exact — but node-locality is then nominal.)
-            replication: match self.replication {
-                Replication::Auto => self.numa_aware && Replication::Auto.resolve(nnodes),
-                r => r.resolve(nnodes),
-            },
             trace: self.trace.clone().map(|b| TraceHandle::with_pid(b, pid)),
         };
         Resolved {
@@ -875,7 +869,6 @@ impl<X> RunSpec<X> {
             topo,
             placement,
             thread_node,
-            requested: self.replication,
         }
     }
 }
@@ -912,12 +905,7 @@ impl Resolved {
                 cache_bytes,
             ),
             sse,
-            numa: NumaReport {
-                nodes: self.topo.nodes(),
-                workers_per_node,
-                requested: self.requested,
-                replicated: c.replication,
-            },
+            numa: NumaReport { nodes: self.topo.nodes(), workers_per_node },
             load: None,
             phases: outcome.phases,
         }
@@ -953,25 +941,21 @@ mod tests {
     use rand::{Rng, SeedableRng};
     use rand_chacha::ChaCha8Rng;
 
-    type Tokens = (
-        (usize, usize, u64, Option<usize>),
-        (Pruning, InitMethod, Algorithm),
-        (KernelKind, Replication),
-    );
+    type Tokens =
+        ((usize, usize, u64, Option<usize>), (Pruning, InitMethod, Algorithm), KernelKind);
 
     /// Everything a token can carry, for comparing descriptions.
     fn tokens(s: &RunSpec) -> Tokens {
         (
             (s.k, s.max_iters, s.seed, s.threads),
             (s.pruning, s.init.clone(), s.algo.clone()),
-            (s.kernel, s.replication),
+            s.kernel,
         )
     }
 
     const PRUNINGS: [Pruning; 3] = [Pruning::None, Pruning::Mti, Pruning::Yinyang];
     const KERNELS: [KernelKind; 4] =
         [KernelKind::Auto, KernelKind::Scalar, KernelKind::Tiled, KernelKind::Gemm];
-    const REPLICATIONS: [Replication; 3] = [Replication::Off, Replication::Auto, Replication::On];
 
     /// A description with every token-carrying knob drawn from `rng`.
     fn arbitrary(rng: &mut ChaCha8Rng) -> RunSpec {
@@ -993,7 +977,6 @@ mod tests {
             _ => Algorithm::MiniBatch { batch: rng.gen_range(1..100_000) },
         };
         s.kernel = KERNELS[rng.gen_range(0..4usize)];
-        s.replication = REPLICATIONS[rng.gen_range(0..3usize)];
         s
     }
 
@@ -1068,10 +1051,11 @@ mod tests {
                 "invalid value 'fuzzy:0.5' for --algo: expected lloyd, spherical, fuzzy or minibatch",
                 "TRAIN: bad algo spec",
             ),
+            // There is no replication knob: its key is refused like any stranger's.
             (
-                &[("--replication", "maybe")],
-                "invalid value 'maybe' for --replication: expected off, auto or on",
-                "TRAIN: bad replication (off|auto|on)",
+                &[("replication", "on")],
+                "unknown knob 'replication'",
+                "TRAIN: unknown knob 'replication'",
             ),
             (
                 &[("k", "x")],
@@ -1237,7 +1221,7 @@ mod tests {
         // What no entry point touches is the same everywhere.
         for s in [&library, &cli, &train.with_ext(())] {
             assert_eq!((s.k, s.tol, s.threads, s.task_size), (s.k, 0.0, None, DEFAULT_TASK_SIZE));
-            assert_eq!((s.pruning, s.kernel, s.replication), Default::default());
+            assert_eq!((s.pruning, s.kernel), Default::default());
             assert_eq!(
                 (s.scheduler, s.numa_aware, s.track_tallies),
                 (SchedulerKind::NumaAware, true, false)
@@ -1257,26 +1241,21 @@ mod tests {
     }
 
     #[test]
-    fn resolve_gates_pruning_and_replication_once_for_every_engine() {
+    fn resolve_gates_pruning_once_for_every_engine() {
         let topo = Topology::synthetic(2, 2);
         let base = RunSpec::<()>::new(4).with_threads(4).with_topology(topo);
         let r = base.resolve(10..40, 100, 3, None, 7);
         assert_eq!((r.driver.n, r.driver.row_offset, r.driver.nthreads), (30, 10, 4));
         assert_eq!(r.driver.pruning, Pruning::Mti);
-        assert!(r.driver.replication, "auto replicates an aware run on two nodes");
         assert_eq!(r.placement.nrow(), 30);
-        // Pruning is sound for Lloyd only; `Auto` needs a NUMA-aware run.
+        // Pruning is sound for Lloyd only.
         let fuzzy =
             base.clone().with_algo(Algorithm::Fuzzy { m: 2.0 }).resolve(0..100, 100, 3, None, 0);
         assert_eq!(fuzzy.driver.pruning, Pruning::None);
-        let oblivious = base.clone().with_numa_aware(false);
-        assert!(!oblivious.resolve(0..100, 100, 3, None, 0).driver.replication);
-        let forced = oblivious.with_replication(Replication::On).resolve(0..100, 100, 3, None, 0);
-        assert!(forced.driver.replication);
-        assert_eq!(forced.thread_node, [0, 1, 0, 1].map(NodeId), "oblivious threads spread");
+        let oblivious = base.clone().with_numa_aware(false).resolve(0..100, 100, 3, None, 0);
+        assert_eq!(oblivious.thread_node, [0, 1, 0, 1].map(NodeId), "oblivious threads spread");
         // A rank's own topology overrides the description's.
         let flat = base.resolve(0..50, 100, 3, Some(Topology::flat(4)), 1);
-        assert!(!flat.driver.replication);
         assert_eq!(flat.topo.nodes(), 1);
     }
 }

@@ -1,7 +1,6 @@
 //! Per-iteration statistics, memory accounting and the result type.
 
 use crate::pruning::{yinyang_groups, PruneCounters, Pruning};
-use crate::replica::Replication;
 use crate::trace::PhaseBreakdown;
 use knor_matrix::DMatrix;
 use knor_numa::AccessTally;
@@ -54,25 +53,15 @@ pub struct IterStats {
     pub tallies: Option<Vec<AccessTally>>,
     /// Maximum centroid drift after the update.
     pub max_drift: f64,
-    /// Bytes copied into NUMA-node replicas for this iteration's op-log
-    /// publish, summed over all populated nodes (0 with replication off,
-    /// and on the final iteration, which publishes nothing).
-    pub publish_bytes: u64,
 }
 
-/// NUMA topology and replication report for one run (the `--stats` NUMA
-/// section).
+/// NUMA topology report for one run (the `--stats` NUMA section).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct NumaReport {
     /// NUMA nodes in the resolved topology.
     pub nodes: usize,
     /// Worker threads bound to each node, in node order.
     pub workers_per_node: Vec<usize>,
-    /// The replication knob as requested on the engine config.
-    pub requested: Replication,
-    /// Whether per-node read replicas were actually maintained (the
-    /// resolution of `requested` against the topology).
-    pub replicated: bool,
 }
 
 /// Heap-memory footprint of a run, following Table 1's decomposition.
@@ -174,7 +163,7 @@ pub struct KmeansResult {
     pub memory: MemoryFootprint,
     /// Final within-cluster sum of squared distances, when requested.
     pub sse: Option<f64>,
-    /// NUMA topology and replication report.
+    /// NUMA topology report.
     pub numa: NumaReport,
     /// The load of a run that read its own input ([`crate::Kmeans::fit_file`]);
     /// `None` when the caller handed the data over.
@@ -242,9 +231,11 @@ impl KmeansResult {
         1.0 - done as f64 / total_possible as f64
     }
 
-    /// Total replica publish bytes across the run (0 with replication off).
+    /// Always 0: there are no centroid replicas to publish into (kept for
+    /// `knor_bench`'s `replica.publish_kb_per_iter` probe).
+    #[doc(hidden)]
     pub fn total_publish_bytes(&self) -> u64 {
-        self.iters.iter().map(|i| i.publish_bytes).sum()
+        0
     }
 }
 
@@ -277,7 +268,6 @@ mod tests {
             queue: QueueStats::default(),
             tallies: None,
             max_drift: 0.0,
-            publish_bytes: 12,
         };
         let r = KmeansResult {
             centroids: DMatrix::zeros(1, 1),
@@ -294,7 +284,6 @@ mod tests {
         // Iteration 0 (the initial assignment pass) is excluded from the
         // steady-state mean: only the 300 ns iteration counts.
         assert_eq!(r.mean_iter_ns(), 300.0);
-        assert_eq!(r.total_publish_bytes(), 24);
         assert_eq!(r.total_prune().dist_computations, 100);
         // n=10, k=10: one prunable iteration -> 100 possible, 50 done.
         assert!((r.prune_fraction(10, 10) - 0.5).abs() < 1e-12);
@@ -312,7 +301,6 @@ mod tests {
             queue: QueueStats::default(),
             tallies: None,
             max_drift: 0.0,
-            publish_bytes: 0,
         };
         let mk = |iters: Vec<IterStats>| KmeansResult {
             centroids: DMatrix::zeros(1, 1),

@@ -85,16 +85,12 @@ pub enum Phase {
     BarrierD,
     /// Waiting at barrier E (distance matrix complete).
     BarrierE,
-    /// Waiting at barrier P (replica publish ordering).
-    BarrierP,
     /// The dimension-sliced accumulator merge between B and C.
     Merge,
     /// The coordinator window (reduce, finalize, drift, MTI, stats).
     Update,
     /// The parallel centroid-distance triangle fill between D and E.
     CcDist,
-    /// A node writer applying the op-log to its replica (after P).
-    Publish,
     /// Staged-plane prefetch hand-off for an upcoming task.
     IoFetch,
     /// Staged-plane fast-tier (row cache) hits copied into staging.
@@ -107,18 +103,16 @@ pub enum Phase {
 
 impl Phase {
     /// Every phase, for exhaustive folds and name lookups.
-    pub const ALL: [Phase; 15] = [
+    pub const ALL: [Phase; 13] = [
         Phase::Compute,
         Phase::BarrierA,
         Phase::BarrierB,
         Phase::BarrierC,
         Phase::BarrierD,
         Phase::BarrierE,
-        Phase::BarrierP,
         Phase::Merge,
         Phase::Update,
         Phase::CcDist,
-        Phase::Publish,
         Phase::IoFetch,
         Phase::IoHit,
         Phase::IoMiss,
@@ -134,11 +128,9 @@ impl Phase {
             Phase::BarrierC => "barrier_c",
             Phase::BarrierD => "barrier_d",
             Phase::BarrierE => "barrier_e",
-            Phase::BarrierP => "barrier_p",
             Phase::Merge => "merge",
             Phase::Update => "update",
             Phase::CcDist => "ccdist",
-            Phase::Publish => "publish",
             Phase::IoFetch => "io_fetch",
             Phase::IoHit => "io_hit",
             Phase::IoMiss => "io_miss",
@@ -154,11 +146,9 @@ impl Phase {
             | Phase::BarrierB
             | Phase::BarrierC
             | Phase::BarrierD
-            | Phase::BarrierE
-            | Phase::BarrierP => PhaseGroup::BarrierWait,
+            | Phase::BarrierE => PhaseGroup::BarrierWait,
             Phase::IoFetch | Phase::IoMiss | Phase::Allreduce => PhaseGroup::IoWait,
             Phase::Merge | Phase::Update | Phase::CcDist => PhaseGroup::Merge,
-            Phase::Publish => PhaseGroup::Publish,
         }
     }
 }
@@ -174,7 +164,9 @@ pub enum PhaseGroup {
     IoWait,
     /// Accumulator merge, coordinator update window, ccdist fill.
     Merge,
-    /// Replica publishes.
+    /// Always empty: workers read one shared copy of the centroids, so no
+    /// phase publishes anything. It keeps index 4 because `knor_bench`
+    /// indexes five shares by position in [`PhaseGroup::ALL`].
     Publish,
 }
 

@@ -56,15 +56,6 @@ impl Fitted {
         }
     }
 
-    /// Bytes published into NUMA-node replicas over the run (rank 0's,
-    /// for knord).
-    pub fn publish_bytes(&self) -> u64 {
-        match self {
-            Fitted::Im(r) | Fitted::Sem(SemResult { kmeans: r, .. }) => r.total_publish_bytes(),
-            Fitted::Dist(r) => r.iters.iter().map(|i| i.publish_bytes).sum(),
-        }
-    }
-
     /// Prefetch-pool threads found dead at shutdown, over every SEM plane.
     pub fn panicked_io_threads(&self) -> u64 {
         match self {

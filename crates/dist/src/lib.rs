@@ -94,9 +94,6 @@ pub struct DistIterStats {
     pub max_rank_comm_bytes: u64,
     /// Modeled wire time of the reduction on the configured network.
     pub modeled_comm_ns: f64,
-    /// Intra-rank replica publish bytes at rank 0 (0 when replication is
-    /// off — see `DistConfig`'s `replication`).
-    pub publish_bytes: u64,
 }
 
 /// Per-rank communication totals for a whole run.
@@ -404,7 +401,6 @@ fn assemble(
             comm_bytes: r.comm_bytes,
             max_rank_comm_bytes: r.max_rank_comm_bytes,
             modeled_comm_ns: r.modeled_comm_ns,
-            publish_bytes: s.publish_bytes,
         })
         .collect();
 
@@ -606,7 +602,7 @@ mod tests {
     use super::*;
     use knor_core::quality::agreement;
     use knor_core::serial::lloyd_serial;
-    use knor_core::{InitMethod, KernelKind, Pruning, Replication};
+    use knor_core::{InitMethod, KernelKind, Pruning};
     use knor_sched::SchedulerKind;
     use knor_sem::SemPlaneConfig;
     use knor_workloads::MixtureSpec;
@@ -812,33 +808,6 @@ mod tests {
         let data = mixture(50, 2, 1);
         let _ = DistKmeans::new(DistConfig::new(2, 2, 1).with_plane(RankPlane::sem_default()))
             .fit(&data);
-    }
-
-    #[test]
-    fn replication_on_is_bitwise_identical_across_ranks() {
-        // Forcing per-node replicas inside every rank's engine must not
-        // move the trajectory by a bit: the replicas are op-log copies of
-        // the canonical state each rank already agrees on post-allreduce.
-        let data = mixture(900, 5, 23);
-        let k = 7;
-        let init = InitMethod::Forgy.initialize(&data, k, 9).to_matrix();
-        for pruning in [Pruning::None, Pruning::Mti, Pruning::Yinyang] {
-            let base = DistConfig::new(k, 3, 2)
-                .with_init(InitMethod::Given(init.clone()))
-                .with_scheduler(SchedulerKind::Static)
-                .with_pruning(pruning)
-                .with_max_iters(40);
-            let off = DistKmeans::new(base.clone().with_replication(Replication::Off)).fit(&data);
-            let on = DistKmeans::new(base.with_replication(Replication::On)).fit(&data);
-            assert_eq!(on.assignments, off.assignments, "{pruning:?}");
-            assert_eq!(on.centroids, off.centroids, "replicated knord must be bitwise");
-            assert_eq!(on.niters, off.niters);
-            // Rank 0 published its replica every non-final iteration…
-            let pubs = on.iters.iter().filter(|i| i.publish_bytes > 0).count();
-            assert_eq!(pubs, on.niters - 1);
-            // …and the shared-copy run published nothing.
-            assert!(off.iters.iter().all(|i| i.publish_bytes == 0));
-        }
     }
 
     /// Well-separated grid clusters with one init centroid per cluster

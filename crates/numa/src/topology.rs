@@ -54,7 +54,7 @@ impl Topology {
     /// A `KNOR_SYNTH_NODES=N` environment override takes precedence and
     /// yields an `N`-node *synthetic* topology spanning the host's CPUs
     /// (`is_detected()` = false, so thread binds are simulated) — this is
-    /// how multi-node replication paths are exercised on single-node
+    /// how multi-node placement paths are exercised on single-node
     /// containers and in CI.
     ///
     /// Otherwise falls back to a single flat node covering

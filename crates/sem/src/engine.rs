@@ -97,10 +97,9 @@ mod tests {
     use super::*;
     use knor_core::quality::agreement;
     use knor_core::serial::lloyd_serial;
-    use knor_core::{Pruning, Replication};
+    use knor_core::Pruning;
     use knor_matrix::io::write_matrix;
     use knor_matrix::DMatrix;
-    use knor_numa::Topology;
     use knor_sched::SchedulerKind;
     use knor_workloads::MixtureSpec;
     use std::path::PathBuf;
@@ -199,44 +198,6 @@ mod tests {
         assert_eq!(tiled.kmeans.assignments, scalar.kmeans.assignments);
         assert_eq!(tiled.kmeans.niters, scalar.kmeans.niters);
         assert!(tiled.io.iter().map(|i| i.rc_hits).sum::<u64>() > 0, "cache never hit");
-        std::fs::remove_file(path).unwrap();
-    }
-
-    #[test]
-    fn replication_bitwise_identical_on_sem() {
-        // Replicated knors must walk the shared-copy trajectory bit for
-        // bit, MTI on and off, on a multi-node synthetic topology.
-        let (data, path) = write_mixture(1200, 6, 31, "replica");
-        let k = 8;
-        let init = forgy(&data, k, 7);
-        for pruning in [Pruning::None, Pruning::Mti, Pruning::Yinyang] {
-            let run = |replication: Replication| {
-                SemKmeans::new(
-                    SemConfig::new(k)
-                        .with_init(SemInit::Given(init.clone()))
-                        .with_threads(4)
-                        .with_scheduler(SchedulerKind::Static)
-                        .with_task_size(64)
-                        .with_page_size(512)
-                        .with_pruning(pruning)
-                        .with_row_cache_bytes(1 << 20)
-                        .with_topology(Topology::synthetic(4, 1))
-                        .with_replication(replication)
-                        .with_max_iters(40),
-                )
-                .fit(&path)
-                .unwrap()
-            };
-            let off = run(Replication::Off);
-            let on = run(Replication::On);
-            assert_eq!(off.kmeans.assignments, on.kmeans.assignments, "{pruning:?}");
-            assert_eq!(off.kmeans.centroids, on.kmeans.centroids, "{pruning:?}");
-            assert_eq!(off.kmeans.niters, on.kmeans.niters);
-            assert!(on.kmeans.numa.replicated);
-            assert!(!off.kmeans.numa.replicated);
-            assert_eq!(on.kmeans.numa.workers_per_node, vec![1, 1, 1, 1]);
-            assert!(on.kmeans.total_publish_bytes() > 0);
-        }
         std::fs::remove_file(path).unwrap();
     }
 

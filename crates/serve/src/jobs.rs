@@ -182,7 +182,6 @@ fn train(spec: &TrainSpec) -> Result<(DMatrix, TrainDiag), String> {
     })?;
     let diag = TrainDiag {
         panicked_io_threads: fitted.panicked_io_threads(),
-        publish_bytes: fitted.publish_bytes(),
         io_skip_rows: fitted.total_prune().io_skip_rows,
     };
     Ok((fitted.into_centroids(), diag))

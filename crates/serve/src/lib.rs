@@ -62,7 +62,6 @@ use std::path::Path;
 use std::sync::Arc;
 
 use knor_core::distance::nearest;
-use knor_core::replica::Replication;
 use knor_core::{Algorithm, KernelKind, ResolvedKernel};
 use knor_matrix::DMatrix;
 use knor_numa::Topology;
@@ -134,10 +133,6 @@ pub struct ServeConfig {
     pub chunk_cap: usize,
     /// Time source for serving stats (inject [`ManualClock`] in tests).
     pub clock: Arc<dyn Clock>,
-    /// Node-local model replicas in the worker pool
-    /// (see [`knor_core::replica::Replication`]; `Auto` replicates on
-    /// multi-node topologies). Bitwise identical either way.
-    pub replication: Replication,
 }
 
 impl Default for ServeConfig {
@@ -148,7 +143,6 @@ impl Default for ServeConfig {
             kernel: KernelKind::Auto,
             chunk_cap: 8192,
             clock: Arc::new(MonotonicClock::new()),
-            replication: Replication::Auto,
         }
     }
 }
@@ -175,12 +169,6 @@ impl ServeConfig {
     /// Inject a clock (tests).
     pub fn with_clock(mut self, v: Arc<dyn Clock>) -> Self {
         self.clock = v;
-        self
-    }
-
-    /// Set the pool's model-replication knob.
-    pub fn with_replication(mut self, v: Replication) -> Self {
-        self.replication = v;
         self
     }
 }
@@ -218,8 +206,7 @@ impl ServeHandle {
         let hw = std::thread::available_parallelism().map(|p| p.get()).unwrap_or(2);
         let threads = cfg.threads.unwrap_or(hw).max(1);
         let registry = Arc::new(ModelRegistry::new());
-        let pool =
-            WorkerPool::spawn_replicated(threads, &topo, cfg.chunk_cap.max(1), cfg.replication);
+        let pool = WorkerPool::spawn(threads, &topo, cfg.chunk_cap.max(1));
         let jobs = JobRunner::start(Arc::clone(&registry));
         Self {
             inner: Arc::new(ServeInner {
@@ -243,12 +230,6 @@ impl ServeHandle {
     /// clock as the kernel phases).
     pub fn clock(&self) -> &Arc<dyn Clock> {
         &self.inner.clock
-    }
-
-    /// Whether the worker pool serves from node-local model clones
-    /// (the resolved [`ServeConfig::replication`] knob).
-    pub fn pool_replicated(&self) -> bool {
-        self.inner.pool.replicated()
     }
 
     /// Register a trained `k × d` centroid matrix; returns the version.

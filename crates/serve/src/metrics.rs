@@ -155,20 +155,6 @@ pub fn render_prometheus(handle: &ServeHandle) -> String {
 
     let _ = writeln!(
         out,
-        "# HELP knor_serve_train_publish_bytes \
-         Replica publish bytes of the run that trained the model."
-    );
-    let _ = writeln!(out, "# TYPE knor_serve_train_publish_bytes gauge");
-    for e in &entries {
-        let _ = writeln!(
-            out,
-            "knor_serve_train_publish_bytes{{model=\"{}\"}} {}",
-            e.model.name, e.train.publish_bytes
-        );
-    }
-
-    let _ = writeln!(
-        out,
         "# HELP knor_serve_train_io_skip_rows \
          Row fetches the staged plane skipped via bound pruning when the model trained."
     );
@@ -280,7 +266,7 @@ mod tests {
         // 64 rows are one chunk: answered inline.
         assert!(text.contains("knor_serve_inline_calls_total 1\n"), "{text}");
         assert!(text.contains("knor_serve_train_panicked_io_threads{model=\"demo\"} 0"));
-        assert!(text.contains("knor_serve_train_publish_bytes{model=\"demo\"} 0"));
+        assert!(!text.contains("knor_serve_train_publish"), "{text}");
         assert!(text.contains("knor_serve_train_io_skip_rows{model=\"demo\"} 0"));
         assert!(text.contains("knor_serve_busy_total{model=\"demo\"} 0"));
         assert!(text.contains("knor_serve_pending_rows{model=\"demo\"} 0"));

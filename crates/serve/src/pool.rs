@@ -27,17 +27,9 @@
 //! same `catch_unwind` + panic counter as a pool chunk, so answers are
 //! bitwise identical. (DESIGN.md §9.)
 //!
-//! **Node-local model replicas.** With replication resolved on
-//! ([`knor_core::replica::Replication`], `Auto` = multi-node topology),
-//! each worker keeps a small MRU cache of *cloned* models: the clone is
-//! allocated by the bound worker itself, so first-touch places the
-//! centroid rows on the worker's node and steady-state predict scans
-//! never read centroids across the interconnect. A per-worker clone is a
-//! refinement of the per-node replica the training engines keep (every
-//! worker's node-local copy is trivially its node's copy), and cloning is
-//! exact — answers stay bitwise identical to the shared-model path. The
-//! cache holds the source `Arc` alongside each clone, so a cache hit can
-//! never alias a dropped-and-reallocated registry entry.
+//! Every worker scans the registry's one copy of the model: the centroid
+//! table is small, read-only and cache-resident after its first chunk
+//! (DESIGN.md §12).
 
 use std::cell::RefCell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -46,7 +38,6 @@ use std::sync::{Arc, Condvar, Mutex};
 
 use crossbeam_channel::{unbounded, Receiver, Sender};
 use knor_core::kernel::assign_rows;
-use knor_core::replica::Replication;
 use knor_core::{Normalization, ResolvedKernel};
 use knor_matrix::shared::SharedRows;
 use knor_numa::bind::bind_current_thread;
@@ -135,43 +126,14 @@ struct CallCtx {
     panicked: AtomicBool,
 }
 
-/// One worker's MRU cache of node-local model clones (front = most
-/// recent). Small: predict traffic concentrates on few hot models, and an
-/// evicted model simply re-clones on its next chunk.
-const REPLICA_CACHE_CAP: usize = 4;
-
-/// Find or make this worker's clone of `entry`'s model. The source `Arc`
-/// is retained next to the clone so a pointer-equality hit can never match
-/// a different model reallocated at the same address.
-fn node_local_model<'c>(
-    cache: &'c mut Vec<(Arc<ModelEntry>, Model)>,
-    entry: &Arc<ModelEntry>,
-    clones: &AtomicU64,
-) -> &'c Model {
-    if let Some(i) = cache.iter().position(|(e, _)| Arc::ptr_eq(e, entry)) {
-        let hit = cache.remove(i);
-        cache.insert(0, hit);
-    } else {
-        if cache.len() >= REPLICA_CACHE_CAP {
-            cache.pop();
-        }
-        // The clone runs on the bound worker thread: first-touch lands the
-        // centroid rows on this worker's node.
-        cache.insert(0, (Arc::clone(entry), entry.model.clone()));
-        clones.fetch_add(1, Ordering::Relaxed);
-    }
-    &cache[0].1
-}
-
 impl CallCtx {
-    /// Process rows `[lo, hi)` of the call's query block against `model`
-    /// (the shared registry model, or the worker's node-local clone of it).
-    fn run_chunk(&self, lo: usize, hi: usize, scratch: &mut Scratch, model: &Model) {
+    /// Process rows `[lo, hi)` of the call's query block.
+    fn run_chunk(&self, lo: usize, hi: usize, scratch: &mut Scratch) {
         let d = self.d;
         let m = hi - lo;
         // Safety (RawRows): the caller's block outlives the latch.
         let rows = unsafe { std::slice::from_raw_parts(self.queries.ptr.add(lo * d), m * d) };
-        scan_chunk(rows, d, &self.rk, model, scratch);
+        scan_chunk(rows, d, &self.rk, &self.entry.model, scratch);
         for i in 0..m {
             // Safety (SharedRows): chunk ranges are disjoint, and the
             // caller reads only after the latch (lock + condvar) closes.
@@ -228,55 +190,30 @@ pub struct WorkerPool {
     chunk_cap: usize,
     panics: Arc<AtomicU64>,
     inline_calls: AtomicU64,
-    replicated: bool,
-    replica_clones: Arc<AtomicU64>,
 }
 
 impl WorkerPool {
     /// Spawn `threads` workers bound round-robin across `topo`'s nodes
     /// (binding is a no-op on synthetic topologies). `chunk_cap` bounds
-    /// rows per chunk for load balance on large batches. Model replication
-    /// resolves `Auto` against `topo` (see [`WorkerPool::spawn_replicated`]).
+    /// rows per chunk for load balance on large batches.
     pub fn spawn(threads: usize, topo: &Topology, chunk_cap: usize) -> Self {
-        Self::spawn_replicated(threads, topo, chunk_cap, Replication::Auto)
-    }
-
-    /// [`WorkerPool::spawn`] with an explicit model-replication knob.
-    /// When it resolves on, every worker serves chunks from its own
-    /// node-local clone of the model (see the module docs); answers are
-    /// bitwise identical either way.
-    pub fn spawn_replicated(
-        threads: usize,
-        topo: &Topology,
-        chunk_cap: usize,
-        replication: Replication,
-    ) -> Self {
         let threads = threads.max(1);
         let (tx, rx): (Sender<Task>, Receiver<Task>) = unbounded();
         let panics = Arc::new(AtomicU64::new(0));
-        let replica_clones = Arc::new(AtomicU64::new(0));
         let nnodes = topo.nodes().max(1);
-        let replicated = replication.resolve(nnodes);
         let handles = (0..threads)
             .map(|w| {
                 let rx = rx.clone();
                 let topo = topo.clone();
                 let panics = Arc::clone(&panics);
-                let clones = Arc::clone(&replica_clones);
                 std::thread::spawn(move || {
                     let _ = bind_current_thread(&topo, NodeId(w % nnodes));
                     let mut scratch = Scratch::default();
-                    let mut cache: Vec<(Arc<ModelEntry>, Model)> = Vec::new();
                     while let Ok(task) = rx.recv() {
                         match task {
                             Task::Chunk { ctx, lo, hi } => {
-                                let model: &Model = if replicated {
-                                    node_local_model(&mut cache, &ctx.entry, &clones)
-                                } else {
-                                    &ctx.entry.model
-                                };
                                 let r = catch_unwind(AssertUnwindSafe(|| {
-                                    ctx.run_chunk(lo, hi, &mut scratch, model)
+                                    ctx.run_chunk(lo, hi, &mut scratch)
                                 }));
                                 if r.is_err() {
                                     ctx.panicked.store(true, Ordering::SeqCst);
@@ -297,25 +234,12 @@ impl WorkerPool {
             chunk_cap: chunk_cap.max(1),
             panics,
             inline_calls: AtomicU64::new(0),
-            replicated,
-            replica_clones,
         }
     }
 
     /// Worker count.
     pub fn threads(&self) -> usize {
         self.threads
-    }
-
-    /// Whether workers serve from node-local model clones.
-    pub fn replicated(&self) -> bool {
-        self.replicated
-    }
-
-    /// Model clones made by workers so far (diagnostics; grows only on
-    /// cache misses, so steady-state traffic holds it constant).
-    pub fn replica_clones(&self) -> u64 {
-        self.replica_clones.load(Ordering::Relaxed)
     }
 
     /// Chunks a batch would be split into (bench/diagnostics).
@@ -530,43 +454,6 @@ mod tests {
     }
 
     #[test]
-    fn replicated_pool_is_bitwise_identical_and_caches_clones() {
-        let (_reg, entry) = setup(8, 6, 21);
-        let topo = Topology::synthetic(2, 2);
-        // Auto resolves on for a multi-node topology, off for flat.
-        let shared = WorkerPool::spawn_replicated(4, &topo, 128, Replication::Off);
-        let replicated = WorkerPool::spawn(4, &topo, 128);
-        assert!(!shared.replicated());
-        assert!(replicated.replicated());
-        assert!(!WorkerPool::spawn(2, &Topology::flat(2), 64).replicated());
-
-        let mut rng = ChaCha8Rng::seed_from_u64(22);
-        let q: Vec<f64> = (0..700 * 6).map(|_| rng.gen_range(-5.0..5.0)).collect();
-        let rk = KernelKind::Auto.resolve(8, 6, false);
-        let (a0, d0) = shared.predict(&entry, rk, &q, 6).unwrap();
-        let (a1, d1) = replicated.predict(&entry, rk, &q, 6).unwrap();
-        assert_eq!(a1, a0, "node-local clones must not move any answer");
-        assert_eq!(
-            d1.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
-            d0.iter().map(|x| x.to_bits()).collect::<Vec<_>>()
-        );
-        assert_eq!(shared.replica_clones(), 0);
-        // Steady state: however many batches flow, a worker clones a hot
-        // model at most once (chunk routing decides *when* each worker
-        // first sees it, so only the ceiling is deterministic).
-        for _ in 0..8 {
-            let _ = replicated.predict(&entry, rk, &q, 6).unwrap();
-        }
-        let clones = replicated.replica_clones();
-        assert!(
-            (1..=4).contains(&clones),
-            "each of 4 workers clones a hot model at most once, got {clones}"
-        );
-        shared.shutdown();
-        replicated.shutdown();
-    }
-
-    #[test]
     fn dim_mismatch_is_rejected() {
         let (_reg, entry) = setup(3, 4, 5);
         let pool = WorkerPool::spawn(2, &Topology::synthetic(1, 2), 64);
@@ -592,28 +479,26 @@ mod tests {
             reg.register("m", algo.clone(), DMatrix::from_vec(cents, 11, 6));
             let entry = reg.get("m").unwrap();
             let rk = KernelKind::Auto.resolve(11, 6, false);
-            for replication in [Replication::Off, Replication::On] {
-                // `split` cuts every batch into 1-row chunks, so the same
-                // rows also go through the pool; `whole` keeps m <= 64 inline.
-                let whole = WorkerPool::spawn_replicated(4, &topo, 128, replication);
-                let split = WorkerPool::spawn_replicated(4, &topo, 1, replication);
-                for m in [1usize, 63, 64, 65, 129] {
-                    let rows = &q[..m * 6];
-                    let serial = predict_serial(&entry.model, rows, 6);
-                    let inline_before = (whole.inline_calls(), split.inline_calls());
-                    for pool in [&whole, &split] {
-                        let (a, dist) = pool.predict(&entry, rk, rows, 6).unwrap();
-                        assert_eq!(a, serial.assignments, "{algo:?} {replication:?} m={m}");
-                        assert_eq!(
-                            dist.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
-                            serial.distances.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
-                            "{algo:?} {replication:?} m={m}"
-                        );
-                    }
-                    assert_eq!(whole.chunks_for(m) == 1, m <= 64);
-                    assert_eq!(whole.inline_calls() - inline_before.0, u64::from(m <= 64));
-                    assert_eq!(split.inline_calls() - inline_before.1, u64::from(m == 1));
+            // `split` cuts every batch into 1-row chunks, so the same rows
+            // also go through the pool; `whole` keeps m <= 64 inline.
+            let whole = WorkerPool::spawn(4, &topo, 128);
+            let split = WorkerPool::spawn(4, &topo, 1);
+            for m in [1usize, 63, 64, 65, 129] {
+                let rows = &q[..m * 6];
+                let serial = predict_serial(&entry.model, rows, 6);
+                let inline_before = (whole.inline_calls(), split.inline_calls());
+                for pool in [&whole, &split] {
+                    let (a, dist) = pool.predict(&entry, rk, rows, 6).unwrap();
+                    assert_eq!(a, serial.assignments, "{algo:?} m={m}");
+                    assert_eq!(
+                        dist.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
+                        serial.distances.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
+                        "{algo:?} m={m}"
+                    );
                 }
+                assert_eq!(whole.chunks_for(m) == 1, m <= 64);
+                assert_eq!(whole.inline_calls() - inline_before.0, u64::from(m <= 64));
+                assert_eq!(split.inline_calls() - inline_before.1, u64::from(m == 1));
             }
         }
     }

@@ -60,9 +60,6 @@ pub struct TrainDiag {
     /// across SEM planes/ranks (0 = healthy; non-zero means lost I/O
     /// overlap, never lost rows).
     pub panicked_io_threads: u64,
-    /// Bytes copied into NUMA-node centroid replicas across the run
-    /// (0 with replication off).
-    pub publish_bytes: u64,
     /// Rows whose *fetch* the staged (SEM) plane skipped because bound
     /// pruning eliminated them before their data was needed (always 0 on
     /// direct planes — distance-pruning there saves compute, not I/O).

@@ -6,8 +6,7 @@
 //! ```text
 //! knor im   <file.knor> -k 10 [-i 100] [-t N] [--pruning none|mti|yinyang] [--init pp|forgy|random]
 //!           [--algo lloyd|spherical|fuzzy|minibatch] [--fuzz M] [--batch B]
-//!           [--kernel auto|scalar|tiled|gemm] [--replication off|auto|on]
-//!           [--stats] [--trace out.json]
+//!           [--kernel auto|scalar|tiled|gemm] [--stats] [--trace out.json]
 //! knor sem  <file.knor> -k 10 [--row-cache MB] [--page-cache MB] [--stats] [--trace out.json]
 //! knor dist <file.knor> -k 10 [--ranks R] [--star] [--plane im|sem] [--stats] [--trace out.json]
 //! knor gen  <file.knor> --dataset friendster8|friendster32|rm856m|rm1b|ru2b --scale f
@@ -77,8 +76,7 @@ const HELP: &str =
            [--pruning none|mti|yinyang] [--init pp|forgy|random] [--seed S]
            [--algo lloyd|spherical|fuzzy|minibatch]
            [--fuzz M] [--batch B]
-           [--kernel auto|scalar|tiled|gemm] [--replication off|auto|on]
-           [--stats] [--trace out.json]
+           [--kernel auto|scalar|tiled|gemm] [--stats] [--trace out.json]
            [--row-cache MB] [--page-cache MB]              (sem)
            [--ranks R] [--star] [--plane im|sem]           (dist)
            [--dataset NAME] [--scale F]                    (gen)
@@ -350,7 +348,7 @@ fn main() {
                 match &fitted {
                     Fitted::Im(r) => {
                         print_commit(&r.total_commit());
-                        print_numa(&r.numa, r.total_publish_bytes(), r.niters);
+                        print_numa(&r.numa);
                         if let Some(l) = &r.load {
                             print_load(l);
                         }
@@ -358,7 +356,7 @@ fn main() {
                     }
                     Fitted::Sem(r) => {
                         let km = &r.kmeans;
-                        print_numa(&km.numa, km.total_publish_bytes(), km.niters);
+                        print_numa(&km.numa);
                         print_memory(&km.memory);
                         print_io_table(&r.io);
                         print_io_summary(&[&r.io]);
@@ -375,7 +373,7 @@ fn main() {
             finish_trace(&o, o.run.trace.as_ref(), fitted.phases());
         }
         "serve" => {
-            let mut cfg = ServeConfig::default().with_replication(o.run.replication);
+            let mut cfg = ServeConfig::default();
             if let Some(t) = o.run.threads {
                 cfg = cfg.with_threads(t);
             }
@@ -540,22 +538,11 @@ fn print_commit(c: &CommitCounters) {
     );
 }
 
-/// The `--stats` NUMA section: the topology the run saw, how workers
-/// spread over its nodes, and what per-node centroid replication actually
-/// did — `requested->resolved` makes an `auto` that stayed off on a
-/// flat machine visible, mirroring the kernel note's requested/resolved
-/// pair. Publish bytes are the per-iteration op-log traffic into all
-/// replicas (0 when replication is off; the final iteration publishes
-/// nothing, hence the `niters - 1` divisor).
-fn print_numa(numa: &NumaReport, publish_total: u64, niters: usize) {
+/// The `--stats` NUMA section: the topology the run saw and how workers
+/// spread over its nodes.
+fn print_numa(numa: &NumaReport) {
     let spread = numa.workers_per_node.iter().map(usize::to_string).collect::<Vec<_>>().join(",");
-    let per_iter = publish_total / niters.saturating_sub(1).max(1) as u64;
-    println!(
-        "numa: nodes={} workers_per_node=[{spread}] replication={}->{} publish_B/iter={per_iter}",
-        numa.nodes,
-        numa.requested.name(),
-        if numa.replicated { "on" } else { "off" },
-    );
+    println!("numa: nodes={} workers_per_node=[{spread}]", numa.nodes);
 }
 
 /// The `--stats` load line: what reading the input into place cost. The
@@ -676,10 +663,6 @@ fn print_dist_stats(r: &DistResult) {
         })
         .collect();
     print_table(&["iter", "reassign", "wire_B", "max_rank_wire_B"], &iter_rows);
-    let publish: u64 = r.iters.iter().map(|i| i.publish_bytes).sum();
-    if publish > 0 {
-        println!("rank 0 replica publish: {publish} B total (intra-rank, off the wire)");
-    }
     let rank_rows: Vec<Vec<String>> = r
         .rank_comm
         .iter()

@@ -43,7 +43,6 @@ pub use knor_workloads as workloads;
 
 pub use knor_core::{
     Algorithm, InitMethod, IterStats, Kmeans, KmeansConfig, KmeansResult, NumaReport, Pruning,
-    Replication,
 };
 pub use knor_dist::{DistConfig, DistKmeans, DistResult, RankIo, RankPlane};
 pub use knor_matrix::DMatrix;
@@ -54,7 +53,7 @@ pub use knor_serve::{ServeConfig, ServeHandle};
 pub mod prelude {
     pub use knor_core::{
         fma_usable, Algorithm, InitMethod, KernelKind, Kmeans, KmeansConfig, KmeansResult,
-        NumaReport, PhaseBreakdown, Pruning, Replication, TraceBuf,
+        NumaReport, PhaseBreakdown, Pruning, TraceBuf,
     };
     pub use knor_dist::{DistConfig, DistKmeans, DistResult, RankIo, RankPlane};
     pub use knor_matrix::{io as matrix_io, DMatrix};

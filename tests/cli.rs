@@ -104,7 +104,6 @@ fn degenerate_numeric_flags_are_rejected_before_any_io() {
         vec!["im", "/nonexistent/x.knor", "--algo", "kmedoids"],
         vec!["sem", "/nonexistent/x.knor", "--algo", "fuzzy:0.5"],
         vec!["gen", "/nonexistent/x.knor", "--dataset", "mnist"],
-        vec!["im", "/nonexistent/x.knor", "--replication", "maybe"],
         vec!["im", "/nonexistent/x.knor", "--fuzz", "1.0"],
         vec!["im", "/nonexistent/x.knor", "--algo", "fuzzy", "--fuzz", "NaN"],
         vec!["im", "/nonexistent/x.knor", "-k", "3", "-k", "4"],
@@ -120,6 +119,10 @@ fn degenerate_numeric_flags_are_rejected_before_any_io() {
         assert!(err.starts_with("knor: "), "{args:?} → {err:?}");
         assert_eq!(err.trim_end().lines().count(), 1, "{args:?}: one-line error, got {err:?}");
     }
+    // There is one copy of the centroids: `--replication` is a stranger.
+    let out = knor().args(["im", "/nonexistent/x.knor", "--replication", "on"]).output().unwrap();
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!((out.status.code(), &*err), (Some(2), "knor: unknown flag '--replication'\n"));
 
     // `-k` is checked against the header's row count — the first thing
     // read, the last thing that can be checked without the data — in the

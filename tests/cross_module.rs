@@ -516,180 +516,6 @@ fn dist_sem_handles_data_larger_than_rank_caches() {
     assert!(read as usize > 4000 * 16 * 8, "caches absorbed everything; budget not tight");
 }
 
-/// PR 7: per-node centroid replication must be invisible in the results.
-/// For every engine × kernel × pruning mode (and every non-Lloyd
-/// algorithm), a replicated run reproduces the shared-copy run **bitwise**
-/// — assignments, centroids and trajectory — because the replicas are
-/// op-log copies of the canonical merge, applied at a barrier.
-#[test]
-fn replication_bitwise_across_engines_kernels_and_algorithms() {
-    use knor::numa::Topology;
-
-    let (data, _) = workload(1400, 6, 910);
-    let k = 9;
-    let init = InitMethod::Forgy.initialize(&data, k, 12).to_matrix();
-    let max_iters = 30;
-
-    let mut path = std::env::temp_dir();
-    path.push(format!("knor-cross-replica-{}.knor", std::process::id()));
-    matrix_io::write_matrix(&path, &data).unwrap();
-
-    for pruning in [Pruning::Mti, Pruning::None] {
-        for kernel in [KernelKind::Scalar, KernelKind::Tiled, KernelKind::NormTrick] {
-            let tag = format!("pruning={pruning:?} kernel={kernel:?}");
-
-            // knori on a synthetic 2-node split of 4 workers.
-            let im = |rep: Replication| {
-                Kmeans::new(
-                    KmeansConfig::new(k)
-                        .with_init(InitMethod::Given(init.clone()))
-                        .with_threads(4)
-                        .with_topology(Topology::synthetic(2, 2))
-                        .with_scheduler(SchedulerKind::Static)
-                        .with_kernel(kernel)
-                        .with_pruning(pruning)
-                        .with_replication(rep)
-                        .with_max_iters(max_iters),
-                )
-                .fit(&data)
-            };
-            let off = im(Replication::Off);
-            let on = im(Replication::On);
-            assert_eq!(on.assignments, off.assignments, "{tag}: knori assignments");
-            assert_eq!(on.centroids, off.centroids, "{tag}: knori centroids must be bitwise");
-            assert_eq!(on.niters, off.niters, "{tag}: knori trajectory");
-            assert!(on.numa.replicated && !off.numa.replicated, "{tag}");
-            assert!(on.total_publish_bytes() > 0, "{tag}: replicas never published");
-
-            // knors over the same synthetic topology.
-            let sem = |rep: Replication| {
-                SemKmeans::new(
-                    SemConfig::new(k)
-                        .with_init(SemInit::Given(init.clone()))
-                        .with_threads(4)
-                        .with_topology(Topology::synthetic(2, 2))
-                        .with_scheduler(SchedulerKind::Static)
-                        .with_page_size(512)
-                        .with_task_size(128)
-                        .with_pruning(pruning)
-                        .with_row_cache_bytes(1 << 20)
-                        .with_kernel(kernel)
-                        .with_replication(rep)
-                        .with_max_iters(max_iters),
-                )
-                .fit(&path)
-                .unwrap()
-            };
-            let soff = sem(Replication::Off);
-            let son = sem(Replication::On);
-            assert_eq!(son.kmeans.assignments, soff.kmeans.assignments, "{tag}: knors");
-            assert_eq!(son.kmeans.centroids, soff.kmeans.centroids, "{tag}: knors bitwise");
-            assert_eq!(son.kmeans.niters, soff.kmeans.niters, "{tag}: knors trajectory");
-            // Replication must not change what knors reads off the device.
-            // Exact equality is too strong: two workers missing the same
-            // row-cache page concurrently may both fetch it, so either run
-            // can read a few duplicate pages — allow that race slack while
-            // still catching any real change to the read set.
-            let race_slack = 8 * 512u64; // a handful of duplicated pages
-            for (a, b) in son.io.iter().zip(&soff.io) {
-                assert!(
-                    a.bytes_read.abs_diff(b.bytes_read) <= race_slack,
-                    "{tag}: knors iter {} I/O diverged: on={} off={}",
-                    a.iter,
-                    a.bytes_read,
-                    b.bytes_read
-                );
-            }
-
-            // knord: 2 ranks × 2 threads, replicas forced on inside every
-            // rank's engine (per-rank topology is flat in-process).
-            let dist = |rep: Replication| {
-                DistKmeans::new(
-                    DistConfig::new(k, 2, 2)
-                        .with_init(InitMethod::Given(init.clone()))
-                        .with_scheduler(SchedulerKind::Static)
-                        .with_task_size(128)
-                        .with_pruning(pruning)
-                        .with_kernel(kernel)
-                        .with_replication(rep)
-                        .with_max_iters(max_iters),
-                )
-                .fit(&data)
-            };
-            let doff = dist(Replication::Off);
-            let don = dist(Replication::On);
-            assert_eq!(don.assignments, doff.assignments, "{tag}: knord assignments");
-            assert_eq!(don.centroids, doff.centroids, "{tag}: knord centroids must be bitwise");
-            assert_eq!(don.niters, doff.niters, "{tag}: knord trajectory");
-        }
-    }
-
-    // Every non-Lloyd algorithm, replicated vs shared on knori.
-    for algo in
-        [Algorithm::Spherical, Algorithm::Fuzzy { m: 2.0 }, Algorithm::MiniBatch { batch: 256 }]
-    {
-        let name = algo.name();
-        let run = |rep: Replication| {
-            Kmeans::new(
-                KmeansConfig::new(k)
-                    .with_init(InitMethod::Given(init.clone()))
-                    .with_algo(algo.clone())
-                    .with_seed(13)
-                    .with_threads(4)
-                    .with_topology(Topology::synthetic(2, 2))
-                    .with_scheduler(SchedulerKind::Static)
-                    .with_replication(rep)
-                    .with_max_iters(20),
-            )
-            .fit(&data)
-        };
-        let off = run(Replication::Off);
-        let on = run(Replication::On);
-        assert_eq!(on.assignments, off.assignments, "{name}: assignments");
-        assert_eq!(on.centroids, off.centroids, "{name}: centroids must be bitwise");
-        assert_eq!(on.niters, off.niters, "{name}: trajectory");
-    }
-    std::fs::remove_file(&path).unwrap();
-}
-
-/// PR 7, serving half: a pool serving from node-local model clones answers
-/// batched predict calls bitwise identically to the shared-model pool.
-#[test]
-fn replicated_serve_pool_batched_predict_is_bitwise() {
-    use knor::numa::Topology;
-
-    let (data, _) = workload(800, 6, 911);
-    let k = 8;
-    let trained = Kmeans::new(KmeansConfig::new(k).with_seed(5).with_max_iters(40)).fit(&data);
-
-    let serve = |rep: Replication| {
-        let h = ServeHandle::start(
-            ServeConfig::default()
-                .with_threads(4)
-                .with_topology(Topology::synthetic(2, 2))
-                .with_replication(rep),
-        );
-        h.register_model("m", Algorithm::Lloyd, trained.centroids.clone());
-        h
-    };
-    let shared = serve(Replication::Off);
-    let replicated = serve(Replication::On);
-    assert!(!shared.pool_replicated());
-    assert!(replicated.pool_replicated());
-
-    let queries = knor_workloads::uniform_matrix(600, 6, 77);
-    for _ in 0..3 {
-        let a = shared.predict("m", &queries).unwrap();
-        let b = replicated.predict("m", &queries).unwrap();
-        assert_eq!(b.assignments, a.assignments);
-        assert_eq!(
-            b.distances.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
-            a.distances.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
-            "served distances must be bitwise identical"
-        );
-    }
-}
-
 #[test]
 fn planted_centers_recovered_by_every_module() {
     // Noise-free mixture: center recovery is only well-posed when every

@@ -163,7 +163,6 @@ fn sem_read_failure_mid_run_is_an_error_not_a_hang() {
             task_size: 64,
             kernel: KernelKind::Auto,
             row_offset: 0,
-            replication: false,
             trace: None,
         };
         let placement = Placement::new(&Topology::flat(threads), n, threads);
@@ -233,7 +232,6 @@ fn sem_file_that_shrinks_between_two_tasks_fails_every_later_fit_through_the_sam
                     task_size: 64,
                     kernel: KernelKind::Auto,
                     row_offset: 0,
-                    replication: false,
                     trace: None,
                 };
                 let placement = Placement::new(&Topology::flat(threads), n, threads);

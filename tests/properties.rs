@@ -222,39 +222,6 @@ proptest! {
         prop_assert!(agreement(&a.assignments, &b.assignments, k) > 0.999);
     }
 
-    /// Per-node centroid replication never changes the result: on
-    /// arbitrary data and arbitrary synthetic node splits, the replicated
-    /// run is **bitwise** the shared-copy run (assignments, centroids and
-    /// trajectory) — the op-log publish is a copy of the canonical merge,
-    /// never a recomputation.
-    #[test]
-    fn replication_invariance(
-        data in arb_matrix(120, 6),
-        k in 2usize..8,
-        nodes in 1usize..5,
-    ) {
-        prop_assume!(k <= data.nrow());
-        let init = InitMethod::Forgy.initialize(&data, k, 4).to_matrix();
-        let run = |rep: Replication| {
-            Kmeans::new(
-                KmeansConfig::new(k)
-                    .with_init(InitMethod::Given(init.clone()))
-                    .with_threads(4)
-                    .with_topology(knor::numa::Topology::synthetic(nodes, 4usize.div_ceil(nodes)))
-                    .with_scheduler(SchedulerKind::Static)
-                    .with_replication(rep)
-                    .with_max_iters(25),
-            )
-            .fit(&data)
-        };
-        let off = run(Replication::Off);
-        let on = run(Replication::On);
-        prop_assert_eq!(on.niters, off.niters);
-        prop_assert_eq!(&on.assignments, &off.assignments);
-        prop_assert_eq!(&on.centroids, &off.centroids);
-        prop_assert!(on.numa.replicated && !off.numa.replicated);
-    }
-
     /// Distributed rank count never changes the clustering.
     /// Yinyang's exactness invariant: after drift loosening, every group
     /// lower bound still under-estimates the true distance to every

@@ -51,8 +51,7 @@ fn tracing_is_bitwise_neutral_for_knori_knors_knord() {
     let init = InitMethod::Forgy.initialize(&data, k, 7).to_matrix();
     let max_iters = 25;
 
-    // knori on a synthetic 2-node topology with replication forced on, so
-    // the publish phase records too.
+    // knori on a synthetic 2-node topology.
     let im = assert_bitwise(
         "knori",
         |trace| {
@@ -61,7 +60,6 @@ fn tracing_is_bitwise_neutral_for_knori_knors_knord() {
                 .with_threads(4)
                 .with_topology(Topology::synthetic(2, 2))
                 .with_scheduler(SchedulerKind::Static)
-                .with_replication(Replication::On)
                 .with_max_iters(max_iters)
                 .with_sse(true);
             if let Some(b) = trace {
