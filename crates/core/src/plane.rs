@@ -267,7 +267,7 @@ pub struct DrainScratch {
     /// Per-row contribution weights (generic algorithm path).
     pub weights: Vec<f64>,
     /// Staged sources: indices into the task's needed rows that missed the
-    /// fast tier (the rows eligible for retention on a refresh iteration).
+    /// fast tier (the rows it retains while it has room).
     pub miss_idx: Vec<usize>,
     /// Staged sources: row ids handed to the backing tier, in fetch order.
     pub miss_rows: Vec<usize>,

@@ -254,7 +254,9 @@ impl<X> std::ops::Deref for RunSpec<X> {
 pub struct SemPlaneConfig {
     /// SAFS page size (paper: 4KB).
     pub page_size: usize,
-    /// Page cache budget in bytes (per plane — per rank under knord).
+    /// Page cache budget in bytes (per plane — per rank under knord). With
+    /// a row cache and no prefetch, the plane lends these bytes to the row
+    /// cache and reads past no page cache (one budget, `knor_sem::plane`).
     pub page_cache_bytes: u64,
     /// Row cache budget in bytes (0 = knors--; per plane).
     pub row_cache_bytes: u64,

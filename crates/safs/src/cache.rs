@@ -87,14 +87,16 @@ impl Shard {
 
 impl PageCache {
     /// Build a cache of `capacity_bytes` total, split over `shards` shards.
+    /// A budget under one page is no cache; any other holds at least one
+    /// page per shard.
     pub fn new(capacity_bytes: u64, page_size: usize, shards: usize) -> Self {
         assert!(page_size > 0 && shards > 0);
         let capacity_pages = (capacity_bytes / page_size as u64) as usize;
-        let per_shard = capacity_pages / shards;
+        let per_shard = if capacity_pages == 0 { 0 } else { (capacity_pages / shards).max(1) };
         Self {
-            shards: (0..shards).map(|_| Mutex::new(Shard::new(per_shard.max(1)))).collect(),
+            shards: (0..shards).map(|_| Mutex::new(Shard::new(per_shard))).collect(),
             page_size,
-            capacity_pages: per_shard.max(1) * shards,
+            capacity_pages: per_shard * shards,
         }
     }
 
@@ -164,6 +166,19 @@ mod tests {
         assert!(c.resident_pages() <= 4);
         // The most recent insert must still be resident.
         assert!(c.contains(99));
+    }
+
+    #[test]
+    fn zero_capacity_stores_nothing() {
+        for bytes in [0, 63] {
+            let c = PageCache::new(bytes, 64, 4);
+            assert_eq!(c.capacity_pages(), 0);
+            for p in 0..16u64 {
+                c.insert(p, &page(p as u8, 64));
+            }
+            assert_eq!(c.resident_pages(), 0);
+            assert!(!c.get(3, &mut [0u8; 64]));
+        }
     }
 
     #[test]

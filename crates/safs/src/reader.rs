@@ -1,9 +1,11 @@
 //! The SAFS-lite request path: rows → pages → cache probe → merged reads
 //! → decode.
 //!
-//! A device byte is copied twice in user space, both times out of the run
-//! buffer it was `pread` into: into the page cache, and — decoded — into
-//! the caller's row slot. What a request needs in between lives in a
+//! A device byte is copied at most twice in user space, both times out of
+//! the run buffer it was `pread` into: into the page cache, if the reader
+//! has one, and — decoded — into the caller's row slot. A reader built
+//! with no cache budget neither probes nor fills one, so a scan pays only
+//! the decode. What a request needs in between lives in a
 //! [`FetchScratch`] lent out of a small pool, so a steady-state request
 //! never touches the heap.
 
@@ -80,7 +82,8 @@ pub struct SafsReader {
 }
 
 impl SafsReader {
-    /// Build a reader over `store` with a cache of `cache_bytes`.
+    /// Build a reader over `store` with a cache of `cache_bytes` (under a
+    /// page: no cache).
     pub fn new(store: RowStore, cache_bytes: u64, shards: usize) -> Self {
         let page_size = store.page_size();
         Self {
@@ -209,16 +212,22 @@ impl SafsReader {
         self.stats.bytes_requested.fetch_add(rows.len() as u64 * self.store.row_bytes(), Relaxed);
 
         // 1. Which pages do we need, and which are missing from cache? A
-        // hit is copied to the next free page of the arena.
+        // hit is copied to the next free page of the arena. Without a
+        // cache every page is missing and none is probed.
         self.pages_into(rows, 0, &mut s.pages);
         s.hits.clear();
         s.missing.clear();
-        for &p in &s.pages {
-            if self.cache.get(p, span(&mut s.arena, s.hits.len() * ps, ps)) {
-                s.hits.push(p);
-            } else {
-                s.missing.push(p);
+        let cached = self.cache.capacity_pages() > 0;
+        if cached {
+            for &p in &s.pages {
+                if self.cache.get(p, span(&mut s.arena, s.hits.len() * ps, ps)) {
+                    s.hits.push(p);
+                } else {
+                    s.missing.push(p);
+                }
             }
+        } else {
+            s.missing.extend_from_slice(&s.pages);
         }
         self.stats.page_hits.fetch_add(s.hits.len() as u64, Relaxed);
         self.stats.page_misses.fetch_add(s.missing.len() as u64, Relaxed);
@@ -234,8 +243,10 @@ impl SafsReader {
             self.store.read_page_run_into(first, bytes)?;
             self.stats.device_reads.fetch_add(1, Relaxed);
             self.stats.bytes_read_device.fetch_add(bytes.len() as u64, Relaxed);
-            for (p, page) in (first..).zip(bytes.chunks_exact(ps)) {
-                self.cache.insert(p, page);
+            if cached {
+                for (p, page) in (first..).zip(bytes.chunks_exact(ps)) {
+                    self.cache.insert(p, page);
+                }
             }
             s.offs.push(at);
             at += count * ps;
@@ -493,6 +504,26 @@ mod tests {
         let delta = after_second.delta_since(&after_first);
         assert_eq!(delta.page_misses, 0, "everything should be cached");
         assert_eq!(delta.bytes_read_device, 0);
+        std::fs::remove_file(p).unwrap();
+    }
+
+    /// A reader with no cache budget reads every page it needs, every time:
+    /// no hit, one miss per page read, nothing left resident.
+    #[test]
+    fn no_cache_reader_misses_every_page_it_reads() {
+        let (r, m, p) = reader(200, 4, 256, 0);
+        let rows: Vec<usize> = (10..90).collect();
+        let pages = r.pages_for_rows(&rows).len() as u64;
+        let mut out = Vec::new();
+        for pass in 1..=2u64 {
+            r.fetch_rows(&rows, &mut out).unwrap();
+            assert_eq!(out, m.as_slice()[10 * 4..90 * 4]);
+            let s = r.stats().snapshot();
+            assert_eq!(s.page_hits, 0, "pass {pass}");
+            assert_eq!(s.page_misses, pass * pages, "pass {pass}");
+            assert_eq!(s.bytes_read_device, s.page_misses * 256, "pass {pass}");
+        }
+        assert_eq!(r.cache.resident_pages(), 0);
         std::fs::remove_file(p).unwrap();
     }
 

@@ -7,8 +7,8 @@
 //! row needed? ── Clause 1 ──> skipped: no I/O at all
 //!      │ yes
 //!      ├── row cache hit ───> compute (in-memory speed)
-//!      ├── page cache hit ──> assemble row, compute
-//!      └── device read (merged) ─> assemble, maybe cache, compute
+//!      ├── page cache hit ──> assemble row, compute (no row cache, or prefetch)
+//!      └── device read (merged) ─> assemble, cache while room, compute
 //! ```
 //!
 //! Since PR 5 the whole row-access stack lives in [`crate::plane`]
@@ -317,6 +317,62 @@ mod tests {
         let hits: u64 = with_rc.io.iter().map(|i| i.rc_hits).sum();
         assert!(hits > 0);
         assert_eq!(without_rc.io.iter().map(|i| i.rc_hits).sum::<u64>(), 0);
+        std::fs::remove_file(path).unwrap();
+    }
+
+    /// One cache budget: with a row cache and no prefetch the reader has no
+    /// page cache, and the row cache holds both budgets from iteration 0 on
+    /// — fewer device bytes, not one bit of the result moved. Without a row
+    /// cache, or with prefetch on, the budget stays split as configured.
+    #[test]
+    fn one_cache_budget_goes_to_the_row_cache() {
+        let (data, path) = write_mixture(3000, 8, 29, "budget");
+        let (k, d) = (8, 8u64);
+        let init = forgy(&data, k, 4);
+        let (row, page) = (16u64 << 10, 16u64 << 10);
+        let read = |r: &SemResult| r.io.iter().map(|i| i.bytes_read).sum::<u64>();
+        let pg_hits = |r: &SemResult| r.io.iter().map(|i| i.page_hits).sum::<u64>();
+        let max_rows = |r: &SemResult| r.io.iter().map(|i| i.rc_resident_rows).max().unwrap();
+        for t in [1, 2] {
+            let run = |row: u64, page: u64, prefetch: bool| {
+                SemKmeans::new(
+                    SemConfig::new(k)
+                        .with_init(SemInit::Given(init.clone()))
+                        .with_threads(t)
+                        // Each worker sums its own tasks in order: bitwise
+                        // reproducible at any `t`.
+                        .with_scheduler(SchedulerKind::Static)
+                        .with_task_size(100) // tasks share their boundary pages
+                        .with_page_size(512)
+                        .with_row_cache_bytes(row)
+                        .with_page_cache_bytes(page)
+                        .with_prefetch(prefetch)
+                        .with_max_iters(30)
+                        .with_sse(true),
+                )
+                .fit(&path)
+                .unwrap()
+            };
+            let (one, off) = (run(row, page, false), run(0, 0, false));
+            let (no_rc, prefetched) = (run(0, page, false), run(row, page, true));
+            for (what, r) in [("one budget", &one), ("row 0", &no_rc), ("prefetch", &prefetched)] {
+                let tag = format!("t={t} {what}");
+                assert_eq!(r.kmeans.assignments, off.kmeans.assignments, "{tag}");
+                assert_eq!(r.kmeans.centroids, off.kmeans.centroids, "{tag}");
+                assert_eq!(r.kmeans.niters, off.kmeans.niters, "{tag}");
+                assert_eq!(r.kmeans.sse.map(f64::to_bits), off.kmeans.sse.map(f64::to_bits));
+            }
+            assert!(one.io.iter().all(|i| i.page_hits == 0), "t={t}");
+            let cap = (row + page) / (8 * d);
+            assert!(one.io.iter().all(|i| i.rc_resident_rows > 0 && i.rc_resident_rows <= cap));
+            assert!(max_rows(&one) > row / (8 * d), "t={t}: the page budget went unused");
+            assert!(read(&one) < read(&no_rc), "t={t}: {} vs {}", read(&one), read(&no_rc));
+            // Today's split: a page cache that hits, a row cache of its own
+            // budget (none under `row 0`).
+            assert!(pg_hits(&no_rc) > 0 && pg_hits(&prefetched) > 0, "t={t}");
+            assert_eq!(max_rows(&no_rc), 0, "t={t}");
+            assert!(max_rows(&prefetched) <= row / (8 * d), "t={t}");
+        }
         std::fs::remove_file(path).unwrap();
     }
 

@@ -10,7 +10,9 @@
 //!    did request I/O — at row granularity, refreshed lazily at
 //!    exponentially growing intervals (`I_cache`, then `2·I_cache` later,
 //!    …), exploiting that the active set stabilizes as clusters root.
-//! 3. **SAFS-lite** below merges the remaining requests and caches pages.
+//! 3. **SAFS-lite** below merges the remaining requests. The cache budget
+//!    is one budget: with a row cache and no prefetch, the page cache's
+//!    bytes go to the row cache and a scan reads past no page cache.
 //!
 //! The engine pipelines I/O and compute: a worker submits the prefetch for
 //! its *next* task before computing the current one.

@@ -1,8 +1,9 @@
 //! The semi-external-memory data plane.
 //!
 //! [`SemPlane`] packages the whole SEM row-access stack — a private
-//! [`SafsReader`] (page cache + merged device reads) over one byte range
-//! of an on-disk matrix, the lazily-refreshed [`RowCache`], an optional
+//! [`SafsReader`] (merged device reads, and a page cache only where the
+//! cache budget is split — see `cache_split`) over one byte range of an
+//! on-disk matrix, the lazily-refreshed [`RowCache`], an optional
 //! background [`Prefetcher`], and per-iteration [`IoIterStats`]
 //! accounting — as a `knor_core` [`DataPlane`] whose staged [`RowSource`]
 //! is the plane itself. The worker loop (depth-2 filter/prefetch pipeline,
@@ -61,8 +62,8 @@ pub struct SemPlane {
     base: usize,
     n_local: usize,
     d: usize,
-    /// Whether the row cache refreshes this iteration (set by the
-    /// coordinator in `pre_iteration`, read by every worker's compute).
+    /// Whether the row cache was flushed to refresh this iteration (set by
+    /// the coordinator in `pre_iteration`, reported in `end_iteration`).
     refresh_now: AtomicBool,
     /// Coordinator-only refresh schedule state.
     schedule: ExclusiveCell<RefreshSchedule>,
@@ -104,9 +105,10 @@ impl SemPlane {
             store.nrow()
         );
         let d = store.ncol();
-        let reader = Arc::new(SafsReader::new(store, cfg.page_cache_bytes, nthreads.max(4)));
+        let (page_bytes, row_bytes) = cache_split(cfg);
+        let reader = Arc::new(SafsReader::new(store, page_bytes, nthreads.max(4)));
         let io_stats = reader.stats();
-        let row_cache = RowCache::new(cfg.row_cache_bytes, rows.len().max(1), d, nthreads);
+        let row_cache = RowCache::new(row_bytes, rows.len().max(1), d, nthreads);
         let prefetcher =
             cfg.prefetch.then(|| Prefetcher::spawn(Arc::clone(&reader), cfg.prefetch_threads));
         let schedule = if cfg.lazy_refresh {
@@ -180,8 +182,9 @@ impl SemPlane {
 }
 
 /// The staged row source: a fast tier (the row cache) over a backing tier
-/// (the SAFS page cache + device). Every worker drains through its own
-/// `&SemPlane`; the tiers synchronize internally.
+/// (SAFS: the device, behind a page cache if the plane has one). Every
+/// worker drains through its own `&SemPlane`; the tiers synchronize
+/// internally.
 impl RowSource for &SemPlane {
     const STAGED: bool = true;
 
@@ -196,8 +199,7 @@ impl RowSource for &SemPlane {
 
     /// Fast-tier hits copy straight into their task-row-order slot; misses
     /// are fetched from the backing tier in one merged request that decodes
-    /// each into its slot, and — on a refresh iteration — retained in the
-    /// fast tier.
+    /// each into its slot, and retained in the fast tier while it has room.
     fn stage(
         &mut self,
         needed: &[usize],
@@ -228,11 +230,7 @@ impl RowSource for &SemPlane {
             if let (Some(t), Some(t0)) = (tracer, t_miss) {
                 t.record(Phase::IoMiss, t0, (scratch.miss_rows.len() * d * 8) as u64);
             }
-            // The coordinator decided in `pre_iteration` whether this
-            // iteration refreshes the row cache.
-            if self.refresh_now.load(Ordering::Acquire) {
-                self.row_cache.insert_batch(needed, &scratch.miss_idx, &scratch.data);
-            }
+            self.row_cache.insert_batch(needed, &scratch.miss_idx, &scratch.data);
         }
         Ok(hits)
     }
@@ -290,6 +288,19 @@ impl DataPlane for SemPlane {
     }
 }
 
+/// The SEM cache budget as `(page cache, row cache)` bytes. A scan gets
+/// nothing from a page cache — each iteration asks for a row once, in file
+/// order — so when there is a row cache the page cache's bytes go to it.
+/// Two cases keep the split as configured: no row cache (the knors-/knors--
+/// ablations), and prefetch on (the pool lands its pages in the page cache).
+fn cache_split(cfg: &SemPlaneConfig) -> (u64, u64) {
+    if cfg.row_cache_bytes > 0 && !cfg.prefetch {
+        (0, cfg.row_cache_bytes + cfg.page_cache_bytes)
+    } else {
+        (cfg.page_cache_bytes, cfg.row_cache_bytes)
+    }
+}
+
 /// Forgy from the device: the `k` rows [`forgy_rows`] picks among `rows`
 /// (the picks every engine makes for this seed), read through `reader`.
 fn forgy_read(reader: &SafsReader, rows: Range<usize>, k: usize, seed: u64) -> io::Result<DMatrix> {
@@ -332,10 +343,11 @@ fn open_store(path: &Path, page_size: usize) -> io::Result<RowStore> {
     RowStore::open(path, page_size)
 }
 
-/// Open a throwaway full-file reader for one-shot streaming passes
-/// (knord's post-run refresh/SSE over the whole matrix).
+/// Open a throwaway full-file reader for one-shot passes (knord's post-run
+/// refresh/SSE over the whole matrix, Forgy picks). A page is read once
+/// per pass, so the reader has no page cache.
 pub fn open_reader(path: &Path) -> io::Result<SafsReader> {
-    Ok(SafsReader::new(open_store(path, DEFAULT_PAGE_SIZE)?, 32 << 20, 4))
+    Ok(SafsReader::new(open_store(path, DEFAULT_PAGE_SIZE)?, 0, 1))
 }
 
 /// Forgy initialization straight from an on-disk matrix: `k` distinct

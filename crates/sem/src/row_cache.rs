@@ -1,11 +1,13 @@
 //! The lazily-updated partitioned row cache (Fig. 3, §6.2.2).
 //!
-//! The row cache pins *active* rows — rows that issued an I/O request in
-//! the populating iteration — at row granularity, which beats a page cache
-//! because MTI leaves active rows scattered sparsely across pages. It is
-//! partitioned (one partition per worker-owned row range) so population
-//! during a refresh iteration involves no global lock, and it is *lazy*:
-//! the cache refreshes at iteration `I_cache`, then the interval doubles
+//! The row cache pins *active* rows — rows that issued an I/O request —
+//! at row granularity, which beats a page cache because MTI leaves active
+//! rows scattered sparsely across pages. It is partitioned (one partition
+//! per worker-owned row range) so population involves no global lock. A
+//! partition takes every row that misses while it has room, from
+//! iteration 0 on, and a full one turns inserts away without hashing. It
+//! is *lazy*: the cache is flushed — and so refills with that iteration's
+//! active rows — at iteration `I_cache`, then the interval doubles
 //! (`I_cache`, `3·I_cache`, `7·I_cache`, … boundaries), trading freshness
 //! for near-zero maintenance — justified because row activation patterns
 //! stabilize as clusters root (Fig. 7 reproduces this).
@@ -172,8 +174,8 @@ impl RowCache {
         rows.len() as u64 - missed
     }
 
-    /// Insert a row during a refresh iteration; ignored once the owning
-    /// partition is at budget. [`RowCache::insert_batch`]'s oracle.
+    /// Insert a row; ignored once the owning partition is at budget.
+    /// [`RowCache::insert_batch`]'s oracle.
     #[cfg(test)]
     pub fn insert(&self, row: u32, data: &[f64]) {
         let mut part = self.parts[self.part_span(row as usize).0].write();
@@ -183,25 +185,28 @@ impl RowCache {
     }
 
     /// Retain `rows[i]`, whose values are row slot `i` of `data`, for every
-    /// `i` of `idx` (a refresh iteration's misses); a row is ignored once
-    /// its partition is at budget. One lock per run of rows that share a
-    /// partition, one counter update per call.
+    /// `i` of `idx` (a task's misses); a row is ignored once its partition
+    /// is at budget. One lock per run of rows that share a partition, one
+    /// counter update per call. A full partition is seen under its read
+    /// lock and costs no hashing: a row that missed is not resident (one
+    /// worker stages a row per iteration), so none of the run could land.
     pub fn insert_batch(&self, rows: &[usize], idx: &[usize], data: &[f64]) {
-        let (d, mut at, mut inserted) = (self.d, 0, 0);
-        while self.rows_per_part > 0 && at < idx.len() {
+        let (d, cap, mut at, mut inserted) = (self.d, self.rows_per_part, 0, 0);
+        while cap > 0 && at < idx.len() {
             let (p, span) = self.part_span(rows[idx[at]]);
             let end = at + idx[at..].iter().take_while(|&&i| span.contains(&rows[i])).count();
-            let mut part = self.parts[p].write();
-            for &i in &idx[at..end] {
-                let row = &data[i * d..(i + 1) * d];
-                inserted += u64::from(part.insert(rows[i] as u32, row, self.rows_per_part));
+            if self.parts[p].read().slots.len() < cap {
+                let mut part = self.parts[p].write();
+                let fits = |&&i: &&usize| part.insert(rows[i] as u32, &data[i * d..][..d], cap);
+                inserted += idx[at..end].iter().take_while(fits).count() as u64;
             }
             at = end;
         }
         self.inserts.fetch_add(inserted, Ordering::Relaxed);
     }
 
-    /// Flush all partitions (start of a refresh iteration).
+    /// Flush all partitions (start of a refresh iteration), so they refill
+    /// with that iteration's misses.
     pub fn flush(&self) {
         for p in &self.parts {
             let mut part = p.write();
@@ -335,6 +340,26 @@ mod tests {
         // Partition 1 still has room.
         c.insert(60, &[0.0; 4]);
         assert_eq!(c.resident_rows(), 3);
+    }
+
+    #[test]
+    fn insert_batch_on_a_full_partition_retains_nothing() {
+        // 2 rows per partition; rows 0..50 are partition 0, 50.. partition 1.
+        let c = RowCache::new(4 * 16, 100, 2, 2);
+        let rows: Vec<usize> = (0..6).chain(60..62).collect();
+        let data: Vec<f64> = rows.iter().flat_map(|&r| [r as f64, 1.0]).collect();
+        c.insert_batch(&rows, &[0, 1], &data);
+        assert_eq!(c.counters(), (0, 0, 2));
+        c.reset_counters();
+        // Partition 0 is full: its rows are turned away and counted
+        // nowhere; a batch that also reaches partition 1 lands only there.
+        c.insert_batch(&rows, &[2, 3, 4, 5], &data);
+        assert_eq!((c.resident_rows(), c.counters()), (2, (0, 0, 0)));
+        c.insert_batch(&rows, &[4, 5, 6, 7], &data);
+        assert_eq!((c.resident_rows(), c.counters()), (4, (0, 0, 2)));
+        let mut out = [0.0; 2];
+        assert!(c.get(0, &mut out) && c.get(1, &mut out) && c.get(61, &mut out));
+        assert!(!c.get(2, &mut out) && !c.get(5, &mut out));
     }
 
     #[test]
