@@ -1,19 +1,7 @@
-//! The bench-regression gate: compare freshly measured throughputs
-//! against a committed baseline and fail CI on real slowdowns.
-//!
-//! Design constraints: CI runners are *noisy* (shared cores, cold caches,
-//! frequency scaling), so the gate compares like-for-like smoke-mode
-//! measurements and only fails on a slowdown larger than a generous
-//! tolerance (default 2.5×) — it catches "someone quadrupled the inner
-//! loop", not 10% jitter. The baseline lives in
-//! `results/BENCH_BASELINE.json` and is refreshed deliberately with
-//! `bench_check --write-baseline`, never implicitly.
-//!
-//! The JSON here is hand-rolled (the workspace is offline — no serde):
+//! The repository's JSON parser. The workspace is offline (no serde), so
 //! [`Json`] is a minimal recursive-descent parser covering the subset our
-//! own artifacts use, which is also plenty for full JSON.
-
-use std::fmt::Write as _;
+//! own artifacts use, which is also plenty for full JSON. The benchmark
+//! harness, `trace_check` and the trace tests read their JSON with it.
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -243,105 +231,6 @@ impl Parser<'_> {
     }
 }
 
-/// One named throughput measurement (higher is better).
-#[derive(Debug, Clone, PartialEq)]
-pub struct Metric {
-    /// Stable metric name, e.g. `kernel.tiled` or `serve.batch1024`.
-    pub name: String,
-    /// Throughput in the metric's unit (rows/s, iters/s, queries/s).
-    pub per_sec: f64,
-}
-
-/// Default gate tolerance: fail only when a metric got ≥ 2.5× slower —
-/// wide enough to survive noisy shared runners, tight enough to catch a
-/// real hot-path regression.
-pub const DEFAULT_TOLERANCE: f64 = 2.5;
-
-/// One gate violation.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Regression {
-    /// Metric name.
-    pub name: String,
-    /// Committed baseline throughput.
-    pub baseline: f64,
-    /// Fresh throughput (0.0 when the metric disappeared).
-    pub fresh: f64,
-    /// `baseline / fresh` (∞ when the metric disappeared).
-    pub slowdown: f64,
-}
-
-/// Compare fresh metrics against the baseline. A baseline metric missing
-/// from `fresh` is a violation (a silently dropped bench is how gates
-/// rot); metrics only present in `fresh` are fine — they join the gate at
-/// the next `--write-baseline`.
-pub fn compare(baseline: &[Metric], fresh: &[Metric], tolerance: f64) -> Vec<Regression> {
-    assert!(tolerance >= 1.0, "tolerance below 1.0 rejects identical runs");
-    let mut out = Vec::new();
-    for b in baseline {
-        match fresh.iter().find(|f| f.name == b.name) {
-            None => out.push(Regression {
-                name: b.name.clone(),
-                baseline: b.per_sec,
-                fresh: 0.0,
-                slowdown: f64::INFINITY,
-            }),
-            Some(f) => {
-                let slowdown = if f.per_sec > 0.0 { b.per_sec / f.per_sec } else { f64::INFINITY };
-                if slowdown > tolerance {
-                    out.push(Regression {
-                        name: b.name.clone(),
-                        baseline: b.per_sec,
-                        fresh: f.per_sec,
-                        slowdown,
-                    });
-                }
-            }
-        }
-    }
-    out
-}
-
-/// Serialize metrics as a baseline/fresh-results JSON document.
-pub fn render_metrics(bench: &str, mode: &str, metrics: &[Metric]) -> String {
-    let mut s = String::new();
-    let _ = writeln!(s, "{{");
-    let _ = writeln!(s, "  \"bench\": \"{bench}\",");
-    let _ = writeln!(s, "  \"mode\": \"{mode}\",");
-    let _ = writeln!(s, "  \"tolerance\": {DEFAULT_TOLERANCE},");
-    let _ = writeln!(s, "  \"entries\": [");
-    for (i, m) in metrics.iter().enumerate() {
-        let comma = if i + 1 < metrics.len() { "," } else { "" };
-        let _ =
-            writeln!(s, "    {{\"name\": \"{}\", \"per_sec\": {:.3}}}{comma}", m.name, m.per_sec);
-    }
-    let _ = writeln!(s, "  ]");
-    let _ = writeln!(s, "}}");
-    s
-}
-
-/// Parse a metrics document produced by [`render_metrics`].
-pub fn parse_metrics(text: &str) -> Result<Vec<Metric>, String> {
-    let doc = Json::parse(text)?;
-    let entries =
-        doc.get("entries").and_then(|e| e.as_arr()).ok_or("baseline missing `entries` array")?;
-    entries
-        .iter()
-        .map(|e| {
-            Ok(Metric {
-                name: e
-                    .get("name")
-                    .and_then(|n| n.as_str())
-                    .ok_or("entry missing `name`")?
-                    .to_string(),
-                per_sec: e
-                    .get("per_sec")
-                    .and_then(|p| p.as_f64())
-                    .ok_or("entry missing `per_sec`")?,
-            })
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -365,54 +254,5 @@ mod tests {
         for bad in ["", "{", "[1,", "{\"a\" 1}", "{} trailing", "nul"] {
             assert!(Json::parse(bad).is_err(), "{bad:?}");
         }
-    }
-
-    #[test]
-    fn metrics_round_trip() {
-        let metrics = vec![
-            Metric { name: "kernel.scalar".into(), per_sec: 4.0e6 },
-            Metric { name: "serve.batch1024".into(), per_sec: 1.25e6 },
-        ];
-        let text = render_metrics("baseline", "smoke", &metrics);
-        assert_eq!(parse_metrics(&text).unwrap(), metrics);
-        assert_eq!(
-            Json::parse(&text).unwrap().get("tolerance").unwrap().as_f64(),
-            Some(DEFAULT_TOLERANCE)
-        );
-    }
-
-    #[test]
-    fn gate_passes_on_noise_and_fails_on_fabricated_10x_regression() {
-        let baseline = vec![
-            Metric { name: "kernel.tiled".into(), per_sec: 1.0e7 },
-            Metric { name: "algo.lloyd.knori".into(), per_sec: 50.0 },
-        ];
-        // 2× noise in either direction passes at the 2.5× tolerance.
-        let noisy = vec![
-            Metric { name: "kernel.tiled".into(), per_sec: 0.5e7 },
-            Metric { name: "algo.lloyd.knori".into(), per_sec: 100.0 },
-        ];
-        assert!(compare(&baseline, &noisy, DEFAULT_TOLERANCE).is_empty());
-
-        // A fabricated 10× slowdown on one metric must trip the gate.
-        let regressed = vec![
-            Metric { name: "kernel.tiled".into(), per_sec: 1.0e6 },
-            Metric { name: "algo.lloyd.knori".into(), per_sec: 50.0 },
-        ];
-        let viol = compare(&baseline, &regressed, DEFAULT_TOLERANCE);
-        assert_eq!(viol.len(), 1);
-        assert_eq!(viol[0].name, "kernel.tiled");
-        assert!((viol[0].slowdown - 10.0).abs() < 1e-9);
-
-        // A silently dropped metric is a violation too.
-        let dropped = vec![Metric { name: "kernel.tiled".into(), per_sec: 1.0e7 }];
-        let viol = compare(&baseline, &dropped, DEFAULT_TOLERANCE);
-        assert_eq!(viol.len(), 1);
-        assert!(viol[0].slowdown.is_infinite());
-
-        // New metrics in fresh results don't fail the gate.
-        let mut extended = baseline.clone();
-        extended.push(Metric { name: "serve.batch1".into(), per_sec: 1.0e5 });
-        assert!(compare(&baseline, &extended, DEFAULT_TOLERANCE).is_empty());
     }
 }

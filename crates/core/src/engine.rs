@@ -286,34 +286,27 @@ mod tests {
 
     #[test]
     fn yinyang_matches_unpruned_run() {
-        // 20 well-separated clusters, one init centroid in each (row i
-        // belongs to cluster i % 20, so the first k rows cover all of
-        // them): group bounds stay tight once the churn settles. k = 20
-        // gives t = 2 groups.
-        let (n, d, k) = (1500usize, 8usize, 20usize);
-        let mut data = Vec::new();
-        for i in 0..n {
-            let c = (i % k) as f64;
-            data.push((c % 5.0) * 6.0 + (i as f64 * 0.37).sin() * 0.8);
-            data.push((c / 5.0).floor() * 6.0 + (i as f64 * 0.11).cos() * 0.8);
-            for j in 2..d {
-                data.push(((i * (j + 3)) as f64 * 0.23).sin() * 0.8);
-            }
-        }
-        let data = DMatrix::from_vec(data, n, d);
-        let init = DMatrix::from_vec(data.as_slice()[..k * d].to_vec(), k, d);
+        // 64 well-separated grid clusters seeded by Forgy: group bounds
+        // stay tight once the churn settles. k = 64 gives t = 6 groups.
+        // Static scheduling keeps every run's merge order, so the three
+        // trajectories can be compared exactly.
+        let k = 64;
+        let (data, _) = knor_workloads::grid_clusters(20_000, 32, k);
         let base = KmeansConfig::new(k)
-            .with_init(InitMethod::Given(init))
-            .with_threads(2)
+            .with_init(InitMethod::Given(forgy_centroids(&data, k, 7)))
+            .with_threads(4)
             .with_scheduler(SchedulerKind::Static)
             .with_max_iters(60);
         let yy = Kmeans::new(base.clone().with_pruning(Pruning::Yinyang)).fit(&data);
+        let mti = Kmeans::new(base.clone().with_pruning(Pruning::Mti)).fit(&data);
         let full = Kmeans::new(base.with_pruning(Pruning::None)).fit(&data);
         // Exact bounds never change the trajectory: on separated data the
         // delta-accumulation rounding of the pruned centroid update cannot
         // flip an assignment.
         assert_eq!(yy.niters, full.niters, "pruning must not change the trajectory");
         assert_eq!(yy.assignments, full.assignments);
+        assert_eq!(yy.niters, mti.niters, "yinyang/mti trajectories diverged");
+        assert_eq!(yy.assignments, mti.assignments, "yinyang/mti assignments diverged");
         let rel = (yy.sse.unwrap() - full.sse.unwrap()).abs() / full.sse.unwrap();
         assert!(rel < 1e-9, "SSE diverged by {rel}");
         let p = yy.total_prune();
@@ -329,6 +322,19 @@ mod tests {
             "Yinyang saved too little in steady state: {} vs {}",
             steady(&yy),
             steady(&full)
+        );
+        // The group filter must also beat MTI's one bound per row: at most
+        // half of MTI's distance evaluations once the reassignment cascade
+        // of iterations 1–3 (where Yinyang re-scans whole groups and does
+        // up to 3.5× MTI's work) has passed, i.e. over the second half.
+        let settled = |r: &KmeansResult| {
+            r.iters[r.iters.len() / 2..].iter().map(|i| i.prune.dist_computations).sum::<u64>()
+        };
+        assert!(
+            2 * settled(&yy) <= settled(&mti),
+            "Yinyang is a spelling of MTI here: {} vs {} distances",
+            settled(&yy),
+            settled(&mti)
         );
     }
 

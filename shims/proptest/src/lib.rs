@@ -1,7 +1,9 @@
 //! Offline shim for `proptest`: the macro + strategy surface this
 //! workspace's property tests use, with deterministic generation and **no
-//! shrinking**. A failing case panics with the case's seed so it can be
-//! replayed by reading the loop in `__proptest_body!`.
+//! shrinking**. A failing case — a `prop_assert*!` or a plain panic in
+//! the body — fails the test with `proptest case N failed (replay:
+//! KNOR_PROPTEST_SEED=N): …`; running the test again with that variable
+//! set runs case N alone.
 //!
 //! Implemented: `proptest! { #![proptest_config(..)] #[test] fn f(x in s) { .. } }`,
 //! `Strategy` with `prop_map`/`prop_flat_map`, strategies for numeric
@@ -10,6 +12,7 @@
 //! macros.
 
 use std::ops::{Range, RangeInclusive};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// Run-configuration for a `proptest!` block.
 #[derive(Debug, Clone)]
@@ -71,6 +74,52 @@ impl TestRng {
         assert!(bound > 0);
         // Widening multiply; the bias is irrelevant at test scales.
         ((self.next_u64() as u128 * bound as u128) >> 64) as u64
+    }
+}
+
+/// The environment variable that replays one case: with
+/// `KNOR_PROPTEST_SEED=N` set, every `proptest!` test runs case `N` alone.
+const SEED_ENV: &str = "KNOR_PROPTEST_SEED";
+
+/// The generator of case `n`; case `n` of every test draws from it.
+fn case_rng(n: u64) -> TestRng {
+    TestRng::new(0x6b6e_6f72_0000_0000u64 ^ (n << 16) ^ n)
+}
+
+/// Run a `proptest!` body over `config.cases` cases, or over the one case
+/// `KNOR_PROPTEST_SEED` names. Not part of the public API.
+#[doc(hidden)]
+pub fn __run(config: &ProptestConfig, case: impl FnMut(&mut TestRng) -> Result<(), TestCaseError>) {
+    let only = std::env::var(SEED_ENV).ok().map(|v| {
+        v.trim().parse().unwrap_or_else(|_| panic!("{SEED_ENV}={v:?} is not a case number"))
+    });
+    run_cases(config.cases, only, case);
+}
+
+/// Run cases `0..cases` (or only `only`), failing on the first case whose
+/// body fails or panics with a message that names the case to replay.
+fn run_cases(
+    cases: u32,
+    only: Option<u64>,
+    mut case: impl FnMut(&mut TestRng) -> Result<(), TestCaseError>,
+) {
+    let range = match only {
+        Some(n) => n..n + 1,
+        None => 0..u64::from(cases),
+    };
+    for n in range {
+        let mut rng = case_rng(n);
+        let msg = match catch_unwind(AssertUnwindSafe(|| case(&mut rng))) {
+            Ok(Ok(())) | Ok(Err(TestCaseError::Reject)) => continue,
+            Ok(Err(TestCaseError::Fail(msg))) => msg,
+            // A plain `assert!` in the body: re-raise its message, with the case.
+            Err(payload) => payload
+                .downcast_ref::<&str>()
+                .map(|s| s.to_string())
+                .or_else(|| payload.downcast_ref::<String>().cloned())
+                .unwrap_or_else(|| "the body panicked".into()),
+        };
+        panic!("proptest case {n} failed (replay: {SEED_ENV}={n}): {msg}");
     }
 }
 
@@ -369,22 +418,11 @@ macro_rules! __proptest_items {
             fn $name() {
                 let __config: $crate::ProptestConfig = $cfg;
                 let __strategies = ( $( $strat, )+ );
-                for __case in 0..__config.cases as u64 {
-                    let mut __rng = $crate::TestRng::new(
-                        0x6b6e_6f72_0000_0000u64 ^ (__case << 16) ^ __case,
-                    );
-                    let ( $( $arg, )+ ) =
-                        $crate::Strategy::generate(&__strategies, &mut __rng);
-                    let __outcome: ::std::result::Result<(), $crate::TestCaseError> =
-                        (|| { $body ::std::result::Result::Ok(()) })();
-                    match __outcome {
-                        ::std::result::Result::Ok(()) => {}
-                        ::std::result::Result::Err($crate::TestCaseError::Reject) => {}
-                        ::std::result::Result::Err($crate::TestCaseError::Fail(msg)) => {
-                            panic!("proptest case {} failed: {}", __case, msg);
-                        }
-                    }
-                }
+                $crate::__run(&__config, |__rng| {
+                    let ( $( $arg, )+ ) = $crate::Strategy::generate(&__strategies, __rng);
+                    $body
+                    ::std::result::Result::Ok(())
+                });
             }
         )*
     };
@@ -436,15 +474,35 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "proptest case")]
-    fn failures_panic() {
-        // Expand by hand what a failing body does.
-        fn run() -> Result<(), TestCaseError> {
-            prop_assert!(1 == 2);
+    #[should_panic(expected = "proptest case 3 failed (replay: KNOR_PROPTEST_SEED=3): \
+                               assertion failed: n != 3")]
+    fn a_failed_prop_assert_names_the_case_to_replay() {
+        let mut n = 0;
+        crate::run_cases(10, None, |_| {
+            prop_assert!(n != 3);
+            n += 1;
             Ok(())
-        }
-        if let Err(TestCaseError::Fail(msg)) = run() {
-            panic!("proptest case 0 failed: {msg}");
-        }
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "proptest case 2 failed (replay: KNOR_PROPTEST_SEED=2): boom 2")]
+    fn a_panicking_body_names_the_case_to_replay() {
+        let mut n = 0;
+        crate::run_cases(10, None, |_| {
+            assert!(n != 2, "boom {n}");
+            n += 1;
+            Ok(())
+        });
+    }
+
+    #[test]
+    fn a_seed_runs_only_that_case() {
+        let mut seen = Vec::new();
+        crate::run_cases(64, Some(7), |rng| {
+            seen.push(rng.next_u64());
+            Ok(())
+        });
+        assert_eq!(seen, [crate::case_rng(7).next_u64()]);
     }
 }
