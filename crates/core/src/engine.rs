@@ -100,7 +100,8 @@ impl Kmeans {
     /// depend on how `data` got placed.
     fn run(&self, run: &Resolved, data: &NumaMatrix) -> KmeansResult {
         let cfg = &self.config;
-        let init = cfg.init.initialize_parallel(data, cfg.k, cfg.seed, run.driver.nthreads);
+        let (init, init_stats) =
+            cfg.init.initialize_with_stats(data, cfg.k, cfg.seed, run.driver.nthreads);
         let plane = ImPlane {
             cfg,
             topo: &run.topo,
@@ -114,7 +115,7 @@ impl Kmeans {
                 .expect("in-memory rows cannot fail");
         let centroids = outcome.centroids.to_matrix();
         let sse = settle(&*run.algo, data, &centroids, &mut outcome.assignments, cfg.compute_sse);
-        run.finish(outcome, centroids, data.heap_bytes(), 0, sse)
+        run.finish(outcome, init_stats, centroids, data.heap_bytes(), 0, sse)
     }
 }
 

@@ -70,5 +70,7 @@ pub use kernel::{fma_usable, KernelKind, ResolvedKernel, ResolvedKind};
 pub use plane::{DataPlane, DrainScratch, RowSource, SlicePlane};
 pub use pruning::Pruning;
 pub use spec::{Replication, RunSpec};
-pub use stats::{CommitCounters, IterStats, KmeansResult, LoadStats, MemoryFootprint, NumaReport};
+pub use stats::{
+    CommitCounters, InitStats, IterStats, KmeansResult, LoadStats, MemoryFootprint, NumaReport,
+};
 pub use trace::{Phase, PhaseBreakdown, PhaseGroup, Span, TraceBuf, TraceHandle, WorkerTracer};

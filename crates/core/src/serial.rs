@@ -27,7 +27,7 @@ pub fn lloyd_serial(
 ) -> KmeansResult {
     let n = data.nrow();
     let d = data.ncol();
-    let mut cents = init.initialize(data, k, seed);
+    let (mut cents, init_stats) = init.initialize_with_stats(data, k, seed, 1);
     let mut next = Centroids::zeros(k, d);
     let mut assignments = vec![u32::MAX; n];
     let mut accum = LocalAccum::new(k, d);
@@ -90,6 +90,7 @@ pub fn lloyd_serial(
         sse,
         numa: crate::stats::NumaReport::default(),
         load: None,
+        init: init_stats,
         phases: None,
     }
 }

@@ -35,7 +35,7 @@ use crate::driver::{DriverConfig, DriverOutcome};
 use crate::init::InitMethod;
 use crate::kernel::KernelKind;
 use crate::pruning::Pruning;
-use crate::stats::{KmeansResult, MemoryFootprint, NumaReport};
+use crate::stats::{InitStats, KmeansResult, MemoryFootprint, NumaReport};
 use crate::trace::{TraceBuf, TraceHandle};
 
 /// Everything about a run that does not depend on where its rows live,
@@ -877,12 +877,13 @@ impl<X> RunSpec<X> {
 
 impl Resolved {
     /// Assemble the result of the run `outcome` ended: the clustering, the
-    /// accounted memory (Table 1's terms for what this run resolved to,
-    /// given the bytes the engine holds of the data and its cache budgets)
-    /// and the NUMA report.
+    /// seeding's cost, the accounted memory (Table 1's terms for what this
+    /// run resolved to, given the bytes the engine holds of the data and
+    /// its cache budgets) and the NUMA report.
     pub fn finish(
         &self,
         outcome: DriverOutcome,
+        init: InitStats,
         centroids: DMatrix,
         data_bytes: u64,
         cache_bytes: u64,
@@ -909,6 +910,7 @@ impl Resolved {
             sse,
             numa: NumaReport { nodes: self.topo.nodes(), workers_per_node },
             load: None,
+            init,
             phases: outcome.phases,
         }
     }

@@ -145,6 +145,16 @@ pub struct LoadStats {
     pub threads: usize,
 }
 
+/// What seeding a run cost (the `--stats` `init:` line).
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct InitStats {
+    /// Wall seconds from the first draw to the last initial centroid.
+    pub secs: f64,
+    /// Row-to-center distances k-means++ evaluated, of the `n·(k−1)` a full
+    /// D² scan would; 0 for the other methods, which evaluate none.
+    pub dists: u64,
+}
+
 /// The outcome of a k-means run.
 #[derive(Debug, Clone)]
 pub struct KmeansResult {
@@ -168,6 +178,8 @@ pub struct KmeansResult {
     /// The load of a run that read its own input ([`crate::Kmeans::fit_file`]);
     /// `None` when the caller handed the data over.
     pub load: Option<LoadStats>,
+    /// What the seeding cost.
+    pub init: InitStats,
     /// Per-phase trace fold for the run (`Some` iff a recorder was
     /// attached — see [`crate::trace`]).
     pub phases: Option<PhaseBreakdown>,
@@ -279,6 +291,7 @@ mod tests {
             sse: None,
             numa: NumaReport::default(),
             load: None,
+            init: InitStats::default(),
             phases: None,
         };
         // Iteration 0 (the initial assignment pass) is excluded from the
@@ -312,6 +325,7 @@ mod tests {
             sse: None,
             numa: NumaReport::default(),
             load: None,
+            init: InitStats::default(),
             phases: None,
         };
         // No iterations at all.

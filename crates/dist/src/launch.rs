@@ -10,7 +10,7 @@ use std::path::Path;
 use knor_core::pruning::PruneCounters;
 use knor_core::spec::{DistExt, Engine, RankPlane, RunSpec, Source};
 use knor_core::trace::PhaseBreakdown;
-use knor_core::{Kmeans, KmeansResult};
+use knor_core::{InitStats, Kmeans, KmeansResult};
 use knor_matrix::DMatrix;
 use knor_mpi::{NetModel, ReduceAlgo};
 use knor_sem::{SemKmeans, SemResult};
@@ -53,6 +53,14 @@ impl Fitted {
         match self {
             Fitted::Im(r) | Fitted::Sem(SemResult { kmeans: r, .. }) => r.total_prune(),
             Fitted::Dist(r) => r.total_prune(),
+        }
+    }
+
+    /// What the seeding cost.
+    pub fn init(&self) -> &InitStats {
+        match self {
+            Fitted::Im(r) | Fitted::Sem(SemResult { kmeans: r, .. }) => &r.init,
+            Fitted::Dist(r) => &r.init,
         }
     }
 

@@ -55,6 +55,7 @@ pub use knor_core::spec::RankPlane;
 use knor_core::spec::{settle, DistExt, RunSpec};
 use knor_core::sync::ExclusiveCell;
 use knor_core::trace::{Phase, PhaseBreakdown, TraceGroup};
+use knor_core::InitStats;
 use knor_matrix::DMatrix;
 use knor_mpi::collectives::{allreduce_f64, allreduce_max_u64};
 use knor_mpi::{Comm, LocalCluster, NetModel, ReduceAlgo};
@@ -145,6 +146,8 @@ pub struct DistResult {
     pub rank_io: Vec<RankIo>,
     /// Final within-cluster sum of squared distances, when requested.
     pub sse: Option<f64>,
+    /// What the seeding cost (once, before the ranks start).
+    pub init: InitStats,
     /// Per-phase trace fold over every rank's tracks, including each
     /// rank's allreduce comm track (`Some` iff `DistConfig`'s `trace` was
     /// attached).
@@ -203,7 +206,8 @@ impl DistKmeans {
         // Initialization happens once over the full matrix; every rank
         // starts from identical centroids, as knor does by seeding each
         // machine's generator identically.
-        let init = cfg.init.initialize_parallel(data, cfg.k, cfg.seed, self.threads_per_rank());
+        let (init, init_stats) =
+            cfg.init.initialize_with_stats(data, cfg.k, cfg.seed, self.threads_per_rank());
         let ranges = knor_matrix::partition_rows(n, cfg.ext.ranks);
         let slices = ranges.iter().map(|r| RankData::Mem(data.view(r.start, r.end))).collect();
         let mut out = self
@@ -212,6 +216,7 @@ impl DistKmeans {
         let algo = cfg.algo.resolve(cfg.k, n, cfg.seed);
         out.sse = settle(&*algo, data, &out.centroids, &mut out.assignments, cfg.compute_sse);
         out.rank_io = Vec::new(); // in-memory entry point: no I/O record
+        out.init = init_stats;
         out
     }
 
@@ -231,12 +236,13 @@ impl DistKmeans {
         let (n, d) = (h.nrow as usize, h.ncol as usize);
         assert!(cfg.k <= n, "k = {} exceeds n = {n}", cfg.k);
 
-        let init = streamed_init(&cfg.init, (cfg.k, d), || {
+        let (init, init_stats) = streamed_init(&cfg.init, (cfg.k, d), || {
             Ok(Centroids::from_matrix(&forgy_from_file(path, cfg.k, cfg.seed)?))
         })?;
         let ranges = knor_matrix::partition_rows(n, cfg.ext.ranks);
         let data = self.open_ranks(path, &ranges)?;
         let mut out = self.run_ranks(d, &init, &ranges, data)?;
+        out.init = init_stats;
         // The final streamed pass over the file (the subsampling refresh
         // and/or the SSE) — never the whole matrix in memory.
         let algo = cfg.algo.resolve(cfg.k, n, cfg.seed);
@@ -414,6 +420,7 @@ fn assemble(
         rank_comm,
         rank_io,
         sse: None,
+        init: InitStats::default(),
         phases: None,
     }
 }

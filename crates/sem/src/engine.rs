@@ -68,7 +68,8 @@ impl SemKmeans {
         let (n, d) = (plane.nrow(), plane.ncol());
         let run = cfg.resolve(0..n, n, d, None, 0);
 
-        let init = streamed_init(&cfg.init, (cfg.k, d), || plane.forgy_init(cfg.k, cfg.seed))?;
+        let (init, init_stats) =
+            streamed_init(&cfg.init, (cfg.k, d), || plane.forgy_init(cfg.k, cfg.seed))?;
         plane.reset_io(); // init I/O is not iteration accounting
         let mut outcome =
             run_mm(&run.driver, init, &run.placement, &run.queue, &plane, &NoReduce, &*run.algo)?;
@@ -85,7 +86,7 @@ impl SemKmeans {
         // O(nd) stays on the device — the point of SEM.
         let caches = cfg.ext.row_cache_bytes + cfg.ext.page_cache_bytes;
         Ok(SemResult {
-            kmeans: run.finish(outcome, centroids, 0, caches, sse),
+            kmeans: run.finish(outcome, init_stats, centroids, 0, caches, sse),
             io: report.io,
             panicked_io_threads: report.panicked_io_threads,
         })

@@ -23,6 +23,7 @@ use std::ops::Range;
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+use std::time::Instant;
 
 use knor_core::algo::MmAlgorithm;
 use knor_core::centroids::{Centroids, LocalAccum};
@@ -30,7 +31,7 @@ use knor_core::driver::{IterView, WorkerReport};
 use knor_core::init::{forgy_rows, InitMethod};
 use knor_core::plane::{drain, DataPlane, DrainScratch, RowSource};
 pub use knor_core::spec::SemPlaneConfig;
-use knor_core::stats::IterStats;
+use knor_core::stats::{InitStats, IterStats};
 use knor_core::sync::ExclusiveCell;
 use knor_core::trace::{Phase, WorkerTracer};
 use knor_matrix::DMatrix;
@@ -312,27 +313,30 @@ fn forgy_read(reader: &SafsReader, rows: Range<usize>, k: usize, seed: u64) -> i
 }
 
 /// The initial centroids of a run that streams its `k x d` problem from a
-/// file: `Given` means, or what `forgy` reads from the device. The other
-/// methods need a pass over the data, which is what such a run avoids.
+/// file — `Given` means, or what `forgy` reads from the device — and what
+/// seeding cost. The other methods need a pass over the data, which is
+/// what such a run avoids.
 pub fn streamed_init(
     init: &InitMethod,
     (k, d): (usize, usize),
     forgy: impl FnOnce() -> io::Result<Centroids>,
-) -> io::Result<Centroids> {
-    match init {
+) -> io::Result<(Centroids, InitStats)> {
+    let t0 = Instant::now();
+    let c = match init {
         InitMethod::Given(m) => {
             assert_eq!((m.nrow(), m.ncol()), (k, d), "Given init has wrong shape");
-            Ok(Centroids::from_matrix(m))
+            Centroids::from_matrix(m)
         }
-        InitMethod::Forgy => forgy(),
+        InitMethod::Forgy => forgy()?,
         other => Err(io::Error::new(
             io::ErrorKind::InvalidInput,
             format!(
                 "{other:?} initialization needs the full matrix in memory; \
                  use Forgy or Given with a file-streaming run (or load the data)"
             ),
-        )),
-    }
+        ))?,
+    };
+    Ok((c, InitStats { secs: t0.elapsed().as_secs_f64(), dists: 0 }))
 }
 
 /// Open the row store of an on-disk matrix an engine is about to cluster,

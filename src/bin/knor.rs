@@ -25,7 +25,7 @@
 
 use knor::core::pruning::PruneCounters;
 use knor::core::spec::{choose, count_for, number_for, Engine, Entry, Knob, Refusal, Source};
-use knor::core::{CommitCounters, LoadStats, MemoryFootprint, RunSpec};
+use knor::core::{CommitCounters, InitStats, LoadStats, MemoryFootprint, RunSpec};
 use knor::dist::{launch, Fitted};
 use knor::prelude::*;
 use knor::serve::tcp::{Client, TcpServer};
@@ -345,6 +345,7 @@ fn main() {
             if o.stats {
                 println!("{}", kernel_note(&o.run, d));
                 print_prune(&o.run, n, &fitted.total_prune());
+                let init = || print_init(&o.run, n, fitted.init());
                 match &fitted {
                     Fitted::Im(r) => {
                         print_commit(&r.total_commit());
@@ -352,11 +353,13 @@ fn main() {
                         if let Some(l) = &r.load {
                             print_load(l);
                         }
+                        init();
                         print_memory(&r.memory);
                     }
                     Fitted::Sem(r) => {
                         let km = &r.kmeans;
                         print_numa(&km.numa);
+                        init();
                         print_memory(&km.memory);
                         print_io_table(&r.io);
                         print_io_summary(&[&r.io]);
@@ -367,7 +370,10 @@ fn main() {
                             );
                         }
                     }
-                    Fitted::Dist(r) => print_dist_stats(r),
+                    Fitted::Dist(r) => {
+                        init();
+                        print_dist_stats(r)
+                    }
                 }
             }
             finish_trace(&o, o.run.trace.as_ref(), fitted.phases());
@@ -555,6 +561,19 @@ fn print_load(l: &LoadStats) {
         l.bytes as f64 / 1e6 / l.secs.max(1e-9),
         l.threads,
     );
+}
+
+/// The `--stats` init line: the seeding method and its wall time, and for
+/// k-means++ the row-to-center distances its D² scan evaluated out of the
+/// `n·(k−1)` a scan without the triangle-inequality skip would.
+fn print_init(run: &RunSpec, n: usize, s: &InitStats) {
+    let method = run.init.name().unwrap_or("given");
+    let dists = if run.init == InitMethod::PlusPlus {
+        format!(" dists={}/{}", s.dists, n as u64 * (run.k as u64 - 1))
+    } else {
+        String::new()
+    };
+    println!("init: method={method} secs={:.3}{dists}", s.secs);
 }
 
 /// The `--stats` memory line: what the run accounts for (Table 1's terms)

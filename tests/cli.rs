@@ -525,7 +525,8 @@ fn mask(line: &str) -> String {
 /// `--stats` is a record people diff. With timings masked, what each
 /// engine prints at `-t 1` is the text captured from the binary of the
 /// commit before `RunSpec` (PR 19) on the same generated file: the kernel
-/// note, the prune, commit, numa and memory lines, the I/O and wire tables.
+/// note, the prune, commit, numa and memory lines, the I/O and wire tables;
+/// plus the `init:` line, whose k-means++ distance count is exact.
 #[test]
 fn stats_output_is_the_text_the_per_engine_arms_printed() {
     let file = gen_small("golden.knor");
