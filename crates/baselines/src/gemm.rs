@@ -4,11 +4,12 @@
 //! `n x d` by `d x k` matrix product plus rank-1 corrections. The
 //! assignment pass is the engines' own blocked-GEMM kernel from
 //! `knor_core::kernel` (packed centroid panel, FMA micro-kernel, evaluated
-//! without materializing the `n x k` product); [`matmul_nt`] remains as the
+//! without materializing the `n x k` product, each winner certified against
+//! the exact scan); [`matmul_nt`] remains as the
 //! standalone register-blocked multiply the Table 3 comparison references.
 
 use knor_core::centroids::{finalize_means, Centroids, LocalAccum};
-use knor_core::kernel::{assign_rows, centroid_sqnorms, KernelKind};
+use knor_core::kernel::{assign_rows, KernelKind};
 use knor_matrix::DMatrix;
 
 use crate::serial::SerialRun;
@@ -50,7 +51,6 @@ pub fn gemm_lloyd(data: &DMatrix, init: &DMatrix, max_iters: usize) -> SerialRun
     let mut next = Centroids::zeros(k, d);
     let mut assignments = vec![u32::MAX; n];
     let mut accum = LocalAccum::new(k, d);
-    let mut c_norms = vec![0.0f64; k];
     let rk = KernelKind::Gemm.resolve(k, d, false);
     let (mut best, mut best_dist) = (Vec::new(), Vec::new());
     let mut iters = 0usize;
@@ -59,8 +59,7 @@ pub fn gemm_lloyd(data: &DMatrix, init: &DMatrix, max_iters: usize) -> SerialRun
     for _ in 0..max_iters {
         let t0 = std::time::Instant::now();
         accum.reset();
-        centroid_sqnorms(&cents, &mut c_norms);
-        assign_rows(data.as_slice(), d, &cents, &rk, &c_norms, &mut best, &mut best_dist, false);
+        assign_rows(data.as_slice(), d, &cents, &rk, &[], &mut best, &mut best_dist, false);
         let mut changed = 0u64;
         for (r, (&a, slot)) in best.iter().zip(assignments.iter_mut()).enumerate() {
             if *slot != a {
@@ -90,7 +89,6 @@ pub fn gemm_lloyd(data: &DMatrix, init: &DMatrix, max_iters: usize) -> SerialRun
 mod tests {
     use super::*;
     use knor_core::init::InitMethod;
-    use knor_core::quality::agreement;
     use knor_core::serial::lloyd_serial;
     use knor_workloads::MixtureSpec;
 
@@ -135,6 +133,7 @@ mod tests {
         let reference = lloyd_serial(&data, k, &InitMethod::Given(init.clone()), 0, 50, 0.0);
         let g = gemm_lloyd(&data, &init, 50);
         assert_eq!(g.niters, reference.niters);
-        assert!(agreement(&g.assignments, &reference.assignments, k) > 0.999);
+        // The engines' gemm scan is certified: the same winners, row by row.
+        assert_eq!(g.assignments, reference.assignments);
     }
 }

@@ -12,9 +12,8 @@
 //! * [`minibatch`] — Sculley's web-scale approximation (Related Work).
 //!   Now a serial mirror of `Algorithm::MiniBatch` on the parallel driver,
 //!   kept for exact parity testing against the engines.
-//! * [`spherical`] / [`semisupervised`] — the first two §9 future-work
-//!   variants. Spherical is likewise the serial mirror of
-//!   `Algorithm::Spherical` (the engines run it natively since the
+//! * [`spherical`] — a §9 future-work variant, likewise the serial mirror
+//!   of `Algorithm::Spherical` (the engines run it natively since the
 //!   `MmAlgorithm` layer landed — DESIGN.md §8).
 //! * [`mapreduce`] — a small map/combine/shuffle/reduce engine with
 //!   framework personas (MLlib-like, H2O-like, Turi-like) that are
@@ -25,7 +24,6 @@ pub mod elkan;
 pub mod gemm;
 pub mod mapreduce;
 pub mod minibatch;
-pub mod semisupervised;
 pub mod serial;
 pub mod spherical;
 pub mod yinyang;
@@ -34,7 +32,6 @@ pub use elkan::elkan_full_ti;
 pub use gemm::gemm_lloyd;
 pub use mapreduce::{FrameworkProfile, MapReduceKmeans};
 pub use minibatch::minibatch_kmeans;
-pub use semisupervised::semisupervised_kmeanspp;
 pub use serial::{alloc_heavy_lloyd, naive_indexed_lloyd};
 pub use spherical::spherical_kmeans;
 pub use yinyang::yinyang_kmeans;

@@ -35,7 +35,7 @@ use std::sync::Mutex;
 
 use crate::centroids::{finalize_means, Centroids};
 use crate::distance::{nearest, sqdist};
-use crate::kernel::{assign_rows, dot, sqnorm, KernelKind};
+use crate::kernel::{dot, max_dot_rows, sqnorm};
 
 /// The algorithm knob carried by `KmeansConfig`/`SemConfig`/`DistConfig`.
 ///
@@ -199,7 +199,7 @@ impl Algorithm {
     pub fn resolve(&self, k: usize, n_total: usize, seed: u64) -> Box<dyn MmAlgorithm> {
         match self {
             Algorithm::Lloyd => Box::new(LloydAlgo),
-            Algorithm::Spherical => Box::new(SphericalAlgo { zero_norms: vec![0.0; k] }),
+            Algorithm::Spherical => Box::new(SphericalAlgo),
             Algorithm::Fuzzy { m } => {
                 assert!(*m > 1.0, "fuzzifier must exceed 1 (got {m})");
                 Box::new(FuzzyAlgo { exponent: 1.0 / (m - 1.0) })
@@ -341,9 +341,9 @@ pub trait MmAlgorithm: Sync {
 // ---------------------------------------------------------------------------
 
 /// Plain Lloyd's k-means. The driver special-cases [`MmAlgorithm::is_lloyd`]
-/// onto the legacy tiled/MTI machinery, so `map`/`update` here only serve
-/// the generic path's contract (and tests); they implement the identical
-/// mathematics.
+/// onto the assignment kernel and the MTI machinery, so `map`/`update`
+/// here only serve the generic path's contract (and tests); they implement
+/// the identical mathematics.
 pub struct LloydAlgo;
 
 impl MmAlgorithm for LloydAlgo {
@@ -380,11 +380,7 @@ impl MmAlgorithm for LloydAlgo {
 /// scan with zeroed centroid norms (score `0 − 2·x·c`, whose argmin is
 /// exactly the dot argmax, ties and all). Rows contribute their unit
 /// direction: weight `= 1/‖x‖` (0 for zero rows).
-struct SphericalAlgo {
-    /// `k` zeros standing in for `‖c‖²` in the GEMM scan, which turns its
-    /// score into a pure (scaled, negated) dot product.
-    zero_norms: Vec<f64>,
-}
+struct SphericalAlgo;
 
 impl SphericalAlgo {
     #[inline]
@@ -441,12 +437,10 @@ impl MmAlgorithm for SphericalAlgo {
         weights: &mut Vec<f64>,
         score: &mut Vec<f64>,
     ) {
-        // The GEMM kernel with `‖c‖² = 0` scores candidates by `−2·x·c`:
+        // The gemm scan with `‖c‖² = 0` scores candidates by `−2·x·c`:
         // the packed dot-product micro-kernel (FMA where available) does
-        // all the work, `need_dist = false` skips the distance
-        // reconstruction it would otherwise perform.
-        let rk = KernelKind::Gemm.resolve(cents.k(), d, false);
-        assign_rows(block, d, cents, &rk, &self.zero_norms, best, score, false);
+        // all the work, uncertified — the dot product is the objective.
+        max_dot_rows(block, d, cents, best, score);
         weights.clear();
         for row in block.chunks_exact(d.max(1)) {
             weights.push(Self::row_weight(row));

@@ -56,7 +56,7 @@ use knor_sched::TaskQueue;
 use crate::algo::{MmAlgorithm, UpdateCtx};
 use crate::centroids::{finalize_means, Centroids, LocalAccum};
 use crate::distance::{dist, nearest};
-use crate::kernel::{centroid_sqnorms, sqnorm, KernelKind, ResolvedKernel};
+use crate::kernel::{KernelKind, ResolvedKernel};
 use crate::plane::{DataPlane, DrainScratch};
 use crate::pruning::{mti_assign, MtiIterState, PruneCounters, Pruning, YinyangState};
 use crate::stats::{CommitCounters, IterStats};
@@ -140,9 +140,6 @@ pub struct IterView<'a> {
     pub queue: &'a TaskQueue,
     /// The resolved assignment kernel for this run.
     pub kernel: ResolvedKernel,
-    /// Cached centroid squared norms (empty unless the norm-trick path is
-    /// active; maintained incrementally by the coordinator from drift).
-    pub cnorms: &'a [f64],
     /// The clustering algorithm this run executes (see [`crate::algo`]).
     pub algo: &'a dyn MmAlgorithm,
     /// Global row id of local row 0 (see [`DriverConfig::row_offset`]).
@@ -284,15 +281,6 @@ pub fn run_mm<P: DataPlane + ?Sized, R: Reducer>(
     algo.prepare_init(&mut init);
 
     let rk = cfg.kernel.resolve(k, d, cfg_pruning);
-    // GEMM centroid-norm cache, seeded from the initial
-    // centroids and thereafter refreshed only for drifted centroids.
-    let cnorms_cell = ExclusiveCell::new(if rk.kind.needs_cnorms() {
-        let mut v = vec![0.0f64; k];
-        centroid_sqnorms(&init, &mut v);
-        v
-    } else {
-        Vec::new()
-    });
     // For large k the O(k²·d) half-distance recompute dominates the
     // coordinator window; the workers are idling at the next barrier, so
     // they fill disjoint pairs of the table instead. Yinyang has no
@@ -404,7 +392,6 @@ pub fn run_mm<P: DataPlane + ?Sized, R: Reducer>(
                 rows: &rows,
                 queue,
                 kernel: rk,
-                cnorms: unsafe { cnorms_cell.get() },
                 algo,
                 row_offset: cfg.row_offset,
                 scoped,
@@ -531,15 +518,12 @@ pub fn run_mm<P: DataPlane + ?Sized, R: Reducer>(
                     });
                 }
 
-                // One drift pass feeds convergence, the MTI state
-                // and the norm-trick cache (a zero-drift centroid
-                // did not move, so its cached norm stays valid).
+                // One drift pass feeds convergence and the bound state.
                 let mut max_drift = 0.0f64;
                 {
                     // Safety: coordinator window.
                     let mut mti_mut = (scheme == Pruning::Mti).then(|| unsafe { mti.get_mut() });
                     let mut yy_mut = yinyang.then(|| unsafe { yy_cell.get_mut() });
-                    let mut cn = rk.kind.needs_cnorms().then(|| unsafe { cnorms_cell.get_mut() });
                     for c in 0..k {
                         let dr = dist(cents.mean(c), next.mean(c));
                         max_drift = max_drift.max(dr);
@@ -548,11 +532,6 @@ pub fn run_mm<P: DataPlane + ?Sized, R: Reducer>(
                         }
                         if let Some(y) = yy_mut.as_mut() {
                             y.drift[c] = dr;
-                        }
-                        if dr != 0.0 {
-                            if let Some(cn) = cn.as_mut() {
-                                cn[c] = sqnorm(next.mean(c));
-                            }
                         }
                     }
                     if parallel_cc {
@@ -1342,7 +1321,7 @@ mod tests {
     }
 
     #[test]
-    fn yinyang_scalar_and_tiled_bitwise_match() {
+    fn yinyang_scalar_and_gemm_bitwise_match() {
         let mut data = Vec::new();
         for i in 0..360 {
             let c = (i % 12) as f64 * 6.0;
@@ -1352,17 +1331,17 @@ mod tests {
         }
         let n = 360;
         let scalar = run_kernel(&data, n, 3, 12, Pruning::Yinyang, 2, KernelKind::Scalar);
-        let tiled = run_kernel(&data, n, 3, 12, Pruning::Yinyang, 2, KernelKind::Tiled);
-        assert_eq!(scalar.assignments, tiled.assignments);
-        assert_eq!(scalar.centroids, tiled.centroids, "yinyang must be kernel-bitwise");
-        assert_eq!(scalar.iters.len(), tiled.iters.len());
-        for (a, b) in scalar.iters.iter().zip(&tiled.iters) {
+        let gemm = run_kernel(&data, n, 3, 12, Pruning::Yinyang, 2, KernelKind::Gemm);
+        assert_eq!(scalar.assignments, gemm.assignments);
+        assert_eq!(scalar.centroids, gemm.centroids, "yinyang must be kernel-bitwise");
+        assert_eq!(scalar.iters.len(), gemm.iters.len());
+        for (a, b) in scalar.iters.iter().zip(&gemm.iters) {
             assert_eq!(a.prune, b.prune);
         }
     }
 
     #[test]
-    fn tiled_kernel_bitwise_matches_scalar_driver_run() {
+    fn gemm_kernel_bitwise_matches_scalar_driver_run() {
         let mut data = Vec::new();
         for i in 0..300 {
             let c = (i % 5) as f64 * 6.0;
@@ -1373,11 +1352,11 @@ mod tests {
         let n = 300;
         for pruning in [Pruning::None, Pruning::Mti, Pruning::Yinyang] {
             let scalar = run_kernel(&data, n, 3, 12, pruning, 2, KernelKind::Scalar);
-            let tiled = run_kernel(&data, n, 3, 12, pruning, 2, KernelKind::Tiled);
-            assert_eq!(scalar.assignments, tiled.assignments, "pruning={pruning:?}");
-            assert_eq!(scalar.centroids, tiled.centroids, "pruning={pruning:?}");
-            assert_eq!(scalar.iters.len(), tiled.iters.len());
-            for (a, b) in scalar.iters.iter().zip(&tiled.iters) {
+            let gemm = run_kernel(&data, n, 3, 12, pruning, 2, KernelKind::Gemm);
+            assert_eq!(scalar.assignments, gemm.assignments, "pruning={pruning:?}");
+            assert_eq!(scalar.centroids, gemm.centroids, "pruning={pruning:?}");
+            assert_eq!(scalar.iters.len(), gemm.iters.len());
+            for (a, b) in scalar.iters.iter().zip(&gemm.iters) {
                 assert_eq!(a.reassigned, b.reassigned);
                 assert_eq!(a.rows_accessed, b.rows_accessed);
                 assert_eq!(a.prune.dist_computations, b.prune.dist_computations);
@@ -1394,13 +1373,11 @@ mod tests {
             data.push(c - (i as f64 * 0.17).cos() * 0.3);
         }
         let n = 400;
-        let exact = run_kernel(&data, n, 2, 16, Pruning::None, 2, KernelKind::Tiled);
+        let exact = run_kernel(&data, n, 2, 16, Pruning::None, 2, KernelKind::Scalar);
         let gemm = run_kernel(&data, n, 2, 16, Pruning::None, 2, KernelKind::Gemm);
         assert_eq!(exact.assignments, gemm.assignments);
         assert_eq!(exact.iters.len(), gemm.iters.len());
-        for (a, b) in exact.centroids.means.iter().zip(&gemm.centroids.means) {
-            assert!((a - b).abs() <= 1e-9_f64.max(b.abs() * 1e-9));
-        }
+        assert_eq!(exact.centroids, gemm.centroids, "certified gemm is bitwise scalar");
     }
 
     #[test]

@@ -206,8 +206,8 @@ mod tests {
 
     #[test]
     fn every_kernel_single_thread_vs_serial() {
-        // Tiled (and Auto, which resolves to it here) must be bitwise equal
-        // to the serial reference; gemm must agree on the clustering.
+        // Every kernel (Auto resolves to gemm here) must be bitwise equal
+        // to the serial reference.
         let data = mixture(700, 7, 21); // d % 4 != 0 exercises remainders
         let k = 9;
         let init = forgy_centroids(&data, k, 13);
@@ -224,17 +224,11 @@ mod tests {
             )
             .fit(&data)
         };
-        for kernel in [KernelKind::Auto, KernelKind::Scalar, KernelKind::Tiled] {
+        for kernel in [KernelKind::Auto, KernelKind::Scalar, KernelKind::Gemm] {
             let r = run(kernel);
             assert_eq!(r.assignments, serial.assignments, "{kernel:?}");
             assert_eq!(r.centroids, serial.centroids, "{kernel:?} centroids must be bitwise");
             assert_eq!(r.niters, serial.niters, "{kernel:?}");
-        }
-        let gemm = run(KernelKind::Gemm);
-        assert_eq!(gemm.assignments, serial.assignments);
-        assert_eq!(gemm.niters, serial.niters);
-        for (a, b) in gemm.centroids.as_slice().iter().zip(serial.centroids.as_slice()) {
-            assert!((a - b).abs() <= 1e-9_f64.max(b.abs() * 1e-9), "gemm drifted");
         }
     }
 

@@ -1,38 +1,36 @@
-//! The blocked assignment kernel layer.
+//! The assignment kernel layer.
 //!
 //! Every engine's compute super-phase bottoms out in the same operation:
-//! "assign a batch of rows to their nearest centroids". The per-row
-//! [`crate::distance::nearest`] scan re-streams the whole `k x d` centroid
-//! matrix from memory for every row and exposes only one row's worth of
-//! instruction-level parallelism. This module replaces it, for full-scan
-//! iterations, with a row-tile × centroid-tile kernel:
+//! "assign a batch of rows to their nearest centroids". The answer is
+//! defined by [`crate::distance::nearest`]: the first centroid, in
+//! ascending index order, that minimizes the rounded
+//! [`crate::distance::sqdist`]. Both kernels here give that answer bit for
+//! bit:
 //!
-//! * rows are staged in blocks that fit alongside a centroid tile in L1/L2,
-//! * the inner micro-kernel evaluates **four rows against two centroids**
-//!   at a time, amortizing every centroid load 4× and every row load 2×,
-//!   with eight independent accumulator vectors hiding the FP latency,
-//! * each `(row, centroid)` pair still performs *exactly* the arithmetic of
-//!   [`crate::distance::sqdist`] (same chunking, same summation order) and
-//!   candidates are compared in ascending index order with a strict `<`, so
-//!   the tiled kernel is **bitwise identical** to the scalar scan — and
-//!   therefore to `serial.rs`.
+//! * `Scalar` is `nearest` itself, row by row. It is the oracle, and
+//!   `Auto` picks it when `k·d ≤` [`SCALAR_CUTOFF`].
+//! * `Gemm` scores every candidate as `‖c‖² − 2·x·c`, a blocked `−2XCᵀ`
+//!   product against a transposed centroid panel ([`CentroidPanel`]; FMA
+//!   and AVX-512 micro-kernels where the host has them). Dot products cost
+//!   half the arithmetic of difference-squares, but the score re-orders
+//!   the floating point, so the scan then *certifies* its winner. Every
+//!   scorer keeps the runner-up score `s₂` next to the winner's `s₁`. By
+//!   the rounding bounds of DESIGN.md §7, once `s₂ − s₁` exceeds
+//!   `κ·(‖x‖² + 2·max‖c‖²)`, with `κ = 8(d+4)·2⁻⁵³`, no other candidate's
+//!   rounded `sqdist` can reach the winner's, so the winner is `nearest`'s.
+//!   A row that fails the test (a near-tie, a duplicated centroid, a
+//!   non-finite or overflow-sized input) is re-scanned with `nearest`. When
+//!   the caller wants distances, the winner's is its `sqdist`.
 //!
-//! The GEMM path computes `‖x − c‖² = ‖x‖² − 2·x·c + ‖c‖²` from cached
-//! centroid norms (maintained incrementally by the driver: only centroids
-//! with non-zero drift are re-normed) as a blocked `−2XCᵀ` product. Dot
-//! products cost half the arithmetic of difference-squares, but the
-//! cancellation re-orders floating point, so this path is only
-//! *approximately* equal to the reference (≤ 1e-9 relative on distances,
-//! see DESIGN.md §7) and is never used where MTI bound invariants require
-//! exact upper bounds. That makes three kernels in two exactness classes:
-//! scalar and tiled (bitwise), gemm (≤ 1e-9); DESIGN.md §11 says why there
-//! is no fourth and no tile autotuner.
+//! So there is one exactness class. It is what lets MTI take a gemm
+//! distance as an upper bound and serve answer with gemm; DESIGN.md §11
+//! says why there is no third kernel and no tile autotuner.
 //!
-//! The GEMM path's cache-resident operand is not a row tile but the
-//! centroid matrix itself, transposed and padded ([`CentroidPanel`]). The
-//! caller packs it — [`crate::plane::drain`] once per worker per compute
-//! super-phase, [`assign_rows`] once per call — and every block of that
-//! phase streams past the same panel through [`assign_rows_packed`].
+//! The panel is the scan's cache-resident operand, and it norms its own
+//! centroids. The caller packs it: [`crate::plane::drain`] once per worker
+//! per compute super-phase, the serve registry once per model,
+//! [`assign_rows`] once per call. Every block of that phase streams past
+//! the same panel through [`assign_rows_packed`].
 //!
 //! MTI iterations (`iter > 0` with pruning on) do not come through here:
 //! each row carries its own bound, the bound leaves three of `k`
@@ -46,26 +44,25 @@ use crate::distance::{nearest, sqdist};
 /// Which assignment kernel a run requests (the `DriverConfig` knob).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum KernelKind {
-    /// Pick per shape: scalar for tiny `k·d`, GEMM for large unpruned
-    /// shapes, tiled otherwise.
+    /// Pick per shape: scalar for tiny `k·d`, GEMM otherwise.
     #[default]
     Auto,
     /// The per-row `nearest` scan (the pre-kernel behaviour).
     Scalar,
-    /// Row-tile × centroid-tile blocked scan; bitwise equal to `Scalar`.
-    Tiled,
-    /// `‖x‖² − 2x·c + ‖c‖²` with cached centroid norms, as a blocked GEMM
-    /// (`−2XCᵀ` against a packed centroid panel, FMA where available).
-    /// Within ≤ 1e-9 of the reference, so it resolves to `Tiled` while MTI
-    /// needs exact bounds.
+    /// `‖c‖² − 2x·c` as a blocked GEMM against a packed centroid panel
+    /// (FMA where available), certified row by row; bitwise `Scalar`.
     Gemm,
 }
 
 #[allow(non_upper_case_globals)]
 impl KernelKind {
+    /// A spelling of [`KernelKind::Gemm`]. The tiled scan it once named was
+    /// bitwise `Scalar`, which the certified gemm scan now is too.
+    #[doc(hidden)]
+    pub const Tiled: KernelKind = KernelKind::Gemm;
+
     /// A spelling of [`KernelKind::Gemm`]. The fused tiled scan it once
-    /// named was in gemm's ≤ 1e-9 class and slower than gemm; it resolves
-    /// exactly as `Gemm` does.
+    /// named was slower than gemm; it resolves exactly as `Gemm` does.
     #[doc(hidden)]
     pub const Fma: KernelKind = KernelKind::Gemm;
 
@@ -81,7 +78,6 @@ impl KernelKind {
         Some(match s {
             "auto" => KernelKind::Auto,
             "scalar" => KernelKind::Scalar,
-            "tiled" => KernelKind::Tiled,
             "gemm" => KernelKind::Gemm,
             _ => return None,
         })
@@ -92,22 +88,18 @@ impl KernelKind {
         match self {
             KernelKind::Auto => "auto",
             KernelKind::Scalar => "scalar",
-            KernelKind::Tiled => "tiled",
             KernelKind::Gemm => "gemm",
         }
     }
 }
 
 /// The kernel actually selected for a run, after the heuristic resolved
-/// `Auto` and legality downgraded the approximate path where bounds must
-/// be exact.
+/// `Auto`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ResolvedKind {
     /// Per-row scans.
     Scalar,
-    /// Blocked, bitwise-exact scans.
-    Tiled,
-    /// Blocked-GEMM dot-product scans with cached norms (≤ 1e-9 band).
+    /// Blocked-GEMM dot-product scans, certified against `nearest`.
     Gemm,
 }
 
@@ -116,14 +108,8 @@ impl ResolvedKind {
     pub fn name(self) -> &'static str {
         match self {
             ResolvedKind::Scalar => "scalar",
-            ResolvedKind::Tiled => "tiled",
             ResolvedKind::Gemm => "gemm",
         }
-    }
-
-    /// Whether this path needs the cached centroid squared norms.
-    pub fn needs_cnorms(self) -> bool {
-        self == ResolvedKind::Gemm
     }
 }
 
@@ -132,9 +118,11 @@ impl ResolvedKind {
 pub struct ResolvedKernel {
     /// Which code path full scans take.
     pub kind: ResolvedKind,
-    /// Rows staged per block.
+    /// Rows per tile; a direct source's block is whole tiles
+    /// ([`Self::block_rows`]).
     pub row_tile: usize,
-    /// Centroids per inner tile (kept hot while a row block is scanned).
+    /// Centroids an L1-sized tile holds. `--stats` reports it (`tiles=`);
+    /// no scan reads it.
     pub cent_tile: usize,
 }
 
@@ -150,14 +138,9 @@ impl ResolvedKernel {
     }
 }
 
-/// Below this many multiply-adds per row (`k·d`), staging a tile costs more
-/// than it saves and `Auto` falls back to the scalar path.
+/// At or below this many multiply-adds per row (`k·d`), packing a panel
+/// costs more than it saves and `Auto` takes the scalar path.
 pub const SCALAR_CUTOFF: usize = 64;
-
-/// At and above this many multiply-adds per row (`k·d`), the blocked-GEMM
-/// path wins over the exact tiled scan and `Auto` selects it — but only
-/// where the ≤ 1e-9 band is legal (no MTI bounds in play).
-pub const GEMM_CUTOFF: usize = 2048;
 
 /// L1 budget (bytes) each of the centroid tile and the row tile should fit
 /// in — half a typical 32 KB L1d apiece.
@@ -169,34 +152,25 @@ const L2_BLOCK_BYTES: usize = 128 * 1024;
 
 impl KernelKind {
     /// Resolve the requested kernel for a `(k, d)` problem. The tiles come
-    /// from `d` alone. `pruning` downgrades `Gemm` to `Tiled`: the MTI
-    /// clauses compare *upper bounds* against exact thresholds, and a
-    /// norm-trick distance can land a hair below the true distance,
-    /// silently invalidating Clause 1.
-    pub fn resolve(self, k: usize, d: usize, pruning: bool) -> ResolvedKernel {
+    /// from `d` alone. `pruning` is ignored: both kernels give `nearest`'s
+    /// exact distances, which is all MTI's bounds need. The argument stays
+    /// because the benchmark harness passes it.
+    pub fn resolve(self, k: usize, d: usize, _pruning: bool) -> ResolvedKernel {
         let row_bytes = (d.max(1)) * 8;
         let row_tile = (TILE_BYTES / row_bytes).clamp(8, 128);
         let cent_tile = (TILE_BYTES / row_bytes).max(4).min(k.max(1));
         let kind = match self {
             KernelKind::Scalar => ResolvedKind::Scalar,
-            KernelKind::Tiled => ResolvedKind::Tiled,
-            KernelKind::Gemm if pruning => ResolvedKind::Tiled,
-            KernelKind::Gemm => ResolvedKind::Gemm,
-            KernelKind::Auto => {
-                if k * d <= SCALAR_CUTOFF {
-                    ResolvedKind::Scalar
-                } else if !pruning && k * d >= GEMM_CUTOFF {
-                    ResolvedKind::Gemm
-                } else {
-                    ResolvedKind::Tiled
-                }
-            }
+            KernelKind::Auto if k * d <= SCALAR_CUTOFF => ResolvedKind::Scalar,
+            KernelKind::Auto | KernelKind::Gemm => ResolvedKind::Gemm,
         };
         ResolvedKernel { kind, row_tile, cent_tile }
     }
 }
 
-/// `‖c‖²` for every centroid, into `out` (the GEMM path's norm cache).
+/// `‖c‖²` for every centroid, into `out`: the norms a [`CentroidPanel`]
+/// packs. The panel computes its own, so no scan takes these from a
+/// caller; the benchmark harness still calls this.
 pub fn centroid_sqnorms(cents: &Centroids, out: &mut [f64]) {
     debug_assert_eq!(out.len(), cents.k());
     for (c, o) in out.iter_mut().enumerate() {
@@ -205,7 +179,9 @@ pub fn centroid_sqnorms(cents: &Centroids, out: &mut [f64]) {
 }
 
 /// `‖v‖²` with the same chunked arithmetic as [`sqdist`] against zero.
-#[inline]
+/// Always inlined, so that inside a gemm scorer it is vectorized as wide
+/// as the scorer's target features allow (the bits do not change).
+#[inline(always)]
 pub fn sqnorm(v: &[f64]) -> f64 {
     let mut chunks = v.chunks_exact(4);
     let mut acc = [0.0f64; 4];
@@ -225,7 +201,8 @@ pub fn sqnorm(v: &[f64]) -> f64 {
 /// `d × kp` (`k` rounded up to the micro-kernel's lane count, pad columns
 /// zero) so that for a fixed dimension the values of consecutive centroids
 /// sit in contiguous vector lanes, plus the `‖c‖²` vector padded with `+∞`
-/// (a pad column can never win a strict-`<` race).
+/// (a pad column can never win a strict-`<` race) and its largest real
+/// entry, which sizes the certificate's margin.
 ///
 /// A panel is a function of the centroids alone, so one [`Self::pack`]
 /// serves every row block scanned against those centroids
@@ -235,19 +212,26 @@ pub fn sqnorm(v: &[f64]) -> f64 {
 pub struct CentroidPanel {
     packed: Vec<f64>,
     cnorms: Vec<f64>,
+    /// The largest real `cnorms` entry, NaN if any is NaN.
+    cmax: f64,
     k: usize,
     d: usize,
     kp: usize,
-    /// [`Self::stamp_of`] the operands of the last pack.
+    /// [`Self::stamp_of`] the centroids of the last pack.
     stamp: u64,
 }
 
 impl CentroidPanel {
-    /// Pack `cents` and their squared norms `cnorms` (`len k`), replacing
-    /// whatever the panel held.
-    pub fn pack(&mut self, cents: &Centroids, cnorms: &[f64]) {
+    /// Pack `cents` and their squared norms, replacing whatever the panel
+    /// held.
+    pub fn pack(&mut self, cents: &Centroids) {
+        self.pack_with(cents, true);
+    }
+
+    /// [`Self::pack`], with every norm 0 when `norms` is false (the score
+    /// becomes `−2·x·c`; see [`max_dot_rows`]).
+    fn pack_with(&mut self, cents: &Centroids, norms: bool) {
         let (k, d) = (cents.k(), cents.d);
-        debug_assert_eq!(cnorms.len(), k);
         let lanes = panel_lanes();
         let kp = k.div_ceil(lanes) * lanes;
         // Every slot in use is overwritten below — real columns by the
@@ -259,35 +243,55 @@ impl CentroidPanel {
         if self.cnorms.len() < kp {
             self.cnorms.resize(kp, f64::INFINITY);
         }
-        self.cnorms[..k].copy_from_slice(cnorms);
-        self.cnorms[k..kp].fill(f64::INFINITY);
+        self.cmax = 0.0;
         let packed = &mut self.packed;
-        for (c, mean) in cents.means.chunks_exact(d.max(1)).enumerate() {
+        for (c, mean) in cents.means.chunks_exact(d.max(1)).enumerate().take(k) {
             for (j, &v) in mean.iter().enumerate() {
                 packed[j * kp + c] = v;
             }
+            let n = if norms { sqnorm(mean) } else { 0.0 };
+            self.cnorms[c] = n;
+            // A NaN norm sticks, and then no row is certified.
+            if n > self.cmax || n.is_nan() {
+                self.cmax = n;
+            }
         }
+        self.cnorms[k..kp].fill(f64::INFINITY);
         for j in 0..d {
             packed[j * kp + k..(j + 1) * kp].fill(0.0);
         }
         (self.k, self.d, self.kp) = (k, d, kp);
         // Only debug builds read it.
-        self.stamp = if cfg!(debug_assertions) { Self::stamp_of(cents, cnorms) } else { 0 };
+        self.stamp = if cfg!(debug_assertions) { Self::stamp_of(cents) } else { 0 };
     }
 
-    /// A fingerprint of the operands a panel was packed from: what lets a
+    /// A fingerprint of the centroids a panel was packed from: what lets a
     /// debug build catch a panel used after its centroids moved.
-    fn stamp_of(cents: &Centroids, cnorms: &[f64]) -> u64 {
+    fn stamp_of(cents: &Centroids) -> u64 {
         let mut h = (cents.k() as u64) << 32 | cents.d as u64;
-        for x in cents.means.iter().chain(cnorms) {
+        for x in &cents.means {
             h = (h.rotate_left(5) ^ x.to_bits()).wrapping_mul(0x9E37_79B9_7F4A_7C15);
         }
         h
     }
 
-    /// Whether the panel holds exactly `cents`/`cnorms`.
-    fn is_packed_from(&self, cents: &Centroids, cnorms: &[f64]) -> bool {
-        (self.k, self.d) == (cents.k(), cents.d) && self.stamp == Self::stamp_of(cents, cnorms)
+    /// The certificate of a row `x` with `‖x‖² = xnorm` (computed in any
+    /// order), whose scan scored its winner `s1` and its runner-up `s2`:
+    /// `s₂ − s₁ − (κ·(‖x‖² + 2·cmax) + d·MIN_POSITIVE)`, with
+    /// `κ = 8(d+4)·2⁻⁵³`. Positive exactly when DESIGN.md §7 shows that no
+    /// other candidate's rounded `sqdist` can be at or below the winner's;
+    /// the absolute term covers underflow. NaN unless
+    /// `‖x‖² + 2·cmax ≤ MAX/4` — so nothing the scorer computed overflowed,
+    /// and a NaN or infinite norm fails — and NaN for a NaN gap.
+    #[inline(always)]
+    fn slack(&self, xnorm: f64, s1: f64, s2: f64) -> f64 {
+        let d = self.d as f64;
+        let norms = xnorm + 2.0 * self.cmax;
+        if norms <= f64::MAX / 4.0 {
+            (s2 - s1) - (8.0 * (d + 4.0) * (f64::EPSILON / 2.0) * norms + d * f64::MIN_POSITIVE)
+        } else {
+            f64::NAN
+        }
     }
 }
 
@@ -295,23 +299,22 @@ impl CentroidPanel {
 /// sixteen for the AVX-512 kernel, eight for the AVX2 one (and for the
 /// portable path, which reads the row-major centroids instead).
 fn panel_lanes() -> usize {
-    #[cfg(target_arch = "x86_64")]
-    if avx512_usable() {
-        return 16;
+    if Scorer::host() == Scorer::Avx512 {
+        16
+    } else {
+        8
     }
-    8
 }
 
 /// Assign every row of a contiguous `m × d` block to its nearest centroid,
-/// resizing `best`/`best_dist` to `m` (grow-only). Dispatches on `rk.kind`;
-/// `cnorms` is only read on the GEMM path and may be empty otherwise.
+/// resizing `best`/`best_dist` to `m` (grow-only). Dispatches on `rk.kind`.
+/// `cnorms` is not read: the panel norms its centroids itself. The
+/// parameter stays because the benchmark harness passes it.
 ///
-/// When `need_dist` is true, `best_dist` holds the exact (tiled/scalar) or
-/// reconstructed (GEMM) distance per row. When false — the non-pruned
-/// engine paths, which only consume indices — the distance finalization
-/// pass (square roots, and GEMM's per-row `O(d)` norm reconstruction) is
-/// skipped and `best_dist` holds kernel-internal scores with unspecified
-/// meaning.
+/// When `need_dist` is true, `best_dist` holds each row's exact distance to
+/// its centroid, `nearest`'s bits. When false — the non-pruned engine
+/// paths, which only consume indices — `best_dist` holds kernel-internal
+/// values with unspecified meaning. `best` is `nearest`'s either way.
 ///
 /// This is [`CentroidPanel::pack`] + [`assign_rows_packed`]: a caller with
 /// more than one block per set of centroids packs once itself.
@@ -321,108 +324,99 @@ pub fn assign_rows(
     d: usize,
     cents: &Centroids,
     rk: &ResolvedKernel,
-    cnorms: &[f64],
+    _cnorms: &[f64],
     best: &mut Vec<u32>,
     best_dist: &mut Vec<f64>,
     need_dist: bool,
 ) {
     let mut panel = CentroidPanel::default();
     if rk.kind == ResolvedKind::Gemm {
-        panel.pack(cents, cnorms);
+        panel.pack(cents);
     }
-    assign_rows_packed(block, d, cents, rk, cnorms, &panel, best, best_dist, need_dist);
+    assign_rows_packed(block, d, cents, rk, &panel, best, best_dist, need_dist);
 }
 
 /// [`assign_rows`] against an already packed `panel`, which must have been
-/// packed from `cents`/`cnorms` when `rk.kind` is [`ResolvedKind::Gemm`]
-/// (checked in debug builds) and is not read otherwise. A row's result
-/// does not depend on which other rows share its block, so any blocking of
-/// the same rows gives the same `best`/`best_dist`, bit for bit.
+/// packed from `cents` when `rk.kind` is [`ResolvedKind::Gemm`] (its shape
+/// is checked, its contents in debug builds) and is not read otherwise.
+/// Returns the rows whose gemm winner was not certified and were re-scanned
+/// with `nearest` (the `--stats` `rescored_rows`). A row's result does not
+/// depend on which other rows share its block, so any blocking of the same
+/// rows gives the same `best`/`best_dist`, bit for bit.
 #[allow(clippy::too_many_arguments)]
 pub fn assign_rows_packed(
     block: &[f64],
     d: usize,
     cents: &Centroids,
     rk: &ResolvedKernel,
-    cnorms: &[f64],
     panel: &CentroidPanel,
     best: &mut Vec<u32>,
     best_dist: &mut Vec<f64>,
     need_dist: bool,
-) {
+) -> u64 {
     debug_assert_eq!(block.len() % d.max(1), 0);
     let m = block.len().checked_div(d).unwrap_or(0);
     best.clear();
     best.resize(m, 0);
     best_dist.clear();
     best_dist.resize(m, 0.0);
-    // The GEMM path takes the whole block in one pass: its cache-resident
-    // operand is the packed panel, which rows stream past exactly once,
-    // so nothing there is sized by `row_tile`.
-    let tile = if rk.kind == ResolvedKind::Gemm {
-        debug_assert!(panel.is_packed_from(cents, cnorms), "stale or unpacked centroid panel");
-        m.max(1)
-    } else {
-        rk.row_tile
-    };
-    let mut start = 0usize;
-    while start < m {
-        let end = (start + tile).min(m);
-        let sub = &block[start * d..end * d];
-        let (tile_best, tile_dist) = (&mut best[start..end], &mut best_dist[start..end]);
-        match rk.kind {
-            ResolvedKind::Scalar => {
-                for (i, row) in sub.chunks_exact(d).enumerate() {
-                    let (a, da) = nearest(row, &cents.means, cents.k());
-                    tile_best[i] = a as u32;
-                    tile_dist[i] = da;
-                }
-            }
-            ResolvedKind::Tiled => {
-                assign_tile_scored(sub, d, cents, rk.cent_tile, tile_best, tile_dist)
-            }
-            ResolvedKind::Gemm => {
-                gemm_tile_scored(sub, d, cents, cnorms, panel, rk.cent_tile, tile_best, tile_dist)
-            }
-        }
-        start = end;
+    if m == 0 {
+        return 0;
     }
-    if need_dist {
-        match rk.kind {
-            ResolvedKind::Scalar => {}
-            ResolvedKind::Tiled => {
-                for x in best_dist.iter_mut() {
-                    *x = x.sqrt();
-                }
+    assert_eq!(cents.means.len(), cents.k() * d, "centroid table is not k × d");
+    match rk.kind {
+        ResolvedKind::Scalar => {
+            for (i, row) in block.chunks_exact(d).enumerate() {
+                let (a, da) = nearest(row, &cents.means, cents.k());
+                (best[i], best_dist[i]) = (a as u32, da);
             }
-            ResolvedKind::Gemm => normtrick_finalize(block, d, best_dist),
+            0
+        }
+        ResolvedKind::Gemm => {
+            assert!((panel.k, panel.d) == (cents.k(), d), "stale or unpacked centroid panel");
+            debug_assert!(
+                panel.stamp == CentroidPanel::stamp_of(cents),
+                "stale or unpacked centroid panel"
+            );
+            Scorer::host().scan(block, cents, panel, best, best_dist);
+            certify(block, d, cents, best, best_dist, need_dist)
         }
     }
 }
 
-/// True when the AVX micro-kernels are usable on this machine (cached by
-/// `std`'s feature detection). The baseline x86-64 build targets SSE2,
-/// where the per-row scan already saturates the FP ports; the 4-wide AVX
-/// micro-kernels — deliberately **without FMA**, which would fuse rounding
-/// steps and break bitwise parity — are where the tiled speedup comes from.
-#[cfg(target_arch = "x86_64")]
-#[inline]
-fn avx_usable() -> bool {
-    std::arch::is_x86_feature_detected!("avx")
+/// Spherical k-means' map: each row's first maximum of `x·c`, into `best`.
+/// This is the gemm scan with zero norms (score `−2·x·c`) and no
+/// certificate, because its objective is the dot product itself, not a
+/// distance `nearest` could re-check. `scratch` receives internal values.
+pub fn max_dot_rows(
+    block: &[f64],
+    d: usize,
+    cents: &Centroids,
+    best: &mut Vec<u32>,
+    scratch: &mut Vec<f64>,
+) {
+    let m = block.len().checked_div(d).unwrap_or(0);
+    best.clear();
+    best.resize(m, 0);
+    scratch.clear();
+    scratch.resize(m, 0.0);
+    if m > 0 {
+        let mut panel = CentroidPanel::default();
+        panel.pack_with(cents, false);
+        Scorer::host().scan(block, cents, &panel, best, scratch);
+    }
 }
 
 /// True when the FMA/AVX2 GEMM micro-kernel is usable on this machine.
 /// Where neither it nor AVX-512 is, GEMM falls back to the portable
-/// un-fused dot scan, which trivially satisfies its ≤ 1e-9 contract.
+/// un-fused dot scan.
 #[cfg(target_arch = "x86_64")]
 #[inline]
 pub fn fma_usable() -> bool {
     std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("fma")
 }
 
-/// True when the 8-wide AVX-512 GEMM micro-kernel is usable. Only the GEMM
-/// path widens to 512-bit lanes — it is already inside the ≤ 1e-9 band, so
-/// the wider accumulator layout costs nothing contract-wise.
+/// True when the 8-wide AVX-512 GEMM micro-kernel is usable.
 #[cfg(target_arch = "x86_64")]
 #[inline]
 fn avx512_usable() -> bool {
@@ -436,207 +430,134 @@ pub fn fma_usable() -> bool {
     false
 }
 
-/// The shared tile-scan skeleton, monomorphized per micro-kernel set.
-/// `kern4x2` evaluates four rows against two centroids (sharing the row
-/// loads), `kern4` four rows against a leftover centroid, `kern1` one
-/// remainder row, and `score` maps the raw kernel output to the minimized
-/// quantity (identity for squared distances; `‖c‖² − 2·dot` for the norm
-/// trick). Candidates are compared in ascending index order with a strict
-/// `<`, and the running best for each 4-row group lives in registers
-/// across the whole centroid tile.
+/// The gemm scorers, fastest first. Each one's contract: for every row of
+/// `block`, the first index (ascending, strict `<`) minimizing the score
+/// `‖c‖² − 2·x·c` into `best`, and its [`CentroidPanel::slack`] — from
+/// the winner's score `s₁` and the runner-up's `s₂` (`+∞` when `k = 1`) —
+/// into `slack`. Their scores differ in the last bits (fused or not,
+/// summation order); certified, all three give `nearest`'s answer.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Scorer {
+    /// `x86::gemm_tile_avx512`.
+    Avx512,
+    /// `x86::gemm_tile_fma`.
+    Fma,
+    /// [`gemm_portable`].
+    Portable,
+}
+
+impl Scorer {
+    /// Whether this host can run the scorer.
+    fn usable(self) -> bool {
+        match self {
+            #[cfg(target_arch = "x86_64")]
+            Scorer::Avx512 => avx512_usable(),
+            #[cfg(not(target_arch = "x86_64"))]
+            Scorer::Avx512 => false,
+            Scorer::Fma => fma_usable(),
+            Scorer::Portable => true,
+        }
+    }
+
+    /// The fastest scorer this host can run (the one [`panel_lanes`]
+    /// pads for).
+    fn host() -> Scorer {
+        [Scorer::Avx512, Scorer::Fma].into_iter().find(|s| s.usable()).unwrap_or(Scorer::Portable)
+    }
+
+    /// Score `block` against `panel` (packed from `cents`).
+    fn scan(
+        self,
+        block: &[f64],
+        cents: &Centroids,
+        panel: &CentroidPanel,
+        best: &mut [u32],
+        slack: &mut [f64],
+    ) {
+        assert!(self.usable(), "{self:?} scorer on a host without it");
+        #[cfg(target_arch = "x86_64")]
+        match self {
+            // Safety: AVX-512F support verified by `usable`.
+            Scorer::Avx512 => return unsafe { x86::gemm_tile_avx512(block, panel, best, slack) },
+            // Safety: FMA + AVX2 support verified by `usable`.
+            Scorer::Fma => return unsafe { x86::gemm_tile_fma(block, panel, best, slack) },
+            Scorer::Portable => {}
+        }
+        gemm_portable(block, cents, panel, best, slack);
+    }
+}
+
+/// Offer candidate `c`'s score to a row's running winner `w`, best score
+/// `s1` and runner-up `s2`. Candidates arrive in ascending index order and
+/// only a strictly smaller score takes the lead, so `w` is the first
+/// minimum; an equal score becomes the runner-up, and the gap is 0.
 #[inline(always)]
-#[allow(clippy::too_many_arguments)]
-fn tile_scan(
+fn offer(sc: f64, c: usize, w: &mut u32, s1: &mut f64, s2: &mut f64) {
+    // Selects rather than branches: whether a score lowers the runner-up
+    // is data-dependent and would mispredict.
+    let lead = sc < *s1;
+    *s2 = if lead { *s1 } else { s2.min(sc) };
+    *s1 = if lead { sc } else { *s1 };
+    *w = if lead { c as u32 } else { *w };
+}
+
+/// Turn each row's gemm winner into `nearest`'s answer, and return how many
+/// rows needed a re-scan. On entry `slack` holds each row's certificate
+/// ([`CentroidPanel::slack`]): a row whose slack is positive keeps its
+/// winner, and gets the winner's `sqdist` when `need_dist`; any other row
+/// is re-scanned with `nearest`.
+fn certify(
     block: &[f64],
     d: usize,
     cents: &Centroids,
-    cent_tile: usize,
     best: &mut [u32],
-    best_dist: &mut [f64],
-    kern4x2: impl Fn(&[&[f64]; 4], &[f64], &[f64]) -> ([f64; 4], [f64; 4]),
-    kern4: impl Fn(&[&[f64]; 4], &[f64]) -> [f64; 4],
-    kern1: impl Fn(&[f64], &[f64]) -> f64,
-    score: impl Fn(usize, f64) -> f64,
-) {
-    let m = block.len() / d.max(1);
-    let k = cents.k();
-    debug_assert!(best.len() == m && best_dist.len() == m);
-    // best_dist carries the running best score until the caller finalizes.
-    best_dist.iter_mut().for_each(|x| *x = f64::INFINITY);
-    best.iter_mut().for_each(|x| *x = 0);
-
-    let mut c0 = 0usize;
-    while c0 < k {
-        let c1 = (c0 + cent_tile).min(k);
-        let ctile = &cents.means[c0 * d..c1 * d];
-        let ctile_n = c1 - c0;
-        // 4-row × 2-centroid micro-kernel: the centroid tile stays hot,
-        // every row load is amortized over two centroids and every
-        // centroid load over four rows, and eight independent accumulator
-        // sets hide the floating-point latency.
-        let mut r = 0usize;
-        while r + 4 <= m {
-            let rows = [
-                &block[r * d..(r + 1) * d],
-                &block[(r + 1) * d..(r + 2) * d],
-                &block[(r + 2) * d..(r + 3) * d],
-                &block[(r + 3) * d..(r + 4) * d],
-            ];
-            let mut bd = [best_dist[r], best_dist[r + 1], best_dist[r + 2], best_dist[r + 3]];
-            let mut bi = [best[r], best[r + 1], best[r + 2], best[r + 3]];
-            let mut ci = 0usize;
-            while ci + 2 <= ctile_n {
-                let (s0, s1) = kern4x2(
-                    &rows,
-                    &ctile[ci * d..(ci + 1) * d],
-                    &ctile[(ci + 1) * d..(ci + 2) * d],
-                );
-                // Candidate ci strictly before ci + 1: ascending order.
-                for (i, &si) in s0.iter().enumerate() {
-                    let sc = score(c0 + ci, si);
-                    if sc < bd[i] {
-                        bd[i] = sc;
-                        bi[i] = (c0 + ci) as u32;
-                    }
-                }
-                for (i, &si) in s1.iter().enumerate() {
-                    let sc = score(c0 + ci + 1, si);
-                    if sc < bd[i] {
-                        bd[i] = sc;
-                        bi[i] = (c0 + ci + 1) as u32;
-                    }
-                }
-                ci += 2;
+    slack: &mut [f64],
+    need_dist: bool,
+) -> u64 {
+    let mut rescored = 0;
+    for ((row, w), x) in block.chunks_exact(d).zip(best.iter_mut()).zip(slack.iter_mut()) {
+        if *x > 0.0 {
+            if need_dist {
+                *x = sqdist(row, cents.mean(*w as usize)).sqrt();
             }
-            while ci < ctile_n {
-                let c = c0 + ci;
-                let s = kern4(&rows, &ctile[ci * d..(ci + 1) * d]);
-                for (i, &si) in s.iter().enumerate() {
-                    let sc = score(c, si);
-                    if sc < bd[i] {
-                        bd[i] = sc;
-                        bi[i] = c as u32;
-                    }
-                }
-                ci += 1;
-            }
-            best_dist[r..r + 4].copy_from_slice(&bd);
-            best[r..r + 4].copy_from_slice(&bi);
-            r += 4;
+        } else {
+            let (a, da) = nearest(row, &cents.means, cents.k());
+            (*w, *x) = (a as u32, da);
+            rescored += 1;
         }
-        // Remainder rows one at a time, same per-pair arithmetic.
-        for i in r..m {
-            let row = &block[i * d..(i + 1) * d];
-            for (ci, mean) in ctile.chunks_exact(d).enumerate() {
-                let c = c0 + ci;
-                let sc = score(c, kern1(row, mean));
-                if sc < best_dist[i] {
-                    best_dist[i] = sc;
-                    best[i] = c as u32;
-                }
-            }
-        }
-        c0 = c1;
     }
+    rescored
 }
 
-/// The tiled primitive: scan one row block (`≤ row_tile` rows, contiguous)
-/// against all centroids, one centroid tile at a time, leaving the best
-/// *squared* distances in `best_dist`. Bitwise identical to calling
-/// [`nearest`] per row (before its square root).
-fn assign_tile_scored(
-    block: &[f64],
-    d: usize,
-    cents: &Centroids,
-    cent_tile: usize,
-    best: &mut [u32],
-    best_dist: &mut [f64],
-) {
-    #[cfg(target_arch = "x86_64")]
-    if avx_usable() {
-        // Safety: AVX support verified at runtime.
-        unsafe { x86::assign_tile_avx(block, d, cents, cent_tile, best, best_dist) };
-        return;
-    }
-    tiled_portable(block, d, cents, cent_tile, best, best_dist);
-}
-
-/// [`assign_tile_scored`] without AVX: the same loop nest over
-/// [`sqdist4`]/[`sqdist`], so the same bits.
-fn tiled_portable(
-    block: &[f64],
-    d: usize,
-    cents: &Centroids,
-    cent_tile: usize,
-    best: &mut [u32],
-    best_dist: &mut [f64],
-) {
-    tile_scan(
-        block,
-        d,
-        cents,
-        cent_tile,
-        best,
-        best_dist,
-        |rows, a, b| (sqdist4(rows, a), sqdist4(rows, b)),
-        sqdist4,
-        sqdist,
-        |_, s| s,
-    );
-}
-
-/// AVX micro-kernels: 4-wide lanes map one-to-one onto [`sqdist`]'s four
-/// accumulator lanes, and sub/mul/add stay un-fused, so every pair's
-/// arithmetic — and therefore every result bit — matches the portable path.
-/// The whole tile scans are compiled with the feature enabled so the
-/// micro-kernels inline into them (a `target_feature` function cannot
-/// inline into a caller without the feature).
+/// AVX2/FMA and AVX-512 gemm scorers. Each evaluates **four rows × one
+/// panel pass** at a time. The last group of a block repeats its last row
+/// in the missing slots and stores only the real ones; a row's arithmetic
+/// does not depend on its group-mates.
 #[cfg(target_arch = "x86_64")]
 mod x86 {
-    use super::{sqdist, tile_scan, CentroidPanel, Centroids};
+    use super::{sqnorm, CentroidPanel};
 
-    /// [`super::assign_tile_scored`]'s scan, AVX-enabled.
-    ///
-    /// # Safety
-    /// Caller must have verified AVX support at runtime.
-    #[target_feature(enable = "avx")]
-    pub unsafe fn assign_tile_avx(
-        block: &[f64],
-        d: usize,
-        cents: &Centroids,
-        cent_tile: usize,
-        best: &mut [u32],
-        best_dist: &mut [f64],
-    ) {
-        // Safety: closures inherit the enclosing function's target features.
-        tile_scan(
-            block,
-            d,
-            cents,
-            cent_tile,
-            best,
-            best_dist,
-            |rows, a, b| unsafe { sqdist4x2_avx(rows, a, b) },
-            |rows, c| unsafe { sqdist4_avx(rows, c) },
-            sqdist,
-            |_, s| s,
-        );
+    /// Row pointers for the 4-row group at `r`, the last real row standing
+    /// in for rows past `m`.
+    #[inline(always)]
+    fn group(block: &[f64], d: usize, m: usize, r: usize) -> [*const f64; 4] {
+        std::array::from_fn(|i| block[(r + i).min(m - 1) * d..].as_ptr())
     }
 
-    /// [`super::gemm_tile_scored`]'s fused path: a register-blocked GEMM.
+    /// [`super::Scorer::Fma`]: a register-blocked GEMM.
     ///
     /// In the packed panel ([`CentroidPanel`]: `d × k_padded`, `k` rounded
     /// up to 8 with `+∞`-normed padding that can never win a strict-`<`
     /// race) the values of eight consecutive centroids sit, for a fixed
     /// dimension `j`, in two contiguous vector lanes. The micro-kernel
-    /// evaluates **four rows × eight centroids** per pass: one broadcast per row element, two packed
-    /// loads per dimension, eight independent FMA accumulators — ~16
-    /// double FLOPs per cycle on AVX2 ports, with every accumulator
-    /// staying in a register across the whole `d` loop (no score-panel
-    /// round-trip, any `d`). The winner pass scores `‖c‖² − 2·dot` in
-    /// ascending candidate order with a strict `<`, same tie discipline as
-    /// every other path; sequential-over-`j` accumulation re-orders the
-    /// sum vs the 4-lane reference dot, which the ≤ 1e-9 band absorbs.
+    /// evaluates **four rows × eight centroids** per pass: one broadcast
+    /// per row element, two packed loads per dimension, eight independent
+    /// FMA accumulators, every accumulator in a register across the whole
+    /// `d` loop. The winner scan is vectorized: scores `‖c‖² − 2·dot` from
+    /// one `fnmadd` per lane (bitwise the scalar formula), and per lane a
+    /// champion, its index and a runner-up kept by strict-`<` blends, as in
+    /// [`gemm_tile_avx512`]; the four lanes reduce to the row's first
+    /// minimum and runner-up.
     ///
     /// # Safety
     /// Caller must have verified AVX2 + FMA support at runtime.
@@ -645,27 +566,24 @@ mod x86 {
         block: &[f64],
         panel: &CentroidPanel,
         best: &mut [u32],
-        best_dist: &mut [f64],
+        slack: &mut [f64],
     ) {
         use std::arch::x86_64::*;
-        let (d, kp) = (panel.d, panel.kp);
-        let m = block.len() / d.max(1);
+        let (d, kp, m) = (panel.d, panel.kp, best.len());
         assert!(kp % 8 == 0 && panel.packed.len() >= kp * d && panel.cnorms.len() >= kp);
-        debug_assert!(best.len() == m && best_dist.len() == m);
-        let cn = &panel.cnorms;
+        assert!(m > 0 && slack.len() == m && block.len() == m * d);
         let pk = panel.packed.as_ptr();
-        let mut r = 0usize;
-        while r + 4 <= m {
-            let rows = [
-                block.as_ptr().add(r * d),
-                block.as_ptr().add((r + 1) * d),
-                block.as_ptr().add((r + 2) * d),
-                block.as_ptr().add((r + 3) * d),
-            ];
-            let mut bd = [f64::INFINITY; 4];
-            let mut bi = [0u32; 4];
-            let mut c8 = 0usize;
-            while c8 < kp {
+        let pcn = panel.cnorms.as_ptr();
+        let iota = _mm256_set_pd(3.0, 2.0, 1.0, 0.0);
+        let two = _mm256_set1_pd(2.0);
+        let inf = _mm256_set1_pd(f64::INFINITY);
+        for r in (0..m).step_by(4) {
+            let rows = group(block, d, m, r);
+            // Per row and lane: champion, runner-up, champion index (as
+            // f64, exact); lane `l` sees candidates `l`, `l + 4`, … in
+            // ascending order.
+            let (mut vs, mut v2, mut vi) = ([inf; 4], [inf; 4], [_mm256_setzero_pd(); 4]);
+            for c8 in (0..kp).step_by(8) {
                 let pb = pk.add(c8);
                 let mut acc = [_mm256_setzero_pd(); 8];
                 for j in 0..d {
@@ -677,71 +595,63 @@ mod x86 {
                         acc[2 * rr + 1] = _mm256_fmadd_pd(a, b1, acc[2 * rr + 1]);
                     }
                 }
-                for rr in 0..4 {
-                    let mut dp = [0.0f64; 8];
-                    _mm256_storeu_pd(dp.as_mut_ptr(), acc[2 * rr]);
-                    _mm256_storeu_pd(dp.as_mut_ptr().add(4), acc[2 * rr + 1]);
-                    for (ci, &dpv) in dp.iter().enumerate() {
-                        let sc = cn[c8 + ci] - 2.0 * dpv;
-                        if sc < bd[rr] {
-                            bd[rr] = sc;
-                            bi[rr] = (c8 + ci) as u32;
-                        }
+                for (h, c) in [c8, c8 + 4].into_iter().enumerate() {
+                    let cn = _mm256_loadu_pd(pcn.add(c));
+                    let idx = _mm256_add_pd(iota, _mm256_set1_pd(c as f64));
+                    for rr in 0..4 {
+                        let s = _mm256_fnmadd_pd(two, acc[2 * rr + h], cn);
+                        let lt = _mm256_cmp_pd::<_CMP_LT_OQ>(s, vs[rr]);
+                        // A NaN score never displaces a runner-up (see
+                        // `gemm_tile_avx512`).
+                        v2[rr] = _mm256_blendv_pd(_mm256_min_pd(s, v2[rr]), vs[rr], lt);
+                        vs[rr] = _mm256_blendv_pd(vs[rr], s, lt);
+                        vi[rr] = _mm256_blendv_pd(vi[rr], idx, lt);
                     }
                 }
-                c8 += 8;
             }
-            best_dist[r..r + 4].copy_from_slice(&bd);
-            best[r..r + 4].copy_from_slice(&bi);
-            r += 4;
-        }
-        // Remainder rows: the same packed panel, one row at a time.
-        for i in r..m {
-            let row = block.as_ptr().add(i * d);
-            let mut bd = f64::INFINITY;
-            let mut bi = 0u32;
-            let mut c8 = 0usize;
-            while c8 < kp {
-                let pb = pk.add(c8);
-                let mut a0 = _mm256_setzero_pd();
-                let mut a1 = _mm256_setzero_pd();
-                for j in 0..d {
-                    let a = _mm256_set1_pd(*row.add(j));
-                    a0 = _mm256_fmadd_pd(a, _mm256_loadu_pd(pb.add(j * kp)), a0);
-                    a1 = _mm256_fmadd_pd(a, _mm256_loadu_pd(pb.add(j * kp + 4)), a1);
-                }
-                let mut dp = [0.0f64; 8];
-                _mm256_storeu_pd(dp.as_mut_ptr(), a0);
-                _mm256_storeu_pd(dp.as_mut_ptr().add(4), a1);
-                for (ci, &dpv) in dp.iter().enumerate() {
-                    let sc = cn[c8 + ci] - 2.0 * dpv;
-                    if sc < bd {
-                        bd = sc;
-                        bi = (c8 + ci) as u32;
+            for rr in 0..4.min(m - r) {
+                // The lanes to the row: the least champion with the lowest
+                // index among equals, and the least of every lane's
+                // runner-up and every other lane's champion.
+                let (mut sv, mut s2v, mut iv) = ([0.0f64; 4], [0.0f64; 4], [0.0f64; 4]);
+                _mm256_storeu_pd(sv.as_mut_ptr(), vs[rr]);
+                _mm256_storeu_pd(s2v.as_mut_ptr(), v2[rr]);
+                _mm256_storeu_pd(iv.as_mut_ptr(), vi[rr]);
+                let mut lane = 0;
+                for l in 1..4 {
+                    if sv[l] < sv[lane] || (sv[l] == sv[lane] && iv[l] < iv[lane]) {
+                        lane = l;
                     }
                 }
-                c8 += 8;
+                let mut s2 = f64::INFINITY;
+                for l in 0..4 {
+                    s2 = s2.min(s2v[l]);
+                    if l != lane {
+                        s2 = s2.min(sv[l]);
+                    }
+                }
+                let row = &block[(r + rr) * d..(r + rr + 1) * d];
+                let slack_rr = panel.slack(sqnorm(row), sv[lane], s2);
+                (best[r + rr], slack[r + rr]) = (iv[lane] as u32, slack_rr);
             }
-            best_dist[i] = bd;
-            best[i] = bi;
         }
     }
 
     /// The AVX-512 variant of [`gemm_tile_fma`]: the same packed-transpose
     /// layout (`k` padded to 16) with a **four rows × sixteen centroids**
     /// micro-kernel — two 8-wide panel loads and four broadcasts feed eight
-    /// independent zmm FMA accumulators per dimension, saturating both
-    /// 512-bit FMA ports where the hardware has them (~32 double FLOPs per
-    /// cycle).
+    /// independent zmm FMA accumulators per dimension.
     ///
     /// The winner scan is vectorized too: scores `‖c‖² − 2·dot` come from
     /// one `fnmadd` per lane (the `2·dot` scale is exact, so each score
-    /// rounds exactly like the scalar formula), and a masked strict-`<`
-    /// blend keeps per-lane champions with candidates visited in ascending
-    /// index order. The final 8-lane reduction prefers strictly smaller
-    /// scores and breaks exact ties toward the lower index — precisely the
-    /// scalar first-minimum discipline. Same ≤ 1e-9 band as the 256-bit
-    /// path.
+    /// rounds exactly like the scalar formula). Each lane keeps its
+    /// champion, the champion's index and its runner-up: a masked
+    /// strict-`<` blend promotes a smaller score and demotes the old
+    /// champion, and any other score lowers the runner-up. The final
+    /// 8-lane reduction takes the least score and, among the lanes holding
+    /// it, the lowest index — the scalar first-minimum discipline — and
+    /// the row's runner-up is the least of every other lane's champion and
+    /// every lane's runner-up.
     ///
     /// # Safety
     /// Caller must have verified AVX-512F support at runtime.
@@ -750,50 +660,21 @@ mod x86 {
         block: &[f64],
         panel: &CentroidPanel,
         best: &mut [u32],
-        best_dist: &mut [f64],
+        slack: &mut [f64],
     ) {
         use std::arch::x86_64::*;
-        let (d, kp) = (panel.d, panel.kp);
-        let m = block.len() / d.max(1);
+        let (d, kp, m) = (panel.d, panel.kp, best.len());
         assert!(kp % 16 == 0 && panel.packed.len() >= kp * d && panel.cnorms.len() >= kp);
-        debug_assert!(best.len() == m && best_dist.len() == m);
-        // Reduce one row's 8-lane champions (scores + indices) to the
-        // scalar first-minimum: strictly smaller score wins, an exactly
-        // equal score falls back to the lower candidate index.
-        let reduce = |vs: __m512d, vi: __m512i| -> (f64, u32) {
-            let mut sv = [0.0f64; 8];
-            let mut iv = [0i64; 8];
-            // Safety: the enclosing function already verified AVX-512F.
-            unsafe {
-                _mm512_storeu_pd(sv.as_mut_ptr(), vs);
-                _mm512_storeu_si512(iv.as_mut_ptr().cast(), vi);
-            }
-            let (mut bd, mut bi) = (f64::INFINITY, u32::MAX);
-            for l in 0..8 {
-                if sv[l] < bd || (sv[l] == bd && (iv[l] as u32) < bi) {
-                    bd = sv[l];
-                    bi = iv[l] as u32;
-                }
-            }
-            (bd, bi)
-        };
+        assert!(m > 0 && slack.len() == m && block.len() == m * d);
         let pk = panel.packed.as_ptr();
         let pcn = panel.cnorms.as_ptr();
         let iota = _mm512_set_epi64(7, 6, 5, 4, 3, 2, 1, 0);
         let two = _mm512_set1_pd(2.0);
         let inf = _mm512_set1_pd(f64::INFINITY);
-        let mut r = 0usize;
-        while r + 4 <= m {
-            let rows = [
-                block.as_ptr().add(r * d),
-                block.as_ptr().add((r + 1) * d),
-                block.as_ptr().add((r + 2) * d),
-                block.as_ptr().add((r + 3) * d),
-            ];
-            let mut vs = [inf; 4];
-            let mut vi = [_mm512_setzero_si512(); 4];
-            let mut c16 = 0usize;
-            while c16 < kp {
+        for r in (0..m).step_by(4) {
+            let rows = group(block, d, m, r);
+            let (mut vs, mut v2, mut vi) = ([inf; 4], [inf; 4], [_mm512_setzero_si512(); 4]);
+            for c16 in (0..kp).step_by(16) {
                 let pb = pk.add(c16);
                 let mut acc = [_mm512_setzero_pd(); 8];
                 for j in 0..d {
@@ -805,250 +686,73 @@ mod x86 {
                         acc[2 * rr + 1] = _mm512_fmadd_pd(a, b1, acc[2 * rr + 1]);
                     }
                 }
-                let cn0 = _mm512_loadu_pd(pcn.add(c16));
-                let cn1 = _mm512_loadu_pd(pcn.add(c16 + 8));
-                let idx0 = _mm512_add_epi64(iota, _mm512_set1_epi64(c16 as i64));
-                let idx1 = _mm512_add_epi64(iota, _mm512_set1_epi64((c16 + 8) as i64));
-                for rr in 0..4 {
-                    let s0 = _mm512_fnmadd_pd(two, acc[2 * rr], cn0);
-                    let m0 = _mm512_cmp_pd_mask::<_CMP_LT_OQ>(s0, vs[rr]);
-                    vs[rr] = _mm512_mask_blend_pd(m0, vs[rr], s0);
-                    vi[rr] = _mm512_mask_blend_epi64(m0, vi[rr], idx0);
-                    let s1 = _mm512_fnmadd_pd(two, acc[2 * rr + 1], cn1);
-                    let m1 = _mm512_cmp_pd_mask::<_CMP_LT_OQ>(s1, vs[rr]);
-                    vs[rr] = _mm512_mask_blend_pd(m1, vs[rr], s1);
-                    vi[rr] = _mm512_mask_blend_epi64(m1, vi[rr], idx1);
+                for (h, c) in [c16, c16 + 8].into_iter().enumerate() {
+                    let cn = _mm512_loadu_pd(pcn.add(c));
+                    let idx = _mm512_add_epi64(iota, _mm512_set1_epi64(c as i64));
+                    for rr in 0..4 {
+                        let s = _mm512_fnmadd_pd(two, acc[2 * rr + h], cn);
+                        let lt = _mm512_cmp_pd_mask::<_CMP_LT_OQ>(s, vs[rr]);
+                        // `min_pd` returns its second operand when either
+                        // is NaN: a NaN score never displaces a runner-up.
+                        v2[rr] = _mm512_mask_blend_pd(lt, _mm512_min_pd(s, v2[rr]), vs[rr]);
+                        vs[rr] = _mm512_mask_blend_pd(lt, vs[rr], s);
+                        vi[rr] = _mm512_mask_blend_epi64(lt, vi[rr], idx);
+                    }
                 }
-                c16 += 16;
             }
-            for rr in 0..4 {
-                let (bd, bi) = reduce(vs[rr], vi[rr]);
-                best_dist[r + rr] = bd;
-                best[r + rr] = bi;
-            }
-            r += 4;
-        }
-        // Remainder rows: the same packed panel, one row at a time.
-        for i in r..m {
-            let row = block.as_ptr().add(i * d);
-            let mut vs = inf;
-            let mut vi = _mm512_setzero_si512();
-            let mut c16 = 0usize;
-            while c16 < kp {
-                let pb = pk.add(c16);
-                let mut a0 = _mm512_setzero_pd();
-                let mut a1 = _mm512_setzero_pd();
-                for j in 0..d {
-                    let a = _mm512_set1_pd(*row.add(j));
-                    a0 = _mm512_fmadd_pd(a, _mm512_loadu_pd(pb.add(j * kp)), a0);
-                    a1 = _mm512_fmadd_pd(a, _mm512_loadu_pd(pb.add(j * kp + 8)), a1);
+            for (rr, row) in rows.iter().enumerate().take(m - r) {
+                // ‖x‖², eight lanes at a time; the tail load is masked.
+                let mut nx = _mm512_setzero_pd();
+                for j in (0..d).step_by(8) {
+                    let v = _mm512_maskz_loadu_pd(0xff >> 8usize.saturating_sub(d - j), row.add(j));
+                    nx = _mm512_fmadd_pd(v, v, nx);
                 }
-                let s0 = _mm512_fnmadd_pd(two, a0, _mm512_loadu_pd(pcn.add(c16)));
-                let idx0 = _mm512_add_epi64(iota, _mm512_set1_epi64(c16 as i64));
-                let m0 = _mm512_cmp_pd_mask::<_CMP_LT_OQ>(s0, vs);
-                vs = _mm512_mask_blend_pd(m0, vs, s0);
-                vi = _mm512_mask_blend_epi64(m0, vi, idx0);
-                let s1 = _mm512_fnmadd_pd(two, a1, _mm512_loadu_pd(pcn.add(c16 + 8)));
-                let idx1 = _mm512_add_epi64(iota, _mm512_set1_epi64((c16 + 8) as i64));
-                let m1 = _mm512_cmp_pd_mask::<_CMP_LT_OQ>(s1, vs);
-                vs = _mm512_mask_blend_pd(m1, vs, s1);
-                vi = _mm512_mask_blend_epi64(m1, vi, idx1);
-                c16 += 16;
+                // The lanes to the row: the least champion, the lowest
+                // index among the lanes holding it, and the runner-up —
+                // that score again if two lanes hold it, else the least
+                // of every lane's runner-up and every other champion.
+                let s1 = _mm512_reduce_min_pd(vs[rr]);
+                let at = _mm512_cmp_pd_mask::<_CMP_EQ_OQ>(vs[rr], _mm512_set1_pd(s1));
+                let w = _mm512_mask_reduce_min_epi64(at, vi[rr]) as u32;
+                let s2 = if at.count_ones() > 1 {
+                    s1
+                } else {
+                    let others = _mm512_mask_blend_pd(at, vs[rr], inf);
+                    _mm512_reduce_min_pd(_mm512_min_pd(v2[rr], others))
+                };
+                let xnorm = _mm512_reduce_add_pd(nx);
+                (best[r + rr], slack[r + rr]) = (w, panel.slack(xnorm, s1, s2));
             }
-            let (bd, bi) = reduce(vs, vi);
-            best_dist[i] = bd;
-            best[i] = bi;
         }
-    }
-
-    /// Squared distances of four rows to two centroids, sharing every row
-    /// load (AVX lanes; each pair's arithmetic matches `sqdist` exactly).
-    ///
-    /// `#[inline(always)]` rather than `#[target_feature]`: the two are
-    /// mutually exclusive, and a non-inlined call per two centroids (with
-    /// its by-memory tuple return) costs ~30% of the kernel. Inlining into
-    /// the `target_feature` scan above compiles the intrinsics in an
-    /// AVX-enabled context.
-    ///
-    /// # Safety
-    /// Must only execute under AVX — guaranteed by being called only from
-    /// the feature-gated scan above.
-    #[inline(always)]
-    unsafe fn sqdist4x2_avx(rows: &[&[f64]; 4], c0: &[f64], c1: &[f64]) -> ([f64; 4], [f64; 4]) {
-        use std::arch::x86_64::*;
-        let d = c0.len();
-        let full = d - d % 4;
-        let mut acc0 = [_mm256_setzero_pd(); 4];
-        let mut acc1 = [_mm256_setzero_pd(); 4];
-        let mut j = 0usize;
-        while j < full {
-            let cv0 = _mm256_loadu_pd(c0.as_ptr().add(j));
-            let cv1 = _mm256_loadu_pd(c1.as_ptr().add(j));
-            for (r, row) in rows.iter().enumerate() {
-                let rv = _mm256_loadu_pd(row.as_ptr().add(j));
-                let d0 = _mm256_sub_pd(rv, cv0);
-                acc0[r] = _mm256_add_pd(acc0[r], _mm256_mul_pd(d0, d0));
-                let d1 = _mm256_sub_pd(rv, cv1);
-                acc1[r] = _mm256_add_pd(acc1[r], _mm256_mul_pd(d1, d1));
-            }
-            j += 4;
-        }
-        let mut out0 = [0.0f64; 4];
-        let mut out1 = [0.0f64; 4];
-        for (r, row) in rows.iter().enumerate() {
-            let mut lanes = [0.0f64; 4];
-            _mm256_storeu_pd(lanes.as_mut_ptr(), acc0[r]);
-            let mut sum = lanes[0] + lanes[1] + lanes[2] + lanes[3];
-            for jj in full..d {
-                let diff = row[jj] - c0[jj];
-                sum += diff * diff;
-            }
-            out0[r] = sum;
-            _mm256_storeu_pd(lanes.as_mut_ptr(), acc1[r]);
-            let mut sum = lanes[0] + lanes[1] + lanes[2] + lanes[3];
-            for jj in full..d {
-                let diff = row[jj] - c1[jj];
-                sum += diff * diff;
-            }
-            out1[r] = sum;
-        }
-        (out0, out1)
-    }
-
-    /// Squared distances of four rows to one centroid (AVX lanes).
-    ///
-    /// # Safety
-    /// As `sqdist4x2_avx`: only reachable from the feature-gated scan.
-    #[inline(always)]
-    unsafe fn sqdist4_avx(rows: &[&[f64]; 4], c: &[f64]) -> [f64; 4] {
-        use std::arch::x86_64::*;
-        let d = c.len();
-        let full = d - d % 4;
-        let mut acc = [_mm256_setzero_pd(); 4];
-        let mut j = 0usize;
-        while j < full {
-            let cv = _mm256_loadu_pd(c.as_ptr().add(j));
-            for (r, row) in rows.iter().enumerate() {
-                let rv = _mm256_loadu_pd(row.as_ptr().add(j));
-                let diff = _mm256_sub_pd(rv, cv);
-                acc[r] = _mm256_add_pd(acc[r], _mm256_mul_pd(diff, diff));
-            }
-            j += 4;
-        }
-        let mut out = [0.0f64; 4];
-        for (r, row) in rows.iter().enumerate() {
-            let mut lanes = [0.0f64; 4];
-            _mm256_storeu_pd(lanes.as_mut_ptr(), acc[r]);
-            // Same summation order as `sqdist`: ((l0 + l1) + l2) + l3.
-            let mut sum = lanes[0] + lanes[1] + lanes[2] + lanes[3];
-            for jj in full..d {
-                let diff = row[jj] - c[jj];
-                sum += diff * diff;
-            }
-            out[r] = sum;
-        }
-        out
     }
 }
 
-/// Squared distances of four rows to one centroid, each pair computed with
-/// exactly [`sqdist`]'s chunking and summation order.
-#[inline]
-fn sqdist4(rows: &[&[f64]; 4], c: &[f64]) -> [f64; 4] {
-    let d = c.len();
-    let full = d - d % 4;
-    let mut acc = [[0.0f64; 4]; 4];
-    let mut j = 0usize;
-    while j < full {
-        let cc = &c[j..j + 4];
-        for (r, row) in rows.iter().enumerate() {
-            let rr = &row[j..j + 4];
-            for l in 0..4 {
-                let diff = rr[l] - cc[l];
-                acc[r][l] += diff * diff;
-            }
-        }
-        j += 4;
-    }
-    let mut out = [0.0f64; 4];
-    for (r, row) in rows.iter().enumerate() {
-        let mut sum = acc[r][0] + acc[r][1] + acc[r][2] + acc[r][3];
-        for jj in full..d {
-            let diff = row[jj] - c[jj];
-            sum += diff * diff;
-        }
-        out[r] = sum;
-    }
-    out
-}
-
-/// Reconstruct distances from the winning GEMM scores `‖c‖² − 2·x·c` as
-/// `√max(‖x‖² + score, 0)` (adding `‖x‖²` is row-constant, so the scan
-/// leaves it out of the argmin).
-fn normtrick_finalize(block: &[f64], d: usize, best_dist: &mut [f64]) {
-    for (i, x) in best_dist.iter_mut().enumerate() {
-        let row = &block[i * d..(i + 1) * d];
-        *x = (sqnorm(row) + *x).max(0.0).sqrt();
-    }
-}
-
-/// The blocked-GEMM primitive: treat the assignment as
-/// `‖x‖² − 2XCᵀ + ‖c‖²` and score `‖c‖² − 2·dot` per candidate in
-/// ascending candidate order with a strict `<` — the same tie discipline
-/// as every other path. `best_dist` is left holding the winning scores
-/// (the caller finalizes with [`normtrick_finalize`]).
-#[allow(clippy::too_many_arguments)]
-fn gemm_tile_scored(
-    block: &[f64],
-    d: usize,
-    cents: &Centroids,
-    cnorms: &[f64],
-    panel: &CentroidPanel,
-    cent_tile: usize,
-    best: &mut [u32],
-    best_dist: &mut [f64],
-) {
-    debug_assert_eq!(cnorms.len(), cents.k());
-    #[cfg(target_arch = "x86_64")]
-    {
-        if avx512_usable() {
-            // Safety: AVX-512F support verified at runtime.
-            unsafe { x86::gemm_tile_avx512(block, panel, best, best_dist) };
-            return;
-        }
-        if fma_usable() {
-            // Safety: FMA + AVX2 support verified at runtime.
-            unsafe { x86::gemm_tile_fma(block, panel, best, best_dist) };
-            return;
-        }
-    }
-    gemm_portable(block, d, cents, cnorms, cent_tile, best, best_dist);
-}
-
-/// [`gemm_tile_scored`] without FMA: the tiled loop nest over
-/// [`dot4`]/[`dot`], reading the row-major centroids and leaving the panel
-/// alone. Un-fused, so inside the same ≤ 1e-9 band, at every `d`.
+/// [`Scorer::Portable`]: four rows at a time against the row-major
+/// centroids (each centroid load shared by the four), un-fused [`dot4`]
+/// products, the same [`offer`] discipline.
 fn gemm_portable(
     block: &[f64],
-    d: usize,
     cents: &Centroids,
-    cnorms: &[f64],
-    cent_tile: usize,
+    panel: &CentroidPanel,
     best: &mut [u32],
-    best_dist: &mut [f64],
+    slack: &mut [f64],
 ) {
-    tile_scan(
-        block,
-        d,
-        cents,
-        cent_tile,
-        best,
-        best_dist,
-        |rows, a, b| (dot4(rows, a), dot4(rows, b)),
-        dot4,
-        dot,
-        |c, dp| cnorms[c] - 2.0 * dp,
-    );
+    let (d, m) = (cents.d, best.len());
+    for r in (0..m).step_by(4) {
+        let rows: [&[f64]; 4] = std::array::from_fn(|i| {
+            let i = (r + i).min(m - 1);
+            &block[i * d..(i + 1) * d]
+        });
+        let (mut w, mut s1, mut s2) = ([0u32; 4], [f64::INFINITY; 4], [f64::INFINITY; 4]);
+        for (c, mean) in cents.means.chunks_exact(d).enumerate() {
+            for (rr, dp) in dot4(&rows, mean).into_iter().enumerate() {
+                offer(panel.cnorms[c] - 2.0 * dp, c, &mut w[rr], &mut s1[rr], &mut s2[rr]);
+            }
+        }
+        for rr in 0..4.min(m - r) {
+            (best[r + rr], slack[r + rr]) = (w[rr], panel.slack(sqnorm(rows[rr]), s1[rr], s2[rr]));
+        }
+    }
 }
 
 /// Chunked dot product (same shape as [`sqdist`] for vectorization).
@@ -1070,7 +774,7 @@ pub fn dot(a: &[f64], b: &[f64]) -> f64 {
     sum
 }
 
-/// Dot products of four rows with one centroid.
+/// Dot products of four rows with one centroid, each bitwise [`dot`].
 #[inline]
 fn dot4(rows: &[&[f64]; 4], c: &[f64]) -> [f64; 4] {
     let d = c.len();
@@ -1114,75 +818,132 @@ mod tests {
         (block, cents)
     }
 
-    fn scalar_reference(block: &[f64], d: usize, cents: &Centroids) -> (Vec<u32>, Vec<f64>) {
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// `nearest` per row: winners and the bits of their distances.
+    fn reference(block: &[f64], d: usize, cents: &Centroids) -> (Vec<u32>, Vec<u64>) {
         block
             .chunks_exact(d)
             .map(|row| {
                 let (a, da) = nearest(row, &cents.means, cents.k());
-                (a as u32, da)
+                (a as u32, da.to_bits())
             })
             .unzip()
     }
 
+    /// `rk` through [`assign_rows`] with distances, as [`reference`] reports.
+    fn assigned(
+        block: &[f64],
+        d: usize,
+        cents: &Centroids,
+        rk: &ResolvedKernel,
+    ) -> (Vec<u32>, Vec<u64>) {
+        let (mut best, mut dist) = (Vec::new(), Vec::new());
+        assign_rows(block, d, cents, rk, &[], &mut best, &mut dist, true);
+        (best, bits(&dist))
+    }
+
+    /// One scorer, called directly, then certified as [`assign_rows_packed`]
+    /// certifies the host's: winners, distance bits, re-scanned rows.
+    fn certified(
+        s: Scorer,
+        block: &[f64],
+        d: usize,
+        cents: &Centroids,
+    ) -> (Vec<u32>, Vec<u64>, u64) {
+        let mut panel = CentroidPanel::default();
+        panel.pack(cents);
+        let m = block.len() / d;
+        let (mut best, mut slack) = (vec![0; m], vec![0.0; m]);
+        s.scan(block, cents, &panel, &mut best, &mut slack);
+        let rescored = certify(block, d, cents, &mut best, &mut slack, true);
+        (best, bits(&slack), rescored)
+    }
+
+    /// Every scorer this host can run: on an AVX-512 host all three, since
+    /// a 16-lane panel is also whole 8-lane passes.
+    fn host_scorers() -> Vec<Scorer> {
+        [Scorer::Avx512, Scorer::Fma, Scorer::Portable].into_iter().filter(|s| s.usable()).collect()
+    }
+
+    /// Certified gemm is `nearest` bit for bit across the awkward shapes:
+    /// `d % 4 != 0`, `k = 1`, blocks smaller than a 4-row group, pad
+    /// columns on both panel widths.
     #[test]
-    fn tiled_is_bitwise_identical_to_scalar() {
-        // Shapes straddle the 4-row micro-kernel, tile boundaries and
-        // d % 4 != 0 remainders.
-        for (m, k, d, seed) in
-            [(1, 1, 3, 1u64), (3, 5, 7, 2), (4, 8, 8, 3), (67, 13, 6, 4), (130, 40, 9, 5)]
-        {
+    fn gemm_is_bitwise_the_reference() {
+        for (m, k, d, seed) in [
+            (1, 1, 3, 11u64),
+            (3, 1, 5, 12),
+            (3, 5, 7, 2),
+            (4, 7, 9, 13),
+            (4, 8, 8, 3),
+            (50, 9, 6, 14),
+            (33, 16, 11, 15),
+            (67, 40, 13, 16),
+            (130, 65, 7, 17),
+        ] {
             let (block, cents) = random_case(m, k, d, seed);
-            let rk = KernelKind::Tiled.resolve(k, d, false);
-            let (mut best, mut dist) = (Vec::new(), Vec::new());
-            assign_rows(&block, d, &cents, &rk, &[], &mut best, &mut dist, true);
-            let (rbest, rdist) = scalar_reference(&block, d, &cents);
-            assert_eq!(best, rbest, "case {m}x{k}x{d}");
-            assert_eq!(
-                dist.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
-                rdist.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
-                "distances must match bitwise in case {m}x{k}x{d}"
-            );
+            let rk = KernelKind::Gemm.resolve(k, d, false);
+            let want = reference(&block, d, &cents);
+            assert_eq!(assigned(&block, d, &cents, &rk), want, "case {m}x{k}x{d}");
+            // Without distances the winners are still `nearest`'s.
+            let (mut best, mut scratch) = (Vec::new(), Vec::new());
+            assign_rows(&block, d, &cents, &rk, &[], &mut best, &mut scratch, false);
+            assert_eq!(best, want.0, "case {m}x{k}x{d}, no distances");
         }
     }
 
     #[test]
-    fn tiny_cent_tile_still_exact() {
-        let (block, cents) = random_case(21, 17, 5, 9);
-        let rk = ResolvedKernel { kind: ResolvedKind::Tiled, row_tile: 8, cent_tile: 4 };
-        let (mut best, mut dist) = (Vec::new(), Vec::new());
-        assign_rows(&block, 5, &cents, &rk, &[], &mut best, &mut dist, true);
-        let (rbest, rdist) = scalar_reference(&block, 5, &cents);
-        assert_eq!(best, rbest);
-        assert_eq!(dist, rdist);
-    }
-
-    #[test]
     fn ties_break_to_lower_index() {
-        // Two identical centroids: the tiled scan must pick index 0, like
-        // `nearest`.
+        // Two identical centroids produce identical scores: the runner-up
+        // ties the winner, no row is certified, and `nearest` keeps index 0.
         let block = vec![0.5, 0.5, 0.5, 0.5, 1.5, 1.5, 1.5, 1.5];
         let cents = Centroids { means: vec![1.0; 8], counts: vec![0; 2], d: 4 };
-        let rk = KernelKind::Tiled.resolve(2, 4, false);
+        let rk = KernelKind::Gemm.resolve(2, 4, false);
+        let mut panel = CentroidPanel::default();
+        panel.pack(&cents);
         let (mut best, mut dist) = (Vec::new(), Vec::new());
-        assign_rows(&block, 4, &cents, &rk, &[], &mut best, &mut dist, true);
-        assert_eq!(best, vec![0, 0]);
+        let rescored =
+            assign_rows_packed(&block, 4, &cents, &rk, &panel, &mut best, &mut dist, true);
+        assert_eq!((best, rescored), (vec![0, 0], 2));
+    }
+
+    /// On separated data every row is certified; with every centroid
+    /// duplicated none is, and the re-scan still gives `nearest`'s bits.
+    #[test]
+    fn rescored_rows_are_the_uncertified_ones() {
+        let (block, cents) = random_case(101, 12, 9, 8);
+        for s in host_scorers() {
+            let (.., rescored) = certified(s, &block, 9, &cents);
+            assert_eq!(rescored, 0, "{s:?}");
+            let twice = Centroids {
+                means: [cents.means.as_slice(), &cents.means].concat(),
+                counts: vec![0; 24],
+                d: 9,
+            };
+            let (best, dist, rescored) = certified(s, &block, 9, &twice);
+            assert_eq!((best, dist), reference(&block, 9, &twice), "{s:?}");
+            assert_eq!(rescored, 101, "{s:?}");
+        }
     }
 
     #[test]
     fn auto_resolution_heuristics() {
-        // Tiny k·d falls back to scalar; mid-size problems tile; large
-        // unpruned problems take the blocked-GEMM path.
+        // Tiny k·d falls back to scalar; everything else takes gemm, pruned
+        // or not.
         assert_eq!(KernelKind::Auto.resolve(4, 8, false).kind, ResolvedKind::Scalar);
-        assert_eq!(KernelKind::Auto.resolve(16, 16, false).kind, ResolvedKind::Tiled);
-        assert_eq!(KernelKind::Auto.resolve(64, 32, false).kind, ResolvedKind::Gemm);
-        // The approximate path is illegal under pruning (bounds must be
-        // exact), so `Auto` and the explicit knob both downgrade.
-        assert_eq!(KernelKind::Auto.resolve(64, 32, true).kind, ResolvedKind::Tiled);
-        assert_eq!(KernelKind::Gemm.resolve(64, 32, true).kind, ResolvedKind::Tiled);
-        assert_eq!(KernelKind::Gemm.resolve(64, 32, false).kind, ResolvedKind::Gemm);
+        assert_eq!(KernelKind::Auto.resolve(4, 8, true).kind, ResolvedKind::Scalar);
+        for pruning in [false, true] {
+            assert_eq!(KernelKind::Auto.resolve(13, 5, pruning).kind, ResolvedKind::Gemm);
+            assert_eq!(KernelKind::Auto.resolve(64, 32, pruning).kind, ResolvedKind::Gemm);
+            assert_eq!(KernelKind::Gemm.resolve(2, 2, pruning).kind, ResolvedKind::Gemm);
+            assert_eq!(KernelKind::Scalar.resolve(64, 32, pruning).kind, ResolvedKind::Scalar);
+        }
         // Tile sizes shrink as d grows.
-        let small_d = KernelKind::Tiled.resolve(100, 4, false);
-        let large_d = KernelKind::Tiled.resolve(100, 500, false);
+        let small_d = KernelKind::Gemm.resolve(100, 4, false);
+        let large_d = KernelKind::Gemm.resolve(100, 500, false);
         assert!(small_d.row_tile >= large_d.row_tile);
         assert!(small_d.cent_tile >= large_d.cent_tile);
         assert!(large_d.row_tile >= 8 && large_d.cent_tile >= 4);
@@ -1190,83 +951,45 @@ mod tests {
 
     #[test]
     fn kind_names_round_trip() {
-        for kind in [KernelKind::Auto, KernelKind::Scalar, KernelKind::Tiled, KernelKind::Gemm] {
+        for kind in [KernelKind::Auto, KernelKind::Scalar, KernelKind::Gemm] {
             assert_eq!(KernelKind::parse(kind.name()), Some(kind));
         }
         // The deleted kernels' spellings are refused, not aliased.
-        for gone in ["fma", "norm", "normtrick", "warp"] {
+        for gone in ["tiled", "fma", "norm", "normtrick", "warp"] {
             assert_eq!(KernelKind::parse(gone), None, "{gone}");
         }
     }
 
-    /// `Fma` and `NormTrick` are names the benchmark harness (`knor_bench`)
-    /// compiles against, nothing more: on both sides of both cutoffs,
-    /// pruned or not, they resolve as `Gemm` does and scan the same bits.
+    /// `Tiled`, `Fma` and `NormTrick` are names the benchmark harness
+    /// (`knor_bench`) compiles against, nothing more: on both sides of the
+    /// cutoff, pruned or not, they resolve as `Gemm` does and scan the same
+    /// bits.
     #[test]
-    fn fma_and_norm_are_spellings_of_gemm() {
+    fn tiled_fma_and_norm_are_spellings_of_gemm() {
         // k·d = 64, 65, 2047, 2048, 4000.
         for (k, d) in [(8usize, 8usize), (13, 5), (23, 89), (64, 32), (40, 100)] {
             let (block, cents) = random_case(37, k, d, (k * d) as u64);
-            let mut cnorms = vec![0.0; k];
-            centroid_sqnorms(&cents, &mut cnorms);
             for pruning in [false, true] {
                 let gemm = KernelKind::Gemm.resolve(k, d, pruning);
-                let scan = |rk: &ResolvedKernel| {
-                    let (mut best, mut dist) = (Vec::new(), Vec::new());
-                    assign_rows(&block, d, &cents, rk, &cnorms, &mut best, &mut dist, true);
-                    (best, dist.iter().map(|x| x.to_bits()).collect::<Vec<_>>())
-                };
-                for alias in [KernelKind::Fma, KernelKind::NormTrick] {
+                for alias in [KernelKind::Tiled, KernelKind::Fma, KernelKind::NormTrick] {
                     let rk = alias.resolve(k, d, pruning);
                     assert_eq!(rk, gemm, "{k}x{d} pruning={pruning}");
-                    assert_eq!(scan(&rk), scan(&gemm), "{k}x{d} pruning={pruning}");
+                    assert_eq!(
+                        assigned(&block, d, &cents, &rk),
+                        assigned(&block, d, &cents, &gemm),
+                        "{k}x{d} pruning={pruning}"
+                    );
                 }
             }
         }
     }
 
-    /// The blocked GEMM must agree with the scalar `nearest` reference
-    /// within the 1e-9 band across the awkward shapes: `d % 4 != 0`,
-    /// `k = 1`, blocks smaller than a tile, non-trivial multi-tile scans.
-    #[test]
-    fn gemm_within_tolerance() {
-        for (m, k, d, seed) in [
-            (1, 1, 3, 11u64),
-            (3, 1, 5, 12),
-            (4, 7, 9, 13),
-            (50, 9, 6, 14),
-            (33, 16, 11, 15),
-            (67, 40, 13, 16),
-            (130, 65, 7, 17),
-        ] {
-            let (block, cents) = random_case(m, k, d, seed);
-            let mut cnorms = vec![0.0; k];
-            centroid_sqnorms(&cents, &mut cnorms);
-            let (rbest, rdist) = scalar_reference(&block, d, &cents);
-            let rk = KernelKind::Gemm.resolve(k, d, false);
-            let (mut best, mut dist) = (Vec::new(), Vec::new());
-            assign_rows(&block, d, &cents, &rk, &cnorms, &mut best, &mut dist, true);
-            for i in 0..m {
-                let tol = 1e-9 * rdist[i].abs() + 1e-12;
-                assert!(
-                    (dist[i] - rdist[i]).abs() <= tol,
-                    "row {i} in case {m}x{k}x{d}: {} vs exact {}",
-                    dist[i],
-                    rdist[i]
-                );
-                // On random data there are no near-ties; winners agree.
-                assert_eq!(best[i], rbest[i], "winner, case {m}x{k}x{d}");
-            }
-        }
-    }
-
-    /// The portable scorers, called directly: on an AVX host `assign_rows`
-    /// never reaches them, yet they are what a host without AVX (tiled)
-    /// or FMA (gemm) runs, at every `d`. Tiled must be `nearest` bit for
-    /// bit; gemm within the 1e-9 band. The last centroid duplicates the
+    /// Every scorer this host can run, called directly: on an AVX host
+    /// `assign_rows` never reaches the portable one, yet it is what a host
+    /// without FMA runs, at every `d`. The last centroid duplicates the
     /// first, so a row nearest to it ties exactly and must keep the first.
     #[test]
-    fn portable_scorers_match_the_reference() {
+    fn every_scorer_matches_the_reference() {
         let m = 13;
         for d in [1usize, 7, 256, 257, 600] {
             for k in [1usize, 8, 17, 64] {
@@ -1276,26 +999,10 @@ mod tests {
                 for (x, c) in block.iter_mut().zip(&first) {
                     *x = c + 0.5;
                 }
-                let mut cnorms = vec![0.0; k];
-                centroid_sqnorms(&cents, &mut cnorms);
-                let (rbest, rdist) = scalar_reference(&block, d, &cents);
-                let tile = KernelKind::Tiled.resolve(k, d, false).cent_tile;
-                let (mut best, mut dist) = (vec![0; m], vec![0.0; m]);
-                tiled_portable(&block, d, &cents, tile, &mut best, &mut dist);
-                assert_eq!(best, rbest, "tiled {k}x{d}");
-                for i in 0..m {
-                    assert_eq!(
-                        dist[i].sqrt().to_bits(),
-                        rdist[i].to_bits(),
-                        "tiled {k}x{d} row {i}"
-                    );
-                }
-                gemm_portable(&block, d, &cents, &cnorms, tile, &mut best, &mut dist);
-                normtrick_finalize(&block, d, &mut dist);
-                assert_eq!(best, rbest, "gemm {k}x{d}");
-                for i in 0..m {
-                    let tol = 1e-9 * rdist[i] + 1e-12;
-                    assert!((dist[i] - rdist[i]).abs() <= tol, "gemm {k}x{d} row {i}");
+                let want = reference(&block, d, &cents);
+                for s in host_scorers() {
+                    let (best, dist, _) = certified(s, &block, d, &cents);
+                    assert_eq!((best, dist), want, "{s:?} {k}x{d}");
                 }
             }
         }
@@ -1306,55 +1013,120 @@ mod tests {
         // Two AVX-512 panel widths' worth of dimensions and a ragged tail.
         let d = 515;
         let (block, cents) = random_case(9, 5, d, 21);
-        let mut cnorms = vec![0.0; 5];
-        centroid_sqnorms(&cents, &mut cnorms);
         let rk = KernelKind::Gemm.resolve(5, d, false);
-        let (mut best, mut dist) = (Vec::new(), Vec::new());
-        assign_rows(&block, d, &cents, &rk, &cnorms, &mut best, &mut dist, true);
-        let (rbest, rdist) = scalar_reference(&block, d, &cents);
-        assert_eq!(best, rbest);
-        for i in 0..9 {
-            assert!((dist[i] - rdist[i]).abs() <= 1e-9 * rdist[i].abs() + 1e-12);
+        assert_eq!(assigned(&block, d, &cents, &rk), reference(&block, d, &cents));
+    }
+
+    /// Spherical's scan: the first maximum of `x·c`, which on data without
+    /// near-ties is the naive argmax.
+    #[test]
+    fn max_dot_rows_is_the_dot_argmax() {
+        let (block, cents) = random_case(29, 11, 6, 5);
+        let (mut best, mut scratch) = (Vec::new(), Vec::new());
+        max_dot_rows(&block, 6, &cents, &mut best, &mut scratch);
+        for (row, &b) in block.chunks_exact(6).zip(&best) {
+            let dots: Vec<f64> = (0..11).map(|c| dot(row, cents.mean(c))).collect();
+            let top = dots.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
+            assert_eq!(dots[b as usize], top);
         }
     }
 
-    #[test]
-    fn gemm_ties_break_to_lower_index() {
-        // Two identical centroids produce identical dot products; the
-        // strict `<` winner pass must keep index 0, like `nearest`.
-        let block = vec![0.5, 0.5, 0.5, 0.5, 1.5, 1.5, 1.5, 1.5];
-        let cents = Centroids { means: vec![1.0; 8], counts: vec![0; 2], d: 4 };
-        let mut cnorms = vec![0.0; 2];
-        centroid_sqnorms(&cents, &mut cnorms);
-        let rk = KernelKind::Gemm.resolve(2, 4, false);
-        let (mut best, mut dist) = (Vec::new(), Vec::new());
-        assign_rows(&block, 4, &cents, &rk, &cnorms, &mut best, &mut dist, true);
-        assert_eq!(best, vec![0, 0]);
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(96))]
+        /// Every host scorer, certified, is `nearest` bit for bit — winner
+        /// and distance — on the inputs where a score and a `sqdist` can
+        /// disagree: duplicated centroids, rows on the midpoint of two
+        /// centroids, rows on a centroid, NaN and ±∞ in rows and centroids,
+        /// at scales 1e-150, 1 and 1e150, and rows and centroids on one line
+        /// whose norms fit `f64` while their distances overflow.
+        #[test]
+        fn certified_gemm_is_the_exact_scan(
+            shape in (0usize..5, 0usize..4, 0usize..3),
+            input in (0usize..5, 0u64..1_000_000),
+        ) {
+            let (di, ki, mag) = shape;
+            let (d, k) = ([1, 3, 7, 32, 257][di], [1, 2, 17, 64][ki]);
+            let (kind, seed) = input;
+            let scale = [1e-150, 1.0, 1e150][mag];
+            let mut rng = ChaCha8Rng::seed_from_u64(seed);
+            let m = 37;
+            let mut cents = Centroids::zeros(k, d);
+            for x in cents.means.iter_mut() {
+                *x = rng.gen_range(-5.0..5.0) * scale;
+            }
+            if k > 2 {
+                // A duplicated pair.
+                let first = cents.mean(0).to_vec();
+                cents.means[(k - 1) * d..].copy_from_slice(&first);
+            }
+            let mut block: Vec<f64> = (0..m * d).map(|_| rng.gen_range(-5.0..5.0) * scale).collect();
+            for (i, row) in block.chunks_exact_mut(d).enumerate() {
+                let (a, b) = (rng.gen_range(0..k), rng.gen_range(0..k));
+                match (kind, i % 3) {
+                    // On the midpoint of two centroids.
+                    (1, _) | (3, 0) => {
+                        for (j, x) in row.iter_mut().enumerate() {
+                            *x = 0.5 * cents.mean(a)[j] + 0.5 * cents.mean(b)[j];
+                        }
+                    }
+                    // On a centroid.
+                    (2, _) | (3, 1) => row.copy_from_slice(cents.mean(a)),
+                    _ => {}
+                }
+            }
+            if kind == 3 {
+                // NaN and ±∞ coordinates in a few rows and centroids.
+                for (r, x) in [(0usize, f64::NAN), (m / 2, f64::INFINITY), (m - 1, f64::NEG_INFINITY)] {
+                    block[r * d + rng.gen_range(0..d)] = x;
+                    let c = rng.gen_range(0..k);
+                    if rng.gen_range(0..2) == 0 {
+                        cents.means[c * d + rng.gen_range(0..d)] = x;
+                    }
+                }
+            }
+            if kind == 4 {
+                // One line through the origin, rows on one side and
+                // centroids on the other: ‖x‖² + 2·max‖c‖² ≈ 0.91·MAX is
+                // finite and every distance (≥ 1.02·MAX) rounds to +∞, so
+                // `nearest` answers centroid 0 — which scores worst.
+                let unit = f64::MAX.sqrt() / (d as f64).sqrt();
+                for (c, mean) in cents.means.chunks_exact_mut(d).enumerate() {
+                    let b = if c == 0 { 0.55 } else { rng.gen_range(0.46..0.55) };
+                    mean.iter_mut().for_each(|x| *x = b * unit);
+                }
+                block.iter_mut().for_each(|x| *x = -0.55 * unit);
+            }
+            let want = reference(&block, d, &cents);
+            for s in host_scorers() {
+                let (best, dist, _) = certified(s, &block, d, &cents);
+                assert_eq!((best, dist), want, "{s:?} k={k} d={d} kind={kind}");
+            }
+            let rk = KernelKind::Gemm.resolve(k, d, false);
+            assert_eq!(assigned(&block, d, &cents, &rk), want, "k={k} d={d} kind={kind}");
+        }
     }
 
     /// Every kernel the run can resolve to, as the driver would resolve it.
     fn every_kind(k: usize, d: usize) -> Vec<ResolvedKernel> {
-        [KernelKind::Scalar, KernelKind::Tiled, KernelKind::Gemm]
+        [KernelKind::Scalar, KernelKind::Gemm]
             .iter()
             .map(|kind| kind.resolve(k, d, false))
             .collect()
     }
 
     /// `rows` through [`assign_rows_packed`] in blocks of `step` rows.
-    #[allow(clippy::too_many_arguments)]
     fn blocked(
         rows: &[f64],
         d: usize,
         cents: &Centroids,
         rk: &ResolvedKernel,
-        cnorms: &[f64],
         panel: &CentroidPanel,
         step: usize,
     ) -> (Vec<u32>, Vec<u64>) {
         let (mut best, mut bits) = (Vec::new(), Vec::new());
         let (mut b, mut bd) = (Vec::new(), Vec::new());
         for block in rows.chunks(step * d) {
-            assign_rows_packed(block, d, cents, rk, cnorms, panel, &mut b, &mut bd, true);
+            assign_rows_packed(block, d, cents, rk, panel, &mut b, &mut bd, true);
             best.extend_from_slice(&b);
             bits.extend(bd.iter().map(|x| x.to_bits()));
         }
@@ -1372,24 +1144,19 @@ mod tests {
         let (m, d) = (1003, 7);
         for k in [1usize, 15, 16, 17, 64] {
             let (rows, mut cents) = random_case(m, k, d, 40 + k as u64);
-            let mut cnorms = vec![0.0; k];
             let mut panel = CentroidPanel::default();
             // Two sets of centroids through one panel: packed, reused by
             // every call below, re-packed after the centroids move.
             for round in 0..2 {
-                centroid_sqnorms(&cents, &mut cnorms);
-                panel.pack(&cents, &cnorms);
+                panel.pack(&cents);
                 for rk in every_kind(k, d) {
-                    let whole = blocked(&rows, d, &cents, &rk, &cnorms, &panel, m);
+                    let whole = blocked(&rows, d, &cents, &rk, &panel, m);
                     for step in [1usize, 3, 63, 64, 65, 1000] {
-                        let got = blocked(&rows, d, &cents, &rk, &cnorms, &panel, step);
+                        let got = blocked(&rows, d, &cents, &rk, &panel, step);
                         assert_eq!(got, whole, "{:?} k={k} step={step} round={round}", rk.kind);
                     }
                     // And `assign_rows` is exactly pack + packed.
-                    let (mut b, mut bd) = (Vec::new(), Vec::new());
-                    assign_rows(&rows, d, &cents, &rk, &cnorms, &mut b, &mut bd, true);
-                    let bits: Vec<u64> = bd.iter().map(|x| x.to_bits()).collect();
-                    assert_eq!((b, bits), whole, "{:?} k={k} round={round}", rk.kind);
+                    assert_eq!(assigned(&rows, d, &cents, &rk), whole, "{:?} k={k}", rk.kind);
                 }
                 for x in cents.means.iter_mut() {
                     *x = 0.5 * *x + 0.25;
@@ -1405,15 +1172,12 @@ mod tests {
     #[should_panic(expected = "stale or unpacked centroid panel")]
     fn stale_panel_is_caught_in_debug_builds() {
         let (rows, mut cents) = random_case(8, 5, 6, 3);
-        let mut cnorms = vec![0.0; 5];
-        centroid_sqnorms(&cents, &mut cnorms);
         let mut panel = CentroidPanel::default();
-        panel.pack(&cents, &cnorms);
+        panel.pack(&cents);
         cents.means[7] += 1.0;
-        centroid_sqnorms(&cents, &mut cnorms);
         let rk = KernelKind::Gemm.resolve(5, 6, false);
         let (mut b, mut bd) = (Vec::new(), Vec::new());
-        assign_rows_packed(&rows, 6, &cents, &rk, &cnorms, &panel, &mut b, &mut bd, false);
+        assign_rows_packed(&rows, 6, &cents, &rk, &panel, &mut b, &mut bd, false);
     }
 
     #[test]

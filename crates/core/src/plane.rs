@@ -328,7 +328,7 @@ fn drain_with<S: RowSource, F: RowFilter>(
     let tracer = view.tracer.as_ref();
     let mut rep = WorkerReport::default();
     if commit == Commit::Kernel && view.kernel.kind == ResolvedKind::Gemm {
-        scratch.panel.pack(view.cents, view.cnorms);
+        scratch.panel.pack(view.cents);
         rep.commit.panel_packs += 1;
     }
     // A staged task is contiguous already and goes to the kernel whole; a
@@ -412,12 +412,11 @@ fn drain_with<S: RowSource, F: RowFilter>(
                     let dists = &mut scratch.best_dist;
                     // Distances are only materialized when the filter's
                     // bounds consume them.
-                    assign_rows_packed(
+                    rep.commit.rescored_rows += assign_rows_packed(
                         block,
                         d,
                         view.cents,
                         &view.kernel,
-                        view.cnorms,
                         &scratch.panel,
                         best,
                         dists,
@@ -565,7 +564,7 @@ mod tests {
     /// without copying a row, except the subsample's.
     #[test]
     fn staged_and_direct_planes_are_bitwise_identical() {
-        let step = KernelKind::Tiled.resolve(12, 3, false).block_rows(3);
+        let step = KernelKind::Gemm.resolve(12, 3, false).block_rows(3);
         assert!(300 < step);
         planes_agree(300, 16, 40);
         let ragged = step + step / 3;
@@ -576,7 +575,7 @@ mod tests {
         let data = five_groups_of(n);
         let mut cases = Vec::new();
         for pruning in [Pruning::None, Pruning::Mti, Pruning::Yinyang] {
-            for kernel in [KernelKind::Scalar, KernelKind::Tiled, KernelKind::Gemm] {
+            for kernel in [KernelKind::Scalar, KernelKind::Gemm] {
                 cases.push((Algorithm::Lloyd, pruning, kernel));
             }
         }

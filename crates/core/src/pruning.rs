@@ -336,8 +336,9 @@ pub fn mti_assign(
 
 /// AVX2 build of the scan: the mask is four comparisons per instruction,
 /// and the distances inline as 4-wide lanes that map one-to-one onto
-/// [`dist`]'s four accumulators — un-fused, so every bit matches the
-/// portable build (the argument of `crate::kernel`'s AVX tile scans).
+/// [`dist`]'s four accumulators — un-fused (an FMA would round a
+/// multiply-add once instead of twice), so every bit matches the portable
+/// build.
 #[cfg(target_arch = "x86_64")]
 mod x86 {
     use super::{mti_scan, Centroids, MtiIterState, PruneCounters};

@@ -587,7 +587,7 @@ pub const KNOBS: &[Knob] = &[
     Knob {
         key: "kernel",
         flags: &["--kernel"],
-        expected: &["auto", "scalar", "tiled", "gemm"],
+        expected: &["auto", "scalar", "gemm"],
         set: |s, v| put(&mut s.kernel, KernelKind::parse(v).ok_or(Why::Expected)),
         get: |s| Some(s.kernel.name().into()),
     },
@@ -958,8 +958,7 @@ mod tests {
     }
 
     const PRUNINGS: [Pruning; 3] = [Pruning::None, Pruning::Mti, Pruning::Yinyang];
-    const KERNELS: [KernelKind; 4] =
-        [KernelKind::Auto, KernelKind::Scalar, KernelKind::Tiled, KernelKind::Gemm];
+    const KERNELS: [KernelKind; 3] = [KernelKind::Auto, KernelKind::Scalar, KernelKind::Gemm];
 
     /// A description with every token-carrying knob drawn from `rng`.
     fn arbitrary(rng: &mut ChaCha8Rng) -> RunSpec {
@@ -980,7 +979,7 @@ mod tests {
             2 => Algorithm::Fuzzy { m: 1.0 + rng.gen_range(f64::EPSILON..9.0) },
             _ => Algorithm::MiniBatch { batch: rng.gen_range(1..100_000) },
         };
-        s.kernel = KERNELS[rng.gen_range(0..4usize)];
+        s.kernel = KERNELS[rng.gen_range(0..3usize)];
         s
     }
 
@@ -1020,9 +1019,11 @@ mod tests {
         let spelled: Vec<String> = alias.render().into_iter().map(|t| t.1).collect();
         assert!(spelled.contains(&"pp".to_string()));
         assert_eq!(alias.algo, Algorithm::MiniBatch { batch: 0 });
-        // The library's `NormTrick`/`Fma` are `Gemm`, and are spelled so.
-        let gemm = RunSpec::<()>::new(3).with_kernel(KernelKind::NormTrick).render();
-        assert!(gemm.contains(&("kernel", "gemm".to_string())), "{gemm:?}");
+        // The library's `Tiled`/`NormTrick`/`Fma` are `Gemm`, and are spelled so.
+        for alias in [KernelKind::Tiled, KernelKind::NormTrick, KernelKind::Fma] {
+            let gemm = RunSpec::<()>::new(3).with_kernel(alias).render();
+            assert!(gemm.contains(&("kernel", "gemm".to_string())), "{gemm:?}");
+        }
     }
 
     #[test]
@@ -1036,14 +1037,19 @@ mod tests {
             ),
             (
                 &[("--kernel", "warp")],
-                "invalid value 'warp' for --kernel: expected auto, scalar, tiled or gemm",
-                "TRAIN: bad kernel (auto|scalar|tiled|gemm)",
+                "invalid value 'warp' for --kernel: expected auto, scalar or gemm",
+                "TRAIN: bad kernel (auto|scalar|gemm)",
             ),
             // The deleted kernels' spellings are refused like any other.
             (
                 &[("--kernel", "fma")],
-                "invalid value 'fma' for --kernel: expected auto, scalar, tiled or gemm",
-                "TRAIN: bad kernel (auto|scalar|tiled|gemm)",
+                "invalid value 'fma' for --kernel: expected auto, scalar or gemm",
+                "TRAIN: bad kernel (auto|scalar|gemm)",
+            ),
+            (
+                &[("kernel", "tiled")],
+                "invalid value 'tiled' for --kernel: expected auto, scalar or gemm",
+                "TRAIN: bad kernel (auto|scalar|gemm)",
             ),
             (
                 &[("--init", "banana")],

@@ -20,6 +20,9 @@ pub struct CommitCounters {
     /// [`crate::kernel::CentroidPanel`] packs: one per worker per
     /// full-scan super-phase on the GEMM kernel, none otherwise.
     pub panel_packs: u64,
+    /// Rows whose gemm winner was not certified and were re-scanned with
+    /// `nearest` ([`crate::kernel::assign_rows_packed`]).
+    pub rescored_rows: u64,
 }
 
 impl CommitCounters {
@@ -28,6 +31,7 @@ impl CommitCounters {
         self.borrowed_rows += o.borrowed_rows;
         self.gathered_rows += o.gathered_rows;
         self.panel_packs += o.panel_packs;
+        self.rescored_rows += o.rescored_rows;
     }
 }
 

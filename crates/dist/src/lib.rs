@@ -638,7 +638,7 @@ mod tests {
     }
 
     #[test]
-    fn tiled_kernel_bitwise_matches_serial_single_rank() {
+    fn gemm_kernel_bitwise_matches_serial_single_rank() {
         let data = mixture(500, 6, 31);
         let k = 8;
         let init = InitMethod::Forgy.initialize(&data, k, 4).to_matrix();
@@ -647,12 +647,12 @@ mod tests {
             DistConfig::new(k, 1, 1)
                 .with_init(InitMethod::Given(init))
                 .with_pruning(Pruning::None)
-                .with_kernel(KernelKind::Tiled)
+                .with_kernel(KernelKind::Gemm)
                 .with_max_iters(60),
         )
         .fit(&data);
         assert_eq!(dist.assignments, serial.assignments);
-        assert_eq!(dist.centroids, serial.centroids, "tiled knord must be bitwise serial");
+        assert_eq!(dist.centroids, serial.centroids, "gemm knord must be bitwise serial");
         assert_eq!(dist.niters, serial.niters);
     }
 

@@ -144,10 +144,10 @@ mod tests {
     }
 
     #[test]
-    fn tiled_kernel_bitwise_matches_serial() {
+    fn gemm_kernel_bitwise_matches_serial() {
         // One thread, no row cache: rows process in serial order, so the
-        // tiled kernel must reproduce the serial reference bit for bit.
-        let (data, path) = write_mixture(900, 6, 27, "tiled");
+        // gemm kernel must reproduce the serial reference bit for bit.
+        let (data, path) = write_mixture(900, 6, 27, "gemm");
         let k = 10;
         let init = forgy(&data, k, 8);
         let serial = lloyd_serial(&data, k, &InitMethod::Given(init.clone()), 0, 60, 0.0);
@@ -160,13 +160,13 @@ mod tests {
                 .with_page_size(256)
                 .with_pruning(Pruning::None)
                 .with_row_cache_bytes(0)
-                .with_kernel(knor_core::KernelKind::Tiled)
+                .with_kernel(knor_core::KernelKind::Gemm)
                 .with_max_iters(60),
         )
         .fit(&path)
         .unwrap();
         assert_eq!(sem.kmeans.assignments, serial.assignments);
-        assert_eq!(sem.kmeans.centroids, serial.centroids, "tiled knors must be bitwise serial");
+        assert_eq!(sem.kmeans.centroids, serial.centroids, "gemm knors must be bitwise serial");
         assert_eq!(sem.kmeans.niters, serial.niters);
         std::fs::remove_file(path).unwrap();
     }
@@ -194,11 +194,11 @@ mod tests {
             .fit(&path)
             .unwrap()
         };
-        let tiled = run(knor_core::KernelKind::Tiled);
+        let gemm = run(knor_core::KernelKind::Gemm);
         let scalar = run(knor_core::KernelKind::Scalar);
-        assert_eq!(tiled.kmeans.assignments, scalar.kmeans.assignments);
-        assert_eq!(tiled.kmeans.niters, scalar.kmeans.niters);
-        assert!(tiled.io.iter().map(|i| i.rc_hits).sum::<u64>() > 0, "cache never hit");
+        assert_eq!(gemm.kmeans.assignments, scalar.kmeans.assignments);
+        assert_eq!(gemm.kmeans.niters, scalar.kmeans.niters);
+        assert!(gemm.io.iter().map(|i| i.rc_hits).sum::<u64>() > 0, "cache never hit");
         std::fs::remove_file(path).unwrap();
     }
 

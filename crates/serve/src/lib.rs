@@ -17,22 +17,20 @@
 //!                                        ▼        ▼
 //!                                      [WorkerPool]
 //!                              persistent NUMA-bound threads,
-//!                              batched tile-scan predict
+//!                              batched gemm-scan predict
 //! ```
 //!
-//! The predict path is the PR-2 kernel layer verbatim: query blocks are
-//! chunked and pushed through [`knor_core::kernel::assign_rows`], so
+//! The predict path is the training kernel layer verbatim: query blocks
+//! are chunked and pushed through [`knor_core::kernel::assign_rows_packed`]
+//! against the centroid panel each model packs once at registration, so
 //! serving throughput inherits every training-kernel optimization and
 //! every answer is **bitwise identical** to the serial per-row
-//! [`knor_core::distance::nearest`] scan. Kernels are resolved in *exact*
-//! mode ([`resolve_predict_kernel`]): the GEMM path, whose re-associated
-//! arithmetic can drift a bit below the true distance, is downgraded to
-//! the tiled kernel — the same downgrade MTI pruning imposes during
-//! training, and for the same reason (served distances are a contract).
-//! Spherical models still exercise the dot-product micro-kernel at
-//! *training* time; at serving time their queries are renormalized
-//! exactly like training rows were ([`knor_core::Normalization`]) and
-//! scanned with the exact kernel.
+//! [`knor_core::distance::nearest`] scan: the gemm scan certifies each
+//! winner, or re-scans the row with `nearest` (served distances are a
+//! contract). Spherical models exercise the dot-product scan at *training*
+//! time; at serving time their queries are renormalized exactly like
+//! training rows were ([`knor_core::Normalization`]) and scanned like any
+//! other model's.
 //!
 //! # Quick start
 //!
@@ -62,7 +60,7 @@ use std::path::Path;
 use std::sync::Arc;
 
 use knor_core::distance::nearest;
-use knor_core::{Algorithm, KernelKind, ResolvedKernel};
+use knor_core::{Algorithm, KernelKind};
 use knor_matrix::DMatrix;
 use knor_numa::Topology;
 
@@ -77,14 +75,6 @@ pub use stats::{
 
 use jobs::JobRunner;
 use pool::WorkerPool;
-
-/// Resolve the kernel a predict scan uses. Serving promises exact,
-/// reproducible distances, so this reuses the legality downgrade MTI
-/// imposes on training scans: `Gemm` becomes `Tiled` (bitwise equal to
-/// the scalar reference), everything else resolves as usual.
-pub fn resolve_predict_kernel(kernel: KernelKind, k: usize, d: usize) -> ResolvedKernel {
-    kernel.resolve(k, d, /* exactness required, as under pruning */ true)
-}
 
 /// Serving-layer errors.
 #[derive(Debug)]
@@ -291,7 +281,7 @@ impl ServeHandle {
         kernel: KernelKind,
     ) -> Result<Prediction, ServeError> {
         let t_req = self.inner.clock.now_ns();
-        let rk = resolve_predict_kernel(kernel, entry.model.k(), entry.model.d());
+        let rk = kernel.resolve(entry.model.k(), entry.model.d(), false);
         let t0 = self.inner.clock.now_ns();
         let (assignments, distances, timing) =
             self.inner.pool.predict_timed(entry, rk, queries, d, Some(&*self.inner.clock))?;
@@ -420,9 +410,7 @@ mod tests {
         let mut rng = ChaCha8Rng::seed_from_u64(6);
         let q: Vec<f64> = (0..333 * 9).map(|_| rng.gen_range(-5.0..5.0)).collect();
         let reference = predict_serial(&h.registry().get("m").unwrap().model, &q, 9);
-        for kernel in [KernelKind::Auto, KernelKind::Scalar, KernelKind::Tiled, KernelKind::Gemm] {
-            // Gemm resolves to Tiled in exact predict mode, so the bitwise
-            // contract holds for every knob value.
+        for kernel in [KernelKind::Auto, KernelKind::Scalar, KernelKind::Gemm] {
             let out = h.predict_rows_with("m", &q, 9, kernel).unwrap();
             assert_eq!(out.assignments, reference.assignments, "{kernel:?}");
             let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();

@@ -1,13 +1,13 @@
 //! The persistent, NUMA-bound predict worker pool.
 //!
 //! Queries arrive as contiguous row blocks; the pool splits them into
-//! chunks and routes every chunk through the PR-2 kernel layer
-//! ([`knor_core::kernel::assign_rows`]) — the same tile-scan micro-kernels
-//! the training engines use, so predict throughput inherits every
-//! training-kernel optimization and stays **bitwise identical** to the
-//! serial per-row [`knor_core::distance::nearest`] scan (chunk boundaries
-//! cannot change per-row results; the serve layer resolves kernels in
-//! exact mode, see [`crate::resolve_predict_kernel`]).
+//! chunks and routes every chunk through the kernel layer
+//! ([`knor_core::kernel::assign_rows_packed`], against the panel the model
+//! packed at registration) — the same certified gemm scan the training
+//! engines use, so predict throughput inherits every training-kernel
+//! optimization and stays **bitwise identical** to the serial per-row
+//! [`knor_core::distance::nearest`] scan (every kernel is exact, and chunk
+//! boundaries cannot change per-row results).
 //!
 //! Threads are spawned once, bound round-robin across NUMA nodes (the
 //! paper's node-granularity binding, not core pinning), and live for the
@@ -37,7 +37,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 
 use crossbeam_channel::{unbounded, Receiver, Sender};
-use knor_core::kernel::assign_rows;
+use knor_core::kernel::assign_rows_packed;
 use knor_core::{Normalization, ResolvedKernel};
 use knor_matrix::shared::SharedRows;
 use knor_numa::bind::bind_current_thread;
@@ -92,7 +92,8 @@ fn scan_chunk(rows: &[f64], d: usize, rk: &ResolvedKernel, model: &Model, scratc
             &scratch.data
         }
     };
-    assign_rows(block, d, &model.centroids, rk, &[], &mut scratch.best, &mut scratch.dist, true);
+    let (best, dist) = (&mut scratch.best, &mut scratch.dist);
+    assign_rows_packed(block, d, &model.centroids, rk, &model.panel, best, dist, true);
 }
 
 enum Task {
@@ -270,11 +271,7 @@ impl WorkerPool {
     /// Assign every row of the `m × d` query block to its nearest centroid
     /// of `entry`'s model under resolved kernel `rk`. Blocks until every
     /// chunk completes (a one-chunk call scans on the calling thread
-    /// instead); bitwise identical to the serial per-row scan. The
-    /// pool serves only exact kernels: a `Gemm`-resolved `rk` (whose scan
-    /// would need centroid norms the pool does not carry, and whose
-    /// re-associated arithmetic differs) is downgraded to `Tiled` here,
-    /// same tiles, exact arithmetic.
+    /// instead); bitwise identical to the serial per-row scan.
     pub fn predict(
         &self,
         entry: &Arc<ModelEntry>,
@@ -292,15 +289,11 @@ impl WorkerPool {
     pub fn predict_timed(
         &self,
         entry: &Arc<ModelEntry>,
-        mut rk: ResolvedKernel,
+        rk: ResolvedKernel,
         queries: &[f64],
         d: usize,
         clock: Option<&dyn Clock>,
     ) -> Result<(Vec<u32>, Vec<f64>, PredictTiming), PredictError> {
-        use knor_core::ResolvedKind;
-        if rk.kind == ResolvedKind::Gemm {
-            rk.kind = ResolvedKind::Tiled;
-        }
         let model_d = entry.model.d();
         if d != model_d || !queries.len().is_multiple_of(d.max(1)) {
             return Err(PredictError::DimMismatch { expected: model_d, got: d });
@@ -436,8 +429,8 @@ mod tests {
 
     #[test]
     fn gemm_resolved_kernel_is_served_exactly() {
-        // The pool carries no centroid norms; a Gemm-resolved kernel must
-        // downgrade to the exact tiled scan, not panic per chunk.
+        // The model's registration-time panel serves a Gemm-resolved
+        // kernel, certified: `nearest`'s bits on every row.
         let (_reg, entry) = setup(9, 8, 12);
         let pool = WorkerPool::spawn(2, &Topology::synthetic(1, 2), 128);
         let rk = KernelKind::Gemm.resolve(9, 8, false);
@@ -503,8 +496,8 @@ mod tests {
         }
     }
 
-    /// A model whose centroid table is shorter than `k × d`: a tiled scan
-    /// against it slices out of bounds and panics.
+    /// A model whose centroid table is shorter than `k × d`: the scan
+    /// refuses it with a panic.
     fn corrupt_entry(good: &ModelEntry) -> Arc<ModelEntry> {
         let mut model = good.model.clone();
         model.centroids.means.truncate(model.d());
@@ -520,7 +513,7 @@ mod tests {
         let (_reg, entry) = setup(2, 3, 6);
         let bad = corrupt_entry(&entry);
         let pool = WorkerPool::spawn(2, &Topology::synthetic(1, 2), 64);
-        let rk = KernelKind::Tiled.resolve(2, 3, false);
+        let rk = KernelKind::Gemm.resolve(2, 3, false);
         let q = [0.5; 200 * 3];
         // Several chunks: the panics happen on pool workers.
         assert_eq!(pool.predict(&bad, rk, &q, 3), Err(PredictError::WorkerPanic));

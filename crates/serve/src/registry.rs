@@ -18,6 +18,7 @@ use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, RwLock};
 
+use knor_core::kernel::CentroidPanel;
 use knor_core::{Algorithm, Centroids, Normalization};
 use knor_matrix::{io as matrix_io, DMatrix};
 
@@ -37,9 +38,25 @@ pub struct Model {
     pub normalization: Normalization,
     /// The trained `k × d` centroid set.
     pub centroids: Centroids,
+    /// `centroids` packed for the gemm scan, norms included, once at
+    /// registration: a query packs nothing.
+    pub(crate) panel: CentroidPanel,
 }
 
 impl Model {
+    /// A model over `centroids`, packed for the gemm scan.
+    fn new(
+        name: &str,
+        version: u32,
+        algo: Algorithm,
+        normalization: Normalization,
+        centroids: Centroids,
+    ) -> Self {
+        let mut panel = CentroidPanel::default();
+        panel.pack(&centroids);
+        Model { name: name.to_string(), version, algo, normalization, centroids, panel }
+    }
+
     /// Number of clusters.
     pub fn k(&self) -> usize {
         self.centroids.k()
@@ -132,7 +149,7 @@ impl ModelRegistry {
         let version = versions.entries.last().map(|e| e.model.version).unwrap_or(0) + 1;
         let normalization = algo.normalization();
         versions.entries.push(Arc::new(ModelEntry {
-            model: Model { name: name.to_string(), version, algo, normalization, centroids },
+            model: Model::new(name, version, algo, normalization, centroids),
             stats: ServeStats::new(),
             train,
         }));
@@ -279,7 +296,7 @@ impl ModelRegistry {
         let version =
             versions.entries.last().map(|e| e.model.version + 1).unwrap_or(version).max(1);
         versions.entries.push(Arc::new(ModelEntry {
-            model: Model { name: name.clone(), version, algo, normalization, centroids: cents },
+            model: Model::new(&name, version, algo, normalization, cents),
             stats: ServeStats::new(),
             train: TrainDiag::default(),
         }));

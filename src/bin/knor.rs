@@ -6,7 +6,7 @@
 //! ```text
 //! knor im   <file.knor> -k 10 [-i 100] [-t N] [--pruning none|mti|yinyang] [--init pp|forgy|random]
 //!           [--algo lloyd|spherical|fuzzy|minibatch] [--fuzz M] [--batch B]
-//!           [--kernel auto|scalar|tiled|gemm] [--stats] [--trace out.json]
+//!           [--kernel auto|scalar|gemm] [--stats] [--trace out.json]
 //! knor sem  <file.knor> -k 10 [--row-cache MB] [--page-cache MB] [--stats] [--trace out.json]
 //! knor dist <file.knor> -k 10 [--ranks R] [--star] [--plane im|sem] [--stats] [--trace out.json]
 //! knor gen  <file.knor> --dataset friendster8|friendster32|rm856m|rm1b|ru2b --scale f
@@ -76,7 +76,7 @@ const HELP: &str =
            [--pruning none|mti|yinyang] [--init pp|forgy|random] [--seed S]
            [--algo lloyd|spherical|fuzzy|minibatch]
            [--fuzz M] [--batch B]
-           [--kernel auto|scalar|tiled|gemm] [--stats] [--trace out.json]
+           [--kernel auto|scalar|gemm] [--stats] [--trace out.json]
            [--row-cache MB] [--page-cache MB]              (sem)
            [--ranks R] [--star] [--plane im|sem]           (dist)
            [--dataset NAME] [--scale F]                    (gen)
@@ -255,9 +255,8 @@ fn parse(args: &[String]) -> (String, Opts) {
     (mode, o)
 }
 
-/// The one-line `--stats` kernel note: which kernel/tiles actually ran.
-/// This is where a `--kernel gemm` request under MTI shows its downgrade
-/// to the exact tiled path, mirroring the engines' resolve.
+/// The one-line `--stats` kernel note: which kernel/tiles actually ran,
+/// mirroring the engines' resolve.
 fn kernel_note(run: &RunSpec, d: usize) -> String {
     let rk = run.kernel.resolve(run.k, d, run.scheme().enabled());
     format!(
@@ -536,11 +535,13 @@ fn print_prune(run: &RunSpec, n: usize, total: &PruneCounters) {
 /// block is read where it lies; only mini-batch's sampled rows are copied
 /// together first), and the GEMM kernel's centroid panel is packed once
 /// per worker per full-scan iteration — `iterations × threads` on an
-/// unpruned run, 0 on every other kernel.
+/// unpruned run, `threads` on a pruned one (iteration 0), 0 on the scalar
+/// kernel. `rescored_rows` counts the full-scan rows whose gemm winner was
+/// not certified and were re-scanned with `nearest`.
 fn print_commit(c: &CommitCounters) {
     println!(
-        "commit: borrowed_rows={} gathered_rows={} panel_packs={}",
-        c.borrowed_rows, c.gathered_rows, c.panel_packs
+        "commit: borrowed_rows={} gathered_rows={} panel_packs={} rescored_rows={}",
+        c.borrowed_rows, c.gathered_rows, c.panel_packs, c.rescored_rows
     );
 }
 

@@ -51,7 +51,7 @@ fn fit_alloc_count(data: &knor_matrix::DMatrix, init: &knor_matrix::DMatrix, ite
             .with_threads(2)
             .with_scheduler(SchedulerKind::Static)
             .with_pruning(Pruning::None)
-            .with_kernel(KernelKind::Tiled)
+            .with_kernel(KernelKind::Gemm)
             .with_task_size(256)
             .with_sse(false)
             .with_max_iters(iters),

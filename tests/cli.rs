@@ -91,6 +91,7 @@ fn degenerate_numeric_flags_are_rejected_before_any_io() {
         // The deleted kernels and the deleted tuner are refused like typos.
         vec!["im", "/nonexistent/x.knor", "--kernel", "fma"],
         vec!["im", "/nonexistent/x.knor", "--kernel", "norm"],
+        vec!["im", "/nonexistent/x.knor", "--kernel", "tiled"],
         vec!["im", "/nonexistent/x.knor", "--tune", "on"],
         // Unknown flags and missing values are one line, not the usage.
         vec!["im", "/nonexistent/x.knor", "--bogus", "1"],
@@ -256,10 +257,11 @@ fn kernel_flag_reports_what_actually_ran() {
         .expect("spawn gen");
     assert!(gen.status.success(), "{}", String::from_utf8_lossy(&gen.stderr));
 
-    // --kernel gemm under MTI (the default) downgrades to the exact tiled
-    // path; --stats must say so in one explicit line.
+    // --kernel gemm under MTI (the default) runs gemm, certified, for the
+    // full scan of iteration 0; --stats must say so in one explicit line.
     let gemm_mti = knor()
-        .args(["im", file.to_str().unwrap(), "-k", "4", "-i", "3", "--kernel", "gemm", "--stats"])
+        .args(["im", file.to_str().unwrap(), "-k", "4", "-i", "3", "--kernel", "gemm"])
+        .args(["-t", "2", "--stats"])
         .output()
         .expect("spawn im gemm");
     assert!(gemm_mti.status.success(), "{}", String::from_utf8_lossy(&gemm_mti.stderr));
@@ -269,11 +271,11 @@ fn kernel_flag_reports_what_actually_ran() {
         .find(|l| l.starts_with("kernel: "))
         .unwrap_or_else(|| panic!("--stats must print the kernel note: {stdout}"));
     assert!(note.contains("requested=gemm"), "{note}");
-    assert!(note.contains("resolved=tiled"), "{note}");
-    // Nothing packs a centroid panel for the tiled kernel.
-    assert!(stdout.contains(" gathered_rows=0 panel_packs=0\n"), "{stdout}");
+    assert!(note.contains("resolved=gemm"), "{note}");
+    // Each of the 2 workers packs the panel once, for iteration 0.
+    assert!(stdout.contains(" gathered_rows=0 panel_packs=2 rescored_rows="), "{stdout}");
 
-    // Without pruning the request sticks.
+    // Without pruning every iteration is a full scan.
     let gemm = knor()
         .args([
             "im",
@@ -306,7 +308,7 @@ fn kernel_flag_reports_what_actually_ran() {
         .unwrap_or_else(|| panic!("no iteration count in {stdout}"));
     let commit = stdout.lines().find(|l| l.starts_with("commit: ")).expect("commit line");
     assert!(commit.contains(" gathered_rows=0 "), "{commit}");
-    assert!(commit.ends_with(&format!(" panel_packs={}", iters * 3)), "{commit}");
+    assert!(commit.contains(&format!(" panel_packs={} rescored_rows=", iters * 3)), "{commit}");
 
     std::fs::remove_file(&file).unwrap();
 }

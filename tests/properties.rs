@@ -12,6 +12,42 @@ fn arb_matrix(max_n: usize, max_d: usize) -> impl Strategy<Value = DMatrix> {
     })
 }
 
+/// Runs `kind` over `data` against `k` Forgy centroids and asserts every
+/// row's winner and distance bitwise against the serial per-row scan.
+fn assert_kernel_is_the_serial_scan(
+    data: &DMatrix,
+    k: usize,
+    seed: u64,
+    kind: KernelKind,
+) -> Result<(), TestCaseError> {
+    let (n, d) = (data.nrow(), data.ncol());
+    let cents =
+        knor_core::Centroids::from_matrix(&InitMethod::Forgy.initialize(data, k, seed).to_matrix());
+    let rk = kind.resolve(k, d, false);
+    let (mut best, mut best_dist) = (Vec::new(), Vec::new());
+    knor_core::kernel::assign_rows(
+        data.as_slice(),
+        d,
+        &cents,
+        &rk,
+        &[],
+        &mut best,
+        &mut best_dist,
+        true,
+    );
+    for r in 0..n {
+        let (a, da) = knor_core::distance::nearest(data.row(r), &cents.means, k);
+        prop_assert!(best[r] == a as u32, "{kind:?} row {r}: idx {} vs {}", best[r], a);
+        prop_assert!(
+            best_dist[r].to_bits() == da.to_bits(),
+            "{kind:?} row {r}: distance {} vs {}",
+            best_dist[r],
+            da
+        );
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -56,9 +92,12 @@ proptest! {
         prop_assert_eq!(par.centroids, serial.centroids);
     }
 
-    /// The tiled kernel is bitwise identical to the serial per-row scan on
-    /// arbitrary shapes: remainder dimensions (`d % 4 != 0`), `k == 1`,
-    /// and blocks smaller than one row tile are all covered by the ranges.
+    /// The tiled kernel (now a spelling of the certified gemm scan) is
+    /// bitwise identical to the serial per-row scan on arbitrary shapes:
+    /// remainder dimensions (`d % 4 != 0`), `k == 1`, blocks smaller than
+    /// one 4-row group, and `k·d` on both sides of the scalar cutoff are
+    /// all covered by the ranges. `Auto` and `Scalar` are held to the
+    /// same bits.
     #[test]
     fn tiled_kernel_bitwise_matches_serial_scan(
         data in arb_matrix(150, 9),
@@ -66,25 +105,14 @@ proptest! {
         seed in 0u64..1000,
     ) {
         prop_assume!(k <= data.nrow());
-        let (n, d) = (data.nrow(), data.ncol());
-        let cents = knor_core::Centroids::from_matrix(
-            &InitMethod::Forgy.initialize(&data, k, seed).to_matrix(),
-        );
-        let rk = KernelKind::Tiled.resolve(k, d, false);
-        let (mut best, mut best_dist) = (Vec::new(), Vec::new());
-        knor_core::kernel::assign_rows(
-            data.as_slice(), d, &cents, &rk, &[], &mut best, &mut best_dist, true,
-        );
-        for r in 0..n {
-            let (a, da) = knor_core::distance::nearest(data.row(r), &cents.means, k);
-            prop_assert!(best[r] == a as u32, "row {r}: idx {} vs {}", best[r], a);
-            prop_assert!(best_dist[r].to_bits() == da.to_bits(), "row {r} distance bits differ");
+        for kind in [KernelKind::Tiled, KernelKind::Auto, KernelKind::Scalar] {
+            assert_kernel_is_the_serial_scan(&data, k, seed, kind)?;
         }
     }
 
-    /// The norm-trick spelling (`KernelKind::NormTrick`) is the blocked
-    /// GEMM, and reproduces serial-scan distances to ≤ 1e-9 relative
-    /// across the same shape edge cases.
+    /// The norm-trick spelling (`KernelKind::NormTrick`) is the certified
+    /// gemm scan; its band against the serial scan is zero: winners and
+    /// distances match bitwise across the same shape edge cases.
     #[test]
     fn normtrick_kernel_within_tolerance_of_serial_scan(
         data in arb_matrix(150, 9),
@@ -92,39 +120,17 @@ proptest! {
         seed in 0u64..1000,
     ) {
         prop_assume!(k <= data.nrow());
-        let (n, d) = (data.nrow(), data.ncol());
-        let cents = knor_core::Centroids::from_matrix(
-            &InitMethod::Forgy.initialize(&data, k, seed).to_matrix(),
-        );
-        let mut cnorms = vec![0.0; k];
-        knor_core::kernel::centroid_sqnorms(&cents, &mut cnorms);
+        let d = data.ncol();
         let rk = KernelKind::NormTrick.resolve(k, d, false);
         prop_assert_eq!(rk, KernelKind::Gemm.resolve(k, d, false));
         prop_assert_eq!(rk.kind, knor_core::ResolvedKind::Gemm);
-        let (mut best, mut best_dist) = (Vec::new(), Vec::new());
-        knor_core::kernel::assign_rows(
-            data.as_slice(), d, &cents, &rk, &cnorms, &mut best, &mut best_dist, true,
-        );
-        for (r, &bd) in best_dist.iter().enumerate().take(n) {
-            let (_, da) = knor_core::distance::nearest(data.row(r), &cents.means, k);
-            // The cancellation in ‖x‖² − 2x·c + ‖c‖² carries absolute error
-            // proportional to the norms, so compare squared distances with
-            // a norm-scaled bound (≫ 1e-9 relative whenever the distance is
-            // not vanishingly small against the operand magnitudes).
-            let xn = knor_core::kernel::sqnorm(data.row(r));
-            let cn = cnorms.iter().cloned().fold(0.0f64, f64::max);
-            let tol_sq = 1e-12 * (xn + cn + 1.0);
-            prop_assert!(
-                (bd * bd - da * da).abs() <= tol_sq,
-                "row {}: norm-trick {} vs exact {}", r, bd, da
-            );
-        }
+        assert_kernel_is_the_serial_scan(&data, k, seed, KernelKind::NormTrick)?;
     }
 
-    /// The blocked-GEMM kernel's fused micro-kernels reproduce serial-scan
-    /// distances within the 1e-9 band across the same shape edge cases:
-    /// remainder dimensions (`d % 4 != 0`), `k == 1`, and blocks smaller
-    /// than one row tile.
+    /// The blocked-GEMM kernel's fused micro-kernels (`Gemm`, and its
+    /// `Fma` spelling) certify every winner, so they reproduce the serial
+    /// scan bitwise — no near-tie flips, no distance band — across the
+    /// same shape edge cases.
     #[test]
     fn fused_kernels_within_tolerance_of_serial_scan(
         data in arb_matrix(150, 9),
@@ -132,42 +138,8 @@ proptest! {
         seed in 0u64..1000,
     ) {
         prop_assume!(k <= data.nrow());
-        let (n, d) = (data.nrow(), data.ncol());
-        let cents = knor_core::Centroids::from_matrix(
-            &InitMethod::Forgy.initialize(&data, k, seed).to_matrix(),
-        );
-        let mut cnorms = vec![0.0; k];
-        knor_core::kernel::centroid_sqnorms(&cents, &mut cnorms);
-        let rk = KernelKind::Gemm.resolve(k, d, false);
-        let (mut best, mut best_dist) = (Vec::new(), Vec::new());
-        knor_core::kernel::assign_rows(
-            data.as_slice(), d, &cents, &rk, &cnorms, &mut best, &mut best_dist, true,
-        );
-        for r in 0..n {
-            let (_, da) = knor_core::distance::nearest(data.row(r), &cents.means, k);
-            let bd = best_dist[r];
-            // Squared-distance bound: the norm-trick cancellation term
-            // plus the fused-rounding 1e-9 relative band.
-            let xn = knor_core::kernel::sqnorm(data.row(r));
-            let cn = cnorms.iter().cloned().fold(0.0f64, f64::max);
-            let tol_sq = 1e-12 * (xn + cn + 1.0) + 1e-9 * da * da;
-            prop_assert!(
-                (bd * bd - da * da).abs() <= tol_sq,
-                "row {}: {} vs exact {}", r, bd, da
-            );
-            // Winners may legitimately flip on near-ties, but the
-            // chosen centroid must itself sit within the band of the
-            // true optimum.
-            let c = best[r] as usize;
-            let chosen_sq: f64 = data.row(r).iter()
-                .zip(&cents.means[c * d..(c + 1) * d])
-                .map(|(a, b)| (a - b) * (a - b))
-                .sum();
-            prop_assert!(
-                chosen_sq <= da * da + tol_sq,
-                "row {}: chosen centroid {} not within band of optimum {}",
-                r, chosen_sq.sqrt(), da
-            );
+        for kind in [KernelKind::Gemm, KernelKind::Fma] {
+            assert_kernel_is_the_serial_scan(&data, k, seed, kind)?;
         }
     }
 
