@@ -8,8 +8,8 @@
 //! Section "Minimal Triangle Inequality Pruning").
 
 use knor_core::centroids::{finalize_means, Centroids, LocalAccum};
-use knor_core::distance::{dist, half_centroid_distances};
-use knor_core::pruning::PruneCounters;
+use knor_core::distance::dist;
+use knor_core::pruning::{MtiIterState, PruneCounters};
 use knor_matrix::DMatrix;
 
 /// Result of a full-TI run, with pruning counters and state size.
@@ -39,8 +39,7 @@ pub fn elkan_full_ti(data: &DMatrix, init: &DMatrix, max_iters: usize) -> ElkanR
     let mut assignments = vec![0u32; n];
     let mut upper = vec![0.0f64; n];
     let mut lower = vec![0.0f64; n * k]; // the O(nk) matrix MTI drops
-    let mut half_cc = vec![0.0f64; k * k];
-    let mut half_min = vec![0.0f64; k];
+    let mut mti = MtiIterState::new(k);
     let mut drift = vec![0.0f64; k];
     let mut accum = LocalAccum::new(k, d);
     let mut counters = PruneCounters::default();
@@ -85,7 +84,7 @@ pub fn elkan_full_ti(data: &DMatrix, init: &DMatrix, max_iters: usize) -> ElkanR
                 lower[i * k + c] = (lower[i * k + c] - drift[c]).max(0.0);
             }
         }
-        half_centroid_distances(&cents.means, k, d, &mut half_cc, &mut half_min);
+        mti.rebuild(&cents);
 
         accum.reset();
         let mut changed = 0u64;
@@ -93,7 +92,7 @@ pub fn elkan_full_ti(data: &DMatrix, init: &DMatrix, max_iters: usize) -> ElkanR
             let v = data.row(i);
             let mut a = assignments[i] as usize;
             let mut u = upper[i];
-            if u <= half_min[a] {
+            if u <= mti.half_min[a] {
                 counters.clause1_rows += 1;
                 accum.add(a, v);
                 continue;
@@ -105,7 +104,7 @@ pub fn elkan_full_ti(data: &DMatrix, init: &DMatrix, max_iters: usize) -> ElkanR
                 }
                 // Elkan condition: candidate viable only if u > l(x,c) and
                 // u > ½ d(a,c).
-                if u <= lower[i * k + c] || u <= half_cc[a * k + c] {
+                if u <= lower[i * k + c] || u <= mti.half_row(a)[c] {
                     counters.clause2_prunes += 1;
                     continue;
                 }
@@ -115,7 +114,7 @@ pub fn elkan_full_ti(data: &DMatrix, init: &DMatrix, max_iters: usize) -> ElkanR
                     upper[i] = u;
                     lower[i * k + a] = u;
                     tight = true;
-                    if u <= lower[i * k + c] || u <= half_cc[a * k + c] {
+                    if u <= lower[i * k + c] || u <= mti.half_row(a)[c] {
                         counters.clause3_prunes += 1;
                         continue;
                     }

@@ -54,18 +54,12 @@ pub fn nearest(v: &[f64], centroids: &[f64], k: usize) -> (usize, f64) {
 }
 
 /// Fill the `k x k` table `half[i*k + j] = ½·d(centroid_i, centroid_j)`
-/// (symmetric, `+∞` on the diagonal) and its row minima
-/// `half_min[i] = ½·min_{j≠i} d(c_i, c_j)` — the `O(k²)` structure MTI
+/// (symmetric, `+∞` on the diagonal) — the `O(k²)` structure MTI
 /// maintains each iteration, stored as the values its clauses compare a
 /// bound against: row `i` holds, contiguously, every candidate's threshold
 /// for a point assigned to `i`, and a centroid is never its own candidate.
-pub fn half_centroid_distances(
-    centroids: &[f64],
-    k: usize,
-    d: usize,
-    half: &mut [f64],
-    half_min: &mut [f64],
-) {
+/// [`half_row_minima`] derives the per-row summaries from it.
+pub fn half_centroid_distances(centroids: &[f64], k: usize, d: usize, half: &mut [f64]) {
     debug_assert_eq!(centroids.len(), k * d);
     debug_assert_eq!(half.len(), k * k);
     for i in 0..k {
@@ -76,17 +70,42 @@ pub fn half_centroid_distances(
             half[j * k + i] = h;
         }
     }
-    half_row_minima(half, k, half_min);
 }
 
-/// `half_min[i] = min_j half[i*k + j]` over a filled table (the `+∞`
-/// diagonal excludes `j = i`), `0` when there is no other centroid.
-pub fn half_row_minima(half: &[f64], k: usize, half_min: &mut [f64]) {
-    debug_assert_eq!(half_min.len(), k);
-    for (row, m) in half.chunks_exact(k.max(1)).zip(half_min.iter_mut()) {
+/// One pass over a filled table's rows (the `+∞` diagonal excludes
+/// `j = i`) writes, per row `i`:
+///
+/// - `half_min[i] = min_j half[i*k + j]`, NaN entries skipped, `0` when
+///   there is no finite one (at `k = 1`, Clause 1 can then never fire);
+/// - `nn[i]`: the lowest `j ≠ i` holding that minimum — the candidate
+///   nearest to centroid `i` — or the lowest `j ≠ i` when no entry is
+///   finite, and `i` itself at `k = 1`, whose `+∞` threshold keeps the
+///   one-candidate shortcut shut;
+/// - `half_2nd[i]`: the minimum over every `j ∉ {i, nn[i]}`, **NaN if any
+///   of those entries is NaN**, `+∞` when there is none. The shortcut
+///   reads it as "every other candidate prunes at this bound", which a
+///   NaN threshold never does.
+pub fn half_row_minima(
+    half: &[f64],
+    k: usize,
+    half_min: &mut [f64],
+    nn: &mut [u32],
+    half_2nd: &mut [f64],
+) {
+    debug_assert!(half_min.len() == k && nn.len() == k && half_2nd.len() == k);
+    for (i, row) in half.chunks_exact(k.max(1)).enumerate() {
         let min = row.iter().copied().fold(f64::INFINITY, f64::min);
-        // k == 1: no other centroid, Clause 1 can never fire.
-        *m = if min.is_finite() { min } else { 0.0 };
+        let near = (0..k).find(|&j| j != i && row[j] == min).or((0..k).find(|&j| j != i));
+        let near = near.unwrap_or(i);
+        let mut second = f64::INFINITY;
+        for (j, &t) in row.iter().enumerate() {
+            if j != i && j != near && (t < second || t.is_nan()) {
+                second = t; // once NaN, no comparison replaces it
+            }
+        }
+        half_min[i] = if min.is_finite() { min } else { 0.0 };
+        nn[i] = near as u32;
+        half_2nd[i] = second;
     }
 }
 
@@ -120,11 +139,16 @@ mod tests {
     fn half_distance_table_is_symmetric_with_an_infinite_diagonal() {
         let cents = [0.0, 0.0, 3.0, 4.0, 0.0, 8.0]; // pairwise: 5, 8, 5
         let mut half = vec![0.0; 9];
-        let mut half_min = vec![0.0; 3];
-        half_centroid_distances(&cents, 3, 2, &mut half, &mut half_min);
+        let (mut half_min, mut nn, mut half_2nd) = (vec![0.0; 3], vec![0; 3], vec![0.0; 3]);
+        half_centroid_distances(&cents, 3, 2, &mut half);
+        half_row_minima(&half, 3, &mut half_min, &mut nn, &mut half_2nd);
         let inf = f64::INFINITY;
         assert_eq!(half, vec![inf, 2.5, 4.0, 2.5, inf, 2.5, 4.0, 2.5, inf]);
         assert_eq!(half_min, vec![2.5, 2.5, 2.5]);
+        // Row 1 ties at 2.5: the lower index is the nearest, the other the
+        // second.
+        assert_eq!(nn, vec![1, 0, 1]);
+        assert_eq!(half_2nd, vec![4.0, 2.5, 4.0]);
     }
 
     #[test]
@@ -133,8 +157,9 @@ mod tests {
         let d = 3;
         let cents: Vec<f64> = (0..k * d).map(|x| ((x * 37) % 101) as f64 * 0.13).collect();
         let mut half = vec![f64::NAN; k * k];
-        let mut half_min = vec![0.0; k];
-        half_centroid_distances(&cents, k, d, &mut half, &mut half_min);
+        let (mut half_min, mut nn, mut half_2nd) = (vec![0.0; k], vec![0; k], vec![0.0; k]);
+        half_centroid_distances(&cents, k, d, &mut half);
+        half_row_minima(&half, k, &mut half_min, &mut nn, &mut half_2nd);
         for i in 0..k {
             assert_eq!(half[i * k + i], f64::INFINITY);
             for j in 0..k {
@@ -146,16 +171,25 @@ mod tests {
             let min =
                 (0..k).filter(|&j| j != i).map(|j| half[i * k + j]).fold(f64::INFINITY, f64::min);
             assert_eq!(half_min[i], min, "half_min[{i}]");
+            let near = nn[i] as usize;
+            assert!(near != i && half[i * k + near] == min, "nn[{i}]");
+            assert!((0..near).all(|j| j == i || half[i * k + j] > min), "nn[{i}] is the lowest");
+            let second = (0..k)
+                .filter(|&j| j != i && j != near)
+                .map(|j| half[i * k + j])
+                .fold(f64::INFINITY, f64::min);
+            assert_eq!(half_2nd[i], second, "half_2nd[{i}]");
         }
     }
 
     #[test]
     fn single_centroid_half_min_is_zero() {
         let mut half = vec![0.0; 1];
-        let mut half_min = vec![9.9; 1];
-        half_centroid_distances(&[1.0, 2.0], 1, 2, &mut half, &mut half_min);
+        let (mut half_min, mut nn, mut half_2nd) = (vec![9.9], vec![7], vec![9.9]);
+        half_centroid_distances(&[1.0, 2.0], 1, 2, &mut half);
+        half_row_minima(&half, 1, &mut half_min, &mut nn, &mut half_2nd);
         assert_eq!(half, vec![f64::INFINITY]);
-        assert_eq!(half_min[0], 0.0);
+        assert_eq!((half_min[0], nn[0], half_2nd[0]), (0.0, 0, f64::INFINITY));
     }
 
     #[test]

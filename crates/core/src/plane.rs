@@ -291,6 +291,25 @@ enum Commit {
     Bounds,
 }
 
+/// How many committed rows ahead of the current one the bounded commit
+/// hints into cache. The filter leaves gaps between the rows it keeps, so
+/// the hardware's stride prefetcher does not follow them.
+const PF: usize = 8;
+
+/// Hint every cache line of `row` into L1.
+#[inline(always)]
+fn prefetch_row(row: &[f64]) {
+    #[cfg(target_arch = "x86_64")]
+    for line in row.chunks(8) {
+        use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+        // SAFETY: a prefetch is a hint that never faults or writes, and
+        // the address lies in a live slice anyway.
+        unsafe { _mm_prefetch::<_MM_HINT_T0>(line.as_ptr().cast()) }
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = row;
+}
+
 /// The worker loop: drain worker `w`'s share of the iteration's task queue
 /// through `src`, filtering, fetching and committing each task under the
 /// policy the module docs tabulate.
@@ -381,6 +400,9 @@ fn drain_with<S: RowSource, F: RowFilter>(
         }
         if commit == Commit::Bounds {
             for (i, &r) in needed.iter().enumerate() {
+                if let Some(&ahead) = needed.get(i + PF) {
+                    prefetch_row(src.row(&scratch.data, i + PF, ahead));
+                }
                 let v = src.row(&scratch.data, i, r);
                 rep.reassigned += u64::from(filter.commit(&rows, r, v, accum, &mut rep.counters));
             }

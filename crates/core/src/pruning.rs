@@ -185,6 +185,13 @@ pub struct MtiIterState {
     pub half_cc: Vec<f64>,
     /// `s(c) = ½·min_{c'≠c} d(c, c')` per centroid (Clause 1 threshold).
     pub half_min: Vec<f64>,
+    /// Per centroid `a`, the candidate holding row `a`'s smallest
+    /// threshold, lowest index on ties ([`half_row_minima`]).
+    pub nn: Vec<u32>,
+    /// Per centroid `a`, the smallest threshold of row `a` over every
+    /// candidate but `nn[a]`; NaN if any of them is NaN. A bound at or
+    /// below it prunes all of them.
+    pub half_2nd: Vec<f64>,
     /// Drift `f(c) = d(c^t, c^{t-1})` per centroid.
     pub drift: Vec<f64>,
     k: usize,
@@ -198,7 +205,14 @@ impl MtiIterState {
         for c in 0..k {
             half_cc[c * k + c] = f64::INFINITY;
         }
-        Self { half_cc, half_min: vec![0.0; k], drift: vec![0.0; k], k }
+        Self {
+            half_cc,
+            half_min: vec![0.0; k],
+            nn: vec![0; k],
+            half_2nd: vec![0.0; k],
+            drift: vec![0.0; k],
+            k,
+        }
     }
 
     /// Number of centroids.
@@ -223,20 +237,21 @@ impl MtiIterState {
     /// Recompute the half-distance table and thresholds for `cents`,
     /// serially.
     pub fn rebuild(&mut self, cents: &Centroids) {
-        half_centroid_distances(
-            &cents.means,
-            self.k,
-            cents.d,
-            &mut self.half_cc,
-            &mut self.half_min,
-        );
+        half_centroid_distances(&cents.means, self.k, cents.d, &mut self.half_cc);
+        self.finalize_half_min();
     }
 
-    /// Derive `half_min` from an already-filled table. The driver calls
-    /// this after its workers filled disjoint pairs of it in parallel
-    /// (large-`k` runs).
+    /// Derive `half_min`, `nn` and `half_2nd` from an already-filled table.
+    /// The driver calls this after its workers filled disjoint pairs of it
+    /// in parallel (large-`k` runs).
     pub fn finalize_half_min(&mut self) {
-        half_row_minima(&self.half_cc, self.k, &mut self.half_min);
+        half_row_minima(
+            &self.half_cc,
+            self.k,
+            &mut self.half_min,
+            &mut self.nn,
+            &mut self.half_2nd,
+        );
     }
 
     /// Row `a` of the table: `½·d(a, c)` for every candidate `c`, `+∞` at
@@ -248,7 +263,8 @@ impl MtiIterState {
 
     /// Heap bytes held (`O(k²)` of Table 1's knori/knord rows).
     pub fn heap_bytes(&self) -> u64 {
-        ((self.half_cc.len() + self.half_min.len() + self.drift.len()) * 8) as u64
+        ((self.half_cc.len() + self.half_min.len() + self.half_2nd.len() + self.drift.len()) * 8
+            + self.nn.len() * 4) as u64
     }
 }
 
@@ -268,6 +284,9 @@ pub struct PruneCounters {
     /// [`Self::clause1_rows`] — distance-pruning and I/O-avoidance are
     /// reported separately.
     pub io_skip_rows: u64,
+    /// Committed rows the one-candidate shortcut settled without the
+    /// clause walk (see [`mti_assign`]).
+    pub one_cand_rows: u64,
 }
 
 impl PruneCounters {
@@ -278,12 +297,20 @@ impl PruneCounters {
         self.clause3_prunes += o.clause3_prunes;
         self.dist_computations += o.dist_computations;
         self.io_skip_rows += o.io_skip_rows;
+        self.one_cand_rows += o.one_cand_rows;
     }
 
     /// Total pruned candidate computations (clauses 2+3).
     pub fn pruned_candidates(&self) -> u64 {
         self.clause2_prunes + self.clause3_prunes
     }
+}
+
+/// Whether `threshold` prunes a candidate under `bound`: the clauses'
+/// `bound <= threshold`, which a NaN on either side never satisfies.
+#[inline(always)]
+fn prunes(bound: f64, threshold: f64) -> bool {
+    bound <= threshold
 }
 
 /// Bit `i` set iff `thresholds[i]` prunes a candidate under `bound` — the
@@ -317,6 +344,10 @@ fn pruned_mask(thresholds: &[f64], bound: f64) -> u64 {
 /// [`pruned_mask`] over the row, the first clear bit is the next candidate
 /// to act on, and the set bits skipped are Clause-2 prunes. Same decisions, same
 /// counters, same bits as the one-candidate-at-a-time walk.
+///
+/// Most committed rows have one open candidate: at the loosened bound every
+/// threshold of row `a` prunes but the nearest centroid's, `nn[a]`. Those
+/// rows skip the walk ([`one_candidate`]).
 #[inline]
 pub fn mti_assign(
     v: &[f64],
@@ -331,17 +362,76 @@ pub fn mti_assign(
         // Safety: AVX2 support verified at runtime.
         return unsafe { x86::mti_assign_avx2(v, cents, state, a, ub, counters) };
     }
-    mti_scan(v, cents, state, a, ub, counters, pruned_mask)
+    mti_commit(v, cents, state, a, ub, counters, pruned_mask)
 }
 
-/// AVX2 build of the scan: the mask is four comparisons per instruction,
+/// [`mti_assign`] for one mask builder: the shortcut, else the walk.
+#[inline(always)]
+fn mti_commit(
+    v: &[f64],
+    cents: &Centroids,
+    state: &MtiIterState,
+    a: usize,
+    ub: f64,
+    counters: &mut PruneCounters,
+    pruned_mask: impl Fn(&[f64], f64) -> u64,
+) -> (usize, f64) {
+    match one_candidate(v, cents, state, a, ub, counters) {
+        Some(settled) => settled,
+        None => mti_scan(v, cents, state, a, ub, counters, pruned_mask),
+    }
+}
+
+/// The walk for a row whose only open candidate is `nn = nn[a]`, settled
+/// without it; `None`, counters untouched, when the walk must run.
+///
+/// When `ub <= half_cc[a][nn]` fails but `ub <= half_2nd[a]` holds, every
+/// other candidate is a Clause-2 prune at `ub` (none of their thresholds is
+/// NaN, and none is below `half_2nd[a]`), so the walk's first stop is `nn`.
+/// There it tightens to `d(v, a)`, then prunes `nn` by Clause 3 or
+/// computes `d(v, nn)`. If `nn` does not win and the tight bound is still
+/// at or below `half_2nd[a]`, every candidate after `nn` prunes too, and
+/// the walk ends at `(a, d(v, a))` having counted `k − 2` Clause-2 prunes.
+/// A move to `nn`, or a tight bound above `half_2nd[a]`, is left to the
+/// walk, which replays the row from `(a, ub)`.
+#[inline(always)]
+fn one_candidate(
+    v: &[f64],
+    cents: &Centroids,
+    state: &MtiIterState,
+    a: usize,
+    ub: f64,
+    counters: &mut PruneCounters,
+) -> Option<(usize, f64)> {
+    let nn = state.nn[a] as usize;
+    let (t_nn, t_2nd) = (state.half_row(a)[nn], state.half_2nd[a]);
+    // At k = 1, `nn == a` and its `+∞` threshold fails the first test.
+    if prunes(ub, t_nn) || !prunes(ub, t_2nd) {
+        return None;
+    }
+    let bound = dist(v, cents.mean(a));
+    if !prunes(bound, t_2nd) {
+        return None;
+    }
+    let clause3 = prunes(bound, t_nn);
+    if !clause3 && dist(v, cents.mean(nn)) < bound {
+        return None;
+    }
+    counters.clause2_prunes += (cents.k() - 2) as u64;
+    counters.clause3_prunes += u64::from(clause3);
+    counters.dist_computations += 2 - u64::from(clause3);
+    counters.one_cand_rows += 1;
+    Some((a, bound))
+}
+
+/// AVX2 build of the commit: the mask is four comparisons per instruction,
 /// and the distances inline as 4-wide lanes that map one-to-one onto
 /// [`dist`]'s four accumulators — un-fused (an FMA would round a
 /// multiply-add once instead of twice), so every bit matches the portable
 /// build.
 #[cfg(target_arch = "x86_64")]
 mod x86 {
-    use super::{mti_scan, Centroids, MtiIterState, PruneCounters};
+    use super::{mti_commit, Centroids, MtiIterState, PruneCounters};
 
     /// # Safety
     /// Caller must have verified AVX2 support at runtime.
@@ -355,7 +445,7 @@ mod x86 {
         counters: &mut PruneCounters,
     ) -> (usize, f64) {
         // Safety: closures inherit the enclosing function's target features.
-        mti_scan(v, cents, state, a, ub, counters, |t, b| unsafe { pruned_mask_avx2(t, b) })
+        mti_commit(v, cents, state, a, ub, counters, |t, b| unsafe { pruned_mask_avx2(t, b) })
     }
 
     /// [`super::pruned_mask`], four thresholds per comparison.
@@ -495,12 +585,12 @@ mod tests {
     #[test]
     fn bitmask_scan_reproduces_the_sequential_clause_machine() {
         let mut rng = ChaCha8Rng::seed_from_u64(2024);
-        let mut clause3 = 0;
+        let (mut clause3, mut one_cand) = (0, 0);
         for k in [1usize, 2, 7, 32, 63, 64, 65, 130] {
             for d in [1usize, 5] {
-                for (duplicates, drifting) in [(false, true), (true, true), (false, false)] {
+                for mode in ["drift", "duplicates", "still", "tied", "nan", "inf"] {
                     let mut prev = random_centroids(k, d, &mut rng);
-                    if duplicates {
+                    if mode == "duplicates" {
                         // Ties: every odd centroid repeats its left neighbour.
                         for c in (1..k).step_by(2) {
                             let (left, right) = prev.means.split_at_mut(c * d);
@@ -508,35 +598,85 @@ mod tests {
                         }
                     }
                     let mut cents = prev.clone();
-                    if drifting {
+                    if mode != "still" {
                         for x in cents.means.iter_mut() {
                             *x += rng.gen_range(-0.3..0.3);
                         }
                     }
+                    match mode {
+                        // Tied nearest thresholds: centroids c + 1 and
+                        // c + 2 are one point next to c, so row c's two
+                        // smallest thresholds are equal bits.
+                        "tied" => {
+                            for c in (0..k.saturating_sub(2)).step_by(3) {
+                                let near: Vec<f64> = cents.means[c * d..(c + 1) * d]
+                                    .iter()
+                                    .map(|x| x + rng.gen_range(-0.05..0.05))
+                                    .collect();
+                                set(&mut cents, c + 1, |j| near[j]);
+                                set(&mut cents, c + 2, |j| near[j]);
+                            }
+                        }
+                        // A NaN centroid puts a NaN threshold in every row,
+                        // and a NaN threshold never prunes.
+                        "nan" => {
+                            set(&mut cents, 1, |_| f64::NAN);
+                            set(&mut cents, 4, |j| if j == 0 { f64::INFINITY } else { 0.0 });
+                        }
+                        // ±∞ thresholds, and NaN only between the two +∞
+                        // centroids (∞ − ∞).
+                        "inf" => {
+                            set(&mut cents, 1, |j| if j == 0 { f64::INFINITY } else { 0.0 });
+                            set(&mut cents, 3, |j| if j == 0 { f64::NEG_INFINITY } else { 1.0 });
+                            set(&mut cents, 5, |_| f64::INFINITY);
+                        }
+                        _ => {}
+                    }
                     let mut state = MtiIterState::new(k);
                     state.update(&prev, &cents);
+                    if mode == "tied" && k >= 3 {
+                        let tied = (0..k - 2)
+                            .step_by(3)
+                            .filter(|&c| {
+                                state.half_row(c)[state.nn[c] as usize] == state.half_2nd[c]
+                            })
+                            .count();
+                        assert!(tied > 0, "k={k} d={d}: no row's two nearest thresholds tie");
+                    }
                     for i in 0..300 {
                         let v: Vec<f64> = (0..d).map(|_| rng.gen_range(-6.0..6.0)).collect();
                         let (a, da) = nearest(&v, &prev.means, k);
+                        let (t_nn, t_2nd) =
+                            (state.half_row(a)[state.nn[a] as usize], state.half_2nd[a]);
                         // A valid loosened bound, now and then padded so the
                         // tighten pass is what prunes (Clause 3), or left
-                        // infinite as before a row's first scan.
-                        let ub = match i % 7 {
+                        // infinite as before a row's first scan; or a bound
+                        // at, or one ulp either side of, the shortcut's two
+                        // thresholds.
+                        let ub = match i % 13 {
                             0 => da + state.drift[a] + rng.gen_range(0.0..4.0),
                             1 => f64::INFINITY,
+                            2 => t_nn,
+                            3 => t_nn.next_down(),
+                            4 => t_nn.next_up(),
+                            5 => t_2nd,
+                            6 => t_2nd.next_down(),
+                            7 => t_2nd.next_up(),
                             _ => da + state.drift[a],
                         };
-                        let what = format!("k={k} d={d} dup={duplicates} drift={drifting} i={i}");
+                        let what = format!("k={k} d={d} mode={mode} i={i} ub={ub}");
                         let (mut fast, mut slow) =
                             (PruneCounters::default(), PruneCounters::default());
                         let got = mti_assign(&v, &cents, &state, a, ub, &mut fast);
                         let want = mti_assign_scalar(&v, &cents, &state, a, ub, &mut slow);
                         assert_eq!(got.0, want.0, "{what}");
                         assert_eq!(got.1.to_bits(), want.1.to_bits(), "{what}");
-                        assert_eq!(fast, slow, "{what}");
+                        // The shortcut's own count is the only difference.
+                        assert_eq!(PruneCounters { one_cand_rows: 0, ..fast }, slow, "{what}");
                         clause3 += fast.clause3_prunes;
-                        // The portable mask too, where the dispatch above
-                        // took the AVX2 one.
+                        one_cand += fast.one_cand_rows;
+                        // The portable mask's walk too, where the dispatch
+                        // above took the AVX2 one and the shortcut.
                         let mut portable = PruneCounters::default();
                         let got = mti_scan(&v, &cents, &state, a, ub, &mut portable, pruned_mask);
                         assert_eq!((got.0, got.1.to_bits()), (want.0, want.1.to_bits()), "{what}");
@@ -546,6 +686,7 @@ mod tests {
             }
         }
         assert!(clause3 > 0, "no case exercised the tighten-then-prune path");
+        assert!(one_cand > 0, "no case took the one-candidate shortcut");
     }
 
     #[test]
@@ -564,6 +705,16 @@ mod tests {
         assert_eq!(got.1.to_bits(), want.1.to_bits());
         assert_eq!(fast, slow);
         assert_eq!(fast.dist_computations, 70);
+    }
+
+    /// Centroid `c`'s coordinates from `x` (nothing when there is no `c`).
+    fn set(cents: &mut Centroids, c: usize, x: impl Fn(usize) -> f64) {
+        let d = cents.d;
+        if let Some(mean) = cents.means.get_mut(c * d..(c + 1) * d) {
+            for (j, m) in mean.iter_mut().enumerate() {
+                *m = x(j);
+            }
+        }
     }
 
     fn random_centroids(k: usize, d: usize, rng: &mut impl Rng) -> Centroids {
@@ -697,6 +848,8 @@ mod tests {
             par.finalize_half_min();
             assert_eq!(par.half_cc, serial.half_cc, "k = {k}");
             assert_eq!(par.half_min, serial.half_min, "k = {k}");
+            assert_eq!(par.nn, serial.nn, "k = {k}");
+            assert_eq!(par.half_2nd, serial.half_2nd, "k = {k}");
         }
     }
 

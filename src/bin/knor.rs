@@ -512,6 +512,8 @@ fn report(
 /// count, the bytes the bounds occupy (per-row upper/lower bounds plus
 /// the scheme's global tables — MTI's `O(k²)` centroid-distance matrix or
 /// Yinyang's grouping/drift tables), and the per-clause outcome totals.
+/// `one_cand` counts the committed rows MTI's one-candidate shortcut
+/// settled (a subset of the rows the clauses above already count).
 /// `io_skip_rows` is the staged-plane fetch-avoidance subset of clause 1
 /// (always 0 on direct planes).
 fn print_prune(run: &RunSpec, n: usize, total: &PruneCounters) {
@@ -519,13 +521,14 @@ fn print_prune(run: &RunSpec, n: usize, total: &PruneCounters) {
     // The bounds do not depend on `d`, the thread count or the data held.
     let bound_bytes = MemoryFootprint::account(scheme, (n, run.k, 0), 0, 0, 0).bound_bytes(n);
     println!(
-        "prune: scheme={} groups={} bound_B={bound_bytes} c1_rows={} c2={} c3={} dists={} io_skip_rows={}",
+        "prune: scheme={} groups={} bound_B={bound_bytes} c1_rows={} c2={} c3={} dists={} one_cand={} io_skip_rows={}",
         scheme.name(),
         if scheme == Pruning::Yinyang { t } else { 0 },
         total.clause1_rows,
         total.clause2_prunes,
         total.clause3_prunes,
         total.dist_computations,
+        total.one_cand_rows,
         total.io_skip_rows,
     );
 }
