@@ -7,8 +7,6 @@
 //! * [`elkan`] — the *full* triangle-inequality algorithm with the `O(nk)`
 //!   lower-bound matrix that MTI deliberately drops (Table 1's memory
 //!   contrast, and the pruning-rate comparison).
-//! * [`yinyang`] — Ding et al.'s group-filtering competitor discussed in
-//!   Related Work (`O(nt)` bounds, `t = k/10`).
 //! * [`minibatch`] — Sculley's web-scale approximation (Related Work).
 //!   Now a serial mirror of `Algorithm::MiniBatch` on the parallel driver,
 //!   kept for exact parity testing against the engines.
@@ -26,7 +24,6 @@ pub mod mapreduce;
 pub mod minibatch;
 pub mod serial;
 pub mod spherical;
-pub mod yinyang;
 
 pub use elkan::elkan_full_ti;
 pub use gemm::gemm_lloyd;
@@ -34,4 +31,3 @@ pub use mapreduce::{FrameworkProfile, MapReduceKmeans};
 pub use minibatch::minibatch_kmeans;
 pub use serial::{alloc_heavy_lloyd, naive_indexed_lloyd};
 pub use spherical::spherical_kmeans;
-pub use yinyang::yinyang_kmeans;

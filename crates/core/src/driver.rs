@@ -22,7 +22,7 @@
 //!   private [`LocalAccum`]. What varies per iteration is a policy of three
 //!   parts, chosen once per call: the row source (direct or staged), the
 //!   pre-fetch filter and the commit (see the table in `crate::plane`).
-//!   Pruning is a [`RowFilter`]; its three implementors at the bottom of
+//!   Pruning is a [`RowFilter`]; its two implementors at the bottom of
 //!   this module are the whole per-row state machine.
 //! * **merge** — the `k·d` accumulator dimensions are sliced across
 //!   workers; each worker sums one slice across all `T` accumulators.
@@ -58,7 +58,7 @@ use crate::centroids::{finalize_means, Centroids, LocalAccum};
 use crate::distance::{dist, nearest};
 use crate::kernel::{KernelKind, ResolvedKernel};
 use crate::plane::{DataPlane, DrainScratch};
-use crate::pruning::{mti_assign, MtiIterState, PruneCounters, Pruning, YinyangState};
+use crate::pruning::{mti_assign, MtiIterState, PruneCounters, Pruning};
 use crate::stats::{CommitCounters, IterStats};
 use crate::sync::ExclusiveCell;
 use crate::trace::{Phase, PhaseBreakdown, TraceHandle, WorkerTracer};
@@ -78,7 +78,7 @@ pub struct DriverConfig {
     pub max_iters: usize,
     /// Drift tolerance (0.0 = reassignment-only convergence).
     pub tol: f64,
-    /// Pruning scheme (`None | Mti | Yinyang`).
+    /// Pruning scheme (`None | Mti`).
     pub pruning: Pruning,
     /// Rows per scheduler task.
     pub task_size: usize,
@@ -174,8 +174,8 @@ pub struct ReduceReport {
 }
 
 /// The cross-process half of an engine: what happens to the merged state
-/// between barrier C and the centroid update. Both hooks run on the
-/// coordinator inside its exclusive window; the defaults keep everything
+/// between barrier C and the centroid update. The hook runs on the
+/// coordinator inside its exclusive window; the default keeps everything
 /// local, which is the whole reducer of a single-machine engine
 /// ([`NoReduce`]).
 pub trait Reducer: Sync {
@@ -192,16 +192,6 @@ pub trait Reducer: Sync {
         _totals: &mut WorkerReport,
     ) -> ReduceReport {
         ReduceReport::default()
-    }
-
-    /// After the drift pass of a Yinyang iteration: globalize the per-group
-    /// drift maxima. Every rank computes identical values from the
-    /// identically-reduced centroids, so knord's max-allreduce here is
-    /// bitwise a no-op — it exists to keep ranks lockstep-verified and to
-    /// account the O(t) wire extension. Returns the wire bytes this process
-    /// sent (0 for single-machine engines).
-    fn sync_group_drift(&self, _iter: usize, _group_drift: &mut [f64]) -> u64 {
-        0
     }
 }
 
@@ -274,7 +264,6 @@ pub fn run_mm<P: DataPlane + ?Sized, R: Reducer>(
     // the recompute here makes the invariant local).
     let scheme = if algo.prune_eligible() { cfg.pruning } else { Pruning::None };
     let cfg_pruning = scheme.enabled();
-    let yinyang = scheme == Pruning::Yinyang;
     let is_lloyd = algo.is_lloyd();
     let scoped = algo.subsamples();
     let uses_weights = algo.uses_weights();
@@ -283,28 +272,20 @@ pub fn run_mm<P: DataPlane + ?Sized, R: Reducer>(
     let rk = cfg.kernel.resolve(k, d, cfg_pruning);
     // For large k the O(k²·d) half-distance recompute dominates the
     // coordinator window; the workers are idling at the next barrier, so
-    // they fill disjoint pairs of the table instead. Yinyang has no
-    // distance table — its per-iteration state is O(k+t).
-    let parallel_cc = scheme == Pruning::Mti && nthreads > 1 && k > PARALLEL_CC_ABOVE_K;
-
-    // One-time Yinyang centroid grouping, before any worker spawns. It is
-    // deterministic in `init`, so every knord rank derives the identical
-    // grouping without a wire exchange.
-    let yy_init = if yinyang { YinyangState::group(&init) } else { YinyangState::empty() };
-    let ngroups = yy_init.t();
+    // they fill disjoint pairs of the table instead.
+    let parallel_cc = cfg_pruning && nthreads > 1 && k > PARALLEL_CC_ABOVE_K;
 
     // Shared engine state (see module docs for the barrier protocol).
     let centroids = ExclusiveCell::new(init);
     let next_cents = ExclusiveCell::new(Centroids::zeros(k, d));
-    let mti = ExclusiveCell::new(MtiIterState::new(if scheme == Pruning::Mti { k } else { 0 }));
-    let yy_cell = ExclusiveCell::new(yy_init);
+    let mti = ExclusiveCell::new(MtiIterState::new(if cfg_pruning { k } else { 0 }));
     // Base of the half-distance table for the parallel recompute phase. The
     // coordinator re-derives this every iteration from its live exclusive
     // borrow (keeping the pointer's provenance valid — no `&mut` to the MTI
     // state is created between the capture and the workers' writes), and
     // barriers D/E order the disjoint row writes against all readers.
     let cc_base = ExclusiveCell::new(RawSlicePtr(std::ptr::null_mut()));
-    let rows = if cfg_pruning { RowBounds::new(n, ngroups) } else { RowBounds::unbounded(n) };
+    let rows = if cfg_pruning { RowBounds::new(n) } else { RowBounds::unbounded(n) };
     let merged_sums: SharedRows<f64> = SharedRows::new(k * d, 0.0);
     let merged_counts = ExclusiveCell::new(vec![0i64; k]);
     let merged_weights = ExclusiveCell::new(vec![0.0f64; k]);
@@ -385,9 +366,6 @@ pub fn run_mm<P: DataPlane + ?Sized, R: Reducer>(
                 filter: match scheme {
                     Pruning::None => Filter::None(NoFilter::new(cents)),
                     Pruning::Mti => Filter::Mti(MtiFilter::new(cents, unsafe { mti.get() })),
-                    Pruning::Yinyang => {
-                        Filter::Yinyang(YinyangFilter::new(cents, unsafe { yy_cell.get() }))
-                    }
                 },
                 rows: &rows,
                 queue,
@@ -486,13 +464,12 @@ pub fn run_mm<P: DataPlane + ?Sized, R: Reducer>(
                     *s = unsafe { *merged_sums.get(j) };
                 }
                 let mw = unsafe { merged_weights.get_mut() };
-                let mut reduce_report = reducer.reduce(iter, sums_view, mc, mw, &mut totals);
+                let reduce_report = reducer.reduce(iter, sums_view, mc, mw, &mut totals);
 
                 if cfg_pruning {
-                    // Bound-pruned delta path (MTI and Yinyang) —
-                    // Lloyd only (the eligibility hook guarantees
-                    // it), so the update is the mean over the
-                    // persistent global sums.
+                    // MTI's delta path — Lloyd only (the
+                    // eligibility hook guarantees it), so the update
+                    // is the mean over the persistent global sums.
                     for (p, s) in psums.iter_mut().zip(sums_view.iter()) {
                         *p += s;
                     }
@@ -522,16 +499,12 @@ pub fn run_mm<P: DataPlane + ?Sized, R: Reducer>(
                 let mut max_drift = 0.0f64;
                 {
                     // Safety: coordinator window.
-                    let mut mti_mut = (scheme == Pruning::Mti).then(|| unsafe { mti.get_mut() });
-                    let mut yy_mut = yinyang.then(|| unsafe { yy_cell.get_mut() });
+                    let mut mti_mut = cfg_pruning.then(|| unsafe { mti.get_mut() });
                     for c in 0..k {
                         let dr = dist(cents.mean(c), next.mean(c));
                         max_drift = max_drift.max(dr);
                         if let Some(m) = mti_mut.as_mut() {
                             m.drift[c] = dr;
-                        }
-                        if let Some(y) = yy_mut.as_mut() {
-                            y.drift[c] = dr;
                         }
                     }
                     if parallel_cc {
@@ -545,20 +518,9 @@ pub fn run_mm<P: DataPlane + ?Sized, R: Reducer>(
                         }
                     }
                 }
-                if scheme == Pruning::Mti && !parallel_cc {
+                if cfg_pruning && !parallel_cc {
                     // Safety: coordinator window.
                     unsafe { mti.get_mut() }.rebuild(next);
-                }
-                if yinyang {
-                    // Fold per-centroid drifts into per-group maxima
-                    // and let the reducer globalize them (knord's
-                    // O(t) allreduce extension; identity elsewhere).
-                    // Safety: coordinator window.
-                    let y = unsafe { yy_cell.get_mut() };
-                    y.update_group_drift();
-                    let gd_bytes = reducer.sync_group_drift(iter, &mut y.group_drift);
-                    reduce_report.comm_bytes += gd_bytes;
-                    reduce_report.max_rank_comm_bytes += gd_bytes;
                 }
                 std::mem::swap(cents, next);
 
@@ -692,43 +654,24 @@ pub fn run_mm<P: DataPlane + ?Sized, R: Reducer>(
 // Per-row state and the pruning filters
 // ---------------------------------------------------------------------------
 
-/// The driver-owned per-row state of a run: every row's assignment, its
-/// upper bound (MTI and Yinyang; empty when nothing prunes) and its `t`
-/// Yinyang group lower bounds.
+/// The driver-owned per-row state of a run: every row's assignment and
+/// its MTI upper bound (empty when nothing prunes).
 /// Workers reach it only through the [`RowState`] of a task they own.
 pub struct RowBounds {
     assign: SharedRows<u32>,
     upper: SharedRows<f64>,
-    /// `n·t`, row-major; empty unless the scheme is Yinyang.
-    lower: SharedRows<f64>,
-    t: usize,
 }
 
 impl RowBounds {
-    /// State for `n` unassigned rows with `t` group lower bounds each
-    /// (`t = 0` for every scheme but Yinyang).
-    pub fn new(n: usize, t: usize) -> Self {
-        Self {
-            upper: SharedRows::new(n, f64::INFINITY),
-            // Allocated zeroed so pages stay lazy; iteration 0 writes every
-            // slot from the row's owning worker, first-touching the bound
-            // pages on that worker's NUMA node — the same persistent-bound
-            // discipline as `upper`.
-            lower: SharedRows::new(n * t, 0.0),
-            t,
-            ..Self::unbounded(n)
-        }
+    /// State for `n` unassigned rows with an upper bound each.
+    pub fn new(n: usize) -> Self {
+        Self { upper: SharedRows::new(n, f64::INFINITY), ..Self::unbounded(n) }
     }
 
     /// State for `n` unassigned rows of an unpruned run: assignments only,
     /// 4 bytes a row. [`NoFilter`] never reads a bound.
     pub fn unbounded(n: usize) -> Self {
-        Self {
-            assign: SharedRows::new(n, u32::MAX),
-            upper: SharedRows::new(0, 0.0),
-            lower: SharedRows::new(0, 0.0),
-            t: 0,
-        }
+        Self { assign: SharedRows::new(n, u32::MAX), upper: SharedRows::new(0, 0.0) }
     }
 
     /// The handle through which the owner of a task reads and writes the
@@ -792,23 +735,6 @@ impl RowState<'_> {
         // SAFETY: as `assign`.
         unsafe { *self.all.upper.get_mut(r) = u };
     }
-
-    /// Row `r`'s lower bound on the distance to group `g`'s non-assigned
-    /// members.
-    #[inline]
-    pub fn lower(&self, r: usize, g: usize) -> f64 {
-        debug_assert!(self.rows.contains(&r) && g < self.all.t);
-        // SAFETY: as `assign`; row `r` owns slots `r·t .. (r+1)·t`.
-        unsafe { *self.all.lower.get(r * self.all.t + g) }
-    }
-
-    /// Store row `r`'s lower bound for group `g`.
-    #[inline]
-    pub fn set_lower(&self, r: usize, g: usize, lb: f64) {
-        debug_assert!(self.rows.contains(&r) && g < self.all.t);
-        // SAFETY: as `lower`.
-        unsafe { *self.all.lower.get_mut(r * self.all.t + g) = lb };
-    }
 }
 
 /// A pruning scheme as the worker loop sees it: three per-row steps over
@@ -816,7 +742,10 @@ impl RowState<'_> {
 ///
 /// Counter ledger (steady state): every row satisfies
 /// `clause2 + clause3 + dists = k` — with the Clause-1 rows contributing
-/// `k` each — so `clause1·k + clause2 + clause3 + dists = n·k` exactly.
+/// `k` each — so `clause1·k + clause2 + clause3 + dists = n·k`, except
+/// that an MTI walk which moves a row off its assignment `a` re-tests `a`
+/// as a candidate when `a` lies ahead of the move: a reassigned row may
+/// count `k + 1`.
 pub trait RowFilter {
     /// Whether [`Self::establish`] consumes the kernel's distances (false
     /// lets the kernel skip its distance finalization pass).
@@ -906,28 +835,6 @@ impl RowFilter for NoFilter<'_> {
     }
 }
 
-/// The bound-establishing half shared by MTI and Yinyang: delta
-/// accumulation against the persistent sums, the assignment, and the exact
-/// upper bound `da`.
-#[inline]
-fn establish_upper(
-    rows: &RowState<'_>,
-    r: usize,
-    v: &[f64],
-    (a, da): (usize, f64),
-    accum: &mut LocalAccum,
-) -> bool {
-    let cur_a = rows.assign(r);
-    if cur_a == u32::MAX {
-        accum.add(a, v);
-    } else if cur_a as usize != a {
-        accum.sub(cur_a as usize, v);
-        accum.add(a, v);
-    }
-    rows.set_upper(r, da);
-    rows.set_assign(r, a as u32)
-}
-
 /// MTI (the paper's scheme): one upper bound per row against the
 /// `½·min` centroid-separation thresholds.
 pub struct MtiFilter<'a> {
@@ -959,17 +866,27 @@ impl RowFilter for MtiFilter<'_> {
         }
     }
 
+    /// Delta accumulation against the persistent sums, the assignment,
+    /// and the exact upper bound `da`.
     #[inline]
     fn establish(
         &self,
         rows: &RowState<'_>,
         r: usize,
         v: &[f64],
-        best: (usize, f64),
+        (a, da): (usize, f64),
         accum: &mut LocalAccum,
         _counters: &mut PruneCounters,
     ) -> bool {
-        establish_upper(rows, r, v, best, accum)
+        let cur_a = rows.assign(r);
+        if cur_a == u32::MAX {
+            accum.add(a, v);
+        } else if cur_a as usize != a {
+            accum.sub(cur_a as usize, v);
+            accum.add(a, v);
+        }
+        rows.set_upper(r, da);
+        rows.set_assign(r, a as u32)
     }
 
     #[inline]
@@ -994,179 +911,6 @@ impl RowFilter for MtiFilter<'_> {
     }
 }
 
-/// Yinyang group bounds: the global upper bound plus one lower bound per
-/// centroid group.
-pub struct YinyangFilter<'a> {
-    cents: &'a Centroids,
-    yy: &'a YinyangState,
-}
-
-impl<'a> YinyangFilter<'a> {
-    /// The filter over `cents` with this iteration's grouping/drift state.
-    pub fn new(cents: &'a Centroids, yy: &'a YinyangState) -> Self {
-        Self { cents, yy }
-    }
-}
-
-impl RowFilter for YinyangFilter<'_> {
-    const BOUNDED: bool = true;
-
-    /// The global filter: loosens the upper bound by its centroid's drift
-    /// and every group lower bound by that group's maximum drift — the same
-    /// Clause-1 discipline as MTI, but against the min of the group bounds
-    /// instead of the `½·min` centroid-separation threshold.
-    #[inline]
-    fn keep(&self, rows: &RowState<'_>, r: usize, counters: &mut PruneCounters) -> bool {
-        let yy = self.yy;
-        let a = rows.assign(r) as usize;
-        let u = rows.upper(r) + yy.drift[a];
-        rows.set_upper(r, u);
-        let mut global_lower = f64::INFINITY;
-        for g in 0..yy.t() {
-            let lb = (rows.lower(r, g) - yy.group_drift[g]).max(0.0);
-            rows.set_lower(r, g, lb);
-            if lb < global_lower {
-                global_lower = lb;
-            }
-        }
-        if u <= global_lower {
-            counters.clause1_rows += 1;
-            false
-        } else {
-            true
-        }
-    }
-
-    /// After the shared establish, seed the group lower bounds:
-    /// `lower[g] = min d(v, c)` over the non-assigned members `c` of group
-    /// `g` (`+∞` for groups with no such member). Costs `k − 1` scalar
-    /// distances, exactly the Yinyang paper's second initial pass.
-    #[inline]
-    fn establish(
-        &self,
-        rows: &RowState<'_>,
-        r: usize,
-        v: &[f64],
-        best: (usize, f64),
-        accum: &mut LocalAccum,
-        counters: &mut PruneCounters,
-    ) -> bool {
-        let reassigned = establish_upper(rows, r, v, best, accum);
-        for g in 0..self.yy.t() {
-            rows.set_lower(r, g, f64::INFINITY);
-        }
-        for (c, &g) in self.yy.group_of.iter().enumerate() {
-            if c == best.0 {
-                continue;
-            }
-            let dc = dist(v, self.cents.mean(c));
-            counters.dist_computations += 1;
-            if dc < rows.lower(r, g as usize) {
-                rows.set_lower(r, g as usize, dc);
-            }
-        }
-        reassigned
-    }
-
-    /// Tightens the upper bound with one exact distance, re-tests the
-    /// global filter (Clause 3), then scans only the groups whose lower
-    /// bound is violated (Clause 2), maintaining the group bounds from the
-    /// scanned distances.
-    #[inline]
-    fn commit(
-        &self,
-        rows: &RowState<'_>,
-        r: usize,
-        v: &[f64],
-        accum: &mut LocalAccum,
-        counters: &mut PruneCounters,
-    ) -> bool {
-        let (cents, yy) = (self.cents, self.yy);
-        let t = yy.t();
-        let k = cents.k();
-        let a0 = rows.assign(r) as usize;
-        // Tighten with one exact distance and re-test the global filter.
-        let mut u = dist(v, cents.mean(a0));
-        counters.dist_computations += 1;
-        let mut global_lower = f64::INFINITY;
-        for g in 0..t {
-            let lb = rows.lower(r, g);
-            if lb < global_lower {
-                global_lower = lb;
-            }
-        }
-        if u <= global_lower {
-            counters.clause3_prunes += (k - 1) as u64;
-            rows.set_upper(r, u);
-            return false;
-        }
-        let g0 = yy.group_of[a0] as usize;
-        let u0 = u;
-        let mut a = a0;
-        for g in 0..t {
-            let lb = rows.lower(r, g);
-            let members = yy.members(g);
-            if u <= lb {
-                // Group filter: every non-assigned member pruned at once. (At
-                // this point `a` is either `a0` or a member of an *earlier*
-                // group, so the candidate count is exact.)
-                counters.clause2_prunes += (members.len() - usize::from(g == g0)) as u64;
-                continue;
-            }
-            let mut new_group_lower = f64::INFINITY;
-            for &c in members {
-                let c = c as usize;
-                // `c == a` can only be the original assignment here (a
-                // reassignment target is never revisited), whose distance `u`
-                // is already exact — skipping it is a pure work elimination.
-                if c == a0 || c == a {
-                    continue;
-                }
-                let dc = dist(v, cents.mean(c));
-                counters.dist_computations += 1;
-                if dc < u {
-                    // The dethroned centroid's exact distance becomes a lower
-                    // bound for its group: folded into this scan's minimum if
-                    // it lives here, min-written into its own group's slot
-                    // otherwise (an earlier group's exact refresh stays exact;
-                    // a later group re-scans or folds `u0` below).
-                    let old_g = yy.group_of[a] as usize;
-                    if old_g == g {
-                        if u < new_group_lower {
-                            new_group_lower = u;
-                        }
-                    } else if u < rows.lower(r, old_g) {
-                        rows.set_lower(r, old_g, u);
-                    }
-                    a = c;
-                    u = dc;
-                } else if dc < new_group_lower {
-                    new_group_lower = dc;
-                }
-            }
-            // A scanned group's bound is *exact* afterwards, so overwrite the
-            // slot rather than min-ing into it — a stale loosened bound must
-            // not pin the group below its true distance forever (that would
-            // make every later iteration re-scan it). The exceptions are
-            // exact distances the scan skipped: `a0`'s (if it lives here and
-            // was dethroned — its distance is the pre-scan `u0`).
-            let mut exact = new_group_lower;
-            if g == g0 && a != a0 && u0 < exact {
-                exact = u0;
-            }
-            rows.set_lower(r, g, exact);
-        }
-        let reassigned = a != a0;
-        if reassigned {
-            accum.sub(a0, v);
-            accum.add(a, v);
-            rows.set_assign(r, a as u32);
-        }
-        rows.set_upper(r, u);
-        reassigned
-    }
-}
-
 /// The run's filter as [`IterView`] carries it. The worker loop matches on
 /// it once per compute call and runs monomorphized over the implementor.
 pub enum Filter<'a> {
@@ -1174,8 +918,6 @@ pub enum Filter<'a> {
     None(NoFilter<'a>),
     /// [`Pruning::Mti`].
     Mti(MtiFilter<'a>),
-    /// [`Pruning::Yinyang`].
-    Yinyang(YinyangFilter<'a>),
 }
 
 #[cfg(test)]
@@ -1261,82 +1003,46 @@ mod tests {
         }
         let n = 240;
         let b = run(&data, n, 2, 4, Pruning::None, 2);
-        for scheme in [Pruning::Mti, Pruning::Yinyang] {
-            let a = run(&data, n, 2, 4, scheme, 2);
-            assert_eq!(a.assignments, b.assignments, "{scheme:?}");
-            assert_eq!(a.iters.len(), b.iters.len(), "{scheme:?}");
-            assert!(a.iters.iter().map(|i| i.prune.clause1_rows).sum::<u64>() > 0, "{scheme:?}");
-        }
+        let a = run(&data, n, 2, 4, Pruning::Mti, 2);
+        assert_eq!(a.assignments, b.assignments);
+        assert_eq!(a.iters.len(), b.iters.len());
+        assert!(a.iters.iter().map(|i| i.prune.clause1_rows).sum::<u64>() > 0);
     }
 
     #[test]
-    fn yinyang_matches_unpruned_across_group_counts() {
-        // k = 20 → t = 2 groups; k = 8 → t = 1 (degenerate single group).
-        // Both must walk the unpruned trajectory and prune in steady state.
-        let mut data = Vec::new();
-        for i in 0..600 {
-            let c = (i % 20) as f64;
-            data.push((c % 5.0) * 11.0 + (i as f64 * 0.37).sin() * 0.4);
-            data.push((c / 5.0).floor() * 11.0 + (i as f64 * 0.11).cos() * 0.4);
-        }
-        let n = 600;
-        for k in [20usize, 8] {
-            let yy = run(&data, n, 2, k, Pruning::Yinyang, 3);
-            let none = run(&data, n, 2, k, Pruning::None, 3);
-            assert_eq!(yy.assignments, none.assignments, "k={k}");
-            assert_eq!(yy.iters.len(), none.iters.len(), "k={k}");
-            let skipped: u64 = yy.iters.iter().map(|i| i.prune.clause1_rows).sum();
-            assert!(skipped > 0, "k={k}: global filter never fired");
-        }
-    }
-
-    #[test]
-    fn yinyang_counter_ledger_is_exact() {
-        // Steady-state accounting: every candidate distance is pruned by
-        // exactly one clause or computed — clause1·k + clause2 + clause3 +
-        // dists = n·k, with no double counting and no leaks.
+    fn mti_counter_ledger_holds() {
+        // Every candidate distance is pruned by one clause or computed:
+        // clause1·k + clause2 + clause3 + dists is n·k, plus at most one
+        // re-tested candidate per reassigned row, in every iteration, the
+        // one-candidate shortcut's rows included. The rows
+        // come cluster by cluster, so the init (the first k rows) seeds two
+        // of the 25 clusters and the run has a reassignment cascade to
+        // prune through.
         let mut data = Vec::new();
         for i in 0..500 {
-            let c = (i % 25) as f64;
+            let c = (i / 20) as f64;
             data.push((c % 5.0) * 9.0 + (i as f64 * 0.29).sin() * 0.9);
             data.push((c / 5.0).floor() * 9.0 + (i as f64 * 0.17).cos() * 0.9);
         }
-        let n = 500;
-        let k = 25; // t = 2
+        let (n, k) = (500, 25);
         for threads in [1usize, 3] {
-            let out = run(&data, n, 2, k, Pruning::Yinyang, threads);
+            let out = run(&data, n, 2, k, Pruning::Mti, threads);
             assert!(out.iters.len() > 1, "need steady-state iterations");
-            for it in &out.iters[1..] {
+            for it in &out.iters {
                 let p = &it.prune;
                 let total = p.clause1_rows * k as u64
                     + p.clause2_prunes
                     + p.clause3_prunes
                     + p.dist_computations;
-                assert_eq!(total, (n * k) as u64, "iter {} threads {threads}: {p:?}", it.iter);
+                let what = format!("iter {} threads {threads}: {p:?}", it.iter);
+                assert!(total >= (n * k) as u64, "{what}");
+                assert!(total <= (n * k) as u64 + it.reassigned, "{what}");
             }
-            // Iteration 0 is the bound-establishing pass: k kernel dists
-            // plus k-1 group-bound dists per row.
-            assert_eq!(out.iters[0].prune.dist_computations, (n * (2 * k - 1)) as u64);
-        }
-    }
-
-    #[test]
-    fn yinyang_scalar_and_gemm_bitwise_match() {
-        let mut data = Vec::new();
-        for i in 0..360 {
-            let c = (i % 12) as f64 * 6.0;
-            data.push(c + (i as f64 * 0.13).sin());
-            data.push(-c + (i as f64 * 0.29).cos());
-            data.push((i as f64 * 0.07).sin() * 2.0);
-        }
-        let n = 360;
-        let scalar = run_kernel(&data, n, 3, 12, Pruning::Yinyang, 2, KernelKind::Scalar);
-        let gemm = run_kernel(&data, n, 3, 12, Pruning::Yinyang, 2, KernelKind::Gemm);
-        assert_eq!(scalar.assignments, gemm.assignments);
-        assert_eq!(scalar.centroids, gemm.centroids, "yinyang must be kernel-bitwise");
-        assert_eq!(scalar.iters.len(), gemm.iters.len());
-        for (a, b) in scalar.iters.iter().zip(&gemm.iters) {
-            assert_eq!(a.prune, b.prune);
+            let p = out.iters.iter().fold(PruneCounters::default(), |mut t, i| {
+                t.merge(&i.prune);
+                t
+            });
+            assert!(p.clause1_rows > 0 && p.clause3_prunes > 0 && p.one_cand_rows > 0, "{p:?}");
         }
     }
 
@@ -1350,7 +1056,7 @@ mod tests {
             data.push((i as f64 * 0.07).sin() * 2.0);
         }
         let n = 300;
-        for pruning in [Pruning::None, Pruning::Mti, Pruning::Yinyang] {
+        for pruning in [Pruning::None, Pruning::Mti] {
             let scalar = run_kernel(&data, n, 3, 12, pruning, 2, KernelKind::Scalar);
             let gemm = run_kernel(&data, n, 3, 12, pruning, 2, KernelKind::Gemm);
             assert_eq!(scalar.assignments, gemm.assignments, "pruning={pruning:?}");

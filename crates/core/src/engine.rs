@@ -255,82 +255,34 @@ mod tests {
 
     #[test]
     fn mti_matches_unpruned_run() {
-        let data = mixture(1500, 8, 4);
-        let k = 10;
-        let init = forgy_centroids(&data, k, 11);
-        let base = KmeansConfig::new(k)
-            .with_init(InitMethod::Given(init))
-            .with_threads(2)
-            .with_max_iters(60);
-        let pruned = Kmeans::new(base.clone().with_pruning(Pruning::Mti)).fit(&data);
-        let full = Kmeans::new(base.with_pruning(Pruning::None)).fit(&data);
-        assert_eq!(pruned.niters, full.niters, "pruning must not change the trajectory");
-        assert!(agreement(&pruned.assignments, &full.assignments, k) > 0.999);
-        let rel = (pruned.sse.unwrap() - full.sse.unwrap()).abs() / full.sse.unwrap();
-        assert!(rel < 1e-9, "SSE diverged by {rel}");
-        // And pruning must actually prune on clustered data.
-        let p = pruned.total_prune();
-        assert!(p.clause1_rows > 0, "no clause-1 skips on separated mixtures?");
-        assert!(
-            p.dist_computations < full.total_prune().dist_computations / 2,
-            "MTI saved too little: {} vs {}",
-            p.dist_computations,
-            full.total_prune().dist_computations
-        );
-    }
-
-    #[test]
-    fn yinyang_matches_unpruned_run() {
-        // 64 well-separated grid clusters seeded by Forgy: group bounds
-        // stay tight once the churn settles. k = 64 gives t = 6 groups.
-        // Static scheduling keeps every run's merge order, so the three
-        // trajectories can be compared exactly.
-        let k = 64;
-        let (data, _) = knor_workloads::grid_clusters(20_000, 32, k);
-        let base = KmeansConfig::new(k)
-            .with_init(InitMethod::Given(forgy_centroids(&data, k, 7)))
-            .with_threads(4)
-            .with_scheduler(SchedulerKind::Static)
-            .with_max_iters(60);
-        let yy = Kmeans::new(base.clone().with_pruning(Pruning::Yinyang)).fit(&data);
-        let mti = Kmeans::new(base.clone().with_pruning(Pruning::Mti)).fit(&data);
-        let full = Kmeans::new(base.with_pruning(Pruning::None)).fit(&data);
-        // Exact bounds never change the trajectory: on separated data the
-        // delta-accumulation rounding of the pruned centroid update cannot
-        // flip an assignment.
-        assert_eq!(yy.niters, full.niters, "pruning must not change the trajectory");
-        assert_eq!(yy.assignments, full.assignments);
-        assert_eq!(yy.niters, mti.niters, "yinyang/mti trajectories diverged");
-        assert_eq!(yy.assignments, mti.assignments, "yinyang/mti assignments diverged");
-        let rel = (yy.sse.unwrap() - full.sse.unwrap()).abs() / full.sse.unwrap();
-        assert!(rel < 1e-9, "SSE diverged by {rel}");
-        let p = yy.total_prune();
-        assert!(p.clause1_rows > 0, "group filter never fired on separated clusters");
-        // Steady-state work comparison: iteration 0 is the structurally
-        // different init pass (Yinyang pays 2k−1 distances per row there to
-        // seed its group bounds), so the savings claim is over iters 1…
-        let steady = |r: &KmeansResult| {
-            r.iters.iter().skip(1).map(|i| i.prune.dist_computations).sum::<u64>()
-        };
-        assert!(
-            steady(&yy) < steady(&full) / 2,
-            "Yinyang saved too little in steady state: {} vs {}",
-            steady(&yy),
-            steady(&full)
-        );
-        // The group filter must also beat MTI's one bound per row: at most
-        // half of MTI's distance evaluations once the reassignment cascade
-        // of iterations 1–3 (where Yinyang re-scans whole groups and does
-        // up to 3.5× MTI's work) has passed, i.e. over the second half.
-        let settled = |r: &KmeansResult| {
-            r.iters[r.iters.len() / 2..].iter().map(|i| i.prune.dist_computations).sum::<u64>()
-        };
-        assert!(
-            2 * settled(&yy) <= settled(&mti),
-            "Yinyang is a spelling of MTI here: {} vs {} distances",
-            settled(&yy),
-            settled(&mti)
-        );
+        // A planted mixture, and 64 well-separated grid clusters seeded by
+        // Forgy, whose reassignment cascade keeps the bounds busy for
+        // dozens of iterations. Static scheduling keeps every run's merge
+        // order, so the grid's trajectories compare exactly.
+        let mix = mixture(1500, 8, 4);
+        let (grid, _) = knor_workloads::grid_clusters(20_000, 32, 64);
+        for (data, k, seed, threads) in [(&mix, 10, 11, 2), (&grid, 64, 7, 4)] {
+            let base = KmeansConfig::new(k)
+                .with_init(InitMethod::Given(forgy_centroids(data, k, seed)))
+                .with_threads(threads)
+                .with_scheduler(SchedulerKind::Static)
+                .with_max_iters(60);
+            let pruned = Kmeans::new(base.clone().with_pruning(Pruning::Mti)).fit(data);
+            let full = Kmeans::new(base.with_pruning(Pruning::None)).fit(data);
+            assert_eq!(pruned.niters, full.niters, "k={k}: pruning must not change the trajectory");
+            assert_eq!(pruned.assignments, full.assignments, "k={k}");
+            let rel = (pruned.sse.unwrap() - full.sse.unwrap()).abs() / full.sse.unwrap();
+            assert!(rel < 1e-9, "k={k}: SSE diverged by {rel}");
+            // And pruning must actually prune on clustered data.
+            let p = pruned.total_prune();
+            assert!(p.clause1_rows > 0, "k={k}: no clause-1 skips on separated clusters?");
+            assert!(
+                p.dist_computations < full.total_prune().dist_computations / 2,
+                "k={k}: MTI saved too little: {} vs {}",
+                p.dist_computations,
+                full.total_prune().dist_computations
+            );
+        }
     }
 
     #[test]
@@ -470,15 +422,7 @@ mod tests {
         assert!(with.memory.pruning_bytes > 0);
         assert_eq!(without.memory.pruning_bytes, 0);
         assert_eq!(with.memory.data_bytes, 1000 * 8 * 8);
-        // Yinyang trades O(k²) ccdist for O(n·t) lower bounds: per-row
-        // grows by one f64 per group, scheme tables stay O(k + t).
-        let yy = Kmeans::new(
-            KmeansConfig::new(4).with_threads(2).with_pruning(Pruning::Yinyang).with_max_iters(5),
-        )
-        .fit(&data);
-        assert_eq!(yy.memory.per_row_bytes, with.memory.per_row_bytes + 1000 * 8);
-        assert!(yy.memory.pruning_bytes > 0);
-        assert!(yy.memory.pruning_bytes < with.memory.pruning_bytes);
+        assert_eq!(with.memory.per_row_bytes, 1000 * (4 + 8));
     }
 
     #[test]

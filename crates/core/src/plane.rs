@@ -12,7 +12,7 @@
 //! | part            | choices                                               | chosen from                         |
 //! |-----------------|-------------------------------------------------------|-------------------------------------|
 //! | row source      | *direct* ([`Direct`]: NUMA arenas, a rank's slice) or *staged* (the SEM row-cache / page-cache / device stack) | the plane |
-//! | pre-fetch filter| `in_scope` · MTI clause 1 · Yinyang global filter      | algorithm, scheme, `iter > 0`       |
+//! | pre-fetch filter| `in_scope` · MTI clause 1                             | algorithm, scheme, `iter > 0`       |
 //! | commit          | block via `algo.map_block` · block via `assign_rows` + [`RowFilter::establish`] · per-row [`RowFilter::commit`] | algorithm, scheme, `iter > 0` |
 //!
 //! A direct source resolves a task's storage once ([`Rows::run`]) and
@@ -323,7 +323,6 @@ pub fn drain<S: RowSource>(
     match &view.filter {
         Filter::None(f) => drain_with(src, f, w, view, accum, scratch),
         Filter::Mti(f) => drain_with(src, f, w, view, accum, scratch),
-        Filter::Yinyang(f) => drain_with(src, f, w, view, accum, scratch),
     }
 }
 
@@ -579,8 +578,8 @@ mod tests {
     /// The module's core promise: a staged plane and a direct plane over
     /// the same rows walk bitwise-identical trajectories under a
     /// deterministic scheduler — for every filter × commit the one worker
-    /// loop carries: full scans through each kernel family, MTI, Yinyang,
-    /// and the generic map path (batched spherical, subsampled mini-batch)
+    /// loop carries: full scans through each kernel family, MTI, and the
+    /// generic map path (batched spherical, subsampled mini-batch)
     /// — whether the whole matrix is less than one direct block or a task
     /// is one block and a ragged second. The direct plane gets there
     /// without copying a row, except the subsample's.
@@ -596,7 +595,7 @@ mod tests {
     fn planes_agree(n: usize, task_size: usize, max_iters: usize) {
         let data = five_groups_of(n);
         let mut cases = Vec::new();
-        for pruning in [Pruning::None, Pruning::Mti, Pruning::Yinyang] {
+        for pruning in [Pruning::None, Pruning::Mti] {
             for kernel in [KernelKind::Scalar, KernelKind::Gemm] {
                 cases.push((Algorithm::Lloyd, pruning, kernel));
             }

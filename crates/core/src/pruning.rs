@@ -1,5 +1,4 @@
-//! Distance-pruning state: MTI (the paper's scheme) and Yinyang group
-//! bounds.
+//! Distance-pruning state: MTI, the paper's scheme.
 //!
 //! MTI keeps per point only an upper bound `u(x) >= d(x, assigned(x))`
 //! (`O(n)` memory) and per iteration an `O(k²)` table of centroid–centroid
@@ -10,16 +9,8 @@
 //! guarantees the loosened bound still dominates the true distance. The
 //! three clauses are applied by the engines (in-memory and SEM) through
 //! [`MtiIterState`]; [`mti_assign`] walks a row's candidates 64 at a time
-//! as a bitmask over the assigned centroid's table row.
-//!
-//! Yinyang (Ding et al., ICML'15) trades `O(n·t)` memory for stronger
-//! bounds: centroids are clustered once into `t = max(1, k/10)` groups
-//! ([`YinyangState::group`]), every point keeps a per-*group* lower bound
-//! next to the global upper bound, and each iteration loosens the group
-//! bounds by the group's maximum drift. The global filter skips the whole
-//! row (and, on the SEM plane, the row's I/O); the group filter skips
-//! whole groups of candidates. Both schemes are exact — trajectories match
-//! the unpruned path bit for bit.
+//! as a bitmask over the assigned centroid's table row. The scheme is
+//! exact — trajectories match the unpruned path bit for bit.
 
 use crate::centroids::Centroids;
 use crate::distance::{dist, half_centroid_distances, half_row_minima};
@@ -33,23 +24,25 @@ pub enum Pruning {
     /// Minimal triangle inequality (the paper's contribution).
     #[default]
     Mti,
-    /// Yinyang group bounds: `t = max(1, k/10)` per-row lower bounds plus
-    /// the global upper bound (`O(n·t)` memory, `O(k + t)` shared state).
-    Yinyang,
 }
 
 impl Pruning {
+    /// A spelling of [`Pruning::Mti`]. The Yinyang group bounds it once
+    /// named were exact too, so every result it gave is MTI's.
+    #[doc(hidden)]
+    #[allow(non_upper_case_globals)]
+    pub const Yinyang: Pruning = Pruning::Mti;
+
     /// True when any pruning scheme is enabled.
     pub fn enabled(&self) -> bool {
         !matches!(self, Pruning::None)
     }
 
-    /// Parse a CLI spelling (`none | mti | yinyang`).
+    /// Parse a CLI spelling (`none | mti`).
     pub fn parse(s: &str) -> Option<Pruning> {
         match s {
             "none" => Some(Pruning::None),
             "mti" => Some(Pruning::Mti),
-            "yinyang" => Some(Pruning::Yinyang),
             _ => None,
         }
     }
@@ -59,119 +52,7 @@ impl Pruning {
         match self {
             Pruning::None => "none",
             Pruning::Mti => "mti",
-            Pruning::Yinyang => "yinyang",
         }
-    }
-}
-
-/// Number of Yinyang centroid groups for `k` clusters (`max(1, k/10)`,
-/// the ratio from the Yinyang paper).
-pub fn yinyang_groups(k: usize) -> usize {
-    (k / 10).max(1)
-}
-
-/// Shared Yinyang state: the one-time centroid grouping plus the
-/// per-iteration drift vectors, rebuilt by the coordinator after every
-/// centroid update and read-only during the compute super-phase.
-#[derive(Debug, Clone)]
-pub struct YinyangState {
-    /// Group id of each centroid (`len k`).
-    pub group_of: Vec<u32>,
-    /// CSR offsets into [`Self::group_members`] (`len t + 1`).
-    group_start: Vec<u32>,
-    /// Centroid ids sorted by group, ascending within each group.
-    group_members: Vec<u32>,
-    /// Drift `f(c) = d(c^t, c^{t-1})` per centroid (`len k`).
-    pub drift: Vec<f64>,
-    /// Max drift over each group's members (`len t`) — the per-group
-    /// loosening amount, and the only Yinyang quantity knord puts on the
-    /// wire beyond the shared accumulator payload.
-    pub group_drift: Vec<f64>,
-}
-
-impl YinyangState {
-    /// Zero-size placeholder for runs where Yinyang is off.
-    pub fn empty() -> Self {
-        Self {
-            group_of: Vec::new(),
-            group_start: vec![0],
-            group_members: Vec::new(),
-            drift: Vec::new(),
-            group_drift: Vec::new(),
-        }
-    }
-
-    /// Cluster the initial centroids into `t = max(1, k/10)` groups (five
-    /// serial Lloyd iterations on the centers themselves, as the Yinyang
-    /// paper prescribes). Deterministic in `init`, so every knord rank
-    /// derives the identical grouping with zero wire traffic.
-    pub fn group(init: &Centroids) -> Self {
-        let k = init.k();
-        let t = yinyang_groups(k);
-        let group_of: Vec<u32> = if t == 1 {
-            vec![0; k]
-        } else {
-            let r = crate::serial::lloyd_serial(
-                &init.to_matrix(),
-                t,
-                &crate::init::InitMethod::Forgy,
-                1,
-                5,
-                0.0,
-            );
-            r.assignments
-        };
-        let mut group_start = vec![0u32; t + 1];
-        for &g in &group_of {
-            group_start[g as usize + 1] += 1;
-        }
-        for g in 0..t {
-            group_start[g + 1] += group_start[g];
-        }
-        let mut cursor = group_start.clone();
-        let mut group_members = vec![0u32; k];
-        for (c, &g) in group_of.iter().enumerate() {
-            group_members[cursor[g as usize] as usize] = c as u32;
-            cursor[g as usize] += 1;
-        }
-        Self {
-            group_of,
-            group_start,
-            group_members,
-            drift: vec![0.0; k],
-            group_drift: vec![0.0; t],
-        }
-    }
-
-    /// Number of groups `t` (0 for [`Self::empty`]).
-    pub fn t(&self) -> usize {
-        self.group_drift.len()
-    }
-
-    /// Centroid ids of group `g`, ascending.
-    #[inline]
-    pub fn members(&self, g: usize) -> &[u32] {
-        &self.group_members[self.group_start[g] as usize..self.group_start[g + 1] as usize]
-    }
-
-    /// Fold the per-centroid drifts into per-group maxima. The coordinator
-    /// calls this after the drift pass; knord then max-allreduces the
-    /// result (bitwise a no-op — every rank computed identical values).
-    pub fn update_group_drift(&mut self) {
-        self.group_drift.fill(0.0);
-        for (c, &g) in self.group_of.iter().enumerate() {
-            let g = g as usize;
-            if self.drift[c] > self.group_drift[g] {
-                self.group_drift[g] = self.drift[c];
-            }
-        }
-    }
-
-    /// Heap bytes of the shared state (`O(k + t)` — the per-row bounds are
-    /// accounted separately as `n·(t+1)·8`).
-    pub fn heap_bytes(&self) -> u64 {
-        ((self.group_of.len() + self.group_start.len() + self.group_members.len()) * 4
-            + (self.drift.len() + self.group_drift.len()) * 8) as u64
     }
 }
 
@@ -261,10 +142,11 @@ impl MtiIterState {
         &self.half_cc[a * self.k..(a + 1) * self.k]
     }
 
-    /// Heap bytes held (`O(k²)` of Table 1's knori/knord rows).
-    pub fn heap_bytes(&self) -> u64 {
-        ((self.half_cc.len() + self.half_min.len() + self.half_2nd.len() + self.drift.len()) * 8
-            + self.nn.len() * 4) as u64
+    /// Heap bytes the state for `k` centroids holds (`O(k²)` of Table 1's
+    /// knori/knord rows): the table, `half_min`, `half_2nd`, `drift` and
+    /// `nn`.
+    pub fn bytes(k: usize) -> u64 {
+        ((k * k + 3 * k) * 8 + k * 4) as u64
     }
 }
 
@@ -855,51 +737,25 @@ mod tests {
 
     #[test]
     fn pruning_parse_name_roundtrip() {
-        for p in [Pruning::None, Pruning::Mti, Pruning::Yinyang] {
+        for p in [Pruning::None, Pruning::Mti] {
             assert_eq!(Pruning::parse(p.name()), Some(p));
         }
         assert_eq!(Pruning::parse("banana"), None);
+        assert_eq!(Pruning::parse("yinyang"), None);
         assert!(!Pruning::None.enabled());
         assert!(Pruning::Mti.enabled());
-        assert!(Pruning::Yinyang.enabled());
     }
 
     #[test]
-    fn yinyang_grouping_is_a_partition() {
-        let mut rng = ChaCha8Rng::seed_from_u64(5);
-        for k in [1usize, 7, 10, 25, 64] {
-            let cents = random_centroids(k, 4, &mut rng);
-            let yy = YinyangState::group(&cents);
-            assert_eq!(yy.t(), (k / 10).max(1));
-            assert_eq!(yy.group_of.len(), k);
-            // CSR members cover every centroid exactly once, ascending
-            // within each group, and agree with group_of.
-            let mut seen = vec![false; k];
-            for g in 0..yy.t() {
-                let m = yy.members(g);
-                assert!(m.windows(2).all(|w| w[0] < w[1]), "k={k} g={g}");
-                for &c in m {
-                    assert_eq!(yy.group_of[c as usize] as usize, g);
-                    assert!(!seen[c as usize]);
-                    seen[c as usize] = true;
-                }
-            }
-            assert!(seen.iter().all(|&s| s), "k={k}: member lists must cover all centroids");
-        }
-    }
-
-    #[test]
-    fn group_drift_is_member_max() {
-        let mut rng = ChaCha8Rng::seed_from_u64(6);
-        let cents = random_centroids(23, 3, &mut rng);
-        let mut yy = YinyangState::group(&cents);
-        for (c, d) in yy.drift.iter_mut().enumerate() {
-            *d = c as f64 * 0.5;
-        }
-        yy.update_group_drift();
-        for g in 0..yy.t() {
-            let want = yy.members(g).iter().map(|&c| yy.drift[c as usize]).fold(0.0, f64::max);
-            assert_eq!(yy.group_drift[g], want);
+    fn bytes_is_what_the_state_holds() {
+        for k in [0usize, 1, 2, 7, 32, 65] {
+            let s = MtiIterState::new(k);
+            let held = size_of_val(&s.half_cc[..])
+                + size_of_val(&s.half_min[..])
+                + size_of_val(&s.nn[..])
+                + size_of_val(&s.half_2nd[..])
+                + size_of_val(&s.drift[..]);
+            assert_eq!(MtiIterState::bytes(k), held as u64, "k = {k}");
         }
     }
 

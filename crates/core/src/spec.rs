@@ -55,7 +55,7 @@ pub struct RunSpec<X = ()> {
     pub init: InitMethod,
     /// Seed for initialization randomness and the mini-batch sampler.
     pub seed: u64,
-    /// Pruning scheme: MTI, Yinyang group bounds, or none (the `-` modules).
+    /// Pruning scheme: MTI, or none (the `-` modules).
     /// Applied only to algorithms it is sound for ([`RunSpec::scheme`]).
     pub pruning: Pruning,
     /// Task queue policy (Fig. 5).
@@ -536,7 +536,7 @@ pub const KNOBS: &[Knob] = &[
     Knob {
         key: "pruning",
         flags: &["--pruning"],
-        expected: &["none", "mti", "yinyang"],
+        expected: &["none", "mti"],
         set: |s, v| put(&mut s.pruning, Pruning::parse(v).ok_or(Why::Expected)),
         get: |s| Some(s.pruning.name().into()),
     },
@@ -658,7 +658,7 @@ impl Refusal {
         format!("invalid value '{}' for {}: {why}", self.value, self.flag)
     }
 
-    /// `TRAIN: bad pruning (none|mti|yinyang)`, `TRAIN: k: <parse error>`.
+    /// `TRAIN: bad pruning (none|mti)`, `TRAIN: k: <parse error>`.
     pub fn wire(&self) -> String {
         let key = Knob::find(self.flag).map_or(self.flag.trim_start_matches('-'), |k| k.key);
         match &self.why {
@@ -957,7 +957,7 @@ mod tests {
         )
     }
 
-    const PRUNINGS: [Pruning; 3] = [Pruning::None, Pruning::Mti, Pruning::Yinyang];
+    const PRUNINGS: [Pruning; 2] = [Pruning::None, Pruning::Mti];
     const KERNELS: [KernelKind; 3] = [KernelKind::Auto, KernelKind::Scalar, KernelKind::Gemm];
 
     /// A description with every token-carrying knob drawn from `rng`.
@@ -966,7 +966,7 @@ mod tests {
         s.max_iters = rng.gen_range(1..1_000);
         s.seed = rng.gen();
         s.threads = rng.gen_bool(0.5).then(|| rng.gen_range(1..64));
-        s.pruning = PRUNINGS[rng.gen_range(0..3usize)];
+        s.pruning = PRUNINGS[rng.gen_range(0..2usize)];
         s.init = match rng.gen_range(0..3) {
             0 => InitMethod::PlusPlus,
             1 => InitMethod::Forgy,
@@ -1032,8 +1032,19 @@ mod tests {
         for (pairs, cli, wire) in [
             (
                 &[("pruning", "banana")][..],
-                "invalid value 'banana' for --pruning: expected none, mti or yinyang",
-                "TRAIN: bad pruning (none|mti|yinyang)",
+                "invalid value 'banana' for --pruning: expected none or mti",
+                "TRAIN: bad pruning (none|mti)",
+            ),
+            // The deleted scheme's spelling is refused like any other.
+            (
+                &[("--pruning", "yinyang")],
+                "invalid value 'yinyang' for --pruning: expected none or mti",
+                "TRAIN: bad pruning (none|mti)",
+            ),
+            (
+                &[("pruning", "yinyang")],
+                "invalid value 'yinyang' for --pruning: expected none or mti",
+                "TRAIN: bad pruning (none|mti)",
             ),
             (
                 &[("--kernel", "warp")],
@@ -1157,8 +1168,8 @@ mod tests {
                 "TRAIN gmm im lloyd 8 50 1 pruning=mti /data/train.knor",
             ),
             (
-                &[("-k", "5"), ("--iters", "7"), ("--seed", "9"), ("--pruning", "yinyang")],
-                "TRAIN m sem lloyd 5 7 9 pruning=yinyang /tmp/with space.knor",
+                &[("-k", "5"), ("--iters", "7"), ("--seed", "9"), ("--pruning", "none")],
+                "TRAIN m sem lloyd 5 7 9 pruning=none /tmp/with space.knor",
             ),
             (
                 &[
@@ -1197,7 +1208,8 @@ mod tests {
             ("m im lloyd x 5 1 /x", "TRAIN: k: invalid digit found in string"),
             ("m im lloyd 3", "TRAIN: iters: missing"),
             ("m im lloyd 3 5", "TRAIN: seed: missing"),
-            ("m im lloyd 3 5 1 pruning=banana /x", "TRAIN: bad pruning (none|mti|yinyang)"),
+            ("m im lloyd 3 5 1 pruning=banana /x", "TRAIN: bad pruning (none|mti)"),
+            ("m im lloyd 3 5 1 pruning=yinyang /x", "TRAIN: bad pruning (none|mti)"),
             ("m im lloyd 3 5 1", "TRAIN: missing path"),
             ("m im lloyd 3 5 1 pruning=mti", "TRAIN: missing path"),
         ] {

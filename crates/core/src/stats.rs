@@ -1,6 +1,6 @@
 //! Per-iteration statistics, memory accounting and the result type.
 
-use crate::pruning::{yinyang_groups, PruneCounters, Pruning};
+use crate::pruning::{MtiIterState, PruneCounters, Pruning};
 use crate::trace::PhaseBreakdown;
 use knor_matrix::DMatrix;
 use knor_numa::AccessTally;
@@ -79,11 +79,10 @@ pub struct MemoryFootprint {
     /// Per-thread accumulators: `O(Tkd)`.
     pub accum_bytes: u64,
     /// Per-row engine state: assignments `O(n)` (4 bytes/row), plus — when
-    /// pruning is on — upper bounds (8 bytes/row), plus — under Yinyang —
-    /// `t` group lower bounds per row (`8t` bytes/row).
+    /// pruning is on — upper bounds (8 bytes/row).
     pub per_row_bytes: u64,
-    /// Scheme-global pruning structures: MTI's `O(k²)` centroid-distance
-    /// matrix, or Yinyang's `O(k + t)` grouping/drift tables.
+    /// MTI's `O(k²)` state ([`MtiIterState::bytes`]); 0 when nothing
+    /// prunes.
     pub pruning_bytes: u64,
     /// Caches (row cache + page cache) for SEM runs.
     pub cache_bytes: u64,
@@ -101,21 +100,14 @@ impl MemoryFootprint {
         data_bytes: u64,
         cache_bytes: u64,
     ) -> Self {
-        let (pruning, ngroups) = (scheme.enabled(), yinyang_groups(k));
+        let pruning = scheme.enabled();
         Self {
             data_bytes,
             centroid_bytes: (2 * k * d * 8) as u64
                 + if pruning { (k * d * 8 + k * 8) as u64 } else { 0 },
             accum_bytes: (nthreads * (k * d * 8 + k * 8)) as u64,
-            per_row_bytes: (n * 4) as u64
-                + if pruning { (n * 8) as u64 } else { 0 }
-                + if scheme == Pruning::Yinyang { (n * ngroups * 8) as u64 } else { 0 },
-            pruning_bytes: match scheme {
-                Pruning::None => 0,
-                Pruning::Mti => ((k * k + 2 * k) * 8) as u64,
-                // Grouping tables (u32) plus drift and group-drift vectors.
-                Pruning::Yinyang => ((2 * k + ngroups + 1) * 4 + (k + ngroups) * 8) as u64,
-            },
+            per_row_bytes: (n * 4) as u64 + if pruning { (n * 8) as u64 } else { 0 },
+            pruning_bytes: if pruning { MtiIterState::bytes(k) } else { 0 },
             cache_bytes,
         }
     }

@@ -577,33 +577,6 @@ impl Reducer for RankReducer<'_> {
         }
         ReduceReport { comm_bytes, max_rank_comm_bytes, modeled_comm_ns }
     }
-
-    fn sync_group_drift(&self, _iter: usize, group_drift: &mut [f64]) -> u64 {
-        let r = self.comm.size();
-        if r == 1 {
-            return 0;
-        }
-        // O(t) extension of the per-iteration reduction: agree on the
-        // per-group drift maxima so every rank loosens Yinyang bounds
-        // identically. Drifts are non-negative, and the IEEE-754 bit
-        // pattern of non-negative f64s is order-isomorphic to u64, so a
-        // max-reduce over the raw bits is a max-reduce over the values —
-        // and, unlike a floating sum, associativity is exact, keeping
-        // ranks bitwise identical to the serial trajectory.
-        for g in group_drift.iter_mut() {
-            *g = f64::from_bits(allreduce_max_u64(self.comm, g.to_bits()));
-        }
-        // Fold the exchange into the same wire accounting as `reduce`:
-        // delta since the watermark, then re-snapshot so the next
-        // reduction's delta starts clean.
-        // Safety: runs in the coordinator's exclusive window, right after
-        // `reduce` on the same thread.
-        let prev_sent = unsafe { self.prev_sent.get_mut() };
-        let sent_now = self.comm.stats().snapshot().0;
-        let bytes = sent_now - *prev_sent;
-        *prev_sent = sent_now;
-        bytes
-    }
 }
 
 #[cfg(test)]
@@ -817,75 +790,6 @@ mod tests {
         let data = mixture(50, 2, 1);
         let _ = DistKmeans::new(DistConfig::new(2, 2, 1).with_plane(RankPlane::sem_default()))
             .fit(&data);
-    }
-
-    /// Well-separated grid clusters with one init centroid per cluster
-    /// (row i belongs to cluster i % k): the workload where Yinyang's
-    /// group bounds stay tight, so prune counters are meaningful.
-    fn grid(n: usize, d: usize, k: usize) -> (DMatrix, DMatrix) {
-        knor_workloads::grid_clusters(n, d, k)
-    }
-
-    #[test]
-    fn yinyang_and_unpruned_walk_identical_trajectories() {
-        let (data, init) = grid(1200, 6, 20);
-        let base = DistConfig::new(20, 3, 2)
-            .with_init(InitMethod::Given(init))
-            .with_scheduler(SchedulerKind::Static)
-            .with_max_iters(60)
-            .with_sse(true);
-        let yy = DistKmeans::new(base.clone().with_pruning(Pruning::Yinyang)).fit(&data);
-        let full = DistKmeans::new(base.with_pruning(Pruning::None)).fit(&data);
-        assert_eq!(yy.niters, full.niters, "pruning must not change the trajectory");
-        assert_eq!(yy.assignments, full.assignments);
-        let rel = (yy.sse.unwrap() - full.sse.unwrap()).abs() / full.sse.unwrap();
-        assert!(rel < 1e-9, "SSE diverged by {rel}");
-        let p = yy.total_prune();
-        assert!(p.clause1_rows > 0, "group filter never fired on separated clusters");
-        let steady =
-            |r: &DistResult| r.iters.iter().skip(1).map(|i| i.prune.dist_computations).sum::<u64>();
-        assert!(
-            steady(&yy) < steady(&full) / 2,
-            "Yinyang saved too little in steady state: {} vs {}",
-            steady(&yy),
-            steady(&full)
-        );
-    }
-
-    #[test]
-    fn yinyang_multi_rank_matches_single_rank() {
-        // The O(t) group-drift max-exchange is exact (a bit-level max, not
-        // a floating sum), so splitting the rows across ranks must land on
-        // the same clustering as one rank — and, at the same rank count,
-        // must be bitwise identical to MTI, which walks the same
-        // delta-accumulated trajectory without the drift lanes.
-        let (data, init) = grid(900, 5, 20);
-        let cfg = |ranks, pruning| {
-            DistConfig::new(20, ranks, 2)
-                .with_init(InitMethod::Given(init.clone()))
-                .with_scheduler(SchedulerKind::Static)
-                .with_pruning(pruning)
-                .with_max_iters(40)
-        };
-        let one = DistKmeans::new(cfg(1, Pruning::Yinyang)).fit(&data);
-        let three = DistKmeans::new(cfg(3, Pruning::Yinyang)).fit(&data);
-        // Across rank counts the allreduce reorders the floating centroid
-        // sums, so compare the clustering, not bits.
-        assert_eq!(three.assignments, one.assignments);
-        assert_eq!(three.niters, one.niters);
-        let mti = DistKmeans::new(cfg(3, Pruning::Mti)).fit(&data);
-        assert_eq!(three.assignments, mti.assignments);
-        assert_eq!(three.centroids, mti.centroids, "drift exchange perturbed the trajectory");
-        // The drift exchange rides the wire: Yinyang iterations must
-        // account strictly more bytes than the same payload under MTI,
-        // which ships no group-drift lanes.
-        let per_iter = |r: &DistResult| r.iters.iter().map(|i| i.comm_bytes).max().unwrap();
-        assert!(
-            per_iter(&three) > per_iter(&mti),
-            "group drift never hit the wire: {} vs {}",
-            per_iter(&three),
-            per_iter(&mti)
-        );
     }
 
     #[test]

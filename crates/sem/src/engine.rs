@@ -204,86 +204,60 @@ mod tests {
 
     #[test]
     fn clause1_actually_saves_io() {
-        // k matches the 16 planted clusters, so points root firmly and
-        // Clause 1 dominates — the regime the paper's Friendster data is in.
-        let (data, path) = write_mixture(2000, 8, 22, "clause1");
-        let k = 16;
-        // k-means++ spreads the seeds across the planted blobs, the regime
-        // where points root firmly and Clause 1 dominates.
-        let init = InitMethod::PlusPlus.initialize(&data, k, 1).to_matrix();
-        let run = |pruning: Pruning| {
-            SemKmeans::new(
-                SemConfig::new(k)
-                    .with_init(SemInit::Given(init.clone()))
-                    .with_threads(2)
-                    .with_task_size(128)
-                    .with_page_size(256)
-                    .with_pruning(pruning)
-                    .with_row_cache_bytes(0) // isolate the Clause-1 effect
-                    .with_max_iters(40),
-            )
-            .fit(&path)
-            .unwrap()
-        };
-        let knors = run(Pruning::Mti);
-        let knors_minus = run(Pruning::None);
-        let req: u64 = knors.io.iter().map(|i| i.bytes_requested).sum();
-        let req_minus: u64 = knors_minus.io.iter().map(|i| i.bytes_requested).sum();
-        assert!(
-            req * 2 < req_minus,
-            "MTI should cut requested bytes substantially: {req} vs {req_minus}"
-        );
-        // Without pruning every iteration requests the full matrix.
-        let per_iter = 2000u64 * 8 * 8;
-        for it in &knors_minus.io {
-            assert_eq!(it.bytes_requested, per_iter);
-            assert_eq!(it.active_rows, 2000);
+        // Two regimes. k matches the 16 planted clusters and k-means++
+        // spreads the seeds across the blobs, so points root firmly and
+        // Clause 1 dominates — the regime the paper's Friendster data is
+        // in. And Forgy on grid data, which seeds duplicate and vacant
+        // clusters: a long reassignment cascade to prune through.
+        let (mix, mix_path) = write_mixture(2000, 8, 22, "clause1");
+        let (grid, _) = knor_workloads::grid_clusters(2000, 8, 20);
+        let mut grid_path = std::env::temp_dir();
+        grid_path.push(format!("knor-sem-clause1-grid-{}-2000x8.knor", std::process::id()));
+        write_matrix(&grid_path, &grid).unwrap();
+        let cases = [
+            (&mix_path, 16, InitMethod::PlusPlus.initialize(&mix, 16, 1).to_matrix()),
+            (&grid_path, 20, forgy(&grid, 20, 7)),
+        ];
+        for (path, k, init) in cases {
+            let run = |pruning: Pruning| {
+                SemKmeans::new(
+                    SemConfig::new(k)
+                        .with_init(SemInit::Given(init.clone()))
+                        .with_threads(2)
+                        .with_task_size(128)
+                        .with_page_size(256)
+                        .with_pruning(pruning)
+                        .with_row_cache_bytes(0) // isolate the Clause-1 effect
+                        .with_max_iters(40),
+                )
+                .fit(path)
+                .unwrap()
+            };
+            let knors = run(Pruning::Mti);
+            let knors_minus = run(Pruning::None);
+            let req: u64 = knors.io.iter().map(|i| i.bytes_requested).sum();
+            let req_minus: u64 = knors_minus.io.iter().map(|i| i.bytes_requested).sum();
+            assert!(
+                req * 2 < req_minus,
+                "k={k}: MTI should cut requested bytes substantially: {req} vs {req_minus}"
+            );
+            // Without pruning every iteration requests the full matrix.
+            let per_iter = 2000u64 * 8 * 8;
+            for it in &knors_minus.io {
+                assert_eq!(it.bytes_requested, per_iter);
+                assert_eq!(it.active_rows, 2000);
+            }
+            // On a staged plane every Clause-1 skip is a fetch skip, and the
+            // counter stays distinct from distance pruning.
+            let skipped: u64 = knors.kmeans.iters.iter().map(|i| i.prune.io_skip_rows).sum();
+            let c1: u64 = knors.kmeans.iters.iter().map(|i| i.prune.clause1_rows).sum();
+            assert!(skipped > 0, "k={k}: no fetches skipped");
+            assert_eq!(skipped, c1, "k={k}: SEM must skip the fetch of every filtered row");
+            let minus: u64 = knors_minus.kmeans.iters.iter().map(|i| i.prune.io_skip_rows).sum();
+            assert_eq!(minus, 0);
         }
-        std::fs::remove_file(path).unwrap();
-    }
-
-    #[test]
-    fn yinyang_group_filter_saves_io() {
-        // The tentpole's SEM payoff: a row whose group filter eliminates
-        // every non-assigned group is never fetched — Clause-1-style I/O
-        // avoidance, tallied separately as `io_skip_rows`. k = 20 gives
-        // t = 2 groups: the real multi-group filter, not the t = 1 case
-        // where one churning centroid's drift crushes every row's single
-        // bound. Forgy on grid data seeds duplicate/vacant clusters, so
-        // the run has a long reassignment cascade to prune through.
-        let (data, _) = knor_workloads::grid_clusters(2000, 8, 20);
-        let mut path = std::env::temp_dir();
-        path.push(format!("knor-sem-yyio-{}-2000x8.knor", std::process::id()));
-        write_matrix(&path, &data).unwrap();
-        let k = 20;
-        let init = forgy(&data, k, 7);
-        let run = |pruning: Pruning| {
-            SemKmeans::new(
-                SemConfig::new(k)
-                    .with_init(SemInit::Given(init.clone()))
-                    .with_threads(2)
-                    .with_task_size(128)
-                    .with_page_size(256)
-                    .with_pruning(pruning)
-                    .with_row_cache_bytes(0) // isolate the filter effect
-                    .with_max_iters(40),
-            )
-            .fit(&path)
-            .unwrap()
-        };
-        let yy = run(Pruning::Yinyang);
-        let none = run(Pruning::None);
-        let req: u64 = yy.io.iter().map(|i| i.bytes_requested).sum();
-        let req_none: u64 = none.io.iter().map(|i| i.bytes_requested).sum();
-        assert!(req * 2 < req_none, "group filter should cut requested bytes: {req} vs {req_none}");
-        // On a staged plane every filter skip is a fetch skip, and the
-        // direct-plane-only counter stays distinct from distance pruning.
-        let skipped: u64 = yy.kmeans.iters.iter().map(|i| i.prune.io_skip_rows).sum();
-        let c1: u64 = yy.kmeans.iters.iter().map(|i| i.prune.clause1_rows).sum();
-        assert!(skipped > 0, "no fetches skipped");
-        assert_eq!(skipped, c1, "SEM must skip the fetch of every filtered row");
-        assert_eq!(none.kmeans.iters.iter().map(|i| i.prune.io_skip_rows).sum::<u64>(), 0);
-        std::fs::remove_file(path).unwrap();
+        std::fs::remove_file(mix_path).unwrap();
+        std::fs::remove_file(grid_path).unwrap();
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! which round-trips `f64` exactly, so even the text protocol is bitwise):
 //!
 //! ```text
-//! TRAIN <model> <engine> <algospec> <k> <iters> <seed> [pruning=<none|mti|yinyang>] <path>
+//! TRAIN <model> <engine> <algospec> <k> <iters> <seed> [pruning=<none|mti>] <path>
 //!                                               → OK job <id>
 //! STATUS <job>                                  → OK queued|running|done <v>|failed <msg>
 //! QUERY <model> <m> <d> <f0> <f1> … <f(m·d−1)>  → OK <m> <c>:<dist> …
@@ -524,6 +524,7 @@ mod tests {
             "TRAIN only-a-name",
             "TRAIN m gpu lloyd 3 5 1 /tmp/x",
             "TRAIN m im lloyd 3 5 1 pruning=banana /tmp/x.knor",
+            "TRAIN m im lloyd 3 5 1 pruning=yinyang /tmp/x.knor",
             "QUERY m 2 2 0.0", // too few values
             "STATUS notanumber",
         ] {
@@ -538,7 +539,7 @@ mod tests {
         let resp = dispatch(&handle, "TRAIN m2 dist-sem lloyd 3 5 1 /tmp/x.knor");
         assert!(resp.starts_with("OK job "), "{resp}");
         // The optional pruning token parses and never eats the path.
-        let resp = dispatch(&handle, "TRAIN m3 im lloyd 3 5 1 pruning=yinyang /tmp/x.knor");
+        let resp = dispatch(&handle, "TRAIN m3 im lloyd 3 5 1 pruning=mti /tmp/x.knor");
         assert!(resp.starts_with("OK job "), "{resp}");
         // Client-side: model names must be single tokens.
         let mut c = Client::connect(TcpServer::bind(handle, "127.0.0.1:0").unwrap().addr())

@@ -1,10 +1,10 @@
 //! Well-separated grid clusters — the workload where bound pruning shines.
 //!
-//! Yinyang/Elkan-style bounds pay off when centroids settle quickly and
-//! rows stay far from every centroid but their own; on churning data
-//! (overfit k on a mixture) the bounds collapse and every scheme degrades
-//! to Lloyd's. The pruning benches and parity tests therefore run on this
-//! deterministic grid: row `i` belongs to natural cluster `i % k`, the
+//! Triangle-inequality bounds (MTI, Elkan) pay off when centroids settle
+//! quickly and rows stay far from every centroid but their own; on
+//! churning data (overfit k on a mixture) the bounds collapse and every
+//! scheme degrades to Lloyd's. The pruning parity tests therefore run on
+//! this deterministic grid: row `i` belongs to natural cluster `i % k`, the
 //! first two dimensions place the cluster on a 5-wide grid with spacing
 //! 6.0, remaining dimensions carry bounded sin/cos noise (amplitude 0.8,
 //! far below the grid spacing). Taking the first `k` rows as the init

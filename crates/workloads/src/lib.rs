@@ -16,7 +16,7 @@
 //! given a seed.
 //!
 //! [`grid`] adds a third, non-paper workload: deterministic well-separated
-//! grid clusters where bound pruning (MTI, Yinyang) is maximally
+//! grid clusters where bound pruning (MTI, Elkan) is maximally
 //! effective — the benchmark counterpart to the RM/RU worst case.
 
 pub mod catalog;

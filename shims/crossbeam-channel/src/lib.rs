@@ -101,6 +101,9 @@ impl<T> Drop for Sender<T> {
     fn drop(&mut self) {
         if self.shared.senders.fetch_sub(1, Ordering::AcqRel) == 1 {
             // Last sender: wake blocked receivers so they can observe EOF.
+            // Passing through the lock first orders the wakeup after any
+            // receiver that saw a live sender under it has begun to wait.
+            drop(self.shared.queue.lock().unwrap_or_else(|p| p.into_inner()));
             self.shared.ready.notify_all();
         }
     }
@@ -225,5 +228,37 @@ mod tests {
         }
         let total: u64 = consumers.into_iter().map(|c| c.join().unwrap()).sum();
         assert_eq!(total, (0..4000u64).sum());
+    }
+
+    /// The last sender's drop must wake a receiver that has just seen a
+    /// live sender under the lock but not yet begun to wait. Each round
+    /// races one drop against one `recv` on a fresh channel, the drop
+    /// delayed by a few spins more each round to sweep the window; a lost
+    /// wakeup leaves the receiver asleep and fails the round at its
+    /// deadline instead of hanging the test.
+    #[test]
+    fn last_sender_drop_wakes_a_blocked_receiver() {
+        use std::sync::mpsc;
+        use std::time::Duration;
+
+        let (to_receiver, channels) = mpsc::channel::<Receiver<u8>>();
+        let (done, finished) = mpsc::channel();
+        let receiver = std::thread::spawn(move || {
+            for rx in channels {
+                let _ = done.send(rx.recv());
+            }
+        });
+        for round in 0..200_000 {
+            let (tx, rx) = unbounded::<u8>();
+            to_receiver.send(rx).unwrap();
+            for _ in 0..round % 64 {
+                std::hint::spin_loop();
+            }
+            drop(tx);
+            let got = finished.recv_timeout(Duration::from_secs(5));
+            assert_eq!(got, Ok(Err(RecvError)), "round {round}: the receiver missed the drop");
+        }
+        drop(to_receiver);
+        receiver.join().unwrap();
     }
 }

@@ -4,7 +4,7 @@
 //! binaries.
 //!
 //! ```text
-//! knor im   <file.knor> -k 10 [-i 100] [-t N] [--pruning none|mti|yinyang] [--init pp|forgy|random]
+//! knor im   <file.knor> -k 10 [-i 100] [-t N] [--pruning none|mti] [--init pp|forgy|random]
 //!           [--algo lloyd|spherical|fuzzy|minibatch] [--fuzz M] [--batch B]
 //!           [--kernel auto|scalar|gemm] [--stats] [--trace out.json]
 //! knor sem  <file.knor> -k 10 [--row-cache MB] [--page-cache MB] [--stats] [--trace out.json]
@@ -73,7 +73,7 @@ struct Opts {
 /// and the CLI tests diff this text against the README flag table.
 const HELP: &str =
     "usage: knor <im|sem|dist|gen> <file.knor> [-k K] [-i|--iters ITERS] [-t|--threads THREADS]
-           [--pruning none|mti|yinyang] [--init pp|forgy|random] [--seed S]
+           [--pruning none|mti] [--init pp|forgy|random] [--seed S]
            [--algo lloyd|spherical|fuzzy|minibatch]
            [--fuzz M] [--batch B]
            [--kernel auto|scalar|gemm] [--stats] [--trace out.json]
@@ -508,22 +508,20 @@ fn report(
     }
 }
 
-/// The `--stats` pruning section: the resolved scheme, the Yinyang group
-/// count, the bytes the bounds occupy (per-row upper/lower bounds plus
-/// the scheme's global tables — MTI's `O(k²)` centroid-distance matrix or
-/// Yinyang's grouping/drift tables), and the per-clause outcome totals.
+/// The `--stats` pruning section: the resolved scheme, the bytes the
+/// bounds occupy (per-row upper bounds plus MTI's `O(k²)` state), and the
+/// per-clause outcome totals.
 /// `one_cand` counts the committed rows MTI's one-candidate shortcut
 /// settled (a subset of the rows the clauses above already count).
 /// `io_skip_rows` is the staged-plane fetch-avoidance subset of clause 1
 /// (always 0 on direct planes).
 fn print_prune(run: &RunSpec, n: usize, total: &PruneCounters) {
-    let (scheme, t) = (run.scheme(), knor::core::pruning::yinyang_groups(run.k));
+    let scheme = run.scheme();
     // The bounds do not depend on `d`, the thread count or the data held.
     let bound_bytes = MemoryFootprint::account(scheme, (n, run.k, 0), 0, 0, 0).bound_bytes(n);
     println!(
-        "prune: scheme={} groups={} bound_B={bound_bytes} c1_rows={} c2={} c3={} dists={} one_cand={} io_skip_rows={}",
+        "prune: scheme={} bound_B={bound_bytes} c1_rows={} c2={} c3={} dists={} one_cand={} io_skip_rows={}",
         scheme.name(),
-        if scheme == Pruning::Yinyang { t } else { 0 },
         total.clause1_rows,
         total.clause2_prunes,
         total.clause3_prunes,

@@ -184,33 +184,15 @@ fn valid_flags_still_run_end_to_end() {
         .expect("spawn im");
     assert!(im.status.success(), "{}", String::from_utf8_lossy(&im.stderr));
 
-    // Yinyang end to end, with the pruning section of --stats.
+    // The deleted Yinyang scheme is refused like a typo, on a real file.
     let yy = knor()
-        .args([
-            "im",
-            file.to_str().unwrap(),
-            "-k",
-            "4",
-            "-i",
-            "5",
-            "-t",
-            "2",
-            "--pruning",
-            "yinyang",
-            "--stats",
-        ])
+        .args(["im", file.to_str().unwrap(), "-k", "4", "--pruning", "yinyang"])
         .output()
         .expect("spawn im yinyang");
-    assert!(yy.status.success(), "{}", String::from_utf8_lossy(&yy.stderr));
-    let stdout = String::from_utf8_lossy(&yy.stdout);
-    let prune = stdout
-        .lines()
-        .find(|l| l.starts_with("prune: "))
-        .unwrap_or_else(|| panic!("--stats must print the prune line: {stdout}"));
-    assert!(prune.contains("scheme=yinyang"), "{prune}");
-    assert!(prune.contains("groups=1"), "k=4 → t=1: {prune}");
-    assert!(prune.contains("bound_B="), "{prune}");
-    assert!(prune.contains("io_skip_rows=0"), "direct plane never skips I/O: {prune}");
+    assert!(!yy.status.success());
+    let err = String::from_utf8_lossy(&yy.stderr);
+    assert!(!err.contains("panicked"), "{err}");
+    assert_eq!(err, "knor: invalid value 'yinyang' for --pruning: expected none or mti\n");
 
     // Post-parse domain checks still reject cleanly (fuzzifier domain).
     let fuzz = knor()
@@ -528,7 +510,9 @@ fn mask(line: &str) -> String {
 /// engine prints at `-t 1` is the text captured from the binary of the
 /// commit before `RunSpec` (PR 19) on the same generated file: the kernel
 /// note, the prune, commit, numa and memory lines, the I/O and wire tables;
-/// plus the `init:` line, whose k-means++ distance count is exact.
+/// plus the `init:` line, whose k-means++ distance count is exact. The
+/// prune line has since lost `groups=`, and its `bound_B` counts all of
+/// MTI's per-centroid state.
 #[test]
 fn stats_output_is_the_text_the_per_engine_arms_printed() {
     let file = gen_small("golden.knor");

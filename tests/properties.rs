@@ -194,65 +194,49 @@ proptest! {
         prop_assert!(agreement(&a.assignments, &b.assignments, k) > 0.999);
     }
 
-    /// Distributed rank count never changes the clustering.
-    /// Yinyang's exactness invariant: after drift loosening, every group
-    /// lower bound still under-estimates the true distance to every
-    /// non-assigned centroid of its group (and the loosened upper bound
-    /// still over-estimates the assigned distance) — so a row the global
-    /// filter settles really does keep its nearest centroid.
+    /// MTI's exactness invariant: after drift loosening, every row's upper
+    /// bound still over-estimates the distance to its assigned centroid —
+    /// so a row Clause 1 settles really does keep its nearest centroid.
     #[test]
-    fn yinyang_loosened_bounds_stay_valid(
+    fn mti_loosened_bounds_stay_valid(
         data in arb_matrix(60, 4),
         k in 2usize..24,
         seed in 0u64..50,
     ) {
         use knor::core::centroids::{Centroids, LocalAccum};
         use knor::core::distance::{dist, nearest};
-        use knor::core::driver::{RowBounds, RowFilter, YinyangFilter};
-        use knor::core::pruning::{PruneCounters, YinyangState};
+        use knor::core::driver::{MtiFilter, RowBounds, RowFilter};
+        use knor::core::pruning::{MtiIterState, PruneCounters};
 
         prop_assume!(k <= data.nrow());
         let (n, d) = (data.nrow(), data.ncol());
         let init = InitMethod::Forgy.initialize(&data, k, seed).to_matrix();
         let cents = Centroids::from_matrix(&init);
-        let mut yy = YinyangState::group(&cents);
-        let bounds = RowBounds::new(n, yy.t());
+        let mut mti = MtiIterState::new(k);
+        mti.rebuild(&cents);
+        let bounds = RowBounds::new(n);
         // Safety: single-threaded test — this "task" owns every row.
         let rows = unsafe { bounds.claim(0..n) };
         let mut counters = PruneCounters::default();
         let mut accum = LocalAccum::new(k, d);
-        // Exact init pass: nearest assignment + per-group bounds.
+        // Exact init pass: nearest assignment and its distance as the bound.
         for r in 0..n {
             let v = data.row(r);
             let best = nearest(v, &cents.means, k);
-            YinyangFilter::new(&cents, &yy).establish(&rows, r, v, best, &mut accum, &mut counters);
+            MtiFilter::new(&cents, &mti).establish(&rows, r, v, best, &mut accum, &mut counters);
         }
-        // Move every centroid by a deterministic perturbation and record
-        // the true drifts, exactly as the coordinator window does.
+        // Move every centroid by a deterministic perturbation; the drifts
+        // and thresholds follow, exactly as the coordinator window does.
         let mut moved = init.as_slice().to_vec();
         for (i, x) in moved.iter_mut().enumerate() {
             *x += ((i as f64 * 0.7 + seed as f64) * 1.3).sin() * 1.5;
         }
         let moved = Centroids::from_matrix(&DMatrix::from_vec(moved, k, d));
-        for c in 0..k {
-            yy.drift[c] = dist(cents.mean(c), moved.mean(c));
-        }
-        yy.update_group_drift();
+        mti.update(&cents, &moved);
         for r in 0..n {
-            let keep = YinyangFilter::new(&cents, &yy).keep(&rows, r, &mut counters);
+            let keep = MtiFilter::new(&moved, &mti).keep(&rows, r, &mut counters);
             let v = data.row(r);
             let a = rows.assign(r) as usize;
-            for c in 0..k {
-                if c == a {
-                    continue;
-                }
-                let lb = rows.lower(r, yy.group_of[c] as usize);
-                let true_d = dist(v, moved.mean(c));
-                prop_assert!(
-                    lb <= true_d + 1e-9,
-                    "row {}: loosened bound {} overshot d(v, c{}) = {}", r, lb, c, true_d
-                );
-            }
             let u = rows.upper(r);
             let ua = dist(v, moved.mean(a));
             prop_assert!(u + 1e-9 >= ua, "row {}: upper {} lost its assignment at {}", r, u, ua);
@@ -263,6 +247,7 @@ proptest! {
         }
     }
 
+    /// Distributed rank count never changes the clustering.
     #[test]
     fn rank_count_invariance(seed in 0u64..200, ranks in 1usize..5) {
         let data = MixtureSpec::friendster_like(300, 4, seed).generate().data;
