@@ -58,7 +58,7 @@ use crate::centroids::{finalize_means, Centroids, LocalAccum};
 use crate::distance::{dist, nearest};
 use crate::kernel::{KernelKind, ResolvedKernel};
 use crate::plane::{DataPlane, DrainScratch};
-use crate::pruning::{mti_assign, MtiIterState, PruneCounters, Pruning};
+use crate::pruning::{mti_assign, MtiIterState, PruneCounters, Pruning, RowScan};
 use crate::stats::{CommitCounters, IterStats};
 use crate::sync::ExclusiveCell;
 use crate::trace::{Phase, PhaseBreakdown, TraceHandle, WorkerTracer};
@@ -770,13 +770,15 @@ pub trait RowFilter {
     ) -> bool;
 
     /// Commit a fetched row whose bounds [`Self::keep`] already loosened
-    /// (`iter > 0`): scan what the bounds cannot rule out, refresh them and
+    /// (`iter > 0`): scan what the bounds cannot rule out — through `scan`
+    /// when the bounds leave many candidates open — refresh them and
     /// accumulate the *delta* of a reassignment. Returns true on one.
     fn commit(
         &self,
         rows: &RowState<'_>,
         r: usize,
         v: &[f64],
+        scan: Option<&mut RowScan<'_>>,
         accum: &mut LocalAccum,
         counters: &mut PruneCounters,
     ) -> bool;
@@ -825,6 +827,7 @@ impl RowFilter for NoFilter<'_> {
         rows: &RowState<'_>,
         r: usize,
         v: &[f64],
+        _scan: Option<&mut RowScan<'_>>,
         accum: &mut LocalAccum,
         counters: &mut PruneCounters,
     ) -> bool {
@@ -895,11 +898,13 @@ impl RowFilter for MtiFilter<'_> {
         rows: &RowState<'_>,
         r: usize,
         v: &[f64],
+        scan: Option<&mut RowScan<'_>>,
         accum: &mut LocalAccum,
         counters: &mut PruneCounters,
     ) -> bool {
         let a = rows.assign(r) as usize;
-        let (new_a, new_ub) = mti_assign(v, self.cents, self.mti, a, rows.upper(r), counters);
+        let ub = rows.upper(r);
+        let (new_a, new_ub) = mti_assign(v, self.cents, self.mti, a, ub, scan, counters);
         let reassigned = new_a != a;
         if reassigned {
             accum.sub(a, v);
@@ -1014,10 +1019,11 @@ mod tests {
         // Every candidate distance is pruned by one clause or computed:
         // clause1·k + clause2 + clause3 + dists is n·k, plus at most one
         // re-tested candidate per reassigned row, in every iteration, the
-        // one-candidate shortcut's rows included. The rows
-        // come cluster by cluster, so the init (the first k rows) seeds two
-        // of the 25 clusters and the run has a reassignment cascade to
-        // prune through.
+        // one-candidate shortcut's rows and the row scan's included. The
+        // rows come cluster by cluster, so the init (the first k rows)
+        // seeds two of the 25 clusters and the run has a reassignment
+        // cascade to prune through. `k·d = 50` would resolve to the scalar
+        // kernel, which packs no panel; gemm is asked for.
         let mut data = Vec::new();
         for i in 0..500 {
             let c = (i / 20) as f64;
@@ -1026,7 +1032,7 @@ mod tests {
         }
         let (n, k) = (500, 25);
         for threads in [1usize, 3] {
-            let out = run(&data, n, 2, k, Pruning::Mti, threads);
+            let out = run_kernel(&data, n, 2, k, Pruning::Mti, threads, KernelKind::Gemm);
             assert!(out.iters.len() > 1, "need steady-state iterations");
             for it in &out.iters {
                 let p = &it.prune;
@@ -1043,6 +1049,11 @@ mod tests {
                 t
             });
             assert!(p.clause1_rows > 0 && p.clause3_prunes > 0 && p.one_cand_rows > 0, "{p:?}");
+            assert!(p.gemm_rows > 0, "the row scan never fired: {p:?}");
+            // The same run, bit for bit, without the panel.
+            let scalar = run_kernel(&data, n, 2, k, Pruning::Mti, threads, KernelKind::Scalar);
+            assert_eq!(out.assignments, scalar.assignments);
+            assert_eq!(out.centroids, scalar.centroids);
         }
     }
 
@@ -1065,7 +1076,23 @@ mod tests {
             for (a, b) in scalar.iters.iter().zip(&gemm.iters) {
                 assert_eq!(a.reassigned, b.reassigned);
                 assert_eq!(a.rows_accessed, b.rows_accessed);
-                assert_eq!(a.prune.dist_computations, b.prune.dist_computations);
+                assert_eq!(a.prune.clause1_rows, b.prune.clause1_rows);
+                // Only the gemm run has a panel for the row scan, whose
+                // rows count every open candidate as a distance; an
+                // iteration without one counts exactly as the walk does.
+                assert_eq!(a.prune.gemm_rows, 0);
+                if b.prune.gemm_rows == 0 {
+                    assert_eq!(a.prune, b.prune, "iter {}", a.iter);
+                } else {
+                    let total = |p: &PruneCounters| {
+                        p.clause1_rows * 12
+                            + p.clause2_prunes
+                            + p.clause3_prunes
+                            + p.dist_computations
+                    };
+                    let ledger = (n * 12) as u64..=(n * 12) as u64 + a.reassigned;
+                    assert!(ledger.contains(&total(&b.prune)), "iter {}: {:?}", a.iter, b.prune);
+                }
             }
         }
     }

@@ -32,11 +32,14 @@
 //! [`assign_rows`] once per call. Every block of that phase streams past
 //! the same panel through [`assign_rows_packed`].
 //!
-//! MTI iterations (`iter > 0` with pruning on) do not come through here:
-//! each row carries its own bound, the bound leaves three of `k`
-//! candidates open on average, and a full scan of the surviving rows costs
-//! more than the clause machine does (measured, DESIGN.md §7). Their
-//! candidate scan is the bitmask walk in [`crate::pruning::mti_assign`].
+//! MTI iterations (`iter > 0` with pruning on) do not scan blocks: each
+//! row carries its own bound, the bound leaves three of `k` candidates
+//! open on average, and a full scan of the surviving rows costs more than
+//! the clause machine does (measured, DESIGN.md §7). Their candidate scan
+//! is the bitmask walk in [`crate::pruning::mti_assign`], which hands a row
+//! whose tight bound leaves many candidates open to [`certified_row`]: the
+//! same scorers, one row against the worker's panel, certified with
+//! [`ROW_MARGIN`] times the block scan's margin.
 
 use crate::centroids::Centroids;
 use crate::distance::{nearest, sqdist};
@@ -232,8 +235,7 @@ impl CentroidPanel {
     /// becomes `−2·x·c`; see [`max_dot_rows`]).
     fn pack_with(&mut self, cents: &Centroids, norms: bool) {
         let (k, d) = (cents.k(), cents.d);
-        let lanes = panel_lanes();
-        let kp = k.div_ceil(lanes) * lanes;
+        let kp = panel_columns(k);
         // Every slot in use is overwritten below — real columns by the
         // transpose, pad columns explicitly — so a larger panel left by an
         // earlier shape needs no clear.
@@ -277,33 +279,32 @@ impl CentroidPanel {
 
     /// The certificate of a row `x` with `‖x‖² = xnorm` (computed in any
     /// order), whose scan scored its winner `s1` and its runner-up `s2`:
-    /// `s₂ − s₁ − (κ·(‖x‖² + 2·cmax) + d·MIN_POSITIVE)`, with
-    /// `κ = 8(d+4)·2⁻⁵³`. Positive exactly when DESIGN.md §7 shows that no
-    /// other candidate's rounded `sqdist` can be at or below the winner's;
-    /// the absolute term covers underflow. NaN unless
+    /// `s₂ − s₁ − margin·(κ·(‖x‖² + 2·cmax) + d·MIN_POSITIVE)`, with
+    /// `κ = 8(d+4)·2⁻⁵³`. At `margin = 1`, positive exactly when DESIGN.md
+    /// §7 shows that no other candidate's rounded `sqdist` can be at or
+    /// below the winner's; the absolute term covers underflow. NaN unless
     /// `‖x‖² + 2·cmax ≤ MAX/4` — so nothing the scorer computed overflowed,
     /// and a NaN or infinite norm fails — and NaN for a NaN gap.
     #[inline(always)]
-    fn slack(&self, xnorm: f64, s1: f64, s2: f64) -> f64 {
+    fn slack(&self, xnorm: f64, s1: f64, s2: f64, margin: f64) -> f64 {
         let d = self.d as f64;
         let norms = xnorm + 2.0 * self.cmax;
         if norms <= f64::MAX / 4.0 {
-            (s2 - s1) - (8.0 * (d + 4.0) * (f64::EPSILON / 2.0) * norms + d * f64::MIN_POSITIVE)
+            (s2 - s1)
+                - margin * (8.0 * (d + 4.0) * (f64::EPSILON / 2.0) * norms + d * f64::MIN_POSITIVE)
         } else {
             f64::NAN
         }
     }
 }
 
-/// Centroid columns per micro-kernel pass, which the panel pads `k` to:
-/// sixteen for the AVX-512 kernel, eight for the AVX2 one (and for the
-/// portable path, which reads the row-major centroids instead).
-fn panel_lanes() -> usize {
-    if Scorer::host() == Scorer::Avx512 {
-        16
-    } else {
-        8
-    }
+/// The columns of a panel of `k` centroids: `k` rounded up to the
+/// centroids per micro-kernel pass, sixteen for the AVX-512 kernel, eight
+/// for the AVX2 one (and for the portable path, which reads the row-major
+/// centroids instead).
+pub(crate) fn panel_columns(k: usize) -> usize {
+    let lanes = if Scorer::host() == Scorer::Avx512 { 16 } else { 8 };
+    k.div_ceil(lanes) * lanes
 }
 
 /// Assign every row of a contiguous `m × d` block to its nearest centroid,
@@ -384,6 +385,29 @@ pub fn assign_rows_packed(
     }
 }
 
+/// How many times the block scan's margin [`certified_row`] asks of its
+/// winner. MTI's walk compares `√sqdist` values and prunes against halved
+/// centroid distances; the extra margin covers those roundings too, so a
+/// row this certifies is one the walk would have settled on the same
+/// winner with the same distance bits (DESIGN.md §2).
+pub const ROW_MARGIN: f64 = 3.0;
+
+/// One row `x` against `panel` (packed from `cents`) through the host's
+/// gemm scorer: `Some(w)` when `w` is certified, with [`ROW_MARGIN`], as
+/// the strict unique minimum of the rounded `sqdist` — so `nearest`'s
+/// answer — and `None` for a near-tie, a duplicated centroid, or
+/// non-finite or overflow-sized data. MTI's many-candidate rows come
+/// through here ([`crate::pruning::mti_assign`]).
+pub fn certified_row(x: &[f64], cents: &Centroids, panel: &CentroidPanel) -> Option<usize> {
+    assert!((panel.k, panel.d) == (cents.k(), x.len()), "stale or unpacked centroid panel");
+    debug_assert!(
+        panel.stamp == CentroidPanel::stamp_of(cents),
+        "stale or unpacked centroid panel"
+    );
+    let (w, slack) = Scorer::host().row(x, cents, panel);
+    (slack > 0.0).then_some(w as usize)
+}
+
 /// Spherical k-means' map: each row's first maximum of `x·c`, into `best`.
 /// This is the gemm scan with zero norms (score `−2·x·c`) and no
 /// certificate, because its objective is the dot product itself, not a
@@ -459,7 +483,7 @@ impl Scorer {
         }
     }
 
-    /// The fastest scorer this host can run (the one [`panel_lanes`]
+    /// The fastest scorer this host can run (the one [`panel_columns`]
     /// pads for).
     fn host() -> Scorer {
         [Scorer::Avx512, Scorer::Fma].into_iter().find(|s| s.usable()).unwrap_or(Scorer::Portable)
@@ -484,6 +508,23 @@ impl Scorer {
             Scorer::Portable => {}
         }
         gemm_portable(block, cents, panel, best, slack);
+    }
+
+    /// Score one row `x` against `panel` (packed from `cents`): the first
+    /// minimum and its [`CentroidPanel::slack`] at [`ROW_MARGIN`]. A 4-row
+    /// group padded with copies of the row costs four rows' arithmetic;
+    /// these spend it on one row's latency chains instead.
+    fn row(self, x: &[f64], cents: &Centroids, panel: &CentroidPanel) -> (u32, f64) {
+        assert!(self.usable(), "{self:?} scorer on a host without it");
+        #[cfg(target_arch = "x86_64")]
+        match self {
+            // Safety: AVX-512F support verified by `usable`.
+            Scorer::Avx512 => return unsafe { x86::gemm_row_avx512(x, panel) },
+            // Safety: FMA + AVX2 support verified by `usable`.
+            Scorer::Fma => return unsafe { x86::gemm_row_fma(x, panel) },
+            Scorer::Portable => {}
+        }
+        gemm_row_portable(x, cents, panel)
     }
 }
 
@@ -535,7 +576,8 @@ fn certify(
 /// does not depend on its group-mates.
 #[cfg(target_arch = "x86_64")]
 mod x86 {
-    use super::{sqnorm, CentroidPanel};
+    use super::{sqnorm, CentroidPanel, ROW_MARGIN};
+    use std::arch::x86_64::{__m256d, __m512d, __m512i};
 
     /// Row pointers for the 4-row group at `r`, the last real row standing
     /// in for rows past `m`.
@@ -610,29 +652,9 @@ mod x86 {
                 }
             }
             for rr in 0..4.min(m - r) {
-                // The lanes to the row: the least champion with the lowest
-                // index among equals, and the least of every lane's
-                // runner-up and every other lane's champion.
-                let (mut sv, mut s2v, mut iv) = ([0.0f64; 4], [0.0f64; 4], [0.0f64; 4]);
-                _mm256_storeu_pd(sv.as_mut_ptr(), vs[rr]);
-                _mm256_storeu_pd(s2v.as_mut_ptr(), v2[rr]);
-                _mm256_storeu_pd(iv.as_mut_ptr(), vi[rr]);
-                let mut lane = 0;
-                for l in 1..4 {
-                    if sv[l] < sv[lane] || (sv[l] == sv[lane] && iv[l] < iv[lane]) {
-                        lane = l;
-                    }
-                }
-                let mut s2 = f64::INFINITY;
-                for l in 0..4 {
-                    s2 = s2.min(s2v[l]);
-                    if l != lane {
-                        s2 = s2.min(sv[l]);
-                    }
-                }
+                let (w, s1, s2) = lanes_fma(vs[rr], v2[rr], vi[rr]);
                 let row = &block[(r + rr) * d..(r + rr + 1) * d];
-                let slack_rr = panel.slack(sqnorm(row), sv[lane], s2);
-                (best[r + rr], slack[r + rr]) = (iv[lane] as u32, slack_rr);
+                (best[r + rr], slack[r + rr]) = (w, panel.slack(sqnorm(row), s1, s2, 1.0));
             }
         }
     }
@@ -700,30 +722,197 @@ mod x86 {
                     }
                 }
             }
-            for (rr, row) in rows.iter().enumerate().take(m - r) {
-                // ‖x‖², eight lanes at a time; the tail load is masked.
-                let mut nx = _mm512_setzero_pd();
-                for j in (0..d).step_by(8) {
-                    let v = _mm512_maskz_loadu_pd(0xff >> 8usize.saturating_sub(d - j), row.add(j));
-                    nx = _mm512_fmadd_pd(v, v, nx);
-                }
-                // The lanes to the row: the least champion, the lowest
-                // index among the lanes holding it, and the runner-up —
-                // that score again if two lanes hold it, else the least
-                // of every lane's runner-up and every other champion.
-                let s1 = _mm512_reduce_min_pd(vs[rr]);
-                let at = _mm512_cmp_pd_mask::<_CMP_EQ_OQ>(vs[rr], _mm512_set1_pd(s1));
-                let w = _mm512_mask_reduce_min_epi64(at, vi[rr]) as u32;
-                let s2 = if at.count_ones() > 1 {
-                    s1
-                } else {
-                    let others = _mm512_mask_blend_pd(at, vs[rr], inf);
-                    _mm512_reduce_min_pd(_mm512_min_pd(v2[rr], others))
-                };
-                let xnorm = _mm512_reduce_add_pd(nx);
-                (best[r + rr], slack[r + rr]) = (w, panel.slack(xnorm, s1, s2));
+            for (rr, &row) in rows.iter().enumerate().take(m - r) {
+                let (w, s1, s2) = lanes_avx512(vs[rr], v2[rr], vi[rr]);
+                let xnorm = sqnorm_avx512(row, d);
+                (best[r + rr], slack[r + rr]) = (w, panel.slack(xnorm, s1, s2, 1.0));
             }
         }
+    }
+
+    /// One row through the [`gemm_tile_fma`] layout: per eight-column pass,
+    /// dimension `j` feeds chain `j % 4` of each 4-lane half, so eight
+    /// independent FMA chains hide the latency one row's two would expose.
+    /// The chains add pairwise, then the pass scores and keeps per lane a
+    /// champion, its index and a runner-up, as the tile scorer does.
+    ///
+    /// # Safety
+    /// Caller must have verified AVX2 + FMA support at runtime.
+    #[target_feature(enable = "avx2,fma")]
+    pub unsafe fn gemm_row_fma(x: &[f64], panel: &CentroidPanel) -> (u32, f64) {
+        use std::arch::x86_64::*;
+        let (d, kp) = (panel.d, panel.kp);
+        assert!(kp % 8 == 0 && panel.packed.len() >= kp * d && panel.cnorms.len() >= kp);
+        assert!(x.len() == d);
+        let (pk, pcn, px) = (panel.packed.as_ptr(), panel.cnorms.as_ptr(), x.as_ptr());
+        let iota = _mm256_set_pd(3.0, 2.0, 1.0, 0.0);
+        let two = _mm256_set1_pd(2.0);
+        let inf = _mm256_set1_pd(f64::INFINITY);
+        let (mut vs, mut v2, mut vi) = (inf, inf, _mm256_setzero_pd());
+        for c8 in (0..kp).step_by(8) {
+            let pb = pk.add(c8);
+            let mut acc = [_mm256_setzero_pd(); 8];
+            // Unrolled by four, so every chain index is a constant and the
+            // accumulators stay in registers; the tail feeds chain 0.
+            for j in (0..d - d % 4).step_by(4) {
+                for p in 0..4 {
+                    let a = _mm256_set1_pd(*px.add(j + p));
+                    let b = pb.add((j + p) * kp);
+                    acc[2 * p] = _mm256_fmadd_pd(a, _mm256_loadu_pd(b), acc[2 * p]);
+                    acc[2 * p + 1] = _mm256_fmadd_pd(a, _mm256_loadu_pd(b.add(4)), acc[2 * p + 1]);
+                }
+            }
+            for j in d - d % 4..d {
+                let (a, b) = (_mm256_set1_pd(*px.add(j)), pb.add(j * kp));
+                acc[0] = _mm256_fmadd_pd(a, _mm256_loadu_pd(b), acc[0]);
+                acc[1] = _mm256_fmadd_pd(a, _mm256_loadu_pd(b.add(4)), acc[1]);
+            }
+            for h in 0..2 {
+                let dot = _mm256_add_pd(
+                    _mm256_add_pd(acc[h], acc[h + 2]),
+                    _mm256_add_pd(acc[h + 4], acc[h + 6]),
+                );
+                let c = c8 + 4 * h;
+                let s = _mm256_fnmadd_pd(two, dot, _mm256_loadu_pd(pcn.add(c)));
+                let lt = _mm256_cmp_pd::<_CMP_LT_OQ>(s, vs);
+                v2 = _mm256_blendv_pd(_mm256_min_pd(s, v2), vs, lt);
+                vs = _mm256_blendv_pd(vs, s, lt);
+                vi = _mm256_blendv_pd(vi, _mm256_add_pd(iota, _mm256_set1_pd(c as f64)), lt);
+            }
+        }
+        let (w, s1, s2) = lanes_fma(vs, v2, vi);
+        (w, panel.slack(sqnorm(x), s1, s2, ROW_MARGIN))
+    }
+
+    /// One row through the [`gemm_tile_avx512`] layout: per sixteen-column
+    /// pass, dimension `j` feeds chain `j % 4` of each 8-lane half (eight
+    /// independent FMA chains), the chains add pairwise, and the scores go
+    /// through the same per-lane champion, index and runner-up and the same
+    /// reduction as the tile scorer's.
+    ///
+    /// # Safety
+    /// Caller must have verified AVX-512F support at runtime.
+    #[target_feature(enable = "avx512f")]
+    pub unsafe fn gemm_row_avx512(x: &[f64], panel: &CentroidPanel) -> (u32, f64) {
+        use std::arch::x86_64::*;
+        let (d, kp) = (panel.d, panel.kp);
+        assert!(kp % 16 == 0 && panel.packed.len() >= kp * d && panel.cnorms.len() >= kp);
+        assert!(x.len() == d);
+        let (pk, pcn, px) = (panel.packed.as_ptr(), panel.cnorms.as_ptr(), x.as_ptr());
+        let iota = _mm512_set_epi64(7, 6, 5, 4, 3, 2, 1, 0);
+        let two = _mm512_set1_pd(2.0);
+        let inf = _mm512_set1_pd(f64::INFINITY);
+        let (mut vs, mut v2, mut vi) = (inf, inf, _mm512_setzero_si512());
+        for c16 in (0..kp).step_by(16) {
+            let pb = pk.add(c16);
+            let mut acc = [_mm512_setzero_pd(); 8];
+            // Unrolled by four, so every chain index is a constant and the
+            // accumulators stay in registers; the tail feeds chain 0.
+            for j in (0..d - d % 4).step_by(4) {
+                for p in 0..4 {
+                    let a = _mm512_set1_pd(*px.add(j + p));
+                    let b = pb.add((j + p) * kp);
+                    acc[2 * p] = _mm512_fmadd_pd(a, _mm512_loadu_pd(b), acc[2 * p]);
+                    acc[2 * p + 1] = _mm512_fmadd_pd(a, _mm512_loadu_pd(b.add(8)), acc[2 * p + 1]);
+                }
+            }
+            for j in d - d % 4..d {
+                let (a, b) = (_mm512_set1_pd(*px.add(j)), pb.add(j * kp));
+                acc[0] = _mm512_fmadd_pd(a, _mm512_loadu_pd(b), acc[0]);
+                acc[1] = _mm512_fmadd_pd(a, _mm512_loadu_pd(b.add(8)), acc[1]);
+            }
+            for h in 0..2 {
+                let dot = _mm512_add_pd(
+                    _mm512_add_pd(acc[h], acc[h + 2]),
+                    _mm512_add_pd(acc[h + 4], acc[h + 6]),
+                );
+                let c = c16 + 8 * h;
+                let s = _mm512_fnmadd_pd(two, dot, _mm512_loadu_pd(pcn.add(c)));
+                let lt = _mm512_cmp_pd_mask::<_CMP_LT_OQ>(s, vs);
+                v2 = _mm512_mask_blend_pd(lt, _mm512_min_pd(s, v2), vs);
+                vs = _mm512_mask_blend_pd(lt, vs, s);
+                vi = _mm512_mask_blend_epi64(
+                    lt,
+                    vi,
+                    _mm512_add_epi64(iota, _mm512_set1_epi64(c as i64)),
+                );
+            }
+        }
+        let (w, s1, s2) = lanes_avx512(vs, v2, vi);
+        (w, panel.slack(sqnorm_avx512(px, d), s1, s2, ROW_MARGIN))
+    }
+
+    /// An AVX2 scorer's four lanes to its row's winner, the winner's score
+    /// and the runner-up: the least champion with the lowest index among
+    /// equals, and the least of every lane's runner-up and every other
+    /// lane's champion.
+    ///
+    /// # Safety
+    /// Caller must have verified AVX2 support at runtime.
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    unsafe fn lanes_fma(vs: __m256d, v2: __m256d, vi: __m256d) -> (u32, f64, f64) {
+        use std::arch::x86_64::*;
+        let (mut sv, mut s2v, mut iv) = ([0.0f64; 4], [0.0f64; 4], [0.0f64; 4]);
+        _mm256_storeu_pd(sv.as_mut_ptr(), vs);
+        _mm256_storeu_pd(s2v.as_mut_ptr(), v2);
+        _mm256_storeu_pd(iv.as_mut_ptr(), vi);
+        let mut lane = 0;
+        for l in 1..4 {
+            if sv[l] < sv[lane] || (sv[l] == sv[lane] && iv[l] < iv[lane]) {
+                lane = l;
+            }
+        }
+        let mut s2 = f64::INFINITY;
+        for l in 0..4 {
+            s2 = s2.min(s2v[l]);
+            if l != lane {
+                s2 = s2.min(sv[l]);
+            }
+        }
+        (iv[lane] as u32, sv[lane], s2)
+    }
+
+    /// An AVX-512 scorer's eight lanes to its row's winner, the winner's
+    /// score and the runner-up: the least champion, the lowest index among
+    /// the lanes holding it, and the runner-up — that score again if two
+    /// lanes hold it, else the least of every lane's runner-up and every
+    /// other champion.
+    ///
+    /// # Safety
+    /// Caller must have verified AVX-512F support at runtime.
+    #[target_feature(enable = "avx512f")]
+    #[inline]
+    unsafe fn lanes_avx512(vs: __m512d, v2: __m512d, vi: __m512i) -> (u32, f64, f64) {
+        use std::arch::x86_64::*;
+        let s1 = _mm512_reduce_min_pd(vs);
+        let at = _mm512_cmp_pd_mask::<_CMP_EQ_OQ>(vs, _mm512_set1_pd(s1));
+        let w = _mm512_mask_reduce_min_epi64(at, vi) as u32;
+        let s2 = if at.count_ones() > 1 {
+            s1
+        } else {
+            let others = _mm512_mask_blend_pd(at, vs, _mm512_set1_pd(f64::INFINITY));
+            _mm512_reduce_min_pd(_mm512_min_pd(v2, others))
+        };
+        (w, s1, s2)
+    }
+
+    /// `‖x‖²` of the `d` values at `x`, eight lanes at a time; the tail
+    /// load is masked.
+    ///
+    /// # Safety
+    /// Caller must have verified AVX-512F support at runtime, and `x`
+    /// must point at `d` readable values.
+    #[target_feature(enable = "avx512f")]
+    #[inline]
+    unsafe fn sqnorm_avx512(x: *const f64, d: usize) -> f64 {
+        use std::arch::x86_64::*;
+        let mut nx = _mm512_setzero_pd();
+        for j in (0..d).step_by(8) {
+            let v = _mm512_maskz_loadu_pd(0xff >> 8usize.saturating_sub(d - j), x.add(j));
+            nx = _mm512_fmadd_pd(v, v, nx);
+        }
+        _mm512_reduce_add_pd(nx)
     }
 }
 
@@ -750,9 +939,20 @@ fn gemm_portable(
             }
         }
         for rr in 0..4.min(m - r) {
-            (best[r + rr], slack[r + rr]) = (w[rr], panel.slack(sqnorm(rows[rr]), s1[rr], s2[rr]));
+            let slack_rr = panel.slack(sqnorm(rows[rr]), s1[rr], s2[rr], 1.0);
+            (best[r + rr], slack[r + rr]) = (w[rr], slack_rr);
         }
     }
+}
+
+/// [`Scorer::Portable`] for one row: [`dot`] against each row-major
+/// centroid, the [`offer`] discipline, the slack at [`ROW_MARGIN`].
+fn gemm_row_portable(x: &[f64], cents: &Centroids, panel: &CentroidPanel) -> (u32, f64) {
+    let (mut w, mut s1, mut s2) = (0u32, f64::INFINITY, f64::INFINITY);
+    for (c, mean) in cents.means.chunks_exact(x.len().max(1)).enumerate() {
+        offer(panel.cnorms[c] - 2.0 * dot(x, mean), c, &mut w, &mut s1, &mut s2);
+    }
+    (w, panel.slack(sqnorm(x), s1, s2, ROW_MARGIN))
 }
 
 /// Chunked dot product (same shape as [`sqdist`] for vectorization).
@@ -929,6 +1129,44 @@ mod tests {
         }
     }
 
+    /// Every one-row scorer the host can run, at every chain remainder
+    /// (`d % 4`) and panel width: on separated data it certifies every row
+    /// with `nearest`'s winner, as [`certified_row`] does; with every
+    /// centroid duplicated it certifies none.
+    #[test]
+    fn row_scorers_certify_nearest() {
+        for d in [1usize, 3, 7, 32, 257] {
+            for k in [1usize, 2, 17, 64] {
+                let (block, cents) = random_case(29, k, d, (d * 1000 + k) as u64);
+                let want = reference(&block, d, &cents).0;
+                let mut panel = CentroidPanel::default();
+                panel.pack(&cents);
+                let twice = Centroids {
+                    means: [cents.means.as_slice(), &cents.means].concat(),
+                    counts: vec![0; 2 * k],
+                    d,
+                };
+                let mut doubled = CentroidPanel::default();
+                doubled.pack(&twice);
+                for (i, row) in block.chunks_exact(d).enumerate() {
+                    let what = format!("k={k} d={d} row {i}");
+                    assert_eq!(
+                        certified_row(row, &cents, &panel),
+                        Some(want[i] as usize),
+                        "{what}"
+                    );
+                    assert_eq!(certified_row(row, &twice, &doubled), None, "{what}");
+                    for s in host_scorers() {
+                        let (w, slack) = s.row(row, &cents, &panel);
+                        assert!(slack > 0.0 && w == want[i], "{s:?} {what}: {w} {slack}");
+                        let slack = s.row(row, &twice, &doubled).1;
+                        assert!(slack <= 0.0 || slack.is_nan(), "{s:?} {what}: {slack}");
+                    }
+                }
+            }
+        }
+    }
+
     #[test]
     fn auto_resolution_heuristics() {
         // Tiny k·d falls back to scalar; everything else takes gemm, pruned
@@ -1097,9 +1335,18 @@ mod tests {
                 block.iter_mut().for_each(|x| *x = -0.55 * unit);
             }
             let want = reference(&block, d, &cents);
+            let mut panel = CentroidPanel::default();
+            panel.pack(&cents);
             for s in host_scorers() {
                 let (best, dist, _) = certified(s, &block, d, &cents);
                 assert_eq!((best, dist), want, "{s:?} k={k} d={d} kind={kind}");
+                // The one-row scorer: whatever it certifies is `nearest`'s.
+                for (i, row) in block.chunks_exact(d).enumerate() {
+                    let (w, slack) = s.row(row, &cents, &panel);
+                    if slack > 0.0 {
+                        assert_eq!(w, want.0[i], "{s:?} row {i} k={k} d={d} kind={kind}");
+                    }
+                }
             }
             let rk = KernelKind::Gemm.resolve(k, d, false);
             assert_eq!(assigned(&block, d, &cents, &rk), want, "k={k} d={d} kind={kind}");

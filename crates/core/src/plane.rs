@@ -27,8 +27,9 @@
 //!
 //! What is a function of the iteration alone is prepared once per call,
 //! before the first task: the GEMM kernel's [`CentroidPanel`] is packed
-//! into the worker's scratch and every block of the super-phase scans
-//! against that one panel.
+//! into the worker's scratch, and every block of a full scan, and every
+//! row the bounded commit hands to [`RowScan`], scans against that one
+//! panel.
 //!
 //! Whatever the cell, rows are staged and committed in **task row order**,
 //! so for a deterministic task→worker mapping the iteration trajectory is
@@ -42,6 +43,7 @@ use knor_matrix::{RowView, Rows};
 use crate::centroids::LocalAccum;
 use crate::driver::{Filter, IterView, RowFilter, WorkerReport};
 use crate::kernel::{assign_rows_packed, CentroidPanel, ResolvedKind};
+use crate::pruning::RowScan;
 use crate::stats::IterStats;
 use crate::trace::{Phase, WorkerTracer};
 
@@ -345,7 +347,10 @@ fn drain_with<S: RowSource, F: RowFilter>(
     let (d, k) = (view.cents.d, view.cents.k());
     let tracer = view.tracer.as_ref();
     let mut rep = WorkerReport::default();
-    if commit == Commit::Kernel && view.kernel.kind == ResolvedKind::Gemm {
+    // The bounded commit scans its many-candidate rows against the panel
+    // too (`RowScan`); only the generic map path never reads it.
+    let gemm = commit != Commit::Map && view.kernel.kind == ResolvedKind::Gemm;
+    if gemm {
         scratch.panel.pack(view.cents);
         rep.commit.panel_packs += 1;
     }
@@ -398,13 +403,16 @@ fn drain_with<S: RowSource, F: RowFilter>(
             rep.rows_accessed += needed.len() as u64;
         }
         if commit == Commit::Bounds {
+            let mut scan = gemm.then(|| RowScan::new(&scratch.panel));
             for (i, &r) in needed.iter().enumerate() {
                 if let Some(&ahead) = needed.get(i + PF) {
                     prefetch_row(src.row(&scratch.data, i + PF, ahead));
                 }
                 let v = src.row(&scratch.data, i, r);
-                rep.reassigned += u64::from(filter.commit(&rows, r, v, accum, &mut rep.counters));
+                let moved = filter.commit(&rows, r, v, scan.as_mut(), accum, &mut rep.counters);
+                rep.reassigned += u64::from(moved);
             }
+            rep.commit.rescored_rows += scan.map_or(0, |s| s.rescored);
         } else {
             // One full candidate scan per row, whatever its metric.
             rep.counters.dist_computations += (needed.len() * k) as u64;

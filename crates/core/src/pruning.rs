@@ -9,11 +9,14 @@
 //! guarantees the loosened bound still dominates the true distance. The
 //! three clauses are applied by the engines (in-memory and SEM) through
 //! [`MtiIterState`]; [`mti_assign`] walks a row's candidates 64 at a time
-//! as a bitmask over the assigned centroid's table row. The scheme is
-//! exact — trajectories match the unpruned path bit for bit.
+//! as a bitmask over the assigned centroid's table row, and hands a row
+//! whose tightened bound leaves many candidates open to one certified gemm
+//! scan ([`RowScan`]). The scheme is exact — trajectories match the
+//! unpruned path bit for bit.
 
 use crate::centroids::Centroids;
 use crate::distance::{dist, half_centroid_distances, half_row_minima};
+use crate::kernel::{certified_row, panel_columns, CentroidPanel};
 
 /// Which pruning scheme an engine applies.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -75,6 +78,14 @@ pub struct MtiIterState {
     pub half_2nd: Vec<f64>,
     /// Drift `f(c) = d(c^t, c^{t-1})` per centroid.
     pub drift: Vec<f64>,
+    /// Per centroid `a`, the [`scan_min_open`]-th smallest threshold of
+    /// row `a`, NaN ranking lowest; `+∞` when the row has fewer
+    /// candidates. A tight bound at or below it leaves fewer open
+    /// candidates than the row scan needs ([`RowScan`]).
+    pub half_scan: Vec<f64>,
+    /// Scratch row for selecting `half_scan`, held so that a rebuild
+    /// never allocates.
+    order: Vec<f64>,
     k: usize,
 }
 
@@ -92,6 +103,8 @@ impl MtiIterState {
             nn: vec![0; k],
             half_2nd: vec![0.0; k],
             drift: vec![0.0; k],
+            half_scan: vec![0.0; k],
+            order: Vec::with_capacity(k),
             k,
         }
     }
@@ -122,17 +135,25 @@ impl MtiIterState {
         self.finalize_half_min();
     }
 
-    /// Derive `half_min`, `nn` and `half_2nd` from an already-filled table.
-    /// The driver calls this after its workers filled disjoint pairs of it
-    /// in parallel (large-`k` runs).
+    /// Derive `half_min`, `nn`, `half_2nd` and `half_scan` from an
+    /// already-filled table. The driver calls this after its workers
+    /// filled disjoint pairs of it in parallel (large-`k` runs).
     pub fn finalize_half_min(&mut self) {
-        half_row_minima(
-            &self.half_cc,
-            self.k,
-            &mut self.half_min,
-            &mut self.nn,
-            &mut self.half_2nd,
-        );
+        let k = self.k;
+        half_row_minima(&self.half_cc, k, &mut self.half_min, &mut self.nn, &mut self.half_2nd);
+        let nth = scan_min_open(k);
+        for (a, row) in self.half_cc.chunks_exact(k.max(1)).enumerate() {
+            // The diagonal's `+∞` ranks last, so below `k` the `nth`
+            // smallest entry is a candidate's.
+            self.half_scan[a] = if nth < k {
+                self.order.clear();
+                self.order
+                    .extend(row.iter().map(|&t| if t.is_nan() { f64::NEG_INFINITY } else { t }));
+                *self.order.select_nth_unstable_by(nth - 1, f64::total_cmp).1
+            } else {
+                f64::INFINITY
+            };
+        }
     }
 
     /// Row `a` of the table: `½·d(a, c)` for every candidate `c`, `+∞` at
@@ -143,10 +164,10 @@ impl MtiIterState {
     }
 
     /// Heap bytes the state for `k` centroids holds (`O(k²)` of Table 1's
-    /// knori/knord rows): the table, `half_min`, `half_2nd`, `drift` and
-    /// `nn`.
+    /// knori/knord rows): the table, `half_min`, `half_2nd`, `drift`,
+    /// `half_scan` and its scratch row, and `nn`.
     pub fn bytes(k: usize) -> u64 {
-        ((k * k + 3 * k) * 8 + k * 4) as u64
+        ((k * k + 5 * k) * 8 + k * 4) as u64
     }
 }
 
@@ -169,6 +190,9 @@ pub struct PruneCounters {
     /// Committed rows the one-candidate shortcut settled without the
     /// clause walk (see [`mti_assign`]).
     pub one_cand_rows: u64,
+    /// Committed rows the one-row gemm scan settled after the tighten (see
+    /// [`RowScan`]).
+    pub gemm_rows: u64,
 }
 
 impl PruneCounters {
@@ -180,6 +204,7 @@ impl PruneCounters {
         self.dist_computations += o.dist_computations;
         self.io_skip_rows += o.io_skip_rows;
         self.one_cand_rows += o.one_cand_rows;
+        self.gemm_rows += o.gemm_rows;
     }
 
     /// Total pruned candidate computations (clauses 2+3).
@@ -208,6 +233,93 @@ fn pruned_mask(thresholds: &[f64], bound: f64) -> u64 {
     mask
 }
 
+/// A panel of `kp` columns scores one row in about the time of
+/// `kp / COLUMNS_PER_DIST` exact distances (DESIGN.md §2 has the sweep).
+const COLUMNS_PER_DIST: usize = 8;
+
+/// The open-candidate count at which [`RowScan`] replaces the walk for `k`
+/// centroids: one row scan's cost in exact distances, at least 2.
+pub fn scan_min_open(k: usize) -> usize {
+    (panel_columns(k) / COLUMNS_PER_DIST).max(2)
+}
+
+/// A worker's offer of the one-row gemm scan to [`mti_assign`]: the panel
+/// it packed from this iteration's centroids, and a tally of the rows the
+/// scan could not certify, which the walk then decided.
+///
+/// When the tightened bound `d(v, a)` leaves at least [`scan_min_open`]
+/// candidates open, the row is scored once against the panel
+/// ([`certified_row`]). A certified winner `w` is the walk's
+/// answer, and `(w, d(v, w))` its bits: the certificate's margin rules out
+/// both a tie in `√sqdist` and a pruned `w` (DESIGN.md §2). A winner that
+/// is not certified, or that the walk could not reach (passed under a
+/// loose bound), leaves the row to the walk.
+#[derive(Debug)]
+pub struct RowScan<'a> {
+    panel: &'a CentroidPanel,
+    /// Rows whose scan winner was not certified and went to the walk.
+    pub rescored: u64,
+}
+
+impl<'a> RowScan<'a> {
+    /// The scan against `panel`, packed from the centroids the rows are
+    /// committed against.
+    pub fn new(panel: &'a CentroidPanel) -> Self {
+        Self { panel, rescored: 0 }
+    }
+
+    /// The walk's first stop `c0`, reached with `cur = a` and just
+    /// tightened to `bound`; `ahead` holds the candidates of `c0`'s mask
+    /// word past it. Scans the row when enough candidates from `c0` on are
+    /// open, and counts what the walk would have: everything before `c0`
+    /// is counted already, `c0` is a Clause-3 prune or a distance, and each
+    /// candidate after it a Clause-2 prune or a distance. A bound at or
+    /// below `half_scan[a]` cannot leave enough open, and is not counted.
+    #[allow(clippy::too_many_arguments)]
+    #[inline(always)]
+    fn settle(
+        &mut self,
+        v: &[f64],
+        cents: &Centroids,
+        state: &MtiIterState,
+        (a, bound): (usize, f64),
+        c0: usize,
+        ahead: u64,
+        counters: &mut PruneCounters,
+        pruned_mask: impl Fn(&[f64], f64) -> u64,
+    ) -> Option<(usize, f64)> {
+        if prunes(bound, state.half_scan[a]) {
+            return None;
+        }
+        let (k, row) = (cents.k(), state.half_row(a));
+        let own = |base: usize| if (base..base + 64).contains(&a) { 1u64 << (a - base) } else { 0 };
+        let base = c0 - c0 % 64;
+        let word = |base: usize, live: u64| {
+            let len = (k - base).min(64);
+            (!pruned_mask(&row[base..base + len], bound) & live & !own(base)).count_ones()
+        };
+        let mut open = word(base, ahead | 1 << (c0 - base));
+        for base in (base + 64..k).step_by(64) {
+            open += word(base, u64::MAX >> (64 - (k - base).min(64)));
+        }
+        if (open as usize) < scan_min_open(k) {
+            return None;
+        }
+        let reachable = |w: usize| w == a || (w >= c0 && !prunes(bound, row[w]));
+        let Some(w) = certified_row(v, cents, self.panel).filter(|&w| reachable(w)) else {
+            self.rescored += 1;
+            return None;
+        };
+        let clause3 = prunes(bound, row[c0]);
+        let after = (k - 1 - c0 - usize::from(a > c0)) as u64;
+        counters.clause3_prunes += u64::from(clause3);
+        counters.clause2_prunes += after - (u64::from(open) - u64::from(!clause3));
+        counters.dist_computations += u64::from(open);
+        counters.gemm_rows += 1;
+        Some((w, if w == a { bound } else { dist(v, cents.mean(w)) }))
+    }
+}
+
 /// Evaluate one point under MTI against the current centroids.
 ///
 /// `a` is the current assignment, `ub` the (already drift-loosened) upper
@@ -229,7 +341,11 @@ fn pruned_mask(thresholds: &[f64], bound: f64) -> u64 {
 ///
 /// Most committed rows have one open candidate: at the loosened bound every
 /// threshold of row `a` prunes but the nearest centroid's, `nn[a]`. Those
-/// rows skip the walk ([`one_candidate`]).
+/// rows skip the walk ([`one_candidate`]). Given a `scan`, a row whose
+/// tightened bound leaves many candidates open is scored once against the
+/// worker's panel instead of walked ([`RowScan`]); the answer and its bits
+/// are the walk's, the counters those of a walk that evaluates every open
+/// candidate.
 #[inline]
 pub fn mti_assign(
     v: &[f64],
@@ -237,14 +353,15 @@ pub fn mti_assign(
     state: &MtiIterState,
     a: usize,
     ub: f64,
+    scan: Option<&mut RowScan<'_>>,
     counters: &mut PruneCounters,
 ) -> (usize, f64) {
     #[cfg(target_arch = "x86_64")]
     if std::arch::is_x86_feature_detected!("avx2") {
         // Safety: AVX2 support verified at runtime.
-        return unsafe { x86::mti_assign_avx2(v, cents, state, a, ub, counters) };
+        return unsafe { x86::mti_assign_avx2(v, cents, state, (a, ub), scan, counters) };
     }
-    mti_commit(v, cents, state, a, ub, counters, pruned_mask)
+    mti_commit(v, cents, state, (a, ub), scan, counters, pruned_mask)
 }
 
 /// [`mti_assign`] for one mask builder: the shortcut, else the walk.
@@ -253,14 +370,14 @@ fn mti_commit(
     v: &[f64],
     cents: &Centroids,
     state: &MtiIterState,
-    a: usize,
-    ub: f64,
+    (a, ub): (usize, f64),
+    scan: Option<&mut RowScan<'_>>,
     counters: &mut PruneCounters,
     pruned_mask: impl Fn(&[f64], f64) -> u64,
 ) -> (usize, f64) {
     match one_candidate(v, cents, state, a, ub, counters) {
         Some(settled) => settled,
-        None => mti_scan(v, cents, state, a, ub, counters, pruned_mask),
+        None => mti_scan(v, cents, state, (a, ub), scan, counters, pruned_mask),
     }
 }
 
@@ -313,7 +430,7 @@ fn one_candidate(
 /// build.
 #[cfg(target_arch = "x86_64")]
 mod x86 {
-    use super::{mti_commit, Centroids, MtiIterState, PruneCounters};
+    use super::{mti_commit, Centroids, MtiIterState, PruneCounters, RowScan};
 
     /// # Safety
     /// Caller must have verified AVX2 support at runtime.
@@ -322,12 +439,13 @@ mod x86 {
         v: &[f64],
         cents: &Centroids,
         state: &MtiIterState,
-        a: usize,
-        ub: f64,
+        bounded: (usize, f64),
+        scan: Option<&mut RowScan<'_>>,
         counters: &mut PruneCounters,
     ) -> (usize, f64) {
         // Safety: closures inherit the enclosing function's target features.
-        mti_commit(v, cents, state, a, ub, counters, |t, b| unsafe { pruned_mask_avx2(t, b) })
+        let mask = |t: &[f64], b| unsafe { pruned_mask_avx2(t, b) };
+        mti_commit(v, cents, state, bounded, scan, counters, mask)
     }
 
     /// [`super::pruned_mask`], four thresholds per comparison.
@@ -362,8 +480,8 @@ fn mti_scan(
     v: &[f64],
     cents: &Centroids,
     state: &MtiIterState,
-    a: usize,
-    ub: f64,
+    (a, ub): (usize, f64),
+    mut scan: Option<&mut RowScan<'_>>,
     counters: &mut PruneCounters,
     pruned_mask: impl Fn(&[f64], f64) -> u64,
 ) -> (usize, f64) {
@@ -396,6 +514,14 @@ fn mti_scan(
                 bound = dist(v, cents.mean(cur));
                 counters.dist_computations += 1;
                 tight = true;
+                if let Some(scan) = scan.as_deref_mut() {
+                    let tight = (a, bound);
+                    if let Some(settled) =
+                        scan.settle(v, cents, state, tight, c, ahead, counters, &pruned_mask)
+                    {
+                        return settled;
+                    }
+                }
             }
             if moved && bound <= state.half_row(cur)[c] {
                 counters.clause3_prunes += 1;
@@ -468,6 +594,8 @@ mod tests {
     fn bitmask_scan_reproduces_the_sequential_clause_machine() {
         let mut rng = ChaCha8Rng::seed_from_u64(2024);
         let (mut clause3, mut one_cand) = (0, 0);
+        // Per mode: rows the row scan settled, rows it handed to the walk.
+        let mut scanned = std::collections::BTreeMap::<&str, (u64, u64)>::new();
         for k in [1usize, 2, 7, 32, 63, 64, 65, 130] {
             for d in [1usize, 5] {
                 for mode in ["drift", "duplicates", "still", "tied", "nan", "inf"] {
@@ -516,6 +644,8 @@ mod tests {
                     }
                     let mut state = MtiIterState::new(k);
                     state.update(&prev, &cents);
+                    let mut panel = CentroidPanel::default();
+                    panel.pack(&cents);
                     if mode == "tied" && k >= 3 {
                         let tied = (0..k - 2)
                             .step_by(3)
@@ -549,7 +679,7 @@ mod tests {
                         let what = format!("k={k} d={d} mode={mode} i={i} ub={ub}");
                         let (mut fast, mut slow) =
                             (PruneCounters::default(), PruneCounters::default());
-                        let got = mti_assign(&v, &cents, &state, a, ub, &mut fast);
+                        let got = mti_assign(&v, &cents, &state, a, ub, None, &mut fast);
                         let want = mti_assign_scalar(&v, &cents, &state, a, ub, &mut slow);
                         assert_eq!(got.0, want.0, "{what}");
                         assert_eq!(got.1.to_bits(), want.1.to_bits(), "{what}");
@@ -560,15 +690,35 @@ mod tests {
                         // The portable mask's walk too, where the dispatch
                         // above took the AVX2 one and the shortcut.
                         let mut portable = PruneCounters::default();
-                        let got = mti_scan(&v, &cents, &state, a, ub, &mut portable, pruned_mask);
+                        let got =
+                            mti_scan(&v, &cents, &state, (a, ub), None, &mut portable, pruned_mask);
                         assert_eq!((got.0, got.1.to_bits()), (want.0, want.1.to_bits()), "{what}");
                         assert_eq!(portable, slow, "{what}");
+                        // With the worker's panel: the walk's answer and
+                        // bits, and a scanned row counts every candidate
+                        // once (the tighten is the k-th).
+                        let (mut scan, mut with) = (RowScan::new(&panel), PruneCounters::default());
+                        let got = mti_assign(&v, &cents, &state, a, ub, Some(&mut scan), &mut with);
+                        assert_eq!((got.0, got.1.to_bits()), (want.0, want.1.to_bits()), "{what}");
+                        if with.gemm_rows > 0 {
+                            let total = with.clause2_prunes + with.clause3_prunes;
+                            assert_eq!(total + with.dist_computations, k as u64, "{what} {with:?}");
+                        } else {
+                            assert_eq!(PruneCounters { one_cand_rows: 0, ..with }, slow, "{what}");
+                        }
+                        let tally = scanned.entry(mode).or_default();
+                        (tally.0, tally.1) = (tally.0 + with.gemm_rows, tally.1 + scan.rescored);
                     }
                 }
             }
         }
         assert!(clause3 > 0, "no case exercised the tighten-then-prune path");
         assert!(one_cand > 0, "no case took the one-candidate shortcut");
+        assert!(scanned.values().any(|t| t.0 > 0), "the row scan never fired: {scanned:?}");
+        // Ties and NaN centroids are never certified: the walk decides.
+        for mode in ["tied", "nan"] {
+            assert!(scanned[mode].1 > 0, "{mode}: no row fell back to the walk: {scanned:?}");
+        }
     }
 
     #[test]
@@ -581,7 +731,7 @@ mod tests {
         state.update(&cents.clone(), &cents);
         let v = [f64::NAN, 0.5, 1.0];
         let (mut fast, mut slow) = (PruneCounters::default(), PruneCounters::default());
-        let got = mti_assign(&v, &cents, &state, 3, f64::NAN, &mut fast);
+        let got = mti_assign(&v, &cents, &state, 3, f64::NAN, None, &mut fast);
         let want = mti_assign_scalar(&v, &cents, &state, 3, f64::NAN, &mut slow);
         assert_eq!(got.0, want.0);
         assert_eq!(got.1.to_bits(), want.1.to_bits());
@@ -627,7 +777,7 @@ mod tests {
             let (a_prev, d_prev) = nearest(&v, &prev.means, k);
             let ub = d_prev + state.drift[a_prev]; // loosened bound
             let mut counters = PruneCounters::default();
-            let (a_new, ub_new) = mti_assign(&v, &cents, &state, a_prev, ub, &mut counters);
+            let (a_new, ub_new) = mti_assign(&v, &cents, &state, a_prev, ub, None, &mut counters);
             let (a_exact, d_exact) = nearest(&v, &cents.means, k);
             let d_new = dist(&v, cents.mean(a_new));
             assert!(
@@ -675,7 +825,7 @@ mod tests {
         let v: Vec<f64> = (0..d).map(|_| rng.gen_range(-5.0..5.0)).collect();
         let (a, da) = nearest(&v, &cents.means, k);
         let mut counters = PruneCounters::default();
-        let _ = mti_assign(&v, &cents, &state, a, da, &mut counters);
+        let _ = mti_assign(&v, &cents, &state, a, da, None, &mut counters);
         // Each of the k-1 candidates is pruned (2 or 3) or computed; plus at
         // most one tighten computation.
         let candidates = counters.clause2_prunes
@@ -704,7 +854,7 @@ mod tests {
             let (a_prev, d_prev) = nearest(&v, &prev.means, k);
             let ub = d_prev + state.drift[a_prev];
             let mut counters = PruneCounters::default();
-            let (a_new, _) = mti_assign(&v, &cents, &state, a_prev, ub, &mut counters);
+            let (a_new, _) = mti_assign(&v, &cents, &state, a_prev, ub, None, &mut counters);
             let (a_exact, _) = nearest(&v, &cents.means, k);
             assert_eq!(a_new, a_exact);
         }
@@ -754,7 +904,9 @@ mod tests {
                 + size_of_val(&s.half_min[..])
                 + size_of_val(&s.nn[..])
                 + size_of_val(&s.half_2nd[..])
-                + size_of_val(&s.drift[..]);
+                + size_of_val(&s.drift[..])
+                + size_of_val(&s.half_scan[..])
+                + s.order.capacity() * size_of::<f64>();
             assert_eq!(MtiIterState::bytes(k), held as u64, "k = {k}");
         }
     }

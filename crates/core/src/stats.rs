@@ -17,11 +17,14 @@ pub struct CommitCounters {
     /// Rows a direct source copied into scratch first, because the block's
     /// row ids were not consecutive (scoped algorithms).
     pub gathered_rows: u64,
-    /// [`crate::kernel::CentroidPanel`] packs: one per worker per
-    /// full-scan super-phase on the GEMM kernel, none otherwise.
+    /// [`crate::kernel::CentroidPanel`] packs: one per worker per Lloyd
+    /// compute super-phase on the GEMM kernel (full scan or MTI commit),
+    /// none otherwise.
     pub panel_packs: u64,
-    /// Rows whose gemm winner was not certified and were re-scanned with
-    /// `nearest` ([`crate::kernel::assign_rows_packed`]).
+    /// Rows whose gemm winner was not certified and were re-decided
+    /// exactly: re-scanned with `nearest` in a full scan
+    /// ([`crate::kernel::assign_rows_packed`]), walked by the clause
+    /// machine in an MTI commit ([`crate::pruning::RowScan`]).
     pub rescored_rows: u64,
 }
 

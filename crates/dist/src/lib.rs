@@ -478,7 +478,7 @@ impl<'a> RankReducer<'a> {
 /// Scalar totals folded into the all-reduce payload so every rank shares
 /// the convergence decision and the global counters. All are integer-valued
 /// and well under 2^53, so the f64 transport is exact.
-const SCALARS: usize = 9;
+const SCALARS: usize = 10;
 
 impl RankReducer<'_> {
     fn pack_scalars(totals: &WorkerReport) -> [f64; SCALARS] {
@@ -491,6 +491,7 @@ impl RankReducer<'_> {
             totals.counters.dist_computations as f64,
             totals.counters.io_skip_rows as f64,
             totals.counters.one_cand_rows as f64,
+            totals.counters.gemm_rows as f64,
             // A failed row source on any rank stops every rank at this
             // iteration, so no collective is left half-entered.
             totals.failed as f64,
@@ -506,7 +507,8 @@ impl RankReducer<'_> {
         totals.counters.dist_computations = s[5] as u64;
         totals.counters.io_skip_rows = s[6] as u64;
         totals.counters.one_cand_rows = s[7] as u64;
-        totals.failed = s[8] as u64;
+        totals.counters.gemm_rows = s[8] as u64;
+        totals.failed = s[9] as u64;
     }
 }
 

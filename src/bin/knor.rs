@@ -357,6 +357,7 @@ fn main() {
                     }
                     Fitted::Sem(r) => {
                         let km = &r.kmeans;
+                        print_commit(&km.total_commit());
                         print_numa(&km.numa);
                         init();
                         print_memory(&km.memory);
@@ -512,21 +513,24 @@ fn report(
 /// bounds occupy (per-row upper bounds plus MTI's `O(k²)` state), and the
 /// per-clause outcome totals.
 /// `one_cand` counts the committed rows MTI's one-candidate shortcut
-/// settled (a subset of the rows the clauses above already count).
-/// `io_skip_rows` is the staged-plane fetch-avoidance subset of clause 1
-/// (always 0 on direct planes).
+/// settled and `gemm_rows` those the one-row gemm scan settled (subsets of
+/// the rows the clauses above already count; a scanned row counts its
+/// open candidates as `dists`). `io_skip_rows` is the staged-plane
+/// fetch-avoidance subset of clause 1 (always 0 on direct planes).
 fn print_prune(run: &RunSpec, n: usize, total: &PruneCounters) {
     let scheme = run.scheme();
     // The bounds do not depend on `d`, the thread count or the data held.
     let bound_bytes = MemoryFootprint::account(scheme, (n, run.k, 0), 0, 0, 0).bound_bytes(n);
     println!(
-        "prune: scheme={} bound_B={bound_bytes} c1_rows={} c2={} c3={} dists={} one_cand={} io_skip_rows={}",
+        "prune: scheme={} bound_B={bound_bytes} c1_rows={} c2={} c3={} dists={} one_cand={} \
+         gemm_rows={} io_skip_rows={}",
         scheme.name(),
         total.clause1_rows,
         total.clause2_prunes,
         total.clause3_prunes,
         total.dist_computations,
         total.one_cand_rows,
+        total.gemm_rows,
         total.io_skip_rows,
     );
 }
@@ -535,10 +539,11 @@ fn print_prune(run: &RunSpec, n: usize, total: &PruneCounters) {
 /// committed, summed over the run. An unscoped run gathers nothing (every
 /// block is read where it lies; only mini-batch's sampled rows are copied
 /// together first), and the GEMM kernel's centroid panel is packed once
-/// per worker per full-scan iteration — `iterations × threads` on an
-/// unpruned run, `threads` on a pruned one (iteration 0), 0 on the scalar
-/// kernel. `rescored_rows` counts the full-scan rows whose gemm winner was
-/// not certified and were re-scanned with `nearest`.
+/// per worker per iteration — `iterations × threads`, pruned or not (MTI's
+/// commit scans its many-candidate rows against it), 0 on the scalar
+/// kernel. `rescored_rows` counts the rows whose gemm winner was not
+/// certified and were re-decided exactly: re-scanned with `nearest` in a
+/// full scan, walked by MTI's clause machine in a pruned commit.
 fn print_commit(c: &CommitCounters) {
     println!(
         "commit: borrowed_rows={} gathered_rows={} panel_packs={} rescored_rows={}",

@@ -240,7 +240,8 @@ fn kernel_flag_reports_what_actually_ran() {
     assert!(gen.status.success(), "{}", String::from_utf8_lossy(&gen.stderr));
 
     // --kernel gemm under MTI (the default) runs gemm, certified, for the
-    // full scan of iteration 0; --stats must say so in one explicit line.
+    // full scan of iteration 0 and the commit's row scans after it;
+    // --stats must say so in one explicit line.
     let gemm_mti = knor()
         .args(["im", file.to_str().unwrap(), "-k", "4", "-i", "3", "--kernel", "gemm"])
         .args(["-t", "2", "--stats"])
@@ -254,8 +255,15 @@ fn kernel_flag_reports_what_actually_ran() {
         .unwrap_or_else(|| panic!("--stats must print the kernel note: {stdout}"));
     assert!(note.contains("requested=gemm"), "{note}");
     assert!(note.contains("resolved=gemm"), "{note}");
-    // Each of the 2 workers packs the panel once, for iteration 0.
-    assert!(stdout.contains(" gathered_rows=0 panel_packs=2 rescored_rows="), "{stdout}");
+    // Each of the 2 workers packs the panel once per iteration: for
+    // iteration 0's full scan, then for the MTI commit's row scans.
+    let iters: u64 = stdout
+        .strip_prefix("knori: ")
+        .and_then(|l| l.split_whitespace().next())
+        .and_then(|n| n.parse().ok())
+        .unwrap_or_else(|| panic!("no iteration count in {stdout}"));
+    let packs = format!(" gathered_rows=0 panel_packs={} rescored_rows=", iters * 2);
+    assert!(stdout.contains(&packs), "{stdout}");
 
     // Without pruning every iteration is a full scan.
     let gemm = knor()
@@ -512,7 +520,12 @@ fn mask(line: &str) -> String {
 /// note, the prune, commit, numa and memory lines, the I/O and wire tables;
 /// plus the `init:` line, whose k-means++ distance count is exact. The
 /// prune line has since lost `groups=`, and its `bound_B` counts all of
-/// MTI's per-centroid state.
+/// MTI's per-centroid state. Since MTI's commit scans its many-candidate
+/// rows against the panel, the prune line prints `gemm_rows=` and counts
+/// those rows' open candidates as `dists`, the panel is packed every
+/// iteration, `knor sem` prints the commit line too, knord's wire
+/// carries one scalar more, and `bound_B` counts the row scan's
+/// per-centroid floor and its scratch row.
 #[test]
 fn stats_output_is_the_text_the_per_engine_arms_printed() {
     let file = gen_small("golden.knor");

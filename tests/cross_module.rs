@@ -613,9 +613,13 @@ fn same_spec_same_run_on_every_engine() {
     // 7 distinct rows, each 30 times over.
     let repeated =
         DMatrix::from_vec((0..210).flat_map(|i| mixture.row(i % 7).to_vec()).collect(), 210, 6);
+    // k·d = 192 takes the gemm kernel, so MTI's commit has a panel and
+    // scans its many-candidate rows (Forgy seeds leave plenty of them).
+    let (wide, _) = workload(3000, 8, 78);
     let path = std::env::temp_dir().join(format!("knor-cross-spec-{}.knor", std::process::id()));
-    let k = 9;
-    for (what, data) in [("mixture", &mixture), ("k > distinct points", &repeated)] {
+    for (what, data, k) in
+        [("mixture", &mixture, 9), ("k > distinct points", &repeated, 9), ("row scan", &wide, 24)]
+    {
         matrix_io::write_matrix(&path, data).unwrap();
         for seed in [0u64, 1, 5] {
             let im = Kmeans::new(
@@ -670,6 +674,14 @@ fn same_spec_same_run_on_every_engine() {
                 assert_eq!(niters, im.niters, "{what} seed {seed}: {who} iterations");
                 assert_eq!(assignments, &im.assignments, "{what} seed {seed}: {who} assignments");
                 assert_eq!(sse, text(im.sse), "{what} seed {seed}: {who} SSE");
+            }
+            // The row scan's count is exact too, and knord sums it.
+            let gemm_rows = im.total_prune().gemm_rows;
+            assert_eq!(sem.total_prune().gemm_rows, gemm_rows, "{what} seed {seed}: knors");
+            assert_eq!(knord.total_prune().gemm_rows, gemm_rows, "{what} seed {seed}: knord");
+            assert_eq!(knord_sem.total_prune().gemm_rows, gemm_rows, "{what} seed {seed}");
+            if what == "row scan" {
+                assert!(gemm_rows > 0, "seed {seed}: the row scan never fired");
             }
         }
     }
