@@ -102,9 +102,10 @@ mod tests {
                 .rows()
                 .map(|v| knor_core::distance::nearest(v, init.as_slice(), k).0 as u32)
                 .collect::<Vec<_>>(),
+            1,
         );
         let mb = minibatch_kmeans(&data, &init, 64, 100, 9);
-        let mb_sse = sse(&data, &mb.centroids, &mb.assignments);
+        let mb_sse = sse(&data, &mb.centroids, &mb.assignments, 1);
         assert!(mb_sse < before, "minibatch should improve on init");
         let exact = lloyd_serial(&data, k, &InitMethod::Given(init), 0, 100, 0.0);
         // Exact Lloyd's matches or beats the approximation.

@@ -19,6 +19,7 @@
 use knor_matrix::io::MatrixFile;
 use knor_matrix::DMatrix;
 use knor_numa::bind::bind_current_thread;
+use knor_numa::pages::anon_huge_bytes;
 use knor_numa::{AccessTally, NodeId, NumaMatrix, Placement, Topology};
 
 use crate::centroids::LocalAccum;
@@ -90,6 +91,7 @@ impl Kmeans {
             bytes: placed.heap_bytes(),
             secs: t0.elapsed().as_secs_f64(),
             threads: home.nthreads(),
+            huge_bytes: anon_huge_bytes(),
         };
         Ok(KmeansResult { load: Some(load), ..self.run(&run, &placed) })
     }
@@ -114,8 +116,15 @@ impl Kmeans {
             run_mm(&run.driver, init, &run.placement, &run.queue, &plane, &NoReduce, &*run.algo)
                 .expect("in-memory rows cannot fail");
         let centroids = outcome.centroids.to_matrix();
-        let sse = settle(&*run.algo, data, &centroids, &mut outcome.assignments, cfg.compute_sse);
-        run.finish(outcome, init_stats, centroids, data.heap_bytes(), 0, sse)
+        let settled = settle(
+            &*run.algo,
+            data,
+            &centroids,
+            &mut outcome.assignments,
+            cfg.compute_sse,
+            run.driver.nthreads,
+        );
+        run.finish(outcome, init_stats, centroids, data.heap_bytes(), 0, settled)
     }
 }
 
@@ -249,7 +258,7 @@ mod tests {
         assert!(par.converged && serial.converged);
         // FP merge order may differ: compare clusterings, not bits.
         assert!(agreement(&par.assignments, &serial.assignments, k) > 0.999);
-        let s_par = sse(&data, &par.centroids, &par.assignments);
+        let s_par = sse(&data, &par.centroids, &par.assignments, 1);
         assert!((s_par - serial.sse.unwrap()).abs() / serial.sse.unwrap() < 1e-6);
     }
 

@@ -72,5 +72,6 @@ pub use pruning::Pruning;
 pub use spec::{Replication, RunSpec};
 pub use stats::{
     CommitCounters, InitStats, IterStats, KmeansResult, LoadStats, MemoryFootprint, NumaReport,
+    SettleStats,
 };
 pub use trace::{Phase, PhaseBreakdown, PhaseGroup, Span, TraceBuf, TraceHandle, WorkerTracer};

@@ -2,19 +2,71 @@
 
 use crate::distance::{nearest, sqdist};
 use knor_matrix::{DMatrix, Rows};
+use std::ops::Range;
+
+/// Rows per block of [`sse`]'s threaded pass: one block's terms are a
+/// 512 KiB buffer, reused block after block.
+const SSE_BLOCK_ROWS: usize = 64 * 1024;
+
+/// Fewest rows a thread of [`sse`] is given: 8 Ki terms take 0.1–0.3 ms,
+/// several times what starting the thread costs.
+const SSE_MIN_ROWS_PER_THREAD: usize = 8 * 1024;
+
+/// The threads [`sse`] computes `n` rows' terms on when given `threads`.
+pub(crate) fn sse_threads(n: usize, threads: usize) -> usize {
+    threads.min(n.div_ceil(SSE_MIN_ROWS_PER_THREAD))
+}
 
 /// Within-cluster sum of squared Euclidean distances under the given
-/// assignment.
+/// assignment, with the per-row terms computed on up to `threads` threads.
 ///
-/// Summed in global row order whatever the storage of `data`, so a placed
-/// layout yields its source matrix's SSE bit for bit.
-pub fn sse<R: Rows>(data: &R, centroids: &DMatrix, assignments: &[u32]) -> f64 {
+/// Summed in global row order whatever the storage of `data` or the
+/// thread count: the threads fill one [`SSE_BLOCK_ROWS`]-row block of
+/// terms at a time and one thread adds each block to the running total in
+/// row order, the association of the serial `sum()`. So a placed layout
+/// yields its source matrix's SSE, at any `threads`, bit for bit.
+pub fn sse<R: Rows + Sync>(
+    data: &R,
+    centroids: &DMatrix,
+    assignments: &[u32],
+    threads: usize,
+) -> f64 {
     assert_eq!(data.nrow(), assignments.len());
     assert_eq!(data.ncol(), centroids.ncol());
-    data.rows_in(0..data.nrow())
-        .zip(assignments)
-        .map(|(row, &a)| sqdist(row, centroids.row(a as usize)))
-        .sum()
+    let n = data.nrow();
+    let terms_of = |rows: Range<usize>| {
+        data.rows_in(rows.clone())
+            .zip(&assignments[rows])
+            .map(|(row, &a)| sqdist(row, centroids.row(a as usize)))
+    };
+    let threads = sse_threads(n, threads);
+    if threads <= 1 {
+        return terms_of(0..n).sum();
+    }
+    let mut terms = vec![0.0f64; SSE_BLOCK_ROWS.min(n)];
+    let mut total = 0.0;
+    for start in (0..n).step_by(SSE_BLOCK_ROWS) {
+        let block = &mut terms[..SSE_BLOCK_ROWS.min(n - start)];
+        let per_thread = block.len().div_ceil(threads);
+        std::thread::scope(|s| {
+            let mut parts = block.chunks_mut(per_thread).enumerate().map(|(i, part)| {
+                let rows = start + i * per_thread..start + i * per_thread + part.len();
+                move || {
+                    for (t, term) in part.iter_mut().zip(terms_of(rows)) {
+                        *t = term;
+                    }
+                }
+            });
+            // The calling thread fills the first part itself.
+            let own = parts.next().expect("a block has rows");
+            for part in parts {
+                s.spawn(part);
+            }
+            own();
+        });
+        total = block.iter().fold(total, |sum, &t| sum + t);
+    }
+    total
 }
 
 /// SSE under the *optimal* assignment to the given centroids (recomputes
@@ -110,8 +162,44 @@ mod tests {
         let data = DMatrix::from_vec(vec![0.0, 2.0, 10.0, 12.0], 4, 1);
         let cents = DMatrix::from_vec(vec![1.0, 11.0], 2, 1);
         let assign = vec![0, 0, 1, 1];
-        assert!((sse(&data, &cents, &assign) - 4.0).abs() < 1e-12);
+        assert!((sse(&data, &cents, &assign, 1) - 4.0).abs() < 1e-12);
         assert!((sse_optimal_assignment(&data, &cents) - 4.0).abs() < 1e-12);
+    }
+
+    /// Any thread count sums the serial pass's operands in its order: the
+    /// same bits at a block's edges (64 Ki rows) and past them, whether the
+    /// sum is finite, infinite or NaN.
+    #[test]
+    fn threaded_sse_is_the_serial_sum_bit_for_bit() {
+        use rand::{Rng, SeedableRng};
+        let (d, k) = (3, 5);
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(35);
+        let cents = DMatrix::from_vec((0..k * d).map(|_| rng.gen::<f64>()).collect(), k, d);
+        for n in [1, 65_535, 65_536, 65_537, 200_003] {
+            // Magnitudes over twelve decades, so the order of the adds
+            // shows in the low bits.
+            let values = (0..n * d).map(|_| rng.gen::<f64>() * 10f64.powi(rng.gen_range(-6..6)));
+            let mut data = DMatrix::from_vec(values.collect(), n, d);
+            let assign: Vec<u32> = (0..n).map(|_| rng.gen_range(0..k as u32)).collect();
+            let terms = |data: &DMatrix| -> Vec<f64> {
+                data.rows().zip(&assign).map(|(r, &a)| sqdist(r, cents.row(a as usize))).collect()
+            };
+            if n > 1 {
+                // The check can fail: summed back to front, the bits differ.
+                let t = terms(&data);
+                assert_ne!(t.iter().sum::<f64>().to_bits(), t.iter().rev().sum::<f64>().to_bits());
+            }
+            for poison in [None, Some(f64::INFINITY), Some(f64::NAN)] {
+                if let Some(x) = poison {
+                    data.row_mut(n / 2)[1] = x;
+                }
+                let want = terms(&data).iter().sum::<f64>().to_bits();
+                for threads in [1, 2, 3, 8] {
+                    let got = sse(&data, &cents, &assign, threads).to_bits();
+                    assert_eq!(got, want, "n {n}, {threads} threads, poison {poison:?}");
+                }
+            }
+        }
     }
 
     #[test]
@@ -119,7 +207,7 @@ mod tests {
         let data = DMatrix::from_vec(vec![0.0, 2.0, 10.0, 12.0], 4, 1);
         let cents = DMatrix::from_vec(vec![1.0, 11.0], 2, 1);
         let bad_assign = vec![1, 0, 0, 1];
-        assert!(sse_optimal_assignment(&data, &cents) <= sse(&data, &cents, &bad_assign));
+        assert!(sse_optimal_assignment(&data, &cents) <= sse(&data, &cents, &bad_assign, 1));
     }
 
     #[test]

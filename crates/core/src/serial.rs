@@ -11,7 +11,7 @@ use crate::centroids::{finalize_means, Centroids, LocalAccum};
 use crate::distance::nearest;
 use crate::init::InitMethod;
 use crate::pruning::PruneCounters;
-use crate::stats::{CommitCounters, IterStats, KmeansResult, MemoryFootprint};
+use crate::stats::{CommitCounters, IterStats, KmeansResult, MemoryFootprint, SettleStats};
 use knor_matrix::DMatrix;
 use knor_sched::QueueStats;
 
@@ -71,7 +71,9 @@ pub fn lloyd_serial(
         }
     }
 
-    let sse = Some(crate::quality::sse(data, &cents.to_matrix(), &assignments));
+    let t_settle = std::time::Instant::now();
+    let sse = Some(crate::quality::sse(data, &cents.to_matrix(), &assignments, 1));
+    let settle = SettleStats { secs: t_settle.elapsed().as_secs_f64(), threads: 1 };
     let niters = iters.len();
     KmeansResult {
         centroids: cents.to_matrix(),
@@ -91,6 +93,7 @@ pub fn lloyd_serial(
         numa: crate::stats::NumaReport::default(),
         load: None,
         init: init_stats,
+        settle,
         phases: None,
     }
 }
@@ -130,7 +133,7 @@ mod tests {
     fn sse_monotonically_nonincreasing_across_recomputation() {
         let data = two_blobs();
         let r = lloyd_serial(&data, 2, &InitMethod::RandomPartition, 1, 50, 0.0);
-        let final_sse = sse(&data, &r.centroids, &r.assignments);
+        let final_sse = sse(&data, &r.centroids, &r.assignments, 1);
         assert!(final_sse <= r.sse.unwrap() + 1e-9);
         assert!(r.sse.unwrap().is_finite());
     }

@@ -24,6 +24,7 @@ use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::str::FromStr;
 use std::sync::Arc;
+use std::time::Instant;
 
 use knor_matrix::{DMatrix, Rows};
 use knor_numa::{NodeId, Placement, Topology};
@@ -35,7 +36,7 @@ use crate::driver::{DriverConfig, DriverOutcome};
 use crate::init::InitMethod;
 use crate::kernel::KernelKind;
 use crate::pruning::Pruning;
-use crate::stats::{InitStats, KmeansResult, MemoryFootprint, NumaReport};
+use crate::stats::{InitStats, KmeansResult, MemoryFootprint, NumaReport, SettleStats};
 use crate::trace::{TraceBuf, TraceHandle};
 
 /// Everything about a run that does not depend on where its rows live,
@@ -879,7 +880,8 @@ impl Resolved {
     /// Assemble the result of the run `outcome` ended: the clustering, the
     /// seeding's cost, the accounted memory (Table 1's terms for what this
     /// run resolved to, given the bytes the engine holds of the data and
-    /// its cache budgets) and the NUMA report.
+    /// its cache budgets), the NUMA report and what the closing pass
+    /// (`settle`, or knors' streamed one) returned.
     pub fn finish(
         &self,
         outcome: DriverOutcome,
@@ -887,7 +889,7 @@ impl Resolved {
         centroids: DMatrix,
         data_bytes: u64,
         cache_bytes: u64,
-        sse: Option<f64>,
+        (sse, settle): (Option<f64>, SettleStats),
     ) -> KmeansResult {
         let c = &self.driver;
         let mut workers_per_node = vec![0usize; self.topo.nodes()];
@@ -911,6 +913,7 @@ impl Resolved {
             numa: NumaReport { nodes: self.topo.nodes(), workers_per_node },
             load: None,
             init,
+            settle,
             phases: outcome.phases,
         }
     }
@@ -920,23 +923,29 @@ impl Resolved {
 /// algorithms (mini-batch) leave each row assigned as of its last sampled
 /// batch: one map pass makes the assignments — and the SSE, when `want_sse`
 /// — consistent with the returned model. Walks `data` in global row order,
-/// so the result does not depend on how it is placed. (The per-run
-/// algorithm instances are identical and `map` is stateless, so any of them
-/// — or a fresh one — serves.)
-pub fn settle<R: Rows>(
+/// and sums the SSE on `threads` threads in that order too
+/// ([`crate::quality::sse`]), so the result depends neither on how `data`
+/// is placed nor on `threads`. (The per-run algorithm instances are
+/// identical and `map` is stateless, so any of them — or a fresh one —
+/// serves.)
+pub fn settle<R: Rows + Sync>(
     algo: &dyn MmAlgorithm,
     data: &R,
     centroids: &DMatrix,
     assignments: &mut [u32],
     want_sse: bool,
-) -> Option<f64> {
+    threads: usize,
+) -> (Option<f64>, SettleStats) {
+    let t0 = Instant::now();
     if algo.subsamples() {
         let cents = Centroids::from_matrix(centroids);
         for (row, a) in data.rows_in(0..data.nrow()).zip(assignments.iter_mut()) {
             *a = algo.map(row, &cents).cluster;
         }
     }
-    want_sse.then(|| crate::quality::sse(data, centroids, assignments))
+    let sse = want_sse.then(|| crate::quality::sse(data, centroids, assignments, threads));
+    let threads = crate::quality::sse_threads(data.nrow(), threads);
+    (sse, SettleStats { secs: t0.elapsed().as_secs_f64(), threads })
 }
 
 #[cfg(test)]

@@ -142,6 +142,21 @@ pub struct LoadStats {
     pub secs: f64,
     /// Loader threads, one per block of the data's placement.
     pub threads: usize,
+    /// The process's anonymous memory on transparent huge pages right
+    /// after the load (`AnonHugePages`; `None` off Linux): the arenas' share
+    /// of it is what the huge-page advice got.
+    pub huge_bytes: Option<u64>,
+}
+
+/// What the pass after the last iteration cost (the `--stats` `settle:`
+/// line): the mini-batch refresh and the SSE, when wanted.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct SettleStats {
+    /// Wall seconds of the pass.
+    pub secs: f64,
+    /// Threads that computed the SSE terms: the run's, but fewer than
+    /// one per 8 Ki rows.
+    pub threads: usize,
 }
 
 /// What seeding a run cost (the `--stats` `init:` line).
@@ -179,6 +194,8 @@ pub struct KmeansResult {
     pub load: Option<LoadStats>,
     /// What the seeding cost.
     pub init: InitStats,
+    /// What the closing pass cost.
+    pub settle: SettleStats,
     /// Per-phase trace fold for the run (`Some` iff a recorder was
     /// attached — see [`crate::trace`]).
     pub phases: Option<PhaseBreakdown>,
@@ -291,6 +308,7 @@ mod tests {
             numa: NumaReport::default(),
             load: None,
             init: InitStats::default(),
+            settle: SettleStats::default(),
             phases: None,
         };
         // Iteration 0 (the initial assignment pass) is excluded from the
@@ -325,6 +343,7 @@ mod tests {
             numa: NumaReport::default(),
             load: None,
             init: InitStats::default(),
+            settle: SettleStats::default(),
             phases: None,
         };
         // No iterations at all.

@@ -10,7 +10,7 @@ use std::path::Path;
 use knor_core::pruning::PruneCounters;
 use knor_core::spec::{DistExt, Engine, RankPlane, RunSpec, Source};
 use knor_core::trace::PhaseBreakdown;
-use knor_core::{InitStats, Kmeans, KmeansResult};
+use knor_core::{InitStats, Kmeans, KmeansResult, SettleStats};
 use knor_matrix::DMatrix;
 use knor_mpi::{NetModel, ReduceAlgo};
 use knor_sem::{SemKmeans, SemResult};
@@ -61,6 +61,14 @@ impl Fitted {
         match self {
             Fitted::Im(r) | Fitted::Sem(SemResult { kmeans: r, .. }) => &r.init,
             Fitted::Dist(r) => &r.init,
+        }
+    }
+
+    /// What the closing pass cost.
+    pub fn settle(&self) -> &SettleStats {
+        match self {
+            Fitted::Im(r) | Fitted::Sem(SemResult { kmeans: r, .. }) => &r.settle,
+            Fitted::Dist(r) => &r.settle,
         }
     }
 

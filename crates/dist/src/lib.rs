@@ -46,6 +46,7 @@
 use std::ops::Range;
 use std::path::Path;
 use std::sync::{Arc, Mutex};
+use std::time::Instant;
 
 use knor_core::centroids::Centroids;
 use knor_core::driver::{run_mm, ReduceReport, Reducer, WorkerReport};
@@ -55,7 +56,7 @@ pub use knor_core::spec::RankPlane;
 use knor_core::spec::{settle, DistExt, RunSpec};
 use knor_core::sync::ExclusiveCell;
 use knor_core::trace::{Phase, PhaseBreakdown, TraceGroup};
-use knor_core::InitStats;
+use knor_core::{InitStats, SettleStats};
 use knor_matrix::DMatrix;
 use knor_mpi::collectives::{allreduce_f64, allreduce_max_u64};
 use knor_mpi::{Comm, LocalCluster, NetModel, ReduceAlgo};
@@ -148,6 +149,8 @@ pub struct DistResult {
     pub sse: Option<f64>,
     /// What the seeding cost (once, before the ranks start).
     pub init: InitStats,
+    /// What the closing pass cost (once, after the ranks stop).
+    pub settle: SettleStats,
     /// Per-phase trace fold over every rank's tracks, including each
     /// rank's allreduce comm track (`Some` iff `DistConfig`'s `trace` was
     /// attached).
@@ -214,7 +217,9 @@ impl DistKmeans {
             .run_ranks(data.ncol(), &init, &ranges, slices)
             .expect("in-memory rows cannot fail");
         let algo = cfg.algo.resolve(cfg.k, n, cfg.seed);
-        out.sse = settle(&*algo, data, &out.centroids, &mut out.assignments, cfg.compute_sse);
+        let threads = self.threads_per_rank();
+        (out.sse, out.settle) =
+            settle(&*algo, data, &out.centroids, &mut out.assignments, cfg.compute_sse, threads);
         out.rank_io = Vec::new(); // in-memory entry point: no I/O record
         out.init = init_stats;
         out
@@ -246,10 +251,12 @@ impl DistKmeans {
         // The final streamed pass over the file (the subsampling refresh
         // and/or the SSE) — never the whole matrix in memory.
         let algo = cfg.algo.resolve(cfg.k, n, cfg.seed);
+        let t_settle = Instant::now();
         if algo.subsamples() || cfg.compute_sse {
             let (reader, sse) = (open_reader(path)?, cfg.compute_sse);
             out.sse = streamed_settle(&reader, &*algo, &out.centroids, &mut out.assignments, sse)?;
         }
+        out.settle = SettleStats { secs: t_settle.elapsed().as_secs_f64(), threads: 1 };
         Ok(out)
     }
 
@@ -421,6 +428,7 @@ fn assemble(
         rank_io,
         sse: None,
         init: InitStats::default(),
+        settle: SettleStats::default(),
         phases: None,
     }
 }

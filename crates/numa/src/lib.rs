@@ -10,12 +10,14 @@
 //! This crate supplies the substrate for all three: [`Topology`] describes
 //! real or synthetic machines, [`bind`] applies CPU affinity on Linux,
 //! [`placement`] computes the Fig. 1 block mapping, [`NumaMatrix`] stores a
-//! matrix as per-node arenas, and [`cost`] converts exact local/remote access
+//! matrix as per-node arenas (advised onto huge pages by [`pages`]), and
+//! [`cost`] converts exact local/remote access
 //! tallies into modeled iteration time so the paper's 48-core scaling
 //! experiments can be reproduced on small hosts (DESIGN.md §3.1).
 
 pub mod bind;
 pub mod cost;
+pub mod pages;
 pub mod placement;
 pub mod topology;
 

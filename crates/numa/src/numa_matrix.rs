@@ -7,7 +7,9 @@
 //! first-touch page placement policy — physically places the pages on that
 //! node's bank without needing `mbind`. On synthetic topologies the arenas
 //! are plain allocations and placement is purely logical (it still drives
-//! access classification for the cost model).
+//! access classification for the cost model). Either way each arena is
+//! advised onto transparent huge pages before its first touch
+//! ([`crate::pages`]).
 //!
 //! There is one builder with two fills: [`NumaMatrix::load`] reads a file
 //! into place (one copy of the data, read in parallel, read = first
@@ -18,6 +20,7 @@ use std::io;
 use std::ops::Range;
 
 use crate::bind::bind_current_thread;
+use crate::pages::advise_huge_pages;
 use crate::placement::Placement;
 use crate::topology::{NodeId, Topology};
 use knor_matrix::io::MatrixFile;
@@ -60,8 +63,9 @@ impl NumaMatrix {
         })
     }
 
-    /// The one builder: untouched arenas, split into the threads' blocks,
-    /// each block written by `fill(rows, block)` on a thread of its own.
+    /// The one builder: untouched arenas, advised onto huge pages, split
+    /// into the threads' blocks, each block written by `fill(rows, block)`
+    /// on a thread of its own.
     ///
     /// When `topo` is detected and has more than one node that thread is
     /// bound to the block's node first, so the fill's writes — the first
@@ -80,9 +84,13 @@ impl NumaMatrix {
             *base = arena_rows[node];
             arena_rows[node] += placement.range_of_thread(t).len();
         }
-        // Allocated zeroed, which leaves large arenas' pages untouched.
+        // Allocated zeroed, which leaves large arenas' pages untouched, so
+        // the advice reaches every page before the fill faults it in.
         let mut arenas: Vec<Vec<f64>> =
             arena_rows.iter().map(|&rows| vec![0.0f64; rows * ncol]).collect();
+        for arena in &mut arenas {
+            advise_huge_pages(arena);
+        }
 
         let do_bind = topo.is_detected() && topo.nodes() > 1;
         let mut unsplit: Vec<&mut [f64]> = arenas.iter_mut().map(Vec::as_mut_slice).collect();

@@ -19,10 +19,11 @@
 //! also what lets knord mount one [`SemPlane`] per rank.
 
 use std::path::Path;
+use std::time::Instant;
 
 use knor_core::driver::{run_mm, NoReduce};
 use knor_core::spec::RunSpec;
-use knor_core::stats::KmeansResult;
+use knor_core::stats::{KmeansResult, SettleStats};
 use knor_core::InitMethod;
 
 use crate::plane::{streamed_init, streamed_settle, SemPlane, SemPlaneConfig};
@@ -75,6 +76,7 @@ impl SemKmeans {
             run_mm(&run.driver, init, &run.placement, &run.queue, &plane, &NoReduce, &*run.algo)?;
 
         let centroids = outcome.centroids.to_matrix();
+        let t_settle = Instant::now();
         let sse = streamed_settle(
             plane.reader(),
             &*run.algo,
@@ -82,11 +84,12 @@ impl SemKmeans {
             &mut outcome.assignments,
             cfg.compute_sse,
         )?;
+        let settle = SettleStats { secs: t_settle.elapsed().as_secs_f64(), threads: 1 };
         let report = plane.finish();
         // O(nd) stays on the device — the point of SEM.
         let caches = cfg.ext.row_cache_bytes + cfg.ext.page_cache_bytes;
         Ok(SemResult {
-            kmeans: run.finish(outcome, init_stats, centroids, 0, caches, sse),
+            kmeans: run.finish(outcome, init_stats, centroids, 0, caches, (sse, settle)),
             io: report.io,
             panicked_io_threads: report.panicked_io_threads,
         })

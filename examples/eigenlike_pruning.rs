@@ -77,6 +77,6 @@ fn main() {
     // The three must agree on the clustering (pruning is exact).
     let sse_knori = knori.sse.unwrap();
     let sse_minus = knori_minus.sse.unwrap();
-    let sse_elkan = knor::core::quality::sse(&data, &elkan.centroids, &elkan.assignments);
+    let sse_elkan = knor::core::quality::sse(&data, &elkan.centroids, &elkan.assignments, 1);
     println!("\nSSE agreement: knori={sse_knori:.4}  knori-={sse_minus:.4}  elkan={sse_elkan:.4}");
 }

@@ -1,12 +1,14 @@
 //! Offline shim for the `libc` crate: only the surface knor actually uses
-//! is provided — the CPU-affinity calls for `knor-numa` and the readiness
-//! `poll(2)` surface for the multiplexed serve front end (`knor-mpi`). The
-//! functions are direct bindings to the system C library, so behaviour
-//! matches the real crate on Linux/glibc targets.
+//! is provided — the CPU-affinity and `madvise(2)` calls for `knor-numa`
+//! and the readiness `poll(2)` surface for the multiplexed serve front end
+//! (`knor-mpi`). The functions are direct bindings to the system C
+//! library, so behaviour matches the real crate on Linux/glibc targets.
 
 #![allow(non_camel_case_types, non_snake_case)]
 
 use std::os::raw::{c_int, c_short, c_ulong};
+
+pub use std::ffi::c_void;
 
 /// Size in bits of the static CPU set, matching glibc's `CPU_SETSIZE`.
 pub const CPU_SETSIZE: c_int = 1024;
@@ -75,6 +77,10 @@ pub const POLLHUP: c_short = 0x010;
 /// Invalid descriptor (returned only).
 pub const POLLNVAL: c_short = 0x020;
 
+/// `madvise` advice: back the range with transparent huge pages where the
+/// kernel can (Linux).
+pub const MADV_HUGEPAGE: c_int = 14;
+
 extern "C" {
     /// Bind the calling thread (`pid == 0`) to the CPUs in `mask`.
     pub fn sched_setaffinity(pid: c_int, cpusetsize: usize, mask: *const cpu_set_t) -> c_int;
@@ -83,6 +89,9 @@ extern "C" {
     /// Wait for readiness on `nfds` descriptors, up to `timeout` ms
     /// (`-1` = forever). Returns ready count, 0 on timeout, -1 on error.
     pub fn poll(fds: *mut pollfd, nfds: nfds_t, timeout: c_int) -> c_int;
+    /// Advise the kernel about the use of `len` bytes at the page-aligned
+    /// `addr`. Returns 0, or -1 with `errno` set.
+    pub fn madvise(addr: *mut c_void, len: usize, advice: c_int) -> c_int;
 }
 
 #[cfg(test)]

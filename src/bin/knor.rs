@@ -25,7 +25,7 @@
 
 use knor::core::pruning::PruneCounters;
 use knor::core::spec::{choose, count_for, number_for, Engine, Entry, Knob, Refusal, Source};
-use knor::core::{CommitCounters, InitStats, LoadStats, MemoryFootprint, RunSpec};
+use knor::core::{CommitCounters, InitStats, LoadStats, MemoryFootprint, RunSpec, SettleStats};
 use knor::dist::{launch, Fitted};
 use knor::prelude::*;
 use knor::serve::tcp::{Client, TcpServer};
@@ -344,7 +344,11 @@ fn main() {
             if o.stats {
                 println!("{}", kernel_note(&o.run, d));
                 print_prune(&o.run, n, &fitted.total_prune());
-                let init = || print_init(&o.run, n, fitted.init());
+                // Load, seeding, iterations and the closing pass: the run.
+                let init_settle = || {
+                    print_init(&o.run, n, fitted.init());
+                    print_settle(fitted.settle());
+                };
                 match &fitted {
                     Fitted::Im(r) => {
                         print_commit(&r.total_commit());
@@ -352,14 +356,14 @@ fn main() {
                         if let Some(l) = &r.load {
                             print_load(l);
                         }
-                        init();
+                        init_settle();
                         print_memory(&r.memory);
                     }
                     Fitted::Sem(r) => {
                         let km = &r.kmeans;
                         print_commit(&km.total_commit());
                         print_numa(&km.numa);
-                        init();
+                        init_settle();
                         print_memory(&km.memory);
                         print_io_table(&r.io);
                         print_io_summary(&[&r.io]);
@@ -371,7 +375,7 @@ fn main() {
                         }
                     }
                     Fitted::Dist(r) => {
-                        init();
+                        init_settle();
                         print_dist_stats(r)
                     }
                 }
@@ -558,11 +562,13 @@ fn print_numa(numa: &NumaReport) {
     println!("numa: nodes={} workers_per_node=[{spread}]", numa.nodes);
 }
 
-/// The `--stats` load line: what reading the input into place cost. The
+/// The `--stats` load line: what reading the input into place cost, and
+/// the process's memory on huge pages after it (`n/a` off Linux). The
 /// "N iterations in X" line above includes it.
 fn print_load(l: &LoadStats) {
+    let huge = l.huge_bytes.map_or("n/a".into(), |b| format!("{:.1}", b as f64 / 1e6));
     println!(
-        "load: bytes={} secs={:.3} MB/s={:.0} threads={}",
+        "load: bytes={} secs={:.3} MB/s={:.0} threads={} huge_MB={huge}",
         l.bytes,
         l.secs,
         l.bytes as f64 / 1e6 / l.secs.max(1e-9),
@@ -581,6 +587,13 @@ fn print_init(run: &RunSpec, n: usize, s: &InitStats) {
         String::new()
     };
     println!("init: method={method} secs={:.3}{dists}", s.secs);
+}
+
+/// The `--stats` settle line: the pass after the last iteration (the SSE,
+/// and mini-batch's refresh) and the threads that summed the SSE — the
+/// run's, in memory; one for a pass streamed from the file.
+fn print_settle(s: &SettleStats) {
+    println!("settle: secs={:.3} threads={}", s.secs, s.threads);
 }
 
 /// The `--stats` memory line: what the run accounts for (Table 1's terms)

@@ -144,6 +144,7 @@ fn minibatch_engine_improves_and_parallelizes() {
             .rows()
             .map(|v| knor_core::distance::nearest(v, init.as_slice(), k).0 as u32)
             .collect::<Vec<_>>(),
+        1,
     );
     assert!(one.sse.unwrap() < init_sse, "mini-batch should improve on the init");
 }

@@ -342,7 +342,8 @@ fn missing_and_truncated_inputs_are_one_line_errors() {
 /// `knor im` holds its input once: the file is read straight into the
 /// placed layout, so the process peaks well under twice the file (it was
 /// 2.09x when a `DMatrix` was read first and copied), and `--stats` says
-/// what the load cost and what the run holds.
+/// what the load cost, what of it sits on huge pages, what the closing
+/// pass cost and what the run holds.
 #[test]
 fn im_stats_report_the_load_and_a_peak_under_one_and_a_half_inputs() {
     let file = tmp("hwm.knor");
@@ -377,9 +378,16 @@ fn im_stats_report_the_load_and_a_peak_under_one_and_a_half_inputs() {
         let hwm: f64 = field("memory: ", "VmHWM_MB=").parse().unwrap();
         assert!(hwm >= accounted, "the peak covers what is accounted: {hwm} < {accounted}");
         assert!(hwm * 1e6 <= 1.5 * file_bytes as f64, "peak {hwm} MB for a {file_bytes} B file");
+        // Huge pages are resident memory too; how many the kernel gave
+        // depends on the host.
+        let huge: f64 = field("load: ", "huge_MB=").parse().unwrap();
+        assert!((0.0..=hwm).contains(&huge), "{huge} MB on huge pages, peak {hwm} MB");
     } else {
         assert_eq!(field("memory: ", "VmHWM_MB="), "n/a");
+        assert_eq!(field("load: ", "huge_MB="), "n/a");
     }
+    // The closing SSE pass runs on the run's threads.
+    assert_eq!(field("settle: ", "threads="), "4");
 }
 
 /// A small clustered input for the SEM tests below.
@@ -503,9 +511,16 @@ fn one_spec_prints_the_same_run_on_every_engine() {
 /// `line` with its timings — and what depends on the host's CPU — masked.
 fn mask(line: &str) -> String {
     let mut out = line.to_string();
-    for key in
-        [" iterations in ", "secs=", "MB/s=", "VmHWM_MB=", "fetch_s=", "MB/s/thread=", "fma="]
-    {
+    for key in [
+        " iterations in ",
+        "secs=",
+        "MB/s=",
+        "huge_MB=",
+        "VmHWM_MB=",
+        "fetch_s=",
+        "MB/s/thread=",
+        "fma=",
+    ] {
         if let Some(at) = out.find(key).map(|at| at + key.len()) {
             let end = out[at..].find(' ').map_or(out.len(), |e| at + e);
             out.replace_range(at..end, "T");
@@ -525,7 +540,8 @@ fn mask(line: &str) -> String {
 /// those rows' open candidates as `dists`, the panel is packed every
 /// iteration, `knor sem` prints the commit line too, knord's wire
 /// carries one scalar more, and `bound_B` counts the row scan's
-/// per-centroid floor and its scratch row.
+/// per-centroid floor and its scratch row. Every engine prints the
+/// `settle:` line of its closing pass, and `load:` prints `huge_MB=`.
 #[test]
 fn stats_output_is_the_text_the_per_engine_arms_printed() {
     let file = gen_small("golden.knor");

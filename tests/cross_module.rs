@@ -75,7 +75,7 @@ fn all_modules_agree_on_one_init() {
     assert!(agreement(&g.assignments, &serial.assignments, k) > 0.999);
     let mr = MapReduceKmeans::new(FrameworkProfile::mllib_like(), 4).fit(&data, &init, max_iters);
     assert!(agreement(&mr.assignments, &serial.assignments, k) > 0.999);
-    let mr_sse = sse(&data, &mr.centroids, &mr.assignments);
+    let mr_sse = sse(&data, &mr.centroids, &mr.assignments, 1);
     assert!((mr_sse - reference_sse).abs() / reference_sse < 1e-9);
 }
 
