@@ -20,10 +20,9 @@
 //! sub-slice whenever its row ids are consecutive — every block of an
 //! unscoped run. Only a scoped algorithm's id lists (mini-batch) have
 //! holes, and only those are gathered into scratch. A staged source
-//! fetches a whole filtered task into the worker's scratch, declares that
-//! fetching costs I/O ([`RowSource::STAGED`]) and thereby gets the depth-2
-//! pipeline: the filter for the *next* task runs, and its prefetch is
-//! submitted, before the *current* task commits.
+//! fetches a whole filtered task into the worker's scratch and declares
+//! that fetching costs I/O ([`RowSource::STAGED`]); either way a worker
+//! filters, stages and commits one task at a time.
 //!
 //! What is a function of the iteration alone is prepared once per call,
 //! before the first task: the GEMM kernel's [`CentroidPanel`] is packed
@@ -45,7 +44,7 @@ use crate::driver::{Filter, IterView, RowFilter, WorkerReport};
 use crate::kernel::{assign_rows_packed, CentroidPanel, ResolvedKind};
 use crate::pruning::RowScan;
 use crate::stats::IterStats;
-use crate::trace::{Phase, WorkerTracer};
+use crate::trace::WorkerTracer;
 
 /// How an engine's workers obtain row data. One instance is shared by all
 /// workers of one driver run; per-worker mutable state lives in the
@@ -79,19 +78,14 @@ pub trait DataPlane: Sync {
 /// worker for one compute super-phase. Local row ids are the driver's; the
 /// source owns any translation to global/on-disk ids.
 pub trait RowSource {
-    /// Fetching a row costs I/O. The worker loop then filters and
-    /// prefetches one task ahead of the one it commits (overlapping I/O
-    /// with computation as FlashGraph does), and counts each row the filter
-    /// drops as an avoided fetch (`io_skip_rows`). Direct sources keep
-    /// take-one-task scheduling and report no skips.
+    /// Fetching a row costs I/O. The worker loop then stages a filtered
+    /// task whole and counts each row the filter drops as an avoided fetch
+    /// (`io_skip_rows`). Direct sources hand the kernel cache-sized blocks
+    /// and report no skips.
     const STAGED: bool = false;
 
     /// Dimensionality of a row.
     fn d(&self) -> usize;
-
-    /// Hint that `rows` will be staged soon — the pipeline's prefetch
-    /// hand-off. Best-effort; may do nothing.
-    fn prefetch(&mut self, _rows: &[usize]) {}
 
     /// Make every row of `rows` (a filtered task, ascending) readable
     /// through [`Self::row`] / [`Self::block`] until the next call. Returns
@@ -273,8 +267,8 @@ pub struct DrainScratch {
     pub miss_idx: Vec<usize>,
     /// Staged sources: row ids handed to the backing tier, in fetch order.
     pub miss_rows: Vec<usize>,
-    /// Recycled needed-row buffers (two alive at pipeline depth 2).
-    free_needed: Vec<Vec<usize>>,
+    /// The current task's rows that survived the filter.
+    needed: Vec<usize>,
 }
 
 /// How [`drain`] commits the rows a task's filter kept.
@@ -357,47 +351,28 @@ fn drain_with<S: RowSource, F: RowFilter>(
     // A staged task is contiguous already and goes to the kernel whole; a
     // direct source hands over cache-sized blocks of the task's run.
     let step = if S::STAGED { usize::MAX } else { view.kernel.block_rows(d) };
-    // The task filtered (and prefetched) ahead of the one being committed.
-    let mut ahead = None;
-    loop {
-        let next = view.queue.next(w).map(|task| {
-            // SAFETY: this worker just took `task` from the iteration's
-            // queue, which hands every row to exactly one task once.
-            let rows = unsafe { view.rows.claim(task.rows.clone()) };
-            let mut needed = scratch.free_needed.pop().unwrap_or_default();
-            needed.clear();
-            // Rows dropped here are never requested from the source: a
-            // bound-pruned or out-of-scope row costs no data access, and
-            // on a staged source no I/O.
-            match commit {
-                Commit::Bounds => {
-                    for r in task.rows {
-                        if filter.keep(&rows, r, &mut rep.counters) {
-                            needed.push(r);
-                        } else if S::STAGED {
-                            rep.counters.io_skip_rows += 1;
-                        }
+    let mut needed = std::mem::take(&mut scratch.needed);
+    while let Some(task) = view.queue.next(w) {
+        // SAFETY: this worker just took `task` from the iteration's
+        // queue, which hands every row to exactly one task once.
+        let rows = unsafe { view.rows.claim(task.rows.clone()) };
+        needed.clear();
+        // Rows dropped here are never requested from the source: a
+        // bound-pruned or out-of-scope row costs no data access, and on a
+        // staged source no I/O.
+        match commit {
+            Commit::Bounds => {
+                for r in task.rows {
+                    if filter.keep(&rows, r, &mut rep.counters) {
+                        needed.push(r);
+                    } else if S::STAGED {
+                        rep.counters.io_skip_rows += 1;
                     }
                 }
-                _ if view.scoped => needed.extend(task.rows.filter(|&r| view.in_scope(r))),
-                _ => needed.extend(task.rows),
             }
-            if S::STAGED && !needed.is_empty() {
-                let t0 = tracer.map(|t| t.now());
-                src.prefetch(&needed);
-                if let (Some(t), Some(t0)) = (tracer, t0) {
-                    t.record(Phase::IoFetch, t0, (needed.len() * d * 8) as u64);
-                }
-            }
-            (rows, needed)
-        });
-        let current = if S::STAGED { std::mem::replace(&mut ahead, next) } else { next };
-        let Some((rows, needed)) = current else {
-            if ahead.is_none() {
-                break;
-            }
-            continue; // pipeline fill: the first task has nothing before it
-        };
+            _ if view.scoped => needed.extend(task.rows.filter(|&r| view.in_scope(r))),
+            _ => needed.extend(task.rows),
+        }
         if !needed.is_empty() {
             rep.aux += src.stage(&needed, scratch, tracer)?;
             rep.rows_accessed += needed.len() as u64;
@@ -459,8 +434,8 @@ fn drain_with<S: RowSource, F: RowFilter>(
                 }
             }
         }
-        scratch.free_needed.push(needed);
     }
+    scratch.needed = needed;
     rep.commit.gathered_rows = src.gathered_rows();
     rep.commit.borrowed_rows = rep.rows_accessed - rep.commit.gathered_rows;
     Ok(rep)

@@ -256,8 +256,8 @@ pub struct SemPlaneConfig {
     /// SAFS page size (paper: 4KB).
     pub page_size: usize,
     /// Page cache budget in bytes (per plane — per rank under knord). With
-    /// a row cache and no prefetch, the plane lends these bytes to the row
-    /// cache and reads past no page cache (one budget, `knor_sem::plane`).
+    /// a row cache, the plane lends these bytes to the row cache and reads
+    /// past no page cache (one budget, `knor_sem::plane`).
     pub page_cache_bytes: u64,
     /// Row cache budget in bytes (0 = knors--; per plane).
     pub row_cache_bytes: u64,
@@ -265,12 +265,6 @@ pub struct SemPlaneConfig {
     pub cache_interval: usize,
     /// Lazy exponential refresh (paper) vs fixed-period (ablation).
     pub lazy_refresh: bool,
-    /// Overlap I/O with compute via the prefetch pool. Off by default so
-    /// per-iteration I/O accounting is exactly attributable (Fig. 6);
-    /// enable for throughput runs.
-    pub prefetch: bool,
-    /// Prefetch pool threads (when `prefetch`).
-    pub prefetch_threads: usize,
 }
 
 impl Default for SemPlaneConfig {
@@ -281,8 +275,6 @@ impl Default for SemPlaneConfig {
             row_cache_bytes: 512 << 20,
             cache_interval: 5,
             lazy_refresh: true,
-            prefetch: false,
-            prefetch_threads: 2,
         }
     }
 }
@@ -295,8 +287,6 @@ impl SemPlaneConfig {
         with_page_cache_bytes(v: u64) => page_cache_bytes = v;
         /// Set the page size.
         with_page_size(v: usize) => page_size = v;
-        /// Enable the prefetch pipeline.
-        with_prefetch(v: bool) => prefetch = v;
     }
 }
 
@@ -318,8 +308,6 @@ impl RunSpec<SemPlaneConfig> {
         with_cache_interval(v: usize) => ext.cache_interval = v.max(1);
         /// Lazy (true) vs fixed-period (false) refresh.
         with_lazy_refresh(v: bool) => ext.lazy_refresh = v;
-        /// Enable the prefetch pipeline.
-        with_prefetch(v: bool) => ext.prefetch = v;
     }
 }
 
@@ -331,8 +319,8 @@ pub enum RankPlane {
     #[default]
     InMemory,
     /// Each rank streams its own byte range of the shared on-disk matrix
-    /// through a private SEM stack — per-rank row cache, page cache,
-    /// prefetch pool and I/O counters (knors per node). Needs a file:
+    /// through a private SEM stack — per-rank row cache, page cache and
+    /// I/O counters (knors per node). Needs a file:
     /// `DistKmeans::fit_file`.
     Sem(SemPlaneConfig),
 }
@@ -357,11 +345,6 @@ pub struct DistExt<R, N> {
     pub net: N,
     /// Per-rank data plane.
     pub plane: RankPlane,
-    /// Test hook: make one prefetch-pool thread of this rank's SEM plane
-    /// panic right after spawn (exercises `panicked_io_threads`
-    /// surfacing; ignored for in-memory ranks or when prefetch is off).
-    #[doc(hidden)]
-    pub inject_prefetch_panic_rank: Option<usize>,
 }
 
 /// `DistConfig`: a run plus knord's knobs.
@@ -377,7 +360,6 @@ impl<R: Default, N: Default> RunSpec<DistExt<R, N>> {
                 reduce: R::default(),
                 net: N::default(),
                 plane: RankPlane::InMemory,
-                inject_prefetch_panic_rank: None,
             })
     }
 
@@ -395,9 +377,6 @@ impl<R: Default, N: Default> RunSpec<DistExt<R, N>> {
         with_net(v: N) => ext.net = v;
         /// Choose the per-rank data plane.
         with_plane(v: RankPlane) => ext.plane = v;
-        /// Test hook: inject a prefetch-pool panic into one SEM rank.
-        #[doc(hidden)]
-        with_inject_prefetch_panic_rank(v: usize) => ext.inject_prefetch_panic_rank = Some(v);
     }
 }
 
@@ -1265,10 +1244,7 @@ mod tests {
             (io.page_size, io.page_cache_bytes, io.row_cache_bytes),
             (4096, 1 << 30, 512 << 20)
         );
-        assert_eq!(
-            (io.cache_interval, io.lazy_refresh, io.prefetch, io.prefetch_threads),
-            (5, true, false, 2)
-        );
+        assert_eq!((io.cache_interval, io.lazy_refresh), (5, true));
     }
 
     #[test]

@@ -91,8 +91,6 @@ pub enum Phase {
     Update,
     /// The parallel centroid-distance triangle fill between D and E.
     CcDist,
-    /// Staged-plane prefetch hand-off for an upcoming task.
-    IoFetch,
     /// Staged-plane fast-tier (row cache) hits copied into staging.
     IoHit,
     /// Staged-plane merged backing-tier (device) fetch of the misses.
@@ -103,7 +101,7 @@ pub enum Phase {
 
 impl Phase {
     /// Every phase, for exhaustive folds and name lookups.
-    pub const ALL: [Phase; 13] = [
+    pub const ALL: [Phase; 12] = [
         Phase::Compute,
         Phase::BarrierA,
         Phase::BarrierB,
@@ -113,7 +111,6 @@ impl Phase {
         Phase::Merge,
         Phase::Update,
         Phase::CcDist,
-        Phase::IoFetch,
         Phase::IoHit,
         Phase::IoMiss,
         Phase::Allreduce,
@@ -131,7 +128,6 @@ impl Phase {
             Phase::Merge => "merge",
             Phase::Update => "update",
             Phase::CcDist => "ccdist",
-            Phase::IoFetch => "io_fetch",
             Phase::IoHit => "io_hit",
             Phase::IoMiss => "io_miss",
             Phase::Allreduce => "allreduce",
@@ -147,7 +143,7 @@ impl Phase {
             | Phase::BarrierC
             | Phase::BarrierD
             | Phase::BarrierE => PhaseGroup::BarrierWait,
-            Phase::IoFetch | Phase::IoMiss | Phase::Allreduce => PhaseGroup::IoWait,
+            Phase::IoMiss | Phase::Allreduce => PhaseGroup::IoWait,
             Phase::Merge | Phase::Update | Phase::CcDist => PhaseGroup::Merge,
         }
     }
@@ -160,7 +156,7 @@ pub enum PhaseGroup {
     Compute,
     /// Time parked at a protocol barrier (straggler exposure).
     BarrierWait,
-    /// Device reads, prefetch hand-offs, allreduce wire time.
+    /// Device reads and allreduce wire time.
     IoWait,
     /// Accumulator merge, coordinator update window, ccdist fill.
     Merge,
@@ -389,18 +385,23 @@ impl TraceBuf {
     }
 
     /// Fold every group's spans into one [`PhaseBreakdown`].
+    /// Each group folds on its own — knord's ranks reuse worker ids, so a
+    /// track is a `(pid, tid)` pair — and the groups' columns sit side by
+    /// side in registration order.
     pub fn breakdown(&self) -> PhaseBreakdown {
         let groups = self.groups.lock().expect("trace registry poisoned");
-        let mut spans = Vec::new();
-        let mut dropped = 0;
-        let mut tracks: Vec<(u32, u32)> = Vec::new();
-        for g in groups.iter() {
-            dropped += g.collect_into(&mut spans);
-            for w in 0..g.rings.len() {
-                tracks.push((g.pid, g.tid_base + w as u32));
+        let mut out =
+            PhaseBreakdown { ns: vec![Vec::new(); PhaseGroup::ALL.len()], ..Default::default() };
+        for part in groups.iter().map(|g| g.breakdown()) {
+            out.tracks.extend(part.tracks);
+            for (row, cols) in out.ns.iter_mut().zip(part.ns) {
+                row.extend(cols);
             }
+            out.spans += part.spans;
+            out.dropped += part.dropped;
         }
-        PhaseBreakdown::fold(&spans, tracks, dropped)
+        out.spread_ns = out.ns.iter().map(|row| spread(row)).collect();
+        out
     }
 
     /// Render every recorded span as chrome trace-event JSON (the
@@ -447,14 +448,18 @@ impl TraceBuf {
     }
 }
 
-/// The per-phase fold of a run's spans: total ns per worker track for
+/// The per-phase fold of a run's spans: self time per worker track for
 /// each [`PhaseGroup`], plus the straggler spread (max − median over
 /// tracks) that makes load imbalance visible without opening the trace.
+/// A span's self time is its duration less what the spans nested inside
+/// it on the same track cover, so the staged plane's I/O spans inside the
+/// driver's `compute` span count once, and a track's groups sum to at most
+/// the time its spans cover.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct PhaseBreakdown {
     /// The `(pid, tid)` identity of each track, in column order.
     pub tracks: Vec<(u32, u32)>,
-    /// `ns[group][track]` — total span ns, indexed by
+    /// `ns[group][track]` — total self-time ns, indexed by
     /// [`PhaseGroup::ALL`] order then by `tracks` order.
     pub ns: Vec<Vec<u64>>,
     /// Straggler spread per group: `max − median` of the per-track
@@ -467,17 +472,17 @@ pub struct PhaseBreakdown {
 }
 
 impl PhaseBreakdown {
-    /// Fold `spans` belonging to `tracks` into per-group totals.
+    /// Fold `spans` belonging to `tracks` into per-group self times.
     pub fn fold(spans: &[Span], tracks: Vec<(u32, u32)>, dropped: u64) -> Self {
         // Track order is the registration order; map (pid, tid) -> column
         // by scanning (track counts are small: workers, not rows).
         let col = |worker: u32| tracks.iter().position(|&(_, t)| t == worker);
         let mut ns = vec![vec![0u64; tracks.len()]; PhaseGroup::ALL.len()];
-        for s in spans {
+        for (s, self_ns) in spans.iter().zip(self_times(spans)) {
             // Spans from an unknown track (possible only if the caller
             // mixed buffers) are counted toward no column.
             if let Some(c) = col(s.worker) {
-                ns[s.phase.group().index()][c] += s.dur_ns();
+                ns[s.phase.group().index()][c] += self_ns;
             }
         }
         let spread_ns = ns.iter().map(|row| spread(row)).collect();
@@ -533,7 +538,36 @@ impl PhaseBreakdown {
     }
 }
 
-/// `max − median` of a per-track total row (0 for empty rows).
+/// Each span's duration less the union of the spans nested inside it on
+/// its track. A span nests in the innermost earlier span of the same
+/// worker that contains it; spans that merely overlap are siblings.
+fn self_times(spans: &[Span]) -> Vec<u64> {
+    let mut order: Vec<usize> = (0..spans.len()).collect();
+    order.sort_by_key(|&i| (spans[i].worker, spans[i].t_start, std::cmp::Reverse(spans[i].t_end)));
+    let mut covered = vec![0u64; spans.len()];
+    // How far the children seen so far reach into each span; children
+    // arrive in start order, so this sweeps out their union.
+    let mut reach: Vec<u64> = spans.iter().map(|s| s.t_start).collect();
+    let mut open: Vec<usize> = Vec::new();
+    for i in order {
+        let s = &spans[i];
+        while let Some(&top) = open.last() {
+            if spans[top].worker == s.worker && spans[top].t_end >= s.t_end {
+                break;
+            }
+            open.pop();
+        }
+        if let Some(&parent) = open.last() {
+            covered[parent] += s.t_end.saturating_sub(s.t_start.max(reach[parent]));
+            reach[parent] = reach[parent].max(s.t_end);
+        }
+        open.push(i);
+    }
+    spans.iter().zip(covered).map(|(s, c)| s.dur_ns().saturating_sub(c)).collect()
+}
+
+/// `max − median` of a per-track total row (0 for empty rows). An even
+/// count takes the lower median, so two tracks spread by `max − min`.
 fn spread(row: &[u64]) -> u64 {
     if row.is_empty() {
         return 0;
@@ -541,7 +575,7 @@ fn spread(row: &[u64]) -> u64 {
     let mut sorted = row.to_vec();
     sorted.sort_unstable();
     let max = sorted[sorted.len() - 1];
-    let median = sorted[sorted.len() / 2];
+    let median = sorted[(sorted.len() - 1) / 2];
     max.saturating_sub(median)
 }
 
@@ -588,10 +622,10 @@ mod tests {
         assert_eq!(b.dropped, 0);
         assert_eq!(b.group_ns(PhaseGroup::Compute), &[300, 100]);
         assert_eq!(b.group_ns(PhaseGroup::BarrierWait), &[10, 210]);
-        // Two tracks: median = max -> spread = max - min here? No:
-        // sorted [10, 210], median index 1 -> 210, spread 0 for the
-        // upper; compute row sorted [100, 300] -> median 300, spread 0.
-        assert_eq!(b.group_spread_ns(PhaseGroup::Compute), 0);
+        // Two tracks: the lower median is the min, so the spread is
+        // max - min.
+        assert_eq!(b.group_spread_ns(PhaseGroup::Compute), 200);
+        assert_eq!(b.group_spread_ns(PhaseGroup::BarrierWait), 200);
         assert_eq!(b.group_total_ns(PhaseGroup::Compute), 400);
         assert!(!b.render().is_empty());
     }
@@ -602,9 +636,47 @@ mod tests {
         assert_eq!(spread(&[5]), 0);
         // sorted [1, 2, 9]: median 2, max 9.
         assert_eq!(spread(&[9, 1, 2]), 7);
-        // even count takes the upper median: sorted [1, 2, 3, 10],
-        // median index 2 -> 3, spread 7.
-        assert_eq!(spread(&[3, 10, 1, 2]), 7);
+        // even count takes the lower median: sorted [1, 2, 3, 10],
+        // median index 1 -> 2, spread 8.
+        assert_eq!(spread(&[3, 10, 1, 2]), 8);
+    }
+
+    #[test]
+    fn spread_over_two_tracks_is_max_minus_min() {
+        assert_eq!(spread(&[7, 19]), 12);
+        assert_eq!(spread(&[19, 7]), 12);
+        assert_eq!(spread(&[5, 5]), 0);
+    }
+
+    /// A staged plane's I/O spans nest inside the driver's compute span on
+    /// the same track: each nanosecond counts once, in the innermost span's
+    /// group. Another track's spans at the same instants nest in nothing.
+    #[test]
+    fn nested_spans_count_once_as_self_time() {
+        let span = |worker, phase, t_start, t_end| Span {
+            worker,
+            numa_node: 0,
+            phase,
+            iter: 0,
+            t_start,
+            t_end,
+            bytes: 0,
+        };
+        let spans = [
+            span(0, Phase::IoMiss, 1_200, 1_300),
+            span(0, Phase::Compute, 1_000, 2_000),
+            span(0, Phase::BarrierB, 2_000, 2_050),
+            span(1, Phase::IoMiss, 1_100, 1_150),
+            span(1, Phase::IoHit, 1_150, 1_400),
+            span(1, Phase::IoMiss, 1_400, 1_500),
+            span(1, Phase::Compute, 1_100, 1_900),
+        ];
+        let b = PhaseBreakdown::fold(&spans, vec![(0, 0), (0, 1)], 0);
+        assert_eq!(b.group_ns(PhaseGroup::Compute), &[900, 800 - 150]);
+        assert_eq!(b.group_ns(PhaseGroup::IoWait), &[100, 150]);
+        assert_eq!(b.group_ns(PhaseGroup::BarrierWait), &[50, 0]);
+        // Compute's 650 ns on track 1 are 400 of its own and the hit's 250.
+        assert_eq!(self_times(&spans), vec![100, 900, 50, 50, 250, 100, 400]);
     }
 
     #[test]

@@ -72,15 +72,6 @@ impl Fitted {
         }
     }
 
-    /// Prefetch-pool threads found dead at shutdown, over every SEM plane.
-    pub fn panicked_io_threads(&self) -> u64 {
-        match self {
-            Fitted::Im(_) => 0,
-            Fitted::Sem(r) => r.panicked_io_threads,
-            Fitted::Dist(r) => r.rank_io.iter().map(|io| io.panicked_io_threads).sum(),
-        }
-    }
-
     /// The run's trace fold, when a recorder was attached.
     pub fn phases(&self) -> Option<&PhaseBreakdown> {
         match self {
@@ -118,7 +109,6 @@ pub fn launch<X>(engine: &Engine, run: &RunSpec<X>, source: &Source) -> io::Resu
                 reduce: if *star { ReduceAlgo::Star } else { ReduceAlgo::Ring },
                 net: NetModel::default(),
                 plane: plane.clone(),
-                inject_prefetch_panic_rank: None,
             });
             cfg.threads = cfg.threads.or(Some(2));
             let knord = DistKmeans::new(cfg);

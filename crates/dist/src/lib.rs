@@ -22,8 +22,8 @@
 //! the per-rank plane: [`RankPlane::InMemory`] mounts each rank's slice as
 //! a `knor_core::plane::SlicePlane`, [`RankPlane::Sem`] has each rank open
 //! its own byte range of the shared on-disk matrix through a private
-//! [`knor_sem::SemPlane`] (own row cache, page cache, prefetch pool and
-//! I/O counters — surfaced per rank in [`DistResult::rank_io`]). SEM ranks
+//! [`knor_sem::SemPlane`] (own row cache, page cache and I/O counters —
+//! surfaced per rank in [`DistResult::rank_io`]). SEM ranks
 //! need a file, so they run through [`DistKmeans::fit_file`]; and because
 //! both planes stage and commit rows in task row order and the allreduce
 //! sums in canonical rank order, the trajectory is independent of where
@@ -114,7 +114,7 @@ pub struct RankComm {
 }
 
 /// One rank's I/O record for a SEM-plane run: its private plane's
-/// per-iteration statistics plus the prefetch-pool health at shutdown.
+/// per-iteration statistics.
 #[derive(Debug, Clone, Default)]
 pub struct RankIo {
     /// The rank id.
@@ -122,9 +122,6 @@ pub struct RankIo {
     /// Per-iteration I/O statistics of this rank's plane (empty for
     /// in-memory ranks).
     pub io: Vec<IoIterStats>,
-    /// Prefetch-pool threads of this rank found dead at shutdown
-    /// (0 = healthy; non-zero means lost I/O overlap, never lost rows).
-    pub panicked_io_threads: u64,
 }
 
 /// The outcome of a knord run.
@@ -267,24 +264,23 @@ impl DistKmeans {
         path: &Path,
         ranges: &[Range<usize>],
     ) -> std::io::Result<Vec<RankData<'static>>> {
-        let cfg = &self.config;
-        let mut data = Vec::with_capacity(ranges.len());
-        for (rank, range) in ranges.iter().enumerate() {
-            data.push(match &cfg.ext.plane {
-                RankPlane::InMemory => {
-                    RankData::Read(knor_matrix::io::read_rows(path, range.start, range.end)?)
-                }
-                RankPlane::Sem(pcfg) => {
-                    let plane =
-                        SemPlane::open_range(path, pcfg, range.clone(), self.threads_per_rank())?;
-                    if cfg.ext.inject_prefetch_panic_rank == Some(rank) {
-                        plane.inject_prefetch_panic_for_test();
+        let threads = self.threads_per_rank();
+        ranges
+            .iter()
+            .map(|r| {
+                Ok(match &self.config.ext.plane {
+                    RankPlane::InMemory => {
+                        RankData::Read(knor_matrix::io::read_rows(path, r.start, r.end)?)
                     }
-                    RankData::Sem(Box::new(plane))
-                }
-            });
-        }
-        Ok(data)
+                    RankPlane::Sem(pcfg) => RankData::Sem(Box::new(SemPlane::open_range(
+                        path,
+                        pcfg,
+                        r.clone(),
+                        threads,
+                    )?)),
+                })
+            })
+            .collect()
     }
 
     /// Run one engine per rank over its `data` and assemble the result
@@ -331,10 +327,7 @@ impl DistKmeans {
                 run_mm(&run.driver, init.clone(), place, queue, plane, &reducer, &*run.algo)
             };
             let io = match &mut data {
-                RankData::Sem(p) => {
-                    let report = p.finish();
-                    RankIo { rank, io: report.io, panicked_io_threads: report.panicked_io_threads }
-                }
+                RankData::Sem(p) => RankIo { rank, io: p.finish() },
                 _ => RankIo { rank, ..RankIo::default() },
             };
             (outcome, comm.stats().snapshot(), io)
@@ -742,7 +735,6 @@ mod tests {
         for (rank, io) in r.rank_io.iter().enumerate() {
             assert_eq!(io.rank, rank);
             assert_eq!(io.io.len(), r.niters, "rank {rank} must record every iteration");
-            assert_eq!(io.panicked_io_threads, 0);
             // Every rank touched exactly its slice on the first pass.
             assert_eq!(io.io[0].active_rows as usize, r.rank_comm[rank].rows, "rank {rank}");
         }

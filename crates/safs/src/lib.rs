@@ -11,8 +11,6 @@
 //!   accounting.
 //! * [`SafsReader`] — the request path: rows → pages → dedupe → merge runs
 //!   (gap-limited) → cache-filtered reads → row assembly.
-//! * [`Prefetcher`] — a small thread pool that pulls page runs into the
-//!   cache ahead of computation (the async-I/O overlap).
 //! * [`IoStats`] — the counters behind Figs. 6a/6b: *bytes requested* by the
 //!   algorithm vs *bytes read* from the device at page granularity.
 //!
@@ -22,13 +20,11 @@
 //! measured.
 
 pub mod cache;
-pub mod prefetch;
 pub mod reader;
 pub mod stats;
 pub mod store;
 
 pub use cache::PageCache;
-pub use prefetch::Prefetcher;
 pub use reader::SafsReader;
 pub use stats::IoStats;
 pub use store::RowStore;

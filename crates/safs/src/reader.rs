@@ -104,11 +104,6 @@ impl SafsReader {
         Arc::clone(&self.stats)
     }
 
-    /// The page cache (prefetchers insert into it directly).
-    pub fn cache(&self) -> &PageCache {
-        &self.cache
-    }
-
     /// Bytes the idle request scratches hold — what the request path
     /// keeps resident besides the two caches.
     pub fn arena_bytes(&self) -> u64 {
@@ -119,22 +114,15 @@ impl SafsReader {
     /// (rows must be sorted ascending for efficient merging; any order is
     /// accepted).
     pub fn pages_for_rows(&self, rows: &[usize]) -> Vec<u64> {
-        self.pages_for_rows_offset(rows, 0)
-    }
-
-    /// [`SafsReader::pages_for_rows`] with a base added to every row id —
-    /// for callers addressing a sub-range of the file by local ids (a
-    /// knord rank's SEM plane).
-    pub fn pages_for_rows_offset(&self, rows: &[usize], base: usize) -> Vec<u64> {
         let mut pages = Vec::with_capacity(rows.len() + 1);
-        self.pages_into(rows, base, &mut pages);
+        self.pages_into(rows, &mut pages);
         pages
     }
 
-    fn pages_into(&self, rows: &[usize], base: usize, pages: &mut Vec<u64>) {
+    fn pages_into(&self, rows: &[usize], pages: &mut Vec<u64>) {
         pages.clear();
         for &r in rows {
-            let (a, b) = self.store.pages_of_row(base + r);
+            let (a, b) = self.store.pages_of_row(r);
             pages.extend(a..=b);
         }
         pages.sort_unstable();
@@ -214,7 +202,7 @@ impl SafsReader {
         // 1. Which pages do we need, and which are missing from cache? A
         // hit is copied to the next free page of the arena. Without a
         // cache every page is missing and none is probed.
-        self.pages_into(rows, 0, &mut s.pages);
+        self.pages_into(rows, &mut s.pages);
         s.hits.clear();
         s.missing.clear();
         let cached = self.cache.capacity_pages() > 0;
@@ -258,24 +246,6 @@ impl SafsReader {
             self.store.decode_row(r, |p| s.bytes_from(p, ps), row);
         }
         Ok(s.runs.len())
-    }
-
-    /// Prefetch `pages` into the cache (used by [`crate::Prefetcher`]);
-    /// already-resident pages are skipped.
-    pub fn prefetch_pages(&self, pages: &[u64]) -> io::Result<()> {
-        let ps = self.store.page_size();
-        let missing: Vec<u64> =
-            pages.iter().copied().filter(|&p| !self.cache.contains(p)).collect();
-        for (first, count) in self.merge_runs(&missing) {
-            let bytes = self.store.read_page_run(first, count)?;
-            self.stats.device_reads.fetch_add(1, Relaxed);
-            self.stats.bytes_read_device.fetch_add((count * ps) as u64, Relaxed);
-            self.stats.prefetched_pages.fetch_add(count as u64, Relaxed);
-            for i in 0..count {
-                self.cache.insert(first + i as u64, &bytes[i * ps..(i + 1) * ps]);
-            }
-        }
-        Ok(())
     }
 }
 
@@ -549,20 +519,6 @@ mod tests {
         assert_eq!(s.bytes_requested, 32);
         assert!(s.bytes_read_device >= 4096);
         assert!(s.amplification() > 100.0);
-        std::fs::remove_file(p).unwrap();
-    }
-
-    #[test]
-    fn prefetch_populates_cache() {
-        let (r, _, p) = reader(1000, 8, 512, 1 << 20);
-        let rows: Vec<usize> = (100..200).collect();
-        let pages = r.pages_for_rows(&rows);
-        r.prefetch_pages(&pages).unwrap();
-        let before = r.stats().snapshot();
-        let mut out = Vec::new();
-        r.fetch_rows(&rows, &mut out).unwrap();
-        let delta = r.stats().snapshot().delta_since(&before);
-        assert_eq!(delta.page_misses, 0, "prefetched fetch must not touch device");
         std::fs::remove_file(p).unwrap();
     }
 }

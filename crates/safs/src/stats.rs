@@ -15,14 +15,8 @@ pub struct IoStats {
     pub page_hits: AtomicU64,
     /// Pages that missed the page cache.
     pub page_misses: AtomicU64,
-    /// Pages brought in by the prefetcher.
-    pub prefetched_pages: AtomicU64,
     /// Page runs produced by merging (before cache filtering).
     pub merged_runs: AtomicU64,
-    /// Prefetch-pool threads found dead (panicked) at pool shutdown. A
-    /// non-zero value means some background fetches were silently lost and
-    /// the run fell back to synchronous reads.
-    pub panicked_io_threads: AtomicU64,
     /// Row requests served (`fetch_rows` / `fetch_rows_into` calls).
     pub fetch_calls: AtomicU64,
     /// Nanoseconds callers spent inside those requests, summed over
@@ -44,9 +38,7 @@ impl IoStats {
             device_reads: self.device_reads.load(Ordering::Relaxed),
             page_hits: self.page_hits.load(Ordering::Relaxed),
             page_misses: self.page_misses.load(Ordering::Relaxed),
-            prefetched_pages: self.prefetched_pages.load(Ordering::Relaxed),
             merged_runs: self.merged_runs.load(Ordering::Relaxed),
-            panicked_io_threads: self.panicked_io_threads.load(Ordering::Relaxed),
             fetch_calls: self.fetch_calls.load(Ordering::Relaxed),
             fetch_ns: self.fetch_ns.load(Ordering::Relaxed),
         }
@@ -59,9 +51,7 @@ impl IoStats {
         self.device_reads.store(0, Ordering::Relaxed);
         self.page_hits.store(0, Ordering::Relaxed);
         self.page_misses.store(0, Ordering::Relaxed);
-        self.prefetched_pages.store(0, Ordering::Relaxed);
         self.merged_runs.store(0, Ordering::Relaxed);
-        self.panicked_io_threads.store(0, Ordering::Relaxed);
         self.fetch_calls.store(0, Ordering::Relaxed);
         self.fetch_ns.store(0, Ordering::Relaxed);
     }
@@ -80,12 +70,8 @@ pub struct IoSnapshot {
     pub page_hits: u64,
     /// Page-cache misses.
     pub page_misses: u64,
-    /// Pages brought in by prefetch.
-    pub prefetched_pages: u64,
     /// Merged page runs.
     pub merged_runs: u64,
-    /// Prefetch-pool threads that had panicked by shutdown.
-    pub panicked_io_threads: u64,
     /// Row requests served.
     pub fetch_calls: u64,
     /// Thread-nanoseconds spent inside row requests.
@@ -109,9 +95,7 @@ impl IoSnapshot {
             device_reads: self.device_reads - earlier.device_reads,
             page_hits: self.page_hits - earlier.page_hits,
             page_misses: self.page_misses - earlier.page_misses,
-            prefetched_pages: self.prefetched_pages - earlier.prefetched_pages,
             merged_runs: self.merged_runs - earlier.merged_runs,
-            panicked_io_threads: self.panicked_io_threads - earlier.panicked_io_threads,
             fetch_calls: self.fetch_calls - earlier.fetch_calls,
             fetch_ns: self.fetch_ns - earlier.fetch_ns,
         }

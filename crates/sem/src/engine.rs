@@ -7,14 +7,14 @@
 //! row needed? ── Clause 1 ──> skipped: no I/O at all
 //!      │ yes
 //!      ├── row cache hit ───> compute (in-memory speed)
-//!      ├── page cache hit ──> assemble row, compute (no row cache, or prefetch)
+//!      ├── page cache hit ──> assemble row, compute (no row cache only)
 //!      └── device read (merged) ─> assemble, cache while room, compute
 //! ```
 //!
 //! Since PR 5 the whole row-access stack lives in [`crate::plane`]
 //! ([`SemPlane`], mounted through `knor_core`'s `DataPlane` layer): the
-//! depth-2 filter/prefetch pipeline and the commit are the shared
-//! `knor_core::plane` worker loop, and this module only resolves the
+//! filter, the staging and the commit are the shared `knor_core::plane`
+//! worker loop, and this module only resolves the
 //! configuration, runs the driver, and assembles the result — which is
 //! also what lets knord mount one [`SemPlane`] per rank.
 
@@ -45,8 +45,6 @@ pub struct SemResult {
     pub kmeans: KmeansResult,
     /// Per-iteration I/O statistics (Figs. 6a, 7).
     pub io: Vec<IoIterStats>,
-    /// Prefetch-pool threads found dead at shutdown (0 = healthy run).
-    pub panicked_io_threads: u64,
 }
 
 /// The knors solver.
@@ -85,13 +83,11 @@ impl SemKmeans {
             cfg.compute_sse,
         )?;
         let settle = SettleStats { secs: t_settle.elapsed().as_secs_f64(), threads: 1 };
-        let report = plane.finish();
         // O(nd) stays on the device — the point of SEM.
         let caches = cfg.ext.row_cache_bytes + cfg.ext.page_cache_bytes;
         Ok(SemResult {
             kmeans: run.finish(outcome, init_stats, centroids, 0, caches, (sse, settle)),
-            io: report.io,
-            panicked_io_threads: report.panicked_io_threads,
+            io: plane.finish(),
         })
     }
 }
@@ -298,10 +294,10 @@ mod tests {
         std::fs::remove_file(path).unwrap();
     }
 
-    /// One cache budget: with a row cache and no prefetch the reader has no
-    /// page cache, and the row cache holds both budgets from iteration 0 on
-    /// — fewer device bytes, not one bit of the result moved. Without a row
-    /// cache, or with prefetch on, the budget stays split as configured.
+    /// One cache budget: with a row cache the reader has no page cache, and
+    /// the row cache holds both budgets from iteration 0 on — fewer device
+    /// bytes, not one bit of the result moved. Without a row cache the page
+    /// cache keeps its budget.
     #[test]
     fn one_cache_budget_goes_to_the_row_cache() {
         let (data, path) = write_mixture(3000, 8, 29, "budget");
@@ -312,7 +308,7 @@ mod tests {
         let pg_hits = |r: &SemResult| r.io.iter().map(|i| i.page_hits).sum::<u64>();
         let max_rows = |r: &SemResult| r.io.iter().map(|i| i.rc_resident_rows).max().unwrap();
         for t in [1, 2] {
-            let run = |row: u64, page: u64, prefetch: bool| {
+            let run = |row: u64, page: u64| {
                 SemKmeans::new(
                     SemConfig::new(k)
                         .with_init(SemInit::Given(init.clone()))
@@ -324,16 +320,14 @@ mod tests {
                         .with_page_size(512)
                         .with_row_cache_bytes(row)
                         .with_page_cache_bytes(page)
-                        .with_prefetch(prefetch)
                         .with_max_iters(30)
                         .with_sse(true),
                 )
                 .fit(&path)
                 .unwrap()
             };
-            let (one, off) = (run(row, page, false), run(0, 0, false));
-            let (no_rc, prefetched) = (run(0, page, false), run(row, page, true));
-            for (what, r) in [("one budget", &one), ("row 0", &no_rc), ("prefetch", &prefetched)] {
+            let (one, off, no_rc) = (run(row, page), run(0, 0), run(0, page));
+            for (what, r) in [("one budget", &one), ("row 0", &no_rc)] {
                 let tag = format!("t={t} {what}");
                 assert_eq!(r.kmeans.assignments, off.kmeans.assignments, "{tag}");
                 assert_eq!(r.kmeans.centroids, off.kmeans.centroids, "{tag}");
@@ -345,11 +339,9 @@ mod tests {
             assert!(one.io.iter().all(|i| i.rc_resident_rows > 0 && i.rc_resident_rows <= cap));
             assert!(max_rows(&one) > row / (8 * d), "t={t}: the page budget went unused");
             assert!(read(&one) < read(&no_rc), "t={t}: {} vs {}", read(&one), read(&no_rc));
-            // Today's split: a page cache that hits, a row cache of its own
-            // budget (none under `row 0`).
-            assert!(pg_hits(&no_rc) > 0 && pg_hits(&prefetched) > 0, "t={t}");
+            // No row cache: a page cache that hits, and no row resident.
+            assert!(pg_hits(&no_rc) > 0, "t={t}");
             assert_eq!(max_rows(&no_rc), 0, "t={t}");
-            assert!(max_rows(&prefetched) <= row / (8 * d), "t={t}");
         }
         std::fs::remove_file(path).unwrap();
     }
@@ -402,24 +394,6 @@ mod tests {
         .unwrap();
         assert!(r.kmeans.converged);
         assert_eq!(r.kmeans.assignments.len(), 800);
-        std::fs::remove_file(path).unwrap();
-    }
-
-    #[test]
-    fn prefetch_pipeline_matches_unprefetched() {
-        let (data, path) = write_mixture(1000, 8, 25, "prefetch");
-        let k = 6;
-        let init = forgy(&data, k, 3);
-        let base = SemConfig::new(k)
-            .with_init(SemInit::Given(init))
-            .with_threads(2)
-            .with_task_size(64)
-            .with_page_size(512)
-            .with_max_iters(40);
-        let plain = SemKmeans::new(base.clone()).fit(&path).unwrap();
-        let pre = SemKmeans::new(base.with_prefetch(true)).fit(&path).unwrap();
-        assert_eq!(plain.kmeans.niters, pre.kmeans.niters);
-        assert!(agreement(&plain.kmeans.assignments, &pre.kmeans.assignments, k) > 0.999);
         std::fs::remove_file(path).unwrap();
     }
 

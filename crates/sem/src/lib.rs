@@ -11,11 +11,13 @@
 //!    exponentially growing intervals (`I_cache`, then `2·I_cache` later,
 //!    …), exploiting that the active set stabilizes as clusters root.
 //! 3. **SAFS-lite** below merges the remaining requests. The cache budget
-//!    is one budget: with a row cache and no prefetch, the page cache's
-//!    bytes go to the row cache and a scan reads past no page cache.
+//!    is one budget: with a row cache, the page cache's bytes go to the row
+//!    cache and a scan reads past no page cache.
 //!
-//! The engine pipelines I/O and compute: a worker submits the prefetch for
-//! its *next* task before computing the current one.
+//! A worker stages one filtered task at a time: its row-cache hits, then
+//! every miss in one merged request. The device here is a file the OS
+//! page cache serves, so there is no device latency for an overlap of I/O
+//! and compute to hide (DESIGN.md §3.2).
 //!
 //! ```no_run
 //! use knor_sem::{SemConfig, SemKmeans};
@@ -29,7 +31,7 @@ pub mod plane;
 pub mod row_cache;
 
 pub use engine::{SemConfig, SemInit, SemKmeans, SemResult};
-pub use plane::{SemPlane, SemPlaneConfig, SemPlaneReport};
+pub use plane::{SemPlane, SemPlaneConfig};
 pub use row_cache::{RefreshSchedule, RowCache};
 
 /// Per-iteration I/O statistics of a knors run (Figs. 6a, 7).

@@ -1,22 +1,22 @@
 //! The semi-external-memory data plane.
 //!
 //! [`SemPlane`] packages the whole SEM row-access stack — a private
-//! [`SafsReader`] (merged device reads, and a page cache only where the
-//! cache budget is split — see `cache_split`) over one byte range of an
-//! on-disk matrix, the lazily-refreshed [`RowCache`], an optional
-//! background [`Prefetcher`], and per-iteration [`IoIterStats`]
-//! accounting — as a `knor_core` [`DataPlane`] whose staged [`RowSource`]
-//! is the plane itself. The worker loop (depth-2 filter/prefetch pipeline,
-//! task-row-order commit) is `knor_core::plane::drain`; this module only
-//! supplies the tiers.
+//! [`SafsReader`] (merged device reads, and a page cache only when there
+//! is no row cache — see `cache_split`) over one byte range of an on-disk
+//! matrix, the lazily-refreshed [`RowCache`], and per-iteration
+//! [`IoIterStats`] accounting — as a `knor_core` [`DataPlane`] whose
+//! staged [`RowSource`] is the plane itself. A row comes from the row
+//! cache or, with the task's other misses, from one merged request. The
+//! worker loop (filter, stage, task-row-order commit) is
+//! `knor_core::plane::drain`; this module only supplies the tiers.
 //!
 //! Two engines mount it:
 //!
 //! * **knors** opens one plane over the whole file (`open_all`);
 //! * **knord** opens one plane *per rank* over that rank's row range
 //!   (`open_range`) — each rank gets its own file handle, page-cache and
-//!   row-cache budget, prefetch pool and I/O counters, which is exactly
-//!   the paper's "run knors on every node" deployment (§3.3).
+//!   row-cache budget and I/O counters, which is exactly the paper's "run
+//!   knors on every node" deployment (§3.3).
 
 use std::io;
 use std::ops::Range;
@@ -36,29 +36,16 @@ use knor_core::sync::ExclusiveCell;
 use knor_core::trace::{Phase, WorkerTracer};
 use knor_matrix::DMatrix;
 use knor_safs::stats::{IoSnapshot, IoStats};
-use knor_safs::{Prefetcher, RowStore, SafsReader, DEFAULT_PAGE_SIZE};
+use knor_safs::{RowStore, SafsReader, DEFAULT_PAGE_SIZE};
 
 use crate::row_cache::{RefreshSchedule, RowCache};
 use crate::IoIterStats;
-
-/// What a finished plane hands back: the per-iteration I/O record plus
-/// the count of prefetch-pool threads found dead at shutdown.
-#[derive(Debug, Clone, Default)]
-pub struct SemPlaneReport {
-    /// Per-iteration I/O statistics (Figs. 6a, 7), local to this plane.
-    pub io: Vec<IoIterStats>,
-    /// Prefetch-pool threads that had panicked by shutdown. Non-zero
-    /// means some background fetches were lost and the run fell back to
-    /// synchronous reads — slower, never incorrect.
-    pub panicked_io_threads: u64,
-}
 
 /// The SEM data plane over one byte range of an on-disk matrix.
 pub struct SemPlane {
     reader: Arc<SafsReader>,
     io_stats: Arc<IoStats>,
     row_cache: RowCache,
-    prefetcher: Option<Prefetcher>,
     /// Global (on-disk) row id of local row 0.
     base: usize,
     n_local: usize,
@@ -110,8 +97,6 @@ impl SemPlane {
         let reader = Arc::new(SafsReader::new(store, page_bytes, nthreads.max(4)));
         let io_stats = reader.stats();
         let row_cache = RowCache::new(row_bytes, rows.len().max(1), d, nthreads);
-        let prefetcher =
-            cfg.prefetch.then(|| Prefetcher::spawn(Arc::clone(&reader), cfg.prefetch_threads));
         let schedule = if cfg.lazy_refresh {
             RefreshSchedule::lazy(cfg.cache_interval.max(1))
         } else {
@@ -122,7 +107,6 @@ impl SemPlane {
             reader,
             io_stats,
             row_cache,
-            prefetcher,
             base: rows.start,
             n_local: rows.len(),
             d,
@@ -163,22 +147,11 @@ impl SemPlane {
         *unsafe { self.prev_io.get_mut() } = self.io_stats.snapshot();
     }
 
-    /// Make one prefetch-pool thread panic (tests only — exercises the
-    /// panicked-thread surfacing without a real fault).
-    #[doc(hidden)]
-    pub fn inject_prefetch_panic_for_test(&self) {
-        if let Some(pf) = &self.prefetcher {
-            pf.inject_panic_for_test();
-        }
-    }
-
-    /// Shut the plane down after a run: joins the prefetch pool (tallying
-    /// any panicked threads) and hands back the I/O record.
-    pub fn finish(&mut self) -> SemPlaneReport {
-        drop(self.prefetcher.take()); // joins I/O threads
-                                      // Safety: exclusive access through `&mut self`.
-        let io = std::mem::take(unsafe { self.ios.get_mut() });
-        SemPlaneReport { io, panicked_io_threads: self.io_stats.snapshot().panicked_io_threads }
+    /// Hand back the run's per-iteration I/O record (Figs. 6a, 7), local
+    /// to this plane.
+    pub fn finish(&mut self) -> Vec<IoIterStats> {
+        // Safety: exclusive access through `&mut self`.
+        std::mem::take(unsafe { self.ios.get_mut() })
     }
 }
 
@@ -191,11 +164,6 @@ impl RowSource for &SemPlane {
 
     fn d(&self) -> usize {
         self.d
-    }
-
-    fn prefetch(&mut self, needed: &[usize]) {
-        let Some(pf) = &self.prefetcher else { return };
-        pf.request(self.reader.pages_for_rows_offset(needed, self.base));
     }
 
     /// Fast-tier hits copy straight into their task-row-order slot; misses
@@ -292,10 +260,10 @@ impl DataPlane for SemPlane {
 /// The SEM cache budget as `(page cache, row cache)` bytes. A scan gets
 /// nothing from a page cache — each iteration asks for a row once, in file
 /// order — so when there is a row cache the page cache's bytes go to it.
-/// Two cases keep the split as configured: no row cache (the knors-/knors--
-/// ablations), and prefetch on (the pool lands its pages in the page cache).
+/// Without a row cache (the knors-/knors-- ablations) the page cache keeps
+/// its budget.
 fn cache_split(cfg: &SemPlaneConfig) -> (u64, u64) {
-    if cfg.row_cache_bytes > 0 && !cfg.prefetch {
+    if cfg.row_cache_bytes > 0 {
         (0, cfg.row_cache_bytes + cfg.page_cache_bytes)
     } else {
         (cfg.page_cache_bytes, cfg.row_cache_bytes)

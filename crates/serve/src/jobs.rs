@@ -180,10 +180,7 @@ fn train(spec: &TrainSpec) -> Result<(DMatrix, TrainDiag), String> {
         Source::File(p) => format!("read {p:?}: {e}"),
         Source::Matrix(_) => e.to_string(),
     })?;
-    let diag = TrainDiag {
-        panicked_io_threads: fitted.panicked_io_threads(),
-        io_skip_rows: fitted.total_prune().io_skip_rows,
-    };
+    let diag = TrainDiag { io_skip_rows: fitted.total_prune().io_skip_rows };
     Ok((fitted.into_centroids(), diag))
 }
 

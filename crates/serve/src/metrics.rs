@@ -141,20 +141,6 @@ pub fn render_prometheus(handle: &ServeHandle) -> String {
 
     let _ = writeln!(
         out,
-        "# HELP knor_serve_train_panicked_io_threads \
-         Prefetch-pool threads found dead when the model trained."
-    );
-    let _ = writeln!(out, "# TYPE knor_serve_train_panicked_io_threads gauge");
-    for e in &entries {
-        let _ = writeln!(
-            out,
-            "knor_serve_train_panicked_io_threads{{model=\"{}\"}} {}",
-            e.model.name, e.train.panicked_io_threads
-        );
-    }
-
-    let _ = writeln!(
-        out,
         "# HELP knor_serve_train_io_skip_rows \
          Row fetches the staged plane skipped via bound pruning when the model trained."
     );
@@ -265,7 +251,6 @@ mod tests {
         assert!(text.contains("phase=\"parse\"") && text.contains("phase=\"format\""));
         // 64 rows are one chunk: answered inline.
         assert!(text.contains("knor_serve_inline_calls_total 1\n"), "{text}");
-        assert!(text.contains("knor_serve_train_panicked_io_threads{model=\"demo\"} 0"));
         assert!(!text.contains("knor_serve_train_publish"), "{text}");
         assert!(text.contains("knor_serve_train_io_skip_rows{model=\"demo\"} 0"));
         assert!(text.contains("knor_serve_busy_total{model=\"demo\"} 0"));

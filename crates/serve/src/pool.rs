@@ -14,8 +14,7 @@
 //! pool's lifetime; per-worker scratch is grow-only, so steady-state
 //! predict calls do no per-row allocation. A worker that panics mid-chunk
 //! is caught (`catch_unwind`), the call reports an error instead of
-//! deadlocking, and the worker keeps serving later calls — mirroring the
-//! prefetch pool's no-silent-loss contract.
+//! deadlocking, and the worker keeps serving later calls.
 //!
 //! **One-chunk calls run on the calling thread.** A call the chunk rule
 //! would not split (`m` ≤ 64 rows at the default cap) has no parallelism to

@@ -73,10 +73,6 @@ impl Model {
 /// directly rather than trained in-process).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TrainDiag {
-    /// Prefetch-pool threads found dead at training shutdown, summed
-    /// across SEM planes/ranks (0 = healthy; non-zero means lost I/O
-    /// overlap, never lost rows).
-    pub panicked_io_threads: u64,
     /// Rows whose *fetch* the staged (SEM) plane skipped because bound
     /// pruning eliminated them before their data was needed (always 0 on
     /// direct planes — distance-pruning there saves compute, not I/O).

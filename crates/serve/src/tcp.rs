@@ -9,7 +9,7 @@
 //!                                               → OK job <id>
 //! STATUS <job>                                  → OK queued|running|done <v>|failed <msg>
 //! QUERY <model> <m> <d> <f0> <f1> … <f(m·d−1)>  → OK <m> <c>:<dist> …
-//! STATS <model>                                 → OK queries=… qps=… panicked_io_threads=… io_skip_rows=…
+//! STATS <model>                                 → OK queries=… qps=… io_skip_rows=…
 //! METRICS                                       → OK <prometheus text, newline-escaped>
 //! LIST                                          → OK <name>:v<ver>:<queries> …
 //! SAVE <model> <dir>                            → OK saved <metapath>
@@ -171,13 +171,7 @@ fn try_dispatch(handle: &ServeHandle, line: &str, out: &mut String) -> Result<()
             let model = tokens.next().ok_or("STATS: missing model")?;
             let entry = handle.registry().get(model).ok_or("unknown model")?;
             let s: StatsSnapshot = entry.stats.snapshot();
-            let _ = write!(
-                out,
-                "{} panicked_io_threads={} io_skip_rows={}",
-                s.render(),
-                entry.train.panicked_io_threads,
-                entry.train.io_skip_rows,
-            );
+            let _ = write!(out, "{} io_skip_rows={}", s.render(), entry.train.io_skip_rows,);
         }
         "METRICS" => {
             out.push_str(&crate::metrics::escape_line(&crate::metrics::render_prometheus(handle)))
@@ -490,7 +484,6 @@ mod tests {
 
         let stats = c.stats("gmm").unwrap();
         assert!(stats.contains("queries=32"), "{stats}");
-        assert!(stats.contains("panicked_io_threads=0"), "{stats}");
         assert!(stats.contains("io_skip_rows=0") && !stats.contains("publish"), "{stats}");
         let metrics = c.metrics().unwrap();
         assert!(

@@ -25,9 +25,8 @@ fn main() -> std::io::Result<()> {
     let config = SemConfig::new(k)
         .with_init(SemInit::Given(init))
         .with_row_cache_bytes(8 << 20) // 8 MB row cache
-        .with_page_cache_bytes(16 << 20) // 16 MB page cache
+        .with_page_cache_bytes(16 << 20) // lent to the row cache: 24 MB in all
         .with_max_iters(60)
-        .with_prefetch(true)
         .with_sse(true);
     let t0 = std::time::Instant::now();
     let result = SemKmeans::new(config).fit(&path)?;

@@ -367,12 +367,6 @@ fn main() {
                         print_memory(&km.memory);
                         print_io_table(&r.io);
                         print_io_summary(&[&r.io]);
-                        if r.panicked_io_threads > 0 {
-                            println!(
-                                "WARNING: {} prefetch thread(s) died mid-run",
-                                r.panicked_io_threads
-                            );
-                        }
                     }
                     Fitted::Dist(r) => {
                         init_settle();
@@ -724,14 +718,9 @@ fn print_dist_stats(r: &DistResult) {
         let hits: u64 = rio.io.iter().map(|i| i.rc_hits).sum();
         let misses: u64 = rio.io.iter().map(|i| i.rc_misses).sum();
         println!(
-            "rank {} io: {:.1} MB read, rc {hits} hits / {misses} misses{}",
+            "rank {} io: {:.1} MB read, rc {hits} hits / {misses} misses",
             rio.rank,
-            read as f64 / 1e6,
-            if rio.panicked_io_threads > 0 {
-                format!(", {} prefetch thread(s) DIED", rio.panicked_io_threads)
-            } else {
-                String::new()
-            }
+            read as f64 / 1e6
         );
     }
     let planes: Vec<&[_]> = r.rank_io.iter().map(|rio| &rio.io[..]).collect();

@@ -88,45 +88,6 @@ fn dist_with_more_ranks_than_rows_is_clean() {
 }
 
 #[test]
-fn sem_rank_prefetcher_death_completes_and_is_surfaced() {
-    // One SEM rank loses a prefetch-pool thread mid-run. Prefetching is
-    // best-effort (a lost fetch only costs a synchronous read later), so
-    // the run must complete with the *same clustering* — but the dead
-    // thread must be surfaced in that rank's `panicked_io_threads`, never
-    // silently swallowed.
-    let data = MixtureSpec::friendster_like(900, 6, 31).generate().data;
-    let k = 6;
-    let init = InitMethod::Forgy.initialize(&data, k, 4).to_matrix();
-    let p = tmp("prefetch-death.knor");
-    matrix_io::write_matrix(&p, &data).unwrap();
-
-    let base = DistConfig::new(k, 2, 2)
-        .with_init(InitMethod::Given(init))
-        .with_scheduler(SchedulerKind::Static)
-        .with_max_iters(30);
-    let healthy = DistKmeans::new(base.clone()).fit(&data);
-    let wounded = DistKmeans::new(
-        base.with_plane(RankPlane::Sem(
-            SemPlaneConfig::default().with_page_size(512).with_prefetch(true),
-        ))
-        .with_inject_prefetch_panic_rank(1),
-    )
-    .fit_file(&p)
-    .unwrap();
-    std::fs::remove_file(&p).unwrap();
-
-    assert_eq!(wounded.assignments, healthy.assignments, "clustering must survive the death");
-    assert_eq!(wounded.centroids, healthy.centroids);
-    assert_eq!(wounded.niters, healthy.niters);
-    assert_eq!(wounded.rank_io.len(), 2);
-    assert_eq!(
-        wounded.rank_io[1].panicked_io_threads, 1,
-        "the dead prefetch thread must be surfaced on its rank"
-    );
-    assert_eq!(wounded.rank_io[0].panicked_io_threads, 0, "healthy rank stays clean");
-}
-
-#[test]
 fn sem_read_failure_mid_run_is_an_error_not_a_hang() {
     // The file shrinks *after* the plane opened it, so the length check at
     // open cannot help: the first fetches past the new end fail inside the

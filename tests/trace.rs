@@ -9,6 +9,7 @@
 //! 3. **Accounted breakdown.** The folded [`PhaseBreakdown`] sees every
 //!    span the export sees and a nonzero compute + barrier-wait total.
 
+use knor::core::PhaseGroup;
 use knor::numa::Topology;
 use knor::prelude::*;
 use knor_bench::regression::Json;
@@ -182,6 +183,27 @@ fn chrome_trace_export_is_valid_json_with_per_worker_tracks() {
     }
 }
 
+/// knord's ranks reuse worker ids, so a track is a `(pid, tid)` pair: each
+/// rank's workers and comm track keep their own columns of the breakdown.
+#[test]
+fn knord_breakdown_keeps_each_rank_in_its_own_columns() {
+    let data = workload(900, 5, 719);
+    let buf = Arc::new(TraceBuf::new());
+    let r = DistKmeans::new(
+        DistConfig::new(8, 2, 2).with_seed(11).with_max_iters(8).with_trace(buf.clone()),
+    )
+    .fit(&data);
+    let bd = r.phases.as_ref().expect("a recorder was attached");
+    let mut tracks = bd.tracks.clone();
+    tracks.sort_unstable();
+    assert_eq!(tracks, vec![(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2)]);
+    for (c, &(rank, tid)) in bd.tracks.iter().enumerate() {
+        let (group, what) =
+            if tid < 2 { (PhaseGroup::Compute, "worker") } else { (PhaseGroup::IoWait, "comm") };
+        assert!(bd.group_ns(group)[c] > 0, "rank {rank} {what} track {tid} is empty");
+    }
+}
+
 /// knord's export adds one comm track per rank whose allreduce spans
 /// carry the wire byte count.
 #[test]
@@ -205,4 +227,48 @@ fn knord_trace_names_allreduce_with_wire_bytes() {
         }),
         "allreduce spans never carried wire bytes"
     );
+}
+
+/// knors' phase table counts each worker nanosecond once. The staged
+/// plane's I/O spans nest inside the driver's `compute` span on the same
+/// track, and the fold takes self times, so a track's groups sum to at most
+/// the time from its first span's start to its last span's end, and so to
+/// at most the run's wall time. Every row is read from the device in every
+/// iteration here, so counting the nested I/O twice would overshoot both.
+#[test]
+fn knors_phase_table_sums_within_the_run() {
+    let data = workload(40_000, 16, 811);
+    let mut path = std::env::temp_dir();
+    path.push(format!("knor-trace-knors-sum-{}.knor", std::process::id()));
+    matrix_io::write_matrix(&path, &data).unwrap();
+    let buf = Arc::new(TraceBuf::new());
+    let t0 = std::time::Instant::now();
+    let r = SemKmeans::new(
+        SemConfig::new(8)
+            .with_init(SemInit::Forgy)
+            .with_seed(5)
+            .with_threads(2)
+            .with_pruning(Pruning::None)
+            .with_row_cache_bytes(0)
+            .with_page_cache_bytes(0)
+            .with_max_iters(6)
+            .with_trace(buf.clone()),
+    )
+    .fit(&path)
+    .unwrap();
+    let run_ns = t0.elapsed().as_nanos() as u64;
+    std::fs::remove_file(&path).unwrap();
+    let bd = r.kmeans.phases.as_ref().expect("a recorder was attached");
+    assert_eq!(bd.tracks.len(), 2, "one track per knors worker");
+    let spans = buf.spans();
+    for (c, &(_, tid)) in bd.tracks.iter().enumerate() {
+        let sum: u64 = PhaseGroup::ALL.iter().map(|&g| bd.group_ns(g)[c]).sum();
+        let mine = || spans.iter().filter(|s| s.worker == tid);
+        let covered =
+            mine().map(|s| s.t_end).max().unwrap() - mine().map(|s| s.t_start).min().unwrap();
+        assert!(sum <= covered, "track {c}: {sum} ns of phases in {covered} ns\n{}", bd.render());
+        assert!(sum <= run_ns, "track {c}: {sum} ns of phases in a {run_ns} ns run");
+        let io = bd.group_ns(PhaseGroup::IoWait)[c];
+        assert!(io > 0, "track {c}: no device wait in a run that reads every row");
+    }
 }
