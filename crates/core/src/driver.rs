@@ -38,16 +38,34 @@
 //! Under pruning the accumulators hold *deltas* against persistent global
 //! sums (maintained by the driver), so a Clause-1 skip touches no row data.
 //!
-//! **Failure.** A row source can fail (a SEM device read). The failing
-//! worker stops draining but still walks barriers B and C; its report
-//! carries [`WorkerReport::failed`], which rides the reduce like every other
-//! scalar, so the coordinator — every rank's coordinator, under knord —
-//! stops the run at the same iteration and [`run_mm`] returns the error.
+//! **Shared state.** What only the coordinator touches — the next
+//! centroids, the merged counts and weights, the reduce staging, MTI's
+//! persistent sums and the statistics — is worker 0's own `Coordinator`.
+//! What crosses a barrier sits behind a `std` lock that a phase takes once
+//! and drops before the phase's closing barrier: the centroids and MTI's
+//! thresholds (read in compute, written in the window), each worker's
+//! accumulator (written in compute, read in the merge), its report and its
+//! slice of the merged sums. The barriers already order every access, so
+//! no lock is ever contended: each is taken with `try_*`, and a busy one
+//! is a protocol bug that panics naming the cell. Only the per-row state
+//! ([`RowBounds`]) keeps an `unsafe` contract, because it is touched per
+//! row on the hot path.
+//!
+//! **Failure.** A row source can fail (a SEM device read), and a plane or
+//! algorithm hook can panic. Either way the worker keeps walking the
+//! barriers: a failed or panicked compute reports [`WorkerReport::failed`],
+//! which rides the reduce like every other scalar, so the coordinator —
+//! every rank's coordinator, under knord — stops the run at the same
+//! iteration; a panic in the coordinator's own hooks stops it at the next
+//! barrier A. [`run_mm`] then returns the first error, or resumes the
+//! first panic with its original payload.
 
+use std::any::Any;
 use std::io;
 use std::ops::Range;
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Barrier, Mutex, PoisonError};
+use std::sync::{Barrier, Mutex, PoisonError, RwLock, TryLockError, TryLockResult};
 
 use knor_matrix::shared::SharedRows;
 use knor_numa::{AccessTally, Placement};
@@ -60,7 +78,6 @@ use crate::kernel::{KernelKind, ResolvedKernel};
 use crate::plane::{DataPlane, DrainScratch};
 use crate::pruning::{mti_assign, MtiIterState, PruneCounters, Pruning, RowScan};
 use crate::stats::{CommitCounters, IterStats};
-use crate::sync::ExclusiveCell;
 use crate::trace::{Phase, PhaseBreakdown, TraceHandle, WorkerTracer};
 
 /// Engine-independent parameters of a driver run.
@@ -108,8 +125,9 @@ pub struct WorkerReport {
     pub tally: Option<AccessTally>,
     /// Plane-defined auxiliary counter (knors: row-cache hits).
     pub aux: u64,
-    /// Workers whose row source failed this iteration. Summed across
-    /// workers (and, by the reducer, across ranks); non-zero stops the run.
+    /// Workers whose compute failed this iteration (a row source's error
+    /// or a panic). Summed across workers (and, by the reducer, across
+    /// ranks); non-zero stops the run.
     pub failed: u64,
 }
 
@@ -200,21 +218,6 @@ pub struct NoReduce;
 
 impl Reducer for NoReduce {}
 
-/// Above this `k` (and with more than one worker) the `O(k²·d)` rebuild of
-/// MTI's half-distance table is spread over the workers, between two extra
-/// barriers; at or below it the coordinator's serial rebuild is cheaper
-/// than those barriers.
-const PARALLEL_CC_ABOVE_K: usize = 64;
-
-/// A `Send + Sync` raw pointer to a shared `f64` buffer, used for the
-/// barrier-ordered, pair-disjoint parallel half-distance writes (the same
-/// manual discipline as [`ExclusiveCell`], expressed at element
-/// granularity).
-struct RawSlicePtr(*mut f64);
-// Safety: all access is disjoint-by-construction and barrier-ordered.
-unsafe impl Send for RawSlicePtr {}
-unsafe impl Sync for RawSlicePtr {}
-
 /// Everything a finished driver run hands back to the engine.
 #[derive(Debug)]
 pub struct DriverOutcome {
@@ -232,12 +235,57 @@ pub struct DriverOutcome {
     pub phases: Option<PhaseBreakdown>,
 }
 
+/// Worker 0's own state. No other thread ever reads it, so it needs no
+/// lock: the worker closure creates it and hands it back at the join.
+struct Coordinator {
+    /// `C^{t+1}`, swapped into the shared centroids at the window's end.
+    next: Centroids,
+    /// Merged counts (always) and contribution weights (weighted
+    /// algorithms only; zeros otherwise), summed between B and C.
+    counts: Vec<i64>,
+    weights: Vec<f64>,
+    /// The merged sums gathered from the workers' slices and handed to the
+    /// reduce; persistent so steady-state iterations never allocate.
+    sums: Vec<f64>,
+    /// Persistent global sums and counts for MTI's delta accumulation.
+    psums: Vec<f64>,
+    pcounts: Vec<i64>,
+    stats: Vec<IterStats>,
+    reduces: Vec<ReduceReport>,
+}
+
+/// Run a hook that may panic: its value, or `None` once the payload is
+/// kept in `first` (unless an earlier one is already there).
+fn caught<T>(first: &Mutex<Option<Box<dyn Any + Send>>>, hook: impl FnOnce() -> T) -> Option<T> {
+    let out = panic::catch_unwind(AssertUnwindSafe(hook));
+    out.map_err(|p| {
+        first.lock().unwrap_or_else(PoisonError::into_inner).get_or_insert(p);
+    })
+    .ok()
+}
+
+/// The guard of a lock a phase just tried (`try_read`, `try_write` or
+/// `try_lock`). The barriers order every access, so a lock still held by
+/// another phase is a protocol bug: panic naming `cell` rather than wait.
+/// A poisoned lock is not one — the panic that poisoned it was caught and
+/// is stopping the run — so its guard is handed back.
+fn held<G>(tried: TryLockResult<G>, cell: &str) -> G {
+    match tried {
+        Ok(g) => g,
+        Err(TryLockError::Poisoned(p)) => p.into_inner(),
+        Err(TryLockError::WouldBlock) => {
+            panic!("barrier protocol violated: `{cell}` is held by another phase")
+        }
+    }
+}
+
 /// Run the shared map/merge/reduce/update protocol for an arbitrary
 /// [`MmAlgorithm`] over `plane`'s rows: spawn `cfg.nthreads` workers,
 /// iterate until the algorithm declares convergence or the cap, and return
 /// the outcome — or the first error a row source reported (see the module
 /// docs; a run stopped by a peer rank's failure reports
-/// [`io::ErrorKind::Other`]).
+/// [`io::ErrorKind::Other`]). A panic in a plane, reducer or algorithm
+/// hook stops the run and is resumed here, on the caller's thread.
 ///
 /// `queue` must be empty; the driver fills it from `placement` each
 /// iteration. `init` supplies the starting centroids. For the canonical
@@ -270,42 +318,35 @@ pub fn run_mm<P: DataPlane + ?Sized, R: Reducer>(
     algo.prepare_init(&mut init);
 
     let rk = cfg.kernel.resolve(k, d, cfg_pruning);
-    // For large k the O(k²·d) half-distance recompute dominates the
-    // coordinator window; the workers are idling at the next barrier, so
-    // they fill disjoint pairs of the table instead.
-    let parallel_cc = cfg_pruning && nthreads > 1 && k > PARALLEL_CC_ABOVE_K;
 
-    // Shared engine state (see module docs for the barrier protocol).
-    let centroids = ExclusiveCell::new(init);
-    let next_cents = ExclusiveCell::new(Centroids::zeros(k, d));
-    let mti = ExclusiveCell::new(MtiIterState::new(if cfg_pruning { k } else { 0 }));
-    // Base of the half-distance table for the parallel recompute phase. The
-    // coordinator re-derives this every iteration from its live exclusive
-    // borrow (keeping the pointer's provenance valid — no `&mut` to the MTI
-    // state is created between the capture and the workers' writes), and
-    // barriers D/E order the disjoint row writes against all readers.
-    let cc_base = ExclusiveCell::new(RawSlicePtr(std::ptr::null_mut()));
+    // Shared engine state (see "Shared state" in the module docs).
+    let centroids = RwLock::new(init);
+    let mti = RwLock::new(MtiIterState::new(if cfg_pruning { k } else { 0 }));
     let rows = if cfg_pruning { RowBounds::new(n) } else { RowBounds::unbounded(n) };
-    let merged_sums: SharedRows<f64> = SharedRows::new(k * d, 0.0);
-    let merged_counts = ExclusiveCell::new(vec![0i64; k]);
-    let merged_weights = ExclusiveCell::new(vec![0.0f64; k]);
-    // Coordinator staging for the merged sums handed to `reduce` —
-    // persistent so steady-state iterations never allocate.
-    let sums_staging = ExclusiveCell::new(vec![0.0f64; k * d]);
-    // Persistent global sums/counts for MTI delta accumulation.
-    let persistent = ExclusiveCell::new((vec![0.0f64; k * d], vec![0i64; k]));
-    let accums: Vec<ExclusiveCell<LocalAccum>> =
-        (0..nthreads).map(|_| ExclusiveCell::new(LocalAccum::new(k, d))).collect();
-    let reports: Vec<ExclusiveCell<WorkerReport>> =
-        (0..nthreads).map(|_| ExclusiveCell::new(WorkerReport::default())).collect();
+    let dim_slices = knor_matrix::partition_rows(k * d, nthreads);
+    let merged: Vec<Mutex<Vec<f64>>> =
+        dim_slices.iter().map(|s| Mutex::new(vec![0.0; s.len()])).collect();
+    let accums: Vec<RwLock<LocalAccum>> =
+        (0..nthreads).map(|_| RwLock::new(LocalAccum::new(k, d))).collect();
+    let reports: Vec<Mutex<WorkerReport>> =
+        (0..nthreads).map(|_| Mutex::new(WorkerReport::default())).collect();
     let stop = AtomicBool::new(false);
     let converged = AtomicBool::new(false);
-    // A row source's failure: the first error any worker met, and whether
-    // the (globally reduced) failure count stopped the run.
+    // A failed compute: the first error a row source met, the first panic
+    // payload any hook raised, and whether the (globally reduced) failure
+    // count stopped the run.
     let failure: Mutex<Option<io::Error>> = Mutex::new(None);
+    let panicked: Mutex<Option<Box<dyn Any + Send>>> = Mutex::new(None);
     let failed = AtomicBool::new(false);
     let barrier = Barrier::new(nthreads);
-    let dim_slices = knor_matrix::partition_rows(k * d, nthreads);
+    // Wait at the barrier, tracing the wait as `phase`.
+    let wait = |tr: Option<&WorkerTracer<'_>>, phase| {
+        let t0 = tr.map(|t| t.now());
+        barrier.wait();
+        if let (Some(t), Some(t0)) = (tr, t0) {
+            t.record(phase, t0, 0);
+        }
+    };
 
     queue.refill(placement, cfg.task_size);
 
@@ -313,8 +354,6 @@ pub fn run_mm<P: DataPlane + ?Sized, R: Reducer>(
     // traced-off path below is a single `Option` branch per record site.
     let tgroup = cfg.trace.as_ref().map(|h| h.buf.register(h.pid, nthreads, 0));
 
-    let mut iter_stats: Vec<IterStats> = Vec::new();
-    let mut reduce_reports: Vec<ReduceReport> = Vec::new();
     // One worker's whole run. Everything it shares is borrowed; the barrier
     // protocol in the module docs orders every access.
     let worker = |w: usize| {
@@ -324,32 +363,30 @@ pub fn run_mm<P: DataPlane + ?Sized, R: Reducer>(
         let mut scratch = DrainScratch::default();
         plane.worker_start(w);
         let my_node = placement.node_of_thread(w).0;
-        // Only the coordinator records; reserving the cap up front
-        // keeps the iteration loop allocation-free. The reserve is
-        // clamped so an effectively-unbounded cap (run-until-
-        // convergence callers) neither overflows nor pre-allocates
-        // gigabytes; runs longer than the clamp merely fall back to
+        // Reserving the cap up front keeps the iteration loop
+        // allocation-free. The reserve is clamped so an effectively-
+        // unbounded cap (run-until-convergence callers) neither overflows
+        // nor pre-allocates gigabytes; longer runs merely fall back to
         // amortized growth.
         let reserve = cfg.max_iters.min(1024);
-        let (mut stats, mut reduces) = if w == 0 {
-            (Vec::with_capacity(reserve), Vec::with_capacity(reserve))
-        } else {
-            (Vec::new(), Vec::new())
-        };
+        let mut coord = (w == 0).then(|| Coordinator {
+            next: Centroids::zeros(k, d),
+            counts: vec![0; k],
+            weights: vec![0.0; k],
+            sums: vec![0.0; k * d],
+            psums: vec![0.0; k * d],
+            pcounts: vec![0; k],
+            stats: Vec::with_capacity(reserve),
+            reduces: Vec::with_capacity(reserve),
+        });
         let mut iter = 0usize;
 
         loop {
-            // Safety: each worker claims only its own slot, and all
-            // trace reads happen after the scope joins.
-            let tr = tgroup.as_deref().map(|g| unsafe { g.tracer(w, my_node as u32, iter as u32) });
-            if w == 0 {
-                plane.pre_iteration(iter);
+            let tr = tgroup.as_deref().map(|g| g.tracer(w, my_node as u32, iter as u32));
+            if coord.is_some() && caught(&panicked, || plane.pre_iteration(iter)).is_none() {
+                stop.store(true, Ordering::Release);
             }
-            let ta = tr.as_ref().map(|t| t.now());
-            barrier.wait(); // A — state published by coordinator
-            if let (Some(t), Some(ta)) = (tr.as_ref(), ta) {
-                t.record(Phase::BarrierA, ta, 0);
-            }
+            wait(tr.as_ref(), Phase::BarrierA); // A — state published by coordinator
             if stop.load(Ordering::Acquire) {
                 break;
             }
@@ -357,280 +394,214 @@ pub fn run_mm<P: DataPlane + ?Sized, R: Reducer>(
             let tc = tr.as_ref().map(|t| t.now());
 
             // ---- compute super-phase (the plane's worker loop) ---
-            // Safety: barrier A separates us from the coordinator's
-            // writes; nobody writes these cells during compute.
-            let cents = unsafe { centroids.get() };
-            let view = IterView {
-                iter,
-                cents,
-                filter: match scheme {
-                    Pruning::None => Filter::None(NoFilter::new(cents)),
-                    Pruning::Mti => Filter::Mti(MtiFilter::new(cents, unsafe { mti.get() })),
-                },
-                rows: &rows,
-                queue,
-                kernel: rk,
-                algo,
-                row_offset: cfg.row_offset,
-                scoped,
-                tracer: tr,
+            let report = {
+                let cents = held(centroids.try_read(), "centroids");
+                let mti = held(mti.try_read(), "mti");
+                let mut accum = held(accums[w].try_write(), "accumulator");
+                accum.reset();
+                let view = IterView {
+                    iter,
+                    cents: &cents,
+                    filter: match scheme {
+                        Pruning::None => Filter::None(NoFilter::new(&cents)),
+                        Pruning::Mti => Filter::Mti(MtiFilter::new(&cents, &mti)),
+                    },
+                    rows: &rows,
+                    queue,
+                    kernel: rk,
+                    algo,
+                    row_offset: cfg.row_offset,
+                    scoped,
+                    tracer: tr,
+                };
+                match caught(&panicked, || plane.compute(w, &view, &mut accum, &mut scratch)) {
+                    Some(Ok(report)) => report,
+                    outcome => {
+                        // Keep the first error; this worker still walks
+                        // the barriers so nobody waits on it forever.
+                        if let Some(Err(e)) = outcome {
+                            failure.lock().unwrap_or_else(PoisonError::into_inner).get_or_insert(e);
+                        }
+                        WorkerReport { failed: 1, ..WorkerReport::default() }
+                    }
+                }
             };
-            let accum = unsafe { accums[w].get_mut() };
-            let report = plane.compute(w, &view, accum, &mut scratch).unwrap_or_else(|e| {
-                // Keep the first error; this worker still walks the
-                // barriers so nobody waits on it forever.
-                let mut slot = failure.lock().unwrap_or_else(PoisonError::into_inner);
-                slot.get_or_insert(e);
-                WorkerReport { failed: 1, ..WorkerReport::default() }
-            });
             if let (Some(t), Some(tc)) = (tr.as_ref(), tc) {
                 // Compute covers the whole drain; staged-I/O spans
                 // recorded by the row source nest inside it.
                 t.record(Phase::Compute, tc, report.rows_accessed * (d as u64) * 8);
             }
-            // Safety: own slot; read by worker 0 only after B.
-            unsafe { *reports[w].get_mut() = report };
+            *held(reports[w].try_lock(), "report") = report;
 
-            let tb = tr.as_ref().map(|t| t.now());
-            barrier.wait(); // B — all accumulators and reports final
-            if let (Some(t), Some(tb)) = (tr.as_ref(), tb) {
-                t.record(Phase::BarrierB, tb, 0);
-            }
+            wait(tr.as_ref(), Phase::BarrierB); // B — all accumulators and reports final
 
             // ---- parallel merge (dimension-sliced) ---------------
+            // One accumulator at a time, in worker order: every sum keeps
+            // the association ((0 + a₀) + a₁) + …, and nothing allocates.
             let tm = tr.as_ref().map(|t| t.now());
-            for j in dim_slice.clone() {
-                let mut sum = 0.0;
-                for a in accums.iter() {
-                    // Safety: accumulators are read-only between B and C.
-                    sum += unsafe { a.get() }.sums[j];
+            {
+                let mut slice = held(merged[w].try_lock(), "merged sums");
+                slice.fill(0.0);
+                if let Some(co) = coord.as_mut() {
+                    co.counts.fill(0);
+                    // `Sum`'s neutral element, so the weights keep the
+                    // bits of an iterator sum over the accumulators.
+                    if uses_weights {
+                        co.weights.fill(-0.0);
+                    }
                 }
-                // Safety: dim slices are disjoint across workers.
-                unsafe { *merged_sums.get_mut(j) = sum };
-            }
-            if w == 0 {
-                // Safety: coordinator-only write between B and C.
-                let mc = unsafe { merged_counts.get_mut() };
-                for (c, m) in mc.iter_mut().enumerate() {
-                    *m = accums.iter().map(|a| unsafe { a.get() }.counts[c]).sum();
-                }
-                if uses_weights {
-                    // Only weighted updates read the lane; for
-                    // everyone else (Lloyd included) the merged
-                    // weights stay zero and cost nothing here.
-                    let mw = unsafe { merged_weights.get_mut() };
-                    for (c, m) in mw.iter_mut().enumerate() {
-                        *m = accums.iter().map(|a| unsafe { a.get() }.weights[c]).sum();
+                for a in &accums {
+                    let a = held(a.try_read(), "accumulator");
+                    for (m, s) in slice.iter_mut().zip(&a.sums[dim_slice.clone()]) {
+                        *m += s;
+                    }
+                    if let Some(co) = coord.as_mut() {
+                        for (m, c) in co.counts.iter_mut().zip(&a.counts) {
+                            *m += c;
+                        }
+                        // Only weighted updates read the lane; for
+                        // everyone else (Lloyd included) the merged
+                        // weights stay zero and cost nothing here.
+                        if uses_weights {
+                            for (m, x) in co.weights.iter_mut().zip(&a.weights) {
+                                *m += x;
+                            }
+                        }
                     }
                 }
             }
-
             if let (Some(t), Some(tm)) = (tr.as_ref(), tm) {
                 t.record(Phase::Merge, tm, dim_slice.len() as u64 * 8);
             }
 
-            let tcw = tr.as_ref().map(|t| t.now());
-            barrier.wait(); // C — merged sums/counts complete
-            if let (Some(t), Some(tcw)) = (tr.as_ref(), tcw) {
-                t.record(Phase::BarrierC, tcw, 0);
-            }
+            wait(tr.as_ref(), Phase::BarrierC); // C — merged sums/counts complete
 
-            let tu = tr.as_ref().map(|t| t.now());
-            if w == 0 {
-                // ---- coordinator window --------------------------
-                // Safety: exclusive window between C and next A.
-                let cents = unsafe { centroids.get_mut() };
-                let next = unsafe { next_cents.get_mut() };
-                let mc = unsafe { merged_counts.get_mut() };
-                let (psums, pcounts) = unsafe { persistent.get_mut() };
+            if let Some(co) = coord.as_mut() {
+                // ---- coordinator window (C to the next A) --------
+                let tu = tr.as_ref().map(|t| t.now());
+                let window = caught(&panicked, || {
+                    let mut cents = held(centroids.try_write(), "centroids");
 
-                // Aggregate worker reports before the reduce so the
-                // reducer can globalize the convergence scalars.
-                let mut totals = WorkerReport::default();
-                let mut tallies: Option<Vec<AccessTally>> = None;
-                for rep in reports.iter() {
-                    // Safety: workers finished their reports before B.
-                    let rep = unsafe { rep.get() };
-                    totals.absorb(rep);
-                    if let Some(t) = rep.tally.as_ref() {
-                        tallies.get_or_insert_with(Vec::new).push(t.clone());
+                    // Aggregate worker reports before the reduce so the
+                    // reducer can globalize the convergence scalars.
+                    let mut totals = WorkerReport::default();
+                    let mut tallies: Option<Vec<AccessTally>> = None;
+                    for rep in &reports {
+                        let rep = held(rep.try_lock(), "report");
+                        totals.absorb(&rep);
+                        if let Some(t) = rep.tally.as_ref() {
+                            tallies.get_or_insert_with(Vec::new).push(t.clone());
+                        }
                     }
-                }
-
-                // Engine-specific global reduction (knord's
-                // allreduce); identity for single-machine engines.
-                let sums_view = unsafe { sums_staging.get_mut() };
-                for (j, s) in sums_view.iter_mut().enumerate() {
-                    *s = unsafe { *merged_sums.get(j) };
-                }
-                let mw = unsafe { merged_weights.get_mut() };
-                let reduce_report = reducer.reduce(iter, sums_view, mc, mw, &mut totals);
-
-                if cfg_pruning {
-                    // MTI's delta path — Lloyd only (the
-                    // eligibility hook guarantees it), so the update
-                    // is the mean over the persistent global sums.
-                    for (p, s) in psums.iter_mut().zip(sums_view.iter()) {
-                        *p += s;
+                    for (m, dims) in merged.iter().zip(&dim_slices) {
+                        co.sums[dims.clone()].copy_from_slice(&held(m.try_lock(), "merged sums"));
                     }
-                    for (p, c) in pcounts.iter_mut().zip(mc.iter()) {
-                        *p += c;
-                    }
-                    finalize_means(psums, pcounts, cents, next);
-                } else if is_lloyd {
-                    // Canonical instance: the historical call,
-                    // bitwise identical to the pre-trait engine.
-                    finalize_means(sums_view, mc, cents, next);
-                } else {
-                    // Generic update phase (spherical renormalize,
-                    // fuzzy weighted mean, mini-batch learning
-                    // rate, ...), on globally-reduced state.
-                    algo.update(&mut UpdateCtx {
-                        iter,
-                        sums: sums_view,
-                        counts: mc,
-                        weights: mw,
-                        prev: cents,
-                        next,
-                    });
-                }
 
-                // One drift pass feeds convergence and the bound state.
-                let mut max_drift = 0.0f64;
-                {
-                    // Safety: coordinator window.
-                    let mut mti_mut = cfg_pruning.then(|| unsafe { mti.get_mut() });
+                    // Engine-specific global reduction (knord's
+                    // allreduce); identity for single-machine engines.
+                    let Coordinator { next, counts, weights, sums, psums, pcounts, .. } = co;
+                    let reduce_report = reducer.reduce(iter, sums, counts, weights, &mut totals);
+
+                    if cfg_pruning {
+                        // MTI's delta path — Lloyd only (the eligibility
+                        // hook guarantees it), so the update is the mean
+                        // over the persistent global sums.
+                        for (p, s) in psums.iter_mut().zip(sums.iter()) {
+                            *p += s;
+                        }
+                        for (p, c) in pcounts.iter_mut().zip(counts.iter()) {
+                            *p += c;
+                        }
+                        finalize_means(psums, pcounts, &cents, next);
+                    } else if is_lloyd {
+                        // Canonical instance: the historical call,
+                        // bitwise identical to the pre-trait engine.
+                        finalize_means(sums, counts, &cents, next);
+                    } else {
+                        // Generic update phase (spherical renormalize,
+                        // fuzzy weighted mean, mini-batch learning rate,
+                        // ...), on globally-reduced state.
+                        algo.update(&mut UpdateCtx {
+                            iter,
+                            sums,
+                            counts,
+                            weights,
+                            prev: &cents,
+                            next,
+                        });
+                    }
+
+                    // One drift pass feeds convergence and the bound state.
+                    let mut max_drift = 0.0f64;
+                    let mut mti = cfg_pruning.then(|| held(mti.try_write(), "mti"));
                     for c in 0..k {
                         let dr = dist(cents.mean(c), next.mean(c));
                         max_drift = max_drift.max(dr);
-                        if let Some(m) = mti_mut.as_mut() {
+                        if let Some(m) = mti.as_mut() {
                             m.drift[c] = dr;
                         }
                     }
-                    if parallel_cc {
-                        if let Some(m) = mti_mut.as_mut() {
-                            // Publish the buffer base from the
-                            // still-live exclusive borrow; the MTI
-                            // state is not touched again (by
-                            // reference) until finalize after E.
-                            // Safety: coordinator window.
-                            unsafe { cc_base.get_mut() }.0 = m.half_cc.as_mut_ptr();
-                        }
+                    if let Some(m) = mti.as_mut() {
+                        m.rebuild(next);
                     }
-                }
-                if cfg_pruning && !parallel_cc {
-                    // Safety: coordinator window.
-                    unsafe { mti.get_mut() }.rebuild(next);
-                }
-                std::mem::swap(cents, next);
+                    std::mem::swap(&mut *cents, next);
 
-                stats.push(IterStats {
-                    iter,
-                    reassigned: totals.reassigned,
-                    rows_accessed: totals.rows_accessed,
-                    prune: totals.counters,
-                    commit: totals.commit,
-                    wall_ns: t0.elapsed().as_nanos() as u64,
-                    queue: queue.stats(),
-                    tallies,
-                    max_drift,
+                    co.stats.push(IterStats {
+                        iter,
+                        reassigned: totals.reassigned,
+                        rows_accessed: totals.rows_accessed,
+                        prune: totals.counters,
+                        commit: totals.commit,
+                        wall_ns: t0.elapsed().as_nanos() as u64,
+                        queue: queue.stats(),
+                        tallies,
+                        max_drift,
+                    });
+                    co.reduces.push(reduce_report);
+                    plane.end_iteration(iter, co.stats.last().expect("just pushed"), totals.aux);
+                    queue.reset_stats();
+
+                    // A failed compute (here or, after the reduce, on any
+                    // rank) left this iteration's state partial: it
+                    // decides nothing except that the run is over.
+                    let run_failed = totals.failed > 0;
+                    let done_iters = iter + 1;
+                    let is_converged =
+                        !run_failed && algo.converged(totals.reassigned, max_drift, cfg.tol);
+                    if is_converged {
+                        converged.store(true, Ordering::Release);
+                    }
+                    if run_failed {
+                        failed.store(true, Ordering::Release);
+                    }
+                    if is_converged || run_failed || done_iters >= cfg.max_iters {
+                        stop.store(true, Ordering::Release);
+                    } else {
+                        queue.refill(placement, cfg.task_size);
+                    }
                 });
-                reduces.push(reduce_report);
-                plane.end_iteration(iter, stats.last().expect("just pushed"), totals.aux);
-                queue.reset_stats();
-
-                // A failed row source (here or, after the reduce, on
-                // any rank) left this iteration's state partial: it
-                // decides nothing except that the run is over.
-                let run_failed = totals.failed > 0;
-                let done_iters = iter + 1;
-                let is_converged =
-                    !run_failed && algo.converged(totals.reassigned, max_drift, cfg.tol);
-                if is_converged {
-                    converged.store(true, Ordering::Release);
-                }
-                if run_failed {
-                    failed.store(true, Ordering::Release);
-                }
-                if is_converged || run_failed || done_iters >= cfg.max_iters {
+                if window.is_none() {
                     stop.store(true, Ordering::Release);
-                } else {
-                    queue.refill(placement, cfg.task_size);
                 }
                 if let (Some(t), Some(tu)) = (tr.as_ref(), tu) {
                     t.record(Phase::Update, tu, 0);
                 }
             }
-
-            if parallel_cc {
-                let td = tr.as_ref().map(|t| t.now());
-                barrier.wait(); // D — updated centroids published
-                if let (Some(t), Some(td)) = (tr.as_ref(), td) {
-                    t.record(Phase::BarrierD, td, 0);
-                }
-                if !stop.load(Ordering::Acquire) {
-                    let tcc = tr.as_ref().map(|t| t.now());
-                    // Each worker owns the pairs (i, j > i) with
-                    // i ≡ w (mod T); interleaving balances the
-                    // shrinking triangle rows. It writes both
-                    // mirror entries of a pair (the diagonal keeps
-                    // the +∞ it was built with) — pair-disjoint
-                    // writes through the captured base pointer.
-                    let cents_now = unsafe { centroids.get() };
-                    // Safety: published by the coordinator before D.
-                    let cc = unsafe { cc_base.get() }.0;
-                    let mut i = w;
-                    while i < k {
-                        let ci = cents_now.mean(i);
-                        for j in (i + 1)..k {
-                            let half = 0.5 * dist(ci, cents_now.mean(j));
-                            // Safety: a pair belongs to the owner of
-                            // its lower index, so (i, j) and (j, i)
-                            // are written by this worker alone; D/E
-                            // barriers order these writes against
-                            // all readers.
-                            unsafe {
-                                *cc.add(i * k + j) = half;
-                                *cc.add(j * k + i) = half;
-                            }
-                        }
-                        i += nthreads;
-                    }
-                    if let (Some(t), Some(tcc)) = (tr.as_ref(), tcc) {
-                        t.record(Phase::CcDist, tcc, 0);
-                    }
-                }
-                let te = tr.as_ref().map(|t| t.now());
-                barrier.wait(); // E — distance matrix complete
-                if let (Some(t), Some(te)) = (tr.as_ref(), te) {
-                    t.record(Phase::BarrierE, te, 0);
-                }
-                if w == 0 && !stop.load(Ordering::Acquire) {
-                    // Safety: coordinator-exclusive until the next
-                    // barrier A.
-                    unsafe { mti.get_mut() }.finalize_half_min();
-                }
-            }
-
-            // Reset own accumulator for the next iteration.
-            accum.reset();
             iter += 1;
         }
 
-        (stats, reduces)
+        coord
     };
-    std::thread::scope(|s| {
+    let coord = std::thread::scope(|s| {
         let worker = &worker;
         let handles: Vec<_> = (0..nthreads).map(|w| s.spawn(move || worker(w))).collect();
-        for (w, h) in handles.into_iter().enumerate() {
-            let (stats, reduces) = h.join().expect("engine worker panicked");
-            if w == 0 {
-                iter_stats = stats;
-                reduce_reports = reduces;
-            }
-        }
-    });
+        handles.into_iter().filter_map(|h| h.join().expect("engine worker panicked")).next()
+    })
+    .expect("worker 0 coordinates");
 
+    if let Some(p) = panicked.into_inner().unwrap_or_else(PoisonError::into_inner) {
+        panic::resume_unwind(p);
+    }
     if failed.load(Ordering::Acquire) {
         let local = failure.into_inner().unwrap_or_else(PoisonError::into_inner);
         return Err(
@@ -638,10 +609,10 @@ pub fn run_mm<P: DataPlane + ?Sized, R: Reducer>(
         );
     }
     Ok(DriverOutcome {
-        centroids: centroids.into_inner(),
+        centroids: centroids.into_inner().unwrap_or_else(PoisonError::into_inner),
         assignments: rows.into_assignments(),
-        iters: iter_stats,
-        reduces: reduce_reports,
+        iters: coord.stats,
+        reduces: coord.reduces,
         converged: converged.load(Ordering::Acquire),
         // All workers joined above, so the group's rings are quiescent.
         // The fold covers only this run's group; engines that share one
@@ -660,6 +631,10 @@ pub fn run_mm<P: DataPlane + ?Sized, R: Reducer>(
 pub struct RowBounds {
     assign: SharedRows<u32>,
     upper: SharedRows<f64>,
+    /// Debug builds: per row, one more than the iteration that last
+    /// claimed it (0 = never), so a second claim in one iteration panics.
+    #[cfg(debug_assertions)]
+    claimed: Box<[std::sync::atomic::AtomicUsize]>,
 }
 
 impl RowBounds {
@@ -671,12 +646,18 @@ impl RowBounds {
     /// State for `n` unassigned rows of an unpruned run: assignments only,
     /// 4 bytes a row. [`NoFilter`] never reads a bound.
     pub fn unbounded(n: usize) -> Self {
-        Self { assign: SharedRows::new(n, u32::MAX), upper: SharedRows::new(0, 0.0) }
+        Self {
+            assign: SharedRows::new(n, u32::MAX),
+            upper: SharedRows::new(0, 0.0),
+            #[cfg(debug_assertions)]
+            claimed: (0..n).map(|_| Default::default()).collect(),
+        }
     }
 
     /// The handle through which the owner of a task reads and writes the
-    /// state of that task's rows — the one place the engines' row-ownership
-    /// contract is asserted.
+    /// state of that task's rows in iteration `iter` — the one place the
+    /// engines' row-ownership contract is asserted. Debug builds check
+    /// half of it: a row claimed twice in one iteration panics.
     ///
     /// # Safety
     /// Until the next barrier, no other thread may touch the state of any
@@ -684,7 +665,14 @@ impl RowBounds {
     /// that took a task covering `rows` from the iteration's queue: every
     /// row belongs to one task, every task is handed out once, and barriers
     /// A and B separate the compute super-phase from every other access.
-    pub unsafe fn claim(&self, rows: Range<usize>) -> RowState<'_> {
+    pub unsafe fn claim(&self, rows: Range<usize>, iter: usize) -> RowState<'_> {
+        #[cfg(debug_assertions)]
+        for r in rows.clone() {
+            let prev = self.claimed[r].swap(iter + 1, Ordering::Relaxed);
+            assert!(prev != iter + 1, "row {r} claimed twice in iteration {iter}");
+        }
+        #[cfg(not(debug_assertions))]
+        let _ = iter;
         RowState { all: self, rows }
     }
 
@@ -934,17 +922,6 @@ mod tests {
     use knor_numa::Topology;
     use knor_sched::SchedulerKind;
 
-    fn run(
-        data: &[f64],
-        n: usize,
-        d: usize,
-        k: usize,
-        pruning: Pruning,
-        threads: usize,
-    ) -> DriverOutcome {
-        run_kernel(data, n, d, k, pruning, threads, KernelKind::Auto)
-    }
-
     fn run_kernel(
         data: &[f64],
         n: usize,
@@ -954,13 +931,25 @@ mod tests {
         threads: usize,
         kernel: KernelKind,
     ) -> DriverOutcome {
-        let placement = Placement::new(&Topology::flat(threads), n, threads);
-        let queue = TaskQueue::new(SchedulerKind::Static, &placement);
-        let cfg = DriverConfig {
+        // A plain slice exercises the driver protocol without any engine
+        // machinery.
+        let cfg = config(n, d, k, pruning, threads, kernel);
+        drive(&SlicePlane(RowView::new(data, d)), &NoReduce, data, cfg)
+    }
+
+    fn config(
+        n: usize,
+        d: usize,
+        k: usize,
+        pruning: Pruning,
+        nthreads: usize,
+        kernel: KernelKind,
+    ) -> DriverConfig {
+        DriverConfig {
             k,
             d,
             n,
-            nthreads: threads,
+            nthreads,
             max_iters: 50,
             tol: 0.0,
             pruning,
@@ -968,14 +957,46 @@ mod tests {
             kernel,
             row_offset: 0,
             trace: None,
-        };
+        }
+    }
+
+    /// One run of `cfg` over `plane`, whose rows are `data`'s; the first
+    /// `k` rows seed the centroids.
+    fn drive<P: DataPlane + ?Sized>(
+        plane: &P,
+        reducer: &impl Reducer,
+        data: &[f64],
+        cfg: DriverConfig,
+    ) -> DriverOutcome {
+        let (n, d, k, threads) = (cfg.n, cfg.d, cfg.k, cfg.nthreads);
+        assert_eq!(data.len(), n * d);
+        let placement = Placement::new(&Topology::flat(threads), n, threads);
+        let queue = TaskQueue::new(SchedulerKind::Static, &placement);
         let init =
             Centroids::from_matrix(&knor_matrix::DMatrix::from_vec(data[..k * d].to_vec(), k, d));
-        // A plain slice exercises the driver protocol without any engine
-        // machinery.
-        let plane = SlicePlane(RowView::new(data, d));
-        run_mm(&cfg, init, &placement, &queue, &plane, &NoReduce, &LloydAlgo)
+        run_mm(&cfg, init, &placement, &queue, plane, reducer, &LloydAlgo)
             .expect("in-memory rows cannot fail")
+    }
+
+    /// The panic message of `f`, which must panic.
+    fn panic_message(f: impl FnOnce()) -> String {
+        let p = panic::catch_unwind(AssertUnwindSafe(f)).expect_err("must panic");
+        match p.downcast::<String>() {
+            Ok(s) => *s,
+            Err(p) => p.downcast::<&str>().map(|s| s.to_string()).unwrap_or_default(),
+        }
+    }
+
+    /// The rows of `mti_counter_ledger_holds`: 25 clusters whose run keeps
+    /// reassigning for several iterations.
+    fn cascade_rows() -> Vec<f64> {
+        let mut data = Vec::new();
+        for i in 0..500 {
+            let c = (i / 20) as f64;
+            data.push((c % 5.0) * 9.0 + (i as f64 * 0.29).sin() * 0.9);
+            data.push((c / 5.0).floor() * 9.0 + (i as f64 * 0.17).cos() * 0.9);
+        }
+        data
     }
 
     #[test]
@@ -988,7 +1009,7 @@ mod tests {
             }
         }
         let n = data.len();
-        let out = run(&data, n, 1, 3, Pruning::None, 3);
+        let out = run_kernel(&data, n, 1, 3, Pruning::None, 3, KernelKind::Auto);
         assert!(out.converged);
         assert_eq!(out.assignments.len(), n);
         // All members of a block share an assignment.
@@ -1007,8 +1028,8 @@ mod tests {
             data.push(-c + (i as f64 * 0.11).cos() * 0.4);
         }
         let n = 240;
-        let b = run(&data, n, 2, 4, Pruning::None, 2);
-        let a = run(&data, n, 2, 4, Pruning::Mti, 2);
+        let b = run_kernel(&data, n, 2, 4, Pruning::None, 2, KernelKind::Auto);
+        let a = run_kernel(&data, n, 2, 4, Pruning::Mti, 2, KernelKind::Auto);
         assert_eq!(a.assignments, b.assignments);
         assert_eq!(a.iters.len(), b.iters.len());
         assert!(a.iters.iter().map(|i| i.prune.clause1_rows).sum::<u64>() > 0);
@@ -1024,12 +1045,7 @@ mod tests {
         // seeds two of the 25 clusters and the run has a reassignment
         // cascade to prune through. `k·d = 50` would resolve to the scalar
         // kernel, which packs no panel; gemm is asked for.
-        let mut data = Vec::new();
-        for i in 0..500 {
-            let c = (i / 20) as f64;
-            data.push((c % 5.0) * 9.0 + (i as f64 * 0.29).sin() * 0.9);
-            data.push((c / 5.0).floor() * 9.0 + (i as f64 * 0.17).cos() * 0.9);
-        }
+        let data = cascade_rows();
         let (n, k) = (500, 25);
         for threads in [1usize, 3] {
             let out = run_kernel(&data, n, 2, k, Pruning::Mti, threads, KernelKind::Gemm);
@@ -1114,14 +1130,12 @@ mod tests {
     }
 
     #[test]
-    fn parallel_ccdist_recompute_matches_serial_path() {
-        // k > PARALLEL_CC_ABOVE_K with several threads exercises the barrier D/E
-        // parallel distance-matrix phase; one thread takes the serial path.
+    fn large_k_run_is_thread_count_invariant() {
         // 72 tight, well-separated blobs in round-robin row order: rows
         // 0..k seed one centroid per blob, so every engine roots instantly
         // and every clause decision has a huge margin — the trajectories
         // are identical across thread counts.
-        let k = PARALLEL_CC_ABOVE_K + 8;
+        let k = 72;
         let per_blob = 10;
         let n = k * per_blob;
         let d = 2;
@@ -1141,10 +1155,115 @@ mod tests {
             assert_eq!(a.prune.clause1_rows, b.prune.clause1_rows, "iter {}", a.iter);
             assert_eq!(a.reassigned, b.reassigned, "iter {}", a.iter);
         }
-        // A missed slice of the parallel triangle fill would zero half_min
-        // and kill Clause 1 entirely; rooted blobs must prune every row.
+        // A wrong half-distance table would zero half_min and kill Clause
+        // 1 entirely; rooted blobs must prune every row.
         let last = par.iters.last().unwrap();
         assert_eq!(last.prune.clause1_rows, n as u64, "clause 1 must cover all rooted rows");
+    }
+
+    /// A fault planted at iteration 2.
+    #[derive(Clone, Copy, PartialEq)]
+    enum Fault {
+        /// Worker 1's compute panics.
+        ComputePanic,
+        /// The coordinator's `end_iteration` hook panics.
+        EndIterationPanic,
+        /// Worker 1 takes rows 0..4 a second time: a scheduler bug, which
+        /// debug builds catch at the row claim.
+        DoubleTask,
+    }
+
+    /// A slice plane with a planted fault.
+    struct Faulty {
+        data: Vec<f64>,
+        fault: Fault,
+    }
+
+    impl DataPlane for Faulty {
+        fn compute(
+            &self,
+            w: usize,
+            view: &IterView<'_>,
+            accum: &mut LocalAccum,
+            scratch: &mut DrainScratch,
+        ) -> io::Result<WorkerReport> {
+            if w == 1 && view.iter == 2 {
+                match self.fault {
+                    Fault::ComputePanic => panic!("planted panic in compute"),
+                    Fault::DoubleTask => view
+                        .queue
+                        .push(1, knor_sched::Task { rows: 0..4, home: knor_numa::NodeId(0) }),
+                    Fault::EndIterationPanic => {}
+                }
+            }
+            SlicePlane(RowView::new(&self.data, 2)).compute(w, view, accum, scratch)
+        }
+
+        fn end_iteration(&self, iter: usize, _stats: &IterStats, _aux_total: u64) {
+            if self.fault == Fault::EndIterationPanic && iter == 2 {
+                panic!("planted panic in end_iteration");
+            }
+        }
+    }
+
+    /// Run a two-worker fit over a [`Faulty`] plane on its own thread and
+    /// return the panic message the run ends with — failing, instead of
+    /// hanging, if it has not ended within a generous bound.
+    fn faulty_run(fault: Fault) -> String {
+        let (tx, rx) = std::sync::mpsc::channel();
+        let run = std::thread::spawn(move || {
+            let plane = Faulty { data: cascade_rows(), fault };
+            let cfg = config(500, 2, 25, Pruning::Mti, 2, KernelKind::Auto);
+            tx.send(panic_message(|| drop(drive(&plane, &NoReduce, &plane.data, cfg)))).unwrap();
+        });
+        let msg = rx.recv_timeout(std::time::Duration::from_secs(30)).expect("the run hung");
+        run.join().expect("the run's thread returns once it sent");
+        msg
+    }
+
+    #[test]
+    fn a_worker_panic_in_compute_ends_the_run_with_its_payload() {
+        assert_eq!(faulty_run(Fault::ComputePanic), "planted panic in compute");
+    }
+
+    #[test]
+    fn a_panic_in_end_iteration_ends_the_run_with_its_payload() {
+        assert_eq!(faulty_run(Fault::EndIterationPanic), "planted panic in end_iteration");
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    fn a_row_claimed_twice_in_one_iteration_panics() {
+        // Iterations 0 and 1 claim every row again; iteration 2 claims
+        // rows 0..4 twice.
+        assert_eq!(faulty_run(Fault::DoubleTask), "row 0 claimed twice in iteration 2");
+    }
+
+    #[test]
+    fn a_held_lock_is_a_protocol_violation_and_a_poisoned_one_is_not() {
+        let cell = RwLock::new(7u32);
+        let violation = "barrier protocol violated: `centroids` is held by another phase";
+        {
+            let _r = held(cell.try_read(), "centroids");
+            drop(held(cell.try_read(), "centroids"));
+            assert_eq!(panic_message(|| drop(held(cell.try_write(), "centroids"))), violation);
+        }
+        let slot = Mutex::new(8u32);
+        {
+            let _g = held(slot.try_lock(), "report");
+            let msg = panic_message(|| drop(held(slot.try_lock(), "report")));
+            assert_eq!(msg, "barrier protocol violated: `report` is held by another phase");
+        }
+        let _ = std::thread::scope(|s| {
+            s.spawn(|| {
+                let (_w, _g) = (cell.write().unwrap(), slot.lock().unwrap());
+                panic!("a hook panicked");
+            })
+            .join()
+        });
+        assert!(cell.is_poisoned() && slot.is_poisoned());
+        assert_eq!(*held(cell.try_write(), "centroids"), 7);
+        assert_eq!(*held(slot.try_lock(), "report"), 8);
     }
 
     #[test]
@@ -1168,28 +1287,11 @@ mod tests {
             }
         }
 
+        // Rows 0, 5, 10, ... seed the centroids at 0, 5 and 10.
         let data: Vec<f64> = (0..60).map(|i| (i % 3) as f64 * 5.0).collect();
-        let topo = Topology::flat(2);
-        let placement = Placement::new(&topo, 60, 2);
-        let queue = TaskQueue::new(SchedulerKind::Static, &placement);
-        let cfg = DriverConfig {
-            k: 3,
-            d: 1,
-            n: 60,
-            nthreads: 2,
-            max_iters: 20,
-            tol: 0.0,
-            pruning: Pruning::Mti,
-            task_size: 8,
-            kernel: KernelKind::Auto,
-            row_offset: 0,
-            trace: None,
-        };
-        let init =
-            Centroids::from_matrix(&knor_matrix::DMatrix::from_vec(vec![0.0, 5.0, 10.0], 3, 1));
         let reducer = Counting { calls: AtomicUsize::new(0) };
-        let plane = SlicePlane(RowView::new(&data, 1));
-        let out = run_mm(&cfg, init, &placement, &queue, &plane, &reducer, &LloydAlgo).unwrap();
+        let cfg = config(60, 1, 3, Pruning::Mti, 2, KernelKind::Auto);
+        let out = drive(&SlicePlane(RowView::new(&data, 1)), &reducer, &data, cfg);
         assert_eq!(reducer.calls.load(Ordering::Relaxed), out.iters.len());
         assert_eq!(out.reduces.len(), out.iters.len());
         assert!(out.reduces.iter().all(|r| r.comm_bytes == 7));

@@ -58,7 +58,6 @@ pub mod quality;
 pub mod serial;
 pub mod spec;
 pub mod stats;
-pub mod sync;
 pub mod trace;
 
 pub use algo::{Algorithm, MapOut, MmAlgorithm, Normalization, UpdateCtx};

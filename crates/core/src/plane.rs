@@ -355,7 +355,7 @@ fn drain_with<S: RowSource, F: RowFilter>(
     while let Some(task) = view.queue.next(w) {
         // SAFETY: this worker just took `task` from the iteration's
         // queue, which hands every row to exactly one task once.
-        let rows = unsafe { view.rows.claim(task.rows.clone()) };
+        let rows = unsafe { view.rows.claim(task.rows.clone(), view.iter) };
         needed.clear();
         // Rows dropped here are never requested from the source: a
         // bound-pruned or out-of-scope row costs no data access, and on a

@@ -116,10 +116,8 @@ impl MtiIterState {
 
     /// Recompute the half-distance table and thresholds for `next`, and
     /// the drifts from `prev` to `next`. (The driver writes drifts inline
-    /// from its fused drift/convergence loop and calls [`Self::rebuild`] —
-    /// or fills the table in parallel and calls
-    /// [`Self::finalize_half_min`] — instead; this convenience wrapper
-    /// serves tests and baselines.)
+    /// from its fused drift/convergence loop and calls [`Self::rebuild`]
+    /// instead; this convenience wrapper serves tests and baselines.)
     pub fn update(&mut self, prev: &Centroids, next: &Centroids) {
         debug_assert_eq!(prev.k(), self.k);
         for c in 0..self.k {
@@ -128,18 +126,13 @@ impl MtiIterState {
         self.rebuild(next);
     }
 
-    /// Recompute the half-distance table and thresholds for `cents`,
-    /// serially.
+    /// Recompute the half-distance table for `cents`, and from it
+    /// `half_min`, `nn`, `half_2nd` and `half_scan`. The coordinator runs
+    /// it serially: `O(k²·d)` for the table and `O(k²)` for the row
+    /// selections.
     pub fn rebuild(&mut self, cents: &Centroids) {
-        half_centroid_distances(&cents.means, self.k, cents.d, &mut self.half_cc);
-        self.finalize_half_min();
-    }
-
-    /// Derive `half_min`, `nn`, `half_2nd` and `half_scan` from an
-    /// already-filled table. The driver calls this after its workers
-    /// filled disjoint pairs of it in parallel (large-`k` runs).
-    pub fn finalize_half_min(&mut self) {
         let k = self.k;
+        half_centroid_distances(&cents.means, k, cents.d, &mut self.half_cc);
         half_row_minima(&self.half_cc, k, &mut self.half_min, &mut self.nn, &mut self.half_2nd);
         let nth = scan_min_open(k);
         for (a, row) in self.half_cc.chunks_exact(k.max(1)).enumerate() {
@@ -857,31 +850,6 @@ mod tests {
             let (a_new, _) = mti_assign(&v, &cents, &state, a_prev, ub, None, &mut counters);
             let (a_exact, _) = nearest(&v, &cents.means, k);
             assert_eq!(a_new, a_exact);
-        }
-    }
-
-    #[test]
-    fn finalize_half_min_matches_serial_rebuild() {
-        let mut rng = ChaCha8Rng::seed_from_u64(13);
-        for k in [1usize, 2, 9, 67] {
-            let cents = random_centroids(k, 5, &mut rng);
-            let mut serial = MtiIterState::new(k);
-            serial.rebuild(&cents);
-            // Simulate the parallel path: fill every pair, both ways, then
-            // finalize.
-            let mut par = MtiIterState::new(k);
-            for i in 0..k {
-                for j in (i + 1)..k {
-                    let h = 0.5 * dist(cents.mean(i), cents.mean(j));
-                    par.half_cc[i * k + j] = h;
-                    par.half_cc[j * k + i] = h;
-                }
-            }
-            par.finalize_half_min();
-            assert_eq!(par.half_cc, serial.half_cc, "k = {k}");
-            assert_eq!(par.half_min, serial.half_min, "k = {k}");
-            assert_eq!(par.nn, serial.nn, "k = {k}");
-            assert_eq!(par.half_2nd, serial.half_2nd, "k = {k}");
         }
     }
 

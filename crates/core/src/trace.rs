@@ -12,10 +12,12 @@
 //!
 //! Design properties (DESIGN.md §13):
 //!
-//! * **Per-worker rings, lock-free.** Each worker writes only its own
-//!   slot ([`ExclusiveCell`] discipline, same as the driver's
-//!   accumulators); no atomics or locks on the record path. Rings are
-//!   pre-allocated at registration; recording never allocates.
+//! * **Per-worker rings, uncontended.** Each ring is a `Mutex` that only
+//!   its worker's recorder takes while the run is live, so a record is
+//!   one uncontended lock and a push; readers ([`TraceBuf::spans`] and
+//!   the folds) take the same locks, so reading a live buffer is safe,
+//!   merely a snapshot. Rings are pre-allocated at registration;
+//!   recording never allocates.
 //! * **Drop-on-full.** A full ring drops new spans and counts them
 //!   ([`PhaseBreakdown::dropped`]); it never blocks, reallocates or
 //!   overwrites — a long run degrades to a truncated timeline, not a
@@ -31,10 +33,8 @@
 //! directly in a trace viewer — one track per worker.
 
 use std::fmt;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
-
-use crate::sync::ExclusiveCell;
 
 /// Default ring capacity, in spans per worker. The driver records ~10
 /// spans per worker per iteration, so this covers ~1,600 iterations
@@ -81,16 +81,10 @@ pub enum Phase {
     BarrierB,
     /// Waiting at barrier C (merged sums complete).
     BarrierC,
-    /// Waiting at barrier D (parallel-ccdist centroids published).
-    BarrierD,
-    /// Waiting at barrier E (distance matrix complete).
-    BarrierE,
     /// The dimension-sliced accumulator merge between B and C.
     Merge,
     /// The coordinator window (reduce, finalize, drift, MTI, stats).
     Update,
-    /// The parallel centroid-distance triangle fill between D and E.
-    CcDist,
     /// Staged-plane fast-tier (row cache) hits copied into staging.
     IoHit,
     /// Staged-plane merged backing-tier (device) fetch of the misses.
@@ -101,16 +95,13 @@ pub enum Phase {
 
 impl Phase {
     /// Every phase, for exhaustive folds and name lookups.
-    pub const ALL: [Phase; 12] = [
+    pub const ALL: [Phase; 9] = [
         Phase::Compute,
         Phase::BarrierA,
         Phase::BarrierB,
         Phase::BarrierC,
-        Phase::BarrierD,
-        Phase::BarrierE,
         Phase::Merge,
         Phase::Update,
-        Phase::CcDist,
         Phase::IoHit,
         Phase::IoMiss,
         Phase::Allreduce,
@@ -123,11 +114,8 @@ impl Phase {
             Phase::BarrierA => "barrier_a",
             Phase::BarrierB => "barrier_b",
             Phase::BarrierC => "barrier_c",
-            Phase::BarrierD => "barrier_d",
-            Phase::BarrierE => "barrier_e",
             Phase::Merge => "merge",
             Phase::Update => "update",
-            Phase::CcDist => "ccdist",
             Phase::IoHit => "io_hit",
             Phase::IoMiss => "io_miss",
             Phase::Allreduce => "allreduce",
@@ -138,13 +126,9 @@ impl Phase {
     pub fn group(self) -> PhaseGroup {
         match self {
             Phase::Compute | Phase::IoHit => PhaseGroup::Compute,
-            Phase::BarrierA
-            | Phase::BarrierB
-            | Phase::BarrierC
-            | Phase::BarrierD
-            | Phase::BarrierE => PhaseGroup::BarrierWait,
+            Phase::BarrierA | Phase::BarrierB | Phase::BarrierC => PhaseGroup::BarrierWait,
             Phase::IoMiss | Phase::Allreduce => PhaseGroup::IoWait,
-            Phase::Merge | Phase::Update | Phase::CcDist => PhaseGroup::Merge,
+            Phase::Merge | Phase::Update => PhaseGroup::Merge,
         }
     }
 }
@@ -211,7 +195,13 @@ pub struct TraceGroup {
     origin: Instant,
     pid: u32,
     tid_base: u32,
-    rings: Box<[ExclusiveCell<Ring>]>,
+    rings: Box<[Mutex<Ring>]>,
+}
+
+/// Ring `cell`, held. A recorder that panicked mid-push leaves a ring
+/// that is still well-formed, so a poisoned lock is taken as is.
+fn lock_ring(cell: &Mutex<Ring>) -> MutexGuard<'_, Ring> {
+    cell.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 impl TraceGroup {
@@ -221,24 +211,18 @@ impl TraceGroup {
         self.origin.elapsed().as_nanos() as u64
     }
 
-    /// Claim worker `w`'s recording slot for this thread.
-    ///
-    /// # Safety
-    /// Only worker `w`'s thread may hold (or copy) the returned tracer,
-    /// and only while no other thread reads the group's rings — the same
-    /// slot discipline as the driver's per-worker accumulators. Reads
-    /// ([`TraceBuf::spans`] etc.) must be barrier-separated from all
-    /// recording (in practice: after the worker scope joins).
+    /// Worker `w`'s recorder, tagging its spans with NUMA `node` and
+    /// iteration `iter`. Only worker `w`'s thread records through it, so
+    /// its ring's lock is never contended while the run is live.
     #[inline]
-    pub unsafe fn tracer(&self, w: usize, node: u32, iter: u32) -> WorkerTracer<'_> {
+    pub fn tracer(&self, w: usize, node: u32, iter: u32) -> WorkerTracer<'_> {
         WorkerTracer { group: self, w, node, iter }
     }
 
     /// Fold this group's spans alone into a [`PhaseBreakdown`] (a single
     /// driver run's view; [`TraceBuf::breakdown`] folds every group).
     ///
-    /// As with [`TraceBuf::spans`], call only after all recording threads
-    /// have joined.
+    /// As with [`TraceBuf::spans`], a live group folds a snapshot.
     pub fn breakdown(&self) -> PhaseBreakdown {
         let mut spans = Vec::new();
         let dropped = self.collect_into(&mut spans);
@@ -249,8 +233,7 @@ impl TraceGroup {
     fn collect_into(&self, out: &mut Vec<Span>) -> u64 {
         let mut dropped = 0;
         for cell in self.rings.iter() {
-            // Safety: called only after all recording threads joined.
-            let ring = unsafe { cell.get() };
+            let ring = lock_ring(cell);
             out.extend_from_slice(&ring.spans);
             dropped += ring.dropped;
         }
@@ -285,8 +268,7 @@ impl WorkerTracer<'_> {
     /// Record a fully-stamped span.
     #[inline]
     pub fn record_span(&self, phase: Phase, t_start: u64, t_end: u64, bytes: u64) {
-        // Safety: slot-exclusive by the `tracer()` contract.
-        let ring = unsafe { self.group.rings[self.w].get_mut() };
+        let mut ring = lock_ring(&self.group.rings[self.w]);
         if ring.spans.len() < ring.spans.capacity() {
             ring.spans.push(Span {
                 worker: self.group.tid_base + self.w as u32,
@@ -350,9 +332,7 @@ impl TraceBuf {
     /// allocation happens here, before any recording.
     pub fn register(&self, pid: u32, nworkers: usize, tid_base: u32) -> Arc<TraceGroup> {
         let rings = (0..nworkers.max(1))
-            .map(|_| {
-                ExclusiveCell::new(Ring { spans: Vec::with_capacity(self.ring_spans), dropped: 0 })
-            })
+            .map(|_| Mutex::new(Ring { spans: Vec::with_capacity(self.ring_spans), dropped: 0 }))
             .collect::<Vec<_>>()
             .into_boxed_slice();
         let group = Arc::new(TraceGroup { origin: self.origin, pid, tid_base, rings });
@@ -361,27 +341,13 @@ impl TraceBuf {
     }
 
     /// Snapshot every recorded span, in (group, worker, record) order.
-    ///
-    /// Must only be called once all recording threads have finished (the
-    /// rings are read without synchronization beyond the thread joins).
+    /// Called while a run records, it returns what was recorded so far.
     pub fn spans(&self) -> Vec<Span> {
         let mut out = Vec::new();
         for g in self.groups.lock().expect("trace registry poisoned").iter() {
             g.collect_into(&mut out);
         }
         out
-    }
-
-    /// Spans dropped across all rings (the drop-on-full policy's tally).
-    pub fn dropped(&self) -> u64 {
-        let mut dropped = 0;
-        for g in self.groups.lock().expect("trace registry poisoned").iter() {
-            for cell in g.rings.iter() {
-                // Safety: post-run read, as `spans()`.
-                dropped += unsafe { cell.get() }.dropped;
-            }
-        }
-        dropped
     }
 
     /// Fold every group's spans into one [`PhaseBreakdown`].
@@ -425,8 +391,7 @@ impl TraceBuf {
                      \"args\":{{\"name\":\"worker {}\"}}}}",
                     g.pid, tid, tid
                 ));
-                // Safety: post-run read, as `spans()`.
-                for s in unsafe { cell.get() }.spans.iter() {
+                for s in lock_ring(cell).spans.iter() {
                     out.push_str(&format!(
                         ",{{\"name\":\"{}\",\"cat\":\"knor\",\"ph\":\"X\",\"ts\":{:.3},\
                          \"dur\":{:.3},\"pid\":{},\"tid\":{},\"args\":{{\"iter\":{},\
@@ -609,9 +574,8 @@ mod tests {
     fn record_fold_and_spread() {
         let buf = TraceBuf::new();
         let g = buf.register(0, 2, 0);
-        // Safety: single-threaded test; slots used one at a time.
-        let t0 = unsafe { g.tracer(0, 0, 3) };
-        let t1 = unsafe { g.tracer(1, 1, 3) };
+        let t0 = g.tracer(0, 0, 3);
+        let t1 = g.tracer(1, 1, 3);
         t0.record_span(Phase::Compute, 100, 400, 64);
         t1.record_span(Phase::Compute, 100, 200, 64);
         t0.record_span(Phase::BarrierB, 400, 410, 0);
@@ -683,13 +647,11 @@ mod tests {
     fn ring_drops_when_full_without_reallocating() {
         let buf = TraceBuf::with_ring_spans(16);
         let g = buf.register(0, 1, 0);
-        // Safety: single-threaded test.
-        let t = unsafe { g.tracer(0, 0, 0) };
+        let t = g.tracer(0, 0, 0);
         for i in 0..40u64 {
             t.record_span(Phase::Compute, i, i + 1, 0);
         }
         assert_eq!(buf.spans().len(), 16);
-        assert_eq!(buf.dropped(), 24);
         let b = buf.breakdown();
         assert_eq!(b.dropped, 24);
         assert_eq!(b.spans, 16);
@@ -699,8 +661,7 @@ mod tests {
     fn chrome_trace_shape() {
         let buf = TraceBuf::new();
         let g = buf.register(2, 1, 4);
-        // Safety: single-threaded test.
-        let t = unsafe { g.tracer(0, 1, 7) };
+        let t = g.tracer(0, 1, 7);
         t.record_span(Phase::Allreduce, 1_000, 3_500, 4096);
         let json = buf.chrome_trace_json();
         assert!(json.starts_with('{') && json.ends_with('}'));

@@ -45,7 +45,7 @@
 
 use std::ops::Range;
 use std::path::Path;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Instant;
 
 use knor_core::centroids::Centroids;
@@ -54,7 +54,6 @@ use knor_core::plane::{DataPlane, SlicePlane};
 use knor_core::pruning::PruneCounters;
 pub use knor_core::spec::RankPlane;
 use knor_core::spec::{settle, DistExt, RunSpec};
-use knor_core::sync::ExclusiveCell;
 use knor_core::trace::{Phase, PhaseBreakdown, TraceGroup};
 use knor_core::{InitStats, SettleStats};
 use knor_matrix::DMatrix;
@@ -441,10 +440,11 @@ struct RankReducer<'a> {
     /// algorithms whose update reads `UpdateCtx::weights` (fuzzy).
     /// Everything else keeps the paper's `(k·d + k + SCALARS)` shape.
     carry_weights: bool,
-    /// Bytes-sent watermark for per-iteration deltas (coordinator-only).
-    prev_sent: ExclusiveCell<u64>,
+    /// Bytes-sent watermark for per-iteration deltas (coordinator-only,
+    /// so never contended).
+    prev_sent: Mutex<u64>,
     /// Coordinator-only allreduce staging, reused across iterations.
-    reduce_buf: ExclusiveCell<Vec<f64>>,
+    reduce_buf: Mutex<Vec<f64>>,
     /// Dedicated single-slot trace track for this rank's allreduce
     /// windows, registered past the worker tids (`tid_base = threads`).
     /// Only the coordinator records onto it, inside its exclusive window.
@@ -469,8 +469,8 @@ impl<'a> RankReducer<'a> {
             net: cfg.ext.net,
             reduce_payload: (lanes * 8) as u64,
             carry_weights,
-            prev_sent: ExclusiveCell::new(0),
-            reduce_buf: ExclusiveCell::new(Vec::with_capacity(lanes)),
+            prev_sent: Mutex::new(0),
+            reduce_buf: Mutex::new(Vec::with_capacity(lanes)),
             comm_track,
         }
     }
@@ -527,9 +527,8 @@ impl Reducer for RankReducer<'_> {
             ReduceAlgo::Ring => self.net.ring_allreduce_ns(self.reduce_payload, r),
             ReduceAlgo::Star => self.net.star_allreduce_ns(self.reduce_payload, r),
         };
-        // Safety: reduce runs in the coordinator's exclusive window, the
-        // only writer of the single-slot comm track.
-        let tr = self.comm_track.as_deref().map(|g| unsafe { g.tracer(0, 0, iter as u32) });
+        // Only the coordinator records onto the single-slot comm track.
+        let tr = self.comm_track.as_deref().map(|g| g.tracer(0, 0, iter as u32));
         let t0 = tr.as_ref().map(|t| t.now());
         if r == 1 {
             if let (Some(t), Some(t0)) = (tr.as_ref(), t0) {
@@ -542,9 +541,8 @@ impl Reducer for RankReducer<'_> {
         // the generalized beyond-centroid+count payload weighted
         // algorithms need] and the convergence scalars. Counts and scalars
         // are integers, exact in f64 transport.
-        // Safety: reduce runs in the coordinator's exclusive window.
         let k = counts.len();
-        let buf = unsafe { self.reduce_buf.get_mut() };
+        let mut buf = self.reduce_buf.lock().unwrap_or_else(PoisonError::into_inner);
         buf.clear();
         buf.extend_from_slice(sums);
         buf.extend(counts.iter().map(|&c| c as f64));
@@ -552,7 +550,7 @@ impl Reducer for RankReducer<'_> {
             buf.extend_from_slice(weights);
         }
         buf.extend_from_slice(&Self::pack_scalars(totals));
-        allreduce_f64(self.comm, buf, self.algo);
+        allreduce_f64(self.comm, &mut buf, self.algo);
         sums.copy_from_slice(&buf[..sums.len()]);
         for (c, v) in counts.iter_mut().zip(&buf[sums.len()..sums.len() + k]) {
             *c = v.round() as i64;
@@ -568,8 +566,7 @@ impl Reducer for RankReducer<'_> {
         // reduction, then the cluster-wide max (the slowest rank bounds the
         // iteration). The max exchange itself is excluded from the delta by
         // re-snapshotting afterwards.
-        // Safety: reduce runs in the coordinator's exclusive window.
-        let prev_sent = unsafe { self.prev_sent.get_mut() };
+        let mut prev_sent = self.prev_sent.lock().unwrap_or_else(PoisonError::into_inner);
         let sent_now = self.comm.stats().snapshot().0;
         let comm_bytes = sent_now - *prev_sent;
         let max_rank_comm_bytes = allreduce_max_u64(self.comm, comm_bytes);

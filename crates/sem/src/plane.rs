@@ -22,7 +22,7 @@ use std::io;
 use std::ops::Range;
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Instant;
 
 use knor_core::algo::MmAlgorithm;
@@ -32,7 +32,6 @@ use knor_core::init::{forgy_rows, InitMethod};
 use knor_core::plane::{drain, DataPlane, DrainScratch, RowSource};
 pub use knor_core::spec::SemPlaneConfig;
 use knor_core::stats::{InitStats, IterStats};
-use knor_core::sync::ExclusiveCell;
 use knor_core::trace::{Phase, WorkerTracer};
 use knor_matrix::DMatrix;
 use knor_safs::stats::{IoSnapshot, IoStats};
@@ -53,12 +52,12 @@ pub struct SemPlane {
     /// Whether the row cache was flushed to refresh this iteration (set by
     /// the coordinator in `pre_iteration`, reported in `end_iteration`).
     refresh_now: AtomicBool,
-    /// Coordinator-only refresh schedule state.
-    schedule: ExclusiveCell<RefreshSchedule>,
-    /// Coordinator-only snapshot for per-iteration I/O deltas.
-    prev_io: ExclusiveCell<IoSnapshot>,
+    /// Refresh schedule state (coordinator hooks only, so never contended).
+    schedule: Mutex<RefreshSchedule>,
+    /// Snapshot for per-iteration I/O deltas (coordinator hooks only).
+    prev_io: Mutex<IoSnapshot>,
     /// Per-iteration I/O statistics, filled in `end_iteration`.
-    ios: ExclusiveCell<Vec<IoIterStats>>,
+    ios: Mutex<Vec<IoIterStats>>,
 }
 
 impl SemPlane {
@@ -111,9 +110,9 @@ impl SemPlane {
             n_local: rows.len(),
             d,
             refresh_now: AtomicBool::new(false),
-            schedule: ExclusiveCell::new(schedule),
-            prev_io: ExclusiveCell::new(prev),
-            ios: ExclusiveCell::new(Vec::new()),
+            schedule: Mutex::new(schedule),
+            prev_io: Mutex::new(prev),
+            ios: Mutex::new(Vec::new()),
         })
     }
 
@@ -143,15 +142,13 @@ impl SemPlane {
     /// (called after init reads, which are not iteration I/O).
     pub fn reset_io(&mut self) {
         self.io_stats.reset();
-        // Safety: exclusive access through `&mut self`.
-        *unsafe { self.prev_io.get_mut() } = self.io_stats.snapshot();
+        *self.prev_io.get_mut().unwrap_or_else(PoisonError::into_inner) = self.io_stats.snapshot();
     }
 
     /// Hand back the run's per-iteration I/O record (Figs. 6a, 7), local
     /// to this plane.
     pub fn finish(&mut self) -> Vec<IoIterStats> {
-        // Safety: exclusive access through `&mut self`.
-        std::mem::take(unsafe { self.ios.get_mut() })
+        std::mem::take(self.ios.get_mut().unwrap_or_else(PoisonError::into_inner))
     }
 }
 
@@ -207,9 +204,8 @@ impl RowSource for &SemPlane {
 
 impl DataPlane for SemPlane {
     fn pre_iteration(&self, iter: usize) {
-        // Safety: coordinator-only hook; other workers are between their
-        // accumulator reset and barrier A and do not touch this cell.
-        let refresh = unsafe { self.schedule.get_mut() }.should_refresh(iter);
+        let refresh =
+            self.schedule.lock().unwrap_or_else(PoisonError::into_inner).should_refresh(iter);
         if refresh {
             self.row_cache.flush();
         }
@@ -233,11 +229,10 @@ impl DataPlane for SemPlane {
         let refreshing = self.refresh_now.load(Ordering::Acquire);
         let (rc_hits, rc_misses, _) = self.row_cache.counters();
         let io_now = self.io_stats.snapshot();
-        // Safety: coordinator-only cells inside the exclusive window.
-        let prev_io = unsafe { self.prev_io.get_mut() };
-        let delta = io_now.delta_since(prev_io);
+        let mut prev_io = self.prev_io.lock().unwrap_or_else(PoisonError::into_inner);
+        let delta = io_now.delta_since(&prev_io);
         *prev_io = io_now;
-        unsafe { self.ios.get_mut() }.push(IoIterStats {
+        self.ios.lock().unwrap_or_else(PoisonError::into_inner).push(IoIterStats {
             iter,
             active_rows: rc_hits + rc_misses,
             rc_hits,

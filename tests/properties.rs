@@ -216,7 +216,7 @@ proptest! {
         mti.rebuild(&cents);
         let bounds = RowBounds::new(n);
         // Safety: single-threaded test — this "task" owns every row.
-        let rows = unsafe { bounds.claim(0..n) };
+        let rows = unsafe { bounds.claim(0..n, 0) };
         let mut counters = PruneCounters::default();
         let mut accum = LocalAccum::new(k, d);
         // Exact init pass: nearest assignment and its distance as the bound.
