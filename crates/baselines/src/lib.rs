@@ -13,21 +13,15 @@
 //! * [`spherical`] — a §9 future-work variant, likewise the serial mirror
 //!   of `Algorithm::Spherical` (the engines run it natively since the
 //!   `MmAlgorithm` layer landed — DESIGN.md §8).
-//! * [`mapreduce`] — a small map/combine/shuffle/reduce engine with
-//!   framework personas (MLlib-like, H2O-like, Turi-like) that are
-//!   *algorithmically identical* to Lloyd's but pay the framework taxes
-//!   the paper attributes the 10–100x gaps to (DESIGN.md §3.4).
 
 pub mod elkan;
 pub mod gemm;
-pub mod mapreduce;
 pub mod minibatch;
 pub mod serial;
 pub mod spherical;
 
 pub use elkan::elkan_full_ti;
 pub use gemm::gemm_lloyd;
-pub use mapreduce::{FrameworkProfile, MapReduceKmeans};
 pub use minibatch::minibatch_kmeans;
 pub use serial::{alloc_heavy_lloyd, naive_indexed_lloyd};
 pub use spherical::spherical_kmeans;

@@ -1,10 +1,10 @@
 //! Figure 5: the partitioned NUMA-aware scheduler vs FIFO vs static, under
 //! MTI-induced skew, k in {10, 20, 50, 100}, Friendster-8.
 //!
-//! Two views are reported: measured wall time per iteration on this host
-//! (real stealing behaviour) and the modeled critical path on the paper
-//! machine (from exact per-thread tallies), plus the dispatch counters
-//! showing *why* the NUMA-aware queue wins — local-first stealing.
+//! Reports the measured steady-state wall time per iteration on the host
+//! for each scheduler, plus the NUMA-aware queue's dispatch counters
+//! (own, node-local steals, priority hits, remote steals) from the last
+//! iteration, which show how much of its work stayed local.
 
 use knor_bench::{fmt_ns, save_results, steady_iter_ns, HarnessArgs};
 use knor_core::{InitMethod, Kmeans, KmeansConfig};

@@ -13,13 +13,10 @@ fn main() {
         "tab1_memory",
         "tab2_datasets",
         "tab3_serial",
-        "fig04_numa_speedup",
         "fig05_scheduler",
         "fig06_rc_io",
         "fig07_rc_hits",
         "fig08_mti",
-        "fig09_frameworks",
-        "fig10_scale",
         "fig11_dist_speedup",
         "fig12_dist_time",
         "fig13_sem_vs_dist",

@@ -1,11 +1,10 @@
-//! Modeled iteration time for the distributed (Figs. 11–13) and big-NUMA
-//! (Figs. 4, 10) experiments.
+//! Modeled iteration time for the distributed experiments (Figs. 11–13).
 //!
 //! The pipeline is: run the real implementation at harness scale, take its
 //! *exact* counters (fused ops, bytes touched, pruning fractions, wire
 //! bytes), linearly rescale the per-row quantities to the paper's full
 //! dataset size, and price the result on the paper's hardware via the
-//! calibrated NUMA/network models. Who-wins orderings and crossover
+//! modeled bank bandwidth and network (`knor_mpi::NetModel`). Who-wins orderings and crossover
 //! locations depend only on the counter ratios, which the real code
 //! produced — the models supply the hardware constants we do not have.
 
@@ -18,7 +17,8 @@ pub const CORES_PER_MACHINE: usize = 18;
 pub const SOCKETS_PER_MACHINE: usize = 2;
 /// DDR3-1600 bank streaming bandwidth (GB/s == bytes/ns).
 pub const BANK_GBPS: f64 = 38.0;
-/// Nanoseconds per distance-kernel fused op (matches `CostModel`).
+/// Nanoseconds per distance-kernel fused op (a modeled constant, not
+/// measured on any host).
 pub const FLOP_NS: f64 = 0.25;
 
 /// Which implementation's cost structure to price.
@@ -77,9 +77,8 @@ pub fn modeled_iter_ns(imp: DistImpl, work: IterWork, threads: usize, net: NetMo
     };
     let mem = (work.bytes / machines as f64) / bank_bw;
 
-    // Framework compute tax: the mapreduce-lite persona measures ~6-10x
-    // over the bare loop (boxing + serialization, see fig09); use the low
-    // end, and double memory traffic for the per-record copies.
+    // Framework compute tax: a modeled 6x over the bare loop (boxing and
+    // serialization), and double memory traffic for the per-record copies.
     let mem = if imp == DistImpl::MllibLike {
         compute *= 6.0;
         mem * 2.0

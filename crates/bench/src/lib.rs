@@ -2,9 +2,9 @@
 //!
 //! Every binary follows the same pattern: generate the scaled workload,
 //! run the real implementations (measuring exact counters), and — where
-//! the paper's hardware is being simulated (48-core NUMA box, EC2
-//! cluster, SSD array) — convert the exact counters into modeled time via
-//! the calibrated models in `knor-numa` / `knor-mpi` (DESIGN.md §3).
+//! the paper's EC2 cluster is being simulated (Figs. 11–13) — convert the
+//! exact counters into modeled time via [`distmodel`] and `knor-mpi`'s
+//! network model (DESIGN.md §3), labelled as modeled.
 //! Output is the same rows/series the paper reports.
 
 use knor_core::stats::KmeansResult;

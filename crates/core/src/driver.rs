@@ -68,7 +68,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Barrier, Mutex, PoisonError, RwLock, TryLockError, TryLockResult};
 
 use knor_matrix::shared::SharedRows;
-use knor_numa::{AccessTally, Placement};
+use knor_numa::Placement;
 use knor_sched::TaskQueue;
 
 use crate::algo::{MmAlgorithm, UpdateCtx};
@@ -121,8 +121,6 @@ pub struct WorkerReport {
     pub reassigned: u64,
     /// Rows whose data was actually touched.
     pub rows_accessed: u64,
-    /// Exact access tally, when the plane tracks them (knori cost model).
-    pub tally: Option<AccessTally>,
     /// Plane-defined auxiliary counter (knors: row-cache hits).
     pub aux: u64,
     /// Workers whose compute failed this iteration (a row source's error
@@ -132,8 +130,7 @@ pub struct WorkerReport {
 }
 
 impl WorkerReport {
-    /// Fold another worker's report into this aggregate (tallies collect
-    /// into a vector at the call site, not here).
+    /// Fold another worker's report into this aggregate.
     fn absorb(&mut self, o: &WorkerReport) {
         self.counters.merge(&o.counters);
         self.commit.merge(&o.commit);
@@ -485,13 +482,9 @@ pub fn run_mm<P: DataPlane + ?Sized, R: Reducer>(
                     // Aggregate worker reports before the reduce so the
                     // reducer can globalize the convergence scalars.
                     let mut totals = WorkerReport::default();
-                    let mut tallies: Option<Vec<AccessTally>> = None;
                     for rep in &reports {
                         let rep = held(rep.try_lock(), "report");
                         totals.absorb(&rep);
-                        if let Some(t) = rep.tally.as_ref() {
-                            tallies.get_or_insert_with(Vec::new).push(t.clone());
-                        }
                     }
                     for (m, dims) in merged.iter().zip(&dim_slices) {
                         co.sums[dims.clone()].copy_from_slice(&held(m.try_lock(), "merged sums"));
@@ -554,7 +547,6 @@ pub fn run_mm<P: DataPlane + ?Sized, R: Reducer>(
                         commit: totals.commit,
                         wall_ns: t0.elapsed().as_nanos() as u64,
                         queue: queue.stats(),
-                        tallies,
                         max_drift,
                     });
                     co.reduces.push(reduce_report);

@@ -3,24 +3,15 @@
 //! The iteration protocol itself — worker lifecycle, the A/B/C barrier
 //! super-phases, the dimension-sliced merge and the coordinator window —
 //! lives in [`crate::driver`] and is shared with knors and knord. This
-//! module supplies the in-memory data plane: NUMA-aware row access over
-//! per-node arenas plus exact access tallies for the cost model.
-//!
-//! # NUMA modes
-//!
-//! `numa_aware = true` (default) distributes the matrix into per-node
-//! arenas (Fig. 1), binds workers to nodes, and uses the configured task
-//! queue. `numa_aware = false` reproduces the paper's *NUMA-oblivious*
-//! baseline: the same placed layout with one block, so one contiguous
-//! allocation homed on node 0, threads spread round-robin by the "OS",
-//! FIFO scheduling. Exact access tallies are kept either way so the cost
-//! model can compare the two (Fig. 4).
+//! module supplies the in-memory data plane: the matrix distributed into
+//! per-node arenas (Fig. 1), each worker bound to its node and reading
+//! its block in place.
 
 use knor_matrix::io::MatrixFile;
 use knor_matrix::DMatrix;
 use knor_numa::bind::bind_current_thread;
 use knor_numa::pages::anon_huge_bytes;
-use knor_numa::{AccessTally, NodeId, NumaMatrix, Placement, Topology};
+use knor_numa::{NumaMatrix, Placement, Topology};
 
 use crate::centroids::LocalAccum;
 use crate::driver::{run_mm, IterView, NoReduce, WorkerReport};
@@ -50,25 +41,17 @@ impl Kmeans {
     }
 
     /// What a run fixes from its configuration and the data's shape alone,
-    /// before it touches the data: the resolved run, and the data's plan —
-    /// the workers' own when aware, each block loaded by and next to the
-    /// worker that scans it, and otherwise one block on node 0, what
-    /// `malloc` first-touch gives a single-threaded loader.
-    fn plan(&self, n: usize, d: usize) -> (Resolved, Placement) {
-        let run = self.config.resolve(0..n, n, d, None, 0);
-        let home = if self.config.numa_aware {
-            run.placement.clone()
-        } else {
-            Placement::new(&run.topo, n, 1)
-        };
-        (run, home)
+    /// before it touches the data. The data is placed by the workers' own
+    /// placement: each block loaded by and next to the worker that scans it.
+    fn plan(&self, n: usize, d: usize) -> Resolved {
+        self.config.resolve(0..n, n, d, None, 0)
     }
 
     /// Cluster `data`, consuming one full engine run. The run works on its
     /// own placed copy of `data`; [`Kmeans::fit_file`] holds the data once.
     pub fn fit(&self, data: &DMatrix) -> KmeansResult {
-        let (run, home) = self.plan(data.nrow(), data.ncol());
-        self.run(&run, &NumaMatrix::from_dmatrix(&run.topo, &home, data))
+        let run = self.plan(data.nrow(), data.ncol());
+        self.run(&run, &NumaMatrix::from_dmatrix(&run.topo, &run.placement, data))
     }
 
     /// Cluster the matrix stored at `path`: [`Kmeans::fit_open`] on the
@@ -84,13 +67,13 @@ impl Kmeans {
     /// [`KmeansResult::load`].
     pub fn fit_open(&self, file: &MatrixFile) -> io::Result<KmeansResult> {
         let h = file.header();
-        let (run, home) = self.plan(h.nrow as usize, h.ncol as usize);
+        let run = self.plan(h.nrow as usize, h.ncol as usize);
         let t0 = Instant::now();
-        let placed = NumaMatrix::load(&run.topo, &home, file)?;
+        let placed = NumaMatrix::load(&run.topo, &run.placement, file)?;
         let load = LoadStats {
             bytes: placed.heap_bytes(),
             secs: t0.elapsed().as_secs_f64(),
-            threads: home.nthreads(),
+            threads: run.placement.nthreads(),
             huge_bytes: anon_huge_bytes(),
         };
         Ok(KmeansResult { load: Some(load), ..self.run(&run, &placed) })
@@ -104,14 +87,7 @@ impl Kmeans {
         let cfg = &self.config;
         let (init, init_stats) =
             cfg.init.initialize_with_stats(data, cfg.k, cfg.seed, run.driver.nthreads);
-        let plane = ImPlane {
-            cfg,
-            topo: &run.topo,
-            data,
-            thread_node: &run.thread_node,
-            nnodes: run.topo.nodes(),
-            row_bytes: (data.ncol() * 8) as u64,
-        };
+        let plane = ImPlane { topo: &run.topo, placement: &run.placement, data };
         let mut outcome =
             run_mm(&run.driver, init, &run.placement, &run.queue, &plane, &NoReduce, &*run.algo)
                 .expect("in-memory rows cannot fail");
@@ -128,23 +104,18 @@ impl Kmeans {
     }
 }
 
-/// The in-memory NUMA data plane: NUMA-aware (or oblivious) row access
-/// with exact access tallies — a direct row source over the arenas, which
-/// the shared worker loop reads in place, one block of a task at a time.
+/// The in-memory NUMA data plane: a direct row source over the arenas,
+/// which the shared worker loop reads in place, one block of a task at a
+/// time, on workers bound to their nodes.
 struct ImPlane<'a> {
-    cfg: &'a KmeansConfig,
     topo: &'a Topology,
+    placement: &'a Placement,
     data: &'a NumaMatrix,
-    thread_node: &'a [NodeId],
-    nnodes: usize,
-    row_bytes: u64,
 }
 
 impl DataPlane for ImPlane<'_> {
     fn worker_start(&self, w: usize) {
-        if self.cfg.numa_aware {
-            let _ = bind_current_thread(self.topo, self.thread_node[w]);
-        }
+        let _ = bind_current_thread(self.topo, self.placement.node_of_thread(w));
     }
 
     fn compute(
@@ -154,22 +125,7 @@ impl DataPlane for ImPlane<'_> {
         accum: &mut LocalAccum,
         scratch: &mut DrainScratch,
     ) -> io::Result<WorkerReport> {
-        let d = view.cents.d;
-        let mut tally =
-            self.cfg.track_tallies.then(|| AccessTally::new(self.thread_node[w], self.nnodes));
-        let mut rows = Direct::new(self.data, |first, rows| {
-            if let Some(t) = tally.as_mut() {
-                let rows = rows as u64;
-                t.record_block(self.data.node_of_row(first), rows, rows * self.row_bytes);
-            }
-        });
-        let mut rep = drain(&mut rows, w, view, accum, scratch)?;
-        if let Some(t) = tally.as_mut() {
-            // Distance kernels + accumulator adds, d fused ops each.
-            t.record_flops((rep.counters.dist_computations + rep.rows_accessed) * d as u64);
-        }
-        rep.tally = tally;
-        Ok(rep)
+        drain(&mut Direct::new(self.data), w, view, accum, scratch)
     }
 }
 
@@ -291,95 +247,6 @@ mod tests {
                 p.dist_computations,
                 full.total_prune().dist_computations
             );
-        }
-    }
-
-    #[test]
-    fn numa_oblivious_mode_same_result() {
-        let data = mixture(1200, 4, 9);
-        let k = 6;
-        let init = forgy_centroids(&data, k, 2);
-        let aware = Kmeans::new(
-            KmeansConfig::new(k)
-                .with_init(InitMethod::Given(init.clone()))
-                .with_threads(4)
-                .with_max_iters(60),
-        )
-        .fit(&data);
-        let oblivious = Kmeans::new(
-            KmeansConfig::new(k)
-                .with_init(InitMethod::Given(init))
-                .with_threads(4)
-                .with_numa_aware(false)
-                .with_max_iters(60),
-        )
-        .fit(&data);
-        assert!(aware.converged && oblivious.converged);
-        assert!(agreement(&aware.assignments, &oblivious.assignments, k) > 0.999);
-    }
-
-    #[test]
-    fn tallies_track_every_access() {
-        let topo = Topology::synthetic(4, 2);
-        let data = mixture(800, 8, 5);
-        let k = 5;
-        let r = Kmeans::new(
-            KmeansConfig::new(k)
-                .with_threads(8)
-                .with_topology(topo)
-                .with_tallies(true)
-                .with_seed(1)
-                .with_max_iters(30),
-        )
-        .fit(&data);
-        assert_eq!((r.numa.nodes, r.numa.workers_per_node.as_slice()), (4, &[2, 2, 2, 2][..]));
-        for it in &r.iters {
-            let tallies = it.tallies.as_ref().expect("tallies requested");
-            assert_eq!(tallies.len(), 8);
-            let accesses: u64 = tallies.iter().map(|t| t.local_accesses + t.remote_accesses).sum();
-            assert_eq!(accesses, it.rows_accessed, "iter {}", it.iter);
-            let bytes: u64 = tallies.iter().map(|t| t.total_bytes()).sum();
-            assert_eq!(bytes, it.rows_accessed * 8 * 8);
-        }
-        // Static scheduling pins every worker to its own block: with aware
-        // placement all accesses must be local. (Stealing schedulers may
-        // legitimately go remote on a host with fewer CPUs than workers.)
-        let r_static = Kmeans::new(
-            KmeansConfig::new(k)
-                .with_threads(8)
-                .with_topology(Topology::synthetic(4, 2))
-                .with_scheduler(SchedulerKind::Static)
-                .with_tallies(true)
-                .with_seed(1)
-                .with_max_iters(10),
-        )
-        .fit(&data);
-        for it in &r_static.iters {
-            for t in it.tallies.as_ref().unwrap() {
-                assert_eq!(t.remote_accesses, 0, "static+aware must be fully local");
-            }
-        }
-    }
-
-    #[test]
-    fn oblivious_tallies_hit_node_zero() {
-        let topo = Topology::synthetic(4, 2);
-        let data = mixture(400, 4, 6);
-        let r = Kmeans::new(
-            KmeansConfig::new(4)
-                .with_threads(8)
-                .with_topology(topo)
-                .with_numa_aware(false)
-                .with_tallies(true)
-                .with_seed(2)
-                .with_max_iters(10),
-        )
-        .fit(&data);
-        for it in &r.iters {
-            for t in it.tallies.as_ref().unwrap() {
-                let non_zero_banks = t.bytes_from_node.iter().skip(1).filter(|&&b| b > 0).count();
-                assert_eq!(non_zero_banks, 0, "oblivious data must live on node 0");
-            }
         }
     }
 

@@ -124,19 +124,14 @@ pub trait RowSource {
 
 /// The direct row source: rows are addressable memory, read where they
 /// lie. A task is a row range inside one block of the storage
-/// ([`knor_sched::TaskQueue::refill`] never lets one span two), so
-/// [`RowSource::stage`] resolves it with one [`Rows::run`] and everything
+/// ([`knor_sched::TaskQueue::refill`] never lets one span two), so the
+/// task's first row read resolves it with one [`Rows::run`] and everything
 /// after that is offset arithmetic; a task that did span blocks would
 /// re-resolve at each boundary and gather the blocks that straddle one.
 /// The current run stays valid from task to task — it is re-resolved only
 /// when a row outside it is asked for.
-///
-/// `on_borrow(first, rows)` hears of every run a task borrows from — its
-/// first needed row and how many needed rows lie in it (knori's
-/// cost-model tallies).
-pub struct Direct<'data, R: ?Sized, F> {
+pub struct Direct<'data, R: ?Sized> {
     rows: &'data R,
-    on_borrow: F,
     d: usize,
     /// The run being read: rows `start..end` of the storage.
     run: &'data [f64],
@@ -147,11 +142,11 @@ pub struct Direct<'data, R: ?Sized, F> {
     gathered: u64,
 }
 
-impl<'data, R: Rows + ?Sized, F: FnMut(usize, usize)> Direct<'data, R, F> {
+impl<'data, R: Rows + ?Sized> Direct<'data, R> {
     /// A direct source over `rows`.
-    pub fn new(rows: &'data R, on_borrow: F) -> Self {
+    pub fn new(rows: &'data R) -> Self {
         let d = rows.ncol();
-        Self { rows, on_borrow, d, run: &[], start: 0, end: 0, task_end: 0, gathered: 0 }
+        Self { rows, d, run: &[], start: 0, end: 0, task_end: 0, gathered: 0 }
     }
 
     /// Make the run that holds row `r` the current one.
@@ -174,12 +169,12 @@ impl<'data, R: Rows + ?Sized, F: FnMut(usize, usize)> Direct<'data, R, F> {
     }
 }
 
-impl<R: Rows + ?Sized, F: FnMut(usize, usize)> RowSource for Direct<'_, R, F> {
+impl<R: Rows + ?Sized> RowSource for Direct<'_, R> {
     fn d(&self) -> usize {
         self.d
     }
 
-    /// Resolve the task's storage and report what is borrowed from it.
+    /// Note where the task ends; its storage is resolved as rows are read.
     fn stage(
         &mut self,
         needed: &[usize],
@@ -187,15 +182,6 @@ impl<R: Rows + ?Sized, F: FnMut(usize, usize)> RowSource for Direct<'_, R, F> {
         _tracer: Option<&WorkerTracer<'_>>,
     ) -> io::Result<u64> {
         self.task_end = needed.last().map_or(0, |&r| r + 1);
-        let mut at = 0;
-        while at < needed.len() {
-            let first = needed[at];
-            self.seek(first);
-            let end = self.end;
-            let inside = needed[at..].partition_point(|&r| r < end);
-            (self.on_borrow)(first, inside);
-            at += inside;
-        }
         Ok(0)
     }
 
@@ -230,7 +216,7 @@ impl<R: Rows + ?Sized, F: FnMut(usize, usize)> RowSource for Direct<'_, R, F> {
 
 /// The direct in-memory plane over a contiguous row slice — knord's
 /// per-rank view of the matrix (knori's NUMA-arena plane lives in
-/// [`crate::engine`], where the arenas and access tallies are).
+/// [`crate::engine`], where the arenas are).
 pub struct SlicePlane<'a>(pub RowView<'a>);
 
 impl DataPlane for SlicePlane<'_> {
@@ -241,7 +227,7 @@ impl DataPlane for SlicePlane<'_> {
         accum: &mut LocalAccum,
         scratch: &mut DrainScratch,
     ) -> io::Result<WorkerReport> {
-        drain(&mut Direct::new(&self.0, |_, _| {}), w, view, accum, scratch)
+        drain(&mut Direct::new(&self.0), w, view, accum, scratch)
     }
 }
 
@@ -635,8 +621,7 @@ mod tests {
         let topo = Topology::synthetic(2, 2);
         let placement = Placement::new(&topo, n, 4); // blocks end at 26, 52, 78, 103
         let placed = knor_numa::NumaMatrix::from_dmatrix(&topo, &placement, &m);
-        let mut borrowed = Vec::new();
-        let mut src = Direct::new(&placed, |first, rows| borrowed.push((first, rows)));
+        let mut src = Direct::new(&placed);
         let mut scratch = DrainScratch::default();
         let task: Vec<usize> = (20..80).filter(|r| r % 10 != 5).collect();
         src.stage(&task, &mut scratch, None).unwrap();
@@ -653,8 +638,5 @@ mod tests {
         let got = src.block(&mut scratch.data, 0, &holes).to_vec();
         assert_eq!(got, [m.row(31), m.row(33), m.row(34)].concat());
         assert_eq!(src.gathered_rows(), 11);
-        // Each block's share of the task: 20..26, 26..52, 52..78 and
-        // 78..80, less the rows ending in 5.
-        assert_eq!(borrowed, vec![(20, 5), (26, 24), (52, 23), (78, 2)]);
     }
 }

@@ -62,7 +62,6 @@ pub fn lloyd_serial(
             commit: CommitCounters { borrowed_rows: n as u64, ..Default::default() },
             wall_ns: t0.elapsed().as_nanos() as u64,
             queue: QueueStats::default(),
-            tallies: None,
             max_drift,
         });
         if reassigned == 0 || max_drift <= tol {

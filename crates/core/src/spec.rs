@@ -27,7 +27,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use knor_matrix::{DMatrix, Rows};
-use knor_numa::{NodeId, Placement, Topology};
+use knor_numa::{Placement, Topology};
 use knor_sched::{SchedulerKind, TaskQueue, DEFAULT_TASK_SIZE};
 
 use crate::algo::{Algorithm, MmAlgorithm};
@@ -68,11 +68,6 @@ pub struct RunSpec<X = ()> {
     pub topology: Option<Topology>,
     /// Rows per scheduler task.
     pub task_size: usize,
-    /// NUMA-aware placement/binding (true) or the oblivious baseline of
-    /// Fig. 4 (knori only).
-    pub numa_aware: bool,
-    /// Record per-iteration `AccessTally`s for the cost model (knori only).
-    pub track_tallies: bool,
     /// Compute the final SSE (one extra pass over the rows).
     pub compute_sse: bool,
     /// Assignment kernel for full scans (see [`crate::kernel`]).
@@ -135,8 +130,6 @@ impl RunSpec {
             threads: None,
             topology: None,
             task_size: DEFAULT_TASK_SIZE,
-            numa_aware: true,
-            track_tallies: false,
             compute_sse,
             kernel: KernelKind::Auto,
             algo: Algorithm::Lloyd,
@@ -189,10 +182,6 @@ impl<X> RunSpec<X> {
         with_topology(v: Topology) => topology = Some(v);
         /// Set rows per task.
         with_task_size(v: usize) => task_size = v.max(1);
-        /// Toggle NUMA-aware placement (false = oblivious baseline).
-        with_numa_aware(v: bool) => numa_aware = v;
-        /// Toggle access-tally tracking.
-        with_tallies(v: bool) => track_tallies = v;
         /// Toggle the final SSE pass.
         with_sse(v: bool) => compute_sse = v;
         /// Choose the full-scan assignment kernel.
@@ -223,8 +212,6 @@ impl<X> RunSpec<X> {
             threads: self.threads,
             topology: self.topology.clone(),
             task_size: self.task_size,
-            numa_aware: self.numa_aware,
-            track_tallies: self.track_tallies,
             compute_sse: self.compute_sse,
             kernel: self.kernel,
             algo: self.algo.clone(),
@@ -782,10 +769,6 @@ pub struct Resolved {
     pub placement: Placement,
     /// The task queue over that plan.
     pub queue: TaskQueue,
-    /// Node each worker runs on: its Fig. 1 group when NUMA-aware, a
-    /// round-robin spread (what an oblivious OS scheduler converges to)
-    /// otherwise.
-    pub thread_node: Vec<NodeId>,
 }
 
 impl<X> RunSpec<X> {
@@ -827,10 +810,6 @@ impl<X> RunSpec<X> {
         let topo = topo.or_else(|| self.topology.clone()).unwrap_or_else(Topology::detect);
         let nthreads = self.nthreads();
         let placement = Placement::new(&topo, rows.len(), nthreads);
-        let nnodes = topo.nodes();
-        let thread_node = (0..nthreads)
-            .map(|t| if self.numa_aware { placement.node_of_thread(t) } else { NodeId(t % nnodes) })
-            .collect();
         let driver = DriverConfig {
             k: self.k,
             d,
@@ -850,7 +829,6 @@ impl<X> RunSpec<X> {
             queue: TaskQueue::new(self.scheduler, &placement),
             topo,
             placement,
-            thread_node,
         }
     }
 }
@@ -872,8 +850,8 @@ impl Resolved {
     ) -> KmeansResult {
         let c = &self.driver;
         let mut workers_per_node = vec![0usize; self.topo.nodes()];
-        for t in &self.thread_node {
-            workers_per_node[t.0] += 1;
+        for t in 0..c.nthreads {
+            workers_per_node[self.placement.node_of_thread(t).0] += 1;
         }
         KmeansResult {
             centroids,
@@ -1232,10 +1210,7 @@ mod tests {
         for s in [&library, &cli, &train.with_ext(())] {
             assert_eq!((s.k, s.tol, s.threads, s.task_size), (s.k, 0.0, None, DEFAULT_TASK_SIZE));
             assert_eq!((s.pruning, s.kernel), Default::default());
-            assert_eq!(
-                (s.scheduler, s.numa_aware, s.track_tallies),
-                (SchedulerKind::NumaAware, true, false)
-            );
+            assert_eq!(s.scheduler, SchedulerKind::NumaAware);
             assert_eq!(s.algo, Algorithm::Lloyd);
             assert!(s.topology.is_none() && s.trace.is_none());
         }
@@ -1259,8 +1234,6 @@ mod tests {
         let fuzzy =
             base.clone().with_algo(Algorithm::Fuzzy { m: 2.0 }).resolve(0..100, 100, 3, None, 0);
         assert_eq!(fuzzy.driver.pruning, Pruning::None);
-        let oblivious = base.clone().with_numa_aware(false).resolve(0..100, 100, 3, None, 0);
-        assert_eq!(oblivious.thread_node, [0, 1, 0, 1].map(NodeId), "oblivious threads spread");
         // A rank's own topology overrides the description's.
         let flat = base.resolve(0..50, 100, 3, Some(Topology::flat(4)), 1);
         assert_eq!(flat.topo.nodes(), 1);

@@ -3,7 +3,6 @@
 use crate::pruning::{MtiIterState, PruneCounters, Pruning};
 use crate::trace::PhaseBreakdown;
 use knor_matrix::DMatrix;
-use knor_numa::AccessTally;
 use knor_sched::QueueStats;
 
 /// How the worker loop reached the rows it committed and how often it
@@ -55,9 +54,6 @@ pub struct IterStats {
     pub wall_ns: u64,
     /// Task-queue dispatch statistics for the iteration.
     pub queue: QueueStats,
-    /// Exact per-worker access/compute tallies (input to the NUMA cost
-    /// model); present when the engine was configured to track them.
-    pub tallies: Option<Vec<AccessTally>>,
     /// Maximum centroid drift after the update.
     pub max_drift: f64,
 }
@@ -294,7 +290,6 @@ mod tests {
             commit: CommitCounters::default(),
             wall_ns: wall,
             queue: QueueStats::default(),
-            tallies: None,
             max_drift: 0.0,
         };
         let r = KmeansResult {
@@ -329,7 +324,6 @@ mod tests {
             commit: CommitCounters::default(),
             wall_ns: wall,
             queue: QueueStats::default(),
-            tallies: None,
             max_drift: 0.0,
         };
         let mk = |iters: Vec<IterStats>| KmeansResult {

@@ -7,7 +7,7 @@
 //! first-touch page placement policy — physically places the pages on that
 //! node's bank without needing `mbind`. On synthetic topologies the arenas
 //! are plain allocations and placement is purely logical (it still drives
-//! access classification for the cost model). Either way each arena is
+//! the scheduler's local-first task order). Either way each arena is
 //! advised onto transparent huge pages before its first touch
 //! ([`crate::pages`]).
 //!
@@ -136,12 +136,6 @@ impl NumaMatrix {
         self.ncol
     }
 
-    /// Bytes of one row (for cost accounting).
-    #[inline]
-    pub fn row_bytes(&self) -> u64 {
-        (self.ncol * std::mem::size_of::<f64>()) as u64
-    }
-
     /// The placement this matrix was built with.
     pub fn placement(&self) -> &Placement {
         &self.placement
@@ -241,7 +235,6 @@ mod tests {
         let p = Placement::new(&topo, 10, 2);
         let nm = NumaMatrix::from_dmatrix(&topo, &p, &m);
         assert_eq!(nm.heap_bytes(), 10 * 4 * 8);
-        assert_eq!(nm.row_bytes(), 32);
     }
 
     #[test]

@@ -4,8 +4,7 @@
 //! thread ids to each node and gives thread `t` the contiguous row block of
 //! `alpha = n/T` rows starting at `t * alpha`. A row's *home node* is the
 //! node of the thread that owns its block; the scheduler uses this to
-//! prioritize local work and the cost model uses it to classify accesses as
-//! local or remote.
+//! prioritize local work.
 
 use crate::topology::{NodeId, Topology};
 use knor_matrix::partition_rows;

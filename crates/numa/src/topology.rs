@@ -16,10 +16,10 @@ impl fmt::Display for NodeId {
 /// A machine topology: which logical CPUs belong to which NUMA node.
 ///
 /// `Topology` is either *detected* from the running host (`/sys`) or
-/// *synthetic* — e.g. the paper's evaluation machine, four Xeon E7-4860
-/// sockets with 12 cores each ([`Topology::paper_machine`]). Synthetic
-/// topologies drive the cost-model experiments; detected ones drive real
-/// thread binding.
+/// *synthetic* — e.g. `Topology::synthetic(4, 12)`, the shape of the
+/// paper's four-socket, 12-core-per-socket Xeon E7-4860. Synthetic
+/// topologies split placement and scheduling into logical nodes (binding
+/// is a no-op on them); detected ones drive real thread binding.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Topology {
     /// `cpus[node]` lists the logical CPU ids on that node.
@@ -36,12 +36,6 @@ impl Topology {
         let cpus =
             (0..nodes).map(|n| (n * cpus_per_node..(n + 1) * cpus_per_node).collect()).collect();
         Self { cpus, detected: false }
-    }
-
-    /// The paper's single-node evaluation machine: 4 NUMA nodes x 12
-    /// physical cores, 2-way SMT (64-thread experiments use SMT contexts).
-    pub fn paper_machine() -> Self {
-        Self::synthetic(4, 24)
     }
 
     /// A single-node topology covering `ncpus` CPUs.
@@ -193,13 +187,6 @@ mod tests {
         assert_eq!(t.ncpus(), 48);
         assert_eq!(t.cpus_of(NodeId(1)), &(12..24).collect::<Vec<_>>()[..]);
         assert!(!t.is_detected());
-    }
-
-    #[test]
-    fn paper_machine_is_4x24() {
-        let t = Topology::paper_machine();
-        assert_eq!(t.nodes(), 4);
-        assert_eq!(t.ncpus(), 96);
     }
 
     #[test]

@@ -114,19 +114,6 @@ fn pooled_kmeanspp_over_blocks_picks_what_it_picks_over_a_matrix() {
         let km = Kmeans::new(cfg);
         assert_same_run(&km.fit_file(&path).unwrap(), &km.fit(&data), tname);
     }
-    // The oblivious baseline takes the same loader with a one-block plan.
-    let km = Kmeans::new(
-        KmeansConfig::new(k)
-            .with_seed(5)
-            .with_threads(3)
-            .with_topology(Topology::synthetic(2, 2))
-            .with_numa_aware(false)
-            .with_scheduler(SchedulerKind::Static)
-            .with_max_iters(4),
-    );
-    let from_file = km.fit_file(&path).unwrap();
-    assert_same_run(&from_file, &km.fit(&data), "oblivious");
-    assert_eq!(from_file.load.unwrap().threads, 1, "one loader, as malloc + read would be");
     std::fs::remove_file(&path).unwrap();
 }
 
