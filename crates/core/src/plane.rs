@@ -20,9 +20,10 @@
 //! sub-slice whenever its row ids are consecutive — every block of an
 //! unscoped run. Only a scoped algorithm's id lists (mini-batch) have
 //! holes, and only those are gathered into scratch. A staged source
-//! fetches a whole filtered task into the worker's scratch and declares
-//! that fetching costs I/O ([`RowSource::STAGED`]); either way a worker
-//! filters, stages and commits one task at a time.
+//! stages a whole filtered task — the SEM plane reads its row-cache hits
+//! where they lie and fetches the rest into the worker's scratch — and
+//! declares that fetching costs I/O ([`RowSource::STAGED`]); either way a
+//! worker filters, stages and commits one task at a time.
 //!
 //! What is a function of the iteration alone is prepared once per call,
 //! before the first task: the GEMM kernel's [`CentroidPanel`] is packed
@@ -236,9 +237,10 @@ impl DataPlane for SlicePlane<'_> {
 #[derive(Debug, Default)]
 pub struct DrainScratch {
     /// Row staging: a direct source's gathered block (scoped algorithms
-    /// only), or every needed row of a staged source's current task in
-    /// task row order (fast-tier hits copied in place, backing-tier rows
-    /// decoded into their slots by the merged fetch).
+    /// only), or a staged source's current task in task row order:
+    /// backing-tier rows decoded into their slots by the merged fetch,
+    /// fast-tier hits copied beside them only when a block commit needs
+    /// the task contiguous.
     pub data: Vec<f64>,
     /// The GEMM kernel's packed centroids, packed once per [`drain`] call.
     pub panel: CentroidPanel,

@@ -72,7 +72,8 @@ pub fn lloyd_serial(
 
     let t_settle = std::time::Instant::now();
     let sse = Some(crate::quality::sse(data, &cents.to_matrix(), &assignments, 1));
-    let settle = SettleStats { secs: t_settle.elapsed().as_secs_f64(), threads: 1 };
+    let settle =
+        SettleStats { secs: t_settle.elapsed().as_secs_f64(), threads: 1, read_bytes: None };
     let niters = iters.len();
     KmeansResult {
         centroids: cents.to_matrix(),

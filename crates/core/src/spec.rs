@@ -902,7 +902,7 @@ pub fn settle<R: Rows + Sync>(
     }
     let sse = want_sse.then(|| crate::quality::sse(data, centroids, assignments, threads));
     let threads = crate::quality::sse_threads(data.nrow(), threads);
-    (sse, SettleStats { secs: t0.elapsed().as_secs_f64(), threads })
+    (sse, SettleStats { secs: t0.elapsed().as_secs_f64(), threads, read_bytes: None })
 }
 
 #[cfg(test)]

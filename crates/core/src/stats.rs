@@ -150,9 +150,12 @@ pub struct LoadStats {
 pub struct SettleStats {
     /// Wall seconds of the pass.
     pub secs: f64,
-    /// Threads that computed the SSE terms: the run's, but fewer than
-    /// one per 8 Ki rows.
+    /// Threads that computed the SSE terms: in memory the run's, but fewer
+    /// than one per 8 Ki rows; streamed the run's, but no more than rows.
     pub threads: usize,
+    /// Device bytes a pass streamed from the file read (`None` in memory).
+    /// Not part of any iteration's I/O record.
+    pub read_bytes: Option<u64>,
 }
 
 /// What seeding a run cost (the `--stats` `init:` line).

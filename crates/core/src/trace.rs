@@ -85,7 +85,8 @@ pub enum Phase {
     Merge,
     /// The coordinator window (reduce, finalize, drift, MTI, stats).
     Update,
-    /// Staged-plane fast-tier (row cache) hits copied into staging.
+    /// Staged-plane fast-tier (row cache) lookup: the merge walk that
+    /// finds a task's hits (bytes = the hits' bytes, read in place).
     IoHit,
     /// Staged-plane merged backing-tier (device) fetch of the misses.
     IoMiss,

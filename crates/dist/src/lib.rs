@@ -46,7 +46,6 @@
 use std::ops::Range;
 use std::path::Path;
 use std::sync::{Arc, Mutex, PoisonError};
-use std::time::Instant;
 
 use knor_core::centroids::Centroids;
 use knor_core::driver::{run_mm, ReduceReport, Reducer, WorkerReport};
@@ -247,12 +246,9 @@ impl DistKmeans {
         // The final streamed pass over the file (the subsampling refresh
         // and/or the SSE) — never the whole matrix in memory.
         let algo = cfg.algo.resolve(cfg.k, n, cfg.seed);
-        let t_settle = Instant::now();
-        if algo.subsamples() || cfg.compute_sse {
-            let (reader, sse) = (open_reader(path)?, cfg.compute_sse);
-            out.sse = streamed_settle(&reader, &*algo, &out.centroids, &mut out.assignments, sse)?;
-        }
-        out.settle = SettleStats { secs: t_settle.elapsed().as_secs_f64(), threads: 1 };
+        let (reader, sse, threads) = (open_reader(path)?, cfg.compute_sse, self.threads_per_rank());
+        (out.sse, out.settle) =
+            streamed_settle(&reader, &*algo, &out.centroids, &mut out.assignments, sse, threads)?;
         Ok(out)
     }
 

@@ -6,7 +6,7 @@
 //! ```text
 //! row needed? ── Clause 1 ──> skipped: no I/O at all
 //!      │ yes
-//!      ├── row cache hit ───> compute (in-memory speed)
+//!      ├── row cache hit ───> compute, read in place (in-memory speed)
 //!      ├── page cache hit ──> assemble row, compute (no row cache only)
 //!      └── device read (merged) ─> assemble, cache while room, compute
 //! ```
@@ -19,11 +19,10 @@
 //! also what lets knord mount one [`SemPlane`] per rank.
 
 use std::path::Path;
-use std::time::Instant;
 
 use knor_core::driver::{run_mm, NoReduce};
 use knor_core::spec::RunSpec;
-use knor_core::stats::{KmeansResult, SettleStats};
+use knor_core::stats::KmeansResult;
 use knor_core::InitMethod;
 
 use crate::plane::{streamed_init, streamed_settle, SemPlane, SemPlaneConfig};
@@ -74,19 +73,18 @@ impl SemKmeans {
             run_mm(&run.driver, init, &run.placement, &run.queue, &plane, &NoReduce, &*run.algo)?;
 
         let centroids = outcome.centroids.to_matrix();
-        let t_settle = Instant::now();
-        let sse = streamed_settle(
+        let settled = streamed_settle(
             plane.reader(),
             &*run.algo,
             &centroids,
             &mut outcome.assignments,
             cfg.compute_sse,
+            cfg.nthreads(),
         )?;
-        let settle = SettleStats { secs: t_settle.elapsed().as_secs_f64(), threads: 1 };
         // O(nd) stays on the device — the point of SEM.
         let caches = cfg.ext.row_cache_bytes + cfg.ext.page_cache_bytes;
         Ok(SemResult {
-            kmeans: run.finish(outcome, init_stats, centroids, 0, caches, (sse, settle)),
+            kmeans: run.finish(outcome, init_stats, centroids, 0, caches, settled),
             io: plane.finish(),
         })
     }

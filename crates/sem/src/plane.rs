@@ -22,7 +22,7 @@ use std::io;
 use std::ops::Range;
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{mpsc, Arc, Mutex, PoisonError};
 use std::time::Instant;
 
 use knor_core::algo::MmAlgorithm;
@@ -31,13 +31,13 @@ use knor_core::driver::{IterView, WorkerReport};
 use knor_core::init::{forgy_rows, InitMethod};
 use knor_core::plane::{drain, DataPlane, DrainScratch, RowSource};
 pub use knor_core::spec::SemPlaneConfig;
-use knor_core::stats::{InitStats, IterStats};
+use knor_core::stats::{InitStats, IterStats, SettleStats};
 use knor_core::trace::{Phase, WorkerTracer};
 use knor_matrix::DMatrix;
 use knor_safs::stats::{IoSnapshot, IoStats};
 use knor_safs::{RowStore, SafsReader, DEFAULT_PAGE_SIZE};
 
-use crate::row_cache::{RefreshSchedule, RowCache};
+use crate::row_cache::{RefreshSchedule, RowCache, TaskHits};
 use crate::IoIterStats;
 
 /// The SEM data plane over one byte range of an on-disk matrix.
@@ -145,6 +145,11 @@ impl SemPlane {
         *self.prev_io.get_mut().unwrap_or_else(PoisonError::into_inner) = self.io_stats.snapshot();
     }
 
+    /// A worker's row source over this plane (what `compute` drains).
+    pub fn source(&self) -> SemSource<'_> {
+        SemSource { plane: self, hits: TaskHits::default() }
+    }
+
     /// Hand back the run's per-iteration I/O record (Figs. 6a, 7), local
     /// to this plane.
     pub fn finish(&mut self) -> Vec<IoIterStats> {
@@ -152,43 +157,51 @@ impl SemPlane {
     }
 }
 
-/// The staged row source: a fast tier (the row cache) over a backing tier
-/// (SAFS: the device, behind a page cache if the plane has one). Every
-/// worker drains through its own `&SemPlane`; the tiers synchronize
-/// internally.
-impl RowSource for &SemPlane {
+/// One worker's staged row source for one compute phase: a fast tier (the
+/// row cache) over a backing tier (SAFS: the device, behind a page cache
+/// if the plane has one). Every worker drains through its own source over
+/// the shared plane; the tiers synchronize internally.
+pub struct SemSource<'p> {
+    plane: &'p SemPlane,
+    /// The staged task's row-cache hits, pinned from the end of `stage`
+    /// until the next one (or the end of the compute phase).
+    hits: TaskHits<'p>,
+}
+
+impl RowSource for SemSource<'_> {
     const STAGED: bool = true;
 
     fn d(&self) -> usize {
-        self.d
+        self.plane.d
     }
 
-    /// Fast-tier hits copy straight into their task-row-order slot; misses
-    /// are fetched from the backing tier in one merged request that decodes
-    /// each into its slot, and retained in the fast tier while it has room.
+    /// Fast-tier hits are found by one merge walk and stay where they lie;
+    /// misses are fetched from the backing tier in one merged request that
+    /// decodes each into its task-row-order slot, and retained in the fast
+    /// tier while it has room. Then the hits' partitions are pinned.
     fn stage(
         &mut self,
         needed: &[usize],
         scratch: &mut DrainScratch,
         tracer: Option<&WorkerTracer<'_>>,
     ) -> io::Result<u64> {
-        let d = self.d;
+        let (plane, d) = (self.plane, self.plane.d);
         scratch.miss_idx.clear();
         scratch.miss_rows.clear();
         if scratch.data.len() < needed.len() * d {
             scratch.data.resize(needed.len() * d, 0.0);
         }
         let t_hit = tracer.map(|t| t.now());
-        let hits = self.row_cache.get_batch(needed, &mut scratch.data, &mut scratch.miss_idx);
+        let hits = plane.row_cache.lookup(needed, &mut self.hits, &mut scratch.miss_idx);
         if let (Some(t), Some(t0)) = (tracer, t_hit) {
             if hits > 0 {
                 t.record(Phase::IoHit, t0, hits * (d as u64) * 8);
             }
         }
         if !scratch.miss_idx.is_empty() {
-            scratch.miss_rows.extend(scratch.miss_idx.iter().map(|&i| self.base + needed[i]));
+            scratch.miss_rows.extend(scratch.miss_idx.iter().map(|&i| plane.base + needed[i]));
             let t_miss = tracer.map(|t| t.now());
-            self.reader.fetch_rows_into(
+            plane.reader.fetch_rows_into(
                 &scratch.miss_rows,
                 &scratch.miss_idx,
                 &mut scratch.data,
@@ -196,9 +209,26 @@ impl RowSource for &SemPlane {
             if let (Some(t), Some(t0)) = (tracer, t_miss) {
                 t.record(Phase::IoMiss, t0, (scratch.miss_rows.len() * d * 8) as u64);
             }
-            self.row_cache.insert_batch(needed, &scratch.miss_idx, &scratch.data);
+            plane.row_cache.insert_batch(needed, &scratch.miss_idx, &scratch.data);
         }
+        plane.row_cache.pin(&mut self.hits);
         Ok(hits)
+    }
+
+    /// A hit borrowed from the row cache's slab; a miss from its slot.
+    #[inline]
+    fn row<'a>(&'a mut self, staged: &'a [f64], i: usize, _r: usize) -> &'a [f64] {
+        let d = self.plane.d;
+        self.hits.row(i).unwrap_or(&staged[i * d..(i + 1) * d])
+    }
+
+    /// The block commits want the task contiguous: the hits are copied
+    /// into their slots beside the misses.
+    fn block<'a>(&'a mut self, data: &'a mut Vec<f64>, at: usize, ids: &[usize]) -> &'a [f64] {
+        let d = self.plane.d;
+        let block = &mut data[at * d..(at + ids.len()) * d];
+        self.hits.copy_into(block, at, ids.len());
+        block
     }
 }
 
@@ -206,8 +236,12 @@ impl DataPlane for SemPlane {
     fn pre_iteration(&self, iter: usize) {
         let refresh =
             self.schedule.lock().unwrap_or_else(PoisonError::into_inner).should_refresh(iter);
+        // No compute phase runs now: the one window where the cache's
+        // contents may move.
         if refresh {
             self.row_cache.flush();
+        } else {
+            self.row_cache.seal();
         }
         self.refresh_now.store(refresh, Ordering::Release);
     }
@@ -219,7 +253,7 @@ impl DataPlane for SemPlane {
         accum: &mut LocalAccum,
         scratch: &mut DrainScratch,
     ) -> io::Result<WorkerReport> {
-        drain(&mut &*self, w, view, accum, scratch)
+        drain(&mut self.source(), w, view, accum, scratch)
     }
 
     fn end_iteration(&self, iter: usize, _stats: &IterStats, _aux_total: u64) {
@@ -326,48 +360,135 @@ pub fn forgy_from_file(path: &Path, k: usize, seed: u64) -> io::Result<DMatrix> 
     forgy_read(&reader, 0..reader.store().nrow(), k, seed)
 }
 
-/// Stream the reader's file once, in row order: `visit(first, values)`
-/// sees each chunk's first row id and its rows' values.
-fn stream_rows(reader: &SafsReader, mut visit: impl FnMut(usize, &[f64])) -> io::Result<()> {
-    let (n, chunk) = (reader.store().nrow(), 8192usize);
-    let (mut buf, mut rows) = (Vec::new(), Vec::with_capacity(chunk));
-    for start in (0..n).step_by(chunk) {
-        rows.clear();
-        rows.extend(start..(start + chunk).min(n));
-        reader.fetch_rows(&rows, &mut buf)?;
-        visit(start, &buf);
-    }
-    Ok(())
+/// Rows per block of the streamed closing pass: a block is fetched at a
+/// time, its rows split among the threads, and its SSE terms summed before
+/// the next. The threads' fetch buffers together hold one block.
+const SETTLE_BLOCK_ROWS: usize = 8192;
+
+/// `rows` cut into `parts` consecutive ranges of about equal bytes, each
+/// cut moved to the first row that starts at or after a page boundary: the
+/// ranges read disjoint pages, but for one a row straddles.
+fn page_split(
+    store: &RowStore,
+    rows: Range<usize>,
+    parts: usize,
+) -> impl Iterator<Item = Range<usize>> + '_ {
+    let (base, rb, ps) = (store.row_offset(0), store.row_bytes(), store.page_size() as u64);
+    let (lo, hi) = (store.row_offset(rows.start), store.row_offset(rows.end));
+    let cut = move |t: usize| {
+        if t == parts {
+            return rows.end;
+        }
+        let page = (lo + (hi - lo) * t as u64 / parts as u64) / ps * ps;
+        (page.saturating_sub(base).div_ceil(rb) as usize).clamp(rows.start, rows.end)
+    };
+    (0..parts).map(move |t| cut(t)..cut(t + 1))
 }
 
 /// What follows the last iteration of a run whose rows are on the device
 /// (`knor_core::spec::settle`, streamed): one pass over the reader's file
 /// that re-maps every row under a subsampling algorithm and sums the SSE
 /// when `want_sse` — or no pass at all when neither is wanted.
+///
+/// The pass runs on up to `threads` threads, started once: each block of
+/// [`SETTLE_BLOCK_ROWS`] rows is cut by [`page_split`], thread `t` fetches
+/// and maps the `t`-th range and writes its rows' SSE terms into one
+/// buffer it reuses, and the calling thread adds the terms range by range,
+/// in row order. So the SSE is the one-thread pass's bit for bit, at any
+/// `threads`.
 pub fn streamed_settle(
     reader: &SafsReader,
     algo: &dyn MmAlgorithm,
     centroids: &DMatrix,
     assignments: &mut [u32],
     want_sse: bool,
-) -> io::Result<Option<f64>> {
-    let refresh = algo.subsamples();
+    threads: usize,
+) -> io::Result<(Option<f64>, SettleStats)> {
+    let t0 = Instant::now();
+    let (n, d, refresh) = (reader.store().nrow(), reader.store().ncol(), algo.subsamples());
+    let threads = threads.clamp(1, n.max(1));
+    let read_before = reader.stats().snapshot().bytes_read_device;
+    let stats = |t0: Instant| SettleStats {
+        secs: t0.elapsed().as_secs_f64(),
+        threads,
+        read_bytes: Some(reader.stats().snapshot().bytes_read_device - read_before),
+    };
     if !(refresh || want_sse) {
-        return Ok(None);
+        return Ok((None, stats(t0)));
     }
-    let (d, cents) = (reader.store().ncol(), Centroids::from_matrix(centroids));
-    let mut total = 0.0;
-    stream_rows(reader, |start, buf| {
-        for (a, v) in assignments[start..].iter_mut().zip(buf.chunks_exact(d)) {
+    // Every thread's ranges, block by block, with the assignments they own.
+    let mut shares: Vec<Vec<(Range<usize>, &mut [u32])>> =
+        (0..threads).map(|_| Vec::new()).collect();
+    let mut rest = assignments;
+    for start in (0..n).step_by(SETTLE_BLOCK_ROWS) {
+        let block = start..(start + SETTLE_BLOCK_ROWS).min(n);
+        for (share, rows) in shares.iter_mut().zip(page_split(reader.store(), block, threads)) {
+            let (mine, tail) = std::mem::take(&mut rest).split_at_mut(rows.len());
+            share.push((rows, mine));
+            rest = tail;
+        }
+    }
+    let cents = Centroids::from_matrix(centroids);
+    // One range: fetch its rows, re-map them, and leave their SSE terms.
+    let settle = |rows: Range<usize>,
+                  assign: &mut [u32],
+                  ids: &mut Vec<usize>,
+                  buf: &mut Vec<f64>,
+                  terms: &mut Vec<f64>| {
+        ids.clear();
+        ids.extend(rows);
+        reader.fetch_rows(ids, buf)?;
+        terms.clear();
+        for (a, v) in assign.iter_mut().zip(buf.chunks_exact(d)) {
             if refresh {
                 *a = algo.map(v, &cents).cluster;
             }
             if want_sse {
-                total += knor_core::distance::sqdist(v, centroids.row(*a as usize));
+                terms.push(knor_core::distance::sqdist(v, centroids.row(*a as usize)));
             }
         }
+        io::Result::Ok(())
+    };
+    let mut shares = shares.into_iter();
+    let own = shares.next().expect("one thread at least");
+    let total = std::thread::scope(|s| {
+        // Each helper sends its filled terms and gets the buffer back.
+        let helpers: Vec<_> = shares
+            .map(|share| {
+                let (done, done_rx) = mpsc::channel::<io::Result<Vec<f64>>>();
+                let (back, back_rx) = mpsc::channel::<Vec<f64>>();
+                s.spawn(move || {
+                    let (mut ids, mut buf, mut terms) = (Vec::new(), Vec::new(), Vec::new());
+                    for (rows, assign) in share {
+                        let sent = settle(rows, assign, &mut ids, &mut buf, &mut terms);
+                        if done.send(sent.map(|()| std::mem::take(&mut terms))).is_err() {
+                            return;
+                        }
+                        match back_rx.recv() {
+                            Ok(t) => terms = t,
+                            Err(_) => return,
+                        }
+                    }
+                });
+                (done_rx, back)
+            })
+            .collect();
+        let (mut ids, mut buf, mut terms) = (Vec::new(), Vec::new(), Vec::new());
+        let mut total = 0.0;
+        for (rows, assign) in own {
+            settle(rows, assign, &mut ids, &mut buf, &mut terms)?;
+            total = terms.iter().fold(total, |sum, &t| sum + t);
+            for (done, back) in &helpers {
+                // A helper that panicked hung up; the scope re-raises it.
+                let theirs =
+                    done.recv().map_err(|_| io::Error::other("settle thread stopped"))??;
+                total = theirs.iter().fold(total, |sum, &t| sum + t);
+                let _ = back.send(theirs);
+            }
+        }
+        io::Result::Ok(total)
     })?;
-    Ok(want_sse.then_some(total))
+    Ok((want_sse.then_some(total), stats(t0)))
 }
 
 #[cfg(test)]
@@ -388,10 +509,56 @@ mod tests {
         assert_eq!(plane.nrow(), 200);
         let mut scratch = DrainScratch::default();
         let needed: Vec<usize> = (0..50).collect(); // local ids
-        let hits = (&plane).stage(&needed, &mut scratch, None).unwrap();
+        let hits = plane.source().stage(&needed, &mut scratch, None).unwrap();
         assert_eq!(hits, 0, "cold cache");
         for (i, &r) in needed.iter().enumerate() {
             assert_eq!(&scratch.data[i * 4..(i + 1) * 4], data.row(200 + r), "local row {r}");
+        }
+        std::fs::remove_file(&p).unwrap();
+    }
+
+    /// The threaded closing pass is the one-thread pass bit for bit — the
+    /// SSE's bits and the assignments — at any thread count: for files
+    /// around the block size, rows of 24 bytes that straddle 256-byte
+    /// pages, and under mini-batch, whose refresh re-maps every row on the
+    /// same threads. The one-thread SSE is the row-order sum over memory.
+    #[test]
+    fn threaded_streamed_settle_is_the_one_thread_pass() {
+        use knor_core::algo::Algorithm;
+        use knor_core::distance::sqdist;
+        let d = 3;
+        let mut p = std::env::temp_dir();
+        p.push(format!("knor-sem-plane-settle-{}.knor", std::process::id()));
+        for n in [1usize, 8191, 8192, 8193, 2 * 8192 + 77] {
+            let values = (0..n * d).map(|i| ((i * 7919) % 1009) as f64 / 13.0 - 30.0).collect();
+            let data = DMatrix::from_vec(values, n, d);
+            write_matrix(&p, &data).unwrap();
+            let k = n.min(5);
+            let cents = DMatrix::from_vec(data.as_slice()[..k * d].to_vec(), k, d);
+            let start: Vec<u32> = (0..n as u32).map(|r| r % k as u32).collect();
+            for algo in [Algorithm::Lloyd, Algorithm::MiniBatch { batch: 64 }] {
+                let algo = algo.resolve(k, n, 1);
+                let pass = |threads: usize| {
+                    let reader = SafsReader::new(open_store(&p, 256).unwrap(), 0, 1);
+                    let mut assignments = start.clone();
+                    let (sse, stats) =
+                        streamed_settle(&reader, &*algo, &cents, &mut assignments, true, threads)
+                            .unwrap();
+                    assert_eq!(stats.threads, threads.min(n), "n={n}");
+                    assert!(stats.read_bytes.unwrap() >= (n * d * 8) as u64, "n={n}");
+                    (sse.unwrap().to_bits(), assignments)
+                };
+                let one = pass(1);
+                let by_row: f64 =
+                    (0..n).map(|r| sqdist(data.row(r), cents.row(one.1[r] as usize))).sum();
+                assert_eq!(one.0, by_row.to_bits(), "n={n} {}", algo.name());
+                if !algo.subsamples() {
+                    assert_eq!(one.1, start, "n={n}: Lloyd's pass keeps the assignments");
+                }
+                for threads in [2, 3, 8] {
+                    assert_eq!(pass(threads), one, "n={n} threads={threads} {}", algo.name());
+                }
+            }
         }
         std::fs::remove_file(&p).unwrap();
     }

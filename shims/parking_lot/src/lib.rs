@@ -3,10 +3,10 @@
 //! `std::sync`. A poisoned std lock (a panic while held) is treated as
 //! still-usable, matching parking_lot's semantics.
 
-use std::sync::{
-    Mutex as StdMutex, MutexGuard, PoisonError, RwLock as StdRwLock, RwLockReadGuard,
-    RwLockWriteGuard,
-};
+use std::sync::{Mutex as StdMutex, PoisonError, RwLock as StdRwLock};
+
+/// The guards, under parking_lot's names.
+pub use std::sync::{MutexGuard, RwLockReadGuard, RwLockWriteGuard};
 
 /// A mutual-exclusion lock whose `lock` cannot fail.
 #[derive(Debug, Default)]

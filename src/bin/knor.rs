@@ -584,10 +584,12 @@ fn print_init(run: &RunSpec, n: usize, s: &InitStats) {
 }
 
 /// The `--stats` settle line: the pass after the last iteration (the SSE,
-/// and mini-batch's refresh) and the threads that summed the SSE — the
-/// run's, in memory; one for a pass streamed from the file.
+/// and mini-batch's refresh), the threads that computed its terms and, for
+/// a pass streamed from the file, the device bytes it read — which
+/// `device bytes read` (the iterations') does not count.
 fn print_settle(s: &SettleStats) {
-    println!("settle: secs={:.3} threads={}", s.secs, s.threads);
+    let read = s.read_bytes.map_or(String::new(), |b| format!(" read_MB={:.1}", b as f64 / 1e6));
+    println!("settle: secs={:.3} threads={}{read}", s.secs, s.threads);
 }
 
 /// The `--stats` memory line: what the run accounts for (Table 1's terms)

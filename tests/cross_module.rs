@@ -691,3 +691,67 @@ fn same_spec_same_run_on_every_engine() {
     }
     std::fs::remove_file(&path).unwrap();
 }
+
+/// A row cache that holds every row: after iteration 0 an active row is a
+/// hit — read in place by the bounded commit, copied by a full scan —
+/// unless a refresh (iterations 3, 9, …) emptied the cache and refilled it
+/// with an active set that left the row out. The run is knori's bit for
+/// bit: the same iterations, assignments, centroids and SSE.
+#[test]
+fn whole_file_row_cache_is_knori_bit_for_bit() {
+    let (data, _) = workload(3000, 8, 81);
+    let path = std::env::temp_dir().join(format!("knor-cross-rc-{}.knor", std::process::id()));
+    matrix_io::write_matrix(&path, &data).unwrap();
+    let k = 12;
+    for pruning in [Pruning::Mti, Pruning::None] {
+        let im = Kmeans::new(
+            KmeansConfig::new(k)
+                .with_init(InitMethod::Forgy)
+                .with_seed(3)
+                .with_threads(2)
+                .with_scheduler(SchedulerKind::Static)
+                .with_pruning(pruning)
+                .with_max_iters(20)
+                .with_sse(true),
+        )
+        .fit(&data);
+        let sem = SemKmeans::new(
+            SemConfig::new(k)
+                .with_seed(3)
+                .with_threads(2)
+                .with_scheduler(SchedulerKind::Static)
+                .with_pruning(pruning)
+                .with_task_size(100)
+                .with_page_size(512)
+                .with_row_cache_bytes(3000 * 8 * 8)
+                .with_cache_interval(3)
+                .with_max_iters(20)
+                .with_sse(true),
+        )
+        .fit(&path)
+        .unwrap();
+        let what = format!("{pruning:?}");
+        assert_eq!(sem.kmeans.niters, im.niters, "{what}");
+        assert_eq!(sem.kmeans.assignments, im.assignments, "{what}");
+        assert_eq!(sem.kmeans.centroids, im.centroids, "{what}");
+        assert_eq!(sem.kmeans.sse.map(f64::to_bits), im.sse.map(f64::to_bits), "{what}");
+        assert!(sem.io.len() > 4, "{what}: the run must reach a refresh");
+        // Every miss is kept. Only rows a refresh's active set left out
+        // can miss after it: none before the first, none without pruning.
+        let mut resident = 0;
+        for io in &sem.io {
+            let tag = format!("{what} iter {}", io.iter);
+            if io.iter == 0 || io.rc_refreshed {
+                assert_eq!(io.rc_hits, 0, "{tag}");
+                resident = 0;
+            } else if io.iter < 3 || pruning == Pruning::None {
+                assert_eq!(io.rc_misses, 0, "{tag}: the cache holds every row");
+            }
+            resident += io.rc_misses;
+            assert_eq!(io.rc_resident_rows, resident, "{tag}");
+            assert_eq!(io.rc_hits + io.rc_misses, io.active_rows, "{tag}");
+        }
+        assert_eq!(sem.io[0].rc_resident_rows, 3000, "{what}");
+    }
+    std::fs::remove_file(&path).unwrap();
+}

@@ -167,7 +167,7 @@ fn sem_file_that_shrinks_between_two_tasks_fails_every_later_fit_through_the_sam
         let mut scratch = DrainScratch::default();
         let (early, late): (Vec<usize>, Vec<usize>) = ((0..64).collect(), (1500..1564).collect());
         let stage = |rows: &[usize], scratch: &mut DrainScratch| {
-            let staged = (&*plane).stage(rows, scratch, None);
+            let staged = plane.source().stage(rows, scratch, None);
             staged.map(|_| scratch.data[..rows.len() * d].to_vec())
         };
         let whole = stage(&early, &mut scratch).unwrap();
