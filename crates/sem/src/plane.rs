@@ -408,13 +408,13 @@ pub fn streamed_settle(
     let (n, d, refresh) = (reader.store().nrow(), reader.store().ncol(), algo.subsamples());
     let threads = threads.clamp(1, n.max(1));
     let read_before = reader.stats().snapshot().bytes_read_device;
-    let stats = |t0: Instant| SettleStats {
+    let stats = || SettleStats {
         secs: t0.elapsed().as_secs_f64(),
         threads,
         read_bytes: Some(reader.stats().snapshot().bytes_read_device - read_before),
     };
     if !(refresh || want_sse) {
-        return Ok((None, stats(t0)));
+        return Ok((None, stats()));
     }
     // Every thread's ranges, block by block, with the assignments they own.
     let mut shares: Vec<Vec<(Range<usize>, &mut [u32])>> =
@@ -488,7 +488,7 @@ pub fn streamed_settle(
         }
         io::Result::Ok(total)
     })?;
-    Ok((want_sse.then_some(total), stats(t0)))
+    Ok((want_sse.then_some(total), stats()))
 }
 
 #[cfg(test)]

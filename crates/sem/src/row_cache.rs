@@ -130,8 +130,8 @@ const MISS: u32 = u32::MAX;
 
 /// One task's row-cache hits, readable where they lie: the slot of each
 /// looked-up row that hit, and — once [`RowCache::pin`]ned — read guards
-/// on the partitions holding them. Reused task after task; guards are
-/// dropped by [`TaskHits::release`], the next lookup, or the drop.
+/// on the partitions holding them. Reused task after task; the next
+/// lookup, or the drop, releases the guards.
 #[derive(Debug, Default)]
 pub struct TaskHits<'c> {
     /// Per looked-up row: `(partition, slot)` of a hit, `(MISS, 0)` of a miss.
@@ -145,7 +145,7 @@ pub struct TaskHits<'c> {
 
 impl<'c> TaskHits<'c> {
     /// Drop the guards (before the next task is staged).
-    pub fn release(&mut self) {
+    fn release(&mut self) {
         self.guards.iter_mut().for_each(|g| *g = None);
     }
 
@@ -281,7 +281,7 @@ impl RowCache {
     }
 
     /// Read-lock the partitions holding `hits`' rows, in ascending order,
-    /// until [`TaskHits::release`]. Call it after the task's
+    /// until the next lookup into `hits`. Call it after the task's
     /// [`RowCache::insert_batch`]: a worker must not write a partition it
     /// holds.
     pub fn pin<'c>(&'c self, hits: &mut TaskHits<'c>) {
