@@ -258,12 +258,12 @@ impl RowCache {
             let index = &part.index[..part.sealed];
             let mut s = index.partition_point(|&(id, _)| (id as usize) < rows[at]);
             let mut hit = false;
-            for (i, (&r, at)) in (at..end).zip(rows[at..end].iter().zip(&mut hits.at[at..end])) {
+            for (i, (&r, loc)) in (at..end).zip(rows[at..end].iter().zip(&mut hits.at[at..end])) {
                 while s < index.len() && (index[s].0 as usize) < r {
                     s += 1;
                 }
                 if let Some(&(_, slot)) = index.get(s).filter(|&&(id, _)| id as usize == r) {
-                    *at = (p as u32, slot);
+                    *loc = (p as u32, slot);
                     hit = true;
                 } else {
                     misses.push(i);
