@@ -21,4 +21,4 @@ pub mod net;
 
 pub use cluster::{Comm, CommStats, LocalCluster};
 pub use collectives::ReduceAlgo;
-pub use net::{poll_fds, FrameBuf, LineConn, NetModel, PollFd};
+pub use net::{LineConn, NetModel};

@@ -12,15 +12,9 @@
 //! (the `knor-serve` TCP front end, its CLI clients) can report real wire
 //! bytes — and, via [`NetModel`], a modeled wire time for the paper's
 //! interconnect.
-//!
-//! For the multiplexed (non-blocking) front end, [`FrameBuf`] provides the
-//! incremental half of the same framing — bytes arrive in arbitrary chunks
-//! from a readiness loop, complete lines come out — and [`poll_fds`] wraps
-//! `poll(2)` from the `libc` shim into a safe readiness wait.
 
-use std::io::{self, BufRead, BufReader, IoSlice, Write};
+use std::io::{self, BufRead, BufReader, IoSlice, Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};
-use std::os::fd::RawFd;
 
 /// Latency/bandwidth model of one cluster interconnect.
 #[derive(Debug, Clone, Copy)]
@@ -137,16 +131,30 @@ impl LineConn {
     /// Receive one message line (without the `\n`). `Ok(None)` on a clean
     /// peer close.
     pub fn recv_line(&mut self) -> io::Result<Option<String>> {
-        let mut buf = String::new();
-        let n = self.r.read_line(&mut buf)?;
+        self.recv_line_capped(usize::MAX)
+    }
+
+    /// [`LineConn::recv_line`], reading at most `limit` bytes, the `\n`
+    /// included. A line that has not ended by then is an
+    /// [`io::ErrorKind::InvalidData`] error, as is one that is not UTF-8;
+    /// after the first, the connection is mid-line.
+    pub fn recv_line_capped(&mut self, limit: usize) -> io::Result<Option<String>> {
+        let mut buf = Vec::new();
+        let n = (&mut self.r).take(limit as u64).read_until(b'\n', &mut buf)?;
         if n == 0 {
             return Ok(None);
         }
         self.bytes_in += n as u64;
-        while buf.ends_with('\n') || buf.ends_with('\r') {
+        if n == limit && buf.last() != Some(&b'\n') {
+            let msg = format!("line longer than {limit} bytes");
+            return Err(io::Error::new(io::ErrorKind::InvalidData, msg));
+        }
+        while buf.last().is_some_and(|&b| b == b'\n' || b == b'\r') {
             buf.pop();
         }
-        Ok(Some(buf))
+        String::from_utf8(buf).map(Some).map_err(|_| {
+            io::Error::new(io::ErrorKind::InvalidData, "stream did not contain valid UTF-8")
+        })
     }
 
     /// Bytes received so far.
@@ -164,137 +172,6 @@ impl LineConn {
     pub fn modeled_send_ns(&self, model: &NetModel) -> f64 {
         model.transfer_ns(self.bytes_out)
     }
-}
-
-/// Incremental newline framing for a non-blocking socket.
-///
-/// The readiness loop feeds whatever bytes `read(2)` produced via
-/// [`FrameBuf::extend`]; [`FrameBuf::next_line`] yields each complete line
-/// (stripped of `\n` / `\r\n`) as it becomes available. A line split across
-/// any number of reads reassembles transparently. Consumed bytes are
-/// compacted lazily so a burst of many lines costs O(bytes), not O(lines²).
-#[derive(Default)]
-pub struct FrameBuf {
-    buf: Vec<u8>,
-    /// Start of unconsumed data in `buf`.
-    start: usize,
-    /// Next byte to scan for `\n` (avoid rescanning a long partial line).
-    scan: usize,
-    bytes_in: u64,
-}
-
-impl FrameBuf {
-    /// Empty buffer.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Append bytes received from the socket.
-    pub fn extend(&mut self, bytes: &[u8]) {
-        self.bytes_in += bytes.len() as u64;
-        if self.start > 0 && self.start == self.buf.len() {
-            self.buf.clear();
-            self.start = 0;
-            self.scan = 0;
-        }
-        self.buf.extend_from_slice(bytes);
-    }
-
-    /// Pop the next complete line, if one has fully arrived. Strips the
-    /// trailing `\n` (and a `\r` before it); invalid UTF-8 is replaced.
-    pub fn next_line(&mut self) -> Option<String> {
-        let nl = self.buf[self.scan.max(self.start)..].iter().position(|&b| b == b'\n');
-        let Some(off) = nl else {
-            self.scan = self.buf.len();
-            return None;
-        };
-        let end = self.scan.max(self.start) + off;
-        let mut line_end = end;
-        if line_end > self.start && self.buf[line_end - 1] == b'\r' {
-            line_end -= 1;
-        }
-        let line = String::from_utf8_lossy(&self.buf[self.start..line_end]).into_owned();
-        self.start = end + 1;
-        self.scan = self.start;
-        // Compact once the consumed prefix dominates, keeping amortized O(1).
-        if self.start > 4096 && self.start * 2 > self.buf.len() {
-            self.buf.drain(..self.start);
-            self.start = 0;
-            self.scan = 0;
-        }
-        Some(line)
-    }
-
-    /// Bytes buffered but not yet returned as a line (a partial frame).
-    pub fn pending_bytes(&self) -> usize {
-        self.buf.len() - self.start
-    }
-
-    /// Total bytes ever fed in.
-    pub fn bytes_in(&self) -> u64 {
-        self.bytes_in
-    }
-}
-
-/// One descriptor's interest and readiness for [`poll_fds`].
-#[derive(Debug, Clone, Copy)]
-pub struct PollFd {
-    /// The raw descriptor to watch.
-    pub fd: RawFd,
-    /// Wait for readability.
-    pub want_read: bool,
-    /// Wait for writability.
-    pub want_write: bool,
-    /// Set by [`poll_fds`]: a read will not block.
-    pub readable: bool,
-    /// Set by [`poll_fds`]: a write will not block.
-    pub writable: bool,
-    /// Set by [`poll_fds`]: error, hangup, or invalid fd — drop the peer.
-    pub closed: bool,
-}
-
-impl PollFd {
-    /// Interest in readability only.
-    pub fn read(fd: RawFd) -> Self {
-        Self::new(fd, true, false)
-    }
-
-    /// Interest in the given directions.
-    pub fn new(fd: RawFd, want_read: bool, want_write: bool) -> Self {
-        Self { fd, want_read, want_write, readable: false, writable: false, closed: false }
-    }
-}
-
-/// Safe wrapper over `poll(2)` (via the `libc` shim): waits up to
-/// `timeout_ms` (`-1` = forever) for any registered readiness, fills the
-/// `readable`/`writable`/`closed` flags in place, and returns how many
-/// entries are ready. Retries transparently on `EINTR`.
-pub fn poll_fds(fds: &mut [PollFd], timeout_ms: i32) -> io::Result<usize> {
-    let mut raw: Vec<libc::pollfd> = fds
-        .iter()
-        .map(|f| libc::pollfd {
-            fd: f.fd,
-            events: if f.want_read { libc::POLLIN } else { 0 }
-                | if f.want_write { libc::POLLOUT } else { 0 },
-            revents: 0,
-        })
-        .collect();
-    let ready = loop {
-        let rc = unsafe { libc::poll(raw.as_mut_ptr(), raw.len() as libc::nfds_t, timeout_ms) };
-        if rc >= 0 {
-            break rc as usize;
-        }
-        let err = io::Error::last_os_error();
-        if err.kind() != io::ErrorKind::Interrupted {
-            return Err(err);
-        }
-    };
-    for (f, r) in fds.iter_mut().zip(&raw) {
-        f.readable = r.revents & libc::POLLIN != 0;
-        f.writable = r.revents & libc::POLLOUT != 0;
-        f.closed = r.revents & (libc::POLLERR | libc::POLLHUP | libc::POLLNVAL) != 0;
-    }
-    Ok(ready)
 }
 
 #[cfg(test)]
@@ -327,6 +204,31 @@ mod tests {
         let (sin, sout) = server.join().unwrap();
         assert_eq!(sin, 6 + format!("{x:?}").len() as u64 + 1);
         assert!(sout > sin, "echo adds a prefix");
+    }
+
+    #[test]
+    fn a_capped_read_stops_at_the_cap() {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut tx = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let mut rx = LineConn::new(listener.accept().unwrap().0).unwrap();
+        // Eight bytes with the terminator fit a cap of 8; nine do not, and
+        // the read stops at the cap, mid-line.
+        tx.write_all(b"1234567\n123456789\n").unwrap();
+        assert_eq!(rx.recv_line_capped(8).unwrap().as_deref(), Some("1234567"));
+        let err = rx.recv_line_capped(8).unwrap_err();
+        assert_eq!(
+            (err.kind(), err.to_string()),
+            (io::ErrorKind::InvalidData, "line longer than 8 bytes".into())
+        );
+        assert_eq!(rx.bytes_in(), 16);
+        assert_eq!(rx.recv_line().unwrap().as_deref(), Some("9"), "the rest of the line is unread");
+        // Not UTF-8 is the same kind of error; the line is consumed.
+        tx.write_all(b"\xff\xfe\nok\r\n").unwrap();
+        let err = rx.recv_line_capped(8).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert_eq!(rx.recv_line_capped(8).unwrap().as_deref(), Some("ok"));
+        drop(tx);
+        assert_eq!(rx.recv_line_capped(8).unwrap(), None);
     }
 
     /// Accepts at most `per_call` bytes per write and records each call.
@@ -465,62 +367,5 @@ mod tests {
         let m = NetModel::ec2_10gbe();
         let small = m.transfer_ns(8);
         assert!((small - 50_006.4).abs() < 1.0);
-    }
-
-    #[test]
-    fn frame_buf_reassembles_split_lines() {
-        let mut fb = FrameBuf::new();
-        fb.extend(b"hel");
-        assert_eq!(fb.next_line(), None);
-        assert_eq!(fb.pending_bytes(), 3);
-        fb.extend(b"lo\nwor");
-        assert_eq!(fb.next_line().as_deref(), Some("hello"));
-        assert_eq!(fb.next_line(), None);
-        fb.extend(b"ld\r\n\n");
-        assert_eq!(fb.next_line().as_deref(), Some("world"));
-        assert_eq!(fb.next_line().as_deref(), Some(""));
-        assert_eq!(fb.next_line(), None);
-        assert_eq!(fb.pending_bytes(), 0);
-        assert_eq!(fb.bytes_in(), 14);
-    }
-
-    #[test]
-    fn frame_buf_burst_of_many_lines() {
-        let mut fb = FrameBuf::new();
-        let mut wire = String::new();
-        for i in 0..10_000 {
-            wire.push_str(&format!("line {i}\n"));
-        }
-        fb.extend(wire.as_bytes());
-        for i in 0..10_000 {
-            assert_eq!(fb.next_line().unwrap(), format!("line {i}"));
-        }
-        assert_eq!(fb.next_line(), None);
-    }
-
-    #[test]
-    fn poll_reports_tcp_readiness() {
-        use std::os::fd::AsRawFd;
-        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let tx = TcpStream::connect(addr).unwrap();
-        let (rx, _) = listener.accept().unwrap();
-        // Nothing to read yet: rx times out, tx is writable immediately.
-        let mut fds = [PollFd::read(rx.as_raw_fd()), PollFd::new(tx.as_raw_fd(), false, true)];
-        let n = poll_fds(&mut fds, 100).unwrap();
-        assert_eq!(n, 1);
-        assert!(!fds[0].readable);
-        assert!(fds[1].writable);
-        // After a send the receive side becomes readable.
-        (&tx).write_all(b"x").unwrap();
-        let mut fds = [PollFd::read(rx.as_raw_fd())];
-        let n = poll_fds(&mut fds, 1000).unwrap();
-        assert_eq!(n, 1);
-        assert!(fds[0].readable);
-        // Peer close raises readable (EOF) — the loop's signal to drop.
-        drop(tx);
-        let mut fds = [PollFd::read(rx.as_raw_fd())];
-        poll_fds(&mut fds, 1000).unwrap();
-        assert!(fds[0].readable || fds[0].closed);
     }
 }

@@ -47,10 +47,8 @@
 //! assert_eq!(out.assignments, vec![0, 1]);
 //! ```
 
-pub mod coalesce;
 pub mod jobs;
 pub mod metrics;
-pub mod mux;
 pub mod pool;
 pub mod registry;
 pub mod stats;
@@ -66,12 +64,13 @@ use knor_numa::Topology;
 
 pub use jobs::{JobId, JobStatus, TrainSource, TrainSpec};
 pub use metrics::render_prometheus;
-pub use mux::{MuxConfig, MuxServer};
 pub use pool::{PredictError, PredictTiming};
 pub use registry::{Model, ModelEntry, ModelRegistry, TrainDiag};
 pub use stats::{
     Clock, LatencyHistogram, ManualClock, MonotonicClock, ServeStats, StatsSnapshot, REQUEST_PHASES,
 };
+#[doc(hidden)]
+pub use tcp::{MuxConfig, MuxServer};
 
 use jobs::JobRunner;
 use pool::WorkerPool;
@@ -215,9 +214,9 @@ impl ServeHandle {
         &self.inner.registry
     }
 
-    /// The instance's injected time source (the mux front end timestamps
-    /// request admission with this so end-to-end latency shares the same
-    /// clock as the kernel phases).
+    /// The instance's injected time source (the TCP dispatch times its
+    /// parse and format phases with it, on the same clock as the kernel
+    /// phases).
     pub fn clock(&self) -> &Arc<dyn Clock> {
         &self.inner.clock
     }
@@ -260,9 +259,8 @@ impl ServeHandle {
     }
 
     /// Predict against a specific, already-resolved model entry with the
-    /// instance's default kernel knob. The mux coalescer uses this so
-    /// every request in a coalesced batch runs against the exact version
-    /// it was admitted with, regardless of swaps in between.
+    /// instance's default kernel knob, so a request runs against the
+    /// exact version it resolved, regardless of swaps in between.
     pub fn predict_entry(
         &self,
         entry: &Arc<ModelEntry>,
@@ -272,8 +270,7 @@ impl ServeHandle {
         self.predict_entry_with(entry, queries, d, self.inner.kernel)
     }
 
-    /// [`ServeHandle::predict_entry`] with an explicit kernel knob.
-    pub fn predict_entry_with(
+    fn predict_entry_with(
         &self,
         entry: &Arc<ModelEntry>,
         queries: &[f64],

@@ -65,20 +65,6 @@ pub fn render_prometheus(handle: &ServeHandle) -> String {
 
     counter(
         &mut out,
-        "knor_serve_busy_total",
-        "Requests rejected with BUSY because the pending-row budget was full.",
-    );
-    for e in &entries {
-        let _ = writeln!(
-            out,
-            "knor_serve_busy_total{{model=\"{}\"}} {}",
-            e.model.name,
-            e.stats.busy_rejections()
-        );
-    }
-
-    counter(
-        &mut out,
         "knor_serve_inline_calls_total",
         "Predict calls of one chunk, answered on the calling thread without a pool hand-off.",
     );
@@ -89,43 +75,6 @@ pub fn render_prometheus(handle: &ServeHandle) -> String {
     for e in &entries {
         let hist = e.stats.histogram();
         render_histogram(&mut out, "knor_serve_batch_latency_ns", &e.model.name, &hist);
-    }
-
-    let _ = writeln!(
-        out,
-        "# HELP knor_serve_coalesced_rows \
-         Coalesced kernel-batch sizes under the mux front end (unit: rows, not ns)."
-    );
-    let _ = writeln!(out, "# TYPE knor_serve_coalesced_rows histogram");
-    for e in &entries {
-        let hist = e.stats.coalesced_histogram();
-        render_histogram(&mut out, "knor_serve_coalesced_rows", &e.model.name, &hist);
-    }
-
-    let _ = writeln!(
-        out,
-        "# HELP knor_serve_request_latency_ns \
-         End-to-end request latency under the mux front end (admission to reply, \
-         including coalescer queue wait)."
-    );
-    let _ = writeln!(out, "# TYPE knor_serve_request_latency_ns histogram");
-    for e in &entries {
-        let hist = e.stats.request_histogram();
-        render_histogram(&mut out, "knor_serve_request_latency_ns", &e.model.name, &hist);
-    }
-
-    let _ = writeln!(
-        out,
-        "# HELP knor_serve_pending_rows Rows admitted by the mux front end, not yet answered."
-    );
-    let _ = writeln!(out, "# TYPE knor_serve_pending_rows gauge");
-    for e in &entries {
-        let _ = writeln!(
-            out,
-            "knor_serve_pending_rows{{model=\"{}\"}} {}",
-            e.model.name,
-            e.stats.pending_rows()
-        );
     }
 
     let _ =
@@ -253,13 +202,12 @@ mod tests {
         assert!(text.contains("knor_serve_inline_calls_total 1\n"), "{text}");
         assert!(!text.contains("knor_serve_train_publish"), "{text}");
         assert!(text.contains("knor_serve_train_io_skip_rows{model=\"demo\"} 0"));
-        assert!(text.contains("knor_serve_busy_total{model=\"demo\"} 0"));
-        assert!(text.contains("knor_serve_pending_rows{model=\"demo\"} 0"));
         assert!(text.contains("knor_serve_served_version{model=\"demo\"} 1"));
-        assert!(text.contains("# TYPE knor_serve_coalesced_rows histogram"));
-        assert!(text.contains("# TYPE knor_serve_request_latency_ns histogram"));
-        // Cumulative buckets are monotonically nondecreasing (per metric; the
-        // empty coalesced/request histograms restart their own series at 0).
+        // One front end: no queue to measure, nothing refused, nothing coalesced.
+        for gone in ["busy_total", "pending_rows", "coalesced_rows", "request_latency_ns"] {
+            assert!(!text.contains(&format!("knor_serve_{gone}")), "{gone}: {text}");
+        }
+        // Cumulative buckets are monotonically nondecreasing.
         let mut prev = 0u64;
         for line in text
             .lines()

@@ -148,7 +148,7 @@ impl Default for LatencyHistogram {
 /// [`ServeStats::phase_ns`] order: model lookup + kernel resolution
 /// (`enqueue`), chunk fan-out to the pool (`dispatch`), worker scan time
 /// including queue wait (`kernel`), output collection (`reply`), and — on
-/// the text protocol only, recorded by both front ends — turning the
+/// the text protocol only, recorded by the TCP dispatch — turning the
 /// request line's float tokens into rows (`parse`) and the answers into the
 /// reply line (`format`).
 pub const REQUEST_PHASES: [&str; 6] = ["enqueue", "dispatch", "kernel", "reply", "parse", "format"];
@@ -160,11 +160,6 @@ pub struct ServeStats {
     queries_atomic: AtomicU64,
     /// Cumulative ns per request phase, [`REQUEST_PHASES`] order.
     phase_ns: [AtomicU64; REQUEST_PHASES.len()],
-    /// Rows admitted by the mux front end but not yet answered (the
-    /// backpressure gauge the admission check reads).
-    pending_rows: AtomicU64,
-    /// Requests rejected with `BUSY` because the pending budget was full.
-    busy_rejections: AtomicU64,
     inner: Mutex<StatsInner>,
 }
 
@@ -172,12 +167,6 @@ struct StatsInner {
     batches: u64,
     rows: u64,
     hist: LatencyHistogram,
-    /// Coalesced kernel-batch sizes, in rows (same log₂ buckets; the
-    /// "is the server manufacturing big batches?" histogram).
-    coalesced: LatencyHistogram,
-    /// End-to-end request latency under the mux front end (enqueue →
-    /// reply formatted), including coalescer queue wait.
-    req_hist: LatencyHistogram,
     first_ns: Option<u64>,
     last_ns: u64,
 }
@@ -188,14 +177,10 @@ impl ServeStats {
         Self {
             queries_atomic: AtomicU64::new(0),
             phase_ns: Default::default(),
-            pending_rows: AtomicU64::new(0),
-            busy_rejections: AtomicU64::new(0),
             inner: Mutex::new(StatsInner {
                 batches: 0,
                 rows: 0,
                 hist: LatencyHistogram::new(),
-                coalesced: LatencyHistogram::new(),
-                req_hist: LatencyHistogram::new(),
                 first_ns: None,
                 last_ns: 0,
             }),
@@ -248,53 +233,6 @@ impl ServeStats {
         self.inner.lock().expect("serve stats poisoned").hist.clone()
     }
 
-    /// Reserve `rows` against the pending budget (mux admission).
-    pub fn add_pending(&self, rows: u64) {
-        self.pending_rows.fetch_add(rows, Ordering::Relaxed);
-    }
-
-    /// Release `rows` of pending budget (replies formatted or rejected at
-    /// parse time).
-    pub fn sub_pending(&self, rows: u64) {
-        self.pending_rows.fetch_sub(rows, Ordering::Relaxed);
-    }
-
-    /// Rows admitted but not yet answered.
-    pub fn pending_rows(&self) -> u64 {
-        self.pending_rows.load(Ordering::Relaxed)
-    }
-
-    /// Count one fast-`BUSY` rejection.
-    pub fn record_busy(&self) {
-        self.busy_rejections.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Requests rejected with `BUSY` so far.
-    pub fn busy_rejections(&self) -> u64 {
-        self.busy_rejections.load(Ordering::Relaxed)
-    }
-
-    /// Record the size (rows) of one coalesced kernel batch.
-    pub fn record_coalesced(&self, rows: u64) {
-        self.inner.lock().expect("serve stats poisoned").coalesced.record(rows);
-    }
-
-    /// Point-in-time copy of the coalesced-batch-size histogram (rows).
-    pub fn coalesced_histogram(&self) -> LatencyHistogram {
-        self.inner.lock().expect("serve stats poisoned").coalesced.clone()
-    }
-
-    /// Record one request's end-to-end latency under the mux front end
-    /// (admission to reply, including coalescer queue wait), ns.
-    pub fn record_request(&self, ns: u64) {
-        self.inner.lock().expect("serve stats poisoned").req_hist.record(ns);
-    }
-
-    /// Point-in-time copy of the end-to-end request-latency histogram.
-    pub fn request_histogram(&self) -> LatencyHistogram {
-        self.inner.lock().expect("serve stats poisoned").req_hist.clone()
-    }
-
     /// Consistent point-in-time snapshot.
     pub fn snapshot(&self) -> StatsSnapshot {
         let s = self.inner.lock().expect("serve stats poisoned");
@@ -310,16 +248,8 @@ impl ServeStats {
             p99_ns: s.hist.quantile_ns(0.99),
             qps: if elapsed_ns > 0 { s.rows as f64 * 1e9 / elapsed_ns as f64 } else { 0.0 },
             elapsed_ns,
-            pending: self.pending_rows(),
-            busy: self.busy_rejections(),
-            coalesced_batches: s.coalesced.total(),
-            coalesced_mean: if s.coalesced.total() > 0 {
-                s.coalesced.sum_ns() as f64 / s.coalesced.total() as f64
-            } else {
-                0.0
-            },
-            req_p50_ns: s.req_hist.quantile_ns(0.50),
-            req_p99_ns: s.req_hist.quantile_ns(0.99),
+            busy: 0,
+            coalesced_mean: 0.0,
         }
     }
 }
@@ -348,41 +278,25 @@ pub struct StatsSnapshot {
     pub qps: f64,
     /// Active window length, ns.
     pub elapsed_ns: u64,
-    /// Rows admitted by the mux front end but not yet answered.
-    pub pending: u64,
-    /// Requests rejected with `BUSY` (pending budget full).
+    /// Always 0: no request is ever refused for being busy.
+    #[doc(hidden)]
     pub busy: u64,
-    /// Coalesced kernel batches dispatched by the mux front end.
-    pub coalesced_batches: u64,
-    /// Mean rows per coalesced kernel batch (0 under the blocking front
-    /// end, which never coalesces).
+    /// Always 0: no request is ever coalesced with another.
+    #[doc(hidden)]
     pub coalesced_mean: f64,
-    /// Median end-to-end request latency under the mux front end
-    /// (includes coalescer queue wait; bucket upper edge), ns.
-    pub req_p50_ns: u64,
-    /// 99th-percentile end-to-end request latency, ns.
-    pub req_p99_ns: u64,
 }
 
 impl StatsSnapshot {
     /// One-line wire/rendering form (`STATS` response payload).
     pub fn render(&self) -> String {
         format!(
-            "queries={} batches={} mean_batch={:.1} p50_us={:.1} p99_us={:.1} qps={:.0} \
-             pending={} busy={} coalesced_batches={} coalesced_mean={:.1} \
-             req_p50_us={:.1} req_p99_us={:.1}",
+            "queries={} batches={} mean_batch={:.1} p50_us={:.1} p99_us={:.1} qps={:.0}",
             self.queries,
             self.batches,
             self.mean_batch,
             self.p50_ns as f64 / 1e3,
             self.p99_ns as f64 / 1e3,
             self.qps,
-            self.pending,
-            self.busy,
-            self.coalesced_batches,
-            self.coalesced_mean,
-            self.req_p50_ns as f64 / 1e3,
-            self.req_p99_ns as f64 / 1e3,
         )
     }
 }
@@ -432,6 +346,8 @@ mod tests {
         let expect_qps = 129.0 * 1e9 / 102_000.0;
         assert!((s.qps - expect_qps).abs() < 1e-6);
         assert!(s.render().contains("queries=129"));
+        // The line ends at qps: nothing queues, is refused or coalesces.
+        assert!(s.render().ends_with(" qps=1264706"), "{}", s.render());
         assert_eq!(stats.queries(), 129);
     }
 
@@ -494,36 +410,6 @@ mod tests {
         stats.record_batch(10, 0, 100_000); // A: start 0, end 100µs
         let s = stats.snapshot();
         assert_eq!(s.elapsed_ns, 100_000, "window must open at the earliest start");
-    }
-
-    #[test]
-    fn mux_counters_pending_busy_coalesced() {
-        let stats = ServeStats::new();
-        let s = stats.snapshot();
-        assert_eq!((s.pending, s.busy, s.coalesced_batches), (0, 0, 0));
-        assert_eq!(s.coalesced_mean, 0.0);
-
-        stats.add_pending(100);
-        stats.add_pending(28);
-        assert_eq!(stats.pending_rows(), 128);
-        stats.sub_pending(28);
-        stats.record_busy();
-        stats.record_busy();
-        stats.record_coalesced(512);
-        stats.record_coalesced(1024);
-        stats.record_request(3_000_000); // 3 ms end-to-end
-        let s = stats.snapshot();
-        assert_eq!(s.pending, 100);
-        assert_eq!(s.busy, 2);
-        assert_eq!(s.coalesced_batches, 2);
-        assert_eq!(s.coalesced_mean, 768.0);
-        assert_eq!(s.req_p50_ns, 1 << 22, "3 ms lands in the 4.19 ms-edge bucket");
-        assert_eq!(s.req_p99_ns, s.req_p50_ns);
-        let line = s.render();
-        assert!(line.contains("pending=100 busy=2 coalesced_batches=2 coalesced_mean=768.0"));
-        assert!(line.contains("req_p50_us="));
-        assert_eq!(stats.coalesced_histogram().total(), 2);
-        assert_eq!(stats.request_histogram().total(), 1);
     }
 
     #[test]

@@ -16,19 +16,15 @@
 //! SWAP <model> <version|latest>                 → OK serving <model> v<V>
 //! ROLLBACK <model>                              → OK serving <model> v<V>
 //! SHUTDOWN                                      → OK bye (server stops accepting)
+//! a line over MAX_LINE_BYTES, or not UTF-8      → ERR <message>, then the server hangs up
 //! anything else                                 → ERR <message>
 //! ```
 //!
-//! (`FLUSH <model>` additionally exists on the mux front end, where there
-//! is a coalescer to flush; see `crate::mux`. The full protocol reference
-//! lives in `docs/PROTOCOL.md`.)
+//! (The full protocol reference lives in `docs/PROTOCOL.md`.)
 //!
 //! The server spawns one thread per connection; all of them share the
 //! [`ServeHandle`], whose registry/pool/job-runner are already concurrent.
-//! The readiness-driven alternative — one event-loop thread multiplexing
-//! every connection, with request coalescing — is [`crate::mux`]; both
-//! front ends speak this protocol through the same [`dispatch`], so
-//! replies are byte-identical.
+//! It is knor's one front end (DESIGN.md §14 says why).
 
 use std::fmt::Write as _;
 use std::io;
@@ -42,6 +38,12 @@ use knor_mpi::LineConn;
 
 use crate::jobs::JobId;
 use crate::{ServeError, ServeHandle, StatsSnapshot};
+
+/// The longest request line the server reads, terminator included: 64 MiB,
+/// about a hundred times a 1024-row, 32-column `QUERY`. A client cannot
+/// make a connection thread hold more than this; a longer line is answered
+/// with one `ERR` and the connection is closed.
+pub const MAX_LINE_BYTES: usize = 64 << 20;
 
 /// A running TCP server.
 pub struct TcpServer {
@@ -58,7 +60,7 @@ impl TcpServer {
         let addr = listener.local_addr()?;
         let stop = Arc::new(AtomicBool::new(false));
         let stop2 = Arc::clone(&stop);
-        let accept_thread = std::thread::spawn(move || {
+        let accept_thread = std::thread::Builder::new().spawn(move || {
             for stream in listener.incoming() {
                 if stop2.load(Ordering::SeqCst) {
                     break;
@@ -66,11 +68,13 @@ impl TcpServer {
                 let Ok(stream) = stream else { continue };
                 let handle = handle.clone();
                 let stop = Arc::clone(&stop2);
-                std::thread::spawn(move || {
+                // A thread the OS refuses drops its stream (the client sees
+                // the close) instead of panicking the accept loop away.
+                let _ = std::thread::Builder::new().spawn(move || {
                     let _ = serve_conn(handle, stream, &stop, addr);
                 });
             }
-        });
+        })?;
         Ok(Self { addr, accept_thread: Some(accept_thread), stop })
     }
 
@@ -96,6 +100,39 @@ impl TcpServer {
     }
 }
 
+/// The name of the deleted multiplexed front end's config, kept for
+/// callers written against it; [`MuxServer`] ignores it.
+#[doc(hidden)]
+#[derive(Debug, Clone, Copy, Default)]
+pub struct MuxConfig;
+
+/// The name of the deleted multiplexed front end, kept for callers
+/// written against it: a [`TcpServer`].
+#[doc(hidden)]
+pub struct MuxServer(TcpServer);
+
+impl MuxServer {
+    /// [`TcpServer::bind`]; the config is ignored.
+    pub fn bind<A: ToSocketAddrs>(handle: ServeHandle, addr: A, _: MuxConfig) -> io::Result<Self> {
+        TcpServer::bind(handle, addr).map(Self)
+    }
+
+    /// [`TcpServer::addr`].
+    pub fn addr(&self) -> SocketAddr {
+        self.0.addr()
+    }
+
+    /// [`TcpServer::join`].
+    pub fn join(self) {
+        self.0.join()
+    }
+
+    /// [`TcpServer::stop`].
+    pub fn stop(self) {
+        self.0.stop()
+    }
+}
+
 /// One connection's request loop.
 fn serve_conn(
     handle: ServeHandle,
@@ -104,7 +141,19 @@ fn serve_conn(
     local_addr: SocketAddr,
 ) -> io::Result<()> {
     let mut conn = LineConn::new(stream)?;
-    while let Some(line) = conn.recv_line()? {
+    loop {
+        let line = match conn.recv_line_capped(MAX_LINE_BYTES) {
+            Ok(Some(line)) => line,
+            Ok(None) => break,
+            // Over the cap, the rest of the line cannot be told from the
+            // next request: answer once and hang up. Not UTF-8 is the
+            // same kind of error and goes the same way.
+            Err(e) if e.kind() == io::ErrorKind::InvalidData => {
+                conn.send_line(&format!("ERR {e}"))?;
+                break;
+            }
+            Err(e) => return Err(e),
+        };
         // Match the verb exactly like dispatch does, so a request that
         // answers "OK bye" always also stops the server.
         let shutting_down = line.split_ascii_whitespace().next() == Some("SHUTDOWN");
@@ -229,13 +278,11 @@ where
 
 /// Parse exactly `total` float tokens with the QUERY error contract
 /// (`QUERY: missing value <i>` / `QUERY: value <i>: <parse error>`).
-/// Shared by the blocking dispatch above and the mux coalescer, so both
-/// front ends reject malformed payloads with identical messages.
 ///
 /// Pre-reservation is capped: a bogus header like `m=10^9` must fail on
 /// the missing payload tokens, not abort the process in the allocator —
 /// real growth is bounded by bytes actually received on the line.
-pub(crate) fn parse_query_values<'a>(
+fn parse_query_values<'a>(
     tokens: &mut impl Iterator<Item = &'a str>,
     total: usize,
 ) -> Result<Vec<f64>, String> {
@@ -249,9 +296,7 @@ pub(crate) fn parse_query_values<'a>(
 
 /// Append a QUERY success payload to `out`: `<m> <c>:<dist> …` with `{:?}`
 /// floats (exact `f64` round trip), written in place — no per-row string.
-/// One definition, used by both front ends, is what makes mux replies
-/// bitwise identical to the blocking path.
-pub(crate) fn write_predict_reply(out: &mut String, assignments: &[u32], distances: &[f64]) {
+fn write_predict_reply(out: &mut String, assignments: &[u32], distances: &[f64]) {
     let m = assignments.len();
     out.reserve(m * 24 + 8);
     let _ = write!(out, "{m}");
@@ -286,6 +331,17 @@ impl Client {
     }
 
     fn round_trip(&mut self, line: &str) -> io::Result<String> {
+        // The server would answer ERR only after reading the cap's worth,
+        // and hang up on the rest of the line.
+        if line.len() >= MAX_LINE_BYTES {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                format!(
+                    "request line of {} bytes is over the {MAX_LINE_BYTES}-byte cap",
+                    line.len()
+                ),
+            ));
+        }
         self.conn.send_line(line)?;
         let resp = self
             .conn
@@ -418,14 +474,6 @@ impl Client {
         self.round_trip(&format!("ROLLBACK {model}"))
     }
 
-    /// Force the mux coalescer to flush a model's pending queries now
-    /// (mux front end only; the blocking server has nothing to flush and
-    /// answers ERR).
-    pub fn flush(&mut self, model: &str) -> io::Result<String> {
-        Self::check_name(model)?;
-        self.round_trip(&format!("FLUSH {model}"))
-    }
-
     /// Stop the server.
     pub fn shutdown(&mut self) -> io::Result<()> {
         self.round_trip("SHUTDOWN").map(|_| ())
@@ -504,6 +552,39 @@ mod tests {
         c.shutdown().unwrap();
         server.join(); // returns only because SHUTDOWN stopped the accept loop
         std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn an_over_long_request_line_is_answered_once_and_the_connection_closed() {
+        use std::io::{BufRead, BufReader, Write};
+        let (server, addr, _handle) = spawn_server();
+        let mut stream = TcpStream::connect(addr).unwrap();
+        stream.set_read_timeout(Some(std::time::Duration::from_secs(60))).unwrap();
+        // `LIST`, then blanks a MiB past the cap: the server stops reading
+        // at the cap and hangs up, so the last writes may fail.
+        let blanks = vec![b' '; 1 << 20];
+        let _ = stream
+            .write_all(b"LIST")
+            .and_then(|()| (0..=MAX_LINE_BYTES >> 20).try_for_each(|_| stream.write_all(&blanks)))
+            .and_then(|()| stream.write_all(b"\n"));
+        let mut conn = BufReader::new(stream);
+        let mut reply = String::new();
+        conn.read_line(&mut reply).unwrap();
+        assert!(
+            reply == "ERR line longer than 67108864 bytes\n",
+            "{:?}",
+            &reply[..reply.len().min(80)]
+        );
+        let mut rest = String::new();
+        assert!(matches!(conn.read_line(&mut rest), Ok(0) | Err(_)), "the server hung up");
+        // The server still serves everyone else.
+        let mut c = Client::connect(addr).unwrap();
+        assert_eq!(c.list().unwrap(), "empty");
+        // The client refuses to send what the server would refuse.
+        let err = c.save("m", Path::new(&"d".repeat(MAX_LINE_BYTES))).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput, "{err}");
+        assert_eq!(c.list().unwrap(), "empty", "nothing was sent");
+        server.stop();
     }
 
     #[test]

@@ -1,12 +1,11 @@
 //! Offline shim for the `libc` crate: only the surface knor actually uses
-//! is provided — the CPU-affinity and `madvise(2)` calls for `knor-numa`
-//! and the readiness `poll(2)` surface for the multiplexed serve front end
-//! (`knor-mpi`). The functions are direct bindings to the system C
-//! library, so behaviour matches the real crate on Linux/glibc targets.
+//! is provided — the CPU-affinity and `madvise(2)` calls for `knor-numa`.
+//! The functions are direct bindings to the system C library, so behaviour
+//! matches the real crate on Linux/glibc targets.
 
 #![allow(non_camel_case_types, non_snake_case)]
 
-use std::os::raw::{c_int, c_short, c_ulong};
+use std::os::raw::c_int;
 
 pub use std::ffi::c_void;
 
@@ -51,32 +50,6 @@ pub unsafe fn CPU_ISSET(cpu: usize, set: &cpu_set_t) -> bool {
     cpu < CPU_SETSIZE as usize && set.bits[cpu / ULONG_BITS] & (1usize << (cpu % ULONG_BITS)) != 0
 }
 
-/// `nfds_t`: the fd-count type of `poll(2)` (an unsigned long on glibc).
-pub type nfds_t = c_ulong;
-
-/// Mirror of the C `struct pollfd`.
-#[repr(C)]
-#[derive(Clone, Copy, Debug)]
-pub struct pollfd {
-    /// File descriptor (negative entries are ignored by the kernel).
-    pub fd: c_int,
-    /// Requested events (`POLLIN` / `POLLOUT` bits).
-    pub events: c_short,
-    /// Returned events (filled in by the kernel).
-    pub revents: c_short,
-}
-
-/// Data may be read without blocking.
-pub const POLLIN: c_short = 0x001;
-/// Data may be written without blocking.
-pub const POLLOUT: c_short = 0x004;
-/// Error condition (returned only).
-pub const POLLERR: c_short = 0x008;
-/// Peer hung up (returned only).
-pub const POLLHUP: c_short = 0x010;
-/// Invalid descriptor (returned only).
-pub const POLLNVAL: c_short = 0x020;
-
 /// `madvise` advice: back the range with transparent huge pages where the
 /// kernel can (Linux).
 pub const MADV_HUGEPAGE: c_int = 14;
@@ -86,9 +59,6 @@ extern "C" {
     pub fn sched_setaffinity(pid: c_int, cpusetsize: usize, mask: *const cpu_set_t) -> c_int;
     /// Fetch the calling thread's affinity mask into `mask`.
     pub fn sched_getaffinity(pid: c_int, cpusetsize: usize, mask: *mut cpu_set_t) -> c_int;
-    /// Wait for readiness on `nfds` descriptors, up to `timeout` ms
-    /// (`-1` = forever). Returns ready count, 0 on timeout, -1 on error.
-    pub fn poll(fds: *mut pollfd, nfds: nfds_t, timeout: c_int) -> c_int;
     /// Advise the kernel about the use of `len` bytes at the page-aligned
     /// `addr`. Returns 0, or -1 with `errno` set.
     pub fn madvise(addr: *mut c_void, len: usize, advice: c_int) -> c_int;

@@ -11,13 +11,12 @@
 //! knor dist <file.knor> -k 10 [--ranks R] [--star] [--plane im|sem] [--stats] [--trace out.json]
 //! knor gen  <file.knor> --dataset friendster8|friendster32|rm856m|rm1b|ru2b --scale f
 //!
-//! knor serve --addr H:P [-t N] [--mux] [--coalesce-rows R]           run a serving instance
-//!            [--coalesce-deadline-us U] [--pending-budget R]
+//! knor serve --addr H:P [-t N]                     run a serving instance
 //! knor train --addr H:P --model M --file F -k 10    submit a train job
 //!            [--engine im|sem|dist|dist-sem] [--algo ...] [-i N] [--seed S] [--wait]
 //! knor query --addr H:P --model M --file Q.knor     stream queries, print stats
 //!            [--limit N] [--batch B]
-//! knor ctl   --addr H:P list|stats M|metrics|save M DIR|swap M V|rollback M|flush M|shutdown
+//! knor ctl   --addr H:P list|stats M|metrics|save M DIR|swap M V|rollback M|shutdown
 //! ```
 //!
 //! The full line protocol behind serve/train/query/ctl is documented in
@@ -29,7 +28,6 @@ use knor::core::{CommitCounters, InitStats, LoadStats, MemoryFootprint, RunSpec,
 use knor::dist::{launch, Fitted};
 use knor::prelude::*;
 use knor::serve::tcp::{Client, TcpServer};
-use knor::serve::{MuxConfig, MuxServer};
 use std::path::PathBuf;
 use std::process::exit;
 use std::sync::Arc;
@@ -54,14 +52,6 @@ struct Opts {
     model: String,
     wait: bool,
     limit: usize,
-    /// Serve with the readiness-driven multiplexed front end (`--mux`).
-    mux: bool,
-    /// Mux coalescer target kernel-batch size in rows.
-    coalesce_rows: usize,
-    /// Mux coalescer flush deadline in microseconds.
-    coalesce_deadline_us: u64,
-    /// Mux admission budget: pending rows per model before BUSY.
-    pending_budget: usize,
     /// Positional words after the mode (the `ctl` subcommand).
     rest: Vec<String>,
 }
@@ -80,13 +70,12 @@ const HELP: &str =
            [--row-cache MB] [--page-cache MB]              (sem)
            [--ranks R] [--star] [--plane im|sem]           (dist)
            [--dataset NAME] [--scale F]                    (gen)
-       knor serve --addr H:P [-t|--threads THREADS] [--mux]
-           [--coalesce-rows R] [--coalesce-deadline-us U] [--pending-budget ROWS]
+       knor serve --addr H:P [-t|--threads THREADS]
        knor train --addr H:P --model M --file F.knor [-k K] [-i N]
            [--engine im|sem|dist|dist-sem] [--algo A] [--seed S] [--wait]
        knor query --addr H:P --model M --file Q.knor [--limit N] [--batch B]
        knor ctl --addr H:P <list | stats MODEL | metrics | save MODEL DIR
-           | swap MODEL VERSION|latest | rollback MODEL | flush MODEL | shutdown>
+           | swap MODEL VERSION|latest | rollback MODEL | shutdown>
        knor --help | -h | help                             print this text
 
 The serve line protocol (verbs, framing, error replies) is documented in
@@ -164,10 +153,6 @@ fn parse(args: &[String]) -> (String, Opts) {
         model: String::new(),
         wait: false,
         limit: 0,
-        mux: false,
-        coalesce_rows: 1024,
-        coalesce_deadline_us: 2_000,
-        pending_budget: 64 * 1024,
         rest: Vec::new(),
     };
     // The knob flags, gathered for the one parser; the engine's flags.
@@ -206,12 +191,6 @@ fn parse(args: &[String]) -> (String, Opts) {
             "--file" => o.file = PathBuf::from(val(&mut i)),
             "--wait" => o.wait = true,
             "--limit" => o.limit = ok(number_for("--limit", val(&mut i))),
-            "--mux" => o.mux = true,
-            "--coalesce-rows" => o.coalesce_rows = ok(count_for("--coalesce-rows", val(&mut i))),
-            "--coalesce-deadline-us" => {
-                o.coalesce_deadline_us = ok(number_for("--coalesce-deadline-us", val(&mut i)))
-            }
-            "--pending-budget" => o.pending_budget = ok(count_for("--pending-budget", val(&mut i))),
             knob if Knob::find(knob).is_some() => knobs.push((knob, val(&mut i))),
             // Only `ctl` takes trailing positional words (its subcommand);
             // anywhere else a stray word is a mistake, not ignorable.
@@ -382,21 +361,9 @@ fn main() {
                 cfg = cfg.with_threads(t);
             }
             let handle = ServeHandle::start(cfg);
-            if o.mux {
-                let mcfg = MuxConfig::default()
-                    .with_batch_rows(o.coalesce_rows)
-                    .with_max_delay_us(o.coalesce_deadline_us)
-                    .with_pending_budget(o.pending_budget);
-                let server =
-                    MuxServer::bind(handle, &*o.addr, mcfg).unwrap_or_else(|e| io_die(&o.addr, e));
-                println!("knor-serve (mux) listening on {}", server.addr());
-                server.join();
-            } else {
-                let server =
-                    TcpServer::bind(handle, &*o.addr).unwrap_or_else(|e| io_die(&o.addr, e));
-                println!("knor-serve listening on {}", server.addr());
-                server.join();
-            }
+            let server = TcpServer::bind(handle, &*o.addr).unwrap_or_else(|e| io_die(&o.addr, e));
+            println!("knor-serve listening on {}", server.addr());
+            server.join();
             println!("knor-serve stopped");
         }
         "train" => {
@@ -474,12 +441,11 @@ fn main() {
                     c.swap(model, pin)
                 }
                 ("rollback", Some(model), None) => c.rollback(model),
-                ("flush", Some(model), None) => c.flush(model),
                 ("shutdown", None, None) => c.shutdown().map(|()| "bye".to_string()),
                 _ => {
                     eprintln!(
                         "ctl expects: list | stats MODEL | metrics | save MODEL DIR | \
-                         swap MODEL VERSION|latest | rollback MODEL | flush MODEL | shutdown"
+                         swap MODEL VERSION|latest | rollback MODEL | shutdown"
                     );
                     usage()
                 }

@@ -2,16 +2,40 @@
 //! clear one-line error and a nonzero exit *before* any engine runs —
 //! never flow into an engine and surface as a downstream panic.
 
+use std::ops::Deref;
+use std::path::{Path, PathBuf};
 use std::process::Command;
 
 fn knor() -> Command {
     Command::new(env!("CARGO_BIN_EXE_knor"))
 }
 
-fn tmp(name: &str) -> std::path::PathBuf {
-    let mut p = std::env::temp_dir();
-    p.push(format!("knor-cli-{}-{name}", std::process::id()));
-    p
+/// A temp-dir path owned by one test; the file is deleted when the guard
+/// drops, so a failing assertion leaves nothing behind either.
+struct TempFile(PathBuf);
+
+impl Deref for TempFile {
+    type Target = Path;
+
+    fn deref(&self) -> &Path {
+        &self.0
+    }
+}
+
+impl AsRef<Path> for TempFile {
+    fn as_ref(&self) -> &Path {
+        &self.0
+    }
+}
+
+impl Drop for TempFile {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_file(&self.0);
+    }
+}
+
+fn tmp(name: &str) -> TempFile {
+    TempFile(std::env::temp_dir().join(format!("knor-cli-{}-{name}", std::process::id())))
 }
 
 #[test]
@@ -55,19 +79,42 @@ fn extract_flags(help: &str) -> Vec<String> {
     flags
 }
 
+/// The flags the README's flag table has rows for: the first word of each
+/// backticked span in a row's first cell — the same extraction
+/// `scripts/check_doc_drift.sh` uses.
+fn table_flags(readme: &str) -> Vec<String> {
+    let table = readme.split("### CLI flag reference").nth(1).expect("README flag table");
+    let table = table.split("\n## ").next().unwrap_or(table);
+    let mut flags: Vec<String> = table
+        .lines()
+        .filter(|l| l.starts_with("| `-"))
+        .flat_map(|row| row.split(" | ").next().unwrap_or(row).split('`').skip(1).step_by(2))
+        .filter_map(|span| span.split_whitespace().next())
+        .filter(|word| word.starts_with('-'))
+        .map(str::to_string)
+        .collect();
+    flags.sort();
+    flags.dedup();
+    flags
+}
+
 /// The doc-drift gate as a test: every flag `knor --help` advertises must
-/// appear in the README (which keeps a per-flag reference table).
+/// appear in the README (which keeps a per-flag reference table), and every
+/// row of that table must name a flag `knor --help` advertises.
 #[test]
 fn help_flags_are_documented_in_readme() {
     let out = knor().arg("--help").output().expect("spawn knor");
     assert!(out.status.success());
     let help = String::from_utf8_lossy(&out.stdout).into_owned();
     let flags = extract_flags(&help);
-    assert!(flags.len() >= 30, "flag extraction broke: only {flags:?}");
+    assert!(flags.len() >= 29, "flag extraction broke: only {flags:?}");
     let readme = std::fs::read_to_string(concat!(env!("CARGO_MANIFEST_DIR"), "/README.md"))
         .expect("read README.md");
     let missing: Vec<&String> = flags.iter().filter(|f| !readme.contains(f.as_str())).collect();
     assert!(missing.is_empty(), "flags in `knor --help` but not in README.md: {missing:?}");
+    let stale: Vec<String> =
+        table_flags(&readme).into_iter().filter(|f| !flags.contains(f)).collect();
+    assert!(stale.is_empty(), "README flag-table rows for flags `knor --help` lacks: {stale:?}");
 }
 
 #[test]
@@ -137,7 +184,6 @@ fn degenerate_numeric_flags_are_rejected_before_any_io() {
         let err = String::from_utf8_lossy(&out.stderr);
         assert_eq!(err, format!("knor: -k 99999 exceeds the 19800 rows of {path}\n"), "{engine:?}");
     }
-    std::fs::remove_file(&file).unwrap();
 }
 
 /// A server that is not there is the user's to fix: `train`, `query` and
@@ -166,7 +212,6 @@ fn a_dead_address_is_a_one_line_error() {
     let err = String::from_utf8_lossy(&out.stderr);
     assert_eq!(out.status.code(), Some(1), "{err:?}");
     assert!(err.starts_with("knor: /nonexistent/dir/x.knor: ") && !err.contains("panicked"));
-    std::fs::remove_file(&file).unwrap();
 }
 
 #[test]
@@ -226,8 +271,6 @@ fn valid_flags_still_run_end_to_end() {
     assert!(stdout.contains("knord:"), "{stdout}");
     assert!(stdout.contains("rank 0 io:"), "--stats must print per-rank I/O: {stdout}");
     assert!(stdout.contains("rank 1 io:"), "{stdout}");
-
-    std::fs::remove_file(&file).unwrap();
 }
 
 #[test]
@@ -299,8 +342,6 @@ fn kernel_flag_reports_what_actually_ran() {
     let commit = stdout.lines().find(|l| l.starts_with("commit: ")).expect("commit line");
     assert!(commit.contains(" gathered_rows=0 "), "{commit}");
     assert!(commit.contains(&format!(" panel_packs={} rescored_rows=", iters * 3)), "{commit}");
-
-    std::fs::remove_file(&file).unwrap();
 }
 
 /// A missing or truncated input is the user's to fix: one `knor: <path>: …`
@@ -336,7 +377,6 @@ fn missing_and_truncated_inputs_are_one_line_errors() {
             assert_eq!(err.trim_end().lines().count(), 1, "{engine:?}: one line, got {err:?}");
         }
     }
-    std::fs::remove_file(&short).unwrap();
 }
 
 /// `knor im` holds its input once: the file is read straight into the
@@ -359,7 +399,7 @@ fn im_stats_report_the_load_and_a_peak_under_one_and_a_half_inputs() {
         .args(["im", file.to_str().unwrap(), "-k", "8", "-i", "3", "-t", "4", "--stats"])
         .output()
         .expect("spawn im");
-    std::fs::remove_file(&file).unwrap();
+    drop(file);
     assert!(run.status.success(), "{}", String::from_utf8_lossy(&run.stderr));
     let stdout = String::from_utf8_lossy(&run.stdout);
     let field = |line: &str, key: &str| -> String {
@@ -391,7 +431,7 @@ fn im_stats_report_the_load_and_a_peak_under_one_and_a_half_inputs() {
 }
 
 /// A small clustered input for the SEM tests below.
-fn gen_small(name: &str) -> std::path::PathBuf {
+fn gen_small(name: &str) -> TempFile {
     let file = tmp(name);
     let gen = knor()
         .args(["gen", file.to_str().unwrap(), "--dataset", "friendster8", "--scale", "0.0003"])
@@ -435,7 +475,6 @@ fn sem_stats_print_one_request_path_line_that_parses() {
         assert!(get("pages/read") >= 1.0 && get("MB/s/thread") > 0.0, "{lines:?}");
         assert!(get("arena_KB") > 0.0, "{lines:?}");
     }
-    std::fs::remove_file(&file).unwrap();
 }
 
 /// `knor … | head -1`: a reader that closes stdout — before anything is
@@ -475,7 +514,6 @@ fn a_closed_stdout_ends_the_run_quietly() {
             assert_eq!(status.code(), Some(0), "{what}");
         }
     }
-    std::fs::remove_file(&file).unwrap();
 }
 
 /// The iteration and `SSE =` lines of a run, with the wall time masked.
@@ -505,7 +543,6 @@ fn one_spec_prints_the_same_run_on_every_engine() {
     for engine in [&["sem"][..], &["dist"], &["dist", "--plane", "sem"], &["dist", "--star"]] {
         assert_eq!(run(engine), im, "{engine:?}");
     }
-    std::fs::remove_file(&file).unwrap();
 }
 
 /// `line` with its timings — and what depends on the host's CPU — masked.
@@ -573,5 +610,4 @@ fn stats_output_is_the_text_the_per_engine_arms_printed() {
             stdout.lines().take_while(|l| !l.starts_with("phase breakdown")).map(mask).collect();
         assert_eq!(record.join("\n") + "\n", golden(name), "{name}");
     }
-    std::fs::remove_file(&file).unwrap();
 }

@@ -3,10 +3,41 @@
 //! that knori/knors/knord run the same algorithm as the serial and GEMM
 //! formulations.
 
+use std::ops::Deref;
+use std::path::{Path, PathBuf};
+
 use knor::prelude::*;
 use knor_baselines::gemm::gemm_lloyd;
 use knor_core::quality::{agreement, max_center_error};
 use knor_core::serial::lloyd_serial;
+
+/// A temp-dir file owned by one test, deleted when the guard drops, so a
+/// failing assertion leaves nothing behind either.
+struct TempFile(PathBuf);
+
+impl Deref for TempFile {
+    type Target = Path;
+
+    fn deref(&self) -> &Path {
+        &self.0
+    }
+}
+
+impl AsRef<Path> for TempFile {
+    fn as_ref(&self) -> &Path {
+        &self.0
+    }
+}
+
+impl Drop for TempFile {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_file(&self.0);
+    }
+}
+
+fn temp(name: String) -> TempFile {
+    TempFile(std::env::temp_dir().join(name))
+}
 
 fn workload(n: usize, d: usize, seed: u64) -> (DMatrix, DMatrix) {
     let planted = MixtureSpec::friendster_like(n, d, seed).generate();
@@ -41,8 +72,7 @@ fn all_modules_agree_on_one_init() {
     }
 
     // knors from a file.
-    let mut path = std::env::temp_dir();
-    path.push(format!("knor-cross-{}.knor", std::process::id()));
+    let path = temp(format!("knor-cross-{}.knor", std::process::id()));
     matrix_io::write_matrix(&path, &data).unwrap();
     let sem = SemKmeans::new(
         SemConfig::new(k)
@@ -55,7 +85,7 @@ fn all_modules_agree_on_one_init() {
     )
     .fit(&path)
     .unwrap();
-    std::fs::remove_file(&path).unwrap();
+    drop(path);
     assert_eq!(sem.kmeans.niters, serial.niters, "knors trajectory diverged");
     assert!(agreement(&sem.kmeans.assignments, &serial.assignments, k) > 0.999);
 
@@ -104,8 +134,7 @@ fn tiled_kernel_bitwise_across_all_three_engines() {
     assert_eq!(im.niters, serial.niters);
 
     // knors (no row cache, one thread: rows process in serial order).
-    let mut path = std::env::temp_dir();
-    path.push(format!("knor-cross-tiled-{}.knor", std::process::id()));
+    let path = temp(format!("knor-cross-tiled-{}.knor", std::process::id()));
     matrix_io::write_matrix(&path, &data).unwrap();
     let sem = SemKmeans::new(
         SemConfig::new(k)
@@ -121,7 +150,7 @@ fn tiled_kernel_bitwise_across_all_three_engines() {
     )
     .fit(&path)
     .unwrap();
-    std::fs::remove_file(&path).unwrap();
+    drop(path);
     assert_eq!(sem.kmeans.assignments, serial.assignments, "knors assignments");
     assert_eq!(sem.kmeans.centroids, serial.centroids, "knors centroids must match bitwise");
     assert_eq!(sem.kmeans.niters, serial.niters);
@@ -172,8 +201,7 @@ fn fused_kernels_agree_across_all_three_engines() {
         assert_eq!(im.centroids, serial.centroids, "{kernel:?} centroids must be bitwise");
 
         // knors, same kernel.
-        let mut path = std::env::temp_dir();
-        path.push(format!("knor-cross-fused-{}-{kernel:?}.knor", std::process::id()));
+        let path = temp(format!("knor-cross-fused-{}-{kernel:?}.knor", std::process::id()));
         matrix_io::write_matrix(&path, &data).unwrap();
         let sem = SemKmeans::new(
             SemConfig::new(k)
@@ -189,7 +217,7 @@ fn fused_kernels_agree_across_all_three_engines() {
         )
         .fit(&path)
         .unwrap();
-        std::fs::remove_file(&path).unwrap();
+        drop(path);
         assert_eq!(sem.kmeans.assignments, im.assignments, "{kernel:?} knors assignments");
         assert_eq!(
             sem.kmeans.centroids, im.centroids,
@@ -231,8 +259,7 @@ fn every_algorithm_agrees_across_all_three_engines() {
     let max_iters = 25;
     let seed = 13u64; // feeds mini-batch sampling identically everywhere
 
-    let mut path = std::env::temp_dir();
-    path.push(format!("knor-cross-algos-{}.knor", std::process::id()));
+    let path = temp(format!("knor-cross-algos-{}.knor", std::process::id()));
     matrix_io::write_matrix(&path, &data).unwrap();
 
     for algo in
@@ -299,7 +326,6 @@ fn every_algorithm_agrees_across_all_three_engines() {
             "{name}: multi-rank knord diverged"
         );
     }
-    std::fs::remove_file(&path).unwrap();
 }
 
 /// The PR-5 plane matrix, part 1: knord with a single SEM rank *is*
@@ -312,8 +338,7 @@ fn dist_sem_single_rank_bitwise_matches_knors() {
     let k = 8;
     let init = InitMethod::Forgy.initialize(&data, k, 41).to_matrix();
     let max_iters = 40;
-    let mut path = std::env::temp_dir();
-    path.push(format!("knor-cross-plane1-{}.knor", std::process::id()));
+    let path = temp(format!("knor-cross-plane1-{}.knor", std::process::id()));
     matrix_io::write_matrix(&path, &data).unwrap();
 
     for pruning in [Pruning::Mti, Pruning::None] {
@@ -371,7 +396,6 @@ fn dist_sem_single_rank_bitwise_matches_knors() {
             assert!(hits > 0, "{tag}: row cache never hit");
         }
     }
-    std::fs::remove_file(&path).unwrap();
 }
 
 /// The PR-5 plane matrix, part 2: at R ∈ {2, 4}, knord over SEM ranks is
@@ -385,8 +409,7 @@ fn dist_sem_bitwise_matches_dist_in_memory_across_ranks() {
     let k = 9;
     let init = InitMethod::Forgy.initialize(&data, k, 5).to_matrix();
     let max_iters = 30;
-    let mut path = std::env::temp_dir();
-    path.push(format!("knor-cross-plane2-{}.knor", std::process::id()));
+    let path = temp(format!("knor-cross-plane2-{}.knor", std::process::id()));
     matrix_io::write_matrix(&path, &data).unwrap();
 
     for ranks in [2usize, 4] {
@@ -418,7 +441,6 @@ fn dist_sem_bitwise_matches_dist_in_memory_across_ranks() {
             }
         }
     }
-    std::fs::remove_file(&path).unwrap();
 }
 
 /// The PR-5 plane matrix, part 3: every non-Lloyd algorithm walks the
@@ -431,8 +453,7 @@ fn every_algorithm_bitwise_across_rank_planes() {
     let k = 8;
     let init = InitMethod::Forgy.initialize(&data, k, 9).to_matrix();
     let max_iters = 20;
-    let mut path = std::env::temp_dir();
-    path.push(format!("knor-cross-plane3-{}.knor", std::process::id()));
+    let path = temp(format!("knor-cross-plane3-{}.knor", std::process::id()));
     matrix_io::write_matrix(&path, &data).unwrap();
 
     for algo in
@@ -466,7 +487,6 @@ fn every_algorithm_bitwise_across_rank_planes() {
             );
         }
     }
-    std::fs::remove_file(&path).unwrap();
 }
 
 /// A dataset larger than any single rank's row-cache budget must still
@@ -477,8 +497,7 @@ fn dist_sem_handles_data_larger_than_rank_caches() {
     let (data, _) = workload(4000, 16, 909); // 512 KB of rows
     let k = 8;
     let init = InitMethod::Forgy.initialize(&data, k, 3).to_matrix();
-    let mut path = std::env::temp_dir();
-    path.push(format!("knor-cross-plane4-{}.knor", std::process::id()));
+    let path = temp(format!("knor-cross-plane4-{}.knor", std::process::id()));
     matrix_io::write_matrix(&path, &data).unwrap();
 
     let base = DistConfig::new(k, 2, 2)
@@ -498,7 +517,7 @@ fn dist_sem_handles_data_larger_than_rank_caches() {
     )
     .fit_file(&path)
     .unwrap();
-    std::fs::remove_file(&path).unwrap();
+    drop(path);
     assert_eq!(sem.assignments, mem.assignments);
     assert_eq!(sem.centroids, mem.centroids, "tight-budget SEM ranks must stay bitwise");
     assert_eq!(sem.niters, mem.niters);
@@ -549,8 +568,7 @@ fn sem_under_tight_memory_budget_still_correct() {
     let init = InitMethod::PlusPlus.initialize(&data, k, 2).to_matrix();
     let serial = lloyd_serial(&data, k, &InitMethod::Given(init.clone()), 0, 60, 0.0);
 
-    let mut path = std::env::temp_dir();
-    path.push(format!("knor-tight-{}.knor", std::process::id()));
+    let path = temp(format!("knor-tight-{}.knor", std::process::id()));
     matrix_io::write_matrix(&path, &data).unwrap();
     let sem = SemKmeans::new(
         SemConfig::new(k)
@@ -564,7 +582,7 @@ fn sem_under_tight_memory_budget_still_correct() {
     )
     .fit(&path)
     .unwrap();
-    std::fs::remove_file(&path).unwrap();
+    drop(path);
     assert_eq!(sem.kmeans.niters, serial.niters);
     assert!(agreement(&sem.kmeans.assignments, &serial.assignments, k) > 0.999);
 }
@@ -616,7 +634,7 @@ fn same_spec_same_run_on_every_engine() {
     // 2 ranks): one rank owns no row at all.
     let (narrow, _) = workload(600, 1, 79);
     let lone = DMatrix::from_vec(mixture.row(0).to_vec(), 1, 6);
-    let path = std::env::temp_dir().join(format!("knor-cross-spec-{}.knor", std::process::id()));
+    let path = temp(format!("knor-cross-spec-{}.knor", std::process::id()));
     for (what, data, k) in [
         ("mixture", &mixture, 9),
         ("k > distinct points", &repeated, 9),
@@ -689,7 +707,6 @@ fn same_spec_same_run_on_every_engine() {
             }
         }
     }
-    std::fs::remove_file(&path).unwrap();
 }
 
 /// A row cache that holds every row: after iteration 0 an active row is a
@@ -700,7 +717,7 @@ fn same_spec_same_run_on_every_engine() {
 #[test]
 fn whole_file_row_cache_is_knori_bit_for_bit() {
     let (data, _) = workload(3000, 8, 81);
-    let path = std::env::temp_dir().join(format!("knor-cross-rc-{}.knor", std::process::id()));
+    let path = temp(format!("knor-cross-rc-{}.knor", std::process::id()));
     matrix_io::write_matrix(&path, &data).unwrap();
     let k = 12;
     for pruning in [Pruning::Mti, Pruning::None] {
@@ -753,5 +770,4 @@ fn whole_file_row_cache_is_knori_bit_for_bit() {
         }
         assert_eq!(sem.io[0].rc_resident_rows, 3000, "{what}");
     }
-    std::fs::remove_file(&path).unwrap();
 }
