@@ -10,6 +10,7 @@
 use knor_core::stats::KmeansResult;
 use knor_mpi::NetModel;
 
+pub mod ab;
 pub mod distmodel;
 pub mod regression;
 

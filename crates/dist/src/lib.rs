@@ -687,8 +687,10 @@ mod tests {
         let data = mixture(900, 5, 17);
         let k = 7;
         let init = InitMethod::Forgy.initialize(&data, k, 6).to_matrix();
-        let path =
-            std::env::temp_dir().join(format!("knor-dist-fitfile-{}.knor", std::process::id()));
+        let path = knor_matrix::io::TempFile::new(format!(
+            "knor-dist-fitfile-{}.knor",
+            std::process::id()
+        ));
         knor_matrix::io::write_matrix(&path, &data).unwrap();
         let cfg = DistConfig::new(k, 3, 1)
             .with_init(InitMethod::Given(init))
@@ -697,7 +699,6 @@ mod tests {
             .with_sse(true);
         let mem = DistKmeans::new(cfg.clone()).fit(&data);
         let file = DistKmeans::new(cfg).fit_file(&path).unwrap();
-        std::fs::remove_file(&path).unwrap();
         assert_eq!(file.assignments, mem.assignments);
         assert_eq!(file.centroids, mem.centroids, "fit_file must be bitwise fit");
         assert_eq!(file.niters, mem.niters);
@@ -710,7 +711,7 @@ mod tests {
         let k = 6;
         let init = InitMethod::Forgy.initialize(&data, k, 2).to_matrix();
         let path =
-            std::env::temp_dir().join(format!("knor-dist-rankio-{}.knor", std::process::id()));
+            knor_matrix::io::TempFile::new(format!("knor-dist-rankio-{}.knor", std::process::id()));
         knor_matrix::io::write_matrix(&path, &data).unwrap();
         let r = DistKmeans::new(
             DistConfig::new(k, 3, 2)
@@ -722,7 +723,6 @@ mod tests {
         )
         .fit_file(&path)
         .unwrap();
-        std::fs::remove_file(&path).unwrap();
         assert_eq!(r.assignments.len(), 1200);
         assert_eq!(r.rank_io.len(), 3);
         for (rank, io) in r.rank_io.iter().enumerate() {
@@ -744,7 +744,7 @@ mod tests {
         let k = 6;
         let init = InitMethod::Forgy.initialize(&data, k, 2);
         let path =
-            std::env::temp_dir().join(format!("knor-dist-shrink-{}.knor", std::process::id()));
+            knor_matrix::io::TempFile::new(format!("knor-dist-shrink-{}.knor", std::process::id()));
         knor_matrix::io::write_matrix(&path, &data).unwrap();
         let solver = DistKmeans::new(DistConfig::new(k, 2, 2).with_plane(RankPlane::Sem(
             SemPlaneConfig::default().with_page_size(256).with_row_cache_bytes(1 << 20),
@@ -761,7 +761,6 @@ mod tests {
         let result = rx
             .recv_timeout(std::time::Duration::from_secs(60))
             .expect("a failed SEM read must end the run, not hang it");
-        std::fs::remove_file(&path).unwrap();
         let err = result.expect_err("half the file is gone");
         assert_eq!(err.kind(), std::io::ErrorKind::UnexpectedEof, "{err}");
     }
@@ -769,14 +768,15 @@ mod tests {
     #[test]
     fn fit_file_rejects_full_pass_inits() {
         let data = mixture(100, 3, 4);
-        let path =
-            std::env::temp_dir().join(format!("knor-dist-badinit-{}.knor", std::process::id()));
+        let path = knor_matrix::io::TempFile::new(format!(
+            "knor-dist-badinit-{}.knor",
+            std::process::id()
+        ));
         knor_matrix::io::write_matrix(&path, &data).unwrap();
         let err = DistKmeans::new(DistConfig::new(3, 2, 1).with_init(InitMethod::PlusPlus))
             .fit_file(&path)
             .unwrap_err();
         assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
-        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]

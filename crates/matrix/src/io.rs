@@ -20,7 +20,7 @@ use std::fs::File;
 use std::io::{self, BufWriter, Read, Write};
 use std::ops::Range;
 use std::os::unix::fs::FileExt;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
 use crate::DMatrix;
 
@@ -228,14 +228,44 @@ pub fn decode_f64(bytes: &[u8], out: &mut Vec<f64>) {
     }
 }
 
+/// A path in the system temp dir that is removed when dropped, so a test
+/// that fails part-way leaves no file behind. Nothing is created until
+/// something writes to the path.
+pub struct TempFile(PathBuf);
+
+impl TempFile {
+    /// `name` in [`std::env::temp_dir`].
+    pub fn new(name: impl AsRef<Path>) -> Self {
+        Self(std::env::temp_dir().join(name))
+    }
+}
+
+impl std::ops::Deref for TempFile {
+    type Target = Path;
+
+    fn deref(&self) -> &Path {
+        &self.0
+    }
+}
+
+impl AsRef<Path> for TempFile {
+    fn as_ref(&self) -> &Path {
+        &self.0
+    }
+}
+
+impl Drop for TempFile {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_file(&self.0);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn tmp(name: &str) -> std::path::PathBuf {
-        let mut p = std::env::temp_dir();
-        p.push(format!("knor-matrix-io-{}-{name}", std::process::id()));
-        p
+    fn tmp(name: &str) -> TempFile {
+        TempFile::new(format!("knor-matrix-io-{}-{name}", std::process::id()))
     }
 
     #[test]

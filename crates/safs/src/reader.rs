@@ -252,9 +252,8 @@ impl SafsReader {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use knor_matrix::io::write_matrix;
+    use knor_matrix::io::{write_matrix, TempFile};
     use knor_matrix::DMatrix;
-    use std::path::PathBuf;
 
     impl SafsReader {
         /// The request path this module replaced — an allocation per probed
@@ -321,10 +320,9 @@ mod tests {
         ncol: usize,
         page: usize,
         cache_bytes: u64,
-    ) -> (SafsReader, DMatrix, PathBuf) {
+    ) -> (SafsReader, DMatrix, TempFile) {
         let m = DMatrix::from_vec((0..nrow * ncol).map(|x| (x as f64).sin()).collect(), nrow, ncol);
-        let mut p = std::env::temp_dir();
-        p.push(format!(
+        let p = TempFile::new(format!(
             "knor-safs-reader-{}-{nrow}x{ncol}-{page}-{cache_bytes}.knor",
             std::process::id()
         ));
@@ -335,7 +333,7 @@ mod tests {
 
     #[test]
     fn fetch_returns_exact_rows() {
-        let (r, m, p) = reader(300, 6, 256, 1 << 16);
+        let (r, m, _p) = reader(300, 6, 256, 1 << 16);
         let rows = [0usize, 5, 17, 42, 299];
         let mut out = Vec::new();
         r.fetch_rows(&rows, &mut out).unwrap();
@@ -343,14 +341,15 @@ mod tests {
         for (i, &row) in rows.iter().enumerate() {
             assert_eq!(&out[i * 6..(i + 1) * 6], m.row(row), "row {row}");
         }
-        std::fs::remove_file(p).unwrap();
     }
 
     /// A matrix file of its own for one test.
-    fn matrix_file(tag: &str, nrow: usize, ncol: usize) -> (DMatrix, PathBuf) {
+    fn matrix_file(tag: &str, nrow: usize, ncol: usize) -> (DMatrix, TempFile) {
         let m = DMatrix::from_vec((0..nrow * ncol).map(|x| (x as f64).cos()).collect(), nrow, ncol);
-        let mut p = std::env::temp_dir();
-        p.push(format!("knor-safs-reader-{tag}-{}-{nrow}x{ncol}.knor", std::process::id()));
+        let p = TempFile::new(format!(
+            "knor-safs-reader-{tag}-{}-{nrow}x{ncol}.knor",
+            std::process::id()
+        ));
         write_matrix(&p, &m).unwrap();
         (m, p)
     }
@@ -421,7 +420,6 @@ mod tests {
                     assert_eq!(new.stats().snapshot().fetch_calls, requests.len() as u64);
                 }
             }
-            std::fs::remove_file(path).unwrap();
         }
     }
 
@@ -458,12 +456,11 @@ mod tests {
         assert_eq!(out[8 * 4..], m.as_slice()[300 * 4..340 * 4]);
         assert_eq!(r.pool.lock().len(), 1, "one caller, one scratch, through two failures");
         assert!(r.arena_bytes() > 0);
-        std::fs::remove_file(path).unwrap();
     }
 
     #[test]
     fn second_fetch_is_all_cache_hits() {
-        let (r, _, p) = reader(200, 4, 256, 1 << 20);
+        let (r, _, _p) = reader(200, 4, 256, 1 << 20);
         let rows: Vec<usize> = (0..50).collect();
         let mut out = Vec::new();
         r.fetch_rows(&rows, &mut out).unwrap();
@@ -474,14 +471,13 @@ mod tests {
         let delta = after_second.delta_since(&after_first);
         assert_eq!(delta.page_misses, 0, "everything should be cached");
         assert_eq!(delta.bytes_read_device, 0);
-        std::fs::remove_file(p).unwrap();
     }
 
     /// A reader with no cache budget reads every page it needs, every time:
     /// no hit, one miss per page read, nothing left resident.
     #[test]
     fn no_cache_reader_misses_every_page_it_reads() {
-        let (r, m, p) = reader(200, 4, 256, 0);
+        let (r, m, _p) = reader(200, 4, 256, 0);
         let rows: Vec<usize> = (10..90).collect();
         let pages = r.pages_for_rows(&rows).len() as u64;
         let mut out = Vec::new();
@@ -494,31 +490,28 @@ mod tests {
             assert_eq!(s.bytes_read_device, s.page_misses * 256, "pass {pass}");
         }
         assert_eq!(r.cache.resident_pages(), 0);
-        std::fs::remove_file(p).unwrap();
     }
 
     #[test]
     fn merging_bridges_small_gaps() {
-        let (r, _, p) = reader(4000, 4, 256, 0);
+        let (r, _, _p) = reader(4000, 4, 256, 0);
         // Pages 0,1,3 with merge gap 2 -> a single run of length 4.
         let runs = r.merge_runs(&[0, 1, 3]);
         assert_eq!(runs, vec![(0, 4)]);
         // A distant page starts a new run.
         let runs = r.merge_runs(&[0, 1, 100]);
         assert_eq!(runs, vec![(0, 2), (100, 1)]);
-        std::fs::remove_file(p).unwrap();
     }
 
     #[test]
     fn read_amplification_visible_for_sparse_requests() {
         // 32-byte rows on 4KB pages: one row requested -> one page read.
-        let (r, _, p) = reader(10_000, 4, 4096, 0);
+        let (r, _, _p) = reader(10_000, 4, 4096, 0);
         let mut out = Vec::new();
         r.fetch_rows(&[5000], &mut out).unwrap();
         let s = r.stats().snapshot();
         assert_eq!(s.bytes_requested, 32);
         assert!(s.bytes_read_device >= 4096);
         assert!(s.amplification() > 100.0);
-        std::fs::remove_file(p).unwrap();
     }
 }

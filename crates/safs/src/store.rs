@@ -173,17 +173,19 @@ mod tests {
         nrow: usize,
         ncol: usize,
         page: usize,
-    ) -> (RowStore, DMatrix, std::path::PathBuf) {
+    ) -> (RowStore, DMatrix, knor_matrix::io::TempFile) {
         let m = DMatrix::from_vec((0..nrow * ncol).map(|x| x as f64 * 0.25).collect(), nrow, ncol);
-        let mut p = std::env::temp_dir();
-        p.push(format!("knor-safs-store-{}-{nrow}x{ncol}-{page}.knor", std::process::id()));
+        let p = knor_matrix::io::TempFile::new(format!(
+            "knor-safs-store-{}-{nrow}x{ncol}-{page}.knor",
+            std::process::id()
+        ));
         write_matrix(&p, &m).unwrap();
         (RowStore::open(&p, page).unwrap(), m, p)
     }
 
     #[test]
     fn geometry() {
-        let (s, _, p) = store_with(100, 8, 4096);
+        let (s, _, _p) = store_with(100, 8, 4096);
         assert_eq!(s.nrow(), 100);
         assert_eq!(s.ncol(), 8);
         assert_eq!(s.row_bytes(), 64);
@@ -192,12 +194,11 @@ mod tests {
         assert_eq!(s.pages_of_row(0), (0, 0));
         // Row 63 spans bytes 24+4032..24+4096 -> crosses into page 1.
         assert_eq!(s.pages_of_row(63), (0, 1));
-        std::fs::remove_file(p).unwrap();
     }
 
     #[test]
     fn page_reads_round_trip_rows() {
-        let (s, m, p) = store_with(200, 5, 256);
+        let (s, m, _p) = store_with(200, 5, 256);
         let mut pages: Vec<Vec<u8>> = Vec::new();
         for pg in 0..s.npages() {
             let mut buf = vec![0u8; 256];
@@ -211,26 +212,23 @@ mod tests {
             knor_matrix::io::decode_f64(&rb, &mut vals);
             assert_eq!(&vals[..], m.row(r), "row {r}");
         }
-        std::fs::remove_file(p).unwrap();
     }
 
     #[test]
     fn run_read_equals_individual_pages() {
-        let (s, _, p) = store_with(500, 7, 512);
+        let (s, _, _p) = store_with(500, 7, 512);
         let run = s.read_page_run(1, 3).unwrap();
         for i in 0..3u64 {
             let mut buf = vec![0u8; 512];
             s.read_page(1 + i, &mut buf).unwrap();
             assert_eq!(&run[i as usize * 512..(i as usize + 1) * 512], &buf[..]);
         }
-        std::fs::remove_file(p).unwrap();
     }
 
     #[test]
     fn eof_page_is_error() {
-        let (s, _, p) = store_with(10, 2, 4096);
+        let (s, _, _p) = store_with(10, 2, 4096);
         let mut buf = vec![0u8; 4096];
         assert!(s.read_page(s.npages() + 1, &mut buf).is_err());
-        std::fs::remove_file(p).unwrap();
     }
 }

@@ -97,15 +97,14 @@ mod tests {
     use knor_core::serial::lloyd_serial;
     use knor_core::Pruning;
     use knor_matrix::io::write_matrix;
+    use knor_matrix::io::TempFile;
     use knor_matrix::DMatrix;
     use knor_sched::SchedulerKind;
     use knor_workloads::MixtureSpec;
-    use std::path::PathBuf;
 
-    fn write_mixture(n: usize, d: usize, seed: u64, tag: &str) -> (DMatrix, PathBuf) {
+    fn write_mixture(n: usize, d: usize, seed: u64, tag: &str) -> (DMatrix, TempFile) {
         let data = MixtureSpec::friendster_like(n, d, seed).generate().data;
-        let mut p = std::env::temp_dir();
-        p.push(format!("knor-sem-{tag}-{}-{n}x{d}.knor", std::process::id()));
+        let p = TempFile::new(format!("knor-sem-{tag}-{}-{n}x{d}.knor", std::process::id()));
         write_matrix(&p, &data).unwrap();
         (data, p)
     }
@@ -137,7 +136,6 @@ mod tests {
         assert!(agreement(&sem.kmeans.assignments, &serial.assignments, k) > 0.999);
         let rel = (sem.kmeans.sse.unwrap() - serial.sse.unwrap()).abs() / serial.sse.unwrap();
         assert!(rel < 1e-9, "SSE diverged: {rel}");
-        std::fs::remove_file(path).unwrap();
     }
 
     #[test]
@@ -165,7 +163,6 @@ mod tests {
         assert_eq!(sem.kmeans.assignments, serial.assignments);
         assert_eq!(sem.kmeans.centroids, serial.centroids, "gemm knors must be bitwise serial");
         assert_eq!(sem.kmeans.niters, serial.niters);
-        std::fs::remove_file(path).unwrap();
     }
 
     #[test]
@@ -196,7 +193,6 @@ mod tests {
         assert_eq!(gemm.kmeans.assignments, scalar.kmeans.assignments);
         assert_eq!(gemm.kmeans.niters, scalar.kmeans.niters);
         assert!(gemm.io.iter().map(|i| i.rc_hits).sum::<u64>() > 0, "cache never hit");
-        std::fs::remove_file(path).unwrap();
     }
 
     #[test]
@@ -208,8 +204,8 @@ mod tests {
         // clusters: a long reassignment cascade to prune through.
         let (mix, mix_path) = write_mixture(2000, 8, 22, "clause1");
         let (grid, _) = knor_workloads::grid_clusters(2000, 8, 20);
-        let mut grid_path = std::env::temp_dir();
-        grid_path.push(format!("knor-sem-clause1-grid-{}-2000x8.knor", std::process::id()));
+        let grid_path =
+            TempFile::new(format!("knor-sem-clause1-grid-{}-2000x8.knor", std::process::id()));
         write_matrix(&grid_path, &grid).unwrap();
         let cases = [
             (&mix_path, 16, InitMethod::PlusPlus.initialize(&mix, 16, 1).to_matrix()),
@@ -253,8 +249,6 @@ mod tests {
             let minus: u64 = knors_minus.kmeans.iters.iter().map(|i| i.prune.io_skip_rows).sum();
             assert_eq!(minus, 0);
         }
-        std::fs::remove_file(mix_path).unwrap();
-        std::fs::remove_file(grid_path).unwrap();
     }
 
     #[test]
@@ -289,7 +283,6 @@ mod tests {
         let hits: u64 = with_rc.io.iter().map(|i| i.rc_hits).sum();
         assert!(hits > 0);
         assert_eq!(without_rc.io.iter().map(|i| i.rc_hits).sum::<u64>(), 0);
-        std::fs::remove_file(path).unwrap();
     }
 
     /// One cache budget: with a row cache the reader has no page cache, and
@@ -341,7 +334,6 @@ mod tests {
             assert!(pg_hits(&no_rc) > 0, "t={t}");
             assert_eq!(max_rows(&no_rc), 0, "t={t}");
         }
-        std::fs::remove_file(path).unwrap();
     }
 
     #[test]
@@ -374,7 +366,6 @@ mod tests {
                 io.active_rows
             );
         }
-        std::fs::remove_file(path).unwrap();
     }
 
     #[test]
@@ -392,7 +383,6 @@ mod tests {
         .unwrap();
         assert!(r.kmeans.converged);
         assert_eq!(r.kmeans.assignments.len(), 800);
-        std::fs::remove_file(path).unwrap();
     }
 
     #[test]
@@ -411,6 +401,5 @@ mod tests {
         assert_eq!(r.kmeans.memory.data_bytes, 0);
         // per-row state is 12 bytes/row regardless of d.
         assert_eq!(r.kmeans.memory.per_row_bytes, 1000 * 12);
-        std::fs::remove_file(path).unwrap();
     }
 }

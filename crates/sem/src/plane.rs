@@ -494,14 +494,13 @@ pub fn streamed_settle(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use knor_matrix::io::write_matrix;
+    use knor_matrix::io::{write_matrix, TempFile};
     use knor_workloads::MixtureSpec;
 
     #[test]
     fn range_plane_reads_only_its_slice_rows() {
         let data = MixtureSpec::friendster_like(600, 4, 9).generate().data;
-        let mut p = std::env::temp_dir();
-        p.push(format!("knor-sem-plane-range-{}.knor", std::process::id()));
+        let p = TempFile::new(format!("knor-sem-plane-range-{}.knor", std::process::id()));
         write_matrix(&p, &data).unwrap();
 
         let cfg = SemPlaneConfig::default().with_page_size(256);
@@ -514,7 +513,6 @@ mod tests {
         for (i, &r) in needed.iter().enumerate() {
             assert_eq!(&scratch.data[i * 4..(i + 1) * 4], data.row(200 + r), "local row {r}");
         }
-        std::fs::remove_file(&p).unwrap();
     }
 
     /// The threaded closing pass is the one-thread pass bit for bit — the
@@ -527,8 +525,7 @@ mod tests {
         use knor_core::algo::Algorithm;
         use knor_core::distance::sqdist;
         let d = 3;
-        let mut p = std::env::temp_dir();
-        p.push(format!("knor-sem-plane-settle-{}.knor", std::process::id()));
+        let p = TempFile::new(format!("knor-sem-plane-settle-{}.knor", std::process::id()));
         for n in [1usize, 8191, 8192, 8193, 2 * 8192 + 77] {
             let values = (0..n * d).map(|i| ((i * 7919) % 1009) as f64 / 13.0 - 30.0).collect();
             let data = DMatrix::from_vec(values, n, d);
@@ -560,14 +557,12 @@ mod tests {
                 }
             }
         }
-        std::fs::remove_file(&p).unwrap();
     }
 
     #[test]
     fn forgy_from_file_matches_in_memory_rows() {
         let data = MixtureSpec::friendster_like(300, 5, 3).generate().data;
-        let mut p = std::env::temp_dir();
-        p.push(format!("knor-sem-plane-forgy-{}.knor", std::process::id()));
+        let p = TempFile::new(format!("knor-sem-plane-forgy-{}.knor", std::process::id()));
         write_matrix(&p, &data).unwrap();
         let init = forgy_from_file(&p, 7, 11).unwrap();
         assert_eq!((init.nrow(), init.ncol()), (7, 5));
@@ -575,6 +570,5 @@ mod tests {
         for c in init.rows() {
             assert!(data.rows().any(|r| r == c), "centroid not a data row");
         }
-        std::fs::remove_file(&p).unwrap();
     }
 }

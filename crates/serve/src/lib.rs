@@ -49,6 +49,7 @@
 
 pub mod jobs;
 pub mod metrics;
+pub mod payload;
 pub mod pool;
 pub mod registry;
 pub mod stats;

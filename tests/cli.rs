@@ -2,40 +2,16 @@
 //! clear one-line error and a nonzero exit *before* any engine runs —
 //! never flow into an engine and surface as a downstream panic.
 
-use std::ops::Deref;
-use std::path::{Path, PathBuf};
 use std::process::Command;
+
+use knor_matrix::io::TempFile;
 
 fn knor() -> Command {
     Command::new(env!("CARGO_BIN_EXE_knor"))
 }
 
-/// A temp-dir path owned by one test; the file is deleted when the guard
-/// drops, so a failing assertion leaves nothing behind either.
-struct TempFile(PathBuf);
-
-impl Deref for TempFile {
-    type Target = Path;
-
-    fn deref(&self) -> &Path {
-        &self.0
-    }
-}
-
-impl AsRef<Path> for TempFile {
-    fn as_ref(&self) -> &Path {
-        &self.0
-    }
-}
-
-impl Drop for TempFile {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_file(&self.0);
-    }
-}
-
 fn tmp(name: &str) -> TempFile {
-    TempFile(std::env::temp_dir().join(format!("knor-cli-{}-{name}", std::process::id())))
+    TempFile::new(format!("knor-cli-{}-{name}", std::process::id()))
 }
 
 #[test]

@@ -3,41 +3,11 @@
 //! that knori/knors/knord run the same algorithm as the serial and GEMM
 //! formulations.
 
-use std::ops::Deref;
-use std::path::{Path, PathBuf};
-
 use knor::prelude::*;
 use knor_baselines::gemm::gemm_lloyd;
 use knor_core::quality::{agreement, max_center_error};
 use knor_core::serial::lloyd_serial;
-
-/// A temp-dir file owned by one test, deleted when the guard drops, so a
-/// failing assertion leaves nothing behind either.
-struct TempFile(PathBuf);
-
-impl Deref for TempFile {
-    type Target = Path;
-
-    fn deref(&self) -> &Path {
-        &self.0
-    }
-}
-
-impl AsRef<Path> for TempFile {
-    fn as_ref(&self) -> &Path {
-        &self.0
-    }
-}
-
-impl Drop for TempFile {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_file(&self.0);
-    }
-}
-
-fn temp(name: String) -> TempFile {
-    TempFile(std::env::temp_dir().join(name))
-}
+use knor_matrix::io::TempFile;
 
 fn workload(n: usize, d: usize, seed: u64) -> (DMatrix, DMatrix) {
     let planted = MixtureSpec::friendster_like(n, d, seed).generate();
@@ -72,7 +42,7 @@ fn all_modules_agree_on_one_init() {
     }
 
     // knors from a file.
-    let path = temp(format!("knor-cross-{}.knor", std::process::id()));
+    let path = TempFile::new(format!("knor-cross-{}.knor", std::process::id()));
     matrix_io::write_matrix(&path, &data).unwrap();
     let sem = SemKmeans::new(
         SemConfig::new(k)
@@ -110,7 +80,7 @@ fn all_modules_agree_on_one_init() {
 /// configurations, knori, knors and knord each reproduce the serial
 /// reference *bitwise* — assignments, centroids and iteration count.
 #[test]
-fn tiled_kernel_bitwise_across_all_three_engines() {
+fn gemm_bitwise_matches_serial_across_all_three_engines() {
     let (data, _) = workload(1200, 6, 202);
     let k = 9;
     let init = InitMethod::Forgy.initialize(&data, k, 23).to_matrix();
@@ -134,7 +104,7 @@ fn tiled_kernel_bitwise_across_all_three_engines() {
     assert_eq!(im.niters, serial.niters);
 
     // knors (no row cache, one thread: rows process in serial order).
-    let path = temp(format!("knor-cross-tiled-{}.knor", std::process::id()));
+    let path = TempFile::new(format!("knor-cross-tiled-{}.knor", std::process::id()));
     matrix_io::write_matrix(&path, &data).unwrap();
     let sem = SemKmeans::new(
         SemConfig::new(k)
@@ -169,13 +139,13 @@ fn tiled_kernel_bitwise_across_all_three_engines() {
     assert_eq!(dist.niters, serial.niters);
 }
 
-/// The fused kernels' contract across engines: the FMA spelling and the
+/// The certified gemm contract across engines: the FMA spelling and the
 /// blocked GEMM, certified, walk the serial reference's trajectory
 /// **bitwise**, and in single-worker deterministic configurations the three
 /// engines agree with each other bitwise for a given kernel (same staging
 /// order, same arithmetic).
 #[test]
-fn fused_kernels_agree_across_all_three_engines() {
+fn gemm_kernels_agree_bitwise_across_all_three_engines() {
     let (data, _) = workload(1200, 6, 303);
     let k = 9;
     let init = InitMethod::Forgy.initialize(&data, k, 31).to_matrix();
@@ -201,7 +171,8 @@ fn fused_kernels_agree_across_all_three_engines() {
         assert_eq!(im.centroids, serial.centroids, "{kernel:?} centroids must be bitwise");
 
         // knors, same kernel.
-        let path = temp(format!("knor-cross-fused-{}-{kernel:?}.knor", std::process::id()));
+        let path =
+            TempFile::new(format!("knor-cross-fused-{}-{kernel:?}.knor", std::process::id()));
         matrix_io::write_matrix(&path, &data).unwrap();
         let sem = SemKmeans::new(
             SemConfig::new(k)
@@ -259,7 +230,7 @@ fn every_algorithm_agrees_across_all_three_engines() {
     let max_iters = 25;
     let seed = 13u64; // feeds mini-batch sampling identically everywhere
 
-    let path = temp(format!("knor-cross-algos-{}.knor", std::process::id()));
+    let path = TempFile::new(format!("knor-cross-algos-{}.knor", std::process::id()));
     matrix_io::write_matrix(&path, &data).unwrap();
 
     for algo in
@@ -338,7 +309,7 @@ fn dist_sem_single_rank_bitwise_matches_knors() {
     let k = 8;
     let init = InitMethod::Forgy.initialize(&data, k, 41).to_matrix();
     let max_iters = 40;
-    let path = temp(format!("knor-cross-plane1-{}.knor", std::process::id()));
+    let path = TempFile::new(format!("knor-cross-plane1-{}.knor", std::process::id()));
     matrix_io::write_matrix(&path, &data).unwrap();
 
     for pruning in [Pruning::Mti, Pruning::None] {
@@ -409,7 +380,7 @@ fn dist_sem_bitwise_matches_dist_in_memory_across_ranks() {
     let k = 9;
     let init = InitMethod::Forgy.initialize(&data, k, 5).to_matrix();
     let max_iters = 30;
-    let path = temp(format!("knor-cross-plane2-{}.knor", std::process::id()));
+    let path = TempFile::new(format!("knor-cross-plane2-{}.knor", std::process::id()));
     matrix_io::write_matrix(&path, &data).unwrap();
 
     for ranks in [2usize, 4] {
@@ -453,7 +424,7 @@ fn every_algorithm_bitwise_across_rank_planes() {
     let k = 8;
     let init = InitMethod::Forgy.initialize(&data, k, 9).to_matrix();
     let max_iters = 20;
-    let path = temp(format!("knor-cross-plane3-{}.knor", std::process::id()));
+    let path = TempFile::new(format!("knor-cross-plane3-{}.knor", std::process::id()));
     matrix_io::write_matrix(&path, &data).unwrap();
 
     for algo in
@@ -497,7 +468,7 @@ fn dist_sem_handles_data_larger_than_rank_caches() {
     let (data, _) = workload(4000, 16, 909); // 512 KB of rows
     let k = 8;
     let init = InitMethod::Forgy.initialize(&data, k, 3).to_matrix();
-    let path = temp(format!("knor-cross-plane4-{}.knor", std::process::id()));
+    let path = TempFile::new(format!("knor-cross-plane4-{}.knor", std::process::id()));
     matrix_io::write_matrix(&path, &data).unwrap();
 
     let base = DistConfig::new(k, 2, 2)
@@ -568,7 +539,7 @@ fn sem_under_tight_memory_budget_still_correct() {
     let init = InitMethod::PlusPlus.initialize(&data, k, 2).to_matrix();
     let serial = lloyd_serial(&data, k, &InitMethod::Given(init.clone()), 0, 60, 0.0);
 
-    let path = temp(format!("knor-tight-{}.knor", std::process::id()));
+    let path = TempFile::new(format!("knor-tight-{}.knor", std::process::id()));
     matrix_io::write_matrix(&path, &data).unwrap();
     let sem = SemKmeans::new(
         SemConfig::new(k)
@@ -634,7 +605,7 @@ fn same_spec_same_run_on_every_engine() {
     // 2 ranks): one rank owns no row at all.
     let (narrow, _) = workload(600, 1, 79);
     let lone = DMatrix::from_vec(mixture.row(0).to_vec(), 1, 6);
-    let path = temp(format!("knor-cross-spec-{}.knor", std::process::id()));
+    let path = TempFile::new(format!("knor-cross-spec-{}.knor", std::process::id()));
     for (what, data, k) in [
         ("mixture", &mixture, 9),
         ("k > distinct points", &repeated, 9),
@@ -717,7 +688,7 @@ fn same_spec_same_run_on_every_engine() {
 #[test]
 fn whole_file_row_cache_is_knori_bit_for_bit() {
     let (data, _) = workload(3000, 8, 81);
-    let path = temp(format!("knor-cross-rc-{}.knor", std::process::id()));
+    let path = TempFile::new(format!("knor-cross-rc-{}.knor", std::process::id()));
     matrix_io::write_matrix(&path, &data).unwrap();
     let k = 12;
     for pruning in [Pruning::Mti, Pruning::None] {

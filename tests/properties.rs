@@ -92,14 +92,13 @@ proptest! {
         prop_assert_eq!(par.centroids, serial.centroids);
     }
 
-    /// The tiled kernel (now a spelling of the certified gemm scan) is
-    /// bitwise identical to the serial per-row scan on arbitrary shapes:
-    /// remainder dimensions (`d % 4 != 0`), `k == 1`, blocks smaller than
-    /// one 4-row group, and `k·d` on both sides of the scalar cutoff are
-    /// all covered by the ranges. `Auto` and `Scalar` are held to the
-    /// same bits.
+    /// `Auto` and `Scalar`, and the `Tiled` spelling of the certified gemm
+    /// scan, are bitwise identical to the serial per-row scan on arbitrary
+    /// shapes: remainder dimensions (`d % 4 != 0`), `k == 1`, blocks
+    /// smaller than one 4-row group, and `k·d` on both sides of the scalar
+    /// cutoff are all covered by the ranges.
     #[test]
-    fn tiled_kernel_bitwise_matches_serial_scan(
+    fn auto_and_scalar_kernels_bitwise_match_serial_scan(
         data in arb_matrix(150, 9),
         k in 1usize..24,
         seed in 0u64..1000,
@@ -110,11 +109,12 @@ proptest! {
         }
     }
 
-    /// The norm-trick spelling (`KernelKind::NormTrick`) is the certified
-    /// gemm scan; its band against the serial scan is zero: winners and
-    /// distances match bitwise across the same shape edge cases.
+    /// The certified gemm scan and its `Fma` and `NormTrick` spellings
+    /// reproduce the serial scan bitwise — no near-tie flips, no distance
+    /// band — across the same shape edge cases; `NormTrick` resolves
+    /// exactly as `Gemm` does.
     #[test]
-    fn normtrick_kernel_within_tolerance_of_serial_scan(
+    fn gemm_kernels_bitwise_match_serial_scan(
         data in arb_matrix(150, 9),
         k in 1usize..24,
         seed in 0u64..1000,
@@ -124,21 +124,7 @@ proptest! {
         let rk = KernelKind::NormTrick.resolve(k, d, false);
         prop_assert_eq!(rk, KernelKind::Gemm.resolve(k, d, false));
         prop_assert_eq!(rk.kind, knor_core::ResolvedKind::Gemm);
-        assert_kernel_is_the_serial_scan(&data, k, seed, KernelKind::NormTrick)?;
-    }
-
-    /// The blocked-GEMM kernel's fused micro-kernels (`Gemm`, and its
-    /// `Fma` spelling) certify every winner, so they reproduce the serial
-    /// scan bitwise — no near-tie flips, no distance band — across the
-    /// same shape edge cases.
-    #[test]
-    fn fused_kernels_within_tolerance_of_serial_scan(
-        data in arb_matrix(150, 9),
-        k in 1usize..24,
-        seed in 0u64..1000,
-    ) {
-        prop_assume!(k <= data.nrow());
-        for kind in [KernelKind::Gemm, KernelKind::Fma] {
+        for kind in [KernelKind::Gemm, KernelKind::Fma, KernelKind::NormTrick] {
             assert_kernel_is_the_serial_scan(&data, k, seed, kind)?;
         }
     }

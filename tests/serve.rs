@@ -11,7 +11,8 @@ use std::time::Duration;
 
 use knor::mpi::LineConn;
 use knor::prelude::*;
-use knor::serve::tcp::{Client, TcpServer};
+use knor::serve::payload::parse_query_values;
+use knor::serve::tcp::{dispatch, Client, TcpServer};
 use knor::serve::{predict_serial, ManualClock};
 use knor_core::{KernelKind, Normalization};
 use proptest::prelude::*;
@@ -298,4 +299,219 @@ fn slow_client_does_not_stall_other_connections() {
     }
     writer.join().unwrap();
     server.stop();
+}
+
+/// The QUERY payload parser this crate had before the one-pass parser:
+/// `split_ascii_whitespace` + `str::parse`, kept as the oracle the new
+/// one must match bit for bit and error for error.
+fn oracle_query_values(payload: &str, total: usize) -> Result<Vec<f64>, String> {
+    let mut tokens = payload.split_ascii_whitespace();
+    let mut q = Vec::with_capacity(total.min(64 * 1024));
+    for i in 0..total {
+        let tok = tokens.next().ok_or_else(|| format!("QUERY: missing value {i}"))?;
+        q.push(tok.parse::<f64>().map_err(|e| format!("QUERY: value {i}: {e}"))?);
+    }
+    Ok(q)
+}
+
+/// Tokens at the fast path's edges and outside it.
+const EDGE_TOKENS: &[&str] = &[
+    "1e999",
+    "-1e999",
+    "1e-999",
+    "-0",
+    "-0.0",
+    "0e999",
+    "0.0e-999",
+    "inf",
+    "-inf",
+    "infinity",
+    "NaN",
+    "nan",
+    "+0.5",
+    ".5",
+    "-.5",
+    "5.",
+    "1.e5",
+    "1e+5",
+    "1E5",
+    "1e05",
+    "-",
+    "+",
+    "e5",
+    "1e",
+    "1e-",
+    "1e+",
+    "0x10",
+    "1_0",
+    "1.2.3",
+    "--1",
+    "1e5.5",
+    "\u{661}\u{662}",
+    "1\u{b}2",
+    "\u{b}",
+    "é",
+    "1é",
+    "9007199254740993",
+    "9007199254740995",
+    "9007199254740992.5",
+    "18446744073709551615",
+    "18446744073709551616",
+    "12345678901234567890",
+    "1234567890123456789",
+    "1234567890123456789e-27",
+    "1234567890123456789e55",
+    "1234567890123456789e56",
+    "1e-27",
+    "1e-28",
+    "1e55",
+    "1e56",
+    "0.000000000000000000000000001",
+    "0.0000000000000000000000000001",
+    "00000000000000000000001.5",
+    "0.00000000000000000000000000000000001234",
+    "4.9406564584124654e-324",
+    "2.2250738585072011e-308",
+    "2.2250738585072014e-308",
+    "1.7976931348623157e308",
+    "1.7976931348623159e308",
+    "123456789012345678.5e-3",
+    "0.1",
+    "0.3",
+    "-12.345678901234567",
+    "99999999999999999999",
+    "1e99999999999999999999",
+];
+
+/// One random payload token: a float printed with `{}`, `{:?}` or `{:e}`
+/// (from random bits, a realistic magnitude or a subnormal), an edge
+/// token, a round-to-even halfway case, a run of 18–21 digits, or a
+/// jumble of bytes.
+fn random_token(rng: &mut TestRng) -> String {
+    let show = |x: f64, rng: &mut TestRng| match rng.below(3) {
+        0 => format!("{x}"),
+        1 => format!("{x:?}"),
+        _ => format!("{x:e}"),
+    };
+    match rng.below(7) {
+        0 => show(f64::from_bits(rng.next_u64()), rng),
+        1 => {
+            let scale = 10f64.powi(rng.below(61) as i32 - 30);
+            show((rng.unit_f64() * 2000.0 - 1000.0) * scale, rng)
+        }
+        2 => show(
+            f64::from_bits(rng.below(1 << 52)) * if rng.below(2) == 0 { 1.0 } else { -1.0 },
+            rng,
+        ),
+        3 => EDGE_TOKENS[rng.below(EDGE_TOKENS.len() as u64) as usize].to_string(),
+        4 => {
+            // Exactly halfway between two adjacent f64: (2m + 1)·2^(e−1)
+            // for a 53-bit m, as an integer or as a decimal with 1–4
+            // fraction digits (×5^k, then the point k places in).
+            let m = (1 << 52) | rng.below(1 << 52);
+            let odd = 2 * m + 1;
+            if rng.below(2) == 0 {
+                (odd << rng.below(10)).to_string()
+            } else {
+                let k = 1 + rng.below(4) as usize;
+                let digits = (odd * 5u64.pow(k as u32)).to_string();
+                format!("{}.{}", &digits[..digits.len() - k], &digits[digits.len() - k..])
+            }
+        }
+        5 => {
+            let n = 18 + rng.below(4) as usize;
+            let mut t: String = (0..n).map(|_| char::from(b'0' + rng.below(10) as u8)).collect();
+            if rng.below(2) == 0 {
+                t.insert(1 + rng.below(n as u64 - 1) as usize, '.');
+            }
+            if rng.below(2) == 0 {
+                t.push_str(&format!("e{}", rng.below(80) as i64 - 40));
+            }
+            t
+        }
+        _ => {
+            const ALPHABET: &[char] = &[
+                '0', '1', '5', '9', '.', 'e', 'E', '-', '+', 'n', 'i', '\u{b}', 'é', '\u{2003}',
+                '٣',
+            ];
+            let n = 1 + rng.below(6) as usize;
+            (0..n).map(|_| ALPHABET[rng.below(ALPHABET.len() as u64) as usize]).collect()
+        }
+    }
+}
+
+/// A payload of random tokens between runs of mixed ASCII whitespace,
+/// and a value count that is sometimes short of the tokens (the rest are
+/// ignored) and sometimes past them (truncated).
+fn random_payload(seed: u64) -> (String, usize) {
+    const SEPARATORS: &[char] = &[' ', '\t', '\n', '\r', '\u{c}'];
+    let mut rng = TestRng::new(seed);
+    let n = rng.below(40) as usize;
+    let mut payload = String::new();
+    for i in 0..n {
+        if i > 0 || rng.below(2) == 0 {
+            for _ in 0..1 + rng.below(3) {
+                payload.push(SEPARATORS[rng.below(SEPARATORS.len() as u64) as usize]);
+            }
+        }
+        payload.push_str(&random_token(&mut rng));
+    }
+    if rng.below(4) == 0 {
+        payload.push(' ');
+    }
+    let total = match rng.below(4) {
+        0 => n.saturating_sub(1 + rng.below(3) as usize),
+        1 => n + 1 + rng.below(3) as usize,
+        _ => n,
+    };
+    (payload, total)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(3000))]
+
+    /// The one-pass QUERY payload parser returns the oracle's values bit
+    /// for bit, or the oracle's exact error text.
+    #[test]
+    fn query_payload_parse_is_str_parse_bit_for_bit(seed in 0u64..u64::MAX) {
+        let (payload, total) = random_payload(seed);
+        let got = parse_query_values(&payload, total).map(|v| bits(&v));
+        let want = oracle_query_values(&payload, total).map(|v| bits(&v));
+        prop_assert!(got == want, "payload {payload:?}, {total} values: {got:?} != {want:?}");
+    }
+}
+
+fn bits(v: &[f64]) -> Vec<u64> {
+    v.iter().map(|x| x.to_bits()).collect()
+}
+
+/// Every QUERY `ERR` that docs/PROTOCOL.md lists, through `dispatch`.
+#[test]
+fn dispatch_answers_every_documented_query_error() {
+    let h = test_handle(1);
+    h.register_model("m", Algorithm::Lloyd, centroids(3, 2, 5));
+    for (line, want) in [
+        ("QUERY", "ERR QUERY: missing model"),
+        ("QUERY m", "ERR QUERY: m: missing"),
+        ("QUERY m x 2", "ERR QUERY: m: invalid digit found in string"),
+        ("QUERY m 1", "ERR QUERY: d: missing"),
+        ("QUERY m 1 -2", "ERR QUERY: d: invalid digit found in string"),
+        ("QUERY m 9223372036854775807 3", "ERR QUERY: m*d overflows"),
+        ("QUERY m 2 2 0.5 1.5 2.5", "ERR QUERY: missing value 3"),
+        ("QUERY m 1 2 0.5 0,5", "ERR QUERY: value 1: invalid float literal"),
+        ("QUERY m 1 2 0.5\u{b}1 7", "ERR QUERY: value 0: invalid float literal"),
+        ("QUERY m 1 2 0.5 ", "ERR QUERY: missing value 1"),
+        ("QUERY m 1 2 \t", "ERR QUERY: missing value 0"),
+        ("QUERY ghost 1 2 0.5 1.5", "ERR unknown model `ghost`"),
+        ("QUERY ghost 1 2 0.5 x", "ERR QUERY: value 1: invalid float literal"),
+        ("QUERY m 1 3 0.5 1.5 2.5", "ERR query dimensionality 3 does not match model d=2"),
+    ] {
+        assert_eq!(dispatch(&h, line), want, "{line:?}");
+    }
+    // Tokens past the m·d-th are not read, and every fallback form is
+    // answered like any other float.
+    let ok = dispatch(&h, "QUERY m 1 2 0.5 1.5 junk");
+    assert_eq!(ok, dispatch(&h, "QUERY m 1 2 0.5 1.5"));
+    assert!(ok.starts_with("OK 1 "), "{ok}");
+    assert!(dispatch(&h, "QUERY m 2 2 1e2 +0.5 .5 -0.0").starts_with("OK 2 "));
 }
