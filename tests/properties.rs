@@ -109,12 +109,11 @@ proptest! {
         }
     }
 
-    /// The certified gemm scan and its `Fma` and `NormTrick` spellings
-    /// reproduce the serial scan bitwise — no near-tie flips, no distance
-    /// band — across the same shape edge cases; `NormTrick` resolves
-    /// exactly as `Gemm` does.
+    /// The norm-trick spelling (`KernelKind::NormTrick`) resolves exactly as
+    /// `Gemm` does, so its band against the serial scan is zero: winners and
+    /// distances match bitwise across the same shape edge cases.
     #[test]
-    fn gemm_kernels_bitwise_match_serial_scan(
+    fn normtrick_kernel_within_tolerance_of_serial_scan(
         data in arb_matrix(150, 9),
         k in 1usize..24,
         seed in 0u64..1000,
@@ -124,7 +123,20 @@ proptest! {
         let rk = KernelKind::NormTrick.resolve(k, d, false);
         prop_assert_eq!(rk, KernelKind::Gemm.resolve(k, d, false));
         prop_assert_eq!(rk.kind, knor_core::ResolvedKind::Gemm);
-        for kind in [KernelKind::Gemm, KernelKind::Fma, KernelKind::NormTrick] {
+        assert_kernel_is_the_serial_scan(&data, k, seed, KernelKind::NormTrick)?;
+    }
+
+    /// The certified gemm scan (`Gemm`, and its `Fma` spelling) proves
+    /// every winner, so it reproduces the serial scan bitwise — no near-tie
+    /// flips, no distance band — across the same shape edge cases.
+    #[test]
+    fn fused_kernels_within_tolerance_of_serial_scan(
+        data in arb_matrix(150, 9),
+        k in 1usize..24,
+        seed in 0u64..1000,
+    ) {
+        prop_assume!(k <= data.nrow());
+        for kind in [KernelKind::Gemm, KernelKind::Fma] {
             assert_kernel_is_the_serial_scan(&data, k, seed, kind)?;
         }
     }
