@@ -13,7 +13,9 @@ use crate::regression::Json;
 
 /// `(q1, median, q3)` as Python's `statistics.quantiles(xs, n=4)` gives
 /// them (the "exclusive" method, the benchmark's own definition). A
-/// single value is its own quartiles.
+/// single value is its own quartiles. A copy of the frozen harness's
+/// `stats::quartiles`, until the next benchmark change moves that one here
+/// (ROADMAP item 11).
 pub fn quartiles(xs: &[f64]) -> (f64, f64, f64) {
     assert!(!xs.is_empty(), "quartiles of an empty sample");
     let mut v = xs.to_vec();

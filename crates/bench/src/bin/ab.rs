@@ -4,7 +4,7 @@
 //!
 //! ```text
 //! ab --workload W [--pairs N] [--seconds S] [--seed N] [--trace 0|1]
-//!    [--pause S] [--dir D] BASE [CHANGE]
+//!    [--dir D] BASE [CHANGE]
 //! ab --aa --workload W … BASE
 //! ```
 //!
@@ -16,7 +16,7 @@
 //! benchmark's own `run.sh` with `CARGO_TARGET_DIR=D/a|b/target`, then
 //! pair `i` runs `run.sh --workload W --seed N --seconds S --trace T` on
 //! both sides, A first when `i` is even and B first when it is odd, with
-//! `--pause` seconds between runs. The raw result lines go to
+//! [`PAUSE`] between runs. The raw result lines go to
 //! `D/ab-<W>-trace<T>.jsonl`, the table to standard output.
 //!
 //! ```sh
@@ -31,10 +31,14 @@ use knor_bench::ab::{metric_specs, render_table, Paired, RunResult};
 use knor_bench::regression::Json;
 
 const USAGE: &str = "usage: ab --workload W [--pairs N] [--seconds S] [--seed N] [--trace 0|1] \
-                     [--pause S] [--dir D] [--aa] BASE [CHANGE]";
+                     [--dir D] [--aa] BASE [CHANGE]";
 
 /// The benchmark script, relative to a checkout's root.
 const RUN_SH: &str = "crates/bench/src/bin/knor_bench/run.sh";
+
+/// The idle time before each run, so one run's exit does not overlap the
+/// next one's start.
+const PAUSE: Duration = Duration::from_secs(2);
 
 struct Args {
     workload: String,
@@ -42,7 +46,6 @@ struct Args {
     seconds: String,
     seed: String,
     trace: String,
-    pause: f64,
     dir: PathBuf,
     aa: bool,
     sides: Vec<String>,
@@ -55,7 +58,6 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
         seconds: "30".into(),
         seed: "1".into(),
         trace: "0".into(),
-        pause: 2.0,
         dir: PathBuf::from("target/ab"),
         aa: false,
         sides: Vec::new(),
@@ -69,7 +71,6 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
             "--seconds" => a.seconds = value()?,
             "--seed" => a.seed = value()?,
             "--trace" => a.trace = value()?,
-            "--pause" => a.pause = value()?.parse().map_err(|e| format!("--pause: {e}"))?,
             "--dir" => a.dir = PathBuf::from(value()?),
             "--aa" => a.aa = true,
             f if f.starts_with("--") => return Err(format!("unknown flag {f}")),
@@ -185,7 +186,7 @@ fn compare(a: &Args) -> Result<(), String> {
         let order = if i % 2 == 0 { [0, 1] } else { [1, 0] };
         let mut results: [Option<RunResult>; 2] = [None, None];
         for s in order {
-            std::thread::sleep(Duration::from_secs_f64(a.pause));
+            std::thread::sleep(PAUSE);
             let stdout = sides[s].bench(&run_args)?;
             let r = RunResult::parse(&stdout).map_err(|e| format!("{}: {e}", sides[s].label))?;
             eprintln!(

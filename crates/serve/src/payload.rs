@@ -24,7 +24,10 @@
 //! Anything else — more digits, a wider exponent, `inf`/`nan`, a `+` or
 //! `.5` form, a non-ASCII byte, or a malformed token — goes to
 //! `str::parse` on the token's `&str`, so its value and its error text
-//! are unchanged.
+//! are unchanged. Such a token costs the fast path's attempt on top of
+//! `str::parse` (up to ≈ 1.3× the old per-float time on a payload of
+//! nothing else, EXPERIMENTS.md "Bulk QUERY in one pass"); `{:?}`-printed
+//! floats of magnitude 10⁻¹¹ to 10⁵⁶ are all in the fast path.
 
 /// Parse exactly `total` floats off the front of `payload` (the line
 /// after `QUERY <model> <m> <d>`) with the `QUERY` error contract:
@@ -50,12 +53,12 @@ pub fn parse_query_values(payload: &str, total: usize) -> Result<Vec<f64>, Strin
         let x = match fast_float(b, &mut pos) {
             Some(x) if b.get(pos).is_none_or(u8::is_ascii_whitespace) => x,
             _ => {
-                // Token ends sit next to ASCII bytes (or the end), so the
-                // slice is on char boundaries.
-                pos = b[start..]
-                    .iter()
-                    .position(u8::is_ascii_whitespace)
-                    .map_or(b.len(), |n| start + n);
+                // `fast_float` stopped inside the token or at its end, so
+                // the end is searched for from there. Token ends sit next
+                // to ASCII bytes (or the end), so the slice is on char
+                // boundaries.
+                pos =
+                    b[pos..].iter().position(u8::is_ascii_whitespace).map_or(b.len(), |n| pos + n);
                 payload[start..pos].parse().map_err(|e| format!("QUERY: value {i}: {e}"))?
             }
         };
@@ -65,9 +68,9 @@ pub fn parse_query_values(payload: &str, total: usize) -> Result<Vec<f64>, Strin
 }
 
 /// Convert the fast-path token starting at `b[*pos]` (not whitespace),
-/// leaving `*pos` just past what it read. `None` when the token is
-/// outside the fast path; the caller then checks that `*pos` ended the
-/// token, and hands it to `str::parse` if not.
+/// leaving `*pos` just past what it read, which is never past the token's
+/// end. `None` when the token is outside the fast path; the caller hands
+/// such a token, or one that `*pos` did not end, to `str::parse`.
 fn fast_float(b: &[u8], pos: &mut usize) -> Option<f64> {
     let mut i = *pos;
     let neg = b[i] == b'-';
@@ -87,6 +90,10 @@ fn fast_float(b: &[u8], pos: &mut usize) -> Option<f64> {
         if n_frac == 0 {
             return None;
         }
+    }
+    if n_int + n_frac > 19 && significant_digits(&b[int_start..i]) > 19 {
+        *pos = i;
+        return None;
     }
     let mut exp = 0i64;
     if matches!(b.get(i), Some(b'e' | b'E')) {
@@ -110,9 +117,6 @@ fn fast_float(b: &[u8], pos: &mut usize) -> Option<f64> {
         }
     }
     *pos = i;
-    if n_int + n_frac > 19 && significant_digits(&b[int_start..i]) > 19 {
-        return None;
-    }
     if w == 0 {
         return Some(if neg { -0.0 } else { 0.0 });
     }
@@ -130,11 +134,10 @@ fn digit(b: &[u8], i: usize) -> Option<u64> {
     (d < 10).then_some(u64::from(d))
 }
 
-/// Digits of a token's mantissa (`[0-9]+ (. [0-9]+)?`, then anything)
-/// that follow its leading zeros.
-fn significant_digits(token: &[u8]) -> usize {
-    let mantissa = token.iter().take_while(|c| c.is_ascii_digit() || **c == b'.');
-    mantissa.filter(|c| **c != b'.').skip_while(|c| **c == b'0').count()
+/// Digits of a mantissa (`[0-9]+ (. [0-9]+)?`) that follow its leading
+/// zeros.
+fn significant_digits(mantissa: &[u8]) -> usize {
+    mantissa.iter().filter(|c| **c != b'.').skip_while(|c| **c == b'0').count()
 }
 
 /// Append the run of ASCII digits at `b[*i..]` to `w` (wrapping) and

@@ -376,6 +376,9 @@ const EDGE_TOKENS: &[&str] = &[
     "1.7976931348623157e308",
     "1.7976931348623159e308",
     "123456789012345678.5e-3",
+    "123456789012345678901e",
+    "123456789012345678901x5",
+    "12345678901234567890.5é",
     "0.1",
     "0.3",
     "-12.345678901234567",
