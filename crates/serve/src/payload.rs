@@ -25,7 +25,7 @@
 //! `.5` form, a non-ASCII byte, or a malformed token — goes to
 //! `str::parse` on the token's `&str`, so its value and its error text
 //! are unchanged. Such a token costs the fast path's attempt on top of
-//! `str::parse` (up to ≈ 1.3× the old per-float time on a payload of
+//! `str::parse` (up to ≈ 1.35× the old per-float time on a payload of
 //! nothing else, EXPERIMENTS.md "Bulk QUERY in one pass"); `{:?}`-printed
 //! floats of magnitude 10⁻¹¹ to 10⁵⁶ are all in the fast path.
 
