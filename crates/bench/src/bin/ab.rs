@@ -1,26 +1,28 @@
-//! `ab`: run one `knor_bench` workload on two builds in alternating pairs
-//! and print the comparison table (quartiles, ratio, pairs won, sign-test
-//! p) for every metric of the result line.
+//! `ab`: run `knor_bench` workloads on two builds in alternating pairs
+//! and print, per workload, the comparison table (quartiles, ratio, pairs
+//! won, sign-test p) for every metric of the result line.
 //!
 //! ```text
-//! ab --workload W [--pairs N] [--seconds S] [--seed N] [--trace 0|1]
+//! ab --workload W[,W2…] [--pairs N] [--seconds S] [--seed N] [--trace 0|1]
 //!    [--dir D] BASE [CHANGE]
-//! ab --aa --workload W … BASE
+//! ab --aa --workload W[,W2…] … BASE
 //! ```
 //!
 //! `BASE` and `CHANGE` are git revisions of the repository the command
 //! runs in (each exported with `git archive` into `D/a/src` or `D/b/src`), or
 //! paths to existing checkouts, used in place. `CHANGE` defaults to the
 //! current directory. With `--aa`, `BASE` is exported twice and built in
-//! two target directories: the A/A' noise floor. Each side is built by the
-//! benchmark's own `run.sh` with `CARGO_TARGET_DIR=D/a|b/target`, then
-//! pair `i` runs `run.sh --workload W --seed N --seconds S --trace T` on
-//! both sides, A first when `i` is even and B first when it is odd, with
-//! [`PAUSE`] between runs. The raw result lines go to
-//! `D/ab-<W>-trace<T>.jsonl`, the table to standard output.
+//! two target directories: the A/A' noise floor. Each side is built once by
+//! the benchmark's own `run.sh` with `CARGO_TARGET_DIR=D/a|b/target`. Then,
+//! one workload after the other in the order given, pair `i` runs `run.sh
+//! --workload W --seed N --seconds S --trace T` on both sides, A first when
+//! `i` is even and B first when it is odd, with [`PAUSE`] between runs. The
+//! raw result lines go to `D/ab-<W>-trace<T>.jsonl`, each workload's table
+//! to standard output as soon as its pairs are done.
 //!
 //! ```sh
 //! cargo run --release -p knor-bench --bin ab -- --workload serve_mix --pairs 10 HEAD~1 HEAD
+//! cargo run --release -p knor-bench --bin ab -- --workload im_dense,sem_stream --pairs 5 HEAD~1
 //! ```
 
 use std::path::{Path, PathBuf};
@@ -30,7 +32,8 @@ use std::time::Duration;
 use knor_bench::ab::{metric_specs, render_table, Paired, RunResult};
 use knor_bench::regression::Json;
 
-const USAGE: &str = "usage: ab --workload W [--pairs N] [--seconds S] [--seed N] [--trace 0|1] \
+const USAGE: &str =
+    "usage: ab --workload W[,W2…] [--pairs N] [--seconds S] [--seed N] [--trace 0|1] \
                      [--dir D] [--aa] BASE [CHANGE]";
 
 /// The benchmark script, relative to a checkout's root.
@@ -41,7 +44,7 @@ const RUN_SH: &str = "crates/bench/src/bin/knor_bench/run.sh";
 const PAUSE: Duration = Duration::from_secs(2);
 
 struct Args {
-    workload: String,
+    workloads: Vec<String>,
     pairs: usize,
     seconds: String,
     seed: String,
@@ -53,7 +56,7 @@ struct Args {
 
 fn parse_args(argv: &[String]) -> Result<Args, String> {
     let mut a = Args {
-        workload: String::new(),
+        workloads: Vec::new(),
         pairs: 10,
         seconds: "30".into(),
         seed: "1".into(),
@@ -66,7 +69,7 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
     while let Some(flag) = it.next() {
         let mut value = || it.next().cloned().ok_or(format!("{flag} needs a value"));
         match flag.as_str() {
-            "--workload" => a.workload = value()?,
+            "--workload" => a.workloads = workloads(&value()?)?,
             "--pairs" => a.pairs = value()?.parse().map_err(|e| format!("--pairs: {e}"))?,
             "--seconds" => a.seconds = value()?,
             "--seed" => a.seed = value()?,
@@ -77,13 +80,29 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
             side => a.sides.push(side.to_string()),
         }
     }
-    if a.workload.is_empty() || a.pairs == 0 {
+    if a.workloads.is_empty() || a.pairs == 0 {
         return Err("--workload and at least one pair are required".into());
     }
     match (a.aa, a.sides.len()) {
         (true, 1) | (false, 1 | 2) => Ok(a),
         _ => Err("give BASE [CHANGE], or --aa BASE".into()),
     }
+}
+
+/// The workloads of a comma-separated `--workload` list, in order; an
+/// empty item or one named twice is an error.
+fn workloads(list: &str) -> Result<Vec<String>, String> {
+    let mut out: Vec<String> = Vec::new();
+    for w in list.split(',') {
+        if w.is_empty() {
+            return Err(format!("--workload {list:?}: empty item"));
+        }
+        if out.iter().any(|o| o == w) {
+            return Err(format!("--workload {list:?}: {w} named twice"));
+        }
+        out.push(w.to_string());
+    }
+    Ok(out)
 }
 
 /// A side's source tree: a checkout used in place, or `rev` exported.
@@ -169,19 +188,28 @@ fn compare(a: &Args) -> Result<(), String> {
     let benchmark = std::fs::read_to_string(sides[0].src.join("BENCHMARK.json"))
         .map_err(|e| format!("BENCHMARK.json: {e}"))
         .and_then(|t| Json::parse(&t))?;
-    let log_path = a.dir.join(format!("ab-{}-trace{}.jsonl", a.workload, a.trace));
+    println!("{}", host_line());
+    println!("{} = {}, {} = {}", sides[0].label, sides[0].rev, sides[1].label, sides[1].rev);
+    for workload in &a.workloads {
+        println!();
+        compare_workload(a, workload, &sides, &benchmark)?;
+    }
+    Ok(())
+}
+
+/// `a.pairs` alternating pairs of `workload` on the built `sides`, then
+/// its table.
+fn compare_workload(
+    a: &Args,
+    workload: &str,
+    sides: &[Side],
+    benchmark: &Json,
+) -> Result<(), String> {
+    let log_path = a.dir.join(format!("ab-{workload}-trace{}.jsonl", a.trace));
     let mut log = String::new();
     let mut pairs = Vec::with_capacity(a.pairs);
-    let run_args = [
-        "--workload",
-        &a.workload,
-        "--seed",
-        &a.seed,
-        "--seconds",
-        &a.seconds,
-        "--trace",
-        &a.trace,
-    ];
+    let run_args =
+        ["--workload", workload, "--seed", &a.seed, "--seconds", &a.seconds, "--trace", &a.trace];
     for i in 0..a.pairs {
         let order = if i % 2 == 0 { [0, 1] } else { [1, 0] };
         let mut results: [Option<RunResult>; 2] = [None, None];
@@ -190,7 +218,7 @@ fn compare(a: &Args) -> Result<(), String> {
             let stdout = sides[s].bench(&run_args)?;
             let r = RunResult::parse(&stdout).map_err(|e| format!("{}: {e}", sides[s].label))?;
             eprintln!(
-                "ab: pair {}/{} {}: correct={} failed={}/{}",
+                "ab: {workload} pair {}/{} {}: correct={} failed={}/{}",
                 i + 1,
                 a.pairs,
                 sides[s].label,
@@ -209,12 +237,10 @@ fn compare(a: &Args) -> Result<(), String> {
         std::fs::write(&log_path, &log).map_err(|e| format!("{}: {e}", log_path.display()))?;
     }
     let rows: Vec<Paired> =
-        metric_specs(&benchmark).iter().map(|m| Paired::collect(m, &pairs)).collect();
-    println!("{}", host_line());
-    println!("{} = {}, {} = {}", sides[0].label, sides[0].rev, sides[1].label, sides[1].rev);
+        metric_specs(benchmark).iter().map(|m| Paired::collect(m, &pairs)).collect();
     println!(
         "workload {}, {} alternating pairs, seed {}, {} s windows, trace {}; raw lines in {}\n",
-        a.workload,
+        workload,
         a.pairs,
         a.seed,
         a.seconds,
@@ -249,7 +275,8 @@ mod tests {
     #[test]
     fn arguments_parse_and_degenerate_ones_are_refused() {
         let a = args("--workload serve_mix --pairs 4 --seconds 10 HEAD~1 HEAD").unwrap();
-        assert_eq!((a.workload.as_str(), a.pairs, a.seconds.as_str()), ("serve_mix", 4, "10"));
+        assert_eq!(a.workloads, ["serve_mix"]);
+        assert_eq!((a.pairs, a.seconds.as_str()), (4, "10"));
         assert_eq!(a.sides, ["HEAD~1", "HEAD"]);
         assert!(args("--aa --workload im_dense HEAD").unwrap().aa);
         for bad in [
@@ -259,6 +286,22 @@ mod tests {
             "--workload w A B C",
             "--workload w --pairs 0 A",
             "--frob --workload w A",
+        ] {
+            assert!(args(bad).is_err(), "{bad}");
+        }
+    }
+
+    #[test]
+    fn a_workload_list_keeps_its_order_and_refuses_empty_items_and_repeats() {
+        let a = args("--workload im_pruned,im_dense,sem_stream,serve_mix --aa A").unwrap();
+        assert_eq!(a.workloads, ["im_pruned", "im_dense", "sem_stream", "serve_mix"]);
+        for bad in [
+            "--workload , A",
+            "--workload im_dense, A",
+            "--workload ,im_dense A",
+            "--workload im_dense,,sem_stream A",
+            "--workload im_dense,sem_stream,im_dense A",
+            "--workload serve_mix,serve_mix A",
         ] {
             assert!(args(bad).is_err(), "{bad}");
         }

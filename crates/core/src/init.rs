@@ -3,10 +3,13 @@
 
 use crate::centroids::Centroids;
 use crate::distance::sqdist;
+use crate::kernel::{prefetch_row, PF};
+use crate::pruning::pp_skip_masks;
 use crate::stats::InitStats;
 use knor_matrix::{DMatrix, Rows};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
+use std::ops::Range;
 use std::sync::{Barrier, Mutex, RwLock};
 use std::time::Instant;
 
@@ -198,7 +201,8 @@ fn pp_margin(d: usize) -> f64 {
 }
 
 /// A center-to-center squared distance as [`PpPass::cc2`] holds it: NaN
-/// unless finite, so [`ruled_out`] never passes on it.
+/// unless finite, so [`ruled_out`](crate::pruning::ruled_out) never passes
+/// on it.
 fn cc2_entry(cc: f64) -> f64 {
     if cc.is_finite() {
         cc
@@ -207,51 +211,90 @@ fn cc2_entry(cc: f64) -> f64 {
     }
 }
 
-/// Whether a row at D² `cur` from its nearest chosen center, which lies
-/// `cc` (a [`cc2_entry`]) from the new center, keeps `cur` without
-/// evaluating the new distance: `cc ≥ margin·cur`. A NaN `cc` and a
-/// non-finite `cur` never pass, and neither does a subnormal `cur`, whose
-/// terms may have lost more than the margin to underflow. (`cur = 0`
-/// passes whenever `cc` is finite: no distance is below it.)
-#[inline]
-fn ruled_out(cc: f64, cur: f64, margin: f64) -> bool {
-    cc >= margin * cur && (cur >= f64::MIN_POSITIVE || cur == 0.0)
+/// The rows of a run whose bit in a chunk's skip mask is clear, ascending.
+#[derive(Clone)]
+struct Survivors<'a> {
+    skip: &'a [u64],
+    end: usize,
+    word: usize,
+    bits: u64,
+}
+
+impl<'a> Survivors<'a> {
+    /// The survivors among `rows` (non-empty, within the mask's chunk).
+    fn new(skip: &'a [u64], rows: Range<usize>) -> Self {
+        let word = rows.start / 64;
+        Self { skip, end: rows.end, word, bits: !skip[word] & (!0 << (rows.start % 64)) }
+    }
+}
+
+impl Iterator for Survivors<'_> {
+    type Item = usize;
+
+    fn next(&mut self) -> Option<usize> {
+        while self.bits == 0 {
+            self.word += 1;
+            if self.word * 64 >= self.end {
+                return None;
+            }
+            self.bits = !self.skip[self.word];
+        }
+        let i = self.word * 64 + self.bits.trailing_zeros() as usize;
+        self.bits &= self.bits - 1;
+        (i < self.end).then_some(i)
+    }
 }
 
 /// Update one chunk's D² against `pass`'s center (or fill it, on the first
 /// pass) over the rows from `base`, walking the storage's runs; record the
 /// chunk's weight sum, accumulated in index order, and the distances
 /// evaluated. A row the triangle inequality rules out is not read.
+///
+/// A later pass is three loops: the skip mask of the whole chunk
+/// ([`pp_skip_masks`]), the survivors in row order (each hinted into cache
+/// [`PF`] survivors ahead, then given the full scan's distance and
+/// update), and the in-order weight sum. The mask only decides which rows
+/// are read, so every D², `near`, sum and count is the one-loop scan's.
 fn pp_scan_chunk<R: Rows>(data: &R, base: usize, pass: &PpPass, margin: f64, ch: &mut PpChunk) {
     let (d, len) = (data.ncol(), ch.dist2.len());
     let center = data.row(pass.row);
-    let (mut sum, mut evals) = (0.0, 0);
+    let mut skip = [0u64; PP_CHUNK / 64];
+    let skip = &mut skip[..len.div_ceil(64)];
+    if pass.j > 0 {
+        pp_skip_masks(&pass.cc2, ch.near, ch.dist2, margin, skip);
+    }
+    let mut evals = 0;
     let mut at = 0;
     while at < len {
         let run = data.run(base + at..base + len);
         let end = at + run.len() / d;
-        let rows = run.chunks_exact(d);
         if pass.j == 0 {
-            for (row, dv) in rows.zip(&mut ch.dist2[at..end]) {
+            for (row, dv) in run.chunks_exact(d).zip(&mut ch.dist2[at..end]) {
                 *dv = sqdist(row, center);
-                sum += *dv;
             }
             evals += (end - at) as u64;
         } else {
-            for ((row, dv), nr) in rows.zip(&mut ch.dist2[at..end]).zip(&mut ch.near[at..end]) {
-                let cur = *dv;
-                if !ruled_out(pass.cc2[*nr as usize], cur, margin) {
-                    evals += 1;
-                    let s = sqdist(row, center);
-                    if s < cur {
-                        *dv = s;
-                        *nr = pass.j;
-                    }
+            let row = |i: usize| &run[(i - at) * d..(i - at + 1) * d];
+            let mut ahead = Survivors::new(skip, at..end);
+            let rows = ahead.clone();
+            ahead.by_ref().take(PF).for_each(|i| prefetch_row(row(i)));
+            for i in rows {
+                if let Some(next) = ahead.next() {
+                    prefetch_row(row(next));
                 }
-                sum += *dv;
+                evals += 1;
+                let s = sqdist(row(i), center);
+                if s < ch.dist2[i] {
+                    ch.dist2[i] = s;
+                    ch.near[i] = pass.j;
+                }
             }
         }
         at = end;
+    }
+    let mut sum = 0.0;
+    for &dv in ch.dist2.iter() {
+        sum += dv;
     }
     (ch.sum, ch.evals) = (sum, evals);
 }
@@ -369,6 +412,7 @@ fn plus_plus<R: Rows>(data: &R, k: usize, seed: u64, threads: usize) -> (Centroi
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pruning::ruled_out;
 
     fn toy() -> DMatrix {
         DMatrix::from_vec(

@@ -42,7 +42,7 @@ use knor_matrix::{RowView, Rows};
 
 use crate::centroids::LocalAccum;
 use crate::driver::{Filter, IterView, RowFilter, WorkerReport};
-use crate::kernel::{assign_rows_packed, CentroidPanel, ResolvedKind};
+use crate::kernel::{assign_rows_packed, prefetch_row, CentroidPanel, ResolvedKind, PF};
 use crate::pruning::RowScan;
 use crate::stats::IterStats;
 use crate::trace::WorkerTracer;
@@ -273,25 +273,6 @@ enum Commit {
     Kernel,
     /// Lloyd under bounds (`iter > 0`): [`RowFilter::commit`] per row.
     Bounds,
-}
-
-/// How many committed rows ahead of the current one the bounded commit
-/// hints into cache. The filter leaves gaps between the rows it keeps, so
-/// the hardware's stride prefetcher does not follow them.
-const PF: usize = 8;
-
-/// Hint every cache line of `row` into L1.
-#[inline(always)]
-fn prefetch_row(row: &[f64]) {
-    #[cfg(target_arch = "x86_64")]
-    for line in row.chunks(8) {
-        use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
-        // SAFETY: a prefetch is a hint that never faults or writes, and
-        // the address lies in a live slice anyway.
-        unsafe { _mm_prefetch::<_MM_HINT_T0>(line.as_ptr().cast()) }
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    let _ = row;
 }
 
 /// The worker loop: drain worker `w`'s share of the iteration's task queue

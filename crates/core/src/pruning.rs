@@ -226,6 +226,52 @@ fn pruned_mask(thresholds: &[f64], bound: f64) -> u64 {
     mask
 }
 
+/// k-means++'s skip test: whether a row at D² `cur` from its nearest
+/// chosen center, which lies `cc` from the new center, keeps `cur` without
+/// evaluating the new distance: `cc ≥ margin·cur`. A NaN `cc` and a
+/// non-finite `cur` never pass, and neither does a subnormal `cur`, whose
+/// terms may have lost more than the margin to underflow. (`cur = 0`
+/// passes whenever `cc` is finite: no distance is below it.)
+#[inline]
+pub(crate) fn ruled_out(cc: f64, cur: f64, margin: f64) -> bool {
+    cc >= margin * cur && (cur >= f64::MIN_POSITIVE || cur == 0.0)
+}
+
+/// [`ruled_out`]`(cc2[near], cur, margin)`, a `near` past `cc2` reading
+/// NaN (so its row is evaluated).
+#[inline(always)]
+fn skipped(cc2: &[f64], near: u32, cur: f64, margin: f64) -> bool {
+    ruled_out(cc2.get(near as usize).copied().unwrap_or(f64::NAN), cur, margin)
+}
+
+/// Bit `i` set iff [`skipped`]`(cc2, near[i], cur[i], margin)`. At most 64
+/// rows; the bits above them are clear.
+#[inline]
+fn skip_mask(cc2: &[f64], near: &[u32], cur: &[f64], margin: f64) -> u64 {
+    debug_assert!(near.len() == cur.len() && cur.len() <= 64);
+    let mut mask = 0u64;
+    for (i, (&nr, &cur)) in near.iter().zip(cur).enumerate() {
+        mask |= u64::from(skipped(cc2, nr, cur, margin)) << i;
+    }
+    mask
+}
+
+/// k-means++'s skip test over a chunk of rows, 64 to a word: bit `i` of
+/// `out[w]` set iff row `64·w + i` is ruled out (`skip_mask` per block),
+/// with the host's fastest build. The mask only decides which rows a pass
+/// reads; every D² it keeps or writes is the full scan's.
+pub(crate) fn pp_skip_masks(cc2: &[f64], near: &[u32], cur: &[f64], margin: f64, out: &mut [u64]) {
+    assert!(near.len() == cur.len() && out.len() == cur.len().div_ceil(64));
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("avx2") {
+        // Safety: AVX2 support verified at runtime.
+        return unsafe { x86::pp_skip_masks_avx2(cc2, near, cur, margin, out) };
+    }
+    for ((nr, c), o) in near.chunks(64).zip(cur.chunks(64)).zip(out) {
+        *o = skip_mask(cc2, nr, c, margin);
+    }
+}
+
 /// A panel of `kp` columns scores one row in about the time of
 /// `kp / COLUMNS_PER_DIST` exact distances (DESIGN.md §2 has the sweep).
 const COLUMNS_PER_DIST: usize = 8;
@@ -420,7 +466,7 @@ fn one_candidate(
 /// and the distances inline as 4-wide lanes that map one-to-one onto
 /// [`dist`]'s four accumulators — un-fused (an FMA would round a
 /// multiply-add once instead of twice), so every bit matches the portable
-/// build.
+/// build. Also k-means++'s skip mask, four rows per comparison.
 #[cfg(target_arch = "x86_64")]
 mod x86 {
     use super::{mti_commit, Centroids, MtiIterState, PruneCounters, RowScan};
@@ -464,6 +510,50 @@ mod x86 {
             mask |= u64::from(bound <= t) << (at + i);
         }
         mask
+    }
+
+    /// [`super::pp_skip_masks`] under AVX2: [`super::skip_mask`] four rows
+    /// per instruction. The `cc2[near]` gather is masked to `near <
+    /// cc2.len()`, so a lane past it is never read and keeps NaN, which no
+    /// comparison passes.
+    ///
+    /// # Safety
+    /// Caller must have verified AVX2 support at runtime.
+    #[target_feature(enable = "avx2")]
+    pub unsafe fn pp_skip_masks_avx2(
+        cc2: &[f64],
+        near: &[u32],
+        cur: &[f64],
+        margin: f64,
+        out: &mut [u64],
+    ) {
+        use std::arch::x86_64::*;
+        let len = _mm256_set1_epi64x(cc2.len() as i64);
+        let (m, nan) = (_mm256_set1_pd(margin), _mm256_set1_pd(f64::NAN));
+        let (tiny, zero) = (_mm256_set1_pd(f64::MIN_POSITIVE), _mm256_setzero_pd());
+        for ((near, cur), o) in near.chunks(64).zip(cur.chunks(64)).zip(out) {
+            let mut mask = 0u64;
+            let (mut nrs, mut curs) = (near.chunks_exact(4), cur.chunks_exact(4));
+            let mut at = 0;
+            for (nr, c) in nrs.by_ref().zip(curs.by_ref()) {
+                let idx = _mm256_cvtepu32_epi64(_mm_loadu_si128(nr.as_ptr().cast()));
+                let inside = _mm256_castsi256_pd(_mm256_cmpgt_epi64(len, idx));
+                let cc = _mm256_mask_i64gather_pd::<8>(nan, cc2.as_ptr(), idx, inside);
+                let c = _mm256_loadu_pd(c.as_ptr());
+                // `ruled_out` per lane; ordered comparisons, false on NaN.
+                let far = _mm256_cmp_pd::<_CMP_GE_OQ>(cc, _mm256_mul_pd(m, c));
+                let normal = _mm256_or_pd(
+                    _mm256_cmp_pd::<_CMP_GE_OQ>(c, tiny),
+                    _mm256_cmp_pd::<_CMP_EQ_OQ>(c, zero),
+                );
+                mask |= (_mm256_movemask_pd(_mm256_and_pd(far, normal)) as u64) << at;
+                at += 4;
+            }
+            for (i, (&nr, &c)) in nrs.remainder().iter().zip(curs.remainder()).enumerate() {
+                mask |= u64::from(super::skipped(cc2, nr, c, margin)) << (at + i);
+            }
+            *o = mask;
+        }
     }
 }
 
@@ -890,5 +980,77 @@ mod tests {
         // (0,4) and (3,0) are 5 apart.
         assert!((s.half_row(0)[1] - 2.5).abs() < 1e-12);
         assert_eq!(s.half_min, vec![2.5, 2.5]);
+    }
+
+    /// A lane value from the skip test's edge classes: NaN, ±∞, subnormal,
+    /// ±0, the smallest normal, `f64::MAX`, or an ordinary magnitude.
+    fn edge_value(rng: &mut impl Rng) -> f64 {
+        match rng.gen_range(0..10) {
+            0 => f64::NAN,
+            1 => f64::INFINITY,
+            2 => f64::NEG_INFINITY,
+            3 | 4 => f64::from_bits(rng.gen_range(1..1u64 << 52)),
+            5 => 0.0,
+            6 => -0.0,
+            7 => f64::MIN_POSITIVE,
+            8 => f64::MAX,
+            _ => rng.gen_range(0.0..100.0),
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(256))]
+        #[test]
+        fn pp_skip_mask_builds_are_the_scalar_test_lane_for_lane(
+            len in 0usize..65,
+            nc in 0usize..5,
+            seed in 0u64..1_000_000,
+        ) {
+            let mut rng = ChaCha8Rng::seed_from_u64(seed);
+            let margin = [4.0 * (1.0 + 36.0 * f64::EPSILON), 1.0][rng.gen_range(0..2usize)];
+            let cc2: Vec<f64> = (0..nc).map(|_| edge_value(&mut rng)).collect();
+            // Every lane past `cc2`, including `u32::MAX`, must evaluate.
+            let near: Vec<u32> = (0..len)
+                .map(|_| match rng.gen_range(0..8) {
+                    0 => u32::MAX,
+                    _ => rng.gen_range(0..nc as u32 + 2),
+                })
+                .collect();
+            let cur: Vec<f64> = near
+                .iter()
+                .map(|&nr| match (rng.gen_range(0..4), cc2.get(nr as usize)) {
+                    // On the margin: `cc2 = margin·cur` up to one rounding.
+                    (0, Some(&cc)) => cc / margin,
+                    _ => edge_value(&mut rng),
+                })
+                .collect();
+            let expect: u64 = (0..len)
+                .filter(|&i| {
+                    let cc = cc2.get(near[i] as usize).copied().unwrap_or(f64::NAN);
+                    ruled_out(cc, cur[i], margin)
+                })
+                .map(|i| 1u64 << i)
+                .sum();
+            for i in (0..len).filter(|&i| near[i] as usize >= nc) {
+                assert_eq!(expect >> i & 1, 0, "lane {i}: near past cc2 skipped");
+            }
+            let words = usize::from(len > 0);
+            let mut builds: Vec<(&str, Vec<u64>)> =
+                vec![("scalar", vec![skip_mask(&cc2, &near, &cur, margin)])];
+            #[cfg(target_arch = "x86_64")]
+            if std::arch::is_x86_feature_detected!("avx2") {
+                let mut out = vec![u64::MAX; words];
+                // Safety: AVX2 support verified at runtime.
+                unsafe { x86::pp_skip_masks_avx2(&cc2, &near, &cur, margin, &mut out) };
+                builds.push(("avx2", out));
+            }
+            let mut dispatched = vec![u64::MAX; words];
+            pp_skip_masks(&cc2, &near, &cur, margin, &mut dispatched);
+            builds.push(("dispatched", dispatched));
+            for (name, out) in builds {
+                let got = out.first().copied().unwrap_or(0);
+                assert_eq!(got, expect, "{name}: len {len}, cc2 {cc2:?}, near {near:?}, cur {cur:?}");
+            }
+        }
     }
 }

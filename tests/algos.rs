@@ -2,6 +2,7 @@
 //! its serial reference, produce sane weights, and run on all three
 //! engines — write the algorithm once, get knori + knors + knord for free.
 
+use knor::matrix::io::TempFile;
 use knor::prelude::*;
 use knor_baselines::minibatch::minibatch_kmeans;
 use knor_baselines::spherical::spherical_kmeans;
@@ -157,8 +158,7 @@ fn minibatch_on_sem_skips_io_for_out_of_batch_rows() {
     let data = mixture(2000, 8, 53);
     let k = 8;
     let init = InitMethod::Forgy.initialize(&data, k, 9).to_matrix();
-    let mut path = std::env::temp_dir();
-    path.push(format!("knor-algos-mb-{}.knor", std::process::id()));
+    let path = TempFile::new(format!("knor-algos-mb-{}.knor", std::process::id()));
     matrix_io::write_matrix(&path, &data).unwrap();
     let batch = 200usize;
     let r = SemKmeans::new(
@@ -174,7 +174,6 @@ fn minibatch_on_sem_skips_io_for_out_of_batch_rows() {
     )
     .fit(&path)
     .unwrap();
-    std::fs::remove_file(&path).unwrap();
     assert_eq!(r.io[0].active_rows, 2000, "iteration 0 is a full pass");
     let full_bytes = 2000u64 * 8 * 8;
     for io in &r.io[1..] {

@@ -116,8 +116,8 @@ fn steady_state_sem_iterations_allocate_a_small_constant() {
     let _turn = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
     let data = uniform_matrix(4096, 16, 7);
     let init = InitMethod::Forgy.initialize(&data, 24, 3).to_matrix();
-    let mut file = std::env::temp_dir();
-    file.push(format!("knor-alloc-sem-{}.knor", std::process::id()));
+    let file =
+        knor_matrix::io::TempFile::new(format!("knor-alloc-sem-{}.knor", std::process::id()));
     knor_matrix::io::write_matrix(&file, &data).unwrap();
 
     let _ = sem_alloc_count(&file, &init, 9);
@@ -125,7 +125,6 @@ fn steady_state_sem_iterations_allocate_a_small_constant() {
     // 9..12 are steady state.
     let short = sem_alloc_count(&file, &init, 9);
     let long = sem_alloc_count(&file, &init, 12);
-    std::fs::remove_file(&file).unwrap();
     assert!(
         long <= short + 64,
         "3 extra knors iterations allocated {} times — the request path must reuse its buffers",

@@ -1,14 +1,13 @@
 //! Failure injection: corrupted inputs and degenerate configurations must
 //! fail loudly and cleanly, never silently mis-cluster.
 
+use knor::matrix::io::TempFile;
 use knor::prelude::*;
 use knor_safs::RowStore;
 use std::io::Write;
 
-fn tmp(name: &str) -> std::path::PathBuf {
-    let mut p = std::env::temp_dir();
-    p.push(format!("knor-failinj-{}-{name}", std::process::id()));
-    p
+fn tmp(name: &str) -> TempFile {
+    TempFile::new(format!("knor-failinj-{}-{name}", std::process::id()))
 }
 
 #[test]
@@ -17,7 +16,6 @@ fn corrupt_magic_is_rejected() {
     std::fs::write(&p, b"NOTAKNORFILE____________________").unwrap();
     assert!(RowStore::open(&p, 4096).is_err());
     assert!(SemKmeans::new(SemConfig::new(2)).fit(&p).is_err());
-    std::fs::remove_file(&p).unwrap();
 }
 
 #[test]
@@ -44,7 +42,6 @@ fn truncated_payload_errors_on_read() {
     if let Ok(Ok(_)) = result {
         panic!("truncated file must not cluster successfully");
     }
-    std::fs::remove_file(&p).unwrap();
 }
 
 #[test]
@@ -134,7 +131,6 @@ fn sem_read_failure_mid_run_is_an_error_not_a_hang() {
     let result = rx
         .recv_timeout(std::time::Duration::from_secs(60))
         .expect("a failed SEM read must end the run, not hang it");
-    std::fs::remove_file(&p).unwrap();
     let err = result.expect_err("half the file is gone");
     assert_eq!(err.kind(), std::io::ErrorKind::UnexpectedEof, "{err}");
 }
@@ -207,7 +203,6 @@ fn sem_file_that_shrinks_between_two_tasks_fails_every_later_fit_through_the_sam
             assert_eq!(err.kind(), std::io::ErrorKind::UnexpectedEof, "T={threads} fit {fit}");
             assert!(!err.to_string().contains('\n'), "one line: {err}");
         }
-        std::fs::remove_file(&p).unwrap();
     }
 }
 
@@ -234,7 +229,7 @@ fn file_that_shrinks_under_the_loader_is_an_error_and_the_server_keeps_serving()
     // A TRAIN job on the short file fails with the read error, and the
     // server goes on to train from a good source and answer queries.
     let h = ServeHandle::start(ServeConfig::default().with_threads(2));
-    let bad = h.submit_train(TrainSpec::new("short", 3, TrainSource::File(p.clone())));
+    let bad = h.submit_train(TrainSpec::new("short", 3, TrainSource::File(p.to_path_buf())));
     match h.wait_job(bad).unwrap() {
         JobStatus::Failed { message } => {
             assert!(
@@ -245,9 +240,8 @@ fn file_that_shrinks_under_the_loader_is_an_error_and_the_server_keeps_serving()
         other => panic!("{other:?}"),
     }
     matrix_io::write_matrix(&p, &data).unwrap();
-    let good = h.submit_train(TrainSpec::new("whole", 3, TrainSource::File(p.clone())));
+    let good = h.submit_train(TrainSpec::new("whole", 3, TrainSource::File(p.to_path_buf())));
     assert_eq!(h.wait_job(good).unwrap(), JobStatus::Done { version: 1 });
     assert_eq!(h.predict("whole", &data).unwrap().assignments.len(), 2000);
     assert!(h.registry().get("short").is_none());
-    std::fs::remove_file(&p).unwrap();
 }

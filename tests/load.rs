@@ -3,16 +3,14 @@
 //! else read (`Kmeans::fit`), and the placed layout a file loads into is
 //! the one a matrix copies into.
 
-use knor::matrix::io::MatrixFile;
+use knor::matrix::io::{MatrixFile, TempFile};
 use knor::matrix::Rows;
 use knor::numa::{NumaMatrix, Placement, Topology};
 use knor::prelude::*;
 use proptest::prelude::*;
 
-fn tmp(name: &str) -> std::path::PathBuf {
-    let mut p = std::env::temp_dir();
-    p.push(format!("knor-load-{}-{name}", std::process::id()));
-    p
+fn tmp(name: &str) -> TempFile {
+    TempFile::new(format!("knor-load-{}-{name}", std::process::id()))
 }
 
 fn bits(xs: &[f64]) -> Vec<u64> {
@@ -88,7 +86,6 @@ fn fit_file_is_bitwise_fit_of_the_read_matrix() {
                 }
             }
         }
-        std::fs::remove_file(&path).unwrap();
     }
     assert_eq!(runs, 3 * 2 * 3 * 2 * 3 * 3);
 }
@@ -114,7 +111,37 @@ fn pooled_kmeanspp_over_blocks_picks_what_it_picks_over_a_matrix() {
         let km = Kmeans::new(cfg);
         assert_same_run(&km.fit_file(&path).unwrap(), &km.fit(&data), tname);
     }
-    std::fs::remove_file(&path).unwrap();
+}
+
+#[test]
+fn kmeanspp_over_a_placed_layout_is_the_flat_matrix_seeding() {
+    // Block boundaries inside a 64-row skip-mask block and inside a
+    // 4096-row D² chunk: the mask, the survivors and the sum walk the
+    // layout run by run, and every pick and count is the flat scan's.
+    let (n, d, threads) = (3 * 4096 + 77, 3, 3);
+    let data = MixtureSpec::friendster_like(n, d, 11).generate().data;
+    for (tname, topo) in [
+        ("synthetic(4,1)", Topology::synthetic(4, 1)),
+        ("synthetic(2,2)", Topology::synthetic(2, 2)),
+    ] {
+        let placement = Placement::new(&topo, n, threads);
+        let inside = placement.thread_ranges()[1..]
+            .iter()
+            .filter(|r| r.start % 64 != 0 && r.start % 4096 != 0)
+            .count();
+        assert!(inside > 0, "{tname}: no block boundary inside a mask block and a chunk");
+        let placed = NumaMatrix::from_dmatrix(&topo, &placement, &data);
+        for (k, seed) in [(6, 5), (24, 17)] {
+            let pp = InitMethod::PlusPlus;
+            let (flat, flat_stats) = pp.initialize_with_stats(&data, k, seed, threads);
+            let over = pp.initialize_parallel(&placed, k, seed, threads);
+            let over_stats = pp.initialize_with_stats(&placed, k, seed, threads).1;
+            let what = format!("{tname} k={k} seed={seed}");
+            assert_eq!(bits(&over.means), bits(&flat.means), "{what}: centroids");
+            assert_eq!(over_stats.dists, flat_stats.dists, "{what}: dists");
+            assert!(flat_stats.dists < ((n - 1) * (k - 1)) as u64, "{what}: nothing skipped");
+        }
+    }
 }
 
 proptest! {
@@ -133,7 +160,6 @@ proptest! {
         let placement = Placement::new(&topo, n, threads);
         let file = MatrixFile::open(&path).unwrap();
         let loaded = NumaMatrix::load(&topo, &placement, &file).unwrap();
-        std::fs::remove_file(&path).unwrap();
         let copied = NumaMatrix::from_dmatrix(&topo, &placement, &m);
         prop_assert_eq!(&loaded.to_dmatrix(), &m);
         prop_assert_eq!(loaded.heap_bytes(), copied.heap_bytes());

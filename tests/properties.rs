@@ -1,5 +1,6 @@
 //! Property-based tests over the public API.
 
+use knor::matrix::io::TempFile;
 use knor::prelude::*;
 use knor_core::quality::agreement;
 use knor_core::serial::lloyd_serial;
@@ -156,15 +157,13 @@ proptest! {
     /// Matrix binary format round-trips arbitrary finite data.
     #[test]
     fn matrix_io_round_trips(data in arb_matrix(60, 6)) {
-        let mut path = std::env::temp_dir();
-        path.push(format!(
+        let path = TempFile::new(format!(
             "knor-prop-io-{}-{}.knor",
             std::process::id(),
             data.nrow() * 31 + data.ncol()
         ));
         matrix_io::write_matrix(&path, &data).unwrap();
         let back = matrix_io::read_matrix(&path).unwrap();
-        std::fs::remove_file(&path).unwrap();
         prop_assert_eq!(back, data);
     }
 

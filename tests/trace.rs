@@ -10,6 +10,7 @@
 //!    span the export sees and a nonzero compute + barrier-wait total.
 
 use knor::core::PhaseGroup;
+use knor::matrix::io::TempFile;
 use knor::numa::Topology;
 use knor::prelude::*;
 use knor_bench::regression::Json;
@@ -75,8 +76,7 @@ fn tracing_is_bitwise_neutral_for_knori_knors_knord() {
     assert_eq!(bd.tracks.len(), 4, "one track per knori worker");
 
     // knors from a file.
-    let mut path = std::env::temp_dir();
-    path.push(format!("knor-trace-bitwise-{}.knor", std::process::id()));
+    let path = TempFile::new(format!("knor-trace-bitwise-{}.knor", std::process::id()));
     matrix_io::write_matrix(&path, &data).unwrap();
     assert_bitwise(
         "knors",
@@ -97,7 +97,6 @@ fn tracing_is_bitwise_neutral_for_knori_knors_knord() {
         },
         |r| (&r.kmeans.assignments, &r.kmeans.centroids, r.kmeans.niters, r.kmeans.sse),
     );
-    std::fs::remove_file(&path).unwrap();
 
     // knord: 2 ranks × 2 threads over the wire model.
     let dist = assert_bitwise(
@@ -238,8 +237,7 @@ fn knord_trace_names_allreduce_with_wire_bytes() {
 #[test]
 fn knors_phase_table_sums_within_the_run() {
     let data = workload(40_000, 16, 811);
-    let mut path = std::env::temp_dir();
-    path.push(format!("knor-trace-knors-sum-{}.knor", std::process::id()));
+    let path = TempFile::new(format!("knor-trace-knors-sum-{}.knor", std::process::id()));
     matrix_io::write_matrix(&path, &data).unwrap();
     let buf = Arc::new(TraceBuf::new());
     let t0 = std::time::Instant::now();
@@ -257,7 +255,6 @@ fn knors_phase_table_sums_within_the_run() {
     .fit(&path)
     .unwrap();
     let run_ns = t0.elapsed().as_nanos() as u64;
-    std::fs::remove_file(&path).unwrap();
     let bd = r.kmeans.phases.as_ref().expect("a recorder was attached");
     assert_eq!(bd.tracks.len(), 2, "one track per knors worker");
     let spans = buf.spans();
