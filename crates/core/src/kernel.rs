@@ -897,13 +897,12 @@ mod x86 {
     /// score and the runner-up: the least champion, the lowest index among
     /// the lanes holding it, and the runner-up — that score again if two
     /// lanes hold it, else the least of every lane's runner-up and every
-    /// other champion.
-    ///
-    /// # Safety
-    /// Caller must have verified AVX-512F support at runtime.
+    /// other champion. A safe `#[target_feature]` function: it touches no
+    /// memory, and only the AVX-512F scorers above, which have the feature,
+    /// can call it without `unsafe`.
     #[target_feature(enable = "avx512f")]
     #[inline]
-    unsafe fn lanes_avx512(vs: __m512d, v2: __m512d, vi: __m512i) -> (u32, f64, f64) {
+    fn lanes_avx512(vs: __m512d, v2: __m512d, vi: __m512i) -> (u32, f64, f64) {
         use std::arch::x86_64::*;
         let s1 = _mm512_reduce_min_pd(vs);
         let at = _mm512_cmp_pd_mask::<_CMP_EQ_OQ>(vs, _mm512_set1_pd(s1));
