@@ -45,11 +45,11 @@
 //! and drops before the phase's closing barrier: the centroids and MTI's
 //! thresholds (read in compute, written in the window), each worker's
 //! accumulator (written in compute, read in the merge), its report and its
-//! slice of the merged sums. The barriers already order every access, so
-//! no lock is ever contended: each is taken with `try_*`, and a busy one
-//! is a protocol bug that panics naming the cell. Only the per-row state
-//! ([`RowBounds`]) keeps an `unsafe` contract, because it is touched per
-//! row on the hot path.
+//! slice of the merged sums — and each task's per-row state ([`RowBounds`]:
+//! one [`TaskRows`] chunk per task of the fixed task grid, locked by the
+//! worker that took the task). The barriers and the queue already order
+//! every access, so no lock is ever contended: each is taken with `try_*`,
+//! and a busy one is a protocol bug that panics naming the cell.
 //!
 //! **Failure.** A row source can fail (a SEM device read), and a plane or
 //! algorithm hook can panic. Either way the worker keeps walking the
@@ -65,11 +65,10 @@ use std::io;
 use std::ops::Range;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Barrier, Mutex, PoisonError, RwLock, TryLockError, TryLockResult};
+use std::sync::{Barrier, Mutex, MutexGuard, PoisonError, RwLock, TryLockError, TryLockResult};
 
-use knor_matrix::shared::SharedRows;
 use knor_numa::Placement;
-use knor_sched::TaskQueue;
+use knor_sched::{task_grid, Task, TaskQueue};
 
 use crate::algo::{MmAlgorithm, UpdateCtx};
 use crate::centroids::{finalize_means, Centroids, LocalAccum};
@@ -319,7 +318,7 @@ pub fn run_mm<P: DataPlane + ?Sized, R: Reducer>(
     // Shared engine state (see "Shared state" in the module docs).
     let centroids = RwLock::new(init);
     let mti = RwLock::new(MtiIterState::new(if cfg_pruning { k } else { 0 }));
-    let rows = if cfg_pruning { RowBounds::new(n) } else { RowBounds::unbounded(n) };
+    let rows = RowBounds::new(placement, cfg.task_size, cfg_pruning);
     let dim_slices = knor_matrix::partition_rows(k * d, nthreads);
     let merged: Vec<Mutex<Vec<f64>>> =
         dim_slices.iter().map(|s| Mutex::new(vec![0.0; s.len()])).collect();
@@ -602,7 +601,7 @@ pub fn run_mm<P: DataPlane + ?Sized, R: Reducer>(
     }
     Ok(DriverOutcome {
         centroids: centroids.into_inner().unwrap_or_else(PoisonError::into_inner),
-        assignments: rows.into_assignments(),
+        assignments: rows.into_assignments(n),
         iters: coord.stats,
         reduces: coord.reduces,
         converged: converged.load(Ordering::Acquire),
@@ -618,107 +617,93 @@ pub fn run_mm<P: DataPlane + ?Sized, R: Reducer>(
 // ---------------------------------------------------------------------------
 
 /// The driver-owned per-row state of a run: every row's assignment and
-/// its MTI upper bound (empty when nothing prunes).
-/// Workers reach it only through the [`RowState`] of a task they own.
+/// its MTI upper bound (no bounds when nothing prunes), as one
+/// [`TaskRows`] chunk per task of the run's [`task_grid`]. Every row
+/// belongs to exactly one task, so a worker holds the state of the rows it
+/// works on by locking that task's chunk ([`RowBounds::claim`]).
 pub struct RowBounds {
-    assign: SharedRows<u32>,
-    upper: SharedRows<f64>,
-    /// Debug builds: per row, one more than the iteration that last
-    /// claimed it (0 = never), so a second claim in one iteration panics.
-    #[cfg(debug_assertions)]
-    claimed: Box<[std::sync::atomic::AtomicUsize]>,
+    tasks: Box<[Mutex<TaskRows>]>,
 }
 
 impl RowBounds {
-    /// State for `n` unassigned rows with an upper bound each.
-    pub fn new(n: usize) -> Self {
-        Self { upper: SharedRows::new(n, f64::INFINITY), ..Self::unbounded(n) }
+    /// State for the unassigned rows of `placement`'s grid of `task_size`
+    /// tasks, with an upper bound per row when `bounded`. An unpruned run
+    /// keeps assignments only, 4 bytes a row: [`NoFilter`] never reads a
+    /// bound.
+    pub fn new(placement: &Placement, task_size: usize, bounded: bool) -> Self {
+        let tasks = task_grid(placement, task_size);
+        Self { tasks: tasks.map(|(_, t)| Mutex::new(TaskRows::new(t.rows, bounded))).collect() }
     }
 
-    /// State for `n` unassigned rows of an unpruned run: assignments only,
-    /// 4 bytes a row. [`NoFilter`] never reads a bound.
-    pub fn unbounded(n: usize) -> Self {
-        Self {
-            assign: SharedRows::new(n, u32::MAX),
-            upper: SharedRows::new(0, 0.0),
-            #[cfg(debug_assertions)]
-            claimed: (0..n).map(|_| Default::default()).collect(),
+    /// The state of `task`'s rows, for the worker that took `task` from
+    /// iteration `iter`'s queue. The queue hands every grid task out once
+    /// an iteration and barriers A and B fence the compute super-phase, so
+    /// the chunk is never contended: a busy one is a protocol bug (see
+    /// `held`), and so is a task claimed twice in one iteration.
+    pub fn claim(&self, task: &Task, iter: usize) -> MutexGuard<'_, TaskRows> {
+        let mut rows = held(self.tasks[task.id].try_lock(), "task rows");
+        assert!(rows.claimed != iter + 1, "task {} claimed twice in iteration {iter}", task.id);
+        rows.claimed = iter + 1;
+        rows
+    }
+
+    /// The `n` final assignments, in row order. All workers have joined,
+    /// so no chunk is held; each is freed as soon as it is copied out.
+    fn into_assignments(self, n: usize) -> Vec<u32> {
+        let mut out = Vec::with_capacity(n);
+        for t in self.tasks.into_vec() {
+            out.extend(t.into_inner().unwrap_or_else(PoisonError::into_inner).assign);
         }
-    }
-
-    /// The handle through which the owner of a task reads and writes the
-    /// state of that task's rows in iteration `iter` — the one place the
-    /// engines' row-ownership contract is asserted. Debug builds check
-    /// half of it: a row claimed twice in one iteration panics.
-    ///
-    /// # Safety
-    /// Until the next barrier, no other thread may touch the state of any
-    /// row in `rows`. The scheduler guarantees exactly that to the worker
-    /// that took a task covering `rows` from the iteration's queue: every
-    /// row belongs to one task, every task is handed out once, and barriers
-    /// A and B separate the compute super-phase from every other access.
-    pub unsafe fn claim(&self, rows: Range<usize>, iter: usize) -> RowState<'_> {
-        #[cfg(debug_assertions)]
-        for r in rows.clone() {
-            let prev = self.claimed[r].swap(iter + 1, Ordering::Relaxed);
-            assert!(prev != iter + 1, "row {r} claimed twice in iteration {iter}");
-        }
-        #[cfg(not(debug_assertions))]
-        let _ = iter;
-        RowState { all: self, rows }
-    }
-
-    /// Final assignments. All workers have joined, so nothing is claimed.
-    fn into_assignments(self) -> Vec<u32> {
-        self.assign.snapshot()
+        out
     }
 }
 
-/// The per-row state of the rows one task owns (see [`RowBounds::claim`]).
-/// Every accessor relies on that constructor's contract and checks, in
-/// debug builds, that the row is one of the task's.
-pub struct RowState<'a> {
-    all: &'a RowBounds,
-    rows: Range<usize>,
+/// The per-row state of the rows one task owns: rows `start..start +
+/// assign.len()`, addressed by their run-local row ids.
+#[derive(Debug)]
+pub struct TaskRows {
+    start: usize,
+    assign: Vec<u32>,
+    upper: Vec<f64>,
+    /// One more than the iteration that last claimed the task (0 = never).
+    claimed: usize,
 }
 
-impl RowState<'_> {
+impl TaskRows {
+    /// State for the unassigned `rows`, with an upper bound each (at
+    /// infinity) when `bounded`.
+    pub fn new(rows: Range<usize>, bounded: bool) -> Self {
+        let upper = if bounded { vec![f64::INFINITY; rows.len()] } else { Vec::new() };
+        Self { start: rows.start, assign: vec![u32::MAX; rows.len()], upper, claimed: 0 }
+    }
+
     /// Row `r`'s assignment (`u32::MAX` before its first scan).
     #[inline]
     pub fn assign(&self, r: usize) -> u32 {
-        debug_assert!(self.rows.contains(&r));
-        // SAFETY: `claim`'s contract — this task owns row `r`.
-        unsafe { *self.all.assign.get(r) }
+        self.assign[r - self.start]
     }
 
     /// Store row `r`'s assignment; true when it changed.
     #[inline]
-    pub fn set_assign(&self, r: usize, a: u32) -> bool {
-        debug_assert!(self.rows.contains(&r));
-        // SAFETY: as `assign`.
-        let slot = unsafe { self.all.assign.get_mut(r) };
-        std::mem::replace(slot, a) != a
+    pub fn set_assign(&mut self, r: usize, a: u32) -> bool {
+        std::mem::replace(&mut self.assign[r - self.start], a) != a
     }
 
     /// Row `r`'s upper bound on the distance to its assigned centroid.
     #[inline]
     pub fn upper(&self, r: usize) -> f64 {
-        debug_assert!(self.rows.contains(&r));
-        // SAFETY: as `assign`.
-        unsafe { *self.all.upper.get(r) }
+        self.upper[r - self.start]
     }
 
     /// Store row `r`'s upper bound.
     #[inline]
-    pub fn set_upper(&self, r: usize, u: f64) {
-        debug_assert!(self.rows.contains(&r));
-        // SAFETY: as `assign`.
-        unsafe { *self.all.upper.get_mut(r) = u };
+    pub fn set_upper(&mut self, r: usize, u: f64) {
+        self.upper[r - self.start] = u;
     }
 }
 
 /// A pruning scheme as the worker loop sees it: three per-row steps over
-/// the [`RowState`] of the task that owns the row.
+/// the [`TaskRows`] of the task that owns the row.
 ///
 /// Counter ledger (steady state): every row satisfies
 /// `clause2 + clause3 + dists = k` — with the Clause-1 rows contributing
@@ -734,14 +719,14 @@ pub trait RowFilter {
     /// Pre-fetch filter (`iter > 0`): loosen row `r`'s bounds by this
     /// iteration's drift, write them back, and say whether the row's data
     /// must be fetched. A `false` costs neither data access nor I/O.
-    fn keep(&self, rows: &RowState<'_>, r: usize, counters: &mut PruneCounters) -> bool;
+    fn keep(&self, rows: &mut TaskRows, r: usize, counters: &mut PruneCounters) -> bool;
 
     /// Commit a full scan's decision `best = (a, d(v, a))` for row `r`:
     /// accumulate, store the assignment and establish the scheme's bounds.
     /// Returns true on reassignment.
     fn establish(
         &self,
-        rows: &RowState<'_>,
+        rows: &mut TaskRows,
         r: usize,
         v: &[f64],
         best: (usize, f64),
@@ -755,7 +740,7 @@ pub trait RowFilter {
     /// accumulate the *delta* of a reassignment. Returns true on one.
     fn commit(
         &self,
-        rows: &RowState<'_>,
+        rows: &mut TaskRows,
         r: usize,
         v: &[f64],
         scan: Option<&mut RowScan<'_>>,
@@ -781,14 +766,14 @@ impl RowFilter for NoFilter<'_> {
     const BOUNDED: bool = false;
 
     #[inline]
-    fn keep(&self, _rows: &RowState<'_>, _r: usize, _counters: &mut PruneCounters) -> bool {
+    fn keep(&self, _rows: &mut TaskRows, _r: usize, _counters: &mut PruneCounters) -> bool {
         true
     }
 
     #[inline]
     fn establish(
         &self,
-        rows: &RowState<'_>,
+        rows: &mut TaskRows,
         r: usize,
         v: &[f64],
         (a, _): (usize, f64),
@@ -804,7 +789,7 @@ impl RowFilter for NoFilter<'_> {
     /// through the assignment kernel.)
     fn commit(
         &self,
-        rows: &RowState<'_>,
+        rows: &mut TaskRows,
         r: usize,
         v: &[f64],
         _scan: Option<&mut RowScan<'_>>,
@@ -837,7 +822,7 @@ impl RowFilter for MtiFilter<'_> {
 
     /// Clause 1: the drift-loosened upper bound against `½·min d(a, ·)`.
     #[inline]
-    fn keep(&self, rows: &RowState<'_>, r: usize, counters: &mut PruneCounters) -> bool {
+    fn keep(&self, rows: &mut TaskRows, r: usize, counters: &mut PruneCounters) -> bool {
         let a = rows.assign(r) as usize;
         let ub = rows.upper(r) + self.mti.drift[a];
         rows.set_upper(r, ub);
@@ -854,7 +839,7 @@ impl RowFilter for MtiFilter<'_> {
     #[inline]
     fn establish(
         &self,
-        rows: &RowState<'_>,
+        rows: &mut TaskRows,
         r: usize,
         v: &[f64],
         (a, da): (usize, f64),
@@ -875,7 +860,7 @@ impl RowFilter for MtiFilter<'_> {
     #[inline]
     fn commit(
         &self,
-        rows: &RowState<'_>,
+        rows: &mut TaskRows,
         r: usize,
         v: &[f64],
         scan: Option<&mut RowScan<'_>>,
@@ -1160,8 +1145,8 @@ mod tests {
         ComputePanic,
         /// The coordinator's `end_iteration` hook panics.
         EndIterationPanic,
-        /// Worker 1 takes rows 0..4 a second time: a scheduler bug, which
-        /// debug builds catch at the row claim.
+        /// Worker 1 takes its first grid task a second time: a scheduler
+        /// bug, which the task's claim catches.
         DoubleTask,
     }
 
@@ -1182,9 +1167,11 @@ mod tests {
             if w == 1 && view.iter == 2 {
                 match self.fault {
                     Fault::ComputePanic => panic!("planted panic in compute"),
-                    Fault::DoubleTask => view
-                        .queue
-                        .push(1, knor_sched::Task { rows: 0..4, home: knor_numa::NodeId(0) }),
+                    Fault::DoubleTask => {
+                        let placement = Placement::new(&Topology::flat(2), 500, 2);
+                        let (_, first) = task_grid(&placement, 16).find(|&(w, _)| w == 1).unwrap();
+                        view.queue.push(1, first);
+                    }
                     Fault::EndIterationPanic => {}
                 }
             }
@@ -1224,11 +1211,10 @@ mod tests {
     }
 
     #[test]
-    #[cfg(debug_assertions)]
     fn a_row_claimed_twice_in_one_iteration_panics() {
-        // Iterations 0 and 1 claim every row again; iteration 2 claims
-        // rows 0..4 twice.
-        assert_eq!(faulty_run(Fault::DoubleTask), "row 0 claimed twice in iteration 2");
+        // Iterations 0 and 1 claim every task again; in iteration 2 worker
+        // 1 claims its first task (rows 250..266, task 16 of the grid) twice.
+        assert_eq!(faulty_run(Fault::DoubleTask), "task 16 claimed twice in iteration 2");
     }
 
     #[test]

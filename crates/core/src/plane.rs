@@ -322,9 +322,7 @@ fn drain_with<S: RowSource, F: RowFilter>(
     let step = if S::STAGED { usize::MAX } else { view.kernel.block_rows(d) };
     let mut needed = std::mem::take(&mut scratch.needed);
     while let Some(task) = view.queue.next(w) {
-        // SAFETY: this worker just took `task` from the iteration's
-        // queue, which hands every row to exactly one task once.
-        let rows = unsafe { view.rows.claim(task.rows.clone(), view.iter) };
+        let mut rows = view.rows.claim(&task, view.iter);
         needed.clear();
         // Rows dropped here are never requested from the source: a
         // bound-pruned or out-of-scope row costs no data access, and on a
@@ -332,7 +330,7 @@ fn drain_with<S: RowSource, F: RowFilter>(
         match commit {
             Commit::Bounds => {
                 for r in task.rows {
-                    if filter.keep(&rows, r, &mut rep.counters) {
+                    if filter.keep(&mut rows, r, &mut rep.counters) {
                         needed.push(r);
                     } else if S::STAGED {
                         rep.counters.io_skip_rows += 1;
@@ -353,7 +351,7 @@ fn drain_with<S: RowSource, F: RowFilter>(
                     prefetch_row(src.row(&scratch.data, i + PF, ahead));
                 }
                 let v = src.row(&scratch.data, i, r);
-                let moved = filter.commit(&rows, r, v, scan.as_mut(), accum, &mut rep.counters);
+                let moved = filter.commit(&mut rows, r, v, scan.as_mut(), accum, &mut rep.counters);
                 rep.reassigned += u64::from(moved);
             }
             rep.commit.rescored_rows += scan.map_or(0, |s| s.rescored);
@@ -397,7 +395,8 @@ fn drain_with<S: RowSource, F: RowFilter>(
                     );
                     for (i, &r) in ids.iter().enumerate() {
                         let (v, scan) = (&block[i * d..(i + 1) * d], (best[i] as usize, dists[i]));
-                        let moved = filter.establish(&rows, r, v, scan, accum, &mut rep.counters);
+                        let moved =
+                            filter.establish(&mut rows, r, v, scan, accum, &mut rep.counters);
                         rep.reassigned += u64::from(moved);
                     }
                 }

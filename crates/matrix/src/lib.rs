@@ -9,11 +9,8 @@
 //! * [`Rows`] — row access in global order over either, or over a placed layout.
 //! * [`io`] — the flat binary format used by the semi-external-memory module
 //!   (`knors`) and by the example/bench dataset writers.
-//! * [`shared`] — a low-level shared-slice primitive used by the parallel
-//!   engine to hand disjoint row ranges to worker threads without locks.
 
 pub mod io;
-pub mod shared;
 
 use std::ops::Range;
 

@@ -15,6 +15,11 @@
 //!
 //! [`SchedulerKind::Fifo`] and [`SchedulerKind::Static`] implement the two
 //! baselines of Fig. 5. Everything is exercised through [`TaskQueue`].
+//!
+//! The tasks themselves do not change between iterations: [`task_grid`]
+//! cuts the rows the same way every time, and each task carries its index
+//! in that grid, so per-row state can be owned per task (the driver's
+//! `RowBounds` keeps one chunk per grid task).
 
 use std::collections::VecDeque;
 use std::ops::Range;
@@ -29,6 +34,8 @@ pub const DEFAULT_TASK_SIZE: usize = 8192;
 /// A schedulable block of contiguous rows homed on one NUMA node.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Task {
+    /// Index of the task in its run's [`task_grid`].
+    pub id: usize,
     /// Global row range `[start, end)`.
     pub rows: Range<usize>,
     /// Node whose memory bank holds these rows (Fig. 1 placement).
@@ -45,6 +52,29 @@ impl Task {
     pub fn is_empty(&self) -> bool {
         self.rows.is_empty()
     }
+}
+
+/// The run's task grid: each worker's Fig. 1 block, in worker order, cut
+/// into tasks of at most `task_size` rows, as `(owning worker, task)`.
+/// Ids run `0..` in yield order, which is also row order. Tasks never span
+/// thread-block boundaries, so every task has a single well-defined home
+/// node. The grid is a function of `placement` and `task_size` alone, so
+/// every iteration of a run sees the same tasks.
+pub fn task_grid(
+    placement: &Placement,
+    task_size: usize,
+) -> impl Iterator<Item = (usize, Task)> + '_ {
+    assert!(task_size > 0);
+    (0..placement.nthreads())
+        .flat_map(move |w| {
+            let (range, home) = (placement.range_of_thread(w), placement.node_of_thread(w));
+            let end = range.end;
+            range
+                .step_by(task_size)
+                .map(move |start| (w, start..(start + task_size).min(end), home))
+        })
+        .enumerate()
+        .map(|(id, (w, rows, home))| (w, Task { id, rows, home }))
 }
 
 /// Which scheduling policy a [`TaskQueue`] applies.
@@ -136,25 +166,13 @@ impl TaskQueue {
         self.parts.len()
     }
 
-    /// Chop each worker's Fig. 1 block into tasks of at most `task_size`
-    /// rows and enqueue them into the owning worker's partition.
-    ///
-    /// Tasks never span thread-block boundaries, so every task has a single
-    /// well-defined home node.
+    /// Enqueue every task of the [`task_grid`] into its owning worker's
+    /// partition.
     pub fn refill(&self, placement: &Placement, task_size: usize) {
-        assert!(task_size > 0);
         assert_eq!(placement.nthreads(), self.parts.len());
-        for w in 0..self.parts.len() {
-            let range = placement.range_of_thread(w);
-            let home = placement.node_of_thread(w);
-            let mut part = self.parts[w].lock();
-            debug_assert!(part.is_empty(), "refill on non-empty partition");
-            let mut start = range.start;
-            while start < range.end {
-                let end = (start + task_size).min(range.end);
-                part.push_back(Task { rows: start..end, home });
-                start = end;
-            }
+        debug_assert!(self.is_drained(), "refill on non-empty queue");
+        for (w, task) in task_grid(placement, task_size) {
+            self.parts[w].lock().push_back(task);
         }
     }
 
@@ -310,6 +328,40 @@ mod tests {
     }
 
     #[test]
+    fn the_grid_is_dense_refilled_once_each_and_covers_its_rows() {
+        // (rows, threads, nodes, task_size): n < threads, task_size > n,
+        // n not a multiple of task_size, and an even split.
+        let shapes = [(3, 8, 2, 4), (50, 2, 1, 64), (10_007, 8, 4, 100), (4096, 4, 2, 256)];
+        for (nrow, threads, nodes, task_size) in shapes {
+            let p = placement(nrow, threads, nodes);
+            let grid: Vec<(usize, Task)> = task_grid(&p, task_size).collect();
+            // Ids are dense, in yield order, and the tasks tile 0..nrow in
+            // row order: chunk `i` of a per-task store is task `i`'s rows.
+            let mut next_row = 0;
+            for (i, (w, t)) in grid.iter().enumerate() {
+                assert_eq!(t.id, i, "{nrow}x{threads}/{task_size}");
+                assert_eq!(t.rows.start, next_row, "{nrow}x{threads}/{task_size}: task {i}");
+                assert!(!t.is_empty() && t.len() <= task_size);
+                assert!(p.range_of_thread(*w).start <= t.rows.start);
+                assert!(t.rows.end <= p.range_of_thread(*w).end);
+                assert_eq!(t.home, p.node_of_thread(*w));
+                next_row = t.rows.end;
+            }
+            assert_eq!(next_row, nrow);
+            for kind in [SchedulerKind::NumaAware, SchedulerKind::Fifo, SchedulerKind::Static] {
+                let q = TaskQueue::new(kind, &p);
+                for _ in 0..2 {
+                    q.refill(&p, task_size);
+                    let mut ids: Vec<usize> =
+                        drain_all(&q, threads).iter().map(|(_, t)| t.id).collect();
+                    ids.sort_unstable();
+                    assert_eq!(ids, (0..grid.len()).collect::<Vec<_>>(), "{kind:?}");
+                }
+            }
+        }
+    }
+
+    #[test]
     fn tasks_never_span_thread_blocks() {
         let p = placement(1000, 4, 2);
         let q = TaskQueue::new(SchedulerKind::NumaAware, &p);
@@ -339,7 +391,7 @@ mod tests {
         let p = placement(400, 4, 2);
         let q = TaskQueue::new(SchedulerKind::NumaAware, &p);
         for i in 0..4usize {
-            q.push(1, Task { rows: i * 100..(i + 1) * 100, home: NodeId(0) });
+            q.push(1, Task { id: i, rows: i * 100..(i + 1) * 100, home: NodeId(0) });
         }
         // Worker 0 shares node 0 with worker 1: same-node steal.
         assert!(q.next(0).is_some());
@@ -356,8 +408,8 @@ mod tests {
         let q = TaskQueue::new(SchedulerKind::NumaAware, &p);
         // A node-1-homed task parked in worker 0's partition (node 0), behind
         // a node-0-homed task.
-        q.push(0, Task { rows: 0..10, home: NodeId(0) });
-        q.push(0, Task { rows: 10..20, home: NodeId(1) });
+        q.push(0, Task { id: 0, rows: 0..10, home: NodeId(0) });
+        q.push(0, Task { id: 1, rows: 10..20, home: NodeId(1) });
         // Worker 2 (node 1) must skip the node-0 task and take its own.
         let t = q.next(2).unwrap();
         assert_eq!(t.home, NodeId(1));
@@ -368,8 +420,8 @@ mod tests {
     fn fifo_steals_in_partition_order() {
         let p = placement(300, 3, 3);
         let q = TaskQueue::new(SchedulerKind::Fifo, &p);
-        q.push(1, Task { rows: 0..1, home: NodeId(1) });
-        q.push(2, Task { rows: 1..2, home: NodeId(2) });
+        q.push(1, Task { id: 0, rows: 0..1, home: NodeId(1) });
+        q.push(2, Task { id: 1, rows: 1..2, home: NodeId(2) });
         let t = q.next(0).unwrap();
         assert_eq!(t.rows, 0..1, "fifo takes the first non-empty partition");
     }

@@ -3,7 +3,8 @@
 //!
 //! One background runner thread executes jobs in submission order — the
 //! engines are internally parallel, so serializing jobs keeps training
-//! from oversubscribing the machine the predict pool is serving on. A job
+//! from oversubscribing the machine whose connection threads are scanning
+//! queries. A job
 //! that fails (I/O error, engine panic on a degenerate spec) is reported
 //! as [`JobStatus::Failed`] with the message; it never takes the runner
 //! down.

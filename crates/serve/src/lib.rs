@@ -9,19 +9,19 @@
 //!            │ line-delimited TCP                │
 //!            ▼                                   ▼
 //!      [tcp front end]  ──────────────▶  [ServeHandle]
-//!                                        │        │
+//!   one thread per connection            │        │
 //!                              [JobRunner]        [ModelRegistry]
 //!                              train on any        name → versioned
 //!                              engine, publish     models + ServeStats
-//!                                        │        │
-//!                                        ▼        ▼
-//!                                      [WorkerPool]
-//!                              persistent NUMA-bound threads,
-//!                              batched gemm-scan predict
+//!                                                 │
+//!                                                 ▼
+//!                                            [Predictor]
+//!                              gemm-scan predict on the caller's thread
+//!                              (+ scoped helpers for a large block)
 //! ```
 //!
 //! The predict path is the training kernel layer verbatim: query blocks
-//! are chunked and pushed through [`knor_core::kernel::assign_rows_packed`]
+//! are pushed through [`knor_core::kernel::assign_rows_packed`]
 //! against the centroid panel each model packs once at registration, so
 //! serving throughput inherits every training-kernel optimization and
 //! every answer is **bitwise identical** to the serial per-row
@@ -39,7 +39,7 @@
 //! use knor_core::Algorithm;
 //! use knor_matrix::DMatrix;
 //!
-//! let handle = ServeHandle::start(ServeConfig::default().with_threads(2));
+//! let handle = ServeHandle::start(ServeConfig::default());
 //! let cents = DMatrix::from_vec(vec![0.0, 0.0, 10.0, 10.0], 2, 2);
 //! handle.register_model("demo", Algorithm::Lloyd, cents);
 //! let queries = DMatrix::from_vec(vec![1.0, 1.0, 9.0, 9.5], 2, 2);
@@ -50,7 +50,7 @@
 pub mod jobs;
 pub mod metrics;
 pub mod payload;
-pub mod pool;
+pub mod predict;
 pub mod registry;
 pub mod stats;
 pub mod tcp;
@@ -61,11 +61,10 @@ use std::sync::Arc;
 use knor_core::distance::nearest;
 use knor_core::{Algorithm, KernelKind};
 use knor_matrix::DMatrix;
-use knor_numa::Topology;
 
 pub use jobs::{JobId, JobStatus, TrainSource, TrainSpec};
 pub use metrics::render_prometheus;
-pub use pool::{PredictError, PredictTiming};
+pub use predict::{PredictError, PredictTiming};
 pub use registry::{Model, ModelEntry, ModelRegistry, TrainDiag};
 pub use stats::{
     Clock, LatencyHistogram, ManualClock, MonotonicClock, ServeStats, StatsSnapshot, REQUEST_PHASES,
@@ -74,7 +73,7 @@ pub use stats::{
 pub use tcp::{MuxConfig, MuxServer};
 
 use jobs::JobRunner;
-use pool::WorkerPool;
+use predict::Predictor;
 
 /// Serving-layer errors.
 #[derive(Debug)]
@@ -113,40 +112,24 @@ impl From<std::io::Error> for ServeError {
 
 /// Configuration for a serving instance.
 pub struct ServeConfig {
-    /// Predict worker threads (default: all available CPUs).
-    pub threads: Option<usize>,
-    /// Machine topology for NUMA binding (default: detect).
-    pub topology: Option<Topology>,
     /// Default kernel knob for predict scans (resolved in exact mode).
     pub kernel: KernelKind,
-    /// Upper bound on rows per predict chunk.
-    pub chunk_cap: usize,
     /// Time source for serving stats (inject [`ManualClock`] in tests).
     pub clock: Arc<dyn Clock>,
 }
 
 impl Default for ServeConfig {
     fn default() -> Self {
-        Self {
-            threads: None,
-            topology: None,
-            kernel: KernelKind::Auto,
-            chunk_cap: 8192,
-            clock: Arc::new(MonotonicClock::new()),
-        }
+        Self { kernel: KernelKind::Auto, clock: Arc::new(MonotonicClock::new()) }
     }
 }
 
 impl ServeConfig {
-    /// Set the predict worker count.
-    pub fn with_threads(mut self, v: usize) -> Self {
-        self.threads = Some(v.max(1));
-        self
-    }
-
-    /// Supply a topology (synthetic topologies skip real binding).
-    pub fn with_topology(mut self, v: Topology) -> Self {
-        self.topology = Some(v);
+    /// No-op: predict has no worker count to set (a call scans on its
+    /// caller's thread, a large block with scoped helpers, one per CPU).
+    /// Kept because the benchmark harness calls it.
+    #[doc(hidden)]
+    pub fn with_threads(self, _v: usize) -> Self {
         self
     }
 
@@ -165,15 +148,14 @@ impl ServeConfig {
 
 struct ServeInner {
     registry: Arc<ModelRegistry>,
-    pool: WorkerPool,
+    predictor: Predictor,
     jobs: JobRunner,
     clock: Arc<dyn Clock>,
     kernel: KernelKind,
 }
 
 /// A handle to a running serving instance. Cheaply cloneable; the
-/// instance (worker pool, job runner, registry) lives until the last
-/// handle drops.
+/// instance (job runner, registry) lives until the last handle drops.
 #[derive(Clone)]
 pub struct ServeHandle {
     inner: Arc<ServeInner>,
@@ -192,16 +174,12 @@ pub struct Prediction {
 impl ServeHandle {
     /// Start a serving instance.
     pub fn start(cfg: ServeConfig) -> Self {
-        let topo = cfg.topology.unwrap_or_else(Topology::detect);
-        let hw = std::thread::available_parallelism().map(|p| p.get()).unwrap_or(2);
-        let threads = cfg.threads.unwrap_or(hw).max(1);
         let registry = Arc::new(ModelRegistry::new());
-        let pool = WorkerPool::spawn(threads, &topo, cfg.chunk_cap.max(1));
         let jobs = JobRunner::start(Arc::clone(&registry));
         Self {
             inner: Arc::new(ServeInner {
                 registry,
-                pool,
+                predictor: Predictor::default(),
                 jobs,
                 clock: cfg.clock,
                 kernel: cfg.kernel,
@@ -281,13 +259,15 @@ impl ServeHandle {
         let t_req = self.inner.clock.now_ns();
         let rk = kernel.resolve(entry.model.k(), entry.model.d(), false);
         let t0 = self.inner.clock.now_ns();
+        let clock = Some(&*self.inner.clock);
         let (assignments, distances, timing) =
-            self.inner.pool.predict_timed(entry, rk, queries, d, Some(&*self.inner.clock))?;
+            self.inner.predictor.predict(&entry.model, rk, queries, d, clock)?;
         let t1 = self.inner.clock.now_ns();
         entry.stats.record_batch(assignments.len() as u64, t0, t1);
+        // Nothing is handed off, so `dispatch` stays 0.
         entry.stats.record_phases([
             t0.saturating_sub(t_req),
-            timing.dispatch_ns,
+            0,
             timing.kernel_ns,
             timing.reply_ns,
             0,
@@ -332,21 +312,15 @@ impl ServeHandle {
         Ok(self.inner.registry.load(meta)?)
     }
 
-    /// Scan panics caught by the predict pool (diagnostics).
+    /// Scan panics caught by the predict path (diagnostics).
     pub fn caught_panics(&self) -> u64 {
-        self.inner.pool.caught_panics()
-    }
-
-    /// Predict calls answered on the calling thread, without a pool
-    /// hand-off (diagnostics; see [`pool`]).
-    pub fn inline_calls(&self) -> u64 {
-        self.inner.pool.inline_calls()
+        self.inner.predictor.caught_panics()
     }
 }
 
 /// The serial reference for predict: apply the model's normalization to
-/// each row, then the per-row [`nearest`] scan. The batched pool path must
-/// be bitwise identical to this.
+/// each row, then the per-row [`nearest`] scan. The batched predict path
+/// must be bitwise identical to this.
 pub fn predict_serial(model: &Model, queries: &[f64], d: usize) -> Prediction {
     assert_eq!(d, model.d(), "query dimensionality mismatch");
     let mut buf = vec![0.0; d];
@@ -369,12 +343,7 @@ mod tests {
     use rand_chacha::ChaCha8Rng;
 
     fn handle() -> ServeHandle {
-        ServeHandle::start(
-            ServeConfig::default()
-                .with_threads(4)
-                .with_topology(Topology::synthetic(2, 2))
-                .with_clock(Arc::new(ManualClock::new())),
-        )
+        ServeHandle::start(ServeConfig::default().with_clock(Arc::new(ManualClock::new())))
     }
 
     fn random_cents(k: usize, d: usize, seed: u64) -> DMatrix {

@@ -63,13 +63,6 @@ pub fn render_prometheus(handle: &ServeHandle) -> String {
         }
     }
 
-    counter(
-        &mut out,
-        "knor_serve_inline_calls_total",
-        "Predict calls of one chunk, answered on the calling thread without a pool hand-off.",
-    );
-    let _ = writeln!(out, "knor_serve_inline_calls_total {}", handle.inline_calls());
-
     let _ = writeln!(out, "# HELP knor_serve_batch_latency_ns Batch latency histogram.");
     let _ = writeln!(out, "# TYPE knor_serve_batch_latency_ns histogram");
     for e in &entries {
@@ -168,7 +161,6 @@ mod tests {
     use crate::ServeConfig;
     use knor_core::Algorithm;
     use knor_matrix::DMatrix;
-    use knor_numa::Topology;
 
     #[test]
     fn escape_round_trips() {
@@ -181,9 +173,7 @@ mod tests {
 
     #[test]
     fn prometheus_snapshot_has_counters_buckets_and_diag() {
-        let h = ServeHandle::start(
-            ServeConfig::default().with_threads(2).with_topology(Topology::synthetic(1, 2)),
-        );
+        let h = ServeHandle::start(ServeConfig::default());
         let cents = DMatrix::from_vec(vec![0.0, 0.0, 10.0, 10.0], 2, 2);
         h.register_model("demo", Algorithm::Lloyd, cents);
         let q: Vec<f64> = (0..64 * 2).map(|x| x as f64).collect();
@@ -198,8 +188,15 @@ mod tests {
         assert!(text.contains("knor_serve_batch_latency_ns_count{model=\"demo\"} 1"));
         assert!(text.contains("phase=\"kernel\""));
         assert!(text.contains("phase=\"parse\"") && text.contains("phase=\"format\""));
-        // 64 rows are one chunk: answered inline.
-        assert!(text.contains("knor_serve_inline_calls_total 1\n"), "{text}");
+        // Nothing is handed off, but `dispatch` keeps its (zero) line:
+        // dashboards and the benchmark harness read every phase label.
+        assert!(
+            text.contains(
+                "knor_serve_request_phase_ns_total{model=\"demo\",phase=\"dispatch\"} 0\n"
+            ),
+            "{text}"
+        );
+        assert!(!text.contains("inline_calls"), "{text}");
         assert!(!text.contains("knor_serve_train_publish"), "{text}");
         assert!(text.contains("knor_serve_train_io_skip_rows{model=\"demo\"} 0"));
         assert!(text.contains("knor_serve_served_version{model=\"demo\"} 1"));

@@ -422,7 +422,7 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let m = cents(6, 3, 0.37);
         let head = "knor-serve-model v1\nname=old\nversion=1\nalgo=lloyd\nnormalization=none\n";
-        let h = ServeHandle::start(ServeConfig::default().with_threads(2));
+        let h = ServeHandle::start(ServeConfig::default());
         h.register_model("plain", Algorithm::Lloyd, m.clone());
         let q: Vec<f64> = (0..200 * 3).map(|x| (x as f64 * 0.61).sin() * 9.0).collect();
         let want = h.predict_rows("plain", &q, 3).unwrap();

@@ -146,8 +146,10 @@ impl Default for LatencyHistogram {
 
 /// Names of the request-handling phases tracked per model, in
 /// [`ServeStats::phase_ns`] order: model lookup + kernel resolution
-/// (`enqueue`), chunk fan-out to the pool (`dispatch`), worker scan time
-/// including queue wait (`kernel`), output collection (`reply`), and — on
+/// (`enqueue`), a hand-off to other threads (`dispatch`: always 0, since
+/// the caller's thread scans, with scoped helpers joined inside the scan
+/// for a large block; kept so every reader finds the label), the scan
+/// (`kernel`), output collection (`reply`), and — on
 /// the text protocol only, recorded by the TCP dispatch — turning the
 /// request line's float tokens into rows (`parse`) and the answers into the
 /// reply line (`format`).

@@ -23,7 +23,9 @@
 //! (The full protocol reference lives in `docs/PROTOCOL.md`.)
 //!
 //! The server spawns one thread per connection; all of them share the
-//! [`ServeHandle`], whose registry/pool/job-runner are already concurrent.
+//! [`ServeHandle`], whose registry and job runner are already concurrent;
+//! each connection's thread scans its own queries (a large block with
+//! scoped helpers for the length of the call, `predict`).
 //! It is knor's one front end (DESIGN.md §14 says why).
 
 use std::fmt::Write as _;
@@ -394,7 +396,7 @@ impl Client {
     ) -> io::Result<Vec<(u32, f64)>> {
         Self::check_name(model)?;
         if d == 0 || !queries.len().is_multiple_of(d) {
-            // Same contract as the in-process pool: reject ragged blocks
+            // Same contract as the in-process predict: reject ragged blocks
             // instead of silently dropping a trailing partial row.
             return Err(io::Error::new(
                 io::ErrorKind::InvalidInput,
@@ -482,13 +484,10 @@ mod tests {
     use crate::{predict_serial, ServeConfig};
     use knor_core::spec::Entry;
     use knor_matrix::io as matrix_io;
-    use knor_numa::Topology;
     use knor_workloads::MixtureSpec;
 
     fn spawn_server() -> (TcpServer, SocketAddr, ServeHandle) {
-        let handle = ServeHandle::start(
-            ServeConfig::default().with_threads(2).with_topology(Topology::synthetic(1, 2)),
-        );
+        let handle = ServeHandle::start(ServeConfig::default());
         let server = TcpServer::bind(handle.clone(), "127.0.0.1:0").unwrap();
         let addr = server.addr();
         (server, addr, handle)
@@ -580,9 +579,7 @@ mod tests {
 
     #[test]
     fn dispatch_rejects_malformed_requests() {
-        let handle = ServeHandle::start(
-            ServeConfig::default().with_threads(1).with_topology(Topology::synthetic(1, 1)),
-        );
+        let handle = ServeHandle::start(ServeConfig::default());
         for bad in [
             "",
             "FROB x",
@@ -648,9 +645,7 @@ mod tests {
 
     #[test]
     fn huge_claimed_query_header_is_an_error_not_an_abort() {
-        let handle = ServeHandle::start(
-            ServeConfig::default().with_threads(1).with_topology(Topology::synthetic(1, 1)),
-        );
+        let handle = ServeHandle::start(ServeConfig::default());
         // A bogus header claiming ~10^12 values must fail cleanly on the
         // missing payload, never reserve memory for the claim.
         let resp = dispatch(&handle, "QUERY m 1000000000 1000 0.5");

@@ -356,11 +356,9 @@ fn main() {
             finish_trace(&o, o.run.trace.as_ref(), fitted.phases());
         }
         "serve" => {
-            let mut cfg = ServeConfig::default();
-            if let Some(t) = o.run.threads {
-                cfg = cfg.with_threads(t);
-            }
-            let handle = ServeHandle::start(cfg);
+            // `-t` is accepted and sizes nothing: each connection's thread
+            // scans its own queries, a large block split over the CPUs.
+            let handle = ServeHandle::start(ServeConfig::default());
             let server = TcpServer::bind(handle, &*o.addr).unwrap_or_else(|e| io_die(&o.addr, e));
             println!("knor-serve listening on {}", server.addr());
             server.join();
@@ -380,8 +378,11 @@ fn main() {
                 .unwrap_or_else(|e| io_die(&o.addr, e));
             println!("submitted job {job} (model {}, engine {})", o.model, o.engine.token());
             if o.wait {
+                // Polls at most 5 ms apart, so the job's end is seen within
+                // 5 ms of it; at 50 ms a scripted train-then-query start
+                // moved in 50 ms steps from one run to the next.
                 let status = c
-                    .wait(job, std::time::Duration::from_millis(50))
+                    .wait(job, std::time::Duration::from_millis(5))
                     .unwrap_or_else(|e| io_die(&o.addr, e));
                 println!("job {job}: {status}");
                 if status.starts_with("failed") {

@@ -228,7 +228,7 @@ fn file_that_shrinks_under_the_loader_is_an_error_and_the_server_keeps_serving()
 
     // A TRAIN job on the short file fails with the read error, and the
     // server goes on to train from a good source and answer queries.
-    let h = ServeHandle::start(ServeConfig::default().with_threads(2));
+    let h = ServeHandle::start(ServeConfig::default());
     let bad = h.submit_train(TrainSpec::new("short", 3, TrainSource::File(p.to_path_buf())));
     match h.wait_job(bad).unwrap() {
         JobStatus::Failed { message } => {

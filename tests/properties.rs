@@ -202,7 +202,7 @@ proptest! {
     ) {
         use knor::core::centroids::{Centroids, LocalAccum};
         use knor::core::distance::{dist, nearest};
-        use knor::core::driver::{MtiFilter, RowBounds, RowFilter};
+        use knor::core::driver::{MtiFilter, RowFilter, TaskRows};
         use knor::core::pruning::{MtiIterState, PruneCounters};
 
         prop_assume!(k <= data.nrow());
@@ -211,16 +211,16 @@ proptest! {
         let cents = Centroids::from_matrix(&init);
         let mut mti = MtiIterState::new(k);
         mti.rebuild(&cents);
-        let bounds = RowBounds::new(n);
-        // Safety: single-threaded test — this "task" owns every row.
-        let rows = unsafe { bounds.claim(0..n, 0) };
+        // One task that owns every row.
+        let mut rows = TaskRows::new(0..n, true);
         let mut counters = PruneCounters::default();
         let mut accum = LocalAccum::new(k, d);
         // Exact init pass: nearest assignment and its distance as the bound.
         for r in 0..n {
             let v = data.row(r);
             let best = nearest(v, &cents.means, k);
-            MtiFilter::new(&cents, &mti).establish(&rows, r, v, best, &mut accum, &mut counters);
+            let filter = MtiFilter::new(&cents, &mti);
+            filter.establish(&mut rows, r, v, best, &mut accum, &mut counters);
         }
         // Move every centroid by a deterministic perturbation; the drifts
         // and thresholds follow, exactly as the coordinator window does.
@@ -231,7 +231,7 @@ proptest! {
         let moved = Centroids::from_matrix(&DMatrix::from_vec(moved, k, d));
         mti.update(&cents, &moved);
         for r in 0..n {
-            let keep = MtiFilter::new(&moved, &mti).keep(&rows, r, &mut counters);
+            let keep = MtiFilter::new(&moved, &mti).keep(&mut rows, r, &mut counters);
             let v = data.row(r);
             let a = rows.assign(r) as usize;
             let u = rows.upper(r);
