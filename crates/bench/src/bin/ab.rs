@@ -6,14 +6,18 @@
 //! ab --workload W[,W2…] [--pairs N] [--seconds S] [--seed N] [--trace 0|1]
 //!    [--dir D] BASE [CHANGE]
 //! ab --aa --workload W[,W2…] … BASE
+//! ab --layout --workload W[,W2…] … BASE
 //! ```
 //!
 //! `BASE` and `CHANGE` are git revisions of the repository the command
 //! runs in (each exported with `git archive` into `D/a/src` or `D/b/src`), or
 //! paths to existing checkouts, used in place. `CHANGE` defaults to the
 //! current directory. With `--aa`, `BASE` is exported twice and built in
-//! two target directories: the A/A' noise floor. Each side is built once by
-//! the benchmark's own `run.sh` with `CARGO_TARGET_DIR=D/a|b/target`. Then,
+//! two target directories: the A/A' noise floor. With `--layout`, `BASE`
+//! (a revision) is exported twice and the second copy of the `knor`
+//! binary's source gets one function that is never called
+//! ([`pad_layout`]): the floor that a change of code layout alone sets.
+//! Each side is built once by the benchmark's own `run.sh` with `CARGO_TARGET_DIR=D/a|b/target`. Then,
 //! one workload after the other in the order given, pair `i` runs `run.sh
 //! --workload W --seed N --seconds S --trace T` on both sides, A first when
 //! `i` is even and B first when it is odd, with [`PAUSE`] between runs. The
@@ -34,10 +38,14 @@ use knor_bench::regression::Json;
 
 const USAGE: &str =
     "usage: ab --workload W[,W2…] [--pairs N] [--seconds S] [--seed N] [--trace 0|1] \
-                     [--dir D] [--aa] BASE [CHANGE]";
+                     [--dir D] [--aa | --layout] BASE [CHANGE]";
 
 /// The benchmark script, relative to a checkout's root.
 const RUN_SH: &str = "crates/bench/src/bin/knor_bench/run.sh";
+
+/// The `knor` binary's source, relative to a checkout's root: where
+/// `--layout` adds its function.
+const KNOR_RS: &str = "src/bin/knor.rs";
 
 /// The idle time before each run, so one run's exit does not overlap the
 /// next one's start.
@@ -51,6 +59,7 @@ struct Args {
     trace: String,
     dir: PathBuf,
     aa: bool,
+    layout: bool,
     sides: Vec<String>,
 }
 
@@ -63,6 +72,7 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
         trace: "0".into(),
         dir: PathBuf::from("target/ab"),
         aa: false,
+        layout: false,
         sides: Vec::new(),
     };
     let mut it = argv.iter();
@@ -76,6 +86,7 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
             "--trace" => a.trace = value()?,
             "--dir" => a.dir = PathBuf::from(value()?),
             "--aa" => a.aa = true,
+            "--layout" => a.layout = true,
             f if f.starts_with("--") => return Err(format!("unknown flag {f}")),
             side => a.sides.push(side.to_string()),
         }
@@ -83,9 +94,9 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
     if a.workloads.is_empty() || a.pairs == 0 {
         return Err("--workload and at least one pair are required".into());
     }
-    match (a.aa, a.sides.len()) {
-        (true, 1) | (false, 1 | 2) => Ok(a),
-        _ => Err("give BASE [CHANGE], or --aa BASE".into()),
+    match (a.aa, a.layout, a.sides.len()) {
+        (true, false, 1) | (false, true, 1) | (false, false, 1 | 2) => Ok(a),
+        _ => Err("give BASE [CHANGE], --aa BASE or --layout BASE".into()),
     }
 }
 
@@ -118,6 +129,25 @@ fn source(rev: &str, dir: &Path) -> Result<PathBuf, String> {
     run(Command::new("tar").arg("-xf").arg(&archive).arg("-C").arg(&src))?;
     std::fs::remove_file(&archive).map_err(|e| e.to_string())?;
     Ok(src)
+}
+
+/// `knor.rs` with one more function: `#[inline(never)]`, never called,
+/// its address taken in `main` so that the compiler emits it and the code
+/// placed after it moves. Nothing else about the binary changes.
+fn pad_layout(knor_rs: &str) -> Result<String, String> {
+    const MAIN: &str = "\nfn main() {\n";
+    if knor_rs.matches(MAIN).count() != 1 {
+        return Err(format!("{KNOR_RS}: no single `fn main() {{` line to pad"));
+    }
+    let text = knor_rs.replacen(
+        MAIN,
+        &format!("{MAIN}    std::hint::black_box(ab_layout_pad as fn(u64) -> u64);\n"),
+        1,
+    );
+    Ok(text
+        + "\n/// Added by `ab --layout`: never called.\n#[inline(never)]\n\
+           fn ab_layout_pad(x: u64) -> u64 {\n    \
+           x.wrapping_mul(0x9E37_79B9_7F4A_7C15).rotate_left(17)\n}\n")
 }
 
 fn run(cmd: &mut Command) -> Result<String, String> {
@@ -168,10 +198,11 @@ fn main() {
 }
 
 fn compare(a: &Args) -> Result<(), String> {
-    let (base, change) = match (a.aa, a.sides.as_slice()) {
-        (true, [base]) => ((base.clone(), "A"), (base.clone(), "A'")),
-        (_, [base]) => ((base.clone(), "parent"), (".".to_string(), "change")),
-        (_, [base, change]) => ((base.clone(), "parent"), (change.clone(), "change")),
+    let (base, change) = match a.sides.as_slice() {
+        [base] if a.aa => ((base.clone(), "A"), (base.clone(), "A'")),
+        [base] if a.layout => ((base.clone(), "A"), (base.clone(), "A+pad")),
+        [base] => ((base.clone(), "parent"), (".".to_string(), "change")),
+        [base, change] => ((base.clone(), "parent"), (change.clone(), "change")),
         _ => unreachable!("checked by parse_args"),
     };
     let mut sides = Vec::new();
@@ -179,8 +210,16 @@ fn compare(a: &Args) -> Result<(), String> {
         let dir = a.dir.join(["a", "b"][i]);
         std::fs::create_dir_all(&dir).map_err(|e| format!("{}: {e}", dir.display()))?;
         let dir = std::fs::canonicalize(&dir).map_err(|e| e.to_string())?;
-        let side =
-            Side { rev: rev.clone(), label, src: source(&rev, &dir)?, target: dir.join("target") };
+        let src = source(&rev, &dir)?;
+        if a.layout && i == 1 {
+            if Path::new(&rev).join(RUN_SH).is_file() {
+                return Err(format!("--layout {rev}: give a revision, not a checkout"));
+            }
+            let path = src.join(KNOR_RS);
+            let text = std::fs::read_to_string(&path).map_err(|e| format!("{KNOR_RS}: {e}"))?;
+            std::fs::write(&path, pad_layout(&text)?).map_err(|e| format!("{KNOR_RS}: {e}"))?;
+        }
+        let side = Side { rev: rev.clone(), label, src, target: dir.join("target") };
         eprintln!("ab: building {} ({}) in {}", side.label, side.rev, side.target.display());
         side.bench(&["--list"])?;
         sides.push(side);
@@ -279,6 +318,9 @@ mod tests {
         assert_eq!((a.pairs, a.seconds.as_str()), (4, "10"));
         assert_eq!(a.sides, ["HEAD~1", "HEAD"]);
         assert!(args("--aa --workload im_dense HEAD").unwrap().aa);
+        let layout = args("--layout --workload im_dense HEAD").unwrap();
+        assert!(layout.layout && !layout.aa);
+        assert_eq!(layout.sides, ["HEAD"]);
         for bad in [
             "HEAD",
             "--workload w",
@@ -286,9 +328,27 @@ mod tests {
             "--workload w A B C",
             "--workload w --pairs 0 A",
             "--frob --workload w A",
+            "--layout --workload w A B",
+            "--layout --workload w",
+            "--aa --layout --workload w A",
         ] {
             assert!(args(bad).is_err(), "{bad}");
         }
+    }
+
+    /// `--layout` adds one function and one line that takes its address,
+    /// and refuses a source it cannot place them in.
+    #[test]
+    fn layout_padding_adds_one_uncalled_function() {
+        let src = "use std::x;\n\nfn main() {\n    run();\n}\n";
+        let padded = pad_layout(src).unwrap();
+        assert!(padded.starts_with(
+            "use std::x;\n\nfn main() {\n    std::hint::black_box(ab_layout_pad as fn(u64) -> u64);\n    run();\n}\n"
+        ));
+        assert!(padded.contains("#[inline(never)]\nfn ab_layout_pad(x: u64) -> u64 {"));
+        assert_eq!(padded.matches("ab_layout_pad").count(), 2);
+        assert!(pad_layout("fn helper() {}\n").is_err());
+        assert!(pad_layout("\nfn main() {\n}\n\nfn main() {\n}\n").is_err());
     }
 
     #[test]

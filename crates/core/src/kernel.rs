@@ -518,11 +518,27 @@ impl Scorer {
         best: &mut [u32],
         slack: &mut [f64],
     ) {
+        self.scan_by::<true>(block, cents, panel, best, slack);
+    }
+
+    /// [`Self::scan`]; with `WIDE = false` the AVX-512 scorer takes no
+    /// 32-column pass (see `x86::gemm_tile_avx512`), which only the tests'
+    /// oracle asks for.
+    fn scan_by<const WIDE: bool>(
+        self,
+        block: &[f64],
+        cents: &Centroids,
+        panel: &CentroidPanel,
+        best: &mut [u32],
+        slack: &mut [f64],
+    ) {
         assert!(self.usable(), "{self:?} scorer on a host without it");
         #[cfg(target_arch = "x86_64")]
         match self {
             // Safety: AVX-512F support verified by `usable`.
-            Scorer::Avx512 => return unsafe { x86::gemm_tile_avx512(block, panel, best, slack) },
+            Scorer::Avx512 => {
+                return unsafe { x86::gemm_tile_avx512::<WIDE>(block, panel, best, slack) }
+            }
             // Safety: FMA + AVX2 support verified by `usable`.
             Scorer::Fma => return unsafe { x86::gemm_tile_fma(block, panel, best, slack) },
             Scorer::Portable => {}
@@ -596,7 +612,7 @@ fn certify(
 /// does not depend on its group-mates.
 #[cfg(target_arch = "x86_64")]
 mod x86 {
-    use super::{sqnorm, CentroidPanel, ROW_MARGIN};
+    use super::{prefetch_row, sqnorm, CentroidPanel, PF, ROW_MARGIN};
     use std::arch::x86_64::{__m256d, __m512d, __m512i};
 
     /// Row pointers for the 4-row group at `r`, the last real row standing
@@ -680,9 +696,20 @@ mod x86 {
     }
 
     /// The AVX-512 variant of [`gemm_tile_fma`]: the same packed-transpose
-    /// layout (`k` padded to 16) with a **four rows × sixteen centroids**
-    /// micro-kernel — two 8-wide panel loads and four broadcasts feed eight
-    /// independent zmm FMA accumulators per dimension.
+    /// layout (`k` padded to 16), with the panel scored in **four rows ×
+    /// thirty-two centroids** passes ([`pass`] with four column groups:
+    /// four 8-wide panel loads and four broadcasts feed sixteen independent
+    /// zmm FMA accumulators per dimension) and, when `kp % 32 == 16`, one
+    /// **four rows × sixteen centroids** pass for the last sixteen columns.
+    /// Before each 4-row group it hints the group [`PF`] rows ahead into
+    /// cache, within the block.
+    ///
+    /// Each lane sees its columns `l`, `l + 8`, `l + 16`, … in ascending
+    /// order whatever the pass width, and each dot product is one FMA chain
+    /// over `j`, so the winner and runner-up do not depend on the width.
+    /// `WIDE = false` scores the whole panel in sixteen-column passes: the
+    /// scorer as it was before the 32-column block, which the tests keep
+    /// as its oracle.
     ///
     /// The winner scan is vectorized too: scores `‖c‖² − 2·dot` come from
     /// one `fnmadd` per lane (the `2·dot` scale is exact, so each score
@@ -698,7 +725,7 @@ mod x86 {
     /// # Safety
     /// Caller must have verified AVX-512F support at runtime.
     #[target_feature(enable = "avx512f")]
-    pub unsafe fn gemm_tile_avx512(
+    pub unsafe fn gemm_tile_avx512<const WIDE: bool>(
         block: &[f64],
         panel: &CentroidPanel,
         best: &mut [u32],
@@ -708,44 +735,80 @@ mod x86 {
         let (d, kp, m) = (panel.d, panel.kp, best.len());
         assert!(kp % 16 == 0 && panel.packed.len() >= kp * d && panel.cnorms.len() >= kp);
         assert!(m > 0 && slack.len() == m && block.len() == m * d);
-        let pk = panel.packed.as_ptr();
-        let pcn = panel.cnorms.as_ptr();
-        let iota = _mm512_set_epi64(7, 6, 5, 4, 3, 2, 1, 0);
-        let two = _mm512_set1_pd(2.0);
+        let wide_end = if WIDE { kp - kp % 32 } else { 0 };
         let inf = _mm512_set1_pd(f64::INFINITY);
         for r in (0..m).step_by(4) {
+            prefetch_row(&block[(r + PF).min(m) * d..(r + PF + 4).min(m) * d]);
             let rows = group(block, d, m, r);
-            let (mut vs, mut v2, mut vi) = ([inf; 4], [inf; 4], [_mm512_setzero_si512(); 4]);
-            for c16 in (0..kp).step_by(16) {
-                let pb = pk.add(c16);
-                let mut acc = [_mm512_setzero_pd(); 8];
-                for j in 0..d {
-                    let b0 = _mm512_loadu_pd(pb.add(j * kp));
-                    let b1 = _mm512_loadu_pd(pb.add(j * kp + 8));
-                    for (rr, row) in rows.iter().enumerate() {
-                        let a = _mm512_set1_pd(*row.add(j));
-                        acc[2 * rr] = _mm512_fmadd_pd(a, b0, acc[2 * rr]);
-                        acc[2 * rr + 1] = _mm512_fmadd_pd(a, b1, acc[2 * rr + 1]);
-                    }
-                }
-                for (h, c) in [c16, c16 + 8].into_iter().enumerate() {
-                    let cn = _mm512_loadu_pd(pcn.add(c));
-                    let idx = _mm512_add_epi64(iota, _mm512_set1_epi64(c as i64));
-                    for rr in 0..4 {
-                        let s = _mm512_fnmadd_pd(two, acc[2 * rr + h], cn);
-                        let lt = _mm512_cmp_pd_mask::<_CMP_LT_OQ>(s, vs[rr]);
-                        // `min_pd` returns its second operand when either
-                        // is NaN: a NaN score never displaces a runner-up.
-                        v2[rr] = _mm512_mask_blend_pd(lt, _mm512_min_pd(s, v2[rr]), vs[rr]);
-                        vs[rr] = _mm512_mask_blend_pd(lt, vs[rr], s);
-                        vi[rr] = _mm512_mask_blend_epi64(lt, vi[rr], idx);
-                    }
-                }
+            let mut lanes = Lanes { vs: [inf; 4], v2: [inf; 4], vi: [_mm512_setzero_si512(); 4] };
+            for c in (0..wide_end).step_by(32) {
+                pass::<4>(&rows, panel, c, &mut lanes);
+            }
+            for c in (wide_end..kp).step_by(16) {
+                pass::<2>(&rows, panel, c, &mut lanes);
             }
             for (rr, &row) in rows.iter().enumerate().take(m - r) {
-                let (w, s1, s2) = lanes_avx512(vs[rr], v2[rr], vi[rr]);
+                let (w, s1, s2) = lanes_avx512(lanes.vs[rr], lanes.v2[rr], lanes.vi[rr]);
                 let xnorm = sqnorm_avx512(row, d);
                 (best[r + rr], slack[r + rr]) = (w, panel.slack(xnorm, s1, s2, 1.0));
+            }
+        }
+    }
+
+    /// Per row of a 4-row group and per lane: the champion score, the
+    /// runner-up and the champion's index.
+    struct Lanes {
+        vs: [__m512d; 4],
+        v2: [__m512d; 4],
+        vi: [__m512i; 4],
+    }
+
+    /// One [`gemm_tile_avx512`] pass: the four rows at `rows` against the
+    /// `8·G` panel columns from `c` on, `4·G` FMA accumulators over the
+    /// whole `d` loop, then each column group's scores offered to `lanes`
+    /// in ascending column order.
+    ///
+    /// # Safety
+    /// Caller must have verified AVX-512F support at runtime; `rows` must
+    /// point at `d` readable values each and `c + 8·G ≤ kp`.
+    #[target_feature(enable = "avx512f")]
+    #[inline]
+    unsafe fn pass<const G: usize>(
+        rows: &[*const f64; 4],
+        panel: &CentroidPanel,
+        c: usize,
+        lanes: &mut Lanes,
+    ) {
+        use std::arch::x86_64::*;
+        let (d, kp) = (panel.d, panel.kp);
+        let pb = panel.packed.as_ptr().add(c);
+        let mut acc = [[_mm512_setzero_pd(); G]; 4];
+        for j in 0..d {
+            let mut b = [_mm512_setzero_pd(); G];
+            for (g, bg) in b.iter_mut().enumerate() {
+                *bg = _mm512_loadu_pd(pb.add(j * kp + 8 * g));
+            }
+            for (acc, row) in acc.iter_mut().zip(rows) {
+                let a = _mm512_set1_pd(*row.add(j));
+                for (acc, &bg) in acc.iter_mut().zip(&b) {
+                    *acc = _mm512_fmadd_pd(a, bg, *acc);
+                }
+            }
+        }
+        let (iota, two) = (_mm512_set_epi64(7, 6, 5, 4, 3, 2, 1, 0), _mm512_set1_pd(2.0));
+        for g in 0..G {
+            let cg = c + 8 * g;
+            let cn = _mm512_loadu_pd(panel.cnorms.as_ptr().add(cg));
+            let idx = _mm512_add_epi64(iota, _mm512_set1_epi64(cg as i64));
+            for (rr, acc) in acc.iter().enumerate() {
+                let s = _mm512_fnmadd_pd(two, acc[g], cn);
+                let (vs, v2, vi) = (&mut lanes.vs[rr], &mut lanes.v2[rr], &mut lanes.vi[rr]);
+                let lt = _mm512_cmp_pd_mask::<_CMP_LT_OQ>(s, *vs);
+                // `min_pd` returns its second operand when either is NaN:
+                // a NaN score never displaces a runner-up.
+                *v2 = _mm512_mask_blend_pd(lt, _mm512_min_pd(s, *v2), *vs);
+                *vs = _mm512_mask_blend_pd(lt, *vs, s);
+                *vi = _mm512_mask_blend_epi64(lt, *vi, idx);
             }
         }
     }
@@ -865,18 +928,12 @@ mod x86 {
     /// An AVX2 scorer's four lanes to its row's winner, the winner's score
     /// and the runner-up: the least champion with the lowest index among
     /// equals, and the least of every lane's runner-up and every other
-    /// lane's champion.
-    ///
-    /// # Safety
-    /// Caller must have verified AVX2 support at runtime.
+    /// lane's champion. A safe `#[target_feature]` function, like
+    /// [`lanes_avx512`].
     #[target_feature(enable = "avx2")]
     #[inline]
-    unsafe fn lanes_fma(vs: __m256d, v2: __m256d, vi: __m256d) -> (u32, f64, f64) {
-        use std::arch::x86_64::*;
-        let (mut sv, mut s2v, mut iv) = ([0.0f64; 4], [0.0f64; 4], [0.0f64; 4]);
-        _mm256_storeu_pd(sv.as_mut_ptr(), vs);
-        _mm256_storeu_pd(s2v.as_mut_ptr(), v2);
-        _mm256_storeu_pd(iv.as_mut_ptr(), vi);
+    fn lanes_fma(vs: __m256d, v2: __m256d, vi: __m256d) -> (u32, f64, f64) {
+        let (sv, s2v, iv) = (lanes4(vs), lanes4(v2), lanes4(vi));
         let mut lane = 0;
         for l in 1..4 {
             if sv[l] < sv[lane] || (sv[l] == sv[lane] && iv[l] < iv[lane]) {
@@ -891,6 +948,20 @@ mod x86 {
             }
         }
         (iv[lane] as u32, sv[lane], s2)
+    }
+
+    /// The four lanes of `v`, lowest first.
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    fn lanes4(v: __m256d) -> [f64; 4] {
+        use std::arch::x86_64::*;
+        let (lo, hi) = (_mm256_castpd256_pd128(v), _mm256_extractf128_pd::<1>(v));
+        [
+            _mm_cvtsd_f64(lo),
+            _mm_cvtsd_f64(_mm_unpackhi_pd(lo, lo)),
+            _mm_cvtsd_f64(hi),
+            _mm_cvtsd_f64(_mm_unpackhi_pd(hi, hi)),
+        ]
     }
 
     /// An AVX-512 scorer's eight lanes to its row's winner, the winner's
@@ -1265,6 +1336,42 @@ mod tests {
         }
     }
 
+    /// The AVX-512 scorer's 32-column passes and their 16-column tail give
+    /// the `(best, slack)` bits of 16-column passes alone, at every panel
+    /// remainder (`kp % 32` is 0 or 16) and at group counts that end at,
+    /// before and past the prefetch distance. The last centroid duplicates
+    /// the first, so some rows have a zero gap and an uncertified slack.
+    #[test]
+    fn avx512_blocks_are_bitwise_the_16_column_pass() {
+        if !Scorer::Avx512.usable() {
+            return;
+        }
+        for d in [7usize, 32] {
+            for k in [1usize, 16, 17, 32, 33, 48, 49, 64, 80] {
+                for m in [1usize, 3, 4, 5, 8, 9, 12, 37, 512] {
+                    let (block, mut cents) =
+                        random_case(m, k, d, (d * 10_000 + k * 100 + m) as u64);
+                    let first = cents.mean(0).to_vec();
+                    cents.means[(k - 1) * d..].copy_from_slice(&first);
+                    let mut panel = CentroidPanel::default();
+                    panel.pack(&cents);
+                    let scan = |wide: bool| {
+                        let (mut best, mut slack) = (vec![0; m], vec![0.0; m]);
+                        if wide {
+                            Scorer::Avx512
+                                .scan_by::<true>(&block, &cents, &panel, &mut best, &mut slack);
+                        } else {
+                            Scorer::Avx512
+                                .scan_by::<false>(&block, &cents, &panel, &mut best, &mut slack);
+                        }
+                        (best, bits(&slack))
+                    };
+                    assert_eq!(scan(true), scan(false), "k={k} m={m} d={d}");
+                }
+            }
+        }
+    }
+
     #[test]
     fn gemm_matches_the_reference_at_large_d() {
         // Two AVX-512 panel widths' worth of dimensions and a ragged tail.
@@ -1298,11 +1405,11 @@ mod tests {
         /// whose norms fit `f64` while their distances overflow.
         #[test]
         fn certified_gemm_is_the_exact_scan(
-            shape in (0usize..5, 0usize..4, 0usize..3),
+            shape in (0usize..5, 0usize..7, 0usize..3),
             input in (0usize..5, 0u64..1_000_000),
         ) {
             let (di, ki, mag) = shape;
-            let (d, k) = ([1, 3, 7, 32, 257][di], [1, 2, 17, 64][ki]);
+            let (d, k) = ([1, 3, 7, 32, 257][di], [1, 2, 17, 33, 48, 64, 80][ki]);
             let (kind, seed) = input;
             let scale = [1e-150, 1.0, 1e150][mag];
             let mut rng = ChaCha8Rng::seed_from_u64(seed);

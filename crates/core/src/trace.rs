@@ -476,8 +476,11 @@ impl PhaseBreakdown {
     }
 
     /// The `--stats` table: one row per phase group with total, max and
-    /// spread (all in ms), over `tracks.len()` worker tracks.
-    pub fn render(&self) -> String {
+    /// spread (all in ms), over `tracks.len()` worker tracks. It leaves out
+    /// the rows no engine fills: `publish` always, and `io_wait` unless
+    /// `io_wait` is set (knors' device reads, knord's allreduce; knori has
+    /// neither).
+    pub fn render(&self, io_wait: bool) -> String {
         let ms = |ns: u64| format!("{:.2}", ns as f64 / 1e6);
         let mut out = format!(
             "phase breakdown over {} worker track(s) ({} spans{}):\n",
@@ -489,7 +492,12 @@ impl PhaseBreakdown {
             "{:>13} {:>12} {:>10} {:>10}\n",
             "phase", "total_ms", "max_ms", "spread_ms"
         ));
-        for g in PhaseGroup::ALL {
+        let shown = |g: &PhaseGroup| match g {
+            PhaseGroup::Publish => false,
+            PhaseGroup::IoWait => io_wait,
+            _ => true,
+        };
+        for g in PhaseGroup::ALL.into_iter().filter(shown) {
             let row = self.group_ns(g);
             let max = row.iter().copied().max().unwrap_or(0);
             out.push_str(&format!(
@@ -592,7 +600,17 @@ mod tests {
         assert_eq!(b.group_spread_ns(PhaseGroup::Compute), 200);
         assert_eq!(b.group_spread_ns(PhaseGroup::BarrierWait), 200);
         assert_eq!(b.group_total_ns(PhaseGroup::Compute), 400);
-        assert!(!b.render().is_empty());
+        // The table's rows are the groups some engine fills.
+        let rows = |io_wait: bool| -> Vec<String> {
+            let table = b.render(io_wait);
+            table
+                .lines()
+                .skip(2)
+                .map(|l| l.split_whitespace().next().unwrap().to_string())
+                .collect()
+        };
+        assert_eq!(rows(false), ["compute", "barrier_wait", "merge"]);
+        assert_eq!(rows(true), ["compute", "barrier_wait", "io_wait", "merge"]);
     }
 
     #[test]

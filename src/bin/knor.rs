@@ -250,15 +250,16 @@ fn kernel_note(run: &RunSpec, d: usize) -> String {
 
 /// Post-run trace sinks: chrome-trace JSON to the `--trace` file and the
 /// phase-group breakdown table under `--stats`.
-fn finish_trace(o: &Opts, buf: Option<&Arc<TraceBuf>>, phases: Option<&PhaseBreakdown>) {
+fn finish_trace(o: &Opts, buf: Option<&Arc<TraceBuf>>, fitted: &Fitted) {
     if let (Some(path), Some(buf)) = (o.trace.as_ref(), buf) {
         std::fs::write(path, buf.chrome_trace_json())
             .unwrap_or_else(|e| die(&format!("cannot write trace to {}: {e}", path.display())));
         println!("trace: wrote {}", path.display());
     }
     if o.stats {
-        if let Some(p) = phases.filter(|p| !p.is_empty()) {
-            print!("{}", p.render());
+        if let Some(p) = fitted.phases().filter(|p| !p.is_empty()) {
+            // knori neither reads a device nor talks to a rank.
+            print!("{}", p.render(!matches!(fitted, Fitted::Im(_))));
         }
     }
 }
@@ -353,7 +354,7 @@ fn main() {
                     }
                 }
             }
-            finish_trace(&o, o.run.trace.as_ref(), fitted.phases());
+            finish_trace(&o, o.run.trace.as_ref(), &fitted);
         }
         "serve" => {
             // `-t` is accepted and sizes nothing: each connection's thread

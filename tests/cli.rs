@@ -453,6 +453,43 @@ fn sem_stats_print_one_request_path_line_that_parses() {
     }
 }
 
+/// The `--stats` phase table shows only rows an engine can fill: no
+/// engine publishes anything, and knori neither reads a device nor
+/// allreduces, so its table has neither `publish` nor `io_wait`; knors'
+/// and knord's keep `io_wait`.
+#[test]
+fn the_phase_table_has_no_row_the_engine_never_fills() {
+    let file = gen_small("phase-rows.knor");
+    let path = file.to_str().unwrap();
+    let caches = ["--row-cache", "1", "--page-cache", "1"];
+    for (engine, io_wait) in [
+        (vec!["im", path], false),
+        (vec!["sem", path], true),
+        (vec!["dist", path, "--ranks", "2"], true),
+    ] {
+        let run = knor()
+            .args(&engine)
+            .args(if engine[0] == "sem" { &caches[..] } else { &[] })
+            .args(["-k", "6", "-i", "4", "-t", "2", "--stats"])
+            .output()
+            .expect("spawn knor");
+        assert!(run.status.success(), "{engine:?}: {}", String::from_utf8_lossy(&run.stderr));
+        let stdout = String::from_utf8_lossy(&run.stdout);
+        let rows: Vec<&str> = stdout
+            .lines()
+            .skip_while(|l| !l.starts_with("phase breakdown"))
+            .skip(2)
+            .filter_map(|l| l.split_whitespace().next())
+            .collect();
+        let want: &[&str] = if io_wait {
+            &["compute", "barrier_wait", "io_wait", "merge"]
+        } else {
+            &["compute", "barrier_wait", "merge"]
+        };
+        assert_eq!(rows, want, "{engine:?}:\n{stdout}");
+    }
+}
+
 /// `knor … | head -1`: a reader that closes stdout — before anything is
 /// printed, or after the first line — ends the process quietly, exit 0 and
 /// nothing about a panic on stderr.

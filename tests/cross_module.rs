@@ -79,14 +79,23 @@ fn all_modules_agree_on_one_init() {
 /// keeps the exact contract across engines: in single-worker deterministic
 /// configurations, knori, knors and knord each reproduce the serial
 /// reference *bitwise* — assignments, centroids and iteration count.
+///
+/// `k` covers the AVX-512 scorer's pass shapes: 9 pads to 16 columns (the
+/// 16-column pass alone), 40 to 48 (a 32-column block and a 16-column
+/// tail), 64 is two 32-column blocks.
 #[test]
 fn gemm_bitwise_matches_serial_across_all_three_engines() {
     let (data, _) = workload(1200, 6, 202);
-    let k = 9;
-    let init = InitMethod::Forgy.initialize(&data, k, 23).to_matrix();
+    for k in [9, 40, 64] {
+        bitwise_serial_on_every_engine(&data, k);
+    }
+}
+
+fn bitwise_serial_on_every_engine(data: &DMatrix, k: usize) {
+    let init = InitMethod::Forgy.initialize(data, k, 23).to_matrix();
     let max_iters = 70;
-    let serial = lloyd_serial(&data, k, &InitMethod::Given(init.clone()), 0, max_iters, 0.0);
-    assert!(serial.converged);
+    let serial = lloyd_serial(data, k, &InitMethod::Given(init.clone()), 0, max_iters, 0.0);
+    assert!(serial.converged, "k={k}: serial did not converge");
 
     // knori.
     let im = Kmeans::new(
@@ -98,14 +107,14 @@ fn gemm_bitwise_matches_serial_across_all_three_engines() {
             .with_kernel(KernelKind::Tiled)
             .with_max_iters(max_iters),
     )
-    .fit(&data);
-    assert_eq!(im.assignments, serial.assignments, "knori assignments");
-    assert_eq!(im.centroids, serial.centroids, "knori centroids must match bitwise");
-    assert_eq!(im.niters, serial.niters);
+    .fit(data);
+    assert_eq!(im.assignments, serial.assignments, "knori assignments, k={k}");
+    assert_eq!(im.centroids, serial.centroids, "knori centroids must match bitwise, k={k}");
+    assert_eq!(im.niters, serial.niters, "knori, k={k}");
 
     // knors (no row cache, one thread: rows process in serial order).
     let path = TempFile::new(format!("knor-cross-tiled-{}.knor", std::process::id()));
-    matrix_io::write_matrix(&path, &data).unwrap();
+    matrix_io::write_matrix(&path, data).unwrap();
     let sem = SemKmeans::new(
         SemConfig::new(k)
             .with_init(SemInit::Given(init.clone()))
@@ -121,9 +130,9 @@ fn gemm_bitwise_matches_serial_across_all_three_engines() {
     .fit(&path)
     .unwrap();
     drop(path);
-    assert_eq!(sem.kmeans.assignments, serial.assignments, "knors assignments");
-    assert_eq!(sem.kmeans.centroids, serial.centroids, "knors centroids must match bitwise");
-    assert_eq!(sem.kmeans.niters, serial.niters);
+    assert_eq!(sem.kmeans.assignments, serial.assignments, "knors assignments, k={k}");
+    assert_eq!(sem.kmeans.centroids, serial.centroids, "knors centroids must match bitwise, k={k}");
+    assert_eq!(sem.kmeans.niters, serial.niters, "knors, k={k}");
 
     // knord (one rank, one thread).
     let dist = DistKmeans::new(
@@ -133,10 +142,10 @@ fn gemm_bitwise_matches_serial_across_all_three_engines() {
             .with_kernel(KernelKind::Tiled)
             .with_max_iters(max_iters),
     )
-    .fit(&data);
-    assert_eq!(dist.assignments, serial.assignments, "knord assignments");
-    assert_eq!(dist.centroids, serial.centroids, "knord centroids must match bitwise");
-    assert_eq!(dist.niters, serial.niters);
+    .fit(data);
+    assert_eq!(dist.assignments, serial.assignments, "knord assignments, k={k}");
+    assert_eq!(dist.centroids, serial.centroids, "knord centroids must match bitwise, k={k}");
+    assert_eq!(dist.niters, serial.niters, "knord, k={k}");
 }
 
 /// The certified gemm contract across engines: the FMA spelling and the

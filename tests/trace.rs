@@ -263,7 +263,11 @@ fn knors_phase_table_sums_within_the_run() {
         let mine = || spans.iter().filter(|s| s.worker == tid);
         let covered =
             mine().map(|s| s.t_end).max().unwrap() - mine().map(|s| s.t_start).min().unwrap();
-        assert!(sum <= covered, "track {c}: {sum} ns of phases in {covered} ns\n{}", bd.render());
+        assert!(
+            sum <= covered,
+            "track {c}: {sum} ns of phases in {covered} ns\n{}",
+            bd.render(true)
+        );
         assert!(sum <= run_ns, "track {c}: {sum} ns of phases in a {run_ns} ns run");
         let io = bd.group_ns(PhaseGroup::IoWait)[c];
         assert!(io > 0, "track {c}: no device wait in a run that reads every row");
