@@ -21,7 +21,7 @@
 //! one workload after the other in the order given, pair `i` runs `run.sh
 //! --workload W --seed N --seconds S --trace T` on both sides, A first when
 //! `i` is even and B first when it is odd, with [`PAUSE`] between runs. The
-//! raw result lines go to `D/ab-<W>-trace<T>.jsonl`, each workload's table
+//! raw result lines go to `D/ab-<W>-seed<N>-trace<T>.jsonl`, each workload's table
 //! to standard output as soon as its pairs are done.
 //!
 //! ```sh
@@ -244,7 +244,8 @@ fn compare_workload(
     sides: &[Side],
     benchmark: &Json,
 ) -> Result<(), String> {
-    let log_path = a.dir.join(format!("ab-{workload}-trace{}.jsonl", a.trace));
+    // The seed is in the name: two seeds' runs in one `--dir` keep both logs.
+    let log_path = a.dir.join(format!("ab-{workload}-seed{}-trace{}.jsonl", a.seed, a.trace));
     let mut log = String::new();
     let mut pairs = Vec::with_capacity(a.pairs);
     let run_args =

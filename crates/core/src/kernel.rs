@@ -457,7 +457,9 @@ pub fn fma_usable() -> bool {
 /// How many kept rows ahead of the current one a filtered scan hints into
 /// cache: MTI's bounded commit and k-means++'s D² pass. A filter leaves
 /// gaps between the rows it keeps, so the hardware's stride prefetcher
-/// does not follow them.
+/// does not follow them. The AVX-512 block scan hints its 4-row groups
+/// this many rows ahead too: it reads consecutive rows, yet the hint pays
+/// there as well (DESIGN.md §7).
 pub(crate) const PF: usize = 8;
 
 /// Hint every cache line of `row` into L1.
@@ -606,10 +608,11 @@ fn certify(
     rescored
 }
 
-/// AVX2/FMA and AVX-512 gemm scorers. Each evaluates **four rows × one
-/// panel pass** at a time. The last group of a block repeats its last row
-/// in the missing slots and stores only the real ones; a row's arithmetic
-/// does not depend on its group-mates.
+/// AVX2/FMA and AVX-512 gemm scorers. Each evaluates four rows at a time:
+/// **4 × 8** passes on AVX2, **4 × 32** passes and a **4 × 16** tail on
+/// AVX-512. The last group of a block repeats its last row in the missing
+/// slots and stores only the real ones; a row's arithmetic does not depend
+/// on its group-mates.
 #[cfg(target_arch = "x86_64")]
 mod x86 {
     use super::{prefetch_row, sqnorm, CentroidPanel, PF, ROW_MARGIN};
@@ -1336,6 +1339,19 @@ mod tests {
         }
     }
 
+    /// The AVX-512 scorer's raw `(best, slack)` bits, with or without its
+    /// 32-column passes.
+    fn avx512<const WIDE: bool>(
+        block: &[f64],
+        cents: &Centroids,
+        panel: &CentroidPanel,
+    ) -> (Vec<u32>, Vec<u64>) {
+        let m = block.len() / cents.d;
+        let (mut best, mut slack) = (vec![0; m], vec![0.0; m]);
+        Scorer::Avx512.scan_by::<WIDE>(block, cents, panel, &mut best, &mut slack);
+        (best, bits(&slack))
+    }
+
     /// The AVX-512 scorer's 32-column passes and their 16-column tail give
     /// the `(best, slack)` bits of 16-column passes alone, at every panel
     /// remainder (`kp % 32` is 0 or 16) and at group counts that end at,
@@ -1355,18 +1371,11 @@ mod tests {
                     cents.means[(k - 1) * d..].copy_from_slice(&first);
                     let mut panel = CentroidPanel::default();
                     panel.pack(&cents);
-                    let scan = |wide: bool| {
-                        let (mut best, mut slack) = (vec![0; m], vec![0.0; m]);
-                        if wide {
-                            Scorer::Avx512
-                                .scan_by::<true>(&block, &cents, &panel, &mut best, &mut slack);
-                        } else {
-                            Scorer::Avx512
-                                .scan_by::<false>(&block, &cents, &panel, &mut best, &mut slack);
-                        }
-                        (best, bits(&slack))
-                    };
-                    assert_eq!(scan(true), scan(false), "k={k} m={m} d={d}");
+                    assert_eq!(
+                        avx512::<true>(&block, &cents, &panel),
+                        avx512::<false>(&block, &cents, &panel),
+                        "k={k} m={m} d={d}"
+                    );
                 }
             }
         }
