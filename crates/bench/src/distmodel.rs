@@ -8,7 +8,7 @@
 //! locations depend only on the counter ratios, which the real code
 //! produced — the models supply the hardware constants we do not have.
 
-use knor_mpi::{NetModel, ReduceAlgo};
+use knor_mpi::NetModel;
 
 /// Machine shape used in the paper's cluster runs: c4.8xlarge (18 physical
 /// cores on 2 sockets).
@@ -114,14 +114,6 @@ pub fn speedup_series(
 ) -> Vec<(usize, f64)> {
     let base = modeled_iter_ns(imp, work, 1, net);
     thread_counts.iter().map(|&t| (t, base / modeled_iter_ns(imp, work, t, net))).collect()
-}
-
-/// Which all-reduce a [`DistImpl`] uses (for reporting).
-pub fn reduce_of(imp: DistImpl) -> ReduceAlgo {
-    match imp {
-        DistImpl::Knord | DistImpl::PureMpi => ReduceAlgo::Ring,
-        DistImpl::MllibLike => ReduceAlgo::Star,
-    }
 }
 
 #[cfg(test)]

@@ -73,7 +73,7 @@ use knor_sched::{task_grid, Task, TaskQueue};
 use crate::algo::{MmAlgorithm, UpdateCtx};
 use crate::centroids::{finalize_means, Centroids, LocalAccum};
 use crate::distance::{dist, nearest};
-use crate::kernel::{KernelKind, ResolvedKernel};
+use crate::kernel::ResolvedKernel;
 use crate::plane::{DataPlane, DrainScratch};
 use crate::pruning::{mti_assign, MtiIterState, PruneCounters, Pruning, RowScan};
 use crate::stats::{CommitCounters, IterStats};
@@ -98,8 +98,9 @@ pub struct DriverConfig {
     pub pruning: Pruning,
     /// Rows per scheduler task.
     pub task_size: usize,
-    /// Assignment kernel for full scans (see [`crate::kernel`]).
-    pub kernel: KernelKind,
+    /// Assignment kernel for full scans: the run's shape picks it
+    /// ([`ResolvedKernel::for_shape`], set by `RunSpec::resolve`).
+    pub kernel: ResolvedKernel,
     /// Global row id of local row 0 (knord passes its rank's slice start;
     /// single-machine engines pass 0). Algorithms that key on global row
     /// identity — mini-batch subsampling — see `row_offset + r`.
@@ -313,7 +314,7 @@ pub fn run_mm<P: DataPlane + ?Sized, R: Reducer>(
     let uses_weights = algo.uses_weights();
     algo.prepare_init(&mut init);
 
-    let rk = cfg.kernel.resolve(k, d, cfg_pruning);
+    let rk = cfg.kernel;
 
     // Shared engine state (see "Shared state" in the module docs).
     let centroids = RwLock::new(init);
@@ -894,6 +895,7 @@ pub enum Filter<'a> {
 mod tests {
     use super::*;
     use crate::algo::LloydAlgo;
+    use crate::kernel::KernelKind;
     use crate::plane::SlicePlane;
     use knor_matrix::RowView;
     use knor_numa::Topology;
@@ -931,7 +933,7 @@ mod tests {
             tol: 0.0,
             pruning,
             task_size: 16,
-            kernel,
+            kernel: kernel.resolve(k, d, false),
             row_offset: 0,
             trace: None,
         }

@@ -7,8 +7,10 @@
 //! [`crate::distance::sqdist`]. Both kernels here give that answer bit for
 //! bit:
 //!
-//! * `Scalar` is `nearest` itself, row by row. It is the oracle, and
-//!   `Auto` picks it when `k·d ≤` [`SCALAR_CUTOFF`].
+//! * `Scalar` is `nearest` itself, row by row. It is the oracle, and a
+//!   run scans with it when `k·d ≤` [`SCALAR_CUTOFF`]
+//!   ([`ResolvedKernel::for_shape`], the one place a run's kernel is
+//!   chosen).
 //! * `Gemm` scores every candidate as `‖c‖² − 2·x·c`, a blocked `−2XCᵀ`
 //!   product against a transposed centroid panel ([`CentroidPanel`]; FMA
 //!   and AVX-512 micro-kernels where the host has them). Dot products cost
@@ -44,10 +46,15 @@
 use crate::centroids::Centroids;
 use crate::distance::{nearest, sqdist};
 
-/// Which assignment kernel a run requests (the `DriverConfig` knob).
+/// A kernel choice by name. Runs do not choose: [`RunSpec::resolve`]
+/// takes [`ResolvedKernel::for_shape`]. The kernel-level oracles force
+/// `Scalar` against `Gemm` through these names, and the benchmark harness
+/// times each one.
+///
+/// [`RunSpec::resolve`]: crate::spec::RunSpec::resolve
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum KernelKind {
-    /// Pick per shape: scalar for tiny `k·d`, GEMM otherwise.
+    /// The shape's choice, [`ResolvedKernel::for_shape`].
     #[default]
     Auto,
     /// The per-row `nearest` scan (the pre-kernel behaviour).
@@ -75,29 +82,7 @@ impl KernelKind {
     pub const NormTrick: KernelKind = KernelKind::Gemm;
 }
 
-impl KernelKind {
-    /// Parse a CLI spelling (`--kernel …`).
-    pub fn parse(s: &str) -> Option<Self> {
-        Some(match s {
-            "auto" => KernelKind::Auto,
-            "scalar" => KernelKind::Scalar,
-            "gemm" => KernelKind::Gemm,
-            _ => return None,
-        })
-    }
-
-    /// The CLI spelling of this knob.
-    pub fn name(self) -> &'static str {
-        match self {
-            KernelKind::Auto => "auto",
-            KernelKind::Scalar => "scalar",
-            KernelKind::Gemm => "gemm",
-        }
-    }
-}
-
-/// The kernel actually selected for a run, after the heuristic resolved
-/// `Auto`.
+/// The path a run's full scans take.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ResolvedKind {
     /// Per-row scans.
@@ -142,7 +127,8 @@ impl ResolvedKernel {
 }
 
 /// At or below this many multiply-adds per row (`k·d`), packing a panel
-/// costs more than it saves and `Auto` takes the scalar path.
+/// costs more than it saves and [`ResolvedKernel::for_shape`] takes the
+/// scalar path.
 pub const SCALAR_CUTOFF: usize = 64;
 
 /// L1 budget (bytes) each of the centroid tile and the row tile should fit
@@ -153,21 +139,33 @@ const TILE_BYTES: usize = 16 * 1024;
 /// smallest L2 the engines meet (a 64-centroid × 256-dimension panel slice).
 const L2_BLOCK_BYTES: usize = 128 * 1024;
 
-impl KernelKind {
-    /// Resolve the requested kernel for a `(k, d)` problem. The tiles come
-    /// from `d` alone. `pruning` is ignored: both kernels give `nearest`'s
-    /// exact distances, which is all MTI's bounds need. The argument stays
-    /// because the benchmark harness passes it.
-    pub fn resolve(self, k: usize, d: usize, _pruning: bool) -> ResolvedKernel {
+impl ResolvedKernel {
+    /// The kernel a run over `k` centroids of `d` dimensions scans with:
+    /// scalar when `k·d ≤` [`SCALAR_CUTOFF`], gemm otherwise, with tiles
+    /// from `d` alone. Every engine, the serve registry and the CLI's
+    /// `kernel:` line take it from here.
+    pub fn for_shape(k: usize, d: usize) -> Self {
         let row_bytes = (d.max(1)) * 8;
         let row_tile = (TILE_BYTES / row_bytes).clamp(8, 128);
         let cent_tile = (TILE_BYTES / row_bytes).max(4).min(k.max(1));
-        let kind = match self {
-            KernelKind::Scalar => ResolvedKind::Scalar,
-            KernelKind::Auto if k * d <= SCALAR_CUTOFF => ResolvedKind::Scalar,
-            KernelKind::Auto | KernelKind::Gemm => ResolvedKind::Gemm,
-        };
+        let kind = if k * d <= SCALAR_CUTOFF { ResolvedKind::Scalar } else { ResolvedKind::Gemm };
         ResolvedKernel { kind, row_tile, cent_tile }
+    }
+}
+
+impl KernelKind {
+    /// `Auto` is [`ResolvedKernel::for_shape`]; `Scalar` and `Gemm` force
+    /// their path with the same tiles. `pruning` is ignored: both kernels
+    /// give `nearest`'s exact distances, which is all MTI's bounds need.
+    /// The argument stays because the benchmark harness passes it.
+    pub fn resolve(self, k: usize, d: usize, _pruning: bool) -> ResolvedKernel {
+        let shaped = ResolvedKernel::for_shape(k, d);
+        let kind = match self {
+            KernelKind::Auto => shaped.kind,
+            KernelKind::Scalar => ResolvedKind::Scalar,
+            KernelKind::Gemm => ResolvedKind::Gemm,
+        };
+        ResolvedKernel { kind, ..shaped }
     }
 }
 
@@ -1261,34 +1259,30 @@ mod tests {
     }
 
     #[test]
-    fn auto_resolution_heuristics() {
-        // Tiny k·d falls back to scalar; everything else takes gemm, pruned
-        // or not.
-        assert_eq!(KernelKind::Auto.resolve(4, 8, false).kind, ResolvedKind::Scalar);
-        assert_eq!(KernelKind::Auto.resolve(4, 8, true).kind, ResolvedKind::Scalar);
-        for pruning in [false, true] {
-            assert_eq!(KernelKind::Auto.resolve(13, 5, pruning).kind, ResolvedKind::Gemm);
-            assert_eq!(KernelKind::Auto.resolve(64, 32, pruning).kind, ResolvedKind::Gemm);
-            assert_eq!(KernelKind::Gemm.resolve(2, 2, pruning).kind, ResolvedKind::Gemm);
-            assert_eq!(KernelKind::Scalar.resolve(64, 32, pruning).kind, ResolvedKind::Scalar);
+    fn the_shape_picks_the_kernel() {
+        // Tiny k·d takes scalar; everything else takes gemm.
+        assert_eq!(ResolvedKernel::for_shape(4, 8).kind, ResolvedKind::Scalar);
+        assert_eq!(ResolvedKernel::for_shape(8, 8).kind, ResolvedKind::Scalar);
+        assert_eq!(ResolvedKernel::for_shape(13, 5).kind, ResolvedKind::Gemm);
+        assert_eq!(ResolvedKernel::for_shape(64, 32).kind, ResolvedKind::Gemm);
+        // `Auto` is the shape's choice, pruned or not; the forced kinds
+        // keep its tiles.
+        for (k, d) in [(4usize, 8usize), (13, 5), (64, 32)] {
+            let shaped = ResolvedKernel::for_shape(k, d);
+            for pruning in [false, true] {
+                assert_eq!(KernelKind::Auto.resolve(k, d, pruning), shaped);
+                let forced =
+                    [KernelKind::Scalar, KernelKind::Gemm].map(|kind| kind.resolve(k, d, pruning));
+                assert_eq!(forced.map(|rk| rk.kind), [ResolvedKind::Scalar, ResolvedKind::Gemm]);
+                assert!(forced.iter().all(|rk| rk.row_tile == shaped.row_tile));
+            }
         }
         // Tile sizes shrink as d grows.
-        let small_d = KernelKind::Gemm.resolve(100, 4, false);
-        let large_d = KernelKind::Gemm.resolve(100, 500, false);
+        let small_d = ResolvedKernel::for_shape(100, 4);
+        let large_d = ResolvedKernel::for_shape(100, 500);
         assert!(small_d.row_tile >= large_d.row_tile);
         assert!(small_d.cent_tile >= large_d.cent_tile);
         assert!(large_d.row_tile >= 8 && large_d.cent_tile >= 4);
-    }
-
-    #[test]
-    fn kind_names_round_trip() {
-        for kind in [KernelKind::Auto, KernelKind::Scalar, KernelKind::Gemm] {
-            assert_eq!(KernelKind::parse(kind.name()), Some(kind));
-        }
-        // The deleted kernels' spellings are refused, not aliased.
-        for gone in ["tiled", "fma", "norm", "normtrick", "warp"] {
-            assert_eq!(KernelKind::parse(gone), None, "{gone}");
-        }
     }
 
     /// `Tiled`, `Fma` and `NormTrick` are names the benchmark harness

@@ -490,7 +490,7 @@ mod tests {
             tol: 0.0,
             pruning,
             task_size: 16,
-            kernel,
+            kernel: kernel.resolve(12, 3, false),
             row_offset: 0,
             trace: None,
         }

@@ -199,11 +199,6 @@ impl PruneCounters {
         self.one_cand_rows += o.one_cand_rows;
         self.gemm_rows += o.gemm_rows;
     }
-
-    /// Total pruned candidate computations (clauses 2+3).
-    pub fn pruned_candidates(&self) -> u64 {
-        self.clause2_prunes + self.clause3_prunes
-    }
 }
 
 /// Whether `threshold` prunes a candidate under `bound`: the clauses'

@@ -34,7 +34,7 @@ use crate::algo::{Algorithm, MmAlgorithm};
 use crate::centroids::Centroids;
 use crate::driver::{DriverConfig, DriverOutcome};
 use crate::init::InitMethod;
-use crate::kernel::KernelKind;
+use crate::kernel::ResolvedKernel;
 use crate::pruning::Pruning;
 use crate::stats::{InitStats, KmeansResult, MemoryFootprint, NumaReport, SettleStats};
 use crate::trace::{TraceBuf, TraceHandle};
@@ -70,8 +70,6 @@ pub struct RunSpec<X = ()> {
     pub task_size: usize,
     /// Compute the final SSE (one extra pass over the rows).
     pub compute_sse: bool,
-    /// Assignment kernel for full scans (see [`crate::kernel`]).
-    pub kernel: KernelKind,
     /// Clustering algorithm to run on the driver (see [`crate::algo`]).
     pub algo: Algorithm,
     /// Span recorder to attach to the run (see [`crate::trace`]); `None`
@@ -131,7 +129,6 @@ impl RunSpec {
             topology: None,
             task_size: DEFAULT_TASK_SIZE,
             compute_sse,
-            kernel: KernelKind::Auto,
             algo: Algorithm::Lloyd,
             trace: None,
             ext: (),
@@ -184,8 +181,6 @@ impl<X> RunSpec<X> {
         with_task_size(v: usize) => task_size = v.max(1);
         /// Toggle the final SSE pass.
         with_sse(v: bool) => compute_sse = v;
-        /// Choose the full-scan assignment kernel.
-        with_kernel(v: KernelKind) => kernel = v;
         /// Choose the clustering algorithm.
         with_algo(v: Algorithm) => algo = v;
         /// Attach a span recorder to the run.
@@ -213,7 +208,6 @@ impl<X> RunSpec<X> {
             topology: self.topology.clone(),
             task_size: self.task_size,
             compute_sse: self.compute_sse,
-            kernel: self.kernel,
             algo: self.algo.clone(),
             trace: self.trace.clone(),
             ext,
@@ -551,13 +545,6 @@ pub const KNOBS: &[Knob] = &[
         },
         get: |_| None,
     },
-    Knob {
-        key: "kernel",
-        flags: &["--kernel"],
-        expected: &["auto", "scalar", "gemm"],
-        set: |s, v| put(&mut s.kernel, KernelKind::parse(v).ok_or(Why::Expected)),
-        get: |s| Some(s.kernel.name().into()),
-    },
 ];
 
 fn put<T>(slot: &mut T, v: Result<T, Why>) -> Result<(), Why> {
@@ -819,7 +806,7 @@ impl<X> RunSpec<X> {
             tol: self.tol,
             pruning: self.scheme(),
             task_size: self.task_size,
-            kernel: self.kernel,
+            kernel: ResolvedKernel::for_shape(self.k, d),
             row_offset: rows.start,
             trace: self.trace.clone().map(|b| TraceHandle::with_pid(b, pid)),
         };
@@ -911,20 +898,14 @@ mod tests {
     use rand::{Rng, SeedableRng};
     use rand_chacha::ChaCha8Rng;
 
-    type Tokens =
-        ((usize, usize, u64, Option<usize>), (Pruning, InitMethod, Algorithm), KernelKind);
+    type Tokens = ((usize, usize, u64, Option<usize>), (Pruning, InitMethod, Algorithm));
 
     /// Everything a token can carry, for comparing descriptions.
     fn tokens(s: &RunSpec) -> Tokens {
-        (
-            (s.k, s.max_iters, s.seed, s.threads),
-            (s.pruning, s.init.clone(), s.algo.clone()),
-            s.kernel,
-        )
+        ((s.k, s.max_iters, s.seed, s.threads), (s.pruning, s.init.clone(), s.algo.clone()))
     }
 
     const PRUNINGS: [Pruning; 2] = [Pruning::None, Pruning::Mti];
-    const KERNELS: [KernelKind; 3] = [KernelKind::Auto, KernelKind::Scalar, KernelKind::Gemm];
 
     /// A description with every token-carrying knob drawn from `rng`.
     fn arbitrary(rng: &mut ChaCha8Rng) -> RunSpec {
@@ -945,7 +926,6 @@ mod tests {
             2 => Algorithm::Fuzzy { m: 1.0 + rng.gen_range(f64::EPSILON..9.0) },
             _ => Algorithm::MiniBatch { batch: rng.gen_range(1..100_000) },
         };
-        s.kernel = KERNELS[rng.gen_range(0..3usize)];
         s
     }
 
@@ -985,11 +965,6 @@ mod tests {
         let spelled: Vec<String> = alias.render().into_iter().map(|t| t.1).collect();
         assert!(spelled.contains(&"pp".to_string()));
         assert_eq!(alias.algo, Algorithm::MiniBatch { batch: 0 });
-        // The library's `Tiled`/`NormTrick`/`Fma` are `Gemm`, and are spelled so.
-        for alias in [KernelKind::Tiled, KernelKind::NormTrick, KernelKind::Fma] {
-            let gemm = RunSpec::<()>::new(3).with_kernel(alias).render();
-            assert!(gemm.contains(&("kernel", "gemm".to_string())), "{gemm:?}");
-        }
     }
 
     #[test]
@@ -1011,22 +986,6 @@ mod tests {
                 &[("pruning", "yinyang")],
                 "invalid value 'yinyang' for --pruning: expected none or mti",
                 "TRAIN: bad pruning (none|mti)",
-            ),
-            (
-                &[("--kernel", "warp")],
-                "invalid value 'warp' for --kernel: expected auto, scalar or gemm",
-                "TRAIN: bad kernel (auto|scalar|gemm)",
-            ),
-            // The deleted kernels' spellings are refused like any other.
-            (
-                &[("--kernel", "fma")],
-                "invalid value 'fma' for --kernel: expected auto, scalar or gemm",
-                "TRAIN: bad kernel (auto|scalar|gemm)",
-            ),
-            (
-                &[("kernel", "tiled")],
-                "invalid value 'tiled' for --kernel: expected auto, scalar or gemm",
-                "TRAIN: bad kernel (auto|scalar|gemm)",
             ),
             (
                 &[("--init", "banana")],
@@ -1082,6 +1041,8 @@ mod tests {
             ),
             (&[("frobnicate", "1")], "unknown knob 'frobnicate'", "TRAIN: unknown knob 'frobnicate'"),
             (&[("--tune", "on")], "unknown knob '--tune'", "TRAIN: unknown knob '--tune'"),
+            // The kernel follows the shape; there is no knob to set it.
+            (&[("kernel", "gemm")], "unknown knob 'kernel'", "TRAIN: unknown knob 'kernel'"),
             // A key, its flag and its long form are one knob.
             (&[("k", "3"), ("-k", "4")], "-k given more than once", "TRAIN: -k given more than once"),
             (
@@ -1209,7 +1170,7 @@ mod tests {
         // What no entry point touches is the same everywhere.
         for s in [&library, &cli, &train.with_ext(())] {
             assert_eq!((s.k, s.tol, s.threads, s.task_size), (s.k, 0.0, None, DEFAULT_TASK_SIZE));
-            assert_eq!((s.pruning, s.kernel), Default::default());
+            assert_eq!(s.pruning, Pruning::default());
             assert_eq!(s.scheduler, SchedulerKind::NumaAware);
             assert_eq!(s.algo, Algorithm::Lloyd);
             assert!(s.topology.is_none() && s.trace.is_none());
@@ -1230,6 +1191,7 @@ mod tests {
         assert_eq!((r.driver.n, r.driver.row_offset, r.driver.nthreads), (30, 10, 4));
         assert_eq!(r.driver.pruning, Pruning::Mti);
         assert_eq!(r.placement.nrow(), 30);
+        assert_eq!(r.driver.kernel, ResolvedKernel::for_shape(4, 3));
         // Pruning is sound for Lloyd only.
         let fuzzy =
             base.clone().with_algo(Algorithm::Fuzzy { m: 2.0 }).resolve(0..100, 100, 3, None, 0);

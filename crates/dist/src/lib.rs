@@ -153,14 +153,6 @@ pub struct DistResult {
 }
 
 impl DistResult {
-    /// Mean measured wall time per iteration at rank 0, nanoseconds.
-    pub fn mean_iter_ns(&self) -> f64 {
-        if self.iters.is_empty() {
-            return 0.0;
-        }
-        self.iters.iter().map(|i| i.wall_ns as f64).sum::<f64>() / self.iters.len() as f64
-    }
-
     /// Sum of pruning counters across iterations.
     pub fn total_prune(&self) -> PruneCounters {
         let mut total = PruneCounters::default();
@@ -580,7 +572,7 @@ mod tests {
     use super::*;
     use knor_core::quality::agreement;
     use knor_core::serial::lloyd_serial;
-    use knor_core::{InitMethod, KernelKind, Pruning};
+    use knor_core::{InitMethod, Pruning, ResolvedKernel, ResolvedKind};
     use knor_sched::SchedulerKind;
     use knor_sem::SemPlaneConfig;
     use knor_workloads::MixtureSpec;
@@ -611,14 +603,15 @@ mod tests {
     #[test]
     fn gemm_kernel_bitwise_matches_serial_single_rank() {
         let data = mixture(500, 6, 31);
-        let k = 8;
+        // k·d = 66: the shape picks gemm.
+        let k = 11;
+        assert_eq!(ResolvedKernel::for_shape(k, 6).kind, ResolvedKind::Gemm);
         let init = InitMethod::Forgy.initialize(&data, k, 4).to_matrix();
         let serial = lloyd_serial(&data, k, &InitMethod::Given(init.clone()), 0, 60, 0.0);
         let dist = DistKmeans::new(
             DistConfig::new(k, 1, 1)
                 .with_init(InitMethod::Given(init))
                 .with_pruning(Pruning::None)
-                .with_kernel(KernelKind::Gemm)
                 .with_max_iters(60),
         )
         .fit(&data);
@@ -797,6 +790,6 @@ mod tests {
             assert!(it.modeled_comm_ns > 0.0);
             assert!(it.max_rank_comm_bytes >= it.comm_bytes);
         }
-        assert!(r.mean_iter_ns() > 0.0);
+        assert!(r.iters.iter().all(|it| it.wall_ns > 0));
     }
 }

@@ -152,20 +152,6 @@ pub fn decode_f64(bytes: &[u8]) -> Vec<f64> {
     bytes.chunks_exact(8).map(|c| f64::from_le_bytes(c.try_into().unwrap())).collect()
 }
 
-/// Encode an `i64` slice as little-endian bytes.
-pub fn encode_i64(xs: &[i64]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(xs.len() * 8);
-    for x in xs {
-        out.extend_from_slice(&x.to_le_bytes());
-    }
-    out
-}
-
-/// Decode little-endian bytes into `i64`s.
-pub fn decode_i64(bytes: &[u8]) -> Vec<i64> {
-    bytes.chunks_exact(8).map(|c| i64::from_le_bytes(c.try_into().unwrap())).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -221,8 +207,6 @@ mod tests {
     fn codecs_round_trip() {
         let xs = [1.5f64, -0.25, f64::MIN_POSITIVE];
         assert_eq!(decode_f64(&encode_f64(&xs)), xs);
-        let ys = [i64::MAX, -5, 0];
-        assert_eq!(decode_i64(&encode_i64(&ys)), ys);
     }
 
     #[test]

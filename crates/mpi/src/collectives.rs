@@ -1,4 +1,5 @@
-//! Collective operations: ring and star all-reduce, broadcast, gather.
+//! Collective operations: ring and star sum all-reduce, and a max
+//! all-reduce — the two knord runs on.
 //!
 //! knord's per-iteration global state is one all-reduce of `k·d` sums plus
 //! `k` counts. A bandwidth-optimal ring moves `2·(R-1)/R` of the payload
@@ -19,7 +20,7 @@
 //! per-rank traffic as the classic incremental ring, without imposing the
 //! ring's traversal order on the floating-point sums.
 
-use crate::cluster::{decode_f64, decode_i64, encode_f64, encode_i64, Comm};
+use crate::cluster::{decode_f64, encode_f64, Comm};
 
 /// Which all-reduce algorithm to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -33,10 +34,6 @@ pub enum ReduceAlgo {
 
 /// Split `len` into `parts` near-equal chunk ranges (ring chunking).
 fn chunks(len: usize, parts: usize) -> Vec<std::ops::Range<usize>> {
-    knor_chunks(len, parts)
-}
-
-fn knor_chunks(len: usize, parts: usize) -> Vec<std::ops::Range<usize>> {
     let base = len / parts;
     let extra = len % parts;
     let mut out = Vec::with_capacity(parts);
@@ -54,31 +51,6 @@ pub fn allreduce_f64(comm: &Comm, buf: &mut [f64], algo: ReduceAlgo) {
     match algo {
         ReduceAlgo::Ring => ring_allreduce(comm, buf),
         ReduceAlgo::Star => star_allreduce(comm, buf),
-    }
-}
-
-/// Sum-all-reduce an `i64` buffer (cluster counts).
-pub fn allreduce_i64(comm: &Comm, buf: &mut [i64]) {
-    // Counts are tiny (k entries): star is fine and simplest.
-    let r = comm.size();
-    if r == 1 {
-        return;
-    }
-    if comm.rank() == 0 {
-        for from in 1..r {
-            let other = decode_i64(&comm.recv(from));
-            for (a, b) in buf.iter_mut().zip(&other) {
-                *a += b;
-            }
-        }
-        let bytes = encode_i64(buf);
-        for to in 1..r {
-            comm.send(to, bytes.clone());
-        }
-    } else {
-        comm.send(0, encode_i64(buf));
-        let reduced = decode_i64(&comm.recv(0));
-        buf.copy_from_slice(&reduced);
     }
 }
 
@@ -177,69 +149,6 @@ pub fn allreduce_max_u64(comm: &Comm, value: u64) -> u64 {
     }
 }
 
-/// Broadcast `buf` from `root` to all ranks (binomial tree).
-pub fn broadcast_f64(comm: &Comm, buf: &mut [f64], root: usize) {
-    let r = comm.size();
-    if r == 1 {
-        return;
-    }
-    // Rotate so the root is virtual rank 0.
-    let vrank = (comm.rank() + r - root) % r;
-    let mut mask = 1usize;
-    // Receive phase: find our parent.
-    while mask < r {
-        if vrank & mask != 0 {
-            let parent = (vrank - mask + root) % r;
-            let data = decode_f64(&comm.recv(parent % r));
-            buf.copy_from_slice(&data);
-            break;
-        }
-        mask <<= 1;
-    }
-    // Send phase: forward to children below our set bit.
-    let mut child_mask = if vrank == 0 {
-        let mut m = 1;
-        while m < r {
-            m <<= 1;
-        }
-        m >> 1
-    } else {
-        mask >> 1
-    };
-    while child_mask > 0 {
-        let vchild = vrank | child_mask;
-        if vchild < r && vchild != vrank {
-            let child = (vchild + root) % r;
-            comm.send(child, encode_f64(buf));
-        }
-        child_mask >>= 1;
-    }
-}
-
-/// Gather each rank's `Vec<u32>` at the root (rank 0); returns `Some(parts)`
-/// in rank order at root, `None` elsewhere.
-pub fn gather_u32(comm: &Comm, mine: &[u32]) -> Option<Vec<Vec<u32>>> {
-    let r = comm.size();
-    if comm.rank() == 0 {
-        let mut all = Vec::with_capacity(r);
-        all.push(mine.to_vec());
-        for from in 1..r {
-            let bytes = comm.recv(from);
-            all.push(
-                bytes.chunks_exact(4).map(|c| u32::from_le_bytes(c.try_into().unwrap())).collect(),
-            );
-        }
-        Some(all)
-    } else {
-        let mut bytes = Vec::with_capacity(mine.len() * 4);
-        for x in mine {
-            bytes.extend_from_slice(&x.to_le_bytes());
-        }
-        comm.send(0, bytes);
-        None
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -279,18 +188,6 @@ mod tests {
             for len in [1usize, 17, 256] {
                 check_allreduce(r, len, ReduceAlgo::Star);
             }
-        }
-    }
-
-    #[test]
-    fn allreduce_i64_sums() {
-        let results = LocalCluster::run(4, |c| {
-            let mut buf = vec![c.rank() as i64 + 1, -(c.rank() as i64)];
-            allreduce_i64(&c, &mut buf);
-            buf
-        });
-        for buf in results {
-            assert_eq!(buf, vec![10, -6]);
         }
     }
 
@@ -367,33 +264,5 @@ mod tests {
             assert_eq!(s.0, payload);
             assert_eq!(s.1, payload);
         }
-    }
-
-    #[test]
-    fn broadcast_from_any_root() {
-        for r in [1usize, 2, 3, 5, 8] {
-            for root in 0..r {
-                let results = LocalCluster::run(r, |c| {
-                    let mut buf =
-                        if c.rank() == root { vec![3.25f64, -1.0, 7.5] } else { vec![0.0; 3] };
-                    broadcast_f64(&c, &mut buf, root);
-                    buf
-                });
-                for (rank, buf) in results.iter().enumerate() {
-                    assert_eq!(buf, &vec![3.25, -1.0, 7.5], "R={r} root={root} rank={rank}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn gather_collects_in_rank_order() {
-        let results = LocalCluster::run(3, |c| {
-            let mine = vec![c.rank() as u32 * 10, c.rank() as u32 * 10 + 1];
-            gather_u32(&c, &mine)
-        });
-        let at_root = results[0].as_ref().unwrap();
-        assert_eq!(at_root, &vec![vec![0, 1], vec![10, 11], vec![20, 21]]);
-        assert!(results[1].is_none() && results[2].is_none());
     }
 }

@@ -8,10 +8,11 @@
 //! * [`LocalCluster`] — spawns `R` rank threads over a full mesh of
 //!   channels; every transfer moves real serialized bytes, so per-rank
 //!   traffic counters are exact.
-//! * [`Comm`] — rank handle with `send`/`recv`, barrier, broadcast, and two
-//!   all-reduce algorithms: **ring** (bandwidth-optimal, what a decent MPI
-//!   uses for large payloads — knord's pattern) and **star** (master
-//!   aggregation — the MLlib/driver pattern the paper contrasts against).
+//! * [`Comm`] — rank handle with `send`/`recv` and barrier, under two
+//!   all-reduce algorithms ([`collectives`]): **ring** (bandwidth-optimal,
+//!   what a decent MPI uses for large payloads — knord's pattern) and
+//!   **star** (master aggregation — the MLlib/driver pattern the paper
+//!   contrasts against).
 //! * [`NetModel`] — converts measured byte counts into modeled wire time
 //!   for a 10 GbE EC2-like cluster, used by the Fig. 11–13 harnesses.
 

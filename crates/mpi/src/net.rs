@@ -10,8 +10,7 @@
 //! over a `TcpStream` (buffered reads, one write per message, Nagle off)
 //! with exact byte accounting on both directions, so anything built on it
 //! (the `knor-serve` TCP front end, its CLI clients) can report real wire
-//! bytes — and, via [`NetModel`], a modeled wire time for the paper's
-//! interconnect.
+//! bytes.
 
 use std::io::{self, BufRead, BufReader, IoSlice, Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};
@@ -165,12 +164,6 @@ impl LineConn {
     /// Bytes sent so far.
     pub fn bytes_out(&self) -> u64 {
         self.bytes_out
-    }
-
-    /// Modeled one-way wire time for the traffic sent so far (ns), under
-    /// `model` — ties the real transport back to the paper's interconnect.
-    pub fn modeled_send_ns(&self, model: &NetModel) -> f64 {
-        model.transfer_ns(self.bytes_out)
     }
 }
 

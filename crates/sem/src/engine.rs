@@ -143,7 +143,8 @@ mod tests {
         // One thread, no row cache: rows process in serial order, so the
         // gemm kernel must reproduce the serial reference bit for bit.
         let (data, path) = write_mixture(900, 6, 27, "gemm");
-        let k = 10;
+        // k·d = 66: the shape picks gemm.
+        let k = 11;
         let init = forgy(&data, k, 8);
         let serial = lloyd_serial(&data, k, &InitMethod::Given(init.clone()), 0, 60, 0.0);
         let sem = SemKmeans::new(
@@ -155,43 +156,41 @@ mod tests {
                 .with_page_size(256)
                 .with_pruning(Pruning::None)
                 .with_row_cache_bytes(0)
-                .with_kernel(knor_core::KernelKind::Gemm)
                 .with_max_iters(60),
         )
         .fit(&path)
         .unwrap();
+        assert!(sem.kmeans.total_commit().panel_packs > 0, "gemm never ran");
         assert_eq!(sem.kmeans.assignments, serial.assignments);
         assert_eq!(sem.kmeans.centroids, serial.centroids, "gemm knors must be bitwise serial");
         assert_eq!(sem.kmeans.niters, serial.niters);
     }
 
     #[test]
-    fn row_cache_path_agrees_with_kernel() {
+    fn row_cache_hits_scan_like_the_serial_reference() {
         // Row-cache hits flow through the contiguous hit staging + blocked
-        // kernel; the clustering must match the scalar kernel run.
+        // gemm kernel (k·d = 72); the clustering must match the serial
+        // `nearest` scan's.
         let (data, path) = write_mixture(1500, 8, 28, "rck");
-        let k = 8;
+        let k = 9;
         let init = forgy(&data, k, 3);
-        let run = |kernel: knor_core::KernelKind| {
-            SemKmeans::new(
-                SemConfig::new(k)
-                    .with_init(SemInit::Given(init.clone()))
-                    .with_threads(2)
-                    .with_task_size(96)
-                    .with_page_size(512)
-                    .with_pruning(Pruning::None)
-                    .with_row_cache_bytes(2 << 20)
-                    .with_cache_interval(2)
-                    .with_kernel(kernel)
-                    .with_max_iters(40),
-            )
-            .fit(&path)
-            .unwrap()
-        };
-        let gemm = run(knor_core::KernelKind::Gemm);
-        let scalar = run(knor_core::KernelKind::Scalar);
-        assert_eq!(gemm.kmeans.assignments, scalar.kmeans.assignments);
-        assert_eq!(gemm.kmeans.niters, scalar.kmeans.niters);
+        let serial = lloyd_serial(&data, k, &InitMethod::Given(init.clone()), 0, 40, 0.0);
+        let gemm = SemKmeans::new(
+            SemConfig::new(k)
+                .with_init(SemInit::Given(init))
+                .with_threads(2)
+                .with_task_size(96)
+                .with_page_size(512)
+                .with_pruning(Pruning::None)
+                .with_row_cache_bytes(2 << 20)
+                .with_cache_interval(2)
+                .with_max_iters(40),
+        )
+        .fit(&path)
+        .unwrap();
+        assert!(gemm.kmeans.total_commit().panel_packs > 0, "gemm never ran");
+        assert_eq!(gemm.kmeans.assignments, serial.assignments);
+        assert_eq!(gemm.kmeans.niters, serial.niters);
         assert!(gemm.io.iter().map(|i| i.rc_hits).sum::<u64>() > 0, "cache never hit");
     }
 

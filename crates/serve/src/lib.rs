@@ -59,7 +59,7 @@ use std::path::Path;
 use std::sync::Arc;
 
 use knor_core::distance::nearest;
-use knor_core::{Algorithm, KernelKind};
+use knor_core::Algorithm;
 use knor_matrix::DMatrix;
 
 pub use jobs::{JobId, JobStatus, TrainSource, TrainSpec};
@@ -112,15 +112,13 @@ impl From<std::io::Error> for ServeError {
 
 /// Configuration for a serving instance.
 pub struct ServeConfig {
-    /// Default kernel knob for predict scans (resolved in exact mode).
-    pub kernel: KernelKind,
     /// Time source for serving stats (inject [`ManualClock`] in tests).
     pub clock: Arc<dyn Clock>,
 }
 
 impl Default for ServeConfig {
     fn default() -> Self {
-        Self { kernel: KernelKind::Auto, clock: Arc::new(MonotonicClock::new()) }
+        Self { clock: Arc::new(MonotonicClock::new()) }
     }
 }
 
@@ -130,12 +128,6 @@ impl ServeConfig {
     /// Kept because the benchmark harness calls it.
     #[doc(hidden)]
     pub fn with_threads(self, _v: usize) -> Self {
-        self
-    }
-
-    /// Choose the default predict kernel knob.
-    pub fn with_kernel(mut self, v: KernelKind) -> Self {
-        self.kernel = v;
         self
     }
 
@@ -151,7 +143,6 @@ struct ServeInner {
     predictor: Predictor,
     jobs: JobRunner,
     clock: Arc<dyn Clock>,
-    kernel: KernelKind,
 }
 
 /// A handle to a running serving instance. Cheaply cloneable; the
@@ -182,7 +173,6 @@ impl ServeHandle {
                 predictor: Predictor::default(),
                 jobs,
                 clock: cfg.clock,
-                kernel: cfg.kernel,
             }),
         }
     }
@@ -205,7 +195,8 @@ impl ServeHandle {
         self.inner.registry.register(name, algo, centroids)
     }
 
-    /// Predict with the instance's default kernel knob.
+    /// Assign every query row to its nearest centroid of `model`'s latest
+    /// version.
     pub fn predict(&self, model: &str, queries: &DMatrix) -> Result<Prediction, ServeError> {
         self.predict_rows(model, queries.as_slice(), queries.ncol())
     }
@@ -217,62 +208,32 @@ impl ServeHandle {
         queries: &[f64],
         d: usize,
     ) -> Result<Prediction, ServeError> {
-        self.predict_rows_with(model, queries, d, self.inner.kernel)
-    }
-
-    /// Predict with an explicit kernel knob (resolved in exact mode, so
-    /// every choice is bitwise identical to the serial reference).
-    pub fn predict_rows_with(
-        &self,
-        model: &str,
-        queries: &[f64],
-        d: usize,
-        kernel: KernelKind,
-    ) -> Result<Prediction, ServeError> {
         let entry = self
             .inner
             .registry
             .get(model)
             .ok_or_else(|| ServeError::UnknownModel(model.to_string()))?;
-        self.predict_entry_with(&entry, queries, d, kernel)
+        self.predict_entry(&entry, queries, d)
     }
 
-    /// Predict against a specific, already-resolved model entry with the
-    /// instance's default kernel knob, so a request runs against the
-    /// exact version it resolved, regardless of swaps in between.
+    /// Predict against a specific, already-resolved model entry, so a
+    /// request runs against the exact version it resolved, regardless of
+    /// swaps in between. The scan is the kernel the model's shape picked
+    /// at registration, bitwise identical to the serial reference.
     pub fn predict_entry(
         &self,
         entry: &Arc<ModelEntry>,
         queries: &[f64],
         d: usize,
     ) -> Result<Prediction, ServeError> {
-        self.predict_entry_with(entry, queries, d, self.inner.kernel)
-    }
-
-    fn predict_entry_with(
-        &self,
-        entry: &Arc<ModelEntry>,
-        queries: &[f64],
-        d: usize,
-        kernel: KernelKind,
-    ) -> Result<Prediction, ServeError> {
-        let t_req = self.inner.clock.now_ns();
-        let rk = kernel.resolve(entry.model.k(), entry.model.d(), false);
         let t0 = self.inner.clock.now_ns();
         let clock = Some(&*self.inner.clock);
         let (assignments, distances, timing) =
-            self.inner.predictor.predict(&entry.model, rk, queries, d, clock)?;
+            self.inner.predictor.predict(&entry.model, queries, d, clock)?;
         let t1 = self.inner.clock.now_ns();
         entry.stats.record_batch(assignments.len() as u64, t0, t1);
         // Nothing is handed off, so `dispatch` stays 0.
-        entry.stats.record_phases([
-            t0.saturating_sub(t_req),
-            0,
-            timing.kernel_ns,
-            timing.reply_ns,
-            0,
-            0,
-        ]);
+        entry.stats.record_phases([0, 0, timing.kernel_ns, timing.reply_ns, 0, 0]);
         Ok(Prediction { assignments, distances })
     }
 
@@ -338,6 +299,7 @@ pub fn predict_serial(model: &Model, queries: &[f64], d: usize) -> Prediction {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use knor_core::ResolvedKind;
     use knor_workloads::MixtureSpec;
     use rand::{Rng, SeedableRng};
     use rand_chacha::ChaCha8Rng;
@@ -371,17 +333,20 @@ mod tests {
     }
 
     #[test]
-    fn every_kernel_knob_is_bitwise_exact() {
+    fn both_kernels_answer_bitwise_exact() {
         let h = handle();
-        h.register_model("m", Algorithm::Lloyd, random_cents(17, 9, 5));
-        let mut rng = ChaCha8Rng::seed_from_u64(6);
-        let q: Vec<f64> = (0..333 * 9).map(|_| rng.gen_range(-5.0..5.0)).collect();
-        let reference = predict_serial(&h.registry().get("m").unwrap().model, &q, 9);
-        for kernel in [KernelKind::Auto, KernelKind::Scalar, KernelKind::Gemm] {
-            let out = h.predict_rows_with("m", &q, 9, kernel).unwrap();
-            assert_eq!(out.assignments, reference.assignments, "{kernel:?}");
+        // k·d = 153 scans with gemm, 63 with the scalar kernel.
+        for (k, kind) in [(17, ResolvedKind::Gemm), (7, ResolvedKind::Scalar)] {
+            h.register_model("m", Algorithm::Lloyd, random_cents(k, 9, 5));
+            let model = h.registry().get("m").unwrap().model.clone();
+            assert_eq!(model.kernel().kind, kind);
+            let mut rng = ChaCha8Rng::seed_from_u64(6);
+            let q: Vec<f64> = (0..333 * 9).map(|_| rng.gen_range(-5.0..5.0)).collect();
+            let reference = predict_serial(&model, &q, 9);
+            let out = h.predict_rows("m", &q, 9).unwrap();
+            assert_eq!(out.assignments, reference.assignments, "{kind:?}");
             let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-            assert_eq!(bits(&out.distances), bits(&reference.distances), "{kernel:?}");
+            assert_eq!(bits(&out.distances), bits(&reference.distances), "{kind:?}");
         }
     }
 

@@ -32,15 +32,15 @@ use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use knor_core::kernel::assign_rows_packed;
-use knor_core::{Normalization, ResolvedKernel};
+use knor_core::Normalization;
 
 use crate::registry::Model;
 use crate::stats::Clock;
 
 /// Wall-time decomposition of one predict call on the injected clock (all
 /// zero when no clock was passed): the scan, and the copy of its answers
-/// out of the scratch. The request's `enqueue` phase (lookup + kernel
-/// resolution) happens before the call and is timed by the caller.
+/// out of the scratch. The request's `enqueue` phase (the model lookup)
+/// happens before the call and is timed by the caller.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PredictTiming {
     /// The scan, ns.
@@ -64,7 +64,7 @@ thread_local! {
 
 /// Assign the rows of `rows` (`rows.len() / d` of them) to their nearest
 /// centroid of `model`, into `scratch.best` / `scratch.dist`.
-fn scan(rows: &[f64], d: usize, rk: &ResolvedKernel, model: &Model, scratch: &mut Scratch) {
+fn scan(rows: &[f64], d: usize, model: &Model, scratch: &mut Scratch) {
     let block: &[f64] = match model.normalization {
         Normalization::None => rows,
         norm => {
@@ -78,7 +78,7 @@ fn scan(rows: &[f64], d: usize, rk: &ResolvedKernel, model: &Model, scratch: &mu
         }
     };
     let (best, dist) = (&mut scratch.best, &mut scratch.dist);
-    assign_rows_packed(block, d, &model.centroids, rk, &model.panel, best, dist, true);
+    assign_rows_packed(block, d, &model.centroids, &model.kernel, &model.panel, best, dist, true);
 }
 
 /// The fewest rows a part of a split block gets: a scoped thread's spawn
@@ -93,7 +93,6 @@ const PART_ROWS: usize = 512;
 fn scan_split(
     queries: &[f64],
     d: usize,
-    rk: &ResolvedKernel,
     model: &Model,
     parts: usize,
     now: &dyn Fn() -> u64,
@@ -107,13 +106,13 @@ fn scan_split(
             .map(|rows| {
                 s.spawn(move || {
                     let mut scratch = Scratch::default();
-                    scan(rows, d, rk, model, &mut scratch);
+                    scan(rows, d, model, &mut scratch);
                     (scratch.best, scratch.dist)
                 })
             })
             .collect();
         SCRATCH.with_borrow_mut(|scratch| {
-            scan(head, d, rk, model, scratch);
+            scan(head, d, model, scratch);
             let rest: Vec<_> = helpers
                 .into_iter()
                 .map(|h| h.join().unwrap_or_else(|e| resume_unwind(e)))
@@ -180,15 +179,14 @@ impl Predictor {
     }
 
     /// Assign every row of the `m × d` query block to its nearest centroid
-    /// of `model` under resolved kernel `rk`, on the calling thread (and,
-    /// from `2 × PART_ROWS` rows, on scoped helpers too); bitwise identical
-    /// to the serial per-row scan. With a `clock`, also
+    /// of `model`, with the kernel its shape picked, on the calling thread
+    /// (and, from `2 × PART_ROWS` rows, on scoped helpers too); bitwise
+    /// identical to the serial per-row scan. With a `clock`, also
     /// decompose the call's wall time (see [`PredictTiming`]); answers are
     /// identical with or without one.
     pub fn predict(
         &self,
         model: &Model,
-        rk: ResolvedKernel,
         queries: &[f64],
         d: usize,
         clock: Option<&dyn Clock>,
@@ -205,11 +203,11 @@ impl Predictor {
         let parts = (queries.len() / d / PART_ROWS).clamp(1, self.cpus);
         let scanned = catch_unwind(AssertUnwindSafe(|| match parts {
             1 => SCRATCH.with_borrow_mut(|scratch| {
-                scan(queries, d, &rk, model, scratch);
+                scan(queries, d, model, scratch);
                 let t1 = now();
                 (scratch.best.clone(), scratch.dist.clone(), t1)
             }),
-            _ => scan_split(queries, d, &rk, model, parts, &now),
+            _ => scan_split(queries, d, model, parts, &now),
         }));
         let Ok((assign, dist, t1)) = scanned else {
             self.panics.fetch_add(1, Ordering::Relaxed);
@@ -226,7 +224,7 @@ mod tests {
     use super::*;
     use crate::predict_serial;
     use crate::registry::ModelRegistry;
-    use knor_core::{Algorithm, KernelKind};
+    use knor_core::{Algorithm, ResolvedKind};
     use knor_matrix::DMatrix;
     use rand::{Rng, SeedableRng};
     use rand_chacha::ChaCha8Rng;
@@ -241,7 +239,7 @@ mod tests {
 
     #[test]
     fn predict_is_bitwise_the_serial_scan_at_every_block_size() {
-        let (k, d) = (11, 6);
+        let d = 6;
         let mut rng = ChaCha8Rng::seed_from_u64(31);
         let q: Vec<f64> = (0..8193 * d).map(|_| rng.gen_range(-5.0..5.0)).collect();
         // One CPU scans every block whole; three cut 1024 rows in two
@@ -249,14 +247,15 @@ mod tests {
         for cpus in [1, 3] {
             let p = Predictor { cpus, ..Predictor::default() };
             for algo in [Algorithm::Lloyd, Algorithm::Spherical] {
-                let model = model(algo.clone(), k, d, 3);
-                for kernel in [KernelKind::Auto, KernelKind::Gemm] {
-                    let rk = kernel.resolve(k, d, false);
+                // k·d = 66 scans with gemm, 60 with the scalar kernel.
+                for (k, kind) in [(11, ResolvedKind::Gemm), (10, ResolvedKind::Scalar)] {
+                    let model = model(algo.clone(), k, d, 3);
+                    assert_eq!(model.kernel().kind, kind);
                     for m in [1usize, 64, 65, 501, 1024, 1537, 8193] {
                         let rows = &q[..m * d];
                         let serial = predict_serial(&model, rows, d);
-                        let (a, dist, _) = p.predict(&model, rk, rows, d, None).unwrap();
-                        let what = format!("{algo:?} {kernel:?} m={m} cpus={cpus}");
+                        let (a, dist, _) = p.predict(&model, rows, d, None).unwrap();
+                        let what = format!("{algo:?} {kind:?} m={m} cpus={cpus}");
                         assert_eq!(a, serial.assignments, "{what}");
                         assert_eq!(
                             dist.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
@@ -274,19 +273,22 @@ mod tests {
     fn dim_mismatch_is_rejected() {
         let model = model(Algorithm::Lloyd, 3, 4, 5);
         let p = Predictor::default();
-        let rk = KernelKind::Auto.resolve(3, 4, false);
-        let err = p.predict(&model, rk, &[0.0; 6], 3, None).unwrap_err();
+        let err = p.predict(&model, &[0.0; 6], 3, None).unwrap_err();
         assert_eq!(err, PredictError::DimMismatch { expected: 4, got: 3 });
         // Ragged block under the right d is rejected too.
-        assert!(p.predict(&model, rk, &[0.0; 6], 4, None).is_err());
+        assert!(p.predict(&model, &[0.0; 6], 4, None).is_err());
         // Empty block is fine.
-        let (a, dd, _) = p.predict(&model, rk, &[], 4, None).unwrap();
+        let (a, dd, _) = p.predict(&model, &[], 4, None).unwrap();
         assert!(a.is_empty() && dd.is_empty());
     }
 
     #[test]
     fn a_scan_that_panics_fails_the_call_not_the_thread() {
-        let good = model(Algorithm::Lloyd, 2, 3, 6);
+        // k·d = 66: the gemm scan, which checks its panel against the
+        // centroids.
+        let d = 33;
+        let good = model(Algorithm::Lloyd, 2, d, 6);
+        assert_eq!(good.kernel().kind, ResolvedKind::Gemm);
         // A centroid table shorter than `k × d`: the scan refuses it with
         // a panic.
         let mut bad = good.clone();
@@ -294,15 +296,14 @@ mod tests {
         // Two CPUs: the 2048-row block scans in two parts, one of them on
         // a scoped helper.
         let p = Predictor { cpus: 2, ..Predictor::default() };
-        let rk = KernelKind::Gemm.resolve(2, 3, false);
-        let q = [0.5; 2048 * 3];
-        for rows in [&q[..3], &q[..200 * 3], &q[..]] {
+        let q = vec![0.5; 2048 * d];
+        for rows in [&q[..d], &q[..200 * d], &q[..]] {
             let before = p.caught_panics();
-            assert_eq!(p.predict(&bad, rk, rows, 3, None), Err(PredictError::WorkerPanic));
+            assert_eq!(p.predict(&bad, rows, d, None), Err(PredictError::WorkerPanic));
             assert_eq!(p.caught_panics(), before + 1);
             // The same thread, and its scratch, still answer real calls.
-            let (a, _, _) = p.predict(&good, rk, rows, 3, None).unwrap();
-            assert_eq!(a, predict_serial(&good, rows, 3).assignments);
+            let (a, _, _) = p.predict(&good, rows, d, None).unwrap();
+            assert_eq!(a, predict_serial(&good, rows, d).assignments);
         }
         assert_eq!(p.caught_panics(), 3);
     }

@@ -19,7 +19,7 @@ use std::path::{Path, PathBuf};
 use std::sync::{Arc, RwLock};
 
 use knor_core::kernel::CentroidPanel;
-use knor_core::{Algorithm, Centroids, Normalization};
+use knor_core::{Algorithm, Centroids, Normalization, ResolvedKernel};
 use knor_matrix::{io as matrix_io, DMatrix};
 
 use crate::stats::ServeStats;
@@ -41,10 +41,14 @@ pub struct Model {
     /// `centroids` packed for the gemm scan, norms included, once at
     /// registration: a query packs nothing.
     pub(crate) panel: CentroidPanel,
+    /// The kernel the model's shape picks, resolved once at registration:
+    /// a query resolves nothing.
+    pub(crate) kernel: ResolvedKernel,
 }
 
 impl Model {
-    /// A model over `centroids`, packed for the gemm scan.
+    /// A model over `centroids`, packed for the gemm scan, with the kernel
+    /// its shape picks.
     fn new(
         name: &str,
         version: u32,
@@ -54,7 +58,13 @@ impl Model {
     ) -> Self {
         let mut panel = CentroidPanel::default();
         panel.pack(&centroids);
-        Model { name: name.to_string(), version, algo, normalization, centroids, panel }
+        let kernel = ResolvedKernel::for_shape(centroids.k(), centroids.d);
+        Model { name: name.to_string(), version, algo, normalization, centroids, panel, kernel }
+    }
+
+    /// The kernel every query against this model scans with.
+    pub fn kernel(&self) -> ResolvedKernel {
+        self.kernel
     }
 
     /// Number of clusters.

@@ -145,10 +145,11 @@ impl Default for LatencyHistogram {
 }
 
 /// Names of the request-handling phases tracked per model, in
-/// [`ServeStats::phase_ns`] order: model lookup + kernel resolution
-/// (`enqueue`), a hand-off to other threads (`dispatch`: always 0, since
-/// the caller's thread scans, with scoped helpers joined inside the scan
-/// for a large block; kept so every reader finds the label), the scan
+/// [`ServeStats::phase_ns`] order: work before the scan (`enqueue`:
+/// always 0, since a model resolves its kernel once, at registration), a
+/// hand-off to other threads (`dispatch`: always 0, since the caller's
+/// thread scans, with scoped helpers joined inside the scan for a large
+/// block; both kept so every reader finds the label), the scan
 /// (`kernel`), output collection (`reply`), and — on
 /// the text protocol only, recorded by the TCP dispatch — turning the
 /// request line's float tokens into rows (`parse`) and the answers into the

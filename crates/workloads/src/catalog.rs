@@ -63,12 +63,6 @@ impl PaperDataset {
         }
     }
 
-    /// Whether the data contains planted natural clusters (drives MTI
-    /// pruning effectiveness, §8).
-    pub fn has_natural_clusters(&self) -> bool {
-        matches!(self, Self::Friendster8 | Self::Friendster32)
-    }
-
     /// Generate the scaled stand-in. `scale` multiplies the row count;
     /// dimensionality is kept at the paper's value.
     pub fn generate(&self, scale: f64, seed: u64) -> ScaledDataset {

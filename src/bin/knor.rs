@@ -6,7 +6,7 @@
 //! ```text
 //! knor im   <file.knor> -k 10 [-i 100] [-t N] [--pruning none|mti] [--init pp|forgy|random]
 //!           [--algo lloyd|spherical|fuzzy|minibatch] [--fuzz M] [--batch B]
-//!           [--kernel auto|scalar|gemm] [--stats] [--trace out.json]
+//!           [--stats] [--trace out.json]
 //! knor sem  <file.knor> -k 10 [--row-cache MB] [--page-cache MB] [--stats] [--trace out.json]
 //! knor dist <file.knor> -k 10 [--ranks R] [--star] [--plane im|sem] [--stats] [--trace out.json]
 //! knor gen  <file.knor> --dataset friendster8|friendster32|rm856m|rm1b|ru2b --scale f
@@ -18,6 +18,10 @@
 //!            [--limit N] [--batch B]
 //! knor ctl   --addr H:P list|stats M|metrics|save M DIR|swap M V|rollback M|shutdown
 //! ```
+//!
+//! There is no kernel flag: the run's shape picks the assignment kernel
+//! (`knor_core::ResolvedKernel::for_shape`), and `--stats` prints the
+//! choice on its `kernel:` line.
 //!
 //! The full line protocol behind serve/train/query/ctl is documented in
 //! `docs/PROTOCOL.md`.
@@ -65,8 +69,7 @@ const HELP: &str =
     "usage: knor <im|sem|dist|gen> <file.knor> [-k K] [-i|--iters ITERS] [-t|--threads THREADS]
            [--pruning none|mti] [--init pp|forgy|random] [--seed S]
            [--algo lloyd|spherical|fuzzy|minibatch]
-           [--fuzz M] [--batch B]
-           [--kernel auto|scalar|gemm] [--stats] [--trace out.json]
+           [--fuzz M] [--batch B] [--stats] [--trace out.json]
            [--row-cache MB] [--page-cache MB]              (sem)
            [--ranks R] [--star] [--plane im|sem]           (dist)
            [--dataset NAME] [--scale F]                    (gen)
@@ -234,13 +237,12 @@ fn parse(args: &[String]) -> (String, Opts) {
     (mode, o)
 }
 
-/// The one-line `--stats` kernel note: which kernel/tiles actually ran,
-/// mirroring the engines' resolve.
+/// The one-line `--stats` kernel note: the kernel and tiles the run's
+/// shape picked, by the function the engines call.
 fn kernel_note(run: &RunSpec, d: usize) -> String {
-    let rk = run.kernel.resolve(run.k, d, run.scheme().enabled());
+    let rk = ResolvedKernel::for_shape(run.k, d);
     format!(
-        "kernel: requested={} resolved={} tiles={}x{} fma={}",
-        run.kernel.name(),
+        "kernel: resolved={} tiles={}x{} fma={}",
         rk.kind.name(),
         rk.row_tile,
         rk.cent_tile,

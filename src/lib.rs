@@ -52,8 +52,8 @@ pub use knor_serve::{ServeConfig, ServeHandle};
 /// One-stop imports for typical use.
 pub mod prelude {
     pub use knor_core::{
-        fma_usable, Algorithm, InitMethod, KernelKind, Kmeans, KmeansConfig, KmeansResult,
-        NumaReport, PhaseBreakdown, Pruning, TraceBuf,
+        fma_usable, Algorithm, InitMethod, Kmeans, KmeansConfig, KmeansResult, NumaReport,
+        PhaseBreakdown, Pruning, ResolvedKernel, TraceBuf,
     };
     pub use knor_dist::{DistConfig, DistKmeans, DistResult, RankIo, RankPlane};
     pub use knor_matrix::{io as matrix_io, DMatrix};

@@ -83,7 +83,7 @@ fn help_flags_are_documented_in_readme() {
     assert!(out.status.success());
     let help = String::from_utf8_lossy(&out.stdout).into_owned();
     let flags = extract_flags(&help);
-    assert!(flags.len() >= 29, "flag extraction broke: only {flags:?}");
+    assert!(flags.len() >= 28, "flag extraction broke: only {flags:?}");
     let readme = std::fs::read_to_string(concat!(env!("CARGO_MANIFEST_DIR"), "/README.md"))
         .expect("read README.md");
     let missing: Vec<&String> = flags.iter().filter(|f| !readme.contains(f.as_str())).collect();
@@ -110,17 +110,12 @@ fn degenerate_numeric_flags_are_rejected_before_any_io() {
         vec!["gen", "/nonexistent/x.knor", "--scale", "-0.5"],
         vec!["gen", "/nonexistent/x.knor", "--scale", "NaN"],
         vec!["train", "--model", "m", "--file", "f", "--engine", "gpu"],
-        vec!["im", "/nonexistent/x.knor", "--kernel", "warp"],
-        // The deleted kernels and the deleted tuner are refused like typos.
-        vec!["im", "/nonexistent/x.knor", "--kernel", "fma"],
-        vec!["im", "/nonexistent/x.knor", "--kernel", "norm"],
-        vec!["im", "/nonexistent/x.knor", "--kernel", "tiled"],
+        // The deleted tuner is refused like a typo.
         vec!["im", "/nonexistent/x.knor", "--tune", "on"],
         // Unknown flags and missing values are one line, not the usage.
         vec!["im", "/nonexistent/x.knor", "--bogus", "1"],
         vec!["im", "/nonexistent/x.knor", "-k"],
         vec!["im", "/nonexistent/x.knor", "--pruning", "banana"],
-        vec!["sem", "/nonexistent/x.knor", "--kernel", "avx512"],
         vec!["dist", "/nonexistent/x.knor", "--pruning", "elkan"],
         // Every enum-valued flag is checked by the one parser, early.
         vec!["im", "/nonexistent/x.knor", "--init", "banana"],
@@ -143,10 +138,14 @@ fn degenerate_numeric_flags_are_rejected_before_any_io() {
         assert!(err.starts_with("knor: "), "{args:?} → {err:?}");
         assert_eq!(err.trim_end().lines().count(), 1, "{args:?}: one-line error, got {err:?}");
     }
-    // There is one copy of the centroids: `--replication` is a stranger.
-    let out = knor().args(["im", "/nonexistent/x.knor", "--replication", "on"]).output().unwrap();
-    let err = String::from_utf8_lossy(&out.stderr);
-    assert_eq!((out.status.code(), &*err), (Some(2), "knor: unknown flag '--replication'\n"));
+    // There is one copy of the centroids, and the shape picks the kernel:
+    // `--replication` and `--kernel` are strangers.
+    for flag in ["--replication", "--kernel"] {
+        let out = knor().args(["im", "/nonexistent/x.knor", flag, "on"]).output().unwrap();
+        let err = String::from_utf8_lossy(&out.stderr);
+        let want = format!("knor: unknown flag '{flag}'\n");
+        assert_eq!((out.status.code(), &*err), (Some(2), &*want));
+    }
 
     // `-k` is checked against the header's row count — the first thing
     // read, the last thing that can be checked without the data — in the
@@ -249,8 +248,13 @@ fn valid_flags_still_run_end_to_end() {
     assert!(stdout.contains("rank 1 io:"), "{stdout}");
 }
 
+/// The shape picks the kernel, and `--stats` says which: friendster8 has
+/// `d = 8`, so `-k 8` (`k·d = 64`) scans with the scalar kernel, which packs
+/// no panel, and `-k 9` with gemm, which every worker packs once per
+/// iteration — for the full scan without pruning, and under MTI (the
+/// default) for iteration 0's full scan and the commit's row scans after it.
 #[test]
-fn kernel_flag_reports_what_actually_ran() {
+fn kernel_line_reports_the_shapes_choice() {
     let file = tmp("kern.knor");
     let gen = knor()
         .args(["gen", file.to_str().unwrap(), "--dataset", "friendster8", "--scale", "0.0002"])
@@ -258,66 +262,34 @@ fn kernel_flag_reports_what_actually_ran() {
         .expect("spawn gen");
     assert!(gen.status.success(), "{}", String::from_utf8_lossy(&gen.stderr));
 
-    // --kernel gemm under MTI (the default) runs gemm, certified, for the
-    // full scan of iteration 0 and the commit's row scans after it;
-    // --stats must say so in one explicit line.
-    let gemm_mti = knor()
-        .args(["im", file.to_str().unwrap(), "-k", "4", "-i", "3", "--kernel", "gemm"])
-        .args(["-t", "2", "--stats"])
-        .output()
-        .expect("spawn im gemm");
-    assert!(gemm_mti.status.success(), "{}", String::from_utf8_lossy(&gemm_mti.stderr));
-    let stdout = String::from_utf8_lossy(&gemm_mti.stdout);
-    let note = stdout
-        .lines()
-        .find(|l| l.starts_with("kernel: "))
-        .unwrap_or_else(|| panic!("--stats must print the kernel note: {stdout}"));
-    assert!(note.contains("requested=gemm"), "{note}");
-    assert!(note.contains("resolved=gemm"), "{note}");
-    // Each of the 2 workers packs the panel once per iteration: for
-    // iteration 0's full scan, then for the MTI commit's row scans.
-    let iters: u64 = stdout
-        .strip_prefix("knori: ")
-        .and_then(|l| l.split_whitespace().next())
-        .and_then(|n| n.parse().ok())
-        .unwrap_or_else(|| panic!("no iteration count in {stdout}"));
-    let packs = format!(" gathered_rows=0 panel_packs={} rescored_rows=", iters * 2);
-    assert!(stdout.contains(&packs), "{stdout}");
-
-    // Without pruning every iteration is a full scan.
-    let gemm = knor()
-        .args([
-            "im",
-            file.to_str().unwrap(),
-            "-k",
-            "4",
-            "-i",
-            "3",
-            "--pruning",
-            "none",
-            "--kernel",
-            "gemm",
-            "-t",
-            "3",
-            "--stats",
-        ])
-        .output()
-        .expect("spawn im gemm");
-    assert!(gemm.status.success(), "{}", String::from_utf8_lossy(&gemm.stderr));
-    let stdout = String::from_utf8_lossy(&gemm.stdout);
-    let note = stdout.lines().find(|l| l.starts_with("kernel: ")).expect("kernel note");
-    assert!(note.contains("requested=gemm") && note.contains("resolved=gemm"), "{note}");
-    // The commit line shows the mechanism: an unscoped run reads every row
-    // where it lies, and each of the 3 workers packs the GEMM panel once
-    // per iteration.
-    let iters: u64 = stdout
-        .strip_prefix("knori: ")
-        .and_then(|l| l.split_whitespace().next())
-        .and_then(|n| n.parse().ok())
-        .unwrap_or_else(|| panic!("no iteration count in {stdout}"));
-    let commit = stdout.lines().find(|l| l.starts_with("commit: ")).expect("commit line");
-    assert!(commit.contains(" gathered_rows=0 "), "{commit}");
-    assert!(commit.contains(&format!(" panel_packs={} rescored_rows=", iters * 3)), "{commit}");
+    for (k, pruning, threads, kernel) in
+        [("8", "none", "3", "scalar"), ("9", "none", "3", "gemm"), ("9", "mti", "2", "gemm")]
+    {
+        let out = knor()
+            .args(["im", file.to_str().unwrap(), "-k", k, "-i", "3", "--pruning", pruning])
+            .args(["-t", threads, "--stats"])
+            .output()
+            .expect("spawn im");
+        let what = format!("-k {k} --pruning {pruning}");
+        assert!(out.status.success(), "{what}: {}", String::from_utf8_lossy(&out.stderr));
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        let note = stdout
+            .lines()
+            .find(|l| l.starts_with("kernel: "))
+            .unwrap_or_else(|| panic!("{what}: --stats must print the kernel note: {stdout}"));
+        assert!(note.starts_with(&format!("kernel: resolved={kernel} tiles=")), "{what}: {note}");
+        // The commit line shows the mechanism: an unscoped run reads every
+        // row where it lies, and the panel packs follow the kernel.
+        let iters: u64 = stdout
+            .strip_prefix("knori: ")
+            .and_then(|l| l.split_whitespace().next())
+            .and_then(|n| n.parse().ok())
+            .unwrap_or_else(|| panic!("{what}: no iteration count in {stdout}"));
+        let packs = if kernel == "gemm" { iters * threads.parse::<u64>().unwrap() } else { 0 };
+        let commit = stdout.lines().find(|l| l.starts_with("commit: ")).expect("commit line");
+        let want = format!(" gathered_rows=0 panel_packs={packs} rescored_rows=");
+        assert!(commit.contains(&want), "{what}: {commit}");
+    }
 }
 
 /// A missing or truncated input is the user's to fix: one `knor: <path>: …`
@@ -591,7 +563,8 @@ fn mask(line: &str) -> String {
 /// iteration, `knor sem` prints the commit line too, knord's wire
 /// carries one scalar more, and `bound_B` counts the row scan's
 /// per-centroid floor and its scratch row. Every engine prints the
-/// `settle:` line of its closing pass, and `load:` prints `huge_MB=`.
+/// `settle:` line of its closing pass, and `load:` prints `huge_MB=`. The
+/// kernel note has no `requested=`: the run's shape picks the kernel.
 #[test]
 fn stats_output_is_the_text_the_per_engine_arms_printed() {
     let file = gen_small("golden.knor");

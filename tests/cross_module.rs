@@ -7,6 +7,7 @@ use knor::prelude::*;
 use knor_baselines::gemm::gemm_lloyd;
 use knor_core::quality::{agreement, max_center_error};
 use knor_core::serial::lloyd_serial;
+use knor_core::ResolvedKind;
 use knor_matrix::io::TempFile;
 
 fn workload(n: usize, d: usize, seed: u64) -> (DMatrix, DMatrix) {
@@ -75,18 +76,20 @@ fn all_modules_agree_on_one_init() {
     assert!(agreement(&g.assignments, &serial.assignments, k) > 0.999);
 }
 
-/// The `Tiled` spelling — kept for the benchmark harness, resolved as gemm —
-/// keeps the exact contract across engines: in single-worker deterministic
-/// configurations, knori, knors and knord each reproduce the serial
-/// reference *bitwise* — assignments, centroids and iteration count.
+/// The certified gemm contract across engines: in single-worker
+/// deterministic configurations, knori, knors and knord each walk the
+/// serial reference's trajectory *bitwise* — assignments, centroids and
+/// iteration count — and so agree with each other bit for bit.
 ///
-/// `k` covers the AVX-512 scorer's pass shapes: 9 pads to 16 columns (the
+/// At `d = 6` every `k` here has `k·d > 64`, so the shape picks gemm. `k`
+/// covers the AVX-512 scorer's pass shapes: 12 pads to 16 columns (the
 /// 16-column pass alone), 40 to 48 (a 32-column block and a 16-column
 /// tail), 64 is two 32-column blocks.
 #[test]
 fn gemm_bitwise_matches_serial_across_all_three_engines() {
     let (data, _) = workload(1200, 6, 202);
-    for k in [9, 40, 64] {
+    for k in [12, 40, 64] {
+        assert_eq!(ResolvedKernel::for_shape(k, 6).kind, ResolvedKind::Gemm);
         bitwise_serial_on_every_engine(&data, k);
     }
 }
@@ -104,16 +107,16 @@ fn bitwise_serial_on_every_engine(data: &DMatrix, k: usize) {
             .with_threads(1)
             .with_scheduler(SchedulerKind::Static)
             .with_pruning(Pruning::None)
-            .with_kernel(KernelKind::Tiled)
             .with_max_iters(max_iters),
     )
     .fit(data);
+    assert!(im.total_commit().panel_packs > 0, "k={k}: knori never ran gemm");
     assert_eq!(im.assignments, serial.assignments, "knori assignments, k={k}");
     assert_eq!(im.centroids, serial.centroids, "knori centroids must match bitwise, k={k}");
     assert_eq!(im.niters, serial.niters, "knori, k={k}");
 
     // knors (no row cache, one thread: rows process in serial order).
-    let path = TempFile::new(format!("knor-cross-tiled-{}.knor", std::process::id()));
+    let path = TempFile::new(format!("knor-cross-gemm-{}.knor", std::process::id()));
     matrix_io::write_matrix(&path, data).unwrap();
     let sem = SemKmeans::new(
         SemConfig::new(k)
@@ -124,12 +127,12 @@ fn bitwise_serial_on_every_engine(data: &DMatrix, k: usize) {
             .with_task_size(128)
             .with_pruning(Pruning::None)
             .with_row_cache_bytes(0)
-            .with_kernel(KernelKind::Tiled)
             .with_max_iters(max_iters),
     )
     .fit(&path)
     .unwrap();
     drop(path);
+    assert!(sem.kmeans.total_commit().panel_packs > 0, "k={k}: knors never ran gemm");
     assert_eq!(sem.kmeans.assignments, serial.assignments, "knors assignments, k={k}");
     assert_eq!(sem.kmeans.centroids, serial.centroids, "knors centroids must match bitwise, k={k}");
     assert_eq!(sem.kmeans.niters, serial.niters, "knors, k={k}");
@@ -139,7 +142,6 @@ fn bitwise_serial_on_every_engine(data: &DMatrix, k: usize) {
         DistConfig::new(k, 1, 1)
             .with_init(InitMethod::Given(init))
             .with_pruning(Pruning::None)
-            .with_kernel(KernelKind::Tiled)
             .with_max_iters(max_iters),
     )
     .fit(data);
@@ -148,79 +150,70 @@ fn bitwise_serial_on_every_engine(data: &DMatrix, k: usize) {
     assert_eq!(dist.niters, serial.niters, "knord, k={k}");
 }
 
-/// The certified gemm contract across engines: the FMA spelling and the
-/// blocked GEMM, certified, walk the serial reference's trajectory
-/// **bitwise**, and in single-worker deterministic configurations the three
-/// engines agree with each other bitwise for a given kernel (same staging
-/// order, same arithmetic).
+/// The certified gemm contract across engines, engine against engine: the
+/// blocked GEMM, certified, walks the serial reference's trajectory
+/// **bitwise**, and in single-worker deterministic configurations knors
+/// and knord agree with knori bitwise (same staging order, same
+/// arithmetic). `k·d` = 72 > 64, so the shape picks gemm.
 #[test]
 fn gemm_kernels_agree_bitwise_across_all_three_engines() {
     let (data, _) = workload(1200, 6, 303);
-    let k = 9;
+    let k = 12;
+    assert_eq!(ResolvedKernel::for_shape(k, 6).kind, ResolvedKind::Gemm);
     let init = InitMethod::Forgy.initialize(&data, k, 31).to_matrix();
     let max_iters = 70;
     let serial = lloyd_serial(&data, k, &InitMethod::Given(init.clone()), 0, max_iters, 0.0);
     assert!(serial.converged);
 
-    for kernel in [KernelKind::Fma, KernelKind::Gemm] {
-        let im = Kmeans::new(
-            KmeansConfig::new(k)
-                .with_init(InitMethod::Given(init.clone()))
-                .with_threads(1)
-                .with_scheduler(SchedulerKind::Static)
-                .with_pruning(Pruning::None)
-                .with_kernel(kernel)
-                .with_max_iters(max_iters),
-        )
-        .fit(&data);
-        // Certified: every winner is the exact scan's, so the trajectory is
-        // the serial one bit for bit.
-        assert_eq!(im.niters, serial.niters, "{kernel:?} trajectory length diverged");
-        assert_eq!(im.assignments, serial.assignments, "{kernel:?} assignments");
-        assert_eq!(im.centroids, serial.centroids, "{kernel:?} centroids must be bitwise");
+    let im = Kmeans::new(
+        KmeansConfig::new(k)
+            .with_init(InitMethod::Given(init.clone()))
+            .with_threads(1)
+            .with_scheduler(SchedulerKind::Static)
+            .with_pruning(Pruning::None)
+            .with_max_iters(max_iters),
+    )
+    .fit(&data);
+    assert!(im.total_commit().panel_packs > 0, "knori never ran gemm");
+    // Certified: every winner is the exact scan's, so the trajectory is
+    // the serial one bit for bit.
+    assert_eq!(im.niters, serial.niters, "gemm trajectory length diverged");
+    assert_eq!(im.assignments, serial.assignments, "gemm assignments");
+    assert_eq!(im.centroids, serial.centroids, "gemm centroids must be bitwise");
 
-        // knors, same kernel.
-        let path =
-            TempFile::new(format!("knor-cross-fused-{}-{kernel:?}.knor", std::process::id()));
-        matrix_io::write_matrix(&path, &data).unwrap();
-        let sem = SemKmeans::new(
-            SemConfig::new(k)
-                .with_init(SemInit::Given(init.clone()))
-                .with_threads(1)
-                .with_scheduler(SchedulerKind::Static)
-                .with_page_size(512)
-                .with_task_size(128)
-                .with_pruning(Pruning::None)
-                .with_row_cache_bytes(0)
-                .with_kernel(kernel)
-                .with_max_iters(max_iters),
-        )
-        .fit(&path)
-        .unwrap();
-        drop(path);
-        assert_eq!(sem.kmeans.assignments, im.assignments, "{kernel:?} knors assignments");
-        assert_eq!(
-            sem.kmeans.centroids, im.centroids,
-            "{kernel:?} knors centroids must match knori bitwise"
-        );
-        assert_eq!(sem.kmeans.niters, im.niters);
+    // knors.
+    let path = TempFile::new(format!("knor-cross-fused-{}.knor", std::process::id()));
+    matrix_io::write_matrix(&path, &data).unwrap();
+    let sem = SemKmeans::new(
+        SemConfig::new(k)
+            .with_init(SemInit::Given(init.clone()))
+            .with_threads(1)
+            .with_scheduler(SchedulerKind::Static)
+            .with_page_size(512)
+            .with_task_size(128)
+            .with_pruning(Pruning::None)
+            .with_row_cache_bytes(0)
+            .with_max_iters(max_iters),
+    )
+    .fit(&path)
+    .unwrap();
+    drop(path);
+    assert!(sem.kmeans.total_commit().panel_packs > 0, "knors never ran gemm");
+    assert_eq!(sem.kmeans.assignments, im.assignments, "knors assignments");
+    assert_eq!(sem.kmeans.centroids, im.centroids, "knors centroids must match knori bitwise");
+    assert_eq!(sem.kmeans.niters, im.niters);
 
-        // knord (one rank, one thread), same kernel.
-        let dist = DistKmeans::new(
-            DistConfig::new(k, 1, 1)
-                .with_init(InitMethod::Given(init.clone()))
-                .with_pruning(Pruning::None)
-                .with_kernel(kernel)
-                .with_max_iters(max_iters),
-        )
-        .fit(&data);
-        assert_eq!(dist.assignments, im.assignments, "{kernel:?} knord assignments");
-        assert_eq!(
-            dist.centroids, im.centroids,
-            "{kernel:?} knord centroids must match knori bitwise"
-        );
-        assert_eq!(dist.niters, im.niters);
-    }
+    // knord (one rank, one thread).
+    let dist = DistKmeans::new(
+        DistConfig::new(k, 1, 1)
+            .with_init(InitMethod::Given(init))
+            .with_pruning(Pruning::None)
+            .with_max_iters(max_iters),
+    )
+    .fit(&data);
+    assert_eq!(dist.assignments, im.assignments, "knord assignments");
+    assert_eq!(dist.centroids, im.centroids, "knord centroids must match knori bitwise");
+    assert_eq!(dist.niters, im.niters);
 }
 
 /// The algorithm layer's core promise: write an algorithm once, get
@@ -311,19 +304,19 @@ fn every_algorithm_agrees_across_all_three_engines() {
 /// The PR-5 plane matrix, part 1: knord with a single SEM rank *is*
 /// knors — same plane code, same file, same budgets ⇒ bitwise-identical
 /// assignments, centroids, trajectory and per-iteration I/O record, for
-/// every kernel with MTI on and off.
+/// both kernels (`k·d` = 48 picks scalar, 72 gemm) with MTI on and off.
 #[test]
 fn dist_sem_single_rank_bitwise_matches_knors() {
     let (data, _) = workload(1600, 6, 606);
-    let k = 8;
-    let init = InitMethod::Forgy.initialize(&data, k, 41).to_matrix();
     let max_iters = 40;
     let path = TempFile::new(format!("knor-cross-plane1-{}.knor", std::process::id()));
     matrix_io::write_matrix(&path, &data).unwrap();
 
     for pruning in [Pruning::Mti, Pruning::None] {
-        for kernel in [KernelKind::Scalar, KernelKind::Gemm] {
-            let tag = format!("pruning={pruning:?} kernel={kernel:?}");
+        for k in [8, 12] {
+            let init = InitMethod::Forgy.initialize(&data, k, 41).to_matrix();
+            let kind = ResolvedKernel::for_shape(k, 6).kind;
+            let tag = format!("pruning={pruning:?} k={k} kernel={kind:?}");
             let sem = SemKmeans::new(
                 SemConfig::new(k)
                     .with_init(SemInit::Given(init.clone()))
@@ -334,11 +327,12 @@ fn dist_sem_single_rank_bitwise_matches_knors() {
                     .with_pruning(pruning)
                     .with_row_cache_bytes(1 << 20)
                     .with_cache_interval(2)
-                    .with_kernel(kernel)
                     .with_max_iters(max_iters),
             )
             .fit(&path)
             .unwrap();
+            let packs = sem.kmeans.total_commit().panel_packs;
+            assert_eq!(packs > 0, kind == ResolvedKind::Gemm, "{tag}: {packs} panel packs");
 
             // Match knors' budgets and cache interval exactly, so the
             // refresh schedules align.
@@ -351,7 +345,6 @@ fn dist_sem_single_rank_bitwise_matches_knors() {
                     .with_scheduler(SchedulerKind::Static)
                     .with_task_size(128)
                     .with_pruning(pruning)
-                    .with_kernel(kernel)
                     .with_plane(RankPlane::Sem(pcfg))
                     .with_max_iters(max_iters),
             )
@@ -381,27 +374,26 @@ fn dist_sem_single_rank_bitwise_matches_knors() {
 /// The PR-5 plane matrix, part 2: at R ∈ {2, 4}, knord over SEM ranks is
 /// bitwise-identical to knord over in-memory ranks — the canonical
 /// rank-order allreduce plus in-order staged commits make the trajectory
-/// independent of where the rows physically live. Every kernel, MTI on
-/// and off.
+/// independent of where the rows physically live. Both kernels (`k·d` =
+/// 54 picks scalar, 72 gemm), MTI on and off.
 #[test]
 fn dist_sem_bitwise_matches_dist_in_memory_across_ranks() {
     let (data, _) = workload(1800, 6, 707);
-    let k = 9;
-    let init = InitMethod::Forgy.initialize(&data, k, 5).to_matrix();
     let max_iters = 30;
     let path = TempFile::new(format!("knor-cross-plane2-{}.knor", std::process::id()));
     matrix_io::write_matrix(&path, &data).unwrap();
 
     for ranks in [2usize, 4] {
         for pruning in [Pruning::Mti, Pruning::None] {
-            for kernel in [KernelKind::Scalar, KernelKind::Gemm] {
-                let tag = format!("R={ranks} pruning={pruning:?} kernel={kernel:?}");
+            for k in [9, 12] {
+                let init = InitMethod::Forgy.initialize(&data, k, 5).to_matrix();
+                let kind = ResolvedKernel::for_shape(k, 6).kind;
+                let tag = format!("R={ranks} pruning={pruning:?} k={k} kernel={kind:?}");
                 let base = DistConfig::new(k, ranks, 2)
                     .with_init(InitMethod::Given(init.clone()))
                     .with_scheduler(SchedulerKind::Static)
                     .with_task_size(128)
                     .with_pruning(pruning)
-                    .with_kernel(kernel)
                     .with_max_iters(max_iters)
                     .with_sse(true);
                 let mem = DistKmeans::new(base.clone()).fit(&data);

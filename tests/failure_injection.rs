@@ -94,6 +94,7 @@ fn sem_read_failure_mid_run_is_an_error_not_a_hang() {
     // watchdog turns a regression into a failure rather than a hung suite.
     use knor::core::algo::LloydAlgo;
     use knor::core::driver::{run_mm, DriverConfig, NoReduce};
+    use knor::core::ResolvedKernel;
     use knor::numa::{Placement, Topology};
     use knor::sched::TaskQueue;
     use knor::sem::SemPlane;
@@ -119,7 +120,7 @@ fn sem_read_failure_mid_run_is_an_error_not_a_hang() {
             tol: 0.0,
             pruning: Pruning::Mti,
             task_size: 64,
-            kernel: KernelKind::Auto,
+            kernel: ResolvedKernel::for_shape(k, d),
             row_offset: 0,
             trace: None,
         };
@@ -147,6 +148,7 @@ fn sem_file_that_shrinks_between_two_tasks_fails_every_later_fit_through_the_sam
     use knor::core::algo::LloydAlgo;
     use knor::core::driver::{run_mm, DriverConfig, NoReduce};
     use knor::core::plane::{DrainScratch, RowSource};
+    use knor::core::ResolvedKernel;
     use knor::numa::{Placement, Topology};
     use knor::sched::TaskQueue;
     use knor::sem::SemPlane;
@@ -187,7 +189,7 @@ fn sem_file_that_shrinks_between_two_tasks_fails_every_later_fit_through_the_sam
                     tol: 0.0,
                     pruning: Pruning::Mti,
                     task_size: 64,
-                    kernel: KernelKind::Auto,
+                    kernel: ResolvedKernel::for_shape(k, d),
                     row_offset: 0,
                     trace: None,
                 };

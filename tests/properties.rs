@@ -4,6 +4,7 @@ use knor::matrix::io::TempFile;
 use knor::prelude::*;
 use knor_core::quality::agreement;
 use knor_core::serial::lloyd_serial;
+use knor_core::KernelKind;
 use proptest::prelude::*;
 
 fn arb_matrix(max_n: usize, max_d: usize) -> impl Strategy<Value = DMatrix> {

@@ -1,6 +1,6 @@
 //! Serving-layer integration tests: the batched predict path must be
-//! **bitwise identical** to the serial per-row `nearest` scan for every
-//! kernel knob and every algorithm's normalization, one registry model
+//! **bitwise identical** to the serial per-row `nearest` scan on both
+//! kernels and for every algorithm's normalization, one registry model
 //! must survive being hammered from many client threads, and the TCP
 //! server must route, order and isolate requests over real sockets.
 
@@ -14,7 +14,7 @@ use knor::prelude::*;
 use knor::serve::payload::parse_query_values;
 use knor::serve::tcp::{dispatch, Client, TcpServer};
 use knor::serve::{predict_serial, ManualClock};
-use knor_core::{KernelKind, Normalization};
+use knor_core::{Normalization, ResolvedKind};
 use proptest::prelude::*;
 
 fn test_handle() -> ServeHandle {
@@ -23,8 +23,10 @@ fn test_handle() -> ServeHandle {
 
 fn arb_case() -> impl Strategy<Value = ((usize, usize), Vec<f64>, Vec<f64>)> {
     // (k, d, m) with centroid and query payloads; m spans several kernel
-    // blocks sometimes, and d % 4 != 0 exercises kernel remainders.
-    (1usize..12, 1usize..9, 1usize..300).prop_flat_map(|(k, d, m)| {
+    // blocks sometimes, and d % 4 != 0 exercises kernel remainders. Small
+    // shapes scan with the scalar kernel; `k·d > 64` (a third of the
+    // cases) with gemm.
+    (1usize..24, 1usize..9, 1usize..300).prop_flat_map(|(k, d, m)| {
         (
             Just((k, d)),
             proptest::collection::vec(-50.0f64..50.0, k * d),
@@ -37,8 +39,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// Batched predict through knor-serve == per-row `nearest`, bit for
-    /// bit, for every `KernelKind` and every `Algorithm` normalization
-    /// (spherical queries renormalize exactly like training rows did).
+    /// bit, on the kernel the model's shape picks, for every `Algorithm`
+    /// normalization (spherical queries renormalize exactly like training
+    /// rows did).
     #[test]
     fn batched_predict_is_bitwise_serial(((k, d), cents, queries) in arb_case()) {
         let h = test_handle();
@@ -59,20 +62,13 @@ proptest! {
                     Normalization::None
                 }
             );
+            let gemm = k * d > 64;
+            prop_assert_eq!(entry.model.kernel().kind == ResolvedKind::Gemm, gemm);
             let reference = predict_serial(&entry.model, &queries, d);
-            for kernel in [
-                KernelKind::Auto,
-                KernelKind::Scalar,
-                KernelKind::Tiled,
-                KernelKind::NormTrick,
-            ] {
-                let out = h
-                    .predict_rows_with(name, &queries, d, kernel)
-                    .expect("predict failed");
-                prop_assert_eq!(&out.assignments, &reference.assignments);
-                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-                prop_assert_eq!(bits(&out.distances), bits(&reference.distances));
-            }
+            let out = h.predict_rows(name, &queries, d).expect("predict failed");
+            prop_assert_eq!(&out.assignments, &reference.assignments);
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            prop_assert_eq!(bits(&out.distances), bits(&reference.distances));
         }
     }
 }
