@@ -5,7 +5,7 @@
 //! Since the `MmAlgorithm` layer landed, the parallel engines run
 //! spherical k-means natively (`Algorithm::Spherical` on knori/knors/
 //! knord). This module is the **serial reference mirror**: it executes the
-//! exact same map/update phases — resolved from the same
+//! exact same map/update phases and stop rule — resolved from the same
 //! [`knor_core::algo`] instance — in plain row order, so a single-threaded
 //! static-scheduled engine run must reproduce it bit for bit, and any
 //! multi-threaded run must agree to floating-point merge noise. The
@@ -14,6 +14,7 @@
 
 use knor_core::algo::{Algorithm, UpdateCtx};
 use knor_core::centroids::{Centroids, LocalAccum};
+use knor_core::distance::dist;
 use knor_core::kernel::{dot, sqnorm};
 use knor_matrix::DMatrix;
 
@@ -80,9 +81,10 @@ pub fn spherical_kmeans(data: &DMatrix, init: &DMatrix, max_iters: usize) -> Sph
             prev: &cents,
             next: &mut next,
         });
+        let max_drift = (0..k).map(|c| dist(cents.mean(c), next.mean(c))).fold(0.0, f64::max);
         std::mem::swap(&mut cents, &mut next);
         iters += 1;
-        if changed == 0 {
+        if algo.converged(changed, max_drift, 0.0) {
             break;
         }
     }

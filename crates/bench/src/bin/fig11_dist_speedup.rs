@@ -21,7 +21,8 @@ fn measured_work(ds: PaperDataset, k: usize, args: &HarnessArgs, pruning: Prunin
             .with_pruning(pruning)
             .with_max_iters(args.iters.min(12)),
     )
-    .fit(&data);
+    .fit(&data)
+    .kmeans;
     // Steady-state per-iteration work, skipping the cold full pass.
     let later = &r.iters[1.min(r.iters.len() - 1)..];
     let flops: u64 =

@@ -20,7 +20,8 @@ fn work(ds: PaperDataset, k: usize, args: &HarnessArgs, pruning: Pruning) -> Ite
             .with_pruning(pruning)
             .with_max_iters(args.iters.min(10)),
     )
-    .fit(&data);
+    .fit(&data)
+    .kmeans;
     let later = &r.iters[1.min(r.iters.len() - 1)..];
     let flops: u64 =
         later.iter().map(|i| (i.prune.dist_computations + i.reassigned) * d as u64).sum::<u64>()

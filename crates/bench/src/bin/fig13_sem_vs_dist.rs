@@ -91,7 +91,7 @@ fn main() {
                 .with_max_iters(args.iters.min(10)),
         )
         .fit(&data);
-        let dl = &r.iters[1.min(r.iters.len() - 1)..];
+        let dl = &r.kmeans.iters[1.min(r.kmeans.iters.len() - 1)..];
         let dflops: u64 =
             dl.iter().map(|i| (i.prune.dist_computations + i.reassigned) * d as u64).sum::<u64>()
                 / dl.len() as u64;

@@ -331,8 +331,12 @@ pub trait MmAlgorithm: Sync {
     fn update(&self, ctx: &mut UpdateCtx<'_>);
 
     /// The convergence decision, made from globally-reduced quantities.
+    /// Lloyd's (and spherical's): nothing moved, or the centroids drifted
+    /// no more than `tol`. At `tol = 0` that is zero drift: the next map
+    /// sees the same centroids and so reassigns nothing, which makes
+    /// stopping there exact. `lloyd_serial` stops by this rule too.
     fn converged(&self, reassigned: u64, max_drift: f64, tol: f64) -> bool {
-        reassigned == 0 || (tol > 0.0 && max_drift <= tol)
+        reassigned == 0 || max_drift <= tol
     }
 }
 
@@ -824,6 +828,7 @@ mod tests {
         let lloyd = LloydAlgo;
         assert!(lloyd.converged(0, 1.0, 0.0));
         assert!(!lloyd.converged(5, 1.0, 0.0));
+        assert!(lloyd.converged(5, 0.0, 0.0), "zero drift is a fixed point");
         assert!(lloyd.converged(5, 0.01, 0.05));
         let mb = Algorithm::MiniBatch { batch: 8 }.resolve(2, 100, 0);
         assert!(!mb.converged(0, 1.0, 0.0), "mini-batch ignores reassignments");

@@ -177,7 +177,8 @@ impl IterView<'_> {
 }
 
 /// What a [`Reducer::reduce`] implementation reports about the global
-/// reduction it performed (all zeros for single-machine engines).
+/// reduction it performed (all zeros for single-machine engines); the
+/// driver copies it into the iteration's [`IterStats`].
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ReduceReport {
     /// Wire bytes this process sent during the reduction.
@@ -222,10 +223,8 @@ pub struct DriverOutcome {
     pub centroids: Centroids,
     /// Final per-row assignments.
     pub assignments: Vec<u32>,
-    /// Per-iteration statistics.
+    /// Per-iteration statistics, the reduction's wire counters included.
     pub iters: Vec<IterStats>,
-    /// Per-iteration reduction reports (meaningful for knord).
-    pub reduces: Vec<ReduceReport>,
     /// Whether the run converged before the iteration cap.
     pub converged: bool,
     /// Per-phase fold of this run's spans (`Some` iff tracing was on).
@@ -248,7 +247,6 @@ struct Coordinator {
     psums: Vec<f64>,
     pcounts: Vec<i64>,
     stats: Vec<IterStats>,
-    reduces: Vec<ReduceReport>,
 }
 
 /// Run a hook that may panic: its value, or `None` once the payload is
@@ -374,7 +372,6 @@ pub fn run_mm<P: DataPlane + ?Sized, R: Reducer>(
             psums: vec![0.0; k * d],
             pcounts: vec![0; k],
             stats: Vec::with_capacity(reserve),
-            reduces: Vec::with_capacity(reserve),
         });
         let mut iter = 0usize;
 
@@ -493,7 +490,7 @@ pub fn run_mm<P: DataPlane + ?Sized, R: Reducer>(
                     // Engine-specific global reduction (knord's
                     // allreduce); identity for single-machine engines.
                     let Coordinator { next, counts, weights, sums, psums, pcounts, .. } = co;
-                    let reduce_report = reducer.reduce(iter, sums, counts, weights, &mut totals);
+                    let wire = reducer.reduce(iter, sums, counts, weights, &mut totals);
 
                     if cfg_pruning {
                         // MTI's delta path — Lloyd only (the eligibility
@@ -548,8 +545,10 @@ pub fn run_mm<P: DataPlane + ?Sized, R: Reducer>(
                         wall_ns: t0.elapsed().as_nanos() as u64,
                         queue: queue.stats(),
                         max_drift,
+                        comm_bytes: wire.comm_bytes,
+                        max_rank_comm_bytes: wire.max_rank_comm_bytes,
+                        modeled_comm_ns: wire.modeled_comm_ns,
                     });
-                    co.reduces.push(reduce_report);
                     plane.end_iteration(iter, co.stats.last().expect("just pushed"), totals.aux);
                     queue.reset_stats();
 
@@ -604,7 +603,6 @@ pub fn run_mm<P: DataPlane + ?Sized, R: Reducer>(
         centroids: centroids.into_inner().unwrap_or_else(PoisonError::into_inner),
         assignments: rows.into_assignments(n),
         iters: coord.stats,
-        reduces: coord.reduces,
         converged: converged.load(Ordering::Acquire),
         // All workers joined above, so the group's rings are quiescent.
         // The fold covers only this run's group; engines that share one
@@ -1273,7 +1271,6 @@ mod tests {
         let cfg = config(60, 1, 3, Pruning::Mti, 2, KernelKind::Auto);
         let out = drive(&SlicePlane(RowView::new(&data, 1)), &reducer, &data, cfg);
         assert_eq!(reducer.calls.load(Ordering::Relaxed), out.iters.len());
-        assert_eq!(out.reduces.len(), out.iters.len());
-        assert!(out.reduces.iter().all(|r| r.comm_bytes == 7));
+        assert!(out.iters.iter().all(|it| it.comm_bytes == 7));
     }
 }

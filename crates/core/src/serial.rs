@@ -7,16 +7,17 @@
 //! tie-breaking as the parallel engine, so single-threaded static-scheduled
 //! runs match it bit-for-bit.
 
+use crate::algo::{LloydAlgo, MmAlgorithm};
 use crate::centroids::{finalize_means, Centroids, LocalAccum};
 use crate::distance::nearest;
 use crate::init::InitMethod;
 use crate::pruning::PruneCounters;
 use crate::stats::{CommitCounters, IterStats, KmeansResult, MemoryFootprint, SettleStats};
 use knor_matrix::DMatrix;
-use knor_sched::QueueStats;
 
-/// Run serial Lloyd's to convergence (no reassignments, or drift below
-/// `tol`, or `max_iters`).
+/// Run serial Lloyd's to convergence (no reassignments, or drift at or
+/// below `tol` — the driver's Lloyd rule, [`MmAlgorithm::converged`] — or
+/// `max_iters`).
 pub fn lloyd_serial(
     data: &DMatrix,
     k: usize,
@@ -61,10 +62,10 @@ pub fn lloyd_serial(
             prune: counters,
             commit: CommitCounters { borrowed_rows: n as u64, ..Default::default() },
             wall_ns: t0.elapsed().as_nanos() as u64,
-            queue: QueueStats::default(),
             max_drift,
+            ..IterStats::default()
         });
-        if reassigned == 0 || max_drift <= tol {
+        if LloydAlgo.converged(reassigned, max_drift, tol) {
             converged = true;
             break;
         }

@@ -64,7 +64,9 @@ pub struct RunSpec<X = ()> {
     /// Worker threads — per rank under knord; `None` = all available CPUs.
     pub threads: Option<usize>,
     /// Machine topology; `None` = detect the host (which honors
-    /// `KNOR_SYNTH_NODES`). knord ranks model their own workers instead.
+    /// `KNOR_SYNTH_NODES`). knord ignores it: each rank models its own
+    /// workers (`Topology::for_local_workers`), and its result's `numa`
+    /// reports rank 0's.
     pub topology: Option<Topology>,
     /// Rows per scheduler task.
     pub task_size: usize,
@@ -313,23 +315,22 @@ impl RankPlane {
     }
 }
 
-/// knord's knobs. The all-reduce algorithm `R` and the network model `N`
-/// are `knor-mpi`'s types, a crate this one does not link; `knor-dist`
-/// names them in its `DistConfig` alias.
+/// knord's knobs. The all-reduce algorithm `R` is `knor-mpi`'s type, a
+/// crate this one does not link; `knor-dist` names it in its `DistConfig`
+/// alias. (Each reduction's modeled wire time is priced on `knor-mpi`'s
+/// default network, EC2 10 GbE.)
 #[derive(Debug, Clone)]
-pub struct DistExt<R, N> {
+pub struct DistExt<R> {
     /// Ranks (simulated machines).
     pub ranks: usize,
     /// All-reduce algorithm for the per-iteration centroid+count state.
     pub reduce: R,
-    /// Network model used to price each iteration's reduction (Figs. 11–13).
-    pub net: N,
     /// Per-rank data plane.
     pub plane: RankPlane,
 }
 
 /// `DistConfig`: a run plus knord's knobs.
-impl<R: Default, N: Default> RunSpec<DistExt<R, N>> {
+impl<R: Default> RunSpec<DistExt<R>> {
     /// knord defaults: MTI on, ring all-reduce, `ranks` engines of
     /// `threads_per_rank` workers each.
     pub fn new(k: usize, ranks: usize, threads_per_rank: usize) -> Self {
@@ -339,7 +340,6 @@ impl<R: Default, N: Default> RunSpec<DistExt<R, N>> {
             .with_ext(DistExt {
                 ranks: ranks.max(1),
                 reduce: R::default(),
-                net: N::default(),
                 plane: RankPlane::InMemory,
             })
     }
@@ -354,8 +354,6 @@ impl<R: Default, N: Default> RunSpec<DistExt<R, N>> {
     setters! {
         /// Choose the all-reduce algorithm.
         with_reduce(v: R) => ext.reduce = v;
-        /// Supply a network model for the modeled wire times.
-        with_net(v: N) => ext.net = v;
         /// Choose the per-rank data plane.
         with_plane(v: RankPlane) => ext.plane = v;
     }
@@ -1154,7 +1152,7 @@ mod tests {
         assert_eq!(row(&library), (100, 0, InitMethod::Forgy, true));
         let sem = RunSpec::<SemPlaneConfig>::new(7);
         assert_eq!(row(&sem.with_ext(())), (100, 0, InitMethod::Forgy, false));
-        let dist = RunSpec::<DistExt<u8, u8>>::new(7, 0, 0);
+        let dist = RunSpec::<DistExt<u8>>::new(7, 0, 0);
         assert_eq!(row(&dist.with_ext(())), (100, 0, InitMethod::Forgy, false));
         assert_eq!((dist.ranks, dist.threads), (1, Some(1)), "both clamp to 1");
         let cli = RunSpec::defaults(Entry::Cli, 10);

@@ -37,8 +37,9 @@ impl CommitCounters {
     }
 }
 
-/// Statistics for one ||Lloyd's iteration.
-#[derive(Debug, Clone)]
+/// Statistics for one ||Lloyd's iteration, on every engine. Under knord
+/// every counter is the run's total over the ranks.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct IterStats {
     /// Iteration number, 0-based (iteration 0 is the initial assignment).
     pub iter: usize,
@@ -56,6 +57,13 @@ pub struct IterStats {
     pub queue: QueueStats,
     /// Maximum centroid drift after the update.
     pub max_drift: f64,
+    /// Wire bytes this process sent in the iteration's reduction (knord's
+    /// rank 0; 0 on one machine).
+    pub comm_bytes: u64,
+    /// Maximum wire bytes any rank sent in the iteration's reduction.
+    pub max_rank_comm_bytes: u64,
+    /// Modeled wire time of the reduction on the reference network.
+    pub modeled_comm_ns: f64,
 }
 
 /// NUMA topology report for one run (the `--stats` NUMA section).
@@ -88,6 +96,16 @@ pub struct MemoryFootprint {
 }
 
 impl MemoryFootprint {
+    /// Fold another engine instance's account (a knord rank's) into this.
+    pub fn merge(&mut self, o: &MemoryFootprint) {
+        self.data_bytes += o.data_bytes;
+        self.centroid_bytes += o.centroid_bytes;
+        self.accum_bytes += o.accum_bytes;
+        self.per_row_bytes += o.per_row_bytes;
+        self.pruning_bytes += o.pruning_bytes;
+        self.cache_bytes += o.cache_bytes;
+    }
+
     /// Table 1's terms for a run of `nthreads` workers over `n` rows under
     /// the resolved pruning `scheme` — the one place the formulas live.
     /// `data_bytes` is what the engine holds of the dataset (0 for SEM: the
@@ -286,14 +304,9 @@ mod tests {
     #[test]
     fn result_helpers() {
         let mk_iter = |wall: u64, comps: u64| IterStats {
-            iter: 0,
-            reassigned: 0,
-            rows_accessed: 0,
             prune: PruneCounters { dist_computations: comps, ..Default::default() },
-            commit: CommitCounters::default(),
             wall_ns: wall,
-            queue: QueueStats::default(),
-            max_drift: 0.0,
+            ..IterStats::default()
         };
         let r = KmeansResult {
             centroids: DMatrix::zeros(1, 1),
@@ -320,14 +333,9 @@ mod tests {
     #[test]
     fn iteration_zero_edge_cases() {
         let mk_iter = |wall: u64, comps: u64| IterStats {
-            iter: 0,
-            reassigned: 0,
-            rows_accessed: 0,
             prune: PruneCounters { dist_computations: comps, ..Default::default() },
-            commit: CommitCounters::default(),
             wall_ns: wall,
-            queue: QueueStats::default(),
-            max_drift: 0.0,
+            ..IterStats::default()
         };
         let mk = |iters: Vec<IterStats>| KmeansResult {
             centroids: DMatrix::zeros(1, 1),

@@ -7,12 +7,9 @@
 use std::io;
 use std::path::Path;
 
-use knor_core::pruning::PruneCounters;
 use knor_core::spec::{DistExt, Engine, RankPlane, RunSpec, Source};
-use knor_core::trace::PhaseBreakdown;
-use knor_core::{InitStats, Kmeans, KmeansResult, SettleStats};
-use knor_matrix::DMatrix;
-use knor_mpi::{NetModel, ReduceAlgo};
+use knor_core::{Kmeans, KmeansResult};
+use knor_mpi::ReduceAlgo;
 use knor_sem::{SemKmeans, SemResult};
 
 use crate::{DistKmeans, DistResult};
@@ -29,54 +26,12 @@ pub enum Fitted {
 }
 
 impl Fitted {
-    /// Final `k x d` centroids.
-    pub fn into_centroids(self) -> DMatrix {
+    /// The record every engine reports: the clustering, its iterations,
+    /// counters, costs and trace fold.
+    pub fn kmeans(&self) -> &KmeansResult {
         match self {
-            Fitted::Im(r) => r.centroids,
-            Fitted::Sem(r) => r.kmeans.centroids,
-            Fitted::Dist(r) => r.centroids,
-        }
-    }
-
-    /// `(iterations, converged, SSE when computed)`.
-    pub fn summary(&self) -> (usize, bool, Option<f64>) {
-        match self {
-            Fitted::Im(r) | Fitted::Sem(SemResult { kmeans: r, .. }) => {
-                (r.niters, r.converged, r.sse)
-            }
-            Fitted::Dist(r) => (r.niters, r.converged, r.sse),
-        }
-    }
-
-    /// Pruning counters summed over the run (and, for knord, the ranks).
-    pub fn total_prune(&self) -> PruneCounters {
-        match self {
-            Fitted::Im(r) | Fitted::Sem(SemResult { kmeans: r, .. }) => r.total_prune(),
-            Fitted::Dist(r) => r.total_prune(),
-        }
-    }
-
-    /// What the seeding cost.
-    pub fn init(&self) -> &InitStats {
-        match self {
-            Fitted::Im(r) | Fitted::Sem(SemResult { kmeans: r, .. }) => &r.init,
-            Fitted::Dist(r) => &r.init,
-        }
-    }
-
-    /// What the closing pass cost.
-    pub fn settle(&self) -> &SettleStats {
-        match self {
-            Fitted::Im(r) | Fitted::Sem(SemResult { kmeans: r, .. }) => &r.settle,
-            Fitted::Dist(r) => &r.settle,
-        }
-    }
-
-    /// The run's trace fold, when a recorder was attached.
-    pub fn phases(&self) -> Option<&PhaseBreakdown> {
-        match self {
-            Fitted::Im(r) | Fitted::Sem(SemResult { kmeans: r, .. }) => r.phases.as_ref(),
-            Fitted::Dist(r) => r.phases.as_ref(),
+            Fitted::Im(r) | Fitted::Sem(SemResult { kmeans: r, .. }) => r,
+            Fitted::Dist(r) => &r.kmeans,
         }
     }
 }
@@ -107,7 +62,6 @@ pub fn launch<X>(engine: &Engine, run: &RunSpec<X>, source: &Source) -> io::Resu
             let mut cfg = run.with_ext(DistExt {
                 ranks: *ranks,
                 reduce: if *star { ReduceAlgo::Star } else { ReduceAlgo::Ring },
-                net: NetModel::default(),
                 plane: plane.clone(),
             });
             cfg.threads = cfg.threads.or(Some(2));

@@ -39,22 +39,21 @@
 //!
 //! let data = MixtureSpec::friendster_like(600, 4, 7).generate().data;
 //! let r = DistKmeans::new(DistConfig::new(4, 2, 2).with_seed(1)).fit(&data);
-//! assert!(r.converged);
-//! assert_eq!(r.assignments.len(), 600);
+//! assert!(r.kmeans.converged);
+//! assert_eq!(r.kmeans.assignments.len(), 600);
 //! ```
 
-use std::ops::Range;
+use std::ops::{Deref, Range};
 use std::path::Path;
 use std::sync::{Arc, Mutex, PoisonError};
 
 use knor_core::centroids::Centroids;
 use knor_core::driver::{run_mm, ReduceReport, Reducer, WorkerReport};
 use knor_core::plane::{DataPlane, SlicePlane};
-use knor_core::pruning::PruneCounters;
 pub use knor_core::spec::RankPlane;
 use knor_core::spec::{settle, DistExt, RunSpec};
-use knor_core::trace::{Phase, PhaseBreakdown, TraceGroup};
-use knor_core::{InitStats, SettleStats};
+use knor_core::trace::{Phase, TraceGroup};
+use knor_core::{InitStats, KmeansResult, SettleStats};
 use knor_matrix::DMatrix;
 use knor_mpi::collectives::{allreduce_f64, allreduce_max_u64};
 use knor_mpi::{Comm, LocalCluster, NetModel, ReduceAlgo};
@@ -66,35 +65,11 @@ pub mod launch;
 pub use launch::{launch, Fitted};
 
 /// Configuration for a [`DistKmeans`] run: the run's description plus
-/// knord's ranks, all-reduce, network model and per-rank plane (see
-/// `knor_core::spec`). `threads` counts the workers inside each rank's
-/// engine; initialization is computed once over the full data, then shared
-/// by all ranks — knor seeds every machine identically.
-pub type DistConfig = RunSpec<DistExt<ReduceAlgo, NetModel>>;
-
-/// Statistics for one knord iteration: the engine counters (globalized
-/// across ranks by the all-reduce) plus the reduction's wire accounting.
-#[derive(Debug, Clone)]
-pub struct DistIterStats {
-    /// Iteration number, 0-based.
-    pub iter: usize,
-    /// Points reassigned this iteration, across all ranks.
-    pub reassigned: u64,
-    /// Rows touched this iteration, across all ranks.
-    pub rows_accessed: u64,
-    /// Pruning counters, across all ranks.
-    pub prune: PruneCounters,
-    /// Measured wall time of the iteration at rank 0.
-    pub wall_ns: u64,
-    /// Maximum centroid drift after the update.
-    pub max_drift: f64,
-    /// Wire bytes rank 0 sent in this iteration's reduction.
-    pub comm_bytes: u64,
-    /// Maximum wire bytes any rank sent in this iteration's reduction.
-    pub max_rank_comm_bytes: u64,
-    /// Modeled wire time of the reduction on the configured network.
-    pub modeled_comm_ns: f64,
-}
+/// knord's ranks, all-reduce and per-rank plane (see `knor_core::spec`).
+/// `threads` counts the workers inside each rank's engine; initialization
+/// is computed once over the full data, then shared by all ranks — knor
+/// seeds every machine identically.
+pub type DistConfig = RunSpec<DistExt<ReduceAlgo>>;
 
 /// Per-rank communication totals for a whole run.
 #[derive(Debug, Clone, Copy)]
@@ -122,48 +97,40 @@ pub struct RankIo {
     pub io: Vec<IoIterStats>,
 }
 
-/// The outcome of a knord run.
+/// The outcome of a knord run: the record every engine reports, plus what
+/// knord adds — per-rank wire and I/O totals.
 #[derive(Debug, Clone)]
 pub struct DistResult {
-    /// Final `k x d` centroids (identical on every rank).
-    pub centroids: DMatrix,
-    /// Final assignment of each row, in global row order.
-    pub assignments: Vec<u32>,
-    /// Number of iterations executed.
-    pub niters: usize,
-    /// True if assignments stabilized before the iteration cap.
-    pub converged: bool,
-    /// Per-iteration statistics.
-    pub iters: Vec<DistIterStats>,
+    /// The run's record, built by `Resolved::finish` as knori's and knors'
+    /// are. Every per-iteration counter is the run's total over the ranks:
+    /// the pruning counters, `reassigned` and `rows_accessed` ride the
+    /// allreduce, `commit` and `queue` are summed over the ranks' records.
+    /// `wall_ns` and the wire counters are rank 0's (`max_rank_comm_bytes`
+    /// is the cluster's maximum), `memory` sums the ranks' accounts, `numa`
+    /// is rank 0's topology and `phases` folds every rank's tracks,
+    /// including each rank's allreduce comm track.
+    pub kmeans: KmeansResult,
     /// Per-rank communication totals.
     pub rank_comm: Vec<RankComm>,
     /// Per-rank I/O records ([`DistKmeans::fit_file`] runs; empty for
     /// the in-memory [`DistKmeans::fit`] entry point).
     pub rank_io: Vec<RankIo>,
-    /// Final within-cluster sum of squared distances, when requested.
-    pub sse: Option<f64>,
-    /// What the seeding cost (once, before the ranks start).
-    pub init: InitStats,
-    /// What the closing pass cost (once, after the ranks stop).
-    pub settle: SettleStats,
-    /// Per-phase trace fold over every rank's tracks, including each
-    /// rank's allreduce comm track (`Some` iff `DistConfig`'s `trace` was
-    /// attached).
-    pub phases: Option<PhaseBreakdown>,
 }
 
-impl DistResult {
-    /// Sum of pruning counters across iterations.
-    pub fn total_prune(&self) -> PruneCounters {
-        let mut total = PruneCounters::default();
-        for it in &self.iters {
-            total.merge(&it.prune);
-        }
-        total
+/// Reads `kmeans` through the result, for callers written against the
+/// fields `DistResult` used to copy (the benchmark harness).
+#[doc(hidden)]
+impl Deref for DistResult {
+    type Target = KmeansResult;
+
+    fn deref(&self) -> &KmeansResult {
+        &self.kmeans
     }
 }
 
-/// The knord solver.
+/// The knord solver. knord ignores [`RunSpec::topology`]: each rank models
+/// its own workers (`Topology::for_local_workers`, which honors
+/// `KNOR_SYNTH_NODES`), and the result's `numa` reports rank 0's.
 pub struct DistKmeans {
     config: DistConfig,
 }
@@ -204,11 +171,11 @@ impl DistKmeans {
             .run_ranks(data.ncol(), &init, &ranges, slices)
             .expect("in-memory rows cannot fail");
         let algo = cfg.algo.resolve(cfg.k, n, cfg.seed);
-        let threads = self.threads_per_rank();
-        (out.sse, out.settle) =
-            settle(&*algo, data, &out.centroids, &mut out.assignments, cfg.compute_sse, threads);
+        let (threads, km) = (self.threads_per_rank(), &mut out.kmeans);
+        (km.sse, km.settle) =
+            settle(&*algo, data, &km.centroids, &mut km.assignments, cfg.compute_sse, threads);
+        km.init = init_stats;
         out.rank_io = Vec::new(); // in-memory entry point: no I/O record
-        out.init = init_stats;
         out
     }
 
@@ -234,13 +201,14 @@ impl DistKmeans {
         let ranges = knor_matrix::partition_rows(n, cfg.ext.ranks);
         let data = self.open_ranks(path, &ranges)?;
         let mut out = self.run_ranks(d, &init, &ranges, data)?;
-        out.init = init_stats;
+        let km = &mut out.kmeans;
+        km.init = init_stats;
         // The final streamed pass over the file (the subsampling refresh
         // and/or the SSE) — never the whole matrix in memory.
         let algo = cfg.algo.resolve(cfg.k, n, cfg.seed);
         let (reader, sse, threads) = (open_reader(path)?, cfg.compute_sse, self.threads_per_rank());
-        (out.sse, out.settle) =
-            streamed_settle(&reader, &*algo, &out.centroids, &mut out.assignments, sse, threads)?;
+        (km.sse, km.settle) =
+            streamed_settle(&reader, &*algo, &km.centroids, &mut km.assignments, sse, threads)?;
         Ok(out)
     }
 
@@ -271,9 +239,10 @@ impl DistKmeans {
     }
 
     /// Run one engine per rank over its `data` and assemble the result
-    /// (SSE and the subsampling refresh are the entry points'). A failed
-    /// read after the open (the file shrank, the device erred) stops every
-    /// rank at the same iteration and comes back as the error.
+    /// (the seeding's cost, the SSE and the subsampling refresh are the
+    /// entry points'). A failed read after the open (the file shrank, the
+    /// device erred) stops every rank at the same iteration and comes back
+    /// as the error.
     fn run_ranks(
         &self,
         d: usize,
@@ -297,6 +266,11 @@ impl DistKmeans {
             let topo = Topology::for_local_workers(threads);
             let run = cfg.resolve(ranges[rank].clone(), n, d, Some(topo), rank as u32);
             let reducer = RankReducer::new(cfg, &comm, run.algo.uses_weights(), threads, d);
+            // What the rank holds of the data, and its cache budgets.
+            let held = match &cfg.ext.plane {
+                RankPlane::InMemory => ((ranges[rank].len() * d * 8) as u64, 0),
+                RankPlane::Sem(p) => (0, p.row_cache_bytes + p.page_cache_bytes),
+            };
             let outcome = {
                 let slice;
                 let plane: &dyn DataPlane = match &data {
@@ -313,11 +287,16 @@ impl DistKmeans {
                 let (place, queue) = (&run.placement, &run.queue);
                 run_mm(&run.driver, init.clone(), place, queue, plane, &reducer, &*run.algo)
             };
+            let record = outcome.map(|o| {
+                let centroids = o.centroids.to_matrix();
+                let unsettled = (None, SettleStats::default());
+                run.finish(o, InitStats::default(), centroids, held.0, held.1, unsettled)
+            });
             let io = match &mut data {
                 RankData::Sem(p) => RankIo { rank, io: p.finish() },
                 _ => RankIo { rank, ..RankIo::default() },
             };
-            (outcome, comm.stats().snapshot(), io)
+            (record, comm.stats().snapshot(), io)
         });
 
         // A failed read stopped every rank at the same iteration (the failure
@@ -339,9 +318,9 @@ impl DistKmeans {
             return Err(e);
         }
 
-        let mut out = assemble(outcomes, ranges, n);
+        let mut out = assemble(outcomes, ranges);
         // All rank threads have joined: folding the shared buffer is safe.
-        out.phases = cfg.trace.as_ref().map(|b| b.breakdown());
+        out.kmeans.phases = cfg.trace.as_ref().map(|b| b.breakdown());
         Ok(out)
     }
 }
@@ -354,63 +333,34 @@ enum RankData<'a> {
     Sem(Box<SemPlane>),
 }
 
-/// Assemble rank outcomes into a [`DistResult`] (assignments concatenate
-/// in rank order because the row partition is contiguous; SSE and the
-/// subsampling refresh are the entry points' responsibility).
+/// Fold the ranks' records into rank 0's: assignments concatenate in rank
+/// order (the row partition is contiguous), the rank-local counters and the
+/// memory accounts sum. Every rank ran the same iterations, because every
+/// convergence decision is made from allreduced totals.
 fn assemble(
-    mut results: Vec<(knor_core::DriverOutcome, (u64, u64, u64), RankIo)>,
+    results: Vec<(KmeansResult, (u64, u64, u64), RankIo)>,
     ranges: &[Range<usize>],
-    n: usize,
 ) -> DistResult {
-    let mut assignments = Vec::with_capacity(n);
-    for (outcome, _, _) in &results {
-        assignments.extend_from_slice(&outcome.assignments);
+    let mut kmeans: Option<KmeansResult> = None;
+    let (mut rank_comm, mut rank_io) = (Vec::new(), Vec::new());
+    for (rank, (r, (bytes_sent, bytes_received, messages_sent), io)) in
+        results.into_iter().enumerate()
+    {
+        let rows = ranges[rank].len();
+        rank_comm.push(RankComm { rank, rows, bytes_sent, bytes_received, messages_sent });
+        rank_io.push(io);
+        let Some(total) = kmeans.as_mut() else {
+            kmeans = Some(r);
+            continue;
+        };
+        total.assignments.extend_from_slice(&r.assignments);
+        total.memory.merge(&r.memory);
+        for (t, it) in total.iters.iter_mut().zip(&r.iters) {
+            t.commit.merge(&it.commit);
+            t.queue.merge(&it.queue);
+        }
     }
-    let rank_comm = results
-        .iter()
-        .enumerate()
-        .map(|(rank, (_, (sent, received, msgs), _))| RankComm {
-            rank,
-            rows: ranges[rank].len(),
-            bytes_sent: *sent,
-            bytes_received: *received,
-            messages_sent: *msgs,
-        })
-        .collect();
-    let rank_io = results.iter().map(|(_, _, io)| io.clone()).collect();
-
-    let (outcome0, _, _) = results.swap_remove(0);
-    let iters: Vec<DistIterStats> = outcome0
-        .iters
-        .into_iter()
-        .zip(outcome0.reduces)
-        .map(|(s, r)| DistIterStats {
-            iter: s.iter,
-            reassigned: s.reassigned,
-            rows_accessed: s.rows_accessed,
-            prune: s.prune,
-            wall_ns: s.wall_ns,
-            max_drift: s.max_drift,
-            comm_bytes: r.comm_bytes,
-            max_rank_comm_bytes: r.max_rank_comm_bytes,
-            modeled_comm_ns: r.modeled_comm_ns,
-        })
-        .collect();
-
-    let centroids = outcome0.centroids.to_matrix();
-    DistResult {
-        centroids,
-        assignments,
-        niters: iters.len(),
-        converged: outcome0.converged,
-        iters,
-        rank_comm,
-        rank_io,
-        sse: None,
-        init: InitStats::default(),
-        settle: SettleStats::default(),
-        phases: None,
-    }
+    DistResult { kmeans: kmeans.expect("at least one rank"), rank_comm, rank_io }
 }
 
 /// One rank's all-reduce window (its data plane — in-memory slice or
@@ -418,6 +368,7 @@ fn assemble(
 struct RankReducer<'a> {
     comm: &'a Comm,
     algo: ReduceAlgo,
+    /// Prices each reduction's wire time (EC2 10 GbE).
     net: NetModel,
     /// Modeled payload of one reduction: centroid sums + counts [+ the
     /// per-cluster contribution weights, for weighted algorithms] + the
@@ -454,7 +405,7 @@ impl<'a> RankReducer<'a> {
         Self {
             comm,
             algo: cfg.ext.reduce,
-            net: cfg.ext.net,
+            net: NetModel::default(),
             reduce_payload: (lanes * 8) as u64,
             carry_weights,
             prev_sent: Mutex::new(0),
@@ -593,7 +544,8 @@ mod tests {
                 .with_max_iters(60)
                 .with_sse(true),
         )
-        .fit(&data);
+        .fit(&data)
+        .kmeans;
         assert_eq!(dist.niters, serial.niters);
         assert!(agreement(&dist.assignments, &serial.assignments, k) > 0.999);
         let rel = (dist.sse.unwrap() - serial.sse.unwrap()).abs() / serial.sse.unwrap();
@@ -614,7 +566,8 @@ mod tests {
                 .with_pruning(Pruning::None)
                 .with_max_iters(60),
         )
-        .fit(&data);
+        .fit(&data)
+        .kmeans;
         assert_eq!(dist.assignments, serial.assignments);
         assert_eq!(dist.centroids, serial.centroids, "gemm knord must be bitwise serial");
         assert_eq!(dist.niters, serial.niters);
@@ -625,7 +578,7 @@ mod tests {
         let data = mixture(997, 4, 5);
         let r =
             DistKmeans::new(DistConfig::new(5, 3, 1).with_seed(2).with_max_iters(40)).fit(&data);
-        assert_eq!(r.assignments.len(), 997);
+        assert_eq!(r.kmeans.assignments.len(), 997);
         assert_eq!(r.rank_comm.iter().map(|c| c.rows).sum::<usize>(), 997);
         assert!(r.rank_comm.iter().all(|c| c.bytes_sent > 0));
     }
@@ -639,8 +592,8 @@ mod tests {
             .with_init(InitMethod::Given(init))
             .with_max_iters(60)
             .with_sse(true);
-        let mti = DistKmeans::new(base.clone()).fit(&data);
-        let full = DistKmeans::new(base.with_pruning(Pruning::None)).fit(&data);
+        let mti = DistKmeans::new(base.clone()).fit(&data).kmeans;
+        let full = DistKmeans::new(base.with_pruning(Pruning::None)).fit(&data).kmeans;
         assert_eq!(mti.niters, full.niters);
         // FP merge order differs between delta and full accumulation:
         // compare clusterings, not bits.
@@ -662,7 +615,7 @@ mod tests {
         let ring = run(ReduceAlgo::Ring);
         let star = run(ReduceAlgo::Star);
         // Same clustering, different transport shape.
-        assert_eq!(ring.assignments, star.assignments);
+        assert_eq!(ring.kmeans.assignments, star.kmeans.assignments);
         let ring_max = ring.rank_comm.iter().map(|c| c.bytes_sent).max().unwrap();
         let ring_min = ring.rank_comm.iter().map(|c| c.bytes_sent).min().unwrap();
         // Ring traffic is balanced across ranks…
@@ -690,8 +643,8 @@ mod tests {
             .with_scheduler(SchedulerKind::Static)
             .with_max_iters(40)
             .with_sse(true);
-        let mem = DistKmeans::new(cfg.clone()).fit(&data);
-        let file = DistKmeans::new(cfg).fit_file(&path).unwrap();
+        let mem = DistKmeans::new(cfg.clone()).fit(&data).kmeans;
+        let file = DistKmeans::new(cfg).fit_file(&path).unwrap().kmeans;
         assert_eq!(file.assignments, mem.assignments);
         assert_eq!(file.centroids, mem.centroids, "fit_file must be bitwise fit");
         assert_eq!(file.niters, mem.niters);
@@ -716,11 +669,11 @@ mod tests {
         )
         .fit_file(&path)
         .unwrap();
-        assert_eq!(r.assignments.len(), 1200);
+        assert_eq!(r.kmeans.assignments.len(), 1200);
         assert_eq!(r.rank_io.len(), 3);
         for (rank, io) in r.rank_io.iter().enumerate() {
             assert_eq!(io.rank, rank);
-            assert_eq!(io.io.len(), r.niters, "rank {rank} must record every iteration");
+            assert_eq!(io.io.len(), r.kmeans.niters, "rank {rank} must record every iteration");
             // Every rank touched exactly its slice on the first pass.
             assert_eq!(io.io[0].active_rows as usize, r.rank_comm[rank].rows, "rank {rank}");
         }
@@ -783,8 +736,9 @@ mod tests {
     #[test]
     fn modeled_comm_times_are_populated() {
         let data = mixture(400, 4, 8);
-        let r =
-            DistKmeans::new(DistConfig::new(4, 2, 1).with_seed(4).with_max_iters(10)).fit(&data);
+        let r = DistKmeans::new(DistConfig::new(4, 2, 1).with_seed(4).with_max_iters(10))
+            .fit(&data)
+            .kmeans;
         assert!(!r.iters.is_empty());
         for it in &r.iters {
             assert!(it.modeled_comm_ns > 0.0);

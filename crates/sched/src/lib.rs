@@ -114,6 +114,14 @@ pub struct QueueStats {
 }
 
 impl QueueStats {
+    /// Fold another queue's (a knord rank's) counters into these.
+    pub fn merge(&mut self, o: &QueueStats) {
+        self.own += o.own;
+        self.node_steals += o.node_steals;
+        self.priority_hits += o.priority_hits;
+        self.remote_steals += o.remote_steals;
+    }
+
     /// Total tasks dispensed.
     pub fn total(&self) -> u64 {
         self.own + self.node_steals + self.priority_hits + self.remote_steals

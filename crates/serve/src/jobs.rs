@@ -181,8 +181,8 @@ fn train(spec: &TrainSpec) -> Result<(DMatrix, TrainDiag), String> {
         Source::File(p) => format!("read {p:?}: {e}"),
         Source::Matrix(_) => e.to_string(),
     })?;
-    let diag = TrainDiag { io_skip_rows: fitted.total_prune().io_skip_rows };
-    Ok((fitted.into_centroids(), diag))
+    let km = fitted.kmeans();
+    Ok((km.centroids.clone(), TrainDiag { io_skip_rows: km.total_prune().io_skip_rows }))
 }
 
 #[cfg(test)]

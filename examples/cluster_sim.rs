@@ -26,7 +26,8 @@ fn main() {
                 .with_reduce(algo)
                 .with_max_iters(60),
         )
-        .fit(&data);
+        .fit(&data)
+        .kmeans;
         let elapsed = t0.elapsed();
         let comm: u64 = result.iters.iter().map(|i| i.max_rank_comm_bytes).max().unwrap();
         let wire: f64 =
@@ -46,7 +47,8 @@ fn main() {
             .with_init(InitMethod::Given(init.clone()))
             .with_max_iters(60),
     )
-    .fit(&data);
+    .fit(&data)
+    .kmeans;
     println!(
         "\npure-MPI baseline ({} ranks x 1 thread): {} iters in {:.2?}",
         ranks * 2,

@@ -259,7 +259,7 @@ fn finish_trace(o: &Opts, buf: Option<&Arc<TraceBuf>>, fitted: &Fitted) {
         println!("trace: wrote {}", path.display());
     }
     if o.stats {
-        if let Some(p) = fitted.phases().filter(|p| !p.is_empty()) {
+        if let Some(p) = fitted.kmeans().phases.as_ref().filter(|p| !p.is_empty()) {
             // knori neither reads a device nor talks to a rank.
             print!("{}", p.render(!matches!(fitted, Fitted::Im(_))));
         }
@@ -317,43 +317,35 @@ fn main() {
             let t0 = std::time::Instant::now();
             let fitted = launch(&o.engine, &o.run, &Source::File(o.file.clone()))
                 .unwrap_or_else(|e| io_die(o.file.display(), e));
-            let name = format!("knor{}", &mode[..1]);
-            report(&name, fitted.summary(), t0.elapsed());
+            let km = fitted.kmeans();
+            report(&format!("knor{}", &mode[..1]), km, t0.elapsed());
             if let Fitted::Sem(r) = &fitted {
                 let read: u64 = r.io.iter().map(|i| i.bytes_read).sum();
                 println!("device bytes read: {:.1} MB", read as f64 / 1e6);
             }
             if o.stats {
                 println!("{}", kernel_note(&o.run, d));
-                print_prune(&o.run, n, &fitted.total_prune());
+                print_prune(&o.run, n, &km.total_prune());
                 // Load, seeding, iterations and the closing pass: the run.
-                let init_settle = || {
-                    print_init(&o.run, n, fitted.init());
-                    print_settle(fitted.settle());
-                };
+                // knord prints its wire and rank tables instead of the
+                // commit, NUMA and memory lines.
+                if !matches!(fitted, Fitted::Dist(_)) {
+                    print_commit(&km.total_commit());
+                    print_numa(&km.numa);
+                }
+                if let Some(l) = &km.load {
+                    print_load(l);
+                }
+                print_init(&o.run, n, &km.init);
+                print_settle(&km.settle);
                 match &fitted {
-                    Fitted::Im(r) => {
-                        print_commit(&r.total_commit());
-                        print_numa(&r.numa);
-                        if let Some(l) = &r.load {
-                            print_load(l);
-                        }
-                        init_settle();
-                        print_memory(&r.memory);
-                    }
+                    Fitted::Im(_) => print_memory(&km.memory),
                     Fitted::Sem(r) => {
-                        let km = &r.kmeans;
-                        print_commit(&km.total_commit());
-                        print_numa(&km.numa);
-                        init_settle();
                         print_memory(&km.memory);
                         print_io_table(&r.io);
                         print_io_summary(&[&r.io]);
                     }
-                    Fitted::Dist(r) => {
-                        init_settle();
-                        print_dist_stats(r)
-                    }
+                    Fitted::Dist(r) => print_dist_stats(r),
                 }
             }
             finish_trace(&o, o.run.trace.as_ref(), &fitted);
@@ -466,13 +458,9 @@ fn main() {
     }
 }
 
-fn report(
-    name: &str,
-    (niters, converged, sse): (usize, bool, Option<f64>),
-    t: std::time::Duration,
-) {
-    println!("{name}: {niters} iterations in {t:.2?} (converged = {converged})");
-    if let Some(s) = sse {
+fn report(name: &str, km: &KmeansResult, t: std::time::Duration) {
+    println!("{name}: {} iterations in {t:.2?} (converged = {})", km.niters, km.converged);
+    if let Some(s) = km.sse {
         println!("SSE = {s:.4}");
     }
 }
@@ -656,6 +644,7 @@ fn print_io_summary(planes: &[&[knor::sem::IoIterStats]]) {
 /// for SEM-plane runs — each rank's private I/O record and their sum.
 fn print_dist_stats(r: &DistResult) {
     let iter_rows: Vec<Vec<String>> = r
+        .kmeans
         .iters
         .iter()
         .map(|it| {

@@ -273,14 +273,17 @@ fn weights_lane_on_wire_only_for_weighted_algorithms() {
     let lloyd = run(Algorithm::Lloyd);
     let fuzzy = run(Algorithm::Fuzzy { m: 2.0 });
     let spherical = run(Algorithm::Spherical);
-    let lb = lloyd.iters[1].comm_bytes;
-    let fb = fuzzy.iters[1].comm_bytes;
+    let lb = lloyd.kmeans.iters[1].comm_bytes;
+    let fb = fuzzy.kmeans.iters[1].comm_bytes;
     assert!(fb > lb, "weighted payload must exceed Lloyd's ({fb} vs {lb})");
     // Ring reduce-scatter + all-gather sends 2·(R−1)·payload/R per rank;
     // with R = 2 that is exactly one payload, so the delta is k lanes.
     assert_eq!(fb - lb, (k * 8) as u64, "weights lane should cost exactly k f64s at R=2");
     // Algorithms whose update ignores weights keep Lloyd's payload shape.
-    assert_eq!(spherical.iters[1].comm_bytes, lb, "spherical must not ship the weights lane");
+    assert_eq!(
+        spherical.kmeans.iters[1].comm_bytes, lb,
+        "spherical must not ship the weights lane"
+    );
 }
 
 /// MTI pruning is force-disabled for non-Euclidean / non-mean algorithms

@@ -15,6 +15,14 @@ fn workload(n: usize, d: usize, seed: u64) -> (DMatrix, DMatrix) {
     (planted.data, planted.centers)
 }
 
+/// Two runs of one description on two engines: the same assignments,
+/// centroid bits and iteration count.
+fn assert_same_run(a: &KmeansResult, b: &KmeansResult, what: &str) {
+    assert_eq!(a.assignments, b.assignments, "{what}: assignments");
+    assert_eq!(a.centroids, b.centroids, "{what}: centroids must be bitwise");
+    assert_eq!(a.niters, b.niters, "{what}: iterations");
+}
+
 #[test]
 fn all_modules_agree_on_one_init() {
     let (data, _) = workload(3000, 8, 101);
@@ -67,7 +75,8 @@ fn all_modules_agree_on_one_init() {
             .with_max_iters(max_iters)
             .with_sse(true),
     )
-    .fit(&data);
+    .fit(&data)
+    .kmeans;
     assert_eq!(dist.niters, serial.niters, "knord trajectory diverged");
     assert!(agreement(&dist.assignments, &serial.assignments, k) > 0.999);
 
@@ -111,9 +120,7 @@ fn bitwise_serial_on_every_engine(data: &DMatrix, k: usize) {
     )
     .fit(data);
     assert!(im.total_commit().panel_packs > 0, "k={k}: knori never ran gemm");
-    assert_eq!(im.assignments, serial.assignments, "knori assignments, k={k}");
-    assert_eq!(im.centroids, serial.centroids, "knori centroids must match bitwise, k={k}");
-    assert_eq!(im.niters, serial.niters, "knori, k={k}");
+    assert_same_run(&im, &serial, &format!("knori, k={k}"));
 
     // knors (no row cache, one thread: rows process in serial order).
     let path = TempFile::new(format!("knor-cross-gemm-{}.knor", std::process::id()));
@@ -133,9 +140,7 @@ fn bitwise_serial_on_every_engine(data: &DMatrix, k: usize) {
     .unwrap();
     drop(path);
     assert!(sem.kmeans.total_commit().panel_packs > 0, "k={k}: knors never ran gemm");
-    assert_eq!(sem.kmeans.assignments, serial.assignments, "knors assignments, k={k}");
-    assert_eq!(sem.kmeans.centroids, serial.centroids, "knors centroids must match bitwise, k={k}");
-    assert_eq!(sem.kmeans.niters, serial.niters, "knors, k={k}");
+    assert_same_run(&sem.kmeans, &serial, &format!("knors, k={k}"));
 
     // knord (one rank, one thread).
     let dist = DistKmeans::new(
@@ -144,10 +149,9 @@ fn bitwise_serial_on_every_engine(data: &DMatrix, k: usize) {
             .with_pruning(Pruning::None)
             .with_max_iters(max_iters),
     )
-    .fit(data);
-    assert_eq!(dist.assignments, serial.assignments, "knord assignments, k={k}");
-    assert_eq!(dist.centroids, serial.centroids, "knord centroids must match bitwise, k={k}");
-    assert_eq!(dist.niters, serial.niters, "knord, k={k}");
+    .fit(data)
+    .kmeans;
+    assert_same_run(&dist, &serial, &format!("knord, k={k}"));
 }
 
 /// The certified gemm contract across engines, engine against engine: the
@@ -177,9 +181,7 @@ fn gemm_kernels_agree_bitwise_across_all_three_engines() {
     assert!(im.total_commit().panel_packs > 0, "knori never ran gemm");
     // Certified: every winner is the exact scan's, so the trajectory is
     // the serial one bit for bit.
-    assert_eq!(im.niters, serial.niters, "gemm trajectory length diverged");
-    assert_eq!(im.assignments, serial.assignments, "gemm assignments");
-    assert_eq!(im.centroids, serial.centroids, "gemm centroids must be bitwise");
+    assert_same_run(&im, &serial, "gemm");
 
     // knors.
     let path = TempFile::new(format!("knor-cross-fused-{}.knor", std::process::id()));
@@ -199,9 +201,7 @@ fn gemm_kernels_agree_bitwise_across_all_three_engines() {
     .unwrap();
     drop(path);
     assert!(sem.kmeans.total_commit().panel_packs > 0, "knors never ran gemm");
-    assert_eq!(sem.kmeans.assignments, im.assignments, "knors assignments");
-    assert_eq!(sem.kmeans.centroids, im.centroids, "knors centroids must match knori bitwise");
-    assert_eq!(sem.kmeans.niters, im.niters);
+    assert_same_run(&sem.kmeans, &im, "knors");
 
     // knord (one rank, one thread).
     let dist = DistKmeans::new(
@@ -210,10 +210,39 @@ fn gemm_kernels_agree_bitwise_across_all_three_engines() {
             .with_pruning(Pruning::None)
             .with_max_iters(max_iters),
     )
-    .fit(&data);
-    assert_eq!(dist.assignments, im.assignments, "knord assignments");
-    assert_eq!(dist.centroids, im.centroids, "knord centroids must match knori bitwise");
-    assert_eq!(dist.niters, im.niters);
+    .fit(&data)
+    .kmeans;
+    assert_same_run(&dist, &im, "knord");
+}
+
+/// One stop rule for knori and the serial reference: nothing moved, or
+/// the centroids did not drift. On duplicated rows with more clusters than
+/// distinct points, rows move between bit-equal duplicate centroids with
+/// zero drift; knori used to run one more pass there than `lloyd_serial`.
+/// (MTI keeps the current centroid on an exact tie where the scan takes the
+/// lowest index, so this pins the unpruned path.)
+#[test]
+fn knori_stops_where_serial_stops_on_duplicated_rows() {
+    let (base, _) = workload(2400, 6, 77);
+    let distinct: Vec<&[f64]> = base.rows().take(7).collect();
+    let rows: Vec<f64> = (0..7 * 30).flat_map(|i| distinct[i % 7].iter().copied()).collect();
+    let data = DMatrix::from_vec(rows, 7 * 30, 6);
+    for k in [9, 12] {
+        for seed in [0, 1, 5, 23] {
+            let init = InitMethod::Forgy.initialize(&data, k, seed).to_matrix();
+            let serial = lloyd_serial(&data, k, &InitMethod::Given(init.clone()), 0, 50, 0.0);
+            let im = Kmeans::new(
+                KmeansConfig::new(k)
+                    .with_init(InitMethod::Given(init))
+                    .with_threads(1)
+                    .with_pruning(Pruning::None)
+                    .with_max_iters(50),
+            )
+            .fit(&data);
+            let what = format!("k={k} seed={seed}");
+            assert_same_run(&im, &serial, &what);
+        }
+    }
 }
 
 /// The algorithm layer's core promise: write an algorithm once, get
@@ -275,14 +304,11 @@ fn every_algorithm_agrees_across_all_three_engines() {
                 .with_scheduler(SchedulerKind::Static)
                 .with_max_iters(max_iters),
         )
-        .fit(&data);
+        .fit(&data)
+        .kmeans;
 
-        assert_eq!(im.niters, sem.kmeans.niters, "{name}: knors trajectory diverged");
-        assert_eq!(im.niters, dist.niters, "{name}: knord trajectory diverged");
-        assert_eq!(im.assignments, sem.kmeans.assignments, "{name}: knors assignments");
-        assert_eq!(im.assignments, dist.assignments, "{name}: knord assignments");
-        assert_eq!(im.centroids, sem.kmeans.centroids, "{name}: knors centroids must be bitwise");
-        assert_eq!(im.centroids, dist.centroids, "{name}: knord centroids must be bitwise");
+        assert_same_run(&sem.kmeans, &im, &format!("{name}: knors"));
+        assert_same_run(&dist, &im, &format!("{name}: knord"));
 
         // Multi-rank knord: the allreduced sums/counts/weights walk the
         // same trajectory up to FP merge order.
@@ -293,7 +319,8 @@ fn every_algorithm_agrees_across_all_three_engines() {
                 .with_seed(seed)
                 .with_max_iters(max_iters),
         )
-        .fit(&data);
+        .fit(&data)
+        .kmeans;
         assert!(
             agreement(&dist3.assignments, &im.assignments, k) > 0.99,
             "{name}: multi-rank knord diverged"
@@ -351,9 +378,7 @@ fn dist_sem_single_rank_bitwise_matches_knors() {
             .fit_file(&path)
             .unwrap();
 
-            assert_eq!(dist.assignments, sem.kmeans.assignments, "{tag}: assignments");
-            assert_eq!(dist.centroids, sem.kmeans.centroids, "{tag}: centroids must be bitwise");
-            assert_eq!(dist.niters, sem.kmeans.niters, "{tag}: trajectory");
+            assert_same_run(&dist.kmeans, &sem.kmeans, &tag);
             // The single rank's private I/O record is knors' record.
             assert_eq!(dist.rank_io.len(), 1, "{tag}");
             assert_eq!(dist.rank_io[0].io.len(), sem.io.len(), "{tag}");
@@ -396,15 +421,14 @@ fn dist_sem_bitwise_matches_dist_in_memory_across_ranks() {
                     .with_pruning(pruning)
                     .with_max_iters(max_iters)
                     .with_sse(true);
-                let mem = DistKmeans::new(base.clone()).fit(&data);
+                let mem = DistKmeans::new(base.clone()).fit(&data).kmeans;
                 let sem = DistKmeans::new(base.with_plane(RankPlane::Sem(
                     SemPlaneConfig::default().with_page_size(512).with_row_cache_bytes(1 << 20),
                 )))
                 .fit_file(&path)
-                .unwrap();
-                assert_eq!(sem.assignments, mem.assignments, "{tag}: assignments");
-                assert_eq!(sem.centroids, mem.centroids, "{tag}: centroids must be bitwise");
-                assert_eq!(sem.niters, mem.niters, "{tag}: trajectory");
+                .unwrap()
+                .kmeans;
+                assert_same_run(&sem, &mem, &tag);
                 assert_eq!(
                     sem.sse.map(f64::to_bits),
                     mem.sse.map(f64::to_bits),
@@ -439,22 +463,20 @@ fn every_algorithm_bitwise_across_rank_planes() {
             .with_scheduler(SchedulerKind::Static)
             .with_task_size(128)
             .with_max_iters(max_iters);
-        let mem = DistKmeans::new(base.clone()).fit(&data);
+        let mem = DistKmeans::new(base.clone()).fit(&data).kmeans;
         let sem = DistKmeans::new(base.with_plane(RankPlane::Sem(
             SemPlaneConfig::default().with_page_size(512).with_row_cache_bytes(1 << 20),
         )))
         .fit_file(&path)
         .unwrap();
-        assert_eq!(sem.assignments, mem.assignments, "{name}: assignments");
-        assert_eq!(sem.centroids, mem.centroids, "{name}: centroids must be bitwise");
-        assert_eq!(sem.niters, mem.niters, "{name}: trajectory");
+        assert_same_run(&sem.kmeans, &mem, name);
         if matches!(algo, Algorithm::MiniBatch { .. }) {
             // The subsampling filter runs before any I/O: SEM ranks must
             // have fetched only the in-batch rows.
             let active: u64 =
                 sem.rank_io.iter().flat_map(|r| r.io.iter()).map(|i| i.active_rows).sum();
             assert!(
-                active < (sem.niters as u64) * 1500,
+                active < (sem.kmeans.niters as u64) * 1500,
                 "mini-batch SEM ranks fetched more than the sampled batches"
             );
         }
@@ -477,7 +499,7 @@ fn dist_sem_handles_data_larger_than_rank_caches() {
         .with_scheduler(SchedulerKind::Static)
         .with_max_iters(30)
         .with_sse(true);
-    let mem = DistKmeans::new(base.clone()).fit(&data);
+    let mem = DistKmeans::new(base.clone()).fit(&data).kmeans;
     // 8 KB row cache + 8 KB page cache per rank: ~3% of a rank's slice.
     let sem = DistKmeans::new(
         base.with_plane(RankPlane::Sem(
@@ -490,9 +512,7 @@ fn dist_sem_handles_data_larger_than_rank_caches() {
     .fit_file(&path)
     .unwrap();
     drop(path);
-    assert_eq!(sem.assignments, mem.assignments);
-    assert_eq!(sem.centroids, mem.centroids, "tight-budget SEM ranks must stay bitwise");
-    assert_eq!(sem.niters, mem.niters);
+    assert_same_run(&sem.kmeans, &mem, "tight-budget SEM ranks");
     // The budget really was too small to hold a slice: device reads far
     // exceed one pass's worth of a fully-cached run.
     let read: u64 = sem.rank_io.iter().flat_map(|r| r.io.iter()).map(|i| i.bytes_read).sum();
@@ -526,7 +546,8 @@ fn planted_centers_recovered_by_every_module() {
     let dist = DistKmeans::new(
         DistConfig::new(k, 2, 2).with_init(InitMethod::Given(init)).with_max_iters(100),
     )
-    .fit(&data);
+    .fit(&data)
+    .kmeans;
     let err = max_center_error(&dist.centroids, &centers);
     assert!(err < 1.5, "knord center error {err}");
 }
@@ -579,7 +600,8 @@ fn uniform_worst_case_converges_everywhere() {
     let dist = DistKmeans::new(
         DistConfig::new(k, 2, 1).with_init(InitMethod::Given(init)).with_max_iters(iters),
     )
-    .fit(&data);
+    .fit(&data)
+    .kmeans;
     assert_eq!(knori.niters, serial.niters);
     assert_eq!(dist.niters, serial.niters);
     assert!(agreement(&knori.assignments, &serial.assignments, k) > 0.995);
@@ -647,33 +669,27 @@ fn same_spec_same_run_on_every_engine() {
                     .with_max_iters(60)
                     .with_sse(true)
             };
-            let knord = DistKmeans::new(dist(RankPlane::InMemory)).fit(data);
+            let knord = DistKmeans::new(dist(RankPlane::InMemory)).fit(data).kmeans;
             let knord_sem = DistKmeans::new(dist(RankPlane::Sem(
                 SemPlaneConfig::default().with_row_cache_bytes(1 << 16),
             )))
             .fit_file(&path)
-            .unwrap();
+            .unwrap()
+            .kmeans;
 
-            let text = |sse: Option<f64>| format!("{:.4}", sse.expect("SSE was asked for"));
-            for (who, niters, assignments, sse) in [
-                ("knors", sem.niters, &sem.assignments, text(sem.sse)),
-                ("knord", knord.niters, &knord.assignments, text(knord.sse)),
-                (
-                    "knord over SEM ranks",
-                    knord_sem.niters,
-                    &knord_sem.assignments,
-                    text(knord_sem.sse),
-                ),
-            ] {
-                assert_eq!(niters, im.niters, "{what} seed {seed}: {who} iterations");
-                assert_eq!(assignments, &im.assignments, "{what} seed {seed}: {who} assignments");
-                assert_eq!(sse, text(im.sse), "{what} seed {seed}: {who} SSE");
-            }
-            // The row scan's count is exact too, and knord sums it.
+            // One record on every engine, checked one way.
+            let text = |r: &KmeansResult| format!("{:.4}", r.sse.expect("SSE was asked for"));
             let gemm_rows = im.total_prune().gemm_rows;
-            assert_eq!(sem.total_prune().gemm_rows, gemm_rows, "{what} seed {seed}: knors");
-            assert_eq!(knord.total_prune().gemm_rows, gemm_rows, "{what} seed {seed}: knord");
-            assert_eq!(knord_sem.total_prune().gemm_rows, gemm_rows, "{what} seed {seed}");
+            for (who, r) in
+                [("knors", &sem), ("knord", &knord), ("knord over SEM ranks", &knord_sem)]
+            {
+                let at = format!("{what} seed {seed}: {who}");
+                assert_eq!(r.niters, im.niters, "{at} iterations");
+                assert_eq!(r.assignments, im.assignments, "{at} assignments");
+                assert_eq!(text(r), text(&im), "{at} SSE");
+                // The row scan's count is exact too, and knord sums it.
+                assert_eq!(r.total_prune().gemm_rows, gemm_rows, "{at}");
+            }
             if what == "row scan" {
                 assert!(gemm_rows > 0, "seed {seed}: the row scan never fired");
             }
@@ -720,9 +736,7 @@ fn whole_file_row_cache_is_knori_bit_for_bit() {
         .fit(&path)
         .unwrap();
         let what = format!("{pruning:?}");
-        assert_eq!(sem.kmeans.niters, im.niters, "{what}");
-        assert_eq!(sem.kmeans.assignments, im.assignments, "{what}");
-        assert_eq!(sem.kmeans.centroids, im.centroids, "{what}");
+        assert_same_run(&sem.kmeans, &im, &what);
         assert_eq!(sem.kmeans.sse.map(f64::to_bits), im.sse.map(f64::to_bits), "{what}");
         assert!(sem.io.len() > 4, "{what}: the run must reach a refresh");
         // Every miss is kept. Only rows a refresh's active set left out

@@ -79,7 +79,8 @@ fn zero_rows_of_noise_only_data_still_terminates() {
 #[test]
 fn dist_with_more_ranks_than_rows_is_clean() {
     let data = MixtureSpec::friendster_like(6, 3, 3).generate().data;
-    let r = DistKmeans::new(DistConfig::new(2, 4, 1).with_seed(2).with_max_iters(20)).fit(&data);
+    let r =
+        DistKmeans::new(DistConfig::new(2, 4, 1).with_seed(2).with_max_iters(20)).fit(&data).kmeans;
     assert_eq!(r.assignments.len(), 6);
     assert!(r.converged);
 }

@@ -257,7 +257,7 @@ proptest! {
                 .with_init(InitMethod::Given(init))
                 .with_max_iters(30),
         )
-        .fit(&data);
+        .fit(&data).kmeans;
         prop_assert_eq!(dist.niters, serial.niters);
         prop_assert!(agreement(&dist.assignments, &serial.assignments, k) > 0.999);
     }

@@ -113,7 +113,7 @@ fn tracing_is_bitwise_neutral_for_knori_knors_knord() {
             }
             DistKmeans::new(cfg).fit(&data)
         },
-        |r| (&r.assignments, &r.centroids, r.niters, r.sse),
+        |r| (&r.kmeans.assignments, &r.kmeans.centroids, r.kmeans.niters, r.kmeans.sse),
     );
     // 2 ranks × (2 workers + 1 comm track) register under distinct ids.
     assert_eq!(dist.breakdown().tracks.len(), 6, "knord tracks: workers plus comm");
@@ -126,7 +126,8 @@ fn phases_field_is_none_without_a_recorder() {
     let data = workload(600, 4, 99);
     let r = Kmeans::new(KmeansConfig::new(5).with_seed(1).with_max_iters(10)).fit(&data);
     assert!(r.phases.is_none());
-    let d = DistKmeans::new(DistConfig::new(5, 2, 1).with_seed(1).with_max_iters(10)).fit(&data);
+    let d =
+        DistKmeans::new(DistConfig::new(5, 2, 1).with_seed(1).with_max_iters(10)).fit(&data).kmeans;
     assert!(d.phases.is_none());
 }
 
@@ -191,7 +192,8 @@ fn knord_breakdown_keeps_each_rank_in_its_own_columns() {
     let r = DistKmeans::new(
         DistConfig::new(8, 2, 2).with_seed(11).with_max_iters(8).with_trace(buf.clone()),
     )
-    .fit(&data);
+    .fit(&data)
+    .kmeans;
     let bd = r.phases.as_ref().expect("a recorder was attached");
     let mut tracks = bd.tracks.clone();
     tracks.sort_unstable();
