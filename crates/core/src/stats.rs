@@ -38,7 +38,8 @@ impl CommitCounters {
 }
 
 /// Statistics for one ||Lloyd's iteration, on every engine. Under knord
-/// every counter is the run's total over the ranks.
+/// the row, pruning, commit and queue counters are the run's totals over
+/// the ranks; the wall time and the wire bytes are rank 0's.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct IterStats {
     /// Iteration number, 0-based (iteration 0 is the initial assignment).
