@@ -32,8 +32,8 @@
 //!   every rank finalizes identical centroids — the paper's decentralized
 //!   §3.3 design.
 //! * **coordinator window** — worker 0 finalizes means, drifts and the MTI
-//!   distance matrix, records statistics, decides convergence and refills
-//!   the queue.
+//!   distance matrix, records statistics, decides convergence and the next
+//!   full scan's precision ([`F32_MISS_SHARE`]), and refills the queue.
 //!
 //! Under pruning the accumulators hold *deltas* against persistent global
 //! sums (maintained by the driver), so a Clause-1 skip touches no row data.
@@ -64,7 +64,7 @@ use std::any::Any;
 use std::io;
 use std::ops::Range;
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU8, Ordering};
 use std::sync::{Barrier, Mutex, MutexGuard, PoisonError, RwLock, TryLockError, TryLockResult};
 
 use knor_numa::Placement;
@@ -73,11 +73,47 @@ use knor_sched::{task_grid, Task, TaskQueue};
 use crate::algo::{MmAlgorithm, UpdateCtx};
 use crate::centroids::{finalize_means, Centroids, LocalAccum};
 use crate::distance::{dist, nearest};
-use crate::kernel::ResolvedKernel;
+use crate::kernel::{f32_scan_possible, Precision, ResolvedKernel, ResolvedKind};
 use crate::plane::{DataPlane, DrainScratch};
 use crate::pruning::{mti_assign, MtiIterState, PruneCounters, Pruning, RowScan};
 use crate::stats::{CommitCounters, IterStats};
 use crate::trace::{Phase, PhaseBreakdown, TraceHandle, WorkerTracer};
+
+/// The precision rule's limit: a full scan scores in f32 only when, in the
+/// previous full scan, at most this share of the rows scanned failed the
+/// f32 certificate (an f32 scan) or would have failed it (iteration 0's
+/// probe). Where an f32 scan may run at all ([`f32_scan_possible`]),
+/// DESIGN.md §7 measured its break-even at 2.1–4.1 % misses on uniform
+/// and planted shapes, `d` 8 and 32, `k` 64 and 128; at half the lowest,
+/// an f32 scan that misses this share still wins by about 8 %.
+pub const F32_MISS_SHARE: f64 = 0.01;
+
+/// The precision of a run's iteration 0: a probe when the run may score in
+/// f32 later (`eligible`: an unpruned Lloyd gemm run) and the host and the
+/// initial centroids allow it, plain f64 otherwise.
+fn first_precision(eligible: bool, cents: &Centroids) -> Precision {
+    if eligible && f32_scan_possible(cents) {
+        Precision::F64Probe
+    } else {
+        Precision::F64
+    }
+}
+
+/// The precision rule: the full scan after one at precision `prev` with
+/// commit counters `c`, against the new centroids `cents`, scores in f32
+/// when `prev` counted f32 misses (a probe or an f32 scan), they are at
+/// most [`F32_MISS_SHARE`] of its rows, and the centroids still allow an
+/// f32 scan. Otherwise it scores in plain f64, and so does every later
+/// scan of the run.
+fn next_precision(prev: Precision, c: &CommitCounters, cents: &Centroids) -> Precision {
+    let scanned = c.borrowed_rows + c.gathered_rows;
+    let fits = c.f32_misses as f64 <= F32_MISS_SHARE * scanned as f64;
+    if prev != Precision::F64 && fits && f32_scan_possible(cents) {
+        Precision::F32
+    } else {
+        Precision::F64
+    }
+}
 
 /// Engine-independent parameters of a driver run.
 #[derive(Debug, Clone)]
@@ -155,6 +191,10 @@ pub struct IterView<'a> {
     pub queue: &'a TaskQueue,
     /// The resolved assignment kernel for this run.
     pub kernel: ResolvedKernel,
+    /// The precision of this iteration's gemm full scan: the precision
+    /// rule's verdict ([`F32_MISS_SHARE`]); never f32 at iteration 0 or
+    /// under pruning.
+    pub precision: Precision,
     /// The clustering algorithm this run executes (see [`crate::algo`]).
     pub algo: &'a dyn MmAlgorithm,
     /// Global row id of local row 0 (see [`DriverConfig::row_offset`]).
@@ -313,6 +353,13 @@ pub fn run_mm<P: DataPlane + ?Sized, R: Reducer>(
     algo.prepare_init(&mut init);
 
     let rk = cfg.kernel;
+    // Only an unpruned Lloyd run has full scans after iteration 0, and
+    // only the gemm kernel has an f32 scorer.
+    let f32_eligible = is_lloyd && !cfg_pruning && rk.kind == ResolvedKind::Gemm;
+    // The next full scan's precision (as `u8`, an index into `precisions`),
+    // decided in the coordinator window.
+    let precisions = [Precision::F64, Precision::F64Probe, Precision::F32];
+    let precision = AtomicU8::new(first_precision(f32_eligible, &init) as u8);
 
     // Shared engine state (see "Shared state" in the module docs).
     let centroids = RwLock::new(init);
@@ -403,6 +450,7 @@ pub fn run_mm<P: DataPlane + ?Sized, R: Reducer>(
                     rows: &rows,
                     queue,
                     kernel: rk,
+                    precision: precisions[usize::from(precision.load(Ordering::Acquire))],
                     algo,
                     row_offset: cfg.row_offset,
                     scoped,
@@ -535,6 +583,9 @@ pub fn run_mm<P: DataPlane + ?Sized, R: Reducer>(
                         m.rebuild(next);
                     }
                     std::mem::swap(&mut *cents, next);
+                    let prev = precisions[usize::from(precision.load(Ordering::Acquire))];
+                    let next = next_precision(prev, &totals.commit, &cents);
+                    precision.store(next as u8, Ordering::Release);
 
                     co.stats.push(IterStats {
                         iter,

@@ -24,6 +24,20 @@
 //!   non-finite or overflow-sized input) is re-scanned with `nearest`. When
 //!   the caller wants distances, the winner's is its `sqdist`.
 //!
+//! A gemm block scan can also *score in f32*, on the AVX-512 scorer's f32
+//! twin: the panel's f32 half ([`CentroidPanel::pack`] fills both), each
+//! 4-row group of f64 rows rounded once into worker scratch, 4 × 64 passes
+//! at half the FMAs per distance of the f64 4 × 32 pass. Its winners are
+//! certified with the f32 certificate of DESIGN.md §7 — the same test with
+//! `κ₃₂ = 8(d+4)·2⁻²⁴` plus the roundings of `x` and `c` to f32, behind a
+//! range guard — and a row that fails it is re-scanned with `nearest`, so
+//! the answer is still `nearest`'s bit for bit. The driver's precision
+//! rule picks it ([`Precision`], [`crate::driver::F32_MISS_SHARE`]): only
+//! an unpruned full scan after iteration 0, at `k > 48`, when the previous
+//! scan's counters say the f32 certificate will hold — iteration 0's f64
+//! scan probes for it. `assign_rows`, MTI's [`certified_row`],
+//! spherical's [`max_dot_rows`] and serve's predicts score in plain f64.
+//!
 //! So there is one exactness class. It is what lets MTI take a gemm
 //! distance as an upper bound and serve answer with gemm; DESIGN.md §11
 //! says why there is no third kernel and no tile autotuner.
@@ -45,6 +59,7 @@
 
 use crate::centroids::Centroids;
 use crate::distance::{nearest, sqdist};
+use crate::stats::CommitCounters;
 
 /// A kernel choice by name. Runs do not choose: [`RunSpec::resolve`]
 /// takes [`ResolvedKernel::for_shape`]. The kernel-level oracles force
@@ -213,6 +228,9 @@ pub fn sqnorm(v: &[f64]) -> f64 {
 pub struct CentroidPanel {
     packed: Vec<f64>,
     cnorms: Vec<f64>,
+    /// `packed` and `cnorms` rounded to `f32`, for the f32 scorer.
+    packed32: Vec<f32>,
+    cnorms32: Vec<f32>,
     /// The largest real `cnorms` entry, NaN if any is NaN.
     cmax: f64,
     k: usize,
@@ -223,8 +241,8 @@ pub struct CentroidPanel {
 }
 
 impl CentroidPanel {
-    /// Pack `cents` and their squared norms, replacing whatever the panel
-    /// held.
+    /// Pack `cents` and their squared norms, in `f64` and rounded to `f32`,
+    /// replacing whatever the panel held.
     pub fn pack(&mut self, cents: &Centroids) {
         self.pack_with(cents, true);
     }
@@ -243,22 +261,31 @@ impl CentroidPanel {
         if self.cnorms.len() < kp {
             self.cnorms.resize(kp, f64::INFINITY);
         }
+        if self.packed32.len() < kp * d {
+            self.packed32.resize(kp * d, 0.0);
+        }
+        if self.cnorms32.len() < kp {
+            self.cnorms32.resize(kp, f32::INFINITY);
+        }
         self.cmax = 0.0;
-        let packed = &mut self.packed;
+        let (packed, packed32) = (&mut self.packed, &mut self.packed32);
         for (c, mean) in cents.means.chunks_exact(d.max(1)).enumerate().take(k) {
             for (j, &v) in mean.iter().enumerate() {
                 packed[j * kp + c] = v;
+                packed32[j * kp + c] = v as f32;
             }
             let n = if norms { sqnorm(mean) } else { 0.0 };
-            self.cnorms[c] = n;
+            (self.cnorms[c], self.cnorms32[c]) = (n, n as f32);
             // A NaN norm sticks, and then no row is certified.
             if n > self.cmax || n.is_nan() {
                 self.cmax = n;
             }
         }
         self.cnorms[k..kp].fill(f64::INFINITY);
+        self.cnorms32[k..kp].fill(f32::INFINITY);
         for j in 0..d {
             packed[j * kp + k..(j + 1) * kp].fill(0.0);
+            packed32[j * kp + k..(j + 1) * kp].fill(0.0);
         }
         (self.k, self.d, self.kp) = (k, d, kp);
         // Only debug builds read it.
@@ -294,6 +321,66 @@ impl CentroidPanel {
             f64::NAN
         }
     }
+
+    /// The f32 certificate of a row `x` with `‖x‖² = xnorm`, whose winner
+    /// scored `s1` and runner-up `s2` (f32 scores widened, or an f64
+    /// scan's, which measures the row against the f32 margin):
+    /// `s₂ − s₁ − ((κ₃₂ + ι)·(‖x‖² + 2·cmax) + 4d·2⁻¹²⁶)`, with
+    /// `κ₃₂ = 8(d+4)·2⁻²⁴` for the f32 arithmetic and `ι = 16·2⁻²⁴` for
+    /// the roundings of `x` and `c` to f32. Positive exactly when DESIGN.md
+    /// §7 shows that the f32 scorer's winner — rows and centroids rounded
+    /// to `f32`, dot products and scores in `f32` — is `nearest`'s. NaN
+    /// (uncertified) beyond the range guard: unless
+    /// `‖x‖² + 2·cmax ≤ f32::MAX/4`, where no rounded coordinate, dot
+    /// product or score can overflow, and `d ≤ 2²⁰`, where the bound's `γ`
+    /// terms stay first-order. Underflow needs no guard: the absolute term
+    /// covers it, so a row at scale 10⁻¹⁵⁰, whose f32 scores all round to
+    /// 0, fails.
+    #[inline(always)]
+    fn slack32(&self, xnorm: f64, s1: f64, s2: f64) -> f64 {
+        let d = self.d as f64;
+        let norms = xnorm + 2.0 * self.cmax;
+        if norms <= f64::from(f32::MAX) / 4.0 && self.d <= F32_MAX_D {
+            let u = f64::from(f32::EPSILON) / 2.0;
+            let (kappa, iota) = (8.0 * (d + 4.0) * u, 16.0 * u);
+            (s2 - s1) - ((kappa + iota) * norms + 4.0 * d * f64::from(f32::MIN_POSITIVE))
+        } else {
+            f64::NAN
+        }
+    }
+}
+
+/// The largest `d` the f32 certificate covers ([`CentroidPanel::slack32`]).
+const F32_MAX_D: usize = 1 << 20;
+
+/// How a gemm full scan scores its rows; the driver's precision rule picks
+/// one per iteration (DESIGN.md §7).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Precision {
+    /// In f64.
+    F64,
+    /// In f64, also counting the rows whose gap would fail the f32
+    /// certificate: the scan the rule reads before any f32 scan has run
+    /// (iteration 0 of a run that may score in f32). AVX-512 hosts only.
+    F64Probe,
+    /// In f32, through the AVX-512 scorer's twin ([`f32_scan_possible`]
+    /// must hold).
+    F32,
+}
+
+/// Whether a full scan against `cents` may score in f32: the host runs
+/// the AVX-512 scorer, whose f32 twin is the only f32 scorer; the panel
+/// fills at least one 4 × 64 pass (`k > 48`: narrower, the twin runs 4 × 32
+/// or 4 × 16 passes with half or a quarter of the f64 scorer's sixteen
+/// accumulators, and measured no faster than it, DESIGN.md §7); and the
+/// centroids pass the panel's half of the f32 range guard
+/// (`2·max‖c‖² ≤ f32::MAX/4`, `d ≤ 2²⁰`; a NaN norm fails). The driver's
+/// precision rule asks this of every iteration's new centroids.
+pub fn f32_scan_possible(cents: &Centroids) -> bool {
+    Scorer::host() == Scorer::Avx512
+        && panel_columns(cents.k()) >= 64
+        && cents.d <= F32_MAX_D
+        && (0..cents.k()).all(|c| 2.0 * sqnorm(cents.mean(c)) <= f64::from(f32::MAX) / 4.0)
 }
 
 /// The columns of a panel of `k` centroids: `k` rounded up to the
@@ -332,16 +419,38 @@ pub fn assign_rows(
     if rk.kind == ResolvedKind::Gemm {
         panel.pack(cents);
     }
-    assign_rows_packed(block, d, cents, rk, &panel, best, best_dist, need_dist);
+    let f64 = Precision::F64;
+    assign_rows_packed(
+        block,
+        d,
+        cents,
+        rk,
+        &panel,
+        best,
+        best_dist,
+        need_dist,
+        f64,
+        &mut Vec::new(),
+    );
 }
 
 /// [`assign_rows`] against an already packed `panel`, which must have been
 /// packed from `cents` when `rk.kind` is [`ResolvedKind::Gemm`] (its shape
 /// is checked, its contents in debug builds) and is not read otherwise.
-/// Returns the rows whose gemm winner was not certified and were re-scanned
-/// with `nearest` (the `--stats` `rescored_rows`). A row's result does not
-/// depend on which other rows share its block, so any blocking of the same
-/// rows gives the same `best`/`best_dist`, bit for bit.
+/// A row's result does not depend on which other rows share its block, so
+/// any blocking of the same rows gives the same `best`/`best_dist`, bit
+/// for bit.
+///
+/// The gemm scan scores at `precision`. In f32 each 4-row group is
+/// rounded into `rows32` (grow-only; no other precision touches it), and
+/// each winner is certified with the f32 certificate. The winners and
+/// distances are `nearest`'s either way.
+///
+/// Returns the scan's `rescored_rows` (rows whose winner was not certified
+/// and were re-scanned with `nearest`), `f32_rows` (rows scored in f32)
+/// and `f32_misses`: the rows that failed the f32 certificate (in f32) or
+/// would have failed it ([`Precision::F64Probe`]), which the driver's
+/// precision rule reads. The other fields are 0.
 #[allow(clippy::too_many_arguments)]
 pub fn assign_rows_packed(
     block: &[f64],
@@ -352,15 +461,18 @@ pub fn assign_rows_packed(
     best: &mut Vec<u32>,
     best_dist: &mut Vec<f64>,
     need_dist: bool,
-) -> u64 {
+    precision: Precision,
+    rows32: &mut Vec<f32>,
+) -> CommitCounters {
     debug_assert_eq!(block.len() % d.max(1), 0);
     let m = block.len().checked_div(d).unwrap_or(0);
     best.clear();
     best.resize(m, 0);
     best_dist.clear();
     best_dist.resize(m, 0.0);
+    let mut counts = CommitCounters::default();
     if m == 0 {
-        return 0;
+        return counts;
     }
     assert_eq!(cents.means.len(), cents.k() * d, "centroid table is not k × d");
     match rk.kind {
@@ -369,7 +481,6 @@ pub fn assign_rows_packed(
                 let (a, da) = nearest(row, &cents.means, cents.k());
                 (best[i], best_dist[i]) = (a as u32, da);
             }
-            0
         }
         ResolvedKind::Gemm => {
             assert!((panel.k, panel.d) == (cents.k(), d), "stale or unpacked centroid panel");
@@ -377,10 +488,15 @@ pub fn assign_rows_packed(
                 panel.stamp == CentroidPanel::stamp_of(cents),
                 "stale or unpacked centroid panel"
             );
-            Scorer::host().scan(block, cents, panel, best, best_dist);
-            certify(block, d, cents, best, best_dist, need_dist)
+            counts.f32_rows = if precision == Precision::F32 { m as u64 } else { 0 };
+            let probed =
+                Scorer::host().scan(block, cents, panel, best, best_dist, precision, rows32);
+            counts.rescored_rows = certify(block, d, cents, best, best_dist, need_dist);
+            counts.f32_misses =
+                if precision == Precision::F32 { counts.rescored_rows } else { probed };
         }
     }
+    counts
 }
 
 /// How many times the block scan's margin [`certified_row`] asks of its
@@ -425,7 +541,7 @@ pub fn max_dot_rows(
     if m > 0 {
         let mut panel = CentroidPanel::default();
         panel.pack_with(cents, false);
-        Scorer::host().scan(block, cents, &panel, best, scratch);
+        Scorer::host().scan(block, cents, &panel, best, scratch, Precision::F64, &mut Vec::new());
     }
 }
 
@@ -455,9 +571,9 @@ pub fn fma_usable() -> bool {
 /// How many kept rows ahead of the current one a filtered scan hints into
 /// cache: MTI's bounded commit and k-means++'s D² pass. A filter leaves
 /// gaps between the rows it keeps, so the hardware's stride prefetcher
-/// does not follow them. The AVX-512 block scan hints its 4-row groups
-/// this many rows ahead too: it reads consecutive rows, yet the hint pays
-/// there as well (DESIGN.md §7).
+/// does not follow them. The AVX-512 block scans, f64 and f32, hint their
+/// 4-row groups this many rows ahead too: they read consecutive rows, yet
+/// the hint pays there as well (DESIGN.md §7).
 pub(crate) const PF: usize = 8;
 
 /// Hint every cache line of `row` into L1.
@@ -479,7 +595,9 @@ pub(crate) fn prefetch_row(row: &[f64]) {
 /// `‖c‖² − 2·x·c` into `best`, and its [`CentroidPanel::slack`] — from
 /// the winner's score `s₁` and the runner-up's `s₂` (`+∞` when `k = 1`) —
 /// into `slack`. Their scores differ in the last bits (fused or not,
-/// summation order); certified, all three give `nearest`'s answer.
+/// summation order); certified, all three give `nearest`'s answer. The
+/// AVX-512 scorer has an f32 twin, whose slack is the f32 certificate
+/// itself.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Scorer {
     /// `x86::gemm_tile_avx512`.
@@ -509,7 +627,11 @@ impl Scorer {
         [Scorer::Avx512, Scorer::Fma].into_iter().find(|s| s.usable()).unwrap_or(Scorer::Portable)
     }
 
-    /// Score `block` against `panel` (packed from `cents`).
+    /// Score `block` against `panel` (packed from `cents`) at `precision`:
+    /// in f32 through the AVX-512 scorer's twin, which rounds each 4-row
+    /// group into `rows32`. Returns, in a probe, the rows whose gap would
+    /// fail the f32 certificate, else 0.
+    #[allow(clippy::too_many_arguments)]
     fn scan(
         self,
         block: &[f64],
@@ -517,13 +639,16 @@ impl Scorer {
         panel: &CentroidPanel,
         best: &mut [u32],
         slack: &mut [f64],
-    ) {
-        self.scan_by::<true>(block, cents, panel, best, slack);
+        precision: Precision,
+        rows32: &mut Vec<f32>,
+    ) -> u64 {
+        self.scan_by::<true>(block, cents, panel, best, slack, precision, rows32)
     }
 
-    /// [`Self::scan`]; with `WIDE = false` the AVX-512 scorer takes no
+    /// [`Self::scan`]; with `WIDE = false` the AVX-512 f64 scorer takes no
     /// 32-column pass (see `x86::gemm_tile_avx512`), which only the tests'
     /// oracle asks for.
+    #[allow(clippy::too_many_arguments)]
     fn scan_by<const WIDE: bool>(
         self,
         block: &[f64],
@@ -531,19 +656,33 @@ impl Scorer {
         panel: &CentroidPanel,
         best: &mut [u32],
         slack: &mut [f64],
-    ) {
+        precision: Precision,
+        rows32: &mut Vec<f32>,
+    ) -> u64 {
         assert!(self.usable(), "{self:?} scorer on a host without it");
+        let f32_work = precision != Precision::F64;
+        assert!(!f32_work || self == Scorer::Avx512, "{self:?} scorer has no f32 twin");
         #[cfg(target_arch = "x86_64")]
-        match self {
-            // Safety: AVX-512F support verified by `usable`.
-            Scorer::Avx512 => {
-                return unsafe { x86::gemm_tile_avx512::<WIDE>(block, panel, best, slack) }
+        // Safety: the scorer's features were verified by `usable`.
+        unsafe {
+            match (self, precision) {
+                (Scorer::Avx512, Precision::F32) => {
+                    x86::gemm_tile_avx512_f32(block, panel, best, slack, rows32);
+                    return 0;
+                }
+                (Scorer::Avx512, p) => {
+                    let probe = p == Precision::F64Probe;
+                    return x86::gemm_tile_avx512::<WIDE>(block, panel, best, slack, probe);
+                }
+                (Scorer::Fma, _) => {
+                    x86::gemm_tile_fma(block, panel, best, slack);
+                    return 0;
+                }
+                (Scorer::Portable, _) => {}
             }
-            // Safety: FMA + AVX2 support verified by `usable`.
-            Scorer::Fma => return unsafe { x86::gemm_tile_fma(block, panel, best, slack) },
-            Scorer::Portable => {}
         }
         gemm_portable(block, cents, panel, best, slack);
+        0
     }
 
     /// Score one row `x` against `panel` (packed from `cents`): the first
@@ -553,12 +692,13 @@ impl Scorer {
     fn row(self, x: &[f64], cents: &Centroids, panel: &CentroidPanel) -> (u32, f64) {
         assert!(self.usable(), "{self:?} scorer on a host without it");
         #[cfg(target_arch = "x86_64")]
-        match self {
-            // Safety: AVX-512F support verified by `usable`.
-            Scorer::Avx512 => return unsafe { x86::gemm_row_avx512(x, panel) },
-            // Safety: FMA + AVX2 support verified by `usable`.
-            Scorer::Fma => return unsafe { x86::gemm_row_fma(x, panel) },
-            Scorer::Portable => {}
+        // Safety: the scorer's features were verified by `usable`.
+        unsafe {
+            match self {
+                Scorer::Avx512 => return x86::gemm_row_avx512(x, panel),
+                Scorer::Fma => return x86::gemm_row_fma(x, panel),
+                Scorer::Portable => {}
+            }
         }
         gemm_row_portable(x, cents, panel)
     }
@@ -608,13 +748,14 @@ fn certify(
 
 /// AVX2/FMA and AVX-512 gemm scorers. Each evaluates four rows at a time:
 /// **4 × 8** passes on AVX2, **4 × 32** passes and a **4 × 16** tail on
-/// AVX-512. The last group of a block repeats its last row in the missing
+/// AVX-512, and **4 × 64** passes with 4 × 32 and 4 × 16 tails in the
+/// AVX-512 scorer's f32 twin. The last group of a block repeats its last row in the missing
 /// slots and stores only the real ones; a row's arithmetic does not depend
 /// on its group-mates.
 #[cfg(target_arch = "x86_64")]
 mod x86 {
     use super::{prefetch_row, sqnorm, CentroidPanel, PF, ROW_MARGIN};
-    use std::arch::x86_64::{__m256d, __m512d, __m512i};
+    use std::arch::x86_64::{__m256d, __m512, __m512d, __m512i};
 
     /// Row pointers for the 4-row group at `r`, the last real row standing
     /// in for rows past `m`.
@@ -690,8 +831,8 @@ mod x86 {
             }
             for rr in 0..4.min(m - r) {
                 let (w, s1, s2) = lanes_fma(vs[rr], v2[rr], vi[rr]);
-                let row = &block[(r + rr) * d..(r + rr + 1) * d];
-                (best[r + rr], slack[r + rr]) = (w, panel.slack(sqnorm(row), s1, s2, 1.0));
+                let xnorm = sqnorm(&block[(r + rr) * d..(r + rr + 1) * d]);
+                (best[r + rr], slack[r + rr]) = (w, panel.slack(xnorm, s1, s2, 1.0));
             }
         }
     }
@@ -703,7 +844,8 @@ mod x86 {
     /// zmm FMA accumulators per dimension) and, when `kp % 32 == 16`, one
     /// **four rows × sixteen centroids** pass for the last sixteen columns.
     /// Before each 4-row group it hints the group [`PF`] rows ahead into
-    /// cache, within the block.
+    /// cache, within the block. With `probe` it returns how many rows'
+    /// gaps fail the f32 certificate ([`CentroidPanel::slack32`]), else 0.
     ///
     /// Each lane sees its columns `l`, `l + 8`, `l + 16`, … in ascending
     /// order whatever the pass width, and each dot product is one FMA chain
@@ -731,13 +873,15 @@ mod x86 {
         panel: &CentroidPanel,
         best: &mut [u32],
         slack: &mut [f64],
-    ) {
+        probe: bool,
+    ) -> u64 {
         use std::arch::x86_64::*;
         let (d, kp, m) = (panel.d, panel.kp, best.len());
         assert!(kp % 16 == 0 && panel.packed.len() >= kp * d && panel.cnorms.len() >= kp);
         assert!(m > 0 && slack.len() == m && block.len() == m * d);
         let wide_end = if WIDE { kp - kp % 32 } else { 0 };
         let inf = _mm512_set1_pd(f64::INFINITY);
+        let mut misses = 0;
         for r in (0..m).step_by(4) {
             prefetch_row(&block[(r + PF).min(m) * d..(r + PF + 4).min(m) * d]);
             let rows = group(block, d, m, r);
@@ -748,12 +892,18 @@ mod x86 {
             for c in (wide_end..kp).step_by(16) {
                 pass::<2>(&rows, panel, c, &mut lanes);
             }
-            for (rr, &row) in rows.iter().enumerate().take(m - r) {
+            for rr in 0..4.min(m - r) {
                 let (w, s1, s2) = lanes_avx512(lanes.vs[rr], lanes.v2[rr], lanes.vi[rr]);
-                let xnorm = sqnorm_avx512(row, d);
+                let xnorm = sqnorm(&block[(r + rr) * d..(r + rr + 1) * d]);
                 (best[r + rr], slack[r + rr]) = (w, panel.slack(xnorm, s1, s2, 1.0));
+                if probe {
+                    // A NaN slack fails too.
+                    let slack32 = panel.slack32(xnorm, s1, s2);
+                    misses += u64::from(slack32.is_nan() || slack32 <= 0.0);
+                }
             }
         }
+        misses
     }
 
     /// Per row of a 4-row group and per lane: the champion score, the
@@ -810,6 +960,119 @@ mod x86 {
                 *v2 = _mm512_mask_blend_pd(lt, _mm512_min_pd(s, *v2), *vs);
                 *vs = _mm512_mask_blend_pd(lt, *vs, s);
                 *vi = _mm512_mask_blend_epi64(lt, *vi, idx);
+            }
+        }
+    }
+
+    /// The f32 twin of [`gemm_tile_avx512`]: the panel's f32 half
+    /// (`packed32`, `cnorms32`) scored in **four rows × sixty-four
+    /// centroids** passes ([`pass32`] with four column groups: one zmm
+    /// holds sixteen f32 lanes, so the pass keeps the same sixteen
+    /// accumulators as the f64 4 × 32 pass at half the FMAs per distance),
+    /// then a 4 × 32 and a 4 × 16 pass for what `kp % 64` leaves. The rows
+    /// stay f64: each 4-row group is rounded into `xs` (grow-only) once and
+    /// broadcast from there. Each row's slack is the f32 certificate
+    /// ([`CentroidPanel::slack32`]), from its f64 `‖x‖²`.
+    ///
+    /// # Safety
+    /// Caller must have verified AVX-512F support at runtime.
+    #[target_feature(enable = "avx512f")]
+    pub unsafe fn gemm_tile_avx512_f32(
+        block: &[f64],
+        panel: &CentroidPanel,
+        best: &mut [u32],
+        slack: &mut [f64],
+        xs: &mut Vec<f32>,
+    ) {
+        use std::arch::x86_64::*;
+        let (d, kp, m) = (panel.d, panel.kp, best.len());
+        assert!(kp % 16 == 0 && panel.packed32.len() >= kp * d && panel.cnorms32.len() >= kp);
+        assert!(m > 0 && d > 0 && slack.len() == m && block.len() == m * d);
+        if xs.len() < 4 * d {
+            xs.resize(4 * d, 0.0);
+        }
+        let wide_end = kp - kp % 64;
+        let inf = _mm512_set1_ps(f32::INFINITY);
+        for r in (0..m).step_by(4) {
+            prefetch_row(&block[(r + PF).min(m) * d..(r + PF + 4).min(m) * d]);
+            for (i, x) in xs.chunks_exact_mut(d).take(4).enumerate() {
+                let row = &block[(r + i).min(m - 1) * d..][..d];
+                for (o, &v) in x.iter_mut().zip(row) {
+                    *o = v as f32;
+                }
+            }
+            let mut lanes = Lanes32 { vs: [inf; 4], v2: [inf; 4], vi: [_mm512_setzero_si512(); 4] };
+            for c in (0..wide_end).step_by(64) {
+                pass32::<4>(xs, panel, c, &mut lanes);
+            }
+            let mut c = wide_end;
+            if kp - c >= 32 {
+                pass32::<2>(xs, panel, c, &mut lanes);
+                c += 32;
+            }
+            if kp > c {
+                pass32::<1>(xs, panel, c, &mut lanes);
+            }
+            for rr in 0..4.min(m - r) {
+                let (w, s1, s2) = lanes_avx512_f32(lanes.vs[rr], lanes.v2[rr], lanes.vi[rr]);
+                let xnorm = sqnorm(&block[(r + rr) * d..(r + rr + 1) * d]);
+                let sl = panel.slack32(xnorm, f64::from(s1), f64::from(s2));
+                (best[r + rr], slack[r + rr]) = (w, sl);
+            }
+        }
+    }
+
+    /// [`Lanes`] for sixteen f32 lanes.
+    struct Lanes32 {
+        vs: [__m512; 4],
+        v2: [__m512; 4],
+        vi: [__m512i; 4],
+    }
+
+    /// One [`gemm_tile_avx512_f32`] pass: the four rounded rows in `xs`
+    /// (`d` values each) against the `16·G` f32 panel columns from `c` on,
+    /// as [`pass`] does in f64.
+    ///
+    /// # Safety
+    /// Caller must have verified AVX-512F support at runtime;
+    /// `xs.len() ≥ 4·d` and `c + 16·G ≤ kp`.
+    #[target_feature(enable = "avx512f")]
+    #[inline]
+    unsafe fn pass32<const G: usize>(
+        xs: &[f32],
+        panel: &CentroidPanel,
+        c: usize,
+        lanes: &mut Lanes32,
+    ) {
+        use std::arch::x86_64::*;
+        let (d, kp) = (panel.d, panel.kp);
+        let (pb, px) = (panel.packed32.as_ptr().add(c), xs.as_ptr());
+        let mut acc = [[_mm512_setzero_ps(); G]; 4];
+        for j in 0..d {
+            let mut b = [_mm512_setzero_ps(); G];
+            for (g, bg) in b.iter_mut().enumerate() {
+                *bg = _mm512_loadu_ps(pb.add(j * kp + 16 * g));
+            }
+            for (rr, acc) in acc.iter_mut().enumerate() {
+                let a = _mm512_set1_ps(*px.add(rr * d + j));
+                for (acc, &bg) in acc.iter_mut().zip(&b) {
+                    *acc = _mm512_fmadd_ps(a, bg, *acc);
+                }
+            }
+        }
+        let iota = _mm512_set_epi32(15, 14, 13, 12, 11, 10, 9, 8, 7, 6, 5, 4, 3, 2, 1, 0);
+        let two = _mm512_set1_ps(2.0);
+        for g in 0..G {
+            let cg = c + 16 * g;
+            let cn = _mm512_loadu_ps(panel.cnorms32.as_ptr().add(cg));
+            let idx = _mm512_add_epi32(iota, _mm512_set1_epi32(cg as i32));
+            for (rr, acc) in acc.iter().enumerate() {
+                let s = _mm512_fnmadd_ps(two, acc[g], cn);
+                let (vs, v2, vi) = (&mut lanes.vs[rr], &mut lanes.v2[rr], &mut lanes.vi[rr]);
+                let lt = _mm512_cmp_ps_mask::<_CMP_LT_OQ>(s, *vs);
+                *v2 = _mm512_mask_blend_ps(lt, _mm512_min_ps(s, *v2), *vs);
+                *vs = _mm512_mask_blend_ps(lt, *vs, s);
+                *vi = _mm512_mask_blend_epi32(lt, *vi, idx);
             }
         }
     }
@@ -923,7 +1186,7 @@ mod x86 {
             }
         }
         let (w, s1, s2) = lanes_avx512(vs, v2, vi);
-        (w, panel.slack(sqnorm_avx512(px, d), s1, s2, ROW_MARGIN))
+        (w, panel.slack(sqnorm(x), s1, s2, ROW_MARGIN))
     }
 
     /// An AVX2 scorer's four lanes to its row's winner, the winner's score
@@ -988,22 +1251,21 @@ mod x86 {
         (w, s1, s2)
     }
 
-    /// `‖x‖²` of the `d` values at `x`, eight lanes at a time; the tail
-    /// load is masked.
-    ///
-    /// # Safety
-    /// Caller must have verified AVX-512F support at runtime, and `x`
-    /// must point at `d` readable values.
+    /// [`lanes_avx512`] for sixteen f32 lanes.
     #[target_feature(enable = "avx512f")]
     #[inline]
-    unsafe fn sqnorm_avx512(x: *const f64, d: usize) -> f64 {
+    fn lanes_avx512_f32(vs: __m512, v2: __m512, vi: __m512i) -> (u32, f32, f32) {
         use std::arch::x86_64::*;
-        let mut nx = _mm512_setzero_pd();
-        for j in (0..d).step_by(8) {
-            let v = _mm512_maskz_loadu_pd(0xff >> 8usize.saturating_sub(d - j), x.add(j));
-            nx = _mm512_fmadd_pd(v, v, nx);
-        }
-        _mm512_reduce_add_pd(nx)
+        let s1 = _mm512_reduce_min_ps(vs);
+        let at = _mm512_cmp_ps_mask::<_CMP_EQ_OQ>(vs, _mm512_set1_ps(s1));
+        let w = _mm512_mask_reduce_min_epi32(at, vi) as u32;
+        let s2 = if at.count_ones() > 1 {
+            s1
+        } else {
+            let others = _mm512_mask_blend_ps(at, vs, _mm512_set1_ps(f32::INFINITY));
+            _mm512_reduce_min_ps(_mm512_min_ps(v2, others))
+        };
+        (w, s1, s2)
     }
 }
 
@@ -1030,8 +1292,8 @@ fn gemm_portable(
             }
         }
         for rr in 0..4.min(m - r) {
-            let slack_rr = panel.slack(sqnorm(rows[rr]), s1[rr], s2[rr], 1.0);
-            (best[r + rr], slack[r + rr]) = (w[rr], slack_rr);
+            let xnorm = sqnorm(rows[rr]);
+            (best[r + rr], slack[r + rr]) = (w[rr], panel.slack(xnorm, s1[rr], s2[rr], 1.0));
         }
     }
 }
@@ -1136,10 +1398,12 @@ mod tests {
         (best, bits(&dist))
     }
 
-    /// One scorer, called directly, then certified as [`assign_rows_packed`]
-    /// certifies the host's: winners, distance bits, re-scanned rows.
+    /// One scorer, called directly, in f64 or (`f32`) through its f32
+    /// twin, then certified as [`assign_rows_packed`] certifies the host's:
+    /// winners, distance bits, re-scanned rows.
     fn certified(
         s: Scorer,
+        f32: bool,
         block: &[f64],
         d: usize,
         cents: &Centroids,
@@ -1147,8 +1411,9 @@ mod tests {
         let mut panel = CentroidPanel::default();
         panel.pack(cents);
         let m = block.len() / d;
-        let (mut best, mut slack) = (vec![0; m], vec![0.0; m]);
-        s.scan(block, cents, &panel, &mut best, &mut slack);
+        let (mut best, mut slack, mut xs) = (vec![0; m], vec![0.0; m], Vec::new());
+        let precision = if f32 { Precision::F32 } else { Precision::F64 };
+        s.scan(block, cents, &panel, &mut best, &mut slack, precision, &mut xs);
         let rescored = certify(block, d, cents, &mut best, &mut slack, true);
         (best, bits(&slack), rescored)
     }
@@ -1157,6 +1422,13 @@ mod tests {
     /// a 16-lane panel is also whole 8-lane passes.
     fn host_scorers() -> Vec<Scorer> {
         [Scorer::Avx512, Scorer::Fma, Scorer::Portable].into_iter().filter(|s| s.usable()).collect()
+    }
+
+    /// Every block scorer this host can run, as `(scorer, f32)`: the f64
+    /// ones and, on an AVX-512 host, the f32 twin.
+    fn block_scorers() -> Vec<(Scorer, bool)> {
+        let f32 = Scorer::Avx512.usable().then_some((Scorer::Avx512, true));
+        host_scorers().into_iter().map(|s| (s, false)).chain(f32).collect()
     }
 
     /// Certified gemm is `nearest` bit for bit across the awkward shapes:
@@ -1196,9 +1468,19 @@ mod tests {
         let mut panel = CentroidPanel::default();
         panel.pack(&cents);
         let (mut best, mut dist) = (Vec::new(), Vec::new());
-        let rescored =
-            assign_rows_packed(&block, 4, &cents, &rk, &panel, &mut best, &mut dist, true);
-        assert_eq!((best, rescored), (vec![0, 0], 2));
+        let counts = assign_rows_packed(
+            &block,
+            4,
+            &cents,
+            &rk,
+            &panel,
+            &mut best,
+            &mut dist,
+            true,
+            Precision::F64,
+            &mut Vec::new(),
+        );
+        assert_eq!((best, counts.rescored_rows, counts.f32_rows), (vec![0, 0], 2, 0));
     }
 
     /// On separated data every row is certified; with every centroid
@@ -1206,17 +1488,73 @@ mod tests {
     #[test]
     fn rescored_rows_are_the_uncertified_ones() {
         let (block, cents) = random_case(101, 12, 9, 8);
-        for s in host_scorers() {
-            let (.., rescored) = certified(s, &block, 9, &cents);
-            assert_eq!(rescored, 0, "{s:?}");
+        for (s, f32) in block_scorers() {
+            let (.., rescored) = certified(s, f32, &block, 9, &cents);
+            assert_eq!(rescored, 0, "{s:?} f32={f32}");
             let twice = Centroids {
                 means: [cents.means.as_slice(), &cents.means].concat(),
                 counts: vec![0; 24],
                 d: 9,
             };
-            let (best, dist, rescored) = certified(s, &block, 9, &twice);
-            assert_eq!((best, dist), reference(&block, 9, &twice), "{s:?}");
-            assert_eq!(rescored, 101, "{s:?}");
+            let (best, dist, rescored) = certified(s, f32, &block, 9, &twice);
+            assert_eq!((best, dist), reference(&block, 9, &twice), "{s:?} f32={f32}");
+            assert_eq!(rescored, 101, "{s:?} f32={f32}");
+        }
+    }
+
+    /// Iteration 0's probe counts the rows the f32 twin would fail: none on
+    /// separated data, every row against duplicated centroids. It scores
+    /// in f64, so its winners are the plain scan's.
+    #[test]
+    fn the_probe_counts_f32_misses() {
+        if !Scorer::Avx512.usable() {
+            return;
+        }
+        let (block, cents) = random_case(101, 12, 9, 8);
+        let twice = Centroids {
+            means: [cents.means.as_slice(), &cents.means].concat(),
+            counts: vec![0; 24],
+            d: 9,
+        };
+        for (cs, want) in [(&cents, 0), (&twice, 101)] {
+            let mut panel = CentroidPanel::default();
+            panel.pack(cs);
+            let rk = KernelKind::Gemm.resolve(cs.k(), 9, false);
+            let (mut best, mut dist, probe) = (Vec::new(), Vec::new(), Precision::F64Probe);
+            let c = assign_rows_packed(
+                &block,
+                9,
+                cs,
+                &rk,
+                &panel,
+                &mut best,
+                &mut dist,
+                true,
+                probe,
+                &mut Vec::new(),
+            );
+            assert_eq!((best, c.f32_misses, c.f32_rows), (reference(&block, 9, cs).0, want, 0));
+        }
+    }
+
+    /// The f32 certificate's margin is DESIGN.md §7's bound,
+    /// `(8(d+4) + 16)·2⁻²⁴·(‖x‖² + 2·max‖c‖²) + 4d·2⁻¹²⁶`: a gap just above
+    /// it certifies, one just below does not. Every correctness test would
+    /// still pass with a somewhat smaller margin (the bound is not tight),
+    /// so this is what pins it.
+    #[test]
+    fn f32_margin_is_the_derived_bound() {
+        for d in [1usize, 3, 32, 1000] {
+            let (_, cents) = random_case(1, 5, d, d as u64);
+            let mut panel = CentroidPanel::default();
+            panel.pack(&cents);
+            let cmax = (0..5).map(|c| sqnorm(cents.mean(c))).fold(0.0, f64::max);
+            let xnorm = 3.5 * d as f64;
+            let u = 2f64.powi(-24);
+            let margin = (8.0 * (d as f64 + 4.0) + 16.0) * u * (xnorm + 2.0 * cmax)
+                + 4.0 * d as f64 * 2f64.powi(-126);
+            assert!(panel.slack32(xnorm, -1.0, -1.0 + margin * 1.001) > 0.0, "d={d}");
+            assert!(panel.slack32(xnorm, -1.0, -1.0 + margin * 0.999) <= 0.0, "d={d}");
         }
     }
 
@@ -1325,9 +1663,9 @@ mod tests {
                     *x = c + 0.5;
                 }
                 let want = reference(&block, d, &cents);
-                for s in host_scorers() {
-                    let (best, dist, _) = certified(s, &block, d, &cents);
-                    assert_eq!((best, dist), want, "{s:?} {k}x{d}");
+                for (s, f32) in block_scorers() {
+                    let (best, dist, _) = certified(s, f32, &block, d, &cents);
+                    assert_eq!((best, dist), want, "{s:?} f32={f32} {k}x{d}");
                 }
             }
         }
@@ -1342,7 +1680,15 @@ mod tests {
     ) -> (Vec<u32>, Vec<u64>) {
         let m = block.len() / cents.d;
         let (mut best, mut slack) = (vec![0; m], vec![0.0; m]);
-        Scorer::Avx512.scan_by::<WIDE>(block, cents, panel, &mut best, &mut slack);
+        Scorer::Avx512.scan_by::<WIDE>(
+            block,
+            cents,
+            panel,
+            &mut best,
+            &mut slack,
+            Precision::F64,
+            &mut Vec::new(),
+        );
         (best, bits(&slack))
     }
 
@@ -1404,12 +1750,15 @@ mod tests {
         /// and distance — on the inputs where a score and a `sqdist` can
         /// disagree: duplicated centroids, rows on the midpoint of two
         /// centroids, rows on a centroid, NaN and ±∞ in rows and centroids,
-        /// at scales 1e-150, 1 and 1e150, and rows and centroids on one line
-        /// whose norms fit `f64` while their distances overflow.
+        /// at scales 1e-150, 1 and 1e150, rows and centroids on one line
+        /// whose norms fit `f64` while their distances overflow, and rows
+        /// with a coordinate beyond `f32`'s range — where the f32 twin, which
+        /// runs here too, scores a wrong winner `−∞` that only its range
+        /// guard keeps from being certified.
         #[test]
         fn certified_gemm_is_the_exact_scan(
             shape in (0usize..5, 0usize..7, 0usize..3),
-            input in (0usize..5, 0u64..1_000_000),
+            input in (0usize..6, 0u64..1_000_000),
         ) {
             let (di, ki, mag) = shape;
             let (d, k) = ([1, 3, 7, 32, 257][di], [1, 2, 17, 33, 48, 64, 80][ki]);
@@ -1463,12 +1812,17 @@ mod tests {
                 }
                 block.iter_mut().for_each(|x| *x = -0.55 * unit);
             }
+            if kind == 5 && d > 1 && k > 1 {
+                f32_trap(&mut block, &mut cents, rng.gen_range(0..k));
+            }
             let want = reference(&block, d, &cents);
             let mut panel = CentroidPanel::default();
             panel.pack(&cents);
+            for (s, f32) in block_scorers() {
+                let (best, dist, _) = certified(s, f32, &block, d, &cents);
+                assert_eq!((best, dist), want, "{s:?} f32={f32} k={k} d={d} kind={kind}");
+            }
             for s in host_scorers() {
-                let (best, dist, _) = certified(s, &block, d, &cents);
-                assert_eq!((best, dist), want, "{s:?} k={k} d={d} kind={kind}");
                 // The one-row scorer: whatever it certifies is `nearest`'s.
                 for (i, row) in block.chunks_exact(d).enumerate() {
                     let (w, slack) = s.row(row, &cents, &panel);
@@ -1480,6 +1834,79 @@ mod tests {
             let rk = KernelKind::Gemm.resolve(k, d, false);
             assert_eq!(assigned(&block, d, &cents, &rk), want, "k={k} d={d} kind={kind}");
         }
+    }
+
+    /// Every row gets `x₀ = 10³⁹`, beyond `f32`'s range, and `x₁ = 0`;
+    /// every centroid gets `c₀ = −0.01`, but centroid `a` gets `c₀ = +0.01`
+    /// and `c₁ = 10¹⁹`. Rounded to `f32`, `x₀` is `+∞`, so `a` scores `−∞`
+    /// and every other centroid `+∞`. Exactly, `a` is `4·10³⁷` nearer in
+    /// `x₀` but `10³⁸` farther in `x₁`, so `nearest` never takes it.
+    fn f32_trap(block: &mut [f64], cents: &mut Centroids, a: usize) {
+        let d = cents.d;
+        for row in block.chunks_exact_mut(d) {
+            (row[0], row[1]) = (1e39, 0.0);
+        }
+        for (c, mean) in cents.means.chunks_exact_mut(d).enumerate() {
+            mean[0] = if c == a { 0.01 } else { -0.01 };
+            if c == a {
+                mean[1] = 1e19;
+            }
+        }
+    }
+
+    /// The f32 twin's range guard: a row beyond `f32`'s range scores a
+    /// wrong winner with an infinite gap, and only the guard
+    /// (`‖x‖² + 2·max‖c‖² ≤ f32::MAX/4`) fails its certificate.
+    #[test]
+    fn f32_range_guard_keeps_rows_beyond_f32_out() {
+        if !Scorer::Avx512.usable() {
+            return;
+        }
+        let (mut block, mut cents) = random_case(5, 3, 2, 9);
+        f32_trap(&mut block, &mut cents, 1);
+        let want = reference(&block, 2, &cents);
+        assert!(want.0.iter().all(|&w| w != 1), "the trap's centroid is never nearest");
+        let mut panel = CentroidPanel::default();
+        panel.pack(&cents);
+        let (mut best, mut slack, mut xs) = (vec![0; 5], vec![0.0; 5], Vec::new());
+        Scorer::Avx512.scan(&block, &cents, &panel, &mut best, &mut slack, Precision::F32, &mut xs);
+        assert_eq!(best, [1; 5], "the f32 scorer's winner is the trap's");
+        assert!(slack.iter().all(|s| s.is_nan()), "{slack:?}");
+        assert_eq!(certified(Scorer::Avx512, true, &block, 2, &cents), (want.0, want.1, 5));
+    }
+
+    /// The f32 twin's oracle: at every panel remainder (`kp % 64` is 0, 16,
+    /// 32 or 48, so every pass width and tail order runs), at group counts
+    /// that end at, before and past the prefetch distance, and at `d` from
+    /// one to past a cache line of rows, the certified f32 scan gives
+    /// `nearest`'s winners and distances bit for bit. The last centroid
+    /// duplicates the first, so some rows tie exactly and must fall back;
+    /// on the rest the certificate holds for all but a few rows.
+    #[test]
+    fn f32_blocks_are_bitwise_nearest() {
+        if !Scorer::Avx512.usable() {
+            return;
+        }
+        let (mut rows, mut misses) = (0, 0);
+        for d in [1usize, 7, 32, 257] {
+            for k in [1usize, 16, 17, 33, 48, 63, 64, 65, 80, 128] {
+                for m in [1usize, 3, 4, 5, 37, 512] {
+                    let (block, mut cents) =
+                        random_case(m, k, d, (d * 100_000 + k * 1_000 + m) as u64);
+                    let first = cents.mean(0).to_vec();
+                    cents.means[(k - 1) * d..].copy_from_slice(&first);
+                    let what = format!("k={k} m={m} d={d}");
+                    let (best, dist, rescored) = certified(Scorer::Avx512, true, &block, d, &cents);
+                    assert_eq!((best, dist), reference(&block, d, &cents), "{what}");
+                    // At k = 1 the "duplicate" is the centroid itself.
+                    let tied = reference(&block, d, &cents).0.iter().filter(|&&w| w == 0).count()
+                        * usize::from(k > 1);
+                    assert!(rescored as usize >= tied, "{what}: a tie was certified");
+                    (rows, misses) = (rows + m - tied, misses + rescored as usize - tied);
+                }
+            }
+        }
+        assert!(misses * 50 <= rows, "{misses} of {rows} untied rows fell back");
     }
 
     /// Every kernel the run can resolve to, as the driver would resolve it.
@@ -1502,7 +1929,18 @@ mod tests {
         let (mut best, mut bits) = (Vec::new(), Vec::new());
         let (mut b, mut bd) = (Vec::new(), Vec::new());
         for block in rows.chunks(step * d) {
-            assign_rows_packed(block, d, cents, rk, panel, &mut b, &mut bd, true);
+            assign_rows_packed(
+                block,
+                d,
+                cents,
+                rk,
+                panel,
+                &mut b,
+                &mut bd,
+                true,
+                Precision::F64,
+                &mut Vec::new(),
+            );
             best.extend_from_slice(&b);
             bits.extend(bd.iter().map(|x| x.to_bits()));
         }
@@ -1553,7 +1991,18 @@ mod tests {
         cents.means[7] += 1.0;
         let rk = KernelKind::Gemm.resolve(5, 6, false);
         let (mut b, mut bd) = (Vec::new(), Vec::new());
-        assign_rows_packed(&rows, 6, &cents, &rk, &panel, &mut b, &mut bd, false);
+        assign_rows_packed(
+            &rows,
+            6,
+            &cents,
+            &rk,
+            &panel,
+            &mut b,
+            &mut bd,
+            false,
+            Precision::F64,
+            &mut Vec::new(),
+        );
     }
 
     #[test]

@@ -29,7 +29,8 @@
 //! before the first task: the GEMM kernel's [`CentroidPanel`] is packed
 //! into the worker's scratch, and every block of a full scan, and every
 //! row the bounded commit hands to [`RowScan`], scans against that one
-//! panel.
+//! panel. A full scan scores at the precision the driver's rule picked
+//! ([`IterView::precision`]).
 //!
 //! Whatever the cell, rows are staged and committed in **task row order**,
 //! so for a deterministic task→worker mapping the iteration trajectory is
@@ -42,7 +43,7 @@ use knor_matrix::{RowView, Rows};
 
 use crate::centroids::LocalAccum;
 use crate::driver::{Filter, IterView, RowFilter, WorkerReport};
-use crate::kernel::{assign_rows_packed, prefetch_row, CentroidPanel, ResolvedKind, PF};
+use crate::kernel::{assign_rows_packed, prefetch_row, CentroidPanel, Precision, ResolvedKind, PF};
 use crate::pruning::RowScan;
 use crate::stats::IterStats;
 use crate::trace::WorkerTracer;
@@ -244,6 +245,8 @@ pub struct DrainScratch {
     pub data: Vec<f64>,
     /// The GEMM kernel's packed centroids, packed once per [`drain`] call.
     pub panel: CentroidPanel,
+    /// An f32 full scan's current 4-row group, rounded to `f32`.
+    pub rows32: Vec<f32>,
     /// Block-commit best-index scratch.
     pub best: Vec<u32>,
     /// Block-commit best-distance / kernel score scratch.
@@ -317,6 +320,7 @@ fn drain_with<S: RowSource, F: RowFilter>(
         scratch.panel.pack(view.cents);
         rep.commit.panel_packs += 1;
     }
+    let precision = if gemm && commit == Commit::Kernel { view.precision } else { Precision::F64 };
     // A staged task is contiguous already and goes to the kernel whole; a
     // direct source hands over cache-sized blocks of the task's run.
     let step = if S::STAGED { usize::MAX } else { view.kernel.block_rows(d) };
@@ -383,7 +387,7 @@ fn drain_with<S: RowSource, F: RowFilter>(
                     let dists = &mut scratch.best_dist;
                     // Distances are only materialized when the filter's
                     // bounds consume them.
-                    rep.commit.rescored_rows += assign_rows_packed(
+                    let counts = assign_rows_packed(
                         block,
                         d,
                         view.cents,
@@ -392,7 +396,10 @@ fn drain_with<S: RowSource, F: RowFilter>(
                         best,
                         dists,
                         F::BOUNDED,
+                        precision,
+                        &mut scratch.rows32,
                     );
+                    rep.commit.merge(&counts);
                     for (i, &r) in ids.iter().enumerate() {
                         let (v, scan) = (&block[i * d..(i + 1) * d], (best[i] as usize, dists[i]));
                         let moved =

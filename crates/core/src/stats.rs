@@ -25,6 +25,15 @@ pub struct CommitCounters {
     /// ([`crate::kernel::assign_rows_packed`]), walked by the clause
     /// machine in an MTI commit ([`crate::pruning::RowScan`]).
     pub rescored_rows: u64,
+    /// Rows a gemm full scan scored in f32 (the driver's precision rule
+    /// may pick f32 after iteration 0, DESIGN.md §7); their winners are
+    /// still certified `nearest`'s.
+    pub f32_rows: u64,
+    /// Rows of a gemm full scan that failed the f32 certificate (an f32
+    /// scan, which re-scans them) or whose f64 gap would have failed it
+    /// (iteration 0's probe in a run that may score in f32): the counter
+    /// the precision rule reads. 0 in any other scan.
+    pub f32_misses: u64,
 }
 
 impl CommitCounters {
@@ -34,6 +43,8 @@ impl CommitCounters {
         self.gathered_rows += o.gathered_rows;
         self.panel_packs += o.panel_packs;
         self.rescored_rows += o.rescored_rows;
+        self.f32_rows += o.f32_rows;
+        self.f32_misses += o.f32_misses;
     }
 }
 

@@ -500,10 +500,16 @@ fn print_prune(run: &RunSpec, n: usize, total: &PruneCounters) {
 /// kernel. `rescored_rows` counts the rows whose gemm winner was not
 /// certified and were re-decided exactly: re-scanned with `nearest` in a
 /// full scan, walked by MTI's clause machine in a pruned commit.
+/// `f32_rows` counts the rows a gemm full scan scored in f32 (an unpruned
+/// run after iteration 0, when the precision rule allows it), and
+/// `f32_misses` the rows the rule counted against f32: those of an f32
+/// scan that failed the f32 certificate, and those of iteration 0's probe
+/// whose gap would have failed it.
 fn print_commit(c: &CommitCounters) {
     println!(
-        "commit: borrowed_rows={} gathered_rows={} panel_packs={} rescored_rows={}",
-        c.borrowed_rows, c.gathered_rows, c.panel_packs, c.rescored_rows
+        "commit: borrowed_rows={} gathered_rows={} panel_packs={} rescored_rows={} f32_rows={} \
+         f32_misses={}",
+        c.borrowed_rows, c.gathered_rows, c.panel_packs, c.rescored_rows, c.f32_rows, c.f32_misses
     );
 }
 

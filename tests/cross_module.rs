@@ -5,6 +5,9 @@
 
 use knor::prelude::*;
 use knor_baselines::gemm::gemm_lloyd;
+use knor_core::centroids::Centroids;
+use knor_core::driver::F32_MISS_SHARE;
+use knor_core::kernel::f32_scan_possible;
 use knor_core::quality::{agreement, max_center_error};
 use knor_core::serial::lloyd_serial;
 use knor_core::ResolvedKind;
@@ -204,6 +207,110 @@ fn gemm_kernels_agree_bitwise_across_all_three_engines() {
     assert_same_run(&sem.kmeans, &im, "knors");
 
     // knord (one rank, one thread).
+    let dist = DistKmeans::new(
+        DistConfig::new(k, 1, 1)
+            .with_init(InitMethod::Given(init))
+            .with_pruning(Pruning::None)
+            .with_max_iters(max_iters),
+    )
+    .fit(&data)
+    .kmeans;
+    assert_same_run(&dist, &im, "knord");
+}
+
+/// Whether this host has the f32 scorer (AVX-512): without it every scan
+/// stays f64, and the tests below check only that.
+fn f32_host() -> bool {
+    f32_scan_possible(&Centroids::zeros(64, 1))
+}
+
+/// The precision rule (DESIGN.md §7). Iteration 0 scores in f64 and
+/// counts the rows whose gap would fail the f32 certificate (a probe); a
+/// later full scan scores in f32 while the previous one missed at most
+/// `F32_MISS_SHARE` of its rows. Uniform data misses a fraction of a
+/// percent, so from iteration 1 on every row is scored in f32. On a
+/// planted mixture a row's two nearest centroids sit close together far
+/// from the origin: at k = 64 over a tenth of the rows miss in the probe,
+/// and the run stays in f64 without counting again; at k = 16 the panel is
+/// narrower than one 4 × 64 f32 pass, so nothing is probed or scored in
+/// f32. Every run is `lloyd_serial`'s, bit for bit.
+#[test]
+fn the_precision_rule_reads_the_previous_scan() {
+    let n = 4000;
+    let uniform = knor_workloads::uniform_matrix(n, 32, 11);
+    let (planted, _) = workload(n, 32, 12);
+    for (data, k, is_planted) in [(&uniform, 64, false), (&planted, 16, true), (&planted, 64, true)]
+    {
+        let what = format!("k={k}, planted: {is_planted}");
+        let init = InitMethod::Forgy.initialize(data, k, 5).to_matrix();
+        let serial = lloyd_serial(data, k, &InitMethod::Given(init.clone()), 0, 8, 0.0);
+        let im = Kmeans::new(
+            KmeansConfig::new(k)
+                .with_init(InitMethod::Given(init))
+                .with_threads(1)
+                .with_scheduler(SchedulerKind::Static)
+                .with_pruning(Pruning::None)
+                .with_max_iters(8),
+        )
+        .fit(data);
+        assert_same_run(&im, &serial, &what);
+        assert!(im.iters.len() > 2, "{what}: the run must reach iteration 2");
+        for it in &im.iters {
+            let c = &it.commit;
+            let f32_scan = f32_host() && k > 48 && !is_planted && it.iter > 0;
+            assert_eq!(c.f32_rows, if f32_scan { n as u64 } else { 0 }, "{what}: {c:?}");
+            if f32_host() && k > 48 && (it.iter == 0 || f32_scan) {
+                let over = c.f32_misses as f64 > F32_MISS_SHARE * n as f64;
+                assert_eq!(over, is_planted, "{what}: {c:?}");
+            } else {
+                assert_eq!(c.f32_misses, 0, "{what}: {c:?}");
+            }
+        }
+    }
+}
+
+/// f32 full scans across engines: on uniform data the unpruned runs of
+/// knori and knors score every iteration after the first in f32, and
+/// knori, knors and knord still walk the serial trajectory bit for bit —
+/// so the knori ≡ knors ≡ knord invariants cover the f32 scorer.
+#[test]
+fn f32_scans_agree_bitwise_across_all_three_engines() {
+    let data = knor_workloads::uniform_matrix(3000, 32, 21);
+    let (k, max_iters) = (64, 6);
+    let init = InitMethod::Forgy.initialize(&data, k, 3).to_matrix();
+    let serial = lloyd_serial(&data, k, &InitMethod::Given(init.clone()), 0, max_iters, 0.0);
+
+    let im = Kmeans::new(
+        KmeansConfig::new(k)
+            .with_init(InitMethod::Given(init.clone()))
+            .with_threads(1)
+            .with_scheduler(SchedulerKind::Static)
+            .with_pruning(Pruning::None)
+            .with_max_iters(max_iters),
+    )
+    .fit(&data);
+    assert_eq!(im.total_commit().f32_rows > 0, f32_host(), "knori");
+    assert_same_run(&im, &serial, "knori");
+
+    let path = TempFile::new(format!("knor-cross-f32-{}.knor", std::process::id()));
+    matrix_io::write_matrix(&path, &data).unwrap();
+    let sem = SemKmeans::new(
+        SemConfig::new(k)
+            .with_init(SemInit::Given(init.clone()))
+            .with_threads(1)
+            .with_scheduler(SchedulerKind::Static)
+            .with_page_size(512)
+            .with_task_size(128)
+            .with_pruning(Pruning::None)
+            .with_row_cache_bytes(0)
+            .with_max_iters(max_iters),
+    )
+    .fit(&path)
+    .unwrap();
+    drop(path);
+    assert_eq!(sem.kmeans.total_commit().f32_rows > 0, f32_host(), "knors");
+    assert_same_run(&sem.kmeans, &im, "knors");
+
     let dist = DistKmeans::new(
         DistConfig::new(k, 1, 1)
             .with_init(InitMethod::Given(init))
