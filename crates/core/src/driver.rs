@@ -32,8 +32,9 @@
 //!   every rank finalizes identical centroids — the paper's decentralized
 //!   §3.3 design.
 //! * **coordinator window** — worker 0 finalizes means, drifts and the MTI
-//!   distance matrix, records statistics, decides convergence and the next
-//!   full scan's precision ([`F32_MISS_SHARE`]), and refills the queue.
+//!   distance matrix, records statistics, decides convergence, the next
+//!   full scan's precision ([`F32_MISS_SHARE`]) and the next bounded
+//!   commit's mode ([`WIDE_SHARE`]), and refills the queue.
 //!
 //! Under pruning the accumulators hold *deltas* against persistent global
 //! sums (maintained by the driver), so a Clause-1 skip touches no row data.
@@ -61,6 +62,7 @@
 //! first panic with its original payload.
 
 use std::any::Any;
+use std::cell::Cell;
 use std::io;
 use std::ops::Range;
 use std::panic::{self, AssertUnwindSafe};
@@ -113,6 +115,43 @@ fn next_precision(prev: Precision, c: &CommitCounters, cents: &Centroids) -> Pre
     } else {
         Precision::F64
     }
+}
+
+/// The block rule's limit: an MTI iteration scores its Clause-1 survivors
+/// in blocks (DESIGN.md §2) when, in the previous iteration, more than
+/// this share of the committed rows ended with a bound that leaves at
+/// least `scan_min_open(k)` candidates open (`wide_rows`). Such a row costs
+/// the walk a tighten plus a one-row gemm scan; the block scores every
+/// survivor at about one flat rate. DESIGN.md §2 measured the break-even
+/// near 0.37 of committed rows; a steady iteration sits far from it on
+/// both sides (0.03 on a k-means++ mixture, 0.88 under Forgy seeds), and
+/// half keeps the rule on the walk's side of the estimate.
+pub const WIDE_SHARE: f64 = 0.5;
+
+/// The block rule: whether the bounded iteration after one with commit
+/// counters `c` scores its survivors in blocks. Rank-local counters, like
+/// the precision rule's; either mode gives the same result.
+fn next_block(c: &CommitCounters) -> bool {
+    let committed = c.borrowed_rows + c.gathered_rows;
+    c.wide_rows as f64 > WIDE_SHARE * committed as f64
+}
+
+thread_local! {
+    /// A bounded-commit mode forced on the runs this thread starts
+    /// ([`with_block_commit`]).
+    static FORCED_BLOCK: Cell<Option<bool>> = const { Cell::new(None) };
+}
+
+/// Run `f` with every driver run it starts on this thread committing its
+/// MTI iterations in block mode (`true`) or by the walk (`false`), whatever
+/// the block rule says. Test-only: the two modes give bitwise the same
+/// result, and the tests that show it force each one.
+#[doc(hidden)]
+pub fn with_block_commit<T>(block: bool, f: impl FnOnce() -> T) -> T {
+    let before = FORCED_BLOCK.replace(Some(block));
+    let out = f();
+    FORCED_BLOCK.set(before);
+    out
 }
 
 /// Engine-independent parameters of a driver run.
@@ -195,6 +234,10 @@ pub struct IterView<'a> {
     /// rule's verdict ([`F32_MISS_SHARE`]); never f32 at iteration 0 or
     /// under pruning.
     pub precision: Precision,
+    /// Whether a bounded (MTI, `iter > 0`) iteration commits its Clause-1
+    /// survivors through the block scan: the block rule's verdict
+    /// ([`WIDE_SHARE`]). Only a gemm run with `k > 1` ever does.
+    pub block: bool,
     /// The clustering algorithm this run executes (see [`crate::algo`]).
     pub algo: &'a dyn MmAlgorithm,
     /// Global row id of local row 0 (see [`DriverConfig::row_offset`]).
@@ -269,6 +312,10 @@ pub struct DriverOutcome {
     pub converged: bool,
     /// Per-phase fold of this run's spans (`Some` iff tracing was on).
     pub phases: Option<PhaseBreakdown>,
+    /// Every row's final MTI upper bound, in row order (empty when nothing
+    /// prunes): what the block-mode tests compare.
+    #[cfg(test)]
+    pub upper: Vec<f64>,
 }
 
 /// Worker 0's own state. No other thread ever reads it, so it needs no
@@ -360,6 +407,12 @@ pub fn run_mm<P: DataPlane + ?Sized, R: Reducer>(
     // decided in the coordinator window.
     let precisions = [Precision::F64, Precision::F64Probe, Precision::F32];
     let precision = AtomicU8::new(first_precision(f32_eligible, &init) as u8);
+    // The next bounded iteration's commit mode, decided in the coordinator
+    // window; iteration 1 walks unless a test forces block mode. The block
+    // scan needs the gemm scorer's certificate and a candidate to compare.
+    let forced_block = FORCED_BLOCK.get();
+    let block_able = cfg_pruning && rk.kind == ResolvedKind::Gemm && k > 1;
+    let block = AtomicBool::new(block_able && forced_block == Some(true));
 
     // Shared engine state (see "Shared state" in the module docs).
     let centroids = RwLock::new(init);
@@ -451,6 +504,7 @@ pub fn run_mm<P: DataPlane + ?Sized, R: Reducer>(
                     queue,
                     kernel: rk,
                     precision: precisions[usize::from(precision.load(Ordering::Acquire))],
+                    block: block.load(Ordering::Acquire),
                     algo,
                     row_offset: cfg.row_offset,
                     scoped,
@@ -586,6 +640,8 @@ pub fn run_mm<P: DataPlane + ?Sized, R: Reducer>(
                     let prev = precisions[usize::from(precision.load(Ordering::Acquire))];
                     let next = next_precision(prev, &totals.commit, &cents);
                     precision.store(next as u8, Ordering::Release);
+                    let next_block = forced_block.unwrap_or_else(|| next_block(&totals.commit));
+                    block.store(block_able && next_block, Ordering::Release);
 
                     co.stats.push(IterStats {
                         iter,
@@ -650,7 +706,11 @@ pub fn run_mm<P: DataPlane + ?Sized, R: Reducer>(
             local.unwrap_or_else(|| io::Error::other("stopped: a peer rank's row source failed"))
         );
     }
+    #[cfg(test)]
+    let upper = rows.uppers();
     Ok(DriverOutcome {
+        #[cfg(test)]
+        upper,
         centroids: centroids.into_inner().unwrap_or_else(PoisonError::into_inner),
         assignments: rows.into_assignments(n),
         iters: coord.stats,
@@ -695,6 +755,13 @@ impl RowBounds {
         assert!(rows.claimed != iter + 1, "task {} claimed twice in iteration {iter}", task.id);
         rows.claimed = iter + 1;
         rows
+    }
+
+    /// Every row's upper bound, in row order.
+    #[cfg(test)]
+    fn uppers(&self) -> Vec<f64> {
+        let chunks = self.tasks.iter().map(|t| held(t.try_lock(), "task rows"));
+        chunks.flat_map(|t| t.upper.clone()).collect()
     }
 
     /// The `n` final assignments, in row order. All workers have joined,
@@ -797,6 +864,10 @@ pub trait RowFilter {
         accum: &mut LocalAccum,
         counters: &mut PruneCounters,
     ) -> bool;
+
+    /// Whether committed row `r`'s bound leaves at least `scan_min_open(k)`
+    /// candidates of its assignment open (`wide_rows`).
+    fn wide(&self, rows: &TaskRows, r: usize) -> bool;
 }
 
 /// No pruning: every row is kept and scanned in full, and the accumulator
@@ -850,6 +921,10 @@ impl RowFilter for NoFilter<'_> {
         counters.dist_computations += k as u64;
         let best = nearest(v, &self.cents.means, k);
         self.establish(rows, r, v, best, accum, counters)
+    }
+
+    fn wide(&self, _rows: &TaskRows, _r: usize) -> bool {
+        false
     }
 }
 
@@ -928,6 +1003,12 @@ impl RowFilter for MtiFilter<'_> {
         }
         rows.set_upper(r, new_ub);
         reassigned
+    }
+
+    /// `u > half_scan[a]`: the row scan's own test ([`RowScan`]).
+    #[inline]
+    fn wide(&self, rows: &TaskRows, r: usize) -> bool {
+        rows.upper(r) > self.mti.half_scan[rows.assign(r) as usize]
     }
 }
 

@@ -48,10 +48,13 @@
 //! [`assign_rows`] once per call. Every block of that phase streams past
 //! the same panel through [`assign_rows_packed`].
 //!
-//! MTI iterations (`iter > 0` with pruning on) do not scan blocks: each
-//! row carries its own bound, the bound leaves three of `k` candidates
-//! open on average, and a full scan of the surviving rows costs more than
-//! the clause machine does (measured, DESIGN.md §7). Their candidate scan
+//! MTI iterations (`iter > 0` with pruning on) scan blocks only in block
+//! mode: when most committed rows end with many candidates open, the
+//! driver's block rule scores the Clause-1 survivors here with
+//! [`Finish::Certified`] and commits the certified non-movers (DESIGN.md
+//! §2). Otherwise a bound leaves three of `k` candidates open on average,
+//! a scan of the surviving rows costs more than the clause machine does
+//! (measured, DESIGN.md §7), and the candidate scan
 //! is the bitmask walk in [`crate::pruning::mti_assign`], which hands a row
 //! whose tight bound leaves many candidates open to [`certified_row`]: the
 //! same scorers, one row against the worker's panel, certified with
@@ -419,35 +422,46 @@ pub fn assign_rows(
     if rk.kind == ResolvedKind::Gemm {
         panel.pack(cents);
     }
+    let finish = if need_dist { Finish::Distances } else { Finish::Winners };
     let f64 = Precision::F64;
-    assign_rows_packed(
-        block,
-        d,
-        cents,
-        rk,
-        &panel,
-        best,
-        best_dist,
-        need_dist,
-        f64,
-        &mut Vec::new(),
-    );
+    assign_rows_packed(block, d, cents, rk, &panel, best, best_dist, finish, f64, &mut Vec::new());
 }
+
+/// What [`assign_rows_packed`] leaves in `best_dist`, and what it does
+/// with a row whose gemm winner it could not certify.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Finish {
+    /// `nearest`'s winners; `best_dist` holds kernel-internal values.
+    Winners,
+    /// `nearest`'s winners and their exact distances (`nearest`'s bits).
+    Distances,
+    /// Certified winners and their exact distances. A gemm row whose
+    /// winner is not certified gets [`UNCERTIFIED`] (distance NaN) and is
+    /// not re-scanned: the caller decides it (MTI's block commit hands it
+    /// to the walk, which `nearest` disagrees with on exact ties). The
+    /// scalar kernel's winners are `nearest`'s, all of them kept.
+    Certified,
+}
+
+/// The winner [`Finish::Certified`] reports for a row it could not certify:
+/// no centroid index and no assignment.
+pub const UNCERTIFIED: u32 = u32::MAX;
 
 /// [`assign_rows`] against an already packed `panel`, which must have been
 /// packed from `cents` when `rk.kind` is [`ResolvedKind::Gemm`] (its shape
 /// is checked, its contents in debug builds) and is not read otherwise.
 /// A row's result does not depend on which other rows share its block, so
 /// any blocking of the same rows gives the same `best`/`best_dist`, bit
-/// for bit.
+/// for bit. `finish` says what `best_dist` holds and what becomes of an
+/// uncertified row.
 ///
 /// The gemm scan scores at `precision`. In f32 each 4-row group is
 /// rounded into `rows32` (grow-only; no other precision touches it), and
 /// each winner is certified with the f32 certificate. The winners and
 /// distances are `nearest`'s either way.
 ///
-/// Returns the scan's `rescored_rows` (rows whose winner was not certified
-/// and were re-scanned with `nearest`), `f32_rows` (rows scored in f32)
+/// Returns the scan's `rescored_rows` (rows whose winner was not certified:
+/// re-scanned with `nearest`, or marked), `f32_rows` (rows scored in f32)
 /// and `f32_misses`: the rows that failed the f32 certificate (in f32) or
 /// would have failed it ([`Precision::F64Probe`]), which the driver's
 /// precision rule reads. The other fields are 0.
@@ -460,7 +474,7 @@ pub fn assign_rows_packed(
     panel: &CentroidPanel,
     best: &mut Vec<u32>,
     best_dist: &mut Vec<f64>,
-    need_dist: bool,
+    finish: Finish,
     precision: Precision,
     rows32: &mut Vec<f32>,
 ) -> CommitCounters {
@@ -491,7 +505,7 @@ pub fn assign_rows_packed(
             counts.f32_rows = if precision == Precision::F32 { m as u64 } else { 0 };
             let probed =
                 Scorer::host().scan(block, cents, panel, best, best_dist, precision, rows32);
-            counts.rescored_rows = certify(block, d, cents, best, best_dist, need_dist);
+            counts.rescored_rows = certify(block, d, cents, best, best_dist, finish);
             counts.f32_misses =
                 if precision == Precision::F32 { counts.rescored_rows } else { probed };
         }
@@ -718,32 +732,38 @@ fn offer(sc: f64, c: usize, w: &mut u32, s1: &mut f64, s2: &mut f64) {
     *w = if lead { c as u32 } else { *w };
 }
 
-/// Turn each row's gemm winner into `nearest`'s answer, and return how many
-/// rows needed a re-scan. On entry `slack` holds each row's certificate
+/// Settle each row's gemm winner as `finish` asks, and return how many
+/// rows were not certified. On entry `slack` holds each row's certificate
 /// ([`CentroidPanel::slack`]): a row whose slack is positive keeps its
-/// winner, and gets the winner's `sqdist` when `need_dist`; any other row
-/// is re-scanned with `nearest`.
+/// winner, and gets the winner's distance, `√sqdist`, unless `finish` is
+/// [`Finish::Winners`]; any other row is re-scanned with `nearest`, or
+/// under [`Finish::Certified`] marked [`UNCERTIFIED`].
 fn certify(
     block: &[f64],
     d: usize,
     cents: &Centroids,
     best: &mut [u32],
     slack: &mut [f64],
-    need_dist: bool,
+    finish: Finish,
 ) -> u64 {
-    let mut rescored = 0;
+    let mut uncertified = 0;
     for ((row, w), x) in block.chunks_exact(d).zip(best.iter_mut()).zip(slack.iter_mut()) {
         if *x > 0.0 {
-            if need_dist {
+            if finish != Finish::Winners {
                 *x = sqdist(row, cents.mean(*w as usize)).sqrt();
             }
         } else {
-            let (a, da) = nearest(row, &cents.means, cents.k());
-            (*w, *x) = (a as u32, da);
-            rescored += 1;
+            (*w, *x) = match finish {
+                Finish::Certified => (UNCERTIFIED, f64::NAN),
+                _ => {
+                    let (a, da) = nearest(row, &cents.means, cents.k());
+                    (a as u32, da)
+                }
+            };
+            uncertified += 1;
         }
     }
-    rescored
+    uncertified
 }
 
 /// AVX2/FMA and AVX-512 gemm scorers. Each evaluates four rows at a time:
@@ -1414,7 +1434,7 @@ mod tests {
         let (mut best, mut slack, mut xs) = (vec![0; m], vec![0.0; m], Vec::new());
         let precision = if f32 { Precision::F32 } else { Precision::F64 };
         s.scan(block, cents, &panel, &mut best, &mut slack, precision, &mut xs);
-        let rescored = certify(block, d, cents, &mut best, &mut slack, true);
+        let rescored = certify(block, d, cents, &mut best, &mut slack, Finish::Distances);
         (best, bits(&slack), rescored)
     }
 
@@ -1476,7 +1496,7 @@ mod tests {
             &panel,
             &mut best,
             &mut dist,
-            true,
+            Finish::Distances,
             Precision::F64,
             &mut Vec::new(),
         );
@@ -1529,7 +1549,7 @@ mod tests {
                 &panel,
                 &mut best,
                 &mut dist,
-                true,
+                Finish::Distances,
                 probe,
                 &mut Vec::new(),
             );
@@ -1937,7 +1957,7 @@ mod tests {
                 panel,
                 &mut b,
                 &mut bd,
-                true,
+                Finish::Distances,
                 Precision::F64,
                 &mut Vec::new(),
             );
@@ -1999,7 +2019,7 @@ mod tests {
             &panel,
             &mut b,
             &mut bd,
-            false,
+            Finish::Winners,
             Precision::F64,
             &mut Vec::new(),
         );

@@ -43,7 +43,9 @@ use knor_matrix::{RowView, Rows};
 
 use crate::centroids::LocalAccum;
 use crate::driver::{Filter, IterView, RowFilter, WorkerReport};
-use crate::kernel::{assign_rows_packed, prefetch_row, CentroidPanel, Precision, ResolvedKind, PF};
+use crate::kernel::{
+    assign_rows_packed, prefetch_row, CentroidPanel, Finish, Precision, ResolvedKind, PF,
+};
 use crate::pruning::RowScan;
 use crate::stats::IterStats;
 use crate::trace::WorkerTracer;
@@ -321,6 +323,9 @@ fn drain_with<S: RowSource, F: RowFilter>(
         rep.commit.panel_packs += 1;
     }
     let precision = if gemm && commit == Commit::Kernel { view.precision } else { Precision::F64 };
+    // The driver asks for block mode only on a gemm run.
+    let block = commit == Commit::Bounds && view.block;
+    debug_assert!(!block || gemm, "block mode without a packed panel");
     // A staged task is contiguous already and goes to the kernel whole; a
     // direct source hands over cache-sized blocks of the task's run.
     let step = if S::STAGED { usize::MAX } else { view.kernel.block_rows(d) };
@@ -348,7 +353,50 @@ fn drain_with<S: RowSource, F: RowFilter>(
             rep.aux += src.stage(&needed, scratch, tracer)?;
             rep.rows_accessed += needed.len() as u64;
         }
-        if commit == Commit::Bounds {
+        if commit == Commit::Bounds && block {
+            // Block mode: score the survivors in blocks, commit straight
+            // from the block every row whose certified winner is its
+            // assignment, walk the rest in row order (DESIGN.md §2).
+            let mut scan = RowScan::new(&scratch.panel);
+            rep.counters.dist_computations += (needed.len() * k) as u64;
+            for (c, ids) in needed.chunks(step).enumerate() {
+                let block = src.block(&mut scratch.data, c * step, ids);
+                let (best, dists) = (&mut scratch.best, &mut scratch.best_dist);
+                let counts = assign_rows_packed(
+                    block,
+                    d,
+                    view.cents,
+                    &view.kernel,
+                    &scratch.panel,
+                    best,
+                    dists,
+                    Finish::Certified,
+                    Precision::F64,
+                    &mut scratch.rows32,
+                );
+                rep.commit.rescored_rows += counts.rescored_rows;
+                for (i, &r) in ids.iter().enumerate() {
+                    let v = &block[i * d..(i + 1) * d];
+                    if best[i] == rows.assign(r) {
+                        let held = (best[i] as usize, dists[i]);
+                        filter.establish(&mut rows, r, v, held, accum, &mut rep.counters);
+                        rep.commit.block_rows += 1;
+                    } else {
+                        let moved = filter.commit(
+                            &mut rows,
+                            r,
+                            v,
+                            Some(&mut scan),
+                            accum,
+                            &mut rep.counters,
+                        );
+                        rep.reassigned += u64::from(moved);
+                    }
+                    rep.commit.wide_rows += u64::from(filter.wide(&rows, r));
+                }
+            }
+            rep.commit.rescored_rows += scan.rescored;
+        } else if commit == Commit::Bounds {
             let mut scan = gemm.then(|| RowScan::new(&scratch.panel));
             for (i, &r) in needed.iter().enumerate() {
                 if let Some(&ahead) = needed.get(i + PF) {
@@ -357,6 +405,7 @@ fn drain_with<S: RowSource, F: RowFilter>(
                 let v = src.row(&scratch.data, i, r);
                 let moved = filter.commit(&mut rows, r, v, scan.as_mut(), accum, &mut rep.counters);
                 rep.reassigned += u64::from(moved);
+                rep.commit.wide_rows += u64::from(filter.wide(&rows, r));
             }
             rep.commit.rescored_rows += scan.map_or(0, |s| s.rescored);
         } else {
@@ -395,7 +444,7 @@ fn drain_with<S: RowSource, F: RowFilter>(
                         &scratch.panel,
                         best,
                         dists,
-                        F::BOUNDED,
+                        if F::BOUNDED { Finish::Distances } else { Finish::Winners },
                         precision,
                         &mut scratch.rows32,
                     );
@@ -424,6 +473,7 @@ mod tests {
     use crate::driver::{run_mm, DriverConfig, DriverOutcome, NoReduce};
     use crate::kernel::KernelKind;
     use crate::pruning::Pruning;
+    use crate::stats::CommitCounters;
     use knor_numa::{Placement, Topology};
     use knor_sched::{SchedulerKind, TaskQueue};
 
@@ -597,6 +647,98 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// A bounded run of `data` from `init` through `plane` on the gemm
+    /// kernel, its MTI iterations committed in block mode (`block`) or by
+    /// the walk, whatever the block rule would say.
+    fn forced_run<P: DataPlane>(
+        block: bool,
+        data: &knor_matrix::DMatrix,
+        init: &Centroids,
+        threads: usize,
+        plane: &P,
+    ) -> DriverOutcome {
+        let (n, d, k) = (data.nrow(), data.ncol(), init.k());
+        let cfg = DriverConfig {
+            k,
+            d,
+            n,
+            nthreads: threads,
+            max_iters: 60,
+            tol: 0.0,
+            pruning: Pruning::Mti,
+            task_size: 16,
+            kernel: KernelKind::Gemm.resolve(k, d, false),
+            row_offset: 0,
+            trace: None,
+        };
+        let placement = Placement::new(&Topology::flat(threads), n, threads);
+        let queue = TaskQueue::new(SchedulerKind::Static, &placement);
+        let algo = Algorithm::Lloyd.resolve(k, n, 7);
+        let run = || run_mm(&cfg, init.clone(), &placement, &queue, plane, &NoReduce, &*algo);
+        crate::driver::with_block_commit(block, run).expect("in-memory sources cannot fail")
+    }
+
+    /// Block mode (DESIGN.md §2) and the walk commit every bounded
+    /// iteration to bitwise the same state — assignments, centroid bits,
+    /// iterations, every row's final bound, and every counter both modes
+    /// keep (`wide_rows` included) — on a direct and a staged plane, at one
+    /// and two workers. Forgy seeds on a planted mixture leave most
+    /// committed rows with many candidates open. Seven distinct rows, thirty
+    /// times over, seed duplicated centroids that tie exactly, where
+    /// `nearest` takes the lower index and the walk keeps the assignment.
+    #[test]
+    fn block_and_walk_commits_are_bitwise_identical() {
+        use knor_workloads::MixtureSpec;
+        let planted = MixtureSpec::friendster_like(3000, 8, 91).generate().data;
+        let base = MixtureSpec::friendster_like(2400, 6, 77).generate().data;
+        let rows: Vec<f64> = (0..210).flat_map(|i| base.row(i % 7).to_vec()).collect();
+        let repeated = knor_matrix::DMatrix::from_vec(rows, 210, 6);
+        let mut cases = vec![("planted", &planted, 24, 3u64)];
+        for k in [9, 12] {
+            for seed in [0, 1, 5, 23] {
+                cases.push(("repeated", &repeated, k, seed));
+            }
+        }
+        // Rows committed from a block; duplicated rows it handed the walk.
+        let (mut blocked, mut ties) = (0, 0);
+        for (what, data, k, seed) in cases {
+            let init = crate::init::InitMethod::Forgy.initialize(data, k, seed);
+            let slice = data.as_slice();
+            let direct = SlicePlane(RowView::new(slice, data.ncol()));
+            let staged = StagedTestPlane { data: slice.to_vec(), d: data.ncol() };
+            for threads in [1usize, 2] {
+                let planes: [&dyn Fn(bool) -> DriverOutcome; 2] =
+                    [&|block| forced_run(block, data, &init, threads, &direct), &|block| {
+                        forced_run(block, data, &init, threads, &staged)
+                    }];
+                for (plane, run) in ["direct", "staged"].into_iter().zip(planes) {
+                    let at = format!("{what} k={k} seed={seed} T={threads} {plane}");
+                    let (walk, block) = (run(false), run(true));
+                    assert_eq!(block.assignments, walk.assignments, "{at}");
+                    assert_eq!(block.centroids, walk.centroids, "{at}: centroid bits");
+                    assert_eq!(block.iters.len(), walk.iters.len(), "{at}: iterations");
+                    let bits = |o: &DriverOutcome| o.upper.iter().map(|u| u.to_bits()).collect();
+                    let (b, w): (Vec<u64>, Vec<u64>) = (bits(&block), bits(&walk));
+                    assert_eq!(b, w, "{at}: final bounds");
+                    for (b, w) in block.iters.iter().zip(&walk.iters) {
+                        let it = format!("{at} iter {}", w.iter);
+                        assert_eq!(w.commit.block_rows, 0, "{it}");
+                        assert_eq!(b.reassigned, w.reassigned, "{it}");
+                        assert_eq!(b.rows_accessed, w.rows_accessed, "{it}");
+                        assert_eq!(b.prune.clause1_rows, w.prune.clause1_rows, "{it}");
+                        assert_eq!(b.prune.io_skip_rows, w.prune.io_skip_rows, "{it}");
+                        let committed = |c: &CommitCounters| c.borrowed_rows + c.gathered_rows;
+                        assert_eq!(committed(&b.commit), committed(&w.commit), "{it}");
+                        assert_eq!(b.commit.wide_rows, w.commit.wide_rows, "{it}");
+                        blocked += b.commit.block_rows;
+                        ties += if what == "repeated" { b.commit.rescored_rows } else { 0 };
+                    }
+                }
+            }
+        }
+        assert!(blocked > 0 && ties > 0, "{blocked} rows from blocks, {ties} ties walked");
     }
 
     /// The scheduler never hands out a task that spans two storage blocks,

@@ -23,7 +23,8 @@ pub struct CommitCounters {
     /// Rows whose gemm winner was not certified and were re-decided
     /// exactly: re-scanned with `nearest` in a full scan
     /// ([`crate::kernel::assign_rows_packed`]), walked by the clause
-    /// machine in an MTI commit ([`crate::pruning::RowScan`]).
+    /// machine in an MTI commit ([`crate::pruning::RowScan`], and in a
+    /// block iteration the rows the block scan could not certify too).
     pub rescored_rows: u64,
     /// Rows a gemm full scan scored in f32 (the driver's precision rule
     /// may pick f32 after iteration 0, DESIGN.md §7); their winners are
@@ -34,6 +35,14 @@ pub struct CommitCounters {
     /// (iteration 0's probe in a run that may score in f32): the counter
     /// the precision rule reads. 0 in any other scan.
     pub f32_misses: u64,
+    /// Rows an MTI iteration in block mode committed straight from the
+    /// block scan: certified winner = current assignment (DESIGN.md §2).
+    pub block_rows: u64,
+    /// Rows an MTI iteration committed (either mode) whose final bound
+    /// exceeds `half_scan` of their final assignment, so it leaves at
+    /// least `scan_min_open(k)` candidates open: the counter the block
+    /// rule reads ([`crate::driver::WIDE_SHARE`]).
+    pub wide_rows: u64,
 }
 
 impl CommitCounters {
@@ -45,6 +54,8 @@ impl CommitCounters {
         self.rescored_rows += o.rescored_rows;
         self.f32_rows += o.f32_rows;
         self.f32_misses += o.f32_misses;
+        self.block_rows += o.block_rows;
+        self.wide_rows += o.wide_rows;
     }
 }
 

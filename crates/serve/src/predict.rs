@@ -31,7 +31,7 @@ use std::cell::RefCell;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use knor_core::kernel::{assign_rows_packed, Precision};
+use knor_core::kernel::{assign_rows_packed, Finish, Precision};
 use knor_core::Normalization;
 
 use crate::registry::Model;
@@ -82,7 +82,8 @@ fn scan(rows: &[f64], d: usize, model: &Model, scratch: &mut Scratch) {
     // pick f32 for it.
     let (cents, panel) = (&model.centroids, &model.panel);
     let (f64, none) = (Precision::F64, &mut Vec::new());
-    assign_rows_packed(block, d, cents, &model.kernel, panel, best, dist, true, f64, none);
+    let dists = Finish::Distances;
+    assign_rows_packed(block, d, cents, &model.kernel, panel, best, dist, dists, f64, none);
 }
 
 /// The fewest rows a part of a split block gets: a scoped thread's spawn

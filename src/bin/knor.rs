@@ -504,12 +504,22 @@ fn print_prune(run: &RunSpec, n: usize, total: &PruneCounters) {
 /// run after iteration 0, when the precision rule allows it), and
 /// `f32_misses` the rows the rule counted against f32: those of an f32
 /// scan that failed the f32 certificate, and those of iteration 0's probe
-/// whose gap would have failed it.
+/// whose gap would have failed it. `block_rows` counts the rows an MTI
+/// iteration in block mode committed straight from the block scan, and
+/// `wide_rows` the committed rows whose final bound left many candidates
+/// open: the counter the block rule reads (DESIGN.md §2).
 fn print_commit(c: &CommitCounters) {
     println!(
         "commit: borrowed_rows={} gathered_rows={} panel_packs={} rescored_rows={} f32_rows={} \
-         f32_misses={}",
-        c.borrowed_rows, c.gathered_rows, c.panel_packs, c.rescored_rows, c.f32_rows, c.f32_misses
+         f32_misses={} block_rows={} wide_rows={}",
+        c.borrowed_rows,
+        c.gathered_rows,
+        c.panel_packs,
+        c.rescored_rows,
+        c.f32_rows,
+        c.f32_misses,
+        c.block_rows,
+        c.wide_rows
     );
 }
 

@@ -6,7 +6,7 @@
 use knor::prelude::*;
 use knor_baselines::gemm::gemm_lloyd;
 use knor_core::centroids::Centroids;
-use knor_core::driver::F32_MISS_SHARE;
+use knor_core::driver::{with_block_commit, F32_MISS_SHARE, WIDE_SHARE};
 use knor_core::kernel::f32_scan_possible;
 use knor_core::quality::{agreement, max_center_error};
 use knor_core::serial::lloyd_serial;
@@ -320,6 +320,200 @@ fn f32_scans_agree_bitwise_across_all_three_engines() {
     .fit(&data)
     .kmeans;
     assert_same_run(&dist, &im, "knord");
+}
+
+/// Seven distinct rows of a planted mixture, thirty times over: with
+/// Forgy seeds some centroids are bit-equal duplicates, so rows tie exactly.
+fn repeated_rows() -> DMatrix {
+    let (base, _) = workload(2400, 6, 77);
+    DMatrix::from_vec((0..210).flat_map(|i| base.row(i % 7).to_vec()).collect(), 210, 6)
+}
+
+/// The per-iteration I/O rows of a knors run, without their timings.
+fn io_rows(io: &[knor::sem::IoIterStats]) -> Vec<[u64; 9]> {
+    io.iter()
+        .map(|r| {
+            [
+                r.active_rows,
+                r.rc_hits,
+                r.rc_misses,
+                r.bytes_requested,
+                r.bytes_read,
+                r.page_hits,
+                r.page_misses,
+                r.rc_resident_rows,
+                u64::from(r.rc_refreshed),
+            ]
+        })
+        .collect()
+}
+
+/// MTI's two bounded commits (DESIGN.md §2), each forced on knori and
+/// knors: the block scan that commits its certified non-movers, and the
+/// walk. The run is the same in both — assignments, centroid bits,
+/// iterations and every iteration's `wide_rows` — and so is knors' I/O:
+/// Clause 1 runs before the fetch in both, so the device bytes and every
+/// row of the I/O table match. On the planted mixture (Forgy) block mode
+/// commits most rows from the block; on the duplicated rows, where
+/// `nearest` and the walk part ways on exact ties, it hands every tied
+/// row to the walk. (At `k = 9`, `k·d = 54` takes the scalar kernel, and
+/// the block needs gemm, so there both "modes" walk.)
+#[test]
+fn block_and_walk_modes_are_bitwise_equal_on_knori_and_knors() {
+    let (planted, _) = workload(3000, 8, 91);
+    let repeated = repeated_rows();
+    let mut cases = vec![("planted", &planted, 24, 3u64)];
+    for k in [9, 12] {
+        for seed in [0, 1, 5, 23] {
+            cases.push(("repeated", &repeated, k, seed));
+        }
+    }
+    let path = TempFile::new(format!("knor-cross-block-{}.knor", std::process::id()));
+    // Per input: rows committed from the block, rows it could not certify.
+    let mut tallies = std::collections::BTreeMap::<&str, (u64, u64)>::new();
+    for (what, data, k, seed) in cases {
+        let at = format!("{what} k={k} seed={seed}");
+        let init = InitMethod::Forgy.initialize(data, k, seed).to_matrix();
+        let im = |block| {
+            let config = KmeansConfig::new(k)
+                .with_init(InitMethod::Given(init.clone()))
+                .with_threads(2)
+                .with_scheduler(SchedulerKind::Static)
+                .with_max_iters(60);
+            with_block_commit(block, || Kmeans::new(config).fit(data))
+        };
+        matrix_io::write_matrix(&path, data).unwrap();
+        let sem = |block| {
+            let config = SemConfig::new(k)
+                .with_init(SemInit::Given(init.clone()))
+                .with_threads(1)
+                .with_scheduler(SchedulerKind::Static)
+                .with_page_size(512)
+                .with_task_size(64)
+                .with_row_cache_bytes(1 << 14)
+                .with_max_iters(60);
+            with_block_commit(block, || SemKmeans::new(config).fit(&path).unwrap())
+        };
+        let gemm = ResolvedKernel::for_shape(k, data.ncol()).kind == ResolvedKind::Gemm;
+        let wide =
+            |r: &KmeansResult| r.iters.iter().map(|i| i.commit.wide_rows).collect::<Vec<_>>();
+        let (walk, block) = (im(false), im(true));
+        assert_same_run(&block, &walk, &format!("knori {at}"));
+        assert_eq!(wide(&block), wide(&walk), "knori {at}: wide_rows");
+        assert_eq!(walk.total_commit().block_rows, 0, "knori {at}");
+        let c = block.total_commit();
+        if !gemm {
+            assert_eq!(c.block_rows, 0, "knori {at}");
+        }
+        let tally = tallies.entry(what).or_default();
+        (tally.0, tally.1) = (tally.0 + c.block_rows, tally.1 + c.rescored_rows);
+        let (walk, block) = (sem(false), sem(true));
+        assert_same_run(&block.kmeans, &walk.kmeans, &format!("knors {at}"));
+        assert_eq!(wide(&block.kmeans), wide(&walk.kmeans), "knors {at}: wide_rows");
+        assert_eq!(block.kmeans.total_commit().block_rows, c.block_rows, "knors {at}");
+        assert_eq!(io_rows(&block.io), io_rows(&walk.io), "knors {at}: I/O rows");
+        let bytes = |r: &knor::sem::SemResult| r.io.iter().map(|i| i.bytes_read).sum::<u64>();
+        assert!(bytes(&walk) > 0, "knors {at}: nothing read");
+        assert_eq!(bytes(&block), bytes(&walk), "knors {at}: device bytes");
+    }
+    // Block mode committed rows from the block on both inputs, and handed
+    // the duplicated rows' exact ties to the walk.
+    assert!(tallies.values().all(|t| t.0 > 0), "(block rows, uncertified): {tallies:?}");
+    assert!(tallies["repeated"].1 > 0, "no tie went to the walk: {tallies:?}");
+}
+
+/// The block rule ([`WIDE_SHARE`]): a bounded iteration scores its
+/// survivors in blocks when more than that share of the previous
+/// iteration's committed rows ended wide (their bound leaves many
+/// candidates open). Iteration 1 reads iteration 0's full scan, which
+/// commits nothing under bounds, so it walks. k-means++ seeds on a planted
+/// mixture leave a few wide rows (the noise), and every iteration walks;
+/// Forgy seeds leave most rows wide, and from iteration 2 on every
+/// iteration runs in block mode. Both runs take `lloyd_serial`'s
+/// assignments and iteration count exactly (MTI's centroids sum deltas, so
+/// their last bits follow another order).
+#[test]
+fn the_block_rule_reads_the_previous_iteration() {
+    // Ten planted clusters, as in the benchmark's mixture; 48 centroids.
+    let spec = MixtureSpec { k: 10, noise: 0.02, ..MixtureSpec::friendster_like(6000, 16, 95) };
+    let (data, k) = (spec.generate().data, 48);
+    for (init, forgy) in [(InitMethod::PlusPlus, false), (InitMethod::Forgy, true)] {
+        let what = format!("{init:?}");
+        let given = init.initialize(&data, k, 4).to_matrix();
+        let serial = lloyd_serial(&data, k, &InitMethod::Given(given.clone()), 0, 12, 0.0);
+        let im = Kmeans::new(
+            KmeansConfig::new(k)
+                .with_init(InitMethod::Given(given))
+                .with_threads(1)
+                .with_scheduler(SchedulerKind::Static)
+                .with_max_iters(12),
+        )
+        .fit(&data);
+        assert_eq!(im.assignments, serial.assignments, "{what}: assignments");
+        assert_eq!(im.niters, serial.niters, "{what}: iterations");
+        assert!(im.iters.len() > 3, "{what}: the run must reach iteration 3");
+        for (prev, it) in im.iters.iter().zip(&im.iters[1..]) {
+            let (p, c) = (&prev.commit, &it.commit);
+            let share = p.wide_rows as f64 / (p.borrowed_rows + p.gathered_rows) as f64;
+            let at = format!("{what} iter {}: previous wide share {share:.3}, {c:?}", it.iter);
+            assert_eq!(c.block_rows > 0, share > WIDE_SHARE, "{at}");
+            assert_eq!(c.block_rows > 0, forgy && it.iter >= 2, "{at}");
+        }
+    }
+}
+
+/// A run whose MTI iterations commit from the block (Forgy seeds) is the
+/// same on knori, knors and knord at one and two ranks: the same
+/// iterations, assignments, centroid bits and SSE. Each rank picks its
+/// mode from its own counters; either mode gives the same result.
+#[test]
+fn block_commits_agree_across_all_three_engines() {
+    let (data, _) = workload(4000, 16, 94);
+    let (k, seed) = (32, 2);
+    let path = TempFile::new(format!("knor-cross-block3-{}.knor", std::process::id()));
+    matrix_io::write_matrix(&path, &data).unwrap();
+    let im = Kmeans::new(
+        KmeansConfig::new(k)
+            .with_init(InitMethod::Forgy)
+            .with_seed(seed)
+            .with_threads(2)
+            .with_scheduler(SchedulerKind::Static)
+            .with_max_iters(20)
+            .with_sse(true),
+    )
+    .fit(&data);
+    assert!(im.total_commit().block_rows > 0, "knori never committed from a block");
+    let sem = SemKmeans::new(
+        SemConfig::new(k)
+            .with_seed(seed)
+            .with_threads(2)
+            .with_scheduler(SchedulerKind::Static)
+            .with_row_cache_bytes(1 << 18)
+            .with_max_iters(20)
+            .with_sse(true),
+    )
+    .fit(&path)
+    .unwrap()
+    .kmeans;
+    let text = |r: &KmeansResult| format!("{:.4}", r.sse.expect("SSE was asked for"));
+    let mut runs = vec![("knors".to_string(), sem)];
+    for ranks in [1, 2] {
+        let config = DistConfig::new(k, ranks, 1)
+            .with_init(InitMethod::Forgy)
+            .with_seed(seed)
+            .with_scheduler(SchedulerKind::Static)
+            .with_max_iters(20)
+            .with_sse(true);
+        runs.push((format!("knord R={ranks}"), DistKmeans::new(config).fit(&data).kmeans));
+    }
+    for (who, r) in &runs {
+        assert!(r.total_commit().block_rows > 0, "{who} never committed from a block");
+        assert_eq!(r.niters, im.niters, "{who}: iterations");
+        assert_eq!(r.assignments, im.assignments, "{who}: assignments");
+        assert_eq!(text(r), text(&im), "{who}: SSE");
+    }
+    // knors stages the same rows in the same order as knori: bit for bit.
+    assert_same_run(&runs[0].1, &im, "knors");
 }
 
 /// One stop rule for knori and the serial reference: nothing moved, or
