@@ -75,7 +75,7 @@ use knor_sched::{task_grid, Task, TaskQueue};
 use crate::algo::{MmAlgorithm, UpdateCtx};
 use crate::centroids::{finalize_means, Centroids, LocalAccum};
 use crate::distance::{dist, nearest};
-use crate::kernel::{f32_scan_possible, Precision, ResolvedKernel, ResolvedKind};
+use crate::kernel::{avx512_scorer, f32_scan_possible, Precision, ResolvedKernel, ResolvedKind};
 use crate::plane::{DataPlane, DrainScratch};
 use crate::pruning::{mti_assign, MtiIterState, PruneCounters, Pruning, RowScan};
 use crate::stats::{CommitCounters, IterStats};
@@ -123,10 +123,24 @@ fn next_precision(prev: Precision, c: &CommitCounters, cents: &Centroids) -> Pre
 /// least `scan_min_open(k)` candidates open (`wide_rows`). Such a row costs
 /// the walk a tighten plus a one-row gemm scan; the block scores every
 /// survivor at about one flat rate. DESIGN.md §2 measured the break-even
-/// near 0.37 of committed rows; a steady iteration sits far from it on
-/// both sides (0.03 on a k-means++ mixture, 0.88 under Forgy seeds), and
+/// near 0.40 of committed rows; a steady iteration sits far from it on
+/// both sides (0.03 on a k-means++ mixture, 0.86 under Forgy seeds), and
 /// half keeps the rule on the walk's side of the estimate.
 pub const WIDE_SHARE: f64 = 0.5;
+
+/// The smallest `k` at which the block rule may pick block mode: the
+/// rates behind [`WIDE_SHARE`] were measured from `k = 32` up. Below it a
+/// row counts as wide with as few as two candidates open
+/// (`scan_min_open`), and the block's flat cost was never timed.
+pub const BLOCK_MIN_K: usize = 32;
+
+/// Whether the block rule may pick block mode for a run of `k` centroids
+/// on kernel `rk`: the shapes [`WIDE_SHARE`] was derived on, a gemm run
+/// on the AVX-512 scorer with `k >= BLOCK_MIN_K`. Elsewhere every bounded
+/// iteration walks.
+pub fn block_rule_applies(rk: ResolvedKernel, k: usize) -> bool {
+    rk.kind == ResolvedKind::Gemm && avx512_scorer() && k >= BLOCK_MIN_K
+}
 
 /// The block rule: whether the bounded iteration after one with commit
 /// counters `c` scores its survivors in blocks. Rank-local counters, like
@@ -236,7 +250,8 @@ pub struct IterView<'a> {
     pub precision: Precision,
     /// Whether a bounded (MTI, `iter > 0`) iteration commits its Clause-1
     /// survivors through the block scan: the block rule's verdict
-    /// ([`WIDE_SHARE`]). Only a gemm run with `k > 1` ever does.
+    /// ([`WIDE_SHARE`], [`block_rule_applies`]). Only a gemm run with
+    /// `k > 1` ever does.
     pub block: bool,
     /// The clustering algorithm this run executes (see [`crate::algo`]).
     pub algo: &'a dyn MmAlgorithm,
@@ -409,9 +424,11 @@ pub fn run_mm<P: DataPlane + ?Sized, R: Reducer>(
     let precision = AtomicU8::new(first_precision(f32_eligible, &init) as u8);
     // The next bounded iteration's commit mode, decided in the coordinator
     // window; iteration 1 walks unless a test forces block mode. The block
-    // scan needs the gemm scorer's certificate and a candidate to compare.
+    // scan needs the gemm scorer's certificate and a candidate to compare;
+    // the rule picks it only on the shapes it was measured on.
     let forced_block = FORCED_BLOCK.get();
     let block_able = cfg_pruning && rk.kind == ResolvedKind::Gemm && k > 1;
+    let block_ruled = block_able && block_rule_applies(rk, k);
     let block = AtomicBool::new(block_able && forced_block == Some(true));
 
     // Shared engine state (see "Shared state" in the module docs).
@@ -640,8 +657,11 @@ pub fn run_mm<P: DataPlane + ?Sized, R: Reducer>(
                     let prev = precisions[usize::from(precision.load(Ordering::Acquire))];
                     let next = next_precision(prev, &totals.commit, &cents);
                     precision.store(next as u8, Ordering::Release);
-                    let next_block = forced_block.unwrap_or_else(|| next_block(&totals.commit));
-                    block.store(block_able && next_block, Ordering::Release);
+                    let next_block = match forced_block {
+                        Some(forced) => block_able && forced,
+                        None => block_ruled && next_block(&totals.commit),
+                    };
+                    block.store(next_block, Ordering::Release);
 
                     co.stats.push(IterStats {
                         iter,

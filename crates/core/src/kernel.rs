@@ -380,10 +380,15 @@ pub enum Precision {
 /// (`2·max‖c‖² ≤ f32::MAX/4`, `d ≤ 2²⁰`; a NaN norm fails). The driver's
 /// precision rule asks this of every iteration's new centroids.
 pub fn f32_scan_possible(cents: &Centroids) -> bool {
-    Scorer::host() == Scorer::Avx512
+    avx512_scorer()
         && panel_columns(cents.k()) >= 64
         && cents.d <= F32_MAX_D
         && (0..cents.k()).all(|c| 2.0 * sqnorm(cents.mean(c)) <= f64::from(f32::MAX) / 4.0)
+}
+
+/// Whether this host's gemm scans run on the AVX-512 scorer.
+pub fn avx512_scorer() -> bool {
+    Scorer::host() == Scorer::Avx512
 }
 
 /// The columns of a panel of `k` centroids: `k` rounded up to the

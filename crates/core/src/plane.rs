@@ -353,50 +353,7 @@ fn drain_with<S: RowSource, F: RowFilter>(
             rep.aux += src.stage(&needed, scratch, tracer)?;
             rep.rows_accessed += needed.len() as u64;
         }
-        if commit == Commit::Bounds && block {
-            // Block mode: score the survivors in blocks, commit straight
-            // from the block every row whose certified winner is its
-            // assignment, walk the rest in row order (DESIGN.md §2).
-            let mut scan = RowScan::new(&scratch.panel);
-            rep.counters.dist_computations += (needed.len() * k) as u64;
-            for (c, ids) in needed.chunks(step).enumerate() {
-                let block = src.block(&mut scratch.data, c * step, ids);
-                let (best, dists) = (&mut scratch.best, &mut scratch.best_dist);
-                let counts = assign_rows_packed(
-                    block,
-                    d,
-                    view.cents,
-                    &view.kernel,
-                    &scratch.panel,
-                    best,
-                    dists,
-                    Finish::Certified,
-                    Precision::F64,
-                    &mut scratch.rows32,
-                );
-                rep.commit.rescored_rows += counts.rescored_rows;
-                for (i, &r) in ids.iter().enumerate() {
-                    let v = &block[i * d..(i + 1) * d];
-                    if best[i] == rows.assign(r) {
-                        let held = (best[i] as usize, dists[i]);
-                        filter.establish(&mut rows, r, v, held, accum, &mut rep.counters);
-                        rep.commit.block_rows += 1;
-                    } else {
-                        let moved = filter.commit(
-                            &mut rows,
-                            r,
-                            v,
-                            Some(&mut scan),
-                            accum,
-                            &mut rep.counters,
-                        );
-                        rep.reassigned += u64::from(moved);
-                    }
-                    rep.commit.wide_rows += u64::from(filter.wide(&rows, r));
-                }
-            }
-            rep.commit.rescored_rows += scan.rescored;
-        } else if commit == Commit::Bounds {
+        if commit == Commit::Bounds && !block {
             let mut scan = gemm.then(|| RowScan::new(&scratch.panel));
             for (i, &r) in needed.iter().enumerate() {
                 if let Some(&ahead) = needed.get(i + PF) {
@@ -409,15 +366,18 @@ fn drain_with<S: RowSource, F: RowFilter>(
             }
             rep.commit.rescored_rows += scan.map_or(0, |s| s.rescored);
         } else {
-            // One full candidate scan per row, whatever its metric.
+            // One full candidate scan per row, whatever its metric. In
+            // block mode the rows whose certified winner is not their
+            // assignment then take the walk, in row order (DESIGN.md §2).
+            let mut scan = RowScan::new(&scratch.panel);
             rep.counters.dist_computations += (needed.len() * k) as u64;
             for (c, ids) in needed.chunks(step).enumerate() {
-                let block = src.block(&mut scratch.data, c * step, ids);
+                let chunk = src.block(&mut scratch.data, c * step, ids);
                 let best = &mut scratch.best;
                 if commit == Commit::Map {
                     let weights = &mut scratch.weights;
                     view.algo.map_block(
-                        block,
+                        chunk,
                         d,
                         view.cents,
                         best,
@@ -427,7 +387,7 @@ fn drain_with<S: RowSource, F: RowFilter>(
                     for (i, &r) in ids.iter().enumerate() {
                         accum.add_weighted(
                             best[i] as usize,
-                            &block[i * d..(i + 1) * d],
+                            &chunk[i * d..(i + 1) * d],
                             weights[i],
                         );
                         rep.reassigned += u64::from(rows.set_assign(r, best[i]));
@@ -436,27 +396,40 @@ fn drain_with<S: RowSource, F: RowFilter>(
                     let dists = &mut scratch.best_dist;
                     // Distances are only materialized when the filter's
                     // bounds consume them.
+                    let finish = match (block, F::BOUNDED) {
+                        (true, _) => Finish::Certified,
+                        (false, true) => Finish::Distances,
+                        (false, false) => Finish::Winners,
+                    };
                     let counts = assign_rows_packed(
-                        block,
+                        chunk,
                         d,
                         view.cents,
                         &view.kernel,
                         &scratch.panel,
                         best,
                         dists,
-                        if F::BOUNDED { Finish::Distances } else { Finish::Winners },
+                        finish,
                         precision,
                         &mut scratch.rows32,
                     );
                     rep.commit.merge(&counts);
                     for (i, &r) in ids.iter().enumerate() {
-                        let (v, scan) = (&block[i * d..(i + 1) * d], (best[i] as usize, dists[i]));
-                        let moved =
-                            filter.establish(&mut rows, r, v, scan, accum, &mut rep.counters);
+                        let v = &chunk[i * d..(i + 1) * d];
+                        let counters = &mut rep.counters;
+                        let moved = if !block || best[i] == rows.assign(r) {
+                            rep.commit.block_rows += u64::from(block);
+                            let held = (best[i] as usize, dists[i]);
+                            filter.establish(&mut rows, r, v, held, accum, counters)
+                        } else {
+                            filter.commit(&mut rows, r, v, Some(&mut scan), accum, counters)
+                        };
                         rep.reassigned += u64::from(moved);
+                        rep.commit.wide_rows += u64::from(block && filter.wide(&rows, r));
                     }
                 }
             }
+            rep.commit.rescored_rows += scan.rescored;
         }
     }
     scratch.needed = needed;

@@ -6,7 +6,9 @@
 use knor::prelude::*;
 use knor_baselines::gemm::gemm_lloyd;
 use knor_core::centroids::Centroids;
-use knor_core::driver::{with_block_commit, F32_MISS_SHARE, WIDE_SHARE};
+use knor_core::driver::{
+    block_rule_applies, with_block_commit, BLOCK_MIN_K, F32_MISS_SHARE, WIDE_SHARE,
+};
 use knor_core::kernel::f32_scan_possible;
 use knor_core::quality::{agreement, max_center_error};
 use knor_core::serial::lloyd_serial;
@@ -429,16 +431,25 @@ fn block_and_walk_modes_are_bitwise_equal_on_knori_and_knors() {
 /// commits nothing under bounds, so it walks. k-means++ seeds on a planted
 /// mixture leave a few wide rows (the noise), and every iteration walks;
 /// Forgy seeds leave most rows wide, and from iteration 2 on every
-/// iteration runs in block mode. Both runs take `lloyd_serial`'s
-/// assignments and iteration count exactly (MTI's centroids sum deltas, so
-/// their last bits follow another order).
+/// iteration runs in block mode — where the rule applies at all
+/// ([`block_rule_applies`]: the AVX-512 scorer, `k >= BLOCK_MIN_K`). At
+/// `k = 16` the Forgy run has as many wide rows and still walks. Every run
+/// takes `lloyd_serial`'s assignments and iteration count exactly (MTI's
+/// centroids sum deltas, so their last bits follow another order).
 #[test]
 fn the_block_rule_reads_the_previous_iteration() {
-    // Ten planted clusters, as in the benchmark's mixture; 48 centroids.
+    // Ten planted clusters, as in the benchmark's mixture.
     let spec = MixtureSpec { k: 10, noise: 0.02, ..MixtureSpec::friendster_like(6000, 16, 95) };
-    let (data, k) = (spec.generate().data, 48);
-    for (init, forgy) in [(InitMethod::PlusPlus, false), (InitMethod::Forgy, true)] {
-        let what = format!("{init:?}");
+    let data = spec.generate().data;
+    const { assert!(16 < BLOCK_MIN_K && BLOCK_MIN_K <= 48) };
+    let cases = [
+        (InitMethod::PlusPlus, false, 48),
+        (InitMethod::Forgy, true, 48),
+        (InitMethod::Forgy, true, 16),
+    ];
+    for (init, forgy, k) in cases {
+        let what = format!("{init:?} k={k}");
+        let applies = block_rule_applies(ResolvedKernel::for_shape(k, data.ncol()), k);
         let given = init.initialize(&data, k, 4).to_matrix();
         let serial = lloyd_serial(&data, k, &InitMethod::Given(given.clone()), 0, 12, 0.0);
         let im = Kmeans::new(
@@ -456,13 +467,16 @@ fn the_block_rule_reads_the_previous_iteration() {
             let (p, c) = (&prev.commit, &it.commit);
             let share = p.wide_rows as f64 / (p.borrowed_rows + p.gathered_rows) as f64;
             let at = format!("{what} iter {}: previous wide share {share:.3}, {c:?}", it.iter);
-            assert_eq!(c.block_rows > 0, share > WIDE_SHARE, "{at}");
-            assert_eq!(c.block_rows > 0, forgy && it.iter >= 2, "{at}");
+            assert_eq!(c.block_rows > 0, applies && share > WIDE_SHARE, "{at}");
+            assert_eq!(c.block_rows > 0, applies && forgy && it.iter >= 2, "{at}");
+            // Below BLOCK_MIN_K the Forgy run is as wide, and walks anyway.
+            assert!(!forgy || it.iter < 2 || share > WIDE_SHARE, "{at}");
         }
     }
 }
 
-/// A run whose MTI iterations commit from the block (Forgy seeds) is the
+/// A run whose MTI iterations commit from the block (Forgy seeds, where
+/// the block rule applies) is the
 /// same on knori, knors and knord at one and two ranks: the same
 /// iterations, assignments, centroid bits and SSE. Each rank picks its
 /// mode from its own counters; either mode gives the same result.
@@ -482,7 +496,9 @@ fn block_commits_agree_across_all_three_engines() {
             .with_sse(true),
     )
     .fit(&data);
-    assert!(im.total_commit().block_rows > 0, "knori never committed from a block");
+    // Off the AVX-512 scorer the rule walks; the engines still agree.
+    let applies = block_rule_applies(ResolvedKernel::for_shape(k, data.ncol()), k);
+    assert_eq!(im.total_commit().block_rows > 0, applies, "knori's block rows");
     let sem = SemKmeans::new(
         SemConfig::new(k)
             .with_seed(seed)
@@ -507,7 +523,7 @@ fn block_commits_agree_across_all_three_engines() {
         runs.push((format!("knord R={ranks}"), DistKmeans::new(config).fit(&data).kmeans));
     }
     for (who, r) in &runs {
-        assert!(r.total_commit().block_rows > 0, "{who} never committed from a block");
+        assert_eq!(r.total_commit().block_rows > 0, applies, "{who}'s block rows");
         assert_eq!(r.niters, im.niters, "{who}: iterations");
         assert_eq!(r.assignments, im.assignments, "{who}: assignments");
         assert_eq!(text(r), text(&im), "{who}: SSE");
