@@ -449,7 +449,10 @@ fn the_block_rule_reads_the_previous_iteration() {
     ];
     for (init, forgy, k) in cases {
         let what = format!("{init:?} k={k}");
-        let applies = block_rule_applies(ResolvedKernel::for_shape(k, data.ncol()), k);
+        // The host decides the scorer; the `k` limit is checked on its own,
+        // not read back from the rule.
+        let scorer = block_rule_applies(ResolvedKernel::for_shape(48, data.ncol()), 48);
+        let applies = scorer && k >= BLOCK_MIN_K;
         let given = init.initialize(&data, k, 4).to_matrix();
         let serial = lloyd_serial(&data, k, &InitMethod::Given(given.clone()), 0, 12, 0.0);
         let im = Kmeans::new(
